@@ -64,6 +64,15 @@ go test -run 'TestEventEngineMatchesGoroutine' -count=1 ./internal/pgas
 go test -run 'TestEngineDifferential' -count=1 ./internal/caf
 go test -run 'TestHimenoGoldensOnEventEngine' -count=1 ./internal/himeno
 
+echo "==> allocation gate (steady-state malloc ceilings: Himeno iteration, waits, co_sum, lock pair, DHT update)"
+go test -run 'SteadyStateAllocs' -count=1 ./internal/...
+
+echo "==> watchdog no-hang loop (deterministic deadlocks on both engines, 50x, bounded wall time)"
+# A detector that can miss a deadlock fails this gate instead of stalling it.
+# (The 100k-image watchdog test runs once with the suite above; it is too
+# slow to loop.)
+timeout 120 go test -count=50 -run 'TestWatchdog(Breaks|Names|Catches)|TestEventEngineDeadlockDetected' ./internal/pgas
+
 echo "==> event-engine scale smoke (4096 images on the bounded pool, bounded wall time)"
 timeout 120 go test -run 'TestEventEngineHimeno4k' -count=1 ./internal/himeno
 

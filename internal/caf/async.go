@@ -15,17 +15,22 @@ import (
 // issue; the wire time is paid by whoever calls SyncMemory first, capped at
 // the slowest outstanding transfer rather than their sum.
 //
-// Semantics mirror Fortran's asynchronous I/O rules: between PutAsync and the
-// next SyncMemory the source values are in the runtime's hands — the caller
-// must not assume the target has the data, and same-image ordering with later
-// puts to the same location is not guaranteed. On transports without
-// nonblocking support (MPI-3 RMA) PutAsync degrades to the blocking Put
-// path, so programs stay portable across every backend.
+// Semantics: the values are snapshotted at issue — PutAsync encodes vals into a
+// buffer the runtime owns before it returns, as an assignment statement
+// evaluates its right-hand side — so the caller may reuse vals at once
+// (TestPutAsyncSnapshotsValuesAtIssue pins this on every lowering and
+// transport; Himeno's reused halo-plane buffers depend on it). What stays
+// open until the next SyncMemory is the *remote* side: the caller must not
+// assume the target has the data, and same-image ordering with later puts to
+// the same location is not guaranteed. On transports without nonblocking
+// support (MPI-3 RMA) PutAsync degrades to the blocking Put path, so programs
+// stay portable across every backend.
 
 // PutAsync writes vals (dense, column-major section order) into section sec
 // of the coarray on image j (1-based) without waiting for remote completion.
-// Completion — and any failed-image report — is deferred to the next
-// SyncMemory/SyncMemoryStat (or any full synchronisation, e.g. SyncAll).
+// vals is copied before PutAsync returns. Remote completion — and any
+// failed-image report — is deferred to the next SyncMemory/SyncMemoryStat (or
+// any full synchronisation, e.g. SyncAll).
 func (c *Coarray[T]) PutAsync(j int, sec Section, vals []T) {
 	c.img.pollFault()
 	c.img.checkImage(j)
@@ -48,10 +53,12 @@ func (c *Coarray[T]) PutAsync(j int, sec Section, vals []T) {
 func (c *Coarray[T]) PutFullAsync(j int, vals []T) { c.PutAsync(j, All(c.shape...), vals) }
 
 // putSectionNBI mirrors putSection over the nonblocking transport surface.
-// Buffers are freshly allocated, never pooled: the runtime (and the
-// sanitizer's live view) owns them until the next Quiet, so returning them to
-// a scratch pool before then would be exactly the source-reuse bug the
-// checker exists to catch.
+// vals is encoded into buffers that are freshly allocated, never pooled: that
+// copy is PutAsync's snapshot-at-issue contract, and the runtime (and the
+// sanitizer's live view) owns the buffers until the next Quiet, so returning
+// them to a scratch pool before then would be exactly the source-reuse bug the
+// checker exists to catch. A zero-copy lowering would have to change the
+// documented contract first.
 func (c *Coarray[T]) putSectionNBI(target int, sec Section, vals []T) {
 	nbi := c.img.nbi
 	es := int64(c.es)
@@ -68,10 +75,7 @@ func (c *Coarray[T]) putSectionNBI(target int, sec Section, vals []T) {
 	case StridedNaive:
 		// One vectored nonblocking call covering every contiguous run.
 		data := pgas.EncodeSlice[T](nil, vals)
-		var offs []int64
-		c.eachRun(sec, runDims, runElems, func(byteOff int64, valOff int) {
-			offs = append(offs, byteOff)
-		})
+		offs := c.appendRunOffs(make([]int64, 0, len(vals)/runElems), sec, runDims)
 		nbi.PutMemVNBI(target, offs, runElems*int(es), data)
 		c.img.Stats.AsyncPuts += int64(len(offs))
 	default: // 1dim, 2dim, vendor: 1-D strided nonblocking calls per pencil
@@ -89,7 +93,7 @@ func (c *Coarray[T]) putSectionNBI(target int, sec Section, vals []T) {
 // SyncMemory executes "sync memory": completes all outstanding communication
 // of this image — blocking puts and every async transfer in flight — without
 // synchronising with other images. After it returns, prior PutAsync data is
-// remotely visible and source buffers are reusable.
+// remotely visible.
 func (img *Image) SyncMemory() {
 	img.pollFault()
 	img.quiet()

@@ -216,6 +216,68 @@ func TestPutAsyncSanitizerClean(t *testing.T) {
 	}
 }
 
+// PutAsync and PutSignalAsync snapshot their values at issue: the caller may
+// overwrite vals the moment the call returns, long before SyncMemory, and the
+// target still receives what vals held at the call — on the contiguous,
+// vectored and pencil-strided lowerings, on every transport, and without a
+// sanitizer report (the runtime's encoded buffer is what stays in flight, not
+// vals). Himeno's reused halo-plane buffers rely on exactly this.
+func TestPutAsyncSnapshotsValuesAtIssue(t *testing.T) {
+	cfgs := asyncOpts()
+	cfgs["gasnet"] = gasnetOpts()
+	cfgs["mpi3"] = mpi3Opts()
+	strided := Section{{Lo: 0, Hi: 3, Step: 2}, {Lo: 0, Hi: 3, Step: 1}}
+	for name, opts := range cfgs {
+		opts.Sanitize = opts.Transport == TransportSHMEM // the checker exists there only
+		err := Run(2, opts, func(img *Image) {
+			x := Allocate[int64](img, 4, 4)
+			sig := NewSignal(img)
+			me := img.ThisImage()
+			other := 3 - me
+			for _, sec := range []Section{All(4, 4), strided} {
+				for _, signalled := range []bool{false, true} {
+					x.Fill(0)
+					img.SyncAll()
+					vals := make([]int64, sec.NumElems())
+					for i := range vals {
+						vals[i] = int64(100*me + i + 1)
+					}
+					if signalled {
+						x.PutSignalAsync(other, sec, vals, sig)
+					} else {
+						x.PutAsync(other, sec, vals)
+					}
+					for i := range vals {
+						vals[i] = -1 // reuse before any SyncMemory
+					}
+					if signalled {
+						sig.Wait(other)
+					} else {
+						img.SyncMemory()
+						img.SyncAll()
+					}
+					want, k := make([]int64, 16), 0
+					for j := sec[1].Lo; j <= sec[1].Hi; j += sec[1].Step {
+						for i := sec[0].Lo; i <= sec[0].Hi; i += sec[0].Step {
+							k++
+							want[i+4*j] = int64(100*other + k)
+						}
+					}
+					if got := x.Slice(); !equalSlices(got, want) {
+						t.Errorf("%s signalled=%v: got %v, want the values at issue %v", name, signalled, got, want)
+					}
+					img.SyncMemory()
+					img.SyncAll()
+				}
+			}
+			x.Deallocate()
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
 // Stats must attribute nonblocking traffic to AsyncPuts and SyncMemory to
 // Quiets.
 func TestAsyncStats(t *testing.T) {

@@ -1,7 +1,5 @@
 package caf
 
-import "cafshmem/internal/pgas"
-
 // AtomicVar is a scalar coarray of ATOMIC_INT_KIND: the object CAF's atomic
 // subroutines operate on. Each image hosts one instance; all operations may
 // target any image's instance. Per Table II these map one-to-one onto
@@ -17,7 +15,7 @@ type AtomicVar struct {
 func NewAtomicVar(img *Image) *AtomicVar {
 	off := img.tr.Malloc(8)
 	markRuntimeAlloc(img.tr, off, 8) // no deallocator exists; not a leak
-	img.tr.(localMem).pgasPE().StoreLocal(off, pgas.EncodeOne(uint64(0)))
+	img.storeLocalWord(off, 0)
 	img.tr.Barrier()
 	return &AtomicVar{img: img, off: off}
 }

@@ -1,6 +1,7 @@
 package caf
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cafshmem/internal/pgas"
@@ -181,12 +182,13 @@ func (c *Coarray[T]) byteOff(idx []int) int64 {
 
 // Set stores v into the local element at idx.
 func (c *Coarray[T]) Set(v T, idx ...int) {
-	c.img.tr.(localMem).pgasPE().StoreLocal(c.byteOff(idx), pgas.EncodeOne(v))
+	c.img.local.StoreLocal(c.byteOff(idx), c.encodeElem(v))
 }
 
 // At loads the local element at idx.
 func (c *Coarray[T]) At(idx ...int) T {
-	b := c.img.tr.(localMem).pgasPE().LocalBytes(c.byteOff(idx), int64(c.es))
+	b := c.img.word[:c.es]
+	c.img.local.ReadLocal(c.byteOff(idx), b)
 	return pgas.DecodeOne[T](b)
 }
 
@@ -197,7 +199,7 @@ func (c *Coarray[T]) SetSlice(vals []T) {
 	}
 	bp := pgas.GetScratch()
 	data := pgas.EncodeSlice[T]((*bp)[:0], vals)
-	c.img.tr.(localMem).pgasPE().StoreLocal(c.off, data)
+	c.img.local.StoreLocal(c.off, data)
 	*bp = data
 	pgas.PutScratch(bp)
 }
@@ -218,7 +220,7 @@ func (c *Coarray[T]) SliceInto(dst []T) {
 	}
 	bp := pgas.GetScratch()
 	raw := pgas.ScratchLen(bp, c.n*c.es)
-	c.img.tr.(localMem).pgasPE().ReadLocal(c.off, raw)
+	c.img.local.ReadLocal(c.off, raw)
 	pgas.DecodeSlice(dst, raw)
 	pgas.PutScratch(bp)
 }
@@ -232,24 +234,36 @@ func (c *Coarray[T]) Fill(v T) {
 	c.SetSlice(vals)
 }
 
-// WaitLocal blocks until the *local* element at idx satisfies pred, adopting
-// the causal timestamp of the satisfying remote write. Only 8-byte element
-// types are supported (the runtime spins on 64-bit words, like
-// shmem_wait_until). This is the building block for user-level point-to-point
-// signalling with coarrays.
-func (c *Coarray[T]) WaitLocal(pred func(T) bool, idx ...int) {
+// WaitLocal blocks until the *local* element at idx satisfies "element cmp
+// value", adopting the causal timestamp of the satisfying remote write —
+// shmem_wait_until(ivar, cmp, value) on a coarray element. This is the
+// building block for user-level point-to-point signalling with coarrays.
+//
+// The runtime spins on 64-bit words and compares them as signed integers, like
+// shmem_long_wait_until, so only 8-byte element types are supported and the
+// ordered comparisons (CmpGT/GE/LT/LE) only int64 — on a uint64 or float64
+// coarray they would misorder values past 2^63 and negative floats, and panic
+// instead. CmpEQ and CmpNE compare the stored bit patterns and work for every
+// 8-byte type.
+func (c *Coarray[T]) WaitLocal(cmp pgas.Cmp, value T, idx ...int) {
 	if c.es != 8 {
 		panic(fmt.Sprintf("caf: WaitLocal requires an 8-byte element type, have %d bytes", c.es))
 	}
-	var buf [8]byte
-	c.img.tr.WaitLocal64(c.byteOff(idx), func(v int64) bool {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(uint64(v) >> (8 * i))
-		}
-		return pred(pgas.DecodeOne[T](buf[:]))
-	})
+	if _, signed := any(value).(int64); !signed && cmp != pgas.CmpEQ && cmp != pgas.CmpNE {
+		panic(fmt.Sprintf("caf: WaitLocal compares words as signed 64-bit integers: an ordered comparison requires int64 elements, have %T", value))
+	}
+	operand := int64(binary.LittleEndian.Uint64(c.encodeElem(value)))
+	c.img.tr.WaitLocal64(c.byteOff(idx), cmp, operand)
+}
+
+// encodeElem encodes one element into the image's control-word buffer; the
+// result is valid until the image's next control-word operation.
+func (c *Coarray[T]) encodeElem(v T) []byte {
+	one := [1]T{v}
+	return pgas.EncodeSlice(c.img.word[:0], one[:])
 }
 
 // localMem is the little escape hatch transports provide for zero-cost local
-// loads/stores (Fortran local array accesses do not go through the network).
+// loads/stores (Fortran local array accesses do not go through the network);
+// newImage resolves it once into Image.local.
 type localMem interface{ pgasPE() *pgas.PE }

@@ -1,10 +1,13 @@
 package caf
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
 )
 
 // shmemOpts is the default test configuration: UHCAF over MVAPICH2-X SHMEM.
@@ -331,4 +334,42 @@ func TestStatsCountsAndDeferredQuiet(t *testing.T) {
 	if quietsDef >= quietsCons {
 		t.Fatalf("deferred mode should issue fewer quiets (%d vs %d)", quietsDef, quietsCons)
 	}
+}
+
+// WaitLocal compares stored words as signed 64-bit integers: every comparison
+// is exact on int64 elements, equality works on any 8-byte type (bit patterns),
+// and an ordered comparison on a type the signed compare would misorder —
+// negative floats, uint64 past 2^63 — panics instead of answering wrongly.
+func TestWaitLocalTypedComparison(t *testing.T) {
+	forEachTransport(t, 2, func(img *Image) {
+		i64 := Allocate[int64](img, 1)
+		f64 := Allocate[float64](img, 1)
+		u64 := Allocate[uint64](img, 1)
+		if img.ThisImage() == 1 {
+			i64.PutElem(2, -5, 0)
+			f64.PutElem(2, -2.5, 0)
+			u64.PutElem(2, math.MaxUint64, 0)
+		} else {
+			i64.WaitLocal(pgas.CmpLT, 0, 0)
+			f64.WaitLocal(pgas.CmpEQ, -2.5, 0)
+			u64.WaitLocal(pgas.CmpNE, 0, 0)
+			if i64.At(0) != -5 || f64.At(0) != -2.5 || u64.At(0) != math.MaxUint64 {
+				panic("WaitLocal returned before the awaited values arrived")
+			}
+			for _, ordered := range []func(){
+				func() { f64.WaitLocal(pgas.CmpLT, 0, 0) },
+				func() { u64.WaitLocal(pgas.CmpGE, 1<<63, 0) },
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r == nil || !strings.Contains(r.(string), "requires int64 elements") {
+							panic("ordered WaitLocal on a non-int64 coarray did not panic as documented")
+						}
+					}()
+					ordered()
+				}()
+			}
+		}
+		img.SyncAll()
+	})
 }

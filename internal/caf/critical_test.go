@@ -3,6 +3,8 @@ package caf
 import (
 	"sync/atomic"
 	"testing"
+
+	"cafshmem/internal/pgas"
 )
 
 func TestCriticalMutualExclusion(t *testing.T) {
@@ -56,7 +58,7 @@ func TestTwoCriticalConstructsIndependent(t *testing.T) {
 		if img.ThisImage() == 1 {
 			a.Execute(func() {
 				// While holding a, image 2 must still get through b.
-				done.WaitLocal(func(v int64) bool { return v == 1 }, 0)
+				done.WaitLocal(pgas.CmpEQ, 1, 0)
 			})
 		} else {
 			b.Execute(func() {})

@@ -58,7 +58,7 @@ func (d *DynCoarray[T]) AllocLocal(n int) {
 	ref := PackRef(d.img.ThisImage(), off, 1)
 	// Publish the descriptor in this image's symmetric slot. Plain local
 	// stores: remote readers synchronise via sync constructs as usual.
-	p := d.img.tr.(localMem).pgasPE()
+	p := d.img.local
 	p.StoreLocal(d.desc.off, pgas.EncodeSlice[uint64](nil, []uint64{uint64(ref), uint64(n)}))
 }
 
@@ -68,7 +68,7 @@ func (d *DynCoarray[T]) FreeLocal() {
 		panic("caf: component not allocated on this image")
 	}
 	d.img.FreeNonSymmetric(d.localOff, int64(d.localLen)*int64(d.es))
-	p := d.img.tr.(localMem).pgasPE()
+	p := d.img.local
 	p.StoreLocal(d.desc.off, pgas.EncodeSlice[uint64](nil, []uint64{0, 0}))
 	d.localOff, d.localLen = 0, 0
 }
@@ -82,7 +82,7 @@ func (d *DynCoarray[T]) LocalLen() int { return d.localLen }
 // SetLocal stores vals into this image's component starting at element lo.
 func (d *DynCoarray[T]) SetLocal(lo int, vals []T) {
 	d.checkLocal(lo, len(vals))
-	p := d.img.tr.(localMem).pgasPE()
+	p := d.img.local
 	p.StoreLocal(d.localOff+int64(lo)*int64(d.es), pgas.EncodeSlice[T](nil, vals))
 }
 
@@ -91,7 +91,7 @@ func (d *DynCoarray[T]) LocalSlice() []T {
 	if d.localOff == 0 {
 		return nil
 	}
-	p := d.img.tr.(localMem).pgasPE()
+	p := d.img.local
 	out := make([]T, d.localLen)
 	pgas.DecodeSlice(out, p.LocalBytes(d.localOff, int64(d.localLen)*int64(d.es)))
 	return out

@@ -19,7 +19,7 @@ type Event struct {
 func NewEvent(img *Image) *Event {
 	off := img.tr.Malloc(8)
 	markRuntimeAlloc(img.tr, off, 8) // no deallocator exists; not a leak
-	img.tr.(localMem).pgasPE().StoreLocal(off, pgas.EncodeOne(uint64(0)))
+	img.storeLocalWord(off, 0)
 	img.tr.Barrier()
 	return &Event{img: img, off: off}
 }
@@ -40,7 +40,7 @@ func (e *Event) Wait(untilCount int64) {
 	if untilCount < 1 {
 		untilCount = 1
 	}
-	e.img.tr.WaitLocal64(e.off, func(v int64) bool { return v >= untilCount })
+	e.img.tr.WaitLocal64(e.off, pgas.CmpGE, untilCount)
 	e.img.tr.FetchAdd64(e.img.ThisImage()-1, e.off, -untilCount)
 	e.img.Stats.Atomics++
 }
@@ -48,6 +48,5 @@ func (e *Event) Wait(untilCount int64) {
 // Query executes "call event_query(ev, count)": reads this image's count
 // without blocking or consuming.
 func (e *Event) Query() int64 {
-	p := e.img.tr.(localMem).pgasPE()
-	return int64(pgas.DecodeOne[uint64](p.LocalBytes(e.off, 8)))
+	return int64(e.img.localWord(e.off))
 }

@@ -75,15 +75,28 @@ func statFromErr(err error) Stat {
 // and every blocked image is woken so waits on it surface as STATs or
 // watchdog errors instead of hangs. Never returns.
 func (img *Image) FailImage() {
-	img.hasKill = false
-	img.tr.(localMem).pgasPE().Fail()
+	img.dead = true
+	img.local.Fail()
 	panic("unreachable") // Fail panics with the departure sentinel
+}
+
+// checkAlive keeps a failed image from communicating. FAIL IMAGE unwinds the
+// image's goroutine with a panic, so the program's deferred calls still run
+// on it — typically an unlock. A crashed process executes nothing: letting
+// the unlock through had a dead holder detach, hand over or wait on a lock
+// queue that the survivors' repair walk was reading as frozen (and a dead
+// image that blocks there keeps Run from ever returning). Re-raising the
+// failure instead continues the unwind; the departure itself is idempotent.
+func (img *Image) checkAlive() {
+	if img.dead {
+		img.local.Fail()
+	}
 }
 
 // FailedImages returns the indices (1-based) of images known to have failed —
 // the failed_images() intrinsic.
 func (img *Image) FailedImages() []int {
-	pes := img.tr.(localMem).pgasPE().World().FailedPEs()
+	pes := img.local.World().FailedPEs()
 	out := make([]int, len(pes))
 	for i, p := range pes {
 		out[i] = p + 1
@@ -96,7 +109,7 @@ func (img *Image) FailedImages() []int {
 // completion, StatFailedImage after failure.
 func (img *Image) ImageStatus(j int) Stat {
 	img.checkImage(j)
-	w := img.tr.(localMem).pgasPE().World()
+	w := img.local.World()
 	switch {
 	case w.Failed(j - 1):
 		return StatFailedImage
@@ -118,7 +131,7 @@ type LinkReport = pgas.LinkReport
 // image sees the same list), so benchmarks conventionally have image 1
 // capture them after the final synchronisation.
 func (img *Image) LinkReports() []LinkReport {
-	return img.tr.(localMem).pgasPE().World().LinkReports()
+	return img.local.World().LinkReports()
 }
 
 // pollFault is the fault-injection hook: runtime entry points call it so a
@@ -126,6 +139,7 @@ func (img *Image) LinkReports() []LinkReport {
 // virtual time. One predictable branch when no kill is scheduled (always the
 // case without a FaultPlan), zero virtual-time cost either way.
 func (img *Image) pollFault() {
+	img.checkAlive()
 	if img.hasKill && img.Clock().Now() >= img.killAt {
 		img.FailImage()
 	}
@@ -235,8 +249,7 @@ func (img *Image) awaitImageStat(j int) Stat {
 	want := img.syncSeen[j-1] + 1
 	pw := img.fault.PgasWorld()
 	err := img.fault.WaitLocal64Stat(
-		img.syncOff+int64(j-1)*8,
-		func(v int64) bool { return v >= want },
+		img.syncOff+int64(j-1)*8, pgas.CmpGE, want,
 		func() error {
 			if !pw.Alive(j - 1) {
 				return errPeerDeparted

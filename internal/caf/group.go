@@ -23,6 +23,12 @@ type group struct {
 	scratchSize int64
 	growable    bool // whole-job group may reallocate scratch collectively
 	seq         int64
+
+	// buf is the group's reusable marshalling buffer: payloads are encoded
+	// into it for PutMem (which copies synchronously) and staged children are
+	// read into it for decoding, so a collective call allocates only the
+	// slice it returns.
+	buf []byte
 }
 
 // worldGroup lazily builds the whole-job group view for this image.
@@ -93,7 +99,7 @@ func (g *group) ensureScratch(bytes int64) int64 {
 // signalFlag writes seq into a member's group flag slot and completes it.
 func (g *group) signalFlag(memberIdx, slot int, seq int64) {
 	img := g.img
-	img.tr.PutMem(g.member(memberIdx)-1, g.ctlOff+int64(slot)*8, pgas.EncodeOne(uint64(seq)))
+	img.putWord(g.member(memberIdx)-1, g.ctlOff+int64(slot)*8, uint64(seq))
 	img.Stats.Puts++
 	img.tr.Quiet()
 	img.Stats.Quiets++
@@ -101,47 +107,74 @@ func (g *group) signalFlag(memberIdx, slot int, seq int64) {
 
 // awaitFlag spins on this image's group flag slot until it reaches seq.
 func (g *group) awaitFlag(slot int, seq int64) {
-	g.img.tr.WaitLocal64(g.ctlOff+int64(slot)*8, func(v int64) bool { return v >= seq })
+	g.img.tr.WaitLocal64(g.ctlOff+int64(slot)*8, pgas.CmpGE, seq)
+}
+
+// sendVals puts vals into a member's staging slot at off, completes the put
+// and raises the member's flag — one tree edge of a collective.
+func sendVals[T pgas.Elem](g *group, memberIdx int, off int64, vals []T, slot int, seq int64) {
+	img := g.img
+	g.buf = pgas.EncodeSlice(g.buf[:0], vals)
+	img.tr.PutMem(g.member(memberIdx)-1, off, g.buf)
+	img.Stats.Puts++
+	img.tr.Quiet()
+	img.Stats.Quiets++
+	g.signalFlag(memberIdx, slot, seq)
+}
+
+// recvVals decodes len(dst) elements from this image's own staging slot at
+// off into dst (a local load: free in virtual time).
+func recvVals[T pgas.Elem](g *group, dst []T, off int64) {
+	raw := pgas.ScratchLen(&g.buf, len(dst)*pgas.SizeOf[T]())
+	g.img.local.ReadLocal(off, raw)
+	pgas.DecodeSlice(dst, raw)
+}
+
+// combineVals folds the child contribution staged at off of this image's own
+// partition into acc, element by element in index order: the staged bytes are
+// read into the group's buffer and decoded a stack-resident chunk at a time,
+// so the combine needs no typed scratch of its own.
+func combineVals[T pgas.Elem](g *group, acc []T, off int64, op func(a, b T) T) {
+	es := pgas.SizeOf[T]()
+	raw := pgas.ScratchLen(&g.buf, len(acc)*es)
+	g.img.local.ReadLocal(off, raw)
+	var chunk [64]T
+	for i := 0; i < len(acc); i += len(chunk) {
+		c := chunk[:min(len(chunk), len(acc)-i)]
+		pgas.DecodeSlice(c, raw[i*es:])
+		for k, v := range c {
+			acc[i+k] = op(acc[i+k], v)
+		}
+	}
 }
 
 // reduce runs the binomial gather-combine then distribution over the group.
 // resultIdx < 0 distributes to every member; otherwise only members[resultIdx]
 // receives the result.
 func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx int) []T {
-	img := g.img
 	n := g.size()
-	out := append([]T(nil), vals...)
 	if n == 1 {
-		return out
+		return append([]T(nil), vals...)
 	}
+	out := append([]T(nil), vals...) // the call's one allocation
 	es := int64(pgas.SizeOf[T]())
 	nbytes := int64(len(vals)) * es
 	rounds := g.rounds()
 	scratch := g.ensureScratch(nbytes * int64(rounds+1))
 	seq := g.nextSeq()
 	rel := g.myIdx
-	p := img.tr.(localMem).pgasPE()
 
-	child := make([]T, len(vals))
 	for k := 0; k < rounds; k++ {
 		mask := 1 << k
 		if rel&mask != 0 {
-			parentIdx := rel - mask
-			img.tr.PutMem(g.member(parentIdx)-1, scratch+int64(k)*nbytes, pgas.EncodeSlice[T](nil, out))
-			img.Stats.Puts++
-			img.tr.Quiet()
-			img.Stats.Quiets++
-			g.signalFlag(parentIdx, k, seq)
+			sendVals(g, rel-mask, scratch+int64(k)*nbytes, out, k, seq)
 			break
 		}
 		if rel+mask >= n {
 			continue
 		}
 		g.awaitFlag(k, seq)
-		pgas.DecodeSlice(child, p.LocalBytes(scratch+int64(k)*nbytes, nbytes))
-		for i := range out {
-			out[i] = op(out[i], child[i])
-		}
+		combineVals(g, out, scratch+int64(k)*nbytes, op)
 	}
 
 	bslot := int64(rounds)
@@ -149,7 +182,7 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 		// Binomial distribution from the root through the same tree.
 		if rel != 0 {
 			g.awaitFlag(collMaxRounds+highBitCAF(rel), seq)
-			pgas.DecodeSlice(out, p.LocalBytes(scratch+bslot*nbytes, nbytes))
+			recvVals(g, out, scratch+bslot*nbytes)
 		}
 		start := 0
 		if rel != 0 {
@@ -160,32 +193,23 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 			if childRel >= n {
 				break
 			}
-			img.tr.PutMem(g.member(childRel)-1, scratch+bslot*nbytes, pgas.EncodeSlice[T](nil, out))
-			img.Stats.Puts++
-			img.tr.Quiet()
-			img.Stats.Quiets++
-			g.signalFlag(childRel, collMaxRounds+k, seq)
+			sendVals(g, childRel, scratch+bslot*nbytes, out, collMaxRounds+k, seq)
 		}
 		return out
 	}
 
 	if rel == 0 && resultIdx != 0 {
-		img.tr.PutMem(g.member(resultIdx)-1, scratch+bslot*nbytes, pgas.EncodeSlice[T](nil, out))
-		img.Stats.Puts++
-		img.tr.Quiet()
-		img.Stats.Quiets++
-		g.signalFlag(resultIdx, collMaxRounds, seq)
+		sendVals(g, resultIdx, scratch+bslot*nbytes, out, collMaxRounds, seq)
 	}
 	if rel == resultIdx && resultIdx != 0 {
 		g.awaitFlag(collMaxRounds, seq)
-		pgas.DecodeSlice(out, p.LocalBytes(scratch+bslot*nbytes, nbytes))
+		recvVals(g, out, scratch+bslot*nbytes)
 	}
 	return out
 }
 
 // groupBroadcast distributes vals from members[sourceIdx] to every member.
 func groupBroadcast[T pgas.Elem](g *group, vals []T, sourceIdx int) []T {
-	img := g.img
 	n := g.size()
 	out := append([]T(nil), vals...)
 	if n == 1 {
@@ -197,12 +221,11 @@ func groupBroadcast[T pgas.Elem](g *group, vals []T, sourceIdx int) []T {
 	scratch := g.ensureScratch(nbytes * int64(rounds+1))
 	seq := g.nextSeq()
 	rel := (g.myIdx - sourceIdx + n) % n
-	p := img.tr.(localMem).pgasPE()
 	bslot := int64(rounds)
 
 	if rel != 0 {
 		g.awaitFlag(collMaxRounds+highBitCAF(rel), seq)
-		pgas.DecodeSlice(out, p.LocalBytes(scratch+bslot*nbytes, nbytes))
+		recvVals(g, out, scratch+bslot*nbytes)
 	}
 	start := 0
 	if rel != 0 {
@@ -213,12 +236,7 @@ func groupBroadcast[T pgas.Elem](g *group, vals []T, sourceIdx int) []T {
 		if childRel >= n {
 			break
 		}
-		childIdx := (childRel + sourceIdx) % n
-		img.tr.PutMem(g.member(childIdx)-1, scratch+bslot*nbytes, pgas.EncodeSlice[T](nil, out))
-		img.Stats.Puts++
-		img.tr.Quiet()
-		img.Stats.Quiets++
-		g.signalFlag(childIdx, collMaxRounds+k, seq)
+		sendVals(g, (childRel+sourceIdx)%n, scratch+bslot*nbytes, out, collMaxRounds+k, seq)
 	}
 	return out
 }

@@ -13,6 +13,7 @@
 package caf
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cafshmem/internal/fabric"
@@ -26,6 +27,14 @@ import (
 type Image struct {
 	tr   Transport
 	opts Options
+
+	// local is this image's own partition, for zero-cost local loads and
+	// stores (Fortran local array accesses do not go through the network).
+	// word is the image's one control-word staging buffer: flags, lock words
+	// and single elements are encoded here and handed to PutMem, which copies
+	// synchronously — so a control-word write allocates nothing.
+	local *pgas.PE
+	word  [8]byte
 
 	// Pre-allocated buffer for non-symmetric remotely-accessible data
 	// (§IV-A, §IV-D): every image reserves the same symmetric region and
@@ -64,6 +73,7 @@ type Image struct {
 	ftMode  bool
 	hasKill bool
 	killAt  float64
+	dead    bool // FailImage ran: the goroutine is unwinding (see checkAlive)
 
 	// Stats counts runtime-issued communication operations (observability
 	// and ablation tests).
@@ -153,9 +163,10 @@ func newImage(tr Transport, opts Options) *Image {
 		tr = &tracingTransport{inner: tr, tr: opts.Tracer}
 	}
 	img := &Image{
-		tr:   tr,
-		opts: opts,
-		held: map[lockKey]int64{},
+		tr:    tr,
+		opts:  opts,
+		local: tr.(localMem).pgasPE(),
+		held:  map[lockKey]int64{},
 	}
 	img.nbi = asNBIOps(tr)
 	if opts.FaultTolerant || !opts.FaultPlan.Empty() {
@@ -264,7 +275,27 @@ func (img *Image) signalImage(j int) {
 func (img *Image) awaitImage(j int) {
 	want := img.syncSeen[j-1] + 1
 	img.syncSeen[j-1] = want
-	img.tr.WaitLocal64(img.syncOff+int64(j-1)*8, func(v int64) bool { return v >= want })
+	img.tr.WaitLocal64(img.syncOff+int64(j-1)*8, pgas.CmpGE, want)
+}
+
+// putWord writes one 64-bit control word into image index target's (0-based)
+// partition with an ordinary put, staged through the image's word buffer.
+func (img *Image) putWord(target int, off int64, v uint64) {
+	binary.LittleEndian.PutUint64(img.word[:], v)
+	img.tr.PutMem(target, off, img.word[:])
+}
+
+// storeLocalWord stores a 64-bit word into this image's own partition,
+// visible at once.
+func (img *Image) storeLocalWord(off int64, v uint64) {
+	p := img.local
+	p.World().WriteUint64(p.ID, off, v, p.Clock.Now())
+}
+
+// localWord loads a 64-bit word of this image's own partition (free in
+// virtual time, like every local access).
+func (img *Image) localWord(off int64) uint64 {
+	return img.local.World().ReadUint64(img.local.ID, off)
 }
 
 // quiet completes outstanding puts per the §IV-B translation rule.

@@ -40,6 +40,11 @@ type lockKey struct {
 
 const qnodeBytes = 16 // [0:8] locked flag, [8:16] packed next pointer
 
+// qnodeInit is the image of a freshly enqueued qnode — locked := 1 and every
+// pointer word nil — long enough for the fault-tolerant layout (lockstat.go).
+// Read-only: StoreLocal copies out of it.
+var qnodeInit = [ftQnodeBytes]byte{0: 1}
+
 // vendorLockOverheadNs is the calibrated extra bookkeeping the Cray CAF lock
 // path pays per acquisition relative to the paper's MCS adaptation.
 const vendorLockOverheadNs = 1350
@@ -121,7 +126,7 @@ func (l *Lock) TryAcquire(j int) bool {
 			nBytes = ftQnodeBytes
 		}
 		qOff := img.AllocNonSymmetric(nBytes)
-		p := img.tr.(localMem).pgasPE()
+		p := img.local
 		// locked := 0 (an uncontended try-acquire holds the lock at once, so
 		// the node is born a holder), next/prev := nil.
 		p.StoreLocal(qOff, make([]byte, nBytes))
@@ -154,6 +159,7 @@ func (l *Lock) TryAcquire(j int) bool {
 // hold is an error condition and panics.
 func (l *Lock) Release(j int) {
 	img := l.img
+	img.checkAlive()
 	img.checkImage(j)
 	key := lockKey{l.off, j}
 	qOff, held := img.held[key]
@@ -203,11 +209,10 @@ func (l *Lock) mcsReleaseAny(j int, qOff int64) {
 func (l *Lock) mcsAcquire(j int) int64 {
 	img := l.img
 	tr := img.tr
-	p := tr.(localMem).pgasPE()
 
 	qOff := img.AllocNonSymmetric(qnodeBytes)
 	// locked := 1, next := nil — before publishing the node.
-	p.StoreLocal(qOff, pgas.EncodeSlice[uint64](nil, []uint64{1, 0}))
+	img.local.StoreLocal(qOff, qnodeInit[:qnodeBytes])
 
 	myRef := PackRef(img.ThisImage(), qOff, 1)
 	prev := RemoteRef(tr.Swap64(j-1, l.off, int64(myRef)))
@@ -215,11 +220,11 @@ func (l *Lock) mcsAcquire(j int) int64 {
 	if !prev.IsNil() {
 		// Link into the predecessor's next field, then spin locally until the
 		// predecessor hands the lock over.
-		tr.PutMem(prev.Image()-1, prev.Offset()+8, pgas.EncodeSlice[uint64](nil, []uint64{uint64(myRef)}))
+		img.putWord(prev.Image()-1, prev.Offset()+8, uint64(myRef))
 		img.Stats.Puts++
 		tr.Quiet()
 		img.Stats.Quiets++
-		tr.WaitLocal64(qOff, func(v int64) bool { return v == 0 })
+		tr.WaitLocal64(qOff, pgas.CmpEQ, 0)
 	}
 	return qOff
 }
@@ -227,11 +232,10 @@ func (l *Lock) mcsAcquire(j int) int64 {
 func (l *Lock) mcsRelease(j int, qOff int64) {
 	img := l.img
 	tr := img.tr
-	p := tr.(localMem).pgasPE()
 
 	myRef := PackRef(img.ThisImage(), qOff, 1)
 	// No visible successor? Try to detach the queue.
-	next := RemoteRef(pgas.DecodeOne[uint64](p.LocalBytes(qOff+8, 8)))
+	next := RemoteRef(img.localWord(qOff + 8))
 	if next.IsNil() {
 		old := RemoteRef(tr.CompareSwap64(j-1, l.off, int64(myRef), 0))
 		img.Stats.Atomics++
@@ -240,11 +244,11 @@ func (l *Lock) mcsRelease(j int, qOff int64) {
 			return
 		}
 		// A successor is enqueueing; wait for it to link itself.
-		tr.WaitLocal64(qOff+8, func(v int64) bool { return v != 0 })
-		next = RemoteRef(pgas.DecodeOne[uint64](p.LocalBytes(qOff+8, 8)))
+		tr.WaitLocal64(qOff+8, pgas.CmpNE, 0)
+		next = RemoteRef(img.localWord(qOff + 8))
 	}
 	// Hand over: reset the successor's locked field.
-	tr.PutMem(next.Image()-1, next.Offset(), pgas.EncodeSlice[uint64](nil, []uint64{0}))
+	img.putWord(next.Image()-1, next.Offset(), 0)
 	img.Stats.Puts++
 	tr.Quiet()
 	img.Stats.Quiets++

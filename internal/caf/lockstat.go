@@ -98,11 +98,11 @@ func (l *Lock) ftAcquire(j int) (int64, Stat) {
 	tr := img.tr
 	ft := img.fault
 	pw := ft.PgasWorld()
-	p := tr.(localMem).pgasPE()
+	p := img.local
 
 	qOff := img.AllocNonSymmetric(ftQnodeBytes)
 	// locked := 1, next := nil, prev := nil — before publishing the node.
-	p.StoreLocal(qOff, pgas.EncodeSlice[uint64](nil, []uint64{1, 0, 0}))
+	p.StoreLocal(qOff, qnodeInit[:])
 
 	myRef := PackRef(img.ThisImage(), qOff, 1)
 	prevRaw, ok := ft.Swap64Stat(j-1, l.off, int64(myRef))
@@ -114,17 +114,17 @@ func (l *Lock) ftAcquire(j int) (int64, Stat) {
 	prev := RemoteRef(prevRaw)
 	// Record the queue order locally; if this image later dies holding the
 	// lock, the frozen prev chain is what successors' repair walks read.
-	p.StoreLocal(qOff+16, pgas.EncodeOne(uint64(prev)))
+	img.storeLocalWord(qOff+16, uint64(prev))
 	if prev.IsNil() {
 		// Uncontended: we hold the lock. Self-mark granted so a frozen holder
 		// node always reads locked==0 — the tombstone the repair walk keys on.
-		p.StoreLocal(qOff, pgas.EncodeOne(uint64(0)))
+		img.storeLocalWord(qOff, 0)
 		return qOff, StatOK
 	}
 	// Link into the predecessor's next field. If the predecessor died holding
 	// the lock after our swap, the put lands on (or is dropped by) a frozen
 	// partition — harmless either way, because repair reads only locked/prev.
-	tr.PutMem(prev.Image()-1, prev.Offset()+8, pgas.EncodeSlice[uint64](nil, []uint64{uint64(myRef)}))
+	img.putWord(prev.Image()-1, prev.Offset()+8, uint64(myRef))
 	img.Stats.Puts++
 	tr.Quiet()
 	img.Stats.Quiets++
@@ -139,7 +139,7 @@ func (l *Lock) ftAcquire(j int) (int64, Stat) {
 	// retrigger, or a waiter behind a live ancestor busy-spins.
 	handled := 0
 	for {
-		err := ft.WaitLocal64Stat(qOff, func(v int64) bool { return v == 0 }, func() error {
+		err := ft.WaitLocal64Stat(qOff, pgas.CmpEQ, 0, func() error {
 			if pw.FailedCount() > handled {
 				return pgas.ErrWaitRecheck
 			}
@@ -158,7 +158,7 @@ func (l *Lock) ftAcquire(j int) (int64, Stat) {
 			// Takeover: the previous holder died and every node between it
 			// and us is dead, so we are the first live successor. Self-grant;
 			// our own next links are intact, so release proceeds normally.
-			p.StoreLocal(qOff, pgas.EncodeOne(uint64(0)))
+			img.storeLocalWord(qOff, 0)
 			img.Stats.LockTakeovers++
 			return qOff, StatOK
 		}
@@ -199,10 +199,9 @@ func (l *Lock) ftRelease(j int, qOff int64) Stat {
 	img := l.img
 	tr := img.tr
 	ft := img.fault
-	p := tr.(localMem).pgasPE()
 
 	myRef := PackRef(img.ThisImage(), qOff, 1)
-	next := RemoteRef(pgas.DecodeOne[uint64](p.LocalBytes(qOff+8, 8)))
+	next := RemoteRef(img.localWord(qOff + 8))
 	stat := StatOK
 	if next.IsNil() {
 		old, ok := ft.CompareSwap64Stat(j-1, l.off, int64(myRef), 0)
@@ -227,14 +226,14 @@ func (l *Lock) ftRelease(j int, qOff int64) Stat {
 		}
 		// Wait for the in-flight successor's link. The successor cannot die
 		// mid-protocol, so the link always arrives.
-		if err := ft.WaitLocal64Stat(qOff+8, func(v int64) bool { return v != 0 }, nil); err != nil {
+		if err := ft.WaitLocal64Stat(qOff+8, pgas.CmpNE, 0, nil); err != nil {
 			panic(err)
 		}
-		next = RemoteRef(pgas.DecodeOne[uint64](p.LocalBytes(qOff+8, 8)))
+		next = RemoteRef(img.localWord(qOff + 8))
 	}
 	// Hand over: reset the successor's locked field. The successor is alive
 	// (blocked images cannot fail), so an ordinary put reaches it.
-	tr.PutMem(next.Image()-1, next.Offset(), pgas.EncodeSlice[uint64](nil, []uint64{0}))
+	img.putWord(next.Image()-1, next.Offset(), 0)
 	img.Stats.Puts++
 	tr.Quiet()
 	img.Stats.Quiets++

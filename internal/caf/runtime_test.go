@@ -1,6 +1,7 @@
 package caf
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -102,6 +103,23 @@ func TestCoSumAllImages(t *testing.T) {
 		wantA := n * (n + 1) / 2
 		if got[0] != wantA || got[1] != 10*wantA {
 			panic("co_sum wrong")
+		}
+		img.SyncAll()
+	})
+}
+
+// A reduction wider than the combine's decode chunk, with a ragged tail.
+func TestCoSumLongVector(t *testing.T) {
+	forEachTransport(t, 5, func(img *Image) {
+		vals := make([]float64, 150)
+		for i := range vals {
+			vals[i] = float64(img.ThisImage() * (i + 1))
+		}
+		got := CoSum(img, vals, 0)
+		for i, v := range got {
+			if want := float64(15 * (i + 1)); v != want {
+				panic(fmt.Sprintf("co_sum element %d = %v, want %v", i, v, want))
+			}
 		}
 		img.SyncAll()
 	})

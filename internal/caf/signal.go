@@ -33,7 +33,7 @@ func NewSignal(img *Image) *Signal {
 	n := int64(img.NumImages())
 	off := img.tr.Malloc(n * 8)
 	markRuntimeAlloc(img.tr, off, n*8) // no deallocator exists; not a leak
-	img.tr.(localMem).pgasPE().StoreLocal(off, make([]byte, n*8))
+	img.local.StoreLocal(off, make([]byte, n*8))
 	img.tr.Barrier()
 	return &Signal{img: img, off: off, sent: make([]int64, n), seen: make([]int64, n)}
 }
@@ -62,7 +62,7 @@ func (s *Signal) Notify(j int) {
 	// Degrade (MPI-3 RMA): no fused signal exists, so complete everything first
 	// and post the flag as an ordinary put — always correct, just stronger.
 	img.quiet()
-	img.tr.PutMem(j-1, s.slotOff(me), pgas.EncodeOne(uint64(s.sent[j-1])))
+	img.putWord(j-1, s.slotOff(me), uint64(s.sent[j-1]))
 	img.quiet()
 	img.Stats.Puts++
 }
@@ -75,7 +75,7 @@ func (s *Signal) Wait(j int) {
 	img.checkImage(j)
 	want := s.seen[j-1] + 1
 	s.seen[j-1] = want
-	img.tr.WaitLocal64(s.slotOff(j), func(v int64) bool { return v >= want })
+	img.tr.WaitLocal64(s.slotOff(j), pgas.CmpGE, want)
 }
 
 // WaitStat is Wait with Fortran 2018 failed-image semantics: if image j fails
@@ -101,8 +101,7 @@ func (s *Signal) WaitStat(j int) Stat {
 	me := img.ThisImage()
 	pw := img.fault.PgasWorld()
 	err := img.fault.WaitLocal64Stat(
-		s.slotOff(j),
-		func(v int64) bool { return v >= want },
+		s.slotOff(j), pgas.CmpGE, want,
 		func() error {
 			if !pw.Alive(j - 1) {
 				return errPeerDeparted
@@ -129,9 +128,7 @@ func (s *Signal) WaitStat(j int) Stat {
 // consumed (observability; the signal analogue of event_query).
 func (s *Signal) Pending(j int) int64 {
 	s.img.checkImage(j)
-	p := s.img.tr.(localMem).pgasPE()
-	v := int64(pgas.DecodeOne[uint64](p.LocalBytes(s.slotOff(j), 8)))
-	return v - s.seen[j-1]
+	return int64(s.img.localWord(s.slotOff(j))) - s.seen[j-1]
 }
 
 // PutSignalAsync writes vals into section sec of the coarray on image j and
@@ -139,9 +136,9 @@ func (s *Signal) Pending(j int) int64 {
 // and the signal flag rides the same per-destination completion stream, so
 // the consumer's Wait observes the flag only at or after every element of the
 // section — signal-mediated completion with zero quiets on the critical path.
-// The producer still owes a SyncMemory/SyncMemoryImage(j) before reusing its
-// own view of the transfer (source-buffer hygiene), but the consumer needs
-// nothing beyond Wait.
+// vals is snapshotted at issue, like PutAsync's, so the producer may reuse it
+// at once and owes no quiet on this account; the consumer needs nothing
+// beyond Wait.
 //
 // On transports without the fused path (MPI-3 RMA) it degrades to a blocking put
 // section, a full quiet, and a plain Notify — the same observable ordering,

@@ -56,11 +56,12 @@ func (c *Coarray[T]) Get(j int, sec Section) []T {
 func (c *Coarray[T]) PutElem(j int, v T, idx ...int) {
 	c.img.pollFault()
 	c.img.checkImage(j)
-	if c.img.opts.IntraNodeDirect && c.img.tr.DirectWrite(j-1, c.byteOff(idx), pgas.EncodeOne(v)) {
+	b := c.encodeElem(v)
+	if c.img.opts.IntraNodeDirect && c.img.tr.DirectWrite(j-1, c.byteOff(idx), b) {
 		c.img.Stats.DirectOps++
 		return // a store completes immediately: no quiet needed
 	}
-	c.img.tr.PutMem(j-1, c.byteOff(idx), pgas.EncodeOne(v))
+	c.img.tr.PutMem(j-1, c.byteOff(idx), b)
 	c.img.Stats.Puts++
 	c.img.maybeQuiet()
 }
@@ -69,8 +70,7 @@ func (c *Coarray[T]) PutElem(j int, v T, idx ...int) {
 func (c *Coarray[T]) GetElem(j int, idx ...int) T {
 	c.img.pollFault()
 	c.img.checkImage(j)
-	var buf [8]byte
-	b := buf[:c.es]
+	b := c.img.word[:c.es]
 	if c.img.opts.IntraNodeDirect {
 		c.img.maybeQuiet() // pending puts must still be ordered before the load
 		if c.img.tr.DirectRead(j-1, c.byteOff(idx), b) {
@@ -174,16 +174,13 @@ func (c *Coarray[T]) putSection(target int, sec Section, vals []T) {
 	case StridedNaive:
 		// §IV-C baseline: one putmem per maximal contiguous run — issued as
 		// a single vectored call so the whole section costs one target-lock
-		// acquisition instead of one per run. eachRun enumerates runs in
-		// dense value order, so the encoded vals are already the run payloads
-		// back to back.
+		// acquisition instead of one per run. appendRunOffs enumerates runs
+		// in dense value order, so the encoded vals are already the run
+		// payloads back to back.
 		bp := pgas.GetScratch()
 		data := pgas.EncodeSlice[T]((*bp)[:0], vals)
 		op := pgas.GetOffsScratch()
-		offs := (*op)[:0]
-		c.eachRun(sec, runDims, runElems, func(byteOff int64, valOff int) {
-			offs = append(offs, byteOff)
-		})
+		offs := c.appendRunOffs((*op)[:0], sec, runDims)
 		tr.PutMemV(target, offs, runElems*int(es), data)
 		c.img.Stats.Puts += int64(len(offs))
 		*op = offs
@@ -230,10 +227,7 @@ func (c *Coarray[T]) getSection(target int, sec Section, out []T) {
 		// One getmem per contiguous run, gathered with a single vectored
 		// call; runs arrive densely in section order, matching out.
 		op := pgas.GetOffsScratch()
-		offs := (*op)[:0]
-		c.eachRun(sec, runDims, runElems, func(byteOff int64, valOff int) {
-			offs = append(offs, byteOff)
-		})
+		offs := c.appendRunOffs((*op)[:0], sec, runDims)
 		bp := pgas.GetScratch()
 		raw := pgas.ScratchLen(bp, len(offs)*runElems*int(es))
 		tr.GetMemV(target, offs, runElems*int(es), raw)
@@ -256,46 +250,51 @@ func (c *Coarray[T]) getSection(target int, sec Section, out []T) {
 	}
 }
 
-// eachRun enumerates the maximal contiguous runs of the section: the first
-// runDims dimensions form the run; the remaining dimensions are iterated in
-// column-major order. f receives the absolute byte offset of each run and
-// the dense value offset.
-func (c *Coarray[T]) eachRun(sec Section, runDims, runElems int, f func(byteOff int64, valOff int)) {
-	// When no dimension merges (dimension 1 is strided), runs are single
-	// elements: dimension 1 is iterated in the inner loop below, and the
-	// odometer covers dimensions 2..rank.
-	innerEnd := runDims
-	if innerEnd == 0 {
-		innerEnd = 1
+// appendRunOffs appends the absolute byte offset of every maximal contiguous
+// run of the section to offs, in dense value order: the first runDims
+// dimensions form the run (single elements along dimension 1 when nothing
+// merges, runDims == 0), and the remaining dimensions are stepped in
+// column-major order. The walk carries the running linear offset and a
+// stack-resident multi-index, so lowering a section allocates nothing beyond
+// what offs itself needs.
+func (c *Coarray[T]) appendRunOffs(offs []int64, sec Section, runDims int) []int64 {
+	innerEnd := max(runDims, 1)
+	es := int64(c.es)
+	// Runs per outer position: one, unless dimension 1 is strided and every
+	// element of it is its own run.
+	n0, step0 := 1, int64(0)
+	if runDims == 0 {
+		n0, step0 = sec[0].Count(), int64(sec[0].Step)*c.strides[0]
+	}
+	var lin int64 // the section's low corner, in elements
+	for d := range sec {
+		lin += int64(sec[d].Lo) * c.strides[d]
 	}
 	outer := sec[innerEnd:]
-	counts := make([]int, len(outer))
-	for i, r := range outer {
-		counts[i] = r.Count()
+	var idxBuf [8]int
+	idx := idxBuf[:]
+	if len(outer) > len(idxBuf) {
+		idx = make([]int, len(outer))
 	}
-	// Base contribution from the inner dimensions' lower bounds.
-	var innerLin int64
-	for d := 0; d < innerEnd; d++ {
-		innerLin += int64(sec[d].Lo) * c.strides[d]
-	}
-	valOff := 0
-	odometer(counts, func(idx []int) {
-		lin := innerLin
-		for i, v := range idx {
-			d := innerEnd + i
-			lin += int64(sec[d].Lo+v*sec[d].Step) * c.strides[d]
+	for {
+		for k := 0; k < n0; k++ {
+			offs = append(offs, c.off+(lin+int64(k)*step0)*es)
 		}
-		if runDims == 0 {
-			for k := 0; k < sec[0].Count(); k++ {
-				off := c.off + (lin+int64(k*sec[0].Step)*c.strides[0])*int64(c.es)
-				f(off, valOff)
-				valOff += runElems
+		d := 0
+		for ; d < len(outer); d++ {
+			stride := int64(outer[d].Step) * c.strides[innerEnd+d]
+			idx[d]++
+			if idx[d] < outer[d].Count() {
+				lin += stride
+				break
 			}
-			return
+			lin -= int64(idx[d]-1) * stride
+			idx[d] = 0
 		}
-		f(c.off+lin*int64(c.es), valOff)
-		valOff += runElems
-	})
+		if d == len(outer) {
+			return offs
+		}
+	}
 }
 
 // eachPencil enumerates 1-D pencils along the base dimension, iterating the

@@ -45,8 +45,7 @@ func (img *Image) FormTeam(teamNumber int64, scratchBytes ...int64) *Team {
 
 	// Publish this image's team number.
 	numOff := img.tr.Malloc(8)
-	p := img.tr.(localMem).pgasPE()
-	p.StoreLocal(numOff, pgas.EncodeOne(uint64(teamNumber)))
+	img.storeLocalWord(numOff, uint64(teamNumber))
 	img.SyncAll()
 
 	// Read everyone's number and collect the members of mine.

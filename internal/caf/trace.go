@@ -201,8 +201,8 @@ func (t *tracingTransport) DirectRead(target int, off int64, dst []byte) bool {
 	return ok
 }
 
-func (t *tracingTransport) WaitLocal64(off int64, pred func(int64) bool) {
-	t.span("wait", -1, 0, func() { t.inner.WaitLocal64(off, pred) })
+func (t *tracingTransport) WaitLocal64(off int64, cmp pgas.Cmp, operand int64) {
+	t.span("wait", -1, 0, func() { t.inner.WaitLocal64(off, cmp, operand) })
 }
 
 func (t *tracingTransport) Barrier() {

@@ -1,7 +1,6 @@
 package caf
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"cafshmem/internal/fabric"
@@ -65,9 +64,10 @@ type Transport interface {
 	DirectWrite(target int, off int64, data []byte) bool
 	DirectRead(target int, off int64, dst []byte) bool
 
-	// WaitLocal64 spins on a local 64-bit word until pred holds, adopting the
-	// causal timestamp of the satisfying write.
-	WaitLocal64(off int64, pred func(int64) bool)
+	// WaitLocal64 spins on a local 64-bit word until "word cmp operand" holds
+	// (shmem_wait_until's typed form — no predicate closure crosses the
+	// interface), adopting the causal timestamp of the satisfying write.
+	WaitLocal64(off int64, cmp pgas.Cmp, operand int64)
 
 	// Barrier synchronises all images with completion semantics.
 	Barrier()
@@ -210,10 +210,8 @@ func (t *shmemTransport) DirectRead(target int, off int64, dst []byte) bool {
 	return true
 }
 
-func (t *shmemTransport) WaitLocal64(off int64, pred func(int64) bool) {
-	ts := t.pe.Pgas().WaitUntil(off, 8, func(b []byte) bool {
-		return pred(int64(leUint64(b)))
-	})
+func (t *shmemTransport) WaitLocal64(off int64, cmp pgas.Cmp, operand int64) {
+	_, ts := t.pe.Pgas().WaitWord(off, cmp, operand)
 	t.pe.Clock().MergeAtLeast(ts)
 	t.pe.Clock().Advance(t.pe.World().Profile().OverheadNs)
 }
@@ -320,7 +318,7 @@ type faultOps interface {
 	Swap64Stat(target int, off int64, v int64) (int64, bool)
 	CompareSwap64Stat(target int, off int64, expected, desired int64) (int64, bool)
 	ReadWord64(target int, off int64) uint64
-	WaitLocal64Stat(off int64, pred func(int64) bool, onEvent func() error) error
+	WaitLocal64Stat(off int64, cmp pgas.Cmp, operand int64, onEvent func() error) error
 	PgasWorld() *pgas.World
 }
 
@@ -357,10 +355,8 @@ func (t *shmemTransport) ReadWord64(target int, off int64) uint64 {
 	return t.pe.ReadWord64(target, t.all, t.wordIdx(off))
 }
 
-func (t *shmemTransport) WaitLocal64Stat(off int64, pred func(int64) bool, onEvent func() error) error {
-	ts, err := t.pe.Pgas().WaitUntilStat(off, 8, func(b []byte) bool {
-		return pred(int64(leUint64(b)))
-	}, onEvent)
+func (t *shmemTransport) WaitLocal64Stat(off int64, cmp pgas.Cmp, operand int64, onEvent func() error) error {
+	_, ts, err := t.pe.Pgas().WaitWordStat(off, cmp, operand, onEvent)
 	if err != nil {
 		return err
 	}
@@ -569,10 +565,8 @@ func (t *gasnetTransport) FetchXor64(target int, off int64, v int64) int64 {
 func (t *gasnetTransport) DirectWrite(int, int64, []byte) bool { return false }
 func (t *gasnetTransport) DirectRead(int, int64, []byte) bool  { return false }
 
-func (t *gasnetTransport) WaitLocal64(off int64, pred func(int64) bool) {
-	ts := t.ep.Pgas().WaitUntil(off, 8, func(b []byte) bool {
-		return pred(int64(leUint64(b)))
-	})
+func (t *gasnetTransport) WaitLocal64(off int64, cmp pgas.Cmp, operand int64) {
+	_, ts := t.ep.Pgas().WaitWord(off, cmp, operand)
 	t.ep.Clock().MergeAtLeast(ts)
 	t.ep.Clock().Advance(t.ep.World().Profile().OverheadNs)
 }
@@ -585,7 +579,5 @@ func (t *gasnetTransport) SameNode(a, b int) bool   { return t.Machine().SameNod
 func (t *gasnetTransport) StridedMode() fabric.StridedMode {
 	return t.ep.World().Profile().Strided
 }
-
-func leUint64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 
 var errBadTransport = fmt.Errorf("caf: unknown transport kind")

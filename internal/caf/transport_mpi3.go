@@ -127,10 +127,8 @@ func (t *mpi3Transport) FetchXor64(target int, off int64, v int64) int64 {
 func (t *mpi3Transport) DirectWrite(int, int64, []byte) bool { return false }
 func (t *mpi3Transport) DirectRead(int, int64, []byte) bool  { return false }
 
-func (t *mpi3Transport) WaitLocal64(off int64, pred func(int64) bool) {
-	ts := t.pr.Pgas().WaitUntil(off, 8, func(b []byte) bool {
-		return pred(int64(leUint64(b)))
-	})
+func (t *mpi3Transport) WaitLocal64(off int64, cmp pgas.Cmp, operand int64) {
+	_, ts := t.pr.Pgas().WaitWord(off, cmp, operand)
 	t.pr.Clock().MergeAtLeast(ts)
 	t.pr.Clock().Advance(t.pr.World().Profile().OverheadNs)
 }

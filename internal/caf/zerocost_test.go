@@ -6,6 +6,7 @@ import (
 
 	"cafshmem/internal/caf"
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
 )
 
 // The failed-image machinery must be free when unused: with a nil FaultPlan
@@ -44,7 +45,7 @@ func lockWorkload(t *testing.T, opts caf.Options, n int) ([]float64, []uint64) {
 		for r := 1; r <= 3; r++ {
 			tok := int64((r-1)*nimg + me)
 			if !(r == 1 && me == 1) {
-				flag.WaitLocal(func(v int64) bool { return v >= tok }, 0)
+				flag.WaitLocal(pgas.CmpGE, tok, 0)
 			}
 			lck.Acquire(1)
 			lck.Release(1)

@@ -64,22 +64,29 @@ func (t *Table) Update(key uint64, delta int64) error {
 	t.lock.Acquire(image)
 	defer t.lock.Release(image)
 	for probe := 0; probe < t.buckets; probe++ {
-		s := (slot + probe) % t.buckets
-		usedSec := caf.Idx(s)
-		inUse := t.used.Get(image, usedSec)[0]
-		if inUse == 0 {
-			t.keys.Put(image, usedSec, []int64{int64(key)})
-			t.vals.Put(image, usedSec, []int64{delta})
-			t.used.Put(image, usedSec, []int64{1})
-			return nil
-		}
-		if t.keys.Get(image, usedSec)[0] == int64(key) {
-			v := t.vals.Get(image, usedSec)[0]
-			t.vals.Put(image, usedSec, []int64{v + delta})
+		if t.probe(image, (slot+probe)%t.buckets, key, delta) {
 			return nil
 		}
 	}
 	return fmt.Errorf("dht: image %d full while inserting key %d", image, key)
+}
+
+// probe is one linear-probing step of an update, run under the owning
+// image's lock: it inserts key at bucket s when the bucket is free, adds delta
+// when it already holds key, and reports whether either applied. Every access
+// is a single-element get or put — the runtime's 8-byte word path.
+func (t *Table) probe(image, s int, key uint64, delta int64) bool {
+	if t.used.GetElem(image, s) == 0 {
+		t.keys.PutElem(image, int64(key), s)
+		t.vals.PutElem(image, delta, s)
+		t.used.PutElem(image, 1, s)
+		return true
+	}
+	if t.keys.GetElem(image, s) == int64(key) {
+		t.vals.PutElem(image, t.vals.GetElem(image, s)+delta, s)
+		return true
+	}
+	return false
 }
 
 // UpdateStat is Update with Fortran 2018 failed-image semantics: when the
@@ -96,17 +103,7 @@ func (t *Table) UpdateStat(key uint64, delta int64) (caf.Stat, error) {
 	}
 	defer t.lock.ReleaseStat(image)
 	for probe := 0; probe < t.buckets; probe++ {
-		s := (slot + probe) % t.buckets
-		sec := caf.Idx(s)
-		if t.used.Get(image, sec)[0] == 0 {
-			t.keys.Put(image, sec, []int64{int64(key)})
-			t.vals.Put(image, sec, []int64{delta})
-			t.used.Put(image, sec, []int64{1})
-			return caf.StatOK, nil
-		}
-		if t.keys.Get(image, sec)[0] == int64(key) {
-			v := t.vals.Get(image, sec)[0]
-			t.vals.Put(image, sec, []int64{v + delta})
+		if t.probe(image, (slot+probe)%t.buckets, key, delta) {
 			return caf.StatOK, nil
 		}
 	}
@@ -123,12 +120,11 @@ func (t *Table) Lookup(key uint64) int64 {
 	image, slot := t.home(key)
 	for probe := 0; probe < t.buckets; probe++ {
 		s := (slot + probe) % t.buckets
-		sec := caf.Idx(s)
-		if t.used.Get(image, sec)[0] == 0 {
+		if t.used.GetElem(image, s) == 0 {
 			return 0
 		}
-		if t.keys.Get(image, sec)[0] == int64(key) {
-			return t.vals.Get(image, sec)[0]
+		if t.keys.GetElem(image, s) == int64(key) {
+			return t.vals.GetElem(image, s)
 		}
 	}
 	return 0
@@ -172,10 +168,8 @@ type BenchResult struct {
 func (t *Table) UpdateAt(image, slot int, delta int64) {
 	t.lock.Acquire(image)
 	defer t.lock.Release(image)
-	sec := caf.Idx(slot)
-	v := t.vals.Get(image, sec)[0]
-	t.vals.Put(image, sec, []int64{v + delta})
-	t.used.Put(image, sec, []int64{1})
+	t.vals.PutElem(image, t.vals.GetElem(image, slot)+delta, slot)
+	t.used.PutElem(image, 1, slot)
 }
 
 // UpdateBatchAt applies several direct (hash-bypassing) updates against one
@@ -211,7 +205,7 @@ func (t *Table) UpdateBatchAt(image int, slots []int, deltas []int64) {
 	defer t.lock.Release(image)
 	newVals := make([]int64, len(order))
 	for i, s := range order {
-		newVals[i] = t.vals.Get(image, caf.Idx(s))[0] + acc[s]
+		newVals[i] = t.vals.GetElem(image, s) + acc[s]
 	}
 	for i, s := range order {
 		t.vals.PutAsync(image, caf.Idx(s), newVals[i:i+1])

@@ -242,6 +242,13 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 		if barrierOverlap || signalOverlap {
 			tmp = make([]float32, len(cur))
 		}
+		// The two halo planes an iteration sends, extracted into per-image
+		// buffers that every iteration reuses: Put, PutAsync and
+		// PutSignalAsync all snapshot their values at issue (the documented
+		// contract, see caf/async.go), so a plane buffer is free again as
+		// soon as its put call returns.
+		leftPlane := make([]float32, nx*nz)
+		rightPlane := make([]float32, nx*nz)
 		for it := 0; ok && it < prm.Iters; it++ {
 			copy(next, cur)
 			gosa = 0
@@ -264,15 +271,13 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 				// Halo exchange: matrix-oriented planes (contiguous in i,
 				// strided across k).
 				if me > 1 {
-					plane := extractPlane(cur, nx, nyAlloc, nz, 1)
+					extractPlane(leftPlane, cur, nx, nyAlloc, nz, 1)
 					leftNyLoc := planeCount(ny, images, me-1)
-					p2 := sectionPlane(nx, nz, leftNyLoc+1)
-					putPlane(img, p, me-1, p2, plane)
+					p.Put(me-1, sectionPlane(nx, nz, leftNyLoc+1), leftPlane)
 				}
 				if me < images {
-					plane := extractPlane(cur, nx, nyAlloc, nz, nyLoc)
-					p2 := sectionPlane(nx, nz, 0)
-					putPlane(img, p, me+1, p2, plane)
+					extractPlane(rightPlane, cur, nx, nyAlloc, nz, nyLoc)
+					p.Put(me+1, sectionPlane(nx, nz, 0), rightPlane)
 				}
 				if !sync() {
 					done = it
@@ -299,13 +304,13 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 				// runtime encodes them at issue, so the later swap and sweep
 				// cannot race the in-flight payloads.
 				if me > 1 {
-					plane := extractPlane(next, nx, nyAlloc, nz, 1)
+					extractPlane(leftPlane, next, nx, nyAlloc, nz, 1)
 					leftNyLoc := planeCount(ny, images, me-1)
-					p.PutAsync(me-1, sectionPlane(nx, nz, leftNyLoc+1), plane)
+					p.PutAsync(me-1, sectionPlane(nx, nz, leftNyLoc+1), leftPlane)
 				}
 				if me < images {
-					plane := extractPlane(next, nx, nyAlloc, nz, nyLoc)
-					p.PutAsync(me+1, sectionPlane(nx, nz, 0), plane)
+					extractPlane(rightPlane, next, nx, nyAlloc, nz, nyLoc)
+					p.PutAsync(me+1, sectionPlane(nx, nz, 0), rightPlane)
 				}
 
 				if nyLoc > 2 {
@@ -350,17 +355,17 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 
 				// Launch boundary planes with the doorbell riding the same
 				// per-destination completion stream as the data: the
-				// neighbour's Wait alone guarantees the plane arrived.
-				// extractPlane snapshots into a fresh buffer, so no producer
-				// quiet is owed before the next sweep.
+				// neighbour's Wait alone guarantees the plane arrived. The
+				// payload is snapshotted at issue, so no producer quiet is owed
+				// before the next sweep (or the next reuse of the plane buffer).
 				if me > 1 {
-					plane := extractPlane(next, nx, nyAlloc, nz, 1)
+					extractPlane(leftPlane, next, nx, nyAlloc, nz, 1)
 					leftNyLoc := planeCount(ny, images, me-1)
-					p.PutSignalAsync(me-1, sectionPlane(nx, nz, leftNyLoc+1), plane, sig)
+					p.PutSignalAsync(me-1, sectionPlane(nx, nz, leftNyLoc+1), leftPlane, sig)
 				}
 				if me < images {
-					plane := extractPlane(next, nx, nyAlloc, nz, nyLoc)
-					p.PutSignalAsync(me+1, sectionPlane(nx, nz, 0), plane, sig)
+					extractPlane(rightPlane, next, nx, nyAlloc, nz, nyLoc)
+					p.PutSignalAsync(me+1, sectionPlane(nx, nz, 0), rightPlane, sig)
 				}
 
 				if nyLoc > 2 {
@@ -495,19 +500,13 @@ func sectionPlane(nx, nz, j int) caf.Section {
 }
 
 // extractPlane copies local j-plane j out of the working array (whose j
-// extent is nyAlloc+2) in section (column-major) order.
-func extractPlane(cur []float32, nx, nyAlloc, nz, j int) []float32 {
-	out := make([]float32, nx*nz)
+// extent is nyAlloc+2) into out (nx*nz elements) in section (column-major)
+// order.
+func extractPlane(out, cur []float32, nx, nyAlloc, nz, j int) {
 	for k := 0; k < nz; k++ {
 		base := nx * (j + (nyAlloc+2)*k)
 		copy(out[k*nx:(k+1)*nx], cur[base:base+nx])
 	}
-	return out
-}
-
-func putPlane(img *caf.Image, p *caf.Coarray[float32], target int, sec caf.Section, vals []float32) {
-	p.Put(target, sec, vals)
-	_ = img
 }
 
 // copyPlane copies local j-plane j from src into dst (both full working

@@ -1,0 +1,101 @@
+package himeno
+
+import (
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"cafshmem/internal/caf"
+	"cafshmem/internal/pgas"
+)
+
+// benchShape is the benchmark's himeno_*_256 workload: a 16x256x8 grid over
+// 256 images with the naive (putmem-per-run) section lowering.
+const benchImages = 256
+
+func benchRun(t *testing.T, engine pgas.Engine, overlap bool, iters int) {
+	t.Helper()
+	o := caf.UHCAFOverMV2XSHMEM()
+	o.Strided = caf.StridedNaive
+	o.Engine = engine
+	if _, err := Run(o, benchImages, Params{NX: 16, NY: 256, NZ: 8, Iters: iters, Overlap: overlap}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHimenoSteadyStateAllocs pins what a Himeno iteration costs the host
+// beyond its simulated operations, on both schedules and both engines.
+//
+// allocs: the mallocs an image-iteration adds — a run of N iterations minus a
+// run of one, so world set-up cancels — stay under a ceiling. The blocking
+// schedule's steady state owes the heap one object per image-iteration, the
+// slice co_sum returns; the signal schedule adds what the nonblocking contract
+// demands, a fresh payload and offset list per halo plane plus the stream
+// records that track them until the next quiet. Before the control-word and
+// section paths came off the heap these read 24.5 and 41.3 (goroutine engine).
+//
+// goroutines: the run never holds more than one goroutine per image plus a
+// handful (the watchdog, the test's own) — the hang detector is one polling
+// goroutine per world, not one per blocking transition.
+func TestHimenoSteadyStateAllocs(t *testing.T) {
+	const iters = 11
+	for _, sched := range []struct {
+		name    string
+		overlap bool
+		ceiling float64 // mallocs per image-iteration
+	}{
+		{"blocking", false, 2},
+		{"signal", true, 14},
+	} {
+		for _, engine := range []pgas.Engine{pgas.EngineGoroutine, pgas.EngineEvent} {
+			t.Run("allocs/"+sched.name+"/"+engine.String(), func(t *testing.T) {
+				if pgas.RaceEnabled {
+					t.Skip("race instrumentation allocates; alloc assertion is meaningless")
+				}
+				mallocs := func(n int) uint64 {
+					var a, b runtime.MemStats
+					runtime.ReadMemStats(&a)
+					benchRun(t, engine, sched.overlap, n)
+					runtime.ReadMemStats(&b)
+					return b.Mallocs - a.Mallocs
+				}
+				mallocs(2) // warm the scratch pools
+				one, many := mallocs(1), mallocs(iters)
+				per := (float64(many) - float64(one)) / float64(benchImages*(iters-1))
+				t.Logf("%.2f mallocs per image-iteration (%d for 1 iteration, %d for %d)", per, one, many, iters)
+				if per > sched.ceiling {
+					t.Errorf("%.2f mallocs per image-iteration, ceiling %v", per, sched.ceiling)
+				}
+			})
+		}
+	}
+	for _, engine := range []pgas.Engine{pgas.EngineGoroutine, pgas.EngineEvent} {
+		t.Run("goroutines/"+engine.String(), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			var peak atomic.Int64
+			stop, stopped := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(stopped)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if n := int64(runtime.NumGoroutine()); n > peak.Load() {
+						peak.Store(n)
+					}
+					time.Sleep(200 * time.Microsecond)
+				}
+			}()
+			benchRun(t, engine, false, 20)
+			close(stop)
+			<-stopped
+			// base already counts the test's goroutines; +1 is the sampler.
+			if limit := int64(base + 1 + benchImages + 16); peak.Load() > limit {
+				t.Errorf("peak %d live goroutines during a %d-image run (%d before it), limit images+16", peak.Load(), benchImages, base)
+			}
+		})
+	}
+}

@@ -112,7 +112,7 @@ func BenchmarkBarrierRelease(b *testing.B) {
 // release path regrew the ready queue, reallocated waiter records, or
 // otherwise picked up a per-round heap dependency.
 func TestBarrierReleaseZeroAllocs(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
 	}
 	r := testing.Benchmark(BenchmarkBarrierRelease)

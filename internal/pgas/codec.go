@@ -2,7 +2,6 @@ package pgas
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -66,7 +65,9 @@ func EncodeSlice[T Elem](dst []byte, src []T) []byte {
 			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 		}
 	default:
-		panic(fmt.Sprintf("pgas: unsupported element type %T", src))
+		// Unreachable (Elem is a closed set). The message must not mention
+		// src: formatting it would make every caller's slice escape.
+		panic("pgas: unsupported element type")
 	}
 	return dst
 }
@@ -97,7 +98,7 @@ func DecodeSlice[T Elem](dst []T, src []byte) {
 			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	default:
-		panic(fmt.Sprintf("pgas: unsupported element type %T", dst))
+		panic("pgas: unsupported element type") // must not mention dst, as above
 	}
 }
 

@@ -16,12 +16,11 @@ package pgas
 // this engine pair exactly as it would across different GOMAXPROCS values.
 //
 //   - EngineGoroutine is the original engine, kept as the compatibility
-//     reference: one goroutine per PE, per-PE sync.Cond broadcast wakeups,
-//     O(world) fan-out scans, and a hang watchdog re-armed by every
-//     last-to-block PE. Its mechanics are preserved unchanged (apart from
-//     the watch-targeted write wakeup, which both engines share) so that
-//     differential runs compare the new engine against the true legacy
-//     behaviour.
+//     reference: one goroutine per PE, per-PE sync.Cond broadcast wakeups and
+//     O(world) fan-out scans. Its scheduling mechanics are preserved
+//     unchanged (apart from the watch-targeted write wakeup, which both
+//     engines share) so that differential runs compare the new engine
+//     against the true legacy behaviour.
 //
 //   - EngineEvent is the scaled engine: PEs are resumable tasks over a
 //     bounded worker pool. A PE that blocks parks after registering its wake
@@ -33,8 +32,11 @@ package pgas
 //     the whole world — and slot-granting: the wake delivers a worker slot
 //     together with the event (immediately when one is free, FIFO-queued
 //     otherwise), so resuming a PE costs one scheduling hop, not a wake
-//     followed by a second block to reacquire a slot. One watchdog
-//     goroutine per world replaces the per-park detector arming.
+//     followed by a second block to reacquire a slot.
+//
+// Both engines share one hang watchdog: a single polling goroutine per world
+// (watchdog below), fed by the blocked-PE count and the event epoch the
+// engines maintain. Nothing is armed or spawned when a PE blocks.
 //
 // Task states in the event engine (DESIGN.md "Execution engine"):
 //
@@ -386,7 +388,7 @@ func (w *World) wakeWatchers(skip *PE) {
 	}
 }
 
-// --- watchdog budget (see fault.go for the detection logic) ---
+// --- hang watchdog (see fault.go for the counters and the poison report) ---
 
 // stallBudget is the wall-clock quiet time after which an all-blocked world
 // is declared deadlocked. The base covers small worlds; the budget grows
@@ -415,37 +417,52 @@ func (w *World) stallBudget() time.Duration {
 	} else {
 		d = stallRealDelay + time.Duration(w.n)*25*time.Microsecond
 	}
-	if raceEnabled {
+	if RaceEnabled {
 		d *= 8
 	}
 	return d
 }
 
-// eventWatchdog is the event engine's hang backstop: one goroutine per
-// world (versus the goroutine engine's detector arming on every
-// last-to-block transition), polling at a coarse tick and poisoning the
-// world after stallBudget of continuous all-parked, event-free quiet. It
-// exits when the world's PEs are gone or the world is already unwinding.
-func (w *World) eventWatchdog() {
+// watchdog is the hang backstop of a running world: one goroutine per world
+// on either engine, polling at a coarse tick and poisoning the world after
+// stallBudget of continuous all-blocked, event-free quiet. Polling — rather
+// than arming a detector when the last PE blocks — re-examines the world on
+// every tick, so an all-blocked state reached by a *departure* (the last
+// running PE stops while the rest wait on something its departure does not
+// complete) is caught like one reached by a block, and quiet is counted in
+// observed ticks, so a host that freezes the process for a while adds one
+// tick, not the whole freeze. It counts goroutines, not life-cycle states: the
+// world is stalled when every PE goroutine that has not yet returned sits in a
+// blocking wait. A PE that departed but whose goroutine is still blocked (a
+// deferred call of a failed image, say) keeps Run from returning just the
+// same, so it counts as blocked; one that departed and is still *running* can
+// yet wake somebody, so it counts as running — exactly like an alive PE in a
+// long compute phase. gen is the Run this watchdog belongs to: World.Run bumps
+// runGen when it starts and when it returns, and the watchdog ends at its
+// next tick once the generation has moved on — or once the world is poisoned
+// and unwinding — so a tick costs a sleep and a few atomic loads and stopping
+// it allocates nothing.
+func (w *World) watchdog(gen uint64) {
 	const tick = 5 * time.Millisecond
 	budget := w.stallBudget()
 	var quiet time.Duration
 	last := w.eventEpoch.Load()
 	for {
 		time.Sleep(tick)
-		alive := w.aliveN.Load()
-		if alive <= 0 || w.failedErr() != nil {
+		if w.runGen.Load() != gen || w.poisoned.Load() {
 			return
 		}
-		e := w.eventEpoch.Load()
-		if e != last || w.blockedN.Load() < alive {
+		e, running, blocked := w.eventEpoch.Load(), int32(w.n)-w.exitedN.Load(), w.blockedN.Load()
+		if e != last || blocked < running || blocked == 0 {
 			last = e
 			quiet = 0
 			continue
 		}
 		quiet += tick
 		if quiet >= budget {
-			w.poisonStall(alive)
+			// Every goroutine left is blocked, the alive PEs among them: the
+			// rest of the blocked ones have departed.
+			w.poisonStall(w.aliveN.Load(), blocked)
 			return
 		}
 	}

@@ -1,6 +1,7 @@
 package pgas
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -161,6 +162,9 @@ func (w *World) imageFaultErr() error {
 
 // failedErr returns the world poison error, if any, without panicking.
 func (w *World) failedErr() error {
+	if !w.poisoned.Load() {
+		return nil
+	}
 	w.failMu.Lock()
 	defer w.failMu.Unlock()
 	return w.failed
@@ -168,54 +172,40 @@ func (w *World) failedErr() error {
 
 // --- virtual-time hang watchdog ---
 
-// The watchdog is the backstop guarantee that no run hangs: if every alive PE
-// is blocked in a condition wait and no wake-relevant event (write, barrier
-// arrival or release, departure) occurs for stallRealDelay of real time, the
-// world is virtually deadlocked — all wake sources are PE goroutines, and all
-// of them are asleep — so the world is poisoned with a diagnostic instead of
-// hanging the process. Event counting is purely atomic; the fault-free hot
+// The watchdog is the backstop guarantee that no run hangs: if every PE
+// goroutine still in the run is blocked in a wait and no wake-relevant event
+// (write, barrier arrival or release, departure) occurs for stallBudget of
+// real time, the world is virtually deadlocked — all wake sources are PE
+// goroutines, and all of them are asleep — so the world is poisoned with a
+// diagnostic instead of hanging the process. One polling goroutine per world
+// does the watching on both engines (World.watchdog in engine.go, started and
+// retired by World.Run); the PEs only keep its counters, so the fault-free hot
 // path pays two atomic adds per block/unblock and nothing in virtual time.
 
 const stallRealDelay = 75 * time.Millisecond
 
 // bumpEvent records a wake-relevant event. Called before the corresponding
-// broadcast so an armed detector always observes the epoch change.
+// wakeup so the watchdog always observes the epoch change.
 func (w *World) bumpEvent() { w.eventEpoch.Add(1) }
 
-// beginBlock notes that the calling PE is about to block. On the goroutine
-// engine, the last alive PE to block arms a one-shot detector; the event
-// engine runs a single per-world watchdog instead (see eventWatchdog), so
-// blocking there only maintains the counter.
-func (w *World) beginBlock() {
-	if w.blockedN.Add(1) >= w.aliveN.Load() && w.engine != EngineEvent {
-		e := w.eventEpoch.Load()
-		go w.stallDetect(e)
-	}
-}
+// beginBlock notes that the calling PE is about to block.
+func (w *World) beginBlock() { w.blockedN.Add(1) }
 
 // endBlock undoes beginBlock after the wait returns.
 func (w *World) endBlock() { w.blockedN.Add(-1) }
 
-func (w *World) stallDetect(epoch uint64) {
-	time.Sleep(w.stallBudget())
-	if w.eventEpoch.Load() != epoch {
-		return // progress happened; a later blocker re-arms if needed
-	}
-	alive := w.aliveN.Load()
-	if alive <= 0 || w.blockedN.Load() < alive {
-		return
-	}
-	w.poisonStall(alive)
-}
-
-// poisonStall declares the world deadlocked (shared by both engines'
-// watchdogs): every alive PE is blocked and no wake-relevant event has
-// occurred for the stall budget, so no wake source remains.
-func (w *World) poisonStall(alive int32) {
+// poisonStall declares the world deadlocked: every PE goroutine left — all
+// alive PEs, and blocked minus alive departed ones still unwinding — is
+// asleep and no wake-relevant event has occurred for the stall budget, so no
+// wake source remains.
+func (w *World) poisonStall(alive, blocked int32) {
 	if w.failedErr() != nil {
 		return // already unwinding
 	}
 	msg := fmt.Sprintf("pgas: deadlock detected by hang watchdog: all %d alive PEs blocked with no pending events", alive)
+	if blocked > alive {
+		msg += fmt.Sprintf(" (and %d departed PEs still blocked)", blocked-alive)
+	}
 	if fe := w.imageFaultErr(); fe != nil {
 		msg += " (" + fe.Error() + ")"
 	}
@@ -269,26 +259,6 @@ func (w *World) ReadUint64Ts(target int, off int64) (uint64, float64) {
 	return v, p.rangeTs(off, 8)
 }
 
-// RMW64Stat is RMW64 with a fault status: when the target PE has failed the
-// word is left untouched and ok is false (the frozen value is still
-// returned). Virtual-time cost is the caller's concern, as for RMW64.
-func (w *World) RMW64Stat(target int, off int64, op AtomicOp, operand uint64, visibleAt float64) (old uint64, ok bool) {
-	if w.stateOf(target) == stateFailed {
-		v, _ := w.ReadUint64Ts(target, off)
-		return v, false
-	}
-	return w.RMW64(target, off, op, operand, visibleAt), true
-}
-
-// CompareSwap64Stat is CompareSwap64 with a fault status, like RMW64Stat.
-func (w *World) CompareSwap64Stat(target int, off int64, expected, desired uint64, visibleAt float64) (old uint64, ok bool) {
-	if w.stateOf(target) == stateFailed {
-		v, _ := w.ReadUint64Ts(target, off)
-		return v, false
-	}
-	return w.CompareSwap64(target, off, expected, desired, visibleAt), true
-}
-
 // ErrWaitRecheck is the sentinel a WaitUntilStat onEvent callback returns to
 // interrupt the wait without failing it: the caller re-examines protocol
 // state (e.g. runs a lock-queue repair walk) and usually re-enters the wait.
@@ -301,29 +271,15 @@ var ErrWaitRecheck = fmt.Errorf("pgas: wait interrupted for fault recheck")
 // with that error; returning ErrWaitRecheck is the conventional way to hand
 // control back to the caller for recovery work that needs communication.
 func (p *PE) WaitUntilStat(off, n int64, pred func([]byte) bool, onEvent func() error) (float64, error) {
-	wt := &watch{off: off, n: n}
-	scratch := make([]byte, n)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ensureLen(off + n)
-	p.addWatch(wt)
-	defer p.removeWatch(wt)
-	for {
-		if err := p.world.failedErr(); err != nil {
-			return 0, err
-		}
-		if pred(p.seg.view(off, n, scratch)) {
-			ts := p.rangeTs(off, n)
-			if wt.ts > ts {
-				ts = wt.ts
-			}
-			return ts, nil
-		}
-		if onEvent != nil {
-			if err := onEvent(); err != nil {
-				return 0, err
-			}
-		}
-		p.block()
-	}
+	return p.wait(off, n, pred, onEvent)
+}
+
+// WaitWordStat is WaitWord with WaitUntilStat's fault awareness; the last
+// observed word is returned even when the wait is aborted.
+func (p *PE) WaitWordStat(off int64, cmp Cmp, operand int64, onEvent func() error) (got int64, ts float64, err error) {
+	ts, err = p.wait(off, 8, func(b []byte) bool {
+		got = int64(binary.LittleEndian.Uint64(b))
+		return cmp.Holds(got, operand)
+	}, onEvent)
+	return got, ts, err
 }

@@ -99,15 +99,26 @@ const (
 // RMW64 atomically applies op to the 64-bit little-endian word at (target,
 // off) and returns the previous value. The update is visible at visibleAt.
 func (w *World) RMW64(target int, off int64, op AtomicOp, operand uint64, visibleAt float64) uint64 {
+	old, _ := w.RMW64Stat(target, off, op, operand, visibleAt)
+	return old
+}
+
+// RMW64Stat is RMW64 with a fault status: when the target PE has failed the
+// word is left untouched and ok is false (the frozen value is still
+// returned). Whether the partition is frozen is decided once, under the
+// partition lock, by the same test that guards the store — so ok is exactly
+// "the operation was applied", even when the target fails while the call is
+// in flight. Virtual-time cost is the caller's concern.
+func (w *World) RMW64Stat(target int, off int64, op AtomicOp, operand uint64, visibleAt float64) (old uint64, ok bool) {
 	p := w.pes[target]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ensureLen(off + 8)
 	var b [8]byte
 	p.seg.readAt(off, b[:])
-	old := binary.LittleEndian.Uint64(b[:])
+	old = binary.LittleEndian.Uint64(b[:])
 	if w.stateOf(target) == stateFailed {
-		return old // frozen partition: observe, never mutate
+		return old, false // frozen partition: observe, never mutate
 	}
 	var nw uint64
 	switch op {
@@ -127,26 +138,37 @@ func (w *World) RMW64(target int, off int64, op AtomicOp, operand uint64, visibl
 	binary.LittleEndian.PutUint64(b[:], nw)
 	p.seg.writeAt(off, b[:])
 	p.noteWrite(off, 8, visibleAt)
-	return old
+	return old, true
 }
 
 // CompareSwap64 atomically replaces the word at (target, off) with desired if
 // it equals expected, returning the previous value (OpenSHMEM cswap
 // semantics: the caller checks old == expected for success).
 func (w *World) CompareSwap64(target int, off int64, expected, desired uint64, visibleAt float64) uint64 {
+	old, _ := w.CompareSwap64Stat(target, off, expected, desired, visibleAt)
+	return old
+}
+
+// CompareSwap64Stat is CompareSwap64 with a fault status, like RMW64Stat: ok
+// is false when the target's partition was frozen, decided under the
+// partition lock together with the store.
+func (w *World) CompareSwap64Stat(target int, off int64, expected, desired uint64, visibleAt float64) (old uint64, ok bool) {
 	p := w.pes[target]
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ensureLen(off + 8)
 	var b [8]byte
 	p.seg.readAt(off, b[:])
-	old := binary.LittleEndian.Uint64(b[:])
-	if old == expected && w.stateOf(target) != stateFailed {
+	old = binary.LittleEndian.Uint64(b[:])
+	if w.stateOf(target) == stateFailed {
+		return old, false
+	}
+	if old == expected {
 		binary.LittleEndian.PutUint64(b[:], desired)
 		p.seg.writeAt(off, b[:])
 		p.noteWrite(off, 8, visibleAt)
 	}
-	return old
+	return old, true
 }
 
 // tsTrackMaxBytes bounds which writes record per-word timestamps: flag and
@@ -157,11 +179,10 @@ const tsTrackMaxBytes = 1024
 // index and, when a waiter is registered, on overlapping watches — then wakes
 // the waiters. Must be called with p.mu held.
 //
-// Watch-awareness: the scan, the event-epoch bump, and the wakeup are all
-// skipped when no watch is registered — and since a waiter's predicate reads
-// only its own watched range, the wakeup is further skipped when no
-// registered watch overlaps the written range (a write that cannot change
-// any waiter's predicate). That is sound because the only sleepers on the
+// Watch-awareness: the event-epoch bump and the wakeup are skipped when no
+// watch is registered — and since a waiter's predicate reads only its own
+// watched range, also when the registered watch does not overlap the written
+// range (a write that cannot change the waiter's predicate). That is sound because the only sleepers on the
 // partition are WaitUntil/WaitUntilStat, which always hold a registered
 // watch over exactly the bytes their predicate reads, and a waiter that
 // registers later re-evaluates its predicate against the already-written
@@ -191,58 +212,110 @@ func (p *PE) noteTouch(off int64, visibleAt float64) {
 // wakeOverlapping raises overlapping watches to visibleAt and wakes the
 // partition's waiters when any watch matched. Must be called with p.mu held.
 func (p *PE) wakeOverlapping(off, n int64, visibleAt float64) {
-	if len(p.watches) == 0 {
-		return
+	if p.raiseWatch(off, n, visibleAt) {
+		p.world.bumpEvent()
+		p.wakeLocked()
 	}
-	matched := false
-	for wt := range p.watches {
-		if off < wt.off+wt.n && wt.off < off+n {
-			if visibleAt > wt.ts {
-				wt.ts = visibleAt
-			}
-			matched = true
-		}
+}
+
+// raiseWatch lifts the PE's watch to visibleAt if it is registered and
+// overlaps [off, off+n), and reports whether it did. Must be called with p.mu
+// held.
+func (p *PE) raiseWatch(off, n int64, visibleAt float64) bool {
+	wt := &p.watch
+	if !wt.active || off >= wt.off+wt.n || wt.off >= off+n {
+		return false
 	}
-	if !matched {
-		return
-	}
-	p.world.bumpEvent()
-	p.wakeLocked()
+	wt.ts = max(wt.ts, visibleAt)
+	return true
 }
 
 // rangeTs returns the latest recorded visibility timestamp overlapping
 // [off, off+n). Must be called with p.mu held.
 func (p *PE) rangeTs(off, n int64) float64 { return p.ts.maxRange(off, n) }
 
-// WaitUntil blocks the calling PE until pred holds over the n bytes at off of
-// its *own* partition, then returns the virtual time at which the last write
-// to the range became visible (0 if the range was never written). The caller
-// is responsible for merging the returned timestamp into its clock; the
-// per-word timestamp index makes the result independent of whether the
-// satisfying write raced ahead of the watch registration.
-//
-// This is the substrate for shmem_wait_until and for the local spin of the
-// MCS lock (paper §IV-D: "It will then locally spin on its qnode's locked
-// field").
-func (p *PE) WaitUntil(off, n int64, pred func([]byte) bool) float64 {
-	wt := &watch{off: off, n: n}
-	scratch := make([]byte, n)
+// Cmp is a typed comparison of a 64-bit word against an operand — the
+// shmem_wait_until(ivar, cmp, value) form, which needs no predicate closure.
+// Words compare as signed 64-bit integers.
+type Cmp int
+
+const (
+	CmpEQ Cmp = iota
+	CmpNE
+	CmpGT
+	CmpGE
+	CmpLT
+	CmpLE
+)
+
+// Holds reports whether "a cmp b" is true.
+func (c Cmp) Holds(a, b int64) bool {
+	switch c {
+	case CmpEQ:
+		return a == b
+	case CmpNE:
+		return a != b
+	case CmpGT:
+		return a > b
+	case CmpGE:
+		return a >= b
+	case CmpLT:
+		return a < b
+	default:
+		return a <= b
+	}
+}
+
+// wait is the one blocking loop behind every wait form: it parks the calling
+// PE until pred holds over the n bytes at off of its *own* partition, then
+// returns the virtual time at which the last write to the range became
+// visible (0 if the range was never written) — the per-word timestamp index
+// makes that independent of whether the satisfying write raced ahead of the
+// watch registration. onEvent, when non-nil, runs on every unsatisfied
+// wake-up under the partition lock and aborts the wait by returning an error;
+// a poisoned world aborts it with the poison error. Nothing here allocates:
+// the watch record and gather scratch live in the PE, and neither pred nor
+// onEvent is retained, so the callers' closures stay on their stacks.
+func (p *PE) wait(off, n int64, pred func([]byte) bool, onEvent func() error) (float64, error) {
+	scratch := p.wordBuf[:]
+	if n > int64(len(scratch)) {
+		scratch = make([]byte, n)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ensureLen(off + n)
-	p.addWatch(wt)
-	defer p.removeWatch(wt)
+	wt := p.addWatch(off, n)
+	defer p.removeWatch()
 	for {
-		p.world.checkFailed()
+		if err := p.world.failedErr(); err != nil {
+			return 0, err
+		}
 		if pred(p.seg.view(off, n, scratch)) {
-			ts := p.rangeTs(off, n)
-			if wt.ts > ts {
-				ts = wt.ts
+			return max(p.rangeTs(off, n), wt.ts), nil
+		}
+		if onEvent != nil {
+			if err := onEvent(); err != nil {
+				return 0, err
 			}
-			return ts
 		}
 		p.block()
 	}
+}
+
+// WaitUntil blocks the calling PE until pred holds over the n bytes at off of
+// its own partition and returns the causal timestamp of the satisfying write,
+// which the caller merges into its clock. Panics if the world is poisoned.
+//
+// This is the substrate for shmem_wait_until and for the local spin of the
+// MCS lock (paper §IV-D: "It will then locally spin on its qnode's locked
+// field"); layers that compare one word use WaitWord, whose typed condition
+// crosses their interfaces without a closure.
+func (p *PE) WaitUntil(off, n int64, pred func([]byte) bool) float64 {
+	ts, err := p.wait(off, n, pred, nil)
+	if err != nil {
+		panic(err)
+	}
+	return ts
 }
 
 // WaitUntil64 blocks until cmp(word) holds for the local 64-bit word at off.
@@ -250,6 +323,17 @@ func (p *PE) WaitUntil64(off int64, cmp func(uint64) bool) float64 {
 	return p.WaitUntil(off, 8, func(b []byte) bool {
 		return cmp(binary.LittleEndian.Uint64(b))
 	})
+}
+
+// WaitWord blocks until the local 64-bit word at off satisfies "word cmp
+// operand" and returns the satisfying value with its causal timestamp.
+// Panics if the world is poisoned.
+func (p *PE) WaitWord(off int64, cmp Cmp, operand int64) (int64, float64) {
+	got, ts, err := p.WaitWordStat(off, cmp, operand, nil)
+	if err != nil {
+		panic(err)
+	}
+	return got, ts
 }
 
 // ReadLocal copies n bytes at off of the PE's own partition into dst — the

@@ -2,5 +2,5 @@
 
 package pgas
 
-// raceEnabled is false in builds without the race detector; see race.go.
-const raceEnabled = false
+// RaceEnabled is false in builds without the race detector; see race.go.
+const RaceEnabled = false

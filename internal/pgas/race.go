@@ -2,8 +2,8 @@
 
 package pgas
 
-// raceEnabled reports whether the race detector is compiled in; the hang
+// RaceEnabled reports whether the race detector is compiled in; the hang
 // watchdog scales its wall-clock budget by it (instrumented runs are roughly
 // an order of magnitude slower, so a budget tuned for plain builds would
 // report large healthy runs as deadlocks).
-const raceEnabled = true
+const RaceEnabled = true

@@ -33,7 +33,7 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	es := int64(elemSize)
 	p.mu.Lock()
 	p.ensureLen(off + int64(nelems-1)*strideBytes + es)
-	watched := len(p.watches) > 0
+	matched := false
 	track := es <= tsTrackMaxBytes
 	for k := 0; k < nelems; k++ {
 		o := off + int64(k)*strideBytes
@@ -41,19 +41,13 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 		if track {
 			p.ts.recordRange(o, es, visibleAt)
 		}
-		if watched {
-			for wt := range p.watches {
-				if o < wt.off+wt.n && wt.off < o+es {
-					if visibleAt > wt.ts {
-						wt.ts = visibleAt
-					}
-				}
-			}
+		if p.raiseWatch(o, es, visibleAt) {
+			matched = true
 		}
 	}
-	if watched {
+	if matched {
 		p.world.bumpEvent()
-		p.cond.Broadcast()
+		p.wakeLocked()
 	}
 	p.mu.Unlock()
 }
@@ -114,7 +108,7 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	}
 	p.mu.Lock()
 	p.ensureLen(extent)
-	watched := len(p.watches) > 0
+	matched := false
 	track := rb <= tsTrackMaxBytes
 	for i, o := range offs {
 		o += base
@@ -122,19 +116,13 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 		if track {
 			p.ts.recordRange(o, rb, visAt[i])
 		}
-		if watched {
-			for wt := range p.watches {
-				if o < wt.off+wt.n && wt.off < o+rb {
-					if visAt[i] > wt.ts {
-						wt.ts = visAt[i]
-					}
-				}
-			}
+		if p.raiseWatch(o, rb, visAt[i]) {
+			matched = true
 		}
 	}
-	if watched {
+	if matched {
 		p.world.bumpEvent()
-		p.cond.Broadcast()
+		p.wakeLocked()
 	}
 	p.mu.Unlock()
 }

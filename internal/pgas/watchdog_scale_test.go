@@ -23,7 +23,7 @@ func TestStallBudgetSubLinear(t *testing.T) {
 	ev := &World{n: 100_000, engine: EngineEvent, workers: 1}
 	budget := ev.stallBudget()
 	cap := 1 * time.Second
-	if raceEnabled {
+	if RaceEnabled {
 		cap *= 8
 	}
 	if budget >= cap {
@@ -34,7 +34,7 @@ func TestStallBudgetSubLinear(t *testing.T) {
 	}
 	gr := &World{n: 1000, engine: EngineGoroutine}
 	want := stallRealDelay + 1000*25*time.Microsecond
-	if raceEnabled {
+	if RaceEnabled {
 		want *= 8
 	}
 	if got := gr.stallBudget(); got != want {
@@ -52,7 +52,7 @@ func TestStallBudgetSubLinear(t *testing.T) {
 // watchdog within the recalibrated budget — the deadlock-masking side of the
 // satellite requirement.
 func TestWatchdog100kAllParked(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("100k images under race instrumentation is out of time budget")
 	}
 	if testing.Short() {
@@ -84,7 +84,7 @@ func TestWatchdog100kAllParked(t *testing.T) {
 // event-engine barrier sequence must complete watchdog-clean within the
 // tightened budget (the release's dispatch pass plus pool drain must fit).
 func TestBarrier100kReleaseClean(t *testing.T) {
-	if raceEnabled {
+	if RaceEnabled {
 		t.Skip("100k images under race instrumentation is out of time budget")
 	}
 	if testing.Short() {

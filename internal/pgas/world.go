@@ -45,10 +45,15 @@ type World struct {
 	mu     sync.Mutex
 	shared map[string]interface{}
 
-	failMu sync.Mutex
-	failed error
+	// failed is the world poison error, written once under failMu; poisoned
+	// is its lock-free "is set" flag, so the no-fault path of every wait
+	// iteration is one atomic load and the mutex is taken only to read the
+	// error once the flag is up.
+	failMu   sync.Mutex
+	failed   error
+	poisoned atomic.Bool
 
-	pairsOverride int // 0 = derive from placement
+	pairsOverride atomic.Int64 // 0 = derive from placement
 
 	// PE life-cycle state (see fault.go). states is read with atomic loads on
 	// hot paths; transitions take stateMu. The counters back the hang
@@ -58,9 +63,11 @@ type World struct {
 	aliveN      atomic.Int32
 	nFailed     atomic.Int32
 	nStopped    atomic.Int32
-	blockedN    atomic.Int32
+	blockedN    atomic.Int32 // PE goroutines sitting in a blocking wait
+	exitedN     atomic.Int32 // PE goroutines of the current Run that returned
 	eventEpoch  atomic.Uint64
 	departEpoch atomic.Uint64
+	runGen      atomic.Uint64 // bumped when a Run starts and when it returns: retires its watchdog
 
 	// dlv is the lossy-fabric reliability bookkeeping: receiver dedup
 	// windows, per-link forensic counters, unreachable-link marks. See
@@ -76,17 +83,22 @@ type PE struct {
 	Clock fabric.Clock
 	world *World
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	seg     segStore
-	watches map[*watch]struct{}
+	mu   sync.Mutex
+	cond sync.Cond // goroutine-engine sleepers; L is &mu
+	seg  segStore
+	// watch is the registered wait on this partition. A PE waits on its own
+	// partition from its own goroutine, so there is at most one, and its
+	// record (with wordBuf, the gather scratch for a word that straddles a
+	// page) is embedded here: a wait allocates nothing.
+	watch   watch
+	wordBuf [8]byte
 	// ts records the latest visibility timestamp per 8-byte-aligned word for
 	// small writes (flags, counters, lock words), so a WaitUntil that
 	// registers after the satisfying write still recovers its causal
 	// timestamp. Large payload writes are not tracked (nothing waits on
 	// them), keeping the bookkeeping O(1) per flag-sized write.
 	ts tsIndex
-	// waiters mirrors len(watches) with an atomic so cross-PE wake fan-outs
+	// waiters mirrors watch.active with an atomic so cross-PE wake fan-outs
 	// (departure, repair writes) can skip partitions nobody sleeps on without
 	// taking their locks. Updated only under mu; read lock-free. The seq-cst
 	// ordering of Go atomics makes the Dekker pattern sound: a departer
@@ -113,20 +125,28 @@ type PE struct {
 	readyFlag bool
 }
 
-// addWatch registers a watch (and its waiter count). Must hold p.mu. On the
-// event engine the 0→1 transition also enters the PE into the scheduler's
-// watcher registry, which is what fault fan-outs walk instead of the world.
-func (p *PE) addWatch(wt *watch) {
-	p.watches[wt] = struct{}{}
-	if p.waiters.Add(1) == 1 && p.wake != nil {
+// addWatch registers the PE's watch over [off, off+n) (and its waiter
+// count). Must hold p.mu. On the event engine it also enters the PE into the
+// scheduler's watcher registry, which is what fault fan-outs walk instead of
+// the world.
+func (p *PE) addWatch(off, n int64) *watch {
+	wt := &p.watch
+	if wt.active {
+		panic(fmt.Sprintf("pgas: PE %d is already waiting: a PE waits on its partition from its own goroutine only", p.ID))
+	}
+	*wt = watch{off: off, n: n, active: true}
+	p.waiters.Store(1)
+	if p.wake != nil {
 		p.world.sched.noteWatcher(p)
 	}
+	return wt
 }
 
-// removeWatch deregisters a watch. Must hold p.mu.
-func (p *PE) removeWatch(wt *watch) {
-	delete(p.watches, wt)
-	if p.waiters.Add(-1) == 0 && p.wake != nil {
+// removeWatch deregisters the PE's watch. Must hold p.mu.
+func (p *PE) removeWatch() {
+	p.watch.active = false
+	p.waiters.Store(0)
+	if p.wake != nil {
 		p.world.sched.dropWatcher(p)
 	}
 }
@@ -137,6 +157,7 @@ func (p *PE) removeWatch(wt *watch) {
 type watch struct {
 	off, n int64
 	ts     float64
+	active bool // registered: a wait is in progress
 }
 
 // NewWorld creates a world of n PEs on the given machine model, on the
@@ -175,8 +196,8 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		w.sched.ready = make([]*PE, 0, n)
 	}
 	for i := range w.pes {
-		p := &PE{ID: i, world: w, watches: map[*watch]struct{}{}}
-		p.cond = sync.NewCond(&p.mu)
+		p := &PE{ID: i, world: w}
+		p.cond.L = &p.mu
 		if opts.Engine == EngineEvent {
 			p.wake = make(chan struct{}, 1)
 			w.barrier.arena[i].p = p
@@ -205,16 +226,18 @@ func Run(machine *fabric.Machine, n int, body func(*PE)) error {
 // bodies still each get a goroutine (the cheap part — a resumable stack) but
 // only Workers of them hold a run slot at a time, and a blocked PE parks
 // without its slot, so the pool never idles on blocked tasks and never runs
-// more than Workers bodies at once.
+// more than Workers bodies at once. On both, the world's one hang watchdog
+// (engine.go) runs for as long as Run does.
 func (w *World) Run(body func(*PE)) error {
-	if w.engine == EngineEvent {
-		go w.eventWatchdog()
-	}
+	w.exitedN.Store(0)
+	go w.watchdog(w.runGen.Add(1))
+	defer w.runGen.Add(1)
 	var wg sync.WaitGroup
 	wg.Add(w.n)
 	for _, p := range w.pes {
 		go func(p *PE) {
 			defer wg.Done()
+			defer w.exitedN.Add(1)
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(peFailed); ok {
@@ -231,9 +254,7 @@ func (w *World) Run(body func(*PE)) error {
 		}(p)
 	}
 	wg.Wait()
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	return w.failed
+	return w.failedErr()
 }
 
 // Machine returns the machine model this world runs on.
@@ -249,20 +270,13 @@ func (w *World) PE(id int) *PE { return w.pes[id] }
 // PEs per node are concurrently driving the NIC. The microbenchmarks use this
 // to model the paper's "1 pair" vs "16 pairs" configurations. Zero restores
 // the default (all co-located PEs are assumed active — the SPMD common case).
-func (w *World) SetActivePairsPerNode(k int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pairsOverride = k
-}
+func (w *World) SetActivePairsPerNode(k int) { w.pairsOverride.Store(int64(k)) }
 
 // ActivePairs returns the number of communicating PEs assumed to share the
 // NIC of the given PE's node, for the contention model.
 func (w *World) ActivePairs(pe int) int {
-	w.mu.Lock()
-	ov := w.pairsOverride
-	w.mu.Unlock()
-	if ov > 0 {
-		return ov
+	if ov := w.pairsOverride.Load(); ov > 0 {
+		return int(ov)
 	}
 	// Block placement: the PEs on pe's node are a contiguous rank range.
 	per := w.machine.CoresPerNode
@@ -299,6 +313,7 @@ func (w *World) poison(err error) {
 	w.failMu.Lock()
 	if w.failed == nil {
 		w.failed = err
+		w.poisoned.Store(true)
 	}
 	w.failMu.Unlock()
 	w.bumpEvent()
@@ -306,14 +321,5 @@ func (w *World) poison(err error) {
 	w.barrier.poison()
 	for _, p := range w.pes {
 		p.wakeFanout()
-	}
-}
-
-func (w *World) checkFailed() {
-	w.failMu.Lock()
-	err := w.failed
-	w.failMu.Unlock()
-	if err != nil {
-		panic(err)
 	}
 }

@@ -163,9 +163,9 @@ func TestWaitUntilWakesAndCarriesTimestamp(t *testing.T) {
 	for {
 		p := w.PE(0)
 		p.mu.Lock()
-		n := len(p.watches)
+		watching := p.watch.active
 		p.mu.Unlock()
-		if n > 0 {
+		if watching {
 			break
 		}
 		runtime.Gosched()

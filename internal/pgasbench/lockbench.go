@@ -1,6 +1,9 @@
 package pgasbench
 
-import "cafshmem/internal/caf"
+import (
+	"cafshmem/internal/caf"
+	"cafshmem/internal/pgas"
+)
 
 // LockBenchConfig describes the lock microbenchmark of Fig 8: all images
 // repeatedly acquire and release the lock instance at image 1.
@@ -39,7 +42,7 @@ func LockContention(cfg LockBenchConfig, imageCounts []int) (Series, error) {
 			for r := 1; r <= cfg.Rounds; r++ {
 				tok := int64((r-1)*nimg + me)
 				if !(r == 1 && me == 1) {
-					flag.WaitLocal(func(v int64) bool { return v >= tok }, 0)
+					flag.WaitLocal(pgas.CmpGE, tok, 0)
 				}
 				lck.Acquire(1)
 				lck.Release(1)

@@ -576,7 +576,7 @@ func TestCmpHolds(t *testing.T) {
 	}
 	for cmp, rows := range table {
 		for _, r := range rows {
-			if cmp.holds(r.a, r.b) != r.want {
+			if cmp.Holds(r.a, r.b) != r.want {
 				t.Fatalf("cmp %v holds(%d,%d) != %v", cmp, r.a, r.b, r.want)
 			}
 		}

@@ -1,8 +1,6 @@
 package shmem
 
 import (
-	"encoding/binary"
-
 	"cafshmem/internal/pgas"
 )
 
@@ -107,44 +105,25 @@ func (pe *PE) Barrier() {
 	pe.p.Barrier(w.prof.BarrierNs(n, w.machine.NodesFor(n)))
 }
 
-// Cmp is a wait-until comparison operator (shmem_wait_until).
-type Cmp int
+// Cmp is a wait-until comparison operator (shmem_wait_until): the substrate's
+// typed word comparison under its OpenSHMEM names.
+type Cmp = pgas.Cmp
 
 const (
-	CmpEQ Cmp = iota
-	CmpNE
-	CmpGT
-	CmpGE
-	CmpLT
-	CmpLE
+	CmpEQ = pgas.CmpEQ
+	CmpNE = pgas.CmpNE
+	CmpGT = pgas.CmpGT
+	CmpGE = pgas.CmpGE
+	CmpLT = pgas.CmpLT
+	CmpLE = pgas.CmpLE
 )
-
-func (c Cmp) holds(a, b int64) bool {
-	switch c {
-	case CmpEQ:
-		return a == b
-	case CmpNE:
-		return a != b
-	case CmpGT:
-		return a > b
-	case CmpGE:
-		return a >= b
-	case CmpLT:
-		return a < b
-	default:
-		return a <= b
-	}
-}
 
 // WaitUntil64 blocks until the local 64-bit word at element index idx of sym
 // satisfies cmp against value — shmem_long_wait_until. It returns once the
 // write that satisfied the condition is (virtually) visible, merging its
 // timestamp into the PE's clock.
 func (pe *PE) WaitUntil64(sym Sym, idx int, cmp Cmp, value int64) {
-	off := sym.At(int64(idx) * 8)
-	ts := pe.p.WaitUntil(off, 8, func(b []byte) bool {
-		return cmp.holds(int64(binary.LittleEndian.Uint64(b)), value)
-	})
+	_, ts := pe.p.WaitWord(sym.At(int64(idx)*8), cmp, value)
 	pe.p.Clock.MergeAtLeast(ts)
 	pe.p.Clock.Advance(pe.world.prof.OverheadNs) // poll loop exit cost
 }
@@ -156,12 +135,7 @@ func (pe *PE) WaitUntil64(sym Sym, idx int, cmp Cmp, value int64) {
 // producer's data is visible once the signal is (signal-mediated completion),
 // so neither side needs a barrier or a global quiet.
 func (pe *PE) SignalWaitUntil(sig Sym, idx int, cmp Cmp, value int64) int64 {
-	off := sig.At(int64(idx) * 8)
-	var got int64
-	ts := pe.p.WaitUntil(off, 8, func(b []byte) bool {
-		got = int64(binary.LittleEndian.Uint64(b))
-		return cmp.holds(got, value)
-	})
+	got, ts := pe.p.WaitWord(sig.At(int64(idx)*8), cmp, value)
 	pe.p.Clock.MergeAtLeast(ts)
 	pe.p.Clock.Advance(pe.world.prof.OverheadNs)
 	return got
@@ -175,12 +149,7 @@ func (pe *PE) SignalWaitUntil(sig Sym, idx int, cmp Cmp, value int64) int64 {
 // producer died afterwards — the data it advertises is already delivered.
 // The last observed signal value is returned in both cases.
 func (pe *PE) WaitUntilStat(sig Sym, idx int, cmp Cmp, value int64, producers ...int) (int64, error) {
-	off := sig.At(int64(idx) * 8)
-	var got int64
-	ts, err := pe.p.WaitUntilStat(off, 8, func(b []byte) bool {
-		got = int64(binary.LittleEndian.Uint64(b))
-		return cmp.holds(got, value)
-	}, func() error {
+	got, ts, err := pe.p.WaitWordStat(sig.At(int64(idx)*8), cmp, value, func() error {
 		var failed []int
 		for _, pr := range producers {
 			if pe.world.pw.Failed(pr) || pe.world.pw.Unreachable(pr, pe.p.ID) {
