@@ -31,8 +31,9 @@ go test -race -count=1 ./...
 echo "==> go test -shuffle=on -count=1 ./... (order-independence)"
 go test -shuffle=on -count=1 ./...
 
-echo "==> fuzz smoke (paged segment store vs dense reference, 10s)"
+echo "==> fuzz smoke (paged segment store and timestamp index vs dense references, on recycled pages, 10s each)"
 go test -run '^$' -fuzz '^FuzzSegStore$' -fuzztime 10s ./internal/pgas
+go test -run '^$' -fuzz '^FuzzTsIndex$' -fuzztime 10s ./internal/pgas
 
 echo "==> overlap smoke (put_nbi hides transfer; Himeno overlap beats blocking)"
 go test -run 'TestOverlapMicroHidesTransfer' -count=1 ./internal/pgasbench
@@ -64,8 +65,8 @@ go test -run 'TestEventEngineMatchesGoroutine' -count=1 ./internal/pgas
 go test -run 'TestEngineDifferential' -count=1 ./internal/caf
 go test -run 'TestHimenoGoldensOnEventEngine' -count=1 ./internal/himeno
 
-echo "==> allocation gate (steady-state malloc ceilings: Himeno iteration, waits, co_sum, lock pair, DHT update)"
-go test -run 'SteadyStateAllocs' -count=1 ./internal/...
+echo "==> allocation gate (steady-state malloc ceilings: Himeno iteration, waits, co_sum, lock pair, DHT update, figure series; world churn on recycled pages)"
+go test -run 'SteadyStateAllocs|WorldChurn' -count=1 ./internal/...
 
 echo "==> watchdog no-hang loop (deterministic deadlocks on both engines, 50x, bounded wall time)"
 # A detector that can miss a deadlock fails this gate instead of stalling it.
@@ -87,7 +88,7 @@ echo "==> wall-clock bench smoke (one iteration per benchmark, incl. Himeno over
 go test -run '^$' -bench '^BenchmarkWallclock(ContigPut|StridedPut|LockContention|DHT|Himeno|HimenoOverlap|HimenoSignal)$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkWallclockScale/barrier/n=256' -benchtime 1x .
 
-echo "==> benchreport regression gates (contig-put allocs + BENCH_9.json scale floor + BENCH_10.json transport matrix)"
+echo "==> benchreport regression gates (live contig-put allocs; BENCH_9.json and BENCH_10.json complete)"
 go run ./cmd/benchreport -check
 
 echo "check.sh: all gates passed"

@@ -35,12 +35,13 @@
 // -check is the CI gate, three deliberately-narrow validations: it reruns
 // only the contiguous-put benchmark and fails if allocs/op rises above zero
 // (the steady-state target the pooled marshalling buffers guarantee — timing
-// gates are too noisy for CI, allocation counts are exact); it validates
-// the committed report's scale section against the PR 9 regression floor
-// (the 10k-image barrier-panel engine speedup must hold ≥4.5× and the
-// 100k-image event row must be present — the sharded-tree guarantees); and
-// it validates the committed transport matrix (all three Himeno rows, mpi3
-// included, must be present with real measurements).
+// gates are too noisy for CI, allocation counts are exact); it checks that
+// the committed report's scale section is complete (the 100k-image event row
+// must be present); and it validates the committed transport matrix (all
+// three Himeno rows, mpi3 included, must be present with real measurements).
+// The two file checks are about completeness only: a number read out of a
+// committed file says nothing about the code, so no speed floor is gated on
+// one (the benchmark/ instrument measures the live tree).
 package main
 
 import (
@@ -331,10 +332,9 @@ func engineSpeedups(scale map[string]ScaleResult) map[string]float64 {
 }
 
 // check is the CI regression gate: the contiguous-put fast path must stay
-// allocation-free per operation (measured live), and the committed report's
-// scale section must still carry the sharded-barrier guarantees (validated
-// from the file — rerunning the full sweep is minutes of work the gate
-// cannot afford, and the report is regenerated whenever the sweep changes).
+// allocation-free per operation (measured live), and the committed reports
+// must be complete (read from the files — rerunning the full sweep is minutes
+// of work the gate cannot afford).
 func check(reportPath, transportPath string) error {
 	res, err := runSuite("^BenchmarkWallclockContigPut$", "300x", 1, 0)
 	if err != nil {
@@ -381,8 +381,9 @@ func checkTransportReport(path string) error {
 	return nil
 }
 
-// checkScaleReport validates the committed report's scale section against the
-// sharded-tree regression floor.
+// checkScaleReport validates that the committed report's scale section still
+// carries the 100k-image event row, so the sweep cannot silently lose its
+// largest point when the benchmark or the parser changes.
 func checkScaleReport(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -392,14 +393,6 @@ func checkScaleReport(path string) error {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return fmt.Errorf("scale gate: %s: %w", path, err)
 	}
-	const barrier10k = "barrier/n=10240"
-	sp, ok := rep.EngineSpeedup[barrier10k]
-	if !ok {
-		return fmt.Errorf("scale gate: %s missing engine_speedup[%q]", path, barrier10k)
-	}
-	if sp < 4.5 {
-		return fmt.Errorf("scale gate: %s barrier-panel 10k engine speedup %.2fx < 4.5x floor (sharded combining tree regressed)", path, sp)
-	}
 	const barrier100k = "barrier/n=102400/event"
 	row, ok := rep.Scale[barrier100k]
 	if !ok {
@@ -408,8 +401,7 @@ func checkScaleReport(path string) error {
 	if row.NsPerSimop <= 0 {
 		return fmt.Errorf("scale gate: %s has empty 100k event row", path)
 	}
-	fmt.Printf("benchreport -check: %s barrier 10k speedup %.2fx (floor 4.5x), 100k event row %.0f ns/simop — ok\n",
-		path, sp, row.NsPerSimop)
+	fmt.Printf("benchreport -check: %s carries the 100k event row (%.0f ns/simop) — ok\n", path, row.NsPerSimop)
 	return nil
 }
 

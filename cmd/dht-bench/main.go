@@ -83,7 +83,7 @@ func transportSweep(kind caf.TransportKind, maxImages, buckets, updates int, eng
 	opts.Engine, opts.Workers, opts.BarrierShards = eng.Engine, eng.Workers, eng.BarrierShards
 	fmt.Printf("DHT on Stampede, transport=%v, %d buckets/image, %d updates/image\n",
 		kind, buckets, updates)
-	fmt.Printf("%8s %12s\n", "images", "time (ms)")
+	fmt.Printf("%8s %12s   %s\n", "images", "time (ms)", "partition memory")
 	for _, n := range pgasbench.ImageSweep {
 		if n > maxImages {
 			continue
@@ -93,7 +93,7 @@ func transportSweep(kind caf.TransportKind, maxImages, buckets, updates int, eng
 			fmt.Fprintln(os.Stderr, "dht-bench:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%8d %12.3f\n", n, r.TimeMs)
+		fmt.Printf("%8d %12.3f   %v\n", n, r.TimeMs, r.Pages)
 	}
 }
 

@@ -81,7 +81,7 @@ func transportSweep(kind caf.TransportKind, maxImages int, prm himeno.Params, en
 	opts.Engine, opts.Workers, opts.BarrierShards = eng.Engine, eng.Workers, eng.BarrierShards
 	fmt.Printf("Himeno on Stampede, transport=%v, grid %dx%dx%d, %d iters\n",
 		kind, prm.NX, prm.NY, prm.NZ, prm.Iters)
-	fmt.Printf("%8s %12s %12s\n", "images", "MFLOPS", "time (ms)")
+	fmt.Printf("%8s %12s %12s   %s\n", "images", "MFLOPS", "time (ms)", "partition memory")
 	for _, n := range append([]int{1}, pgasbench.ImageSweep...) {
 		if n > maxImages || n > prm.NY {
 			continue
@@ -91,7 +91,7 @@ func transportSweep(kind caf.TransportKind, maxImages int, prm himeno.Params, en
 			fmt.Fprintln(os.Stderr, "himeno-bench:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%8d %12.2f %12.3f\n", n, r.MFLOPS, r.TimeMs)
+		fmt.Printf("%8d %12.2f %12.3f   %v\n", n, r.MFLOPS, r.TimeMs, r.Pages)
 	}
 }
 
@@ -130,6 +130,7 @@ func chaosReplay(plan *fabric.FaultPlan, images int, prm himeno.Params, eng pgas
 	}
 	fmt.Printf("stat=%v iters=%d/%d gosa=%.6e time=%.3fms\n",
 		res.Stat, res.Iters, prm.Iters, res.Gosa, res.TimeMs)
+	fmt.Printf("partition memory: %v\n", res.Pages)
 	if len(res.Forensics) == 0 {
 		fmt.Println("forensics: no lossy links exercised")
 		return

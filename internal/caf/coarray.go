@@ -197,11 +197,9 @@ func (c *Coarray[T]) SetSlice(vals []T) {
 	if len(vals) != c.n {
 		panic(fmt.Sprintf("caf: SetSlice of %d values into %d-element coarray", len(vals), c.n))
 	}
-	bp := pgas.GetScratch()
-	data := pgas.EncodeSlice[T]((*bp)[:0], vals)
+	data, bp := wireOut(vals)
 	c.img.local.StoreLocal(c.off, data)
-	*bp = data
-	pgas.PutScratch(bp)
+	putWire(bp)
 }
 
 // Slice returns a copy of the whole local array (column-major order).
@@ -218,11 +216,9 @@ func (c *Coarray[T]) SliceInto(dst []T) {
 	if len(dst) != c.n {
 		panic(fmt.Sprintf("caf: SliceInto of %d-element coarray into %d-element slice", c.n, len(dst)))
 	}
-	bp := pgas.GetScratch()
-	raw := pgas.ScratchLen(bp, c.n*c.es)
+	raw, bp := wireIn(dst, c.es)
 	c.img.local.ReadLocal(c.off, raw)
-	pgas.DecodeSlice(dst, raw)
-	pgas.PutScratch(bp)
+	decodeWire(dst, raw, bp)
 }
 
 // Fill sets every local element to v.
@@ -261,6 +257,47 @@ func (c *Coarray[T]) WaitLocal(cmp pgas.Cmp, value T, idx ...int) {
 func (c *Coarray[T]) encodeElem(v T) []byte {
 	one := [1]T{v}
 	return pgas.EncodeSlice(c.img.word[:0], one[:])
+}
+
+// wireOut returns the little-endian wire form of vals and the pooled scratch
+// buffer holding it, to be handed back with putWire once the transfer call
+// has returned (every transport copies payload bytes synchronously; see
+// pgas/buffer.go). A byte coarray's values already are their wire form, so
+// they go to the transport as they stand — no scratch (bp is nil), no copy.
+func wireOut[T pgas.Elem](vals []T) (data []byte, bp *[]byte) {
+	if raw, ok := any(vals).([]byte); ok {
+		return raw, nil
+	}
+	bp = pgas.GetScratch()
+	*bp = pgas.EncodeSlice((*bp)[:0], vals)
+	return *bp, bp
+}
+
+// putWire returns wireOut's scratch buffer, if there was one.
+func putWire(bp *[]byte) {
+	if bp != nil {
+		pgas.PutScratch(bp)
+	}
+}
+
+// wireIn returns the buffer a transport fills with the wire form of dst's
+// es-byte elements: pooled scratch, or dst itself for a byte coarray.
+// decodeWire completes the transfer.
+func wireIn[T pgas.Elem](dst []T, es int) (raw []byte, bp *[]byte) {
+	if b, ok := any(dst).([]byte); ok {
+		return b, nil
+	}
+	bp = pgas.GetScratch()
+	return pgas.ScratchLen(bp, len(dst)*es), bp
+}
+
+// decodeWire decodes what the transport left in wireIn's scratch into dst
+// and returns the scratch; nothing to do when the transport filled dst.
+func decodeWire[T pgas.Elem](dst []T, raw []byte, bp *[]byte) {
+	if bp != nil {
+		pgas.DecodeSlice(dst, raw)
+		pgas.PutScratch(bp)
+	}
 }
 
 // localMem is the little escape hatch transports provide for zero-cost local

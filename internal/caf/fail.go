@@ -134,6 +134,18 @@ func (img *Image) LinkReports() []LinkReport {
 	return img.local.World().LinkReports()
 }
 
+// PageStats is a world's partition-memory record (re-exported from pgas):
+// segment and timestamp pages materialised, how much of that was new memory
+// rather than pages recycled from earlier jobs, bytes cleared on hand-out.
+type PageStats = pgas.PageStats
+
+// PageStats returns the job's partition-memory counters so far. Like
+// LinkReports they are world-global, so benchmarks have image 1 capture them
+// after the final synchronisation.
+func (img *Image) PageStats() PageStats {
+	return img.local.World().PageStats()
+}
+
 // pollFault is the fault-injection hook: runtime entry points call it so a
 // scheduled kill fires at the first operation boundary at or after its
 // virtual time. One predictable branch when no kill is scheduled (always the

@@ -112,7 +112,8 @@ func (s Stats) Ops() int64 {
 
 // Run launches a CAF program: images copies of body, 1-based ranks, over the
 // configured transport. It is the runtime analogue of launching a compiled
-// CAF executable.
+// CAF executable. The job's world is closed when Run returns: its partition
+// pages go back to the pgas page pools for the next job.
 func Run(images int, opts Options, body func(*Image)) error {
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -124,6 +125,7 @@ func Run(images int, opts Options, body func(*Image)) error {
 		if err != nil {
 			return err
 		}
+		defer w.PgasWorld().Close()
 		w.PgasWorld().SetActivePairsPerNode(o.ActivePairsPerNode)
 		if err := w.PgasWorld().Run(func(p *pgas.PE) {
 			img := newImage(newShmemTransport(w.Attach(p)), o)
@@ -137,6 +139,7 @@ func Run(images int, opts Options, body func(*Image)) error {
 		if err != nil {
 			return err
 		}
+		defer w.PgasWorld().Close()
 		registerGasnetHandlers(w)
 		w.PgasWorld().SetActivePairsPerNode(o.ActivePairsPerNode)
 		return w.PgasWorld().Run(func(p *pgas.PE) {
@@ -148,6 +151,7 @@ func Run(images int, opts Options, body func(*Image)) error {
 		if err != nil {
 			return err
 		}
+		defer w.PgasWorld().Close()
 		w.PgasWorld().SetActivePairsPerNode(o.ActivePairsPerNode)
 		return w.PgasWorld().Run(func(p *pgas.PE) {
 			img := newImage(newMPI3Transport(w, w.Attach(p)), o)

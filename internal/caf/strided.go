@@ -152,21 +152,20 @@ func (c *Coarray[T]) putSection(target int, sec Section, vals []T) {
 	// Fast path shared by all algorithms: a fully contiguous section is a
 	// single putmem regardless of strategy — or a direct store when the
 	// target shares the node and §VII's IntraNodeDirect is enabled. The
-	// encode buffer is pooled: transports copy payload bytes synchronously,
-	// so the steady state allocates nothing.
+	// encode buffer is pooled (and a byte coarray needs none): transports
+	// copy payload bytes synchronously, so the steady state allocates
+	// nothing.
 	runDims, runElems := c.contigRun(sec)
 	if runDims == len(sec) {
 		off := c.secLowOff(sec)
-		bp := pgas.GetScratch()
-		data := pgas.EncodeSlice[T]((*bp)[:0], vals)
+		data, bp := wireOut(vals)
 		if c.img.opts.IntraNodeDirect && tr.DirectWrite(target, off, data) {
 			c.img.Stats.DirectOps++
 		} else {
 			tr.PutMem(target, off, data)
 			c.img.Stats.Puts++
 		}
-		*bp = data
-		pgas.PutScratch(bp)
+		putWire(bp)
 		return
 	}
 
@@ -208,17 +207,14 @@ func (c *Coarray[T]) getSection(target int, sec Section, out []T) {
 	runDims, runElems := c.contigRun(sec)
 	if runDims == len(sec) {
 		off := c.secLowOff(sec)
-		bp := pgas.GetScratch()
-		raw := pgas.ScratchLen(bp, len(out)*int(es))
+		raw, bp := wireIn(out, c.es)
 		if c.img.opts.IntraNodeDirect && tr.DirectRead(target, off, raw) {
-			pgas.DecodeSlice(out, raw)
 			c.img.Stats.DirectOps++
 		} else {
 			tr.GetMem(target, off, raw)
-			pgas.DecodeSlice(out, raw)
 			c.img.Stats.Gets++
 		}
-		pgas.PutScratch(bp)
+		decodeWire(out, raw, bp)
 		return
 	}
 

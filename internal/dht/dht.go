@@ -161,6 +161,9 @@ type BenchResult struct {
 	// operations (caf.Stats.Ops summed over all images) — the simulated-op
 	// denominator for the wall-clock scaling benchmarks.
 	CommOps int64
+	// Pages is the job's partition-memory record, captured by image 1 after
+	// the final synchronisation: pages materialised, how much was new memory.
+	Pages caf.PageStats
 }
 
 // UpdateAt atomically adds delta to the bucket at (image, slot) directly,
@@ -257,6 +260,7 @@ func BenchPattern(opts caf.Options, images, bucketsPerImage, updates int, disjoi
 		img.SyncAll()
 		if img.ThisImage() == 1 {
 			total = img.Clock().Now()
+			res.Pages = img.PageStats()
 		}
 		atomic.AddInt64(&res.CommOps, img.Stats.Ops())
 	})

@@ -79,10 +79,12 @@ func Run(cfg Config, n int, body func(*EP)) error {
 	if err != nil {
 		return err
 	}
+	defer w.pw.Close()
 	return w.pw.Run(func(p *pgas.PE) { body(w.Attach(p)) })
 }
 
-// NewWorld builds job state without launching PEs (for layered runtimes).
+// NewWorld builds job state without launching PEs (for layered runtimes,
+// which close PgasWorld() after their last Run).
 func NewWorld(cfg Config, n int) (*World, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("gasnet: config needs a machine model")

@@ -90,6 +90,9 @@ type Result struct {
 	// drops, duplicate suppressions, given-up links — captured by image 1 at
 	// the end. Empty unless the fault plan carried loss rules.
 	Forensics []caf.LinkReport
+	// Pages is the job's partition-memory record, captured by image 1 with
+	// the forensics: pages materialised, how much of that was new memory.
+	Pages caf.PageStats
 	// CommOps is the job-wide total of runtime-issued communication
 	// operations (caf.Stats.Ops summed over every image that finished its
 	// body) — the simulated-op denominator for the wall-clock scaling
@@ -152,6 +155,7 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 	var itersOut int
 	var barriersOut int64
 	var forensicsOut []caf.LinkReport
+	var pagesOut caf.PageStats
 	var commOps int64
 	err := caf.Run(images, opts, func(img *caf.Image) {
 		nx, ny, nz := prm.NX, prm.NY, prm.NZ
@@ -431,6 +435,7 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 			itersOut = done
 			barriersOut = img.Stats.Barriers
 			forensicsOut = img.LinkReports()
+			pagesOut = img.PageStats()
 		}
 		if prm.Gather && stat == caf.StatOK {
 			if me == 1 {
@@ -480,6 +485,7 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 	res.MFLOPS = flopsPerPt * interior * float64(iters) / (worst / 1e9) / 1e6
 	res.Field = gathered
 	res.Forensics = forensicsOut
+	res.Pages = pagesOut
 	res.CommOps = commOps
 	return res, nil
 }

@@ -54,10 +54,12 @@ func Run(cfg Config, n int, body func(*Proc)) error {
 	if err != nil {
 		return err
 	}
+	defer w.pw.Close()
 	return w.pw.Run(func(p *pgas.PE) { body(&Proc{world: w, p: p}) })
 }
 
-// NewWorld builds job state without launching ranks.
+// NewWorld builds job state without launching ranks (for layered harnesses,
+// which close PgasWorld() after their last Run).
 func NewWorld(cfg Config, n int) (*World, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("mpi3: config needs a machine model")

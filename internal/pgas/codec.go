@@ -31,9 +31,6 @@ func SizeOf[T Elem]() int {
 // encoding a large slice into a nil (or too-small) dst costs a single
 // allocation rather than a geometric append chain.
 func EncodeSlice[T Elem](dst []byte, src []T) []byte {
-	if s, ok := any(src).([]byte); ok {
-		return append(dst, s...)
-	}
 	n := len(dst)
 	need := len(src) * SizeOf[T]()
 	if cap(dst)-n < need {
@@ -57,13 +54,11 @@ func EncodeSlice[T Elem](dst []byte, src []T) []byte {
 			binary.LittleEndian.PutUint64(out[8*i:], v)
 		}
 	case []float32:
-		for i, v := range s {
-			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-		}
+		putFloat32s(out, s)
 	case []float64:
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-		}
+		putFloat64s(out, s)
+	case []byte:
+		copy(out, s)
 	default:
 		// Unreachable (Elem is a closed set). The message must not mention
 		// src: formatting it would make every caller's slice escape.
@@ -90,15 +85,50 @@ func DecodeSlice[T Elem](dst []T, src []byte) {
 			d[i] = binary.LittleEndian.Uint64(src[8*i:])
 		}
 	case []float32:
-		for i := range d {
-			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-		}
+		getFloat32s(d, src)
 	case []float64:
-		for i := range d {
-			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-		}
+		getFloat64s(d, src)
 	default:
 		panic("pgas: unsupported element type") // must not mention dst, as above
+	}
+}
+
+// The floating-point loops are plain functions kept out of line. A generic
+// body is compiled in the package that instantiates it — for EncodeSlice and
+// DecodeSlice that is every caller's — and there math.Float64bits and its
+// siblings are not the one-instruction intrinsics they are here but calls,
+// with the loop's registers spilled around each: the 8 KiB put that is the
+// whole of a contiguous-put benchmark spent most of its time that way.
+
+//go:noinline
+func putFloat32s(out []byte, s []float32) {
+	for _, v := range s {
+		binary.LittleEndian.PutUint32(out, math.Float32bits(v))
+		out = out[4:]
+	}
+}
+
+//go:noinline
+func putFloat64s(out []byte, s []float64) {
+	for _, v := range s {
+		binary.LittleEndian.PutUint64(out, math.Float64bits(v))
+		out = out[8:]
+	}
+}
+
+//go:noinline
+func getFloat32s(d []float32, src []byte) {
+	for i := range d {
+		d[i] = math.Float32frombits(binary.LittleEndian.Uint32(src))
+		src = src[4:]
+	}
+}
+
+//go:noinline
+func getFloat64s(d []float64, src []byte) {
+	for i := range d {
+		d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+		src = src[8:]
 	}
 }
 

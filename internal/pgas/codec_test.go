@@ -120,3 +120,21 @@ func TestEncodeAppends(t *testing.T) {
 		t.Fatalf("EncodeSlice should append: %v", enc)
 	}
 }
+
+// EncodeSlice grows a too-small dst to the exact final size in one step for
+// every element type — bytes included, which once went through append and
+// over-allocated geometrically.
+func TestEncodeGrowsExactly(t *testing.T) {
+	prefix := make([]byte, 3, 5)
+	if enc := EncodeSlice(prefix, make([]byte, 1000)); len(enc) != 1003 || cap(enc) != 1003 {
+		t.Fatalf("bytes: len %d cap %d, want 1003 1003", len(enc), cap(enc))
+	}
+	if enc := EncodeSlice(prefix, make([]float64, 125)); len(enc) != 1003 || cap(enc) != 1003 {
+		t.Fatalf("float64: len %d cap %d, want 1003 1003", len(enc), cap(enc))
+	}
+	// A dst with room is used in place.
+	roomy := make([]byte, 3, 2048)
+	if enc := EncodeSlice(roomy, []byte{7}); &enc[0] != &roomy[0] || enc[3] != 7 {
+		t.Fatal("EncodeSlice reallocated a dst that had room")
+	}
+}

@@ -227,7 +227,7 @@ func (w *World) RepairWrite(target int, off int64, data []byte, visibleAt float6
 	if len(data) == 0 {
 		return
 	}
-	p := w.pes[target]
+	p := w.part(target)
 	p.mu.Lock()
 	p.ensureLen(off + int64(len(data)))
 	p.seg.writeAt(off, data)
@@ -246,7 +246,7 @@ func (w *World) RepairWrite(target int, off int64, data []byte, visibleAt float6
 // forensic read fault-recovery walks rely on. The caller merges the timestamp
 // to preserve virtual-time causality across a takeover.
 func (w *World) ReadUint64Ts(target int, off int64) (uint64, float64) {
-	p := w.pes[target]
+	p := w.part(target)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ensureLen(off + 8)

@@ -2,6 +2,7 @@ package pgas
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"cafshmem/internal/fabric"
@@ -13,9 +14,13 @@ import (
 // against a flat zero-initialised reference array. Any divergence between a
 // paged read and the dense reference (page-boundary straddles, reads of
 // unmaterialised pages, reads past the extent, overlapping runs resolving in
-// slice order) is a substrate bug. The program decoder is total: every byte
-// string decodes to a valid op sequence, so the fuzzer explores state, not the
-// decoder's error paths.
+// slice order) is a substrate bug. Every case starts with the page pools
+// pre-loaded with pages full of 0xFF and +Inf, so the pages the store
+// materialises are recycled ones, and the span writes (op 5) start and end at
+// arbitrary in-page offsets, page boundaries included: whatever a write does
+// not cover must read as zero although the page it landed on was dirty. The
+// program decoder is total: every byte string decodes to a valid op sequence,
+// so the fuzzer explores state, not the decoder's error paths.
 func FuzzSegStore(f *testing.F) {
 	// Seeds: a page-straddling write, a run batch with overlapping runs, reads
 	// of never-written ranges, and a longer mixed program.
@@ -31,15 +36,24 @@ func FuzzSegStore(f *testing.F) {
 		4, 0x10, 0x00, // touch
 		1, 0x00, 0x00, 200,
 	})
+	// Span writes into recycled pages: exactly page 1, two bytes across the
+	// page-0/1 boundary, one byte short of a page end, the whole model — each
+	// read back together with its never-written surroundings.
+	f.Add([]byte{5, 0x01, 0x00, 0x00, 0x01, 0x00, 0x00, 3, 6, 0x00, 0xFF, 0x00, 0x01, 0x02, 0x00})
+	f.Add([]byte{5, 0x00, 0xFF, 0xFF, 0x00, 0x00, 0x02, 9, 6, 0x00, 0x00, 0x00, 0x03, 0x01, 0x01})
+	f.Add([]byte{5, 0x01, 0x80, 0x00, 0x00, 0x7F, 0xFF, 1, 6, 0x01, 0x00, 0x00, 0x01, 0x00, 0x01})
+	f.Add([]byte{5, 0x00, 0x00, 0x00, 0x03, 0x01, 0x00, 2, 6, 0x00, 0x00, 0x00, 0x03, 0x01, 0x01})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		// > 3 pages plus a ragged tail, so offsets hit page boundaries and the
 		// store's extent never covers the whole model.
 		const modelLen = 3*int(segPageSize) + 257
 		model := make([]byte, modelLen)
+		PreloadDirtyPages(4, 4)
 		w, err := NewWorld(fabric.Stampede(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer w.Close() // the next case recycles this one's pages, contents and all
 
 		cur := 0
 		next := func() (byte, bool) {
@@ -60,6 +74,30 @@ func FuzzSegStore(f *testing.F) {
 			return (int(hi)<<8 | int(lo)) % bound, true
 		}
 
+		// next24 is next16 over three bytes: any offset of the model.
+		next24 := func(bound int) (int, bool) {
+			hi, ok1 := next()
+			lo, ok2 := next16(1 << 16)
+			if !ok1 || !ok2 {
+				return 0, false
+			}
+			return (int(hi)<<16 | lo) % bound, true
+		}
+
+		// However the program ends, the closing sweep grows the extent over
+		// the whole model with a one-byte write — dirt a recycled page kept
+		// beyond the extent of its day would surface now — and compares
+		// every byte.
+		defer func() {
+			w.Write(0, int64(modelLen-1), []byte{0x5A}, 0)
+			model[modelLen-1] = 0x5A
+			got := make([]byte, modelLen)
+			w.Read(0, 0, got)
+			if !bytes.Equal(got, model) {
+				t.Fatalf("closing sweep diverges from flat reference")
+			}
+		}()
+
 		step := 0
 		for {
 			op, ok := next()
@@ -67,7 +105,7 @@ func FuzzSegStore(f *testing.F) {
 				return
 			}
 			step++
-			switch op % 5 {
+			switch op % 7 {
 			case 0: // dense write
 				off, ok1 := next16(modelLen)
 				n, ok2 := next()
@@ -163,7 +201,113 @@ func FuzzSegStore(f *testing.F) {
 				// The reference mirrors Touch's contract: a zero store at off
 				// (an unmaterialised byte already reads as zero either way).
 				model[off] = 0
+			case 5: // span write: any start, any end, whole pages included
+				off, ok1 := next24(modelLen)
+				ln, ok2 := next24(modelLen + 1)
+				pat, ok3 := next()
+				if !ok1 || !ok2 || !ok3 {
+					return
+				}
+				ln = min(ln, modelLen-off)
+				data := make([]byte, ln)
+				for i := range data {
+					data[i] = pat + byte(i*29) | 1 // never zero: a lost byte shows
+				}
+				w.Write(0, int64(off), data, 0)
+				copy(model[off:], data)
+			case 6: // span read, compared against the reference
+				off, ok1 := next24(modelLen)
+				ln, ok2 := next24(modelLen + 1)
+				if !ok1 || !ok2 {
+					return
+				}
+				ln = min(ln, modelLen-off)
+				got := make([]byte, ln)
+				w.Read(0, int64(off), got)
+				if !bytes.Equal(got, model[off:off+ln]) {
+					t.Fatalf("step %d: span Read(%d, %d) diverges from flat reference", step, off, ln)
+				}
 			}
+		}
+	})
+}
+
+// FuzzTsIndex is FuzzSegStore's twin for the timestamp index: dense range
+// records, sparse single-word records and range queries over a few pages,
+// mirrored against one float64 per word. The pool is pre-loaded with pages of
+// +Inf, so a recycled page that was not cleared whole would stick at +Inf
+// under the index's max-merge; the closing sweep checks every word, so a
+// never-recorded word must read 0 and a sparse record must survive its
+// migration into a dense page exactly.
+func FuzzTsIndex(f *testing.F) {
+	f.Add([]byte{0, 0x00, 0x00, 0, 8, 5, 2, 0x00, 0x00, 0, 16})
+	f.Add([]byte{1, 0x10, 0x08, 9, 0, 0x10, 0x00, 0, 64, 3, 2, 0x10, 0x00, 1, 0})    // sparse, then dense over it
+	f.Add([]byte{0, 0x0F, 0xF8, 0, 16, 7, 1, 0x2F, 0xF0, 4, 2, 0x0F, 0xF0, 0x20, 0}) // straddles ts pages 0/1
+	f.Fuzz(func(t *testing.T, program []byte) {
+		const words = 5*tsPageWords + 3
+		const span = words * 8
+		ref := make([]float64, words)
+		PreloadDirtyPages(0, 6)
+		var ix tsIndex
+		defer ix.release()
+
+		cur := 0
+		next := func() (int, bool) {
+			if cur >= len(program) {
+				return 0, false
+			}
+			cur++
+			return int(program[cur-1]), true
+		}
+		next16 := func(bound int) (int, bool) {
+			hi, ok1 := next()
+			lo, ok2 := next()
+			return (hi<<8 | lo) % bound, ok1 && ok2
+		}
+		check := func(step, off, n int) {
+			want := 0.0
+			for w := off >> 3; w <= (off+n-1)>>3; w++ {
+				want = math.Max(want, ref[w])
+			}
+			if got := ix.maxRange(int64(off), int64(n)); got != want {
+				t.Fatalf("step %d: maxRange(%d, %d) = %v, reference %v", step, off, n, got, want)
+			}
+		}
+		for step := 1; ; step++ {
+			op, ok := next()
+			if !ok {
+				break
+			}
+			off, ok1 := next16(span)
+			switch op % 3 {
+			case 0: // dense record over [off, off+n)
+				n, ok2 := next16(tsTrackMaxBytes)
+				ts, ok3 := next()
+				if !ok1 || !ok2 || !ok3 {
+					return
+				}
+				n = min(n+1, span-off)
+				ix.recordRange(int64(off), int64(n), float64(ts))
+				for w := off >> 3; w <= (off+n-1)>>3; w++ {
+					ref[w] = math.Max(ref[w], float64(ts))
+				}
+			case 1: // sparse record of the word covering off
+				ts, ok2 := next()
+				if !ok1 || !ok2 {
+					return
+				}
+				ix.recordWordSparse(int64(off), float64(ts))
+				ref[off>>3] = math.Max(ref[off>>3], float64(ts))
+			case 2: // range query
+				n, ok2 := next16(span)
+				if !ok1 || !ok2 {
+					return
+				}
+				check(step, off, min(n+1, span-off))
+			}
+		}
+		for w := 0; w < words; w++ {
+			check(-1, w*8, 8)
 		}
 	})
 }

@@ -24,7 +24,7 @@ func (w *World) Write(target int, off int64, data []byte, visibleAt float64) {
 	if w.stateOf(target) == stateFailed {
 		return // a failed PE's partition is frozen: one-sided writes are dropped
 	}
-	p := w.pes[target]
+	p := w.part(target)
 	p.mu.Lock()
 	p.ensureLen(off + int64(len(data)))
 	p.seg.writeAt(off, data)
@@ -47,7 +47,7 @@ func (w *World) Touch(target int, off int64, visibleAt float64) {
 	if w.stateOf(target) == stateFailed {
 		return // as for Write: a failed PE's partition is frozen
 	}
-	p := w.pes[target]
+	p := w.part(target)
 	p.mu.Lock()
 	p.seg.zeroByte(off)
 	p.noteTouch(off, visibleAt)
@@ -65,7 +65,7 @@ func (w *World) Read(target int, off int64, dst []byte) {
 	if off < 0 || off+int64(len(dst)) > MaxSegmentBytes {
 		panic(fmt.Sprintf("pgas: read of %d bytes at offset %d out of range", len(dst), off))
 	}
-	p := w.pes[target]
+	p := w.part(target)
 	p.mu.Lock()
 	p.seg.readAt(off, dst)
 	p.mu.Unlock()
@@ -110,7 +110,7 @@ func (w *World) RMW64(target int, off int64, op AtomicOp, operand uint64, visibl
 // "the operation was applied", even when the target fails while the call is
 // in flight. Virtual-time cost is the caller's concern.
 func (w *World) RMW64Stat(target int, off int64, op AtomicOp, operand uint64, visibleAt float64) (old uint64, ok bool) {
-	p := w.pes[target]
+	p := w.part(target)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ensureLen(off + 8)
@@ -153,7 +153,7 @@ func (w *World) CompareSwap64(target int, off int64, expected, desired uint64, v
 // is false when the target's partition was frozen, decided under the
 // partition lock together with the store.
 func (w *World) CompareSwap64Stat(target int, off int64, expected, desired uint64, visibleAt float64) (old uint64, ok bool) {
-	p := w.pes[target]
+	p := w.part(target)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ensureLen(off + 8)

@@ -1,6 +1,9 @@
 package pgas
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // segStore is the paged backing store for one PE's partition. Partitions are
 // logically contiguous, zero-initialised byte ranges up to MaxSegmentBytes,
@@ -12,10 +15,24 @@ import "fmt"
 // store materialises only pages that have actually been written. A nil page
 // reads as zeros, which is exactly what the unwritten memory is.
 //
+// Page memory has a life cycle longer than the store's: pages come from the
+// process-wide segPagePool and go back to it when the owning world is closed
+// (release), so a program that builds hundreds of short-lived worlds — every
+// figure of the paper is one — keeps re-using the same few pages instead of
+// asking the runtime for fresh zeroed ones. A pooled page is dirty; the store
+// that takes it clears exactly the bytes its first write does not cover (see
+// page), so recycled memory is indistinguishable from new.
+//
 // All methods must be called with the owning PE's mu held.
 type segStore struct {
 	pages  [][]byte
 	length int64 // logical extent: the high-water mark of ensure()
+	// Observability (World.PageStats): pages materialised since the store was
+	// created, how many of them were new memory rather than recycled, and the
+	// bytes cleared while handing out the recycled ones.
+	materialised int
+	fresh        int
+	cleared      int64
 }
 
 const (
@@ -24,9 +41,15 @@ const (
 	segPageMask  = segPageSize - 1
 )
 
+// segPagePool recycles page memory across worlds. It holds array pointers, so
+// neither Put nor Get boxes a slice header, and it has no New: a miss is
+// visible to page, which then knows the memory came zeroed from the runtime.
+// The pool is unbounded by design — the GC drops what two cycles did not use.
+var segPagePool sync.Pool
+
 // segZeroPage is the shared read-only view handed out for unmaterialised
 // pages. Callers must never write through slices returned by view.
-var segZeroPage = make([]byte, segPageSize)
+var segZeroPage = new([segPageSize]byte)[:]
 
 // ensure extends the logical extent to cover length bytes. No page memory is
 // materialised: the new range reads as zero until something is written.
@@ -39,10 +62,19 @@ func (s *segStore) ensure(peID int, length int64) {
 	}
 }
 
-// page returns the materialised page containing byte w, allocating it (and
-// growing the page table geometrically) on first write.
-func (s *segStore) page(w int64) []byte {
+// page returns the materialised page containing byte w. The caller is about
+// to store the in-page span [lo, hi). On first write the page table grows
+// geometrically and the page is taken from segPagePool: a recycled page is
+// cleared outside [lo, hi) only — the store overwrites the rest at once, so a
+// bulk put into new memory pays one memmove and no memclr — and a pool miss
+// allocates a page the runtime already zeroed.
+func (s *segStore) page(w, lo, hi int64) []byte {
 	pn := w >> segPageShift
+	if pn < int64(len(s.pages)) {
+		if pg := s.pages[pn]; pg != nil {
+			return pg
+		}
+	}
 	if pn >= int64(len(s.pages)) {
 		newLen := int64(cap(s.pages))
 		if newLen < 8 {
@@ -53,20 +85,52 @@ func (s *segStore) page(w int64) []byte {
 		}
 		np := make([][]byte, newLen)
 		copy(np, s.pages)
-		s.pages = np[:newLen]
+		s.pages = np
 	}
-	if s.pages[pn] == nil {
-		s.pages[pn] = make([]byte, segPageSize)
+	var pg []byte
+	if rp, ok := segPagePool.Get().(*[segPageSize]byte); ok {
+		pg = rp[:]
+		clear(pg[:lo])
+		clear(pg[hi:])
+		s.cleared += segPageSize - (hi - lo)
+	} else {
+		pg = make([]byte, segPageSize)
+		s.fresh++
 	}
-	return s.pages[pn]
+	s.pages[pn] = pg
+	s.materialised++
+	return pg
+}
+
+// readPage returns the page containing byte off for reading: the materialised
+// page, or the shared zero page when nothing was ever stored there.
+func (s *segStore) readPage(off int64) []byte {
+	if pn := off >> segPageShift; pn < int64(len(s.pages)) {
+		if pg := s.pages[pn]; pg != nil {
+			return pg
+		}
+	}
+	return segZeroPage
+}
+
+// release returns every materialised page to segPagePool; what the store
+// held now reads as zero.
+func (s *segStore) release() {
+	for _, pg := range s.pages {
+		if pg != nil {
+			segPagePool.Put((*[segPageSize]byte)(pg))
+		}
+	}
+	s.pages = nil
 }
 
 // writeAt copies data into the store at off, materialising pages as needed.
 // The caller has already called ensure for the range.
 func (s *segStore) writeAt(off int64, data []byte) {
 	for len(data) > 0 {
-		pg := s.page(off)
-		n := copy(pg[off&segPageMask:], data)
+		lo := off & segPageMask
+		hi := min(lo+int64(len(data)), segPageSize)
+		n := copy(s.page(off, lo, hi)[lo:hi], data)
 		data = data[n:]
 		off += int64(n)
 	}
@@ -88,13 +152,7 @@ func (s *segStore) readAt(off int64, dst []byte) int {
 	}
 	got := dst[:in]
 	for len(got) > 0 {
-		var pg []byte
-		if pn := off >> segPageShift; pn < int64(len(s.pages)) && s.pages[pn] != nil {
-			pg = s.pages[pn]
-		} else {
-			pg = segZeroPage
-		}
-		n := copy(got, pg[off&segPageMask:])
+		n := copy(got, s.readPage(off)[off&segPageMask:])
 		got = got[n:]
 		off += int64(n)
 	}
@@ -116,14 +174,8 @@ func (s *segStore) zeroByte(off int64) {
 // a page boundary is gathered into scratch. Callers must not write through
 // the result and must not retain it past the next store.
 func (s *segStore) view(off, n int64, scratch []byte) []byte {
-	if (off>>segPageShift) == ((off+n-1)>>segPageShift) {
-		var pg []byte
-		if pn := off >> segPageShift; pn < int64(len(s.pages)) && s.pages[pn] != nil {
-			pg = s.pages[pn]
-		} else {
-			pg = segZeroPage
-		}
-		return pg[off&segPageMask : (off&segPageMask)+n]
+	if (off >> segPageShift) == ((off + n - 1) >> segPageShift) {
+		return s.readPage(off)[off&segPageMask : (off&segPageMask)+n]
 	}
 	s.readAt(off, scratch[:n])
 	return scratch[:n]

@@ -1,5 +1,7 @@
 package pgas
 
+import "sync"
+
 // tsIndex is the per-partition visibility-timestamp index: the latest virtual
 // time at which each 8-byte-aligned word became visible. It replaces the
 // original map[int64]float64 with a paged sparse array — flag and control
@@ -7,6 +9,13 @@ package pgas
 // page table of small dense pages gives O(1) lookup with two array indexes
 // and no hashing on the write hot path, while partitions that are never
 // waited on cost only the (lazily grown) page-pointer slice.
+//
+// Like segment pages, timestamp pages outlive the index: they come from the
+// process-wide tsPagePool and return to it when the owning world is closed
+// (release). A recycled page is cleared whole on hand-out — it is 4 KiB, and
+// every read of the index is a max-merge against what the page holds, so
+// there is no "about to be overwritten" span to spare as there is for a
+// segment store.
 //
 // Recording is unconditional for small writes even when no waiter is
 // registered: WaitUntil recovers a write's causal timestamp through this
@@ -18,6 +27,7 @@ const (
 	tsPageShift = 9                // 512 words per page = one 4 KiB span of partition
 	tsPageWords = 1 << tsPageShift //
 	tsPageMask  = tsPageWords - 1
+	tsPageBytes = tsPageWords * 8 // host memory of one page
 )
 
 type tsIndex struct {
@@ -30,6 +40,24 @@ type tsIndex struct {
 	// memory. Entries migrate into the dense page if one is later
 	// allocated, so the flag/lock-word hot path stays map-free.
 	sparse map[int64]float64
+	// materialised counts pages handed out since the index was created, fresh
+	// those among them that were new memory (World.PageStats).
+	materialised int
+	fresh        int
+}
+
+// tsPagePool recycles timestamp pages across worlds; array pointers, no New,
+// unbounded — see segPagePool.
+var tsPagePool sync.Pool
+
+// release returns every page to tsPagePool and drops the overlay.
+func (t *tsIndex) release() {
+	for _, p := range t.pages {
+		if p != nil {
+			tsPagePool.Put((*[tsPageWords]float64)(p))
+		}
+	}
+	t.pages, t.sparse = nil, nil
 }
 
 // page returns the page covering word index w, allocating it (and growing the
@@ -51,8 +79,15 @@ func (t *tsIndex) page(w int64) []float64 {
 	}
 	p := t.pages[pg]
 	if p == nil {
-		p = make([]float64, tsPageWords)
+		if rp, ok := tsPagePool.Get().(*[tsPageWords]float64); ok {
+			p = rp[:]
+			clear(p)
+		} else {
+			p = make([]float64, tsPageWords)
+			t.fresh++
+		}
 		t.pages[pg] = p
+		t.materialised++
 		if len(t.sparse) > 0 {
 			for sw, sts := range t.sparse {
 				if int(sw>>tsPageShift) == pg {

@@ -29,7 +29,7 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	if w.stateOf(target) == stateFailed {
 		return
 	}
-	p := w.pes[target]
+	p := w.part(target)
 	es := int64(elemSize)
 	p.mu.Lock()
 	p.ensureLen(off + int64(nelems-1)*strideBytes + es)
@@ -70,7 +70,7 @@ func (w *World) ReadV(target int, off, strideBytes int64, elemSize int, dst []by
 	if off < 0 || off+int64(nelems-1)*strideBytes+es > MaxSegmentBytes {
 		panic(fmt.Sprintf("pgas: ReadV of %d elements at offset %d out of range", nelems, off))
 	}
-	p := w.pes[target]
+	p := w.part(target)
 	p.mu.Lock()
 	for k := 0; k < nelems; k++ {
 		o := off + int64(k)*strideBytes
@@ -98,7 +98,7 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	if w.stateOf(target) == stateFailed {
 		return
 	}
-	p := w.pes[target]
+	p := w.part(target)
 	rb := int64(runBytes)
 	extent := int64(0)
 	for _, o := range offs {
@@ -138,7 +138,7 @@ func (w *World) ReadRuns(target int, base int64, offs []int64, runBytes int, dst
 		return
 	}
 	rb := int64(runBytes)
-	p := w.pes[target]
+	p := w.part(target)
 	p.mu.Lock()
 	for i, o := range offs {
 		o += base

@@ -11,6 +11,7 @@
 package pgas
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -67,7 +68,8 @@ type World struct {
 	exitedN     atomic.Int32 // PE goroutines of the current Run that returned
 	eventEpoch  atomic.Uint64
 	departEpoch atomic.Uint64
-	runGen      atomic.Uint64 // bumped when a Run starts and when it returns: retires its watchdog
+	runGen      atomic.Uint64 // bumped when a Run starts and when it returns: retires its watchdog (odd while a Run is in flight)
+	closed      atomic.Bool   // Close was called: partition memory is gone, Run is refused
 
 	// dlv is the lossy-fabric reliability bookkeeping: receiver dedup
 	// windows, per-link forensic counters, unreachable-link marks. See
@@ -212,12 +214,13 @@ func (w *World) Engine() Engine { return w.engine }
 
 // Run executes body once per PE, each on its own goroutine, and blocks until
 // every PE returns. A panic in any PE poisons the world (waking all blocked
-// PEs) and is reported as an error.
+// PEs) and is reported as an error. The world is closed before Run returns.
 func Run(machine *fabric.Machine, n int, body func(*PE)) error {
 	w, err := NewWorld(machine, n)
 	if err != nil {
 		return err
 	}
+	defer w.Close()
 	return w.Run(body)
 }
 
@@ -229,6 +232,9 @@ func Run(machine *fabric.Machine, n int, body func(*PE)) error {
 // more than Workers bodies at once. On both, the world's one hang watchdog
 // (engine.go) runs for as long as Run does.
 func (w *World) Run(body func(*PE)) error {
+	if w.closed.Load() {
+		return ErrClosed
+	}
 	w.exitedN.Store(0)
 	go w.watchdog(w.runGen.Add(1))
 	defer w.runGen.Add(1)
@@ -255,6 +261,79 @@ func (w *World) Run(body func(*PE)) error {
 	}
 	wg.Wait()
 	return w.failedErr()
+}
+
+// ErrClosed is what a closed world answers: Run returns it, and the one-sided
+// memory operations panic with it.
+var ErrClosed = errors.New("pgas: world is closed")
+
+// part returns the target PE, whose partition the caller is about to access.
+// A closed world has no partition memory left: silently reading zeros where
+// data used to be would be the worst answer, so it panics.
+func (w *World) part(target int) *PE {
+	if w.closed.Load() {
+		panic(ErrClosed)
+	}
+	return w.pes[target]
+}
+
+// Close ends the world's life: every materialised segment and timestamp page
+// of every partition goes back to the process-wide page pools for the next
+// world to use, Run is refused from now on, and any access to partition
+// memory panics with ErrClosed. The owner of a world calls it once the last
+// Run has returned and nothing will read the partitions again — the library
+// Run functions do, after their finalisation; a caller that builds a world
+// by hand and inspects it after Run closes it when done, or not at all (an
+// unclosed world is merely garbage the collector reclaims without
+// recycling). Counters (PageStats, LinkReports) stay readable. Idempotent.
+// Closing a world whose Run is in flight is a bug and panics.
+func (w *World) Close() {
+	if w.runGen.Load()&1 == 1 {
+		panic("pgas: Close of a world whose Run is in flight")
+	}
+	if w.closed.Swap(true) {
+		return
+	}
+	for _, p := range w.pes {
+		p.mu.Lock()
+		p.seg.release()
+		p.ts.release()
+		p.mu.Unlock()
+	}
+}
+
+// PageStats is how much partition memory a world materialised, summed over
+// its partitions: 64 KiB segment pages and 4 KiB timestamp pages, how much
+// of that was new memory rather than pages recycled from closed worlds, and
+// the bytes cleared while handing out recycled pages (a fresh page, and the
+// span a segment page's first write covers, are not cleared; see
+// segStore.page).
+type PageStats struct {
+	SegPages     int
+	TsPages      int
+	FreshBytes   int64
+	ClearedBytes int64
+}
+
+func (s PageStats) String() string {
+	return fmt.Sprintf("%d seg + %d ts pages (%d KiB, %d KiB of it new memory), %d KiB cleared on hand-out",
+		s.SegPages, s.TsPages, (int64(s.SegPages)*segPageSize+int64(s.TsPages)*tsPageBytes)>>10, s.FreshBytes>>10, s.ClearedBytes>>10)
+}
+
+// PageStats sums the partitions' page counters. It takes each partition lock
+// in turn, so during a Run it is a snapshot, not an instant; the counters
+// survive Close.
+func (w *World) PageStats() PageStats {
+	var s PageStats
+	for _, p := range w.pes {
+		p.mu.Lock()
+		s.SegPages += p.seg.materialised
+		s.TsPages += p.ts.materialised
+		s.FreshBytes += int64(p.seg.fresh)*segPageSize + int64(p.ts.fresh)*tsPageBytes
+		s.ClearedBytes += p.seg.cleared + int64(p.ts.materialised-p.ts.fresh)*tsPageBytes
+		p.mu.Unlock()
+	}
+	return s
 }
 
 // Machine returns the machine model this world runs on.

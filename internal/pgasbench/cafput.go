@@ -27,16 +27,12 @@ func CAFContigBandwidth(cfg CAFPutConfig, sizes []int) (Series, error) {
 	opts := cfg.Opts
 	opts.ActivePairsPerNode = cfg.Pairs
 
-	maxSize := 0
-	for _, s := range sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
 	results := make([]float64, len(sizes))
+	// The source images put from the one read-only payload: a byte coarray's
+	// put hands it to the transport as it stands.
+	vals := payload(maxSize(sizes))
 	err := caf.Run(images, opts, func(img *Image) {
-		c := caf.Allocate[byte](img, maxSize)
-		vals := make([]byte, maxSize)
+		c := caf.Allocate[byte](img, len(vals))
 		me := img.ThisImage()
 		isSrc := me <= cfg.Pairs
 		target := me + per

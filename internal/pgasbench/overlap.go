@@ -39,16 +39,11 @@ func OverlapMicro(cfg OverlapConfig) (Panel, error) {
 	if err != nil {
 		return p, err
 	}
-	maxSize := 0
-	for _, s := range cfg.Sizes {
-		if s > maxSize {
-			maxSize = s
-		}
-	}
+	defer w.PgasWorld().Close()
+	data := payload(maxSize(cfg.Sizes)) // read-only; only PE 0 sends
 	err = w.PgasWorld().Run(func(pp *pgas.PE) {
 		pe := w.Attach(pp)
-		buf := pe.Malloc(int64(maxSize))
-		data := make([]byte, maxSize)
+		buf := pe.Malloc(int64(len(data)))
 		for _, size := range cfg.Sizes {
 			// Calibrate the wire time for this size.
 			pe.Barrier()

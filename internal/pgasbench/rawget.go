@@ -37,15 +37,21 @@ func rawGet(cfg RawPutConfig, latency bool) (Series, error) {
 	out := Series{Label: cfg.Profile}
 	results := make([]float64, len(cfg.Sizes))
 
-	body := func(rank int, clockNow func() float64, get func(target, size int), barrier func()) {
+	// body drives one rank; get fetches into the destination it is handed,
+	// which only the ranks that issue gets (Pairs of them) ever allocate.
+	body := func(rank int, clockNow func() float64, get func(target int, dst []byte), barrier func()) {
 		isSrc := rank < cfg.Pairs
 		target := rank + per
+		var dst []byte
+		if isSrc {
+			dst = make([]byte, maxSize(cfg.Sizes))
+		}
 		for si, size := range cfg.Sizes {
 			barrier()
 			start := clockNow()
 			if isSrc {
 				for i := 0; i < cfg.Iters; i++ {
-					get(target, size)
+					get(target, dst[:size])
 				}
 			}
 			barrier()
@@ -67,13 +73,13 @@ func rawGet(cfg RawPutConfig, latency bool) (Series, error) {
 		if werr != nil {
 			return out, werr
 		}
+		defer w.PgasWorld().Close()
 		w.PgasWorld().SetActivePairsPerNode(cfg.Pairs)
 		err = w.PgasWorld().Run(func(p *pgas.PE) {
 			pe := w.Attach(p)
 			buf := pe.Malloc(maxRawMsg)
-			dst := make([]byte, maxRawMsg)
 			body(pe.MyPE(), func() float64 { return pe.Clock().Now() },
-				func(target, size int) { pe.GetMem(target, buf, 0, dst[:size]) },
+				func(target int, dst []byte) { pe.GetMem(target, buf, 0, dst) },
 				pe.Barrier)
 		})
 	case LibGASNet:
@@ -81,13 +87,13 @@ func rawGet(cfg RawPutConfig, latency bool) (Series, error) {
 		if werr != nil {
 			return out, werr
 		}
+		defer w.PgasWorld().Close()
 		w.PgasWorld().SetActivePairsPerNode(cfg.Pairs)
 		err = w.PgasWorld().Run(func(p *pgas.PE) {
 			ep := w.Attach(p)
 			seg := ep.Malloc(maxRawMsg)
-			dst := make([]byte, maxRawMsg)
 			body(ep.MyNode(), func() float64 { return ep.Clock().Now() },
-				func(target, size int) { ep.Get(target, seg, 0, dst[:size]) },
+				func(target int, dst []byte) { ep.Get(target, seg, 0, dst) },
 				ep.Barrier)
 		})
 	case LibMPI3:
@@ -95,14 +101,14 @@ func rawGet(cfg RawPutConfig, latency bool) (Series, error) {
 		if werr != nil {
 			return out, werr
 		}
+		defer w.PgasWorld().Close()
 		w.PgasWorld().SetActivePairsPerNode(cfg.Pairs)
 		err = w.PgasWorld().Run(func(p *pgas.PE) {
 			pr := w.Attach(p)
 			win := pr.WinAllocate(maxRawMsg)
 			pr.LockAll(win)
-			dst := make([]byte, maxRawMsg)
 			body(pr.Rank(), func() float64 { return pr.Clock().Now() },
-				func(target, size int) { pr.Get(win, target, 0, dst[:size]) },
+				func(target int, dst []byte) { pr.Get(win, target, 0, dst) },
 				func() { pr.FlushAll(win); pr.Barrier() })
 			pr.UnlockAll(win)
 		})

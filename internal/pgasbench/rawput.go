@@ -2,6 +2,7 @@ package pgasbench
 
 import (
 	"fmt"
+	"sync"
 
 	"cafshmem/internal/fabric"
 	"cafshmem/internal/gasnet"
@@ -56,14 +57,17 @@ func rawPut(cfg RawPutConfig, latency bool) (Series, error) {
 	out := Series{Label: cfg.Profile}
 
 	results := make([]float64, len(cfg.Sizes))
+	// Every source PE puts from the one read-only payload; the PEs that
+	// never send (all but Pairs of them) need none.
+	data := payload(maxSize(cfg.Sizes))
 	run := func(body func(rank int, clockNow func() float64, put func(target, size int), quiet func(), barrier func())) error {
 		switch cfg.Library {
 		case LibSHMEM:
-			return shmemRawPut(cfg, npes, body)
+			return shmemRawPut(cfg, npes, data, body)
 		case LibMPI3:
-			return mpi3RawPut(cfg, npes, body)
+			return mpi3RawPut(cfg, npes, data, body)
 		case LibGASNet:
-			return gasnetRawPut(cfg, npes, body)
+			return gasnetRawPut(cfg, npes, data, body)
 		}
 		return fmt.Errorf("pgasbench: unknown library %d", cfg.Library)
 	}
@@ -107,19 +111,45 @@ func rawPut(cfg RawPutConfig, latency bool) (Series, error) {
 	return out, nil
 }
 
-// The three library adapters share this maximum buffer size.
+// The three library adapters share this symmetric buffer size, the largest
+// message a series may carry.
 const maxRawMsg = 4 << 20
 
-func shmemRawPut(cfg RawPutConfig, npes int, body func(int, func() float64, func(int, int), func(), func())) error {
+// sharedPayload is the read-only source of every put series: all zeros, read
+// concurrently by the source PEs of a world and by one series after another.
+// It is created on first use, never at package level: programs that link this
+// package without running a series (the benchmark's put_contig_2 child among
+// them) must not carry 4 MiB of resident memory for it.
+var sharedPayload = sync.OnceValue(func() []byte { return make([]byte, maxRawMsg) })
+
+// payload returns n read-only zero bytes: a prefix of sharedPayload, or a
+// buffer of its own for a series that outgrows it.
+func payload(n int) []byte {
+	if n > maxRawMsg {
+		return make([]byte, n)
+	}
+	return sharedPayload()[:n]
+}
+
+// maxSize returns the largest of sizes (0 for none).
+func maxSize(sizes []int) int {
+	m := 0
+	for _, s := range sizes {
+		m = max(m, s)
+	}
+	return m
+}
+
+func shmemRawPut(cfg RawPutConfig, npes int, data []byte, body func(int, func() float64, func(int, int), func(), func())) error {
 	w, err := shmem.NewWorld(shmem.Config{Machine: cfg.Machine, Profile: cfg.Profile}, npes)
 	if err != nil {
 		return err
 	}
+	defer w.PgasWorld().Close()
 	w.PgasWorld().SetActivePairsPerNode(cfg.Pairs)
 	return w.PgasWorld().Run(func(p *pgas.PE) {
 		pe := w.Attach(p)
 		buf := pe.Malloc(maxRawMsg)
-		data := make([]byte, maxRawMsg)
 		body(pe.MyPE(),
 			func() float64 { return pe.Clock().Now() },
 			func(target, size int) { pe.PutMem(target, buf, 0, data[:size]) },
@@ -128,16 +158,16 @@ func shmemRawPut(cfg RawPutConfig, npes int, body func(int, func() float64, func
 	})
 }
 
-func gasnetRawPut(cfg RawPutConfig, npes int, body func(int, func() float64, func(int, int), func(), func())) error {
+func gasnetRawPut(cfg RawPutConfig, npes int, data []byte, body func(int, func() float64, func(int, int), func(), func())) error {
 	w, err := gasnet.NewWorld(gasnet.Config{Machine: cfg.Machine, Profile: cfg.Profile}, npes)
 	if err != nil {
 		return err
 	}
+	defer w.PgasWorld().Close()
 	w.PgasWorld().SetActivePairsPerNode(cfg.Pairs)
 	return w.PgasWorld().Run(func(p *pgas.PE) {
 		ep := w.Attach(p)
 		seg := ep.Malloc(maxRawMsg)
-		data := make([]byte, maxRawMsg)
 		body(ep.MyNode(),
 			func() float64 { return ep.Clock().Now() },
 			func(target, size int) { ep.Put(target, seg, 0, data[:size]) },
@@ -146,17 +176,17 @@ func gasnetRawPut(cfg RawPutConfig, npes int, body func(int, func() float64, fun
 	})
 }
 
-func mpi3RawPut(cfg RawPutConfig, npes int, body func(int, func() float64, func(int, int), func(), func())) error {
+func mpi3RawPut(cfg RawPutConfig, npes int, data []byte, body func(int, func() float64, func(int, int), func(), func())) error {
 	w, err := mpi3.NewWorld(mpi3.Config{Machine: cfg.Machine, Profile: cfg.Profile}, npes)
 	if err != nil {
 		return err
 	}
+	defer w.PgasWorld().Close()
 	w.PgasWorld().SetActivePairsPerNode(cfg.Pairs)
 	return w.PgasWorld().Run(func(p *pgas.PE) {
 		pr := w.Attach(p)
 		win := pr.WinAllocate(maxRawMsg)
 		pr.LockAll(win) // the passive-target idiom one-sided benchmarks use
-		data := make([]byte, maxRawMsg)
 		body(pr.Rank(),
 			func() float64 { return pr.Clock().Now() },
 			func(target, size int) { pr.Put(win, target, 0, data[:size]) },

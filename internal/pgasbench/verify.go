@@ -65,6 +65,7 @@ func verifyShmem(m *fabric.Machine, prof string) error {
 	if err != nil {
 		return err
 	}
+	defer w.PgasWorld().Close()
 	return w.PgasWorld().Run(func(p *pgas.PE) {
 		pe := w.Attach(p)
 		sym := pe.Malloc(8192)
@@ -92,6 +93,7 @@ func verifyGasnet(m *fabric.Machine, prof string) error {
 	if err != nil {
 		return err
 	}
+	defer w.PgasWorld().Close()
 	return w.PgasWorld().Run(func(p *pgas.PE) {
 		ep := w.Attach(p)
 		seg := ep.Malloc(4096)
@@ -116,6 +118,7 @@ func verifyMPI3(m *fabric.Machine, prof string) error {
 	if err != nil {
 		return err
 	}
+	defer w.PgasWorld().Close()
 	return w.PgasWorld().Run(func(p *pgas.PE) {
 		pr := w.Attach(p)
 		win := pr.WinAllocate(4096)

@@ -122,12 +122,14 @@ type Config struct {
 // Run launches an n-PE OpenSHMEM job and executes body once per PE
 // (the analogue of start_pes/shmem_init in an SPMD launch). With
 // Config.Sanitize set, sanitizer violations surface as the returned error
-// after all PEs complete.
+// after all PEs complete. The job's partition memory is recycled when Run
+// returns (pgas.World.Close), so nothing may read the world afterwards.
 func Run(cfg Config, n int, body func(*PE)) error {
 	w, err := NewWorld(cfg, n)
 	if err != nil {
 		return err
 	}
+	defer w.pw.Close()
 	if err := w.pw.Run(func(p *pgas.PE) {
 		body(newPE(w, p))
 	}); err != nil {
@@ -137,7 +139,8 @@ func Run(cfg Config, n int, body func(*PE)) error {
 }
 
 // NewWorld builds the job state without launching PEs; used by layered
-// runtimes (the CAF transport) that manage the SPMD launch themselves.
+// runtimes (the CAF transport) that manage the SPMD launch themselves, and
+// close PgasWorld() after their last Run and FinalizeErr.
 func NewWorld(cfg Config, n int) (*World, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("shmem: config needs a machine model")
