@@ -9,6 +9,12 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> unsafe gate (the one reinterpretation site is internal/pgas/codec.go; DESIGN.md \"Memory representation\")"
+if grep -rl --include='*.go' --exclude='*_test.go' '"unsafe"' . | grep -vx './internal/pgas/codec.go'; then
+    echo "check.sh: the files above import unsafe; only internal/pgas/codec.go may" >&2
+    exit 1
+fi
+
 echo "==> shmemvet (PGAS static analysis; exit code gates, JSON artifact kept)"
 # The run is budgeted: the interprocedural pass over the whole module must
 # stay interactive (the baseline is ~2s; 60s leaves headroom for cold
@@ -31,9 +37,10 @@ go test -race -count=1 ./...
 echo "==> go test -shuffle=on -count=1 ./... (order-independence)"
 go test -shuffle=on -count=1 ./...
 
-echo "==> fuzz smoke (paged segment store and timestamp index vs dense references, on recycled pages, 10s each)"
+echo "==> fuzz smoke (paged segment store and timestamp index vs dense references, on recycled pages; typed byte view vs the element-wise oracle; 10s each)"
 go test -run '^$' -fuzz '^FuzzSegStore$' -fuzztime 10s ./internal/pgas
 go test -run '^$' -fuzz '^FuzzTsIndex$' -fuzztime 10s ./internal/pgas
+go test -run '^$' -fuzz '^FuzzBytesView$' -fuzztime 10s ./internal/pgas
 
 echo "==> overlap smoke (put_nbi hides transfer; Himeno overlap beats blocking)"
 go test -run 'TestOverlapMicroHidesTransfer' -count=1 ./internal/pgasbench
@@ -65,7 +72,7 @@ go test -run 'TestEventEngineMatchesGoroutine' -count=1 ./internal/pgas
 go test -run 'TestEngineDifferential' -count=1 ./internal/caf
 go test -run 'TestHimenoGoldensOnEventEngine' -count=1 ./internal/himeno
 
-echo "==> allocation gate (steady-state malloc ceilings: Himeno iteration, waits, co_sum, lock pair, DHT update, figure series; world churn on recycled pages)"
+echo "==> allocation gate (steady-state malloc ceilings: Himeno iteration, waits, co_sum, lock pair, DHT update, typed RMA, figure series; world churn on recycled pages)"
 go test -run 'SteadyStateAllocs|WorldChurn' -count=1 ./internal/...
 
 echo "==> watchdog no-hang loop (deterministic deadlocks on both engines, 50x, bounded wall time)"

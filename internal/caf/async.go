@@ -15,7 +15,7 @@ import (
 // issue; the wire time is paid by whoever calls SyncMemory first, capped at
 // the slowest outstanding transfer rather than their sum.
 //
-// Semantics: the values are snapshotted at issue — PutAsync encodes vals into a
+// Semantics: the values are snapshotted at issue — PutAsync copies vals into a
 // buffer the runtime owns before it returns, as an assignment statement
 // evaluates its right-hand side — so the caller may reuse vals at once
 // (TestPutAsyncSnapshotsValuesAtIssue pins this on every lowering and
@@ -53,20 +53,19 @@ func (c *Coarray[T]) PutAsync(j int, sec Section, vals []T) {
 func (c *Coarray[T]) PutFullAsync(j int, vals []T) { c.PutAsync(j, All(c.shape...), vals) }
 
 // putSectionNBI mirrors putSection over the nonblocking transport surface.
-// vals is encoded into buffers that are freshly allocated, never pooled: that
-// copy is PutAsync's snapshot-at-issue contract, and the runtime (and the
-// sanitizer's live view) owns the buffers until the next Quiet, so returning
-// them to a scratch pool before then would be exactly the source-reuse bug the
-// checker exists to catch. A zero-copy lowering would have to change the
-// documented contract first.
+// Where putSection hands the transport vals' own bytes, this hands it a fresh
+// copy of them (snapshot): that copy is PutAsync's snapshot-at-issue contract
+// — the payload is retained past the call, so by pgas/buffer.go's rule it is
+// copied — and the runtime (and the sanitizer's live view) owns it until the
+// next Quiet, so it is never pooled either: recycling it before then would be
+// exactly the source-reuse bug the checker exists to catch.
 func (c *Coarray[T]) putSectionNBI(target int, sec Section, vals []T) {
 	nbi := c.img.nbi
 	es := int64(c.es)
 
 	runDims, runElems := c.contigRun(sec)
 	if runDims == len(sec) {
-		data := pgas.EncodeSlice[T](nil, vals)
-		nbi.PutMemNBI(target, c.secLowOff(sec), data)
+		nbi.PutMemNBI(target, c.secLowOff(sec), snapshot(vals))
 		c.img.Stats.AsyncPuts++
 		return
 	}
@@ -74,20 +73,23 @@ func (c *Coarray[T]) putSectionNBI(target int, sec Section, vals []T) {
 	switch c.img.opts.Strided {
 	case StridedNaive:
 		// One vectored nonblocking call covering every contiguous run.
-		data := pgas.EncodeSlice[T](nil, vals)
 		offs := c.appendRunOffs(make([]int64, 0, len(vals)/runElems), sec, runDims)
-		nbi.PutMemVNBI(target, offs, runElems*int(es), data)
+		nbi.PutMemVNBI(target, offs, runElems*c.es, snapshot(vals))
 		c.img.Stats.AsyncPuts += int64(len(offs))
 	default: // 1dim, 2dim, vendor: 1-D strided nonblocking calls per pencil
 		base := c.baseDim(sec)
 		strideBytes := int64(sec[base].Step) * c.strides[base] * es
 		c.eachPencil(sec, base, func(byteOff int64, gather []T) {
-			data := pgas.EncodeSlice[T](nil, gather)
-			nbi.PutStrided1DNBI(target, byteOff, strideBytes, c.es, data)
+			nbi.PutStrided1DNBI(target, byteOff, strideBytes, c.es, snapshot(gather))
 			c.img.Stats.AsyncPuts++
 			c.img.Stats.StridedCalls++
 		}, vals, nil)
 	}
+}
+
+// snapshot returns a copy of vals' bytes that the runtime owns.
+func snapshot[T pgas.Elem](vals []T) []byte {
+	return append([]byte(nil), pgas.Bytes(vals)...)
 }
 
 // SyncMemory executes "sync memory": completes all outstanding communication

@@ -278,6 +278,99 @@ func TestPutAsyncSnapshotsValuesAtIssue(t *testing.T) {
 	}
 }
 
+// TestPutDoesNotRetainCallerBuffer pins the ownership rule of pgas/buffer.go
+// from the top of the stack. Every put hands the transport a view of vals'
+// own bytes (blocking) or a copy of them taken at issue (PutAsync,
+// PutSignalAsync), so on every lowering, every transport, under the sanitizer
+// and across a dropping, duplicating fabric, the caller may overwrite vals the
+// instant the call returns and the target still receives what vals held at
+// the call: nothing below keeps the caller's memory, and no retransmission
+// re-reads it.
+func TestPutDoesNotRetainCallerBuffer(t *testing.T) {
+	lossy := &fabric.FaultPlan{Seed: 7, Losses: []fabric.LinkLoss{
+		{Src: -1, Dst: -1, DropProb: 0.2, DelayMaxNs: 2500, DupProb: 0.08}}}
+	type config struct {
+		name string
+		opts Options
+	}
+	var cfgs []config
+	for _, algo := range []StridedAlgo{StridedNaive, StridedOneDim, Strided2Dim} {
+		for _, tr := range []config{{"shmem", shmemOpts()}, {"gasnet", gasnetOpts()}, {"mpi3", mpi3Opts()}} {
+			o := tr.opts
+			o.Strided = algo
+			cfgs = append(cfgs, config{tr.name + "/" + algo.String(), o})
+			if o.Transport != TransportSHMEM {
+				continue // the sanitizer and the lossy fabric exist on shmem only
+			}
+			san, loss := o, o
+			san.Sanitize = true
+			loss.FaultPlan = lossy
+			cfgs = append(cfgs, config{tr.name + "/" + algo.String() + "/sanitize", san},
+				config{tr.name + "/" + algo.String() + "/lossy", loss})
+		}
+	}
+	secs := []Section{
+		All(4, 4), // contiguous: one putmem
+		{{Lo: 0, Hi: 3, Step: 2}, {Lo: 0, Hi: 3, Step: 1}}, // dimension 1 strided: single-element runs, gathered pencils
+		{{Lo: 0, Hi: 3, Step: 1}, {Lo: 0, Hi: 3, Step: 2}}, // whole columns: multi-element runs, in-place pencils
+	}
+	for _, cfg := range cfgs {
+		err := Run(2, cfg.opts, func(img *Image) {
+			x := Allocate[float64](img, 4, 4)
+			sig := NewSignal(img)
+			me := img.ThisImage()
+			other := 3 - me
+			for si, sec := range secs {
+				for _, op := range []string{"Put", "PutAsync", "PutSignalAsync"} {
+					x.Fill(0)
+					img.SyncAll()
+					vals := make([]float64, sec.NumElems())
+					for i := range vals {
+						vals[i] = float64(100*me+i) + 0.5
+					}
+					switch op {
+					case "Put":
+						x.Put(other, sec, vals)
+					case "PutAsync":
+						x.PutAsync(other, sec, vals)
+					case "PutSignalAsync":
+						x.PutSignalAsync(other, sec, vals, sig)
+					}
+					for i := range vals {
+						vals[i] = -1 // the call has returned: vals is the caller's again
+					}
+					if op == "PutSignalAsync" {
+						sig.Wait(other)
+					} else {
+						img.SyncMemory()
+						img.SyncAll()
+					}
+					want, k := make([]float64, 16), 0
+					for j := sec[1].Lo; j <= sec[1].Hi; j += sec[1].Step {
+						for i := sec[0].Lo; i <= sec[0].Hi; i += sec[0].Step {
+							want[i+4*j] = float64(100*other+k) + 0.5
+							k++
+						}
+					}
+					got := x.Slice()
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("%s section %d %s: got %v, want the values at the call %v", cfg.name, si, op, got, want)
+							break
+						}
+					}
+					img.SyncMemory()
+					img.SyncAll()
+				}
+			}
+			x.Deallocate()
+		})
+		if err != nil {
+			t.Errorf("%s: %v", cfg.name, err)
+		}
+	}
+}
+
 // Stats must attribute nonblocking traffic to AsyncPuts and SyncMemory to
 // Quiets.
 func TestAsyncStats(t *testing.T) {

@@ -182,14 +182,14 @@ func (c *Coarray[T]) byteOff(idx []int) int64 {
 
 // Set stores v into the local element at idx.
 func (c *Coarray[T]) Set(v T, idx ...int) {
-	c.img.local.StoreLocal(c.byteOff(idx), c.encodeElem(v))
+	c.img.local.StoreLocal(c.byteOff(idx), c.elemBytes(v))
 }
 
 // At loads the local element at idx.
 func (c *Coarray[T]) At(idx ...int) T {
 	b := c.img.word[:c.es]
 	c.img.local.ReadLocal(c.byteOff(idx), b)
-	return pgas.DecodeOne[T](b)
+	return pgas.Load[T](b)
 }
 
 // SetSlice stores the whole local array from vals (column-major order).
@@ -197,9 +197,7 @@ func (c *Coarray[T]) SetSlice(vals []T) {
 	if len(vals) != c.n {
 		panic(fmt.Sprintf("caf: SetSlice of %d values into %d-element coarray", len(vals), c.n))
 	}
-	data, bp := wireOut(vals)
-	c.img.local.StoreLocal(c.off, data)
-	putWire(bp)
+	c.img.local.StoreLocal(c.off, pgas.Bytes(vals))
 }
 
 // Slice returns a copy of the whole local array (column-major order).
@@ -216,9 +214,7 @@ func (c *Coarray[T]) SliceInto(dst []T) {
 	if len(dst) != c.n {
 		panic(fmt.Sprintf("caf: SliceInto of %d-element coarray into %d-element slice", c.n, len(dst)))
 	}
-	raw, bp := wireIn(dst, c.es)
-	c.img.local.ReadLocal(c.off, raw)
-	decodeWire(dst, raw, bp)
+	c.img.local.ReadLocal(c.off, pgas.Bytes(dst))
 }
 
 // Fill sets every local element to v.
@@ -248,56 +244,18 @@ func (c *Coarray[T]) WaitLocal(cmp pgas.Cmp, value T, idx ...int) {
 	if _, signed := any(value).(int64); !signed && cmp != pgas.CmpEQ && cmp != pgas.CmpNE {
 		panic(fmt.Sprintf("caf: WaitLocal compares words as signed 64-bit integers: an ordered comparison requires int64 elements, have %T", value))
 	}
-	operand := int64(binary.LittleEndian.Uint64(c.encodeElem(value)))
+	operand := int64(binary.NativeEndian.Uint64(c.elemBytes(value)))
 	c.img.tr.WaitLocal64(c.byteOff(idx), cmp, operand)
 }
 
-// encodeElem encodes one element into the image's control-word buffer; the
-// result is valid until the image's next control-word operation.
-func (c *Coarray[T]) encodeElem(v T) []byte {
-	one := [1]T{v}
-	return pgas.EncodeSlice(c.img.word[:0], one[:])
-}
-
-// wireOut returns the little-endian wire form of vals and the pooled scratch
-// buffer holding it, to be handed back with putWire once the transfer call
-// has returned (every transport copies payload bytes synchronously; see
-// pgas/buffer.go). A byte coarray's values already are their wire form, so
-// they go to the transport as they stand — no scratch (bp is nil), no copy.
-func wireOut[T pgas.Elem](vals []T) (data []byte, bp *[]byte) {
-	if raw, ok := any(vals).([]byte); ok {
-		return raw, nil
-	}
-	bp = pgas.GetScratch()
-	*bp = pgas.EncodeSlice((*bp)[:0], vals)
-	return *bp, bp
-}
-
-// putWire returns wireOut's scratch buffer, if there was one.
-func putWire(bp *[]byte) {
-	if bp != nil {
-		pgas.PutScratch(bp)
-	}
-}
-
-// wireIn returns the buffer a transport fills with the wire form of dst's
-// es-byte elements: pooled scratch, or dst itself for a byte coarray.
-// decodeWire completes the transfer.
-func wireIn[T pgas.Elem](dst []T, es int) (raw []byte, bp *[]byte) {
-	if b, ok := any(dst).([]byte); ok {
-		return b, nil
-	}
-	bp = pgas.GetScratch()
-	return pgas.ScratchLen(bp, len(dst)*es), bp
-}
-
-// decodeWire decodes what the transport left in wireIn's scratch into dst
-// and returns the scratch; nothing to do when the transport filled dst.
-func decodeWire[T pgas.Elem](dst []T, raw []byte, bp *[]byte) {
-	if bp != nil {
-		pgas.DecodeSlice(dst, raw)
-		pgas.PutScratch(bp)
-	}
+// elemBytes stages one element's bytes in the image's control-word buffer —
+// a single value has no slice of its own for pgas.Bytes to view, and one on
+// this frame would escape through the transport interface. The result is
+// valid until the image's next control-word operation.
+func (c *Coarray[T]) elemBytes(v T) []byte {
+	b := c.img.word[:c.es]
+	pgas.Store(b, v)
+	return b
 }
 
 // localMem is the little escape hatch transports provide for zero-cost local

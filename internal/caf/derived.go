@@ -58,8 +58,7 @@ func (d *DynCoarray[T]) AllocLocal(n int) {
 	ref := PackRef(d.img.ThisImage(), off, 1)
 	// Publish the descriptor in this image's symmetric slot. Plain local
 	// stores: remote readers synchronise via sync constructs as usual.
-	p := d.img.local
-	p.StoreLocal(d.desc.off, pgas.EncodeSlice[uint64](nil, []uint64{uint64(ref), uint64(n)}))
+	d.desc.SetSlice([]uint64{uint64(ref), uint64(n)})
 }
 
 // FreeLocal deallocates this image's component.
@@ -68,8 +67,7 @@ func (d *DynCoarray[T]) FreeLocal() {
 		panic("caf: component not allocated on this image")
 	}
 	d.img.FreeNonSymmetric(d.localOff, int64(d.localLen)*int64(d.es))
-	p := d.img.local
-	p.StoreLocal(d.desc.off, pgas.EncodeSlice[uint64](nil, []uint64{0, 0}))
+	d.desc.SetSlice([]uint64{0, 0})
 	d.localOff, d.localLen = 0, 0
 }
 
@@ -83,7 +81,7 @@ func (d *DynCoarray[T]) LocalLen() int { return d.localLen }
 func (d *DynCoarray[T]) SetLocal(lo int, vals []T) {
 	d.checkLocal(lo, len(vals))
 	p := d.img.local
-	p.StoreLocal(d.localOff+int64(lo)*int64(d.es), pgas.EncodeSlice[T](nil, vals))
+	p.StoreLocal(d.localOff+int64(lo)*int64(d.es), pgas.Bytes(vals))
 }
 
 // LocalSlice returns a copy of this image's component.
@@ -91,9 +89,8 @@ func (d *DynCoarray[T]) LocalSlice() []T {
 	if d.localOff == 0 {
 		return nil
 	}
-	p := d.img.local
 	out := make([]T, d.localLen)
-	pgas.DecodeSlice(out, p.LocalBytes(d.localOff, int64(d.localLen)*int64(d.es)))
+	d.img.local.ReadLocal(d.localOff, pgas.Bytes(out))
 	return out
 }
 
@@ -110,11 +107,9 @@ func (d *DynCoarray[T]) checkLocal(lo, n int) {
 func (d *DynCoarray[T]) remoteDescriptor(j int) (RemoteRef, int) {
 	d.img.checkImage(j)
 	d.img.maybeQuiet()
-	raw := make([]byte, 16)
-	d.img.tr.GetMem(j-1, d.desc.off, raw)
+	words := make([]uint64, 2)
+	d.img.tr.GetMem(j-1, d.desc.off, pgas.Bytes(words))
 	d.img.Stats.Gets++
-	var words [2]uint64
-	pgas.DecodeSlice(words[:], raw)
 	return RemoteRef(words[0]), int(words[1])
 }
 
@@ -135,11 +130,9 @@ func (d *DynCoarray[T]) Get(j int, lo, n int) []T {
 	if lo < 0 || lo+n > rlen {
 		panic(fmt.Sprintf("caf: remote component access [%d:%d) outside %d elements", lo, lo+n, rlen))
 	}
-	raw := make([]byte, int64(n)*int64(d.es))
-	d.img.tr.GetMem(ref.Image()-1, ref.Offset()+int64(lo)*int64(d.es), raw)
-	d.img.Stats.Gets++
 	out := make([]T, n)
-	pgas.DecodeSlice(out, raw)
+	d.img.tr.GetMem(ref.Image()-1, ref.Offset()+int64(lo)*int64(d.es), pgas.Bytes(out))
+	d.img.Stats.Gets++
 	return out
 }
 
@@ -153,7 +146,7 @@ func (d *DynCoarray[T]) Put(j int, lo int, vals []T) {
 	if lo < 0 || lo+len(vals) > rlen {
 		panic(fmt.Sprintf("caf: remote component access [%d:%d) outside %d elements", lo, lo+len(vals), rlen))
 	}
-	d.img.tr.PutMem(ref.Image()-1, ref.Offset()+int64(lo)*int64(d.es), pgas.EncodeSlice[T](nil, vals))
+	d.img.tr.PutMem(ref.Image()-1, ref.Offset()+int64(lo)*int64(d.es), pgas.Bytes(vals))
 	d.img.Stats.Puts++
 	d.img.maybeQuiet()
 }

@@ -23,12 +23,6 @@ type group struct {
 	scratchSize int64
 	growable    bool // whole-job group may reallocate scratch collectively
 	seq         int64
-
-	// buf is the group's reusable marshalling buffer: payloads are encoded
-	// into it for PutMem (which copies synchronously) and staged children are
-	// read into it for decoding, so a collective call allocates only the
-	// slice it returns.
-	buf []byte
 }
 
 // worldGroup lazily builds the whole-job group view for this image.
@@ -114,34 +108,29 @@ func (g *group) awaitFlag(slot int, seq int64) {
 // and raises the member's flag — one tree edge of a collective.
 func sendVals[T pgas.Elem](g *group, memberIdx int, off int64, vals []T, slot int, seq int64) {
 	img := g.img
-	g.buf = pgas.EncodeSlice(g.buf[:0], vals)
-	img.tr.PutMem(g.member(memberIdx)-1, off, g.buf)
+	img.tr.PutMem(g.member(memberIdx)-1, off, pgas.Bytes(vals))
 	img.Stats.Puts++
 	img.tr.Quiet()
 	img.Stats.Quiets++
 	g.signalFlag(memberIdx, slot, seq)
 }
 
-// recvVals decodes len(dst) elements from this image's own staging slot at
-// off into dst (a local load: free in virtual time).
+// recvVals loads len(dst) elements from this image's own staging slot at off
+// into dst (a local load: free in virtual time).
 func recvVals[T pgas.Elem](g *group, dst []T, off int64) {
-	raw := pgas.ScratchLen(&g.buf, len(dst)*pgas.SizeOf[T]())
-	g.img.local.ReadLocal(off, raw)
-	pgas.DecodeSlice(dst, raw)
+	g.img.local.ReadLocal(off, pgas.Bytes(dst))
 }
 
 // combineVals folds the child contribution staged at off of this image's own
-// partition into acc, element by element in index order: the staged bytes are
-// read into the group's buffer and decoded a stack-resident chunk at a time,
-// so the combine needs no typed scratch of its own.
+// partition into acc, element by element in index order. The staged elements
+// are loaded a stack-resident chunk at a time, so the combine needs no scratch
+// of its own.
 func combineVals[T pgas.Elem](g *group, acc []T, off int64, op func(a, b T) T) {
-	es := pgas.SizeOf[T]()
-	raw := pgas.ScratchLen(&g.buf, len(acc)*es)
-	g.img.local.ReadLocal(off, raw)
-	var chunk [64]T
+	es := int64(pgas.SizeOf[T]())
+	var chunk [512]T
 	for i := 0; i < len(acc); i += len(chunk) {
 		c := chunk[:min(len(chunk), len(acc)-i)]
-		pgas.DecodeSlice(c, raw[i*es:])
+		g.img.local.ReadLocal(off+int64(i)*es, pgas.Bytes(c))
 		for k, v := range c {
 			acc[i+k] = op(acc[i+k], v)
 		}

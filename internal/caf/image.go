@@ -285,7 +285,7 @@ func (img *Image) awaitImage(j int) {
 // putWord writes one 64-bit control word into image index target's (0-based)
 // partition with an ordinary put, staged through the image's word buffer.
 func (img *Image) putWord(target int, off int64, v uint64) {
-	binary.LittleEndian.PutUint64(img.word[:], v)
+	binary.NativeEndian.PutUint64(img.word[:], v)
 	img.tr.PutMem(target, off, img.word[:])
 }
 

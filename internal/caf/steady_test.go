@@ -6,6 +6,7 @@ import (
 
 	"cafshmem/internal/caf"
 	"cafshmem/internal/dht"
+	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgas"
 )
 
@@ -108,6 +109,45 @@ func TestDHTUpdateSteadyStateAllocs(t *testing.T) {
 	for engine, n := range got {
 		if n > 0.05 {
 			t.Errorf("%s engine: %.3f allocs per DHT update, want 0", engine, n)
+		}
+	}
+}
+
+// TestTypedRMASteadyStateAllocs: typed data reaches the transport as a view of
+// the caller's own slice (pgas.Bytes), so whole-array local access, a
+// contiguous put and a naive-lowered section put — one vectored call over
+// pooled run offsets — allocate nothing on any transport.
+func TestTypedRMASteadyStateAllocs(t *testing.T) {
+	if pgas.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
+	}
+	for name, o := range map[string]caf.Options{
+		"shmem":  caf.UHCAFOverMV2XSHMEM(),
+		"gasnet": caf.UHCAFOverGASNet(fabric.Stampede(), fabric.ProfGASNetIBV),
+		"mpi3":   caf.UHCAFOverMV2XMPI3(),
+	} {
+		o.Strided = caf.StridedNaive
+		err := caf.Run(2, o, func(img *caf.Image) {
+			x := caf.Allocate[float64](img, 16, 16)
+			if img.ThisImage() == 1 {
+				all := caf.All(16, 16)
+				columns := caf.Section{{Lo: 0, Hi: 15, Step: 1}, {Lo: 0, Hi: 15, Step: 2}}
+				whole, part := make([]float64, all.NumElems()), make([]float64, columns.NumElems())
+				for op, call := range map[string]func(){
+					"SetSlice":          func() { x.SetSlice(whole) },
+					"SliceInto":         func() { x.SliceInto(whole) },
+					"contiguous Put":    func() { x.Put(2, all, whole) },
+					"naive-section Put": func() { x.Put(2, columns, part) },
+				} {
+					if got := testing.AllocsPerRun(200, call); got != 0 {
+						t.Errorf("%s: %s: %v allocs per call, want 0", name, op, got)
+					}
+				}
+			}
+			img.SyncAll()
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func (c *Coarray[T]) Get(j int, sec Section) []T {
 func (c *Coarray[T]) PutElem(j int, v T, idx ...int) {
 	c.img.pollFault()
 	c.img.checkImage(j)
-	b := c.encodeElem(v)
+	b := c.elemBytes(v)
 	if c.img.opts.IntraNodeDirect && c.img.tr.DirectWrite(j-1, c.byteOff(idx), b) {
 		c.img.Stats.DirectOps++
 		return // a store completes immediately: no quiet needed
@@ -75,14 +75,14 @@ func (c *Coarray[T]) GetElem(j int, idx ...int) T {
 		c.img.maybeQuiet() // pending puts must still be ordered before the load
 		if c.img.tr.DirectRead(j-1, c.byteOff(idx), b) {
 			c.img.Stats.DirectOps++
-			return pgas.DecodeOne[T](b)
+			return pgas.Load[T](b)
 		}
 	} else {
 		c.img.maybeQuiet()
 	}
 	c.img.tr.GetMem(j-1, c.byteOff(idx), b)
 	c.img.Stats.Gets++
-	return pgas.DecodeOne[T](b)
+	return pgas.Load[T](b)
 }
 
 // PutFull writes the entire local array of image j: x(:,...,:)[j] = vals.
@@ -152,20 +152,17 @@ func (c *Coarray[T]) putSection(target int, sec Section, vals []T) {
 	// Fast path shared by all algorithms: a fully contiguous section is a
 	// single putmem regardless of strategy — or a direct store when the
 	// target shares the node and §VII's IntraNodeDirect is enabled. The
-	// encode buffer is pooled (and a byte coarray needs none): transports
-	// copy payload bytes synchronously, so the steady state allocates
-	// nothing.
+	// transport copies vals' own bytes into the partition: one memmove.
 	runDims, runElems := c.contigRun(sec)
 	if runDims == len(sec) {
 		off := c.secLowOff(sec)
-		data, bp := wireOut(vals)
+		data := pgas.Bytes(vals)
 		if c.img.opts.IntraNodeDirect && tr.DirectWrite(target, off, data) {
 			c.img.Stats.DirectOps++
 		} else {
 			tr.PutMem(target, off, data)
 			c.img.Stats.Puts++
 		}
-		putWire(bp)
 		return
 	}
 
@@ -174,29 +171,21 @@ func (c *Coarray[T]) putSection(target int, sec Section, vals []T) {
 		// §IV-C baseline: one putmem per maximal contiguous run — issued as
 		// a single vectored call so the whole section costs one target-lock
 		// acquisition instead of one per run. appendRunOffs enumerates runs
-		// in dense value order, so the encoded vals are already the run
-		// payloads back to back.
-		bp := pgas.GetScratch()
-		data := pgas.EncodeSlice[T]((*bp)[:0], vals)
+		// in dense value order, so vals' bytes already are the run payloads
+		// back to back.
 		op := pgas.GetOffsScratch()
 		offs := c.appendRunOffs((*op)[:0], sec, runDims)
-		tr.PutMemV(target, offs, runElems*int(es), data)
+		tr.PutMemV(target, offs, runElems*c.es, pgas.Bytes(vals))
 		c.img.Stats.Puts += int64(len(offs))
 		*op = offs
 		pgas.PutOffsScratch(op)
-		*bp = data
-		pgas.PutScratch(bp)
 	default: // 1dim, 2dim, vendor: 1-D strided library calls along base dim
 		base := c.baseDim(sec)
 		strideBytes := int64(sec[base].Step) * c.strides[base] * es
-		bp := pgas.GetScratch()
 		c.eachPencil(sec, base, func(byteOff int64, gather []T) {
-			data := pgas.EncodeSlice[T]((*bp)[:0], gather)
-			*bp = data
-			tr.PutStrided1D(target, byteOff, strideBytes, c.es, data)
+			tr.PutStrided1D(target, byteOff, strideBytes, c.es, pgas.Bytes(gather))
 			c.img.Stats.StridedCalls++
 		}, vals, nil)
-		pgas.PutScratch(bp)
 	}
 }
 
@@ -207,42 +196,33 @@ func (c *Coarray[T]) getSection(target int, sec Section, out []T) {
 	runDims, runElems := c.contigRun(sec)
 	if runDims == len(sec) {
 		off := c.secLowOff(sec)
-		raw, bp := wireIn(out, c.es)
+		raw := pgas.Bytes(out)
 		if c.img.opts.IntraNodeDirect && tr.DirectRead(target, off, raw) {
 			c.img.Stats.DirectOps++
 		} else {
 			tr.GetMem(target, off, raw)
 			c.img.Stats.Gets++
 		}
-		decodeWire(out, raw, bp)
 		return
 	}
 
 	switch c.img.opts.Strided {
 	case StridedNaive:
 		// One getmem per contiguous run, gathered with a single vectored
-		// call; runs arrive densely in section order, matching out.
+		// call; runs arrive densely in section order, which is out's.
 		op := pgas.GetOffsScratch()
 		offs := c.appendRunOffs((*op)[:0], sec, runDims)
-		bp := pgas.GetScratch()
-		raw := pgas.ScratchLen(bp, len(offs)*runElems*int(es))
-		tr.GetMemV(target, offs, runElems*int(es), raw)
-		pgas.DecodeSlice(out, raw)
+		tr.GetMemV(target, offs, runElems*c.es, pgas.Bytes(out))
 		c.img.Stats.Gets += int64(len(offs))
 		*op = offs
 		pgas.PutOffsScratch(op)
-		pgas.PutScratch(bp)
 	default:
 		base := c.baseDim(sec)
 		strideBytes := int64(sec[base].Step) * c.strides[base] * es
-		bp := pgas.GetScratch()
 		c.eachPencil(sec, base, func(byteOff int64, scatter []T) {
-			raw := pgas.ScratchLen(bp, len(scatter)*int(es))
-			tr.GetStrided1D(target, byteOff, strideBytes, c.es, raw)
-			pgas.DecodeSlice(scatter, raw)
+			tr.GetStrided1D(target, byteOff, strideBytes, c.es, pgas.Bytes(scatter))
 			c.img.Stats.StridedCalls++
 		}, nil, out)
-		pgas.PutScratch(bp)
 	}
 }
 
@@ -294,9 +274,11 @@ func (c *Coarray[T]) appendRunOffs(offs []int64, sec Section, runDims int) []int
 }
 
 // eachPencil enumerates 1-D pencils along the base dimension, iterating the
-// other dimensions in column-major order. For puts it passes a dense gather
-// of the pencil's source values; for gets it passes a scatter view that the
-// callback fills. vals/out are the dense section-order buffers.
+// other dimensions in column-major order. For puts it passes the pencil's
+// source values densely; for gets it passes a dense pencil that the callback
+// fills. vals/out are the dense section-order buffers; a pencil along
+// dimension 1 is a sub-slice of them, any other is gathered from (scattered
+// to) them through one reused buffer.
 func (c *Coarray[T]) eachPencil(sec Section, base int, f func(byteOff int64, pencil []T), vals []T, out []T) {
 	counts := sec.Counts()
 	nbase := counts[base]
@@ -319,7 +301,14 @@ func (c *Coarray[T]) eachPencil(sec Section, base int, f func(byteOff int64, pen
 		}
 	}
 
-	pencil := make([]T, nbase)
+	dense := vals
+	if dense == nil {
+		dense = out
+	}
+	var pencil []T
+	if base != 0 {
+		pencil = make([]T, nbase)
+	}
 	odometer(otherCounts, func(idx []int) {
 		var lin int64
 		secBase := 0
@@ -331,25 +320,22 @@ func (c *Coarray[T]) eachPencil(sec Section, base int, f func(byteOff int64, pen
 		lin += int64(sec[base].Lo) * c.strides[base]
 		byteOff := c.off + lin*int64(c.es)
 
+		if base == 0 {
+			// The pencil's elements are already dense in the section-order
+			// buffer: f transfers them in place.
+			f(byteOff, dense[secBase:secBase+nbase])
+			return
+		}
 		if vals != nil {
-			if base == 0 {
-				// Pencil elements are already dense in the source buffer.
-				copy(pencil, vals[secBase:secBase+nbase])
-			} else {
-				for k := 0; k < nbase; k++ {
-					pencil[k] = vals[secBase+k*secStride[base]]
-				}
+			for k := 0; k < nbase; k++ {
+				pencil[k] = vals[secBase+k*secStride[base]]
 			}
 			f(byteOff, pencil)
 			return
 		}
 		f(byteOff, pencil)
-		if base == 0 {
-			copy(out[secBase:secBase+nbase], pencil)
-		} else {
-			for k := 0; k < nbase; k++ {
-				out[secBase+k*secStride[base]] = pencil[k]
-			}
+		for k := 0; k < nbase; k++ {
+			out[secBase+k*secStride[base]] = pencil[k]
 		}
 	})
 }

@@ -50,11 +50,11 @@ func (img *Image) FormTeam(teamNumber int64, scratchBytes ...int64) *Team {
 
 	// Read everyone's number and collect the members of mine.
 	var members []int
-	raw := make([]byte, 8)
+	num := make([]int64, 1)
 	for j := 1; j <= img.NumImages(); j++ {
-		img.tr.GetMem(j-1, numOff, raw)
+		img.tr.GetMem(j-1, numOff, pgas.Bytes(num))
 		img.Stats.Gets++
-		if int64(pgas.DecodeOne[uint64](raw)) == teamNumber {
+		if num[0] == teamNumber {
 			members = append(members, j)
 		}
 	}

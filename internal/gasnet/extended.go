@@ -1,9 +1,6 @@
 package gasnet
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Extended API: one-sided put/get against the target's registered segment
 // (our per-PE partition). Offsets are absolute partition offsets; layered
@@ -188,12 +185,10 @@ func (ep *EP) PutSignal(target int, seg Seg, off int64, data []byte, sigSeg Seg,
 	prof := ep.world.prof
 	ep.p.Clock.Advance(prof.PutInjectNs(len(data)+8, intra, pairs))
 	vis := ep.p.Clock.Now() + prof.DeliveryNs(intra, pairs) + prof.AMHandlerNs
-	var sigBytes [8]byte
-	binary.LittleEndian.PutUint64(sigBytes[:], uint64(sigVal))
 	if len(data) > 0 {
 		ep.world.pw.Write(target, seg.Off+off, data, vis)
 	}
-	ep.world.pw.Write(target, sigSeg.Off+sigOff, sigBytes[:], vis)
+	ep.world.pw.WriteUint64(target, sigSeg.Off+sigOff, uint64(sigVal), vis)
 	ep.notePending(target, vis)
 }
 
@@ -213,12 +208,10 @@ func (ep *EP) PutSignalNBI(target int, seg Seg, off int64, data []byte, sigSeg S
 	transfer := prof.NBITransferNs(len(data)+8, intra, pairs)
 	done := ep.nbi.Issue(target, ep.p.Clock.Now(), transfer,
 		prof.DeliveryNs(intra, pairs)+prof.AMHandlerNs)
-	var sigBytes [8]byte
-	binary.LittleEndian.PutUint64(sigBytes[:], uint64(sigVal))
 	if len(data) > 0 {
 		ep.world.pw.Write(target, seg.Off+off, data, done)
 	}
-	ep.world.pw.Write(target, sigSeg.Off+sigOff, sigBytes[:], done)
+	ep.world.pw.WriteUint64(target, sigSeg.Off+sigOff, uint64(sigVal), done)
 }
 
 func (ep *EP) sigOff(sigSeg Seg, sigIdx int) int64 {

@@ -130,7 +130,7 @@ func TestAMShortFireAndForget(t *testing.T) {
 		if ep.MyNode() == 0 {
 			var b [8]byte
 			ep.Get(0, seg, 0, b[:])
-			if binary.LittleEndian.Uint64(b[:]) != 40 {
+			if binary.NativeEndian.Uint64(b[:]) != 40 {
 				panic("AM increments lost")
 			}
 		}
@@ -163,7 +163,7 @@ func TestAMRequestSyncReply(t *testing.T) {
 		if ep.MyNode() == 0 {
 			var b [8]byte
 			ep.Get(0, seg, 0, b[:])
-			if binary.LittleEndian.Uint64(b[:]) != 3 {
+			if binary.NativeEndian.Uint64(b[:]) != 3 {
 				panic("fetch-add total wrong")
 			}
 		}
@@ -225,7 +225,7 @@ func TestAMLongDepositsThenRuns(t *testing.T) {
 		if ep.MyNode() == 0 {
 			var b [8]byte
 			ep.Get(0, seg, 8, b[:])
-			if binary.LittleEndian.Uint64(b[:]) != 1 {
+			if binary.NativeEndian.Uint64(b[:]) != 1 {
 				panic("long handler flag missing")
 			}
 		}
@@ -335,7 +335,7 @@ func TestHandlerAtomicityUnderConcurrency(t *testing.T) {
 		if ep.MyNode() == 0 {
 			var b [16]byte
 			ep.Get(0, seg, 0, b[:])
-			if binary.LittleEndian.Uint64(b[:8]) != 400 || binary.LittleEndian.Uint64(b[8:]) != 400 {
+			if binary.NativeEndian.Uint64(b[:8]) != 400 || binary.NativeEndian.Uint64(b[8:]) != 400 {
 				panic("handler updates lost")
 			}
 		}

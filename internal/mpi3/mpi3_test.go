@@ -51,7 +51,7 @@ func TestPassiveTargetPutGet(t *testing.T) {
 		if pr.Rank() == 0 {
 			pr.Lock(LockShared, 2, win)
 			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], 31337)
+			binary.NativeEndian.PutUint64(b[:], 31337)
 			pr.Put(win, 2, 16, b[:])
 			pr.Flush(2, win)
 			pr.Unlock(2, win)
@@ -61,7 +61,7 @@ func TestPassiveTargetPutGet(t *testing.T) {
 			pr.Lock(LockShared, 2, win)
 			var b [8]byte
 			pr.Get(win, 2, 16, b[:])
-			if binary.LittleEndian.Uint64(b[:]) != 31337 {
+			if binary.NativeEndian.Uint64(b[:]) != 31337 {
 				panic("get did not observe put")
 			}
 			pr.Unlock(2, win)
@@ -103,7 +103,7 @@ func TestLockAllFlushAll(t *testing.T) {
 		win := pr.WinAllocate(8 * 4)
 		pr.LockAll(win)
 		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(pr.Rank()+1))
+		binary.NativeEndian.PutUint64(b[:], uint64(pr.Rank()+1))
 		for t := 0; t < pr.Size(); t++ {
 			pr.Put(win, t, int64(pr.Rank())*8, b[:])
 		}
@@ -114,7 +114,7 @@ func TestLockAllFlushAll(t *testing.T) {
 		for r := 0; r < pr.Size(); r++ {
 			var g [8]byte
 			pr.Get(win, pr.Rank(), int64(r)*8, g[:])
-			if binary.LittleEndian.Uint64(g[:]) != uint64(r+1) {
+			if binary.NativeEndian.Uint64(g[:]) != uint64(r+1) {
 				panic("flushed put missing")
 			}
 		}
@@ -133,8 +133,8 @@ func TestExclusiveLockSerialises(t *testing.T) {
 			pr.Lock(LockExclusive, 0, win)
 			var b [8]byte
 			pr.Get(win, 0, 0, b[:])
-			v := binary.LittleEndian.Uint64(b[:])
-			binary.LittleEndian.PutUint64(b[:], v+1)
+			v := binary.NativeEndian.Uint64(b[:])
+			binary.NativeEndian.PutUint64(b[:], v+1)
 			pr.Put(win, 0, 0, b[:])
 			pr.Flush(0, win)
 			pr.Unlock(0, win)
@@ -144,7 +144,7 @@ func TestExclusiveLockSerialises(t *testing.T) {
 			pr.LockAll(win)
 			var b [8]byte
 			pr.Get(win, 0, 0, b[:])
-			if binary.LittleEndian.Uint64(b[:]) != 80 {
+			if binary.NativeEndian.Uint64(b[:]) != 80 {
 				panic("exclusive lock failed to serialise read-modify-write")
 			}
 			pr.UnlockAll(win)
@@ -162,14 +162,14 @@ func TestFenceEpochs(t *testing.T) {
 		pr.Fence(win)
 		if pr.Rank() == 0 {
 			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], 5)
+			binary.NativeEndian.PutUint64(b[:], 5)
 			pr.Put(win, 1, 0, b[:])
 		}
 		pr.Fence(win)
 		if pr.Rank() == 1 {
 			var b [8]byte
 			pr.Get(win, 1, 0, b[:])
-			if binary.LittleEndian.Uint64(b[:]) != 5 {
+			if binary.NativeEndian.Uint64(b[:]) != 5 {
 				panic("fence did not complete put")
 			}
 		}
@@ -195,7 +195,7 @@ func TestAtomics(t *testing.T) {
 			pr.LockAll(win)
 			var b [8]byte
 			pr.Get(win, 0, 0, b[:])
-			if binary.LittleEndian.Uint64(b[:]) != 40 {
+			if binary.NativeEndian.Uint64(b[:]) != 40 {
 				panic("accumulate lost updates")
 			}
 			pr.UnlockAll(win)

@@ -2,41 +2,26 @@ package pgas
 
 import "sync"
 
-// Marshalling scratch pools for the put/get fast paths: steady-state
-// transfers borrow encode buffers, run-offset lists, and visibility-time
-// lists here instead of allocating per call. Pools hold pointers to slices so
-// returning a buffer never re-boxes the slice header. Borrowed buffers are
-// safe to recycle as soon as the transfer call returns, because every
-// transport copies payload bytes synchronously (pgas writes copy under the
-// partition lock before returning).
+// Payload ownership. A payload crosses every layer as a []byte — for typed
+// data the Bytes view of the caller's own slice — and is never staged on the
+// way: every transport's blocking call copies it into (or out of) the target
+// partition under the partition lock before it returns. So
+//
+//   - a blocking call is done with its data argument when it returns, and the
+//     caller may overwrite the buffer at once;
+//   - whoever retains a payload past the call that received it copies it
+//     first: caf's PutAsync/PutSignalAsync snapshot their values at issue, and
+//     the sanitizer copies the source of a nonblocking put to compare it with
+//     the live buffer at Quiet.
+//
+// What the fast paths still borrow are the side lists of a run-list transfer:
+// run offsets and per-run visibility times. Pools hold pointers to slices so
+// returning a list never re-boxes the slice header.
 
 var (
-	bytePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 	offsPool = sync.Pool{New: func() any { s := make([]int64, 0, 64); return &s }}
 	tsPool   = sync.Pool{New: func() any { s := make([]float64, 0, 64); return &s }}
 )
-
-// GetScratch borrows a byte buffer. The caller appends into (*bp)[:0] (or
-// sizes it with ScratchLen), stores the final slice back through the pointer,
-// and returns it with PutScratch.
-func GetScratch() *[]byte { return bytePool.Get().(*[]byte) }
-
-// PutScratch returns a borrowed byte buffer to the pool.
-func PutScratch(bp *[]byte) {
-	*bp = (*bp)[:0]
-	bytePool.Put(bp)
-}
-
-// ScratchLen resizes a borrowed byte buffer to exactly n bytes, reallocating
-// only when the capacity is insufficient. Contents are unspecified — for
-// destinations that are fully overwritten.
-func ScratchLen(bp *[]byte, n int) []byte {
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return *bp
-}
 
 // GetOffsScratch borrows an offset list (for run-list transfers).
 func GetOffsScratch() *[]int64 { return offsPool.Get().(*[]int64) }

@@ -278,7 +278,7 @@ func (p *PE) WaitUntilStat(off, n int64, pred func([]byte) bool, onEvent func() 
 // observed word is returned even when the wait is aborted.
 func (p *PE) WaitWordStat(off int64, cmp Cmp, operand int64, onEvent func() error) (got int64, ts float64, err error) {
 	ts, err = p.wait(off, 8, func(b []byte) bool {
-		got = int64(binary.LittleEndian.Uint64(b))
+		got = int64(binary.NativeEndian.Uint64(b))
 		return cmp.Holds(got, operand)
 	}, onEvent)
 	return got, ts, err

@@ -71,18 +71,18 @@ func (w *World) Read(target int, off int64, dst []byte) {
 	p.mu.Unlock()
 }
 
-// WriteUint64 stores an 8-byte little-endian word one-sided.
+// WriteUint64 stores an 8-byte host-order word one-sided.
 func (w *World) WriteUint64(target int, off int64, v uint64, visibleAt float64) {
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
+	binary.NativeEndian.PutUint64(b[:], v)
 	w.Write(target, off, b[:], visibleAt)
 }
 
-// ReadUint64 loads an 8-byte little-endian word one-sided.
+// ReadUint64 loads an 8-byte host-order word one-sided.
 func (w *World) ReadUint64(target int, off int64) uint64 {
 	var b [8]byte
 	w.Read(target, off, b[:])
-	return binary.LittleEndian.Uint64(b[:])
+	return binary.NativeEndian.Uint64(b[:])
 }
 
 // AtomicOp names a read-modify-write operation on a 64-bit word.
@@ -96,7 +96,7 @@ const (
 	OpSwap
 )
 
-// RMW64 atomically applies op to the 64-bit little-endian word at (target,
+// RMW64 atomically applies op to the 64-bit host-order word at (target,
 // off) and returns the previous value. The update is visible at visibleAt.
 func (w *World) RMW64(target int, off int64, op AtomicOp, operand uint64, visibleAt float64) uint64 {
 	old, _ := w.RMW64Stat(target, off, op, operand, visibleAt)
@@ -116,7 +116,7 @@ func (w *World) RMW64Stat(target int, off int64, op AtomicOp, operand uint64, vi
 	p.ensureLen(off + 8)
 	var b [8]byte
 	p.seg.readAt(off, b[:])
-	old = binary.LittleEndian.Uint64(b[:])
+	old = binary.NativeEndian.Uint64(b[:])
 	if w.stateOf(target) == stateFailed {
 		return old, false // frozen partition: observe, never mutate
 	}
@@ -135,7 +135,7 @@ func (w *World) RMW64Stat(target int, off int64, op AtomicOp, operand uint64, vi
 	default:
 		panic(fmt.Sprintf("pgas: unknown atomic op %d", op))
 	}
-	binary.LittleEndian.PutUint64(b[:], nw)
+	binary.NativeEndian.PutUint64(b[:], nw)
 	p.seg.writeAt(off, b[:])
 	p.noteWrite(off, 8, visibleAt)
 	return old, true
@@ -159,12 +159,12 @@ func (w *World) CompareSwap64Stat(target int, off int64, expected, desired uint6
 	p.ensureLen(off + 8)
 	var b [8]byte
 	p.seg.readAt(off, b[:])
-	old = binary.LittleEndian.Uint64(b[:])
+	old = binary.NativeEndian.Uint64(b[:])
 	if w.stateOf(target) == stateFailed {
 		return old, false
 	}
 	if old == expected {
-		binary.LittleEndian.PutUint64(b[:], desired)
+		binary.NativeEndian.PutUint64(b[:], desired)
 		p.seg.writeAt(off, b[:])
 		p.noteWrite(off, 8, visibleAt)
 	}
@@ -321,7 +321,7 @@ func (p *PE) WaitUntil(off, n int64, pred func([]byte) bool) float64 {
 // WaitUntil64 blocks until cmp(word) holds for the local 64-bit word at off.
 func (p *PE) WaitUntil64(off int64, cmp func(uint64) bool) float64 {
 	return p.WaitUntil(off, 8, func(b []byte) bool {
-		return cmp(binary.LittleEndian.Uint64(b))
+		return cmp(binary.NativeEndian.Uint64(b))
 	})
 }
 

@@ -195,9 +195,10 @@ func ToAll[T pgas.Elem](pe *PE, op ReduceOp, dest, src Sym, n int) {
 	}
 	npes := pe.NumPEs()
 	// Seed dest with the local contribution.
-	raw := make([]byte, int64(n)*es)
-	pe.world.pw.Read(pe.p.ID, src.Off, raw)
-	pe.world.pw.Write(pe.p.ID, dest.Off, raw, pe.p.Clock.Now())
+	pw, me := pe.world.pw, pe.p.ID
+	acc := make([]T, n)
+	pw.Read(me, src.Off, pgas.Bytes(acc))
+	pw.Write(me, dest.Off, pgas.Bytes(acc), pe.p.Clock.Now())
 	if npes == 1 {
 		return
 	}
@@ -206,7 +207,6 @@ func ToAll[T pgas.Elem](pe *PE, op ReduceOp, dest, src Sym, n int) {
 	seq := pe.nextSeq()
 	rel := pe.MyPE() // reductions root at PE 0
 	rounds := ceilLog2(npes)
-	acc := make([]T, n)
 	part := make([]T, n)
 
 	// Gather: children push "ready", parents pull and combine.
@@ -222,12 +222,10 @@ func ToAll[T pgas.Elem](pe *PE, op ReduceOp, dest, src Sym, n int) {
 			continue
 		}
 		pe.awaitFlag(ctl, k, seq)
-		childRaw := Get[T](pe, childRel, dest, 0, n)
-		pe.world.pw.Read(pe.p.ID, dest.Off, raw)
-		pgas.DecodeSlice(acc, raw)
-		copy(part, childRaw)
+		pe.GetMem(childRel, dest, 0, pgas.Bytes(part))
+		pw.Read(me, dest.Off, pgas.Bytes(acc))
 		combine(op, acc, part)
-		pe.world.pw.Write(pe.p.ID, dest.Off, pgas.EncodeSlice[T](nil, acc), pe.p.Clock.Now())
+		pw.Write(me, dest.Off, pgas.Bytes(acc), pe.p.Clock.Now())
 	}
 	// Broadcast the result from PE 0 through the same tree.
 	pe.Broadcast(0, dest, int64(n)*es)

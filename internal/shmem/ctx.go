@@ -64,7 +64,7 @@ func (c *Ctx) PE() *PE { return c.pe }
 // context's Quiet — the PE-level Quiet does not complete it.
 func (c *Ctx) PutMemNBI(target int, sym Sym, off int64, data []byte) {
 	c.check()
-	c.pe.putMemNBI(&c.nbi, c.id, target, sym, off, data, nil)
+	c.pe.putMemNBI(&c.nbi, c.id, target, sym, off, data)
 }
 
 // GetMemNBI starts a nonblocking contiguous get on this context

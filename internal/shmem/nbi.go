@@ -30,15 +30,13 @@ import (
 // PutMemNBI starts a nonblocking contiguous put (shmem_putmem_nbi) on the
 // default context. The source buffer must stay unmodified until Quiet.
 func (pe *PE) PutMemNBI(target int, sym Sym, off int64, data []byte) {
-	pe.putMemNBI(&pe.nbi, 0, target, sym, off, data, nil)
+	pe.putMemNBI(&pe.nbi, 0, target, sym, off, data)
 }
 
 // putMemNBI is the shared nonblocking-put core for the default context and
 // created contexts: streams selects whose completion streams the op rides,
-// ctx its sanitizer scope. live, when non-nil, lets the sanitizer
-// re-materialise the caller's source buffer at Quiet so typed wrappers get
-// reuse detection against the buffer the user actually holds.
-func (pe *PE) putMemNBI(streams *fabric.NBIStreams, ctx int, target int, sym Sym, off int64, data []byte, live func() []byte) {
+// ctx its sanitizer scope.
+func (pe *PE) putMemNBI(streams *fabric.NBIStreams, ctx int, target int, sym Sym, off int64, data []byte) {
 	pe.checkTarget(target)
 	if len(data) == 0 {
 		return
@@ -47,11 +45,7 @@ func (pe *PE) putMemNBI(streams *fabric.NBIStreams, ctx int, target int, sym Sym
 		panic(fmt.Sprintf("shmem: put_nbi of %d bytes at offset %d overflows %d-byte symmetric object", len(data), off, sym.Size))
 	}
 	if san := pe.world.san; san != nil {
-		if live == nil {
-			d := data
-			live = func() []byte { return d }
-		}
-		san.recordPutNBI(pe.p.ID, ctx, target, sym.Off+off, int64(len(data)), data, live)
+		san.recordPutNBI(pe.p.ID, ctx, target, sym.Off+off, int64(len(data)), data)
 	}
 	pe.linkPenalty()
 	intra, pairs := pe.intra(target), pe.pairs()
@@ -144,7 +138,7 @@ func (pe *PE) PutMemVNBI(target int, sym Sym, offs []int64, runBytes int, src []
 			}
 			run := src[i*runBytes : (i+1)*runBytes]
 			if san != nil {
-				san.recordPutNBI(pe.p.ID, 0, target, sym.Off+off, int64(runBytes), run, func() []byte { return run })
+				san.recordPutNBI(pe.p.ID, 0, target, sym.Off+off, int64(runBytes), run)
 			}
 			pe.linkPenalty()
 			pe.p.Clock.Advance(prof.NBIInjectNs())
@@ -166,7 +160,7 @@ func (pe *PE) PutMemVNBI(target int, sym Sym, offs []int64, runBytes int, src []
 		}
 		if san != nil {
 			run := src[i*runBytes : (i+1)*runBytes]
-			san.recordPutNBI(pe.p.ID, 0, target, sym.Off+off, int64(runBytes), run, func() []byte { return run })
+			san.recordPutNBI(pe.p.ID, 0, target, sym.Off+off, int64(runBytes), run)
 		}
 		pe.linkPenalty()
 		pe.p.Clock.Advance(prof.NBIInjectNs())
@@ -199,7 +193,7 @@ func (pe *PE) IPutMemNBI(target int, sym Sym, off, dstStrideBytes int64, elemSiz
 		panic(fmt.Sprintf("shmem: iputmem_nbi overflows symmetric object (need %d bytes, have %d)", need, sym.Size))
 	}
 	if san := pe.world.san; san != nil {
-		san.recordPutNBI(pe.p.ID, 0, target, sym.Off+off, need-off, src, func() []byte { return src })
+		san.recordPutNBI(pe.p.ID, 0, target, sym.Off+off, need-off, src)
 	}
 	pe.linkPenalty()
 	intra, pairs := pe.intra(target), pe.pairs()
@@ -263,25 +257,16 @@ func (pe *PE) IGetMemNBI(target int, sym Sym, off, srcStrideBytes int64, elemSiz
 }
 
 // PutNBI starts a nonblocking typed put (the shmem_put_nbi family). vals must
-// stay unmodified until Quiet; the sanitizer re-encodes it at Quiet to catch
-// reuse of the caller's buffer, not just the marshalled copy.
+// stay unmodified until Quiet: the put streams vals' own bytes, and those are
+// what the sanitizer compares at Quiet with the snapshot it took at issue.
 func PutNBI[T pgas.Elem](pe *PE, target int, sym Sym, idx int, vals []T) {
-	es := int64(pgas.SizeOf[T]())
-	raw := pgas.EncodeSlice[T](nil, vals)
-	var live func() []byte
-	if pe.world.san != nil {
-		live = func() []byte { return pgas.EncodeSlice[T](nil, vals) }
-	}
-	pe.putMemNBI(&pe.nbi, 0, target, sym, int64(idx)*es, raw, live)
+	pe.PutMemNBI(target, sym, int64(idx)*int64(pgas.SizeOf[T]()), pgas.Bytes(vals))
 }
 
 // GetNBI starts a nonblocking typed get into dst (the shmem_get_nbi family).
 // dst is undefined until Quiet.
 func GetNBI[T pgas.Elem](pe *PE, target int, sym Sym, idx int, dst []T) {
-	es := int64(pgas.SizeOf[T]())
-	raw := make([]byte, int64(len(dst))*es)
-	pe.GetMemNBI(target, sym, int64(idx)*es, raw)
-	pgas.DecodeSlice(dst, raw)
+	pe.GetMemNBI(target, sym, int64(idx)*int64(pgas.SizeOf[T]()), pgas.Bytes(dst))
 }
 
 // NBIOutstanding returns the number of nonblocking ops issued on the default

@@ -1,7 +1,6 @@
 package shmem
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"cafshmem/internal/fabric"
@@ -66,31 +65,30 @@ func (pe *PE) GetMem(target int, sym Sym, off int64, dst []byte) {
 }
 
 // Put writes typed elements at element index idx of the symmetric object —
-// the typed shmem_put family.
+// the typed shmem_put family. vals goes to PutMem as the bytes it already is.
 func Put[T pgas.Elem](pe *PE, target int, sym Sym, idx int, vals []T) {
-	es := int64(pgas.SizeOf[T]())
-	pe.PutMem(target, sym, int64(idx)*es, pgas.EncodeSlice[T](nil, vals))
+	pe.PutMem(target, sym, int64(idx)*int64(pgas.SizeOf[T]()), pgas.Bytes(vals))
 }
 
 // Get reads n typed elements starting at element index idx of the symmetric
 // object — the typed shmem_get family.
 func Get[T pgas.Elem](pe *PE, target int, sym Sym, idx, n int) []T {
-	es := int64(pgas.SizeOf[T]())
-	raw := make([]byte, int64(n)*es)
-	pe.GetMem(target, sym, int64(idx)*es, raw)
 	out := make([]T, n)
-	pgas.DecodeSlice(out, raw)
+	pe.GetMem(target, sym, int64(idx)*int64(pgas.SizeOf[T]()), pgas.Bytes(out))
 	return out
 }
 
 // P writes a single element (shmem_p).
 func P[T pgas.Elem](pe *PE, target int, sym Sym, idx int, v T) {
-	Put(pe, target, sym, idx, []T{v})
+	one := [1]T{v}
+	Put(pe, target, sym, idx, one[:])
 }
 
 // G reads a single element (shmem_g).
 func G[T pgas.Elem](pe *PE, target int, sym Sym, idx int) T {
-	return Get[T](pe, target, sym, idx, 1)[0]
+	var one [1]T
+	pe.GetMem(target, sym, int64(idx)*int64(pgas.SizeOf[T]()), pgas.Bytes(one[:]))
+	return one[0]
 }
 
 // IPut performs the 1-D strided put — shmem_iput. dstIdx/srcIdx are element
@@ -121,17 +119,21 @@ func IPut[T pgas.Elem](pe *PE, target int, sym Sym, dstIdx, dstStride int, src [
 	prof := pe.world.prof
 	pe.p.Clock.Advance(prof.StridedInjectNs(nelems, int(es), intra, pairs))
 	lat := prof.DeliveryNs(intra, pairs)
-	// Gather the strided source elements densely into a pooled buffer, then
-	// scatter them with one vectored write (one target-lock acquisition).
-	bp := pgas.GetScratch()
-	buf := (*bp)[:0]
-	for k := 0; k < nelems; k++ {
-		buf = pgas.EncodeSlice[T](buf, src[srcIdx+k*srcStride:srcIdx+k*srcStride+1])
+	// One vectored write (one target-lock acquisition) takes the elements
+	// densely: a unit-stride source already is that, as the bytes of src
+	// itself; a strided one is gathered into the PE's staging buffer first.
+	var buf []byte
+	if srcStride == 1 {
+		buf = pgas.Bytes(src[srcIdx : srcIdx+nelems])
+	} else {
+		buf = pe.staging(nelems * int(es))
+		for k := 0; k < nelems; k++ {
+			pgas.Store(buf[k*int(es):], src[srcIdx+k*srcStride])
+		}
 	}
 	var vis float64
 	if pe.lossy(target) {
-		// One descriptor, one reliable message; apply runs synchronously so
-		// the pooled buffer is still live.
+		// One descriptor, one reliable message, applied before this returns.
 		vis, _ = pe.reliableSend(target, pe.p.Clock.Now(), lat, func(at float64) {
 			pe.world.pw.WriteV(target, sym.Off+int64(dstIdx)*es, int64(dstStride)*es, int(es), buf, at)
 		})
@@ -139,8 +141,6 @@ func IPut[T pgas.Elem](pe *PE, target int, sym Sym, dstIdx, dstStride int, src [
 		vis = pe.p.Clock.Now() + lat
 		pe.world.pw.WriteV(target, sym.Off+int64(dstIdx)*es, int64(dstStride)*es, int(es), buf, vis)
 	}
-	*bp = buf
-	pgas.PutScratch(bp)
 	pe.notePending(target, vis)
 }
 
@@ -169,17 +169,28 @@ func IGet[T pgas.Elem](pe *PE, target int, sym Sym, srcIdx, srcStride int, dst [
 	if pe.lossy(target) {
 		pe.reliableGet(target, start, prof.DeliveryNs(intra, pairs))
 	}
-	// Gather with one vectored read into a pooled buffer, then scatter into
-	// the caller's strided destination.
-	bp := pgas.GetScratch()
-	raw := pgas.ScratchLen(bp, nelems*int(es))
-	pe.world.pw.ReadV(target, sym.Off+int64(srcIdx)*es, int64(srcStride)*es, int(es), raw)
-	var one [1]T
-	for k := 0; k < nelems; k++ {
-		pgas.DecodeSlice(one[:], raw[int64(k)*es:int64(k+1)*es])
-		dst[dstIdx+k*dstStride] = one[0]
+	// One vectored read gathers the elements densely: straight into dst's
+	// own bytes when dst is unit-stride, else into the PE's staging buffer
+	// and from there to the caller's strided destination.
+	if dstStride == 1 {
+		pe.world.pw.ReadV(target, sym.Off+int64(srcIdx)*es, int64(srcStride)*es, int(es), pgas.Bytes(dst[dstIdx:dstIdx+nelems]))
+		return
 	}
-	pgas.PutScratch(bp)
+	raw := pe.staging(nelems * int(es))
+	pe.world.pw.ReadV(target, sym.Off+int64(srcIdx)*es, int64(srcStride)*es, int(es), raw)
+	for k := 0; k < nelems; k++ {
+		dst[dstIdx+k*dstStride] = pgas.Load[T](raw[k*int(es):])
+	}
+}
+
+// staging returns the PE's n-byte staging buffer, which makes a strided local
+// operand of IPut/IGet dense for one vectored transfer. It is valid until the
+// PE's next strided call and lives no longer than the PE.
+func (pe *PE) staging(n int) []byte {
+	if cap(pe.stage) < n {
+		pe.stage = make([]byte, n)
+	}
+	return pe.stage[:n]
 }
 
 // IPutMem is the byte-level 1-D strided put used by layered runtimes: nelems
@@ -374,8 +385,6 @@ func (pe *PE) PutSignal(target int, sym Sym, off int64, data []byte, sig Sym, si
 	prof := pe.world.prof
 	pe.p.Clock.Advance(prof.PutInjectNs(len(data)+8, intra, pairs))
 	lat := prof.DeliveryNs(intra, pairs)
-	var sigBytes [8]byte
-	binary.LittleEndian.PutUint64(sigBytes[:], uint64(sigVal))
 	if pe.lossy(target) {
 		// Data and signal travel as one message: either both land (at the
 		// same delivery time, preserving signal-mediated completion) or
@@ -384,7 +393,7 @@ func (pe *PE) PutSignal(target int, sym Sym, off int64, data []byte, sig Sym, si
 			if len(data) > 0 {
 				pe.world.pw.Write(target, sym.Off+off, data, at)
 			}
-			pe.world.pw.Write(target, sigOff, sigBytes[:], at)
+			pe.world.pw.WriteUint64(target, sigOff, uint64(sigVal), at)
 		})
 		pe.notePending(target, vis)
 		return
@@ -393,7 +402,7 @@ func (pe *PE) PutSignal(target int, sym Sym, off int64, data []byte, sig Sym, si
 	if len(data) > 0 {
 		pe.world.pw.Write(target, sym.Off+off, data, vis)
 	}
-	pe.world.pw.Write(target, sigOff, sigBytes[:], vis)
+	pe.world.pw.WriteUint64(target, sigOff, uint64(sigVal), vis)
 	pe.notePending(target, vis)
 }
 
@@ -427,15 +436,13 @@ func (pe *PE) putSignalNBI(streams *fabric.NBIStreams, target int, sym Sym, off 
 	pe.p.Clock.Advance(prof.NBIInjectNs())
 	transfer := prof.NBITransferNs(len(data)+8, intra, pairs)
 	lat := prof.DeliveryNs(intra, pairs)
-	var sigBytes [8]byte
-	binary.LittleEndian.PutUint64(sigBytes[:], uint64(sigVal))
 	if pe.lossy(target) {
 		streams.IssueAt(target, pe.p.Clock.Now(), transfer, func(wire float64) float64 {
 			done, _ := pe.reliableSend(target, wire, lat, func(at float64) {
 				if len(data) > 0 {
 					pe.world.pw.Write(target, sym.Off+off, data, at)
 				}
-				pe.world.pw.Write(target, sigOff, sigBytes[:], at)
+				pe.world.pw.WriteUint64(target, sigOff, uint64(sigVal), at)
 			})
 			return done
 		})
@@ -445,7 +452,7 @@ func (pe *PE) putSignalNBI(streams *fabric.NBIStreams, target int, sym Sym, off 
 	if len(data) > 0 {
 		pe.world.pw.Write(target, sym.Off+off, data, done)
 	}
-	pe.world.pw.Write(target, sigOff, sigBytes[:], done)
+	pe.world.pw.WriteUint64(target, sigOff, uint64(sigVal), done)
 }
 
 func (pe *PE) checkTarget(target int) {

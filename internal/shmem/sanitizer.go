@@ -57,20 +57,21 @@ type sanPut struct {
 	// context (completed by pe.Quiet), >0 a created Ctx (completed only by
 	// that context's Quiet/Destroy). Blocking puts always carry ctx 0.
 	ctx int
-	// Nonblocking ops additionally carry the source-buffer contract: snap is
-	// the payload as it was at issue; live re-materialises the caller's
-	// buffer at Quiet. A mismatch means the program modified the source of an
-	// in-flight put_nbi — on real hardware, data corruption.
+	// Nonblocking ops additionally carry the source-buffer contract: live is
+	// the caller's source buffer itself (for a typed put, the bytes of its
+	// slice) and snap the copy taken of it at issue. A mismatch at Quiet
+	// means the program modified the source of an in-flight put_nbi — on
+	// real hardware, data corruption.
 	nbi  bool
 	snap []byte
-	live func() []byte
+	live []byte
 }
 
 type sanitizer struct {
 	mu         sync.Mutex
-	pending    map[int][]sanPut       // origin PE -> outstanding puts
-	internal   map[int64]bool         // heap offsets owned by the runtime, not leaks
-	collHash   map[int]uint64         // per-PE FNV-1a chain over collective calls
+	pending    map[int][]sanPut // origin PE -> outstanding puts
+	internal   map[int64]bool   // heap offsets owned by the runtime, not leaks
+	collHash   map[int]uint64   // per-PE FNV-1a chain over collective calls
 	collCount  map[int]int
 	held       map[int]map[string]int // PE -> lock name -> acquire depth
 	violations []Violation
@@ -135,16 +136,16 @@ func (s *sanitizer) checkRead(reader, target int, off, size int64) {
 }
 
 // recordPutNBI notes an outstanding nonblocking write together with its
-// source-buffer contract. ctx is the issuing context (0 = default); snap is
-// copied; live is evaluated at quiesce.
-func (s *sanitizer) recordPutNBI(origin, ctx, target int, off, size int64, snap []byte, live func() []byte) {
+// source-buffer contract. ctx is the issuing context (0 = default); src is
+// snapshotted here and compared with its snapshot at quiesce.
+func (s *sanitizer) recordPutNBI(origin, ctx, target int, off, size int64, src []byte) {
 	if size <= 0 {
 		return
 	}
 	s.mu.Lock()
 	s.pending[origin] = append(s.pending[origin], sanPut{
 		origin: origin, target: target, off: off, size: size, ctx: ctx,
-		nbi: true, snap: append([]byte(nil), snap...), live: live,
+		nbi: true, snap: append([]byte(nil), src...), live: src,
 	})
 	s.mu.Unlock()
 }
@@ -163,10 +164,7 @@ func (s *sanitizer) completeWhere(origin int, keep func(sanPut) bool) {
 			kept = append(kept, p)
 			continue
 		}
-		if !p.nbi || p.live == nil {
-			continue
-		}
-		if cur := p.live(); !bytes.Equal(cur, p.snap) {
+		if p.nbi && !bytes.Equal(p.live, p.snap) {
 			s.violations = append(s.violations, Violation{
 				Kind: "nbi-src-reuse",
 				PE:   origin,

@@ -64,6 +64,9 @@ type PE struct {
 	// retry exhaustion, in declaration order. Sticky: once a link is given
 	// up every later completion point reports or escalates it.
 	unreach []int
+	// stage is the gather/scatter buffer of IPut/IGet with a strided local
+	// operand (see staging).
+	stage []byte
 }
 
 // newPE wires a PE handle: the default context's completion streams share the
