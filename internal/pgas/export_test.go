@@ -39,7 +39,9 @@ func (w *World) Scribble() {
 	for _, p := range w.pes {
 		p.mu.Lock()
 		for _, pg := range p.seg.pages {
-			dirtySegPage(pg)
+			if pg != nil {
+				dirtySegPage(pg[:])
+			}
 		}
 		for _, pg := range p.ts.pages {
 			dirtyTsPage(pg)

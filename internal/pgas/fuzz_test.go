@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzSegStore drives the one-sided memory substrate — dense Write/Read,
-// Touch, and the vectored WriteRuns/ReadRuns paths, all backed by the 64 KiB
+// Touch, and the vectored WriteRuns/ReadRuns paths, all backed by the
 // paged segment store — with a fuzz-decoded op program, mirroring every write
 // against a flat zero-initialised reference array. Any divergence between a
 // paged read and the dense reference (page-boundary straddles, reads of

@@ -104,10 +104,12 @@ func churnWorld(t *testing.T, payload []byte) (uint64, PageStats) {
 
 // TestWorldChurnAllocBytes is the gate on what this life cycle buys: once two
 // worlds have come and gone, twenty more of the same shape materialise their
-// 47 segment pages and 256 timestamp pages each from recycled memory — under
-// 64 KiB of new page memory over all twenty, where every world used to cost
-// 4 MiB — and the traffic allocates nothing but page tables.
+// segment pages (the 1 MiB put's, and on each of the 31 other partitions those
+// its eight flags fall in) and 256 timestamp pages each from recycled memory — under one
+// segment page of new memory over all twenty, where every world used to cost
+// megabytes — and the traffic allocates nothing but page tables.
 func TestWorldChurnAllocBytes(t *testing.T) {
+	const flagPages = (8*tsPageBytes + segPageSize - 1) / segPageSize
 	if RaceEnabled {
 		t.Skip("under -race sync.Pool drops a quarter of what is put into it")
 	}
@@ -121,27 +123,29 @@ func TestWorldChurnAllocBytes(t *testing.T) {
 	}
 	churnWorld(t, payload)
 	churnWorld(t, payload)
+	// PE 0's flags fall inside the payload's pages; every other partition
+	// materialises the pages under its eight flags, one timestamp page apart.
+	segPages := len(payload)/int(segPageSize) + 31*int(flagPages)
 	var bytes uint64
 	var pages PageStats
 	for i := 0; i < 20; i++ {
 		b, s := churnWorld(t, payload)
 		bytes += b
-		if s.SegPages != 16+31 || s.TsPages != 256 {
-			t.Fatalf("world %d materialised %d segment and %d timestamp pages, want 47 and 256", i, s.SegPages, s.TsPages)
+		if s.SegPages != segPages || s.TsPages != 256 {
+			t.Fatalf("world %d materialised %d segment and %d timestamp pages, want %d and 256", i, s.SegPages, s.TsPages, segPages)
 		}
 		pages.FreshBytes += s.FreshBytes
 		pages.ClearedBytes += s.ClearedBytes
 	}
-	if pages.FreshBytes >= 64<<10 {
-		t.Errorf("20 worlds took %d KiB of new page memory, want < 64 KiB (each materialises %d KiB)",
-			pages.FreshBytes>>10, (47*segPageSize+256*tsPageBytes)>>10)
+	if pages.FreshBytes >= segPageSize {
+		t.Errorf("20 worlds took %d KiB of new page memory, want < %d KiB (each materialises %d KiB)",
+			pages.FreshBytes>>10, segPageSize>>10, (int64(segPages)*segPageSize+256*tsPageBytes)>>10)
 	}
-	// The 1 MiB put covers its 16 pages exactly, so only the 31 other
-	// partitions' flag pages and the timestamp pages are cleared: under
-	// 3 MiB a world, not 4.
-	if perWorld := pages.ClearedBytes / 20; perWorld > 31*segPageSize+256*tsPageBytes {
+	// The 1 MiB put covers its pages exactly, so only the 31 other
+	// partitions' flag pages and the timestamp pages are cleared.
+	if perWorld := pages.ClearedBytes / 20; perWorld > 31*flagPages*segPageSize+256*tsPageBytes {
 		t.Errorf("cleared %d KiB per world on hand-out, want at most %d KiB: the bulk put's pages must not be cleared",
-			perWorld>>10, (31*segPageSize+256*tsPageBytes)>>10)
+			perWorld>>10, (31*flagPages*segPageSize+256*tsPageBytes)>>10)
 	}
 	// What is left is the partitions' page tables (a few hundred bytes per PE
 	// that was written to): well under 1 MiB for all twenty worlds.

@@ -25,7 +25,10 @@ import (
 //
 // All methods must be called with the owning PE's mu held.
 type segStore struct {
-	pages  [][]byte
+	// pages is the page table, nil where nothing was stored. It spans the
+	// highest offset written, so its entries are array pointers, a third the
+	// size of slice headers.
+	pages  []*[segPageSize]byte
 	length int64 // logical extent: the high-water mark of ensure()
 	// Observability (World.PageStats): pages materialised since the store was
 	// created, how many of them were new memory rather than recycled, and the
@@ -36,7 +39,12 @@ type segStore struct {
 }
 
 const (
-	segPageShift = 16 // 64 KiB pages
+	// 16 KiB pages. A page is the unit a first write materialises (and, on
+	// a recycled page, clears), so the size trades the waste of a flag-sized
+	// write against the per-page walk of a bulk one and the length of the
+	// page table: at 64 KiB the DHT's 2048 lock and bucket words cost
+	// 128 MiB of pages (DESIGN.md "Partition memory life cycle").
+	segPageShift = 14
 	segPageSize  = int64(1) << segPageShift
 	segPageMask  = segPageSize - 1
 )
@@ -72,7 +80,7 @@ func (s *segStore) page(w, lo, hi int64) []byte {
 	pn := w >> segPageShift
 	if pn < int64(len(s.pages)) {
 		if pg := s.pages[pn]; pg != nil {
-			return pg
+			return pg[:]
 		}
 	}
 	if pn >= int64(len(s.pages)) {
@@ -83,23 +91,22 @@ func (s *segStore) page(w, lo, hi int64) []byte {
 		for newLen <= pn {
 			newLen *= 2
 		}
-		np := make([][]byte, newLen)
+		np := make([]*[segPageSize]byte, newLen)
 		copy(np, s.pages)
 		s.pages = np
 	}
-	var pg []byte
-	if rp, ok := segPagePool.Get().(*[segPageSize]byte); ok {
-		pg = rp[:]
+	pg, ok := segPagePool.Get().(*[segPageSize]byte)
+	if ok {
 		clear(pg[:lo])
 		clear(pg[hi:])
 		s.cleared += segPageSize - (hi - lo)
 	} else {
-		pg = make([]byte, segPageSize)
+		pg = new([segPageSize]byte)
 		s.fresh++
 	}
 	s.pages[pn] = pg
 	s.materialised++
-	return pg
+	return pg[:]
 }
 
 // readPage returns the page containing byte off for reading: the materialised
@@ -107,7 +114,7 @@ func (s *segStore) page(w, lo, hi int64) []byte {
 func (s *segStore) readPage(off int64) []byte {
 	if pn := off >> segPageShift; pn < int64(len(s.pages)) {
 		if pg := s.pages[pn]; pg != nil {
-			return pg
+			return pg[:]
 		}
 	}
 	return segZeroPage
@@ -118,7 +125,7 @@ func (s *segStore) readPage(off int64) []byte {
 func (s *segStore) release() {
 	for _, pg := range s.pages {
 		if pg != nil {
-			segPagePool.Put((*[segPageSize]byte)(pg))
+			segPagePool.Put(pg)
 		}
 	}
 	s.pages = nil

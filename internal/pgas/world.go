@@ -303,11 +303,11 @@ func (w *World) Close() {
 }
 
 // PageStats is how much partition memory a world materialised, summed over
-// its partitions: 64 KiB segment pages and 4 KiB timestamp pages, how much
-// of that was new memory rather than pages recycled from closed worlds, and
-// the bytes cleared while handing out recycled pages (a fresh page, and the
-// span a segment page's first write covers, are not cleared; see
-// segStore.page).
+// its partitions: segment pages (segPageSize bytes each) and 4 KiB timestamp
+// pages, how much of that was new memory rather than pages recycled from
+// closed worlds, and the bytes cleared while handing out recycled pages (a
+// fresh page, and the span a segment page's first write covers, are not
+// cleared; see segStore.page).
 type PageStats struct {
 	SegPages     int
 	TsPages      int
