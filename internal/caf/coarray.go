@@ -1,7 +1,6 @@
 package caf
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"cafshmem/internal/pgas"
@@ -244,7 +243,7 @@ func (c *Coarray[T]) WaitLocal(cmp pgas.Cmp, value T, idx ...int) {
 	if _, signed := any(value).(int64); !signed && cmp != pgas.CmpEQ && cmp != pgas.CmpNE {
 		panic(fmt.Sprintf("caf: WaitLocal compares words as signed 64-bit integers: an ordered comparison requires int64 elements, have %T", value))
 	}
-	operand := int64(binary.NativeEndian.Uint64(c.elemBytes(value)))
+	operand := pgas.Load[int64](c.elemBytes(value)) // the element's bits as the signed word the wait compares
 	c.img.tr.WaitLocal64(c.byteOff(idx), cmp, operand)
 }
 

@@ -13,7 +13,6 @@
 package caf
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"cafshmem/internal/fabric"
@@ -285,7 +284,7 @@ func (img *Image) awaitImage(j int) {
 // putWord writes one 64-bit control word into image index target's (0-based)
 // partition with an ordinary put, staged through the image's word buffer.
 func (img *Image) putWord(target int, off int64, v uint64) {
-	binary.NativeEndian.PutUint64(img.word[:], v)
+	pgas.Store(img.word[:], v)
 	img.tr.PutMem(target, off, img.word[:])
 }
 
