@@ -51,13 +51,18 @@ go test -run 'TestSignalOverlapFasterThanBarrierOverlap' -count=1 ./internal/him
 
 echo "==> transport conformance (shared battery, per-transport, bounded wall time)"
 # Every transport runs the full semantic battery on its own budget, so a
-# hang in one backend names that backend instead of stalling the gate.
-for tr in shmem gasnet mpi3; do
+# hang in one backend names that backend instead of stalling the gate. The
+# transports are TestConformance's first-level subtests (conformance.Cases):
+# a new backend is gated by being listed there, not here.
+transports=$(timeout 120 go test -run '^TestConformance$' -v -count=1 ./internal/caf/conformance |
+    sed -n 's|^=== RUN   TestConformance/\([^/]*\)$|\1|p')
+[ -n "$transports" ] || { echo "check.sh: TestConformance has no per-transport subtests" >&2; exit 1; }
+for tr in $transports; do
     timeout 120 go test -run "^TestConformance/${tr}$" -count=1 ./internal/caf/conformance
 done
 
-echo "==> transport differential gate (bit-exact blocking paths, pinned divergences)"
-timeout 120 go test -run 'TestDifferentialBlockingExact|TestGASNetAtomicDivergenceExact|TestGASNetSignalDivergenceExact|TestMPI3WindowSyncSurchargeExact' -count=1 ./internal/caf/conformance
+echo "==> transport differential gate (bit-exact blocking paths, pinned divergences: every Test...Exact)"
+timeout 120 go test -run 'Exact$' -count=1 ./internal/caf/conformance
 
 echo "==> chaos-loss smoke (lossy fabric: retransmit/dup/kill replays, bounded wall time)"
 # A retry-exhaustion or watchdog bug would show up as a hang; the timeout

@@ -25,16 +25,14 @@ func main() {
 	maxImages := flag.Int("images", 1024, "maximum image count")
 	buckets := flag.Int("buckets", 128, "hash buckets per image")
 	updates := flag.Int("updates", 50, "random locked updates per image")
-	engineName := flag.String("engine", "goroutine", "pgas execution engine: goroutine (one scheduled goroutine per image) or event (bounded worker pool; use for 1k+ images)")
-	workers := flag.Int("workers", 0, "event-engine worker pool size (0 = GOMAXPROCS)")
-	barrierShards := flag.Int("barriershards", 0, "world-barrier combining-tree shard count (0 = auto, one shard per 256 images; results are bit-identical across layouts)")
+	engineFlags := pgasbench.EngineFlags(flag.CommandLine)
 	transport := flag.String("transport", "", "run the locked-update sweep on ONE Stampede transport backend (shmem, gasnet, or mpi3) instead of the Figure-9 trio")
 	faultPlan := flag.String("faultplan", "", "JSON fault-plan file: run one chaos replay under the plan instead of Figure 9")
 	faultSeed := flag.Uint64("faultseed", 0, "nonzero: chaos replay under a seeded lossy plan (drops, delay jitter, dups, one kill)")
 	chaosImages := flag.Int("chaos-images", 8, "image count for the chaos replay")
 	flag.Parse()
 
-	engine, err := pgas.ParseEngine(*engineName)
+	eng, err := engineFlags()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dht-bench:", err)
 		os.Exit(2)
@@ -46,7 +44,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dht-bench:", err)
 			os.Exit(1)
 		}
-		chaosReplay(plan, *chaosImages, *buckets, *updates, pgasbench.EngineOpts{Engine: engine, Workers: *workers, BarrierShards: *barrierShards})
+		chaosReplay(plan, *chaosImages, *buckets, *updates, eng)
 		return
 	}
 
@@ -56,11 +54,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dht-bench:", err)
 			os.Exit(2)
 		}
-		transportSweep(kind, *maxImages, *buckets, *updates, pgasbench.EngineOpts{Engine: engine, Workers: *workers, BarrierShards: *barrierShards})
+		transportSweep(kind, *maxImages, *buckets, *updates, eng)
 		return
 	}
 
-	f := pgasbench.Fig9Engine(*maxImages, *buckets, *updates, pgasbench.EngineOpts{Engine: engine, Workers: *workers, BarrierShards: *barrierShards})
+	f := pgasbench.Fig9Engine(*maxImages, *buckets, *updates, eng)
 	fmt.Print(f.Render())
 
 	p := f.Panels[0]
@@ -78,9 +76,9 @@ func main() {
 // transport backend (-transport shmem|gasnet|mpi3), printing a time table —
 // the per-backend view of the Figure-9 comparison on the machine whose three
 // transports the conformance suite covers.
-func transportSweep(kind caf.TransportKind, maxImages, buckets, updates int, eng pgasbench.EngineOpts) {
+func transportSweep(kind caf.TransportKind, maxImages, buckets, updates int, eng pgas.Options) {
 	opts := pgasbench.TransportOptions(kind)
-	opts.Engine, opts.Workers, opts.BarrierShards = eng.Engine, eng.Workers, eng.BarrierShards
+	opts.Options = eng
 	fmt.Printf("DHT on Stampede, transport=%v, %d buckets/image, %d updates/image\n",
 		kind, buckets, updates)
 	fmt.Printf("%8s %12s   %s\n", "images", "time (ms)", "partition memory")
@@ -115,10 +113,10 @@ func loadPlan(path string, seed uint64, images int) (*fabric.FaultPlan, error) {
 // fixed engine the replay is bit-identical; across engines it can differ,
 // because the images race on contended locks and arrival order at a contended
 // atomic is host-arbitrated (see internal/pgas/engine.go).
-func chaosReplay(plan *fabric.FaultPlan, images, buckets, updates int, eng pgasbench.EngineOpts) {
+func chaosReplay(plan *fabric.FaultPlan, images, buckets, updates int, eng pgas.Options) {
 	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
 	opts.FaultPlan = plan
-	opts.Engine, opts.Workers, opts.BarrierShards = eng.Engine, eng.Workers, eng.BarrierShards
+	opts.Options = eng
 
 	stats := make([]caf.Stat, images)
 	applied := make([]int, images)

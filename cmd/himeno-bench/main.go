@@ -26,16 +26,14 @@ func main() {
 	ny := flag.Int("ny", 256, "global grid extent in y (decomposed dimension)")
 	nz := flag.Int("nz", 16, "global grid extent in z")
 	iters := flag.Int("iters", 3, "Jacobi iterations")
-	engineName := flag.String("engine", "goroutine", "pgas execution engine: goroutine (one scheduled goroutine per image) or event (bounded worker pool; use for 1k+ images)")
-	workers := flag.Int("workers", 0, "event-engine worker pool size (0 = GOMAXPROCS)")
-	barrierShards := flag.Int("barriershards", 0, "world-barrier combining-tree shard count (0 = auto, one shard per 256 images; results are bit-identical across layouts)")
+	engineFlags := pgasbench.EngineFlags(flag.CommandLine)
 	transport := flag.String("transport", "", "run the sweep on ONE Stampede transport backend (shmem, gasnet, or mpi3) instead of the Figure-10 pair")
 	faultPlan := flag.String("faultplan", "", "JSON fault-plan file: run one chaos replay under the plan instead of Figure 10")
 	faultSeed := flag.Uint64("faultseed", 0, "nonzero: chaos replay under a seeded lossy plan (drops, delay jitter, dups, one kill)")
 	chaosImages := flag.Int("chaos-images", 8, "image count for the chaos replay")
 	flag.Parse()
 
-	engine, err := pgas.ParseEngine(*engineName)
+	eng, err := engineFlags()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "himeno-bench:", err)
 		os.Exit(2)
@@ -48,7 +46,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "himeno-bench:", err)
 			os.Exit(1)
 		}
-		chaosReplay(plan, *chaosImages, prm, pgasbench.EngineOpts{Engine: engine, Workers: *workers, BarrierShards: *barrierShards})
+		chaosReplay(plan, *chaosImages, prm, eng)
 		return
 	}
 
@@ -58,11 +56,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "himeno-bench:", err)
 			os.Exit(2)
 		}
-		transportSweep(kind, *maxImages, prm, pgasbench.EngineOpts{Engine: engine, Workers: *workers, BarrierShards: *barrierShards})
+		transportSweep(kind, *maxImages, prm, eng)
 		return
 	}
 
-	f := pgasbench.Fig10Engine(*maxImages, prm, pgasbench.EngineOpts{Engine: engine, Workers: *workers, BarrierShards: *barrierShards})
+	f := pgasbench.Fig10Engine(*maxImages, prm, eng)
 	fmt.Print(f.Render())
 
 	p := f.Panels[0]
@@ -76,9 +74,9 @@ func main() {
 // (-transport shmem|gasnet|mpi3), printing an MFLOPS table — the per-backend
 // view of the Figure-10 comparison, sharing its image counts and the
 // canonical per-transport options (pgasbench.TransportOptions).
-func transportSweep(kind caf.TransportKind, maxImages int, prm himeno.Params, eng pgasbench.EngineOpts) {
+func transportSweep(kind caf.TransportKind, maxImages int, prm himeno.Params, eng pgas.Options) {
 	opts := pgasbench.TransportOptions(kind)
-	opts.Engine, opts.Workers, opts.BarrierShards = eng.Engine, eng.Workers, eng.BarrierShards
+	opts.Options = eng
 	fmt.Printf("Himeno on Stampede, transport=%v, grid %dx%dx%d, %d iters\n",
 		kind, prm.NX, prm.NY, prm.NZ, prm.Iters)
 	fmt.Printf("%8s %12s %12s   %s\n", "images", "MFLOPS", "time (ms)", "partition memory")
@@ -110,14 +108,14 @@ func loadPlan(path string, seed uint64, images int) (*fabric.FaultPlan, error) {
 
 // chaosReplay runs the fault-aware signal-overlap solver once under plan and
 // reports what the fault machinery observed. The replay is bit-identical on
-// either engine and any barrier shard layout — -engine, -workers and
-// -barriershards only change how the run spends host time.
-func chaosReplay(plan *fabric.FaultPlan, images int, prm himeno.Params, eng pgasbench.EngineOpts) {
+// either engine — -engine and -workers only change how the run spends host
+// time.
+func chaosReplay(plan *fabric.FaultPlan, images int, prm himeno.Params, eng pgas.Options) {
 	prm.FaultAware = true
 	prm.Overlap = true
 	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
 	opts.FaultPlan = plan
-	opts.Engine, opts.Workers, opts.BarrierShards = eng.Engine, eng.Workers, eng.BarrierShards
+	opts.Options = eng
 
 	fmt.Printf("chaos replay: %d images, plan %v\n", images, plan)
 	res, err := himeno.Run(opts, images, prm)

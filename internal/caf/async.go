@@ -1,11 +1,5 @@
 package caf
 
-import (
-	"fmt"
-
-	"cafshmem/internal/pgas"
-)
-
 // Asynchronous co-indexed writes over OpenSHMEM nonblocking RMA
 // (shmem_put_nbi, OpenSHMEM 1.3 §9.5). The paper's §IV-B translation issues a
 // quiet after every put; PutAsync instead leaves the transfer in flight so
@@ -31,66 +25,10 @@ import (
 // vals is copied before PutAsync returns. Remote completion — and any
 // failed-image report — is deferred to the next SyncMemory/SyncMemoryStat (or
 // any full synchronisation, e.g. SyncAll).
-func (c *Coarray[T]) PutAsync(j int, sec Section, vals []T) {
-	c.img.pollFault()
-	c.img.checkImage(j)
-	if err := sec.validate(c.shape); err != nil {
-		panic(err)
-	}
-	if sec.NumElems() != len(vals) {
-		panic(fmt.Sprintf("caf: section selects %d elements but %d values given", sec.NumElems(), len(vals)))
-	}
-	if c.img.nbi == nil {
-		// No nonblocking surface: fall back to the blocking §IV-B translation.
-		c.putSection(j-1, sec, vals)
-		c.img.maybeQuiet()
-		return
-	}
-	c.putSectionNBI(j-1, sec, vals)
-}
+func (c *Coarray[T]) PutAsync(j int, sec Section, vals []T) { c.put(j, sec, vals, true) }
 
 // PutFullAsync writes the entire local array of image j asynchronously.
 func (c *Coarray[T]) PutFullAsync(j int, vals []T) { c.PutAsync(j, All(c.shape...), vals) }
-
-// putSectionNBI mirrors putSection over the nonblocking transport surface.
-// Where putSection hands the transport vals' own bytes, this hands it a fresh
-// copy of them (snapshot): that copy is PutAsync's snapshot-at-issue contract
-// — the payload is retained past the call, so by pgas/buffer.go's rule it is
-// copied — and the runtime (and the sanitizer's live view) owns it until the
-// next Quiet, so it is never pooled either: recycling it before then would be
-// exactly the source-reuse bug the checker exists to catch.
-func (c *Coarray[T]) putSectionNBI(target int, sec Section, vals []T) {
-	nbi := c.img.nbi
-	es := int64(c.es)
-
-	runDims, runElems := c.contigRun(sec)
-	if runDims == len(sec) {
-		nbi.PutMemNBI(target, c.secLowOff(sec), snapshot(vals))
-		c.img.Stats.AsyncPuts++
-		return
-	}
-
-	switch c.img.opts.Strided {
-	case StridedNaive:
-		// One vectored nonblocking call covering every contiguous run.
-		offs := c.appendRunOffs(make([]int64, 0, len(vals)/runElems), sec, runDims)
-		nbi.PutMemVNBI(target, offs, runElems*c.es, snapshot(vals))
-		c.img.Stats.AsyncPuts += int64(len(offs))
-	default: // 1dim, 2dim, vendor: 1-D strided nonblocking calls per pencil
-		base := c.baseDim(sec)
-		strideBytes := int64(sec[base].Step) * c.strides[base] * es
-		c.eachPencil(sec, base, func(byteOff int64, gather []T) {
-			nbi.PutStrided1DNBI(target, byteOff, strideBytes, c.es, snapshot(gather))
-			c.img.Stats.AsyncPuts++
-			c.img.Stats.StridedCalls++
-		}, vals, nil)
-	}
-}
-
-// snapshot returns a copy of vals' bytes that the runtime owns.
-func snapshot[T pgas.Elem](vals []T) []byte {
-	return append([]byte(nil), pgas.Bytes(vals)...)
-}
 
 // SyncMemory executes "sync memory": completes all outstanding communication
 // of this image — blocking puts and every async transfer in flight — without
@@ -106,14 +44,8 @@ func (img *Image) SyncMemory() {
 // nonblocking transfer has failed, it returns StatFailedImage (the transfer
 // to the corpse is dropped; transfers to survivors complete normally).
 func (img *Image) SyncMemoryStat() Stat {
-	if img.nbi == nil {
-		img.SyncMemory()
-		return StatOK
-	}
 	img.pollFault()
-	err := img.nbi.QuietStat()
-	img.Stats.Quiets++
-	return statFromErr(err)
+	return statFromErr(img.complete(-1, true))
 }
 
 // SyncMemoryImage completes this image's outstanding communication toward
@@ -126,12 +58,7 @@ func (img *Image) SyncMemoryStat() Stat {
 func (img *Image) SyncMemoryImage(j int) {
 	img.pollFault()
 	img.checkImage(j)
-	if img.nbi == nil {
-		img.quiet()
-		return
-	}
-	img.nbi.QuietImage(j - 1)
-	img.Stats.Quiets++
+	_ = img.complete(j-1, false) // no stat: nothing to report
 }
 
 // SyncMemoryImageStat is SyncMemoryImage with failed-image reporting: it
@@ -140,10 +67,5 @@ func (img *Image) SyncMemoryImage(j int) {
 func (img *Image) SyncMemoryImageStat(j int) Stat {
 	img.pollFault()
 	img.checkImage(j)
-	if img.nbi == nil {
-		return img.SyncMemoryStat()
-	}
-	err := img.nbi.QuietImageStat(j - 1)
-	img.Stats.Quiets++
-	return statFromErr(err)
+	return statFromErr(img.complete(j-1, true))
 }

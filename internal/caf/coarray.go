@@ -28,18 +28,8 @@ type Coarray[T pgas.Elem] struct {
 // runtime form of "allocate(x(shape)[*])". Every image must call it in the
 // same order. The cobounds default to [*] (flat image indexing).
 func Allocate[T pgas.Elem](img *Image, shape ...int) *Coarray[T] {
-	shape, strides, n := coarrayGeometry(shape)
-	es := pgas.SizeOf[T]()
-	off := img.tr.Malloc(int64(n) * int64(es))
-	return &Coarray[T]{
-		img:     img,
-		shape:   shape,
-		strides: strides,
-		codims:  []int{0}, // [*]
-		off:     off,
-		n:       n,
-		es:      es,
-	}
+	c, _ := allocate[T](img, shape, false)
+	return c
 }
 
 // AllocateStat is Allocate with Fortran 2018 failed-image semantics:
@@ -49,13 +39,16 @@ func Allocate[T pgas.Elem](img *Image, shape ...int) *Coarray[T] {
 // returned coarray is usable by the survivors. Without fault support it is
 // exactly Allocate.
 func AllocateStat[T pgas.Elem](img *Image, shape ...int) (*Coarray[T], Stat) {
-	if img.fault == nil {
-		return Allocate[T](img, shape...), StatOK
+	if img.ftMode {
+		img.pollFault()
 	}
-	img.pollFault()
+	return allocate[T](img, shape, img.ftMode)
+}
+
+func allocate[T pgas.Elem](img *Image, shape []int, stat bool) (*Coarray[T], Stat) {
 	shape, strides, n := coarrayGeometry(shape)
 	es := pgas.SizeOf[T]()
-	off, err := img.fault.MallocStat(int64(n) * int64(es))
+	off, err := img.be.malloc(int64(n)*int64(es), stat)
 	return &Coarray[T]{
 		img:     img,
 		shape:   shape,
@@ -154,7 +147,7 @@ func (c *Coarray[T]) ElemSize() int { return c.es }
 
 // Deallocate collectively releases the coarray ("deallocate" -> shfree).
 func (c *Coarray[T]) Deallocate() {
-	c.img.tr.Free(c.off, int64(c.n)*int64(c.es))
+	c.img.be.free(c.off, int64(c.n)*int64(c.es))
 	c.off = -1
 }
 
@@ -244,20 +237,15 @@ func (c *Coarray[T]) WaitLocal(cmp pgas.Cmp, value T, idx ...int) {
 		panic(fmt.Sprintf("caf: WaitLocal compares words as signed 64-bit integers: an ordered comparison requires int64 elements, have %T", value))
 	}
 	operand := pgas.Load[int64](c.elemBytes(value)) // the element's bits as the signed word the wait compares
-	c.img.tr.WaitLocal64(c.byteOff(idx), cmp, operand)
+	c.img.wait(c.byteOff(idx), cmp, operand)
 }
 
 // elemBytes stages one element's bytes in the image's control-word buffer —
 // a single value has no slice of its own for pgas.Bytes to view, and one on
-// this frame would escape through the transport interface. The result is
+// this frame would escape through the backend interface. The result is
 // valid until the image's next control-word operation.
 func (c *Coarray[T]) elemBytes(v T) []byte {
 	b := c.img.word[:c.es]
 	pgas.Store(b, v)
 	return b
 }
-
-// localMem is the little escape hatch transports provide for zero-cost local
-// loads/stores (Fortran local array accesses do not go through the network);
-// newImage resolves it once into Image.local.
-type localMem interface{ pgasPE() *pgas.PE }

@@ -1,5 +1,5 @@
 // Package conformance is the transport conformance suite: one battery of
-// semantic checks that every caf.Transport must pass, parameterised over the
+// semantic checks that every caf transport must pass, parameterised over the
 // backends (OpenSHMEM, GASNet, MPI-3 RMA). The battery pins the portable
 // contract — blocking, vectored and strided RMA, the nonblocking surface and
 // its Quiet/Fence completion semantics, put-with-signal, remote atomics,
@@ -21,6 +21,7 @@
 package conformance
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -29,47 +30,26 @@ import (
 	"cafshmem/internal/fabric"
 )
 
-// Caps declares which optional surfaces a transport implements natively.
-// The battery uses it to flip between "must overlap" and "must degrade
-// gracefully" assertions — a capability a transport lacks must fall back to
-// the blocking path with identical observable semantics, never fail.
-type Caps struct {
-	// NBI: PutAsync issues genuinely nonblocking transfers (Stats.AsyncPuts
-	// counts them) completed by SyncMemory/SyncMemoryImage. Without it the
-	// async API must degrade to blocking puts, leaving AsyncPuts at zero.
-	NBI bool
-	// FaultStat: the transport supports fabric.FaultPlan injection and the
-	// STAT-bearing APIs. Without it caf.Run must reject fault options with
-	// the documented error rather than silently ignoring the plan.
-	FaultStat bool
-}
-
 // Case is one transport under test.
 type Case struct {
 	Name string
 	Opts func() caf.Options
-	Caps Caps
 }
+
+// Caps is what the transport provides natively (caf.TransportKind.Caps, the
+// runtime's own table). The battery uses it to flip between "must overlap"
+// and "must degrade gracefully" assertions — a capability a transport lacks
+// must fall back to the blocking path with identical observable semantics,
+// never fail.
+func (c Case) Caps() caf.Caps { return c.Opts().Transport.Caps() }
 
 // Cases returns the transport matrix on the Stampede machine model — the one
 // platform the paper measures all three libraries on (§III, Figs 2–3).
 func Cases() []Case {
 	return []Case{
-		{
-			Name: "shmem",
-			Opts: caf.UHCAFOverMV2XSHMEM,
-			Caps: Caps{NBI: true, FaultStat: true},
-		},
-		{
-			Name: "gasnet",
-			Opts: func() caf.Options { return caf.UHCAFOverGASNet(fabric.Stampede(), fabric.ProfGASNetIBV) },
-			Caps: Caps{NBI: true},
-		},
-		{
-			Name: "mpi3",
-			Opts: caf.UHCAFOverMV2XMPI3,
-			Caps: Caps{},
-		},
+		{Name: "shmem", Opts: caf.UHCAFOverMV2XSHMEM},
+		{Name: "gasnet", Opts: func() caf.Options { return caf.UHCAFOverGASNet(fabric.Stampede(), fabric.ProfGASNetIBV) }},
+		{Name: "mpi3", Opts: caf.UHCAFOverMV2XMPI3},
 	}
 }
 
@@ -79,7 +59,8 @@ func RunBattery(t *testing.T, c Case) {
 	t.Run("blocking-rma", func(t *testing.T) { batteryBlockingRMA(t, c.Opts()) })
 	t.Run("vectored-rma", func(t *testing.T) { batteryVectoredRMA(t, c.Opts()) })
 	t.Run("strided-rma", func(t *testing.T) { batteryStridedRMA(t, c.Opts()) })
-	t.Run("nbi-quiet", func(t *testing.T) { batteryNBIQuiet(t, c.Opts(), c.Caps) })
+	t.Run("lowered-rma", func(t *testing.T) { batteryLoweredRMA(t, c) })
+	t.Run("nbi-quiet", func(t *testing.T) { batteryNBIQuiet(t, c.Opts(), c.Caps()) })
 	t.Run("put-signal", func(t *testing.T) { batteryPutSignal(t, c.Opts()) })
 	t.Run("atomics", func(t *testing.T) { batteryAtomics(t, c.Opts()) })
 	t.Run("locks", func(t *testing.T) { batteryLocks(t, c.Opts()) })
@@ -218,12 +199,108 @@ func batteryStridedRMA(t *testing.T, o caf.Options) {
 	})
 }
 
+// batteryLoweredRMA: a multi-run transfer costs what its runs cost one by
+// one. A vectored section (naive algorithm) must leave the same bytes and
+// advance the issuing image's clock by exactly as much as one contiguous call
+// per run, on every transport — natively vectored or lowered by the runtime to
+// that very loop. A 1-D strided call must do the same against one call per
+// element on the transports that have no strided library call; where the
+// library has one its cost is the library's (§IV-C) and only the bytes are
+// compared. DeferredQuiet keeps the §IV-B quiets out of the measurement.
+func batteryLoweredRMA(t *testing.T, c Case) {
+	const rows, cols = 8, 6
+	colSec := func(col int) caf.Section {
+		return caf.Section{{Lo: 0, Hi: rows - 1, Step: 1}, {Lo: col, Hi: col, Step: 1}}
+	}
+	threeCols := caf.Section{{Lo: 0, Hi: rows - 1, Step: 1}, {Lo: 1, Hi: 5, Step: 2}}
+	oddRows := caf.Section{{Lo: 1, Hi: rows - 1, Step: 2}, {Lo: 0, Hi: 0, Step: 1}}
+	vals := make([]int64, threeCols.NumElems())
+	for i := range vals {
+		vals[i] = int64(100 + i)
+	}
+	type body func(x *caf.Coarray[int64]) []int64
+	for _, tc := range []struct {
+		name         string
+		algo         caf.StridedAlgo
+		native       bool // the library has this shape: compare bytes only
+		whole, parts body
+	}{
+		{"vectored-put", caf.StridedNaive, false,
+			func(x *caf.Coarray[int64]) []int64 { x.Put(2, threeCols, vals); return nil },
+			func(x *caf.Coarray[int64]) []int64 {
+				for k, col := range []int{1, 3, 5} {
+					x.Put(2, colSec(col), vals[k*rows:(k+1)*rows])
+				}
+				return nil
+			}},
+		{"vectored-get", caf.StridedNaive, false,
+			func(x *caf.Coarray[int64]) []int64 { return x.Get(2, threeCols) },
+			func(x *caf.Coarray[int64]) (got []int64) {
+				for _, col := range []int{1, 3, 5} {
+					got = append(got, x.Get(2, colSec(col))...)
+				}
+				return got
+			}},
+		{"strided-put", caf.StridedOneDim, c.Caps().Strided,
+			func(x *caf.Coarray[int64]) []int64 { x.Put(2, oddRows, vals[:rows/2]); return nil },
+			func(x *caf.Coarray[int64]) []int64 {
+				for k := 0; k < rows/2; k++ {
+					x.PutElem(2, vals[k], 1+2*k, 0)
+				}
+				return nil
+			}},
+		{"strided-get", caf.StridedOneDim, c.Caps().Strided,
+			func(x *caf.Coarray[int64]) []int64 { return x.Get(2, oddRows) },
+			func(x *caf.Coarray[int64]) (got []int64) {
+				for k := 0; k < rows/2; k++ {
+					got = append(got, x.GetElem(2, 1+2*k, 0))
+				}
+				return got
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One run per form, so both start from the same clock and the
+			// deltas compare bit for bit.
+			measure := func(b body) (delta float64, read, remote []int64) {
+				o := c.Opts()
+				o.Strided, o.DeferredQuiet = tc.algo, true
+				run(t, 2, o, func(img *caf.Image) {
+					x := caf.Allocate[int64](img, rows, cols)
+					x.Fill(int64(1000 * img.ThisImage()))
+					img.SyncAll()
+					if img.ThisImage() == 1 {
+						t0 := img.Clock().Now()
+						read = b(x)
+						delta = img.Clock().Now() - t0
+					}
+					img.SyncAll()
+					if img.ThisImage() == 2 {
+						remote = x.Slice()
+					}
+				})
+				return delta, read, remote
+			}
+			wd, wread, wremote := measure(tc.whole)
+			pd, pread, premote := measure(tc.parts)
+			if !slices.Equal(wread, pread) || !slices.Equal(wremote, premote) {
+				t.Errorf("one call and one call per run moved different bytes:\n read %v vs %v\n target %v vs %v", wread, pread, wremote, premote)
+			}
+			if wd <= 0 {
+				t.Errorf("the transfer advanced the clock %v ns: nothing was measured", wd)
+			}
+			if !tc.native && wd != pd {
+				t.Errorf("one call advanced the clock %v ns, one call per run %v ns: must be identical", wd, pd)
+			}
+		})
+	}
+}
+
 // batteryNBIQuiet: the nonblocking surface and its completion statements.
 // Transports with Caps.NBI must count nonblocking issues in Stats.AsyncPuts;
 // transports without must degrade to the blocking path (AsyncPuts == 0). In
 // both cases SyncMemory completes everything and SyncMemoryImage completes a
 // single destination, after which the data is visible post-barrier.
-func batteryNBIQuiet(t *testing.T, o caf.Options, caps Caps) {
+func batteryNBIQuiet(t *testing.T, o caf.Options, caps caf.Caps) {
 	const elems = 64
 	run(t, 3, o, func(img *caf.Image) {
 		c := caf.Allocate[int64](img, elems)
@@ -452,7 +529,7 @@ func batteryFaultStat(t *testing.T, c Case) {
 	o := c.Opts()
 	o.FaultPlan = &fabric.FaultPlan{Kills: []fabric.FaultEvent{{PE: 2, AtNs: 30000}}}
 	const n, rounds = 4, 10
-	if !c.Caps.FaultStat {
+	if !c.Caps().FaultStat {
 		err := caf.Run(n, o, func(img *caf.Image) {})
 		if err == nil || !strings.Contains(err.Error(), "require the OpenSHMEM transport") {
 			t.Fatalf("fault plan on %s transport: err = %v, want the documented rejection", c.Name, err)

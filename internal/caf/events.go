@@ -17,10 +17,9 @@ type Event struct {
 // NewEvent collectively creates an event coarray (one counting event per
 // image), zero-initialised.
 func NewEvent(img *Image) *Event {
-	off := img.tr.Malloc(8)
-	markRuntimeAlloc(img.tr, off, 8) // no deallocator exists; not a leak
+	off := img.malloc(8, true) // no deallocator exists; not a leak
 	img.storeLocalWord(off, 0)
-	img.tr.Barrier()
+	img.barrier()
 	return &Event{img: img, off: off}
 }
 
@@ -30,8 +29,7 @@ func NewEvent(img *Image) *Event {
 func (e *Event) Post(j int) {
 	e.img.checkImage(j)
 	e.img.quiet()
-	e.img.tr.FetchAdd64(j-1, e.off, 1)
-	e.img.Stats.Atomics++
+	e.img.amo(pgas.OpAdd, j-1, e.off, 1, 0)
 }
 
 // Wait executes "event wait(ev, until_count=n)": blocks until this image's
@@ -40,9 +38,8 @@ func (e *Event) Wait(untilCount int64) {
 	if untilCount < 1 {
 		untilCount = 1
 	}
-	e.img.tr.WaitLocal64(e.off, pgas.CmpGE, untilCount)
-	e.img.tr.FetchAdd64(e.img.ThisImage()-1, e.off, -untilCount)
-	e.img.Stats.Atomics++
+	e.img.wait(e.off, pgas.CmpGE, untilCount)
+	e.img.amo(pgas.OpAdd, e.img.ThisImage()-1, e.off, -untilCount, 0)
 }
 
 // Query executes "call event_query(ev, count)": reads this image's count

@@ -12,9 +12,11 @@ import (
 // IMAGE, STAT_FAILED_IMAGE/STAT_STOPPED_IMAGE, failed_images() and
 // image_status(), so that programs can observe image failure as a status
 // instead of hanging. This file provides that surface on top of the
-// OpenSHMEM mapping: the pgas substrate freezes a failed image's partition
-// and its clock, the shmem layer exposes STAT-bearing primitives, and the
-// runtime here translates them into Fortran's constants.
+// OpenSHMEM mapping (Caps.FaultStat; other transports reject the fault
+// options, and without them the STAT forms are their plain siblings): the
+// pgas substrate freezes a failed image's partition and its clock, the shmem
+// layer exposes STAT-bearing primitives, and the runtime here translates them
+// into Fortran's constants.
 //
 // Faults are injected deterministically: an image dies when its own virtual
 // clock first reaches its scheduled kill time at a runtime operation boundary
@@ -163,14 +165,14 @@ func (img *Image) pollFault() {
 // termination. Once any image has failed, every subsequent sync returns
 // StatFailedImage (the condition is sticky, as in the standard).
 func (img *Image) SyncAllStat() Stat {
-	if img.fault == nil {
+	if !img.ftMode {
 		img.SyncAll()
 		return StatOK
 	}
 	img.pollFault()
 	img.quietTolerant()
 	img.Stats.Barriers++
-	return statFromErr(img.fault.BarrierStat())
+	return statFromErr(img.rendezvous(true))
 }
 
 // quietTolerant is the stat-bearing paths' drain: the same completion work
@@ -178,19 +180,14 @@ func (img *Image) SyncAllStat() Stat {
 // (lossy fabric) is left for the caller's stat merge to report instead of
 // error-terminating here, which is the legacy Quiet's escalation.
 func (img *Image) quietTolerant() {
-	if n := asNBIOps(img.tr); n != nil {
-		_ = n.QuietStat() // the fault resurfaces in the caller's stat merge
-		img.Stats.Quiets++
-		return
-	}
-	img.quiet()
+	_ = img.complete(-1, true) // the fault resurfaces in the caller's stat merge
 }
 
 // linkDown reports whether either direction of the link with image j has been
 // given up after retry exhaustion: an alive image behind a dead link — which
 // STAT= can only describe as failed.
 func (img *Image) linkDown(j int) bool {
-	pw := img.fault.PgasWorld()
+	pw := img.local.World()
 	me := img.ThisImage()
 	return pw.Unreachable(me-1, j-1) || pw.Unreachable(j-1, me-1)
 }
@@ -202,7 +199,7 @@ func (img *Image) linkDown(j int) bool {
 // fail while awaited contribute their status and their pending signal count
 // is left unconsumed.
 func (img *Image) SyncImagesStat(list ...int) Stat {
-	if img.fault == nil {
+	if !img.ftMode {
 		img.SyncImages(list...)
 		return StatOK
 	}
@@ -259,8 +256,8 @@ var errLinkDown = errors.New("caf: link from awaited image exhausted retries")
 // counts — death after signalling does not unsynchronise the pair.
 func (img *Image) awaitImageStat(j int) Stat {
 	want := img.syncSeen[j-1] + 1
-	pw := img.fault.PgasWorld()
-	err := img.fault.WaitLocal64Stat(
+	pw := img.local.World()
+	err := img.waitStat(
 		img.syncOff+int64(j-1)*8, pgas.CmpGE, want,
 		func() error {
 			if !pw.Alive(j - 1) {

@@ -82,11 +82,10 @@ func (g *group) ensureScratch(bytes int64) int64 {
 		sz *= 2
 	}
 	if g.scratchSize > 0 {
-		img.tr.Free(g.scratchOff, g.scratchSize)
+		img.be.free(g.scratchOff, g.scratchSize)
 	}
-	g.scratchOff = img.tr.Malloc(sz)
+	g.scratchOff = img.malloc(sz, true)
 	g.scratchSize = sz
-	markRuntimeAlloc(img.tr, g.scratchOff, sz)
 	return g.scratchOff
 }
 
@@ -94,24 +93,20 @@ func (g *group) ensureScratch(bytes int64) int64 {
 func (g *group) signalFlag(memberIdx, slot int, seq int64) {
 	img := g.img
 	img.putWord(g.member(memberIdx)-1, g.ctlOff+int64(slot)*8, uint64(seq))
-	img.Stats.Puts++
-	img.tr.Quiet()
-	img.Stats.Quiets++
+	img.quiet()
 }
 
 // awaitFlag spins on this image's group flag slot until it reaches seq.
 func (g *group) awaitFlag(slot int, seq int64) {
-	g.img.tr.WaitLocal64(g.ctlOff+int64(slot)*8, pgas.CmpGE, seq)
+	g.img.wait(g.ctlOff+int64(slot)*8, pgas.CmpGE, seq)
 }
 
 // sendVals puts vals into a member's staging slot at off, completes the put
 // and raises the member's flag — one tree edge of a collective.
 func sendVals[T pgas.Elem](g *group, memberIdx int, off int64, vals []T, slot int, seq int64) {
 	img := g.img
-	img.tr.PutMem(g.member(memberIdx)-1, off, pgas.Bytes(vals))
-	img.Stats.Puts++
-	img.tr.Quiet()
-	img.Stats.Quiets++
+	img.issue(rmaOp{put: true, target: g.member(memberIdx) - 1, off: off}, pgas.Bytes(vals))
+	img.quiet()
 	g.signalFlag(memberIdx, slot, seq)
 }
 

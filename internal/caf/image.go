@@ -24,14 +24,17 @@ import (
 
 // Image is the per-image runtime handle (the "this image" state).
 type Image struct {
-	tr   Transport
+	be   backend
+	caps Caps                // opts.Transport's
+	prof *fabric.CostProfile // opts.Profile on opts.Machine
+	shm  *shmem.PE           // the OpenSHMEM handle under be, nil on other transports
 	opts Options
 
 	// local is this image's own partition, for zero-cost local loads and
 	// stores (Fortran local array accesses do not go through the network).
 	// word is the image's one control-word staging buffer: flags, lock words
-	// and single elements are encoded here and handed to PutMem, which copies
-	// synchronously — so a control-word write allocates nothing.
+	// and single elements are encoded here and handed to a blocking put, which
+	// copies synchronously — so a control-word write allocates nothing.
 	local *pgas.PE
 	word  [8]byte
 
@@ -58,17 +61,10 @@ type Image struct {
 	// image currently holds — the hash table of §IV-D.
 	held map[lockKey]int64
 
-	// Nonblocking-RMA support (async.go). nbi is the transport's
-	// nonblocking-ops surface, nil when the transport has none (MPI-3 RMA,
-	// whose flush-based completion has no per-op split-phase form in this
-	// mapping) — async puts then degrade to the blocking §IV-B path.
-	nbi nbiOps
-
-	// Failed-image support (fail.go). fault is the transport's fault-ops
-	// surface (nil when unsupported); ftMode selects the repairable lock
-	// protocol; hasKill/killAt carry this image's scheduled fault-injection
-	// time from the Options.FaultPlan.
-	fault   faultOps
+	// Failed-image support (fail.go). ftMode selects the repairable lock
+	// protocol and the STAT-bearing library calls (Options.FaultTolerant, which
+	// needs Caps.FaultStat); hasKill/killAt carry this image's scheduled
+	// fault-injection time from the Options.FaultPlan.
 	ftMode  bool
 	hasKill bool
 	killAt  float64
@@ -118,94 +114,102 @@ func Run(images int, opts Options, body func(*Image)) error {
 	if err != nil {
 		return err
 	}
+	// Per transport: the library world, and how a PE attaches to it.
+	var (
+		pw       *pgas.World
+		attach   func(*pgas.PE) (backend, *shmem.PE)
+		finalize = func() error { return nil }
+	)
 	switch o.Transport {
 	case TransportSHMEM:
-		w, err := shmem.NewWorld(shmem.Config{Machine: o.Machine, Profile: o.Profile, Sanitize: o.Sanitize, FaultPlan: o.FaultPlan, Engine: o.Engine, Workers: o.Workers, BarrierShards: o.BarrierShards}, images)
+		w, err := shmem.NewWorld(shmem.Config{Machine: o.Machine, Profile: o.Profile, Sanitize: o.Sanitize, FaultPlan: o.FaultPlan, Options: o.Options}, images)
 		if err != nil {
 			return err
 		}
-		defer w.PgasWorld().Close()
-		w.PgasWorld().SetActivePairsPerNode(o.ActivePairsPerNode)
-		if err := w.PgasWorld().Run(func(p *pgas.PE) {
-			img := newImage(newShmemTransport(w.Attach(p)), o)
-			body(img)
-		}); err != nil {
-			return err
+		pw, finalize = w.PgasWorld(), w.FinalizeErr
+		attach = func(p *pgas.PE) (backend, *shmem.PE) {
+			pe := w.Attach(p)
+			return newShmemBackend(pe), pe
 		}
-		return w.FinalizeErr()
 	case TransportGASNet:
-		w, err := gasnet.NewWorld(gasnet.Config{Machine: o.Machine, Profile: o.Profile, Engine: o.Engine, Workers: o.Workers, BarrierShards: o.BarrierShards}, images)
+		w, err := gasnet.NewWorld(gasnet.Config{Machine: o.Machine, Profile: o.Profile, Options: o.Options}, images)
 		if err != nil {
 			return err
 		}
-		defer w.PgasWorld().Close()
 		registerGasnetHandlers(w)
-		w.PgasWorld().SetActivePairsPerNode(o.ActivePairsPerNode)
-		return w.PgasWorld().Run(func(p *pgas.PE) {
-			img := newImage(newGasnetTransport(w.Attach(p)), o)
-			body(img)
-		})
+		pw = w.PgasWorld()
+		attach = func(p *pgas.PE) (backend, *shmem.PE) { return newGasnetBackend(w.Attach(p)), nil }
 	case TransportMPI3:
-		w, err := mpi3.NewWorld(mpi3.Config{Machine: o.Machine, Profile: o.Profile, Engine: o.Engine, Workers: o.Workers, BarrierShards: o.BarrierShards}, images)
+		w, err := mpi3.NewWorld(mpi3.Config{Machine: o.Machine, Profile: o.Profile, Options: o.Options}, images)
 		if err != nil {
 			return err
 		}
-		defer w.PgasWorld().Close()
-		w.PgasWorld().SetActivePairsPerNode(o.ActivePairsPerNode)
-		return w.PgasWorld().Run(func(p *pgas.PE) {
-			img := newImage(newMPI3Transport(w, w.Attach(p)), o)
-			body(img)
-		})
+		pw = w.PgasWorld()
+		attach = func(p *pgas.PE) (backend, *shmem.PE) { return newMPI3Backend(w, w.Attach(p)), nil }
 	default:
 		return errBadTransport
 	}
+	defer pw.Close()
+	pw.SetActivePairsPerNode(o.ActivePairsPerNode)
+	if err := pw.Run(func(p *pgas.PE) {
+		be, shm := attach(p)
+		body(newImage(be, shm, o))
+	}); err != nil {
+		return err
+	}
+	return finalize()
 }
 
-func newImage(tr Transport, opts Options) *Image {
-	if opts.Tracer != nil {
-		tr = &tracingTransport{inner: tr, tr: opts.Tracer}
-	}
+func newImage(be backend, shm *shmem.PE, opts Options) *Image {
 	img := &Image{
-		tr:    tr,
-		opts:  opts,
-		local: tr.(localMem).pgasPE(),
-		held:  map[lockKey]int64{},
+		be:       be,
+		caps:     opts.Transport.Caps(),
+		prof:     opts.Machine.MustProfile(opts.Profile),
+		shm:      shm,
+		opts:     opts,
+		local:    be.local(),
+		held:     map[lockKey]int64{},
+		syncSeen: map[int]int64{},
+		ftMode:   opts.FaultTolerant,
 	}
-	img.nbi = asNBIOps(tr)
-	if opts.FaultTolerant || !opts.FaultPlan.Empty() {
-		img.fault = asFaultOps(tr)
-		img.ftMode = img.fault != nil
-	}
-	if at, ok := opts.FaultPlan.KillTime(tr.PE()); ok {
+	if at, ok := opts.FaultPlan.KillTime(img.local.ID); ok {
 		img.hasKill, img.killAt = true, at
 	}
 	// Collective start-up allocations, identical on all images and therefore
 	// performed in the same order everywhere. The mostly-idle non-symmetric
 	// staging buffer costs no host memory despite its size: partitions back
 	// pages on first write, so its unused interior never materialises.
-	nsBase := tr.Malloc(opts.NonSymBytes)
-	img.nonsym = newNSAlloc(nsBase, opts.NonSymBytes)
-	markRuntimeAlloc(tr, nsBase, opts.NonSymBytes)
-	img.syncOff = tr.Malloc(int64(tr.NPEs()) * 8)
-	img.syncSeen = map[int]int64{}
-	markRuntimeAlloc(tr, img.syncOff, int64(tr.NPEs())*8)
-	img.ctlOff = tr.Malloc(2 * collMaxRounds * 8)
-	markRuntimeAlloc(tr, img.ctlOff, 2*collMaxRounds*8)
-	tr.Barrier()
+	img.nonsym = newNSAlloc(img.malloc(opts.NonSymBytes, true), opts.NonSymBytes)
+	img.syncOff = img.malloc(int64(img.NumImages())*8, true)
+	img.ctlOff = img.malloc(2*collMaxRounds*8, true)
+	img.barrier()
 	return img
 }
 
+// malloc collectively allocates size bytes of symmetric memory. A runtime
+// allocation — sync counters, collective control flags, scratch areas:
+// objects that live for the whole job by design — is exempt from the
+// sanitizer's leak report.
+func (img *Image) malloc(size int64, runtime bool) int64 {
+	off, _ := img.be.malloc(size, false) // no stat: nothing to report
+	if runtime && img.shm != nil {
+		//shmemvet:allow symcheck
+		img.shm.World().MarkInternal(shmem.Sym{Off: off, Size: size})
+	}
+	return off
+}
+
 // ThisImage returns the executing image's index, 1-based (this_image()).
-func (img *Image) ThisImage() int { return img.tr.PE() + 1 }
+func (img *Image) ThisImage() int { return img.local.ID + 1 }
 
 // NumImages returns the number of images (num_images()).
-func (img *Image) NumImages() int { return img.tr.NPEs() }
+func (img *Image) NumImages() int { return img.local.World().NumPEs() }
 
 // Clock exposes the image's virtual clock for harness measurement.
-func (img *Image) Clock() *fabric.Clock { return img.tr.Clock() }
+func (img *Image) Clock() *fabric.Clock { return &img.local.Clock }
 
-// Transport returns the underlying communication layer (observability).
-func (img *Image) Transport() Transport { return img.tr }
+// Transport identifies the underlying communication layer (observability).
+func (img *Image) Transport() Transport { return Transport{img.opts.Transport, img.prof.Name} }
 
 // SHMEM returns the underlying OpenSHMEM handle when the runtime is mapped
 // onto OpenSHMEM, or nil on other transports. This enables the hybrid
@@ -214,19 +218,7 @@ func (img *Image) Transport() Transport { return img.tr }
 // applications ... and explore the ramifications of such a hybrid model."
 // The returned handle shares the image's symmetric heap and virtual clock,
 // so raw shmem operations interoperate with coarray accesses.
-func (img *Image) SHMEM() *shmem.PE {
-	tr := img.tr
-	for {
-		if t, ok := tr.(*shmemTransport); ok {
-			return t.pe
-		}
-		u, ok := tr.(interface{ unwrap() Transport })
-		if !ok {
-			return nil
-		}
-		tr = u.unwrap()
-	}
-}
+func (img *Image) SHMEM() *shmem.PE { return img.shm }
 
 // Options returns the configuration this image runs with.
 func (img *Image) Options() Options { return img.opts }
@@ -238,7 +230,7 @@ func (img *Image) Options() Options { return img.opts }
 func (img *Image) SyncAll() {
 	img.pollFault()
 	img.quiet()
-	img.tr.Barrier()
+	img.barrier()
 	img.Stats.Barriers++
 }
 
@@ -269,8 +261,7 @@ func (img *Image) SyncImages(list ...int) {
 // the asymmetric half of pairwise synchronisation, also used by the team
 // dissemination barrier.
 func (img *Image) signalImage(j int) {
-	img.tr.FetchAdd64(j-1, img.syncOff+int64(img.ThisImage()-1)*8, 1)
-	img.Stats.Atomics++
+	img.amo(pgas.OpAdd, j-1, img.syncOff+int64(img.ThisImage()-1)*8, 1, 0)
 }
 
 // awaitImage blocks until one more signal from image j has arrived than this
@@ -278,14 +269,7 @@ func (img *Image) signalImage(j int) {
 func (img *Image) awaitImage(j int) {
 	want := img.syncSeen[j-1] + 1
 	img.syncSeen[j-1] = want
-	img.tr.WaitLocal64(img.syncOff+int64(j-1)*8, pgas.CmpGE, want)
-}
-
-// putWord writes one 64-bit control word into image index target's (0-based)
-// partition with an ordinary put, staged through the image's word buffer.
-func (img *Image) putWord(target int, off int64, v uint64) {
-	pgas.Store(img.word[:], v)
-	img.tr.PutMem(target, off, img.word[:])
+	img.wait(img.syncOff+int64(j-1)*8, pgas.CmpGE, want)
 }
 
 // storeLocalWord stores a 64-bit word into this image's own partition,
@@ -299,20 +283,6 @@ func (img *Image) storeLocalWord(off int64, v uint64) {
 // virtual time, like every local access).
 func (img *Image) localWord(off int64) uint64 {
 	return img.local.World().ReadUint64(img.local.ID, off)
-}
-
-// quiet completes outstanding puts per the §IV-B translation rule.
-func (img *Image) quiet() {
-	img.tr.Quiet()
-	img.Stats.Quiets++
-}
-
-// maybeQuiet applies the conservative quiet-after-put rule unless the
-// ablation option deferred it to synchronisation points.
-func (img *Image) maybeQuiet() {
-	if !img.opts.DeferredQuiet {
-		img.quiet()
-	}
 }
 
 func (img *Image) checkImage(j int) {

@@ -17,7 +17,7 @@ import (
 // queue lock:
 //
 //   - each image hosts a tail word per lock instance;
-//   - contenders enqueue with a remote fetch-and-store (Swap64) of their
+//   - contenders enqueue with a remote fetch-and-store (swap) of their
 //     packed qnode reference (RemoteRef);
 //   - waiters spin on the locked field of their *own* qnode (local memory —
 //     the property MCS exists to provide);
@@ -57,13 +57,13 @@ func NewLock(img *Image) *Lock {
 		// variable, one element per image.
 		words = int64(img.NumImages())
 	}
-	off := img.tr.Malloc(words * 8)
+	off := img.malloc(words*8, false)
 	return &Lock{img: img, off: off, n: words * 8}
 }
 
 // Deallocate collectively releases the lock coarray.
 func (l *Lock) Deallocate() {
-	l.img.tr.Free(l.off, l.n)
+	l.img.be.free(l.off, l.n)
 }
 
 // Holds reports whether this image currently holds the lock at image j —
@@ -131,19 +131,11 @@ func (l *Lock) TryAcquire(j int) bool {
 		// the node is born a holder), next/prev := nil.
 		p.StoreLocal(qOff, make([]byte, nBytes))
 		myRef := PackRef(img.ThisImage(), qOff, 1)
-		var old int64
-		if img.ftMode {
-			var ok bool
-			old, ok = img.fault.CompareSwap64Stat(j-1, l.off, 0, int64(myRef))
-			if !ok {
-				img.Stats.Atomics++
-				img.FreeNonSymmetric(qOff, nBytes)
-				panic(fmt.Sprintf("caf: lock(lck[%d]) involving failed image %d without stat=", j, j))
-			}
-		} else {
-			old = img.tr.CompareSwap64(j-1, l.off, 0, int64(myRef))
+		old, ok := img.atomic(opCAS, j-1, l.off, 0, int64(myRef), img.ftMode)
+		if !ok {
+			img.FreeNonSymmetric(qOff, nBytes)
+			panic(fmt.Sprintf("caf: lock(lck[%d]) involving failed image %d without stat=", j, j))
 		}
-		img.Stats.Atomics++
 		if old != 0 {
 			img.FreeNonSymmetric(qOff, nBytes)
 			return false
@@ -208,50 +200,42 @@ func (l *Lock) mcsReleaseAny(j int, qOff int64) {
 
 func (l *Lock) mcsAcquire(j int) int64 {
 	img := l.img
-	tr := img.tr
 
 	qOff := img.AllocNonSymmetric(qnodeBytes)
 	// locked := 1, next := nil — before publishing the node.
 	img.local.StoreLocal(qOff, qnodeInit[:qnodeBytes])
 
 	myRef := PackRef(img.ThisImage(), qOff, 1)
-	prev := RemoteRef(tr.Swap64(j-1, l.off, int64(myRef)))
-	img.Stats.Atomics++
+	prev := RemoteRef(img.amo(pgas.OpSwap, j-1, l.off, int64(myRef), 0))
 	if !prev.IsNil() {
 		// Link into the predecessor's next field, then spin locally until the
 		// predecessor hands the lock over.
 		img.putWord(prev.Image()-1, prev.Offset()+8, uint64(myRef))
-		img.Stats.Puts++
-		tr.Quiet()
-		img.Stats.Quiets++
-		tr.WaitLocal64(qOff, pgas.CmpEQ, 0)
+		img.quiet()
+		img.wait(qOff, pgas.CmpEQ, 0)
 	}
 	return qOff
 }
 
 func (l *Lock) mcsRelease(j int, qOff int64) {
 	img := l.img
-	tr := img.tr
 
 	myRef := PackRef(img.ThisImage(), qOff, 1)
 	// No visible successor? Try to detach the queue.
 	next := RemoteRef(img.localWord(qOff + 8))
 	if next.IsNil() {
-		old := RemoteRef(tr.CompareSwap64(j-1, l.off, int64(myRef), 0))
-		img.Stats.Atomics++
+		old := RemoteRef(img.amo(opCAS, j-1, l.off, int64(myRef), 0))
 		if old == myRef {
 			img.FreeNonSymmetric(qOff, qnodeBytes)
 			return
 		}
 		// A successor is enqueueing; wait for it to link itself.
-		tr.WaitLocal64(qOff+8, pgas.CmpNE, 0)
+		img.wait(qOff+8, pgas.CmpNE, 0)
 		next = RemoteRef(img.localWord(qOff + 8))
 	}
 	// Hand over: reset the successor's locked field.
 	img.putWord(next.Image()-1, next.Offset(), 0)
-	img.Stats.Puts++
-	tr.Quiet()
-	img.Stats.Quiets++
+	img.quiet()
 	img.FreeNonSymmetric(qOff, qnodeBytes)
 }
 
@@ -269,11 +253,9 @@ func (l *Lock) spinAcquire(j int) {
 	me := int64(img.ThisImage())
 	backoff := 1.0
 	for {
-		if old := img.tr.CompareSwap64(j-1, l.spinWord(j), 0, me); old == 0 {
-			img.Stats.Atomics++
+		if img.amo(opCAS, j-1, l.spinWord(j), 0, me) == 0 {
 			return
 		}
-		img.Stats.Atomics++
 		img.Clock().Advance(backoff * 200)
 		if backoff < 64 {
 			backoff *= 2
@@ -285,15 +267,13 @@ func (l *Lock) spinAcquire(j int) {
 func (l *Lock) spinTry(j int) bool {
 	img := l.img
 	me := int64(img.ThisImage())
-	img.Stats.Atomics++
-	return img.tr.CompareSwap64(j-1, l.spinWord(j), 0, me) == 0
+	return img.amo(opCAS, j-1, l.spinWord(j), 0, me) == 0
 }
 
 func (l *Lock) spinRelease(j int) {
 	img := l.img
 	me := int64(img.ThisImage())
-	if old := img.tr.CompareSwap64(j-1, l.spinWord(j), me, 0); old != me {
+	if img.amo(opCAS, j-1, l.spinWord(j), me, 0) != me {
 		panic("caf: spin lock released by non-holder")
 	}
-	img.Stats.Atomics++
 }

@@ -223,7 +223,7 @@ func TestLockCostOrderings(t *testing.T) {
 			for r := 1; r <= rounds; r++ {
 				tok := int64((r-1)*n + me)
 				if !(r == 1 && me == 1) {
-					img.tr.WaitLocal64(flag.off, pgas.CmpGE, tok)
+					img.wait(flag.off, pgas.CmpGE, tok)
 				}
 				lck.Acquire(1)
 				lck.Release(1)

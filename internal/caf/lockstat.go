@@ -95,18 +95,15 @@ func (l *Lock) ReleaseStat(j int) Stat {
 // home image is dead.
 func (l *Lock) ftAcquire(j int) (int64, Stat) {
 	img := l.img
-	tr := img.tr
-	ft := img.fault
-	pw := ft.PgasWorld()
 	p := img.local
+	pw := p.World()
 
 	qOff := img.AllocNonSymmetric(ftQnodeBytes)
 	// locked := 1, next := nil, prev := nil — before publishing the node.
 	p.StoreLocal(qOff, qnodeInit[:])
 
 	myRef := PackRef(img.ThisImage(), qOff, 1)
-	prevRaw, ok := ft.Swap64Stat(j-1, l.off, int64(myRef))
-	img.Stats.Atomics++
+	prevRaw, ok := img.atomic(pgas.OpSwap, j-1, l.off, int64(myRef), 0, true)
 	if !ok {
 		img.FreeNonSymmetric(qOff, ftQnodeBytes)
 		return 0, StatFailedImage
@@ -125,9 +122,7 @@ func (l *Lock) ftAcquire(j int) (int64, Stat) {
 	// the lock after our swap, the put lands on (or is dropped by) a frozen
 	// partition — harmless either way, because repair reads only locked/prev.
 	img.putWord(prev.Image()-1, prev.Offset()+8, uint64(myRef))
-	img.Stats.Puts++
-	tr.Quiet()
-	img.Stats.Quiets++
+	img.quiet()
 
 	// Local spin with a repair hook: a wake-up that observes more failures
 	// than the last repair walk handled hands control back
@@ -139,7 +134,7 @@ func (l *Lock) ftAcquire(j int) (int64, Stat) {
 	// retrigger, or a waiter behind a live ancestor busy-spins.
 	handled := 0
 	for {
-		err := ft.WaitLocal64Stat(qOff, pgas.CmpEQ, 0, func() error {
+		err := img.waitStat(qOff, pgas.CmpEQ, 0, func() error {
 			if pw.FailedCount() > handled {
 				return pgas.ErrWaitRecheck
 			}
@@ -173,8 +168,8 @@ func (l *Lock) ftAcquire(j int) (int64, Stat) {
 // forensic reads and end in takeover, which happens at most once per failed
 // holder — keeping chaos-run virtual times deterministic.
 func (l *Lock) repairWalk(prev RemoteRef) bool {
-	ft := l.img.fault
-	pw := ft.PgasWorld()
+	img := l.img
+	pw := img.local.World()
 	cur := prev
 	for {
 		if cur.IsNil() {
@@ -184,35 +179,32 @@ func (l *Lock) repairWalk(prev RemoteRef) bool {
 		if !pw.Failed(owner) {
 			return false // a live ancestor will grant eventually
 		}
-		if ft.ReadWord64(owner, cur.Offset()) == 0 {
+		if img.readWordStat(owner, cur.Offset()) == 0 {
 			return true // frozen holder tombstone: we inherit the lock
 		}
 		// A frozen *waiting* node is unreachable in the current model (a
 		// blocked image cannot execute FAIL IMAGE), but following its
 		// recorded prev keeps the walk correct if that ever changes.
-		cur = RemoteRef(ft.ReadWord64(owner, cur.Offset()+16))
+		cur = RemoteRef(img.readWordStat(owner, cur.Offset()+16))
 	}
 }
 
 // ftRelease is the repairable MCS release.
 func (l *Lock) ftRelease(j int, qOff int64) Stat {
 	img := l.img
-	tr := img.tr
-	ft := img.fault
 
 	myRef := PackRef(img.ThisImage(), qOff, 1)
 	next := RemoteRef(img.localWord(qOff + 8))
 	stat := StatOK
 	if next.IsNil() {
-		old, ok := ft.CompareSwap64Stat(j-1, l.off, int64(myRef), 0)
-		img.Stats.Atomics++
+		old, ok := img.atomic(opCAS, j-1, l.off, int64(myRef), 0, true)
 		switch {
 		case !ok:
 			// The home image died while we held the lock. Its frozen tail
 			// still orders the queue: if it is us, nobody enqueued before the
 			// death (and nobody can after — swaps on a dead home fail), so
 			// the lock retires with its home.
-			if RemoteRef(ft.ReadWord64(j-1, l.off)) == myRef {
+			if RemoteRef(img.readWordStat(j-1, l.off)) == myRef {
 				img.FreeNonSymmetric(qOff, ftQnodeBytes)
 				return StatFailedImage
 			}
@@ -226,7 +218,7 @@ func (l *Lock) ftRelease(j int, qOff int64) Stat {
 		}
 		// Wait for the in-flight successor's link. The successor cannot die
 		// mid-protocol, so the link always arrives.
-		if err := ft.WaitLocal64Stat(qOff+8, pgas.CmpNE, 0, nil); err != nil {
+		if err := img.waitStat(qOff+8, pgas.CmpNE, 0, nil); err != nil {
 			panic(err)
 		}
 		next = RemoteRef(img.localWord(qOff + 8))
@@ -234,18 +226,23 @@ func (l *Lock) ftRelease(j int, qOff int64) Stat {
 	// Hand over: reset the successor's locked field. The successor is alive
 	// (blocked images cannot fail), so an ordinary put reaches it.
 	img.putWord(next.Image()-1, next.Offset(), 0)
-	img.Stats.Puts++
-	tr.Quiet()
-	img.Stats.Quiets++
+	img.quiet()
 	img.FreeNonSymmetric(qOff, ftQnodeBytes)
 	return stat
+}
+
+// readWordStat is the repair walk's charged forensic read of the 64-bit word
+// at (target, off), which also reads a failed image's frozen partition.
+func (img *Image) readWordStat(target int, off int64) uint64 {
+	img.issue(rmaOp{shape: forensic, target: target, off: off}, img.word[:])
+	return pgas.Load[uint64](img.word[:])
 }
 
 // noteLockSan reports lock ownership transitions to the OpenSHMEM runtime
 // sanitizer's held-at-exit check (a no-op unless sanitizing on the SHMEM
 // transport).
 func (img *Image) noteLockSan(acquired bool, j int) {
-	pe := img.SHMEM()
+	pe := img.shm
 	if pe == nil || !pe.World().Sanitizing() {
 		return
 	}

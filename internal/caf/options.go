@@ -163,8 +163,8 @@ type Options struct {
 	// shmem_ptr operation to convert intra-node accesses into direct
 	// load/store instructions". When set, contiguous co-indexed accesses to
 	// images on the same node bypass the communication library and cost only
-	// the memory copy. Only meaningful on the OpenSHMEM transport (shmem_ptr
-	// has no GASNet equivalent).
+	// the memory copy. Only effective on the OpenSHMEM transport
+	// (Caps.Direct: shmem_ptr has no GASNet or MPI-3 equivalent here).
 	IntraNodeDirect bool
 	// Sanitize enables the OpenSHMEM layer's runtime sanitizer underneath
 	// the CAF runtime: races between gets and un-quieted puts (which
@@ -184,19 +184,14 @@ type Options struct {
 	// the STAT-bearing APIs detect real FAIL IMAGE calls. Implied by a
 	// non-empty FaultPlan. Requires the OpenSHMEM transport.
 	FaultTolerant bool
-	// Engine selects the pgas execution engine: goroutine-per-PE (the
-	// default, one goroutine actively scheduled per image) or the event
+	// Options selects the pgas execution engine (Engine): goroutine-per-PE
+	// (the default, one goroutine actively scheduled per image) or the event
 	// engine (images as resumable tasks over a bounded worker pool — the
-	// configuration for 1k–100k-image runs). Virtual times, forensics, and
-	// fault replays are bit-identical across engines. Workers bounds the
-	// event engine's pool; 0 means GOMAXPROCS.
-	Engine  pgas.Engine
-	Workers int
-	// BarrierShards overrides the world barrier's combining-tree leaf-shard
-	// count (0 = auto-size, one shard per 256 images). A host-side
-	// performance knob only: virtual times and fault replays are
-	// bit-identical across shard layouts.
-	BarrierShards int
+	// configuration for 1k–100k-image runs) with its pool bound (Workers), and
+	// the world barrier's shard layout (BarrierShards). All three are
+	// host-side: virtual times, forensics, and fault replays are bit-identical
+	// across them.
+	pgas.Options
 }
 
 func (o *Options) withDefaults() (Options, error) {
@@ -213,13 +208,14 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.NonSymBytes <= 0 {
 		out.NonSymBytes = 1 << 20
 	}
-	if out.Sanitize && out.Transport != TransportSHMEM {
+	caps := out.Transport.Caps()
+	if out.Sanitize && !caps.Sanitizer {
 		return out, fmt.Errorf("caf: Sanitize requires the OpenSHMEM transport")
 	}
 	if !out.FaultPlan.Empty() {
 		out.FaultTolerant = true
 	}
-	if (out.FaultTolerant || out.FaultPlan != nil) && out.Transport != TransportSHMEM {
+	if (out.FaultTolerant || out.FaultPlan != nil) && !caps.FaultStat {
 		return out, fmt.Errorf("caf: fault injection and fault tolerance require the OpenSHMEM transport")
 	}
 	return out, nil

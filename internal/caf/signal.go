@@ -2,7 +2,6 @@ package caf
 
 import (
 	"errors"
-	"fmt"
 
 	"cafshmem/internal/pgas"
 )
@@ -31,10 +30,9 @@ type Signal struct {
 // NewSignal collectively creates a signal coarray, zero-initialised.
 func NewSignal(img *Image) *Signal {
 	n := int64(img.NumImages())
-	off := img.tr.Malloc(n * 8)
-	markRuntimeAlloc(img.tr, off, n*8) // no deallocator exists; not a leak
+	off := img.malloc(n*8, true) // no deallocator exists; not a leak
 	img.local.StoreLocal(off, make([]byte, n*8))
-	img.tr.Barrier()
+	img.barrier()
 	return &Signal{img: img, off: off, sent: make([]int64, n), seen: make([]int64, n)}
 }
 
@@ -47,24 +45,21 @@ func (s *Signal) slotOff(sender int) int64 { return s.off + int64(sender-1)*8 }
 // a consumer that observes the signal also observes this image's prior
 // *blocking* puts to j. Data sent with PutAsync is NOT ordered by a bare
 // Notify — use Coarray.PutSignalAsync so the flag rides the same completion
-// stream as the data, or SyncMemoryImage(j) first.
+// stream as the data, or SyncMemoryImage(j) first. On transports without the
+// fused path (MPI-3 RMA) everything is completed first and the flag posted as
+// an ordinary put — always correct, just stronger.
 func (s *Signal) Notify(j int) {
+	s.img.pollFault()
+	s.img.checkImage(j)
+	s.post(j, false)
+}
+
+// post sends the next sequence number to image j's slot for this image.
+func (s *Signal) post(j int, nbi bool) {
 	img := s.img
-	img.pollFault()
-	img.checkImage(j)
 	s.sent[j-1]++
-	me := img.ThisImage()
-	if img.nbi != nil {
-		img.nbi.PutSignal(j-1, 0, nil, s.slotOff(me), s.sent[j-1])
-		img.Stats.Puts++
-		return
-	}
-	// Degrade (MPI-3 RMA): no fused signal exists, so complete everything first
-	// and post the flag as an ordinary put — always correct, just stronger.
-	img.quiet()
-	img.putWord(j-1, s.slotOff(me), uint64(s.sent[j-1]))
-	img.quiet()
-	img.Stats.Puts++
+	pgas.Store(img.word[:], s.sent[j-1])
+	img.issue(rmaOp{shape: signal, put: true, nbi: nbi, target: j - 1, off: s.slotOff(img.ThisImage())}, img.word[:])
 }
 
 // Wait blocks until the next Notify from image j (1-based) has arrived and
@@ -75,7 +70,7 @@ func (s *Signal) Wait(j int) {
 	img.checkImage(j)
 	want := s.seen[j-1] + 1
 	s.seen[j-1] = want
-	img.tr.WaitLocal64(s.slotOff(j), pgas.CmpGE, want)
+	img.wait(s.slotOff(j), pgas.CmpGE, want)
 }
 
 // WaitStat is Wait with Fortran 2018 failed-image semantics: if image j fails
@@ -91,7 +86,7 @@ func (s *Signal) Wait(j int) {
 // would say StatOK: the image is fine, the link is not.)
 func (s *Signal) WaitStat(j int) Stat {
 	img := s.img
-	if img.fault == nil {
+	if !img.ftMode {
 		s.Wait(j)
 		return StatOK
 	}
@@ -99,8 +94,8 @@ func (s *Signal) WaitStat(j int) Stat {
 	img.checkImage(j)
 	want := s.seen[j-1] + 1
 	me := img.ThisImage()
-	pw := img.fault.PgasWorld()
-	err := img.fault.WaitLocal64Stat(
+	pw := img.local.World()
+	err := img.waitStat(
 		s.slotOff(j), pgas.CmpGE, want,
 		func() error {
 			if !pw.Alive(j - 1) {
@@ -144,24 +139,9 @@ func (s *Signal) Pending(j int) int64 {
 // section, a full quiet, and a plain Notify — the same observable ordering,
 // without the overlap.
 func (c *Coarray[T]) PutSignalAsync(j int, sec Section, vals []T, sig *Signal) {
-	img := c.img
-	img.pollFault()
-	img.checkImage(j)
-	if err := sec.validate(c.shape); err != nil {
-		panic(err)
-	}
-	if sec.NumElems() != len(vals) {
-		panic(fmt.Sprintf("caf: section selects %d elements but %d values given", sec.NumElems(), len(vals)))
-	}
-	if img.nbi == nil {
-		c.putSection(j-1, sec, vals)
-		sig.Notify(j) // degrade path quiets before posting the flag
-		return
-	}
-	c.putSectionNBI(j-1, sec, vals)
-	sig.sent[j-1]++
-	img.nbi.PutSignalNBI(j-1, 0, nil, sig.slotOff(img.ThisImage()), sig.sent[j-1])
-	img.Stats.AsyncPuts++
+	c.checkPut(j, sec, vals)
+	c.section(rmaOp{put: true, nbi: true, target: j - 1}, sec, vals)
+	sig.post(j, true)
 }
 
 // PutFullSignalAsync sends the entire local-shape section with a fused

@@ -25,7 +25,19 @@ import (
 
 // Put writes vals (dense, column-major section order) into section sec of
 // the coarray on image j (1-based).
-func (c *Coarray[T]) Put(j int, sec Section, vals []T) {
+func (c *Coarray[T]) Put(j int, sec Section, vals []T) { c.put(j, sec, vals, false) }
+
+// put is Put (blocking) and PutAsync (nbi). On a transport without
+// nonblocking puts both are the blocking §IV-B translation.
+func (c *Coarray[T]) put(j int, sec Section, vals []T, nbi bool) {
+	c.checkPut(j, sec, vals)
+	if inFlight := c.section(rmaOp{put: true, nbi: nbi, target: j - 1}, sec, vals); !inFlight {
+		c.img.maybeQuiet()
+	}
+}
+
+// checkPut is the common entry of the section-put statements.
+func (c *Coarray[T]) checkPut(j int, sec Section, vals []T) {
 	c.img.pollFault()
 	c.img.checkImage(j)
 	if err := sec.validate(c.shape); err != nil {
@@ -34,8 +46,6 @@ func (c *Coarray[T]) Put(j int, sec Section, vals []T) {
 	if sec.NumElems() != len(vals) {
 		panic(fmt.Sprintf("caf: section selects %d elements but %d values given", sec.NumElems(), len(vals)))
 	}
-	c.putSection(j-1, sec, vals)
-	c.img.maybeQuiet()
 }
 
 // Get reads section sec of the coarray on image j (1-based), returning the
@@ -48,40 +58,29 @@ func (c *Coarray[T]) Get(j int, sec Section) []T {
 	}
 	c.img.maybeQuiet() // §IV-B: quiet before get
 	out := make([]T, sec.NumElems())
-	c.getSection(j-1, sec, out)
+	c.section(rmaOp{target: j - 1}, sec, out)
 	return out
 }
 
 // PutElem writes a single element: x(idx)[j] = v.
 func (c *Coarray[T]) PutElem(j int, v T, idx ...int) {
-	c.img.pollFault()
-	c.img.checkImage(j)
-	b := c.elemBytes(v)
-	if c.img.opts.IntraNodeDirect && c.img.tr.DirectWrite(j-1, c.byteOff(idx), b) {
-		c.img.Stats.DirectOps++
-		return // a store completes immediately: no quiet needed
+	img := c.img
+	img.pollFault()
+	img.checkImage(j)
+	op := rmaOp{put: true, direct: img.opts.IntraNodeDirect, target: j - 1, off: c.byteOff(idx)}
+	if !img.issue(op, c.elemBytes(v)) {
+		img.maybeQuiet() // a direct store completes immediately: no quiet needed
 	}
-	c.img.tr.PutMem(j-1, c.byteOff(idx), b)
-	c.img.Stats.Puts++
-	c.img.maybeQuiet()
 }
 
 // GetElem reads a single element: v = x(idx)[j].
 func (c *Coarray[T]) GetElem(j int, idx ...int) T {
-	c.img.pollFault()
-	c.img.checkImage(j)
-	b := c.img.word[:c.es]
-	if c.img.opts.IntraNodeDirect {
-		c.img.maybeQuiet() // pending puts must still be ordered before the load
-		if c.img.tr.DirectRead(j-1, c.byteOff(idx), b) {
-			c.img.Stats.DirectOps++
-			return pgas.Load[T](b)
-		}
-	} else {
-		c.img.maybeQuiet()
-	}
-	c.img.tr.GetMem(j-1, c.byteOff(idx), b)
-	c.img.Stats.Gets++
+	img := c.img
+	img.pollFault()
+	img.checkImage(j)
+	img.maybeQuiet() // pending puts are ordered before the get, or the direct load
+	b := img.word[:c.es]
+	img.issue(rmaOp{direct: img.opts.IntraNodeDirect, target: j - 1, off: c.byteOff(idx)}, b)
 	return pgas.Load[T](b)
 }
 
@@ -145,85 +144,65 @@ func (c *Coarray[T]) secLowOff(sec Section) int64 {
 	return c.off + lin*int64(c.es)
 }
 
-func (c *Coarray[T]) putSection(target int, sec Section, vals []T) {
-	tr := c.img.tr
-	es := int64(c.es)
+// section lowers the transfer of section sec between the coarray on op.target
+// and vals, the section's elements dense in column-major order: written for a
+// put, filled for a get. op carries the direction, the target and whether a
+// put is nonblocking; the rest of the descriptor is the lowering's. It reports
+// whether the put was left in flight: a nonblocking put on a transport without
+// Caps.NBI is a blocking one, decided here once for the whole section.
+//
+// A blocking transfer hands the funnel vals' own bytes — one memmove into the
+// partition. A nonblocking put hands it a fresh copy (snapshot): that copy is
+// PutAsync's snapshot-at-issue contract — the payload is retained past the
+// call, so by pgas/buffer.go's rule it is copied — and the runtime (and the
+// sanitizer's live view) owns it until the next completion, so it is never
+// pooled either: recycling it before then would be exactly the source-reuse
+// bug the checker exists to catch.
+func (c *Coarray[T]) section(op rmaOp, sec Section, vals []T) (inFlight bool) {
+	img := c.img
+	op.nbi = op.nbi && img.caps.NBI
 
-	// Fast path shared by all algorithms: a fully contiguous section is a
-	// single putmem regardless of strategy — or a direct store when the
-	// target shares the node and §VII's IntraNodeDirect is enabled. The
-	// transport copies vals' own bytes into the partition: one memmove.
+	// Shared by all algorithms: a fully contiguous section is a single
+	// transfer regardless of strategy — or a direct load/store when the
+	// target shares the node and §VII's IntraNodeDirect is enabled.
 	runDims, runElems := c.contigRun(sec)
 	if runDims == len(sec) {
-		off := c.secLowOff(sec)
-		data := pgas.Bytes(vals)
-		if c.img.opts.IntraNodeDirect && tr.DirectWrite(target, off, data) {
-			c.img.Stats.DirectOps++
-		} else {
-			tr.PutMem(target, off, data)
-			c.img.Stats.Puts++
-		}
-		return
+		op.off = c.secLowOff(sec)
+		op.direct = img.opts.IntraNodeDirect && !op.nbi
+		img.issue(op, payload(vals, op.nbi))
+		return op.nbi
 	}
 
-	switch c.img.opts.Strided {
+	switch img.opts.Strided {
 	case StridedNaive:
-		// §IV-C baseline: one putmem per maximal contiguous run — issued as
+		// §IV-C baseline: one transfer per maximal contiguous run — issued as
 		// a single vectored call so the whole section costs one target-lock
 		// acquisition instead of one per run. appendRunOffs enumerates runs
 		// in dense value order, so vals' bytes already are the run payloads
 		// back to back.
-		op := pgas.GetOffsScratch()
-		offs := c.appendRunOffs((*op)[:0], sec, runDims)
-		tr.PutMemV(target, offs, runElems*c.es, pgas.Bytes(vals))
-		c.img.Stats.Puts += int64(len(offs))
-		*op = offs
-		pgas.PutOffsScratch(op)
+		sp := pgas.GetOffsScratch()
+		op.shape, op.offs, op.run = vectored, c.appendRunOffs((*sp)[:0], sec, runDims), runElems*c.es
+		img.issue(op, payload(vals, op.nbi))
+		*sp = op.offs
+		pgas.PutOffsScratch(sp)
 	default: // 1dim, 2dim, vendor: 1-D strided library calls along base dim
 		base := c.baseDim(sec)
-		strideBytes := int64(sec[base].Step) * c.strides[base] * es
-		c.eachPencil(sec, base, func(byteOff int64, gather []T) {
-			tr.PutStrided1D(target, byteOff, strideBytes, c.es, pgas.Bytes(gather))
-			c.img.Stats.StridedCalls++
-		}, vals, nil)
+		op.shape, op.stride, op.elem = strided, int64(sec[base].Step)*c.strides[base]*int64(c.es), c.es
+		c.eachPencil(sec, base, op.put, vals, func(byteOff int64, pencil []T) {
+			op.off = byteOff
+			img.issue(op, payload(pencil, op.nbi))
+		})
 	}
+	return op.nbi
 }
 
-func (c *Coarray[T]) getSection(target int, sec Section, out []T) {
-	tr := c.img.tr
-	es := int64(c.es)
-
-	runDims, runElems := c.contigRun(sec)
-	if runDims == len(sec) {
-		off := c.secLowOff(sec)
-		raw := pgas.Bytes(out)
-		if c.img.opts.IntraNodeDirect && tr.DirectRead(target, off, raw) {
-			c.img.Stats.DirectOps++
-		} else {
-			tr.GetMem(target, off, raw)
-			c.img.Stats.Gets++
-		}
-		return
+// payload returns the bytes section hands the funnel for vals: vals' own, or
+// for a nonblocking put a copy the runtime owns.
+func payload[T pgas.Elem](vals []T, nbi bool) []byte {
+	if nbi {
+		return append([]byte(nil), pgas.Bytes(vals)...)
 	}
-
-	switch c.img.opts.Strided {
-	case StridedNaive:
-		// One getmem per contiguous run, gathered with a single vectored
-		// call; runs arrive densely in section order, which is out's.
-		op := pgas.GetOffsScratch()
-		offs := c.appendRunOffs((*op)[:0], sec, runDims)
-		tr.GetMemV(target, offs, runElems*c.es, pgas.Bytes(out))
-		c.img.Stats.Gets += int64(len(offs))
-		*op = offs
-		pgas.PutOffsScratch(op)
-	default:
-		base := c.baseDim(sec)
-		strideBytes := int64(sec[base].Step) * c.strides[base] * es
-		c.eachPencil(sec, base, func(byteOff int64, scatter []T) {
-			tr.GetStrided1D(target, byteOff, strideBytes, c.es, pgas.Bytes(scatter))
-			c.img.Stats.StridedCalls++
-		}, nil, out)
-	}
+	return pgas.Bytes(vals)
 }
 
 // appendRunOffs appends the absolute byte offset of every maximal contiguous
@@ -274,12 +253,12 @@ func (c *Coarray[T]) appendRunOffs(offs []int64, sec Section, runDims int) []int
 }
 
 // eachPencil enumerates 1-D pencils along the base dimension, iterating the
-// other dimensions in column-major order. For puts it passes the pencil's
-// source values densely; for gets it passes a dense pencil that the callback
-// fills. vals/out are the dense section-order buffers; a pencil along
-// dimension 1 is a sub-slice of them, any other is gathered from (scattered
-// to) them through one reused buffer.
-func (c *Coarray[T]) eachPencil(sec Section, base int, f func(byteOff int64, pencil []T), vals []T, out []T) {
+// other dimensions in column-major order, and calls f with each pencil's
+// partition offset and its elements, dense. dense is the section-order
+// buffer. A pencil along dimension 1 is a sub-slice of it, which f transfers
+// in place; any other goes through one reused buffer, gathered from dense
+// before f for a put and scattered to it after f for a get.
+func (c *Coarray[T]) eachPencil(sec Section, base int, put bool, dense []T, f func(byteOff int64, pencil []T)) {
 	counts := sec.Counts()
 	nbase := counts[base]
 
@@ -301,10 +280,6 @@ func (c *Coarray[T]) eachPencil(sec Section, base int, f func(byteOff int64, pen
 		}
 	}
 
-	dense := vals
-	if dense == nil {
-		dense = out
-	}
 	var pencil []T
 	if base != 0 {
 		pencil = make([]T, nbase)
@@ -321,21 +296,19 @@ func (c *Coarray[T]) eachPencil(sec Section, base int, f func(byteOff int64, pen
 		byteOff := c.off + lin*int64(c.es)
 
 		if base == 0 {
-			// The pencil's elements are already dense in the section-order
-			// buffer: f transfers them in place.
 			f(byteOff, dense[secBase:secBase+nbase])
 			return
 		}
-		if vals != nil {
+		if put {
 			for k := 0; k < nbase; k++ {
-				pencil[k] = vals[secBase+k*secStride[base]]
+				pencil[k] = dense[secBase+k*secStride[base]]
 			}
-			f(byteOff, pencil)
-			return
 		}
 		f(byteOff, pencil)
-		for k := 0; k < nbase; k++ {
-			out[secBase+k*secStride[base]] = pencil[k]
+		if !put {
+			for k := 0; k < nbase; k++ {
+				dense[secBase+k*secStride[base]] = pencil[k]
+			}
 		}
 	})
 }

@@ -44,7 +44,7 @@ func (img *Image) FormTeam(teamNumber int64, scratchBytes ...int64) *Team {
 	}
 
 	// Publish this image's team number.
-	numOff := img.tr.Malloc(8)
+	numOff := img.malloc(8, false)
 	img.storeLocalWord(numOff, uint64(teamNumber))
 	img.SyncAll()
 
@@ -52,8 +52,7 @@ func (img *Image) FormTeam(teamNumber int64, scratchBytes ...int64) *Team {
 	var members []int
 	num := make([]int64, 1)
 	for j := 1; j <= img.NumImages(); j++ {
-		img.tr.GetMem(j-1, numOff, pgas.Bytes(num))
-		img.Stats.Gets++
+		img.issue(rmaOp{target: j - 1, off: numOff}, pgas.Bytes(num))
 		if num[0] == teamNumber {
 			members = append(members, j)
 		}
@@ -64,12 +63,10 @@ func (img *Image) FormTeam(teamNumber int64, scratchBytes ...int64) *Team {
 	// Team-scoped collective areas. All images allocate (Malloc is
 	// collective over the job), but only a team's members ever use its
 	// image-local slots, so disjoint teams never interfere.
-	ctlOff := img.tr.Malloc(2 * collMaxRounds * 8)
-	scratchOff := img.tr.Malloc(scratch)
-	markRuntimeAlloc(img.tr, ctlOff, 2*collMaxRounds*8)
-	markRuntimeAlloc(img.tr, scratchOff, scratch)
-	img.tr.Barrier()
-	img.tr.Free(numOff, 8)
+	ctlOff := img.malloc(2*collMaxRounds*8, true)
+	scratchOff := img.malloc(scratch, true)
+	img.barrier()
+	img.be.free(numOff, 8)
 
 	return &Team{
 		img: img,

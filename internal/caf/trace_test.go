@@ -174,13 +174,95 @@ func TestTracerWithLocksAndDirect(t *testing.T) {
 	if byOp["direct-put"] != 2 {
 		t.Fatalf("expected 2 direct-put events, got %v", byOp)
 	}
-	// The hybrid handle still resolves through the tracing decorator.
+	// The hybrid handle still resolves with a tracer installed.
 	err = Run(1, o, func(img *Image) {
 		if img.SHMEM() == nil {
-			panic("SHMEM must unwrap the tracing decorator")
+			panic("SHMEM must resolve with tracing on")
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Two runs of one program must write byte-identical CSV: every image's
+// start-up barrier starts at the same virtual time, so ordering by start time
+// alone left those rows in the order the host happened to schedule the
+// images. The program has no contended locks, so its virtual times are
+// deterministic.
+func TestTracerCSVDeterministic(t *testing.T) {
+	csv := func() string {
+		trc := NewTracer()
+		o := shmemOpts()
+		o.Tracer = trc
+		if err := Run(8, o, func(img *Image) {
+			c := Allocate[int64](img, 4)
+			a := NewAtomicVar(img)
+			right := img.ThisImage()%img.NumImages() + 1
+			for i := 0; i < 3; i++ {
+				c.PutElem(right, int64(i), i)
+				a.Add(1, 1)
+				img.SyncAll()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := trc.WriteCSV(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	want := csv()
+	for run := 1; run < 5; run++ {
+		if got := csv(); got != want {
+			t.Fatalf("run %d wrote a different CSV than run 0", run)
+		}
+	}
+}
+
+// The tracer hooks the op funnel, so it sees nonblocking puts, signals and
+// per-image completion — and, where the transport lacks them, the blocking
+// operations the funnel issued in their place.
+func TestTracerSeesAsyncSignalSchedule(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want map[string]int // image 1's events of these kinds
+	}{
+		{"shmem", shmemOpts(), map[string]int{"put_nbi": 1, "put_signal_nbi": 1, "quiet_image": 1, "put": 0}},
+		{"gasnet", gasnetOpts(), map[string]int{"put_nbi": 1, "put_signal_nbi": 1, "quiet_image": 1, "put": 0}},
+		// No NBI, no fused signal, no per-image completion: a blocking put,
+		// quiet + flag put + quiet, and a full quiet for SyncMemoryImage.
+		{"mpi3", mpi3Opts(), map[string]int{"put_nbi": 0, "put_signal_nbi": 0, "quiet_image": 0, "put": 2, "quiet": 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trc := NewTracer()
+			o := tc.opts
+			o.Tracer = trc
+			if err := Run(2, o, func(img *Image) {
+				c := Allocate[int64](img, 8)
+				sig := NewSignal(img)
+				if img.ThisImage() == 1 {
+					c.PutSignalAsync(2, All(8), []int64{1, 2, 3, 4, 5, 6, 7, 8}, sig)
+					img.SyncMemoryImage(2)
+				} else {
+					sig.Wait(1)
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]int{}
+			for _, ev := range trc.Events() {
+				if ev.Image == 1 {
+					got[ev.Op]++
+				}
+			}
+			for kind, n := range tc.want {
+				if got[kind] != n {
+					t.Errorf("image 1 recorded %d %q events, want %d (all: %v)", got[kind], kind, n, got)
+				}
+			}
+		})
 	}
 }

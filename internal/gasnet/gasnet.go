@@ -66,11 +66,8 @@ type EP struct {
 type Config struct {
 	Machine *fabric.Machine
 	Profile string
-	// Engine/Workers/BarrierShards select and tune the pgas execution
-	// engine, as in shmem.Config.
-	Engine        pgas.Engine
-	Workers       int
-	BarrierShards int
+	// Options selects and tunes the pgas execution engine, as in shmem.Config.
+	pgas.Options
 }
 
 // Run launches an n-PE GASNet job (gasnet_init + attach + SPMD body).
@@ -93,7 +90,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	pw, err := pgas.NewWorldOpts(cfg.Machine, n, pgas.Options{Engine: cfg.Engine, Workers: cfg.Workers, BarrierShards: cfg.BarrierShards})
+	pw, err := pgas.NewWorldOpts(cfg.Machine, n, cfg.Options)
 	if err != nil {
 		return nil, err
 	}

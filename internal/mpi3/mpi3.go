@@ -21,12 +21,8 @@ import (
 type Config struct {
 	Machine *fabric.Machine
 	Profile string
-	// Engine/Workers select the pgas execution engine, as in shmem.Config.
-	Engine  pgas.Engine
-	Workers int
-	// BarrierShards configures the world-barrier combining tree
-	// (pgas.Options.BarrierShards); 0 selects the automatic layout.
-	BarrierShards int
+	// Options selects and tunes the pgas execution engine, as in shmem.Config.
+	pgas.Options
 }
 
 // World is one MPI job.
@@ -68,7 +64,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	pw, err := pgas.NewWorldOpts(cfg.Machine, n, pgas.Options{Engine: cfg.Engine, Workers: cfg.Workers, BarrierShards: cfg.BarrierShards})
+	pw, err := pgas.NewWorldOpts(cfg.Machine, n, cfg.Options)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package pgasbench
 
 import (
+	"flag"
+
 	"cafshmem/internal/caf"
 	"cafshmem/internal/dht"
 	"cafshmem/internal/fabric"
@@ -8,18 +10,17 @@ import (
 	"cafshmem/internal/pgas"
 )
 
-// EngineOpts bundles the host-side execution-engine tuning the bench CLIs
-// expose (-engine, -workers, -barriershards). The zero value is the
-// goroutine engine with defaults. None of it can change a virtual-time
-// result — it only changes how the simulation spends host time.
-type EngineOpts struct {
-	Engine        pgas.Engine
-	Workers       int
-	BarrierShards int
-}
-
-func (e EngineOpts) apply(o *caf.Options) {
-	o.Engine, o.Workers, o.BarrierShards = e.Engine, e.Workers, e.BarrierShards
+// EngineFlags registers the bench CLIs' host-side execution-engine flags,
+// -engine and -workers, on fs and returns the function that resolves them once
+// fs is parsed. Neither can change a virtual-time result — they only change
+// how the simulation spends host time.
+func EngineFlags(fs *flag.FlagSet) func() (pgas.Options, error) {
+	name := fs.String("engine", "goroutine", "pgas execution engine: goroutine (one scheduled goroutine per image) or event (bounded worker pool; use for 1k+ images)")
+	workers := fs.Int("workers", 0, "event-engine worker pool size (0 = GOMAXPROCS)")
+	return func() (pgas.Options, error) {
+		engine, err := pgas.ParseEngine(*name)
+		return pgas.Options{Engine: engine, Workers: *workers}, err
+	}
 }
 
 // TransportOptions returns the canonical Stampede configuration for one CAF
@@ -62,13 +63,13 @@ func TransportConfigs() []struct {
 // Each image performs `updates` random locked updates; execution time of the
 // slowest image is reported per image count.
 func Fig9(maxImages, bucketsPerImage, updates int) Figure {
-	return Fig9Engine(maxImages, bucketsPerImage, updates, EngineOpts{})
+	return Fig9Engine(maxImages, bucketsPerImage, updates, pgas.Options{})
 }
 
 // Fig9Engine is Fig9 on an explicit pgas execution engine — the virtual-time
 // results are engine-independent; the engine choice only changes how the
 // simulation spends host time (bench CLIs expose it as -engine/-workers).
-func Fig9Engine(maxImages, bucketsPerImage, updates int, eng EngineOpts) Figure {
+func Fig9Engine(maxImages, bucketsPerImage, updates int, eng pgas.Options) Figure {
 	ti := fabric.Titan()
 	counts := []int{}
 	for _, n := range ImageSweep {
@@ -86,7 +87,7 @@ func Fig9Engine(maxImages, bucketsPerImage, updates int, eng EngineOpts) Figure 
 	}
 	p := Panel{Title: "DHT: random locked updates", XLabel: "images", YLabel: "time (ms)"}
 	for _, c := range configs {
-		eng.apply(&c.opts)
+		c.opts.Options = eng
 		s := Series{Label: c.label}
 		for _, n := range counts {
 			r, err := dht.Bench(c.opts, n, bucketsPerImage, updates)
@@ -104,11 +105,11 @@ func Fig9Engine(maxImages, bucketsPerImage, updates int, eng EngineOpts) Figure 
 // vs image count, UHCAF over GASNet vs UHCAF over MVAPICH2-X SHMEM with the
 // naive strided algorithm (the best per §V-D).
 func Fig10(maxImages int, prm himeno.Params) Figure {
-	return Fig10Engine(maxImages, prm, EngineOpts{})
+	return Fig10Engine(maxImages, prm, pgas.Options{})
 }
 
 // Fig10Engine is Fig10 on an explicit pgas execution engine (see Fig9Engine).
-func Fig10Engine(maxImages int, prm himeno.Params, eng EngineOpts) Figure {
+func Fig10Engine(maxImages int, prm himeno.Params, eng pgas.Options) Figure {
 	st := fabric.Stampede()
 	counts := []int{}
 	for _, n := range append([]int{1}, ImageSweep...) {
@@ -127,7 +128,7 @@ func Fig10Engine(maxImages int, prm himeno.Params, eng EngineOpts) Figure {
 	}
 	p := Panel{Title: "Himeno Jacobi pressure solver", XLabel: "images", YLabel: "MFLOPS"}
 	for _, c := range configs {
-		eng.apply(&c.opts)
+		c.opts.Options = eng
 		s := Series{Label: c.label}
 		for _, n := range counts {
 			r, err := himeno.Run(c.opts, n, prm)

@@ -111,15 +111,10 @@ type Config struct {
 	// operation boundaries. Nil disables fault injection entirely — the nil
 	// check is the only cost, and no virtual-time behaviour changes.
 	FaultPlan *fabric.FaultPlan
-	// Engine selects the pgas execution engine (goroutine-per-PE by
-	// default, or the bounded-worker-pool event engine); Workers bounds the
-	// event engine's pool (0 = GOMAXPROCS). Virtual-time results are
-	// engine-independent by construction. BarrierShards overrides the world
-	// barrier's combining-tree leaf-shard count (0 = auto, one shard per
-	// 256 PEs) — equally invisible to modelled results.
-	Engine        pgas.Engine
-	Workers       int
-	BarrierShards int
+	// Options selects and tunes the pgas execution engine (Engine, Workers,
+	// BarrierShards). Virtual-time results are independent of all three by
+	// construction.
+	pgas.Options
 }
 
 // Run launches an n-PE OpenSHMEM job and executes body once per PE
@@ -152,7 +147,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	pw, err := pgas.NewWorldOpts(cfg.Machine, n, pgas.Options{Engine: cfg.Engine, Workers: cfg.Workers, BarrierShards: cfg.BarrierShards})
+	pw, err := pgas.NewWorldOpts(cfg.Machine, n, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
