@@ -1,6 +1,8 @@
 #!/bin/sh
 # Extended tier-1 gate (see ROADMAP.md): build-and-test plus the repo's
-# correctness tooling. Run from the module root.
+# correctness tooling. Run from the module root. `./check.sh fast` stops after
+# the fast tier: build, vet, the unsafe gate and the gates on the write path
+# (about half a minute).
 set -eu
 
 echo "==> go build ./..."
@@ -13,6 +15,20 @@ echo "==> unsafe gate (the one reinterpretation site is internal/pgas/codec.go; 
 if grep -rl --include='*.go' --exclude='*_test.go' '"unsafe"' . | grep -vx './internal/pgas/codec.go'; then
     echo "check.sh: the files above import unsafe; only internal/pgas/codec.go may" >&2
     exit 1
+fi
+
+echo "==> write-path gates (cursor vs Write sequence vs flat model; tabled gap vs math.Pow; strided put allocates nothing; range panics)"
+go test -count=1 -run '^(TestVectoredWritesMatchWriteSequence|TestWriteNegativeOffsetPanics)$' ./internal/pgas
+go test -count=1 -run '^TestTabledGapIsBitIdentical$' ./internal/fabric
+go test -count=1 -run '^TestStridedPutSteadyStateAllocs$' ./internal/caf
+
+echo "==> fuzz smoke, fast tier (the one paged store, bytes and timestamps, vs flat references on recycled pages; 5s each)"
+go test -run '^$' -fuzz '^FuzzSegStore$' -fuzztime 5s ./internal/pgas
+go test -run '^$' -fuzz '^FuzzTsIndex$' -fuzztime 5s ./internal/pgas
+
+if [ "${1:-}" = fast ]; then
+    echo "check.sh: fast tier passed"
+    exit 0
 fi
 
 echo "==> shmemvet (PGAS static analysis; exit code gates, JSON artifact kept)"
@@ -37,9 +53,7 @@ go test -race -count=1 ./...
 echo "==> go test -shuffle=on -count=1 ./... (order-independence)"
 go test -shuffle=on -count=1 ./...
 
-echo "==> fuzz smoke (paged segment store and timestamp index vs dense references, on recycled pages; typed byte view vs the element-wise oracle; 10s each)"
-go test -run '^$' -fuzz '^FuzzSegStore$' -fuzztime 10s ./internal/pgas
-go test -run '^$' -fuzz '^FuzzTsIndex$' -fuzztime 10s ./internal/pgas
+echo "==> fuzz smoke (typed byte view vs the element-wise oracle, 10s; the paged store's two targets ran in the fast tier)"
 go test -run '^$' -fuzz '^FuzzBytesView$' -fuzztime 10s ./internal/pgas
 
 echo "==> overlap smoke (put_nbi hides transfer; Himeno overlap beats blocking)"

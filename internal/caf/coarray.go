@@ -22,6 +22,7 @@ type Coarray[T pgas.Elem] struct {
 	off     int64   // symmetric partition offset
 	n       int     // total local elements
 	es      int     // element size in bytes
+	pencil  []T     // eachPencil's gather/scatter buffer, sized on first use
 }
 
 // Allocate collectively creates a coarray with the given local shape — the

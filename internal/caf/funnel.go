@@ -22,14 +22,13 @@ const directIssueNs = 20
 // by a direct load/store, which is complete at return. op.nbi must be clear
 // on a backend without Caps.NBI (Coarray.section, the one issuer of
 // nonblocking transfers, sees to it).
-func (img *Image) issue(op rmaOp, buf []byte) (direct bool) {
+func (img *Image) issue(op *rmaOp, buf []byte) (direct bool) {
 	caps := img.caps
 	if op.shape == signal && !caps.Signal {
 		// Complete everything, post the flag as an ordinary put, complete it:
 		// always correct, just stronger.
-		op.shape, op.nbi = contiguous, false
 		img.quiet()
-		img.issue(op, buf)
+		img.issue(&rmaOp{put: true, target: op.target, off: op.off}, buf)
 		img.quiet()
 		return false
 	}
@@ -49,14 +48,14 @@ func (img *Image) issue(op rmaOp, buf []byte) (direct bool) {
 			img.be.rma(op.pieceAt(op.off+int64(k)*op.stride), buf[k*op.elem:(k+1)*op.elem])
 		}
 	default:
-		img.be.rma(op, buf)
+		img.be.rma(*op, buf)
 	}
 	img.trace(rmaKinds[op.shape][op.dir()], op.target, len(buf), start)
 	return false
 }
 
 // pieceAt is the contiguous transfer of one run or element of op, at off.
-func (op rmaOp) pieceAt(off int64) rmaOp {
+func (op *rmaOp) pieceAt(off int64) rmaOp {
 	return rmaOp{put: op.put, nbi: op.nbi, target: op.target, off: off}
 }
 
@@ -64,7 +63,7 @@ func (op rmaOp) pieceAt(off int64) rmaOp {
 // the memory the library exposes (shmem_ptr), at memory-copy cost — roughly
 // twice the intra-node library bandwidth, with none of its per-call latency
 // (no injection, no loopback, no completion tracking).
-func (img *Image) direct(op rmaOp, buf []byte) {
+func (img *Image) direct(op *rmaOp, buf []byte) {
 	img.Stats.DirectOps++
 	start := img.traceStart()
 	clock, w := &img.local.Clock, img.local.World()
@@ -82,7 +81,7 @@ func (img *Image) direct(op rmaOp, buf []byte) {
 // strided one is a strided call and nothing else, a nonblocking one of any
 // shape is an async put. The forensic read is the lock repair's, not the
 // program's.
-func (img *Image) count(op rmaOp) {
+func (img *Image) count(op *rmaOp) {
 	s := &img.Stats
 	n := int64(1)
 	if op.shape == vectored {
@@ -113,7 +112,7 @@ var rmaKinds = [...][3]string{ // get, put, put nbi
 }
 
 // dir indexes rmaKinds' columns.
-func (op rmaOp) dir() int {
+func (op *rmaOp) dir() int {
 	switch {
 	case op.nbi:
 		return 2
@@ -230,7 +229,7 @@ func (img *Image) waited(ts float64, kind string, start float64) {
 // partition with an ordinary put, staged through the image's word buffer.
 func (img *Image) putWord(target int, off int64, v uint64) {
 	pgas.Store(img.word[:], v)
-	img.issue(rmaOp{put: true, target: target, off: off}, img.word[:])
+	img.issue(&rmaOp{put: true, target: target, off: off}, img.word[:])
 }
 
 // traceStart opens a tracer span: the virtual time now, unused with tracing

@@ -75,25 +75,3 @@ func (s Section) validate(shape []int) error {
 	}
 	return nil
 }
-
-// odometer iterates the index space of dims (counts), calling f with the
-// current multi-index, fastest dimension first. A nil or empty counts slice
-// yields a single call with an empty index.
-func odometer(counts []int, f func(idx []int)) {
-	idx := make([]int, len(counts))
-	for {
-		f(idx)
-		d := 0
-		for d < len(counts) {
-			idx[d]++
-			if idx[d] < counts[d] {
-				break
-			}
-			idx[d] = 0
-			d++
-		}
-		if d == len(counts) {
-			return
-		}
-	}
-}

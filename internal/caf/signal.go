@@ -59,7 +59,7 @@ func (s *Signal) post(j int, nbi bool) {
 	img := s.img
 	s.sent[j-1]++
 	pgas.Store(img.word[:], s.sent[j-1])
-	img.issue(rmaOp{shape: signal, put: true, nbi: nbi, target: j - 1, off: s.slotOff(img.ThisImage())}, img.word[:])
+	img.issue(&rmaOp{shape: signal, put: true, nbi: nbi, target: j - 1, off: s.slotOff(img.ThisImage())}, img.word[:])
 }
 
 // Wait blocks until the next Notify from image j (1-based) has arrived and

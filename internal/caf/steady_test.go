@@ -151,3 +151,41 @@ func TestTypedRMASteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStridedPutSteadyStateAllocs: a section put lowered to 1-D strided calls
+// (2dim_strided, §IV-C) walks its pencils with running offsets and a
+// stack-resident index, and a pencil that is not along dimension 1 goes through
+// the coarray's own buffer — so once that buffer exists the put allocates
+// nothing, along either base dimension, on any transport.
+func TestStridedPutSteadyStateAllocs(t *testing.T) {
+	if pgas.RaceEnabled {
+		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
+	}
+	for name, o := range map[string]caf.Options{
+		"shmem":  caf.UHCAFOverMV2XSHMEM(),
+		"cray":   caf.UHCAFOverCraySHMEM(fabric.CrayXC30()),
+		"gasnet": caf.UHCAFOverGASNet(fabric.Stampede(), fabric.ProfGASNetIBV),
+		"mpi3":   caf.UHCAFOverMV2XMPI3(),
+	} {
+		o.Strided = caf.Strided2Dim
+		err := caf.Run(2, o, func(img *caf.Image) {
+			x := caf.Allocate[float64](img, 16, 16, 4)
+			if img.ThisImage() == 1 {
+				for base, sec := range []caf.Section{
+					{{Lo: 0, Hi: 14, Step: 2}, {Lo: 0, Hi: 7, Step: 1}, {Lo: 1, Hi: 3, Step: 2}}, // pencils along dimension 1
+					{{Lo: 0, Hi: 6, Step: 3}, {Lo: 0, Hi: 15, Step: 1}, {Lo: 0, Hi: 3, Step: 1}}, // along dimension 2
+				} {
+					vals := make([]float64, sec.NumElems())
+					x.Put(2, sec, vals) // sizes the pencil buffer
+					if got := testing.AllocsPerRun(100, func() { x.Put(2, sec, vals) }); got != 0 {
+						t.Errorf("%s: 2dim section put along dimension %d: %v allocs per call, want 0", name, base+1, got)
+					}
+				}
+			}
+			img.SyncAll()
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}

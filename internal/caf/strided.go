@@ -68,7 +68,7 @@ func (c *Coarray[T]) PutElem(j int, v T, idx ...int) {
 	img.pollFault()
 	img.checkImage(j)
 	op := rmaOp{put: true, direct: img.opts.IntraNodeDirect, target: j - 1, off: c.byteOff(idx)}
-	if !img.issue(op, c.elemBytes(v)) {
+	if !img.issue(&op, c.elemBytes(v)) {
 		img.maybeQuiet() // a direct store completes immediately: no quiet needed
 	}
 }
@@ -80,7 +80,7 @@ func (c *Coarray[T]) GetElem(j int, idx ...int) T {
 	img.checkImage(j)
 	img.maybeQuiet() // pending puts are ordered before the get, or the direct load
 	b := img.word[:c.es]
-	img.issue(rmaOp{direct: img.opts.IntraNodeDirect, target: j - 1, off: c.byteOff(idx)}, b)
+	img.issue(&rmaOp{direct: img.opts.IntraNodeDirect, target: j - 1, off: c.byteOff(idx)}, b)
 	return pgas.Load[T](b)
 }
 
@@ -169,7 +169,7 @@ func (c *Coarray[T]) section(op rmaOp, sec Section, vals []T) (inFlight bool) {
 	if runDims == len(sec) {
 		op.off = c.secLowOff(sec)
 		op.direct = img.opts.IntraNodeDirect && !op.nbi
-		img.issue(op, payload(vals, op.nbi))
+		img.issue(&op, payload(vals, op.nbi))
 		return op.nbi
 	}
 
@@ -182,7 +182,7 @@ func (c *Coarray[T]) section(op rmaOp, sec Section, vals []T) (inFlight bool) {
 		// back to back.
 		sp := pgas.GetOffsScratch()
 		op.shape, op.offs, op.run = vectored, c.appendRunOffs((*sp)[:0], sec, runDims), runElems*c.es
-		img.issue(op, payload(vals, op.nbi))
+		img.issue(&op, payload(vals, op.nbi))
 		*sp = op.offs
 		pgas.PutOffsScratch(sp)
 	default: // 1dim, 2dim, vendor: 1-D strided library calls along base dim
@@ -190,7 +190,7 @@ func (c *Coarray[T]) section(op rmaOp, sec Section, vals []T) (inFlight bool) {
 		op.shape, op.stride, op.elem = strided, int64(sec[base].Step)*c.strides[base]*int64(c.es), c.es
 		c.eachPencil(sec, base, op.put, vals, func(byteOff int64, pencil []T) {
 			op.off = byteOff
-			img.issue(op, payload(pencil, op.nbi))
+			img.issue(&op, payload(pencil, op.nbi))
 		})
 	}
 	return op.nbi
@@ -256,59 +256,68 @@ func (c *Coarray[T]) appendRunOffs(offs []int64, sec Section, runDims int) []int
 // other dimensions in column-major order, and calls f with each pencil's
 // partition offset and its elements, dense. dense is the section-order
 // buffer. A pencil along dimension 1 is a sub-slice of it, which f transfers
-// in place; any other goes through one reused buffer, gathered from dense
-// before f for a put and scattered to it after f for a get.
+// in place; any other goes through the coarray's pencil buffer, gathered from
+// dense before f for a put and scattered to it after f for a get. Like
+// appendRunOffs the walk carries its running offsets — lin into the array,
+// at into dense — and a stack-resident multi-index, so it allocates nothing.
 func (c *Coarray[T]) eachPencil(sec Section, base int, put bool, dense []T, f func(byteOff int64, pencil []T)) {
-	counts := sec.Counts()
-	nbase := counts[base]
-
-	// Section-order linear strides (for locating pencil elements in the
-	// dense buffer).
-	secStride := make([]int, len(sec))
-	m := 1
-	for d := range sec {
-		secStride[d] = m
-		m *= counts[d]
+	nbase := sec[base].Count()
+	baseStride := 1 // of the base dimension in dense
+	for d := 0; d < base; d++ {
+		baseStride *= sec[d].Count()
 	}
-
-	otherCounts := make([]int, 0, len(sec)-1)
-	otherDims := make([]int, 0, len(sec)-1)
+	var lin int64 // the section's low corner, in elements
 	for d := range sec {
-		if d != base {
-			otherCounts = append(otherCounts, counts[d])
-			otherDims = append(otherDims, d)
-		}
+		lin += int64(sec[d].Lo) * c.strides[d]
 	}
-
 	var pencil []T
 	if base != 0 {
-		pencil = make([]T, nbase)
-	}
-	odometer(otherCounts, func(idx []int) {
-		var lin int64
-		secBase := 0
-		for i, v := range idx {
-			d := otherDims[i]
-			lin += int64(sec[d].Lo+v*sec[d].Step) * c.strides[d]
-			secBase += v * secStride[d]
+		if cap(c.pencil) < nbase {
+			c.pencil = make([]T, nbase)
 		}
-		lin += int64(sec[base].Lo) * c.strides[base]
+		pencil = c.pencil[:nbase]
+	}
+	var idxBuf [8]int
+	idx := idxBuf[:]
+	if len(sec) > len(idxBuf) {
+		idx = make([]int, len(sec))
+	}
+	at := 0
+	for {
 		byteOff := c.off + lin*int64(c.es)
-
-		if base == 0 {
-			f(byteOff, dense[secBase:secBase+nbase])
+		switch {
+		case base == 0:
+			f(byteOff, dense[at:at+nbase])
+		case put:
+			for k := range pencil {
+				pencil[k] = dense[at+k*baseStride]
+			}
+			f(byteOff, pencil)
+		default:
+			f(byteOff, pencil)
+			for k := range pencil {
+				dense[at+k*baseStride] = pencil[k]
+			}
+		}
+		d, denseStride := 0, 1
+		for ; d < len(sec); d++ {
+			n := sec[d].Count()
+			if d != base {
+				stride := int64(sec[d].Step) * c.strides[d]
+				idx[d]++
+				if idx[d] < n {
+					lin += stride
+					at += denseStride
+					break
+				}
+				lin -= int64(n-1) * stride
+				at -= (n - 1) * denseStride
+				idx[d] = 0
+			}
+			denseStride *= n
+		}
+		if d == len(sec) {
 			return
 		}
-		if put {
-			for k := 0; k < nbase; k++ {
-				pencil[k] = dense[secBase+k*secStride[base]]
-			}
-		}
-		f(byteOff, pencil)
-		if !put {
-			for k := 0; k < nbase; k++ {
-				dense[secBase+k*secStride[base]] = pencil[k]
-			}
-		}
-	})
+	}
 }

@@ -37,6 +37,29 @@ func TestSectionValidation(t *testing.T) {
 	}
 }
 
+// odometer iterates the index space of dims (counts), calling f with the
+// current multi-index, fastest dimension first: section order, spelled out as
+// the tests' reference for the walks in strided.go. A nil or empty counts
+// slice yields a single call with an empty index.
+func odometer(counts []int, f func(idx []int)) {
+	idx := make([]int, len(counts))
+	for {
+		f(idx)
+		d := 0
+		for d < len(counts) {
+			idx[d]++
+			if idx[d] < counts[d] {
+				break
+			}
+			idx[d] = 0
+			d++
+		}
+		if d == len(counts) {
+			return
+		}
+	}
+}
+
 func TestOdometerOrder(t *testing.T) {
 	var seen [][]int
 	odometer([]int{2, 3}, func(idx []int) {

@@ -71,8 +71,9 @@ func (k TransportKind) Caps() Caps {
 }
 
 // rmaOp describes one one-sided transfer between a local buffer and target's
-// partition. It is passed by value through the backend interface, so issuing
-// an operation allocates nothing.
+// partition. The funnel takes a pointer to its caller's stack value and
+// copies it once, into the backend interface call — a pointer there would
+// escape — so issuing an operation allocates nothing.
 type rmaOp struct {
 	shape  rmaShape
 	put    bool  // write the buffer to target (otherwise read into it)

@@ -46,10 +46,12 @@ func (m *Machine) MustProfile(name string) *CostProfile {
 	return p
 }
 
-// AddProfile registers (or replaces) a library cost profile under p.Name —
-// the hook harnesses use to run a machine with a derived profile (e.g. a
-// clone with a nonzero WindowSyncNs to isolate that surcharge). The machine
-// builders below remain the source of the calibrated defaults.
+// AddProfile registers (or replaces) a library cost profile under p.Name and
+// tables its contention-share term for this machine's node size. It is how
+// the machine builders below — the source of the calibrated defaults —
+// register theirs, and the hook harnesses use to run a machine with a derived
+// profile (e.g. a clone with a nonzero WindowSyncNs to isolate that
+// surcharge).
 func (m *Machine) AddProfile(p *CostProfile) {
 	if p == nil || p.Name == "" {
 		panic("fabric: AddProfile needs a named profile")
@@ -57,6 +59,7 @@ func (m *Machine) AddProfile(p *CostProfile) {
 	if m.profiles == nil {
 		m.profiles = map[string]*CostProfile{}
 	}
+	p.tabulate(m.CoresPerNode)
 	m.profiles[p.Name] = p
 }
 
@@ -129,7 +132,7 @@ func Stampede() *Machine {
 		Interconnect: "InfiniBand FDR (Mellanox)",
 		profiles:     map[string]*CostProfile{},
 	}
-	m.profiles[ProfMV2XSHMEM] = &CostProfile{
+	m.AddProfile(&CostProfile{
 		Name:       ProfMV2XSHMEM,
 		OverheadNs: 180, LatencyNs: 1250, GapNsPerByte: 1.0 / 6.0, // ~6 GB/s
 		IntraLatencyNs: 250, IntraGapNsPerByte: 1.0 / 11.0,
@@ -137,8 +140,8 @@ func Stampede() *Machine {
 		Strided:             StridedLoop, // iput == loop of putmem on MVAPICH2-X
 		ContentionLatencyNs: 55, ContentionShareExp: 1.0,
 		MemGapNsPerByte: 0.15,
-	}
-	m.profiles[ProfMV2XMPI3] = &CostProfile{
+	})
+	m.AddProfile(&CostProfile{
 		Name:       ProfMV2XMPI3,
 		OverheadNs: 420, LatencyNs: 1700, GapNsPerByte: 1.0 / 5.4,
 		IntraLatencyNs: 420, IntraGapNsPerByte: 1.0 / 10.0,
@@ -146,8 +149,8 @@ func Stampede() *Machine {
 		Strided:             StridedLoop,
 		ContentionLatencyNs: 105, ContentionShareExp: 1.12,
 		WindowSyncNs: 260, MemGapNsPerByte: 0.15, // passive-target lock/flush bookkeeping per op
-	}
-	m.profiles[ProfGASNetIBV] = &CostProfile{
+	})
+	m.AddProfile(&CostProfile{
 		Name:       ProfGASNetIBV,
 		OverheadNs: 210, LatencyNs: 1290, GapNsPerByte: 1.0 / 5.45, // lower peak BW
 		IntraLatencyNs: 300, IntraGapNsPerByte: 1.0 / 10.0,
@@ -155,7 +158,7 @@ func Stampede() *Machine {
 		Strided:             StridedLoop, // GASNet has no strided API; runtime loops puts
 		ContentionLatencyNs: 90, ContentionShareExp: 1.08,
 		MemGapNsPerByte: 0.15,
-	}
+	})
 	return m
 }
 
@@ -174,9 +177,9 @@ func CrayXC30() *Machine {
 		Interconnect: "Aries Dragonfly",
 		profiles:     map[string]*CostProfile{},
 	}
-	m.profiles[ProfCraySHMEM] = craySHMEMProfile()
-	m.profiles[ProfCrayMPICH] = crayMPICHProfile()
-	m.profiles[ProfGASNetAries] = &CostProfile{
+	m.AddProfile(craySHMEMProfile())
+	m.AddProfile(crayMPICHProfile())
+	m.AddProfile(&CostProfile{
 		Name:       ProfGASNetAries,
 		OverheadNs: 240, LatencyNs: 1000, GapNsPerByte: 1.0 / 6.05,
 		IntraLatencyNs: 300, IntraGapNsPerByte: 1.0 / 10.0,
@@ -184,8 +187,8 @@ func CrayXC30() *Machine {
 		Strided:             StridedLoop,
 		ContentionLatencyNs: 70, ContentionShareExp: 1.05,
 		MemGapNsPerByte: 0.14,
-	}
-	m.profiles[ProfCrayDMAPP] = crayDMAPPProfile()
+	})
+	m.AddProfile(crayDMAPPProfile())
 	return m
 }
 
@@ -204,14 +207,14 @@ func Titan() *Machine {
 	shm := craySHMEMProfile()
 	shm.LatencyNs = 1450
 	shm.GapNsPerByte = 1.0 / 5.8
-	m.profiles[ProfCraySHMEM] = shm
+	m.AddProfile(shm)
 
 	mpich := crayMPICHProfile()
 	mpich.LatencyNs = 1900
 	mpich.GapNsPerByte = 1.0 / 5.2
-	m.profiles[ProfCrayMPICH] = mpich
+	m.AddProfile(mpich)
 
-	m.profiles[ProfGASNetGemini] = &CostProfile{
+	m.AddProfile(&CostProfile{
 		Name:       ProfGASNetGemini,
 		OverheadNs: 260, LatencyNs: 1480, GapNsPerByte: 1.0 / 5.35,
 		IntraLatencyNs: 320, IntraGapNsPerByte: 1.0 / 9.0,
@@ -219,11 +222,11 @@ func Titan() *Machine {
 		Strided:             StridedLoop,
 		ContentionLatencyNs: 55, ContentionShareExp: 1.06,
 		MemGapNsPerByte: 0.16,
-	}
+	})
 	dm := crayDMAPPProfile()
 	dm.LatencyNs = 1500
 	dm.GapNsPerByte = 1.0 / 5.6
-	m.profiles[ProfCrayDMAPP] = dm
+	m.AddProfile(dm)
 	return m
 }
 

@@ -87,6 +87,24 @@ type CostProfile struct {
 	// trades against call count ("we will obtain data from different cache
 	// levels"), and it is why strided bandwidth falls as the stride grows.
 	MemGapNsPerByte float64
+
+	// share[pairs] is pairs^shareExp as gap computes it, tabled by
+	// Machine.AddProfile for pairs up to the machine's cores per node: the
+	// term does not depend on the message, and math.Pow on every put cost more
+	// than the rest of the model. A profile that was never added to a machine
+	// has no table, and one whose exponent was changed since no longer matches
+	// shareExp; both take the expression itself.
+	share    []float64
+	shareExp float64
+}
+
+// tabulate fills the contention-share table for pairs 0..maxPairs with the
+// expression gap would otherwise evaluate, so the tabled gap is bit-identical.
+func (p *CostProfile) tabulate(maxPairs int) {
+	p.share, p.shareExp = make([]float64, maxPairs+1), p.ContentionShareExp
+	for pairs := range p.share {
+		p.share[pairs] = powf(float64(pairs), p.ContentionShareExp)
+	}
 }
 
 const cacheLineBytes = 64
@@ -177,7 +195,11 @@ func (p *CostProfile) gap(intra bool, pairs int) float64 {
 		g = p.IntraGapNsPerByte
 	}
 	if pairs > 1 {
-		g *= powf(float64(pairs), p.ContentionShareExp)
+		if pairs < len(p.share) && p.shareExp == p.ContentionShareExp {
+			g *= p.share[pairs]
+		} else {
+			g *= powf(float64(pairs), p.ContentionShareExp)
+		}
 	}
 	return g
 }

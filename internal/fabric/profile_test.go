@@ -187,3 +187,44 @@ func TestStridedLocalityMonotoneInStride(t *testing.T) {
 		prev = got
 	}
 }
+
+// The contention-share term of gap comes from a table Machine.AddProfile
+// fills; for every shipped profile and every pairs count its machine's nodes
+// can hold, the tabled gap must equal the math.Pow expression bit for bit —
+// virtual times depend on it — and past the table, or for a profile whose
+// exponent changed after it was tabled, gap must evaluate the expression.
+func TestTabledGapIsBitIdentical(t *testing.T) {
+	gapExpr := func(p *CostProfile, intra bool, pairs int) float64 {
+		g := p.GapNsPerByte
+		if intra {
+			g = p.IntraGapNsPerByte
+		}
+		if pairs > 1 {
+			g *= math.Pow(float64(pairs), p.ContentionShareExp)
+		}
+		return g
+	}
+	check := func(what string, p *CostProfile, maxPairs int) {
+		t.Helper()
+		for pairs := 0; pairs <= maxPairs; pairs++ {
+			for _, intra := range []bool{false, true} {
+				if got, want := p.gap(intra, pairs), gapExpr(p, intra, pairs); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s: gap(intra=%v, pairs=%d) = %v, math.Pow expression %v", what, intra, pairs, got, want)
+				}
+			}
+		}
+	}
+	for _, m := range []*Machine{Stampede(), CrayXC30(), Titan()} {
+		for _, name := range m.ProfileNames() {
+			p := m.MustProfile(name)
+			if len(p.share) != m.CoresPerNode+1 {
+				t.Errorf("%s/%s: table holds %d entries, want pairs 0..%d", m.Name, name, len(p.share), m.CoresPerNode)
+			}
+			check(m.Name+"/"+name, p, 4*m.CoresPerNode) // the table, and well past it
+		}
+	}
+	stale := *Stampede().MustProfile(ProfGASNetIBV)
+	stale.ContentionShareExp = 1.5
+	check("exponent changed after tabling", &stale, 20)
+	check("never tabled", testProfile(), 20)
+}

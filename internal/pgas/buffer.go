@@ -14,14 +14,11 @@ import "sync"
 //     the sanitizer copies the source of a nonblocking put to compare it with
 //     the live buffer at Quiet.
 //
-// What the fast paths still borrow are the side lists of a run-list transfer:
-// run offsets and per-run visibility times. Pools hold pointers to slices so
-// returning a list never re-boxes the slice header.
+// What the fast paths still borrow is the run-offset list of a run-list
+// transfer. The pool holds pointers to slices so returning a list never
+// re-boxes the slice header.
 
-var (
-	offsPool = sync.Pool{New: func() any { s := make([]int64, 0, 64); return &s }}
-	tsPool   = sync.Pool{New: func() any { s := make([]float64, 0, 64); return &s }}
-)
+var offsPool = sync.Pool{New: func() any { s := make([]int64, 0, 64); return &s }}
 
 // GetOffsScratch borrows an offset list (for run-list transfers).
 func GetOffsScratch() *[]int64 { return offsPool.Get().(*[]int64) }
@@ -30,13 +27,4 @@ func GetOffsScratch() *[]int64 { return offsPool.Get().(*[]int64) }
 func PutOffsScratch(sp *[]int64) {
 	*sp = (*sp)[:0]
 	offsPool.Put(sp)
-}
-
-// GetTsScratch borrows a visibility-time list (for run-list transfers).
-func GetTsScratch() *[]float64 { return tsPool.Get().(*[]float64) }
-
-// PutTsScratch returns a borrowed visibility-time list to the pool.
-func PutTsScratch(sp *[]float64) {
-	*sp = (*sp)[:0]
-	tsPool.Put(sp)
 }

@@ -3,33 +3,31 @@ package pgas
 import "math"
 
 // Test hooks for the page life cycle: the worst a recycled page can hold is
-// 0xFF in every byte of a segment page and +Inf in every word of a timestamp
-// page (the index max-merges, so +Inf would stick).
+// 0xFF in every byte its last owner dirtied and +Inf in every word of four
+// stale timestamp blocks (the index max-merges, so +Inf would stick).
 
-func dirtySegPage(pg []byte) {
-	for i := range pg {
-		pg[i] = 0xFF
+func (pg *segPage) scribble(lo, hi int64) {
+	for i := range pg.data[lo:hi] {
+		pg.data[lo+int64(i)] = 0xFF
+	}
+	pg.dirty(lo, hi)
+	for g := range pg.ts {
+		if pg.ts[g] == nil {
+			pg.ts[g] = new(tsBlock)
+		}
+		for i := range pg.ts[g] {
+			pg.ts[g][i] = math.Inf(1)
+		}
 	}
 }
 
-func dirtyTsPage(pg []float64) {
-	for i := range pg {
-		pg[i] = math.Inf(1)
-	}
-}
-
-// PreloadDirtyPages puts nSeg segment pages and nTs timestamp pages, all
-// dirty, into the page pools, so the next pages handed out are recycled ones.
-func PreloadDirtyPages(nSeg, nTs int) {
-	for i := 0; i < nSeg; i++ {
-		pg := new([segPageSize]byte)
-		dirtySegPage(pg[:])
+// PreloadDirtyPages puts n pages into the page pool whose last owner dirtied
+// the in-page range [lo, hi), so the next pages handed out are recycled ones.
+func PreloadDirtyPages(n int, lo, hi int64) {
+	for i := 0; i < n; i++ {
+		pg := &segPage{data: new([segPageSize]byte), lo: lo, hi: hi}
+		pg.scribble(lo, hi)
 		segPagePool.Put(pg)
-	}
-	for i := 0; i < nTs; i++ {
-		pg := new([tsPageWords]float64)
-		dirtyTsPage(pg[:])
-		tsPagePool.Put(pg)
 	}
 }
 
@@ -40,11 +38,8 @@ func (w *World) Scribble() {
 		p.mu.Lock()
 		for _, pg := range p.seg.pages {
 			if pg != nil {
-				dirtySegPage(pg[:])
+				pg.scribble(0, segPageSize)
 			}
-		}
-		for _, pg := range p.ts.pages {
-			dirtyTsPage(pg)
 		}
 		p.mu.Unlock()
 	}

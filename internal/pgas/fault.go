@@ -229,9 +229,7 @@ func (w *World) RepairWrite(target int, off int64, data []byte, visibleAt float6
 	}
 	p := w.part(target)
 	p.mu.Lock()
-	p.ensureLen(off + int64(len(data)))
-	p.seg.writeAt(off, data)
-	p.noteWrite(off, int64(len(data)), visibleAt)
+	p.store(off, data, visibleAt)
 	p.mu.Unlock()
 	w.bumpEvent()
 	// Same waiter-gated fan-out as depart: the repair write completes (and

@@ -14,11 +14,13 @@ import (
 // against a flat zero-initialised reference array. Any divergence between a
 // paged read and the dense reference (page-boundary straddles, reads of
 // unmaterialised pages, reads past the extent, overlapping runs resolving in
-// slice order) is a substrate bug. Every case starts with the page pools
+// slice order) is a substrate bug. Every case starts with the page pool
 // pre-loaded with pages full of 0xFF and +Inf, so the pages the store
 // materialises are recycled ones, and the span writes (op 5) start and end at
 // arbitrary in-page offsets, page boundaries included: whatever a write does
-// not cover must read as zero although the page it landed on was dirty. The
+// not cover must read as zero although the page it landed on was dirty. Op 7
+// closes the world and carries on in a new one, whose pages are the ones the
+// program itself dirtied, each over the range it happened to write. The
 // program decoder is total: every byte string decodes to a valid op sequence,
 // so the fuzzer explores state, not the decoder's error paths.
 func FuzzSegStore(f *testing.F) {
@@ -43,17 +45,37 @@ func FuzzSegStore(f *testing.F) {
 	f.Add([]byte{5, 0x00, 0xFF, 0xFF, 0x00, 0x00, 0x02, 9, 6, 0x00, 0x00, 0x00, 0x03, 0x01, 0x01})
 	f.Add([]byte{5, 0x01, 0x80, 0x00, 0x00, 0x7F, 0xFF, 1, 6, 0x01, 0x00, 0x00, 0x01, 0x00, 0x01})
 	f.Add([]byte{5, 0x00, 0x00, 0x00, 0x03, 0x01, 0x00, 2, 6, 0x00, 0x00, 0x00, 0x03, 0x01, 0x01})
+	// Recycled pages with a partial dirty range: every life
+	// writes bytes [256, 768) of page 0, reads two pages back and recycles the
+	// world, and each opens with a first write placed differently against the
+	// range the page arrives with — below it, inside it, across its end, above
+	// it, over all of it, and as runs of one WriteRuns, one of them across the
+	// page-0/1 boundary.
+	var recycled []byte
+	for _, first := range [][]byte{
+		nil,
+		{0, 0x00, 0x10, 4, 1},
+		{0, 0x01, 0x80, 8, 2},
+		{0, 0x02, 0xFC, 8, 3},
+		{0, 0x04, 0x00, 8, 4},
+		{5, 0, 0, 0, 0, 8, 0, 5},
+		{2, 0, 0, 3, 3, 0x04, 0x00, 0x00, 0x00, 0x3F, 0xFE, 0x01, 0x00},
+	} {
+		recycled = append(recycled, first...)
+		recycled = append(recycled, 5, 0, 1, 0, 0, 2, 0, 7, 6, 0, 0, 0, 0, 0x80, 0x10, 7)
+	}
+	f.Add(recycled)
 	f.Fuzz(func(t *testing.T, program []byte) {
 		// > 3 pages plus a ragged tail, so offsets hit page boundaries and the
 		// store's extent never covers the whole model.
 		const modelLen = 3*int(segPageSize) + 257
 		model := make([]byte, modelLen)
-		PreloadDirtyPages(4, 4)
+		PreloadDirtyPages(4, 0, segPageSize)
 		w, err := NewWorld(fabric.Stampede(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer w.Close() // the next case recycles this one's pages, contents and all
+		defer func() { w.Close() }() // the next case recycles this one's pages, contents and all
 
 		cur := 0
 		next := func() (byte, bool) {
@@ -105,7 +127,13 @@ func FuzzSegStore(f *testing.F) {
 				return
 			}
 			step++
-			switch op % 7 {
+			switch op % 8 {
+			case 7: // recycle: the same memory, a new world
+				w.Close()
+				if w, err = NewWorld(fabric.Stampede(), 1); err != nil {
+					t.Fatal(err)
+				}
+				clear(model)
 			case 0: // dense write
 				off, ok1 := next16(modelLen)
 				n, ok2 := next()
@@ -233,23 +261,29 @@ func FuzzSegStore(f *testing.F) {
 }
 
 // FuzzTsIndex is FuzzSegStore's twin for the timestamp index: dense range
-// records, sparse single-word records and range queries over a few pages,
-// mirrored against one float64 per word. The pool is pre-loaded with pages of
-// +Inf, so a recycled page that was not cleared whole would stick at +Inf
-// under the index's max-merge; the closing sweep checks every word, so a
-// never-recorded word must read 0 and a sparse record must survive its
-// migration into a dense page exactly.
+// records, sparse single-word records and range queries over a few granules
+// of two pages, mirrored against one float64 per word. The pool is pre-loaded
+// with pages whose blocks hold +Inf, so a recycled block that was not cleared
+// whole would stick at +Inf under the index's max-merge, and op 3 releases
+// the store and carries on with the pages it recorded on; the closing sweep
+// checks every word, so a never-recorded word must read 0 and a sparse record
+// must survive its migration into a dense block exactly.
 func FuzzTsIndex(f *testing.F) {
 	f.Add([]byte{0, 0x00, 0x00, 0, 8, 5, 2, 0x00, 0x00, 0, 16})
 	f.Add([]byte{1, 0x10, 0x08, 9, 0, 0x10, 0x00, 0, 64, 3, 2, 0x10, 0x00, 1, 0})    // sparse, then dense over it
-	f.Add([]byte{0, 0x0F, 0xF8, 0, 16, 7, 1, 0x2F, 0xF0, 4, 2, 0x0F, 0xF0, 0x20, 0}) // straddles ts pages 0/1
+	f.Add([]byte{0, 0x0F, 0xF8, 0, 16, 7, 1, 0x2F, 0xF0, 4, 2, 0x0F, 0xF0, 0x20, 0}) // straddles granules 0/1
+	// Recycled blocks: granules 1 and 3 of page 0 and a sparse word are
+	// recorded, the store is released, and the next life records on granule 0
+	// (a spare block moves), across the page-0/1 boundary, and asks for all.
+	f.Add([]byte{0, 0x10, 0x00, 0, 64, 9, 0, 0x30, 0x08, 0, 8, 7, 1, 0x20, 0x10, 5, 3, 0, 0,
+		0, 0x00, 0x10, 0, 8, 4, 0, 0x3F, 0xF0, 0, 40, 6, 1, 0x20, 0x10, 2, 2, 0x00, 0x00, 0x50, 0x17})
 	f.Fuzz(func(t *testing.T, program []byte) {
-		const words = 5*tsPageWords + 3
+		const words = 5*tsBlockWords + 3
 		const span = words * 8
 		ref := make([]float64, words)
-		PreloadDirtyPages(0, 6)
-		var ix tsIndex
-		defer ix.release()
+		PreloadDirtyPages(3, 0, segPageSize)
+		var ix segStore
+		defer func() { ix.release() }()
 
 		cur := 0
 		next := func() (int, bool) {
@@ -279,7 +313,10 @@ func FuzzTsIndex(f *testing.F) {
 				break
 			}
 			off, ok1 := next16(span)
-			switch op % 3 {
+			switch op % 4 {
+			case 3: // release: the next record finds this life's pages recycled
+				ix.release()
+				clear(ref)
 			case 0: // dense record over [off, off+n)
 				n, ok2 := next16(tsTrackMaxBytes)
 				ts, ok3 := next()

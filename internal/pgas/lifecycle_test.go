@@ -95,7 +95,7 @@ func churnWorld(t *testing.T, payload []byte) (uint64, PageStats) {
 	runtime.ReadMemStats(&before)
 	w.Write(0, 0, payload, 1)
 	for i := 0; i < 256; i++ {
-		w.WriteUint64(i%32, int64(i/32)*tsPageBytes, uint64(i)+1, 2)
+		w.WriteUint64(i%32, int64(i/32)*tsBlockBytes, uint64(i)+1, 2)
 	}
 	w.Close()
 	runtime.ReadMemStats(&after)
@@ -109,7 +109,7 @@ func churnWorld(t *testing.T, payload []byte) (uint64, PageStats) {
 // segment page of new memory over all twenty, where every world used to cost
 // megabytes — and the traffic allocates nothing but page tables.
 func TestWorldChurnAllocBytes(t *testing.T) {
-	const flagPages = (8*tsPageBytes + segPageSize - 1) / segPageSize
+	const flagPages = (8*tsBlockBytes + segPageSize - 1) / segPageSize
 	if RaceEnabled {
 		t.Skip("under -race sync.Pool drops a quarter of what is put into it")
 	}
@@ -139,13 +139,13 @@ func TestWorldChurnAllocBytes(t *testing.T) {
 	}
 	if pages.FreshBytes >= segPageSize {
 		t.Errorf("20 worlds took %d KiB of new page memory, want < %d KiB (each materialises %d KiB)",
-			pages.FreshBytes>>10, segPageSize>>10, (int64(segPages)*segPageSize+256*tsPageBytes)>>10)
+			pages.FreshBytes>>10, segPageSize>>10, (int64(segPages)*segPageSize+256*tsBlockBytes)>>10)
 	}
 	// The 1 MiB put covers its pages exactly, so only the 31 other
 	// partitions' flag pages and the timestamp pages are cleared.
-	if perWorld := pages.ClearedBytes / 20; perWorld > 31*flagPages*segPageSize+256*tsPageBytes {
+	if perWorld := pages.ClearedBytes / 20; perWorld > 31*flagPages*segPageSize+256*tsBlockBytes {
 		t.Errorf("cleared %d KiB per world on hand-out, want at most %d KiB: the bulk put's pages must not be cleared",
-			perWorld>>10, (31*flagPages*segPageSize+256*tsPageBytes)>>10)
+			perWorld>>10, (31*flagPages*segPageSize+256*tsBlockBytes)>>10)
 	}
 	// What is left is the partitions' page tables (a few hundred bytes per PE
 	// that was written to): well under 1 MiB for all twenty worlds.

@@ -21,15 +21,26 @@ func (w *World) Write(target int, off int64, data []byte, visibleAt float64) {
 	if len(data) == 0 {
 		return
 	}
+	if off < 0 {
+		panic(fmt.Sprintf("pgas: write of %d bytes at offset %d out of range", len(data), off))
+	}
 	if w.stateOf(target) == stateFailed {
 		return // a failed PE's partition is frozen: one-sided writes are dropped
 	}
 	p := w.part(target)
 	p.mu.Lock()
-	p.ensureLen(off + int64(len(data)))
-	p.seg.writeAt(off, data)
-	p.noteWrite(off, int64(len(data)), visibleAt)
+	p.store(off, data, visibleAt)
 	p.mu.Unlock()
+}
+
+// store is one write to the partition, as every path but the vectored ones
+// makes it: extent, bytes and timestamps through a cursor of one piece, then
+// the watch. Must be called with p.mu held.
+func (p *PE) store(off int64, data []byte, visibleAt float64) {
+	p.ensureLen(off + int64(len(data)))
+	c := p.seg.cursor()
+	c.put(off, data, visibleAt)
+	p.wakeOverlapping(off, int64(len(data)), visibleAt)
 }
 
 // Touch performs the write-visibility bookkeeping of a one-byte store of
@@ -136,8 +147,7 @@ func (w *World) RMW64Stat(target int, off int64, op AtomicOp, operand uint64, vi
 		panic(fmt.Sprintf("pgas: unknown atomic op %d", op))
 	}
 	binary.NativeEndian.PutUint64(b[:], nw)
-	p.seg.writeAt(off, b[:])
-	p.noteWrite(off, 8, visibleAt)
+	p.store(off, b[:], visibleAt)
 	return old, true
 }
 
@@ -165,8 +175,7 @@ func (w *World) CompareSwap64Stat(target int, off int64, expected, desired uint6
 	}
 	if old == expected {
 		binary.NativeEndian.PutUint64(b[:], desired)
-		p.seg.writeAt(off, b[:])
-		p.noteWrite(off, 8, visibleAt)
+		p.store(off, b[:], visibleAt)
 	}
 	return old, true
 }
@@ -175,9 +184,18 @@ func (w *World) CompareSwap64Stat(target int, off int64, expected, desired uint6
 // control-word traffic is always small; bulk payloads are never waited on.
 const tsTrackMaxBytes = 1024
 
-// noteWrite records a write's visibility time on the per-word timestamp
-// index and, when a waiter is registered, on overlapping watches — then wakes
-// the waiters. Must be called with p.mu held.
+// noteTouch is the bookkeeping of the symmetric-heap Touch: the watch scan
+// and wakeup of a write, but the timestamp goes through the index's sparse
+// overlay, so backing a region at a high never-written offset does not
+// materialise a timestamp block (at 10k PEs the per-malloc Touch blocks
+// dominated world-construction time and memory). Must be called with p.mu held.
+func (p *PE) noteTouch(off int64, visibleAt float64) {
+	p.seg.recordWordSparse(off, visibleAt)
+	p.wakeOverlapping(off, 1, visibleAt)
+}
+
+// wakeOverlapping raises overlapping watches to visibleAt and wakes the
+// partition's waiters when any watch matched. Must be called with p.mu held.
 //
 // Watch-awareness: the event-epoch bump and the wakeup are skipped when no
 // watch is registered — and since a waiter's predicate reads only its own
@@ -189,28 +207,9 @@ const tsTrackMaxBytes = 1024
 // bytes before blocking — no wakeup can be lost. World-level conditions a
 // WaitUntilStat onEvent hook checks (departures, repair writes, dead links)
 // have their own fan-outs and never depend on unrelated-write wakeups.
-// Timestamp *recording* stays unconditional (see tsIndex): it is what keeps
+// Timestamp *recording* stays unconditional (see tsindex.go): it is what keeps
 // wait timestamps independent of whether the write raced ahead of the watch
 // registration.
-func (p *PE) noteWrite(off, n int64, visibleAt float64) {
-	if n <= tsTrackMaxBytes {
-		p.ts.recordRange(off, n, visibleAt)
-	}
-	p.wakeOverlapping(off, n, visibleAt)
-}
-
-// noteTouch is noteWrite for the symmetric-heap Touch: the same watch scan
-// and wakeup, but the timestamp goes through the index's sparse overlay, so
-// backing a region at a high never-written offset does not materialise a
-// dense timestamp page (at 10k PEs the per-malloc Touch pages dominated
-// world-construction time and memory). Must be called with p.mu held.
-func (p *PE) noteTouch(off int64, visibleAt float64) {
-	p.ts.recordWordSparse(off, visibleAt)
-	p.wakeOverlapping(off, 1, visibleAt)
-}
-
-// wakeOverlapping raises overlapping watches to visibleAt and wakes the
-// partition's waiters when any watch matched. Must be called with p.mu held.
 func (p *PE) wakeOverlapping(off, n int64, visibleAt float64) {
 	if p.raiseWatch(off, n, visibleAt) {
 		p.world.bumpEvent()
@@ -232,7 +231,7 @@ func (p *PE) raiseWatch(off, n int64, visibleAt float64) bool {
 
 // rangeTs returns the latest recorded visibility timestamp overlapping
 // [off, off+n). Must be called with p.mu held.
-func (p *PE) rangeTs(off, n int64) float64 { return p.ts.maxRange(off, n) }
+func (p *PE) rangeTs(off, n int64) float64 { return p.seg.maxRange(off, n) }
 
 // Cmp is a typed comparison of a 64-bit word against an operand — the
 // shmem_wait_until(ivar, cmp, value) form, which needs no predicate closure.

@@ -5,54 +5,77 @@ import (
 	"sync"
 )
 
-// segStore is the paged backing store for one PE's partition. Partitions are
-// logically contiguous, zero-initialised byte ranges up to MaxSegmentBytes,
-// but real programs write them sparsely: the CAF runtime places a large,
-// mostly-idle staging buffer below the densely-used coarray data, and the
-// symmetric-heap Malloc protocol establishes regions far larger than what is
-// ever stored. A flat []byte would materialise every zero byte below the
-// highest written offset (hundreds of MB per world at 256 PEs); the paged
-// store materialises only pages that have actually been written. A nil page
-// reads as zeros, which is exactly what the unwritten memory is.
+// segStore is the paged backing store for one PE's partition: its bytes and,
+// on the same pages, the visibility timestamps of its words (tsindex.go).
+// Partitions are logically contiguous, zero-initialised byte ranges up to
+// MaxSegmentBytes, but real programs write them sparsely: the CAF runtime
+// places a large, mostly-idle staging buffer below the densely-used coarray
+// data, and the symmetric-heap Malloc protocol establishes regions far larger
+// than what is ever stored. A flat []byte would materialise every zero byte
+// below the highest written offset (hundreds of MB per world at 256 PEs); the
+// paged store materialises only pages that have actually been written. A nil
+// page reads as zeros, which is exactly what the unwritten memory is.
 //
 // Page memory has a life cycle longer than the store's: pages come from the
 // process-wide segPagePool and go back to it when the owning world is closed
 // (release), so a program that builds hundreds of short-lived worlds — every
 // figure of the paper is one — keeps re-using the same few pages instead of
-// asking the runtime for fresh zeroed ones. A pooled page is dirty; the store
-// that takes it clears exactly the bytes its first write does not cover (see
-// page), so recycled memory is indistinguishable from new.
+// asking the runtime for fresh zeroed ones. A pooled page remembers the byte
+// range its last owner dirtied; the store that takes it clears exactly the
+// part of that range its first write does not cover (see page), so recycled
+// memory is indistinguishable from new and a flag-sized first write does not
+// pay for 16 KiB of memclr.
 //
 // All methods must be called with the owning PE's mu held.
 type segStore struct {
-	// pages is the page table, nil where nothing was stored. It spans the
-	// highest offset written, so its entries are array pointers, a third the
-	// size of slice headers.
-	pages  []*[segPageSize]byte
+	// pages is the one page table, nil where nothing was stored. It spans the
+	// highest offset written, so its entries are single pointers.
+	pages  []*segPage
 	length int64 // logical extent: the high-water mark of ensure()
-	// Observability (World.PageStats): pages materialised since the store was
-	// created, how many of them were new memory rather than recycled, and the
-	// bytes cleared while handing out the recycled ones.
-	materialised int
-	fresh        int
-	cleared      int64
+	// sparse holds isolated timestamp records on granules no dense record
+	// ever touched; see recordWordSparse.
+	sparse map[int64]float64
+	// Observability (World.PageStats): pages and timestamp blocks brought
+	// into use since the store was created, how many of each were new memory
+	// rather than recycled, and the bytes cleared while handing out the
+	// recycled ones.
+	materialised, fresh     int
+	tsMaterialised, tsFresh int
+	cleared                 int64
 }
 
+// segPage is one page of a partition: the data, the timestamp blocks of the
+// 4 KiB granules that were recorded on, and the in-page byte range [lo, hi)
+// written since the data was last known zero. The data array is its own
+// allocation so that it stays in the allocator's exact 16 KiB size class.
+type segPage struct {
+	data *[segPageSize]byte
+	// ts[g] covers granule g once live has bit g; a block without its bit is
+	// a spare from an earlier life, stale, which block clears and puts to use
+	// in whichever granule asks first.
+	ts     [segPageSize / tsBlockBytes]*tsBlock
+	lo, hi int64
+	live   uint8
+}
+
+// dirty widens the page's dirty range over the in-page span [lo, hi).
+func (pg *segPage) dirty(lo, hi int64) { pg.lo, pg.hi = min(pg.lo, lo), max(pg.hi, hi) }
+
 const (
-	// 16 KiB pages. A page is the unit a first write materialises (and, on
-	// a recycled page, clears), so the size trades the waste of a flag-sized
-	// write against the per-page walk of a bulk one and the length of the
-	// page table: at 64 KiB the DHT's 2048 lock and bucket words cost
-	// 128 MiB of pages (DESIGN.md "Partition memory life cycle").
+	// 16 KiB pages. A page is the unit a first write materialises, so the
+	// size trades the waste of a flag-sized write against the per-page walk
+	// of a bulk one and the length of the page table: at 64 KiB the DHT's
+	// 2048 lock and bucket words cost 128 MiB of pages (DESIGN.md "Partition
+	// memory life cycle").
 	segPageShift = 14
 	segPageSize  = int64(1) << segPageShift
 	segPageMask  = segPageSize - 1
 )
 
-// segPagePool recycles page memory across worlds. It holds array pointers, so
-// neither Put nor Get boxes a slice header, and it has no New: a miss is
-// visible to page, which then knows the memory came zeroed from the runtime.
-// The pool is unbounded by design — the GC drops what two cycles did not use.
+// segPagePool recycles pages, with whatever timestamp blocks they carry,
+// across worlds. It has no New: a miss is visible to page, which then knows
+// the memory came zeroed from the runtime. The pool is unbounded by design —
+// the GC drops what two cycles did not use.
 var segPagePool sync.Pool
 
 // segZeroPage is the shared read-only view handed out for unmaterialised
@@ -70,43 +93,46 @@ func (s *segStore) ensure(peID int, length int64) {
 	}
 }
 
-// page returns the materialised page containing byte w. The caller is about
-// to store the in-page span [lo, hi). On first write the page table grows
-// geometrically and the page is taken from segPagePool: a recycled page is
-// cleared outside [lo, hi) only — the store overwrites the rest at once, so a
-// bulk put into new memory pays one memmove and no memclr — and a pool miss
-// allocates a page the runtime already zeroed.
-func (s *segStore) page(w, lo, hi int64) []byte {
-	pn := w >> segPageShift
+// page returns page pn, materialised, for a caller about to store its in-page
+// span [lo, hi), which joins the page's dirty range. On first touch the page
+// table grows geometrically and the page is taken from segPagePool: of a
+// recycled page only the stale bytes outside [lo, hi) are cleared — the store
+// overwrites the rest at once, so a bulk put into new memory pays one memmove
+// and no memclr — and a pool miss allocates a page the runtime already zeroed.
+func (s *segStore) page(pn, lo, hi int64) *segPage {
 	if pn < int64(len(s.pages)) {
 		if pg := s.pages[pn]; pg != nil {
-			return pg[:]
+			pg.dirty(lo, hi)
+			return pg
 		}
-	}
-	if pn >= int64(len(s.pages)) {
-		newLen := int64(cap(s.pages))
-		if newLen < 8 {
-			newLen = 8
-		}
+	} else {
+		newLen := max(int64(cap(s.pages)), 8)
 		for newLen <= pn {
 			newLen *= 2
 		}
-		np := make([]*[segPageSize]byte, newLen)
+		np := make([]*segPage, newLen)
 		copy(np, s.pages)
 		s.pages = np
 	}
-	pg, ok := segPagePool.Get().(*[segPageSize]byte)
+	pg, ok := segPagePool.Get().(*segPage)
 	if ok {
-		clear(pg[:lo])
-		clear(pg[hi:])
-		s.cleared += segPageSize - (hi - lo)
+		if below := min(lo, pg.hi); below > pg.lo {
+			clear(pg.data[pg.lo:below])
+			s.cleared += below - pg.lo
+		}
+		if above := max(hi, pg.lo); above < pg.hi {
+			clear(pg.data[above:pg.hi])
+			s.cleared += pg.hi - above
+		}
+		pg.live = 0
 	} else {
-		pg = new([segPageSize]byte)
+		pg = &segPage{data: new([segPageSize]byte)}
 		s.fresh++
 	}
+	pg.lo, pg.hi = lo, hi
 	s.pages[pn] = pg
 	s.materialised++
-	return pg[:]
+	return pg
 }
 
 // readPage returns the page containing byte off for reading: the materialised
@@ -114,21 +140,21 @@ func (s *segStore) page(w, lo, hi int64) []byte {
 func (s *segStore) readPage(off int64) []byte {
 	if pn := off >> segPageShift; pn < int64(len(s.pages)) {
 		if pg := s.pages[pn]; pg != nil {
-			return pg[:]
+			return pg.data[:]
 		}
 	}
 	return segZeroPage
 }
 
 // release returns every materialised page to segPagePool; what the store
-// held now reads as zero.
+// held, bytes and timestamps, now reads as zero.
 func (s *segStore) release() {
 	for _, pg := range s.pages {
 		if pg != nil {
 			segPagePool.Put(pg)
 		}
 	}
-	s.pages = nil
+	s.pages, s.sparse = nil, nil
 }
 
 // writeAt copies data into the store at off, materialising pages as needed.
@@ -137,9 +163,56 @@ func (s *segStore) writeAt(off int64, data []byte) {
 	for len(data) > 0 {
 		lo := off & segPageMask
 		hi := min(lo+int64(len(data)), segPageSize)
-		n := copy(s.page(off, lo, hi)[lo:hi], data)
+		n := copy(s.page(off>>segPageShift, lo, hi).data[lo:hi], data)
 		data = data[n:]
 		off += int64(n)
+	}
+}
+
+// segCursor is the one write path of a partition: Write, WriteV, WriteRuns
+// and the atomics all land their pieces through put. It keeps the page of the
+// previous piece, so a strided transfer resolves a page once per page it
+// walks, not once per element and again for the timestamps.
+type segCursor struct {
+	s  *segStore
+	pn int64 // page number of pg; -1 before the first piece
+	pg *segPage
+}
+
+func (s *segStore) cursor() segCursor { return segCursor{s: s, pn: -1} }
+
+// put stores data at off, visible at ts: the bytes, and for a piece of at most
+// tsTrackMaxBytes the per-word timestamps. A piece inside one page goes
+// straight to the page in hand; one that straddles pages takes writeAt and
+// recordRange. The caller has already called ensure for the range.
+func (c *segCursor) put(off int64, data []byte, ts float64) {
+	n := int64(len(data))
+	lo := off & segPageMask
+	hi := lo + n
+	if hi > segPageSize {
+		c.s.writeAt(off, data)
+		if n <= tsTrackMaxBytes {
+			c.s.recordRange(off, n, ts)
+		}
+		return
+	}
+	pg := c.pg
+	if pn := off >> segPageShift; pn != c.pn {
+		pg = c.s.page(pn, lo, hi)
+		c.pn, c.pg = pn, pg
+	} else {
+		pg.dirty(lo, hi)
+	}
+	switch n {
+	case 4:
+		*(*[4]byte)(pg.data[lo:]) = [4]byte(data)
+	case 8:
+		*(*[8]byte)(pg.data[lo:]) = [8]byte(data)
+	default:
+		copy(pg.data[lo:hi], data)
+	}
+	if n <= tsTrackMaxBytes {
+		c.s.record(pg, c.pn, lo>>3, (hi-1)>>3, ts)
 	}
 }
 
@@ -171,7 +244,7 @@ func (s *segStore) readAt(off int64, dst []byte) int {
 // this is what makes the Malloc backing touch free for untouched regions.
 func (s *segStore) zeroByte(off int64) {
 	if pn := off >> segPageShift; pn < int64(len(s.pages)) && s.pages[pn] != nil {
-		s.pages[pn][off&segPageMask] = 0
+		s.pages[pn].data[off&segPageMask] = 0
 	}
 }
 

@@ -1,21 +1,18 @@
 package pgas
 
-import "sync"
-
-// tsIndex is the per-partition visibility-timestamp index: the latest virtual
-// time at which each 8-byte-aligned word became visible. It replaces the
-// original map[int64]float64 with a paged sparse array — flag and control
-// words cluster at low offsets (the symmetric heap allocates bottom-up), so a
-// page table of small dense pages gives O(1) lookup with two array indexes
-// and no hashing on the write hot path, while partitions that are never
-// waited on cost only the (lazily grown) page-pointer slice.
+// The timestamp half of segStore: the latest virtual time at which each
+// 8-byte-aligned word of the partition became visible. The records live on
+// the partition's own pages (segstore.go) — one page table, one pool, and a
+// write that has resolved its page for the bytes has resolved it for the
+// timestamps — in dense blocks of 512 words, one per 4 KiB granule of the
+// page, allocated when the granule is first recorded on: flag and control
+// words cluster, so partitions that are never waited on, and the bulk pages of
+// those that are, carry no blocks at all.
 //
-// Like segment pages, timestamp pages outlive the index: they come from the
-// process-wide tsPagePool and return to it when the owning world is closed
-// (release). A recycled page is cleared whole on hand-out — it is 4 KiB, and
-// every read of the index is a max-merge against what the page holds, so
-// there is no "about to be overwritten" span to spare as there is for a
-// segment store.
+// A block stays with its page through the pool. The next owner of the page
+// finds it stale and clears it whole before use — every read of the index is
+// a max-merge against what the block holds, so there is no "about to be
+// overwritten" span to spare as there is for the data.
 //
 // Recording is unconditional for small writes even when no waiter is
 // registered: WaitUntil recovers a write's causal timestamp through this
@@ -24,160 +21,136 @@ import "sync"
 // on host scheduling. See DESIGN.md "Host-performance model".
 
 const (
-	tsPageShift = 9                // 512 words per page = one 4 KiB span of partition
-	tsPageWords = 1 << tsPageShift //
-	tsPageMask  = tsPageWords - 1
-	tsPageBytes = tsPageWords * 8 // host memory of one page
+	tsBlockShift = 9                 // 512 words per block = one 4 KiB granule of partition
+	tsBlockWords = 1 << tsBlockShift //
+	tsBlockMask  = tsBlockWords - 1
+	tsBlockBytes = tsBlockWords * 8 // host memory of one block, and the span it covers
+	tsPageShift  = segPageShift - 3 // words per segment page
+	tsPageMask   = 1<<tsPageShift - 1
 )
 
-type tsIndex struct {
-	pages [][]float64
-	// sparse holds isolated word records on pages the dense path never
-	// wrote: the symmetric-heap allocator's region-backing Touches, which
-	// land one word at the end of each allocation and would otherwise each
-	// materialise a 4 KiB page (and grow the page table) during world
-	// construction — at 10k PEs those pages dominated setup cost and
-	// memory. Entries migrate into the dense page if one is later
-	// allocated, so the flag/lock-word hot path stays map-free.
-	sparse map[int64]float64
-	// materialised counts pages handed out since the index was created, fresh
-	// those among them that were new memory (World.PageStats).
-	materialised int
-	fresh        int
+type tsBlock [tsBlockWords]float64
+
+// block returns the timestamp block of granule g of pg (page pn), bringing it
+// into use on first touch. It is only the test so that record inlines it.
+func (s *segStore) block(pg *segPage, pn, g int64) *tsBlock {
+	if pg.live&(1<<g) != 0 {
+		return pg.ts[g]
+	}
+	return s.useBlock(pg, pn, g)
 }
 
-// tsPagePool recycles timestamp pages across worlds; array pointers, no New,
-// unbounded — see segPagePool.
-var tsPagePool sync.Pool
-
-// release returns every page to tsPagePool and drops the overlay.
-func (t *tsIndex) release() {
-	for _, p := range t.pages {
-		if p != nil {
-			tsPagePool.Put((*[tsPageWords]float64)(p))
+// useBlock gives granule g of pg a block: a spare block of the page, cleared,
+// or a new one. Sparse records the block covers migrate into it, so a word's
+// timestamp lives in exactly one place.
+func (s *segStore) useBlock(pg *segPage, pn, g int64) *tsBlock {
+	b := pg.ts[g]
+	for i := 0; b == nil && i < len(pg.ts); i++ {
+		if pg.live&(1<<i) == 0 {
+			b, pg.ts[i] = pg.ts[i], nil
 		}
 	}
-	t.pages, t.sparse = nil, nil
+	if b != nil {
+		clear(b[:])
+		s.cleared += tsBlockBytes
+	} else {
+		b = new(tsBlock)
+		s.tsFresh++
+	}
+	pg.ts[g], pg.live = b, pg.live|1<<g
+	s.tsMaterialised++
+	first := pn<<tsPageShift + g<<tsBlockShift
+	for sw, sts := range s.sparse {
+		if sw >= first && sw < first+tsBlockWords {
+			b[sw-first] = max(b[sw-first], sts)
+			delete(s.sparse, sw)
+		}
+	}
+	return b
 }
 
-// page returns the page covering word index w, allocating it (and growing the
-// page table geometrically) on first touch. Sparse records covered by the new
-// page migrate into it, so a word's timestamp lives in exactly one place.
-func (t *tsIndex) page(w int64) []float64 {
-	pg := int(w >> tsPageShift)
-	if pg >= len(t.pages) {
-		n := len(t.pages) * 2
-		if n < pg+1 {
-			n = pg + 1
-		}
-		if n < 4 {
-			n = 4
-		}
-		np := make([][]float64, n)
-		copy(np, t.pages)
-		t.pages = np
-	}
-	p := t.pages[pg]
-	if p == nil {
-		if rp, ok := tsPagePool.Get().(*[tsPageWords]float64); ok {
-			p = rp[:]
-			clear(p)
-		} else {
-			p = make([]float64, tsPageWords)
-			t.fresh++
-		}
-		t.pages[pg] = p
-		t.materialised++
-		if len(t.sparse) > 0 {
-			for sw, sts := range t.sparse {
-				if int(sw>>tsPageShift) == pg {
-					if i := int(sw & tsPageMask); sts > p[i] {
-						p[i] = sts
-					}
-					delete(t.sparse, sw)
-				}
+// record raises the recorded timestamp to ts for words [w0, w1] of pg, which
+// is page pn; the words are counted from the start of the page.
+func (s *segStore) record(pg *segPage, pn, w0, w1 int64, ts float64) {
+	for w0 <= w1 {
+		b := s.block(pg, pn, w0>>tsBlockShift)
+		end := min(w1, w0|tsBlockMask)
+		for i := w0 & tsBlockMask; i <= end&tsBlockMask; i++ {
+			if ts > b[i] {
+				b[i] = ts
 			}
 		}
-	}
-	return p
-}
-
-// recordWordSparse raises the recorded timestamp of the single word covering
-// byte offset off, preferring the dense page when one exists and the sparse
-// overlay otherwise — neither materialising a page nor growing the page
-// table. Only rare records (heap-backing Touches) should use this: a word
-// recorded here stays in the overlay until a dense write materialises its
-// page, and overlay entries cost a map lookup pass per maxRange.
-func (t *tsIndex) recordWordSparse(off int64, ts float64) {
-	w := off >> 3
-	if pg := int(w >> tsPageShift); pg < len(t.pages) && t.pages[pg] != nil {
-		if i := int(w & tsPageMask); ts > t.pages[pg][i] {
-			t.pages[pg][i] = ts
-		}
-		return
-	}
-	if t.sparse == nil {
-		t.sparse = map[int64]float64{}
-	}
-	if old, ok := t.sparse[w]; !ok || ts > old {
-		t.sparse[w] = ts
+		w0 = end + 1
 	}
 }
 
 // recordRange raises the recorded timestamp to ts for every word overlapping
-// the byte range [off, off+n).
-func (t *tsIndex) recordRange(off, n int64, ts float64) {
+// the byte range [off, off+n), materialising the pages under it.
+func (s *segStore) recordRange(off, n int64, ts float64) {
 	w := off >> 3
 	last := (off + n - 1) >> 3
 	for w <= last {
-		p := t.page(w)
-		i := int(w & tsPageMask)
-		end := int64(tsPageWords - i)
-		if rem := last - w + 1; rem < end {
-			end = rem
-		}
-		for k := 0; int64(k) < end; k++ {
-			if ts > p[i+k] {
-				p[i+k] = ts
-			}
-		}
-		w += end
+		pn := w >> tsPageShift
+		end := min(last, w|tsPageMask)
+		at := w & tsPageMask << 3 // no bytes stored: an empty span of the page
+		s.record(s.page(pn, at, at), pn, w&tsPageMask, end&tsPageMask, ts)
+		w = end + 1
 	}
+}
+
+// liveBlock returns the block holding word w (counted from the start of the
+// partition) if it is in use, else nil.
+func (s *segStore) liveBlock(w int64) *tsBlock {
+	if pn := w >> tsPageShift; pn < int64(len(s.pages)) && s.pages[pn] != nil {
+		if pg, g := s.pages[pn], w&tsPageMask>>tsBlockShift; pg.live&(1<<g) != 0 {
+			return pg.ts[g]
+		}
+	}
+	return nil
+}
+
+// recordWordSparse raises the recorded timestamp of the single word covering
+// byte offset off, in its block when that is in use and in the sparse overlay
+// otherwise — materialising neither page nor block, nor growing the page
+// table. It is for the symmetric-heap allocator's region-backing Touches,
+// which land one word at the end of each allocation and would otherwise each
+// materialise memory during world construction (at 10k PEs that dominated
+// set-up cost and memory). A word recorded here stays in the overlay until a
+// dense record brings its block into use, and overlay entries cost a map pass
+// per maxRange.
+func (s *segStore) recordWordSparse(off int64, ts float64) {
+	w := off >> 3
+	if b := s.liveBlock(w); b != nil {
+		b[w&tsBlockMask] = max(b[w&tsBlockMask], ts)
+		return
+	}
+	if s.sparse == nil {
+		s.sparse = map[int64]float64{}
+	}
+	s.sparse[w] = max(s.sparse[w], ts)
 }
 
 // maxRange returns the latest recorded timestamp over the byte range
 // [off, off+n), or 0 when no overlapping word was ever recorded.
-func (t *tsIndex) maxRange(off, n int64) float64 {
+func (s *segStore) maxRange(off, n int64) float64 {
 	ts := 0.0
 	w := off >> 3
 	last := (off + n - 1) >> 3
-	if len(t.sparse) > 0 {
-		// One pass over the (small) overlay, not one lookup per word: the
-		// overlay holds at most one entry per heap allocation.
-		for sw, sts := range t.sparse {
-			if sw >= w && sw <= last && sts > ts {
-				ts = sts
-			}
+	// One pass over the (small) overlay, not one lookup per word: the overlay
+	// holds at most one entry per heap allocation.
+	for sw, sts := range s.sparse {
+		if sw >= w && sw <= last {
+			ts = max(ts, sts)
 		}
 	}
-	for w <= last {
-		pg := int(w >> tsPageShift)
-		if pg >= len(t.pages) {
-			break // beyond every recorded word
-		}
-		i := int(w & tsPageMask)
-		end := int64(tsPageWords - i)
-		if rem := last - w + 1; rem < end {
-			end = rem
-		}
-		if p := t.pages[pg]; p != nil {
-			for k := 0; int64(k) < end; k++ {
-				if p[i+k] > ts {
-					ts = p[i+k]
-				}
+	for w <= last && w>>tsPageShift < int64(len(s.pages)) {
+		end := min(last, w|tsBlockMask)
+		if b := s.liveBlock(w); b != nil {
+			for _, v := range b[w&tsBlockMask : end&tsBlockMask+1] {
+				ts = max(ts, v)
 			}
 		}
-		w += end
+		w = end + 1
 	}
 	return ts
 }

@@ -26,6 +26,9 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	if nelems == 0 {
 		return
 	}
+	if off < 0 {
+		panic(fmt.Sprintf("pgas: WriteV of %d elements at offset %d out of range", nelems, off))
+	}
 	if w.stateOf(target) == stateFailed {
 		return
 	}
@@ -34,13 +37,9 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	p.mu.Lock()
 	p.ensureLen(off + int64(nelems-1)*strideBytes + es)
 	matched := false
-	track := es <= tsTrackMaxBytes
-	for k := 0; k < nelems; k++ {
-		o := off + int64(k)*strideBytes
-		p.seg.writeAt(o, src[int64(k)*es:int64(k+1)*es])
-		if track {
-			p.ts.recordRange(o, es, visibleAt)
-		}
+	c := p.seg.cursor()
+	for o := off; len(src) > 0; o, src = o+strideBytes, src[es:] {
+		c.put(o, src[:es], visibleAt)
 		if p.raiseWatch(o, es, visibleAt) {
 			matched = true
 		}
@@ -100,22 +99,20 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	}
 	p := w.part(target)
 	rb := int64(runBytes)
-	extent := int64(0)
+	first, extent := base+offs[0], int64(0)
 	for _, o := range offs {
-		if end := base + o + rb; end > extent {
-			extent = end
-		}
+		first, extent = min(first, base+o), max(extent, base+o+rb)
+	}
+	if first < 0 {
+		panic(fmt.Sprintf("pgas: WriteRuns run at offset %d out of range", first))
 	}
 	p.mu.Lock()
 	p.ensureLen(extent)
 	matched := false
-	track := rb <= tsTrackMaxBytes
+	c := p.seg.cursor()
 	for i, o := range offs {
 		o += base
-		p.seg.writeAt(o, src[int64(i)*rb:int64(i+1)*rb])
-		if track {
-			p.ts.recordRange(o, rb, visAt[i])
-		}
+		c.put(o, src[int64(i)*rb:int64(i+1)*rb], visAt[i])
 		if p.raiseWatch(o, rb, visAt[i]) {
 			matched = true
 		}

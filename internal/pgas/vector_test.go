@@ -3,6 +3,7 @@ package pgas
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -203,5 +204,154 @@ func TestWatchAwareWakeupNeverLost(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d (writer delay %v): %v", round, delayW, err)
 		}
+	}
+}
+
+// flatModel is the dense oracle of a partition: its bytes and one timestamp
+// per 8-byte word, max-merged for writes of at most tsTrackMaxBytes.
+type flatModel struct {
+	data []byte
+	ts   []float64
+}
+
+func (m *flatModel) write(off int64, data []byte, ts float64) {
+	copy(m.data[off:], data)
+	if len(data) == 0 || len(data) > tsTrackMaxBytes {
+		return
+	}
+	for w := off >> 3; w <= (off+int64(len(data))-1)>>3; w++ {
+		m.ts[w] = max(m.ts[w], ts)
+	}
+}
+
+// TestVectoredWritesMatchWriteSequence is the differential test of the write
+// cursor: WriteV and WriteRuns must leave the bytes and the per-word
+// timestamps of the equivalent sequence of Write calls — and both those of a
+// flat model — for elements that straddle pages, strides below the element
+// size (0 included), overlapping runs, elements too large to be tracked, and
+// partitions built on recycled pages whose last owner dirtied part of them.
+func TestVectoredWritesMatchWriteSequence(t *testing.T) {
+	const extent = 3*segPageSize + 64
+	type piece struct {
+		off int64
+		n   int
+	}
+	cases := []struct {
+		name   string
+		v      bool  // one WriteV (pieces evenly strided) or one WriteRuns
+		off    int64 // of the first piece
+		stride int64
+		es, n  int
+		offs   []int64 // WriteRuns: piece offsets from off
+	}{
+		{name: "words across a page boundary", v: true, off: segPageSize - 20, stride: 8, es: 8, n: 6},
+		{name: "4-byte elements at an odd stride across two boundaries", v: true, off: segPageSize - 6, stride: 4098, es: 4, n: 5},
+		{name: "element straddles the page", v: true, off: segPageSize - 3, stride: 16, es: 8, n: 3},
+		{name: "stride below the element", v: true, off: 100, stride: 3, es: 8, n: 40},
+		{name: "stride zero", v: true, off: 2*segPageSize - 4, stride: 0, es: 8, n: 7},
+		{name: "tracked limit", v: true, off: segPageSize - 512, stride: tsTrackMaxBytes, es: tsTrackMaxBytes, n: 3},
+		{name: "past the tracked limit", v: true, off: segPageSize - 512, stride: 2000, es: tsTrackMaxBytes + 8, n: 3},
+		{name: "a page and more per element", v: true, off: 24, stride: segPageSize + 8, es: int(segPageSize) + 8, n: 2},
+		{name: "overlapping runs", off: 8, es: 24, offs: []int64{64, 72, 56, 64, segPageSize - 16, segPageSize - 28, 0}},
+		{name: "runs in descending order across pages", off: 0, es: 4, offs: []int64{2*segPageSize + 2, 2*segPageSize - 2, segPageSize, segPageSize - 4, 4, 0}},
+		{name: "untracked runs", off: 40, es: tsTrackMaxBytes + 1, offs: []int64{segPageSize, 0, 512}},
+	}
+	rng := rand.New(rand.NewSource(16))
+	for _, recycled := range []bool{false, true} {
+		for _, tc := range cases {
+			// The pool is LIFO for one goroutine: the worlds' first pages are
+			// these, stale over [96, segPageSize-8) with +Inf in every block.
+			if recycled {
+				PreloadDirtyPages(8, 96, segPageSize-8)
+			}
+			wv, we := twoWorlds(t)
+			model := flatModel{data: make([]byte, extent), ts: make([]float64, extent/8)}
+			// Something to overwrite and max-merge against.
+			seed := make([]byte, 200)
+			rng.Read(seed)
+			for _, w := range []*World{wv, we} {
+				w.Write(1, segPageSize-100, seed, 500)
+			}
+			model.write(segPageSize-100, seed, 500)
+
+			var pieces []piece
+			offs := tc.offs
+			if tc.v {
+				offs = make([]int64, tc.n)
+				for k := range offs {
+					offs[k] = int64(k) * tc.stride
+				}
+			}
+			for _, o := range offs {
+				pieces = append(pieces, piece{tc.off + o, tc.es})
+			}
+			src := make([]byte, len(pieces)*tc.es)
+			rng.Read(src)
+			visAt := make([]float64, len(pieces))
+			for i := range visAt {
+				visAt[i] = float64(rng.Intn(1000))
+				if tc.v {
+					visAt[i] = 700
+				}
+			}
+			if tc.v {
+				wv.WriteV(1, tc.off, tc.stride, tc.es, src, 700)
+			} else {
+				wv.WriteRuns(1, tc.off, offs, tc.es, src, visAt)
+			}
+			for i, pc := range pieces {
+				we.Write(1, pc.off, src[i*tc.es:(i+1)*tc.es], visAt[i])
+				model.write(pc.off, src[i*tc.es:(i+1)*tc.es], visAt[i])
+			}
+
+			name := tc.name
+			if recycled {
+				name += ", on recycled pages"
+			}
+			comparePartitions(t, wv, we, 1, extent)
+			got := make([]byte, extent)
+			wv.Read(1, 0, got)
+			if !bytes.Equal(got, model.data) {
+				t.Errorf("%s: bytes differ from the flat model", name)
+			}
+			for w, want := range model.ts {
+				if ts := wv.pes[1].rangeTs(int64(w)*8, 8); ts != want {
+					t.Fatalf("%s: word %d has timestamp %v, flat model %v", name, w, ts, want)
+				}
+			}
+			if s := wv.PageStats(); recycled && s.FreshBytes >= int64(s.SegPages)*segPageSize {
+				t.Errorf("%s: no recycled page was used (%v)", name, s)
+			}
+			wv.Close()
+			we.Close()
+		}
+	}
+}
+
+// A write below offset 0 is a range error with a message, like a read there,
+// checked once per call whatever the number of pieces.
+func TestWriteNegativeOffsetPanics(t *testing.T) {
+	w, err := NewWorld(fabric.Stampede(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	data := make([]byte, 16)
+	for what, f := range map[string]func(){
+		"Write":     func() { w.Write(0, -8, data, 1) },
+		"WriteV":    func() { w.WriteV(0, -8, 8, 8, data, 1) },
+		"WriteRuns": func() { w.WriteRuns(0, 8, []int64{0, -24}, 8, data, []float64{1, 1}) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "pgas: ") || !strings.HasSuffix(msg, "out of range") {
+					t.Errorf("%s below offset 0: recovered %q, want a pgas range panic", what, msg)
+				}
+			}()
+			f()
+		}()
+	}
+	if s := w.PageStats(); s.SegPages != 0 {
+		t.Errorf("a refused write materialised memory: %v", s)
 	}
 }

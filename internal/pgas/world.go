@@ -87,19 +87,18 @@ type PE struct {
 
 	mu   sync.Mutex
 	cond sync.Cond // goroutine-engine sleepers; L is &mu
-	seg  segStore
+	// seg holds the partition's bytes and, for small writes (flags, counters,
+	// lock words), the latest visibility timestamp per 8-byte-aligned word, so
+	// a WaitUntil that registers after the satisfying write still recovers its
+	// causal timestamp. Large payload writes are not tracked (nothing waits on
+	// them), keeping the bookkeeping O(1) per flag-sized write.
+	seg segStore
 	// watch is the registered wait on this partition. A PE waits on its own
 	// partition from its own goroutine, so there is at most one, and its
 	// record (with wordBuf, the gather scratch for a word that straddles a
 	// page) is embedded here: a wait allocates nothing.
 	watch   watch
 	wordBuf [8]byte
-	// ts records the latest visibility timestamp per 8-byte-aligned word for
-	// small writes (flags, counters, lock words), so a WaitUntil that
-	// registers after the satisfying write still recovers its causal
-	// timestamp. Large payload writes are not tracked (nothing waits on
-	// them), keeping the bookkeeping O(1) per flag-sized write.
-	ts tsIndex
 	// waiters mirrors watch.active with an atomic so cross-PE wake fan-outs
 	// (departure, repair writes) can skip partitions nobody sleeps on without
 	// taking their locks. Updated only under mu; read lock-free. The seq-cst
@@ -277,8 +276,8 @@ func (w *World) part(target int) *PE {
 	return w.pes[target]
 }
 
-// Close ends the world's life: every materialised segment and timestamp page
-// of every partition goes back to the process-wide page pools for the next
+// Close ends the world's life: every materialised page of every partition,
+// timestamps included, goes back to the process-wide page pool for the next
 // world to use, Run is refused from now on, and any access to partition
 // memory panics with ErrClosed. The owner of a world calls it once the last
 // Run has returned and nothing will read the partitions again — the library
@@ -297,17 +296,16 @@ func (w *World) Close() {
 	for _, p := range w.pes {
 		p.mu.Lock()
 		p.seg.release()
-		p.ts.release()
 		p.mu.Unlock()
 	}
 }
 
 // PageStats is how much partition memory a world materialised, summed over
-// its partitions: segment pages (segPageSize bytes each) and 4 KiB timestamp
-// pages, how much of that was new memory rather than pages recycled from
-// closed worlds, and the bytes cleared while handing out recycled pages (a
-// fresh page, and the span a segment page's first write covers, are not
-// cleared; see segStore.page).
+// its partitions: segment pages (segPageSize bytes each) and the 4 KiB
+// timestamp blocks on them, how much of that was new memory rather than
+// recycled from closed worlds, and the bytes cleared on handing out recycled
+// memory: a block whole, of a page's data only what its last owner dirtied
+// and the first write does not cover (see segStore.page).
 type PageStats struct {
 	SegPages     int
 	TsPages      int
@@ -317,7 +315,7 @@ type PageStats struct {
 
 func (s PageStats) String() string {
 	return fmt.Sprintf("%d seg + %d ts pages (%d KiB, %d KiB of it new memory), %d KiB cleared on hand-out",
-		s.SegPages, s.TsPages, (int64(s.SegPages)*segPageSize+int64(s.TsPages)*tsPageBytes)>>10, s.FreshBytes>>10, s.ClearedBytes>>10)
+		s.SegPages, s.TsPages, (int64(s.SegPages)*segPageSize+int64(s.TsPages)*tsBlockBytes)>>10, s.FreshBytes>>10, s.ClearedBytes>>10)
 }
 
 // PageStats sums the partitions' page counters. It takes each partition lock
@@ -328,9 +326,9 @@ func (w *World) PageStats() PageStats {
 	for _, p := range w.pes {
 		p.mu.Lock()
 		s.SegPages += p.seg.materialised
-		s.TsPages += p.ts.materialised
-		s.FreshBytes += int64(p.seg.fresh)*segPageSize + int64(p.ts.fresh)*tsPageBytes
-		s.ClearedBytes += p.seg.cleared + int64(p.ts.materialised-p.ts.fresh)*tsPageBytes
+		s.TsPages += p.seg.tsMaterialised
+		s.FreshBytes += int64(p.seg.fresh)*segPageSize + int64(p.seg.tsFresh)*tsBlockBytes
+		s.ClearedBytes += p.seg.cleared
 		p.mu.Unlock()
 	}
 	return s

@@ -152,8 +152,7 @@ func (pe *PE) PutMemVNBI(target int, sym Sym, offs []int64, runBytes int, src []
 		}
 		return
 	}
-	tp := pgas.GetTsScratch()
-	visAt := (*tp)[:0]
+	visAt := pe.visAt[:0]
 	for i, off := range offs {
 		if off < 0 || off+int64(runBytes) > sym.Size {
 			panic(fmt.Sprintf("shmem: putmemv_nbi run of %d bytes at offset %d overflows %d-byte symmetric object", runBytes, off, sym.Size))
@@ -166,9 +165,8 @@ func (pe *PE) PutMemVNBI(target int, sym Sym, offs []int64, runBytes int, src []
 		pe.p.Clock.Advance(prof.NBIInjectNs())
 		visAt = append(visAt, pe.nbi.Issue(target, pe.p.Clock.Now(), transfer, delivery))
 	}
+	pe.visAt = visAt
 	pe.world.pw.WriteRuns(target, sym.Off, offs, runBytes, src, visAt)
-	*tp = visAt
-	pgas.PutTsScratch(tp)
 }
 
 // IPutMemNBI is the nonblocking byte-level 1-D strided put: the nonblocking

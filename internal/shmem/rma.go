@@ -284,6 +284,9 @@ func (pe *PE) PutMemV(target int, sym Sym, offs []int64, runBytes int, src []byt
 	san := pe.world.san
 	intra, pairs := pe.intra(target), pe.pairs()
 	prof := pe.world.prof
+	// Every run costs the same: the terms are evaluated once, the clock still
+	// advances once per run.
+	inject, delivery := prof.PutInjectNs(runBytes, intra, pairs), prof.DeliveryNs(intra, pairs)
 	if pe.lossy(target) {
 		// Each run is its own reliable message: same per-run cost
 		// arithmetic, but delivery goes through the protocol and the
@@ -296,18 +299,17 @@ func (pe *PE) PutMemV(target int, sym Sym, offs []int64, runBytes int, src []byt
 				san.recordPut(pe.p.ID, target, sym.Off+off, int64(runBytes))
 			}
 			pe.linkPenalty()
-			pe.p.Clock.Advance(prof.PutInjectNs(runBytes, intra, pairs))
+			pe.p.Clock.Advance(inject)
 			run := src[i*runBytes : (i+1)*runBytes]
 			runOff := sym.Off + off
-			vis, _ := pe.reliableSend(target, pe.p.Clock.Now(), prof.DeliveryNs(intra, pairs), func(at float64) {
+			vis, _ := pe.reliableSend(target, pe.p.Clock.Now(), delivery, func(at float64) {
 				pe.world.pw.Write(target, runOff, run, at)
 			})
 			pe.notePending(target, vis)
 		}
 		return
 	}
-	tp := pgas.GetTsScratch()
-	visAt := (*tp)[:0]
+	visAt := pe.visAt[:0]
 	for _, off := range offs {
 		if off < 0 || off+int64(runBytes) > sym.Size {
 			panic(fmt.Sprintf("shmem: putmemv run of %d bytes at offset %d overflows %d-byte symmetric object", runBytes, off, sym.Size))
@@ -316,14 +318,13 @@ func (pe *PE) PutMemV(target int, sym Sym, offs []int64, runBytes int, src []byt
 			san.recordPut(pe.p.ID, target, sym.Off+off, int64(runBytes))
 		}
 		pe.linkPenalty()
-		pe.p.Clock.Advance(prof.PutInjectNs(runBytes, intra, pairs))
-		vis := pe.p.Clock.Now() + prof.DeliveryNs(intra, pairs)
+		pe.p.Clock.Advance(inject)
+		vis := pe.p.Clock.Now() + delivery
 		visAt = append(visAt, vis)
 		pe.notePending(target, vis)
 	}
+	pe.visAt = visAt
 	pe.world.pw.WriteRuns(target, sym.Off, offs, runBytes, src, visAt)
-	*tp = visAt
-	pgas.PutTsScratch(tp)
 }
 
 // GetMemV is the vectored multi-run get: run i is runBytes bytes read from

@@ -67,6 +67,9 @@ type PE struct {
 	// stage is the gather/scatter buffer of IPut/IGet with a strided local
 	// operand (see staging).
 	stage []byte
+	// visAt is the per-run visibility-time list of PutMemV/PutMemVNBI, reused
+	// from call to call: pgas.WriteRuns does not retain it.
+	visAt []float64
 }
 
 // newPE wires a PE handle: the default context's completion streams share the
