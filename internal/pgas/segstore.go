@@ -33,8 +33,8 @@ type segStore struct {
 	pages  []*segPage
 	length int64 // logical extent: the high-water mark of ensure()
 	// sparse holds isolated timestamp records on granules no dense record
-	// ever touched; see recordWordSparse.
-	sparse map[int64]float64
+	// ever touched, in no order; see recordWordSparse.
+	sparse []sparseTs
 	// Observability (World.PageStats): pages and timestamp blocks brought
 	// into use since the store was created, how many of each were new memory
 	// rather than recycled, and the bytes cleared while handing out the

@@ -31,6 +31,12 @@ const (
 
 type tsBlock [tsBlockWords]float64
 
+// sparseTs is one record of the sparse overlay: word w became visible at ts.
+type sparseTs struct {
+	w  int64
+	ts float64
+}
+
 // block returns the timestamp block of granule g of pg (page pn), bringing it
 // into use on first touch. It is only the test so that record inlines it.
 func (s *segStore) block(pg *segPage, pn, g int64) *tsBlock {
@@ -60,10 +66,13 @@ func (s *segStore) useBlock(pg *segPage, pn, g int64) *tsBlock {
 	pg.ts[g], pg.live = b, pg.live|1<<g
 	s.tsMaterialised++
 	first := pn<<tsPageShift + g<<tsBlockShift
-	for sw, sts := range s.sparse {
-		if sw >= first && sw < first+tsBlockWords {
-			b[sw-first] = max(b[sw-first], sts)
-			delete(s.sparse, sw)
+	for i := 0; i < len(s.sparse); {
+		if e := s.sparse[i]; e.w >= first && e.w < first+tsBlockWords {
+			b[e.w-first] = max(b[e.w-first], e.ts)
+			s.sparse[i] = s.sparse[len(s.sparse)-1]
+			s.sparse = s.sparse[:len(s.sparse)-1]
+		} else {
+			i++
 		}
 	}
 	return b
@@ -116,18 +125,24 @@ func (s *segStore) liveBlock(w int64) *tsBlock {
 // which land one word at the end of each allocation and would otherwise each
 // materialise memory during world construction (at 10k PEs that dominated
 // set-up cost and memory). A word recorded here stays in the overlay until a
-// dense record brings its block into use, and overlay entries cost a map pass
-// per maxRange.
+// dense record brings its block into use, and the overlay — at most one entry
+// per heap allocation — is scanned by every maxRange.
 func (s *segStore) recordWordSparse(off int64, ts float64) {
 	w := off >> 3
 	if b := s.liveBlock(w); b != nil {
 		b[w&tsBlockMask] = max(b[w&tsBlockMask], ts)
 		return
 	}
-	if s.sparse == nil {
-		s.sparse = map[int64]float64{}
+	for i := range s.sparse {
+		if e := &s.sparse[i]; e.w == w {
+			e.ts = max(e.ts, ts)
+			return
+		}
 	}
-	s.sparse[w] = max(s.sparse[w], ts)
+	if s.sparse == nil {
+		s.sparse = make([]sparseTs, 0, 8) // a partition's first few allocations in one piece
+	}
+	s.sparse = append(s.sparse, sparseTs{w, ts})
 }
 
 // maxRange returns the latest recorded timestamp over the byte range
@@ -136,11 +151,9 @@ func (s *segStore) maxRange(off, n int64) float64 {
 	ts := 0.0
 	w := off >> 3
 	last := (off + n - 1) >> 3
-	// One pass over the (small) overlay, not one lookup per word: the overlay
-	// holds at most one entry per heap allocation.
-	for sw, sts := range s.sparse {
-		if sw >= w && sw <= last {
-			ts = max(ts, sts)
+	for _, e := range s.sparse {
+		if e.w >= w && e.w <= last {
+			ts = max(ts, e.ts)
 		}
 	}
 	for w <= last && w>>tsPageShift < int64(len(s.pages)) {
