@@ -16,8 +16,8 @@ import (
 // Chaos suite: deterministic fault injection over the paper's workloads.
 // Every run uses a seeded fabric.FaultPlan; the properties checked are
 //
-//   - no survivor ever hangs (a hang would surface as the pgas watchdog
-//     poisoning the world, i.e. a non-nil error from caf.Run);
+//   - no survivor ever hangs (a hang would surface as the pgas deadlock
+//     report poisoning the world, i.e. a non-nil error from caf.Run);
 //   - survivors either succeed or observe StatFailedImage through the
 //     STAT-bearing APIs — never a stale success and never a panic;
 //   - whatever is virtual-time-deterministic (barrier-observed failures,

@@ -164,8 +164,11 @@ func diffRun(t *testing.T, seed uint64, plan *fabric.FaultPlan, engine pgas.Engi
 	return out
 }
 
-// diffPlans returns the three fault regimes the differential test sweeps:
+// diffPlanKinds names the three fault regimes the differential test sweeps:
 // loss-free, pure message loss, and loss with one mid-run kill.
+var diffPlanKinds = []string{"clean", "loss", "losskill"}
+
+// diffPlans returns the regimes of diffPlanKinds for one seed.
 func diffPlans(seed uint64) map[string]*fabric.FaultPlan {
 	lossy := fabric.RandomPlan(seed, 6, 0, 0, 0)
 	lossy.Losses = []fabric.LinkLoss{lossRule(0, 0)}
@@ -173,6 +176,25 @@ func diffPlans(seed uint64) map[string]*fabric.FaultPlan {
 	killer.Losses = []fabric.LinkLoss{lossRule(0, 0)}
 	return map[string]*fabric.FaultPlan{"clean": nil, "loss": lossy, "losskill": killer}
 }
+
+// diffVariants are the engine, worker-count and shard-layout combinations
+// TestEngineDifferential compares with the reference run, and the seed corpus
+// of FuzzEngineDifferential.
+var diffVariants = []struct {
+	engine  pgas.Engine
+	workers int
+	shards  int
+}{
+	{pgas.EngineGoroutine, 0, 1},
+	{pgas.EngineGoroutine, 0, 2},
+	{pgas.EngineEvent, 1, 0},
+	{pgas.EngineEvent, 1, 3}, // odd split of 6 images
+	{pgas.EngineEvent, 3, 2},
+	{pgas.EngineEvent, 3, 8}, // more shards than images
+}
+
+// diffSeeds are the program seeds TestEngineDifferential sweeps.
+var diffSeeds = []uint64{101, 202, 303}
 
 // TestEngineDifferential is the cross-engine replay property: goroutine-per-
 // image and the event-driven bounded pool must agree bit-for-bit on every
@@ -182,20 +204,7 @@ func diffPlans(seed uint64) map[string]*fabric.FaultPlan {
 // machinery exactly like the engine: nothing about how arrivals combine may
 // leak into the simulation.
 func TestEngineDifferential(t *testing.T) {
-	type variant struct {
-		engine  pgas.Engine
-		workers int
-		shards  int
-	}
-	variants := []variant{
-		{pgas.EngineGoroutine, 0, 1},
-		{pgas.EngineGoroutine, 0, 2},
-		{pgas.EngineEvent, 1, 0},
-		{pgas.EngineEvent, 1, 3}, // odd split of 6 images
-		{pgas.EngineEvent, 3, 2},
-		{pgas.EngineEvent, 3, 8}, // more shards than images
-	}
-	for _, seed := range []uint64{101, 202, 303} {
+	for _, seed := range diffSeeds {
 		for name, plan := range diffPlans(seed) {
 			ref := diffRun(t, seed, plan, pgas.EngineGoroutine, 0, 0)
 			for pe, s := range ref.Stats {
@@ -203,7 +212,7 @@ func TestEngineDifferential(t *testing.T) {
 					t.Errorf("seed %d %s: image %d illegal stat %v", seed, name, pe+1, s)
 				}
 			}
-			for _, v := range variants {
+			for _, v := range diffVariants {
 				got := diffRun(t, seed, plan, v.engine, v.workers, v.shards)
 				if !reflect.DeepEqual(ref, got) {
 					t.Errorf("seed %d %s: engine=%v workers=%d shards=%d diverged from reference:\n%+v\nvs\n%+v",
@@ -212,6 +221,32 @@ func TestEngineDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzEngineDifferential is the same property over arbitrary (program seed,
+// worker count, shard layout, fault regime): the event engine's outcome must
+// equal the goroutine engine's, and no run may end in a poison — diffRun fails
+// on any run error, a deadlock verdict included, so under the exact quiescence
+// rule a healthy random program that is ever judged deadlocked is a finding.
+func FuzzEngineDifferential(f *testing.F) {
+	for _, seed := range diffSeeds {
+		for kind := range diffPlanKinds {
+			for _, v := range diffVariants {
+				if v.engine == pgas.EngineEvent {
+					f.Add(seed, uint8(v.workers), uint8(v.shards), uint8(kind))
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, workers, shards, kind uint8) {
+		plan := diffPlans(seed)[diffPlanKinds[int(kind)%len(diffPlanKinds)]]
+		w, sh := int(workers)%5, int(shards)%9 // 0 workers: GOMAXPROCS; 0 shards: auto
+		ref := diffRun(t, seed, plan, pgas.EngineGoroutine, 0, sh)
+		if got := diffRun(t, seed, plan, pgas.EngineEvent, w, sh); !reflect.DeepEqual(ref, got) {
+			t.Errorf("seed %d kind %d: event engine (workers=%d shards=%d) diverged from goroutine:\n%+v\nvs\n%+v",
+				seed, kind, w, sh, ref, got)
+		}
+	})
 }
 
 // TestEngineDifferentialKillObserved pins that the losskill regime actually

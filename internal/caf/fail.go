@@ -75,7 +75,7 @@ func statFromErr(err error) Stat {
 // without initiating normal termination, exactly as if its process crashed.
 // Its partition freezes (remaining forensically readable), its clock stops,
 // and every blocked image is woken so waits on it surface as STATs or
-// watchdog errors instead of hangs. Never returns.
+// deadlock reports instead of hangs. Never returns.
 func (img *Image) FailImage() {
 	img.dead = true
 	img.local.Fail()
@@ -269,7 +269,7 @@ func (img *Image) awaitImageStat(j int) Stat {
 		if errors.Is(err, errPeerDeparted) {
 			return img.ImageStatus(j)
 		}
-		panic(err) // poisoned world (watchdog or unrelated PE panic)
+		panic(err) // poisoned world (deadlock or unrelated PE panic)
 	}
 	img.syncSeen[j-1] = want
 	return StatOK

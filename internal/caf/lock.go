@@ -2,7 +2,6 @@ package caf
 
 import (
 	"fmt"
-	"runtime"
 
 	"cafshmem/internal/pgas"
 )
@@ -260,7 +259,7 @@ func (l *Lock) spinAcquire(j int) {
 		if backoff < 64 {
 			backoff *= 2
 		}
-		runtime.Gosched()
+		img.local.Yield()
 	}
 }
 

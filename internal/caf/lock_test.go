@@ -1,6 +1,7 @@
 package caf
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -44,6 +45,45 @@ func TestLockMutualExclusionAllAlgorithms(t *testing.T) {
 				t.Fatalf("%d acquisitions, want %d", total, 6*per)
 			}
 		})
+	}
+}
+
+// The remote-spinning comparators must hand their worker slot on between
+// probes (pgas.PE.Yield): image 1 holds lck[1] until image 3 notifies it,
+// image 2 spins on lck[1]. With one slot, or as many spinners as slots, a spin
+// that kept its slot would leave image 3 in the ready queue for ever.
+func TestSpinLockYieldsWorkerSlot(t *testing.T) {
+	for _, algo := range []LockAlgo{LockNaiveSpin, LockGlobalArray} {
+		for _, eng := range []pgas.Options{
+			{Engine: pgas.EngineGoroutine},
+			{Engine: pgas.EngineEvent, Workers: 1},
+			{Engine: pgas.EngineEvent, Workers: 2},
+		} {
+			t.Run(fmt.Sprintf("%v/%v/workers=%d", algo, eng.Engine, eng.Workers), func(t *testing.T) {
+				opts := lockOpts(algo)
+				opts.Options = eng
+				err := Run(3, opts, func(img *Image) {
+					lck, sig := NewLock(img), NewSignal(img)
+					switch img.ThisImage() {
+					case 1:
+						lck.Acquire(1)
+						img.SyncAll()
+						sig.Wait(3)
+						lck.Release(1)
+					case 2:
+						img.SyncAll()
+						lck.Acquire(1)
+						lck.Release(1)
+					default:
+						img.SyncAll()
+						sig.Notify(1)
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

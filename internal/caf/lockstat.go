@@ -50,7 +50,7 @@ func (l *Lock) AcquireStat(j int) Stat {
 	if !img.ftMode || (img.opts.Locks != LockMCS && img.opts.Locks != LockVendor) {
 		// Without fault tolerance (or with the remote-spinning ablation
 		// algorithms) there is no recoverable path: fall back to the blocking
-		// acquire, whose failure mode is the hang watchdog.
+		// acquire, whose failure mode is the deadlock report.
 		l.Acquire(j)
 		return StatOK
 	}
@@ -144,7 +144,7 @@ func (l *Lock) ftAcquire(j int) (int64, Stat) {
 			return qOff, StatOK // granted by the predecessor
 		}
 		if !errors.Is(err, pgas.ErrWaitRecheck) {
-			panic(err) // poisoned world (watchdog, unrelated panic)
+			panic(err) // poisoned world (deadlock, unrelated panic)
 		}
 		// Snapshot before walking: a failure that lands mid-walk may be missed
 		// by the walk but then exceeds the watermark and retriggers it.

@@ -113,7 +113,7 @@ func (s *Signal) WaitStat(j int) Stat {
 		if errors.Is(err, errLinkDown) {
 			return StatFailedImage
 		}
-		panic(err) // poisoned world (watchdog or unrelated PE panic)
+		panic(err) // poisoned world (deadlock or unrelated PE panic)
 	}
 	s.seen[j-1] = want
 	return StatOK

@@ -98,7 +98,7 @@ func TestHimenoGoldensOnEventEngine(t *testing.T) {
 // TestEventEngineHimeno4k is the scale smoke check.sh runs: one Jacobi
 // iteration with 4096 images on the bounded worker pool. Per-plane local
 // state keeps the footprint small; the point is that 4k images park, wake
-// and clear barriers without tripping the hang watchdog or exhausting the
+// and clear barriers without a false deadlock verdict or exhausting the
 // pool. It asserts convergence bookkeeping only — the bit-identical goldens
 // above already pin the cost model.
 func TestEventEngineHimeno4k(t *testing.T) {

@@ -35,9 +35,8 @@ func benchRun(t *testing.T, engine pgas.Engine, overlap bool, iters int) {
 // records that track them until the next quiet. Before the control-word and
 // section paths came off the heap these read 24.5 and 41.3 (goroutine engine).
 //
-// goroutines: the run never holds more than one goroutine per image plus a
-// handful (the watchdog, the test's own) — the hang detector is one polling
-// goroutine per world, not one per blocking transition.
+// goroutines: the run never holds more than one goroutine per image plus the
+// test's own handful — a world starts nothing but its PEs.
 func TestHimenoSteadyStateAllocs(t *testing.T) {
 	const iters = 11
 	for _, sched := range []struct {

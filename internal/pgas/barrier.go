@@ -50,11 +50,11 @@ type barrier struct {
 	// acquiring the root.
 	shards []bShard
 	root   bRoot
-	// arena holds the event-engine waiter records, one value per PE, indexed
-	// by rank — shard s's waiters are arena[s.lo:s.hi], so a release fans out
-	// over sequential memory instead of pointer-chasing an arrival-ordered
-	// list. Nil on the goroutine engine (whose waiters park on the shard
-	// condition variable instead).
+	// arena holds the waiter records, one value per PE, indexed by rank —
+	// shard s's waiters are arena[s.lo:s.hi], so an event-engine release fans
+	// out over sequential memory instead of pointer-chasing an arrival-ordered
+	// list. Goroutine-engine waiters park on the shard condition variable and
+	// use only the record's waiting flag, which the deadlock report reads.
 	arena []bWaiter
 }
 
@@ -73,7 +73,9 @@ type bRoot struct {
 // and the PE (or departer) that makes them meet reports the shard's maxT
 // upward exactly once per generation (the reported flag). outT/outErr/gen are
 // the release results the root writes back downward; goroutine-engine waiters
-// sleep on cond until gen moves.
+// sleep on cond until gen moves, counted in sleepers: they leave World.awake
+// as they go to sleep, and whoever moves gen or poisons the shard puts them
+// back with one add.
 type bShard struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -86,12 +88,14 @@ type bShard struct {
 	outT     float64
 	outErr   error
 	poisoned bool
+	sleepers int32
 }
 
-// bWaiter is a PE's reusable barrier-wait record on the event engine, one
-// arena value per rank. waiting marks a registration for the current
-// generation (guarded by the owning shard's mutex; the release clears it
-// while additionally holding the dispatch lock). The atomic done flag is
+// bWaiter is a PE's reusable barrier-wait record, one arena value per rank.
+// waiting marks a registration for the current generation (guarded by the
+// owning shard's mutex; the event-engine release clears it while additionally
+// holding the dispatch lock, a goroutine-engine waiter clears its own). The
+// rest is the event engine's: the atomic done flag is
 // stored after the result fields, so observing done == true makes the fields
 // safely readable without any lock (the wake alone is not enough — a stale
 // wake from an earlier targeted write could resume the waiter first).
@@ -107,8 +111,7 @@ type bWaiter struct {
 // newBarrier builds the shard tree for n PEs. shardsOpt is
 // Options.BarrierShards (0 = auto: one shard per defaultShardPEs ranks),
 // clamped to [1, n]; the chunking guarantees every shard starts non-empty.
-// event selects whether to allocate the waiter arena.
-func newBarrier(w *World, n, shardsOpt int, event bool) *barrier {
+func newBarrier(w *World, n, shardsOpt int) *barrier {
 	s := shardsOpt
 	if s <= 0 {
 		s = (n + defaultShardPEs - 1) / defaultShardPEs
@@ -118,7 +121,7 @@ func newBarrier(w *World, n, shardsOpt int, event bool) *barrier {
 	}
 	chunk := (n + s - 1) / s
 	s = (n + chunk - 1) / chunk
-	b := &barrier{w: w, chunk: chunk, shards: make([]bShard, s)}
+	b := &barrier{w: w, chunk: chunk, shards: make([]bShard, s), arena: make([]bWaiter, n)}
 	b.root.n = n
 	for i := range b.shards {
 		sh := &b.shards[i]
@@ -126,9 +129,6 @@ func newBarrier(w *World, n, shardsOpt int, event bool) *barrier {
 		sh.hi = min(sh.lo+chunk, n)
 		sh.alive = sh.hi - sh.lo
 		sh.cond = sync.NewCond(&sh.mu)
-	}
-	if event {
-		b.arena = make([]bWaiter, n)
 	}
 	return b
 }
@@ -166,7 +166,6 @@ func (b *barrier) release(self *PE) {
 	outErr := b.w.imageFaultErr()
 	r.maxT = 0
 	r.done = 0
-	b.w.bumpEvent()
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.mu.Lock()
@@ -181,12 +180,22 @@ func (b *barrier) release(self *PE) {
 		}
 		sh.outT, sh.outErr = outT, outErr
 		sh.gen++
-		if b.arena != nil {
-			b.w.wakeBarrierShard(b.arena[sh.lo:sh.hi], outT, outErr, self)
-		}
-		sh.cond.Broadcast()
+		b.wake(sh, false, self)
 		sh.mu.Unlock()
 	}
+}
+
+// wake wakes the shard's sleepers once its generation has moved or it has
+// been poisoned, counting them awake again on their behalf. Must be called
+// with sh.mu held.
+func (b *barrier) wake(sh *bShard, poisoned bool, self *PE) {
+	if b.w.engine == EngineEvent {
+		b.w.completeShard(b.arena[sh.lo:sh.hi], sh.outT, sh.outErr, poisoned, self)
+		return
+	}
+	b.w.awake.Add(sh.sleepers)
+	sh.sleepers = 0
+	sh.cond.Broadcast()
 }
 
 // await blocks until every alive participant has called it, then returns the
@@ -204,17 +213,15 @@ func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 		sh.maxT = arriveT
 	}
 	sh.count++
-	b.w.bumpEvent()
 	gen := sh.gen
-	var bw *bWaiter
+	// Register the arena record before reporting upward — once the shard is
+	// reported, any other shard's report can trigger the release, and an
+	// event-engine record registered late would miss its fill.
+	bw := &b.arena[p.ID]
+	bw.waiting = true
 	if p.wake != nil {
-		// Event engine: register the arena record before reporting upward —
-		// once the shard is reported, any other shard's report can trigger
-		// the release, and a record registered late would miss its fill.
-		bw = &b.arena[p.ID]
 		bw.outT, bw.outErr, bw.poisoned = 0, nil, false
 		bw.done.Store(false)
-		bw.waiting = true
 	}
 	complete := sh.count == sh.alive && !sh.reported
 	var sMax float64
@@ -226,13 +233,11 @@ func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 	if complete {
 		b.combine(sMax, p)
 	}
-	if bw != nil {
+	if p.wake != nil {
 		// Park until the releaser (or a poison) fills the record. Stale wake
 		// tokens are possible — loop on done. If this PE ran the release
 		// itself, done is already set and the park falls straight through.
-		b.w.beginBlock()
 		p.parkForBarrier(bw)
-		b.w.endBlock()
 		if bw.poisoned {
 			panic("pgas: barrier poisoned (another PE failed)")
 		}
@@ -240,13 +245,21 @@ func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 	}
 	// Goroutine engine: sleep on the shard condition variable until the
 	// generation moves. The next generation cannot release before this PE
-	// arrives again, so the shard's result fields stay valid to read here.
+	// arrives again, so the shard's result fields stay valid to read here. A
+	// sleeper that empties World.awake reports the deadlock with the shard
+	// unlocked; the poison it raises ends its own loop too.
 	sh.mu.Lock()
 	for sh.gen == gen && !sh.poisoned {
-		b.w.beginBlock()
+		sh.sleepers++
+		if b.w.awake.Add(-1) == 0 {
+			sh.mu.Unlock()
+			b.w.deadlock()
+			sh.mu.Lock()
+			continue
+		}
 		sh.cond.Wait()
-		b.w.endBlock()
 	}
+	bw.waiting = false
 	poisoned := sh.poisoned
 	outT, outErr := sh.outT, sh.outErr
 	sh.mu.Unlock()
@@ -304,10 +317,7 @@ func (b *barrier) poison() {
 		sh := &b.shards[i]
 		sh.mu.Lock()
 		sh.poisoned = true
-		if b.arena != nil {
-			b.w.poisonBarrierShard(b.arena[sh.lo:sh.hi])
-		}
-		sh.cond.Broadcast()
+		b.wake(sh, true, nil)
 		sh.mu.Unlock()
 	}
 }

@@ -2,7 +2,6 @@ package pgas
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"cafshmem/internal/fabric"
@@ -98,9 +97,7 @@ func BenchmarkBarrierRelease(b *testing.B) {
 		})
 	}()
 	<-setup
-	for w.blockedN.Load() < n-1 {
-		runtime.Gosched()
-	}
+	waitAsleep(w, n-1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	close(start)

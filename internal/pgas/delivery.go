@@ -113,9 +113,9 @@ func (w *World) DeliverWrite(src, dst int, seq uint64, apply func()) bool {
 }
 
 // MarkUnreachable records that src exhausted its retries toward dst. The
-// mark is sticky, counts as a wake-relevant event, and wakes every blocked
-// waiter (same waiter-gated fan-out as depart) so a consumer blocked on data
-// that can no longer arrive re-runs its fault checks and finds the dead link.
+// mark is sticky and wakes every blocked waiter (same waiter-gated fan-out as
+// depart) so a consumer blocked on data that can no longer arrive re-runs its
+// fault checks and finds the dead link.
 func (w *World) MarkUnreachable(src, dst int) {
 	w.dlv.mu.Lock()
 	ls := w.linkLocked(src, dst)
@@ -126,7 +126,6 @@ func (w *World) MarkUnreachable(src, dst int) {
 		return
 	}
 	w.dlv.nUnreach.Add(1)
-	w.bumpEvent()
 	w.wakeWatchers(nil)
 }
 
@@ -191,7 +190,7 @@ func (w *World) UnreachableDsts() []int {
 	return out
 }
 
-// unreachableLinks formats the given-up links for watchdog diagnostics.
+// unreachableLinks formats the given-up links for the deadlock report.
 func (w *World) unreachableLinks() []string {
 	if w.dlv.nUnreach.Load() == 0 {
 		return nil

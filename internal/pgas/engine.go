@@ -34,9 +34,12 @@ package pgas
 //     otherwise), so resuming a PE costs one scheduling hop, not a wake
 //     followed by a second block to reacquire a slot.
 //
-// Both engines share one hang watchdog: a single polling goroutine per world
-// (watchdog below), fed by the blocked-PE count and the event epoch the
-// engines maintain. Nothing is armed or spawned when a PE blocks.
+// Both engines keep World.awake, the count of PE goroutines that can still
+// wake somebody: a PE leaves it under the lock that guards its sleep flag
+// (sched.dmu here; p.mu and the barrier shard's mutex on the goroutine
+// engine), its waker puts it back under the same lock, and whoever takes it
+// to zero has proved deadlock (World.deadlock in fault.go). No goroutine
+// watches a world and no verdict depends on host time.
 //
 // Task states in the event engine (DESIGN.md "Execution engine"):
 //
@@ -51,7 +54,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Engine selects the execution engine underneath a World.
@@ -168,44 +170,54 @@ func (s *sched) grantLocked() {
 	s.free++
 }
 
-// wakeEvent marks a wake-relevant event for p (event engine). If p is parked
-// it becomes ready and is granted a worker slot — immediately when one is
-// free, FIFO-queued otherwise — so the wake and the slot arrive as one
-// scheduling hop. If p is running (or already granted), the event is noted
-// in a sticky flag consumed by p's next park, so a wake racing ahead of the
-// park is never lost. Callers need not hold any lock; the virtual-time
-// results cannot depend on any of this (see the package comment), which the
-// engine golden gate checks.
+// unpark is the parked → ready transition of a wake event for p, the one
+// place a sleeper becomes runnable. A parked p is granted a worker slot —
+// immediately when one is free, FIFO-queued otherwise — so the wake and the
+// slot arrive as one scheduling hop, and unpark reports true: the caller owes
+// World.awake one count on p's behalf, paid before it drops dmu so that p
+// cannot park again uncounted. If p is running (or already granted), the
+// event is noted in a sticky flag consumed by p's next park, so a wake racing
+// ahead of the park is never lost. Must be called with dmu held.
+func (s *sched) unpark(p *PE) bool {
+	if !p.parked {
+		p.readyFlag = true
+		return false
+	}
+	p.parked = false
+	if s.free > 0 {
+		s.free--
+		p.wake <- struct{}{}
+	} else {
+		s.ready = append(s.ready, p)
+	}
+	return true
+}
+
+// wakeEvent delivers a wake event to p (event engine). Callers need not hold
+// any lock; the virtual-time results cannot depend on any of this (see the
+// package comment), which the engine golden gate checks.
 func (w *World) wakeEvent(p *PE) {
 	s := &w.sched
 	s.dmu.Lock()
-	if p.parked {
-		p.parked = false
-		if s.free > 0 {
-			s.free--
-			s.dmu.Unlock()
-			p.wake <- struct{}{}
-			return
-		}
-		s.ready = append(s.ready, p)
-	} else {
-		p.readyFlag = true
+	if s.unpark(p) {
+		w.awake.Add(1)
 	}
 	s.dmu.Unlock()
 }
 
-// wakeBarrierShard releases one barrier shard's generation: it fills every
-// registered waiter record in the shard's contiguous arena slice — result
-// fields first, then the atomic done flag that publishes them — and wakes the
-// waiters under a single dispatch-lock acquisition. At 100k images the
-// release fan-out would otherwise pay a lock hand-off per waiter; batching
-// per shard (rather than per world) keeps the walk a sequential pass over
-// one arena. self — the PE running the release, if any — gets its record
-// filled but no wake dispatch: it is running, and a sticky readyFlag would
-// go stale. Per-waiter wake semantics are exactly wakeEvent's. Caller holds
-// the shard mutex, so registration cannot race the walk.
-func (w *World) wakeBarrierShard(arena []bWaiter, outT float64, outErr error, self *PE) {
+// completeShard completes one barrier shard's generation — a release, or with
+// poisoned set the unwinding of a poisoned world: it fills every registered
+// waiter record in the shard's contiguous arena slice — result fields first,
+// then the atomic done flag that publishes them — and wakes the waiters under
+// a single dispatch-lock acquisition, counting them awake with one add. At
+// 100k images the fan-out would otherwise pay a lock hand-off per waiter;
+// batching per shard (rather than per world) keeps the walk a sequential pass
+// over one arena. self — the PE running a release, if any — gets its record
+// filled but no wake dispatch: it is running, and a sticky readyFlag would go
+// stale. Caller holds the shard mutex, so registration cannot race the walk.
+func (w *World) completeShard(arena []bWaiter, outT float64, outErr error, poisoned bool, self *PE) {
 	s := &w.sched
+	var woken int32
 	s.dmu.Lock()
 	for i := range arena {
 		bw := &arena[i]
@@ -213,54 +225,13 @@ func (w *World) wakeBarrierShard(arena []bWaiter, outT float64, outErr error, se
 			continue
 		}
 		bw.waiting = false
-		bw.outT, bw.outErr = outT, outErr
+		bw.outT, bw.outErr, bw.poisoned = outT, outErr, poisoned
 		bw.done.Store(true)
-		p := bw.p
-		if p == self {
-			continue
-		}
-		if p.parked {
-			p.parked = false
-			if s.free > 0 {
-				s.free--
-				p.wake <- struct{}{}
-			} else {
-				s.ready = append(s.ready, p)
-			}
-		} else {
-			p.readyFlag = true
+		if bw.p != self && s.unpark(bw.p) {
+			woken++
 		}
 	}
-	s.dmu.Unlock()
-}
-
-// poisonBarrierShard is wakeBarrierShard's poison twin: registered waiters
-// are marked poisoned, published, and woken so the world can unwind. Caller
-// holds the shard mutex.
-func (w *World) poisonBarrierShard(arena []bWaiter) {
-	s := &w.sched
-	s.dmu.Lock()
-	for i := range arena {
-		bw := &arena[i]
-		if !bw.waiting {
-			continue
-		}
-		bw.waiting = false
-		bw.poisoned = true
-		bw.done.Store(true)
-		p := bw.p
-		if p.parked {
-			p.parked = false
-			if s.free > 0 {
-				s.free--
-				p.wake <- struct{}{}
-			} else {
-				s.ready = append(s.ready, p)
-			}
-		} else {
-			p.readyFlag = true
-		}
-	}
+	w.awake.Add(woken)
 	s.dmu.Unlock()
 }
 
@@ -268,7 +239,9 @@ func (w *World) poisonBarrierShard(arena []bWaiter) {
 // ready PE) and parks until a wake event grants a slot back. If a wake
 // already arrived — the sticky flag — it returns immediately, keeping the
 // slot. Returns may be spurious; callers re-check their predicate in a loop.
-// No locks may be held by the caller.
+// No locks may be held by the caller. The park is where a PE leaves
+// World.awake: the one that empties it reports the deadlock once dmu is
+// dropped, and is then woken by its own poison like every other sleeper.
 func (w *World) parkAndWait(p *PE) {
 	s := &w.sched
 	s.dmu.Lock()
@@ -278,9 +251,36 @@ func (w *World) parkAndWait(p *PE) {
 		return
 	}
 	p.parked = true
+	dead := w.awake.Add(-1) == 0
 	s.grantLocked()
 	s.dmu.Unlock()
+	if dead {
+		w.deadlock()
+	}
 	<-p.wake
+}
+
+// Yield lets other runnable PEs run before the caller's next probe — what a
+// remote-spinning loop must call between probes, since the substrate cannot
+// see what it spins on and counts it as running. On the event engine the
+// caller hands its worker slot to the head of the ready FIFO and requeues at
+// the tail: runtime.Gosched alone yields the OS thread but keeps the slot, so
+// k spinners on k workers would starve the very PE they wait for. With an
+// empty queue, and on the goroutine engine, it is runtime.Gosched.
+func (p *PE) Yield() {
+	if p.wake != nil {
+		s := &p.world.sched
+		s.dmu.Lock()
+		if s.head < len(s.ready) {
+			s.ready = append(s.ready, p)
+			s.grantLocked()
+			s.dmu.Unlock()
+			<-p.wake
+			return
+		}
+		s.dmu.Unlock()
+	}
+	runtime.Gosched()
 }
 
 // acquireSlotFor claims a worker slot for p's body to start running (event
@@ -315,18 +315,24 @@ func (w *World) releaseSlotFor(p *PE) {
 }
 
 // wakeLocked wakes p from inside its partition lock (the write-visibility
-// path). Engine-dispatching twin of the old unconditional cond.Broadcast.
+// path). On the goroutine engine a sleeping p is counted awake again here, by
+// its waker and under the lock that guards the asleep bit, so that a
+// delivered wake is never uncounted.
 func (p *PE) wakeLocked() {
 	if p.wake != nil {
 		p.world.wakeEvent(p)
 		return
 	}
-	p.cond.Broadcast()
+	if p.asleep {
+		p.asleep = false
+		p.world.awake.Add(1)
+		p.cond.Broadcast()
+	}
 }
 
 // wakeFanout wakes p from outside its partition lock (departures, repair
 // writes, unreachable-link marks, poison). The goroutine engine must take
-// the partition lock so the broadcast cannot race ahead of a waiter's
+// the partition lock so the wake cannot race ahead of a waiter's
 // registration; the event engine's sticky ready flag makes the lock
 // unnecessary.
 func (p *PE) wakeFanout() {
@@ -335,7 +341,7 @@ func (p *PE) wakeFanout() {
 		return
 	}
 	p.mu.Lock()
-	p.cond.Broadcast()
+	p.wakeLocked()
 	p.mu.Unlock()
 }
 
@@ -345,19 +351,28 @@ func (p *PE) wakeFanout() {
 //
 // On the event engine the park releases the worker slot, so a blocked PE
 // costs the pool nothing; the wake event delivers a slot together with the
-// wake (see wakeEvent), which is what bounds concurrently-running bodies —
-// and what makes a park/wake cycle cost one scheduling hop, not two.
+// wake (see unpark), which is what bounds concurrently-running bodies —
+// and what makes a park/wake cycle cost one scheduling hop, not two. On the
+// goroutine engine the PE leaves World.awake as it sets its asleep bit; if
+// that empties it, the PE reports the deadlock with p.mu dropped, and the
+// poison's fan-out clears the bit again.
 func (p *PE) block() {
 	w := p.world
-	w.beginBlock()
 	if p.wake != nil {
 		p.mu.Unlock()
 		w.parkAndWait(p)
 		p.mu.Lock()
-	} else {
+		return
+	}
+	p.asleep = true
+	if w.awake.Add(-1) == 0 {
+		p.mu.Unlock()
+		w.deadlock()
+		p.mu.Lock()
+	}
+	for p.asleep {
 		p.cond.Wait()
 	}
-	w.endBlock()
 }
 
 // wakeWatchers wakes every PE holding a registered watch, except skip (the
@@ -379,91 +394,8 @@ func (w *World) wakeWatchers(skip *PE) {
 		return
 	}
 	for _, q := range w.pes {
-		if q == skip || q.waiters.Load() == 0 {
-			continue
-		}
-		q.mu.Lock()
-		q.cond.Broadcast()
-		q.mu.Unlock()
-	}
-}
-
-// --- hang watchdog (see fault.go for the counters and the poison report) ---
-
-// stallBudget is the wall-clock quiet time after which an all-blocked world
-// is declared deadlocked. The base covers small worlds; the budget grows
-// with image count because legitimate wake chains (a barrier release
-// rippling through parked PEs, a repair walk fanning out) take host time
-// proportional to the world. The goroutine engine keeps its historical
-// linear 25µs/PE term (its wake chains are per-PE cond broadcasts, and it
-// is capped at ~10k images anyway). The event engine's term is sub-linear:
-// a release is one sequential dispatch pass (~ns per PE) plus the woken
-// bodies draining through the bounded worker pool (~µs per PE per worker) —
-// a linear 25µs/PE term would put the 100k budget past five seconds, long
-// enough to mask real deadlocks, where the calibrated form stays under a
-// second. Under the race detector everything runs roughly an order of
-// magnitude slower, so the whole budget scales up — a 100k-image event-loop
-// run under -race must not false-positive as a deadlock.
-func (w *World) stallBudget() time.Duration {
-	var d time.Duration
-	if w.engine == EngineEvent {
-		workers := w.workers
-		if workers < 1 {
-			workers = 1
-		}
-		d = stallRealDelay +
-			time.Duration(w.n)*250*time.Nanosecond +
-			time.Duration(w.n/workers)*2500*time.Nanosecond
-	} else {
-		d = stallRealDelay + time.Duration(w.n)*25*time.Microsecond
-	}
-	if RaceEnabled {
-		d *= 8
-	}
-	return d
-}
-
-// watchdog is the hang backstop of a running world: one goroutine per world
-// on either engine, polling at a coarse tick and poisoning the world after
-// stallBudget of continuous all-blocked, event-free quiet. Polling — rather
-// than arming a detector when the last PE blocks — re-examines the world on
-// every tick, so an all-blocked state reached by a *departure* (the last
-// running PE stops while the rest wait on something its departure does not
-// complete) is caught like one reached by a block, and quiet is counted in
-// observed ticks, so a host that freezes the process for a while adds one
-// tick, not the whole freeze. It counts goroutines, not life-cycle states: the
-// world is stalled when every PE goroutine that has not yet returned sits in a
-// blocking wait. A PE that departed but whose goroutine is still blocked (a
-// deferred call of a failed image, say) keeps Run from returning just the
-// same, so it counts as blocked; one that departed and is still *running* can
-// yet wake somebody, so it counts as running — exactly like an alive PE in a
-// long compute phase. gen is the Run this watchdog belongs to: World.Run bumps
-// runGen when it starts and when it returns, and the watchdog ends at its
-// next tick once the generation has moved on — or once the world is poisoned
-// and unwinding — so a tick costs a sleep and a few atomic loads and stopping
-// it allocates nothing.
-func (w *World) watchdog(gen uint64) {
-	const tick = 5 * time.Millisecond
-	budget := w.stallBudget()
-	var quiet time.Duration
-	last := w.eventEpoch.Load()
-	for {
-		time.Sleep(tick)
-		if w.runGen.Load() != gen || w.poisoned.Load() {
-			return
-		}
-		e, running, blocked := w.eventEpoch.Load(), int32(w.n)-w.exitedN.Load(), w.blockedN.Load()
-		if e != last || blocked < running || blocked == 0 {
-			last = e
-			quiet = 0
-			continue
-		}
-		quiet += tick
-		if quiet >= budget {
-			// Every goroutine left is blocked, the alive PEs among them: the
-			// rest of the blocked ones have departed.
-			w.poisonStall(w.aliveN.Load(), blocked)
-			return
+		if q != skip && q.waiters.Load() != 0 {
+			q.wakeFanout()
 		}
 	}
 }

@@ -92,9 +92,9 @@ func TestEventEngineBoundedWorkers(t *testing.T) {
 	}
 }
 
-// TestEventEngineDeadlockDetected checks the event engine's single-goroutine
-// watchdog: a world whose PEs all wait on flags nobody will ever write must
-// be poisoned with the watchdog diagnostic rather than hang.
+// TestEventEngineDeadlockDetected: an event-engine world whose PEs all wait
+// on flags nobody will ever write must be poisoned with the deadlock report
+// rather than hang.
 func TestEventEngineDeadlockDetected(t *testing.T) {
 	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, 4, Options{Engine: EngineEvent, Workers: 2})
 	if err != nil {
@@ -106,8 +106,8 @@ func TestEventEngineDeadlockDetected(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected deadlock poisoning, got nil error")
 	}
-	if !strings.Contains(err.Error(), "hang watchdog") {
-		t.Fatalf("expected hang-watchdog diagnostic, got: %v", err)
+	if !strings.Contains(err.Error(), "pgas: deadlock: all 4 alive PEs blocked") {
+		t.Fatalf("expected the deadlock report, got: %v", err)
 	}
 }
 

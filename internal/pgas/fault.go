@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // PE life-cycle states. A PE is alive while its goroutine runs the SPMD body;
@@ -78,9 +78,7 @@ func (w *World) depart(p *PE, to peState) {
 		w.nStopped.Add(1)
 	}
 	w.stateMu.Unlock()
-	w.aliveN.Add(-1)
 	w.departEpoch.Add(1)
-	w.bumpEvent()
 	w.barrier.depart(p.ID)
 	// Wake only partitions with a registered waiter: the state change above
 	// is sequenced before the waiter scan, and a waiter registers before
@@ -170,41 +168,65 @@ func (w *World) failedErr() error {
 	return w.failed
 }
 
-// --- virtual-time hang watchdog ---
+// --- quiescence ---
 
-// The watchdog is the backstop guarantee that no run hangs: if every PE
-// goroutine still in the run is blocked in a wait and no wake-relevant event
-// (write, barrier arrival or release, departure) occurs for stallBudget of
-// real time, the world is virtually deadlocked — all wake sources are PE
-// goroutines, and all of them are asleep — so the world is poisoned with a
-// diagnostic instead of hanging the process. One polling goroutine per world
-// does the watching on both engines (World.watchdog in engine.go, started and
-// retired by World.Run); the PEs only keep its counters, so the fault-free hot
-// path pays two atomic adds per block/unblock and nothing in virtual time.
+// World.awake counts the PE goroutines of the current Run that have not
+// returned and are not asleep in a pgas wait — the only things that can wake
+// a sleeper, since every wake source inside a Run is a PE goroutine. A PE
+// leaves the count under the lock that guards its sleep flag immediately
+// before it sleeps (PE.block, barrier.await, World.parkAndWait), its waker
+// puts it back under that lock as it delivers the wake, and a returning PE
+// goroutine leaves it for good (exit). Whoever takes it to zero while
+// goroutines remain has therefore proved deadlock, and says so at once.
 
-const stallRealDelay = 75 * time.Millisecond
-
-// bumpEvent records a wake-relevant event. Called before the corresponding
-// wakeup so the watchdog always observes the epoch change.
-func (w *World) bumpEvent() { w.eventEpoch.Add(1) }
-
-// beginBlock notes that the calling PE is about to block.
-func (w *World) beginBlock() { w.blockedN.Add(1) }
-
-// endBlock undoes beginBlock after the wait returns.
-func (w *World) endBlock() { w.blockedN.Add(-1) }
-
-// poisonStall declares the world deadlocked: every PE goroutine left — all
-// alive PEs, and blocked minus alive departed ones still unwinding — is
-// asleep and no wake-relevant event has occurred for the stall budget, so no
-// wake source remains.
-func (w *World) poisonStall(alive, blocked int32) {
-	if w.failedErr() != nil {
-		return // already unwinding
+// exit is a PE goroutine's return, after its departure has woken whom it
+// wakes. exitedN moves first: once awake reads zero no other goroutine is
+// between the two, so the load sees every return there will be.
+func (w *World) exit() {
+	w.exitedN.Add(1)
+	if w.awake.Add(-1) == 0 && int(w.exitedN.Load()) < w.n {
+		w.deadlock()
 	}
-	msg := fmt.Sprintf("pgas: deadlock detected by hang watchdog: all %d alive PEs blocked with no pending events", alive)
-	if blocked > alive {
-		msg += fmt.Sprintf(" (and %d departed PEs still blocked)", blocked-alive)
+}
+
+// deadlockLines bounds the per-PE part of a deadlock report.
+const deadlockLines = 16
+
+// deadlock poisons the world with the quiescence verdict. Its caller took
+// awake to zero and holds no lock; every PE goroutine left is asleep (the
+// caller, if it is a sleeper, as good as), so the walk over the wait records
+// is an exact snapshot of what each one is blocked on. A world already
+// poisoned is unwinding, not deadlocked.
+func (w *World) deadlock() {
+	if w.poisoned.Load() {
+		return
+	}
+	var lines []string
+	var alive, departed, waits, barriers int
+	for _, p := range w.pes {
+		on, inBarrier := w.blockedOn(p)
+		if on == "" {
+			continue
+		}
+		if inBarrier {
+			barriers++
+		} else {
+			waits++
+		}
+		who := ""
+		if w.Alive(p.ID) {
+			alive++
+		} else {
+			departed++
+			who = " (failed, unwinding)"
+		}
+		if len(lines) < deadlockLines {
+			lines = append(lines, fmt.Sprintf("PE %d%s: %s", p.ID, who, on))
+		}
+	}
+	msg := fmt.Sprintf("pgas: deadlock: all %d alive PEs blocked and no PE left to wake them", alive)
+	if departed > 0 {
+		msg += fmt.Sprintf(" (and %d departed PEs still blocked)", departed)
 	}
 	if fe := w.imageFaultErr(); fe != nil {
 		msg += " (" + fe.Error() + ")"
@@ -212,7 +234,39 @@ func (w *World) poisonStall(alive, blocked int32) {
 	if ur := w.unreachableLinks(); len(ur) > 0 {
 		msg += fmt.Sprintf(" (unreachable links after retry exhaustion: %v)", ur)
 	}
+	msg += ": " + strings.Join(lines, "; ")
+	if n := waits + barriers; n > len(lines) {
+		msg += fmt.Sprintf("; and %d more (%d in a wait, %d in the barrier in all)", n-len(lines), waits, barriers)
+	}
 	w.poison(fmt.Errorf("%s", msg))
+}
+
+// blockedOn describes the wait p's goroutine sleeps in — its registered watch
+// with the watched word and the time of the last write to it, or (inBarrier)
+// its barrier arrival with the shard's progress — and is empty when it sleeps
+// in neither.
+func (w *World) blockedOn(p *PE) (on string, inBarrier bool) {
+	p.mu.Lock()
+	if wt := &p.watch; wt.active {
+		on = fmt.Sprintf("wait [%#x,+%d)", wt.off, wt.n)
+		if wt.n == 8 {
+			var b [8]byte
+			on += fmt.Sprintf(" = %#x", binary.NativeEndian.Uint64(p.seg.view(wt.off, 8, b[:])))
+		}
+		on += fmt.Sprintf(", last write t=%g", max(p.rangeTs(wt.off, wt.n), wt.ts))
+	}
+	p.mu.Unlock()
+	if on != "" {
+		return on, false
+	}
+	b := w.barrier
+	sh := &b.shards[p.ID/b.chunk]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if !b.arena[p.ID].waiting {
+		return "", false
+	}
+	return fmt.Sprintf("barrier gen %d, shard %d, %d/%d arrived", sh.gen, p.ID/b.chunk, sh.count, sh.alive), true
 }
 
 // --- fault-aware one-sided access ---
@@ -231,7 +285,6 @@ func (w *World) RepairWrite(target int, off int64, data []byte, visibleAt float6
 	p.mu.Lock()
 	p.store(off, data, visibleAt)
 	p.mu.Unlock()
-	w.bumpEvent()
 	// Same waiter-gated fan-out as depart: the repair write completes (and
 	// releases p.mu) before the waiter scan, so a waiter that registers too
 	// late to be woken here observes the repaired state in its own entry

@@ -101,8 +101,8 @@ func TestWatchdogBreaksGenuineDeadlock(t *testing.T) {
 		// Both PEs wait on flags nobody will ever set: a real deadlock.
 		p.WaitUntil64(int64(8*p.ID), func(v uint64) bool { return v != 0 })
 	})
-	if err == nil || !strings.Contains(err.Error(), "hang watchdog") {
-		t.Fatalf("want watchdog poison, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "pgas: deadlock: all 2 alive PEs blocked") {
+		t.Fatalf("want deadlock poison, got %v", err)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestWatchdogNamesFailedPEs(t *testing.T) {
 		p.WaitUntil64(0, func(v uint64) bool { return v != 0 })
 	})
 	if err == nil || !strings.Contains(err.Error(), "failed PEs [1]") {
-		t.Fatalf("watchdog diagnostic should name the dead PE, got %v", err)
+		t.Fatalf("deadlock report should name the dead PE, got %v", err)
 	}
 }
 

@@ -197,10 +197,10 @@ func (p *PE) noteTouch(off int64, visibleAt float64) {
 // wakeOverlapping raises overlapping watches to visibleAt and wakes the
 // partition's waiters when any watch matched. Must be called with p.mu held.
 //
-// Watch-awareness: the event-epoch bump and the wakeup are skipped when no
-// watch is registered — and since a waiter's predicate reads only its own
-// watched range, also when the registered watch does not overlap the written
-// range (a write that cannot change the waiter's predicate). That is sound because the only sleepers on the
+// Watch-awareness: the wakeup is skipped when no watch is registered — and
+// since a waiter's predicate reads only its own watched range, also when the
+// registered watch does not overlap the written range (a write that cannot
+// change the waiter's predicate). That is sound because the only sleepers on the
 // partition are WaitUntil/WaitUntilStat, which always hold a registered
 // watch over exactly the bytes their predicate reads, and a waiter that
 // registers later re-evaluates its predicate against the already-written
@@ -212,7 +212,6 @@ func (p *PE) noteTouch(off int64, visibleAt float64) {
 // registration.
 func (p *PE) wakeOverlapping(off, n int64, visibleAt float64) {
 	if p.raiseWatch(off, n, visibleAt) {
-		p.world.bumpEvent()
 		p.wakeLocked()
 	}
 }

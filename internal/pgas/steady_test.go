@@ -4,13 +4,13 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"cafshmem/internal/fabric"
 )
 
-// Regression tests for the steady-state cost of waiting and for the one
-// polling watchdog both engines share.
+// Regression tests for the steady-state cost of waiting and for the
+// quiescence rule at its edges: departures, departed-but-blocked goroutines,
+// and runners the substrate cannot see.
 
 // bothEngines is the option pair the engine-agnostic tests sweep.
 var bothEngines = []Options{
@@ -94,20 +94,23 @@ func TestWaitSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// waitAllBlocked spins until n goroutines of w sit in a blocking wait.
-func waitAllBlocked(w *World, n int32) {
-	for w.blockedN.Load() < n {
+// waitAsleep spins until n PE goroutines of w's Run are asleep in a pgas wait.
+// awake is read first: a goroutine returning between the two loads then reads
+// as one sleeper too few, never one too many.
+func waitAsleep(w *World, n int32) {
+	for {
+		if a := w.awake.Load(); int32(w.n)-w.exitedN.Load()-a >= n {
+			return
+		}
 		runtime.Gosched()
 	}
 }
 
 // TestWatchdogCatchesDeadlockReachedByDeparture: a world that becomes
-// all-blocked not because its last runner blocked but because it *left* — PE 0
+// all-asleep not because its last runner slept but because it *left* — PE 0
 // sits in a barrier, PE 1 in a wait nobody will satisfy, PE 2 stops once both
-// are asleep, and its departure completes neither — is poisoned within twice
-// the stall budget. A detector armed only by blocking transitions depends on
-// some sleeper happening to wake and block again; the polling watchdog
-// re-examines the world regardless.
+// are asleep, and its departure completes neither — is poisoned by the
+// returning goroutine itself.
 func TestWatchdogCatchesDeadlockReachedByDeparture(t *testing.T) {
 	for _, opts := range bothEngines {
 		t.Run(opts.Engine.String(), func(t *testing.T) {
@@ -115,7 +118,6 @@ func TestWatchdogCatchesDeadlockReachedByDeparture(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var departed time.Time
 			err = w.Run(func(p *PE) {
 				switch p.ID {
 				case 0:
@@ -123,18 +125,11 @@ func TestWatchdogCatchesDeadlockReachedByDeparture(t *testing.T) {
 				case 1:
 					p.WaitWordStat(8, CmpNE, 0, nil)
 				default:
-					waitAllBlocked(w, 2)
-					departed = time.Now()
+					waitAsleep(w, 2)
 				}
 			})
-			took := time.Since(departed)
-			if err == nil || !strings.Contains(err.Error(), "hang watchdog") || !strings.Contains(err.Error(), "stopped PEs [2]") {
-				t.Fatalf("want a watchdog poison naming the stopped PE, got %v", err)
-			}
-			// The slack covers ticks that oversleep on a loaded host; a
-			// watchdog that misses the state never returns at all.
-			if limit := 2*w.stallBudget() + 250*time.Millisecond; took > limit {
-				t.Errorf("poisoned %v after the departure, want within 2x the %v stall budget", took, w.stallBudget())
+			if err == nil || !strings.Contains(err.Error(), "pgas: deadlock: all 2 alive PEs blocked") || !strings.Contains(err.Error(), "stopped PEs [2]") {
+				t.Fatalf("want a deadlock poison naming the stopped PE, got %v", err)
 			}
 		})
 	}
@@ -143,8 +138,8 @@ func TestWatchdogCatchesDeadlockReachedByDeparture(t *testing.T) {
 // TestWatchdogCatchesBlockedDepartedPE: a failed PE whose goroutine blocks
 // while unwinding (a deferred call waiting on a word its frozen partition can
 // no longer receive) after every other PE has finished leaves zero alive PEs
-// and one blocked goroutine. Run must still return — with the watchdog's
-// report — because the watchdog lives as long as Run, not as long as aliveN.
+// and one sleeping goroutine. Run must still return — with the deadlock
+// report — because the rule counts goroutines, not alive PEs.
 func TestWatchdogCatchesBlockedDepartedPE(t *testing.T) {
 	for _, opts := range bothEngines {
 		t.Run(opts.Engine.String(), func(t *testing.T) {
@@ -158,19 +153,19 @@ func TestWatchdogCatchesBlockedDepartedPE(t *testing.T) {
 					p.Fail()
 				}
 			})
-			if err == nil || !strings.Contains(err.Error(), "hang watchdog") || !strings.Contains(err.Error(), "1 departed PEs still blocked") {
-				t.Fatalf("want a watchdog poison counting the blocked departed PE, got %v", err)
+			if err == nil || !strings.Contains(err.Error(), "pgas: deadlock: all 0 alive PEs blocked") || !strings.Contains(err.Error(), "1 departed PEs still blocked") {
+				t.Fatalf("want a deadlock poison counting the blocked departed PE, got %v", err)
 			}
 		})
 	}
 }
 
-// TestWatchdogSparesRunningPE: a blocked goroutine of a *departed* PE is not
-// an alive PE. With a failed PE blocked while unwinding, one alive PE blocked
-// and one alive PE in a compute phase longer than the stall budget (no events),
-// the blocked count equals the alive count — but the runner can still wake
-// both sleepers, and does. The watchdog compares blocked goroutines with the
-// goroutines that have not returned, so it leaves this world alone.
+// TestWatchdogSparesRunningPE: a PE blocked on something the substrate cannot
+// see counts as running. With a failed PE blocked while unwinding, one alive
+// PE blocked and one alive PE parked on a host channel, every PE the
+// substrate can see is asleep — but the runner can still wake both sleepers,
+// and does once the test lets it go. The world is left alone however long
+// that takes.
 func TestWatchdogSparesRunningPE(t *testing.T) {
 	for _, opts := range bothEngines {
 		t.Run(opts.Engine.String(), func(t *testing.T) {
@@ -178,48 +173,30 @@ func TestWatchdogSparesRunningPE(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = w.Run(func(p *PE) {
-				switch p.ID {
-				case 0:
-					waitAllBlocked(w, 2)
-					time.Sleep(w.stallBudget() + 100*time.Millisecond)
-					w.WriteUint64(1, 8, 1, 0)
-					w.RepairWrite(2, 0, []byte{1}, 0) // lands in the frozen partition
-				case 1:
-					p.WaitWord(8, CmpNE, 0)
-				default:
-					defer p.WaitWordStat(0, CmpNE, 0, nil)
-					p.Fail()
-				}
-			})
-			if err != nil {
-				t.Fatalf("healthy world with a long compute phase was poisoned: %v", err)
+			asleep, release, done := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+			go func() {
+				done <- w.Run(func(p *PE) {
+					switch p.ID {
+					case 0:
+						waitAsleep(w, 2)
+						close(asleep)
+						<-release
+						w.WriteUint64(1, 8, 1, 0)
+						w.RepairWrite(2, 0, []byte{1}, 0) // lands in the frozen partition
+					case 1:
+						p.WaitWord(8, CmpNE, 0)
+					default:
+						defer p.WaitWordStat(0, CmpNE, 0, nil)
+						p.Fail()
+					}
+				})
+			}()
+			<-asleep
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatalf("healthy world with a runner on a host channel was poisoned: %v", err)
 			}
 		})
-	}
-}
-
-// TestWatchdogRetiredPerRun: the watchdog belongs to one Run. A second Run
-// that starts before the first one's watchdog has ticked must not revive it.
-func TestWatchdogRetiredPerRun(t *testing.T) {
-	w, err := NewWorld(testMachine(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-	if err := w.Run(func(*PE) {}); err != nil {
-		t.Fatal(err)
-	}
-	var during int
-	err = w.Run(func(*PE) {
-		time.Sleep(25 * time.Millisecond) // several ticks: the first watchdog is gone
-		during = runtime.NumGoroutine()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if during > before+2 {
-		t.Errorf("%d goroutines inside the second Run, want at most %d (the PE and one watchdog)", during, before+2)
 	}
 }
 

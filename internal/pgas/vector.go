@@ -45,7 +45,6 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 		}
 	}
 	if matched {
-		p.world.bumpEvent()
 		p.wakeLocked()
 	}
 	p.mu.Unlock()
@@ -118,7 +117,6 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 		}
 	}
 	if matched {
-		p.world.bumpEvent()
 		p.wakeLocked()
 	}
 	p.mu.Unlock()

@@ -174,13 +174,13 @@ func TestVectoredWritesToFailedPEAreDropped(t *testing.T) {
 	}
 }
 
-// The watch-aware wakeup optimisation skips the broadcast (and event-epoch
-// bump) when no watch is registered. A WaitUntil that races writer traffic
+// The watch-aware wakeup optimisation skips the broadcast when no watch is
+// registered. A WaitUntil that races writer traffic
 // must still never lose its wakeup: the waiter registers its watch before
 // re-evaluating the predicate, so a write either sees the watch (and
 // broadcasts) or happened before registration (and the predicate sees its
-// bytes). Run with -race; a lost wakeup poisons the world via the hang
-// watchdog and fails the test.
+// bytes). Run with -race; a lost wakeup leaves every PE asleep, which poisons
+// the world with the deadlock report and fails the test.
 func TestWatchAwareWakeupNeverLost(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 50; round++ {

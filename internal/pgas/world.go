@@ -57,19 +57,17 @@ type World struct {
 	pairsOverride atomic.Int64 // 0 = derive from placement
 
 	// PE life-cycle state (see fault.go). states is read with atomic loads on
-	// hot paths; transitions take stateMu. The counters back the hang
-	// watchdog and the fault-status queries.
+	// hot paths; transitions take stateMu. The counters back the fault-status
+	// queries and the quiescence rule.
 	stateMu     sync.Mutex
 	states      []int32
-	aliveN      atomic.Int32
 	nFailed     atomic.Int32
 	nStopped    atomic.Int32
-	blockedN    atomic.Int32 // PE goroutines sitting in a blocking wait
+	awake       atomic.Int32 // PE goroutines of the current Run neither returned nor asleep in a pgas wait
 	exitedN     atomic.Int32 // PE goroutines of the current Run that returned
-	eventEpoch  atomic.Uint64
 	departEpoch atomic.Uint64
-	runGen      atomic.Uint64 // bumped when a Run starts and when it returns: retires its watchdog (odd while a Run is in flight)
-	closed      atomic.Bool   // Close was called: partition memory is gone, Run is refused
+	running     atomic.Bool // a Run is in flight: Close is refused
+	closed      atomic.Bool // Close was called: partition memory is gone, Run is refused
 
 	// dlv is the lossy-fabric reliability bookkeeping: receiver dedup
 	// windows, per-link forensic counters, unreachable-link marks. See
@@ -120,10 +118,13 @@ type PE struct {
 	// of this task, guarded by sched.dmu: parked means slotless and awaiting
 	// a grant; readyFlag is the sticky wake-arrived-while-running note the
 	// next park consumes, which is what makes a wake racing ahead of the
-	// park lossless.
+	// park lossless. asleep is parked's goroutine-engine counterpart, guarded
+	// by mu: the PE sleeps on cond in a wait. Either flag means the PE is not
+	// counted in World.awake.
 	wake      chan struct{}
 	parked    bool
 	readyFlag bool
+	asleep    bool
 }
 
 // addWatch registers the PE's watch over [off, off+n) (and its waiter
@@ -183,8 +184,7 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		states:  make([]int32, n),
 		engine:  opts.Engine,
 	}
-	w.barrier = newBarrier(w, n, opts.BarrierShards, opts.Engine == EngineEvent)
-	w.aliveN.Store(int32(n))
+	w.barrier = newBarrier(w, n, opts.BarrierShards)
 	if opts.Engine == EngineEvent {
 		w.workers = defaultWorkers(opts.Workers)
 		w.sched.free = w.workers
@@ -201,8 +201,8 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		p.cond.L = &p.mu
 		if opts.Engine == EngineEvent {
 			p.wake = make(chan struct{}, 1)
-			w.barrier.arena[i].p = p
 		}
+		w.barrier.arena[i].p = p
 		w.pes[i] = p
 	}
 	return w, nil
@@ -228,21 +228,31 @@ func Run(machine *fabric.Machine, n int, body func(*PE)) error {
 // bodies still each get a goroutine (the cheap part — a resumable stack) but
 // only Workers of them hold a run slot at a time, and a blocked PE parks
 // without its slot, so the pool never idles on blocked tasks and never runs
-// more than Workers bodies at once. On both, the world's one hang watchdog
-// (engine.go) runs for as long as Run does.
+// more than Workers bodies at once.
+//
+// A Run never hangs on the substrate's own waits: when every PE goroutine
+// that has not returned is asleep in a wait or the barrier, the world is
+// poisoned at once with a report of what each one is blocked on (fault.go,
+// "quiescence"). The rule counts, it does not time, so it rests on a
+// contract: inside a Run only PE goroutines may satisfy a wait — a write from
+// any other goroutine may arrive after the verdict. A PE blocked on something
+// the substrate cannot see (a host channel, a sleep, a remote-spinning probe
+// loop, which must call Yield) counts as running. Waits issued outside a Run
+// are never judged.
 func (w *World) Run(body func(*PE)) error {
 	if w.closed.Load() {
 		return ErrClosed
 	}
 	w.exitedN.Store(0)
-	go w.watchdog(w.runGen.Add(1))
-	defer w.runGen.Add(1)
+	w.awake.Store(int32(w.n))
+	w.running.Store(true)
+	defer w.running.Store(false)
 	var wg sync.WaitGroup
 	wg.Add(w.n)
 	for _, p := range w.pes {
 		go func(p *PE) {
 			defer wg.Done()
-			defer w.exitedN.Add(1)
+			defer w.exit()
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(peFailed); ok {
@@ -287,7 +297,7 @@ func (w *World) part(target int) *PE {
 // recycling). Counters (PageStats, LinkReports) stay readable. Idempotent.
 // Closing a world whose Run is in flight is a bug and panics.
 func (w *World) Close() {
-	if w.runGen.Load()&1 == 1 {
+	if w.running.Load() {
 		panic("pgas: Close of a world whose Run is in flight")
 	}
 	if w.closed.Swap(true) {
@@ -393,7 +403,6 @@ func (w *World) poison(err error) {
 		w.poisoned.Store(true)
 	}
 	w.failMu.Unlock()
-	w.bumpEvent()
 	// Wake everything that might be blocked so the process can unwind.
 	w.barrier.poison()
 	for _, p := range w.pes {

@@ -1,9 +1,6 @@
 package shmem
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // OpenSHMEM global logical locks (shmem_set_lock / shmem_clear_lock /
 // shmem_test_lock). A lock variable is a symmetric 64-bit word, but the lock
@@ -42,7 +39,7 @@ func (pe *PE) SetLock(sym Sym, idx int) {
 		if backoff < 16 {
 			backoff *= 2
 		}
-		runtime.Gosched()
+		pe.p.Yield()
 	}
 }
 

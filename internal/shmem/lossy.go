@@ -16,7 +16,7 @@ package shmem
 //	      destination;
 //	    → legacy completion points (Quiet / QuietTarget / Barrier) and
 //	      blocking gets error-terminate with a panic (poisoning the world);
-//	    → the pgas hang watchdog names given-up links in its diagnostic as
+//	    → the pgas deadlock report names given-up links as
 //	      the backstop for programs that never reach a completion point.
 //
 // Unlisted destinations — and every destination of a plan without Losses —

@@ -1,11 +1,13 @@
 package shmem
 
 import (
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
 )
 
 func stampedeCfg() Config {
@@ -462,6 +464,45 @@ func TestGlobalLockMutualExclusion(t *testing.T) {
 	}
 	if violations != 0 {
 		t.Fatalf("%d mutual-exclusion violations", violations)
+	}
+}
+
+// TestSpinLockYieldsWorkerSlot: a PE spinning on a held lock must hand its
+// worker slot on between probes. PE 0 holds the lock until PE 2 sets its flag;
+// PE 1 spins on the lock. On an event-engine pool with one slot (or k slots
+// and k spinners) a spin that only yields the OS thread keeps PE 2 in the
+// ready queue for ever — a livelock no quiescence rule can see, since a
+// spinner counts as running.
+func TestSpinLockYieldsWorkerSlot(t *testing.T) {
+	for _, opts := range []pgas.Options{
+		{Engine: pgas.EngineGoroutine},
+		{Engine: pgas.EngineEvent, Workers: 1},
+		{Engine: pgas.EngineEvent, Workers: 2},
+	} {
+		t.Run(fmt.Sprintf("%v/workers=%d", opts.Engine, opts.Workers), func(t *testing.T) {
+			cfg := stampedeCfg()
+			cfg.Options = opts
+			err := Run(cfg, 3, func(pe *PE) {
+				lock, flag := pe.Malloc(8), pe.Malloc(8)
+				switch pe.MyPE() {
+				case 0:
+					pe.SetLock(lock, 0)
+					pe.Barrier()
+					pe.WaitUntil64(flag, 0, CmpNE, 0)
+					pe.ClearLock(lock, 0)
+				case 1:
+					pe.Barrier()
+					pe.SetLock(lock, 0)
+					pe.ClearLock(lock, 0)
+				default:
+					pe.Barrier()
+					pe.AtomicSet(0, flag, 0, 1)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

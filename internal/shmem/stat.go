@@ -36,7 +36,7 @@ func (pe *PE) linkPenalty() {
 // before entering the barrier, so after the rendezvous all PEs observe the
 // same set (world.UnreachableDsts) at the same barrier generation and can
 // abandon a phase together, which is what keeps degraded runs out of
-// asymmetric collectives (and therefore out of the watchdog).
+// asymmetric collectives (and therefore out of a deadlock).
 func (pe *PE) BarrierStat() error {
 	pe.quiet()
 	w := pe.world
