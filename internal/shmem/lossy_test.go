@@ -9,51 +9,17 @@ import (
 	"cafshmem/internal/pgas"
 )
 
-// lossFreeCfg returns a config whose fault plan is non-nil but loss-free.
-func lossFreeCfg() Config {
-	cfg := stampedeCfg()
-	cfg.FaultPlan = &fabric.FaultPlan{Seed: 1}
-	return cfg
-}
-
 // TestLossFreePlanBitIdentical: a non-nil plan with no loss rules must leave
-// every virtual time bit-identical to a nil plan, across the blocking, NBI,
-// vectored, and signal paths.
+// every virtual time bit-identical to a nil plan, for every put/get shape
+// (shapesProgram), blocking, nonblocking and context-scoped.
 func TestLossFreePlanBitIdentical(t *testing.T) {
-	run := func(cfg Config) []float64 {
-		times := make([]float64, 4)
-		err := Run(cfg, 4, func(pe *PE) {
-			data := pe.Malloc(1024)
-			sig := pe.Malloc(8)
-			pe.Barrier()
-			me := pe.MyPE()
-			nxt := (me + 1) % pe.NumPEs()
-			buf := make([]byte, 256)
-			for i := range buf {
-				buf[i] = byte(me)
-			}
-			pe.PutMem(nxt, data, 0, buf[:64])
-			pe.PutMemNBI(nxt, data, 64, buf[64:128])
-			pe.PutMemV(nxt, data, []int64{256, 512}, 32, buf[:64])
-			pe.Quiet()
-			pe.PutSignal(nxt, data, 128, buf[128:160], sig, 0, int64(me)+1)
-			pe.SignalWaitUntil(sig, 0, CmpNE, 0)
-			got := make([]byte, 64)
-			pe.GetMem(nxt, data, 0, got)
-			pe.Barrier()
-			times[me] = pe.Clock().Now()
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return times
+	base, _ := runShapes(t, nil, pgas.EngineGoroutine, true)
+	withPlan, links := runShapes(t, &fabric.FaultPlan{Seed: 1}, pgas.EngineGoroutine, true)
+	if base != withPlan {
+		t.Fatalf("loss-free plan perturbed virtual time:\n%v\n!=\n%v", withPlan, base)
 	}
-	base := run(stampedeCfg())
-	withPlan := run(lossFreeCfg())
-	for i := range base {
-		if base[i] != withPlan[i] {
-			t.Fatalf("PE %d: loss-free plan perturbed virtual time: %v != %v", i, withPlan[i], base[i])
-		}
+	if len(links) != 0 {
+		t.Fatalf("loss-free plan engaged the reliability protocol: %v", links)
 	}
 }
 
