@@ -1,8 +1,8 @@
 #!/bin/sh
 # Extended tier-1 gate (see ROADMAP.md): build-and-test plus the repo's
 # correctness tooling. Run from the module root. `./check.sh fast` stops after
-# the fast tier: build, vet, the unsafe and host-clock gates, the gates on the
-# write path and the deadlock loop (about half a minute).
+# the fast tier: build, vet, the unsafe, host-clock and one-delivery-site gates,
+# the gates on the write path and the deadlock loop (about half a minute).
 set -eu
 
 echo "==> go build ./..."
@@ -20,6 +20,28 @@ fi
 echo "==> host-clock gate (no verdict, cost or schedule under internal/ may depend on host time: virtual time is the only clock)"
 if grep -rl --include='*.go' --exclude='*_test.go' '"time"' internal; then
     echo "check.sh: the files above import time; nothing under internal/ may, outside tests" >&2
+    exit 1
+fi
+
+echo "==> one-delivery-site gate (how a message crosses a link is decided in one function: pgas.World.Transmit; DESIGN.md \"Fault model\")"
+# Outside internal/fabric, non-test code may consult FaultPlan.LossyPair and
+# FaultPlan.Deliver in exactly one function, the same one for both; and the
+# closure-driven lossy fork that used to sit beside every shmem put and get
+# (func(at float64) inside func(wire float64)) must not come back.
+sites=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/fabric/*' ! -path './.bench_build/*' -exec awk '
+    FNR == 1 { fn = "" }
+    /^func / { fn = $0 }
+    /^[[:space:]]*\/\// { next }
+    /LossyPair\(/ { print FILENAME ": " fn " [LossyPair]" }
+    /\.Deliver\(/ { print FILENAME ": " fn " [Deliver]" }' {} +)
+if [ "$(printf '%s\n' "$sites" | sed 's/ \[[A-Za-z]*\]$//' | sort -u | grep -c .)" != 1 ] ||
+    [ "$(printf '%s\n' "$sites" | grep -c .)" != 2 ]; then
+    echo "check.sh: LossyPair and Deliver must each be consulted once, in one function, outside internal/fabric; found:" >&2
+    printf '%s\n' "$sites" >&2
+    exit 1
+fi
+if grep -rn --include='*.go' -e 'func(at float64)' -e 'func(wire float64)' internal/shmem; then
+    echo "check.sh: the closures above fork the issue path in internal/shmem; every put and get goes through Ctx.issue" >&2
     exit 1
 fi
 
@@ -101,8 +123,8 @@ echo "==> chaos-loss smoke (lossy fabric: retransmit/dup/kill replays, bounded w
 # into a failure instead of a stuck gate.
 timeout 120 go test -race -run 'TestChaosLoss|TestRetryExhaustion|TestLossyReplayIdentical' -count=1 ./internal/caf ./internal/shmem
 
-echo "==> loss-free golden gate (nil plan vs loss-free plan: bit-identical virtual times)"
-go test -run 'TestLossFreePlanBitIdentical|TestIssueAtMatchesIssue|TestLinkPenaltyWindowBackCompat' -count=1 ./internal/shmem ./internal/fabric
+echo "==> loss-free golden gate (nil plan vs loss-free plan: bit-identical virtual times; every put/get shape under lossy, exhausting and degraded-link plans vs the clocks captured before the one issue path; one link penalty per message)"
+go test -run 'TestLossFreePlanBitIdentical|TestLossyGolden|TestLinkPenaltyEveryShape|TestIssueAtMatchesIssue|TestLinkPenaltyWindowBackCompat' -count=1 ./internal/shmem ./internal/fabric
 
 echo "==> engine golden gate (goroutine vs event engine: bit-identical virtual times)"
 go test -run 'TestEventEngineMatchesGoroutine' -count=1 ./internal/pgas

@@ -220,23 +220,40 @@ func TestRandomLossPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestIssueAtMatchesIssue: when the caller's completion function is the
-// native wire-out + latency, IssueAt is bit-identical to Issue — the
-// reliability hook cannot perturb loss-free schedules.
+// TestIssueAtMatchesIssue: Reserve then Note — the pair that replaced the
+// IssueAt callback, with the completion time left to the caller — is
+// bit-identical to Issue when the caller completes at the native wire-out +
+// latency, so the delivery step cannot perturb loss-free schedules. A set
+// with no pipe (a blocking horizon) wires out at now and books the same way.
 func TestIssueAtMatchesIssue(t *testing.T) {
 	var nicA, nicB NBINic
 	sa, sb := NewNBIStreams(&nicA), NewNBIStreams(&nicB)
+	var blocking NBIStreams
 	times := []struct{ now, tr, lat float64 }{
 		{0, 100, 1900}, {50, 30, 1900}, {400, 250, 700}, {400, 0, 700},
 	}
 	for i, c := range times {
 		a := sa.Issue(i%2, c.now, c.tr, c.lat)
-		b := sb.IssueAt(i%2, c.now, c.tr, func(wire float64) float64 { return wire + c.lat })
+		b := sb.Reserve(c.now, c.tr) + c.lat
+		sb.Note(i%2, b)
 		if a != b {
-			t.Fatalf("op %d: Issue=%v IssueAt=%v", i, a, b)
+			t.Fatalf("op %d: Issue=%v Reserve+Note=%v", i, a, b)
 		}
+		if wire := blocking.Reserve(c.now, c.tr); wire != c.now {
+			t.Fatalf("op %d: a set with no pipe wired out at %v, want now=%v", i, wire, c.now)
+		}
+		blocking.Note(i%2, c.now+c.lat)
+	}
+	if sa.Outstanding() != sb.Outstanding() || sa.OutstandingTarget(1) != sb.OutstandingTarget(1) {
+		t.Fatalf("op counts diverge: %d/%d vs %d/%d", sa.Outstanding(), sa.OutstandingTarget(1), sb.Outstanding(), sb.OutstandingTarget(1))
 	}
 	if a, b := sa.Drain(), sb.Drain(); a != b || nicA.FreeAt() != nicB.FreeAt() {
 		t.Fatalf("drain/pipe divergence: %v vs %v, %v vs %v", a, b, nicA.FreeAt(), nicB.FreeAt())
+	}
+	if got := blocking.DrainTarget(0); got != 0+1900 {
+		t.Fatalf("blocking horizon toward 0 = %v, want 1900", got)
+	}
+	if got := blocking.Drain(); got != 50+1900 {
+		t.Fatalf("blocking horizon = %v, want 1950 (target 1's)", got)
 	}
 }

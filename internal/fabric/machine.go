@@ -1,6 +1,9 @@
 package fabric
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Machine describes one experimental platform (paper Table III) plus the set
 // of communication-library cost profiles calibrated for it.
@@ -81,6 +84,17 @@ func (m *Machine) NodeOf(pe int) int {
 		return 0
 	}
 	return pe / m.CoresPerNode
+}
+
+// NodeRange returns the ranks [lo, hi) placed on pe's node (hi is not clipped
+// to a job size): t is co-located with pe exactly when lo <= t < hi, which
+// lets a PE answer SameNode for every target without a division.
+func (m *Machine) NodeRange(pe int) (lo, hi int) {
+	if m.CoresPerNode <= 0 {
+		return 0, math.MaxInt
+	}
+	lo = pe / m.CoresPerNode * m.CoresPerNode
+	return lo, lo + m.CoresPerNode
 }
 
 // SameNode reports whether two PEs are co-located on one node.

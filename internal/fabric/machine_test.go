@@ -62,6 +62,22 @@ func TestBlockPlacement(t *testing.T) {
 	}
 }
 
+// TestNodeRangeMatchesSameNode: t lies in NodeRange(pe) exactly when it is
+// co-located with pe.
+func TestNodeRangeMatchesSameNode(t *testing.T) {
+	for _, per := range []int{0, 1, 3, 16} {
+		m := Machine{CoresPerNode: per}
+		for pe := 0; pe < 40; pe++ {
+			lo, hi := m.NodeRange(pe)
+			for q := 0; q < 40; q++ {
+				if in := lo <= q && q < hi; in != m.SameNode(pe, q) {
+					t.Fatalf("cores/node %d: NodeRange(%d) = [%d,%d) but SameNode(%d,%d) = %v", per, pe, lo, hi, pe, q, !in)
+				}
+			}
+		}
+	}
+}
+
 func TestNodesFor(t *testing.T) {
 	m := Titan()
 	cases := map[int]int{1: 1, 16: 1, 17: 2, 1024: 64, 2048: 128}

@@ -33,9 +33,7 @@ type NBINic struct {
 func (n *NBINic) FreeAt() float64 { return n.freeAt }
 
 // Reserve claims the pipe for transferNs starting no earlier than now and
-// returns the wire-out time — when the op's last byte leaves the NIC. This
-// is the pipe recurrence Issue uses, exposed so the reliability layer can
-// compute a lossy op's first-attempt send time from the same schedule.
+// returns the wire-out time — when the op's last byte leaves the NIC.
 func (n *NBINic) Reserve(now, transferNs float64) float64 {
 	start := now
 	if n.freeAt > start {
@@ -56,6 +54,11 @@ type nbiStream struct {
 // per destination, all serialising on a shared NBINic. The per-target list is
 // tiny in practice (halo neighbours, a batch's owner), so linear scans beat
 // any map and the backing array is reused across drains.
+//
+// The zero value is a set with no pipe: the per-destination completion
+// horizon of a library's blocking puts, which charge their transfer inline
+// and are booked with Note alone. It is kept apart from the NBI set, whose
+// counts the libraries report.
 type NBIStreams struct {
 	nic  *NBINic
 	recs []nbiStream
@@ -74,25 +77,24 @@ func NewNBIStreams(nic *NBINic) NBIStreams {
 // recurrence is identical to NBIQueue.Issue.
 func (s *NBIStreams) Issue(target int, now, transferNs, latencyNs float64) float64 {
 	done := s.nic.Reserve(now, transferNs) + latencyNs
-	s.record(target, done)
+	s.Note(target, done)
 	return done
 }
 
-// IssueAt posts a nonblocking op whose completion timestamp is computed by
-// the caller from the wire-out time: the pipe is reserved exactly as Issue
-// does, then complete(wireOutNs) returns the op's completion time, which is
-// recorded on target's stream and returned. This is the reliability layer's
-// entry point — on a lossy link an op completes at its successful attempt's
-// ack time, not wire-out + latency, but it still occupies the shared pipe
-// like any other op.
-func (s *NBIStreams) IssueAt(target int, now, transferNs float64, complete func(wireOutNs float64) float64) float64 {
-	done := complete(s.nic.Reserve(now, transferNs))
-	s.record(target, done)
-	return done
+// Reserve claims the set's pipe exactly as Issue does and returns the
+// wire-out time; a set with no pipe wires out at now. Reserve then Note is
+// Issue with the completion time left to the caller: on a lossy link an op
+// completes at its ack, not at wire-out + latency, but it occupies the shared
+// pipe like any other op.
+func (s *NBIStreams) Reserve(now, transferNs float64) float64 {
+	if s.nic == nil {
+		return now
+	}
+	return s.nic.Reserve(now, transferNs)
 }
 
-// record books a completion timestamp on target's stream.
-func (s *NBIStreams) record(target int, done float64) {
+// Note books an op completing at done on target's stream.
+func (s *NBIStreams) Note(target int, done float64) {
 	for i := range s.recs {
 		if s.recs[i].target == target {
 			if done > s.recs[i].doneAt {

@@ -72,7 +72,7 @@ func (ep *EP) runHandler(target, idx int, payload []byte, args []int64, wantRepl
 	}
 	// Fire-and-forget: the source tracks remote completion via the implicit
 	// sync set, like a put.
-	ep.notePending(target, arrive)
+	ep.blocking.Note(target, arrive)
 	return nil, replyAt
 }
 

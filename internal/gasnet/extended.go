@@ -61,7 +61,7 @@ func (ep *EP) putCommon(target int, seg Seg, off int64, data []byte) float64 {
 // completion requires WaitSyncAll or a barrier.
 func (ep *EP) Put(target int, seg Seg, off int64, data []byte) {
 	if vis := ep.putCommon(target, seg, off, data); vis > 0 {
-		ep.notePending(target, vis)
+		ep.blocking.Note(target, vis)
 	}
 }
 
@@ -189,7 +189,7 @@ func (ep *EP) PutSignal(target int, seg Seg, off int64, data []byte, sigSeg Seg,
 		ep.world.pw.Write(target, seg.Off+off, data, vis)
 	}
 	ep.world.pw.WriteUint64(target, sigSeg.Off+sigOff, uint64(sigVal), vis)
-	ep.notePending(target, vis)
+	ep.blocking.Note(target, vis)
 }
 
 // PutSignalNBI is the nonblocking flavour of PutSignal: the fused AM rides
@@ -237,39 +237,17 @@ func (ep *EP) WaitSync(h SyncHandle) {
 // NBI streams' latest completion, whichever is later.
 func (ep *EP) WaitSyncAll() {
 	ep.p.Clock.Advance(ep.world.prof.OverheadNs)
-	if done := ep.nbi.Drain(); done > ep.pendingT {
-		ep.pendingT = done
-	}
-	if ep.pendingT > ep.p.Clock.Now() {
-		ep.p.Clock.MergeAtLeast(ep.pendingT)
-	}
-	ep.pendingT = 0
-	ep.pendTargets = ep.pendTargets[:0]
-	ep.pendVis = ep.pendVis[:0]
+	ep.p.Clock.MergeAtLeast(max(ep.nbi.Drain(), ep.blocking.Drain()))
 }
 
 // WaitSyncImage completes this endpoint's implicit-handle operations toward
 // target only — per-destination completion over the shared NIC pipe, the
 // analogue of a shmem per-target quiet. Other destinations' transfers stay
-// in flight; the global horizon keeps its value for a later WaitSyncAll.
+// in flight for a later WaitSyncAll.
 func (ep *EP) WaitSyncImage(target int) {
 	ep.checkTarget(target)
 	ep.p.Clock.Advance(ep.world.prof.OverheadNs)
-	done := ep.nbi.DrainTarget(target)
-	for i, t := range ep.pendTargets {
-		if t == target {
-			if ep.pendVis[i] > done {
-				done = ep.pendVis[i]
-			}
-			// Ordered removal keeps first-issue iteration order deterministic.
-			ep.pendTargets = append(ep.pendTargets[:i], ep.pendTargets[i+1:]...)
-			ep.pendVis = append(ep.pendVis[:i], ep.pendVis[i+1:]...)
-			break
-		}
-	}
-	if done > ep.p.Clock.Now() {
-		ep.p.Clock.MergeAtLeast(done)
-	}
+	ep.p.Clock.MergeAtLeast(max(ep.nbi.DrainTarget(target), ep.blocking.DrainTarget(target)))
 }
 
 // NBIOutstanding returns the number of implicit-handle ops in flight

@@ -45,14 +45,13 @@ type World struct {
 
 // EP is a per-PE endpoint; all GASNet calls hang off it.
 type EP struct {
-	world    *World
-	p        *pgas.PE
-	pendingT float64
-	// pendTargets/pendVis refine pendingT per destination (first-issue
-	// order), so WaitSyncImage can complete one destination's blocking puts
-	// without draining the rest — the same bookkeeping shmem.PE keeps.
-	pendTargets []int
-	pendVis     []float64
+	world *World
+	p     *pgas.PE
+	// blocking is the remote-visibility horizon, per destination, of the
+	// blocking puts and fire-and-forget AMs issued since the last sync: a
+	// stream set with no pipe, so WaitSyncImage can complete one
+	// destination's without draining the rest.
+	blocking fabric.NBIStreams
 	// nic is the endpoint's injection pipe; nbi tracks in-flight
 	// implicit-handle nonblocking ops (PutNBI/GetNBI) per destination on it.
 	// Explicit-handle ops (PutNB/GetNB) reserve the same pipe but complete
@@ -105,25 +104,6 @@ func (w *World) Attach(p *pgas.PE) *EP {
 	ep := &EP{world: w, p: p}
 	ep.nbi = fabric.NewNBIStreams(&ep.nic)
 	return ep
-}
-
-// notePending records the visibility time of a blocking put (or
-// fire-and-forget AM) toward target on both the global horizon and the
-// per-destination refinement.
-func (ep *EP) notePending(target int, vis float64) {
-	if vis > ep.pendingT {
-		ep.pendingT = vis
-	}
-	for i, t := range ep.pendTargets {
-		if t == target {
-			if vis > ep.pendVis[i] {
-				ep.pendVis[i] = vis
-			}
-			return
-		}
-	}
-	ep.pendTargets = append(ep.pendTargets, target)
-	ep.pendVis = append(ep.pendVis, vis)
 }
 
 // PgasWorld exposes the substrate (for layered runtimes).

@@ -1,15 +1,16 @@
 package pgas
 
-// Receiver-side delivery bookkeeping for the lossy-fabric reliability layer
-// (fabric/lossy.go). The shmem layer runs the ack/retransmit protocol and
-// routes every reliable payload through DeliverWrite, which enforces
-// exactly-once application per (src, dst, sequence) — the receiver window of
-// the protocol — and accumulates per-link forensic counters. When a sender
-// exhausts its retries it marks the directed link unreachable here; waiters
-// observe that through Unreachable the same way they observe PE departures.
+// Link state of the lossy-fabric reliability layer (fabric/lossy.go), kept
+// once for the whole job: per directed link the sender's sequence counter,
+// the receiver's duplicate window, the forensic counters and the sticky
+// give-up mark. Transmit is the one delivery step every library put and get
+// crosses a link through; a sender that exhausts its retries marks the link
+// unreachable here, and waiters observe that through Unreachable the same way
+// they observe PE departures.
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,14 +41,14 @@ func (r LinkReport) String() string {
 	return s
 }
 
-// linkState is the world-side state of one directed link.
+// linkState is the state of one directed link.
 type linkState struct {
 	LinkReport
-	// nextSeq is the receiver window: sequence numbers below it have been
-	// applied. The sender applies payloads in sequence order (one goroutine
-	// per source, issuing in order), so the window is a single watermark —
-	// a seq below it is a duplicate and is suppressed.
-	nextSeq uint64
+	// sent is the next sequence number the sender draws. nextSeq is the
+	// receiver window: sequence numbers below it have been applied. A source
+	// issues in order from one goroutine, so the window is a single
+	// watermark — a landing seq below it is a duplicate and is suppressed.
+	sent, nextSeq uint64
 }
 
 // linkKey identifies a directed link.
@@ -57,8 +58,10 @@ type linkKey struct{ src, dst int }
 type delivery struct {
 	mu    sync.Mutex
 	links map[linkKey]*linkState
-	// nUnreach mirrors the number of unreachable links so the hot-path
-	// Unreachable check is one atomic load when no link has failed.
+	// givenUp lists the unreachable links in the order they were declared.
+	givenUp []linkKey
+	// nUnreach mirrors len(givenUp) so the hot-path Unreachable checks are
+	// one atomic load when no link has failed.
 	nUnreach atomic.Int32
 }
 
@@ -77,39 +80,58 @@ func (w *World) linkLocked(src, dst int) *linkState {
 	return ls
 }
 
-// NoteDelivery accumulates one message's protocol forensics on src->dst.
-func (w *World) NoteDelivery(src, dst int, d *fabric.Delivery) {
+// Transmit is the delivery step: how one message from src, wired out at
+// wireNs with a loss-free one-way flight of latNs, crosses the link to dst.
+// It reports whether the payload lands and when it is visible there, the
+// sender's completion horizon, and whether the sender got an ack. reply says
+// the sender waits for the target's answer (a get): on a reliable link that
+// is a second flight, under the protocol the answer doubles as the ack.
+//
+// A link no loss rule of fp names is the identity case: the fabric delivers
+// natively, so the payload lands at wireNs+latNs and the sender completes
+// with it — the expression every library used before plans existed, which
+// keeps nil-plan and loss-free virtual times bit-identical. A lossy link
+// runs fp's ack/retransmit protocol on the link's next sequence number,
+// accumulates its forensics and passes the receiver window, all under one
+// lock. On !acked the caller lands the payload (if it lands) and only then
+// publishes the give-up with MarkUnreachable, so a consumer whose predicate
+// this message satisfies can never observe the dead link first.
+//
+// Atomics, repair writes and forensic reads do not come here: lock traffic
+// and the recovery protocols that walk it stay natively reliable, which keeps
+// lock repair orthogonal to loss.
+func (w *World) Transmit(fp *fabric.FaultPlan, src, dst int, wireNs, latNs float64, reply bool) (lands bool, visibleAt, horizon float64, acked bool) {
+	if !fp.LossyPair(src, dst) {
+		visibleAt = wireNs + latNs
+		if reply {
+			return true, visibleAt, wireNs + 2*latNs, true
+		}
+		return true, visibleAt, visibleAt, true
+	}
 	w.dlv.mu.Lock()
+	defer w.dlv.mu.Unlock()
 	ls := w.linkLocked(src, dst)
+	seq := ls.sent
+	ls.sent++
+	d := fp.Deliver(src, dst, seq, wireNs, latNs)
 	ls.Msgs++
 	ls.Attempts += uint64(d.Attempts)
 	ls.Retries += uint64(d.Retries())
 	ls.Drops += uint64(d.Drops)
 	ls.AckDrops += uint64(d.AckDrops)
 	ls.DupsSuppressed += uint64(d.Dups)
-	w.dlv.mu.Unlock()
-}
-
-// DeliverWrite applies a reliable message's payload exactly once: the first
-// call for (src, dst, seq) runs apply and advances the receiver window, a
-// later call with the same seq is a duplicate — suppressed, counted, and
-// reported false. apply runs outside the delivery lock (it takes the target
-// partition's own lock).
-func (w *World) DeliverWrite(src, dst int, seq uint64, apply func()) bool {
-	w.dlv.mu.Lock()
-	ls := w.linkLocked(src, dst)
-	dup := seq < ls.nextSeq
-	if dup {
-		ls.DupsSuppressed++
-	} else {
-		ls.nextSeq = seq + 1
+	if lands = d.Delivered; lands {
+		if seq < ls.nextSeq {
+			ls.DupsSuppressed++
+			lands = false
+		} else {
+			ls.nextSeq = seq + 1
+		}
 	}
-	w.dlv.mu.Unlock()
-	if dup {
-		return false
+	if d.Acked {
+		return lands, d.DeliveredNs, d.AckedNs, true
 	}
-	apply()
-	return true
+	return lands, d.DeliveredNs, d.GaveUpNs, false
 }
 
 // MarkUnreachable records that src exhausted its retries toward dst. The
@@ -120,13 +142,15 @@ func (w *World) MarkUnreachable(src, dst int) {
 	w.dlv.mu.Lock()
 	ls := w.linkLocked(src, dst)
 	first := !ls.Unreachable
-	ls.Unreachable = true
-	w.dlv.mu.Unlock()
-	if !first {
-		return
+	if first {
+		ls.Unreachable = true
+		w.dlv.givenUp = append(w.dlv.givenUp, linkKey{src, dst})
+		w.dlv.nUnreach.Add(1)
 	}
-	w.dlv.nUnreach.Add(1)
-	w.wakeWatchers(nil)
+	w.dlv.mu.Unlock()
+	if first {
+		w.wakeWatchers(nil)
+	}
 }
 
 // Unreachable reports whether src has declared dst unreachable. Safe to call
@@ -164,6 +188,23 @@ func (w *World) LinkReports() []LinkReport {
 	return out
 }
 
+// UnreachableFrom returns the destinations src has given up, in the order it
+// declared them (a sender's own program order, so deterministic).
+func (w *World) UnreachableFrom(src int) []int {
+	if w.dlv.nUnreach.Load() == 0 {
+		return nil
+	}
+	w.dlv.mu.Lock()
+	defer w.dlv.mu.Unlock()
+	var out []int
+	for _, k := range w.dlv.givenUp {
+		if k.src == src {
+			out = append(out, k.dst)
+		}
+	}
+	return out
+}
+
 // UnreachableDsts returns the sorted distinct destinations of given-up
 // links. Barrier-level fault reports fold these in for every participant —
 // a destination some sender can no longer reach is failed from the job's
@@ -175,17 +216,13 @@ func (w *World) UnreachableDsts() []int {
 		return nil
 	}
 	w.dlv.mu.Lock()
-	seen := make(map[int]bool)
-	for k, ls := range w.dlv.links {
-		if ls.Unreachable {
-			seen[k.dst] = true
+	var out []int
+	for _, k := range w.dlv.givenUp {
+		if !slices.Contains(out, k.dst) {
+			out = append(out, k.dst)
 		}
 	}
 	w.dlv.mu.Unlock()
-	out := make([]int, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
 	sort.Ints(out)
 	return out
 }

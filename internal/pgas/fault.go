@@ -303,11 +303,7 @@ func (w *World) ReadUint64Ts(target int, off int64) (uint64, float64) {
 	p.ensureLen(off + 8)
 	var b [8]byte
 	p.seg.readAt(off, b[:])
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, p.rangeTs(off, 8)
+	return binary.NativeEndian.Uint64(b[:]), p.rangeTs(off, 8)
 }
 
 // ErrWaitRecheck is the sentinel a WaitUntilStat onEvent callback returns to

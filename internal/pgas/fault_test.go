@@ -137,6 +137,21 @@ func TestRepairWriteLandsInFailedPartition(t *testing.T) {
 	}
 }
 
+// TestReadUint64TsDecodesLikeReadUint64: the forensic read decodes its word
+// in the byte order every other word access uses (the host's), so a qnode
+// read out of a dead PE's partition is the value the atomics stored there.
+func TestReadUint64TsDecodesLikeReadUint64(t *testing.T) {
+	w := testWorld(t, 2)
+	w.Write(1, 16, []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef}, 7)
+	want := w.ReadUint64(1, 16)
+	if got, ts := w.ReadUint64Ts(1, 16); got != want || ts != 7 {
+		t.Fatalf("ReadUint64Ts = %#x at t=%v, ReadUint64 = %#x (written at t=7)", got, ts, want)
+	}
+	if old, _ := w.RMW64Stat(1, 16, OpAdd, 0, 8); old != want {
+		t.Fatalf("RMW64Stat reads %#x, ReadUint64 %#x", old, want)
+	}
+}
+
 func TestStatAtomicsOnFailedTarget(t *testing.T) {
 	w, _ := NewWorld(testMachine(), 2)
 	err := w.Run(func(p *PE) {

@@ -55,6 +55,10 @@ type World struct {
 	poisoned atomic.Bool
 
 	pairsOverride atomic.Int64 // 0 = derive from placement
+	// Placement-derived NIC sharing (ActivePairs, asked on every RMA): each
+	// node holds perNode of the job's PEs except the last, which starts at
+	// rank tailLo and holds tailPEs.
+	perNode, tailLo, tailPEs int
 
 	// PE life-cycle state (see fault.go). states is read with atomic loads on
 	// hot paths; transitions take stateMu. The counters back the fault-status
@@ -183,6 +187,12 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		shared:  map[string]interface{}{},
 		states:  make([]int32, n),
 		engine:  opts.Engine,
+		perNode: 1, tailLo: n, // no node structure: nobody shares a NIC
+	}
+	if per := machine.CoresPerNode; per > 0 {
+		// Block placement: the PEs on a node are a contiguous rank range.
+		w.tailLo = (n - 1) / per * per
+		w.perNode, w.tailPEs = per, n-w.tailLo
 	}
 	w.barrier = newBarrier(w, n, opts.BarrierShards)
 	if opts.Engine == EngineEvent {
@@ -365,21 +375,10 @@ func (w *World) ActivePairs(pe int) int {
 	if ov := w.pairsOverride.Load(); ov > 0 {
 		return int(ov)
 	}
-	// Block placement: the PEs on pe's node are a contiguous rank range.
-	per := w.machine.CoresPerNode
-	if per <= 0 {
-		return 1
+	if pe >= w.tailLo {
+		return w.tailPEs
 	}
-	node := w.machine.NodeOf(pe)
-	lo := node * per
-	hi := lo + per
-	if hi > w.n {
-		hi = w.n
-	}
-	if hi-lo < 1 {
-		return 1
-	}
-	return hi - lo
+	return w.perNode
 }
 
 // Shared returns (creating on first use under the world lock) a shared object

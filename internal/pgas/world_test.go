@@ -233,6 +233,36 @@ func TestActivePairsDefaultsToNodeOccupancy(t *testing.T) {
 	}
 }
 
+// TestActivePairsMatchesPlacement: the division-free answer equals the count
+// of the job's ranks on each PE's node, for full, partial and single nodes
+// and for a machine with no node structure.
+func TestActivePairsMatchesPlacement(t *testing.T) {
+	for _, per := range []int{0, 1, 3, 16} {
+		m := *fabric.Stampede()
+		m.CoresPerNode = per
+		for _, n := range []int{1, 2, 3, 15, 16, 17, 32, 35} {
+			w, err := NewWorld(&m, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pe := 0; pe < n; pe++ {
+				want := 0
+				for q := 0; q < n; q++ {
+					if per > 0 && m.SameNode(pe, q) {
+						want++
+					}
+				}
+				if per <= 0 {
+					want = 1
+				}
+				if got := w.ActivePairs(pe); got != want {
+					t.Fatalf("cores/node %d, %d PEs: ActivePairs(%d) = %d, want %d", per, n, pe, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSharedSlotSingleInit(t *testing.T) {
 	w := testWorld(t, 1)
 	calls := 0

@@ -21,13 +21,24 @@ import (
 // A Ctx is valid only on the goroutine of the PE that created it, like the PE
 // handle itself (OpenSHMEM contexts are private by default).
 
-// Ctx is a communication context created by CtxCreate.
+// Ctx is a communication context: one created by CtxCreate, or the default
+// context every PE-level call is issued on.
 type Ctx struct {
 	pe *PE
 	// id scopes the context's ops in the sanitizer (0 is the default
 	// context, so created contexts number from 1).
-	id        int
-	nbi       fabric.NBIStreams
+	id int
+	// nbi tracks the context's in-flight nonblocking ops, one completion
+	// stream per destination on the PE's pipe: issue charges only the
+	// injection overhead; Quiet drains all streams and merges the latest
+	// completion, QuietTarget drains one destination's stream only.
+	nbi fabric.NBIStreams
+	// blocking is the latest remote-visibility time, per destination, of the
+	// blocking puts issued since the last Quiet: the virtual analogue of the
+	// NIC's outstanding operation queue, a stream set with no pipe. Only the
+	// default context has blocking entry points, so a created context's
+	// stays empty.
+	blocking  fabric.NBIStreams
 	destroyed bool
 }
 
@@ -43,9 +54,7 @@ func (c *Ctx) check() {
 // flight at Finalize is reported by the sanitizer as an nbi-leak.
 func (pe *PE) CtxCreate() *Ctx {
 	pe.ctxSeq++
-	c := &Ctx{pe: pe, id: pe.ctxSeq}
-	c.nbi = fabric.NewNBIStreams(&pe.nic)
-	return c
+	return &Ctx{pe: pe, id: pe.ctxSeq, nbi: fabric.NewNBIStreams(&pe.nic)}
 }
 
 // Destroy quiesces and releases the context (shmem_ctx_destroy — which per
@@ -64,14 +73,22 @@ func (c *Ctx) PE() *PE { return c.pe }
 // context's Quiet — the PE-level Quiet does not complete it.
 func (c *Ctx) PutMemNBI(target int, sym Sym, off int64, data []byte) {
 	c.check()
-	c.pe.putMemNBI(&c.nbi, c.id, target, sym, off, data)
+	c.pe.checkTarget(target)
+	if len(data) == 0 {
+		return
+	}
+	c.issue(&rma{nbi: true, target: target, off: sym.span("put_nbi", off, int64(len(data))), local: data}, data)
 }
 
 // GetMemNBI starts a nonblocking contiguous get on this context
 // (shmem_ctx_getmem_nbi). dst is undefined until this context's Quiet.
 func (c *Ctx) GetMemNBI(target int, sym Sym, off int64, dst []byte) {
 	c.check()
-	c.pe.getMemNBI(&c.nbi, target, sym, off, dst)
+	c.pe.checkTarget(target)
+	if len(dst) == 0 {
+		return
+	}
+	c.issue(&rma{get: true, nbi: true, target: target, off: sym.span("get_nbi", off, int64(len(dst))), local: dst}, nil)
 }
 
 // PutSignalNBI is the context-scoped fused data+signal put: data and the
@@ -80,7 +97,7 @@ func (c *Ctx) GetMemNBI(target int, sym Sym, off int64, dst []byte) {
 // sees every transfer this context previously streamed to it.
 func (c *Ctx) PutSignalNBI(target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
 	c.check()
-	c.pe.putSignalNBI(&c.nbi, target, sym, off, data, sig, sigIdx, sigVal)
+	c.putSignal(true, target, sym, off, data, sig, sigIdx, sigVal)
 }
 
 // Quiet completes all ops issued on this context (shmem_ctx_quiet) — and
@@ -93,31 +110,36 @@ func (c *Ctx) Quiet() {
 	c.pe.checkReachable()
 }
 
-// quiet is Quiet's drain, shared with QuietStat.
+// quiet is Quiet's drain, shared with the stat forms (which must not
+// escalate — they report). With nothing nonblocking outstanding the streams
+// drain to 0 and the blocking path is bit-identical to the pre-NBI model.
 func (c *Ctx) quiet() {
 	c.check()
-	pe := c.pe
-	pe.p.Clock.Advance(pe.world.prof.OverheadNs)
-	if done := c.nbi.Drain(); done > pe.p.Clock.Now() {
-		pe.p.Clock.MergeAtLeast(done)
-	}
-	if san := pe.world.san; san != nil {
-		san.quiesceCtx(pe.p.ID, c.id)
+	c.complete(c.nbi.Drain(), c.blocking.Drain())
+	if san := c.pe.world.san; san != nil {
+		san.quiesceCtx(c.pe.p.ID, c.id)
 	}
 }
 
+// complete charges a completion call's overhead and waits for the later of
+// the nonblocking and the blocking horizon it drained.
+func (c *Ctx) complete(nbi, blocking float64) {
+	clock := &c.pe.p.Clock
+	clock.Advance(c.pe.world.prof.OverheadNs)
+	clock.MergeAtLeast(max(nbi, blocking))
+}
+
 // QuietTarget completes this context's ops toward one destination only; the
-// context's other destinations stay in flight.
+// context's other destinations stay in flight: their completion horizon, and
+// the shared NIC pipe's residual occupancy, are untouched. A later Quiet
+// still waits for every other destination — per-target completion never
+// relaxes the blocking path.
 func (c *Ctx) QuietTarget(target int) {
 	c.check()
-	pe := c.pe
-	pe.checkTarget(target)
-	pe.p.Clock.Advance(pe.world.prof.OverheadNs)
-	if done := c.nbi.DrainTarget(target); done > pe.p.Clock.Now() {
-		pe.p.Clock.MergeAtLeast(done)
-	}
-	if san := pe.world.san; san != nil {
-		san.quiesceTarget(pe.p.ID, c.id, target)
+	c.pe.checkTarget(target)
+	c.complete(c.nbi.DrainTarget(target), c.blocking.DrainTarget(target))
+	if san := c.pe.world.san; san != nil {
+		san.quiesceTarget(c.pe.p.ID, c.id, target)
 	}
 }
 
@@ -129,7 +151,12 @@ func (c *Ctx) QuietTarget(target int) {
 // PEs, as in the PE-level QuietStat.
 func (c *Ctx) QuietStat() error {
 	c.check()
-	failed := c.pe.failedTargets(&c.nbi)
+	var failed []int // in first-issue order
+	c.nbi.Targets(func(t int) {
+		if c.pe.observedFailed(t) {
+			failed = append(failed, t)
+		}
+	})
 	c.quiet()
 	return c.pe.unreachFault(failed)
 }

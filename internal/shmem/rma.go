@@ -3,7 +3,6 @@ package shmem
 import (
 	"fmt"
 
-	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgas"
 )
 
@@ -15,30 +14,10 @@ import (
 // to insert quiet operations around OpenSHMEM puts.
 func (pe *PE) PutMem(target int, sym Sym, off int64, data []byte) {
 	pe.checkTarget(target)
-	if int64(len(data)) == 0 {
+	if len(data) == 0 {
 		return
 	}
-	if off < 0 || off+int64(len(data)) > sym.Size {
-		panic(fmt.Sprintf("shmem: put of %d bytes at offset %d overflows %d-byte symmetric object", len(data), off, sym.Size))
-	}
-	if san := pe.world.san; san != nil {
-		san.recordPut(pe.p.ID, target, sym.Off+off, int64(len(data)))
-	}
-	pe.linkPenalty()
-	intra, pairs := pe.intra(target), pe.pairs()
-	prof := pe.world.prof
-	pe.p.Clock.Advance(prof.PutInjectNs(len(data), intra, pairs))
-	lat := prof.DeliveryNs(intra, pairs)
-	if pe.lossy(target) {
-		vis, _ := pe.reliableSend(target, pe.p.Clock.Now(), lat, func(at float64) {
-			pe.world.pw.Write(target, sym.Off+off, data, at)
-		})
-		pe.notePending(target, vis)
-		return
-	}
-	vis := pe.p.Clock.Now() + lat
-	pe.world.pw.Write(target, sym.Off+off, data, vis)
-	pe.notePending(target, vis)
+	pe.def.issue(&rma{target: target, off: sym.span("put", off, int64(len(data))), local: data}, nil)
 }
 
 // GetMem copies len(dst) bytes from the symmetric object on the target PE
@@ -48,20 +27,7 @@ func (pe *PE) GetMem(target int, sym Sym, off int64, dst []byte) {
 	if len(dst) == 0 {
 		return
 	}
-	if off < 0 || off+int64(len(dst)) > sym.Size {
-		panic(fmt.Sprintf("shmem: get of %d bytes at offset %d overflows %d-byte symmetric object", len(dst), off, sym.Size))
-	}
-	if san := pe.world.san; san != nil {
-		san.checkRead(pe.p.ID, target, sym.Off+off, int64(len(dst)))
-	}
-	pe.linkPenalty()
-	intra, pairs := pe.intra(target), pe.pairs()
-	start := pe.p.Clock.Now()
-	pe.p.Clock.Advance(pe.world.prof.GetNs(len(dst), intra, pairs))
-	if pe.lossy(target) {
-		pe.reliableGet(target, start, pe.world.prof.DeliveryNs(intra, pairs))
-	}
-	pe.world.pw.Read(target, sym.Off+off, dst)
+	pe.def.issue(&rma{get: true, target: target, off: sym.span("get", off, int64(len(dst))), local: dst}, nil)
 }
 
 // Put writes typed elements at element index idx of the symmetric object —
@@ -107,41 +73,23 @@ func IPut[T pgas.Elem](pe *PE, target int, sym Sym, dstIdx, dstStride int, src [
 	if dstStride < 1 || srcStride < 1 {
 		panic("shmem: iput strides must be >= 1")
 	}
-	es := int64(pgas.SizeOf[T]())
-	need := int64(dstIdx+(nelems-1)*dstStride)*es + es
-	if need > sym.Size {
-		panic(fmt.Sprintf("shmem: iput overflows symmetric object (need %d bytes, have %d)", need, sym.Size))
-	}
-	if san := pe.world.san; san != nil {
-		san.recordPut(pe.p.ID, target, sym.Off+int64(dstIdx)*es, need-int64(dstIdx)*es)
-	}
-	intra, pairs := pe.intra(target), pe.pairs()
-	prof := pe.world.prof
-	pe.p.Clock.Advance(prof.StridedInjectNs(nelems, int(es), intra, pairs))
-	lat := prof.DeliveryNs(intra, pairs)
-	// One vectored write (one target-lock acquisition) takes the elements
-	// densely: a unit-stride source already is that, as the bytes of src
-	// itself; a strided one is gathered into the PE's staging buffer first.
+	es := pgas.SizeOf[T]()
+	stride := int64(dstStride) * int64(es)
+	abs, _ := sym.stridedSpan("iput", int64(dstIdx)*int64(es), stride, es, nelems*es)
+	// One descriptor (one vectored write, one target-lock acquisition) takes
+	// the elements densely: a unit-stride source already is that, as the
+	// bytes of src itself; a strided one is gathered into the PE's staging
+	// buffer first.
 	var buf []byte
 	if srcStride == 1 {
 		buf = pgas.Bytes(src[srcIdx : srcIdx+nelems])
 	} else {
-		buf = pe.staging(nelems * int(es))
+		buf = pe.staging(nelems * es)
 		for k := 0; k < nelems; k++ {
-			pgas.Store(buf[k*int(es):], src[srcIdx+k*srcStride])
+			pgas.Store(buf[k*es:], src[srcIdx+k*srcStride])
 		}
 	}
-	var vis float64
-	if pe.lossy(target) {
-		// One descriptor, one reliable message, applied before this returns.
-		vis, _ = pe.reliableSend(target, pe.p.Clock.Now(), lat, func(at float64) {
-			pe.world.pw.WriteV(target, sym.Off+int64(dstIdx)*es, int64(dstStride)*es, int(es), buf, at)
-		})
-	} else {
-		vis = pe.p.Clock.Now() + lat
-		pe.world.pw.WriteV(target, sym.Off+int64(dstIdx)*es, int64(dstStride)*es, int(es), buf, vis)
-	}
-	pe.notePending(target, vis)
+	pe.def.issue(&rma{shape: strided, target: target, off: abs, local: buf, unit: es, stride: stride}, nil)
 }
 
 // IGet performs the 1-D strided get — shmem_iget.
@@ -153,33 +101,24 @@ func IGet[T pgas.Elem](pe *PE, target int, sym Sym, srcIdx, srcStride int, dst [
 	if dstStride < 1 || srcStride < 1 {
 		panic("shmem: iget strides must be >= 1")
 	}
-	es := int64(pgas.SizeOf[T]())
-	need := int64(srcIdx+(nelems-1)*srcStride)*es + es
-	if need > sym.Size {
-		panic(fmt.Sprintf("shmem: iget overflows symmetric object (need %d bytes, have %d)", need, sym.Size))
-	}
-	if san := pe.world.san; san != nil {
-		san.checkRead(pe.p.ID, target, sym.Off+int64(srcIdx)*es, need-int64(srcIdx)*es)
-	}
-	intra, pairs := pe.intra(target), pe.pairs()
-	prof := pe.world.prof
-	// Symmetric cost model to IPut plus the request round trip of a get.
-	start := pe.p.Clock.Now()
-	pe.p.Clock.Advance(prof.StridedInjectNs(nelems, int(es), intra, pairs) + 2*prof.DeliveryNs(intra, pairs))
-	if pe.lossy(target) {
-		pe.reliableGet(target, start, prof.DeliveryNs(intra, pairs))
-	}
+	es := pgas.SizeOf[T]()
+	stride := int64(srcStride) * int64(es)
+	abs, _ := sym.stridedSpan("iget", int64(srcIdx)*int64(es), stride, es, nelems*es)
 	// One vectored read gathers the elements densely: straight into dst's
 	// own bytes when dst is unit-stride, else into the PE's staging buffer
-	// and from there to the caller's strided destination.
+	// and from there to the caller's strided destination. The cost model is
+	// IPut's plus the request round trip of a get.
+	var raw []byte
 	if dstStride == 1 {
-		pe.world.pw.ReadV(target, sym.Off+int64(srcIdx)*es, int64(srcStride)*es, int(es), pgas.Bytes(dst[dstIdx:dstIdx+nelems]))
-		return
+		raw = pgas.Bytes(dst[dstIdx : dstIdx+nelems])
+	} else {
+		raw = pe.staging(nelems * es)
 	}
-	raw := pe.staging(nelems * int(es))
-	pe.world.pw.ReadV(target, sym.Off+int64(srcIdx)*es, int64(srcStride)*es, int(es), raw)
-	for k := 0; k < nelems; k++ {
-		dst[dstIdx+k*dstStride] = pgas.Load[T](raw[k*int(es):])
+	pe.def.issue(&rma{get: true, shape: strided, target: target, off: abs, local: raw, unit: es, stride: stride}, nil)
+	if dstStride != 1 {
+		for k := 0; k < nelems; k++ {
+			dst[dstIdx+k*dstStride] = pgas.Load[T](raw[k*es:])
+		}
 	}
 }
 
@@ -199,70 +138,18 @@ func (pe *PE) staging(n int) []byte {
 // off within sym. Costs follow the library's strided mode exactly like IPut.
 func (pe *PE) IPutMem(target int, sym Sym, off, dstStrideBytes int64, elemSize int, src []byte) {
 	pe.checkTarget(target)
-	if elemSize <= 0 || len(src)%elemSize != 0 {
-		panic("shmem: iputmem source not a whole number of elements")
+	if abs, ok := sym.stridedSpan("iputmem", off, dstStrideBytes, elemSize, len(src)); ok {
+		pe.def.issue(&rma{shape: strided, locality: true, target: target, off: abs, local: src, unit: elemSize, stride: dstStrideBytes}, nil)
 	}
-	nelems := len(src) / elemSize
-	if nelems == 0 {
-		return
-	}
-	if dstStrideBytes < int64(elemSize) {
-		panic("shmem: iputmem stride smaller than element")
-	}
-	need := off + int64(nelems-1)*dstStrideBytes + int64(elemSize)
-	if off < 0 || need > sym.Size {
-		panic(fmt.Sprintf("shmem: iputmem overflows symmetric object (need %d bytes, have %d)", need, sym.Size))
-	}
-	if san := pe.world.san; san != nil {
-		san.recordPut(pe.p.ID, target, sym.Off+off, need-off)
-	}
-	intra, pairs := pe.intra(target), pe.pairs()
-	prof := pe.world.prof
-	pe.p.Clock.Advance(prof.StridedInjectNs(nelems, elemSize, intra, pairs) +
-		prof.StridedLocalityNs(nelems, elemSize, dstStrideBytes))
-	lat := prof.DeliveryNs(intra, pairs)
-	if pe.lossy(target) {
-		vis, _ := pe.reliableSend(target, pe.p.Clock.Now(), lat, func(at float64) {
-			pe.world.pw.WriteV(target, sym.Off+off, dstStrideBytes, elemSize, src, at)
-		})
-		pe.notePending(target, vis)
-		return
-	}
-	vis := pe.p.Clock.Now() + lat
-	pe.world.pw.WriteV(target, sym.Off+off, dstStrideBytes, elemSize, src, vis)
-	pe.notePending(target, vis)
 }
 
 // IGetMem is the byte-level 1-D strided get: nelems elements are gathered
 // from the target at byte stride srcStrideBytes into dst densely.
 func (pe *PE) IGetMem(target int, sym Sym, off, srcStrideBytes int64, elemSize int, dst []byte) {
 	pe.checkTarget(target)
-	if elemSize <= 0 || len(dst)%elemSize != 0 {
-		panic("shmem: igetmem destination not a whole number of elements")
+	if abs, ok := sym.stridedSpan("igetmem", off, srcStrideBytes, elemSize, len(dst)); ok {
+		pe.def.issue(&rma{get: true, shape: strided, locality: true, target: target, off: abs, local: dst, unit: elemSize, stride: srcStrideBytes}, nil)
 	}
-	nelems := len(dst) / elemSize
-	if nelems == 0 {
-		return
-	}
-	if srcStrideBytes < int64(elemSize) {
-		panic("shmem: igetmem stride smaller than element")
-	}
-	need := off + int64(nelems-1)*srcStrideBytes + int64(elemSize)
-	if off < 0 || need > sym.Size {
-		panic(fmt.Sprintf("shmem: igetmem overflows symmetric object (need %d bytes, have %d)", need, sym.Size))
-	}
-	if san := pe.world.san; san != nil {
-		san.checkRead(pe.p.ID, target, sym.Off+off, need-off)
-	}
-	intra, pairs := pe.intra(target), pe.pairs()
-	prof := pe.world.prof
-	start := pe.p.Clock.Now()
-	pe.p.Clock.Advance(prof.StridedInjectNs(nelems, elemSize, intra, pairs) +
-		prof.StridedLocalityNs(nelems, elemSize, srcStrideBytes) + 2*prof.DeliveryNs(intra, pairs))
-	if pe.lossy(target) {
-		pe.reliableGet(target, start, prof.DeliveryNs(intra, pairs))
-	}
-	pe.world.pw.ReadV(target, sym.Off+off, srcStrideBytes, elemSize, dst)
 }
 
 // PutMemV is the vectored multi-run put: run i is runBytes bytes, taken
@@ -275,56 +162,10 @@ func (pe *PE) IGetMem(target int, sym Sym, off, srcStrideBytes int64, elemSize i
 // translation cheap to execute without changing what it models.
 func (pe *PE) PutMemV(target int, sym Sym, offs []int64, runBytes int, src []byte) {
 	pe.checkTarget(target)
-	if runBytes <= 0 || len(src) != len(offs)*runBytes {
-		panic("shmem: putmemv source does not match runs")
+	sym.runsSpan("putmemv", offs, runBytes, src)
+	if len(offs) > 0 {
+		pe.def.issue(&rma{shape: runs, target: target, off: sym.Off, local: src, offs: offs, unit: runBytes}, nil)
 	}
-	if len(offs) == 0 {
-		return
-	}
-	san := pe.world.san
-	intra, pairs := pe.intra(target), pe.pairs()
-	prof := pe.world.prof
-	// Every run costs the same: the terms are evaluated once, the clock still
-	// advances once per run.
-	inject, delivery := prof.PutInjectNs(runBytes, intra, pairs), prof.DeliveryNs(intra, pairs)
-	if pe.lossy(target) {
-		// Each run is its own reliable message: same per-run cost
-		// arithmetic, but delivery goes through the protocol and the
-		// receiver's duplicate window instead of one batched WriteRuns.
-		for i, off := range offs {
-			if off < 0 || off+int64(runBytes) > sym.Size {
-				panic(fmt.Sprintf("shmem: putmemv run of %d bytes at offset %d overflows %d-byte symmetric object", runBytes, off, sym.Size))
-			}
-			if san != nil {
-				san.recordPut(pe.p.ID, target, sym.Off+off, int64(runBytes))
-			}
-			pe.linkPenalty()
-			pe.p.Clock.Advance(inject)
-			run := src[i*runBytes : (i+1)*runBytes]
-			runOff := sym.Off + off
-			vis, _ := pe.reliableSend(target, pe.p.Clock.Now(), delivery, func(at float64) {
-				pe.world.pw.Write(target, runOff, run, at)
-			})
-			pe.notePending(target, vis)
-		}
-		return
-	}
-	visAt := pe.visAt[:0]
-	for _, off := range offs {
-		if off < 0 || off+int64(runBytes) > sym.Size {
-			panic(fmt.Sprintf("shmem: putmemv run of %d bytes at offset %d overflows %d-byte symmetric object", runBytes, off, sym.Size))
-		}
-		if san != nil {
-			san.recordPut(pe.p.ID, target, sym.Off+off, int64(runBytes))
-		}
-		pe.linkPenalty()
-		pe.p.Clock.Advance(inject)
-		vis := pe.p.Clock.Now() + delivery
-		visAt = append(visAt, vis)
-		pe.notePending(target, vis)
-	}
-	pe.visAt = visAt
-	pe.world.pw.WriteRuns(target, sym.Off, offs, runBytes, src, visAt)
 }
 
 // GetMemV is the vectored multi-run get: run i is runBytes bytes read from
@@ -332,30 +173,10 @@ func (pe *PE) PutMemV(target int, sym Sym, offs []int64, runBytes int, src []byt
 // identical to len(offs) successive GetMem calls.
 func (pe *PE) GetMemV(target int, sym Sym, offs []int64, runBytes int, dst []byte) {
 	pe.checkTarget(target)
-	if runBytes <= 0 || len(dst) != len(offs)*runBytes {
-		panic("shmem: getmemv destination does not match runs")
+	sym.runsSpan("getmemv", offs, runBytes, dst)
+	if len(offs) > 0 {
+		pe.def.issue(&rma{get: true, shape: runs, target: target, off: sym.Off, local: dst, offs: offs, unit: runBytes}, nil)
 	}
-	if len(offs) == 0 {
-		return
-	}
-	san := pe.world.san
-	intra, pairs := pe.intra(target), pe.pairs()
-	prof := pe.world.prof
-	for _, off := range offs {
-		if off < 0 || off+int64(runBytes) > sym.Size {
-			panic(fmt.Sprintf("shmem: getmemv run of %d bytes at offset %d overflows %d-byte symmetric object", runBytes, off, sym.Size))
-		}
-		if san != nil {
-			san.checkRead(pe.p.ID, target, sym.Off+off, int64(runBytes))
-		}
-		pe.linkPenalty()
-		start := pe.p.Clock.Now()
-		pe.p.Clock.Advance(prof.GetNs(runBytes, intra, pairs))
-		if pe.lossy(target) {
-			pe.reliableGet(target, start, prof.DeliveryNs(intra, pairs))
-		}
-	}
-	pe.world.pw.ReadRuns(target, sym.Off, offs, runBytes, dst)
 }
 
 // PutSignal writes data into sym at byte offset off on the target and then
@@ -372,39 +193,11 @@ func (pe *PE) GetMemV(target int, sym Sym, offs []int64, runBytes int, dst []byt
 // outstanding sanitizer put: a reader gated on the signal is ordered after
 // it by construction, and a reader that ignores the signal is outside the
 // primitive's contract. The initiator's own Quiet still waits for delivery
-// (pendingT carries the visibility time).
+// (the blocking horizon carries the visibility time).
 //
 // data may be nil/empty to send just the signal.
 func (pe *PE) PutSignal(target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
-	pe.checkTarget(target)
-	if len(data) > 0 && (off < 0 || off+int64(len(data)) > sym.Size) {
-		panic(fmt.Sprintf("shmem: put_signal of %d bytes at offset %d overflows %d-byte symmetric object", len(data), off, sym.Size))
-	}
-	sigOff := sig.At(int64(sigIdx) * 8) // bounds-checked absolute offset
-	pe.linkPenalty()
-	intra, pairs := pe.intra(target), pe.pairs()
-	prof := pe.world.prof
-	pe.p.Clock.Advance(prof.PutInjectNs(len(data)+8, intra, pairs))
-	lat := prof.DeliveryNs(intra, pairs)
-	if pe.lossy(target) {
-		// Data and signal travel as one message: either both land (at the
-		// same delivery time, preserving signal-mediated completion) or
-		// neither does — a dropped doorbell never advertises absent data.
-		vis, _ := pe.reliableSend(target, pe.p.Clock.Now(), lat, func(at float64) {
-			if len(data) > 0 {
-				pe.world.pw.Write(target, sym.Off+off, data, at)
-			}
-			pe.world.pw.WriteUint64(target, sigOff, uint64(sigVal), at)
-		})
-		pe.notePending(target, vis)
-		return
-	}
-	vis := pe.p.Clock.Now() + lat
-	if len(data) > 0 {
-		pe.world.pw.Write(target, sym.Off+off, data, vis)
-	}
-	pe.world.pw.WriteUint64(target, sigOff, uint64(sigVal), vis)
-	pe.notePending(target, vis)
+	pe.def.putSignal(false, target, sym, off, data, sig, sigIdx, sigVal)
 }
 
 // PutSignalNBI is the nonblocking flavour of PutSignal (shmem_put_signal_nbi,
@@ -422,42 +215,31 @@ func (pe *PE) PutSignal(target int, sym Sym, off int64, data []byte, sig Sym, si
 // (completion is signal-mediated); the initiator's own completion point is
 // its next Quiet/QuietTarget. data may be nil/empty to send just the signal.
 func (pe *PE) PutSignalNBI(target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
-	pe.putSignalNBI(&pe.nbi, target, sym, off, data, sig, sigIdx, sigVal)
+	pe.def.PutSignalNBI(target, sym, off, data, sig, sigIdx, sigVal)
 }
 
-func (pe *PE) putSignalNBI(streams *fabric.NBIStreams, target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
-	pe.checkTarget(target)
-	if len(data) > 0 && (off < 0 || off+int64(len(data)) > sym.Size) {
-		panic(fmt.Sprintf("shmem: put_signal_nbi of %d bytes at offset %d overflows %d-byte symmetric object", len(data), off, sym.Size))
-	}
-	sigOff := sig.At(int64(sigIdx) * 8) // bounds-checked absolute offset
-	pe.linkPenalty()
-	intra, pairs := pe.intra(target), pe.pairs()
-	prof := pe.world.prof
-	pe.p.Clock.Advance(prof.NBIInjectNs())
-	transfer := prof.NBITransferNs(len(data)+8, intra, pairs)
-	lat := prof.DeliveryNs(intra, pairs)
-	if pe.lossy(target) {
-		streams.IssueAt(target, pe.p.Clock.Now(), transfer, func(wire float64) float64 {
-			done, _ := pe.reliableSend(target, wire, lat, func(at float64) {
-				if len(data) > 0 {
-					pe.world.pw.Write(target, sym.Off+off, data, at)
-				}
-				pe.world.pw.WriteUint64(target, sigOff, uint64(sigVal), at)
-			})
-			return done
-		})
-		return
-	}
-	done := streams.Issue(target, pe.p.Clock.Now(), transfer, lat)
+// putSignal is the argument check shared by the signal puts on a context,
+// blocking or nonblocking.
+func (c *Ctx) putSignal(nbi bool, target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
+	c.pe.checkTarget(target)
+	d := rma{shape: signal, nbi: nbi, target: target, local: data, sigVal: uint64(sigVal)}
 	if len(data) > 0 {
-		pe.world.pw.Write(target, sym.Off+off, data, done)
+		d.off = sym.span("put_signal", off, int64(len(data)))
 	}
-	pe.world.pw.WriteUint64(target, sigOff, uint64(sigVal), done)
+	d.sigOff = sig.At(int64(sigIdx) * 8) // bounds-checked absolute offset
+	c.issue(&d, nil)
 }
 
 func (pe *PE) checkTarget(target int) {
 	if target < 0 || target >= pe.NumPEs() {
-		panic(fmt.Sprintf("shmem: PE %d out of range [0,%d)", target, pe.NumPEs()))
+		pe.badTarget(target)
 	}
+}
+
+// badTarget is checkTarget's panic, kept out of line so that checkTarget
+// inlines into every entry point.
+//
+//go:noinline
+func (pe *PE) badTarget(target int) {
+	panic(fmt.Sprintf("shmem: PE %d out of range [0,%d)", target, pe.NumPEs()))
 }

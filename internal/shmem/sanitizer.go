@@ -181,20 +181,14 @@ func (s *sanitizer) completeWhere(origin int, keep func(sanPut) bool) {
 	s.mu.Unlock()
 }
 
-// quiesce completes the origin PE's blocking puts and default-context
-// nonblocking ops (pe.Quiet semantics). Per OpenSHMEM, a PE-level Quiet does
-// NOT complete ops issued on created contexts — those entries stay pending
-// until their context's Quiet/Destroy, and surface as nbi-leaks if the
-// context is never quiesced.
-func (s *sanitizer) quiesce(origin int) {
-	s.completeWhere(origin, func(p sanPut) bool { return p.nbi && p.ctx != 0 })
-}
-
-// quiesceCtx completes the ops issued on one created context (Ctx.Quiet /
-// Ctx.Destroy semantics): nothing else — not the default context's ops, not
-// another context's.
+// quiesceCtx completes the ops issued on one context (Quiet / Ctx.Quiet /
+// Ctx.Destroy semantics) and nothing else. The default context (0) carries
+// the PE's blocking puts as well as its nonblocking ops; per OpenSHMEM its
+// Quiet does NOT complete ops issued on created contexts — those entries
+// stay pending until their own context's Quiet/Destroy, and surface as
+// nbi-leaks if the context is never quiesced.
 func (s *sanitizer) quiesceCtx(origin, ctx int) {
-	s.completeWhere(origin, func(p sanPut) bool { return !(p.nbi && p.ctx == ctx) })
+	s.completeWhere(origin, func(p sanPut) bool { return p.ctx != ctx })
 }
 
 // quiesceTarget completes one context's ops toward a single destination

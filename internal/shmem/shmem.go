@@ -35,40 +35,26 @@ type World struct {
 type PE struct {
 	world *World
 	p     *pgas.PE
-	// pendingT is the latest remote-visibility time of any put/atomic issued
-	// since the last Quiet: the virtual analogue of the NIC's outstanding
-	// operation queue. pendTargets/pendVis refine it per destination (the
-	// wait target of QuietTarget); both lists are tiny and reused across
-	// Quiets.
-	pendingT    float64
-	pendTargets []int
-	pendVis     []float64
+	// nodeLo, nodeHi bound the ranks placed on this PE's node (intra).
+	nodeLo, nodeHi int
 	// nic is the injection pipe every completion stream of this PE — the
 	// default context's and every created context's — serialises on.
 	nic fabric.NBINic
-	// nbi tracks in-flight nonblocking ops (PutNBI/GetNBI) of the default
-	// context, one completion stream per destination: issue charges only the
-	// injection overhead; Quiet drains all streams and merges the latest
-	// completion, QuietTarget drains one destination's stream only.
-	nbi fabric.NBIStreams
+	// def is the default context: the completion environment of every
+	// PE-level call, nonblocking (its streams) and blocking (its horizon).
+	// Quiet, QuietTarget and their stat forms are this context's.
+	def Ctx
 	// ctxSeq numbers contexts created by this PE (sanitizer bookkeeping; the
 	// default context is 0).
 	ctxSeq int
 	// collSeq numbers this PE's collective operations; all PEs agree on it
 	// because collectives are globally ordered.
 	collSeq int64
-	// seqTo numbers this PE's reliable messages per destination (lossy-fabric
-	// plans only; see lossy.go). Lazily sized, nil on the loss-free path.
-	seqTo []uint64
-	// unreach lists destinations this PE has declared unreachable after
-	// retry exhaustion, in declaration order. Sticky: once a link is given
-	// up every later completion point reports or escalates it.
-	unreach []int
 	// stage is the gather/scatter buffer of IPut/IGet with a strided local
-	// operand (see staging).
+	// operand, and ReadWord64's word (see staging).
 	stage []byte
-	// visAt is the per-run visibility-time list of PutMemV/PutMemVNBI, reused
-	// from call to call: pgas.WriteRuns does not retain it.
+	// visAt is the issue core's per-message visibility-time list, reused from
+	// call to call: pgas.WriteRuns does not retain it.
 	visAt []float64
 }
 
@@ -76,27 +62,9 @@ type PE struct {
 // PE's injection pipe with any contexts created later.
 func newPE(w *World, p *pgas.PE) *PE {
 	pe := &PE{world: w, p: p}
-	pe.nbi = fabric.NewNBIStreams(&pe.nic)
+	pe.nodeLo, pe.nodeHi = w.machine.NodeRange(p.ID)
+	pe.def = Ctx{pe: pe, nbi: fabric.NewNBIStreams(&pe.nic)}
 	return pe
-}
-
-// notePending records the visibility time of a blocking put/atomic toward
-// target: the global horizon (Quiet's wait target) and the per-destination
-// one (QuietTarget's).
-func (pe *PE) notePending(target int, vis float64) {
-	if vis > pe.pendingT {
-		pe.pendingT = vis
-	}
-	for i, t := range pe.pendTargets {
-		if t == target {
-			if vis > pe.pendVis[i] {
-				pe.pendVis[i] = vis
-			}
-			return
-		}
-	}
-	pe.pendTargets = append(pe.pendTargets, target)
-	pe.pendVis = append(pe.pendVis, vis)
 }
 
 // Config selects the modelled platform and library implementation.
@@ -191,7 +159,7 @@ func (pe *PE) World() *World { return pe.world }
 func (pe *PE) Pgas() *pgas.PE { return pe.p }
 
 func (pe *PE) intra(target int) bool {
-	return pe.world.machine.SameNode(pe.p.ID, target)
+	return pe.nodeLo <= target && target < pe.nodeHi
 }
 
 func (pe *PE) pairs() int {

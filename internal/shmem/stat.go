@@ -1,9 +1,10 @@
 package shmem
 
 import (
+	"encoding/binary"
 	"errors"
-	"fmt"
 
+	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgas"
 )
 
@@ -15,13 +16,18 @@ import (
 // only in how fault conditions surface (returned, not hung or panicked).
 
 // linkPenalty charges the fault plan's link-degradation latency for one
-// remote operation issued now. A nil plan (the default) costs one branch and
-// zero virtual time, preserving bit-identical fault-free behaviour.
+// remote operation issued now. A nil plan (the default) costs one branch,
+// inlined at the call site, and zero virtual time, preserving bit-identical
+// fault-free behaviour.
 func (pe *PE) linkPenalty() {
 	if fp := pe.world.fplan; fp != nil {
-		if pen := fp.LinkPenaltyNs(pe.p.ID, pe.p.Clock.Now()); pen > 0 {
-			pe.p.Clock.Advance(pen)
-		}
+		pe.degrade(fp)
+	}
+}
+
+func (pe *PE) degrade(fp *fabric.FaultPlan) {
+	if pen := fp.LinkPenaltyNs(pe.p.ID, pe.p.Clock.Now()); pen > 0 {
+		pe.p.Clock.Advance(pen)
 	}
 }
 
@@ -38,7 +44,7 @@ func (pe *PE) linkPenalty() {
 // abandon a phase together, which is what keeps degraded runs out of
 // asymmetric collectives (and therefore out of a deadlock).
 func (pe *PE) BarrierStat() error {
-	pe.quiet()
+	pe.def.quiet()
 	w := pe.world
 	if w.san != nil {
 		w.san.recordCollective(pe.p.ID, "Barrier")
@@ -46,32 +52,19 @@ func (pe *PE) BarrierStat() error {
 	n := w.pw.NumPEs()
 	err := pe.p.BarrierTolerant(w.prof.BarrierNs(n, w.machine.NodesFor(n)))
 	exh := w.pw.UnreachableDsts()
-	if len(pe.unreach) == 0 && len(exh) == 0 {
+	if len(exh) == 0 {
 		return err
 	}
 	var fe *pgas.ImageFault
 	if err != nil && !errors.As(err, &fe) {
 		return err // non-fault errors pass through untouched
 	}
-	var failed, stopped []int
+	combined := &pgas.ImageFault{}
 	if fe != nil {
-		failed = append(failed, fe.Failed...)
-		stopped = fe.Stopped
+		combined.Failed = append(combined.Failed, fe.Failed...)
+		combined.Stopped = fe.Stopped
 	}
-	for _, d := range exh {
-		dup := false
-		for _, f := range failed {
-			if f == d {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			failed = append(failed, d)
-		}
-	}
-	combined := pe.unreachFault(failed).(*pgas.ImageFault)
-	combined.Stopped = stopped
+	combined.Failed = appendMissing(combined.Failed, exh)
 	return combined
 }
 
@@ -105,19 +98,7 @@ func (pe *PE) PutMemRepair(target int, sym Sym, off int64, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	if off < 0 || off+int64(len(data)) > sym.Size {
-		panic(fmt.Sprintf("shmem: repair put of %d bytes at offset %d overflows %d-byte symmetric object", len(data), off, sym.Size))
-	}
-	if san := pe.world.san; san != nil {
-		san.recordPut(pe.p.ID, target, sym.Off+off, int64(len(data)))
-	}
-	pe.linkPenalty()
-	intra, pairs := pe.intra(target), pe.pairs()
-	prof := pe.world.prof
-	pe.p.Clock.Advance(prof.PutInjectNs(len(data), intra, pairs))
-	vis := pe.p.Clock.Now() + prof.DeliveryNs(intra, pairs)
-	pe.world.pw.RepairWrite(target, sym.Off+off, data, vis)
-	pe.notePending(target, vis)
+	pe.def.issue(&rma{shape: forensic, target: target, off: sym.span("repair put", off, int64(len(data))), local: data}, nil)
 }
 
 // ReadWord64 reads a symmetric 64-bit word together with its visibility
@@ -125,12 +106,9 @@ func (pe *PE) PutMemRepair(target int, sym Sym, off int64, data []byte) {
 // recovery protocols to inspect a dead PE's frozen state. Costs a get.
 func (pe *PE) ReadWord64(target int, sym Sym, idx int) uint64 {
 	pe.checkTarget(target)
-	pe.linkPenalty()
-	intra, pairs := pe.intra(target), pe.pairs()
-	pe.p.Clock.Advance(pe.world.prof.GetNs(8, intra, pairs))
-	v, ts := pe.world.pw.ReadUint64Ts(target, pe.wordOff(sym, idx))
-	pe.p.Clock.MergeAtLeast(ts)
-	return v
+	word := pe.staging(8)
+	pe.def.issue(&rma{get: true, shape: forensic, target: target, off: pe.wordOff(sym, idx), local: word}, nil)
+	return binary.NativeEndian.Uint64(word)
 }
 
 // MallocStat is the fault-tolerant collective allocator: the surviving PEs

@@ -17,33 +17,7 @@ import (
 // retry exhaustion: if any destination has been declared unreachable, the
 // drain still completes and then the world error-terminates (QuietStat is
 // the form that reports the condition instead).
-func (pe *PE) Quiet() {
-	pe.quiet()
-	pe.checkReachable()
-}
-
-// quiet is Quiet's drain, shared with the stat forms (which must not
-// escalate — they report).
-func (pe *PE) quiet() {
-	prof := pe.world.prof
-	pe.p.Clock.Advance(prof.OverheadNs)
-	// Drain the default context's streams: their latest completion joins the
-	// blocking ops' pendingT, and the merge below waits for whichever is
-	// later. With no NBI ops outstanding Drain returns 0 and the blocking
-	// path is bit-identical to the pre-NBI model.
-	if done := pe.nbi.Drain(); done > pe.pendingT {
-		pe.pendingT = done
-	}
-	if pe.pendingT > pe.p.Clock.Now() {
-		pe.p.Clock.MergeAtLeast(pe.pendingT)
-	}
-	pe.pendingT = 0
-	pe.pendTargets = pe.pendTargets[:0]
-	pe.pendVis = pe.pendVis[:0]
-	if san := pe.world.san; san != nil {
-		san.quiesce(pe.p.ID)
-	}
-}
+func (pe *PE) Quiet() { pe.def.Quiet() }
 
 // QuietTarget waits for remote completion of this PE's default-context puts
 // and atomics toward target only — the per-destination quiet that contexts
@@ -51,37 +25,8 @@ func (pe *PE) quiet() {
 // traffic). Other destinations' transfers stay in flight: their completion
 // horizon, and the shared NIC pipe's residual occupancy, are untouched.
 func (pe *PE) QuietTarget(target int) {
-	pe.quietTarget(target)
+	pe.def.QuietTarget(target)
 	pe.checkReachableTarget(target)
-}
-
-// quietTarget is QuietTarget's drain, shared with QuietTargetStat.
-func (pe *PE) quietTarget(target int) {
-	pe.checkTarget(target)
-	prof := pe.world.prof
-	pe.p.Clock.Advance(prof.OverheadNs)
-	done := pe.nbi.DrainTarget(target)
-	for i, t := range pe.pendTargets {
-		if t == target {
-			if pe.pendVis[i] > done {
-				done = pe.pendVis[i]
-			}
-			// Ordered removal keeps first-issue iteration order deterministic.
-			pe.pendTargets = append(pe.pendTargets[:i], pe.pendTargets[i+1:]...)
-			pe.pendVis = append(pe.pendVis[:i], pe.pendVis[i+1:]...)
-			break
-		}
-	}
-	// pendingT (the global horizon) deliberately keeps its value: a later
-	// full Quiet still waits for every other destination, and waiting for the
-	// global max there is exactly what it did before — per-target completion
-	// never relaxes the blocking path.
-	if done > pe.p.Clock.Now() {
-		pe.p.Clock.MergeAtLeast(done)
-	}
-	if san := pe.world.san; san != nil {
-		san.quiesceTarget(pe.p.ID, 0, target)
-	}
 }
 
 // Fence orders this PE's puts to each destination — shmem_fence. Weaker than
