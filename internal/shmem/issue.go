@@ -112,13 +112,41 @@ func (d *rma) sanitize(san *sanitizer, me, ctx, i int, src []byte) {
 	}
 }
 
-// issue runs one put or get on the context: per message the sanitizer hook,
-// the link penalty, the cost, the delivery step and the completion booking;
-// then the data movement by shape. src is a nonblocking put's source buffer
-// (d.local again; nil for every other op): the sanitizer retains it until
-// Quiet, and retaining a descriptor field instead would move every caller's
-// buffer — the stack-held word of a P or G included — to the heap.
+// msgs is the number of messages the op sends: one, or one per run.
+func (d *rma) msgs() int {
+	if d.shape == runs {
+		return len(d.offs)
+	}
+	return 1
+}
+
+// issue runs one put or get on the context: send its messages, then move its
+// bytes. src is a nonblocking put's source buffer (d.local again; nil for
+// every other op): the sanitizer retains it until Quiet, and retaining a
+// descriptor field instead would move every caller's buffer — the stack-held
+// word of a P or G included — to the heap.
+//
+// The two halves are separate calls on purpose. send keeps a dozen values
+// live; returning before the bytes move keeps its frame off the stack under
+// the substrate's write path, the deepest point of a PE goroutine — where a
+// few hundred bytes more grow the stack of every image of every short-lived
+// world once more.
 func (c *Ctx) issue(d *rma, src []byte) {
+	landed, vis := c.send(d, src)
+	if d.get {
+		c.pe.fetch(d)
+	} else {
+		// On a reliable link this is the whole op in one call.
+		c.pe.land(d, landed, d.msgs(), vis)
+	}
+}
+
+// send does everything about the op's messages but move their bytes: per
+// message the sanitizer hook, the link penalty, the cost, the delivery step
+// and the completion booking. It returns the first message whose payload is
+// still to land and, for a single-message op, when it is visible (the runs'
+// times are in pe.visAt).
+func (c *Ctx) send(d *rma, src []byte) (landed int, vis float64) {
 	pe := c.pe
 	w, me, clock := pe.world, pe.p.ID, &pe.p.Clock
 	intra, pairs := pe.intra(d.target), pe.pairs()
@@ -128,10 +156,10 @@ func (c *Ctx) issue(d *rma, src []byte) {
 	// its occupancy of the NIC pipe. A blocking op charges its transfer
 	// inline; a blocking get charges the whole round trip.
 	var inject, transfer float64
-	msgs, n := 1, len(d.local)
+	n := len(d.local)
 	switch d.shape {
 	case runs:
-		msgs, n = len(d.offs), d.unit
+		n = d.unit
 	case signal:
 		n += 8
 	}
@@ -157,9 +185,7 @@ func (c *Ctx) issue(d *rma, src []byte) {
 	}
 	// Only runs has more than one message; run i is visible at visAt[i], in
 	// the PE's reused scratch.
-	visAt, landed := pe.visAt[:0], 0
-	var lands, acked bool
-	var vis, done float64
+	msgs, visAt := d.msgs(), pe.visAt[:0]
 	for i := 0; i < msgs; i++ {
 		if w.san != nil {
 			d.sanitize(w.san, me, c.id, i, src)
@@ -170,7 +196,8 @@ func (c *Ctx) issue(d *rma, src []byte) {
 		if set != nil {
 			wire = set.Reserve(clock.Now(), transfer)
 		}
-		lands, vis, done, acked = true, wire+lat, wire+lat, true
+		lands, done, acked := true, wire+lat, true
+		vis = done
 		if d.shape != forensic {
 			lands, vis, done, acked = w.pw.Transmit(w.fplan, me, d.target, wire, lat, d.get)
 		}
@@ -196,7 +223,8 @@ func (c *Ctx) issue(d *rma, src []byte) {
 		if lands {
 			arrived++
 		}
-		pe.land(d, landed, arrived, vis, visAt)
+		pe.visAt = visAt
+		pe.land(d, landed, arrived, vis)
 		landed = i + 1
 		if !acked {
 			c.giveUp(d)
@@ -205,12 +233,7 @@ func (c *Ctx) issue(d *rma, src []byte) {
 	if d.shape == runs {
 		pe.visAt = visAt
 	}
-	if d.get {
-		pe.fetch(d)
-	} else {
-		// On a reliable link this is the whole op in one call.
-		pe.land(d, landed, msgs, vis, visAt)
-	}
+	return landed, vis
 }
 
 // giveUp declares the op's destination unreachable after retry exhaustion. A
@@ -225,10 +248,10 @@ func (c *Ctx) giveUp(d *rma) {
 }
 
 // land stores messages [lo, hi) of a put in the target's partition: run i of
-// a runs op visible at visAt[i], the one message of any other shape at at. On
-// a reliable link that is the whole op in one call — for runs, one batched
+// a runs op visible at pe.visAt[i], the one message of any other shape at at.
+// On a reliable link that is the whole op in one call — for runs, one batched
 // WriteRuns under a single target-lock acquisition.
-func (pe *PE) land(d *rma, lo, hi int, at float64, visAt []float64) {
+func (pe *PE) land(d *rma, lo, hi int, at float64) {
 	if d.get || hi <= lo {
 		return
 	}
@@ -237,7 +260,7 @@ func (pe *PE) land(d *rma, lo, hi int, at float64, visAt []float64) {
 	case contig:
 		pw.Write(d.target, d.off, d.local, at)
 	case runs:
-		pw.WriteRuns(d.target, d.off, d.offs[lo:hi], d.unit, d.local[lo*d.unit:hi*d.unit], visAt[lo:hi])
+		pw.WriteRuns(d.target, d.off, d.offs[lo:hi], d.unit, d.local[lo*d.unit:hi*d.unit], pe.visAt[lo:hi])
 	case strided:
 		pw.WriteV(d.target, d.off, d.stride, d.unit, d.local, at)
 	case signal:

@@ -25,6 +25,8 @@ func (pe *PE) linkPenalty() {
 	}
 }
 
+// degrade is linkPenalty under a plan, out of line so that the nil check
+// inlines.
 func (pe *PE) degrade(fp *fabric.FaultPlan) {
 	if pen := fp.LinkPenaltyNs(pe.p.ID, pe.p.Clock.Now()); pen > 0 {
 		pe.p.Clock.Advance(pen)
