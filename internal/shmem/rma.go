@@ -222,12 +222,12 @@ func (pe *PE) PutSignalNBI(target int, sym Sym, off int64, data []byte, sig Sym,
 // blocking or nonblocking.
 func (c *Ctx) putSignal(nbi bool, target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
 	c.pe.checkTarget(target)
-	d := rma{shape: signal, nbi: nbi, target: target, local: data, sigVal: uint64(sigVal)}
+	var abs int64
 	if len(data) > 0 {
-		d.off = sym.span("put_signal", off, int64(len(data)))
+		abs = sym.span("put_signal", off, int64(len(data)))
 	}
-	d.sigOff = sig.At(int64(sigIdx) * 8) // bounds-checked absolute offset
-	c.issue(&d, nil)
+	sigOff := sig.At(int64(sigIdx) * 8) // bounds-checked absolute offset
+	c.issue(&rma{shape: signal, nbi: nbi, target: target, off: abs, local: data, sigOff: sigOff, sigVal: uint64(sigVal)}, nil)
 }
 
 func (pe *PE) checkTarget(target int) {
