@@ -1,26 +1,20 @@
 package cafshmem
 
-// BenchmarkWallclockScale is the engine sweep: the same two application
-// workloads (a blocking-halo Himeno iteration and the disjoint locked-update
-// DHT pattern) at 256 / 1k / 4k / 10k images, on both execution engines,
-// plus a 100k-image barrier panel on the event engine only (the goroutine
-// engine's per-PE stall detectors and O(world) broadcasts make 100k
-// impractical there, and 100k is exactly the regime the event engine
-// exists for). Two extra metrics make the sweep comparable across sizes and
-// engines:
+// BenchmarkWallclockScale is the scale sweep: two application workloads (a
+// blocking-halo Himeno iteration and the disjoint locked-update DHT pattern) at
+// 256 / 1k / 4k / 10k images, plus a barrier panel that goes on to 100k. Two
+// extra metrics make the sweep comparable across sizes:
 //
 //	ns/simop          wall-clock nanoseconds per runtime-issued communication
 //	                  operation (caf.Stats.Ops summed over all images) — the
 //	                  host cost of simulating one op, independent of how many
 //	                  ops a configuration happens to issue
-//	peak-goroutines   high-water goroutine count sampled during the run —
-//	                  images+O(1) under the goroutine engine, pool+O(1)
-//	                  under the event engine
+//	peak-goroutines   high-water goroutine count sampled during the run:
+//	                  images+O(1), a world starts nothing but its PEs
 //
-// Virtual-time results are engine-independent (the golden and differential
-// tests pin that); this benchmark is only about what each engine costs the
-// host as the image count grows. cmd/benchreport runs the sweep at
-// -benchtime 1x and records it in the scale section of BENCH_9.json.
+// Virtual-time results are pinned elsewhere (the golden and determinism
+// tests); this benchmark is only about what a simulated op costs the host as
+// the image count grows. Rows are "panel/n=<images>".
 
 import (
 	"fmt"
@@ -33,7 +27,6 @@ import (
 	"cafshmem/internal/dht"
 	"cafshmem/internal/fabric"
 	"cafshmem/internal/himeno"
-	"cafshmem/internal/pgas"
 )
 
 // pollPeakGoroutines samples the process goroutine count until stopped and
@@ -64,113 +57,92 @@ func pollPeakGoroutines() (stop func() float64) {
 	}
 }
 
-var scaleEngines = []struct {
-	name   string
-	engine pgas.Engine
-}{
-	{"goroutine", pgas.EngineGoroutine},
-	{"event", pgas.EngineEvent},
-}
-
-// scaleGoroutineCap bounds the goroutine engine's sweep: beyond 10k images
-// its per-PE machinery dominates the host and the rows stop being
-// informative. The event engine runs the full range.
-const scaleGoroutineCap = 10240
+// scaleAppCap bounds the Himeno and DHT panels; the barrier panel alone runs
+// the full range.
+const scaleAppCap = 10240
 
 func BenchmarkWallclockScale(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096, 10240, 102400} {
-		for _, eng := range scaleEngines {
-			n, eng := n, eng
-			if n > scaleGoroutineCap && eng.engine == pgas.EngineGoroutine {
-				continue
-			}
-			if n <= scaleGoroutineCap {
-				b.Run(fmt.Sprintf("himeno/n=%d/%s", n, eng.name), func(b *testing.B) {
-					o := caf.UHCAFOverMV2XSHMEM()
-					o.Strided = caf.StridedNaive
-					o.Engine = eng.engine
-					// One j-plane per image: the footprint stays linear in the
-					// image count and every image parks at halo waits/barriers.
-					prm := himeno.Params{NX: 8, NY: n, NZ: 8, Iters: 2}
-					stop := pollPeakGoroutines()
-					var simOps int64
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						r, err := himeno.Run(o, n, prm)
-						if err != nil {
-							b.Fatal(err)
-						}
-						simOps += r.CommOps
-					}
-					b.StopTimer()
-					peak := stop()
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simOps), "ns/simop")
-					b.ReportMetric(peak, "peak-goroutines")
-				})
-			}
-			b.Run(fmt.Sprintf("barrier/n=%d/%s", n, eng.name), func(b *testing.B) {
-				// Park-dominated panel: every op is one whole-job barrier, so
-				// ns/simop isolates what the engine itself charges for a
-				// park/wake cycle — payload-heavy panels dilute the scheduler
-				// cost with marshalling and timestamp bookkeeping the engines
-				// share.
-				o := caf.UHCAFOverCraySHMEM(fabric.Titan())
-				o.Engine = eng.engine
-				// Enough rounds that one-off world construction (goroutine
-				// spawns, symmetric-heap setup — identical across engines)
-				// amortises out and ns/simop reflects the steady-state
-				// park/wake cycle. At 100k images the per-round cost is high
-				// enough (and construction proportionally cheaper) that fewer
-				// rounds suffice to keep the row's wall-clock bounded.
-				rounds := 200
-				if n > scaleGoroutineCap {
-					rounds = 25
-				}
+		if n <= scaleAppCap {
+			b.Run(fmt.Sprintf("himeno/n=%d", n), func(b *testing.B) {
+				o := caf.UHCAFOverMV2XSHMEM()
+				o.Strided = caf.StridedNaive
+				// One j-plane per image: the footprint stays linear in the
+				// image count and every image sleeps at halo waits/barriers.
+				prm := himeno.Params{NX: 8, NY: n, NZ: 8, Iters: 2}
 				stop := pollPeakGoroutines()
 				var simOps int64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					err := caf.Run(n, o, func(img *caf.Image) {
-						for r := 0; r < rounds; r++ {
-							img.Clock().Advance(100)
-							img.SyncAll()
-						}
-					})
+					r, err := himeno.Run(o, n, prm)
 					if err != nil {
 						b.Fatal(err)
 					}
-					simOps += int64(n * rounds)
+					simOps += r.CommOps
 				}
 				b.StopTimer()
 				peak := stop()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simOps), "ns/simop")
 				b.ReportMetric(peak, "peak-goroutines")
 			})
-			if n <= scaleGoroutineCap {
-				b.Run(fmt.Sprintf("dht/n=%d/%s", n, eng.name), func(b *testing.B) {
-					o := caf.UHCAFOverCraySHMEM(fabric.Titan())
-					o.Engine = eng.engine
-					stop := pollPeakGoroutines()
-					var simOps int64
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						// Disjoint pattern: remote lock + get + put traffic with
-						// no contention, deterministic at every size.
-						r, err := dht.BenchPattern(o, n, 16, 10, true)
-						if err != nil {
-							b.Fatal(err)
-						}
-						simOps += r.CommOps
-					}
-					b.StopTimer()
-					peak := stop()
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simOps), "ns/simop")
-					b.ReportMetric(peak, "peak-goroutines")
-				})
+		}
+		b.Run(fmt.Sprintf("barrier/n=%d", n), func(b *testing.B) {
+			// Sleep-dominated panel: every op is one whole-job barrier, so
+			// ns/simop isolates what a sleep/wake cycle costs — payload-heavy
+			// panels dilute it with marshalling and timestamp bookkeeping.
+			o := caf.UHCAFOverCraySHMEM(fabric.Titan())
+			// Enough rounds that one-off world construction (goroutine
+			// spawns, symmetric-heap setup) amortises out and ns/simop
+			// reflects the steady-state cycle. At 100k images the per-round
+			// cost is high enough (and construction proportionally cheaper)
+			// that fewer rounds suffice to keep the row's wall-clock bounded.
+			rounds := 200
+			if n > scaleAppCap {
+				rounds = 25
 			}
+			stop := pollPeakGoroutines()
+			var simOps int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				err := caf.Run(n, o, func(img *caf.Image) {
+					for r := 0; r < rounds; r++ {
+						img.Clock().Advance(100)
+						img.SyncAll()
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				simOps += int64(n * rounds)
+			}
+			b.StopTimer()
+			peak := stop()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simOps), "ns/simop")
+			b.ReportMetric(peak, "peak-goroutines")
+		})
+		if n <= scaleAppCap {
+			b.Run(fmt.Sprintf("dht/n=%d", n), func(b *testing.B) {
+				o := caf.UHCAFOverCraySHMEM(fabric.Titan())
+				stop := pollPeakGoroutines()
+				var simOps int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Disjoint pattern: remote lock + get + put traffic with
+					// no contention, deterministic at every size.
+					r, err := dht.BenchPattern(o, n, 16, 10, true)
+					if err != nil {
+						b.Fatal(err)
+					}
+					simOps += r.CommOps
+				}
+				b.StopTimer()
+				peak := stop()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simOps), "ns/simop")
+				b.ReportMetric(peak, "peak-goroutines")
+			})
 		}
 	}
 }

@@ -10,38 +10,34 @@
 //	benchreport -count 5           # more repetitions (min is kept)
 //	benchreport -benchtime 200x    # fixed iteration counts instead of 1s
 //	benchreport -procs 4           # pin the child go test to 4 OS procs
-//	benchreport -noscale           # skip the engine scale sweep
 //	benchreport -check             # quick alloc-regression gate for CI
 //	benchreport -transports        # run only the transport matrix (BENCH_10.json)
 //
-// The baseline embedded below was measured on the pre-engine tree (PR 7, the
+// The baseline embedded below was measured on the PR 7 tree (the
 // BENCH_5.json current column) with the same benchmark definitions, so the
 // speedup column is like-for-like. Each benchmark is run -count times and the
 // per-metric minimum is kept: the dominant noise source is GC scheduling
 // across whole-world constructions, which only ever inflates a run, never
 // deflates it.
 //
-// Besides the fixed 256-image suite, the report carries the engine scale
-// sweep (bench_scale_test.go): three workload panels at 256/1k/4k/10k images
-// on both execution engines, recorded as ns per simulated operation and peak
-// goroutine count, plus the goroutine/event ns-per-simop ratio per panel and
-// size — the wall-clock improvement the event engine buys at scale.
+// The scale sweep (bench_scale_test.go, BenchmarkWallclockScale) is run by
+// hand with go test -bench; the committed BENCH_9.json still carries the
+// two-engine sweep of its day in a "scale" section this tool no longer writes.
 //
 // Besides BENCH_9.json, every full run (and -transports alone) writes the
 // transport matrix to BENCH_10.json: the Himeno workload's host cost on each
 // CAF transport backend (shmem, gasnet, mpi3), from the sub-benchmarks of
 // BenchmarkWallclockHimenoTransport.
 //
-// -check is the CI gate, three deliberately-narrow validations: it reruns
-// only the contiguous-put benchmark and fails if allocs/op rises above zero
-// (the steady-state target the pooled marshalling buffers guarantee — timing
-// gates are too noisy for CI, allocation counts are exact); it checks that
-// the committed report's scale section is complete (the 100k-image event row
-// must be present); and it validates the committed transport matrix (all
-// three Himeno rows, mpi3 included, must be present with real measurements).
-// The two file checks are about completeness only: a number read out of a
-// committed file says nothing about the code, so no speed floor is gated on
-// one (the benchmark/ instrument measures the live tree).
+// -check is the CI gate, two deliberately-narrow validations: it reruns only
+// the contiguous-put benchmark and fails if allocs/op rises above zero (the
+// steady-state target the pooled marshalling buffers guarantee — timing gates
+// are too noisy for CI, allocation counts are exact); and it validates the
+// committed transport matrix (all three Himeno rows, mpi3 included, must be
+// present with real measurements). The file check is about completeness only:
+// a number read out of a committed file says nothing about the code, so no
+// speed floor is gated on one (the benchmark/ instrument measures the live
+// tree).
 package main
 
 import (
@@ -56,7 +52,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Result is one benchmark's measured cost per operation.
@@ -66,17 +61,8 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// ScaleResult is one (panel, image count, engine) cell of the scale sweep.
-type ScaleResult struct {
-	NsPerOp        float64 `json:"ns_per_op"`
-	NsPerSimop     float64 `json:"ns_per_simop"`
-	PeakGoroutines float64 `json:"peak_goroutines"`
-	BytesPerOp     int64   `json:"bytes_per_op"`
-	AllocsPerOp    int64   `json:"allocs_per_op"`
-}
-
-// seedBaseline holds the fixed 256-image suite as measured on the pre-engine
-// tree (the BENCH_5 "current" column, i.e. after the PR 7 reliability work)
+// seedBaseline holds the fixed 256-image suite as measured on the PR 7 tree
+// (the BENCH_5 "current" column, i.e. after the PR 7 reliability work)
 // with the same Go toolchain and machine class. Regenerate by checking out
 // the parent commit and running this tool there.
 var seedBaseline = map[string]Result{
@@ -99,11 +85,6 @@ type report struct {
 	Baseline    map[string]Result  `json:"baseline"`
 	Current     map[string]Result  `json:"current"`
 	Speedup     map[string]float64 `json:"speedup"`
-	// Scale is the engine sweep keyed "panel/n=<images>/<engine>"; Engine-
-	// Speedup is goroutine ns-per-simop over event ns-per-simop per
-	// "panel/n=<images>" — how much wall clock the event engine saves.
-	Scale         map[string]ScaleResult `json:"scale,omitempty"`
-	EngineSpeedup map[string]float64     `json:"engine_speedup,omitempty"`
 }
 
 var benchLine = regexp.MustCompile(`^Benchmark(\w+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9]+) B/op\s+([0-9]+) allocs/op)?`)
@@ -125,10 +106,6 @@ type transportReport struct {
 	Benchtime  string            `json:"benchtime"`
 	Transports map[string]Result `json:"transports"`
 }
-
-// scaleLine parses one scale-sweep result: the slash-structured name, the
-// custom ns/simop and peak-goroutines metrics, and the allocation columns.
-var scaleLine = regexp.MustCompile(`^BenchmarkWallclockScale/(\S+?)(?:-\d+)?\s+\d+\s+([0-9.e+]+) ns/op\s+([0-9.e+]+) ns/simop\s+([0-9.e+]+) peak-goroutines\s+([0-9]+) B/op\s+([0-9]+) allocs/op`)
 
 // runTest invokes go test -bench and returns its stdout. procs > 0 pins the
 // child test binary's GOMAXPROCS via the environment.
@@ -187,55 +164,6 @@ func runSuite(pattern, benchtime string, count, procs int) (map[string]Result, e
 	}
 	if len(results) == 0 {
 		return nil, fmt.Errorf("no benchmark results parsed from go test output")
-	}
-	return results, nil
-}
-
-// runScale runs the engine scale sweep at one whole-job iteration per cell
-// (a cell is minutes of simulated work — timed loops are meaningless) and
-// keeps the per-cell minimum over count repetitions.
-func runScale(count, procs int) (map[string]ScaleResult, error) {
-	out, err := runTest("^BenchmarkWallclockScale$", "1x", count, procs)
-	if err != nil {
-		return nil, err
-	}
-	results := map[string]ScaleResult{}
-	sc := bufio.NewScanner(out)
-	for sc.Scan() {
-		m := scaleLine.FindStringSubmatch(sc.Text())
-		if m == nil {
-			continue
-		}
-		r := ScaleResult{}
-		r.NsPerOp, _ = strconv.ParseFloat(m[2], 64)
-		r.NsPerSimop, _ = strconv.ParseFloat(m[3], 64)
-		r.PeakGoroutines, _ = strconv.ParseFloat(m[4], 64)
-		r.BytesPerOp, _ = strconv.ParseInt(m[5], 10, 64)
-		r.AllocsPerOp, _ = strconv.ParseInt(m[6], 10, 64)
-		prev, seen := results[m[1]]
-		if !seen {
-			results[m[1]] = r
-			continue
-		}
-		if r.NsPerOp < prev.NsPerOp {
-			prev.NsPerOp = r.NsPerOp
-		}
-		if r.NsPerSimop < prev.NsPerSimop {
-			prev.NsPerSimop = r.NsPerSimop
-		}
-		if r.PeakGoroutines < prev.PeakGoroutines {
-			prev.PeakGoroutines = r.PeakGoroutines
-		}
-		if r.BytesPerOp < prev.BytesPerOp {
-			prev.BytesPerOp = r.BytesPerOp
-		}
-		if r.AllocsPerOp < prev.AllocsPerOp {
-			prev.AllocsPerOp = r.AllocsPerOp
-		}
-		results[m[1]] = prev
-	}
-	if len(results) == 0 {
-		return nil, fmt.Errorf("no scale results parsed from go test output")
 	}
 	return results, nil
 }
@@ -315,27 +243,11 @@ func writeTransportReport(path, benchtime string, count, childProcs int, tr map[
 	return nil
 }
 
-// engineSpeedups derives the goroutine/event ns-per-simop ratio per
-// (panel, image count) from the sweep cells.
-func engineSpeedups(scale map[string]ScaleResult) map[string]float64 {
-	sp := map[string]float64{}
-	for key, g := range scale {
-		base, ok := strings.CutSuffix(key, "/goroutine")
-		if !ok {
-			continue
-		}
-		if e, ok := scale[base+"/event"]; ok && e.NsPerSimop > 0 {
-			sp[base] = g.NsPerSimop / e.NsPerSimop
-		}
-	}
-	return sp
-}
-
 // check is the CI regression gate: the contiguous-put fast path must stay
-// allocation-free per operation (measured live), and the committed reports
-// must be complete (read from the files — rerunning the full sweep is minutes
-// of work the gate cannot afford).
-func check(reportPath, transportPath string) error {
+// allocation-free per operation (measured live), and the committed transport
+// matrix must be complete (read from the file — rerunning it is minutes of
+// work the gate cannot afford).
+func check(transportPath string) error {
 	res, err := runSuite("^BenchmarkWallclockContigPut$", "300x", 1, 0)
 	if err != nil {
 		return err
@@ -348,9 +260,6 @@ func check(reportPath, transportPath string) error {
 		return fmt.Errorf("contiguous put regressed to %d allocs/op (want 0): a hot-path allocation crept in", r.AllocsPerOp)
 	}
 	fmt.Printf("benchreport -check: contiguous put %d allocs/op (%.0f ns/op) — ok\n", r.AllocsPerOp, r.NsPerOp)
-	if err := checkScaleReport(reportPath); err != nil {
-		return err
-	}
 	return checkTransportReport(transportPath)
 }
 
@@ -381,47 +290,21 @@ func checkTransportReport(path string) error {
 	return nil
 }
 
-// checkScaleReport validates that the committed report's scale section still
-// carries the 100k-image event row, so the sweep cannot silently lose its
-// largest point when the benchmark or the parser changes.
-func checkScaleReport(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("scale gate: %w (regenerate with benchreport)", err)
-	}
-	var rep report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("scale gate: %s: %w", path, err)
-	}
-	const barrier100k = "barrier/n=102400/event"
-	row, ok := rep.Scale[barrier100k]
-	if !ok {
-		return fmt.Errorf("scale gate: %s missing scale[%q] (100k event row must be present)", path, barrier100k)
-	}
-	if row.NsPerSimop <= 0 {
-		return fmt.Errorf("scale gate: %s has empty 100k event row", path)
-	}
-	fmt.Printf("benchreport -check: %s carries the 100k event row (%.0f ns/simop) — ok\n", path, row.NsPerSimop)
-	return nil
-}
-
 func main() {
-	out := flag.String("out", "BENCH_9.json", "report file to write (also the file -check validates)")
+	out := flag.String("out", "BENCH_9.json", "report file to write")
 	pattern := flag.String("bench",
 		"^BenchmarkWallclock(ContigPut|StridedPut|LockContention|DHT|Himeno|HimenoOverlap|HimenoSignal)$",
-		"fixed-suite benchmark regexp to run (the scale sweep runs separately)")
+		"fixed-suite benchmark regexp to run")
 	benchtime := flag.String("benchtime", "1s", "per-benchmark measurement time (or Nx iterations)")
 	count := flag.Int("count", 3, "repetitions per benchmark; the minimum is recorded")
-	scaleCount := flag.Int("scalecount", 2, "repetitions per scale-sweep cell; the minimum is recorded")
 	procs := flag.Int("procs", 0, "GOMAXPROCS for the child go test (0 = child default)")
-	noScale := flag.Bool("noscale", false, "skip the engine scale sweep")
 	doCheck := flag.Bool("check", false, "run only the alloc-regression gate and exit")
 	transportOut := flag.String("transportout", "BENCH_10.json", "transport-matrix report file (also the file -check validates)")
 	transportsOnly := flag.Bool("transports", false, "run only the transport matrix and write -transportout")
 	flag.Parse()
 
 	if *doCheck {
-		if err := check(*out, *transportOut); err != nil {
+		if err := check(*transportOut); err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 			os.Exit(1)
 		}
@@ -445,18 +328,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 		os.Exit(1)
 	}
-	var scale map[string]ScaleResult
-	if !*noScale {
-		scale, err = runScale(*scaleCount, *procs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	childProcs := childGOMAXPROCS(*procs)
 	rep := report{
 		Schema:      "cafshmem-wallclock-bench/2",
-		BaselineRef: "pre-engine tree (PR 7, BENCH_5.json current column; same toolchain and machine class)",
+		BaselineRef: "PR 7 tree (BENCH_5.json current column; same toolchain and machine class)",
 		GoVersion:   runtime.Version(),
 		GOMAXPROCS:  childProcs,
 		Count:       *count,
@@ -464,15 +339,11 @@ func main() {
 		Baseline:    seedBaseline,
 		Current:     cur,
 		Speedup:     map[string]float64{},
-		Scale:       scale,
 	}
 	for name, b := range seedBaseline {
 		if c, ok := cur[name]; ok && c.NsPerOp > 0 {
 			rep.Speedup[name] = b.NsPerOp / c.NsPerOp
 		}
-	}
-	if scale != nil {
-		rep.EngineSpeedup = engineSpeedups(scale)
 	}
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -498,18 +369,6 @@ func main() {
 			sp = fmt.Sprintf("%.2fx", s)
 		}
 		fmt.Printf("%-28s %14.0f %12d %10d %8s\n", n, c.NsPerOp, c.BytesPerOp, c.AllocsPerOp, sp)
-	}
-	if scale != nil {
-		keys := make([]string, 0, len(rep.EngineSpeedup))
-		for k := range rep.EngineSpeedup {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Printf("\n%-24s %16s %12s %14s\n", "scale panel", "goroutine", "event", "event speedup")
-		for _, k := range keys {
-			g, e := scale[k+"/goroutine"], scale[k+"/event"]
-			fmt.Printf("%-24s %13.0f ns %9.0f ns %13.2fx\n", k, g.NsPerSimop, e.NsPerSimop, rep.EngineSpeedup[k])
-		}
 	}
 	fmt.Printf("wrote %s\n", *out)
 

@@ -17,7 +17,6 @@ import (
 	"cafshmem/internal/caf"
 	"cafshmem/internal/dht"
 	"cafshmem/internal/fabric"
-	"cafshmem/internal/pgas"
 	"cafshmem/internal/pgasbench"
 )
 
@@ -25,18 +24,11 @@ func main() {
 	maxImages := flag.Int("images", 1024, "maximum image count")
 	buckets := flag.Int("buckets", 128, "hash buckets per image")
 	updates := flag.Int("updates", 50, "random locked updates per image")
-	engineFlags := pgasbench.EngineFlags(flag.CommandLine)
 	transport := flag.String("transport", "", "run the locked-update sweep on ONE Stampede transport backend (shmem, gasnet, or mpi3) instead of the Figure-9 trio")
 	faultPlan := flag.String("faultplan", "", "JSON fault-plan file: run one chaos replay under the plan instead of Figure 9")
 	faultSeed := flag.Uint64("faultseed", 0, "nonzero: chaos replay under a seeded lossy plan (drops, delay jitter, dups, one kill)")
 	chaosImages := flag.Int("chaos-images", 8, "image count for the chaos replay")
 	flag.Parse()
-
-	eng, err := engineFlags()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dht-bench:", err)
-		os.Exit(2)
-	}
 
 	if *faultPlan != "" || *faultSeed != 0 {
 		plan, err := loadPlan(*faultPlan, *faultSeed, *chaosImages)
@@ -44,7 +36,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dht-bench:", err)
 			os.Exit(1)
 		}
-		chaosReplay(plan, *chaosImages, *buckets, *updates, eng)
+		chaosReplay(plan, *chaosImages, *buckets, *updates)
 		return
 	}
 
@@ -54,11 +46,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dht-bench:", err)
 			os.Exit(2)
 		}
-		transportSweep(kind, *maxImages, *buckets, *updates, eng)
+		transportSweep(kind, *maxImages, *buckets, *updates)
 		return
 	}
 
-	f := pgasbench.Fig9Engine(*maxImages, *buckets, *updates, eng)
+	f := pgasbench.Fig9(*maxImages, *buckets, *updates)
 	fmt.Print(f.Render())
 
 	p := f.Panels[0]
@@ -76,9 +68,8 @@ func main() {
 // transport backend (-transport shmem|gasnet|mpi3), printing a time table —
 // the per-backend view of the Figure-9 comparison on the machine whose three
 // transports the conformance suite covers.
-func transportSweep(kind caf.TransportKind, maxImages, buckets, updates int, eng pgas.Options) {
+func transportSweep(kind caf.TransportKind, maxImages, buckets, updates int) {
 	opts := pgasbench.TransportOptions(kind)
-	opts.Options = eng
 	fmt.Printf("DHT on Stampede, transport=%v, %d buckets/image, %d updates/image\n",
 		kind, buckets, updates)
 	fmt.Printf("%8s %12s   %s\n", "images", "time (ms)", "partition memory")
@@ -109,14 +100,13 @@ func loadPlan(path string, seed uint64, images int) (*fabric.FaultPlan, error) {
 }
 
 // chaosReplay runs the locked-update workload once under plan, every image on
-// the STAT-bearing path, and reports what the fault machinery observed. For a
-// fixed engine the replay is bit-identical; across engines it can differ,
-// because the images race on contended locks and arrival order at a contended
-// atomic is host-arbitrated (see internal/pgas/engine.go).
-func chaosReplay(plan *fabric.FaultPlan, images, buckets, updates int, eng pgas.Options) {
+// the STAT-bearing path, and reports what the fault machinery observed. Where
+// images contend for a lock, arrival order at the contended atomic is
+// host-arbitrated (internal/pgas/engine.go; ROADMAP, P0 item): the replay is
+// exact up to that order.
+func chaosReplay(plan *fabric.FaultPlan, images, buckets, updates int) {
 	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
 	opts.FaultPlan = plan
-	opts.Options = eng
 
 	stats := make([]caf.Stat, images)
 	applied := make([]int, images)

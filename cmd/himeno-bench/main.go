@@ -16,7 +16,6 @@ import (
 	"cafshmem/internal/caf"
 	"cafshmem/internal/fabric"
 	"cafshmem/internal/himeno"
-	"cafshmem/internal/pgas"
 	"cafshmem/internal/pgasbench"
 )
 
@@ -26,18 +25,12 @@ func main() {
 	ny := flag.Int("ny", 256, "global grid extent in y (decomposed dimension)")
 	nz := flag.Int("nz", 16, "global grid extent in z")
 	iters := flag.Int("iters", 3, "Jacobi iterations")
-	engineFlags := pgasbench.EngineFlags(flag.CommandLine)
 	transport := flag.String("transport", "", "run the sweep on ONE Stampede transport backend (shmem, gasnet, or mpi3) instead of the Figure-10 pair")
 	faultPlan := flag.String("faultplan", "", "JSON fault-plan file: run one chaos replay under the plan instead of Figure 10")
 	faultSeed := flag.Uint64("faultseed", 0, "nonzero: chaos replay under a seeded lossy plan (drops, delay jitter, dups, one kill)")
 	chaosImages := flag.Int("chaos-images", 8, "image count for the chaos replay")
 	flag.Parse()
 
-	eng, err := engineFlags()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "himeno-bench:", err)
-		os.Exit(2)
-	}
 	prm := himeno.Params{NX: *nx, NY: *ny, NZ: *nz, Iters: *iters}
 
 	if *faultPlan != "" || *faultSeed != 0 {
@@ -46,7 +39,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "himeno-bench:", err)
 			os.Exit(1)
 		}
-		chaosReplay(plan, *chaosImages, prm, eng)
+		chaosReplay(plan, *chaosImages, prm)
 		return
 	}
 
@@ -56,11 +49,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "himeno-bench:", err)
 			os.Exit(2)
 		}
-		transportSweep(kind, *maxImages, prm, eng)
+		transportSweep(kind, *maxImages, prm)
 		return
 	}
 
-	f := pgasbench.Fig10Engine(*maxImages, prm, eng)
+	f := pgasbench.Fig10(*maxImages, prm)
 	fmt.Print(f.Render())
 
 	p := f.Panels[0]
@@ -74,9 +67,8 @@ func main() {
 // (-transport shmem|gasnet|mpi3), printing an MFLOPS table — the per-backend
 // view of the Figure-10 comparison, sharing its image counts and the
 // canonical per-transport options (pgasbench.TransportOptions).
-func transportSweep(kind caf.TransportKind, maxImages int, prm himeno.Params, eng pgas.Options) {
+func transportSweep(kind caf.TransportKind, maxImages int, prm himeno.Params) {
 	opts := pgasbench.TransportOptions(kind)
-	opts.Options = eng
 	fmt.Printf("Himeno on Stampede, transport=%v, grid %dx%dx%d, %d iters\n",
 		kind, prm.NX, prm.NY, prm.NZ, prm.Iters)
 	fmt.Printf("%8s %12s %12s   %s\n", "images", "MFLOPS", "time (ms)", "partition memory")
@@ -107,15 +99,12 @@ func loadPlan(path string, seed uint64, images int) (*fabric.FaultPlan, error) {
 }
 
 // chaosReplay runs the fault-aware signal-overlap solver once under plan and
-// reports what the fault machinery observed. The replay is bit-identical on
-// either engine — -engine and -workers only change how the run spends host
-// time.
-func chaosReplay(plan *fabric.FaultPlan, images int, prm himeno.Params, eng pgas.Options) {
+// reports what the fault machinery observed.
+func chaosReplay(plan *fabric.FaultPlan, images int, prm himeno.Params) {
 	prm.FaultAware = true
 	prm.Overlap = true
 	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
 	opts.FaultPlan = plan
-	opts.Options = eng
 
 	fmt.Printf("chaos replay: %d images, plan %v\n", images, plan)
 	res, err := himeno.Run(opts, images, prm)

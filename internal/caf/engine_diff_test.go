@@ -1,22 +1,23 @@
 package caf_test
 
-// Differential property test for the pgas execution engines: the same random
+// Determinism differential (the tests keep the names they had when a second
+// execution engine stood in for "another host schedule"): the same random
 // program — one-sided puts/gets, nonblocking puts with per-image completion,
 // locks, fetch-adds, put-with-signal notify/wait, and STAT-bearing barriers,
 // optionally under a seeded lossy/killing fault plan — must produce
 // bit-identical virtual times, Stat outcomes, operation counters, payload
-// checksums, and link forensics whether the images run as one goroutine each
-// (EngineGoroutine) or as parked tasks on a bounded worker pool
-// (EngineEvent). The engine is host-time machinery only; nothing it schedules
-// may leak into the simulation.
+// checksums, and link forensics run after run, whatever the barrier shard
+// layout and (check.sh runs these at -cpu 1,2,8) whatever GOMAXPROCS. How
+// images get host time, and how barrier arrivals combine, is host-side
+// machinery only; nothing it decides may leak into the simulation.
 //
-// Determinism of the *program* (so that any divergence is the engine's
+// Determinism of the *program* (so that any divergence is the substrate's
 // fault) comes from two rules, the same ones the chaos replay tests use:
 //
 //   - Contended resources are touched through a per-round permutation whose
 //     shift is derived from (seed, round) alone: every lock, atomic and
 //     signal slot has exactly one contender per round, so acquisition order
-//     can never depend on engine scheduling.
+//     can never depend on host scheduling.
 //   - Cross-image data dependencies are separated by SyncAllStat barriers:
 //     a round reads only what the previous round's barrier made stable, and
 //     fault observations happen at deterministic barrier generations (the
@@ -31,11 +32,10 @@ import (
 
 	"cafshmem/internal/caf"
 	"cafshmem/internal/fabric"
-	"cafshmem/internal/pgas"
 )
 
 // diffOutcome is everything one differential run determines. Two runs of the
-// same (seed, plan) under different engines must be DeepEqual.
+// same (seed, plan) must be DeepEqual.
 type diffOutcome struct {
 	Times    []float64        // final virtual clock per image
 	Stats    []caf.Stat       // first non-OK sync stat per image (OK if none)
@@ -57,21 +57,20 @@ func diffSplitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// diffRun executes the random program for (seed, plan) on the given engine,
-// worker count, and barrier shard layout (0 = auto), and fails the test if
-// the run errors.
-func diffRun(t *testing.T, seed uint64, plan *fabric.FaultPlan, engine pgas.Engine, workers, shards int) diffOutcome {
+// diffRun executes the random program for (seed, plan) on the given barrier
+// shard layout (0 = auto), and fails the test if the run errors.
+func diffRun(t *testing.T, seed uint64, plan *fabric.FaultPlan, shards int) diffOutcome {
 	t.Helper()
-	out, err := diffRunErr(seed, plan, engine, workers, shards)
+	out, err := diffRunErr(seed, plan, shards)
 	if err != nil {
-		t.Fatalf("seed %d engine %v: run errored (hang or panic): %v", seed, engine, err)
+		t.Fatalf("seed %d shards=%d: run errored (deadlock verdict or panic): %v", seed, shards, err)
 	}
 	return out
 }
 
 // diffRunErr is diffRun returning the run's error, with whatever the images
 // had recorded when the world was poisoned.
-func diffRunErr(seed uint64, plan *fabric.FaultPlan, engine pgas.Engine, workers, shards int) (diffOutcome, error) {
+func diffRunErr(seed uint64, plan *fabric.FaultPlan, shards int) (diffOutcome, error) {
 	const n, rounds, span = 6, 10, 8
 
 	// Survivors (images the plan never kills) form the permutation domain;
@@ -110,7 +109,7 @@ func diffRunErr(seed uint64, plan *fabric.FaultPlan, engine pgas.Engine, workers
 
 	var gaveUp atomic.Bool
 	opts := chaosOpts(plan)
-	opts.Engine, opts.Workers, opts.BarrierShards = engine, workers, shards
+	opts.BarrierShards = shards
 	err := caf.Run(n, opts, func(img *caf.Image) {
 		me := img.ThisImage()
 		x := caf.Allocate[int64](img, span)
@@ -196,46 +195,33 @@ func diffPlans(seed uint64) map[string]*fabric.FaultPlan {
 	return map[string]*fabric.FaultPlan{"clean": nil, "loss": lossy, "losskill": killer}
 }
 
-// diffVariants are the engine, worker-count and shard-layout combinations
-// TestEngineDifferential compares with the reference run, and the seed corpus
-// of FuzzEngineDifferential.
-var diffVariants = []struct {
-	engine  pgas.Engine
-	workers int
-	shards  int
-}{
-	{pgas.EngineGoroutine, 0, 1},
-	{pgas.EngineGoroutine, 0, 2},
-	{pgas.EngineEvent, 1, 0},
-	{pgas.EngineEvent, 1, 3}, // odd split of 6 images
-	{pgas.EngineEvent, 3, 2},
-	{pgas.EngineEvent, 3, 8}, // more shards than images
-}
+// diffShards are the barrier shard layouts TestEngineDifferential compares
+// with the reference run (auto: one shard), and with the seeds and regimes the
+// seed corpus of FuzzEngineDifferential: a single shard, two, an odd split of
+// the 6 images, and more shards than images.
+var diffShards = []int{1, 2, 3, 8}
 
 // diffSeeds are the program seeds TestEngineDifferential sweeps.
 var diffSeeds = []uint64{101, 202, 303}
 
-// TestEngineDifferential is the cross-engine replay property: goroutine-per-
-// image and the event-driven bounded pool must agree bit-for-bit on every
-// observable of the random program, in every fault regime — and so must
-// every barrier shard layout (single shard, two, an odd split, and more
-// shards than images), on both engines. The shard tree is host-side
-// machinery exactly like the engine: nothing about how arrivals combine may
-// leak into the simulation.
+// TestEngineDifferential is the replay property: every run of the random
+// program, on every barrier shard layout, must agree bit-for-bit with the
+// reference run on every observable, in every fault regime.
 func TestEngineDifferential(t *testing.T) {
 	for _, seed := range diffSeeds {
 		for name, plan := range diffPlans(seed) {
-			ref := diffRun(t, seed, plan, pgas.EngineGoroutine, 0, 0)
+			ref := diffRun(t, seed, plan, 0)
 			for pe, s := range ref.Stats {
 				if !isLegalStat(s) {
 					t.Errorf("seed %d %s: image %d illegal stat %v", seed, name, pe+1, s)
 				}
 			}
-			for _, v := range diffVariants {
-				got := diffRun(t, seed, plan, v.engine, v.workers, v.shards)
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("seed %d %s: engine=%v workers=%d shards=%d diverged from reference:\n%+v\nvs\n%+v",
-						seed, name, v.engine, v.workers, v.shards, ref, got)
+			for _, shards := range diffShards {
+				for run := 0; run < 2; run++ {
+					if got := diffRun(t, seed, plan, shards); !reflect.DeepEqual(ref, got) {
+						t.Errorf("seed %d %s: shards=%d run %d diverged from reference:\n%+v\nvs\n%+v",
+							seed, name, shards, run, ref, got)
+					}
 				}
 			}
 		}
@@ -243,45 +229,41 @@ func TestEngineDifferential(t *testing.T) {
 }
 
 // FuzzEngineDifferential is the same property over arbitrary (program seed,
-// worker count, shard layout, fault regime), as far as the program's
-// determinism rules reach. They end where a sender exhausts its retries, which
-// an arbitrary seed's loss plan can bring about: a blocking get then
-// error-terminates the program by the model's own rules (seed 301), or a
-// STAT-bearing path gives the link up and who learns of it at which barrier is
-// the host's choice — on one engine against itself too (seed 358, 32 of 200
-// goroutine-engine runs differ at the parent commit). So outcomes are compared
-// when both runs end clean with no link given up, and both engines must agree
-// on whether the run errors; and always, no run may end in a deadlock verdict:
+// shard layout, fault regime), as far as the program's determinism rules
+// reach. They end where a sender exhausts its retries, which an arbitrary
+// seed's loss plan can bring about: a blocking get then error-terminates the
+// program by the model's own rules (seed 301), or a STAT-bearing path gives
+// the link up and who learns of it at which barrier is the host's choice
+// (seed 358: 32 of 200 runs differed at PR 17). So outcomes are compared when
+// both runs end clean with no link given up, and the two runs must agree on
+// whether the run errors; and always, no run may end in a deadlock verdict:
 // under the exact quiescence rule a random program that is ever judged
 // deadlocked is a finding.
 func FuzzEngineDifferential(f *testing.F) {
 	for _, seed := range diffSeeds {
 		for kind := range diffPlanKinds {
-			for _, v := range diffVariants {
-				if v.engine == pgas.EngineEvent {
-					f.Add(seed, uint8(v.workers), uint8(v.shards), uint8(kind))
-				}
+			for _, shards := range diffShards {
+				f.Add(seed, uint8(shards), uint8(kind))
 			}
 		}
 	}
-	f.Add(uint64(301), uint8(3), uint8(0x99), uint8(1))
-	f.Add(uint64(358), uint8(3), uint8(8), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, workers, shards, kind uint8) {
+	f.Add(uint64(301), uint8(0x99), uint8(1))
+	f.Add(uint64(358), uint8(8), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, shards, kind uint8) {
 		plan := diffPlans(seed)[diffPlanKinds[int(kind)%len(diffPlanKinds)]]
-		w, sh := int(workers)%5, int(shards)%9 // 0 workers: GOMAXPROCS; 0 shards: auto
-		ref, refErr := diffRunErr(seed, plan, pgas.EngineGoroutine, 0, sh)
-		got, gotErr := diffRunErr(seed, plan, pgas.EngineEvent, w, sh)
+		sh := 1 + int(shards)%8
+		ref, refErr := diffRunErr(seed, plan, 0)
+		got, gotErr := diffRunErr(seed, plan, sh)
 		for _, err := range []error{refErr, gotErr} {
 			if err != nil && strings.Contains(err.Error(), "pgas: deadlock") {
-				t.Fatalf("seed %d kind %d workers=%d shards=%d: deadlock verdict: %v", seed, kind, w, sh, err)
+				t.Fatalf("seed %d kind %d shards=%d: deadlock verdict: %v", seed, kind, sh, err)
 			}
 		}
 		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("seed %d kind %d workers=%d shards=%d: goroutine engine ended with %v, event engine with %v", seed, kind, w, sh, refErr, gotErr)
+			t.Fatalf("seed %d kind %d: one shard ended with %v, %d shards with %v", seed, kind, refErr, sh, gotErr)
 		}
 		if refErr == nil && !ref.GaveUp && !got.GaveUp && !reflect.DeepEqual(ref, got) {
-			t.Errorf("seed %d kind %d: event engine (workers=%d shards=%d) diverged from goroutine:\n%+v\nvs\n%+v",
-				seed, kind, w, sh, ref, got)
+			t.Errorf("seed %d kind %d: shards=%d diverged from one shard:\n%+v\nvs\n%+v", seed, kind, sh, ref, got)
 		}
 	})
 }
@@ -291,7 +273,7 @@ func FuzzEngineDifferential(f *testing.F) {
 // reduce the differential test to the loss-only case.
 func TestEngineDifferentialKillObserved(t *testing.T) {
 	seed := uint64(101)
-	out := diffRun(t, seed, diffPlans(seed)["losskill"], pgas.EngineEvent, 2, 2)
+	out := diffRun(t, seed, diffPlans(seed)["losskill"], 2)
 	obs := false
 	for _, s := range out.Stats {
 		if s == caf.StatFailedImage {

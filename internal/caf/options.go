@@ -184,13 +184,9 @@ type Options struct {
 	// the STAT-bearing APIs detect real FAIL IMAGE calls. Implied by a
 	// non-empty FaultPlan. Requires the OpenSHMEM transport.
 	FaultTolerant bool
-	// Options selects the pgas execution engine (Engine): goroutine-per-PE
-	// (the default, one goroutine actively scheduled per image) or the event
-	// engine (images as resumable tasks over a bounded worker pool — the
-	// configuration for 1k–100k-image runs) with its pool bound (Workers), and
-	// the world barrier's shard layout (BarrierShards). All three are
-	// host-side: virtual times, forensics, and fault replays are bit-identical
-	// across them.
+	// Options is the pgas world's host-side tuning: the world barrier's shard
+	// layout (BarrierShards). Virtual times, forensics, and fault replays are
+	// bit-identical across layouts.
 	pgas.Options
 }
 

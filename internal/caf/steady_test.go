@@ -16,51 +16,46 @@ import (
 // pinned here (process-wide malloc counts between two barriers, per call per
 // image, with a little room for stray runtime allocations).
 
-// steadyAllocs runs body on `images` images of each engine and returns, per
-// engine, the process-wide mallocs of `calls` measured calls per image
-// (after `calls/10` untimed ones), divided by calls*images.
-func steadyAllocs(t *testing.T, images, calls int, setup func(img *caf.Image) func()) map[string]float64 {
+// steadyAllocs runs body on `images` images and returns the process-wide
+// mallocs of `calls` measured calls per image (after `calls/10` untimed ones),
+// divided by calls*images.
+func steadyAllocs(t *testing.T, images, calls int, setup func(img *caf.Image) func()) float64 {
 	t.Helper()
 	if pgas.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
 	}
-	out := map[string]float64{}
-	for _, engine := range []pgas.Engine{pgas.EngineGoroutine, pgas.EngineEvent} {
-		o := caf.UHCAFOverMV2XSHMEM()
-		o.Engine = engine
-		var before, after runtime.MemStats
-		err := caf.Run(images, o, func(img *caf.Image) {
-			call := setup(img)
-			for i := 0; i < calls/10; i++ {
-				call()
-			}
-			img.SyncAll()
-			if img.ThisImage() == 1 {
-				runtime.ReadMemStats(&before)
-			}
-			img.SyncAll()
-			for i := 0; i < calls; i++ {
-				call()
-			}
-			img.SyncAll()
-			if img.ThisImage() == 1 {
-				runtime.ReadMemStats(&after)
-			}
-			img.SyncAll()
-		})
-		if err != nil {
-			t.Fatal(err)
+	o := caf.UHCAFOverMV2XSHMEM()
+	var before, after runtime.MemStats
+	err := caf.Run(images, o, func(img *caf.Image) {
+		call := setup(img)
+		for i := 0; i < calls/10; i++ {
+			call()
 		}
-		out[engine.String()] = float64(after.Mallocs-before.Mallocs) / float64(calls*images)
+		img.SyncAll()
+		if img.ThisImage() == 1 {
+			runtime.ReadMemStats(&before)
+		}
+		img.SyncAll()
+		for i := 0; i < calls; i++ {
+			call()
+		}
+		img.SyncAll()
+		if img.ThisImage() == 1 {
+			runtime.ReadMemStats(&after)
+		}
+		img.SyncAll()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return float64(after.Mallocs-before.Mallocs) / float64(calls*images)
 }
 
 // TestCoSumSteadyStateAllocs: a co_sum allocates its returned slice and
 // nothing else — flags, payload encodes and child decodes all reuse the
 // group's and the image's buffers.
 func TestCoSumSteadyStateAllocs(t *testing.T) {
-	got := steadyAllocs(t, 8, 500, func(img *caf.Image) func() {
+	n := steadyAllocs(t, 8, 500, func(img *caf.Image) func() {
 		vals := []float64{float64(img.ThisImage()), 1}
 		return func() {
 			if s := caf.CoSum(img, vals, 0); s[1] != 8 {
@@ -68,10 +63,8 @@ func TestCoSumSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	})
-	for engine, n := range got {
-		if n > 1.05 {
-			t.Errorf("%s engine: %.3f allocs per co_sum per image, want <= 1 (the returned slice)", engine, n)
-		}
+	if n > 1.05 {
+		t.Errorf("%.3f allocs per co_sum per image, want <= 1 (the returned slice)", n)
 	}
 }
 
@@ -79,24 +72,22 @@ func TestCoSumSteadyStateAllocs(t *testing.T) {
 // initialisation, tail swap, hand-off flag and the local spin — stays off the
 // heap, contended or not (every image hammers the lock at image 1).
 func TestLockPairSteadyStateAllocs(t *testing.T) {
-	got := steadyAllocs(t, 4, 500, func(img *caf.Image) func() {
+	n := steadyAllocs(t, 4, 500, func(img *caf.Image) func() {
 		lck := caf.NewLock(img)
 		return func() {
 			lck.Acquire(1)
 			lck.Release(1)
 		}
 	})
-	for engine, n := range got {
-		if n > 0.05 {
-			t.Errorf("%s engine: %.3f allocs per lock pair, want 0", engine, n)
-		}
+	if n > 0.05 {
+		t.Errorf("%.3f allocs per lock pair, want 0", n)
 	}
 }
 
 // TestDHTUpdateSteadyStateAllocs: a DHT update — lock, probe with 8-byte
 // gets, 8-byte puts, unlock — rides the same word path.
 func TestDHTUpdateSteadyStateAllocs(t *testing.T) {
-	got := steadyAllocs(t, 4, 500, func(img *caf.Image) func() {
+	n := steadyAllocs(t, 4, 500, func(img *caf.Image) func() {
 		tbl := dht.New(img, 64)
 		key := uint64(img.ThisImage())
 		return func() {
@@ -106,10 +97,8 @@ func TestDHTUpdateSteadyStateAllocs(t *testing.T) {
 			}
 		}
 	})
-	for engine, n := range got {
-		if n > 0.05 {
-			t.Errorf("%s engine: %.3f allocs per DHT update, want 0", engine, n)
-		}
+	if n > 0.05 {
+		t.Errorf("%.3f allocs per DHT update, want 0", n)
 	}
 }
 

@@ -167,13 +167,11 @@ func (s *NBIStreams) Targets(yield func(target int)) {
 // streams without draining anything (0 when nothing is outstanding) — the
 // value Drain would return, left in place.
 //
-// This is the scheduler-facing form of NBI completion: a completion horizon
-// is *computed* at issue time from the pipe recurrence, never awaited, so an
-// execution engine never parks a PE on quiet — Quiet merges the horizon into
-// the clock and moves on. The event engine relies on exactly this property:
-// its only park sites are barriers and watch waits, and these accessors are
-// what observability layers (and the engine differential tests) use to
-// assert the horizons agree across engines without perturbing them.
+// A completion horizon is *computed* at issue time from the pipe recurrence,
+// never awaited, so no PE ever sleeps on quiet — Quiet merges the horizon into
+// the clock and moves on; a PE sleeps only in barriers and watch waits. These
+// accessors are what observability layers and tests use to read the horizons
+// without perturbing them.
 func (s *NBIStreams) Horizon() float64 {
 	var d float64
 	for i := range s.recs {

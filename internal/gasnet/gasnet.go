@@ -65,7 +65,7 @@ type EP struct {
 type Config struct {
 	Machine *fabric.Machine
 	Profile string
-	// Options selects and tunes the pgas execution engine, as in shmem.Config.
+	// Options is the pgas world's host-side tuning, as in shmem.Config.
 	pgas.Options
 }
 

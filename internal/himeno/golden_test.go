@@ -5,7 +5,6 @@ import (
 
 	"cafshmem/internal/caf"
 	"cafshmem/internal/fabric"
-	"cafshmem/internal/pgas"
 )
 
 // Goldens captured on the PR 4 tree, before contexts and signal-driven
@@ -60,59 +59,60 @@ func TestHimenoVirtualTimeGoldens(t *testing.T) {
 	}
 }
 
-// TestHimenoGoldensOnEventEngine re-runs the pinned-golden table on the
-// event-driven engine: virtual time is a pure function of (program, machine),
-// so swapping the scheduler that hosts the images must reproduce the exact
-// same float64 TimeMs and residual. Two pool widths catch both the serialised
-// (workers=1) and the contended interleavings.
+// TestHimenoGoldensOnEventEngine re-runs the pinned-golden table as a
+// determinism differential (it keeps the name it had when a second engine
+// stood in for "another host schedule"): virtual time is a pure function of
+// (program, machine), so every barrier shard layout — one shard, two, an odd
+// split of the 8 images, one shard per image — must reproduce, twice over, the
+// exact same float64 TimeMs and residual. check.sh repeats it at -cpu 1,2,8.
 func TestHimenoGoldensOnEventEngine(t *testing.T) {
 	prm := Params{NX: 16, NY: 64, NZ: 12, Iters: 3}
-	for _, workers := range []int{1, 3} {
-		for _, g := range goldenHimeno {
-			o := g.opts
-			o.Engine, o.Workers = pgas.EngineEvent, workers
-			blk, err := Run(o, 8, prm)
-			if err != nil {
-				t.Fatalf("%s blocking (event/%d): %v", g.name, workers, err)
-			}
-			if blk.TimeMs != g.blockingMs || blk.Gosa != goldenHimenoGosa {
-				t.Errorf("%s: event engine (workers=%d) blocking = (%v, %v), want golden (%v, %v)",
-					g.name, workers, blk.TimeMs, blk.Gosa, g.blockingMs, goldenHimenoGosa)
-			}
+	for _, shards := range []int{1, 2, 3, 8} {
+		for run := 0; run < 2; run++ {
+			for _, g := range goldenHimeno {
+				o := g.opts
+				o.BarrierShards = shards
+				blk, err := Run(o, 8, prm)
+				if err != nil {
+					t.Fatalf("%s blocking (shards=%d): %v", g.name, shards, err)
+				}
+				if blk.TimeMs != g.blockingMs || blk.Gosa != goldenHimenoGosa {
+					t.Errorf("%s: shards=%d run %d blocking = (%v, %v), want golden (%v, %v)",
+						g.name, shards, run, blk.TimeMs, blk.Gosa, g.blockingMs, goldenHimenoGosa)
+				}
 
-			op := prm
-			op.Overlap = true
-			op.OverlapBarrier = true
-			ob, err := Run(o, 8, op)
-			if err != nil {
-				t.Fatalf("%s overlap-barrier (event/%d): %v", g.name, workers, err)
-			}
-			if ob.TimeMs != g.overlapBarrMs || ob.Gosa != goldenHimenoGosa {
-				t.Errorf("%s: event engine (workers=%d) OverlapBarrier = (%v, %v), want golden (%v, %v)",
-					g.name, workers, ob.TimeMs, ob.Gosa, g.overlapBarrMs, goldenHimenoGosa)
+				op := prm
+				op.Overlap = true
+				op.OverlapBarrier = true
+				ob, err := Run(o, 8, op)
+				if err != nil {
+					t.Fatalf("%s overlap-barrier (shards=%d): %v", g.name, shards, err)
+				}
+				if ob.TimeMs != g.overlapBarrMs || ob.Gosa != goldenHimenoGosa {
+					t.Errorf("%s: shards=%d run %d OverlapBarrier = (%v, %v), want golden (%v, %v)",
+						g.name, shards, run, ob.TimeMs, ob.Gosa, g.overlapBarrMs, goldenHimenoGosa)
+				}
 			}
 		}
 	}
 }
 
 // TestEventEngineHimeno4k is the scale smoke check.sh runs: one Jacobi
-// iteration with 4096 images on the bounded worker pool. Per-plane local
-// state keeps the footprint small; the point is that 4k images park, wake
-// and clear barriers without a false deadlock verdict or exhausting the
-// pool. It asserts convergence bookkeeping only — the bit-identical goldens
-// above already pin the cost model.
+// iteration with 4096 images, a goroutine each. Per-plane local state keeps
+// the footprint small; the point is that 4k images sleep, wake and clear
+// barriers without a false deadlock verdict. It asserts convergence
+// bookkeeping only — the bit-identical goldens above already pin the cost
+// model.
 func TestEventEngineHimeno4k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4k-image scale smoke skipped in -short mode")
 	}
-	o := stampedeOpts()
-	o.Engine = pgas.EngineEvent
 	prm := Params{NX: 8, NY: 4096, NZ: 8, Iters: 1}
-	res, err := Run(o, 4096, prm)
+	res, err := Run(stampedeOpts(), 4096, prm)
 	if err != nil {
-		t.Fatalf("4k-image event run: %v", err)
+		t.Fatalf("4k-image run: %v", err)
 	}
 	if res.Iters != 1 || res.Gosa <= 0 {
-		t.Fatalf("4k-image event run: iters=%d gosa=%v, want 1 iteration with a positive residual", res.Iters, res.Gosa)
+		t.Fatalf("4k-image run: iters=%d gosa=%v, want 1 iteration with a positive residual", res.Iters, res.Gosa)
 	}
 }

@@ -22,8 +22,12 @@ import (
 // longer serialises every arrival through one global mutex, and the release
 // walks S per-shard contiguous bWaiter arenas (values indexed by PE rank, so
 // the fan-out is a sequential memory pass) instead of chasing a flat list of
-// pointer records, batch-waking each shard's generation under one
-// dispatch-lock acquisition.
+// pointer records.
+//
+// The barrier is not a second kind of sleep: an arriving PE registers its
+// arena record and then sleeps like any waiter, in PE.block on its own
+// condition variable, until the record is done; a release (or poison) fills
+// the records and wakes their PEs one by one.
 //
 // The participant count tracks the world's alive PEs: when a PE fails or
 // stops it departs through its owning shard, and a rendezvous of all
@@ -45,16 +49,14 @@ type barrier struct {
 	chunk int // PE ranks per shard: rank r belongs to shards[r/chunk]
 	// shards are the combining-tree leaves. Shard state is guarded by the
 	// shard's own mutex; root state by root.mu. Lock order is root → shard →
-	// sched.dmu; arrivals and departs take their shard lock first, drop it,
+	// partition; arrivals and departs take their shard lock first, drop it,
 	// then take the root lock, so no path ever holds a shard lock while
 	// acquiring the root.
 	shards []bShard
 	root   bRoot
 	// arena holds the waiter records, one value per PE, indexed by rank —
-	// shard s's waiters are arena[s.lo:s.hi], so an event-engine release fans
-	// out over sequential memory instead of pointer-chasing an arrival-ordered
-	// list. Goroutine-engine waiters park on the shard condition variable and
-	// use only the record's waiting flag, which the deadlock report reads.
+	// shard s's waiters are arena[s.lo:s.hi], so a release fans out over
+	// sequential memory instead of pointer-chasing an arrival-ordered list.
 	arena []bWaiter
 }
 
@@ -71,34 +73,26 @@ type bRoot struct {
 // bShard is one combining-tree leaf. alive is the shard's alive owned PEs,
 // count the arrivals this generation; the shard is complete when they meet,
 // and the PE (or departer) that makes them meet reports the shard's maxT
-// upward exactly once per generation (the reported flag). outT/outErr/gen are
-// the release results the root writes back downward; goroutine-engine waiters
-// sleep on cond until gen moves, counted in sleepers: they leave World.awake
-// as they go to sleep, and whoever moves gen or poisons the shard puts them
-// back with one add.
+// upward exactly once per generation (the reported flag). gen counts the
+// releases, for the deadlock report; a poisoned shard turns arrivals away.
 type bShard struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
 	lo, hi   int // owned PE rank range [lo, hi)
 	alive    int
 	count    int
 	maxT     float64
 	reported bool
 	gen      uint64
-	outT     float64
-	outErr   error
 	poisoned bool
-	sleepers int32
 }
 
 // bWaiter is a PE's reusable barrier-wait record, one arena value per rank.
 // waiting marks a registration for the current generation (guarded by the
-// owning shard's mutex; the event-engine release clears it while additionally
-// holding the dispatch lock, a goroutine-engine waiter clears its own). The
-// rest is the event engine's: the atomic done flag is
-// stored after the result fields, so observing done == true makes the fields
-// safely readable without any lock (the wake alone is not enough — a stale
-// wake from an earlier targeted write could resume the waiter first).
+// owning shard's mutex). The atomic done flag is stored after the result
+// fields and before the waker takes the waiter's partition lock: observing
+// done == true makes the fields safely readable, and a waiter that reads
+// false under its partition lock is asleep before its wake can be delivered
+// (the wake alone is not enough — any other wake could resume it first).
 type bWaiter struct {
 	p        *PE
 	outT     float64
@@ -128,7 +122,6 @@ func newBarrier(w *World, n, shardsOpt int) *barrier {
 		sh.lo = i * chunk
 		sh.hi = min(sh.lo+chunk, n)
 		sh.alive = sh.hi - sh.lo
-		sh.cond = sync.NewCond(&sh.mu)
 	}
 	return b
 }
@@ -154,12 +147,9 @@ func (b *barrier) combine(sMax float64, self *PE) {
 // release completes the current generation. Must be called with root.mu held
 // and every shard reported. The release time and status are order-independent
 // (a max and a membership snapshot taken once here at the root), so which
-// participant happens to report last — an engine-scheduling accident — cannot
-// change what anyone observes. The downward pass walks the shards in rank
-// order, resetting each for the next generation and fanning out its own
-// waiters: event-engine records are filled and batch-woken arena-slice by
-// arena-slice (one dispatch-lock pass per shard), goroutine-engine waiters
-// get the shard broadcast.
+// participant happens to report last — a scheduling accident — cannot change
+// what anyone observes. The downward pass walks the shards in rank order,
+// resetting each for the next generation and completing its waiters' records.
 func (b *barrier) release(self *PE) {
 	r := &b.root
 	outT := r.maxT
@@ -178,30 +168,38 @@ func (b *barrier) release(self *PE) {
 		if sh.reported {
 			r.done++
 		}
-		sh.outT, sh.outErr = outT, outErr
 		sh.gen++
-		b.wake(sh, false, self)
+		b.complete(sh, outT, outErr, false, self)
 		sh.mu.Unlock()
 	}
 }
 
-// wake wakes the shard's sleepers once its generation has moved or it has
-// been poisoned, counting them awake again on their behalf. Must be called
-// with sh.mu held.
-func (b *barrier) wake(sh *bShard, poisoned bool, self *PE) {
-	if b.w.engine == EngineEvent {
-		b.w.completeShard(b.arena[sh.lo:sh.hi], sh.outT, sh.outErr, poisoned, self)
-		return
+// complete ends the wait of every PE registered at the shard — a release, or
+// with poisoned set the unwinding of a poisoned world: a sequential pass over
+// the shard's arena slice that fills each waiting record, result fields first
+// and then the done flag that publishes them, and wakes its PE. self, the PE
+// running a release, gets its record filled and no wake: it is running. Must
+// be called with sh.mu held, so registration cannot race the walk.
+func (b *barrier) complete(sh *bShard, outT float64, outErr error, poisoned bool, self *PE) {
+	arena := b.arena[sh.lo:sh.hi]
+	for i := range arena {
+		bw := &arena[i]
+		if !bw.waiting {
+			continue
+		}
+		bw.waiting = false
+		bw.outT, bw.outErr, bw.poisoned = outT, outErr, poisoned
+		bw.done.Store(true)
+		if bw.p != self {
+			bw.p.wakeFanout()
+		}
 	}
-	b.w.awake.Add(sh.sleepers)
-	sh.sleepers = 0
-	sh.cond.Broadcast()
 }
 
 // await blocks until every alive participant has called it, then returns the
 // maximum arriveT across the group and the fault status at release time (nil
 // when every PE was alive). p identifies the arriving PE: it selects the
-// owning shard, and on the event engine its arena record.
+// owning shard and its arena record.
 func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 	sh := &b.shards[p.ID/b.chunk]
 	sh.mu.Lock()
@@ -213,16 +211,12 @@ func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 		sh.maxT = arriveT
 	}
 	sh.count++
-	gen := sh.gen
 	// Register the arena record before reporting upward — once the shard is
-	// reported, any other shard's report can trigger the release, and an
-	// event-engine record registered late would miss its fill.
+	// reported, any other shard's report can trigger the release, and a record
+	// registered late would miss its fill.
 	bw := &b.arena[p.ID]
 	bw.waiting = true
-	if p.wake != nil {
-		bw.outT, bw.outErr, bw.poisoned = 0, nil, false
-		bw.done.Store(false)
-	}
+	bw.done.Store(false)
 	complete := sh.count == sh.alive && !sh.reported
 	var sMax float64
 	if complete {
@@ -233,50 +227,17 @@ func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 	if complete {
 		b.combine(sMax, p)
 	}
-	if p.wake != nil {
-		// Park until the releaser (or a poison) fills the record. Stale wake
-		// tokens are possible — loop on done. If this PE ran the release
-		// itself, done is already set and the park falls straight through.
-		p.parkForBarrier(bw)
-		if bw.poisoned {
-			panic("pgas: barrier poisoned (another PE failed)")
-		}
-		return bw.outT, bw.outErr
+	// Sleep until the releaser (or a poison) completes the record. If this PE
+	// ran the release itself, done is already set.
+	p.mu.Lock()
+	for !bw.done.Load() {
+		p.block()
 	}
-	// Goroutine engine: sleep on the shard condition variable until the
-	// generation moves. The next generation cannot release before this PE
-	// arrives again, so the shard's result fields stay valid to read here. A
-	// sleeper that empties World.awake reports the deadlock with the shard
-	// unlocked; the poison it raises ends its own loop too.
-	sh.mu.Lock()
-	for sh.gen == gen && !sh.poisoned {
-		sh.sleepers++
-		if b.w.awake.Add(-1) == 0 {
-			sh.mu.Unlock()
-			b.w.deadlock()
-			sh.mu.Lock()
-			continue
-		}
-		sh.cond.Wait()
-	}
-	bw.waiting = false
-	poisoned := sh.poisoned
-	outT, outErr := sh.outT, sh.outErr
-	sh.mu.Unlock()
-	if poisoned {
+	p.mu.Unlock()
+	if bw.poisoned {
 		panic("pgas: barrier poisoned (another PE failed)")
 	}
-	return outT, outErr
-}
-
-// parkForBarrier parks until the PE's barrier record is done. Each park
-// hands the worker slot off and each wake grants one back (see wakeEvent);
-// a stale wake — a targeted write wakeup that raced the barrier — costs one
-// spurious resume and re-park. No locks are held while parked.
-func (p *PE) parkForBarrier(bw *bWaiter) {
-	for !bw.done.Load() {
-		p.world.parkAndWait(p)
-	}
+	return bw.outT, bw.outErr
 }
 
 // depart removes a participant (PE failure or stop), routed through its
@@ -317,7 +278,7 @@ func (b *barrier) poison() {
 		sh := &b.shards[i]
 		sh.mu.Lock()
 		sh.poisoned = true
-		b.wake(sh, true, nil)
+		b.complete(sh, 0, nil, true, nil)
 		sh.mu.Unlock()
 	}
 }

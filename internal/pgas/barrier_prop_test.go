@@ -19,9 +19,8 @@ import (
 // semantics obviously correct, and the tree must be observationally
 // indistinguishable from it.
 
-// flatBarrier is the oracle: the old flat counting barrier's goroutine-engine
-// path, verbatim apart from the removed event-engine machinery (the oracle is
-// driven from plain test goroutines, which take the condition-variable path).
+// flatBarrier is the oracle: the old flat counting barrier, one mutex, one
+// counter and one condition variable, driven from plain test goroutines.
 type flatBarrier struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -272,23 +271,15 @@ func TestBarrierTreeMatchesFlatOracle(t *testing.T) {
 }
 
 // TestBarrierShardLayoutInvariance runs a full SPMD program — barriers with
-// laggard clocks plus a mid-run failure on the STAT path — across engines ×
-// shard layouts and requires bit-identical per-PE release times on all of
-// them. This covers the event-engine arena path end-to-end (the oracle
-// comparison above drives the condition-variable path).
+// laggard clocks plus a mid-run failure on the STAT path — across shard
+// layouts and requires bit-identical per-PE release times on all of them,
+// inside a Run (the oracle comparison above drives the barrier from outside
+// one).
 func TestBarrierShardLayoutInvariance(t *testing.T) {
 	const n = 12
-	type cfg struct {
-		engine Engine
-		shards int
-	}
-	cfgs := []cfg{
-		{EngineGoroutine, 0}, {EngineGoroutine, 1}, {EngineGoroutine, 5},
-		{EngineEvent, 0}, {EngineEvent, 1}, {EngineEvent, 5}, {EngineEvent, n + 3},
-	}
 	var want []string
-	for _, c := range cfgs {
-		w, err := NewWorldOpts(fabric.Stampede(), n, Options{Engine: c.engine, Workers: 3, BarrierShards: c.shards})
+	for _, shards := range []int{0, 1, 5, n + 3} {
+		w, err := NewWorldOpts(fabric.Stampede(), n, Options{BarrierShards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +294,7 @@ func TestBarrierShardLayoutInvariance(t *testing.T) {
 			got[p.ID] = fmt.Sprintf("t1=%v rel=%v err=%v", p.Clock.Now(), rel, berr)
 		})
 		if err != nil {
-			t.Fatalf("engine=%v shards=%d: %v", c.engine, c.shards, err)
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		got[n-1] = "failed"
 		if want == nil {
@@ -312,8 +303,8 @@ func TestBarrierShardLayoutInvariance(t *testing.T) {
 		}
 		for id := range got {
 			if got[id] != want[id] {
-				t.Errorf("engine=%v shards=%d PE %d: %q, want %q (layout must not change modelled results)",
-					c.engine, c.shards, id, got[id], want[id])
+				t.Errorf("shards=%d PE %d: %q, want %q (layout must not change modelled results)",
+					shards, id, got[id], want[id])
 			}
 		}
 	}

@@ -64,20 +64,16 @@ func BenchmarkViewCopyFloat64(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrierRelease measures steady-state full-world barrier rounds on
-// the event engine: 256 PEs park, the release fans out through the shard
-// arenas and the pre-sized ready queue, everyone re-arrives. The measured
-// region starts with every PE except rank 0 already parked at its first
-// rendezvous, so op 1 onward is pure steady state; the companion test below
-// asserts the rounds are allocation-free (the arena records, wake channels
-// and ready queue are all pre-sized at construction, so nothing on the
-// park/release path should touch the heap).
+// BenchmarkBarrierRelease measures steady-state full-world barrier rounds:
+// 256 PEs go to sleep, the release fans out through the shard arena, everyone
+// re-arrives. The measured region starts with every PE except rank 0 already
+// asleep at its first rendezvous (rank 0 holds it open on a host channel), so
+// op 1 onward is pure steady state; the companion test below asserts the
+// rounds are allocation-free (the arena records are sized at construction, so
+// nothing on the sleep/release path should touch the heap).
 func BenchmarkBarrierRelease(b *testing.B) {
 	const n = 256
-	// Two workers: rank 0 pins one slot while it blocks on the start channel
-	// (a host-side wait, invisible to the scheduler), and the second slot
-	// circulates the other 255 PEs into their first park.
-	w, err := NewWorldOpts(fabric.Stampede(), n, Options{Engine: EngineEvent, Workers: 2})
+	w, err := NewWorld(fabric.Stampede(), n)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,9 +103,8 @@ func BenchmarkBarrierRelease(b *testing.B) {
 	b.StopTimer()
 }
 
-// TestBarrierReleaseZeroAllocs pins the satellite requirement: a steady-state
-// event-engine barrier release is 0 allocs/op. A regression here means the
-// release path regrew the ready queue, reallocated waiter records, or
+// TestBarrierReleaseZeroAllocs: a steady-state barrier release is 0 allocs/op.
+// A regression here means the release path reallocated waiter records or
 // otherwise picked up a per-round heap dependency.
 func TestBarrierReleaseZeroAllocs(t *testing.T) {
 	if RaceEnabled {

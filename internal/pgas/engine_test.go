@@ -2,6 +2,7 @@ package pgas
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -9,10 +10,10 @@ import (
 	"cafshmem/internal/fabric"
 )
 
-// runProgram executes a small RMA+wait+barrier program on the given engine
-// and returns the final virtual time of every PE. PE i writes a flag word
-// into PE (i+1)%n at a per-round visibility time, waits for its own flag,
-// merges the recorded timestamp, and barriers.
+// runProgram executes a small RMA+wait+barrier program and returns the final
+// virtual time of every PE. PE i writes a flag word into PE (i+1)%n at a
+// per-round visibility time, waits for its own flag, merges the recorded
+// timestamp, and barriers.
 func runProgram(t *testing.T, opts Options, n, rounds int) []float64 {
 	t.Helper()
 	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, n, opts)
@@ -37,66 +38,33 @@ func runProgram(t *testing.T, opts Options, n, rounds int) []float64 {
 	return times
 }
 
-// TestEventEngineMatchesGoroutine is the substrate-level bit-identity check:
-// the same program produces the same final virtual time on every PE under
-// both engines, including with a worker pool far smaller than the world.
+// shardLayouts are the barrier shard counts the determinism differentials run
+// a program over: one shard, two, an odd count that splits ranks unevenly, and
+// at least one shard per PE.
+func shardLayouts(n int) []int { return []int{1, 2, 3, n + 1} }
+
+// TestEventEngineMatchesGoroutine is the substrate-level determinism check
+// (it keeps the name it had when a second engine stood in for "another host
+// schedule"): the same program gives the same final virtual time on every PE
+// whatever the barrier shard layout, run after run. check.sh repeats it at
+// GOMAXPROCS 1, 2 and 8.
 func TestEventEngineMatchesGoroutine(t *testing.T) {
 	for _, n := range []int{2, 7, 32} {
-		ref := runProgram(t, Options{Engine: EngineGoroutine}, n, 5)
-		for _, workers := range []int{1, 2, 0} {
-			got := runProgram(t, Options{Engine: EngineEvent, Workers: workers}, n, 5)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("n=%d workers=%d PE %d: event %v != goroutine %v",
-						n, workers, i, got[i], ref[i])
+		ref := runProgram(t, Options{}, n, 5)
+		for _, shards := range shardLayouts(n) {
+			for run := 0; run < 2; run++ {
+				if got := runProgram(t, Options{BarrierShards: shards}, n, 5); !reflect.DeepEqual(got, ref) {
+					t.Fatalf("n=%d shards=%d run %d: %v, want %v", n, shards, run, got, ref)
 				}
 			}
 		}
 	}
 }
 
-// TestEventEngineBoundedWorkers verifies the pool bound: with Workers=2, no
-// more than two PE bodies are ever between slot acquisition and release.
-func TestEventEngineBoundedWorkers(t *testing.T) {
-	const n, workers = 16, 2
-	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, n, Options{Engine: EngineEvent, Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var running, peak atomic.Int32
-	enter := func() {
-		r := running.Add(1)
-		for {
-			p := peak.Load()
-			if r <= p || peak.CompareAndSwap(p, r) {
-				break
-			}
-		}
-	}
-	err = w.Run(func(p *PE) {
-		for r := 1; r <= 4; r++ {
-			enter()
-			w.WriteUint64((p.ID+1)%n, 0, uint64(r), float64(r))
-			running.Add(-1)
-			p.WaitUntil64(0, func(v uint64) bool { return v >= uint64(r) })
-			enter()
-			running.Add(-1)
-			p.Barrier(10)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := peak.Load(); got > workers {
-		t.Fatalf("observed %d concurrently running bodies, worker pool is %d", got, workers)
-	}
-}
-
-// TestEventEngineDeadlockDetected: an event-engine world whose PEs all wait
-// on flags nobody will ever write must be poisoned with the deadlock report
-// rather than hang.
-func TestEventEngineDeadlockDetected(t *testing.T) {
-	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, 4, Options{Engine: EngineEvent, Workers: 2})
+// TestDeadlockDetected: a world whose PEs all wait on flags nobody will ever
+// write must be poisoned with the deadlock report rather than hang.
+func TestDeadlockDetected(t *testing.T) {
+	w, err := NewWorld(&fabric.Machine{Name: "test", CoresPerNode: 4}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,19 +79,14 @@ func TestEventEngineDeadlockDetected(t *testing.T) {
 	}
 }
 
-// TestEventEngineFaultFanout exercises departures under the event engine's
-// watcher-registry fan-out: PEs blocked on a flag owned by a failing PE must
-// observe the failure through WaitUntilStat instead of hanging, on both
-// engines, with identical fault reports.
+// TestEventEngineFaultFanout exercises the departure fan-out: PEs blocked on
+// a flag owned by a failing PE must observe the failure through WaitUntilStat
+// instead of hanging.
 func TestEventEngineFaultFanout(t *testing.T) {
-	for _, opts := range []Options{
-		{Engine: EngineGoroutine},
-		{Engine: EngineEvent, Workers: 2},
-	} {
-		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, e := range engineSpellings {
+		t.Run(e.name, func(t *testing.T) {
 			const n = 6
-			w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, n, opts)
+			w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, n, e.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,21 +117,58 @@ func TestEventEngineFaultFanout(t *testing.T) {
 	}
 }
 
-// TestParseEngine covers the CLI flag parser.
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		err  bool
-	}{
-		{"goroutine", EngineGoroutine, false},
-		{"", EngineGoroutine, false},
-		{"event", EngineEvent, false},
-		{"fibers", 0, true},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Fatalf("ParseEngine(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
+// TestDeadlockDepartFanoutGated pins the gate on the departure fan-out from
+// both sides, without the host clock. A world whose bodies all return visits
+// no partition — every returning PE used to load every partition's waiter
+// word, n² loads per job. And the gate loses no wake: a PE asleep in a wait
+// that only a peer's departure can end is still woken by it, while a third PE
+// returns at once, before or after the watch exists (a lost wake here is a
+// false deadlock verdict).
+func TestDeadlockDepartFanoutGated(t *testing.T) {
+	n := 4096
+	if RaceEnabled {
+		n = 512
+	}
+	w, err := NewWorld(fabric.Titan(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(func(p *PE) {}); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.WakeVisits(); got != 0 {
+		t.Errorf("%d PEs returned with no watch registered: the fan-out visited %d partitions, want 0", n, got)
+	}
+	for _, fail := range []bool{false, true} {
+		w, err := NewWorld(testMachine(), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = w.Run(func(p *PE) {
+			switch p.ID {
+			case 0:
+				_, _, werr := p.WaitWordStat(0, CmpNE, 0, func() error {
+					if !w.Alive(1) {
+						return ErrWaitRecheck
+					}
+					return nil
+				})
+				if werr != ErrWaitRecheck {
+					panic(fmt.Sprintf("wait ended with %v, want the departure", werr))
+				}
+			case 1:
+				waitAsleep(w, 1)
+				if fail {
+					p.Fail()
+				}
+			default: // returns at once: a departure that may find no watch yet
+			}
+		})
+		if err != nil {
+			t.Fatalf("fail=%v: waiter on a departing peer was not woken: %v", fail, err)
+		}
+		if got := w.WakeVisits(); got != 3 && got != 6 {
+			t.Errorf("fail=%v: fan-outs visited %d partitions, want 3 or 6 (one or two departures past one waiter)", fail, got)
 		}
 	}
 }

@@ -2,6 +2,10 @@ package pgas
 
 import "math"
 
+// WakeVisits is how many partitions the world's fault fan-outs (departures,
+// repair writes, unreachable-link marks) have visited so far.
+func (w *World) WakeVisits() int64 { return w.wakeVisits.Load() }
+
 // Test hooks for the page life cycle: the worst a recycled page can hold is
 // 0xFF in every byte its last owner dirtied and +Inf in every word of four
 // stale timestamp blocks (the index max-merges, so +Inf would stick).

@@ -80,11 +80,11 @@ func (w *World) depart(p *PE, to peState) {
 	w.stateMu.Unlock()
 	w.departEpoch.Add(1)
 	w.barrier.depart(p.ID)
-	// Wake only partitions with a registered waiter: the state change above
-	// is sequenced before the waiter scan, and a waiter registers before
-	// re-checking fault state, so either the fan-out sees its registration
-	// or it sees the departure in its own entry checks (seq-cst Dekker; see
-	// PE.waiters and World.wakeWatchers).
+	// Wake only partitions with a registered waiter, and none while the world
+	// holds no watch: the state change above is sequenced before the fan-out's
+	// loads, and a waiter registers before re-checking fault state, so either
+	// the fan-out sees its registration or it sees the departure in its own
+	// entry checks (World.wakeWatchers).
 	w.wakeWatchers(nil)
 }
 
@@ -173,11 +173,11 @@ func (w *World) failedErr() error {
 // World.awake counts the PE goroutines of the current Run that have not
 // returned and are not asleep in a pgas wait — the only things that can wake
 // a sleeper, since every wake source inside a Run is a PE goroutine. A PE
-// leaves the count under the lock that guards its sleep flag immediately
-// before it sleeps (PE.block, barrier.await, World.parkAndWait), its waker
-// puts it back under that lock as it delivers the wake, and a returning PE
-// goroutine leaves it for good (exit). Whoever takes it to zero while
-// goroutines remain has therefore proved deadlock, and says so at once.
+// leaves the count under its partition lock immediately before it sleeps
+// (PE.block, the one sleep), its waker puts it back under that lock as it
+// delivers the wake (PE.wakeLocked), and a returning PE goroutine leaves it
+// for good (exit). Whoever takes it to zero while goroutines remain has
+// therefore proved deadlock, and says so at once.
 
 // exit is a PE goroutine's return, after its departure has woken whom it
 // wakes. exitedN moves first: once awake reads zero no other goroutine is

@@ -106,7 +106,7 @@ func TestWatchdogBreaksGenuineDeadlock(t *testing.T) {
 	}
 }
 
-func TestWatchdogNamesFailedPEs(t *testing.T) {
+func TestDeadlockNamesFailedPEs(t *testing.T) {
 	w, _ := NewWorld(testMachine(), 2)
 	err := w.Run(func(p *PE) {
 		if p.ID == 1 {

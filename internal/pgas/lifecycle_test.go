@@ -25,39 +25,37 @@ func mustPanicClosed(t *testing.T, what string, f func()) {
 // way into partition memory panics with it instead of reading zeros where the
 // data used to be. Close is idempotent, and the counters outlive it.
 func TestClosedWorldRefusesUse(t *testing.T) {
-	for _, opts := range bothEngines {
-		w, err := NewWorldOpts(fabric.CrayXC30(), 2, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Run(func(p *PE) {
-			p.StoreLocal(8, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-			p.Barrier(0)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.ReadUint64(1, 8); got != 0x0807060504030201 {
-			t.Fatalf("before Close: word = %#x", got)
-		}
-		before := w.PageStats()
-		w.Close()
-		w.Close()
-		if after := w.PageStats(); after != before || after.SegPages != 2 {
-			t.Errorf("PageStats after Close = %+v, before %+v (want 2 segment pages, unchanged)", after, before)
-		}
-		if err := w.Run(func(*PE) {}); !errors.Is(err, ErrClosed) {
-			t.Errorf("Run on a closed world: %v, want ErrClosed", err)
-		}
-		buf := make([]byte, 8)
-		mustPanicClosed(t, "Read of written memory", func() { w.Read(1, 8, buf) })
-		mustPanicClosed(t, "Read of never-written memory", func() { w.Read(0, 1<<20, buf) })
-		mustPanicClosed(t, "Write", func() { w.Write(0, 8, buf, 0) })
-		mustPanicClosed(t, "Touch", func() { w.Touch(0, 8, 0) })
-		mustPanicClosed(t, "RMW64", func() { w.RMW64(0, 8, OpAdd, 1, 0) })
-		mustPanicClosed(t, "WriteRuns", func() { w.WriteRuns(0, 0, []int64{0}, 8, buf, []float64{0}) })
-		mustPanicClosed(t, "ReadRuns", func() { w.ReadRuns(0, 0, []int64{0}, 8, buf) })
-		mustPanicClosed(t, "ReadUint64Ts", func() { w.ReadUint64Ts(0, 8) })
+	w, err := NewWorld(fabric.CrayXC30(), 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := w.Run(func(p *PE) {
+		p.StoreLocal(8, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+		p.Barrier(0)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.ReadUint64(1, 8); got != 0x0807060504030201 {
+		t.Fatalf("before Close: word = %#x", got)
+	}
+	before := w.PageStats()
+	w.Close()
+	w.Close()
+	if after := w.PageStats(); after != before || after.SegPages != 2 {
+		t.Errorf("PageStats after Close = %+v, before %+v (want 2 segment pages, unchanged)", after, before)
+	}
+	if err := w.Run(func(*PE) {}); !errors.Is(err, ErrClosed) {
+		t.Errorf("Run on a closed world: %v, want ErrClosed", err)
+	}
+	buf := make([]byte, 8)
+	mustPanicClosed(t, "Read of written memory", func() { w.Read(1, 8, buf) })
+	mustPanicClosed(t, "Read of never-written memory", func() { w.Read(0, 1<<20, buf) })
+	mustPanicClosed(t, "Write", func() { w.Write(0, 8, buf, 0) })
+	mustPanicClosed(t, "Touch", func() { w.Touch(0, 8, 0) })
+	mustPanicClosed(t, "RMW64", func() { w.RMW64(0, 8, OpAdd, 1, 0) })
+	mustPanicClosed(t, "WriteRuns", func() { w.WriteRuns(0, 0, []int64{0}, 8, buf, []float64{0}) })
+	mustPanicClosed(t, "ReadRuns", func() { w.ReadRuns(0, 0, []int64{0}, 8, buf) })
+	mustPanicClosed(t, "ReadUint64Ts", func() { w.ReadUint64Ts(0, 8) })
 }
 
 // Close while PE bodies run would pull pages from under them: it panics.

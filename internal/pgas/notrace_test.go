@@ -19,86 +19,80 @@ import (
 // the pools hold nothing but poison — and the Himeno and DHT jobs that follow
 // must reproduce their pinned goldens (internal/himeno/golden_test.go,
 // internal/dht/dht_test.go) bit for bit and conserve the DHT's grand total,
-// on both engines, while their page records show that they did run on
-// recycled pages.
+// while their page records show that they did run on recycled pages.
 func TestClosedWorldLeavesNoTrace(t *testing.T) {
 	const images = 8
 	hopts := caf.UHCAFOverMV2XSHMEM()
 	hopts.Strided = caf.StridedNaive
 	prm := himeno.Params{NX: 16, NY: 64, NZ: 12, Iters: 3}
-	for _, eng := range []pgas.Options{{Engine: pgas.EngineGoroutine}, {Engine: pgas.EngineEvent, Workers: 2}} {
-		poison := func() {
-			w, err := pgas.NewWorldOpts(fabric.Stampede(), images, eng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bulk := make([]byte, 2<<20)
-			err = w.Run(func(p *pgas.PE) {
-				right := (p.ID + 1) % images
-				w.Write(right, 0, bulk, 1)
-				for off := int64(0); off < int64(len(bulk)); off += 4096 {
-					w.WriteUint64(right, off, uint64(off)+1, 2) // one timestamp page each
-				}
-				p.Barrier(0)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.Scribble()
-			w.Close()
-		}
-
-		poison()
-		o := hopts
-		o.Engine, o.Workers = eng.Engine, eng.Workers
-		res, err := himeno.Run(o, images, prm)
+	poison := func() {
+		w, err := pgas.NewWorld(fabric.Stampede(), images)
 		if err != nil {
-			t.Fatalf("himeno on %v: %v", eng.Engine, err)
+			t.Fatal(err)
 		}
-		if res.TimeMs != 0.12599072727272725 || res.Gosa != 0.055324603606416084 {
-			t.Errorf("himeno on %v over poisoned pages = (%v ms, gosa %v), want golden (0.12599072727272725, 0.055324603606416084)",
-				eng.Engine, res.TimeMs, res.Gosa)
-		}
-		if !pgas.RaceEnabled && res.Pages.ClearedBytes == 0 {
-			t.Errorf("himeno on %v used no recycled page (%v): the test did not test anything", eng.Engine, res.Pages)
-		}
-
-		poison()
-		d := caf.UHCAFOverMV2XSHMEM()
-		d.Engine, d.Workers = eng.Engine, eng.Workers
-		r, err := dht.BenchPattern(d, 4, 64, 50, true)
-		if err != nil {
-			t.Fatalf("dht on %v: %v", eng.Engine, err)
-		}
-		if r.TimeMs != 0.28665636363636365 {
-			t.Errorf("dht on %v over poisoned pages: TimeMs = %v, want golden 0.28665636363636365", eng.Engine, r.TimeMs)
-		}
-		if !pgas.RaceEnabled && r.Pages.ClearedBytes == 0 {
-			t.Errorf("dht on %v used no recycled page (%v): the test did not test anything", eng.Engine, r.Pages)
-		}
-
-		// The timing golden does not read the table back; a contended run
-		// whose grand total must equal its update count does. The table
-		// trusts freshly allocated coarrays to be zero.
-		poison()
-		const per = 40
-		var grand int64
-		err = caf.Run(images, d, func(img *caf.Image) {
-			tab := dht.New(img, 32)
-			for i := 0; i < per; i++ {
-				if err := tab.Update(uint64(i*img.ThisImage())%8, 1); err != nil {
-					panic(err)
-				}
+		bulk := make([]byte, 2<<20)
+		err = w.Run(func(p *pgas.PE) {
+			right := (p.ID + 1) % images
+			w.Write(right, 0, bulk, 1)
+			for off := int64(0); off < int64(len(bulk)); off += 4096 {
+				w.WriteUint64(right, off, uint64(off)+1, 2) // one timestamp page each
 			}
-			img.SyncAll()
-			atomic.AddInt64(&grand, tab.LocalSum())
-			img.SyncAll()
+			p.Barrier(0)
 		})
 		if err != nil {
-			t.Fatalf("contended dht on %v: %v", eng.Engine, err)
+			t.Fatal(err)
 		}
-		if grand != images*per {
-			t.Errorf("contended dht on %v over poisoned pages: grand total %d, want %d", eng.Engine, grand, images*per)
+		w.Scribble()
+		w.Close()
+	}
+
+	poison()
+	res, err := himeno.Run(hopts, images, prm)
+	if err != nil {
+		t.Fatalf("himeno: %v", err)
+	}
+	if res.TimeMs != 0.12599072727272725 || res.Gosa != 0.055324603606416084 {
+		t.Errorf("himeno over poisoned pages = (%v ms, gosa %v), want golden (0.12599072727272725, 0.055324603606416084)",
+			res.TimeMs, res.Gosa)
+	}
+	if !pgas.RaceEnabled && res.Pages.ClearedBytes == 0 {
+		t.Errorf("himeno used no recycled page (%v): the test did not test anything", res.Pages)
+	}
+
+	poison()
+	d := caf.UHCAFOverMV2XSHMEM()
+	r, err := dht.BenchPattern(d, 4, 64, 50, true)
+	if err != nil {
+		t.Fatalf("dht: %v", err)
+	}
+	if r.TimeMs != 0.28665636363636365 {
+		t.Errorf("dht over poisoned pages: TimeMs = %v, want golden 0.28665636363636365", r.TimeMs)
+	}
+	if !pgas.RaceEnabled && r.Pages.ClearedBytes == 0 {
+		t.Errorf("dht used no recycled page (%v): the test did not test anything", r.Pages)
+	}
+
+	// The timing golden does not read the table back; a contended run
+	// whose grand total must equal its update count does. The table
+	// trusts freshly allocated coarrays to be zero.
+	poison()
+	const per = 40
+	var grand int64
+	err = caf.Run(images, d, func(img *caf.Image) {
+		tab := dht.New(img, 32)
+		for i := 0; i < per; i++ {
+			if err := tab.Update(uint64(i*img.ThisImage())%8, 1); err != nil {
+				panic(err)
+			}
 		}
+		img.SyncAll()
+		atomic.AddInt64(&grand, tab.LocalSum())
+		img.SyncAll()
+	})
+	if err != nil {
+		t.Fatalf("contended dht: %v", err)
+	}
+	if grand != images*per {
+		t.Errorf("contended dht over poisoned pages: grand total %d, want %d", grand, images*per)
 	}
 }

@@ -24,8 +24,9 @@ func TestDeadlockReport(t *testing.T) {
 		"; PE 2 (failed, unwinding): wait [0x0,+8) = 0x0, last write t=0" +
 		"; PE 4: wait [0x20,+8) = 0x1, last write t=150" +
 		"; PE 5: wait [0x28,+4), last write t=250"
-	for _, opts := range bothEngines {
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+	for _, e := range engineSpellings {
+		t.Run(e.name, func(t *testing.T) {
+			opts := e.opts
 			opts.BarrierShards = 2
 			w, err := NewWorldOpts(testMachine(), 6, opts)
 			if err != nil {
@@ -67,9 +68,9 @@ func TestNoFalseDeadlock(t *testing.T) {
 	if testing.Short() {
 		handoffs, rounds = 10_000, 20
 	}
-	for _, opts := range bothEngines {
-		t.Run("pingpong/"+opts.Engine.String(), func(t *testing.T) {
-			w, err := NewWorldOpts(fabric.CrayXC30(), 2, opts)
+	for _, e := range engineSpellings {
+		t.Run("pingpong/"+e.name, func(t *testing.T) {
+			w, err := NewWorldOpts(fabric.CrayXC30(), 2, e.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,8 +89,9 @@ func TestNoFalseDeadlock(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		t.Run("storm/"+opts.Engine.String(), func(t *testing.T) {
+		t.Run("storm/"+e.name, func(t *testing.T) {
 			const n = 256
+			opts := e.opts
 			opts.BarrierShards = 3
 			w, err := NewWorldOpts(fabric.Stampede(), n, opts)
 			if err != nil {

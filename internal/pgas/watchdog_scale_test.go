@@ -11,8 +11,8 @@ import (
 // is poisoned by its last PE to park, and a legitimate barrier release is not
 // mistaken for one.
 
-// TestWatchdog100kAllParked: a 100k-image event-engine world where every PE
-// blocks on a flag nobody will ever set is poisoned as its last PE parks —
+// TestWatchdog100kAllParked: a 100k-image world where every PE blocks on a
+// flag nobody will ever set is poisoned as its last PE goes to sleep —
 // the report counts all n of them asleep, so the verdict fell no earlier, and
 // Run returning at all means it fell no later — and the report stays bounded.
 func TestWatchdog100kAllParked(t *testing.T) {
@@ -23,7 +23,7 @@ func TestWatchdog100kAllParked(t *testing.T) {
 		t.Skip("100k images in -short mode")
 	}
 	const n = 100_000
-	w, err := NewWorldOpts(fabric.Titan(), n, Options{Engine: EngineEvent})
+	w, err := NewWorld(fabric.Titan(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestWatchdog100kAllParked(t *testing.T) {
 }
 
 // TestBarrier100kReleaseClean: the other side — a legitimate 100k-image
-// event-engine barrier sequence completes; a poison here is a counting bug.
+// barrier sequence completes; a poison here is a counting bug.
 func TestBarrier100kReleaseClean(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("100k images under race instrumentation is out of time budget")
@@ -62,7 +62,7 @@ func TestBarrier100kReleaseClean(t *testing.T) {
 		t.Skip("100k images in -short mode")
 	}
 	const n = 100_000
-	w, err := NewWorldOpts(fabric.Titan(), n, Options{Engine: EngineEvent})
+	w, err := NewWorld(fabric.Titan(), n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,17 +32,6 @@ type World struct {
 	pes     []*PE
 	barrier *barrier
 
-	// Execution engine (see engine.go). sched is the event engine's central
-	// scheduler: the worker-slot dispatch (Options.Workers slots, granted to
-	// parked PEs by their wake events) and the registry of PEs whose wake
-	// condition is a registered watch; wakeBuf (guarded by scratchMu) is its
-	// reusable fan-out scratch.
-	engine    Engine
-	workers   int // resolved event-engine pool size (0 on goroutine engine)
-	sched     sched
-	scratchMu sync.Mutex
-	wakeBuf   []*PE
-
 	mu     sync.Mutex
 	shared map[string]interface{}
 
@@ -67,8 +56,10 @@ type World struct {
 	states      []int32
 	nFailed     atomic.Int32
 	nStopped    atomic.Int32
-	awake       atomic.Int32 // PE goroutines of the current Run neither returned nor asleep in a pgas wait
+	awake       atomic.Int32 // PE goroutines of the current Run neither returned nor asleep in PE.block
 	exitedN     atomic.Int32 // PE goroutines of the current Run that returned
+	watches     atomic.Int32 // registered watches, world-wide: what a fault fan-out consults before it visits anything
+	wakeVisits  atomic.Int64 // partitions the fault fan-outs have visited (wakeWatchers)
 	departEpoch atomic.Uint64
 	running     atomic.Bool // a Run is in flight: Close is refused
 	closed      atomic.Bool // Close was called: partition memory is gone, Run is refused
@@ -88,7 +79,7 @@ type PE struct {
 	world *World
 
 	mu   sync.Mutex
-	cond sync.Cond // goroutine-engine sleepers; L is &mu
+	cond sync.Cond // the PE's own goroutine sleeps here, in block; L is &mu
 	// seg holds the partition's bytes and, for small writes (flags, counters,
 	// lock words), the latest visibility timestamp per 8-byte-aligned word, so
 	// a WaitUntil that registers after the satisfying write still recovers its
@@ -103,38 +94,17 @@ type PE struct {
 	wordBuf [8]byte
 	// waiters mirrors watch.active with an atomic so cross-PE wake fan-outs
 	// (departure, repair writes) can skip partitions nobody sleeps on without
-	// taking their locks. Updated only under mu; read lock-free. The seq-cst
-	// ordering of Go atomics makes the Dekker pattern sound: a departer
-	// stores its state change before loading waiters, a waiter increments
-	// waiters before (re-)checking state, so one of them always sees the
-	// other. (On the event engine the same handshake runs through the
-	// scheduler registry's mutex: a departer stores its state change before
-	// snapshotting the registry, a waiter registers before re-checking
-	// state.)
+	// taking their locks; World.watches is their sum, so a fan-out into a
+	// world without a watch visits nothing. Updated only under mu; read
+	// lock-free, as one half of the handshake wakeWatchers documents.
 	waiters atomic.Int32
-
-	// Event-engine task state (nil/unused on the goroutine engine): wake is
-	// the slot-grant channel — a send means "a wake event occurred and you
-	// own a worker slot", and the scheduler's state machine allows at most
-	// one outstanding grant, so the buffered(1) send never blocks. The PE's
-	// reusable barrier-waiter record lives in its shard's arena, indexed by
-	// rank (see barrier.go). parked and readyFlag are the scheduler's view
-	// of this task, guarded by sched.dmu: parked means slotless and awaiting
-	// a grant; readyFlag is the sticky wake-arrived-while-running note the
-	// next park consumes, which is what makes a wake racing ahead of the
-	// park lossless. asleep is parked's goroutine-engine counterpart, guarded
-	// by mu: the PE sleeps on cond in a wait. Either flag means the PE is not
-	// counted in World.awake.
-	wake      chan struct{}
-	parked    bool
-	readyFlag bool
-	asleep    bool
+	// asleep, guarded by mu: the PE's goroutine sleeps on cond (in a wait or in
+	// the barrier) and is not counted in World.awake.
+	asleep bool
 }
 
 // addWatch registers the PE's watch over [off, off+n) (and its waiter
-// count). Must hold p.mu. On the event engine it also enters the PE into the
-// scheduler's watcher registry, which is what fault fan-outs walk instead of
-// the world.
+// counts). Must hold p.mu.
 func (p *PE) addWatch(off, n int64) *watch {
 	wt := &p.watch
 	if wt.active {
@@ -142,9 +112,7 @@ func (p *PE) addWatch(off, n int64) *watch {
 	}
 	*wt = watch{off: off, n: n, active: true}
 	p.waiters.Store(1)
-	if p.wake != nil {
-		p.world.sched.noteWatcher(p)
-	}
+	p.world.watches.Add(1)
 	return wt
 }
 
@@ -152,9 +120,7 @@ func (p *PE) addWatch(off, n int64) *watch {
 func (p *PE) removeWatch() {
 	p.watch.active = false
 	p.waiters.Store(0)
-	if p.wake != nil {
-		p.world.sched.dropWatcher(p)
-	}
+	p.world.watches.Add(-1)
 }
 
 // watch observes a byte range of a PE's partition. Writers that overlap the
@@ -166,13 +132,12 @@ type watch struct {
 	active bool // registered: a wait is in progress
 }
 
-// NewWorld creates a world of n PEs on the given machine model, on the
-// default (goroutine-per-PE) engine.
+// NewWorld creates a world of n PEs on the given machine model.
 func NewWorld(machine *fabric.Machine, n int) (*World, error) {
 	return NewWorldOpts(machine, n, Options{})
 }
 
-// NewWorldOpts creates a world of n PEs with explicit engine options.
+// NewWorldOpts creates a world of n PEs with explicit options.
 func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pgas: need at least 1 PE, got %d", n)
@@ -186,7 +151,6 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		pes:     make([]*PE, n),
 		shared:  map[string]interface{}{},
 		states:  make([]int32, n),
-		engine:  opts.Engine,
 		perNode: 1, tailLo: n, // no node structure: nobody shares a NIC
 	}
 	if per := machine.CoresPerNode; per > 0 {
@@ -195,31 +159,14 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		w.perNode, w.tailPEs = per, n-w.tailLo
 	}
 	w.barrier = newBarrier(w, n, opts.BarrierShards)
-	if opts.Engine == EngineEvent {
-		w.workers = defaultWorkers(opts.Workers)
-		w.sched.free = w.workers
-		w.sched.watchers = make(map[*PE]struct{})
-		// Pre-size the ready queue to world capacity: a full-world barrier
-		// release can make every PE ready at once, and regrowing the queue
-		// mid-fanout under the dispatch lock is exactly the stall the batch
-		// wake exists to avoid. grantLocked resets to ready[:0] on drain, so
-		// the capacity persists across generations.
-		w.sched.ready = make([]*PE, 0, n)
-	}
 	for i := range w.pes {
 		p := &PE{ID: i, world: w}
 		p.cond.L = &p.mu
-		if opts.Engine == EngineEvent {
-			p.wake = make(chan struct{}, 1)
-		}
 		w.barrier.arena[i].p = p
 		w.pes[i] = p
 	}
 	return w, nil
 }
-
-// Engine reports which execution engine the world runs on.
-func (w *World) Engine() Engine { return w.engine }
 
 // Run executes body once per PE, each on its own goroutine, and blocks until
 // every PE returns. A panic in any PE poisons the world (waking all blocked
@@ -233,12 +180,8 @@ func Run(machine *fabric.Machine, n int, body func(*PE)) error {
 	return w.Run(body)
 }
 
-// Run executes body on every PE of an already-constructed world. On the
-// goroutine engine every PE body runs concurrently; on the event engine the
-// bodies still each get a goroutine (the cheap part — a resumable stack) but
-// only Workers of them hold a run slot at a time, and a blocked PE parks
-// without its slot, so the pool never idles on blocked tasks and never runs
-// more than Workers bodies at once.
+// Run executes body on every PE of an already-constructed world, each on its
+// own goroutine, and starts nothing else.
 //
 // A Run never hangs on the substrate's own waits: when every PE goroutine
 // that has not returned is asleep in a wait or the barrier, the world is
@@ -273,8 +216,6 @@ func (w *World) Run(body func(*PE)) error {
 				}
 				w.markStopped(p)
 			}()
-			w.acquireSlotFor(p)
-			defer w.releaseSlotFor(p)
 			body(p)
 		}(p)
 	}
@@ -395,14 +336,21 @@ func (w *World) Shared(key string, init func() interface{}) interface{} {
 	return v
 }
 
+// poison records the world's first error and wakes everything that might be
+// blocked so the process can unwind. Later calls change nothing and wake
+// nobody: they are the echo of the first (every PE a poisoned wait or barrier
+// panics in lands here), and a fan-out each would cost n² at scale.
 func (w *World) poison(err error) {
 	w.failMu.Lock()
-	if w.failed == nil {
+	first := w.failed == nil
+	if first {
 		w.failed = err
 		w.poisoned.Store(true)
 	}
 	w.failMu.Unlock()
-	// Wake everything that might be blocked so the process can unwind.
+	if !first {
+		return
+	}
 	w.barrier.poison()
 	for _, p := range w.pes {
 		p.wakeFanout()

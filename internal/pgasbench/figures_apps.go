@@ -1,27 +1,11 @@
 package pgasbench
 
 import (
-	"flag"
-
 	"cafshmem/internal/caf"
 	"cafshmem/internal/dht"
 	"cafshmem/internal/fabric"
 	"cafshmem/internal/himeno"
-	"cafshmem/internal/pgas"
 )
-
-// EngineFlags registers the bench CLIs' host-side execution-engine flags,
-// -engine and -workers, on fs and returns the function that resolves them once
-// fs is parsed. Neither can change a virtual-time result — they only change
-// how the simulation spends host time.
-func EngineFlags(fs *flag.FlagSet) func() (pgas.Options, error) {
-	name := fs.String("engine", "goroutine", "pgas execution engine: goroutine (one scheduled goroutine per image) or event (bounded worker pool; use for 1k+ images)")
-	workers := fs.Int("workers", 0, "event-engine worker pool size (0 = GOMAXPROCS)")
-	return func() (pgas.Options, error) {
-		engine, err := pgas.ParseEngine(*name)
-		return pgas.Options{Engine: engine, Workers: *workers}, err
-	}
-}
 
 // TransportOptions returns the canonical Stampede configuration for one CAF
 // transport backend — the configuration the transport-comparison panels, the
@@ -63,13 +47,6 @@ func TransportConfigs() []struct {
 // Each image performs `updates` random locked updates; execution time of the
 // slowest image is reported per image count.
 func Fig9(maxImages, bucketsPerImage, updates int) Figure {
-	return Fig9Engine(maxImages, bucketsPerImage, updates, pgas.Options{})
-}
-
-// Fig9Engine is Fig9 on an explicit pgas execution engine — the virtual-time
-// results are engine-independent; the engine choice only changes how the
-// simulation spends host time (bench CLIs expose it as -engine/-workers).
-func Fig9Engine(maxImages, bucketsPerImage, updates int, eng pgas.Options) Figure {
 	ti := fabric.Titan()
 	counts := []int{}
 	for _, n := range ImageSweep {
@@ -87,7 +64,6 @@ func Fig9Engine(maxImages, bucketsPerImage, updates int, eng pgas.Options) Figur
 	}
 	p := Panel{Title: "DHT: random locked updates", XLabel: "images", YLabel: "time (ms)"}
 	for _, c := range configs {
-		c.opts.Options = eng
 		s := Series{Label: c.label}
 		for _, n := range counts {
 			r, err := dht.Bench(c.opts, n, bucketsPerImage, updates)
@@ -105,11 +81,6 @@ func Fig9Engine(maxImages, bucketsPerImage, updates int, eng pgas.Options) Figur
 // vs image count, UHCAF over GASNet vs UHCAF over MVAPICH2-X SHMEM with the
 // naive strided algorithm (the best per §V-D).
 func Fig10(maxImages int, prm himeno.Params) Figure {
-	return Fig10Engine(maxImages, prm, pgas.Options{})
-}
-
-// Fig10Engine is Fig10 on an explicit pgas execution engine (see Fig9Engine).
-func Fig10Engine(maxImages int, prm himeno.Params, eng pgas.Options) Figure {
 	st := fabric.Stampede()
 	counts := []int{}
 	for _, n := range append([]int{1}, ImageSweep...) {
@@ -128,7 +99,6 @@ func Fig10Engine(maxImages int, prm himeno.Params, eng pgas.Options) Figure {
 	}
 	p := Panel{Title: "Himeno Jacobi pressure solver", XLabel: "images", YLabel: "MFLOPS"}
 	for _, c := range configs {
-		c.opts.Options = eng
 		s := Series{Label: c.label}
 		for _, n := range counts {
 			r, err := himeno.Run(c.opts, n, prm)

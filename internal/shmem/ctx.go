@@ -133,8 +133,17 @@ func (c *Ctx) complete(nbi, blocking float64) {
 // context's other destinations stay in flight: their completion horizon, and
 // the shared NIC pipe's residual occupancy, are untouched. A later Quiet
 // still waits for every other destination — per-target completion never
-// relaxes the blocking path.
+// relaxes the blocking path. Like Quiet it is a legacy escalation point, for
+// this destination only: a link to target given up after retry exhaustion
+// error-terminates here (the PE's QuietTargetStat reports it instead).
 func (c *Ctx) QuietTarget(target int) {
+	c.quietTarget(target)
+	c.pe.checkReachableTarget(target)
+}
+
+// quietTarget is QuietTarget's drain, shared with QuietTargetStat (which must
+// not escalate — it reports).
+func (c *Ctx) quietTarget(target int) {
 	c.check()
 	c.pe.checkTarget(target)
 	c.complete(c.nbi.DrainTarget(target), c.blocking.DrainTarget(target))

@@ -3,6 +3,7 @@ package shmem
 import (
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cafshmem/internal/fabric"
@@ -199,6 +200,40 @@ func TestRetryExhaustionLegacyPanics(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "unreachable") {
 		t.Fatalf("legacy Quiet should error-terminate with an unreachable diagnostic, got: %v", err)
+	}
+}
+
+// TestRetryExhaustionCtxQuietTarget: a created context's QuietTarget is the
+// same legacy escalation point as the PE's, scoped to its destination — a link
+// given up under the context's nonblocking put error-terminates at
+// QuietTarget(that destination) and not at QuietTarget(another).
+func TestRetryExhaustionCtxQuietTarget(t *testing.T) {
+	cfg := stampedeCfg()
+	cfg.FaultPlan = &fabric.FaultPlan{
+		Seed:   8,
+		Losses: []fabric.LinkLoss{{Src: 0, Dst: 1, DropProb: 1}},
+		Retry:  fabric.RetryPolicy{RetryBaseNs: 1000, RetryCapNs: 8000, MaxRetries: 3},
+	}
+	var passedOther, passedDead atomic.Bool
+	err := Run(cfg, 3, func(pe *PE) {
+		data := pe.Malloc(64)
+		pe.Barrier()
+		if pe.MyPE() == 0 {
+			ctx := pe.CtxCreate()
+			ctx.PutMemNBI(1, data, 0, []byte{1, 2, 3, 4})
+			ctx.PutMemNBI(2, data, 0, []byte{5, 6, 7, 8})
+			ctx.QuietTarget(2) // the link to PE 2 is fine
+			passedOther.Store(true)
+			ctx.QuietTarget(1) // escalates: destination unreachable
+			passedDead.Store(true)
+		}
+		pe.Barrier()
+	})
+	if !passedOther.Load() {
+		t.Errorf("Ctx.QuietTarget(2) escalated a link given up toward PE 1: %v", err)
+	}
+	if passedDead.Load() || err == nil || !strings.Contains(err.Error(), "destination PE 1 unreachable") {
+		t.Fatalf("Ctx.QuietTarget(1) should error-terminate with an unreachable diagnostic, got: %v", err)
 	}
 }
 

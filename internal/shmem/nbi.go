@@ -86,9 +86,8 @@ func (pe *PE) NBIOutstanding() int { return pe.def.nbi.Outstanding() }
 // NBIHorizonNs peeks at the completion horizon of the default context's
 // in-flight nonblocking ops — the virtual time the next Quiet would merge —
 // without completing anything. Horizons are computed at issue time from the
-// NIC pipe recurrence and never awaited, which is why no execution engine
-// parks a PE on Quiet; the engine differential tests use this to compare
-// horizons across engines without perturbing them.
+// NIC pipe recurrence and never awaited, which is why no PE ever sleeps on
+// Quiet; tests use this to compare horizons without perturbing them.
 func (pe *PE) NBIHorizonNs() float64 { return pe.def.nbi.Horizon() }
 
 // QuietStat is Quiet with fault status: when any PE with in-flight
@@ -133,7 +132,7 @@ func (pe *PE) observedFailed(target int) bool {
 func (pe *PE) QuietTargetStat(target int) error {
 	pe.checkTarget(target)
 	dead := pe.def.nbi.OutstandingTarget(target) > 0 && pe.observedFailed(target)
-	pe.def.QuietTarget(target)
+	pe.def.quietTarget(target)
 	if dead || pe.world.pw.Unreachable(pe.p.ID, target) {
 		return &pgas.ImageFault{Failed: []int{target}}
 	}

@@ -180,11 +180,11 @@ var (
 const shapesPenaltyNs = 1000
 
 // TestLossyGolden pins what the issue path computes with no plan and under
-// fault plans: absolute per-PE clocks and the per-link forensic counters, on
-// both engines. The constants were captured on the tree that still had one
-// hand-written body per entry point and a closure-driven lossy fork beside
-// each (PR 17), and the one core reproduces them bit for bit — with one
-// exception, the degraded-link clocks. IPut and IPutMem (phase A), IGet and
+// fault plans: absolute per-PE clocks and the per-link forensic counters. The
+// constants were captured on the tree that still had one hand-written body
+// per entry point and a closure-driven lossy fork beside each (PR 17), and the
+// one core reproduces them bit for bit — with one exception, the
+// degraded-link clocks. IPut and IPutMem (phase A), IGet and
 // IGetMem (phase B) skipped the link penalty there; each now pays it once
 // per call, so PE 0's checkpoints are 2 and then 4 penalties later than
 // captured (33140.5… and 46884.4…, final 47924.4…), and the signal waits and
@@ -246,9 +246,9 @@ func TestLossyGolden(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		for _, engine := range []pgas.Engine{pgas.EngineGoroutine, pgas.EngineEvent} {
-			t.Run(fmt.Sprintf("%s/%v", c.name, engine), func(t *testing.T) {
-				times, links := runShapes(t, c.plan, engine, c.waitSignals)
+		for _, e := range engineSpellings {
+			t.Run(c.name+"/"+e.name, func(t *testing.T) {
+				times, links := runShapes(t, c.plan, e.engine, c.waitSignals)
 				var reps []string
 				for _, r := range links {
 					reps = append(reps, r.String())

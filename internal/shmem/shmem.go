@@ -82,8 +82,8 @@ type Config struct {
 	// operation boundaries. Nil disables fault injection entirely — the nil
 	// check is the only cost, and no virtual-time behaviour changes.
 	FaultPlan *fabric.FaultPlan
-	// Options selects and tunes the pgas execution engine (Engine, Workers,
-	// BarrierShards). Virtual-time results are independent of all three by
+	// Options is the pgas world's host-side tuning: the barrier's shard layout
+	// (BarrierShards). Virtual-time results are independent of it by
 	// construction.
 	pgas.Options
 }

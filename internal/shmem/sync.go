@@ -24,10 +24,7 @@ func (pe *PE) Quiet() { pe.def.Quiet() }
 // make expressible (a shmem_ctx_quiet on a context carrying one destination's
 // traffic). Other destinations' transfers stay in flight: their completion
 // horizon, and the shared NIC pipe's residual occupancy, are untouched.
-func (pe *PE) QuietTarget(target int) {
-	pe.def.QuietTarget(target)
-	pe.checkReachableTarget(target)
-}
+func (pe *PE) QuietTarget(target int) { pe.def.QuietTarget(target) }
 
 // Fence orders this PE's puts to each destination — shmem_fence. Weaker than
 // Quiet: ordering per target, not global completion. The substrate applies
