@@ -61,6 +61,26 @@ func pollPeakGoroutines() (stop func() float64) {
 // the full range.
 const scaleAppCap = 10240
 
+// scaleRow times b.N runs of job, which returns how many simulated operations
+// it issued, and reports the row's two extra metrics.
+func scaleRow(b *testing.B, job func() (simOps int64, err error)) {
+	stop := pollPeakGoroutines()
+	var simOps int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ops, err := job()
+		if err != nil {
+			b.Fatal(err)
+		}
+		simOps += ops
+	}
+	b.StopTimer()
+	peak := stop()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simOps), "ns/simop")
+	b.ReportMetric(peak, "peak-goroutines")
+}
+
 func BenchmarkWallclockScale(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096, 10240, 102400} {
 		if n <= scaleAppCap {
@@ -70,21 +90,10 @@ func BenchmarkWallclockScale(b *testing.B) {
 				// One j-plane per image: the footprint stays linear in the
 				// image count and every image sleeps at halo waits/barriers.
 				prm := himeno.Params{NX: 8, NY: n, NZ: 8, Iters: 2}
-				stop := pollPeakGoroutines()
-				var simOps int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				scaleRow(b, func() (int64, error) {
 					r, err := himeno.Run(o, n, prm)
-					if err != nil {
-						b.Fatal(err)
-					}
-					simOps += r.CommOps
-				}
-				b.StopTimer()
-				peak := stop()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simOps), "ns/simop")
-				b.ReportMetric(peak, "peak-goroutines")
+					return r.CommOps, err
+				})
 			})
 		}
 		b.Run(fmt.Sprintf("barrier/n=%d", n), func(b *testing.B) {
@@ -101,47 +110,25 @@ func BenchmarkWallclockScale(b *testing.B) {
 			if n > scaleAppCap {
 				rounds = 25
 			}
-			stop := pollPeakGoroutines()
-			var simOps int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			scaleRow(b, func() (int64, error) {
 				err := caf.Run(n, o, func(img *caf.Image) {
 					for r := 0; r < rounds; r++ {
 						img.Clock().Advance(100)
 						img.SyncAll()
 					}
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				simOps += int64(n * rounds)
-			}
-			b.StopTimer()
-			peak := stop()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simOps), "ns/simop")
-			b.ReportMetric(peak, "peak-goroutines")
+				return int64(n * rounds), err
+			})
 		})
 		if n <= scaleAppCap {
 			b.Run(fmt.Sprintf("dht/n=%d", n), func(b *testing.B) {
 				o := caf.UHCAFOverCraySHMEM(fabric.Titan())
-				stop := pollPeakGoroutines()
-				var simOps int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				scaleRow(b, func() (int64, error) {
 					// Disjoint pattern: remote lock + get + put traffic with
 					// no contention, deterministic at every size.
 					r, err := dht.BenchPattern(o, n, 16, 10, true)
-					if err != nil {
-						b.Fatal(err)
-					}
-					simOps += r.CommOps
-				}
-				b.StopTimer()
-				peak := stop()
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(simOps), "ns/simop")
-				b.ReportMetric(peak, "peak-goroutines")
+					return r.CommOps, err
+				})
 			})
 		}
 	}

@@ -172,3 +172,28 @@ func TestDeadlockDepartFanoutGated(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadlockUnwindsWithOneFanout: the unwinding of a poisoned world is
+// linear. Half the PEs of a deadlocked world panic out of their wait, and each
+// panic poisons the world again — only the first may wake it; the other half
+// return the error and depart while their peers still hold watches — none may
+// scan it. At 100k images either costs 10¹⁰ partition visits.
+func TestDeadlockUnwindsWithOneFanout(t *testing.T) {
+	const n = 512
+	w, err := NewWorld(fabric.Titan(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.Run(func(p *PE) {
+		if p.ID%2 == 0 {
+			p.WaitUntil64(8, func(uint64) bool { return false })
+		}
+		_, _ = p.WaitUntilStat(8, 8, func([]byte) bool { return false }, nil)
+	})
+	if err == nil || !strings.Contains(err.Error(), "pgas: deadlock: all 512 alive PEs blocked") {
+		t.Fatalf("want the deadlock report, got %v", err)
+	}
+	if got := w.WakeVisits(); got != n {
+		t.Errorf("unwinding %d PEs visited %d partitions, want %d (one poison fan-out)", n, got, n)
+	}
+}

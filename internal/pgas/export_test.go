@@ -2,8 +2,8 @@ package pgas
 
 import "math"
 
-// WakeVisits is how many partitions the world's fault fan-outs (departures,
-// repair writes, unreachable-link marks) have visited so far.
+// WakeVisits is how many partitions the world's wake fan-outs (departures,
+// repair writes, unreachable-link marks, poison) have visited so far.
 func (w *World) WakeVisits() int64 { return w.wakeVisits.Load() }
 
 // Test hooks for the page life cycle: the worst a recycled page can hold is

@@ -264,7 +264,7 @@ func (c Cmp) Holds(a, b int64) bool {
 	}
 }
 
-// wait is the one blocking loop behind every wait form: it parks the calling
+// wait is the one blocking loop behind every wait form: it blocks the calling
 // PE until pred holds over the n bytes at off of its *own* partition, then
 // returns the virtual time at which the last write to the range became
 // visible (0 if the range was never written) — the per-word timestamp index

@@ -59,7 +59,7 @@ type World struct {
 	awake       atomic.Int32 // PE goroutines of the current Run neither returned nor asleep in PE.block
 	exitedN     atomic.Int32 // PE goroutines of the current Run that returned
 	watches     atomic.Int32 // registered watches, world-wide: what a fault fan-out consults before it visits anything
-	wakeVisits  atomic.Int64 // partitions the fault fan-outs have visited (wakeWatchers)
+	wakeVisits  atomic.Int64 // partitions the wake fan-outs have visited (wakeWatchers, poison)
 	departEpoch atomic.Uint64
 	running     atomic.Bool // a Run is in flight: Close is refused
 	closed      atomic.Bool // Close was called: partition memory is gone, Run is refused
@@ -351,6 +351,7 @@ func (w *World) poison(err error) {
 	if !first {
 		return
 	}
+	w.wakeVisits.Add(int64(w.n))
 	w.barrier.poison()
 	for _, p := range w.pes {
 		p.wakeFanout()

@@ -484,8 +484,7 @@ var engineSpellings = []struct {
 // binary was started); check.sh adds -cpu 1.
 func TestSpinLockYieldsWorkerSlot(t *testing.T) {
 	for _, c := range []struct {
-		engine  int
-		workers int
+		engine, workers int
 	}{{0, 0}, {1, 1}, {1, 2}} {
 		e := engineSpellings[c.engine]
 		t.Run(fmt.Sprintf("%s/workers=%d", e.name, c.workers), func(t *testing.T) {
