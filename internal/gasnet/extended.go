@@ -1,6 +1,11 @@
 package gasnet
 
-import "fmt"
+import (
+	"fmt"
+
+	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
+)
 
 // Extended API: one-sided put/get against the target's registered segment
 // (our per-PE partition). Offsets are absolute partition offsets; layered
@@ -12,9 +17,10 @@ import "fmt"
 // (fabric.NBIStreams) and are completed by WaitSyncAll or WaitSyncImage.
 // Both families charge only the injection overhead on the initiator and
 // serialise their transfer time on the endpoint's NIC pipe, so compute
-// issued between post and sync genuinely overlaps communication — the same
-// arithmetic as the OpenSHMEM *_nbi paths, which keeps the blocking-path
-// and NBI-path virtual times of the two transports directly comparable.
+// issued between post and sync genuinely overlaps communication — through the
+// same issue core as the OpenSHMEM *_nbi paths (pgas.PE.Issue), which keeps
+// the blocking-path and NBI-path virtual times of the two transports directly
+// comparable.
 
 // Seg is a handle to a symmetric segment region (same offset on all PEs).
 type Seg struct {
@@ -37,32 +43,58 @@ func (e *PartialError) Error() string {
 		e.Op, e.Transferred, e.Requested)
 }
 
-// putCommon is the shared blocking-put core: validation, source-side
-// injection, and the deferred-visibility write. It returns the remote
-// visibility timestamp (0 for an empty put).
-func (ep *EP) putCommon(target int, seg Seg, off int64, data []byte) float64 {
-	ep.checkTarget(target)
-	if len(data) == 0 {
-		return 0
+// span panics unless the n bytes at off lie inside the region, and returns
+// their absolute partition offset.
+func (seg Seg) span(op string, off int64, n int) int64 {
+	if off < 0 || off+int64(n) > seg.Size {
+		panic(fmt.Sprintf("gasnet: %s of %d bytes at %d overflows %d-byte segment region", op, n, off, seg.Size))
 	}
-	if off < 0 || off+int64(len(data)) > seg.Size {
-		panic(fmt.Sprintf("gasnet: put of %d bytes at %d overflows %d-byte segment region", len(data), off, seg.Size))
-	}
-	intra, pairs := ep.intra(target), ep.pairs()
+	return seg.Off + off
+}
+
+// issue prices one message of d on the conduit's list and hands it to the
+// substrate's issue core (pgas.PE.Issue), which sends it, lands its bytes and
+// books its completion on set. nbi says the op charges only its injection and
+// leaves its transfer to the endpoint's pipe.
+func (ep *EP) issue(d *pgas.RMA, nbi bool, set *fabric.NBIStreams) {
+	intra, pairs := ep.intra(d.Target), ep.pairs()
 	prof := ep.world.prof
-	ep.p.Clock.Advance(prof.PutInjectNs(len(data), intra, pairs))
-	vis := ep.p.Clock.Now() + prof.DeliveryNs(intra, pairs)
-	ep.world.pw.Write(target, seg.Off+off, data, vis)
-	return vis
+	c := pgas.Price{Lat: prof.DeliveryNs(intra, pairs)}
+	n := len(d.Local)
+	if d.Shape == pgas.Signal {
+		// GASNet has no native put-with-signal; the emulation ships the fused
+		// message as a long active message whose handler stores the flag, so
+		// data and signal become visible one handler dispatch (AMHandlerNs)
+		// after delivery — the modelled cost gap against OpenSHMEM's native
+		// shmem_put_signal. The blocking form waits (now + delivery) +
+		// handler, the nonblocking one wire-out + (delivery + handler).
+		n += 8
+		if nbi {
+			c.Lat += prof.AMHandlerNs
+		} else {
+			c.Tail = prof.AMHandlerNs
+		}
+	}
+	switch {
+	case nbi:
+		c.Inject, c.Transfer = prof.NBIInjectNs(), prof.NBITransferNs(n, intra, pairs)
+	case d.Get:
+		c.Inject = prof.GetNs(n, intra, pairs)
+	default:
+		c.Inject = prof.PutInjectNs(n, intra, pairs)
+	}
+	ep.p.Issue(d, c, set, nil)
 }
 
 // Put copies data into the target's segment and blocks for *local*
 // completion (gasnet_put_bulk semantics for the source buffer). Remote
 // completion requires WaitSyncAll or a barrier.
 func (ep *EP) Put(target int, seg Seg, off int64, data []byte) {
-	if vis := ep.putCommon(target, seg, off, data); vis > 0 {
-		ep.blocking.Note(target, vis)
+	ep.checkTarget(target)
+	if len(data) == 0 {
+		return
 	}
+	ep.issue(&pgas.RMA{Target: target, Off: seg.span("put", off, len(data)), Local: data}, false, &ep.blocking)
 }
 
 // PutNB is the explicit-handle non-blocking put (gasnet_put_nb): the
@@ -75,16 +107,8 @@ func (ep *EP) PutNB(target int, seg Seg, off int64, data []byte) SyncHandle {
 	if len(data) == 0 {
 		return SyncHandle{}
 	}
-	if off < 0 || off+int64(len(data)) > seg.Size {
-		panic(fmt.Sprintf("gasnet: put_nb of %d bytes at %d overflows %d-byte segment region", len(data), off, seg.Size))
-	}
-	intra, pairs := ep.intra(target), ep.pairs()
-	prof := ep.world.prof
-	ep.p.Clock.Advance(prof.NBIInjectNs())
-	wire := ep.nic.Reserve(ep.p.Clock.Now(), prof.NBITransferNs(len(data), intra, pairs))
-	done := wire + prof.DeliveryNs(intra, pairs)
-	ep.world.pw.Write(target, seg.Off+off, data, done)
-	return SyncHandle{t: done}
+	ep.issue(&pgas.RMA{Target: target, Off: seg.span("put_nb", off, len(data)), Local: data}, true, &ep.explicit)
+	return SyncHandle{t: ep.explicit.Drain()}
 }
 
 // GetNB is the explicit-handle non-blocking get (gasnet_get_nb). Unlike the
@@ -106,13 +130,8 @@ func (ep *EP) GetNB(target int, seg Seg, off int64, dst []byte) (SyncHandle, err
 		dst = dst[:seg.Size-off]
 		err = &PartialError{Op: "get_nb", Requested: want, Transferred: len(dst)}
 	}
-	intra, pairs := ep.intra(target), ep.pairs()
-	prof := ep.world.prof
-	ep.p.Clock.Advance(prof.NBIInjectNs())
-	wire := ep.nic.Reserve(ep.p.Clock.Now(), prof.NBITransferNs(len(dst), intra, pairs))
-	done := wire + 2*prof.DeliveryNs(intra, pairs)
-	ep.world.pw.Read(target, seg.Off+off, dst)
-	return SyncHandle{t: done}, err
+	ep.issue(&pgas.RMA{Get: true, Target: target, Off: seg.Off + off, Local: dst}, true, &ep.explicit)
+	return SyncHandle{t: ep.explicit.Drain()}, err
 }
 
 // PutNBI is the implicit-handle non-blocking put (gasnet_put_nbi): the op
@@ -124,15 +143,7 @@ func (ep *EP) PutNBI(target int, seg Seg, off int64, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	if off < 0 || off+int64(len(data)) > seg.Size {
-		panic(fmt.Sprintf("gasnet: put_nbi of %d bytes at %d overflows %d-byte segment region", len(data), off, seg.Size))
-	}
-	intra, pairs := ep.intra(target), ep.pairs()
-	prof := ep.world.prof
-	ep.p.Clock.Advance(prof.NBIInjectNs())
-	transfer := prof.NBITransferNs(len(data), intra, pairs)
-	done := ep.nbi.Issue(target, ep.p.Clock.Now(), transfer, prof.DeliveryNs(intra, pairs))
-	ep.world.pw.Write(target, seg.Off+off, data, done)
+	ep.issue(&pgas.RMA{Target: target, Off: seg.span("put_nbi", off, len(data)), Local: data}, true, &ep.nbi)
 }
 
 // GetNBI is the implicit-handle non-blocking get (gasnet_get_nbi): the
@@ -143,15 +154,7 @@ func (ep *EP) GetNBI(target int, seg Seg, off int64, dst []byte) {
 	if len(dst) == 0 {
 		return
 	}
-	if off < 0 || off+int64(len(dst)) > seg.Size {
-		panic(fmt.Sprintf("gasnet: get_nbi of %d bytes at %d overflows %d-byte segment region", len(dst), off, seg.Size))
-	}
-	intra, pairs := ep.intra(target), ep.pairs()
-	prof := ep.world.prof
-	ep.p.Clock.Advance(prof.NBIInjectNs())
-	transfer := prof.NBITransferNs(len(dst), intra, pairs)
-	ep.nbi.Issue(target, ep.p.Clock.Now(), transfer, 2*prof.DeliveryNs(intra, pairs))
-	ep.world.pw.Read(target, seg.Off+off, dst)
+	ep.issue(&pgas.RMA{Get: true, Target: target, Off: seg.span("get_nbi", off, len(dst)), Local: dst}, true, &ep.nbi)
 }
 
 // Get copies n bytes from the target's segment into dst, blocking until the
@@ -161,35 +164,15 @@ func (ep *EP) Get(target int, seg Seg, off int64, dst []byte) {
 	if len(dst) == 0 {
 		return
 	}
-	if off < 0 || off+int64(len(dst)) > seg.Size {
-		panic(fmt.Sprintf("gasnet: get of %d bytes at %d overflows %d-byte segment region", len(dst), off, seg.Size))
-	}
-	intra, pairs := ep.intra(target), ep.pairs()
-	ep.p.Clock.Advance(ep.world.prof.GetNs(len(dst), intra, pairs))
-	ep.world.pw.Read(target, seg.Off+off, dst)
+	ep.issue(&pgas.RMA{Get: true, Target: target, Off: seg.span("get", off, len(dst)), Local: dst}, false, nil)
 }
 
 // PutSignal fuses a data payload and an 8-byte signal word into one blocking
-// injection toward target. GASNet has no native put-with-signal; the
-// emulation ships the fused message as a long active message whose handler
-// stores the flag, so data and signal land together one handler dispatch
-// (AMHandlerNs) after delivery — the modelled cost gap against OpenSHMEM's
-// native shmem_put_signal.
+// injection toward target: data and signal land together, one handler
+// dispatch after delivery (see issue). data may be empty to send the signal
+// alone.
 func (ep *EP) PutSignal(target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
-	ep.checkTarget(target)
-	if len(data) > 0 && (off < 0 || off+int64(len(data)) > seg.Size) {
-		panic(fmt.Sprintf("gasnet: put_signal of %d bytes at %d overflows %d-byte segment region", len(data), off, seg.Size))
-	}
-	sigOff := ep.sigOff(sigSeg, sigIdx)
-	intra, pairs := ep.intra(target), ep.pairs()
-	prof := ep.world.prof
-	ep.p.Clock.Advance(prof.PutInjectNs(len(data)+8, intra, pairs))
-	vis := ep.p.Clock.Now() + prof.DeliveryNs(intra, pairs) + prof.AMHandlerNs
-	if len(data) > 0 {
-		ep.world.pw.Write(target, seg.Off+off, data, vis)
-	}
-	ep.world.pw.WriteUint64(target, sigSeg.Off+sigOff, uint64(sigVal), vis)
-	ep.blocking.Note(target, vis)
+	ep.putSignal("put_signal", false, &ep.blocking, target, seg, off, data, sigSeg, sigIdx, sigVal)
 }
 
 // PutSignalNBI is the nonblocking flavour of PutSignal: the fused AM rides
@@ -197,29 +180,21 @@ func (ep *EP) PutSignal(target int, seg Seg, off int64, data []byte, sigSeg Seg,
 // signal sees the payload and every transfer previously streamed to it.
 // Completion requires WaitSyncAll/WaitSyncImage.
 func (ep *EP) PutSignalNBI(target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
-	ep.checkTarget(target)
-	if len(data) > 0 && (off < 0 || off+int64(len(data)) > seg.Size) {
-		panic(fmt.Sprintf("gasnet: put_signal_nbi of %d bytes at %d overflows %d-byte segment region", len(data), off, seg.Size))
-	}
-	sigOff := ep.sigOff(sigSeg, sigIdx)
-	intra, pairs := ep.intra(target), ep.pairs()
-	prof := ep.world.prof
-	ep.p.Clock.Advance(prof.NBIInjectNs())
-	transfer := prof.NBITransferNs(len(data)+8, intra, pairs)
-	done := ep.nbi.Issue(target, ep.p.Clock.Now(), transfer,
-		prof.DeliveryNs(intra, pairs)+prof.AMHandlerNs)
-	if len(data) > 0 {
-		ep.world.pw.Write(target, seg.Off+off, data, done)
-	}
-	ep.world.pw.WriteUint64(target, sigSeg.Off+sigOff, uint64(sigVal), done)
+	ep.putSignal("put_signal_nbi", true, &ep.nbi, target, seg, off, data, sigSeg, sigIdx, sigVal)
 }
 
-func (ep *EP) sigOff(sigSeg Seg, sigIdx int) int64 {
-	off := int64(sigIdx) * 8
-	if off < 0 || off+8 > sigSeg.Size {
+// putSignal is the argument check shared by the two signal puts.
+func (ep *EP) putSignal(op string, nbi bool, set *fabric.NBIStreams, target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
+	ep.checkTarget(target)
+	var abs int64
+	if len(data) > 0 {
+		abs = seg.span(op, off, len(data))
+	}
+	sigOff := int64(sigIdx) * 8
+	if sigOff < 0 || sigOff+8 > sigSeg.Size {
 		panic(fmt.Sprintf("gasnet: signal word %d outside %d-byte segment region", sigIdx, sigSeg.Size))
 	}
-	return off
+	ep.issue(&pgas.RMA{Shape: pgas.Signal, Target: target, Off: abs, Local: data, SigOff: sigSeg.Off + sigOff, SigVal: uint64(sigVal)}, nbi, set)
 }
 
 // SyncHandle tracks one non-blocking operation.

@@ -56,9 +56,11 @@ type EP struct {
 	// implicit-handle nonblocking ops (PutNBI/GetNBI) per destination on it.
 	// Explicit-handle ops (PutNB/GetNB) reserve the same pipe but complete
 	// through their SyncHandle, not the implicit set — gasnet_wait_syncnbi_all
-	// never completes explicit handles.
-	nic fabric.NBINic
-	nbi fabric.NBIStreams
+	// never completes explicit handles: explicit holds such an op only from
+	// its issue to the drain that makes its handle, inside one call.
+	nic      fabric.NBINic
+	nbi      fabric.NBIStreams
+	explicit fabric.NBIStreams
 }
 
 // Config selects the modelled platform and conduit.
@@ -102,7 +104,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 // Attach creates the endpoint handle for a pgas PE.
 func (w *World) Attach(p *pgas.PE) *EP {
 	ep := &EP{world: w, p: p}
-	ep.nbi = fabric.NewNBIStreams(&ep.nic)
+	ep.nbi, ep.explicit = fabric.NewNBIStreams(&ep.nic), fabric.NewNBIStreams(&ep.nic)
 	return ep
 }
 

@@ -103,8 +103,8 @@ func TestTargetRangeChecked(t *testing.T) {
 
 // TestErrorPathsTable sweeps the epoch-discipline and bounds violations the
 // individual tests above leave uncovered: every RMA flavour outside an
-// epoch, flush/unlock against the wrong target, negative offsets, and
-// atomics on out-of-range ranks. Rank 0 triggers the violation inside a
+// epoch, flush/unlock against the wrong target, negative offsets, atomics
+// past either end of the window, and atomics on out-of-range ranks. Rank 0 triggers the violation inside a
 // fresh 2-rank job; the panic must surface through Run as an error carrying
 // the expected fragment.
 func TestErrorPathsTable(t *testing.T) {
@@ -137,6 +137,12 @@ func TestErrorPathsTable(t *testing.T) {
 			func(pr *Proc, win *Win) { pr.LockAll(win); pr.Get(win, 1, -1, make([]byte, 1)) }},
 		{"put overflow", "overflows",
 			func(pr *Proc, win *Win) { pr.LockAll(win); pr.Put(win, 1, 12, make([]byte, 8)) }},
+		{"atomic past window", "overflows",
+			func(pr *Proc, win *Win) { pr.LockAll(win); pr.FetchOp(win, 1, 16, pgas.OpAdd, 1) }},
+		{"atomic negative offset", "overflows",
+			func(pr *Proc, win *Win) { pr.LockAll(win); pr.Accumulate(win, 1, -8, 1) }},
+		{"compare-and-swap straddling the window's end", "overflows",
+			func(pr *Proc, win *Win) { pr.LockAll(win); pr.CompareAndSwap(win, 1, 12, 0, 1) }},
 		{"lock target out of range", "out of range",
 			func(pr *Proc, win *Win) { pr.Lock(LockShared, 5, win) }},
 		{"atomic target out of range", "out of range",

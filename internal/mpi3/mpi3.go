@@ -137,11 +137,12 @@ type Win struct {
 	exclMu sync.Mutex // backs MPI_LOCK_EXCLUSIVE
 }
 
-// epoch tracks this rank's access epoch on a window.
+// epoch tracks this rank's access epoch on a window. pending is the horizon of
+// its puts, a stream set with no pipe: a flush to any target completes it all.
 type epoch struct {
 	targets  map[int]bool
 	all      bool
-	pendingT float64
+	pending  fabric.NBIStreams
 	heldExcl []int
 }
 

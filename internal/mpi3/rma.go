@@ -69,37 +69,42 @@ func (pr *Proc) requireEpoch(e *epoch, target int) {
 	}
 }
 
-// Put is MPI_Put: one-sided write into the target's window region. Completion
-// (local and remote) requires Flush/Unlock.
-func (pr *Proc) Put(win *Win, target int, off int64, data []byte) {
+// access is the check every put, get and atomic starts with: the rank exists,
+// the n bytes at off lie inside the window, and the caller holds an access
+// epoch on it toward target. It returns the epoch and the bytes' absolute
+// partition offset.
+func (pr *Proc) access(op string, win *Win, target int, off int64, n int) (*epoch, int64) {
 	pr.checkTarget(target)
-	if off < 0 || off+int64(len(data)) > win.size {
-		panic(fmt.Sprintf("mpi3: put of %d bytes at %d overflows %d-byte window", len(data), off, win.size))
+	if off < 0 || off+int64(n) > win.size {
+		panic(fmt.Sprintf("mpi3: %s of %d bytes at %d overflows %d-byte window", op, n, off, win.size))
 	}
 	e := pr.epochFor(win, false)
 	pr.requireEpoch(e, target)
-	intra, pairs := pr.intra(target), pr.pairs()
-	prof := pr.world.prof
-	pr.p.Clock.Advance(prof.PutInjectNs(len(data), intra, pairs) + prof.WindowSyncNs)
-	vis := pr.p.Clock.Now() + prof.DeliveryNs(intra, pairs)
-	pr.world.pw.Write(target, win.off+off, data, vis)
-	if vis > e.pendingT {
-		e.pendingT = vis
-	}
+	return e, win.off + off
+}
+
+// Put is MPI_Put: one-sided write into the target's window region, priced as a
+// one-sided library's put plus the window-synchronisation surcharge (one charge
+// with the injection) and booked on the epoch's horizon: Flush/Unlock complete it.
+func (pr *Proc) Put(win *Win, target int, off int64, data []byte) {
+	e, abs := pr.access("put", win, target, off, len(data))
+	intra, pairs, prof := pr.intra(target), pr.pairs(), pr.world.prof
+	pr.p.Issue(&pgas.RMA{Target: target, Off: abs, Local: data}, pgas.Price{
+		Inject: prof.PutInjectNs(len(data), intra, pairs) + prof.WindowSyncNs,
+		Lat:    prof.DeliveryNs(intra, pairs),
+	}, &e.pending, nil)
 }
 
 // Get is MPI_Get: one-sided read from the target's window region. We model
 // it as blocking-on-data (the common implementation behaviour for
 // passive-target gets followed immediately by a flush).
 func (pr *Proc) Get(win *Win, target int, off int64, dst []byte) {
-	pr.checkTarget(target)
-	if off < 0 || off+int64(len(dst)) > win.size {
-		panic(fmt.Sprintf("mpi3: get of %d bytes at %d overflows %d-byte window", len(dst), off, win.size))
-	}
-	pr.requireEpoch(pr.epochFor(win, false), target)
-	intra, pairs := pr.intra(target), pr.pairs()
-	pr.p.Clock.Advance(pr.world.prof.GetNs(len(dst), intra, pairs) + pr.world.prof.WindowSyncNs)
-	pr.world.pw.Read(target, win.off+off, dst)
+	_, abs := pr.access("get", win, target, off, len(dst))
+	intra, pairs, prof := pr.intra(target), pr.pairs(), pr.world.prof
+	pr.p.Issue(&pgas.RMA{Get: true, Target: target, Off: abs, Local: dst}, pgas.Price{
+		Inject: prof.GetNs(len(dst), intra, pairs) + prof.WindowSyncNs,
+		Lat:    prof.DeliveryNs(intra, pairs),
+	}, nil, nil)
 }
 
 // Flush completes all outstanding operations to target (MPI_Win_flush).
@@ -122,8 +127,7 @@ func (pr *Proc) FlushAll(win *Win) {
 func (pr *Proc) flushEpoch(e *epoch) {
 	prof := pr.world.prof
 	pr.p.Clock.Advance(prof.OverheadNs + prof.WindowSyncNs)
-	pr.p.Clock.MergeAtLeast(e.pendingT)
-	e.pendingT = 0
+	pr.p.Clock.MergeAtLeast(e.pending.Drain())
 }
 
 // Fence is the active-target MPI_Win_fence: a collective that closes and
@@ -138,16 +142,19 @@ func (pr *Proc) Fence(win *Win) {
 	e.all = true
 }
 
+// atomic checks an atomic's word like a put's bytes, charges one modelled atomic
+// round trip plus the window surcharge and returns the word's absolute offset.
+func (pr *Proc) atomic(win *Win, target int, off int64) int64 {
+	_, abs := pr.access("atomic", win, target, off, 8)
+	prof := pr.world.prof
+	pr.p.Clock.Advance(prof.AtomicRTTNs(pr.intra(target), pr.pairs()) + prof.WindowSyncNs)
+	return abs
+}
+
 // Accumulate applies MPI_SUM to a 64-bit word in the target window
 // (MPI_Accumulate with MPI_LONG_LONG/MPI_SUM).
 func (pr *Proc) Accumulate(win *Win, target int, off int64, v int64) {
-	pr.checkTarget(target)
-	e := pr.epochFor(win, false)
-	pr.requireEpoch(e, target)
-	intra, pairs := pr.intra(target), pr.pairs()
-	prof := pr.world.prof
-	pr.p.Clock.Advance(prof.AtomicRTTNs(intra, pairs) + prof.WindowSyncNs)
-	pr.world.pw.RMW64(target, win.off+off, pgas.OpAdd, uint64(v), pr.p.Clock.Now())
+	pr.FetchOp(win, target, off, pgas.OpAdd, uint64(v))
 }
 
 // FetchAndOp is MPI_Fetch_and_op with MPI_SUM on a 64-bit word.
@@ -158,24 +165,16 @@ func (pr *Proc) FetchAndOp(win *Win, target int, off int64, v int64) int64 {
 // FetchOp is MPI_Fetch_and_op with a selectable reduction on a 64-bit word:
 // pgas.OpAdd is MPI_SUM, OpAnd/OpOr/OpXor the bitwise MPI ops, and OpSwap is
 // MPI_REPLACE (fetch the old value, store the new). All flavours pay the same
-// modelled atomic round trip plus the window-synchronisation surcharge.
+// modelled cost (see atomic).
 func (pr *Proc) FetchOp(win *Win, target int, off int64, op pgas.AtomicOp, v uint64) uint64 {
-	pr.checkTarget(target)
-	pr.requireEpoch(pr.epochFor(win, false), target)
-	intra, pairs := pr.intra(target), pr.pairs()
-	prof := pr.world.prof
-	pr.p.Clock.Advance(prof.AtomicRTTNs(intra, pairs) + prof.WindowSyncNs)
-	return pr.world.pw.RMW64(target, win.off+off, op, v, pr.p.Clock.Now())
+	abs := pr.atomic(win, target, off)
+	return pr.world.pw.RMW64(target, abs, op, v, pr.p.Clock.Now())
 }
 
 // CompareAndSwap is MPI_Compare_and_swap on a 64-bit word.
 func (pr *Proc) CompareAndSwap(win *Win, target int, off int64, expected, desired int64) int64 {
-	pr.checkTarget(target)
-	pr.requireEpoch(pr.epochFor(win, false), target)
-	intra, pairs := pr.intra(target), pr.pairs()
-	prof := pr.world.prof
-	pr.p.Clock.Advance(prof.AtomicRTTNs(intra, pairs) + prof.WindowSyncNs)
-	return int64(pr.world.pw.CompareSwap64(target, win.off+off, uint64(expected), uint64(desired), pr.p.Clock.Now()))
+	abs := pr.atomic(win, target, off)
+	return int64(pr.world.pw.CompareSwap64(target, abs, uint64(expected), uint64(desired), pr.p.Clock.Now()))
 }
 
 func (pr *Proc) checkTarget(t int) {

@@ -3,10 +3,11 @@ package pgas
 // Link state of the lossy-fabric reliability layer (fabric/lossy.go), kept
 // once for the whole job: per directed link the sender's sequence counter,
 // the receiver's duplicate window, the forensic counters and the sticky
-// give-up mark. Transmit is the one delivery step every library put and get
-// crosses a link through; a sender that exhausts its retries marks the link
-// unreachable here, and waiters observe that through Unreachable the same way
-// they observe PE departures.
+// give-up mark. Transmit is the one delivery step every put and get of every
+// library crosses a link through, called from the issue core (issue.go) and
+// nowhere else; a sender that exhausts its retries marks the link unreachable
+// here, and waiters observe that through Unreachable the same way they observe
+// PE departures.
 
 import (
 	"fmt"
@@ -97,9 +98,10 @@ func (w *World) linkLocked(src, dst int) *linkState {
 // publishes the give-up with MarkUnreachable, so a consumer whose predicate
 // this message satisfies can never observe the dead link first.
 //
-// Atomics, repair writes and forensic reads do not come here: lock traffic
-// and the recovery protocols that walk it stay natively reliable, which keeps
-// lock repair orthogonal to loss.
+// Atomics do not come here, and the issue core hands repair writes and
+// forensic reads over with a nil plan: lock traffic and the recovery protocols
+// that walk it stay natively reliable, which keeps lock repair orthogonal to
+// loss.
 func (w *World) Transmit(fp *fabric.FaultPlan, src, dst int, wireNs, latNs float64, reply bool) (lands bool, visibleAt, horizon float64, acked bool) {
 	if !fp.LossyPair(src, dst) {
 		visibleAt = wireNs + latNs

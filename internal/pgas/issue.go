@@ -1,0 +1,217 @@
+package pgas
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"cafshmem/internal/fabric"
+)
+
+// The issue core: every put and get of every library — contiguous, vectored,
+// strided, with a signal, repair or forensic; blocking or nonblocking — is
+// one RMA descriptor issued by a PE. A library validates its arguments, fills
+// the descriptor, prices one message of it on its own list and names the set
+// its completion is booked on; how each message crosses the link (Transmit),
+// where its bytes land and how it is booked are written once, here. Atomics
+// and active-message handlers stay outside: they are not puts and gets.
+
+// Shape says how an op's bytes lie on the target, and therefore which
+// substrate call moves them.
+type Shape uint8
+
+const (
+	// Contig is Local's bytes at Off.
+	Contig Shape = iota
+	// Runs is len(Offs) runs of Unit bytes at Off+Offs[i], dense in Local.
+	// Each run is its own message, costed exactly as a Contig op of Unit
+	// bytes; only the host-side data movement is batched.
+	Runs
+	// Strided is len(Local)/Unit elements of Unit bytes at byte stride
+	// Stride from Off, dense in Local: one descriptor, one message.
+	Strided
+	// Signal is a Contig put (possibly empty) followed by the 64-bit word
+	// SigVal at SigOff, travelling as one message: both land at the same
+	// time or neither does — a lost doorbell never advertises absent data.
+	Signal
+	// Forensic is a Contig op of the recovery protocols: it reaches a failed
+	// PE's frozen partition and, being the recovery path's own traffic,
+	// stays outside the reliability protocol. A forensic get reads one word
+	// into Local and merges the word's visibility timestamp.
+	Forensic
+)
+
+// RMA describes one put or get to the issue core.
+type RMA struct {
+	Get    bool
+	Shape  Shape
+	Target int
+	Off    int64  // absolute partition offset of the remote operand
+	Local  []byte // the dense local operand: a put's source, a get's destination
+	Offs   []int64
+	Unit   int
+	Stride int64
+	SigOff int64
+	SigVal uint64
+}
+
+// Msgs is the number of messages the op sends: one, or one per run.
+func (d *RMA) Msgs() int {
+	if d.Shape == Runs {
+		return len(d.Offs)
+	}
+	return 1
+}
+
+// Price is what one message of an op costs on its library's price list.
+type Price struct {
+	// Inject is the initiator's CPU charge. A blocking op charges its
+	// transfer here, inline; a blocking get the whole round trip.
+	Inject float64
+	// Transfer is a nonblocking op's occupancy of the NIC pipe.
+	Transfer float64
+	// Lat is the loss-free one-way flight.
+	Lat float64
+	// Tail is what the target spends between delivery and visibility (an AM
+	// handler's dispatch), added as its own term: (wire + Lat) + Tail. A
+	// library whose tail is part of the flight prices it into Lat.
+	Tail float64
+}
+
+// Issue runs one put or get: send its messages, then move its bytes. set is
+// where completion is booked — a context's or endpoint's streams, or a
+// blocking horizon (a stream set with no pipe); nil for a blocking get, which
+// completes before it returns. fp is the library's fault plan, nil for none.
+//
+// The two halves are separate calls on purpose. send keeps a dozen values
+// live; returning before the bytes move keeps its frame off the stack under
+// the write path, the deepest point of a PE goroutine — where a few hundred
+// bytes more grow the stack of every image of every short-lived world once
+// more.
+func (p *PE) Issue(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan) {
+	landed, vis := p.send(d, c, set, fp)
+	if d.Get {
+		p.fetch(d)
+		return
+	}
+	p.land(d, landed, d.Msgs(), vis) // on a reliable link, the whole op in one call
+}
+
+// LinkPenalty charges the link-degradation latency of fp, not nil, for one
+// remote operation issued now. Its callers test for the plan themselves, which
+// keeps a plan-less operation to one branch.
+func (p *PE) LinkPenalty(fp *fabric.FaultPlan) {
+	if pen := fp.LinkPenaltyNs(p.ID, p.Clock.Now()); pen > 0 {
+		p.Clock.Advance(pen)
+	}
+}
+
+// send does everything about the op's messages but move their bytes: per
+// message the link penalty, the charge, the delivery step and the completion
+// booking. It returns the first message whose payload is still to land and,
+// for a single-message op, when it is visible (the runs' times are in
+// p.visAt).
+func (p *PE) send(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan) (landed int, vis float64) {
+	w, clock := p.world, &p.Clock
+	plan := fp
+	if d.Shape == Forensic {
+		plan = nil // the recovery path's own traffic is charged fp's penalty but crosses natively
+	}
+	// Only Runs has more than one message; run i is visible at visAt[i], in
+	// the PE's reused scratch.
+	msgs, visAt := d.Msgs(), p.visAt[:0]
+	for i := 0; i < msgs; i++ {
+		if fp != nil {
+			p.LinkPenalty(fp)
+		}
+		wire := clock.Now() // a blocking get's request leaves before the round trip it charges
+		clock.Advance(c.Inject)
+		if set != nil {
+			wire = set.Reserve(clock.Now(), c.Transfer)
+		}
+		lands, at, done, acked := w.Transmit(plan, p.ID, d.Target, wire, c.Lat, d.Get)
+		vis, done = at+c.Tail, done+c.Tail
+		if set != nil {
+			set.Note(d.Target, done)
+		} else {
+			// On a reliable link this merges nothing: the inline charge
+			// already covers the round trip. Under the protocol the response
+			// is the ack, and the get waits for it.
+			clock.MergeAtLeast(done)
+		}
+		if d.Shape == Runs {
+			visAt = append(visAt, vis)
+		}
+		if lands && acked {
+			continue
+		}
+		// A message was lost or its link given up (lossy plans only). Land
+		// what has arrived so far — this payload included, if it did — before
+		// the give-up is published: a consumer whose predicate this message
+		// satisfies must never observe the dead link first.
+		arrived := i
+		if lands {
+			arrived++
+		}
+		p.visAt = visAt
+		p.land(d, landed, arrived, vis)
+		landed = i + 1
+		if !acked {
+			w.MarkUnreachable(p.ID, d.Target)
+			if set == nil {
+				// A blocking get has no deferred completion point to report
+				// the dead link at: it error-terminates at the op itself.
+				panic(fmt.Sprintf("pgas: PE %d: get from unreachable PE %d (retry exhaustion on lossy link): error termination", p.ID, d.Target))
+			}
+		}
+	}
+	if d.Shape == Runs {
+		p.visAt = visAt
+	}
+	return landed, vis
+}
+
+// land stores messages [lo, hi) of a put in the target's partition: run i of
+// a Runs op visible at p.visAt[i], the one message of any other shape at at.
+// On a reliable link that is the whole op in one call — for Runs, one batched
+// WriteRuns under a single target-lock acquisition.
+func (p *PE) land(d *RMA, lo, hi int, at float64) {
+	if d.Get || hi <= lo {
+		return
+	}
+	w := p.world
+	switch d.Shape {
+	case Contig:
+		w.Write(d.Target, d.Off, d.Local, at)
+	case Runs:
+		w.WriteRuns(d.Target, d.Off, d.Offs[lo:hi], d.Unit, d.Local[lo*d.Unit:hi*d.Unit], p.visAt[lo:hi])
+	case Strided:
+		w.WriteV(d.Target, d.Off, d.Stride, d.Unit, d.Local, at)
+	case Signal:
+		if len(d.Local) > 0 {
+			w.Write(d.Target, d.Off, d.Local, at)
+		}
+		w.WriteUint64(d.Target, d.SigOff, d.SigVal, at)
+	case Forensic:
+		w.RepairWrite(d.Target, d.Off, d.Local, at)
+	}
+}
+
+// fetch reads a get's bytes from the target's partition. The host-side copy
+// happens at issue even for a nonblocking get, which is a legal serialisation
+// of its undefined-until-complete window (the simulator always resolves it to
+// "request served immediately").
+func (p *PE) fetch(d *RMA) {
+	w := p.world
+	switch d.Shape {
+	case Contig:
+		w.Read(d.Target, d.Off, d.Local)
+	case Runs:
+		w.ReadRuns(d.Target, d.Off, d.Offs, d.Unit, d.Local)
+	case Strided:
+		w.ReadV(d.Target, d.Off, d.Stride, d.Unit, d.Local)
+	case Forensic:
+		v, ts := w.ReadUint64Ts(d.Target, d.Off)
+		binary.NativeEndian.PutUint64(d.Local, v)
+		p.Clock.MergeAtLeast(ts)
+	}
+}

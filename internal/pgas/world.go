@@ -52,17 +52,16 @@ type World struct {
 	// PE life-cycle state (see fault.go). states is read with atomic loads on
 	// hot paths; transitions take stateMu. The counters back the fault-status
 	// queries and the quiescence rule.
-	stateMu     sync.Mutex
-	states      []int32
-	nFailed     atomic.Int32
-	nStopped    atomic.Int32
-	awake       atomic.Int32 // PE goroutines of the current Run neither returned nor asleep in PE.block
-	exitedN     atomic.Int32 // PE goroutines of the current Run that returned
-	watches     atomic.Int32 // registered watches, world-wide: what a fault fan-out consults before it visits anything
-	wakeVisits  atomic.Int64 // partitions the wake fan-outs have visited (wakeWatchers, poison)
-	departEpoch atomic.Uint64
-	running     atomic.Bool // a Run is in flight: Close is refused
-	closed      atomic.Bool // Close was called: partition memory is gone, Run is refused
+	stateMu    sync.Mutex
+	states     []int32
+	nFailed    atomic.Int32
+	nStopped   atomic.Int32
+	awake      atomic.Int32 // PE goroutines of the current Run neither returned nor asleep in PE.block
+	exitedN    atomic.Int32 // PE goroutines of the current Run that returned
+	watches    atomic.Int32 // registered watches, world-wide: what a fault fan-out consults before it visits anything
+	wakeVisits atomic.Int64 // partitions the wake fan-outs have visited (wakeWatchers, poison)
+	running    atomic.Bool  // a Run is in flight: Close is refused
+	closed     atomic.Bool  // Close was called: partition memory is gone, Run is refused
 
 	// dlv is the lossy-fabric reliability bookkeeping: receiver dedup
 	// windows, per-link forensic counters, unreachable-link marks. See
@@ -101,6 +100,9 @@ type PE struct {
 	// asleep, guarded by mu: the PE's goroutine sleeps on cond (in a wait or in
 	// the barrier) and is not counted in World.awake.
 	asleep bool
+	// visAt is the issue core's per-message visibility-time list, reused from
+	// call to call by the PE's own goroutine: WriteRuns does not retain it.
+	visAt []float64
 }
 
 // addWatch registers the PE's watch over [off, off+n) (and its waiter

@@ -12,7 +12,9 @@ import "cafshmem/internal/pgas"
 // AMO semantics), so nothing is added to the pending (Quiet) set.
 
 func (pe *PE) amoClock(target int) float64 {
-	pe.linkPenalty()
+	if fp := pe.world.fplan; fp != nil {
+		pe.p.LinkPenalty(fp)
+	}
 	intra, pairs := pe.intra(target), pe.pairs()
 	pe.p.Clock.Advance(pe.world.prof.AtomicRTTNs(intra, pairs))
 	return pe.p.Clock.Now()

@@ -2,6 +2,7 @@ package shmem
 
 import (
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
 )
 
 // Communication contexts — shmem_ctx_create / shmem_ctx_quiet (OpenSHMEM 1.4
@@ -77,7 +78,7 @@ func (c *Ctx) PutMemNBI(target int, sym Sym, off int64, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	c.issue(&rma{nbi: true, target: target, off: sym.span("put_nbi", off, int64(len(data))), local: data}, data)
+	c.issue(&pgas.RMA{Target: target, Off: sym.span("put_nbi", off, int64(len(data))), Local: data}, nbi, data)
 }
 
 // GetMemNBI starts a nonblocking contiguous get on this context
@@ -88,7 +89,7 @@ func (c *Ctx) GetMemNBI(target int, sym Sym, off int64, dst []byte) {
 	if len(dst) == 0 {
 		return
 	}
-	c.issue(&rma{get: true, nbi: true, target: target, off: sym.span("get_nbi", off, int64(len(dst))), local: dst}, nil)
+	c.issue(&pgas.RMA{Get: true, Target: target, Off: sym.span("get_nbi", off, int64(len(dst))), Local: dst}, nbi, nil)
 }
 
 // PutSignalNBI is the context-scoped fused data+signal put: data and the
@@ -97,7 +98,7 @@ func (c *Ctx) GetMemNBI(target int, sym Sym, off int64, dst []byte) {
 // sees every transfer this context previously streamed to it.
 func (c *Ctx) PutSignalNBI(target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
 	c.check()
-	c.putSignal(true, target, sym, off, data, sig, sigIdx, sigVal)
+	c.putSignal(nbi, target, sym, off, data, sig, sigIdx, sigVal)
 }
 
 // Quiet completes all ops issued on this context (shmem_ctx_quiet) — and

@@ -1,15 +1,11 @@
 package shmem
 
 // The shmem side of lossy-fabric fault plans (fabric.LinkLoss). How a message
-// crosses a link is decided in one place, the delivery step
-// pgas.World.Transmit, which the issue core (issue.go) calls for every message
-// of every put and get: a link no loss rule names — every link of a plan
-// without Losses, and of no plan — is its identity case, the fabric's native
-// reliable delivery; a named link runs the ack/retransmit protocol of
-// fabric.FaultPlan.Deliver, and the op's completion horizon becomes the
-// protocol's ack time instead of wire-out + latency. Sequence numbers, the
-// receiver's duplicate window and the give-up marks live with that step, in
-// pgas; this file is what the library does once a link has been given up.
+// crosses a link — natively, or through the ack/retransmit protocol — is
+// decided below the library, by the delivery step of the substrate's issue
+// core (pgas.World.Transmit), where sequence numbers, the receiver's duplicate
+// window and the give-up marks live too; this file is what the library does
+// once a link has been given up.
 //
 // Retry exhaustion escalates instead of hanging:
 //

@@ -41,7 +41,7 @@ func (pe *PE) PutMemVNBI(target int, sym Sym, offs []int64, runBytes int, src []
 	pe.checkTarget(target)
 	sym.runsSpan("putmemv_nbi", offs, runBytes, src)
 	if len(offs) > 0 {
-		pe.def.issue(&rma{shape: runs, nbi: true, target: target, off: sym.Off, local: src, offs: offs, unit: runBytes}, src)
+		pe.def.issue(&pgas.RMA{Shape: pgas.Runs, Target: target, Off: sym.Off, Local: src, Offs: offs, Unit: runBytes}, nbi, src)
 	}
 }
 
@@ -53,7 +53,7 @@ func (pe *PE) PutMemVNBI(target int, sym Sym, offs []int64, runBytes int, src []
 func (pe *PE) IPutMemNBI(target int, sym Sym, off, dstStrideBytes int64, elemSize int, src []byte) {
 	pe.checkTarget(target)
 	if abs, ok := sym.stridedSpan("iputmem_nbi", off, dstStrideBytes, elemSize, len(src)); ok {
-		pe.def.issue(&rma{shape: strided, locality: true, nbi: true, target: target, off: abs, local: src, unit: elemSize, stride: dstStrideBytes}, src)
+		pe.def.issue(&pgas.RMA{Shape: pgas.Strided, Target: target, Off: abs, Local: src, Unit: elemSize, Stride: dstStrideBytes}, nbi|locality, src)
 	}
 }
 
@@ -62,7 +62,7 @@ func (pe *PE) IPutMemNBI(target int, sym Sym, off, dstStrideBytes int64, elemSiz
 func (pe *PE) IGetMemNBI(target int, sym Sym, off, srcStrideBytes int64, elemSize int, dst []byte) {
 	pe.checkTarget(target)
 	if abs, ok := sym.stridedSpan("igetmem_nbi", off, srcStrideBytes, elemSize, len(dst)); ok {
-		pe.def.issue(&rma{get: true, shape: strided, locality: true, nbi: true, target: target, off: abs, local: dst, unit: elemSize, stride: srcStrideBytes}, nil)
+		pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: target, Off: abs, Local: dst, Unit: elemSize, Stride: srcStrideBytes}, nbi|locality, nil)
 	}
 }
 

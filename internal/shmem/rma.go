@@ -17,7 +17,7 @@ func (pe *PE) PutMem(target int, sym Sym, off int64, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	pe.def.issue(&rma{target: target, off: sym.span("put", off, int64(len(data))), local: data}, nil)
+	pe.def.issue(&pgas.RMA{Target: target, Off: sym.span("put", off, int64(len(data))), Local: data}, blocking, nil)
 }
 
 // GetMem copies len(dst) bytes from the symmetric object on the target PE
@@ -27,7 +27,7 @@ func (pe *PE) GetMem(target int, sym Sym, off int64, dst []byte) {
 	if len(dst) == 0 {
 		return
 	}
-	pe.def.issue(&rma{get: true, target: target, off: sym.span("get", off, int64(len(dst))), local: dst}, nil)
+	pe.def.issue(&pgas.RMA{Get: true, Target: target, Off: sym.span("get", off, int64(len(dst))), Local: dst}, blocking, nil)
 }
 
 // Put writes typed elements at element index idx of the symmetric object —
@@ -89,7 +89,7 @@ func IPut[T pgas.Elem](pe *PE, target int, sym Sym, dstIdx, dstStride int, src [
 			pgas.Store(buf[k*es:], src[srcIdx+k*srcStride])
 		}
 	}
-	pe.def.issue(&rma{shape: strided, target: target, off: abs, local: buf, unit: es, stride: stride}, nil)
+	pe.def.issue(&pgas.RMA{Shape: pgas.Strided, Target: target, Off: abs, Local: buf, Unit: es, Stride: stride}, blocking, nil)
 }
 
 // IGet performs the 1-D strided get — shmem_iget.
@@ -114,7 +114,7 @@ func IGet[T pgas.Elem](pe *PE, target int, sym Sym, srcIdx, srcStride int, dst [
 	} else {
 		raw = pe.staging(nelems * es)
 	}
-	pe.def.issue(&rma{get: true, shape: strided, target: target, off: abs, local: raw, unit: es, stride: stride}, nil)
+	pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: target, Off: abs, Local: raw, Unit: es, Stride: stride}, blocking, nil)
 	if dstStride != 1 {
 		for k := 0; k < nelems; k++ {
 			dst[dstIdx+k*dstStride] = pgas.Load[T](raw[k*es:])
@@ -139,7 +139,7 @@ func (pe *PE) staging(n int) []byte {
 func (pe *PE) IPutMem(target int, sym Sym, off, dstStrideBytes int64, elemSize int, src []byte) {
 	pe.checkTarget(target)
 	if abs, ok := sym.stridedSpan("iputmem", off, dstStrideBytes, elemSize, len(src)); ok {
-		pe.def.issue(&rma{shape: strided, locality: true, target: target, off: abs, local: src, unit: elemSize, stride: dstStrideBytes}, nil)
+		pe.def.issue(&pgas.RMA{Shape: pgas.Strided, Target: target, Off: abs, Local: src, Unit: elemSize, Stride: dstStrideBytes}, locality, nil)
 	}
 }
 
@@ -148,7 +148,7 @@ func (pe *PE) IPutMem(target int, sym Sym, off, dstStrideBytes int64, elemSize i
 func (pe *PE) IGetMem(target int, sym Sym, off, srcStrideBytes int64, elemSize int, dst []byte) {
 	pe.checkTarget(target)
 	if abs, ok := sym.stridedSpan("igetmem", off, srcStrideBytes, elemSize, len(dst)); ok {
-		pe.def.issue(&rma{get: true, shape: strided, locality: true, target: target, off: abs, local: dst, unit: elemSize, stride: srcStrideBytes}, nil)
+		pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: target, Off: abs, Local: dst, Unit: elemSize, Stride: srcStrideBytes}, locality, nil)
 	}
 }
 
@@ -164,7 +164,7 @@ func (pe *PE) PutMemV(target int, sym Sym, offs []int64, runBytes int, src []byt
 	pe.checkTarget(target)
 	sym.runsSpan("putmemv", offs, runBytes, src)
 	if len(offs) > 0 {
-		pe.def.issue(&rma{shape: runs, target: target, off: sym.Off, local: src, offs: offs, unit: runBytes}, nil)
+		pe.def.issue(&pgas.RMA{Shape: pgas.Runs, Target: target, Off: sym.Off, Local: src, Offs: offs, Unit: runBytes}, blocking, nil)
 	}
 }
 
@@ -175,7 +175,7 @@ func (pe *PE) GetMemV(target int, sym Sym, offs []int64, runBytes int, dst []byt
 	pe.checkTarget(target)
 	sym.runsSpan("getmemv", offs, runBytes, dst)
 	if len(offs) > 0 {
-		pe.def.issue(&rma{get: true, shape: runs, target: target, off: sym.Off, local: dst, offs: offs, unit: runBytes}, nil)
+		pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Runs, Target: target, Off: sym.Off, Local: dst, Offs: offs, Unit: runBytes}, blocking, nil)
 	}
 }
 
@@ -197,7 +197,7 @@ func (pe *PE) GetMemV(target int, sym Sym, offs []int64, runBytes int, dst []byt
 //
 // data may be nil/empty to send just the signal.
 func (pe *PE) PutSignal(target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
-	pe.def.putSignal(false, target, sym, off, data, sig, sigIdx, sigVal)
+	pe.def.putSignal(blocking, target, sym, off, data, sig, sigIdx, sigVal)
 }
 
 // PutSignalNBI is the nonblocking flavour of PutSignal (shmem_put_signal_nbi,
@@ -220,14 +220,14 @@ func (pe *PE) PutSignalNBI(target int, sym Sym, off int64, data []byte, sig Sym,
 
 // putSignal is the argument check shared by the signal puts on a context,
 // blocking or nonblocking.
-func (c *Ctx) putSignal(nbi bool, target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
+func (c *Ctx) putSignal(m mode, target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
 	c.pe.checkTarget(target)
 	var abs int64
 	if len(data) > 0 {
 		abs = sym.span("put_signal", off, int64(len(data)))
 	}
 	sigOff := sig.At(int64(sigIdx) * 8) // bounds-checked absolute offset
-	c.issue(&rma{shape: signal, nbi: nbi, target: target, off: abs, local: data, sigOff: sigOff, sigVal: uint64(sigVal)}, nil)
+	c.issue(&pgas.RMA{Shape: pgas.Signal, Target: target, Off: abs, Local: data, SigOff: sigOff, SigVal: uint64(sigVal)}, m, nil)
 }
 
 func (pe *PE) checkTarget(target int) {

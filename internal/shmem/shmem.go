@@ -53,9 +53,6 @@ type PE struct {
 	// stage is the gather/scatter buffer of IPut/IGet with a strided local
 	// operand, and ReadWord64's word (see staging).
 	stage []byte
-	// visAt is the issue core's per-message visibility-time list, reused from
-	// call to call: pgas.WriteRuns does not retain it.
-	visAt []float64
 }
 
 // newPE wires a PE handle: the default context's completion streams share the

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 
-	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgas"
 )
 
@@ -14,24 +13,6 @@ import (
 // (FAIL IMAGE, STAT_FAILED_IMAGE, failed_images) on top of SHMEM — each
 // mirrors its blocking sibling's virtual-time arithmetic exactly, differing
 // only in how fault conditions surface (returned, not hung or panicked).
-
-// linkPenalty charges the fault plan's link-degradation latency for one
-// remote operation issued now. A nil plan (the default) costs one branch,
-// inlined at the call site, and zero virtual time, preserving bit-identical
-// fault-free behaviour.
-func (pe *PE) linkPenalty() {
-	if fp := pe.world.fplan; fp != nil {
-		pe.degrade(fp)
-	}
-}
-
-// degrade is linkPenalty under a plan, out of line so that the nil check
-// inlines.
-func (pe *PE) degrade(fp *fabric.FaultPlan) {
-	if pen := fp.LinkPenaltyNs(pe.p.ID, pe.p.Clock.Now()); pen > 0 {
-		pe.p.Clock.Advance(pen)
-	}
-}
 
 // BarrierStat is Barrier with fault status: identical cost model and
 // sanitizer accounting, but when PEs have failed or stopped the rendezvous
@@ -100,7 +81,7 @@ func (pe *PE) PutMemRepair(target int, sym Sym, off int64, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	pe.def.issue(&rma{shape: forensic, target: target, off: sym.span("repair put", off, int64(len(data))), local: data}, nil)
+	pe.def.issue(&pgas.RMA{Shape: pgas.Forensic, Target: target, Off: sym.span("repair put", off, int64(len(data))), Local: data}, blocking, nil)
 }
 
 // ReadWord64 reads a symmetric 64-bit word together with its visibility
@@ -109,7 +90,7 @@ func (pe *PE) PutMemRepair(target int, sym Sym, off int64, data []byte) {
 func (pe *PE) ReadWord64(target int, sym Sym, idx int) uint64 {
 	pe.checkTarget(target)
 	word := pe.staging(8)
-	pe.def.issue(&rma{get: true, shape: forensic, target: target, off: pe.wordOff(sym, idx), local: word}, nil)
+	pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Forensic, Target: target, Off: pe.wordOff(sym, idx), Local: word}, blocking, nil)
 	return binary.NativeEndian.Uint64(word)
 }
 
