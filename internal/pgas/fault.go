@@ -78,7 +78,6 @@ func (w *World) depart(p *PE, to peState) {
 		w.nStopped.Add(1)
 	}
 	w.stateMu.Unlock()
-	w.departEpoch.Add(1)
 	w.barrier.depart(p.ID)
 	// Wake only partitions with a registered waiter, and none while the world
 	// holds no watch: the state change above is sequenced before the fan-out's
@@ -117,9 +116,6 @@ func (w *World) FailedCount() int { return int(w.nFailed.Load()) }
 // FailedPEs returns the failed PE ranks in ascending order.
 func (w *World) FailedPEs() []int { return w.ranksIn(stateFailed) }
 
-// StoppedPEs returns the normally-stopped PE ranks in ascending order.
-func (w *World) StoppedPEs() []int { return w.ranksIn(stateStopped) }
-
 func (w *World) ranksIn(s peState) []int {
 	var out []int
 	for i := range w.states {
@@ -143,11 +139,6 @@ func (w *World) LowestAlive() int {
 	}
 	return -1
 }
-
-// DepartEpoch counts PE departures (failures and stops). Waiters snapshot it
-// before blocking; a change while blocked means "who you might be waiting on
-// changed" and is the trigger to re-run fault-recovery checks.
-func (w *World) DepartEpoch() uint64 { return w.departEpoch.Load() }
 
 // imageFaultErr builds the current fault report, or nil when every PE is
 // alive.

@@ -95,7 +95,7 @@ func TestLegacyBarrierPanicsOnFault(t *testing.T) {
 	}
 }
 
-func TestWatchdogBreaksGenuineDeadlock(t *testing.T) {
+func TestDeadlockGenuine(t *testing.T) {
 	w, _ := NewWorld(testMachine(), 2)
 	err := w.Run(func(p *PE) {
 		// Both PEs wait on flags nobody will ever set: a real deadlock.

@@ -166,13 +166,13 @@ func TestWatchdogCatchesBlockedDepartedPE(t *testing.T) {
 	}
 }
 
-// TestWatchdogSparesRunningPE: a PE blocked on something the substrate cannot
+// TestDeadlockSparesRunningPE: a PE blocked on something the substrate cannot
 // see counts as running. With a failed PE blocked while unwinding, one alive
 // PE blocked and one alive PE parked on a host channel, every PE the
 // substrate can see is asleep — but the runner can still wake both sleepers,
 // and does once the test lets it go. The world is left alone however long
 // that takes.
-func TestWatchdogSparesRunningPE(t *testing.T) {
+func TestDeadlockSparesRunningPE(t *testing.T) {
 	for _, e := range engineSpellings {
 		t.Run(e.name, func(t *testing.T) {
 			w, err := NewWorldOpts(testMachine(), 3, e.opts)
