@@ -1,14 +1,9 @@
 package pgasbench
 
 import (
-	"fmt"
 	"sync"
 
 	"cafshmem/internal/fabric"
-	"cafshmem/internal/gasnet"
-	"cafshmem/internal/mpi3"
-	"cafshmem/internal/pgas"
-	"cafshmem/internal/shmem"
 )
 
 // Library identifies a raw one-sided communication library under test
@@ -36,62 +31,70 @@ type RawPutConfig struct {
 
 // PutLatency measures one-way put latency (put + completion) in µs per size.
 func PutLatency(cfg RawPutConfig) (Series, error) {
-	return rawPut(cfg, true)
+	return rawSeries(cfg, false, true)
 }
 
 // PutBandwidth measures streaming put bandwidth in MB/s per size: Iters puts
 // back to back, one completion at the end.
 func PutBandwidth(cfg RawPutConfig) (Series, error) {
-	return rawPut(cfg, false)
+	return rawSeries(cfg, false, false)
 }
 
-func rawPut(cfg RawPutConfig, latency bool) (Series, error) {
+// rawSeries runs one point-to-point series on two full nodes, like the
+// paper's two-compute-node runs: per size, between two barriers, each source
+// issues Iters puts (or gets) toward its partner, and rank 0 reports the
+// elapsed virtual time as a latency in µs or a bandwidth in MB/s. A put
+// latency completes every put, a put bandwidth the whole batch; a get
+// completes itself.
+func rawSeries(cfg RawPutConfig, get, latency bool) (Series, error) {
 	if cfg.Iters <= 0 {
 		cfg.Iters = 50
+		if get {
+			cfg.Iters = 20
+		}
 	}
 	if cfg.Pairs <= 0 {
 		cfg.Pairs = 1
 	}
 	per := cfg.Machine.CoresPerNode
-	npes := 2 * per // two full nodes, like the paper's two-compute-node runs
 	out := Series{Label: cfg.Profile}
-
 	results := make([]float64, len(cfg.Sizes))
 	// Every source PE puts from the one read-only payload; the PEs that
-	// never send (all but Pairs of them) need none.
-	data := payload(maxSize(cfg.Sizes))
-	run := func(body func(rank int, clockNow func() float64, put func(target, size int), quiet func(), barrier func())) error {
-		switch cfg.Library {
-		case LibSHMEM:
-			return shmemRawPut(cfg, npes, data, body)
-		case LibMPI3:
-			return mpi3RawPut(cfg, npes, data, body)
-		case LibGASNet:
-			return gasnetRawPut(cfg, npes, data, body)
-		}
-		return fmt.Errorf("pgasbench: unknown library %d", cfg.Library)
+	// never send (all but Pairs of them) need none. A get's destination is
+	// its rank's own, and only the ranks that issue gets allocate one.
+	var data []byte
+	if !get {
+		data = payload(maxSize(cfg.Sizes))
 	}
-
-	err := run(func(rank int, clockNow func() float64, put func(target, size int), quiet func(), barrier func()) {
+	err := runRaw(cfg, 2*per, func(r rawRank) {
+		rank := r.rank()
 		isSrc := rank < cfg.Pairs // sources live on node 0
 		target := rank + per      // partner on node 1
+		buf := data
+		if get && isSrc {
+			buf = make([]byte, maxSize(cfg.Sizes))
+		}
 		for si, size := range cfg.Sizes {
-			barrier()
-			start := clockNow()
+			r.barrier()
+			start := r.clock().Now()
 			if isSrc {
 				for i := 0; i < cfg.Iters; i++ {
-					put(target, size)
+					if get {
+						r.get(target, buf[:size])
+						continue
+					}
+					r.put(target, buf[:size])
 					if latency {
-						quiet()
+						r.quiet()
 					}
 				}
-				if !latency {
-					quiet()
+				if !get && !latency {
+					r.quiet()
 				}
 			}
-			barrier()
+			r.barrier()
 			if rank == 0 {
-				elapsed := clockNow() - start
+				elapsed := r.clock().Now() - start
 				// Subtract nothing: barrier cost is shared by all series.
 				if latency {
 					results[si] = elapsed / float64(cfg.Iters) / 1e3 // µs
@@ -111,7 +114,7 @@ func rawPut(cfg RawPutConfig, latency bool) (Series, error) {
 	return out, nil
 }
 
-// The three library adapters share this symmetric buffer size, the largest
+// The rows of the library table share this symmetric buffer size, the largest
 // message a series may carry.
 const maxRawMsg = 4 << 20
 
@@ -138,60 +141,4 @@ func maxSize(sizes []int) int {
 		m = max(m, s)
 	}
 	return m
-}
-
-func shmemRawPut(cfg RawPutConfig, npes int, data []byte, body func(int, func() float64, func(int, int), func(), func())) error {
-	w, err := shmem.NewWorld(shmem.Config{Machine: cfg.Machine, Profile: cfg.Profile}, npes)
-	if err != nil {
-		return err
-	}
-	defer w.PgasWorld().Close()
-	w.PgasWorld().SetActivePairsPerNode(cfg.Pairs)
-	return w.PgasWorld().Run(func(p *pgas.PE) {
-		pe := w.Attach(p)
-		buf := pe.Malloc(maxRawMsg)
-		body(pe.MyPE(),
-			func() float64 { return pe.Clock().Now() },
-			func(target, size int) { pe.PutMem(target, buf, 0, data[:size]) },
-			pe.Quiet,
-			pe.Barrier)
-	})
-}
-
-func gasnetRawPut(cfg RawPutConfig, npes int, data []byte, body func(int, func() float64, func(int, int), func(), func())) error {
-	w, err := gasnet.NewWorld(gasnet.Config{Machine: cfg.Machine, Profile: cfg.Profile}, npes)
-	if err != nil {
-		return err
-	}
-	defer w.PgasWorld().Close()
-	w.PgasWorld().SetActivePairsPerNode(cfg.Pairs)
-	return w.PgasWorld().Run(func(p *pgas.PE) {
-		ep := w.Attach(p)
-		seg := ep.Malloc(maxRawMsg)
-		body(ep.MyNode(),
-			func() float64 { return ep.Clock().Now() },
-			func(target, size int) { ep.Put(target, seg, 0, data[:size]) },
-			ep.WaitSyncAll,
-			ep.Barrier)
-	})
-}
-
-func mpi3RawPut(cfg RawPutConfig, npes int, data []byte, body func(int, func() float64, func(int, int), func(), func())) error {
-	w, err := mpi3.NewWorld(mpi3.Config{Machine: cfg.Machine, Profile: cfg.Profile}, npes)
-	if err != nil {
-		return err
-	}
-	defer w.PgasWorld().Close()
-	w.PgasWorld().SetActivePairsPerNode(cfg.Pairs)
-	return w.PgasWorld().Run(func(p *pgas.PE) {
-		pr := w.Attach(p)
-		win := pr.WinAllocate(maxRawMsg)
-		pr.LockAll(win) // the passive-target idiom one-sided benchmarks use
-		body(pr.Rank(),
-			func() float64 { return pr.Clock().Now() },
-			func(target, size int) { pr.Put(win, target, 0, data[:size]) },
-			func() { pr.FlushAll(win) },
-			func() { pr.FlushAll(win); pr.Barrier() })
-		pr.UnlockAll(win)
-	})
 }
