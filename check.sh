@@ -1,7 +1,7 @@
 #!/bin/sh
 # Extended tier-1 gate (see ROADMAP.md): build-and-test plus the repo's
 # correctness tooling. Run from the module root. `./check.sh fast` stops after
-# the fast tier: build, vet, the unsafe, host-clock, one-delivery-site and
+# the fast tier: build, vet, the unsafe, host-clock, one-issue-core and
 # one-engine gates, the gates on the write path and the deadlock loop (about
 # half a minute).
 set -eu
@@ -24,25 +24,45 @@ if grep -rl --include='*.go' --exclude='*_test.go' '"time"' internal; then
     exit 1
 fi
 
-echo "==> one-delivery-site gate (how a message crosses a link is decided in one function: pgas.World.Transmit; DESIGN.md \"Fault model\")"
+echo "==> one-issue-core gate (a put or get of any library is priced by the library and sent, booked and landed by pgas.PE.Issue; how its messages cross a link is decided in pgas.World.Transmit; DESIGN.md \"Fault model\")"
 # Outside internal/fabric, non-test code may consult FaultPlan.LossyPair and
-# FaultPlan.Deliver in exactly one function, the same one for both; and the
-# closure-driven lossy fork that used to sit beside every shmem put and get
-# (func(at float64) inside func(wire float64)) must not come back.
+# FaultPlan.Deliver in exactly one function, the same one for both, and may
+# call that function, Transmit, from exactly one other, in internal/pgas.
 sites=$(find . -name '*.go' ! -name '*_test.go' ! -path './internal/fabric/*' ! -path './.bench_build/*' -exec awk '
     FNR == 1 { fn = "" }
     /^func / { fn = $0 }
     /^[[:space:]]*\/\// { next }
     /LossyPair\(/ { print FILENAME ": " fn " [LossyPair]" }
-    /\.Deliver\(/ { print FILENAME ": " fn " [Deliver]" }' {} +)
-if [ "$(printf '%s\n' "$sites" | sed 's/ \[[A-Za-z]*\]$//' | sort -u | grep -c .)" != 1 ] ||
-    [ "$(printf '%s\n' "$sites" | grep -c .)" != 2 ]; then
+    /\.Deliver\(/ { print FILENAME ": " fn " [Deliver]" }
+    /\.Transmit\(/ { print FILENAME ": " fn " [Transmit]" }' {} +)
+delivery=$(printf '%s\n' "$sites" | grep -v ' \[Transmit\]$' || true)
+if [ "$(printf '%s\n' "$delivery" | sed 's/ \[[A-Za-z]*\]$//' | sort -u | grep -c .)" != 1 ] ||
+    [ "$(printf '%s\n' "$delivery" | grep -c .)" != 2 ]; then
     echo "check.sh: LossyPair and Deliver must each be consulted once, in one function, outside internal/fabric; found:" >&2
-    printf '%s\n' "$sites" >&2
+    printf '%s\n' "$delivery" >&2
     exit 1
 fi
-if grep -rn --include='*.go' -e 'func(at float64)' -e 'func(wire float64)' internal/shmem; then
-    echo "check.sh: the closures above fork the issue path in internal/shmem; every put and get goes through Ctx.issue" >&2
+callers=$(printf '%s\n' "$sites" | grep ' \[Transmit\]$' || true)
+if [ "$(printf '%s\n' "$callers" | grep -c '^\./internal/pgas/')" != 1 ] || [ "$(printf '%s\n' "$callers" | grep -c .)" != 1 ]; then
+    echo "check.sh: Transmit must be called from exactly one function, the issue core's in internal/pgas; found:" >&2
+    printf '%s\n' "$callers" >&2
+    exit 1
+fi
+# The libraries move no put's or get's bytes themselves. The sites that stay
+# outside the core are not puts and gets: GASNet's AM Token accessors
+# (internal/gasnet/am.go), the atomics of all three libraries, and shmem's
+# reads and writes of the caller's own partition (collectives.go, Ptr).
+if grep -n -e 'pw\.Write(' -e 'pw\.WriteUint64(' -e 'pw\.Read(' internal/gasnet/extended.go internal/mpi3/rma.go ||
+    grep -rn --include='*.go' --exclude='*_test.go' -E '\.(WriteRuns|WriteV|RepairWrite|ReadRuns|ReadV|ReadUint64Ts)\(' internal/shmem internal/gasnet internal/mpi3 internal/caf; then
+    echo "check.sh: the lines above move a put's or get's bytes outside pgas.PE.Issue; a library fills a pgas.RMA, prices it and issues it (exempt: gasnet/am.go's Token accessors and the atomics)" >&2
+    exit 1
+fi
+# shmem's issue.go keeps the library's half only, and the closure-driven lossy
+# fork that used to sit beside every shmem put and get (func(at float64)
+# inside func(wire float64)) must not come back.
+if grep -n -E '^func \([a-z]+ \*?[A-Za-z]+\) (send|land|fetch)\(' internal/shmem/issue.go ||
+    grep -rn --include='*.go' -e 'func(at float64)' -e 'func(wire float64)' internal/shmem; then
+    echo "check.sh: the lines above bring a second issue path back into internal/shmem; send, land and fetch live in internal/pgas/issue.go and every put and get goes through Ctx.issue" >&2
     exit 1
 fi
 
@@ -74,7 +94,7 @@ go test -run '^$' -fuzz '^FuzzSegStore$' -fuzztime 5s ./internal/pgas
 go test -run '^$' -fuzz '^FuzzTsIndex$' -fuzztime 5s ./internal/pgas
 
 echo "==> deadlock loop (every deterministic deadlock and the gated departure fan-out, 500x at GOMAXPROCS 1, 2 and 8: the verdict is exact, so one miss or lost wake hangs and one false alarm fails)"
-# The older tests of the family still carry their TestWatchdog names (ROADMAP,
+# Three older tests of the family still carry their TestWatchdog names (ROADMAP,
 # quiescence item); -short skips the 100k-image one, which the suite runs once.
 timeout 300 go test -short -count=500 -cpu 1,2,8 -run '^Test(Deadlock|Watchdog)' ./internal/pgas
 
@@ -142,8 +162,8 @@ echo "==> chaos-loss smoke (lossy fabric: retransmit/dup/kill replays, bounded w
 # into a failure instead of a stuck gate.
 timeout 120 go test -race -run 'TestChaosLoss|TestRetryExhaustion|TestLossyReplayIdentical' -count=1 ./internal/caf ./internal/shmem
 
-echo "==> loss-free golden gate (nil plan vs loss-free plan: bit-identical virtual times; every put/get shape under lossy, exhausting and degraded-link plans vs the clocks captured before the one issue path; one link penalty per message)"
-go test -run 'TestLossFreePlanBitIdentical|TestLossyGolden|TestLinkPenaltyEveryShape|TestIssueAtMatchesIssue|TestLinkPenaltyWindowBackCompat' -count=1 ./internal/shmem ./internal/fabric
+echo "==> loss-free golden gate (nil plan vs loss-free plan: bit-identical virtual times; every put/get shape of all three libraries vs the clocks captured before the one issue core, shmem's also under lossy, exhausting and degraded-link plans; one link penalty per message)"
+go test -run 'TestLossFreePlanBitIdentical|TestLossyGolden|TestGASNetShapesGolden|TestMPI3ShapesGolden|TestLinkPenaltyEveryShape|TestIssueAtMatchesIssue|TestLinkPenaltyWindowBackCompat' -count=1 ./internal/shmem ./internal/gasnet ./internal/mpi3 ./internal/fabric
 
 echo "==> determinism gate (the same program over barrier shard layouts x two runs x GOMAXPROCS 1, 2 and 8: bit-identical virtual times and outcomes)"
 go test -run 'TestEventEngineMatchesGoroutine' -count=1 -cpu 1,2,8 ./internal/pgas
