@@ -19,8 +19,6 @@ import (
 type mode uint8
 
 const (
-	// blocking: a put joins the context's horizon, a get completes inline.
-	blocking mode = 0
 	// nbi is a nonblocking op: it rides the streams of the context it is
 	// issued on and is completed by that context's Quiet.
 	nbi mode = 1 << iota
@@ -28,6 +26,8 @@ const (
 	// (fabric.StridedLocalityNs): the byte-level strided forms do, the typed
 	// IPut/IGet never have.
 	locality
+	// blocking: a put joins the context's horizon, a get completes inline.
+	blocking mode = 0
 )
 
 // stridedCost prices the strided shape: elements, not bytes, and for the
