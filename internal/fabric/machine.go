@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Machine describes one experimental platform (paper Table III) plus the set
@@ -72,7 +73,7 @@ func (m *Machine) ProfileNames() []string {
 	for n := range m.profiles {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
 }
 
@@ -106,14 +107,6 @@ func (m *Machine) NodesFor(n int) int {
 		return 1
 	}
 	return (n + m.CoresPerNode - 1) / m.CoresPerNode
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Library profile names used across the repository. The benchmark harnesses

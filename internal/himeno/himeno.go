@@ -126,13 +126,6 @@ func decompose(ny, images, image int) (lo, hi int) {
 	return lo, hi
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // initPressure returns the standard Himeno initial condition for global
 // k-plane index k: p = (k/(NZ-1))^2.
 func initPressure(k, nz int) float32 {

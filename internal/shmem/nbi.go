@@ -83,13 +83,6 @@ func GetNBI[T pgas.Elem](pe *PE, target int, sym Sym, idx int, dst []T) {
 // context since the last Quiet (observability and tests).
 func (pe *PE) NBIOutstanding() int { return pe.def.nbi.Outstanding() }
 
-// NBIHorizonNs peeks at the completion horizon of the default context's
-// in-flight nonblocking ops — the virtual time the next Quiet would merge —
-// without completing anything. Horizons are computed at issue time from the
-// NIC pipe recurrence and never awaited, which is why no PE ever sleeps on
-// Quiet; tests use this to compare horizons without perturbing them.
-func (pe *PE) NBIHorizonNs() float64 { return pe.def.nbi.Horizon() }
-
 // QuietStat is Quiet with fault status: when any PE with in-flight
 // nonblocking ops has failed, the drain completes (writes to a frozen
 // partition were silently dropped by the substrate) and the fault is returned
