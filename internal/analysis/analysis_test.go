@@ -68,10 +68,7 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 // module: the shmem package must type-check without errors through the chain
 // importer (module-local source + stdlib source importer).
 func TestLoaderLoadsRepoPackages(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newTestLoader(t)
 	if l.ModulePath() != "cafshmem" {
 		t.Fatalf("module path = %q, want cafshmem", l.ModulePath())
 	}
@@ -93,10 +90,7 @@ func TestLoaderLoadsRepoPackages(t *testing.T) {
 // TestRepoPackagesAreVetClean runs the full suite over the packages shmemvet
 // gates in tier-1; the repo must be clean so the gate can require exit 0.
 func TestRepoPackagesAreVetClean(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newTestLoader(t)
 	var pkgs []*Package
 	for _, rel := range []string{
 		"internal/shmem", "internal/caf", "internal/pgasbench", "internal/dht",

@@ -2,9 +2,12 @@ package analysis
 
 import (
 	"go/ast"
+	"maps"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,12 +23,35 @@ import (
 
 var wantRE = regexp.MustCompile(`"((?:[^"\\]|\\.)*)"`)
 
-func loadFixture(t *testing.T, name string) (*Package, *Program) {
-	t.Helper()
+// baseLoader type-checks the module's runtime packages and, through its source
+// importer, the standard library: once per test binary.
+var baseLoader = sync.OnceValues(func() (*Loader, error) {
 	l, err := NewLoader(".")
+	if err == nil {
+		// internal/caf imports shmem, pgas and fabric: all a fixture uses.
+		_, err = l.Load(l.ModuleRoot() + "/internal/caf")
+	}
+	return l, err
+})
+
+// newTestLoader returns a loader that starts from baseLoader's packages and
+// shares its file set and standard-library importer, so a fixture costs its
+// own type check only. What a test loads stays in its own loader: no
+// fixture's summaries or lock edges reach another's Program.
+func newTestLoader(t *testing.T) *Loader {
+	t.Helper()
+	base, err := baseLoader()
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := *base
+	l.pkgs, l.order, l.loading = maps.Clone(base.pkgs), slices.Clone(base.order), map[string]bool{}
+	return &l
+}
+
+func loadFixture(t *testing.T, name string) (*Package, *Program) {
+	t.Helper()
+	l := newTestLoader(t)
 	pkg, err := l.Load(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
