@@ -141,12 +141,12 @@ func TestWatchdogCatchesDeadlockReachedByDeparture(t *testing.T) {
 	}
 }
 
-// TestWatchdogCatchesBlockedDepartedPE: a failed PE whose goroutine blocks
+// TestDeadlockCatchesBlockedDepartedPE: a failed PE whose goroutine blocks
 // while unwinding (a deferred call waiting on a word its frozen partition can
 // no longer receive) after every other PE has finished leaves zero alive PEs
 // and one sleeping goroutine. Run must still return — with the deadlock
 // report — because the rule counts goroutines, not alive PEs.
-func TestWatchdogCatchesBlockedDepartedPE(t *testing.T) {
+func TestDeadlockCatchesBlockedDepartedPE(t *testing.T) {
 	for _, e := range engineSpellings {
 		t.Run(e.name, func(t *testing.T) {
 			w, err := NewWorldOpts(testMachine(), 2, e.opts)

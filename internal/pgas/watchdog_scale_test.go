@@ -11,11 +11,11 @@ import (
 // is poisoned by its last PE to park, and a legitimate barrier release is not
 // mistaken for one.
 
-// TestWatchdog100kAllParked: a 100k-image world where every PE blocks on a
+// TestDeadlock100kAllParked: a 100k-image world where every PE blocks on a
 // flag nobody will ever set is poisoned as its last PE goes to sleep —
 // the report counts all n of them asleep, so the verdict fell no earlier, and
 // Run returning at all means it fell no later — and the report stays bounded.
-func TestWatchdog100kAllParked(t *testing.T) {
+func TestDeadlock100kAllParked(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("100k images under race instrumentation is out of time budget")
 	}
