@@ -1,9 +1,9 @@
 package cafshmem
 
-// One benchmark per table/figure of the paper's evaluation, plus ablation
-// benchmarks for the design choices called out in DESIGN.md. Each benchmark
-// regenerates the experiment's data and reports the headline quantity as a
-// custom metric, so `go test -bench=. -benchmem` reproduces the entire
+// One sub-benchmark per catalogued figure of the paper's evaluation, plus
+// ablation benchmarks for the design choices called out in DESIGN.md. Each
+// regenerates the experiment's data and reports its headline quantities as
+// custom metrics, so `go test -bench=. -benchmem` reproduces the entire
 // evaluation. Virtual-time results are deterministic; the ns/op column
 // reflects host execution cost, while the custom metrics carry the paper's
 // actual measurements.
@@ -13,34 +13,33 @@ import (
 	"testing"
 
 	"cafshmem/internal/caf"
-	"cafshmem/internal/dht"
 	"cafshmem/internal/fabric"
-	"cafshmem/internal/himeno"
 	"cafshmem/internal/pgasbench"
 	"cafshmem/internal/transpose"
 )
 
-// --- Figure 2: raw put latency (§III) ---
+// --- Every catalogued figure (Figs 2, 3, 6–10, §V-D strides, overlap, signal) ---
 
-func BenchmarkFig2PutLatency(b *testing.B) {
-	var small float64
-	for i := 0; i < b.N; i++ {
-		f := pgasbench.Fig2()
-		small = f.Panels[0].Series[0].Rows[0].Value
+// BenchmarkFigures regenerates each figure of pgasbench.Catalog at default
+// scale and reports every band claim's value under the claim's id.
+func BenchmarkFigures(b *testing.B) {
+	for _, e := range pgasbench.Catalog {
+		b.Run(e.ID, func(b *testing.B) {
+			var results []pgasbench.Result
+			for i := 0; i < b.N; i++ {
+				f := e.Build(pgasbench.DefaultScale)
+				var err error
+				if results, err = pgasbench.EvaluateClaims(e.ID, &f); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for _, r := range results {
+				if r.Claim.Value != nil {
+					b.ReportMetric(r.Value, r.Claim.ID)
+				}
+			}
+		})
 	}
-	b.ReportMetric(small, "us/8B-put-shmem")
-}
-
-// --- Figure 3: raw put bandwidth (§III) ---
-
-func BenchmarkFig3PutBandwidth(b *testing.B) {
-	var bw float64
-	for i := 0; i < b.N; i++ {
-		f := pgasbench.Fig3()
-		rows := f.Panels[0].Series[0].Rows
-		bw = rows[len(rows)-1].Value
-	}
-	b.ReportMetric(bw, "MB/s-4MiB-shmem")
 }
 
 // --- Table II: feature mapping (generation + invariants) ---
@@ -51,121 +50,6 @@ func BenchmarkTableIIMapping(b *testing.B) {
 		n = len(caf.TableII())
 	}
 	b.ReportMetric(float64(n), "features")
-}
-
-// --- Figure 6: CAF contiguous + strided put on Cray XC30 (§V-B) ---
-
-func BenchmarkFig6ContiguousPut(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		xc := fabric.CrayXC30()
-		shm, err := pgasbench.CAFContigBandwidth(
-			pgasbench.CAFPutConfig{Label: "shmem", Opts: caf.UHCAFOverCraySHMEM(xc), Pairs: 1},
-			[]int{65536, 1048576})
-		if err != nil {
-			b.Fatal(err)
-		}
-		gas, err := pgasbench.CAFContigBandwidth(
-			pgasbench.CAFPutConfig{Label: "gasnet", Opts: caf.UHCAFOverGASNet(xc, fabric.ProfGASNetAries), Pairs: 1},
-			[]int{65536, 1048576})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = pgasbench.GeoMeanRatio(shm, gas)
-	}
-	b.ReportMetric((ratio-1)*100, "%-gain-vs-gasnet")
-}
-
-func BenchmarkFig6StridedPut(b *testing.B) {
-	var r2dimNaive float64
-	for i := 0; i < b.N; i++ {
-		xc := fabric.CrayXC30()
-		naiveOpts := caf.UHCAFOverCraySHMEM(xc)
-		naiveOpts.Strided = caf.StridedNaive
-		naive, err := pgasbench.CAFStridedBandwidth(
-			pgasbench.CAFPutConfig{Label: "naive", Opts: naiveOpts, Pairs: 1}, []int{4, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		twoDim, err := pgasbench.CAFStridedBandwidth(
-			pgasbench.CAFPutConfig{Label: "2dim", Opts: caf.UHCAFOverCraySHMEM(xc), Pairs: 1}, []int{4, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		r2dimNaive = pgasbench.GeoMeanRatio(twoDim, naive)
-	}
-	b.ReportMetric(r2dimNaive, "x-2dim-over-naive")
-}
-
-// --- Figure 7: the same on Stampede (§V-B) ---
-
-func BenchmarkFig7StridedPut(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		naiveOpts := caf.UHCAFOverMV2XSHMEM()
-		naiveOpts.Strided = caf.StridedNaive
-		naive, err := pgasbench.CAFStridedBandwidth(
-			pgasbench.CAFPutConfig{Label: "naive", Opts: naiveOpts, Pairs: 1}, []int{4, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		twoDim, err := pgasbench.CAFStridedBandwidth(
-			pgasbench.CAFPutConfig{Label: "2dim", Opts: caf.UHCAFOverMV2XSHMEM(), Pairs: 1}, []int{4, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = pgasbench.GeoMeanRatio(naive, twoDim)
-	}
-	// §V-B2: ~1.0 on MVAPICH2-X (iput is a loop of putmem).
-	b.ReportMetric(ratio, "naive/2dim-ratio")
-}
-
-// --- Figure 8: coarray locks on Titan (§V-B3) ---
-
-func BenchmarkFig8Locks(b *testing.B) {
-	var ms float64
-	for i := 0; i < b.N; i++ {
-		ti := fabric.Titan()
-		s, err := pgasbench.LockContention(
-			pgasbench.LockBenchConfig{Label: "shmem", Opts: caf.UHCAFOverCraySHMEM(ti), Rounds: 3},
-			[]int{64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ms = s.Rows[0].Value
-	}
-	b.ReportMetric(ms, "ms-64-images")
-}
-
-// --- Figure 9: distributed hash table on Titan (§V-C) ---
-
-func BenchmarkFig9DHT(b *testing.B) {
-	var ups float64
-	for i := 0; i < b.N; i++ {
-		r, err := dht.Bench(caf.UHCAFOverCraySHMEM(fabric.Titan()), 32, 128, 20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ups = r.UpdatesPS
-	}
-	b.ReportMetric(ups, "updates/s-virtual")
-}
-
-// --- Figure 10: Himeno on Stampede (§V-D) ---
-
-func BenchmarkFig10Himeno(b *testing.B) {
-	var mflops float64
-	opts := caf.UHCAFOverMV2XSHMEM()
-	opts.Strided = caf.StridedNaive
-	prm := himeno.Params{NX: 32, NY: 64, NZ: 16, Iters: 2}
-	for i := 0; i < b.N; i++ {
-		r, err := himeno.Run(opts, 32, prm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mflops = r.MFLOPS
-	}
-	b.ReportMetric(mflops, "MFLOPS-virtual")
 }
 
 // --- Ablations (DESIGN.md) ---
@@ -276,21 +160,6 @@ func BenchmarkAblationBaseDim(b *testing.B) {
 		penalty = bestDim / twoDim
 	}
 	b.ReportMetric(penalty, "x-bestdim-vs-2dim")
-}
-
-// BenchmarkAblationMatrixStride reproduces the §V-D observation in isolation:
-// for matrix-oriented sections, one putmem per contiguous block (naive) vs
-// 1-D strided calls (2dim).
-func BenchmarkAblationMatrixStride(b *testing.B) {
-	var gain float64
-	for i := 0; i < b.N; i++ {
-		f := pgasbench.MatrixOrientedAblation()
-		p := f.Panels[0]
-		gain = pgasbench.GeoMeanRatio(
-			*p.FindSeries("UHCAF-MVAPICH2-X-SHMEM-naive"),
-			*p.FindSeries("UHCAF-MVAPICH2-X-SHMEM-2dim"))
-	}
-	b.ReportMetric(gain, "x-naive-over-2dim")
 }
 
 // BenchmarkTranspose exercises the all-to-all rectangular-section exchange of

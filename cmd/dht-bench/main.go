@@ -53,15 +53,10 @@ func main() {
 	f := pgasbench.Fig9(*maxImages, *buckets, *updates)
 	fmt.Print(f.Render())
 
-	p := f.Panels[0]
-	shm := p.FindSeries("UHCAF-Cray-SHMEM")
-	cray := p.FindSeries("Cray-CAF")
-	gas := p.FindSeries("UHCAF-GASNet")
-	fmt.Printf("\nsummary (geometric-mean time ratios):\n")
-	fmt.Printf("  Cray-CAF / UHCAF-Cray-SHMEM      = %.2f  (paper: UHCAF-SHMEM 28%% faster)\n",
-		pgasbench.GeoMeanRatio(*cray, *shm))
-	fmt.Printf("  UHCAF-GASNet / UHCAF-Cray-SHMEM  = %.2f  (paper: UHCAF-SHMEM 18%% faster)\n",
-		pgasbench.GeoMeanRatio(*gas, *shm))
+	if _, err := pgasbench.ReportClaims(os.Stdout, "fig9", &f); err != nil {
+		fmt.Fprintln(os.Stderr, "dht-bench:", err)
+		os.Exit(1)
+	}
 }
 
 // transportSweep runs the locked-update workload on a single Stampede

@@ -56,11 +56,11 @@ func main() {
 	f := pgasbench.Fig10(*maxImages, prm)
 	fmt.Print(f.Render())
 
-	p := f.Panels[0]
-	shm := p.FindSeries("UHCAF-MVAPICH2-X-SHMEM")
-	gas := p.FindSeries("UHCAF-GASNet")
-	fmt.Printf("\nsummary (geometric-mean MFLOPS ratio, SHMEM/GASNet): %.3f  (paper: ~6%% avg, 22%% max)\n",
-		pgasbench.GeoMeanRatio(*shm, *gas))
+	// cmd/reproduce is the gate; here a missed claim is only shown.
+	if _, err := pgasbench.ReportClaims(os.Stdout, "fig10", &f); err != nil {
+		fmt.Fprintln(os.Stderr, "himeno-bench:", err)
+		os.Exit(1)
+	}
 }
 
 // transportSweep runs the Himeno sweep on a single Stampede transport backend

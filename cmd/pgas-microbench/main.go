@@ -1,10 +1,11 @@
 // pgas-microbench regenerates the paper's microbenchmark figures (2, 3, 6,
-// 7, 8) from the PGAS Microbenchmark suite reimplementation.
+// 7, 8 and the §V-D matrix-oriented strides) from the PGAS Microbenchmark
+// suite reimplementation, selecting them from pgasbench.Catalog.
 //
 // Usage:
 //
-//	pgas-microbench                  # all figures
-//	pgas-microbench -fig 6           # one figure
+//	pgas-microbench                  # all microbenchmark figures
+//	pgas-microbench -fig 6           # one figure (any catalogued id: 6 or fig6, matrix, …)
 //	pgas-microbench -fig 8 -images 256
 package main
 
@@ -17,7 +18,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2, 3, 6, 7, 8, matrix, or all")
+	fig := flag.String("fig", "all", "figure to regenerate: a catalogued id (2, 3, 6, 7, 8, matrix, …) or all")
 	maxImages := flag.Int("images", 1024, "maximum image count for the lock benchmark (Fig 8)")
 	verify := flag.Bool("verify", false, "run the suite's put/get correctness battery instead of benchmarks")
 	flag.Parse()
@@ -34,29 +35,26 @@ func main() {
 		return
 	}
 
-	figures := map[string]func() pgasbench.Figure{
-		"2":      pgasbench.Fig2,
-		"3":      pgasbench.Fig3,
-		"6":      pgasbench.Fig6,
-		"7":      pgasbench.Fig7,
-		"8":      func() pgasbench.Figure { return pgasbench.Fig8(*maxImages) },
-		"matrix": pgasbench.MatrixOrientedAblation,
-	}
-	order := []string{"2", "3", "6", "7", "8", "matrix"}
-
+	scale := pgasbench.FullScale
+	scale.LockImages = *maxImages
 	if *fig != "all" {
-		f, ok := figures[*fig]
+		e, ok := pgasbench.Lookup(*fig)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "pgas-microbench: unknown figure %q (have 2, 3, 6, 7, 8, matrix)\n", *fig)
+			e, ok = pgasbench.Lookup("fig" + *fig)
+		}
+		if !ok {
+			fmt.Fprintf(os.Stderr, "pgas-microbench: unknown figure %q\n", *fig)
 			os.Exit(2)
 		}
-		fig := f()
-		fmt.Print(fig.Render())
+		f := e.Build(scale)
+		fmt.Print(f.Render())
 		return
 	}
-	for _, id := range order {
-		fig := figures[id]()
-		fmt.Print(fig.Render())
-		fmt.Println()
+	for _, e := range pgasbench.Catalog {
+		if e.Micro {
+			f := e.Build(scale)
+			fmt.Print(f.Render())
+			fmt.Println()
+		}
 	}
 }

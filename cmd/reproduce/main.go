@@ -1,188 +1,58 @@
 // reproduce runs the full evaluation of the paper — every figure of §V plus
-// the §III motivation figures and the §V-D matrix-oriented observation — and
-// prints a paper-vs-measured report (the source of EXPERIMENTS.md).
+// the §III motivation figures, the §V-D matrix-oriented observation and the
+// two beyond-paper schedule figures — by walking pgasbench.Catalog. Under
+// each figure it prints the claims pgasbench.Claims holds it to, each beside
+// this run's value; at the end it prints the same results as the marked
+// tables EXPERIMENTS.md carries. It exits 1 when a stable claim is missed or
+// a claim names a series its figure does not have.
 //
 // Usage:
 //
-//	reproduce            # moderate scale (minutes)
+//	reproduce            # default scale (seconds)
 //	reproduce -full      # paper-scale image counts (1024/2048 images)
 package main
 
 import (
 	"flag"
 	"fmt"
+	"os"
+	"strings"
 	"time"
 
-	"cafshmem/internal/himeno"
 	"cafshmem/internal/pgasbench"
 )
 
 func main() {
 	full := flag.Bool("full", false, "sweep to the paper's image counts (slower)")
 	flag.Parse()
-
-	lockImages, dhtImages, himImages := 256, 256, 128
-	himParams := pgasbench.DefaultHimenoParams()
+	scale := pgasbench.DefaultScale
 	if *full {
-		lockImages, dhtImages, himImages = 1024, 1024, 2048
-		himParams = himeno.Params{NX: 32, NY: 2048, NZ: 16, Iters: 3}
+		scale = pgasbench.FullScale
 	}
 
-	section := func(name string) func() {
+	var tables strings.Builder
+	var failures []string
+	for _, e := range pgasbench.Catalog {
 		start := time.Now()
-		fmt.Printf("\n################ %s ################\n", name)
-		return func() { fmt.Printf("[%s took %v]\n", name, time.Since(start).Round(time.Millisecond)) }
-	}
-
-	done := section("Figure 2: raw put latency (§III)")
-	fig2 := pgasbench.Fig2()
-	fmt.Print(fig2.Render())
-	done()
-
-	done = section("Figure 3: raw put bandwidth (§III)")
-	fig3 := pgasbench.Fig3()
-	fmt.Print(fig3.Render())
-	done()
-
-	done = section("Figure 6: CAF put + strided put, Cray XC30 (§V-B)")
-	fig6 := pgasbench.Fig6()
-	fmt.Print(fig6.Render())
-	summariseFig6(fig6)
-	done()
-
-	done = section("Figure 7: CAF put + strided put, Stampede (§V-B)")
-	fig7 := pgasbench.Fig7()
-	fmt.Print(fig7.Render())
-	summariseFig7(fig7)
-	done()
-
-	done = section("Figure 8: coarray locks, Titan (§V-B3)")
-	fig8 := pgasbench.Fig8(lockImages)
-	fmt.Print(fig8.Render())
-	summariseFig8(fig8)
-	done()
-
-	done = section("Figure 9: distributed hash table, Titan (§V-C)")
-	fig9 := pgasbench.Fig9(dhtImages, 128, 50)
-	fmt.Print(fig9.Render())
-	summariseFig9(fig9)
-	done()
-
-	done = section("Figure 10: Himeno, Stampede (§V-D)")
-	fig10 := pgasbench.Fig10(himImages, himParams)
-	fmt.Print(fig10.Render())
-	summariseFig10(fig10)
-	done()
-
-	done = section("§V-D matrix-oriented strides (naive vs 2dim)")
-	mf := pgasbench.MatrixOrientedAblation()
-	fmt.Print(mf.Render())
-	done()
-
-	done = section("Nonblocking RMA overlap (beyond-paper, §VII direction)")
-	figOv := pgasbench.FigOverlap(min(himImages, 32))
-	fmt.Print(figOv.Render())
-	summariseFigOverlap(figOv)
-	done()
-
-	done = section("Put-with-signal: barrier-free ghost refresh (beyond-paper)")
-	figSig := pgasbench.FigSignal(min(himImages, 32))
-	fmt.Print(figSig.Render())
-	summariseFigSignal(figSig)
-	done()
-}
-
-func summariseFigSignal(f pgasbench.Figure) {
-	app := f.Panels[0]
-	fmt.Println()
-	for _, label := range []string{"Stampede/MV2X-SHMEM", "XC30/Cray-SHMEM", "Titan/Cray-SHMEM"} {
-		bs, ss := app.FindSeries(label+" barrier"), app.FindSeries(label+" signal")
-		if bs == nil || ss == nil {
-			continue
+		fmt.Printf("\n################ %s ################\n", e.Title)
+		fig := e.Build(scale)
+		fmt.Print(fig.Render())
+		results, err := pgasbench.ReportClaims(os.Stdout, e.ID, &fig)
+		if err != nil {
+			failures = append(failures, err.Error())
 		}
-		fmt.Printf("himeno %-20s signal vs barrier-paced speedup %.2fx (geomean over image counts)\n",
-			label+":", pgasbench.GeoMeanRatio(*bs, *ss))
-	}
-	bars := f.Panels[1]
-	if sig := bars.FindSeries("signal overlap"); sig != nil {
-		fmt.Printf("signal schedule barriers (image 1): %v at every iteration count — zero in steady state\n",
-			sig.Rows[0].Value)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func summariseFigOverlap(f pgasbench.Figure) {
-	micro := f.Panels[0]
-	b, o := micro.FindSeries("blocking put"), micro.FindSeries("put_nbi overlap")
-	fmt.Printf("\nmicrobench: put_nbi total %.2fx lower than blocking with equal-length compute (geomean)\n",
-		pgasbench.GeoMeanRatio(*b, *o))
-	app := f.Panels[1]
-	for _, label := range []string{"Stampede/MV2X-SHMEM", "XC30/Cray-SHMEM", "Titan/Cray-SHMEM"} {
-		bs, os := app.FindSeries(label+" blocking"), app.FindSeries(label+" overlap")
-		if bs == nil || os == nil {
-			continue
+		for _, r := range results {
+			if r.Missed() {
+				failures = append(failures, fmt.Sprintf("claim %s missed: measured %s", r.Claim.ID, r.Measured))
+			}
 		}
-		fmt.Printf("himeno %-20s overlap speedup %.2fx (geomean over image counts)\n",
-			label+":", pgasbench.GeoMeanRatio(*bs, *os))
+		fmt.Printf("[%s took %v]\n", e.Title, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(&tables, "\n## %s\n\n%s", e.Title, pgasbench.ClaimsBlock(e.ID, results))
 	}
-}
 
-func summariseFig6(f pgasbench.Figure) {
-	c := f.Panels[0]
-	shm, gas := c.FindSeries("UHCAF-Cray-SHMEM"), c.FindSeries("UHCAF-GASNet")
-	fmt.Printf("\npaper: avg ~8%% contiguous put bandwidth gain over GASNet;  measured: %.1f%%\n",
-		(pgasbench.GeoMeanRatio(*shm, *gas)-1)*100)
-	s := f.Panels[2]
-	twoDim, cray, naive := s.FindSeries("UHCAF-Cray-SHMEM-2dim"), s.FindSeries("Cray-CAF"), s.FindSeries("UHCAF-Cray-SHMEM-naive")
-	fmt.Printf("paper: strided ~3x over Cray-CAF, ~9x over naive;  measured: %.1fx, %.1fx\n",
-		pgasbench.GeoMeanRatio(*twoDim, *cray), pgasbench.GeoMeanRatio(*twoDim, *naive))
-}
-
-func summariseFig7(f pgasbench.Figure) {
-	c := f.Panels[0]
-	shm, gas := c.FindSeries("UHCAF-MVAPICH2-X-SHMEM"), c.FindSeries("UHCAF-GASNet")
-	fmt.Printf("\npaper: avg ~8%% contiguous gain over GASNet;  measured: %.1f%%\n",
-		(pgasbench.GeoMeanRatio(*shm, *gas)-1)*100)
-	s := f.Panels[2]
-	naive, twoDim := s.FindSeries("UHCAF-MVAPICH2-X-SHMEM-naive"), s.FindSeries("UHCAF-MVAPICH2-X-SHMEM-2dim")
-	fmt.Printf("paper: naive == 2dim on MVAPICH2-X (iput is a loop of putmem);  measured ratio: %.3f\n",
-		pgasbench.GeoMeanRatio(*naive, *twoDim))
-}
-
-func summariseFig8(f pgasbench.Figure) {
-	p := f.Panels[0]
-	shm, cray, gas := p.FindSeries("UHCAF-Cray-SHMEM"), p.FindSeries("Cray-CAF"), p.FindSeries("UHCAF-GASNet")
-	fmt.Printf("\npaper: UHCAF-SHMEM 22%% faster than Cray-CAF, 11%% faster than GASNet\n")
-	fmt.Printf("measured: %.1f%% faster than Cray-CAF, %.1f%% faster than GASNet (geomean over image counts)\n",
-		(1-1/pgasbench.GeoMeanRatio(*cray, *shm))*100,
-		(1-1/pgasbench.GeoMeanRatio(*gas, *shm))*100)
-}
-
-func summariseFig9(f pgasbench.Figure) {
-	p := f.Panels[0]
-	shm, cray, gas := p.FindSeries("UHCAF-Cray-SHMEM"), p.FindSeries("Cray-CAF"), p.FindSeries("UHCAF-GASNet")
-	fmt.Printf("\npaper: UHCAF-SHMEM 28%% faster than Cray-CAF, 18%% faster than GASNet\n")
-	fmt.Printf("measured: %.1f%% faster than Cray-CAF, %.1f%% faster than GASNet (geomean over image counts)\n",
-		(1-1/pgasbench.GeoMeanRatio(*cray, *shm))*100,
-		(1-1/pgasbench.GeoMeanRatio(*gas, *shm))*100)
-}
-
-func summariseFig10(f pgasbench.Figure) {
-	p := f.Panels[0]
-	shm, gas := p.FindSeries("UHCAF-MVAPICH2-X-SHMEM"), p.FindSeries("UHCAF-GASNet")
-	maxGain := 0.0
-	for i := range shm.Rows {
-		if g := shm.Rows[i].Value/gas.Rows[i].Value - 1; g > maxGain {
-			maxGain = g
-		}
+	fmt.Printf("\n################ Claims, as EXPERIMENTS.md carries them ################\n%s", tables.String())
+	if len(failures) > 0 {
+		fmt.Fprintf(os.Stderr, "reproduce: not held (%d):\n  %s\n", len(failures), strings.Join(failures, "\n  "))
+		os.Exit(1)
 	}
-	fmt.Printf("\npaper: ~6%% average, 22%% maximum MFLOPS gain over GASNet\n")
-	fmt.Printf("measured: %.1f%% average (geomean), %.1f%% maximum\n",
-		(pgasbench.GeoMeanRatio(*shm, *gas)-1)*100, maxGain*100)
 }

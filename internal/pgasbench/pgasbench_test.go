@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cafshmem/internal/caf"
 	"cafshmem/internal/fabric"
 )
 
@@ -65,143 +64,6 @@ func TestContentionReducesPerPairBandwidth(t *testing.T) {
 	}
 }
 
-func TestFig2Orderings(t *testing.T) {
-	f := Fig2()
-	if len(f.Panels) != 4 {
-		t.Fatalf("Fig2 has %d panels", len(f.Panels))
-	}
-	// Paper §III: at small sizes without contention, SHMEM and GASNet both
-	// beat MPI-3.0; at large sizes SHMEM stays ahead of both (GASNet loses
-	// its edge as its lower sustained bandwidth takes over).
-	small := f.Panels[0]
-	shm := small.FindSeries(fabric.ProfMV2XSHMEM)
-	mpi := small.FindSeries(fabric.ProfMV2XMPI3)
-	gas := small.FindSeries(fabric.ProfGASNetIBV)
-	for i := range shm.Rows {
-		if !(shm.Rows[i].Value < mpi.Rows[i].Value) || !(gas.Rows[i].Value < mpi.Rows[i].Value) {
-			t.Fatalf("small row %d: MPI-3 should have the worst small-message latency", i)
-		}
-	}
-	large := f.Panels[1]
-	shmL := large.FindSeries(fabric.ProfMV2XSHMEM)
-	mpiL := large.FindSeries(fabric.ProfMV2XMPI3)
-	gasL := large.FindSeries(fabric.ProfGASNetIBV)
-	for i := range shmL.Rows {
-		if !(shmL.Rows[i].Value < mpiL.Rows[i].Value) || !(shmL.Rows[i].Value < gasL.Rows[i].Value) {
-			t.Fatalf("large row %d: SHMEM should have the best large-message latency", i)
-		}
-	}
-	// Cray SHMEM beats GASNet on the Gemini platform at small sizes.
-	p := f.Panels[2]
-	cs := p.FindSeries(fabric.ProfCraySHMEM)
-	gg := p.FindSeries(fabric.ProfGASNetGemini)
-	for i := range cs.Rows {
-		if !(cs.Rows[i].Value < gg.Rows[i].Value) {
-			t.Fatalf("row %d: Cray SHMEM should beat GASNet at small sizes", i)
-		}
-	}
-}
-
-func TestFig3Orderings(t *testing.T) {
-	f := Fig3()
-	// Paper §III: "The bandwidth of SHMEM is better than GASNet and MPI-3.0
-	// on both the Stampede and Titan experimental setups."
-	checks := []struct {
-		panel         int
-		shm, mpi, gas string
-	}{
-		{0, fabric.ProfMV2XSHMEM, fabric.ProfMV2XMPI3, fabric.ProfGASNetIBV},
-		{1, fabric.ProfMV2XSHMEM, fabric.ProfMV2XMPI3, fabric.ProfGASNetIBV},
-		{2, fabric.ProfCraySHMEM, fabric.ProfCrayMPICH, fabric.ProfGASNetGemini},
-		{3, fabric.ProfCraySHMEM, fabric.ProfCrayMPICH, fabric.ProfGASNetGemini},
-	}
-	for _, c := range checks {
-		p := f.Panels[c.panel]
-		shm, mpi, gas := p.FindSeries(c.shm), p.FindSeries(c.mpi), p.FindSeries(c.gas)
-		last := len(shm.Rows) - 1
-		if !(shm.Rows[last].Value > mpi.Rows[last].Value) || !(shm.Rows[last].Value > gas.Rows[last].Value) {
-			t.Fatalf("panel %d: SHMEM should sustain the best large-message bandwidth", c.panel)
-		}
-	}
-}
-
-func TestFig6StridedOrderings(t *testing.T) {
-	f := Fig6()
-	// Panel (c): strided put, 1 pair. 2dim > Cray-CAF > naive (§V-B2).
-	p := f.Panels[2]
-	twoDim := p.FindSeries("UHCAF-Cray-SHMEM-2dim")
-	cray := p.FindSeries("Cray-CAF")
-	naive := p.FindSeries("UHCAF-Cray-SHMEM-naive")
-	if twoDim == nil || cray == nil || naive == nil {
-		t.Fatal("missing series")
-	}
-	for i := range twoDim.Rows {
-		if !(twoDim.Rows[i].Value > cray.Rows[i].Value && cray.Rows[i].Value > naive.Rows[i].Value) {
-			t.Fatalf("stride %v: want 2dim > Cray-CAF > naive, got %v / %v / %v",
-				twoDim.Rows[i].X, twoDim.Rows[i].Value, cray.Rows[i].Value, naive.Rows[i].Value)
-		}
-	}
-	// Headline factors: ~3x over Cray-CAF, ~9x over naive (allow wide bands).
-	rCray := GeoMeanRatio(*twoDim, *cray)
-	rNaive := GeoMeanRatio(*twoDim, *naive)
-	if rCray < 1.8 || rCray > 6 {
-		t.Fatalf("2dim/Cray-CAF bandwidth ratio %.2f outside the paper's ~3x band", rCray)
-	}
-	if rNaive < 4 || rNaive > 18 {
-		t.Fatalf("2dim/naive bandwidth ratio %.2f outside the paper's ~9x band", rNaive)
-	}
-	// Contiguous panels: UHCAF-Cray-SHMEM modestly above UHCAF-GASNet (~8%).
-	pc := f.Panels[0]
-	shm := pc.FindSeries("UHCAF-Cray-SHMEM")
-	gas := pc.FindSeries("UHCAF-GASNet")
-	r := GeoMeanRatio(*shm, *gas)
-	if r < 1.02 || r > 1.5 {
-		t.Fatalf("contiguous SHMEM/GASNet ratio %.3f outside the paper's ~8%% band", r)
-	}
-}
-
-func TestFig7NaiveEquals2dim(t *testing.T) {
-	f := Fig7()
-	p := f.Panels[2]
-	naive := p.FindSeries("UHCAF-MVAPICH2-X-SHMEM-naive")
-	twoDim := p.FindSeries("UHCAF-MVAPICH2-X-SHMEM-2dim")
-	r := GeoMeanRatio(*naive, *twoDim)
-	// §V-B2: on MVAPICH2-X, iput is a loop of putmem, so the two coincide.
-	if r < 0.9 || r > 1.1 {
-		t.Fatalf("naive/2dim ratio %.3f should be ~1 on MVAPICH2-X", r)
-	}
-}
-
-func TestFig8Orderings(t *testing.T) {
-	f := Fig8(64) // keep the test fast; the cmd sweeps to 1024
-	p := f.Panels[0]
-	shm := p.FindSeries("UHCAF-Cray-SHMEM")
-	cray := p.FindSeries("Cray-CAF")
-	gas := p.FindSeries("UHCAF-GASNet")
-	last := len(shm.Rows) - 1
-	if !(shm.Rows[last].Value < cray.Rows[last].Value) {
-		t.Fatalf("locks: SHMEM (%v ms) should beat Cray-CAF (%v ms)", shm.Rows[last].Value, cray.Rows[last].Value)
-	}
-	if !(shm.Rows[last].Value < gas.Rows[last].Value) {
-		t.Fatalf("locks: SHMEM (%v ms) should beat GASNet (%v ms)", shm.Rows[last].Value, gas.Rows[last].Value)
-	}
-	// Time grows with image count (the contention ring is longer).
-	if !(shm.Rows[0].Value < shm.Rows[last].Value) {
-		t.Fatal("lock time should grow with images")
-	}
-}
-
-func TestMatrixOrientedAblation(t *testing.T) {
-	f := MatrixOrientedAblation()
-	p := f.Panels[0]
-	naive := p.FindSeries("UHCAF-MVAPICH2-X-SHMEM-naive")
-	twoDim := p.FindSeries("UHCAF-MVAPICH2-X-SHMEM-2dim")
-	r := GeoMeanRatio(*naive, *twoDim)
-	if r <= 1.0 {
-		t.Fatalf("naive should beat 2dim for matrix-oriented sections, ratio %.3f", r)
-	}
-}
-
 func TestRenderContainsSeries(t *testing.T) {
 	f := Figure{
 		ID: "T", Title: "test",
@@ -227,34 +89,6 @@ func TestGeoMeanRatio(t *testing.T) {
 	}
 	if r := GeoMeanRatio(Series{}, Series{}); r != 1 {
 		t.Fatalf("empty geomean = %v, want 1", r)
-	}
-}
-
-func TestFig9Shape(t *testing.T) {
-	f := Fig9(16, 64, 25)
-	p := f.Panels[0]
-	shm := p.FindSeries("UHCAF-Cray-SHMEM")
-	cray := p.FindSeries("Cray-CAF")
-	// Individual image counts carry scheduler noise (real lock collisions);
-	// the figure's claim is about the aggregate, like the paper's "28%
-	// faster" summary.
-	if r := GeoMeanRatio(*cray, *shm); r <= 1.0 {
-		t.Fatalf("DHT: SHMEM should beat Cray-CAF in aggregate, ratio %.3f", r)
-	}
-}
-
-func TestFig10Shape(t *testing.T) {
-	f := Fig10(32, DefaultHimenoParams())
-	p := f.Panels[0]
-	shm := p.FindSeries("UHCAF-MVAPICH2-X-SHMEM")
-	gas := p.FindSeries("UHCAF-GASNet")
-	last := len(shm.Rows) - 1
-	// §V-D: SHMEM ahead for >= 16 images; MFLOPS grows with images.
-	if !(shm.Rows[last].Value > gas.Rows[last].Value) {
-		t.Fatalf("Himeno: SHMEM (%v) should beat GASNet (%v) at scale", shm.Rows[last].Value, gas.Rows[last].Value)
-	}
-	if !(shm.Rows[last].Value > shm.Rows[0].Value) {
-		t.Fatal("Himeno: MFLOPS should scale up with images")
 	}
 }
 
@@ -287,139 +121,6 @@ func TestOverlapMicroHidesTransfer(t *testing.T) {
 		if blocking.Rows[i].X >= 64<<10 {
 			if hidden := b - o; hidden < 0.8*(b/2) {
 				t.Errorf("size %v: only %v of %v µs hidden", blocking.Rows[i].X, hidden, b/2)
-			}
-		}
-	}
-}
-
-// FigOverlap's application panel must show the overlap schedule beating the
-// blocking one on every machine profile at every image count — the claim
-// EXPERIMENTS.md records.
-func TestFigOverlapSpeedupOnAllMachines(t *testing.T) {
-	fig := FigOverlap(8)
-	if len(fig.Panels) != 3 {
-		t.Fatalf("FigOverlap has %d panels, want 3", len(fig.Panels))
-	}
-	app := fig.Panels[1]
-	for _, m := range overlapMachines() {
-		b := app.FindSeries(m.Label + " blocking")
-		o := app.FindSeries(m.Label + " overlap")
-		if b == nil || o == nil {
-			t.Fatalf("%s: missing series", m.Label)
-		}
-		for i := range b.Rows {
-			if o.Rows[i].Value >= b.Rows[i].Value {
-				t.Errorf("%s images=%v: overlap %.4f ms not faster than blocking %.4f ms",
-					m.Label, b.Rows[i].X, o.Rows[i].Value, b.Rows[i].Value)
-			}
-		}
-		if r := GeoMeanRatio(*b, *o); r <= 1.0 {
-			t.Errorf("%s: geomean blocking/overlap ratio %.3f, want > 1", m.Label, r)
-		}
-	}
-
-	// Panel C compares the three Stampede transports. The two backends with a
-	// genuine nonblocking surface (SHMEM's put_nbi, GASNet's put_nb/nbi over
-	// fabric.NBIStreams) must profit from the overlap schedule. The MPI-3
-	// mapping's PutAsync degrades to a blocking put, so no direction is
-	// asserted for it — the barrier-free schedule and the degraded puts pull
-	// opposite ways — but both series must exist and be positive.
-	tp := fig.Panels[2]
-	var hide [3]float64
-	for ti, tc := range TransportConfigs() {
-		b := tp.FindSeries(tc.Label + " blocking")
-		o := tp.FindSeries(tc.Label + " overlap")
-		if b == nil || o == nil {
-			t.Fatalf("transport panel: %s: missing series", tc.Label)
-		}
-		for i := range b.Rows {
-			if b.Rows[i].Value <= 0 || o.Rows[i].Value <= 0 {
-				t.Fatalf("transport panel: %s images=%v: non-positive time", tc.Label, b.Rows[i].X)
-			}
-			if tc.Kind != caf.TransportMPI3 && b.Rows[i].X >= 2 && o.Rows[i].Value >= b.Rows[i].Value {
-				t.Errorf("transport panel: %s images=%v: overlap %.4f ms not faster than blocking %.4f ms",
-					tc.Label, b.Rows[i].X, o.Rows[i].Value, b.Rows[i].Value)
-			}
-		}
-		hide[ti] = GeoMeanRatio(*b, *o)
-	}
-	// Honest NBI must hide more than the degraded MPI-3 path on the same
-	// workload: the shmem and gasnet blocking/overlap ratios both exceed
-	// mpi3's.
-	if hide[0] <= hide[2] || hide[1] <= hide[2] {
-		t.Errorf("transport panel: overlap gain shmem %.3f, gasnet %.3f, mpi3 %.3f — NBI transports must gain more than the degraded MPI-3 path",
-			hide[0], hide[1], hide[2])
-	}
-}
-
-// FigSignal's application panel must show the signal-driven schedule beating
-// the barrier-paced overlap on every machine profile whenever there is a
-// neighbour to signal (images >= 2), and its barrier panel must show a flat
-// signal series against linearly growing blocking/barrier-overlap series.
-func TestFigSignalBarrierFreeAndFaster(t *testing.T) {
-	fig := FigSignal(8)
-	if len(fig.Panels) != 3 {
-		t.Fatalf("FigSignal has %d panels, want 3", len(fig.Panels))
-	}
-	app := fig.Panels[0]
-	for _, m := range overlapMachines() {
-		b := app.FindSeries(m.Label + " barrier")
-		s := app.FindSeries(m.Label + " signal")
-		if b == nil || s == nil {
-			t.Fatalf("%s: missing series", m.Label)
-		}
-		for i := range b.Rows {
-			if b.Rows[i].X < 2 {
-				continue
-			}
-			if s.Rows[i].Value >= b.Rows[i].Value {
-				t.Errorf("%s images=%v: signal %.4f ms not faster than barrier-paced %.4f ms",
-					m.Label, b.Rows[i].X, s.Rows[i].Value, b.Rows[i].Value)
-			}
-		}
-	}
-
-	bars := fig.Panels[1]
-	sig := bars.FindSeries("signal overlap")
-	blk := bars.FindSeries("blocking")
-	bar := bars.FindSeries("barrier overlap")
-	if sig == nil || blk == nil || bar == nil {
-		t.Fatal("barrier panel: missing series")
-	}
-	for i := range sig.Rows {
-		if sig.Rows[i].Value != sig.Rows[0].Value {
-			t.Errorf("signal schedule barriers grew with iterations: %v at iters=%v, %v at iters=%v",
-				sig.Rows[0].Value, sig.Rows[0].X, sig.Rows[i].Value, sig.Rows[i].X)
-		}
-		if i > 0 {
-			if blk.Rows[i].Value <= blk.Rows[i-1].Value {
-				t.Errorf("blocking barriers did not grow between iters=%v and %v", blk.Rows[i-1].X, blk.Rows[i].X)
-			}
-			if bar.Rows[i].Value <= bar.Rows[i-1].Value {
-				t.Errorf("barrier-overlap barriers did not grow between iters=%v and %v", bar.Rows[i-1].X, bar.Rows[i].X)
-			}
-		}
-	}
-
-	// Panel C: the same barrier-vs-signal comparison across the three
-	// Stampede transports. The signal schedule drops the per-iteration
-	// barrier on every backend, so it must win everywhere there is a
-	// neighbour to signal — including MPI-3, whose notify is just one more
-	// blocking RMA op but whose barrier is the costliest of the three.
-	tp := fig.Panels[2]
-	for _, tc := range TransportConfigs() {
-		b := tp.FindSeries(tc.Label + " barrier")
-		s := tp.FindSeries(tc.Label + " signal")
-		if b == nil || s == nil {
-			t.Fatalf("transport panel: %s: missing series", tc.Label)
-		}
-		for i := range b.Rows {
-			if b.Rows[i].X < 2 {
-				continue
-			}
-			if s.Rows[i].Value >= b.Rows[i].Value {
-				t.Errorf("transport panel: %s images=%v: signal %.4f ms not faster than barrier-paced %.4f ms",
-					tc.Label, b.Rows[i].X, s.Rows[i].Value, b.Rows[i].Value)
 			}
 		}
 	}
