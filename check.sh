@@ -94,14 +94,17 @@ go test -run '^$' -fuzz '^FuzzSegStore$' -fuzztime 5s ./internal/pgas
 go test -run '^$' -fuzz '^FuzzTsIndex$' -fuzztime 5s ./internal/pgas
 
 echo "==> deadlock loop (every deterministic deadlock and the gated departure fan-out, 500x at GOMAXPROCS 1, 2 and 8: the verdict is exact, so one miss or lost wake hangs and one false alarm fails)"
-# Three older tests of the family still carry their TestWatchdog names (ROADMAP,
-# quiescence item); -short skips the 100k-image one, which the suite runs once.
-timeout 300 go test -short -count=500 -cpu 1,2,8 -run '^Test(Deadlock|Watchdog)' ./internal/pgas
+# One older test of the family still carries its TestWatchdog name (ROADMAP,
+# housekeeping (a)); -short skips the 100k-image one, which the suite runs once.
+timeout 300 go test -short -count=500 -cpu 1,2,8 -run '^Test(Deadlock|WatchdogCatchesDeadlockReachedByDeparture)' ./internal/pgas
 
 if [ "${1:-}" = fast ]; then
     echo "check.sh: fast tier passed"
     exit 0
 fi
+
+echo "==> claims gate (every figure of pgasbench.Catalog rebuilt at default scale and held to pgasbench.Claims; exit status only)"
+go run ./cmd/reproduce > /dev/null
 
 echo "==> shmemvet (PGAS static analysis; exit code gates, JSON artifact kept)"
 # The run is budgeted: the interprocedural pass over the whole module must
