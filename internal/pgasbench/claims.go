@@ -197,8 +197,8 @@ type pred = func(view) (string, bool)
 
 var everyX = [2]float64{0, math.Inf(1)}
 
-// below holds when series lo is strictly under series hi at every row whose
-// X lies in within, and there is such a row. It reports the widest margin,
+// below holds when series lo is positive and strictly under series hi at every
+// row whose X lies in within, and there is such a row. It reports the widest margin,
 // in the digits the figure's panel prints.
 func below(panel int, lo, hi string, within [2]float64) pred {
 	return func(v view) (string, bool) {
@@ -208,8 +208,8 @@ func below(panel int, lo, hi string, within [2]float64) pred {
 			if r.X < within[0] || r.X > within[1] {
 				continue
 			}
-			if !(r.Value < b.Rows[i].Value) {
-				return fmt.Sprintf("%s %.3f not below %s %.3f at %.0f", lo, r.Value, hi, b.Rows[i].Value, r.X), false
+			if !(0 < r.Value && r.Value < b.Rows[i].Value) {
+				return fmt.Sprintf("%s %.3f not in (0, %s %.3f) at %.0f", lo, r.Value, hi, b.Rows[i].Value, r.X), false
 			}
 			if n++; widest < 0 || b.Rows[i].Value/r.Value > b.Rows[widest].Value/a.Rows[widest].Value {
 				widest = i
@@ -247,24 +247,30 @@ func all(ps ...pred) pred {
 }
 
 // belowEach is below for each label prefix of a Himeno schedule panel.
-func belowEach(panel int, prefixes []string, lo, hi string, within [2]float64) pred {
-	var ps []pred
-	for _, p := range prefixes {
-		ps = append(ps, below(panel, p+lo, p+hi, within))
+func belowEach(panel int, prefixes func() []string, lo, hi string, within [2]float64) pred {
+	return func(v view) (string, bool) {
+		var ps []pred
+		for _, p := range prefixes() {
+			ps = append(ps, below(panel, p+lo, p+hi, within))
+		}
+		return all(ps...)(v)
 	}
-	return all(ps...)
 }
 
 // machines and transports are those panels' label prefixes.
-var machines, transports = func() (m, t []string) {
-	for _, x := range overlapMachines() {
-		m = append(m, x.Label)
+func machines() (labels []string) {
+	for _, m := range overlapMachines() {
+		labels = append(labels, m.Label)
 	}
-	for _, x := range TransportConfigs() {
-		t = append(t, x.Label)
+	return labels
+}
+
+func transports() (labels []string) {
+	for _, tc := range TransportConfigs() {
+		labels = append(labels, tc.Label)
 	}
-	return
-}()
+	return labels
+}
 
 // Series labels the claims read (the builders in figures*.go set them).
 const (
@@ -379,12 +385,14 @@ var Claims = []Claim{
 	{ID: "overlap.transports", Figure: "overlap",
 		Text: `on Stampede the transports with a nonblocking surface (SHMEM and GASNet put_nbi) gain from the overlap schedule at 2–16 images, and over the sweep gain more than MPI-3, whose PutAsync degrades to a blocking put (beyond paper; blocking/overlap geomean)`,
 		Holds: func(v view) (string, bool) {
-			detail, ok := belowEach(2, transports[:2], " overlap", " blocking", [2]float64{2, 16})(v)
+			trs := transports()
+			detail, ok := all(below(2, trs[0]+" overlap", trs[0]+" blocking", [2]float64{2, 16}),
+				below(2, trs[1]+" overlap", trs[1]+" blocking", [2]float64{2, 16}))(v)
 			var hide [3]float64
-			for i, tr := range transports {
+			for i, tr := range trs {
 				hide[i] = geo(2, tr+" blocking", tr+" overlap")(v)
 			}
-			return fmt.Sprintf("%s; gain %.3g× %s, %.3g× %s, %.3g× %s", detail, hide[0], transports[0], hide[1], transports[1], hide[2], transports[2]),
+			return fmt.Sprintf("%s; gain %.3g× %s, %.3g× %s, %.3g× %s", detail, hide[0], trs[0], hide[1], trs[1], hide[2], trs[2]),
 				ok && hide[0] > hide[2] && hide[1] > hide[2]
 		}},
 
