@@ -1,9 +1,13 @@
 package cafshmem
 
-// BenchmarkWallclockScale is the scale sweep: two application workloads (a
-// blocking-halo Himeno iteration and the disjoint locked-update DHT pattern) at
-// 256 / 1k / 4k / 10k images, plus a barrier panel that goes on to 100k. Two
-// extra metrics make the sweep comparable across sizes:
+// The two host-time panels benchmark/ cannot measure yet; ROADMAP's ledger
+// item moves them there. Every other host-time number is a benchmark/ workload
+// or ladder row, and virtual-time results are cmd/reproduce's.
+//
+// BenchmarkWallclockScale runs two application workloads (a blocking-halo
+// Himeno iteration and the disjoint locked-update DHT pattern) at 256 / 1k /
+// 4k / 10k images, plus a barrier panel that goes on to 100k. Rows are
+// "panel/n=<images>", with two extra metrics comparable across sizes:
 //
 //	ns/simop          wall-clock nanoseconds per runtime-issued communication
 //	                  operation (caf.Stats.Ops summed over all images) — the
@@ -11,15 +15,10 @@ package cafshmem
 //	                  ops a configuration happens to issue
 //	peak-goroutines   high-water goroutine count sampled during the run:
 //	                  images+O(1), a world starts nothing but its PEs
-//
-// Virtual-time results are pinned elsewhere (the golden and determinism
-// tests); this benchmark is only about what a simulated op costs the host as
-// the image count grows. Rows are "panel/n=<images>".
 
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,22 +26,20 @@ import (
 	"cafshmem/internal/dht"
 	"cafshmem/internal/fabric"
 	"cafshmem/internal/himeno"
+	"cafshmem/internal/pgasbench"
 )
 
 // pollPeakGoroutines samples the process goroutine count until stopped and
 // returns the high-water mark (the poller itself included — a constant +1).
 func pollPeakGoroutines() (stop func() float64) {
-	var peak int64
-	done := make(chan struct{})
-	finished := make(chan struct{})
+	peak := 0
+	done, finished := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(finished)
 		t := time.NewTicker(200 * time.Microsecond)
 		defer t.Stop()
 		for {
-			if g := int64(runtime.NumGoroutine()); g > atomic.LoadInt64(&peak) {
-				atomic.StoreInt64(&peak, g)
-			}
+			peak = max(peak, runtime.NumGoroutine())
 			select {
 			case <-done:
 				return
@@ -53,7 +50,7 @@ func pollPeakGoroutines() (stop func() float64) {
 	return func() float64 {
 		close(done)
 		<-finished
-		return float64(atomic.LoadInt64(&peak))
+		return float64(peak)
 	}
 }
 
@@ -131,5 +128,24 @@ func BenchmarkWallclockScale(b *testing.B) {
 				})
 			})
 		}
+	}
+}
+
+// BenchmarkWallclockHimenoTransport is the 256-image Fig 10 workload (naive
+// strided algorithm, 20 iterations) once per transport backend, so the rows
+// differ only in the transport mapping: shmem fast path, GASNet AM engine +
+// NBI streams, MPI-3 window epochs.
+func BenchmarkWallclockHimenoTransport(b *testing.B) {
+	prm := himeno.Params{NX: 16, NY: 256, NZ: 8, Iters: 20}
+	for _, kind := range []caf.TransportKind{caf.TransportSHMEM, caf.TransportGASNet, caf.TransportMPI3} {
+		b.Run("transport="+kind.String(), func(b *testing.B) {
+			o := pgasbench.TransportOptions(kind)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := himeno.Run(o, 256, prm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -94,9 +94,8 @@ go test -run '^$' -fuzz '^FuzzSegStore$' -fuzztime 5s ./internal/pgas
 go test -run '^$' -fuzz '^FuzzTsIndex$' -fuzztime 5s ./internal/pgas
 
 echo "==> deadlock loop (every deterministic deadlock and the gated departure fan-out, 500x at GOMAXPROCS 1, 2 and 8: the verdict is exact, so one miss or lost wake hangs and one false alarm fails)"
-# One older test of the family still carries its TestWatchdog name (ROADMAP,
-# housekeeping (a)); -short skips the 100k-image one, which the suite runs once.
-timeout 300 go test -short -count=500 -cpu 1,2,8 -run '^Test(Deadlock|WatchdogCatchesDeadlockReachedByDeparture)' ./internal/pgas
+# -short skips the 100k-image one, which the suite runs once.
+timeout 300 go test -short -count=500 -cpu 1,2,8 -run '^TestDeadlock' ./internal/pgas
 
 if [ "${1:-}" = fast ]; then
     echo "check.sh: fast tier passed"
@@ -173,7 +172,7 @@ go test -run 'TestEventEngineMatchesGoroutine' -count=1 -cpu 1,2,8 ./internal/pg
 go test -run 'TestEngineDifferential' -count=1 -cpu 1,2,8 ./internal/caf
 go test -run 'TestHimenoGoldensOnEventEngine' -count=1 -cpu 1,2,8 ./internal/himeno
 
-echo "==> allocation gate (steady-state malloc ceilings: Himeno iteration, waits, co_sum, lock pair, DHT update, typed RMA, figure series; world churn on recycled pages)"
+echo "==> allocation gate (steady-state malloc ceilings: Himeno iteration, waits, co_sum, lock pair, DHT update, typed RMA incl. the zero-alloc contiguous put on all three transports (TestTypedRMASteadyStateAllocs, \"contiguous Put\"), figure series; world churn on recycled pages)"
 go test -run 'SteadyStateAllocs|WorldChurn' -count=1 ./internal/...
 
 echo "==> scale smoke (4096 images, a goroutine each, bounded wall time)"
@@ -184,13 +183,7 @@ echo "==> 100k-image smoke (sharded-barrier panel, 1 iteration, bounded wall tim
 # into a failure. ~5s on the reference machine.
 timeout 180 go test -run '^$' -bench '^BenchmarkWallclockScale/barrier/n=102400$' -benchtime 1x .
 
-echo "==> wall-clock bench smoke (one iteration per benchmark, incl. Himeno overlap)"
-# The fixed suite only: the full scale sweep (BenchmarkWallclockScale, up to
-# 100k images) is run by hand, not a smoke.
-go test -run '^$' -bench '^BenchmarkWallclock(ContigPut|StridedPut|LockContention|DHT|Himeno|HimenoOverlap|HimenoSignal)$' -benchtime 1x .
-go test -run '^$' -bench '^BenchmarkWallclockScale/barrier/n=256$' -benchtime 1x .
-
-echo "==> benchreport regression gates (live contig-put allocs; BENCH_10.json complete)"
-go run ./cmd/benchreport -check
+echo "==> transport-matrix smoke (the root bench file's other panel, one iteration per backend, so it cannot rot unbuilt)"
+timeout 180 go test -run '^$' -bench '^BenchmarkWallclockHimenoTransport$' -benchtime 1x .
 
 echo "check.sh: all gates passed"

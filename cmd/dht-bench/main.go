@@ -25,18 +25,16 @@ func main() {
 	buckets := flag.Int("buckets", 128, "hash buckets per image")
 	updates := flag.Int("updates", 50, "random locked updates per image")
 	transport := flag.String("transport", "", "run the locked-update sweep on ONE Stampede transport backend (shmem, gasnet, or mpi3) instead of the Figure-9 trio")
-	faultPlan := flag.String("faultplan", "", "JSON fault-plan file: run one chaos replay under the plan instead of Figure 9")
-	faultSeed := flag.Uint64("faultseed", 0, "nonzero: chaos replay under a seeded lossy plan (drops, delay jitter, dups, one kill)")
-	chaosImages := flag.Int("chaos-images", 8, "image count for the chaos replay")
+	chaos := pgasbench.ChaosFlags(flag.CommandLine, "Figure 9")
 	flag.Parse()
 
-	if *faultPlan != "" || *faultSeed != 0 {
-		plan, err := loadPlan(*faultPlan, *faultSeed, *chaosImages)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dht-bench:", err)
-			os.Exit(1)
-		}
-		chaosReplay(plan, *chaosImages, *buckets, *updates)
+	plan, err := chaos.Plan(20_000)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dht-bench:", err)
+		os.Exit(1)
+	}
+	if plan != nil {
+		chaosReplay(plan, chaos.Images, *buckets, *updates)
 		return
 	}
 
@@ -79,19 +77,6 @@ func transportSweep(kind caf.TransportKind, maxImages, buckets, updates int) {
 		}
 		fmt.Printf("%8d %12.3f   %v\n", n, r.TimeMs, r.Pages)
 	}
-}
-
-// loadPlan resolves the chaos fault plan: a JSON file when given, otherwise a
-// seeded lossy plan (one kill plus drop/jitter/dup rules on every link).
-func loadPlan(path string, seed uint64, images int) (*fabric.FaultPlan, error) {
-	if path != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return fabric.DecodeFaultPlan(data)
-	}
-	return fabric.RandomLossPlan(seed, images, 1, 20_000, 2_000_000), nil
 }
 
 // chaosReplay runs the locked-update workload once under plan, every image on

@@ -26,20 +26,18 @@ func main() {
 	nz := flag.Int("nz", 16, "global grid extent in z")
 	iters := flag.Int("iters", 3, "Jacobi iterations")
 	transport := flag.String("transport", "", "run the sweep on ONE Stampede transport backend (shmem, gasnet, or mpi3) instead of the Figure-10 pair")
-	faultPlan := flag.String("faultplan", "", "JSON fault-plan file: run one chaos replay under the plan instead of Figure 10")
-	faultSeed := flag.Uint64("faultseed", 0, "nonzero: chaos replay under a seeded lossy plan (drops, delay jitter, dups, one kill)")
-	chaosImages := flag.Int("chaos-images", 8, "image count for the chaos replay")
+	chaos := pgasbench.ChaosFlags(flag.CommandLine, "Figure 10")
 	flag.Parse()
 
 	prm := himeno.Params{NX: *nx, NY: *ny, NZ: *nz, Iters: *iters}
 
-	if *faultPlan != "" || *faultSeed != 0 {
-		plan, err := loadPlan(*faultPlan, *faultSeed, *chaosImages)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "himeno-bench:", err)
-			os.Exit(1)
-		}
-		chaosReplay(plan, *chaosImages, prm)
+	plan, err := chaos.Plan(200_000)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "himeno-bench:", err)
+		os.Exit(1)
+	}
+	if plan != nil {
+		chaosReplay(plan, chaos.Images, prm)
 		return
 	}
 
@@ -83,19 +81,6 @@ func transportSweep(kind caf.TransportKind, maxImages int, prm himeno.Params) {
 		}
 		fmt.Printf("%8d %12.2f %12.3f   %v\n", n, r.MFLOPS, r.TimeMs, r.Pages)
 	}
-}
-
-// loadPlan resolves the chaos fault plan: a JSON file when given, otherwise a
-// seeded lossy plan (one kill plus drop/jitter/dup rules on every link).
-func loadPlan(path string, seed uint64, images int) (*fabric.FaultPlan, error) {
-	if path != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return fabric.DecodeFaultPlan(data)
-	}
-	return fabric.RandomLossPlan(seed, images, 1, 200_000, 2_000_000), nil
 }
 
 // chaosReplay runs the fault-aware signal-overlap solver once under plan and

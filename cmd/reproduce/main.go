@@ -1,10 +1,11 @@
 // reproduce runs the full evaluation of the paper — every figure of §V plus
-// the §III motivation figures, the §V-D matrix-oriented observation and the
-// two beyond-paper schedule figures — by walking pgasbench.Catalog. Under
-// each figure it prints the claims pgasbench.Claims holds it to, each beside
-// this run's value; at the end it prints the same results as the marked
-// tables EXPERIMENTS.md carries. It exits 1 when a stable claim is missed or
-// a claim names a series its figure does not have.
+// the §III motivation figures, the §V-D matrix-oriented observation, the two
+// beyond-paper schedule figures and the ablations of §IV's design choices —
+// by walking pgasbench.Catalog. Under each figure it prints the claims
+// pgasbench.Claims holds it to, each beside this run's value; at the end it
+// prints the same results as the marked tables EXPERIMENTS.md carries. It
+// exits 1 when a stable claim is missed or a claim names a series its figure
+// does not have.
 //
 // Usage:
 //

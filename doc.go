@@ -20,7 +20,8 @@
 //	internal/dht       — distributed hash table benchmark (Figure 9)
 //	internal/himeno    — CAF Himeno benchmark (Figure 10)
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation; see DESIGN.md for the per-experiment index and
+// cmd/reproduce regenerates every figure of the paper's evaluation and holds
+// it to the claims table (internal/pgasbench); benchmark/ measures what that
+// costs the host. See DESIGN.md for the per-experiment index and
 // EXPERIMENTS.md for paper-vs-measured results.
 package cafshmem

@@ -19,8 +19,7 @@ import (
 // anything, creates nothing" opaque summary (which can only mask findings,
 // never invent them):
 //
-//   - indirect calls through function values and non-Transport interface
-//     methods;
+//   - indirect calls through function values and interface methods;
 //   - function literals that escape their defining function (a literal's own
 //     body is still analyzed for its own diagnostics by funcBodies);
 //   - recursion: members of a non-trivial SCC iterate to a fixpoint from the
@@ -53,7 +52,7 @@ func NewProgram(l *Loader) *Program {
 }
 
 // Summary returns fn's effect summary, or nil when fn's body is unknown
-// (external code, interface methods outside the modelled Transport surface).
+// (external code, interface methods).
 func (p *Program) Summary(fn *types.Func) *Summary {
 	p.ensure()
 	return p.summaries[fn]

@@ -471,27 +471,15 @@ func (w *syncWalker) applyCall(call *ast.CallExpr, st syncState) {
 }
 
 // applyUnknown handles a resolved call outside the modelled shmem API: a
-// module-local function is seen through via its effect summary; a Transport
-// interface method via its modelled effect; a module call with neither
-// (interface method without a body, or no Program) conservatively counts as a
-// completion point for everything, contexts included.
+// module-local function is seen through via its effect summary; a module call
+// without one (interface method without a body, or no Program) conservatively
+// counts as a completion point for everything, contexts included.
 func (w *syncWalker) applyUnknown(call *ast.CallExpr, fn *types.Func, st syncState) {
 	if fn.Pkg() == nil {
 		return // universe-scope methods (error.Error)
 	}
 	if sum := w.pass.summaryOf(fn); sum != nil {
 		w.applySummary(call, fn, sum, st)
-		return
-	}
-	if eff, ok := transportSyncEffect(fn); ok {
-		switch eff {
-		case "quiet":
-			w.clearDefault(st)
-		case "put":
-			if w.sum != nil {
-				w.sum.CreatesUnmapped = true
-			}
-		}
 		return
 	}
 	path := fn.Pkg().Path()
@@ -503,24 +491,6 @@ func (w *syncWalker) applyUnknown(call *ast.CallExpr, fn *types.Func, st syncSta
 		return
 	}
 	// Standard library: cannot touch the communication layer.
-}
-
-// transportSyncEffect models the caf Transport interface, whose methods have
-// no bodies to summarize: Quiet/Barrier and the allocation collectives are
-// completion points; the one-sided writes and AMOs create pending state the
-// checker cannot key (offset-based, no Sym handle); everything else is inert.
-func transportSyncEffect(fn *types.Func) (string, bool) {
-	if !isMethodOf(fn, cafPath, "Transport", fn.Name()) {
-		return "", false
-	}
-	switch fn.Name() {
-	case "Quiet", "Barrier", "Malloc", "Free":
-		return "quiet", true
-	case "PutMem", "PutMemV", "PutStrided1D", "DirectWrite",
-		"Swap64", "CompareSwap64", "FetchAdd64", "FetchAnd64", "FetchOr64", "FetchXor64":
-		return "put", true
-	}
-	return "benign", true
 }
 
 // applySummary applies a summarized callee's effects to the caller's state:
@@ -775,15 +745,6 @@ func (w *syncWalker) deferCompletionOf(call *ast.CallExpr) {
 				w.sum.QuietsDefault = w.sum.QuietsDefault || sum.QuietsDefault
 				w.sum.Fences = w.sum.Fences || sum.Fences
 				w.sum.QuietsAnyCtx = w.sum.QuietsAnyCtx || sum.QuietsAnyCtx || len(sum.QuietsCtx) > 0
-			}
-			return
-		}
-		if eff, ok := transportSyncEffect(fn); ok {
-			if eff == "quiet" {
-				w.defc.def = true
-				if w.sum != nil {
-					w.sum.QuietsDefault = true
-				}
 			}
 			return
 		}

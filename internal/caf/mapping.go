@@ -18,7 +18,7 @@ type FeatureMapping struct {
 // row annotated with the implementing runtime facility in this repository.
 func TableII() []FeatureMapping {
 	return []FeatureMapping{
-		{"Symmetric data allocation", "allocate", "shmalloc", true, "caf.Allocate -> Transport.Malloc (shmem symmetric heap)"},
+		{"Symmetric data allocation", "allocate", "shmalloc", true, "caf.Allocate -> backend.malloc -> shmem.PE.Malloc (symmetric heap)"},
 		{"Total image count", "num_images()", "_num_pes()", true, "Image.NumImages"},
 		{"Current image ID", "this_image()", "_my_pe()", true, "Image.ThisImage"},
 		{"Collectives - reduction", "co_sum/co_min/co_max/co_reduce", "shmem_<op>_to_all (built on 1-sided + atomics in UHCAF)", true, "caf.CoSum/CoMin/CoMax/CoReduce (binomial tree over puts+flags)"},
@@ -31,8 +31,8 @@ func TableII() []FeatureMapping {
 		{"Atomic XOR operation", "atomic_xor", "shmem_xor", true, "AtomicVar.Xor"},
 		{"Remote memory put", "x(...)[j] = v", "shmem_put/shmem_putmem", true, "Coarray.Put/PutElem (+quiet per §IV-B)"},
 		{"Remote memory get", "v = x(...)[j]", "shmem_get/shmem_getmem", true, "Coarray.Get/GetElem (quiet-before-get per §IV-B)"},
-		{"1-D strided put", "x(a:b:s)[j] = v", "shmem_iput(..., stride, ...)", true, "Transport.PutStrided1D"},
-		{"1-D strided get", "v = x(a:b:s)[j]", "shmem_iget(..., stride, ...)", true, "Transport.GetStrided1D"},
+		{"1-D strided put", "x(a:b:s)[j] = v", "shmem_iput(..., stride, ...)", true, "rmaOp{shape: strided, put: true} -> shmem.PE.IPutMem"},
+		{"1-D strided get", "v = x(a:b:s)[j]", "shmem_iget(..., stride, ...)", true, "rmaOp{shape: strided} -> shmem.PE.IGetMem"},
 		{"Multi-dimensional strided put", "x(a:b:s, c:d:t, ...)[j] = v", "— (no API; paper contributes 2dim_strided)", false, "Coarray.Put with StridedAlgo (naive/1dim/2dim/vendor), §IV-C"},
 		{"Multi-dimensional strided get", "v = x(a:b:s, c:d:t, ...)[j]", "— (no API; paper contributes 2dim_strided)", false, "Coarray.Get with StridedAlgo, §IV-C"},
 		{"Remote locks", "lock(lck[j]) / unlock(lck[j])", "— (shmem locks are global entities; paper contributes MCS adaptation)", false, "caf.Lock (MCS queue lock, packed RemoteRef, §IV-D)"},

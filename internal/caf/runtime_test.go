@@ -2,6 +2,7 @@ package caf
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -336,6 +337,9 @@ func TestTableMappings(t *testing.T) {
 	for _, r := range rows {
 		if r.Property == "" || r.CAF == "" || r.OpenSHMEM == "" || r.Runtime == "" {
 			t.Fatalf("incomplete row: %+v", r)
+		}
+		if strings.Contains(r.Runtime, "Transport.") { // its one method is Name
+			t.Errorf("row %q names a Transport method that does not exist: %s", r.Property, r.Runtime)
 		}
 		if !r.Direct {
 			indirect++

@@ -112,12 +112,11 @@ func waitAsleep(w *World, n int32) {
 	}
 }
 
-// TestWatchdogCatchesDeadlockReachedByDeparture: a world that becomes
-// all-asleep not because its last runner slept but because it *left* — PE 0
-// sits in a barrier, PE 1 in a wait nobody will satisfy, PE 2 stops once both
-// are asleep, and its departure completes neither — is poisoned by the
-// returning goroutine itself.
-func TestWatchdogCatchesDeadlockReachedByDeparture(t *testing.T) {
+// TestDeadlockReachedByDeparture: a world that becomes all-asleep not because
+// its last runner slept but because it *left* — PE 0 sits in a barrier, PE 1
+// in a wait nobody will satisfy, PE 2 stops once both are asleep, and its
+// departure completes neither — is poisoned by the returning goroutine itself.
+func TestDeadlockReachedByDeparture(t *testing.T) {
 	for _, e := range engineSpellings {
 		t.Run(e.name, func(t *testing.T) {
 			w, err := NewWorldOpts(testMachine(), 3, e.opts)

@@ -27,9 +27,9 @@ type Entry struct {
 	Build func(Scale) Figure
 }
 
-// Catalog lists the evaluation in the paper's order, the beyond-paper
-// figures last. cmd/reproduce, cmd/pgas-microbench, TestClaims and
-// EXPERIMENTS.md's generated tables all walk this one list.
+// Catalog lists the evaluation in the paper's order, then the beyond-paper
+// figures, then the ablations. cmd/reproduce, cmd/pgas-microbench, TestClaims
+// and EXPERIMENTS.md's generated tables all walk this one list.
 var Catalog = []Entry{
 	{"fig2", "Figure 2: raw put latency (§III)", true, func(Scale) Figure { return Fig2() }},
 	{"fig3", "Figure 3: raw put bandwidth (§III)", true, func(Scale) Figure { return Fig3() }},
@@ -43,6 +43,10 @@ var Catalog = []Entry{
 	// images exhaust at either scale.
 	{"overlap", "Nonblocking RMA overlap (beyond-paper, §VII direction)", false, func(Scale) Figure { return FigOverlap(32) }},
 	{"signal", "Put-with-signal: barrier-free ghost refresh (beyond-paper)", false, func(Scale) Figure { return FigSignal(32) }},
+	// The design choices the paper argues for, each against what it rejects.
+	{"quiet", "Ablation: quiet after every put vs deferred completion (§IV-B)", false, func(Scale) Figure { return AblationQuiet() }},
+	{"basedim", "Ablation: 2dim's base dimension vs unrestricted best dimension (§IV-C)", false, func(Scale) Figure { return AblationBaseDim() }},
+	{"locks", "Ablation: MCS vs remote-spin CAS vs global lock array (§IV-D)", false, func(Scale) Figure { return AblationLocks() }},
 }
 
 // Lookup returns the catalogued figure with the given id.

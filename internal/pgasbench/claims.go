@@ -95,7 +95,7 @@ func (c *Claim) Evaluate(f *Figure) (r Result, err error) {
 		return r, nil
 	}
 	r.Value = c.Value(view{f})
-	r.Measured, r.Held = fmt.Sprintf("%.3g%s", r.Value, c.Unit), r.Value >= c.Lo && r.Value <= c.Hi
+	r.Measured, r.Held = fmt.Sprintf("%.4g%s", r.Value, c.Unit), r.Value >= c.Lo && r.Value <= c.Hi
 	return r, nil
 }
 
@@ -418,4 +418,20 @@ var Claims = []Claim{
 	{ID: "signal.transports", Figure: "signal",
 		Text:  `dropping the per-iteration barrier wins on all three Stampede transports, MPI-3's blocking notify included (beyond paper; 2–8 images, ms)`,
 		Holds: belowEach(2, transports, " signal", " barrier", [2]float64{2, 8})},
+
+	{ID: "quiet.conservative-cost", Figure: "quiet",
+		Text:  `the price of CAF's ordering over OpenSHMEM's weak completion: with a quiet after every put a stream of 8-byte puts takes an order of magnitude longer than with completion deferred to the next synchronisation point (§IV-B; conservative/deferred time)`,
+		Value: geo(0, "conservative", "deferred"), Lo: 8, Hi: 15, Unit: "×"},
+	{ID: "basedim.locality", Figure: "basedim",
+		Text:  `why 2dim_strided picks its base dimension among the first two: unrestricted best-dimension issues fewer calls by walking the outermost dimension and still loses, to that dimension's memory stride (§IV-C; bestdim/2dim time)`,
+		Value: geo(0, "bestdim", "2dim"), Lo: 1.05, Hi: 1.25, Unit: "×"},
+	{ID: "locks.mcs-bounded", Figure: "locks",
+		Text: `the MCS adaptation needs at most two remote atomics per acquisition (the enqueueing swap, the detaching compare-and-swap) however many images contend, a lock spun on remotely at least two (§IV-D; holds under any arrival order)`,
+		Holds: func(v view) (string, bool) {
+			mcs, spin, array := v.series(0, "mcs").Rows[0].Value, v.series(0, "naive-spin").Rows[0].Value, v.series(0, "global-array").Rows[0].Value
+			if !(0 < mcs && mcs <= 2 && spin >= 2 && array >= 2) {
+				return fmt.Sprintf("mcs %.3f, naive-spin %.3f, global-array %.3f", mcs, spin, array), false
+			}
+			return "mcs ≤ 2 ≤ naive-spin, global-array (the panel's three counts follow arrival order at the contended word and differ run to run — ROADMAP P0, leak (a))", true
+		}},
 }

@@ -9,9 +9,9 @@ import (
 
 // TransportOptions returns the canonical Stampede configuration for one CAF
 // transport backend — the configuration the transport-comparison panels, the
-// bench CLIs' -transport flags, and the BENCH_10 matrix all share. Every
-// backend gets the naive strided algorithm and MCS locks so the only degree
-// of freedom across the three rows is the communication mapping itself.
+// bench CLIs' -transport flags and BenchmarkWallclockHimenoTransport share.
+// Every backend gets the naive strided algorithm and MCS locks so the only
+// degree of freedom across the three rows is the communication mapping itself.
 func TransportOptions(k caf.TransportKind) caf.Options {
 	var o caf.Options
 	switch k {
@@ -28,7 +28,7 @@ func TransportOptions(k caf.TransportKind) caf.Options {
 }
 
 // TransportConfigs lists the three Stampede transport backends in the order
-// the comparison panels and the BENCH_10.json rows use.
+// the comparison panels use.
 func TransportConfigs() []struct {
 	Label string
 	Kind  caf.TransportKind

@@ -1,6 +1,10 @@
 package pgasbench
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,5 +127,37 @@ func TestOverlapMicroHidesTransfer(t *testing.T) {
 				t.Errorf("size %v: only %v of %v µs hidden", blocking.Rows[i].X, hidden, b/2)
 			}
 		}
+	}
+}
+
+// The chaos flags ask for no plan when unset, draw the same plan from the same
+// seed, and read back from a file the plan EncodeJSON wrote there.
+func TestChaosPlan(t *testing.T) {
+	plan := func(args ...string) *fabric.FaultPlan {
+		fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+		c := ChaosFlags(fs, "Figure 9")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.Plan(20_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	seeded, again := plan("-faultseed", "7", "-chaos-images", "4"), plan("-faultseed", "7", "-chaos-images", "4")
+	if none := plan(); none != nil || seeded == nil || !reflect.DeepEqual(seeded, again) {
+		t.Fatalf("unset flags drew %v; seed 7 drew %v, then %v", none, seeded, again)
+	}
+	data, err := seeded.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(file, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if read := plan("-faultplan", file); !reflect.DeepEqual(seeded, read) {
+		t.Errorf("plan file read back as %v, wrote %v", read, seeded)
 	}
 }

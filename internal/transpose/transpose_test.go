@@ -81,3 +81,21 @@ func TestTransposeTimingSane(t *testing.T) {
 		t.Fatalf("timing not populated: %+v", r)
 	}
 }
+
+// BenchmarkTranspose runs the all-to-all rectangular-section exchange under
+// each strided algorithm: the application-shaped companion of Fig 6.
+func BenchmarkTranspose(b *testing.B) {
+	for _, algo := range []caf.StridedAlgo{caf.StridedNaive, caf.Strided2Dim} {
+		b.Run(algo.String(), func(b *testing.B) {
+			o := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
+			o.Strided = algo
+			for i := 0; i < b.N; i++ {
+				r, err := Run(o, 8, Plan{N: 64})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(r.MBps, "MB/s-virtual")
+			}
+		})
+	}
+}
