@@ -1,9 +1,9 @@
 #!/bin/sh
 # Extended tier-1 gate (see ROADMAP.md): build-and-test plus the repo's
 # correctness tooling. Run from the module root. `./check.sh fast` stops after
-# the fast tier: build, vet, the unsafe, host-clock, one-issue-core and
-# one-engine gates, the gates on the write path and the deadlock loop (about
-# half a minute).
+# the fast tier: build, vet, the unsafe, host-clock, one-issue-core,
+# one-engine and inline gates, the gates on the write path and the deadlock
+# loop (about half a minute).
 set -eu
 
 echo "==> go build ./..."
@@ -83,6 +83,29 @@ if [ -n "$second" ]; then
     printf '%s\n' "$second" >&2
     exit 1
 fi
+
+echo "==> inline gate (the checks and clock steps on every operation's path stay inlinable: their panics and slow paths are kept out of line for that)"
+inl=$(go build -gcflags=-m ./internal/caf ./internal/shmem ./internal/pgas ./internal/fabric 2>&1 | grep ': can inline ' || true)
+while read -r dir fn; do
+    if ! printf '%s\n' "$inl" | awk -v d="internal/$dir/" -v n=": can inline $fn" \
+        'index($0, d) == 1 && length($0) >= length(n) && substr($0, length($0) - length(n) + 1) == n { found = 1 } END { exit !found }'; then
+        echo "check.sh: internal/$dir: $fn is no longer reported \"can inline\" by go build -gcflags=-m" >&2
+        exit 1
+    fi
+done <<'EOF_INLINE'
+caf Range.Count
+caf (*Image).checkImage
+caf (*Image).xfer
+caf (*Image).traceStart
+caf (*Image).trace
+shmem (*PE).checkTarget
+shmem (*PE).RMA
+shmem Sym.span
+pgas (*segStore).block
+pgas reliable
+fabric (*Clock).Advance
+fabric (*Clock).MergeAtLeast
+EOF_INLINE
 
 echo "==> write-path gates (cursor vs Write sequence vs flat model; tabled gap vs math.Pow; strided put allocates nothing; range panics)"
 go test -count=1 -run '^(TestVectoredWritesMatchWriteSequence|TestWriteNegativeOffsetPanics)$' ./internal/pgas

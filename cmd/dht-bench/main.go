@@ -26,7 +26,15 @@ func main() {
 	updates := flag.Int("updates", 50, "random locked updates per image")
 	transport := flag.String("transport", "", "run the locked-update sweep on ONE Stampede transport backend (shmem, gasnet, or mpi3) instead of the Figure-9 trio")
 	chaos := pgasbench.ChaosFlags(flag.CommandLine, "Figure 9")
+	prof := pgasbench.ProfileFlags(flag.CommandLine)
 	flag.Parse()
+
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dht-bench:", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
 
 	plan, err := chaos.Plan(20_000)
 	if err != nil {

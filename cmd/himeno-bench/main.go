@@ -27,7 +27,15 @@ func main() {
 	iters := flag.Int("iters", 3, "Jacobi iterations")
 	transport := flag.String("transport", "", "run the sweep on ONE Stampede transport backend (shmem, gasnet, or mpi3) instead of the Figure-10 pair")
 	chaos := pgasbench.ChaosFlags(flag.CommandLine, "Figure 10")
+	prof := pgasbench.ProfileFlags(flag.CommandLine)
 	flag.Parse()
+
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "himeno-bench:", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
 
 	prm := himeno.Params{NX: *nx, NY: *ny, NZ: *nz, Iters: *iters}
 

@@ -21,7 +21,15 @@ func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: a catalogued id (2, 3, 6, 7, 8, matrix, …) or all")
 	maxImages := flag.Int("images", 1024, "maximum image count for the lock benchmark (Fig 8)")
 	verify := flag.Bool("verify", false, "run the suite's put/get correctness battery instead of benchmarks")
+	prof := pgasbench.ProfileFlags(flag.CommandLine)
 	flag.Parse()
+
+	stopProfiles, err := prof.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pgas-microbench:", err)
+		os.Exit(1)
+	}
+	defer stopProfiles()
 
 	if *verify {
 		ran, err := pgasbench.VerifyAll()

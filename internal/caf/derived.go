@@ -108,7 +108,7 @@ func (d *DynCoarray[T]) remoteDescriptor(j int) (RemoteRef, int) {
 	d.img.checkImage(j)
 	d.img.maybeQuiet()
 	words := make([]uint64, 2)
-	d.img.issue(&rmaOp{target: j - 1, off: d.desc.off}, pgas.Bytes(words))
+	d.img.issue(d.img.xfer(true, j-1, d.desc.off, pgas.Bytes(words)))
 	return RemoteRef(words[0]), int(words[1])
 }
 
@@ -130,7 +130,7 @@ func (d *DynCoarray[T]) Get(j int, lo, n int) []T {
 		panic(fmt.Sprintf("caf: remote component access [%d:%d) outside %d elements", lo, lo+n, rlen))
 	}
 	out := make([]T, n)
-	d.img.issue(&rmaOp{target: ref.Image() - 1, off: ref.Offset() + int64(lo)*int64(d.es)}, pgas.Bytes(out))
+	d.img.issue(d.img.xfer(true, ref.Image()-1, ref.Offset()+int64(lo)*int64(d.es), pgas.Bytes(out)))
 	return out
 }
 
@@ -144,6 +144,6 @@ func (d *DynCoarray[T]) Put(j int, lo int, vals []T) {
 	if lo < 0 || lo+len(vals) > rlen {
 		panic(fmt.Sprintf("caf: remote component access [%d:%d) outside %d elements", lo, lo+len(vals), rlen))
 	}
-	d.img.issue(&rmaOp{put: true, target: ref.Image() - 1, off: ref.Offset() + int64(lo)*int64(d.es)}, pgas.Bytes(vals))
+	d.img.issue(d.img.xfer(false, ref.Image()-1, ref.Offset()+int64(lo)*int64(d.es), pgas.Bytes(vals)))
 	d.img.maybeQuiet()
 }

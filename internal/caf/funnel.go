@@ -5,75 +5,100 @@ import "cafshmem/internal/pgas"
 // The op funnel: every communication operation of the runtime passes through
 // one of five entry points — issue (RMA), atomic, complete, rendezvous
 // (barrier), wait/waitStat — and each does the same three things in the same
-// order: count the operation
-// in Stats, open a tracer span, and hand the operation to the backend or, for
-// a shape the backend's Caps lack, lower it through the fallback here. The
-// fallback is of two kinds. A vectored or strided transfer on a backend with
-// only contiguous calls becomes one contiguous call per run or element inside
-// the same span: one operation, issued the long way. A signal on a backend
-// without put-with-signal becomes quiet + put + quiet re-entering the funnel:
-// three operations, each counted and traced as what it is.
+// order: count the operation in Stats, open a tracer span, and hand the
+// operation to the backend or, for a shape the backend's Caps lack, lower it
+// through the fallback here. The fallback is of two kinds. A vectored or
+// strided transfer on a backend with only contiguous calls becomes one
+// contiguous call per run or element inside the same span: one operation,
+// issued the long way. A signal on a backend without put-with-signal becomes
+// quiet + put + quiet re-entering the funnel: three operations, each counted
+// and traced as what it is.
 
 // directIssueNs is the fixed instruction-issue cost of a direct load/store
 // access (no library involvement at all).
 const directIssueNs = 20
 
-// issue performs one RMA operation on buf and reports whether it was served
-// by a direct load/store, which is complete at return. op.nbi must be clear
-// on a backend without Caps.NBI (Coarray.section, the one issuer of
-// nonblocking transfers, sees to it).
-func (img *Image) issue(op *rmaOp, buf []byte) (direct bool) {
+// rmaOp is an image's one transfer descriptor: the pgas.RMA every library
+// issues, its offsets absolute, and what only the funnel reads. xfer fills it,
+// the caller refines it in place, the funnel hands the backend &op.RMA: an
+// Image lives on the heap and belongs to one goroutine, so the pointer makes
+// nothing escape and an operation allocates nothing.
+type rmaOp struct {
+	pgas.RMA
+	nbi    bool // put only: leave it in flight until the next completion
+	direct bool // contiguous only: use a load/store when target shares the node
+}
+
+// xfer makes the image's descriptor the contiguous transfer of buf at (target,
+// off) — a put, with get a get — valid until the next xfer. Another shape's
+// fields the caller sets with the shape; unset, nothing reads them.
+func (img *Image) xfer(get bool, target int, off int64, buf []byte) *rmaOp {
+	op := &img.op
+	op.Get, op.Shape, op.Target, op.Off, op.Local = get, pgas.Contig, target, off, buf
+	op.nbi, op.direct = false, false
+	return op
+}
+
+// issue performs op, the image's descriptor, and reports whether it was served
+// by a direct load/store, which is complete at return. A transfer's descriptor
+// comes back as it went in: a caller may issue it again at another offset.
+// op.nbi must be clear on a backend without Caps.NBI (Coarray.section, the one
+// issuer of nonblocking transfers, sees to it).
+func (img *Image) issue(op *rmaOp) (direct bool) {
 	caps := img.caps
-	if op.shape == signal && !caps.Signal {
+	if op.Shape == pgas.Signal && !caps.Signal {
 		// Complete everything, post the flag as an ordinary put, complete it:
 		// always correct, just stronger.
 		img.quiet()
-		img.issue(&rmaOp{put: true, target: op.target, off: op.off}, buf)
+		pgas.Store(img.word[:], op.SigVal)
+		img.issue(img.xfer(false, op.Target, op.SigOff, img.word[:]))
 		img.quiet()
 		return false
 	}
-	if op.direct && caps.Direct && img.opts.Machine.SameNode(img.local.ID, op.target) {
-		img.direct(op, buf)
+	if op.direct && caps.Direct && img.opts.Machine.SameNode(img.local.ID, op.Target) {
+		img.direct(op)
 		return true
 	}
 	img.count(op)
 	start := img.traceStart()
+	bytes := len(op.Local)
 	switch {
-	case op.shape == vectored && !caps.Vectored:
-		for i, off := range op.offs {
-			img.be.rma(op.pieceAt(off), buf[i*op.run:(i+1)*op.run])
+	case op.Shape == pgas.Signal:
+		bytes = 8 // the signal word
+		img.be.rma(&op.RMA, op.nbi)
+	case op.Shape == pgas.Runs && !caps.Vectored, op.Shape == pgas.Strided && !caps.Strided:
+		whole := *op
+		op.Shape = pgas.Contig
+		for i := 0; i*whole.Unit < bytes; i++ {
+			op.Off, op.Local = whole.Off+int64(i)*whole.Stride, whole.Local[i*whole.Unit:(i+1)*whole.Unit]
+			if whole.Shape == pgas.Runs {
+				op.Off = whole.Offs[i]
+			}
+			img.be.rma(&op.RMA, op.nbi)
 		}
-	case op.shape == strided && !caps.Strided:
-		for k := 0; k*op.elem < len(buf); k++ {
-			img.be.rma(op.pieceAt(op.off+int64(k)*op.stride), buf[k*op.elem:(k+1)*op.elem])
-		}
+		*op = whole
 	default:
-		img.be.rma(*op, buf)
+		img.be.rma(&op.RMA, op.nbi)
 	}
-	img.trace(rmaKinds[op.shape][op.dir()], op.target, len(buf), start)
+	img.trace(rmaKinds[op.Shape][op.dir()], op.Target, bytes, start)
 	return false
-}
-
-// pieceAt is the contiguous transfer of one run or element of op, at off.
-func (op *rmaOp) pieceAt(off int64) rmaOp {
-	return rmaOp{put: op.put, nbi: op.nbi, target: op.target, off: off}
 }
 
 // direct implements the paper's §VII future work: a same-node access through
 // the memory the library exposes (shmem_ptr), at memory-copy cost — roughly
 // twice the intra-node library bandwidth, with none of its per-call latency
 // (no injection, no loopback, no completion tracking).
-func (img *Image) direct(op *rmaOp, buf []byte) {
+func (img *Image) direct(op *rmaOp) {
 	img.Stats.DirectOps++
 	start := img.traceStart()
-	clock, w := &img.local.Clock, img.local.World()
+	clock, w, buf := &img.local.Clock, img.local.World(), op.Local
 	clock.Advance(directIssueNs + float64(len(buf))*img.prof.IntraGapNsPerByte/2)
-	if op.put {
-		w.Write(op.target, op.off, buf, clock.Now())
-		img.trace("direct-put", op.target, len(buf), start)
+	if op.Get {
+		w.Read(op.Target, op.Off, buf)
+		img.trace("direct-get", op.Target, len(buf), start)
 	} else {
-		w.Read(op.target, op.off, buf)
-		img.trace("direct-get", op.target, len(buf), start)
+		w.Write(op.Target, op.Off, buf, clock.Now())
+		img.trace("direct-put", op.Target, len(buf), start)
 	}
 }
 
@@ -84,31 +109,31 @@ func (img *Image) direct(op *rmaOp, buf []byte) {
 func (img *Image) count(op *rmaOp) {
 	s := &img.Stats
 	n := int64(1)
-	if op.shape == vectored {
-		n = int64(len(op.offs))
+	if op.Shape == pgas.Runs {
+		n = int64(len(op.Offs))
 	}
-	if op.shape == strided {
+	if op.Shape == pgas.Strided {
 		s.StridedCalls++
 	}
 	switch {
-	case op.shape == forensic:
+	case op.Shape == pgas.Forensic:
 	case op.nbi:
 		s.AsyncPuts += n
-	case op.shape == strided:
-	case op.put:
-		s.Puts += n
-	default:
+	case op.Shape == pgas.Strided:
+	case op.Get:
 		s.Gets += n
+	default:
+		s.Puts += n
 	}
 }
 
 // rmaKinds are the tracer's names for transfers, by shape and direction.
 var rmaKinds = [...][3]string{ // get, put, put nbi
-	contiguous: {"get", "put", "put_nbi"},
-	vectored:   {"getv", "putv", "putv_nbi"},
-	strided:    {"iget", "iput", "iput_nbi"},
-	signal:     {"", "put_signal", "put_signal_nbi"},
-	forensic:   {"get_stat", "", ""},
+	pgas.Contig:   {"get", "put", "put_nbi"},
+	pgas.Runs:     {"getv", "putv", "putv_nbi"},
+	pgas.Strided:  {"iget", "iput", "iput_nbi"},
+	pgas.Signal:   {"", "put_signal", "put_signal_nbi"},
+	pgas.Forensic: {"get_stat", "", ""},
 }
 
 // dir indexes rmaKinds' columns.
@@ -116,10 +141,10 @@ func (op *rmaOp) dir() int {
 	switch {
 	case op.nbi:
 		return 2
-	case op.put:
-		return 1
+	case op.Get:
+		return 0
 	}
-	return 0
+	return 1
 }
 
 // atomic applies one remote atomic to the 64-bit word at (target, off) — op
@@ -229,7 +254,7 @@ func (img *Image) waited(ts float64, kind string, start float64) {
 // partition with an ordinary put, staged through the image's word buffer.
 func (img *Image) putWord(target int, off int64, v uint64) {
 	pgas.Store(img.word[:], v)
-	img.issue(&rmaOp{put: true, target: target, off: off}, img.word[:])
+	img.issue(img.xfer(false, target, off, img.word[:]))
 }
 
 // traceStart opens a tracer span: the virtual time now, unused with tracing

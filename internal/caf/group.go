@@ -105,7 +105,7 @@ func (g *group) awaitFlag(slot int, seq int64) {
 // and raises the member's flag — one tree edge of a collective.
 func sendVals[T pgas.Elem](g *group, memberIdx int, off int64, vals []T, slot int, seq int64) {
 	img := g.img
-	img.issue(&rmaOp{put: true, target: g.member(memberIdx) - 1, off: off}, pgas.Bytes(vals))
+	img.issue(img.xfer(false, g.member(memberIdx)-1, off, pgas.Bytes(vals)))
 	img.quiet()
 	g.signalFlag(memberIdx, slot, seq)
 }

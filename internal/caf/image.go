@@ -37,6 +37,7 @@ type Image struct {
 	// copies synchronously — so a control-word write allocates nothing.
 	local *pgas.PE
 	word  [8]byte
+	op    rmaOp // the image's one transfer descriptor (funnel.go)
 
 	// Pre-allocated buffer for non-symmetric remotely-accessible data
 	// (§IV-A, §IV-D): every image reserves the same symmetric region and
@@ -287,6 +288,13 @@ func (img *Image) localWord(off int64) uint64 {
 
 func (img *Image) checkImage(j int) {
 	if j < 1 || j > img.NumImages() {
-		panic(fmt.Sprintf("caf: image index %d out of range [1,%d]", j, img.NumImages()))
+		img.badImage(j)
 	}
+}
+
+// badImage is checkImage's panic, kept out of line so that checkImage inlines.
+//
+//go:noinline
+func (img *Image) badImage(j int) {
+	panic(fmt.Sprintf("caf: image index %d out of range [1,%d]", j, img.NumImages()))
 }

@@ -1,6 +1,7 @@
 package caf
 
 import (
+	"fmt"
 	"testing"
 
 	"cafshmem/internal/fabric"
@@ -133,6 +134,38 @@ func TestIntraNodeDirectSectionFastPath(t *testing.T) {
 			}
 		}
 		img.SyncAll()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A contiguous section put served by a direct store is complete at return,
+// like PutElem's: it pays the direct access, to the nanosecond, and no §IV-B
+// quiet behind it.
+func TestIntraNodeDirectSectionPutOwesNoQuiet(t *testing.T) {
+	o := shmemOpts()
+	o.IntraNodeDirect = true
+	err := Run(2, o, func(img *Image) {
+		c := Allocate[int64](img, 4, 4)
+		img.SyncAll()
+		if img.ThisImage() == 1 {
+			vals := make([]int64, 16)
+			quiets, direct, before := img.Stats.Quiets, img.Stats.DirectOps, img.Clock().Now()
+			c.Put(2, All(4, 4), vals)
+			want := before + (directIssueNs + float64(len(vals)*8)*img.prof.IntraGapNsPerByte/2)
+			if got := img.Clock().Now(); got != want {
+				panic(fmt.Sprintf("direct section put moved the clock %v -> %v, want %v", before, got, want))
+			}
+			if img.Stats.Quiets != quiets || img.Stats.DirectOps != direct+1 {
+				panic(fmt.Sprintf("direct section put: %d quiets and %d direct ops, want 0 and 1",
+					img.Stats.Quiets-quiets, img.Stats.DirectOps-direct))
+			}
+		}
+		img.SyncAll()
+		if img.ThisImage() == 2 && c.At(3, 3) != 0 {
+			panic("direct section put landed wrong")
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -234,7 +234,9 @@ func (l *Lock) ftRelease(j int, qOff int64) Stat {
 // readWordStat is the repair walk's charged forensic read of the 64-bit word
 // at (target, off), which also reads a failed image's frozen partition.
 func (img *Image) readWordStat(target int, off int64) uint64 {
-	img.issue(&rmaOp{shape: forensic, target: target, off: off}, img.word[:])
+	op := img.xfer(true, target, off, img.word[:])
+	op.Shape = pgas.Forensic
+	img.issue(op)
 	return pgas.Load[uint64](img.word[:])
 }
 

@@ -341,6 +341,13 @@ func TestTableMappings(t *testing.T) {
 		if strings.Contains(r.Runtime, "Transport.") { // its one method is Name
 			t.Errorf("row %q names a Transport method that does not exist: %s", r.Property, r.Runtime)
 		}
+		// A transfer's row names what the backend calls: the library's entry for
+		// the image's descriptor.
+		if strings.HasPrefix(r.Property, "Remote memory") || strings.HasPrefix(r.Property, "1-D strided") {
+			if !strings.Contains(r.Runtime, "pgas.RMA{") || !strings.Contains(r.Runtime, "-> shmem.PE.RMA") {
+				t.Errorf("row %q does not name the descriptor and the entry the backend hands it to: %s", r.Property, r.Runtime)
+			}
+		}
 		if !r.Direct {
 			indirect++
 		}

@@ -1,7 +1,5 @@
 package caf
 
-import "fmt"
-
 // Range selects elements lo..hi (inclusive, 0-based) with a positive step —
 // the runtime form of a Fortran subscript triplet lo:hi:step.
 type Range struct {
@@ -12,6 +10,9 @@ type Range struct {
 func (r Range) Count() int {
 	if r.Hi < r.Lo {
 		return 0
+	}
+	if r.Step == 1 {
+		return r.Hi - r.Lo + 1
 	}
 	return (r.Hi-r.Lo)/r.Step + 1
 }
@@ -55,23 +56,4 @@ func (s Section) NumElems() int {
 		n *= r.Count()
 	}
 	return n
-}
-
-// validate checks the section against an array shape.
-func (s Section) validate(shape []int) error {
-	if len(s) != len(shape) {
-		return fmt.Errorf("caf: section rank %d does not match array rank %d", len(s), len(shape))
-	}
-	for d, r := range s {
-		if r.Step < 1 {
-			return fmt.Errorf("caf: dimension %d: step %d must be >= 1", d+1, r.Step)
-		}
-		if r.Lo < 0 || r.Hi >= shape[d] {
-			return fmt.Errorf("caf: dimension %d: range %d:%d outside extent %d", d+1, r.Lo, r.Hi, shape[d])
-		}
-		if r.Count() == 0 {
-			return fmt.Errorf("caf: dimension %d: empty range %d:%d:%d", d+1, r.Lo, r.Hi, r.Step)
-		}
-	}
-	return nil
 }

@@ -58,8 +58,9 @@ func (s *Signal) Notify(j int) {
 func (s *Signal) post(j int, nbi bool) {
 	img := s.img
 	s.sent[j-1]++
-	pgas.Store(img.word[:], s.sent[j-1])
-	img.issue(&rmaOp{shape: signal, put: true, nbi: nbi, target: j - 1, off: s.slotOff(img.ThisImage())}, img.word[:])
+	op := img.xfer(false, j-1, 0, nil)
+	op.Shape, op.SigOff, op.SigVal, op.nbi = pgas.Signal, s.slotOff(img.ThisImage()), uint64(s.sent[j-1]), nbi
+	img.issue(op)
 }
 
 // Wait blocks until the next Notify from image j (1-based) has arrived and
@@ -139,8 +140,7 @@ func (s *Signal) Pending(j int) int64 {
 // section, a full quiet, and a plain Notify — the same observable ordering,
 // without the overlap.
 func (c *Coarray[T]) PutSignalAsync(j int, sec Section, vals []T, sig *Signal) {
-	c.checkPut(j, sec, vals)
-	c.section(rmaOp{put: true, nbi: true, target: j - 1}, sec, vals)
+	c.section(false, true, j, sec, vals)
 	sig.post(j, true)
 }
 

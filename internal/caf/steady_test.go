@@ -105,7 +105,9 @@ func TestDHTUpdateSteadyStateAllocs(t *testing.T) {
 // TestTypedRMASteadyStateAllocs: typed data reaches the transport as a view of
 // the caller's own slice (pgas.Bytes), so whole-array local access, a
 // contiguous put and a naive-lowered section put — one vectored call over
-// pooled run offsets — allocate nothing on any transport.
+// pooled run offsets — allocate nothing on any transport; and neither do the
+// control-word operations, which like them fill the image's one descriptor: a
+// descriptor that starts escaping shows up here first.
 func TestTypedRMASteadyStateAllocs(t *testing.T) {
 	if pgas.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
@@ -118,6 +120,7 @@ func TestTypedRMASteadyStateAllocs(t *testing.T) {
 		o.Strided = caf.StridedNaive
 		err := caf.Run(2, o, func(img *caf.Image) {
 			x := caf.Allocate[float64](img, 16, 16)
+			sig, lck := caf.NewSignal(img), caf.NewLock(img)
 			if img.ThisImage() == 1 {
 				all := caf.All(16, 16)
 				columns := caf.Section{{Lo: 0, Hi: 15, Step: 1}, {Lo: 0, Hi: 15, Step: 2}}
@@ -127,9 +130,17 @@ func TestTypedRMASteadyStateAllocs(t *testing.T) {
 					"SliceInto":         func() { x.SliceInto(whole) },
 					"contiguous Put":    func() { x.Put(2, all, whole) },
 					"naive-section Put": func() { x.Put(2, columns, part) },
+					"PutElem":           func() { x.PutElem(2, 1.5, 3, 4) },
+					"GetElem":           func() { _ = x.GetElem(2, 3, 4) },
+					"Signal.Notify":     func() { sig.Notify(2) },
+					"lock pair":         func() { lck.Acquire(2); lck.Release(2) },
 				} {
-					if got := testing.AllocsPerRun(200, call); got != 0 {
-						t.Errorf("%s: %s: %v allocs per call, want 0", name, op, got)
+					want := 0.0
+					if name == "gasnet" && op == "lock pair" {
+						want = 6 // its atomics are AM request/reply pairs, which allocate
+					}
+					if got := testing.AllocsPerRun(200, call); got > want {
+						t.Errorf("%s: %s: %v allocs per call, want %v", name, op, got, want)
 					}
 				}
 			}

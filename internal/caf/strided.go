@@ -30,35 +30,15 @@ func (c *Coarray[T]) Put(j int, sec Section, vals []T) { c.put(j, sec, vals, fal
 // put is Put (blocking) and PutAsync (nbi). On a transport without
 // nonblocking puts both are the blocking §IV-B translation.
 func (c *Coarray[T]) put(j int, sec Section, vals []T, nbi bool) {
-	c.checkPut(j, sec, vals)
-	if inFlight := c.section(rmaOp{put: true, nbi: nbi, target: j - 1}, sec, vals); !inFlight {
+	if _, quiet := c.section(false, nbi, j, sec, vals); quiet {
 		c.img.maybeQuiet()
-	}
-}
-
-// checkPut is the common entry of the section-put statements.
-func (c *Coarray[T]) checkPut(j int, sec Section, vals []T) {
-	c.img.pollFault()
-	c.img.checkImage(j)
-	if err := sec.validate(c.shape); err != nil {
-		panic(err)
-	}
-	if sec.NumElems() != len(vals) {
-		panic(fmt.Sprintf("caf: section selects %d elements but %d values given", sec.NumElems(), len(vals)))
 	}
 }
 
 // Get reads section sec of the coarray on image j (1-based), returning the
 // elements dense in column-major section order.
 func (c *Coarray[T]) Get(j int, sec Section) []T {
-	c.img.pollFault()
-	c.img.checkImage(j)
-	if err := sec.validate(c.shape); err != nil {
-		panic(err)
-	}
-	c.img.maybeQuiet() // §IV-B: quiet before get
-	out := make([]T, sec.NumElems())
-	c.section(rmaOp{target: j - 1}, sec, out)
+	out, _ := c.section(true, false, j, sec, nil)
 	return out
 }
 
@@ -67,8 +47,9 @@ func (c *Coarray[T]) PutElem(j int, v T, idx ...int) {
 	img := c.img
 	img.pollFault()
 	img.checkImage(j)
-	op := rmaOp{put: true, direct: img.opts.IntraNodeDirect, target: j - 1, off: c.byteOff(idx)}
-	if !img.issue(&op, c.elemBytes(v)) {
+	op := img.xfer(false, j-1, c.byteOff(idx), c.elemBytes(v))
+	op.direct = img.opts.IntraNodeDirect
+	if !img.issue(op) {
 		img.maybeQuiet() // a direct store completes immediately: no quiet needed
 	}
 }
@@ -80,7 +61,9 @@ func (c *Coarray[T]) GetElem(j int, idx ...int) T {
 	img.checkImage(j)
 	img.maybeQuiet() // pending puts are ordered before the get, or the direct load
 	b := img.word[:c.es]
-	img.issue(&rmaOp{direct: img.opts.IntraNodeDirect, target: j - 1, off: c.byteOff(idx)}, b)
+	op := img.xfer(true, j-1, c.byteOff(idx), b)
+	op.direct = img.opts.IntraNodeDirect
+	img.issue(op)
 	return pgas.Load[T](b)
 }
 
@@ -90,24 +73,45 @@ func (c *Coarray[T]) PutFull(j int, vals []T) { c.Put(j, All(c.shape...), vals) 
 // GetFull reads the entire local array of image j.
 func (c *Coarray[T]) GetFull(j int) []T { return c.Get(j, All(c.shape...)) }
 
-// contigRun returns the number of leading dimensions that form one
-// contiguous run and the run length in elements. Dimension d can merge into
-// the run if its step is 1 and every earlier dimension is covered in full.
-func (c *Coarray[T]) contigRun(sec Section) (runDims, runElems int) {
-	runElems = 1
-	fullSoFar := true
-	for d := 0; d < len(sec); d++ {
-		if sec[d].Step != 1 || (d > 0 && !fullSoFar) {
-			break
+// lower is the one pass every section statement takes over its section: it
+// checks sec against the coarray's shape, first error first, and derives on
+// the way the element count n, the leading contiguous run — dimension d merges
+// into it if its step is 1 and every earlier dimension is covered in full; a
+// strided dimension 1 leaves no run, runDims 0 — and the absolute byte offset
+// low of the section's low corner.
+func (c *Coarray[T]) lower(sec Section) (n, runDims, runElems int, low int64, err error) {
+	if len(sec) != len(c.shape) {
+		return 0, 0, 0, 0, fmt.Errorf("caf: section rank %d does not match array rank %d", len(sec), len(c.shape))
+	}
+	n, runElems = 1, 1
+	merging := true
+	for d, r := range sec {
+		extent := c.shape[d]
+		if r.Step < 1 || r.Lo < 0 || r.Hi >= extent || r.Hi < r.Lo {
+			return 0, 0, 0, 0, rangeErr(d, r, extent)
 		}
-		runElems *= sec[d].Count()
-		runDims = d + 1
-		fullSoFar = fullSoFar && sec[d].Lo == 0 && sec[d].Count() == c.shape[d]
+		cnt := r.Count()
+		n *= cnt
+		low += int64(r.Lo) * c.strides[d]
+		if merging = merging && r.Step == 1; merging {
+			runElems *= cnt
+			runDims = d + 1
+			merging = r.Lo == 0 && cnt == extent
+		}
 	}
-	if runDims == 0 {
-		runElems = 1
+	return n, runDims, runElems, c.off + low*int64(c.es), nil
+}
+
+// rangeErr says what is wrong with r as dimension d (0-based) of a section of
+// an array of that extent.
+func rangeErr(d int, r Range, extent int) error {
+	switch {
+	case r.Step < 1:
+		return fmt.Errorf("caf: dimension %d: step %d must be >= 1", d+1, r.Step)
+	case r.Lo < 0 || r.Hi >= extent:
+		return fmt.Errorf("caf: dimension %d: range %d:%d outside extent %d", d+1, r.Lo, r.Hi, extent)
 	}
-	return runDims, runElems
+	return fmt.Errorf("caf: dimension %d: empty range %d:%d:%d", d+1, r.Lo, r.Hi, r.Step)
 }
 
 // baseDim picks the strided-call dimension for the configured algorithm.
@@ -135,21 +139,13 @@ func (c *Coarray[T]) baseDim(sec Section) int {
 	}
 }
 
-// secLowOff returns the absolute byte offset of the section's low corner.
-func (c *Coarray[T]) secLowOff(sec Section) int64 {
-	var lin int64
-	for d := range sec {
-		lin += int64(sec[d].Lo) * c.strides[d]
-	}
-	return c.off + lin*int64(c.es)
-}
-
-// section lowers the transfer of section sec between the coarray on op.target
-// and vals, the section's elements dense in column-major order: written for a
-// put, filled for a get. op carries the direction, the target and whether a
-// put is nonblocking; the rest of the descriptor is the lowering's. It reports
-// whether the put was left in flight: a nonblocking put on a transport without
-// Caps.NBI is a blocking one, decided here once for the whole section.
+// section is every section statement: the transfer of section sec between the
+// coarray on image j (1-based) and vals, the section's elements dense in
+// column-major order — written for a put; for a get made here, behind the
+// §IV-B quiet, filled and returned. It reports whether a put still owes the
+// §IV-B quiet: not when it was left in flight — nbi, and a nonblocking put on a
+// transport without Caps.NBI is a blocking one, decided here once for the whole
+// section — nor when a direct store served it, which is complete at return.
 //
 // A blocking transfer hands the funnel vals' own bytes — one memmove into the
 // partition. A nonblocking put hands it a fresh copy (snapshot): that copy is
@@ -158,21 +154,33 @@ func (c *Coarray[T]) secLowOff(sec Section) int64 {
 // sanitizer's live view) owns it until the next completion, so it is never
 // pooled either: recycling it before then would be exactly the source-reuse
 // bug the checker exists to catch.
-func (c *Coarray[T]) section(op rmaOp, sec Section, vals []T) (inFlight bool) {
+func (c *Coarray[T]) section(get, nbi bool, j int, sec Section, vals []T) (_ []T, quiet bool) {
 	img := c.img
-	op.nbi = op.nbi && img.caps.NBI
+	img.pollFault()
+	img.checkImage(j)
+	n, runDims, runElems, low, err := c.lower(sec)
+	if err != nil {
+		panic(err)
+	}
+	if get {
+		img.maybeQuiet() // §IV-B: quiet before get
+		vals = make([]T, n)
+	} else if n != len(vals) {
+		panic(fmt.Sprintf("caf: section selects %d elements but %d values given", n, len(vals)))
+	}
+	nbi = nbi && img.caps.NBI
 
 	// Shared by all algorithms: a fully contiguous section is a single
 	// transfer regardless of strategy — or a direct load/store when the
 	// target shares the node and §VII's IntraNodeDirect is enabled.
-	runDims, runElems := c.contigRun(sec)
 	if runDims == len(sec) {
-		op.off = c.secLowOff(sec)
-		op.direct = img.opts.IntraNodeDirect && !op.nbi
-		img.issue(&op, payload(vals, op.nbi))
-		return op.nbi
+		op := img.xfer(get, j-1, low, payload(vals, nbi))
+		op.nbi, op.direct = nbi, img.opts.IntraNodeDirect && !nbi
+		return vals, !img.issue(op) && !nbi
 	}
 
+	op := img.xfer(get, j-1, 0, nil)
+	op.nbi = nbi
 	switch img.opts.Strided {
 	case StridedNaive:
 		// §IV-C baseline: one transfer per maximal contiguous run — issued as
@@ -181,19 +189,20 @@ func (c *Coarray[T]) section(op rmaOp, sec Section, vals []T) (inFlight bool) {
 		// in dense value order, so vals' bytes already are the run payloads
 		// back to back.
 		sp := pgas.GetOffsScratch()
-		op.shape, op.offs, op.run = vectored, c.appendRunOffs((*sp)[:0], sec, runDims), runElems*c.es
-		img.issue(&op, payload(vals, op.nbi))
-		*sp = op.offs
+		op.Shape, op.Offs, op.Unit = pgas.Runs, c.appendRunOffs((*sp)[:0], sec, runDims, low), runElems*c.es
+		op.Local = payload(vals, nbi)
+		img.issue(op)
+		*sp, op.Offs = op.Offs, nil
 		pgas.PutOffsScratch(sp)
 	default: // 1dim, 2dim, vendor: 1-D strided library calls along base dim
 		base := c.baseDim(sec)
-		op.shape, op.stride, op.elem = strided, int64(sec[base].Step)*c.strides[base]*int64(c.es), c.es
-		c.eachPencil(sec, base, op.put, vals, func(byteOff int64, pencil []T) {
-			op.off = byteOff
-			img.issue(&op, payload(pencil, op.nbi))
+		op.Shape, op.Stride, op.Unit = pgas.Strided, int64(sec[base].Step)*c.strides[base]*int64(c.es), c.es
+		c.eachPencil(sec, base, low, !get, vals, func(byteOff int64, pencil []T) {
+			op.Off, op.Local = byteOff, payload(pencil, nbi)
+			img.issue(op)
 		})
 	}
-	return op.nbi
+	return vals, !nbi
 }
 
 // payload returns the bytes section hands the funnel for vals: vals' own, or
@@ -208,23 +217,20 @@ func payload[T pgas.Elem](vals []T, nbi bool) []byte {
 // appendRunOffs appends the absolute byte offset of every maximal contiguous
 // run of the section to offs, in dense value order: the first runDims
 // dimensions form the run (single elements along dimension 1 when nothing
-// merges, runDims == 0), and the remaining dimensions are stepped in
-// column-major order. The walk carries the running linear offset and a
+// merges, runDims == 0), from the section's low corner low (both lower's), and
+// the remaining dimensions are stepped in column-major order. The walk carries the running byte offset and a
 // stack-resident multi-index, so lowering a section allocates nothing beyond
 // what offs itself needs.
-func (c *Coarray[T]) appendRunOffs(offs []int64, sec Section, runDims int) []int64 {
+func (c *Coarray[T]) appendRunOffs(offs []int64, sec Section, runDims int, low int64) []int64 {
 	innerEnd := max(runDims, 1)
 	es := int64(c.es)
 	// Runs per outer position: one, unless dimension 1 is strided and every
 	// element of it is its own run.
 	n0, step0 := 1, int64(0)
 	if runDims == 0 {
-		n0, step0 = sec[0].Count(), int64(sec[0].Step)*c.strides[0]
+		n0, step0 = sec[0].Count(), int64(sec[0].Step)*c.strides[0]*es
 	}
-	var lin int64 // the section's low corner, in elements
-	for d := range sec {
-		lin += int64(sec[d].Lo) * c.strides[d]
-	}
+	at := low // of the current outer position's first run
 	outer := sec[innerEnd:]
 	var idxBuf [8]int
 	idx := idxBuf[:]
@@ -233,17 +239,17 @@ func (c *Coarray[T]) appendRunOffs(offs []int64, sec Section, runDims int) []int
 	}
 	for {
 		for k := 0; k < n0; k++ {
-			offs = append(offs, c.off+(lin+int64(k)*step0)*es)
+			offs = append(offs, at+int64(k)*step0)
 		}
 		d := 0
 		for ; d < len(outer); d++ {
-			stride := int64(outer[d].Step) * c.strides[innerEnd+d]
+			stride := int64(outer[d].Step) * c.strides[innerEnd+d] * es
 			idx[d]++
 			if idx[d] < outer[d].Count() {
-				lin += stride
+				at += stride
 				break
 			}
-			lin -= int64(idx[d]-1) * stride
+			at -= int64(idx[d]-1) * stride
 			idx[d] = 0
 		}
 		if d == len(outer) {
@@ -254,22 +260,21 @@ func (c *Coarray[T]) appendRunOffs(offs []int64, sec Section, runDims int) []int
 
 // eachPencil enumerates 1-D pencils along the base dimension, iterating the
 // other dimensions in column-major order, and calls f with each pencil's
-// partition offset and its elements, dense. dense is the section-order
-// buffer. A pencil along dimension 1 is a sub-slice of it, which f transfers
-// in place; any other goes through the coarray's pencil buffer, gathered from
-// dense before f for a put and scattered to it after f for a get. Like
-// appendRunOffs the walk carries its running offsets — lin into the array,
-// at into dense — and a stack-resident multi-index, so it allocates nothing.
-func (c *Coarray[T]) eachPencil(sec Section, base int, put bool, dense []T, f func(byteOff int64, pencil []T)) {
+// partition offset and its elements, dense. low is the section's low corner
+// (lower's) and dense the section-order buffer. A pencil along dimension 1
+// is a sub-slice of it, which f transfers in place; any other goes through the
+// coarray's pencil buffer, gathered from dense before f for a put and
+// scattered to it after f for a get. Like appendRunOffs the walk carries its
+// running offsets — byteOff into the partition, at into dense — and a
+// stack-resident multi-index, so it allocates nothing.
+func (c *Coarray[T]) eachPencil(sec Section, base int, low int64, put bool, dense []T, f func(byteOff int64, pencil []T)) {
 	nbase := sec[base].Count()
 	baseStride := 1 // of the base dimension in dense
 	for d := 0; d < base; d++ {
 		baseStride *= sec[d].Count()
 	}
-	var lin int64 // the section's low corner, in elements
-	for d := range sec {
-		lin += int64(sec[d].Lo) * c.strides[d]
-	}
+	es := int64(c.es)
+	byteOff := low // of the current pencil
 	var pencil []T
 	if base != 0 {
 		if cap(c.pencil) < nbase {
@@ -284,7 +289,6 @@ func (c *Coarray[T]) eachPencil(sec Section, base int, put bool, dense []T, f fu
 	}
 	at := 0
 	for {
-		byteOff := c.off + lin*int64(c.es)
 		switch {
 		case base == 0:
 			f(byteOff, dense[at:at+nbase])
@@ -303,14 +307,14 @@ func (c *Coarray[T]) eachPencil(sec Section, base int, put bool, dense []T, f fu
 		for ; d < len(sec); d++ {
 			n := sec[d].Count()
 			if d != base {
-				stride := int64(sec[d].Step) * c.strides[d]
+				stride := int64(sec[d].Step) * c.strides[d] * es
 				idx[d]++
 				if idx[d] < n {
-					lin += stride
+					byteOff += stride
 					at += denseStride
 					break
 				}
-				lin -= int64(n-1) * stride
+				byteOff -= int64(n-1) * stride
 				at -= (n - 1) * denseStride
 				idx[d] = 0
 			}

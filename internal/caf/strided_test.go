@@ -27,12 +27,13 @@ func TestSectionValidation(t *testing.T) {
 		{{0, 9, 0}, {0, 7, 1}},  // zero step
 		{{5, 2, 1}, {0, 7, 1}},  // empty range
 	}
+	c := geometryOnly(shape...)
 	for i, s := range bad {
-		if err := s.validate(shape); err == nil {
+		if _, _, _, _, err := c.lower(s); err == nil {
 			t.Errorf("case %d should fail validation", i)
 		}
 	}
-	if err := All(10, 8).validate(shape); err != nil {
+	if _, _, _, _, err := c.lower(All(10, 8)); err != nil {
 		t.Errorf("full section should validate: %v", err)
 	}
 }
@@ -96,9 +97,9 @@ func TestContigRun(t *testing.T) {
 			{Section{{0, 9, 1}, {0, 7, 2}, {0, 3, 1}}, 1, 10}, // strided dim2
 		}
 		for i, tc := range cases {
-			d, e := c.contigRun(tc.sec)
-			if d != tc.dims || e != tc.el {
-				panic(map[string]interface{}{"case": i, "dims": d, "elems": e})
+			_, d, e, _, err := c.lower(tc.sec)
+			if err != nil || d != tc.dims || e != tc.el {
+				panic(map[string]interface{}{"case": i, "dims": d, "elems": e, "err": err})
 			}
 		}
 	})

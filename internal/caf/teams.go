@@ -52,7 +52,7 @@ func (img *Image) FormTeam(teamNumber int64, scratchBytes ...int64) *Team {
 	var members []int
 	num := make([]int64, 1)
 	for j := 1; j <= img.NumImages(); j++ {
-		img.issue(&rmaOp{target: j - 1, off: numOff}, pgas.Bytes(num))
+		img.issue(img.xfer(true, j-1, numOff, pgas.Bytes(num)))
 		if num[0] == teamNumber {
 			members = append(members, j)
 		}

@@ -70,43 +70,6 @@ func (k TransportKind) Caps() Caps {
 	return transportCaps[k]
 }
 
-// rmaOp describes one one-sided transfer between a local buffer and target's
-// partition. The funnel takes a pointer to its caller's stack value and
-// copies it once, into the backend interface call — a pointer there would
-// escape — so issuing an operation allocates nothing.
-type rmaOp struct {
-	shape  rmaShape
-	put    bool  // write the buffer to target (otherwise read into it)
-	nbi    bool  // put only: leave it in flight until the next completion
-	direct bool  // contiguous only: use a load/store when target shares the node
-	target int   // 0-based
-	off    int64 // partition offset (of element 0 when strided)
-	offs   []int64
-	run    int
-	stride int64
-	elem   int
-}
-
-// rmaShape is how an rmaOp's buffer maps onto the target partition.
-type rmaShape uint8
-
-const (
-	// contiguous: the whole buffer at off.
-	contiguous rmaShape = iota
-	// vectored: len(offs) runs of run bytes each, dense in the buffer, run i
-	// at offs[i]. Modelled cost is that of len(offs) contiguous calls.
-	vectored
-	// strided: dense elem-byte elements of the buffer at stride-byte spacing
-	// from off (shmem_iput/iget).
-	strided
-	// signal (put only): the buffer is an 8-byte signal word for off, delivered
-	// behind everything this image streamed to target before it.
-	signal
-	// forensic (get only): the repairable lock's 8-byte read, which also reads
-	// a failed image's frozen partition. Needs Caps.FaultStat.
-	forensic
-)
-
 // opCAS extends pgas's read-modify-write ops with compare-and-swap, the one
 // atomic that takes two operands.
 const opCAS = pgas.OpSwap + 1
@@ -124,9 +87,10 @@ type backend interface {
 	// failed images and reports them.
 	malloc(size int64, stat bool) (int64, error)
 	free(off, size int64)
-	// rma performs op on buf. A blocking put is locally complete at return; a
-	// get blocks until buf is usable.
-	rma(op rmaOp, buf []byte)
+	// rma performs the transfer d describes (the image's descriptor, see rmaOp,
+	// the caller's again at return), a put with nbi left in flight until the next
+	// complete; else it is locally complete at return, a get's d.Local usable.
+	rma(d *pgas.RMA, nbi bool)
 	// atomic applies op with operand a to the 64-bit word at (target, off) and
 	// returns the previous value; opCAS stores b iff the word equals a. With
 	// stat a failed target leaves ok false instead of terminating the job.
@@ -176,45 +140,17 @@ func (t *shmemBackend) free(off, size int64) {
 	t.pe.Free(shmem.Sym{Off: off, Size: size})
 }
 
-func (t *shmemBackend) rma(op rmaOp, buf []byte) {
-	pe, all, target := t.pe, t.all, op.target
-	switch op.shape {
-	case contiguous:
-		switch {
-		case !op.put:
-			pe.GetMem(target, all, op.off, buf)
-		case op.nbi:
-			pe.PutMemNBI(target, all, op.off, buf)
-		default:
-			pe.PutMem(target, all, op.off, buf)
-		}
-	case vectored:
-		switch {
-		case !op.put:
-			pe.GetMemV(target, all, op.offs, op.run, buf)
-		case op.nbi:
-			pe.PutMemVNBI(target, all, op.offs, op.run, buf)
-		default:
-			pe.PutMemV(target, all, op.offs, op.run, buf)
-		}
-	case strided:
-		switch {
-		case !op.put:
-			pe.IGetMem(target, all, op.off, op.stride, op.elem, buf)
-		case op.nbi:
-			pe.IPutMemNBI(target, all, op.off, op.stride, op.elem, buf)
-		default:
-			pe.IPutMem(target, all, op.off, op.stride, op.elem, buf)
-		}
-	case signal:
-		if op.nbi {
-			pe.PutSignalNBI(target, all, 0, nil, all, wordIdx(op.off), pgas.Load[int64](buf))
-		} else {
-			pe.PutSignal(target, all, 0, nil, all, wordIdx(op.off), pgas.Load[int64](buf))
-		}
-	case forensic:
-		pgas.Store(buf, pe.ReadWord64(target, all, wordIdx(op.off)))
+// rma is the library's own entry for a descriptor: the shape and direction
+// pick the call of Table II — shmem_putmem, shmem_getmem, shmem_iput, … — there.
+func (t *shmemBackend) rma(d *pgas.RMA, nbi bool) {
+	switch d.Shape {
+	case pgas.Signal:
+		wordIdx(d.SigOff)
+		d.SigOff = t.all.At(d.SigOff)
+	case pgas.Forensic:
+		wordIdx(d.Off)
 	}
+	t.pe.RMA(d, t.all, nbi)
 }
 
 func (t *shmemBackend) atomic(op pgas.AtomicOp, target int, off, a, b int64, stat bool) (int64, bool) {
@@ -311,20 +247,11 @@ func (t *gasnetBackend) malloc(size int64, _ bool) (int64, error) {
 // GASNet backend likewise never returns segment space to the conduit.
 func (t *gasnetBackend) free(off, size int64) { t.ep.Barrier() }
 
-func (t *gasnetBackend) rma(op rmaOp, buf []byte) {
-	ep, all, target := t.ep, t.all, op.target
-	switch {
-	case op.shape == signal && op.nbi:
-		ep.PutSignalNBI(target, all, 0, nil, all, wordIdx(op.off), pgas.Load[int64](buf))
-	case op.shape == signal:
-		ep.PutSignal(target, all, 0, nil, all, wordIdx(op.off), pgas.Load[int64](buf))
-	case !op.put:
-		ep.Get(target, all, op.off, buf)
-	case op.nbi:
-		ep.PutNBI(target, all, op.off, buf)
-	default:
-		ep.Put(target, all, op.off, buf)
+func (t *gasnetBackend) rma(d *pgas.RMA, nbi bool) {
+	if d.Shape == pgas.Signal {
+		wordIdx(d.SigOff)
 	}
+	t.ep.RMA(d, t.all, nbi)
 }
 
 func (t *gasnetBackend) atomic(op pgas.AtomicOp, target int, off, a, b int64, _ bool) (int64, bool) {

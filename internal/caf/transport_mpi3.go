@@ -49,13 +49,9 @@ func (t *mpi3Backend) malloc(size int64, _ bool) (int64, error) {
 // window memory stays attached for the job's lifetime, like GASNet segments.
 func (t *mpi3Backend) free(off, size int64) { t.pr.Barrier() }
 
-func (t *mpi3Backend) rma(op rmaOp, buf []byte) {
-	switch {
-	case len(buf) == 0:
-	case op.put:
-		t.pr.Put(t.win, op.target, op.off, buf)
-	default:
-		t.pr.Get(t.win, op.target, op.off, buf)
+func (t *mpi3Backend) rma(d *pgas.RMA, _ bool) {
+	if len(d.Local) > 0 {
+		t.pr.RMA(t.win, d)
 	}
 }
 

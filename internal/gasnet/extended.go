@@ -52,11 +52,57 @@ func (seg Seg) span(op string, off int64, n int) int64 {
 	return seg.Off + off
 }
 
-// issue prices one message of d on the conduit's list and hands it to the
-// substrate's issue core (pgas.PE.Issue), which sends it, lands its bytes and
-// books its completion on set. nbi says the op charges only its injection and
-// leaves its transfer to the endpoint's pipe.
-func (ep *EP) issue(d *pgas.RMA, nbi bool, set *fabric.NBIStreams) {
+// word panics unless the 64-bit word at off lies inside the region, and
+// returns its absolute partition offset.
+func (seg Seg) word(off int64) int64 {
+	if off < 0 || off+8 > seg.Size {
+		panic(fmt.Sprintf("gasnet: signal word %d outside %d-byte segment region", off/8, seg.Size))
+	}
+	return seg.Off + off
+}
+
+// rmaOps are the implicit-handle routines RMA stands for, by shape and
+// direction: get, put, put nbi.
+var rmaOps = [...][3]string{
+	pgas.Contig: {"get", "put", "put_nbi"},
+	pgas.Signal: {"", "put_signal", "put_signal_nbi"},
+}
+
+// RMA issues a layered runtime's descriptor, blocking or on the implicit-handle
+// streams: what Put, Get, PutNBI, PutSignal and PutSignalNBI are, by d's shape
+// and direction; the conduit has no other shape. d.Off and a signal's d.SigOff
+// are relative to seg; d is the caller's again at return, both made absolute.
+func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
+	if d.Shape == pgas.Signal {
+		d.SigOff = seg.word(d.SigOff)
+	} else if d.Shape != pgas.Contig {
+		panic(fmt.Sprintf("gasnet: no put or get of shape %d", d.Shape))
+	}
+	switch {
+	case nbi:
+		ep.issue(rmaOps[d.Shape][2], d, seg, true, &ep.nbi)
+	case d.Get:
+		ep.issue(rmaOps[d.Shape][0], d, seg, false, nil)
+	default:
+		ep.issue(rmaOps[d.Shape][1], d, seg, false, &ep.blocking)
+	}
+}
+
+// issue is the endpoint's one checked entry: every put and get — each public
+// routine fills a descriptor, a layered runtime hands its own to RMA — arrives
+// with d.Off relative to seg. It checks target and bounds under the routine's
+// name op, returns on an op with nothing to transfer (a signal may travel
+// alone), makes d.Off absolute, prices one message of d on the conduit's list
+// and hands it to the substrate's issue core (pgas.PE.Issue), which sends it,
+// lands its bytes and books its completion on set. nbi says the op charges only
+// its injection and leaves its transfer to the endpoint's pipe.
+func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, nbi bool, set *fabric.NBIStreams) {
+	ep.checkTarget(d.Target)
+	if len(d.Local) > 0 {
+		d.Off = seg.span(op, d.Off, len(d.Local))
+	} else if d.Shape != pgas.Signal {
+		return
+	}
 	intra, pairs := ep.intra(d.Target), ep.pairs()
 	prof := ep.world.prof
 	c := pgas.Price{Lat: prof.DeliveryNs(intra, pairs)}
@@ -90,11 +136,7 @@ func (ep *EP) issue(d *pgas.RMA, nbi bool, set *fabric.NBIStreams) {
 // completion (gasnet_put_bulk semantics for the source buffer). Remote
 // completion requires WaitSyncAll or a barrier.
 func (ep *EP) Put(target int, seg Seg, off int64, data []byte) {
-	ep.checkTarget(target)
-	if len(data) == 0 {
-		return
-	}
-	ep.issue(&pgas.RMA{Target: target, Off: seg.span("put", off, len(data)), Local: data}, false, &ep.blocking)
+	ep.issue("put", &pgas.RMA{Target: target, Off: off, Local: data}, seg, false, &ep.blocking)
 }
 
 // PutNB is the explicit-handle non-blocking put (gasnet_put_nb): the
@@ -103,11 +145,7 @@ func (ep *EP) Put(target int, seg Seg, off int64, data []byte) {
 // with WaitSync before the source buffer may be reused. The op does not
 // join the implicit sync set — WaitSyncAll never completes it.
 func (ep *EP) PutNB(target int, seg Seg, off int64, data []byte) SyncHandle {
-	ep.checkTarget(target)
-	if len(data) == 0 {
-		return SyncHandle{}
-	}
-	ep.issue(&pgas.RMA{Target: target, Off: seg.span("put_nb", off, len(data)), Local: data}, true, &ep.explicit)
+	ep.issue("put_nb", &pgas.RMA{Target: target, Off: off, Local: data}, seg, true, &ep.explicit)
 	return SyncHandle{t: ep.explicit.Drain()}
 }
 
@@ -130,7 +168,7 @@ func (ep *EP) GetNB(target int, seg Seg, off int64, dst []byte) (SyncHandle, err
 		dst = dst[:seg.Size-off]
 		err = &PartialError{Op: "get_nb", Requested: want, Transferred: len(dst)}
 	}
-	ep.issue(&pgas.RMA{Get: true, Target: target, Off: seg.Off + off, Local: dst}, true, &ep.explicit)
+	ep.issue("get_nb", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, true, &ep.explicit)
 	return SyncHandle{t: ep.explicit.Drain()}, err
 }
 
@@ -139,32 +177,20 @@ func (ep *EP) GetNB(target int, seg Seg, off int64, dst []byte) (SyncHandle, err
 // by WaitSyncAll (or WaitSyncImage toward its destination). The source
 // buffer must stay unmodified until then.
 func (ep *EP) PutNBI(target int, seg Seg, off int64, data []byte) {
-	ep.checkTarget(target)
-	if len(data) == 0 {
-		return
-	}
-	ep.issue(&pgas.RMA{Target: target, Off: seg.span("put_nbi", off, len(data)), Local: data}, true, &ep.nbi)
+	ep.issue("put_nbi", &pgas.RMA{Target: target, Off: off, Local: data}, seg, true, &ep.nbi)
 }
 
 // GetNBI is the implicit-handle non-blocking get (gasnet_get_nbi): the
 // modelled completion pays the request round trip plus the data streaming
 // back. dst is undefined until WaitSyncAll/WaitSyncImage.
 func (ep *EP) GetNBI(target int, seg Seg, off int64, dst []byte) {
-	ep.checkTarget(target)
-	if len(dst) == 0 {
-		return
-	}
-	ep.issue(&pgas.RMA{Get: true, Target: target, Off: seg.span("get_nbi", off, len(dst)), Local: dst}, true, &ep.nbi)
+	ep.issue("get_nbi", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, true, &ep.nbi)
 }
 
 // Get copies n bytes from the target's segment into dst, blocking until the
 // data is locally usable (gasnet_get_bulk).
 func (ep *EP) Get(target int, seg Seg, off int64, dst []byte) {
-	ep.checkTarget(target)
-	if len(dst) == 0 {
-		return
-	}
-	ep.issue(&pgas.RMA{Get: true, Target: target, Off: seg.span("get", off, len(dst)), Local: dst}, false, nil)
+	ep.issue("get", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, false, nil)
 }
 
 // PutSignal fuses a data payload and an 8-byte signal word into one blocking
@@ -183,18 +209,11 @@ func (ep *EP) PutSignalNBI(target int, seg Seg, off int64, data []byte, sigSeg S
 	ep.putSignal("put_signal_nbi", true, &ep.nbi, target, seg, off, data, sigSeg, sigIdx, sigVal)
 }
 
-// putSignal is the argument check shared by the two signal puts.
+// putSignal is the two signal puts: it checks the signal word, which has a
+// segment region of its own.
 func (ep *EP) putSignal(op string, nbi bool, set *fabric.NBIStreams, target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
 	ep.checkTarget(target)
-	var abs int64
-	if len(data) > 0 {
-		abs = seg.span(op, off, len(data))
-	}
-	sigOff := int64(sigIdx) * 8
-	if sigOff < 0 || sigOff+8 > sigSeg.Size {
-		panic(fmt.Sprintf("gasnet: signal word %d outside %d-byte segment region", sigIdx, sigSeg.Size))
-	}
-	ep.issue(&pgas.RMA{Shape: pgas.Signal, Target: target, Off: abs, Local: data, SigOff: sigSeg.Off + sigOff, SigVal: uint64(sigVal)}, nbi, set)
+	ep.issue(op, &pgas.RMA{Shape: pgas.Signal, Target: target, Off: off, Local: data, SigOff: sigSeg.word(int64(sigIdx) * 8), SigVal: uint64(sigVal)}, seg, nbi, set)
 }
 
 // SyncHandle tracks one non-blocking operation.

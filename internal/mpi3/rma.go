@@ -83,28 +83,38 @@ func (pr *Proc) access(op string, win *Win, target int, off int64, n int) (*epoc
 	return e, win.off + off
 }
 
-// Put is MPI_Put: one-sided write into the target's window region, priced as a
-// one-sided library's put plus the window-synchronisation surcharge (one charge
-// with the injection) and booked on the epoch's horizon: Flush/Unlock complete it.
-func (pr *Proc) Put(win *Win, target int, off int64, data []byte) {
-	e, abs := pr.access("put", win, target, off, len(data))
-	intra, pairs, prof := pr.intra(target), pr.pairs(), pr.world.prof
-	pr.p.Issue(&pgas.RMA{Target: target, Off: abs, Local: data}, pgas.Price{
-		Inject: prof.PutInjectNs(len(data), intra, pairs) + prof.WindowSyncNs,
-		Lat:    prof.DeliveryNs(intra, pairs),
-	}, &e.pending, nil)
+// RMA is the one entry of MPI_Put and MPI_Get: d, contiguous, with d.Off
+// relative to win — Put and Get fill one, a layered runtime hands its own. It
+// runs access's checks, makes d.Off absolute and prices the op as a one-sided
+// library's plus the window-synchronisation surcharge (one charge with the
+// injection). A put is booked on the epoch's horizon, which Flush/Unlock
+// complete; a get is modelled as blocking-on-data (the common implementation
+// behaviour for passive-target gets followed immediately by a flush).
+func (pr *Proc) RMA(win *Win, d *pgas.RMA) {
+	n, op := len(d.Local), "put"
+	if d.Get {
+		op = "get"
+	}
+	e, abs := pr.access(op, win, d.Target, d.Off, n)
+	d.Off = abs
+	intra, pairs, prof := pr.intra(d.Target), pr.pairs(), pr.world.prof
+	c, set := pgas.Price{Lat: prof.DeliveryNs(intra, pairs)}, &e.pending
+	if d.Get {
+		c.Inject, set = prof.GetNs(n, intra, pairs)+prof.WindowSyncNs, nil
+	} else {
+		c.Inject = prof.PutInjectNs(n, intra, pairs) + prof.WindowSyncNs
+	}
+	pr.p.Issue(d, c, set, nil)
 }
 
-// Get is MPI_Get: one-sided read from the target's window region. We model
-// it as blocking-on-data (the common implementation behaviour for
-// passive-target gets followed immediately by a flush).
+// Put is MPI_Put: one-sided write into the target's window region.
+func (pr *Proc) Put(win *Win, target int, off int64, data []byte) {
+	pr.RMA(win, &pgas.RMA{Target: target, Off: off, Local: data})
+}
+
+// Get is MPI_Get: one-sided read from the target's window region.
 func (pr *Proc) Get(win *Win, target int, off int64, dst []byte) {
-	_, abs := pr.access("get", win, target, off, len(dst))
-	intra, pairs, prof := pr.intra(target), pr.pairs(), pr.world.prof
-	pr.p.Issue(&pgas.RMA{Get: true, Target: target, Off: abs, Local: dst}, pgas.Price{
-		Inject: prof.GetNs(len(dst), intra, pairs) + prof.WindowSyncNs,
-		Lat:    prof.DeliveryNs(intra, pairs),
-	}, nil, nil)
+	pr.RMA(win, &pgas.RMA{Get: true, Target: target, Off: off, Local: dst})
 }
 
 // Flush completes all outstanding operations to target (MPI_Win_flush).

@@ -104,11 +104,8 @@ func (w *World) linkLocked(src, dst int) *linkState {
 // loss.
 func (w *World) Transmit(fp *fabric.FaultPlan, src, dst int, wireNs, latNs float64, reply bool) (lands bool, visibleAt, horizon float64, acked bool) {
 	if !fp.LossyPair(src, dst) {
-		visibleAt = wireNs + latNs
-		if reply {
-			return true, visibleAt, wireNs + 2*latNs, true
-		}
-		return true, visibleAt, visibleAt, true
+		visibleAt, horizon = reliable(wireNs, latNs, reply)
+		return true, visibleAt, horizon, true
 	}
 	w.dlv.mu.Lock()
 	defer w.dlv.mu.Unlock()
@@ -134,6 +131,17 @@ func (w *World) Transmit(fp *fabric.FaultPlan, src, dst int, wireNs, latNs float
 		return lands, d.DeliveredNs, d.AckedNs, true
 	}
 	return lands, d.DeliveredNs, d.GaveUpNs, false
+}
+
+// reliable is Transmit's identity case, a link that delivers natively: the
+// payload is visible one flight after it is wired out, and the sender completes
+// with it — or, waiting for a reply, one more flight later.
+func reliable(wireNs, latNs float64, reply bool) (visibleAt, horizon float64) {
+	visibleAt = wireNs + latNs
+	if reply {
+		return visibleAt, wireNs + 2*latNs
+	}
+	return visibleAt, visibleAt
 }
 
 // MarkUnreachable records that src exhausted its retries toward dst. The

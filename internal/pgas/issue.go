@@ -128,7 +128,12 @@ func (p *PE) send(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan)
 		if set != nil {
 			wire = set.Reserve(clock.Now(), c.Transfer)
 		}
-		lands, at, done, acked := w.Transmit(plan, p.ID, d.Target, wire, c.Lat, d.Get)
+		// A link without a plan is reliable: the identity, with no call.
+		lands, acked := true, true
+		at, done := reliable(wire, c.Lat, d.Get)
+		if plan != nil {
+			lands, at, done, acked = w.Transmit(plan, p.ID, d.Target, wire, c.Lat, d.Get)
+		}
 		vis, done = at+c.Tail, done+c.Tail
 		if set != nil {
 			set.Note(d.Target, done)

@@ -161,3 +161,37 @@ func TestChaosPlan(t *testing.T) {
 		t.Errorf("plan file read back as %v, wrote %v", read, seeded)
 	}
 }
+
+// The CLIs' profile flags write a profile each when set, and are inert when
+// not: no file, nothing started.
+func TestProfileFlags(t *testing.T) {
+	parse := func(args ...string) *Profiles {
+		fs := flag.NewFlagSet("cli", flag.ContinueOnError)
+		p := ProfileFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	stop, err := parse().Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	stop, err = parse("-cpuprofile", cpu, "-memprofile", mem).Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	for _, name := range []string{cpu, mem} {
+		if st, err := os.Stat(name); err != nil || st.Size() == 0 {
+			t.Errorf("%s: not written (%v)", filepath.Base(name), err)
+		}
+	}
+	if _, err := parse("-cpuprofile", filepath.Join(dir, "no", "such", "dir")).Start(); err == nil {
+		t.Error("a CPU profile that cannot be created starts without an error")
+	}
+}

@@ -74,22 +74,14 @@ func (c *Ctx) PE() *PE { return c.pe }
 // context's Quiet — the PE-level Quiet does not complete it.
 func (c *Ctx) PutMemNBI(target int, sym Sym, off int64, data []byte) {
 	c.check()
-	c.pe.checkTarget(target)
-	if len(data) == 0 {
-		return
-	}
-	c.issue(&pgas.RMA{Target: target, Off: sym.span("put_nbi", off, int64(len(data))), Local: data}, nbi, data)
+	c.issue(&pgas.RMA{Target: target, Off: off, Local: data}, sym, nbi, data)
 }
 
 // GetMemNBI starts a nonblocking contiguous get on this context
 // (shmem_ctx_getmem_nbi). dst is undefined until this context's Quiet.
 func (c *Ctx) GetMemNBI(target int, sym Sym, off int64, dst []byte) {
 	c.check()
-	c.pe.checkTarget(target)
-	if len(dst) == 0 {
-		return
-	}
-	c.issue(&pgas.RMA{Get: true, Target: target, Off: sym.span("get_nbi", off, int64(len(dst))), Local: dst}, nbi, nil)
+	c.issue(&pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, sym, nbi, nil)
 }
 
 // PutSignalNBI is the context-scoped fused data+signal put: data and the
@@ -106,19 +98,20 @@ func (c *Ctx) PutSignalNBI(target int, sym Sym, off int64, data []byte, sig Sym,
 // other contexts all stay in flight. Like the PE-level Quiet it is a legacy
 // escalation point: destinations given up after retry exhaustion
 // error-terminate here (QuietStat reports them instead).
-func (c *Ctx) Quiet() {
-	c.quiet()
-	c.pe.checkReachable()
-}
+func (c *Ctx) Quiet() { c.quiet(true) }
 
-// quiet is Quiet's drain, shared with the stat forms (which must not
-// escalate — they report). With nothing nonblocking outstanding the streams
-// drain to 0 and the blocking path is bit-identical to the pre-NBI model.
-func (c *Ctx) quiet() {
+// quiet is Quiet, one call deep for the runtimes that quiet after every put;
+// the stat forms, which report a given-up destination, pass escalate false.
+// With nothing nonblocking outstanding the streams drain to 0 and the blocking
+// path is bit-identical to the pre-NBI model.
+func (c *Ctx) quiet(escalate bool) {
 	c.check()
 	c.complete(c.nbi.Drain(), c.blocking.Drain())
 	if san := c.pe.world.san; san != nil {
 		san.quiesceCtx(c.pe.p.ID, c.id)
+	}
+	if escalate {
+		c.pe.checkReachable()
 	}
 }
 
@@ -167,7 +160,7 @@ func (c *Ctx) QuietStat() error {
 			failed = append(failed, t)
 		}
 	})
-	c.quiet()
+	c.quiet(false)
 	return c.pe.unreachFault(failed)
 }
 

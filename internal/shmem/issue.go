@@ -11,9 +11,9 @@ import (
 // signal, repair or forensic; blocking or nonblocking on any context — is one
 // pgas.RMA descriptor handed to the substrate's issue core (pgas.PE.Issue),
 // which sends its messages, lands its bytes and books its completion. What is
-// the library's own is here: the entry points validate their arguments and
-// fill the descriptor; issue prices one message of it on the OpenSHMEM list,
-// names the context's completion set and runs the sanitizer hook.
+// the library's own is here: the entry points fill the descriptor; issue checks
+// it, runs the sanitizer hook, prices one message of it on the OpenSHMEM list
+// and names the context's completion set.
 
 // mode is what an entry point says of an op beyond its geometry.
 type mode uint8
@@ -80,12 +80,39 @@ func (c *Ctx) sanitize(san *sanitizer, d *pgas.RMA, m mode, src []byte) {
 	}
 }
 
-// issue runs one put or get on the context. src is a nonblocking put's source
-// buffer (d.Local again; nil for every other op): the sanitizer retains it
-// until Quiet, and retaining a descriptor field instead would move every
-// caller's buffer — the stack-held word of a P or G included — to the heap.
-func (c *Ctx) issue(d *pgas.RMA, m mode, src []byte) {
+// issue is the library's one checked entry: every put and get on the context —
+// each public routine fills a descriptor, a layered runtime hands its own to
+// PE.RMA — arrives with d.Off, and a Runs op's d.Offs, relative to sym. It
+// checks target and bounds, returns on an op with nothing to transfer, makes
+// d.Off absolute, runs the sanitizer hook, prices one message and hands the op
+// to the issue core. src is a nonblocking put's source buffer (d.Local again;
+// read for no other op): the sanitizer retains it until Quiet, and retaining a
+// descriptor field instead would move every caller's buffer — the stack-held
+// word of a P or G included — to the heap.
+func (c *Ctx) issue(d *pgas.RMA, sym Sym, m mode, src []byte) {
 	pe, w := c.pe, c.pe.world
+	pe.checkTarget(d.Target)
+	switch d.Shape {
+	case pgas.Runs:
+		sym.runsSpan(d, m)
+		if len(d.Offs) == 0 {
+			return
+		}
+		d.Off = sym.Off
+	case pgas.Strided:
+		if !sym.stridedSpan(d, m) {
+			return
+		}
+		d.Off += sym.Off
+	default:
+		// An empty payload is no op, or a signal travelling alone. The signal
+		// word is its wrapper's to check: it has a symmetric object of its own.
+		if len(d.Local) > 0 {
+			d.Off = sym.span(d, m, d.Off, int64(len(d.Local)))
+		} else if d.Shape != pgas.Signal {
+			return
+		}
+	}
 	if w.san != nil {
 		c.sanitize(w.san, d, m, src)
 	}
@@ -121,11 +148,50 @@ func (c *Ctx) issue(d *pgas.RMA, m mode, src []byte) {
 	pe.p.Issue(d, price, set, w.fplan)
 }
 
+// RMA issues a layered runtime's descriptor on the default context, blocking or
+// nonblocking (until Quiet a put's source then stays unmodified, a get's
+// destination undefined): what PutMem, GetMemV, IPutMemNBI, PutSignal, … are,
+// by d's shape and direction. d.Off and d.Offs are relative to sym, a signal's
+// d.SigOff absolute and the caller's to check (Sym.At); d is the caller's again
+// at return, its Off made absolute.
+func (pe *PE) RMA(d *pgas.RMA, sym Sym, nonblocking bool) {
+	m := locality
+	if nonblocking {
+		m |= nbi
+	}
+	pe.def.issue(d, sym, m, d.Local)
+}
+
+// opName is what the bounds panics call d: the public routine that issues it.
+func opName(d *pgas.RMA, m mode) string {
+	name := "put"
+	if d.Get {
+		name = "get"
+	}
+	switch d.Shape {
+	case pgas.Signal:
+		return "put_signal"
+	case pgas.Forensic:
+		return "repair " + name
+	case pgas.Runs:
+		name += "memv"
+	case pgas.Strided:
+		name = "i" + name
+		if m&locality != 0 {
+			name += "mem"
+		}
+	}
+	if m&nbi != 0 {
+		name += "_nbi"
+	}
+	return name
+}
+
 // span panics unless the n bytes at offset off lie inside sym, and returns
 // their absolute partition offset.
-func (sym Sym) span(op string, off, n int64) int64 {
+func (sym Sym) span(d *pgas.RMA, m mode, off, n int64) int64 {
 	if off < 0 || off+n > sym.Size {
-		sym.overflow(op, off, n)
+		sym.overflow(d, m, off, n)
 	}
 	return sym.Off + off
 }
@@ -133,38 +199,38 @@ func (sym Sym) span(op string, off, n int64) int64 {
 // overflow is span's panic, kept out of line so that span inlines.
 //
 //go:noinline
-func (sym Sym) overflow(op string, off, n int64) {
-	panic(fmt.Sprintf("shmem: %s of %d bytes at offset %d overflows %d-byte symmetric object", op, n, off, sym.Size))
+func (sym Sym) overflow(d *pgas.RMA, m mode, off, n int64) {
+	panic(fmt.Sprintf("shmem: %s of %d bytes at offset %d overflows %d-byte symmetric object", opName(d, m), n, off, sym.Size))
 }
 
-// stridedSpan validates a strided remote operand — nbytes of elemSize-byte
-// elements at byte stride strideBytes from off within sym — and returns its
-// absolute partition offset, or ok=false when there is nothing to transfer.
-func (sym Sym) stridedSpan(op string, off, strideBytes int64, elemSize, nbytes int) (abs int64, ok bool) {
-	if elemSize <= 0 || nbytes%elemSize != 0 {
-		panic(fmt.Sprintf("shmem: %s operand not a whole number of elements", op))
+// stridedSpan validates a strided remote operand — len(d.Local) bytes of
+// d.Unit-byte elements at byte stride d.Stride from d.Off within sym — and
+// reports whether there is anything to transfer.
+func (sym Sym) stridedSpan(d *pgas.RMA, m mode) bool {
+	if d.Unit <= 0 || len(d.Local)%d.Unit != 0 {
+		panic(fmt.Sprintf("shmem: %s operand not a whole number of elements", opName(d, m)))
 	}
-	nelems := nbytes / elemSize
+	nelems := len(d.Local) / d.Unit
 	if nelems == 0 {
-		return 0, false
+		return false
 	}
-	if strideBytes < int64(elemSize) {
-		panic(fmt.Sprintf("shmem: %s stride smaller than element", op))
+	if d.Stride < int64(d.Unit) {
+		panic(fmt.Sprintf("shmem: %s stride smaller than element", opName(d, m)))
 	}
-	need := off + int64(nelems-1)*strideBytes + int64(elemSize)
-	if off < 0 || need > sym.Size {
-		panic(fmt.Sprintf("shmem: %s overflows symmetric object (need %d bytes, have %d)", op, need, sym.Size))
+	need := d.Off + int64(nelems-1)*d.Stride + int64(d.Unit)
+	if d.Off < 0 || need > sym.Size {
+		panic(fmt.Sprintf("shmem: %s overflows symmetric object (need %d bytes, have %d)", opName(d, m), need, sym.Size))
 	}
-	return sym.Off + off, true
+	return true
 }
 
-// runsSpan validates a vectored operand: len(offs) runs of runBytes bytes,
-// dense in local, each inside sym.
-func (sym Sym) runsSpan(op string, offs []int64, runBytes int, local []byte) {
-	if runBytes <= 0 || len(local) != len(offs)*runBytes {
-		panic(fmt.Sprintf("shmem: %s operand does not match runs", op))
+// runsSpan validates a vectored operand: len(d.Offs) runs of d.Unit bytes,
+// dense in d.Local, each inside sym.
+func (sym Sym) runsSpan(d *pgas.RMA, m mode) {
+	if d.Unit <= 0 || len(d.Local) != len(d.Offs)*d.Unit {
+		panic(fmt.Sprintf("shmem: %s operand does not match runs", opName(d, m)))
 	}
-	for _, off := range offs {
-		sym.span(op, off, int64(runBytes))
+	for _, off := range d.Offs {
+		sym.span(d, m, off, int64(d.Unit))
 	}
 }

@@ -38,11 +38,7 @@ func (pe *PE) GetMemNBI(target int, sym Sym, off int64, dst []byte) {
 // sibling of PutMemV. Each run charges one injection overhead; the runs'
 // transfers serialise on the NIC. src must stay unmodified until Quiet.
 func (pe *PE) PutMemVNBI(target int, sym Sym, offs []int64, runBytes int, src []byte) {
-	pe.checkTarget(target)
-	sym.runsSpan("putmemv_nbi", offs, runBytes, src)
-	if len(offs) > 0 {
-		pe.def.issue(&pgas.RMA{Shape: pgas.Runs, Target: target, Off: sym.Off, Local: src, Offs: offs, Unit: runBytes}, nbi, src)
-	}
+	pe.def.issue(&pgas.RMA{Shape: pgas.Runs, Target: target, Local: src, Offs: offs, Unit: runBytes}, sym, nbi, src)
 }
 
 // IPutMemNBI is the nonblocking byte-level 1-D strided put: the nonblocking
@@ -51,19 +47,13 @@ func (pe *PE) PutMemVNBI(target int, sym Sym, offs []int64, runBytes int, src []
 // distinction survives overlap); descriptor walking and byte streaming occupy
 // the NIC asynchronously.
 func (pe *PE) IPutMemNBI(target int, sym Sym, off, dstStrideBytes int64, elemSize int, src []byte) {
-	pe.checkTarget(target)
-	if abs, ok := sym.stridedSpan("iputmem_nbi", off, dstStrideBytes, elemSize, len(src)); ok {
-		pe.def.issue(&pgas.RMA{Shape: pgas.Strided, Target: target, Off: abs, Local: src, Unit: elemSize, Stride: dstStrideBytes}, nbi|locality, src)
-	}
+	pe.def.issue(&pgas.RMA{Shape: pgas.Strided, Target: target, Off: off, Local: src, Unit: elemSize, Stride: dstStrideBytes}, sym, nbi|locality, src)
 }
 
 // IGetMemNBI is the nonblocking byte-level 1-D strided get. dst is undefined
 // until Quiet.
 func (pe *PE) IGetMemNBI(target int, sym Sym, off, srcStrideBytes int64, elemSize int, dst []byte) {
-	pe.checkTarget(target)
-	if abs, ok := sym.stridedSpan("igetmem_nbi", off, srcStrideBytes, elemSize, len(dst)); ok {
-		pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: target, Off: abs, Local: dst, Unit: elemSize, Stride: srcStrideBytes}, nbi|locality, nil)
-	}
+	pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: target, Off: off, Local: dst, Unit: elemSize, Stride: srcStrideBytes}, sym, nbi|locality, nil)
 }
 
 // PutNBI starts a nonblocking typed put (the shmem_put_nbi family). vals must

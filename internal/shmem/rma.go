@@ -13,21 +13,13 @@ import (
 // the paper's §IV-B discusses: CAF's ordering guarantees require the runtime
 // to insert quiet operations around OpenSHMEM puts.
 func (pe *PE) PutMem(target int, sym Sym, off int64, data []byte) {
-	pe.checkTarget(target)
-	if len(data) == 0 {
-		return
-	}
-	pe.def.issue(&pgas.RMA{Target: target, Off: sym.span("put", off, int64(len(data))), Local: data}, blocking, nil)
+	pe.def.issue(&pgas.RMA{Target: target, Off: off, Local: data}, sym, blocking, nil)
 }
 
 // GetMem copies len(dst) bytes from the symmetric object on the target PE
 // into dst — shmem_getmem. Blocking: returns once the data is locally usable.
 func (pe *PE) GetMem(target int, sym Sym, off int64, dst []byte) {
-	pe.checkTarget(target)
-	if len(dst) == 0 {
-		return
-	}
-	pe.def.issue(&pgas.RMA{Get: true, Target: target, Off: sym.span("get", off, int64(len(dst))), Local: dst}, blocking, nil)
+	pe.def.issue(&pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, sym, blocking, nil)
 }
 
 // Put writes typed elements at element index idx of the symmetric object —
@@ -74,8 +66,6 @@ func IPut[T pgas.Elem](pe *PE, target int, sym Sym, dstIdx, dstStride int, src [
 		panic("shmem: iput strides must be >= 1")
 	}
 	es := pgas.SizeOf[T]()
-	stride := int64(dstStride) * int64(es)
-	abs, _ := sym.stridedSpan("iput", int64(dstIdx)*int64(es), stride, es, nelems*es)
 	// One descriptor (one vectored write, one target-lock acquisition) takes
 	// the elements densely: a unit-stride source already is that, as the
 	// bytes of src itself; a strided one is gathered into the PE's staging
@@ -89,7 +79,7 @@ func IPut[T pgas.Elem](pe *PE, target int, sym Sym, dstIdx, dstStride int, src [
 			pgas.Store(buf[k*es:], src[srcIdx+k*srcStride])
 		}
 	}
-	pe.def.issue(&pgas.RMA{Shape: pgas.Strided, Target: target, Off: abs, Local: buf, Unit: es, Stride: stride}, blocking, nil)
+	pe.def.issue(&pgas.RMA{Shape: pgas.Strided, Target: target, Off: int64(dstIdx) * int64(es), Local: buf, Unit: es, Stride: int64(dstStride) * int64(es)}, sym, blocking, nil)
 }
 
 // IGet performs the 1-D strided get — shmem_iget.
@@ -102,8 +92,6 @@ func IGet[T pgas.Elem](pe *PE, target int, sym Sym, srcIdx, srcStride int, dst [
 		panic("shmem: iget strides must be >= 1")
 	}
 	es := pgas.SizeOf[T]()
-	stride := int64(srcStride) * int64(es)
-	abs, _ := sym.stridedSpan("iget", int64(srcIdx)*int64(es), stride, es, nelems*es)
 	// One vectored read gathers the elements densely: straight into dst's
 	// own bytes when dst is unit-stride, else into the PE's staging buffer
 	// and from there to the caller's strided destination. The cost model is
@@ -114,7 +102,7 @@ func IGet[T pgas.Elem](pe *PE, target int, sym Sym, srcIdx, srcStride int, dst [
 	} else {
 		raw = pe.staging(nelems * es)
 	}
-	pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: target, Off: abs, Local: raw, Unit: es, Stride: stride}, blocking, nil)
+	pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: target, Off: int64(srcIdx) * int64(es), Local: raw, Unit: es, Stride: int64(srcStride) * int64(es)}, sym, blocking, nil)
 	if dstStride != 1 {
 		for k := 0; k < nelems; k++ {
 			dst[dstIdx+k*dstStride] = pgas.Load[T](raw[k*es:])
@@ -137,19 +125,13 @@ func (pe *PE) staging(n int) []byte {
 // the target at byte stride dstStrideBytes starting at absolute byte offset
 // off within sym. Costs follow the library's strided mode exactly like IPut.
 func (pe *PE) IPutMem(target int, sym Sym, off, dstStrideBytes int64, elemSize int, src []byte) {
-	pe.checkTarget(target)
-	if abs, ok := sym.stridedSpan("iputmem", off, dstStrideBytes, elemSize, len(src)); ok {
-		pe.def.issue(&pgas.RMA{Shape: pgas.Strided, Target: target, Off: abs, Local: src, Unit: elemSize, Stride: dstStrideBytes}, locality, nil)
-	}
+	pe.def.issue(&pgas.RMA{Shape: pgas.Strided, Target: target, Off: off, Local: src, Unit: elemSize, Stride: dstStrideBytes}, sym, locality, nil)
 }
 
 // IGetMem is the byte-level 1-D strided get: nelems elements are gathered
 // from the target at byte stride srcStrideBytes into dst densely.
 func (pe *PE) IGetMem(target int, sym Sym, off, srcStrideBytes int64, elemSize int, dst []byte) {
-	pe.checkTarget(target)
-	if abs, ok := sym.stridedSpan("igetmem", off, srcStrideBytes, elemSize, len(dst)); ok {
-		pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: target, Off: abs, Local: dst, Unit: elemSize, Stride: srcStrideBytes}, locality, nil)
-	}
+	pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: target, Off: off, Local: dst, Unit: elemSize, Stride: srcStrideBytes}, sym, locality, nil)
 }
 
 // PutMemV is the vectored multi-run put: run i is runBytes bytes, taken
@@ -161,22 +143,14 @@ func (pe *PE) IGetMem(target int, sym Sym, off, srcStrideBytes int64, elemSize i
 // what makes the naive strided algorithm's "one putmem per contiguous run"
 // translation cheap to execute without changing what it models.
 func (pe *PE) PutMemV(target int, sym Sym, offs []int64, runBytes int, src []byte) {
-	pe.checkTarget(target)
-	sym.runsSpan("putmemv", offs, runBytes, src)
-	if len(offs) > 0 {
-		pe.def.issue(&pgas.RMA{Shape: pgas.Runs, Target: target, Off: sym.Off, Local: src, Offs: offs, Unit: runBytes}, blocking, nil)
-	}
+	pe.def.issue(&pgas.RMA{Shape: pgas.Runs, Target: target, Local: src, Offs: offs, Unit: runBytes}, sym, blocking, nil)
 }
 
 // GetMemV is the vectored multi-run get: run i is runBytes bytes read from
 // byte offset offs[i] within sym on the target into dst densely. Costs are
 // identical to len(offs) successive GetMem calls.
 func (pe *PE) GetMemV(target int, sym Sym, offs []int64, runBytes int, dst []byte) {
-	pe.checkTarget(target)
-	sym.runsSpan("getmemv", offs, runBytes, dst)
-	if len(offs) > 0 {
-		pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Runs, Target: target, Off: sym.Off, Local: dst, Offs: offs, Unit: runBytes}, blocking, nil)
-	}
+	pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Runs, Target: target, Local: dst, Offs: offs, Unit: runBytes}, sym, blocking, nil)
 }
 
 // PutSignal writes data into sym at byte offset off on the target and then
@@ -218,16 +192,12 @@ func (pe *PE) PutSignalNBI(target int, sym Sym, off int64, data []byte, sig Sym,
 	pe.def.PutSignalNBI(target, sym, off, data, sig, sigIdx, sigVal)
 }
 
-// putSignal is the argument check shared by the signal puts on a context,
-// blocking or nonblocking.
+// putSignal is the signal puts of a context, blocking or nonblocking: it
+// checks the signal word, which has a symmetric object of its own.
 func (c *Ctx) putSignal(m mode, target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
 	c.pe.checkTarget(target)
-	var abs int64
-	if len(data) > 0 {
-		abs = sym.span("put_signal", off, int64(len(data)))
-	}
 	sigOff := sig.At(int64(sigIdx) * 8) // bounds-checked absolute offset
-	c.issue(&pgas.RMA{Shape: pgas.Signal, Target: target, Off: abs, Local: data, SigOff: sigOff, SigVal: uint64(sigVal)}, m, nil)
+	c.issue(&pgas.RMA{Shape: pgas.Signal, Target: target, Off: off, Local: data, SigOff: sigOff, SigVal: uint64(sigVal)}, sym, m, nil)
 }
 
 func (pe *PE) checkTarget(target int) {

@@ -27,7 +27,7 @@ import (
 // abandon a phase together, which is what keeps degraded runs out of
 // asymmetric collectives (and therefore out of a deadlock).
 func (pe *PE) BarrierStat() error {
-	pe.def.quiet()
+	pe.def.quiet(false)
 	w := pe.world
 	if w.san != nil {
 		w.san.recordCollective(pe.p.ID, "Barrier")
@@ -77,20 +77,15 @@ func (pe *PE) CompareSwapStat(target int, sym Sym, idx int, expected, desired in
 // relay cells) and wakes waiters on every PE. Cost arithmetic is exactly
 // PutMem's — a repair message is an ordinary message.
 func (pe *PE) PutMemRepair(target int, sym Sym, off int64, data []byte) {
-	pe.checkTarget(target)
-	if len(data) == 0 {
-		return
-	}
-	pe.def.issue(&pgas.RMA{Shape: pgas.Forensic, Target: target, Off: sym.span("repair put", off, int64(len(data))), Local: data}, blocking, nil)
+	pe.def.issue(&pgas.RMA{Shape: pgas.Forensic, Target: target, Off: off, Local: data}, sym, blocking, nil)
 }
 
 // ReadWord64 reads a symmetric 64-bit word together with its visibility
 // timestamp, including from failed partitions — the forensic read used by
 // recovery protocols to inspect a dead PE's frozen state. Costs a get.
 func (pe *PE) ReadWord64(target int, sym Sym, idx int) uint64 {
-	pe.checkTarget(target)
 	word := pe.staging(8)
-	pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Forensic, Target: target, Off: pe.wordOff(sym, idx), Local: word}, blocking, nil)
+	pe.def.issue(&pgas.RMA{Get: true, Shape: pgas.Forensic, Target: target, Off: int64(idx) * 8, Local: word}, sym, blocking, nil)
 	return binary.NativeEndian.Uint64(word)
 }
 
