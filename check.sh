@@ -2,8 +2,8 @@
 # Extended tier-1 gate (see ROADMAP.md): build-and-test plus the repo's
 # correctness tooling. Run from the module root. `./check.sh fast` stops after
 # the fast tier: build, vet, the unsafe, host-clock, one-issue-core,
-# one-engine and inline gates, the gates on the write path and the deadlock
-# loop (about half a minute).
+# one-engine, inline and bounds-check gates, the gates on the write path and
+# the deadlock loop (about half a minute).
 set -eu
 
 echo "==> go build ./..."
@@ -106,6 +106,18 @@ pgas reliable
 fabric (*Clock).Advance
 fabric (*Clock).MergeAtLeast
 EOF_INLINE
+
+echo "==> bounds-check gate (Himeno's row kernel, himeno.sweepRow, keeps the one bounds check it has, c[i+1]: no per-point index arithmetic)"
+# -d=ssa/check_bce reports every check left after elimination, by line; the
+# kernel's lines run from its func line to the first closing brace in column 1.
+bce=$(go build -gcflags=-d=ssa/check_bce ./internal/himeno 2>&1 | grep '^internal/himeno/himeno\.go:.*Found IsInBounds' || true)
+kernel=$(awk '/^func sweepRow\(/ { lo = NR } lo && !hi && /^}/ { hi = NR } END { print lo + 0, hi + 0 }' internal/himeno/himeno.go)
+left=$(printf '%s\n' "$bce" | awk -F: -v range="$kernel" 'BEGIN { split(range, r, " ") } $2 > r[1] && $2 < r[2] { n++ } END { print n + 0 }')
+if [ "${kernel% *}" = 0 ] || [ "$left" -gt 1 ]; then
+    echo "check.sh: internal/himeno: sweepRow (lines $kernel of himeno.go) has $left bounds checks in its loop, at most 1 allowed (0 0 = kernel not found):" >&2
+    printf '%s\n' "$bce" >&2
+    exit 1
+fi
 
 echo "==> write-path gates (cursor vs Write sequence vs flat model; tabled gap vs math.Pow; strided put allocates nothing; range panics)"
 go test -count=1 -run '^(TestVectoredWritesMatchWriteSequence|TestWriteNegativeOffsetPanics)$' ./internal/pgas

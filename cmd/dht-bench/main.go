@@ -73,7 +73,7 @@ func transportSweep(kind caf.TransportKind, maxImages, buckets, updates int) {
 	opts := pgasbench.TransportOptions(kind)
 	fmt.Printf("DHT on Stampede, transport=%v, %d buckets/image, %d updates/image\n",
 		kind, buckets, updates)
-	fmt.Printf("%8s %12s   %s\n", "images", "time (ms)", "partition memory")
+	fmt.Printf("%8s %12s   %s\n", "images", "time (ms)", "partition memory; host synchronisation")
 	for _, n := range pgasbench.ImageSweep {
 		if n > maxImages {
 			continue
@@ -83,7 +83,7 @@ func transportSweep(kind caf.TransportKind, maxImages, buckets, updates int) {
 			fmt.Fprintln(os.Stderr, "dht-bench:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%8d %12.3f   %v\n", n, r.TimeMs, r.Pages)
+		fmt.Printf("%8d %12.3f   %v; %v\n", n, r.TimeMs, r.Pages, r.Metrics)
 	}
 }
 

@@ -77,7 +77,7 @@ func transportSweep(kind caf.TransportKind, maxImages int, prm himeno.Params) {
 	opts := pgasbench.TransportOptions(kind)
 	fmt.Printf("Himeno on Stampede, transport=%v, grid %dx%dx%d, %d iters\n",
 		kind, prm.NX, prm.NY, prm.NZ, prm.Iters)
-	fmt.Printf("%8s %12s %12s   %s\n", "images", "MFLOPS", "time (ms)", "partition memory")
+	fmt.Printf("%8s %12s %12s   %s\n", "images", "MFLOPS", "time (ms)", "partition memory; host synchronisation")
 	for _, n := range append([]int{1}, pgasbench.ImageSweep...) {
 		if n > maxImages || n > prm.NY {
 			continue
@@ -87,7 +87,7 @@ func transportSweep(kind caf.TransportKind, maxImages int, prm himeno.Params) {
 			fmt.Fprintln(os.Stderr, "himeno-bench:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("%8d %12.2f %12.3f   %v\n", n, r.MFLOPS, r.TimeMs, r.Pages)
+		fmt.Printf("%8d %12.2f %12.3f   %v; %v\n", n, r.MFLOPS, r.TimeMs, r.Pages, r.Metrics)
 	}
 }
 
@@ -110,7 +110,7 @@ func chaosReplay(plan *fabric.FaultPlan, images int, prm himeno.Params) {
 	}
 	fmt.Printf("stat=%v iters=%d/%d gosa=%.6e time=%.3fms\n",
 		res.Stat, res.Iters, prm.Iters, res.Gosa, res.TimeMs)
-	fmt.Printf("partition memory: %v\n", res.Pages)
+	fmt.Printf("partition memory: %v; %v\n", res.Pages, res.Metrics)
 	if len(res.Forensics) == 0 {
 		fmt.Println("forensics: no lossy links exercised")
 		return

@@ -148,6 +148,16 @@ func (img *Image) PageStats() PageStats {
 	return img.local.World().PageStats()
 }
 
+// Metrics is a world's synchronisation record on the host (re-exported from
+// pgas): goroutine sleeps and barrier generations.
+type Metrics = pgas.Metrics
+
+// Metrics returns the job's synchronisation counters so far; world-global
+// like PageStats, and captured with it.
+func (img *Image) Metrics() Metrics {
+	return img.local.World().Metrics()
+}
+
 // pollFault is the fault-injection hook: runtime entry points call it so a
 // scheduled kill fires at the first operation boundary at or after its
 // virtual time. One predictable branch when no kill is scheduled (always the

@@ -164,6 +164,9 @@ type BenchResult struct {
 	// Pages is the job's partition-memory record, captured by image 1 after
 	// the final synchronisation: pages materialised, how much was new memory.
 	Pages caf.PageStats
+	// Metrics is the job's host-side synchronisation record, captured with
+	// Pages: goroutine sleeps (host-schedule dependent) and rendezvous.
+	Metrics caf.Metrics
 }
 
 // UpdateAt atomically adds delta to the bucket at (image, slot) directly,
@@ -261,6 +264,7 @@ func BenchPattern(opts caf.Options, images, bucketsPerImage, updates int, disjoi
 		if img.ThisImage() == 1 {
 			total = img.Clock().Now()
 			res.Pages = img.PageStats()
+			res.Metrics = img.Metrics()
 		}
 		atomic.AddInt64(&res.CommOps, img.Stats.Ops())
 	})

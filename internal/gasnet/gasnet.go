@@ -33,7 +33,7 @@ type World struct {
 	pw      *pgas.World
 	prof    *fabric.CostProfile
 	machine *fabric.Machine
-	heap    *symHeap
+	heap    symHeap
 
 	handlerMu sync.RWMutex
 	handlers  [MaxHandlers]Handler
@@ -97,7 +97,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	}
 	return &World{
 		pw: pw, prof: prof, machine: cfg.Machine,
-		heap: newSymHeap(), amMu: make([]sync.Mutex, n),
+		heap: symHeap{brk: segAlign}, amMu: make([]sync.Mutex, n),
 	}, nil
 }
 
@@ -165,9 +165,20 @@ func (ep *EP) checkTarget(t int) {
 
 // Barrier is the split-phase notify/wait barrier collapsed into one call
 // (gasnet_barrier_notify + gasnet_barrier_wait), completing outstanding puts.
-func (ep *EP) Barrier() {
+func (ep *EP) Barrier() { ep.barrier(nil, 0) }
+
+// barrier is Barrier whose rendezvous carries a release action, run once with
+// the world and arg while every node is asleep in it (Malloc's).
+func (ep *EP) barrier(act pgas.ReleaseFunc, arg int64) {
 	ep.WaitSyncAll()
 	w := ep.world
+	if err := ep.p.BarrierTolerantDo(w.barrierNs(), act, w, arg); err != nil {
+		panic(err)
+	}
+}
+
+// barrierNs is the modelled cost of a barrier over the whole job.
+func (w *World) barrierNs() float64 {
 	n := w.pw.NumPEs()
-	ep.p.Barrier(w.prof.BarrierNs(n, w.machine.NodesFor(n)))
+	return w.prof.BarrierNs(n, w.machine.NodesFor(n))
 }

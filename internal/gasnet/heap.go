@@ -2,7 +2,6 @@ package gasnet
 
 import (
 	"fmt"
-	"sync"
 
 	"cafshmem/internal/pgas"
 )
@@ -11,51 +10,46 @@ import (
 // itself only attaches a raw segment; runtimes layered on it manage the
 // space. We provide a collective Malloc so layered code can allocate
 // identical offsets on all nodes, mirroring shmem's symmetric heap (the CAF
-// runtime needs this regardless of transport).
+// runtime needs this regardless of transport). Only Malloc's release action
+// touches it, one at a time, and leaves the outcome in cur and curErr for
+// every node to read as it wakes (the protocol is shmem's, see its heap.go).
 type symHeap struct {
-	mu  sync.Mutex
-	brk int64
+	brk    int64
+	cur    Seg
+	curErr error
 }
 
 const segAlign = 64
 
-func newSymHeap() *symHeap { return &symHeap{brk: segAlign} }
-
-func (h *symHeap) alloc(size int64) (int64, error) {
-	if size <= 0 {
-		return 0, fmt.Errorf("gasnet: allocation size must be positive, got %d", size)
+// Malloc collectively reserves a symmetric segment region: every node calls
+// with the same size and receives the identical handle. It is one rendezvous,
+// whose release action allocates, and the virtual time of the two barriers
+// that used to publish the handle and close the call.
+func (ep *EP) Malloc(size int64) Seg {
+	ep.barrier(mallocRelease, size)
+	cost := ep.world.barrierNs()
+	for range 2 {
+		ep.WaitSyncAll()
+		ep.p.Clock.Advance(cost)
 	}
-	sz := (size + segAlign - 1) &^ (segAlign - 1)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	off := h.brk
-	if off+sz > pgas.MaxSegmentBytes {
-		return 0, fmt.Errorf("gasnet: segment exhausted")
+	h := &ep.world.heap
+	if h.curErr != nil {
+		panic(h.curErr)
 	}
-	h.brk += sz
-	return off, nil
+	return h.cur
 }
 
-// Malloc collectively reserves a symmetric segment region: every node calls
-// with the same size and receives the identical handle.
-func (ep *EP) Malloc(size int64) Seg {
-	type slot struct {
-		seg Seg
-		err error
+// mallocRelease is Malloc's release action (ctx is the World).
+func mallocRelease(ctx any, size int64, _ float64) {
+	h := &ctx.(*World).heap
+	sz := (size + segAlign - 1) &^ (segAlign - 1)
+	switch {
+	case size <= 0:
+		h.curErr = fmt.Errorf("gasnet: allocation size must be positive, got %d", size)
+	case h.brk+sz > pgas.MaxSegmentBytes:
+		h.curErr = fmt.Errorf("gasnet: segment exhausted")
+	default:
+		h.cur, h.curErr = Seg{Off: h.brk, Size: size}, nil
+		h.brk += sz
 	}
-	w := ep.world
-	ep.Barrier()
-	shared := w.pw.Shared("gasnet.malloc", func() interface{} { return &sync.Map{} }).(*sync.Map)
-	if ep.p.ID == 0 {
-		off, err := w.heap.alloc(size)
-		shared.Store("cur", &slot{Seg{Off: off, Size: size}, err})
-	}
-	ep.Barrier()
-	v, _ := shared.Load("cur")
-	res := v.(*slot)
-	ep.Barrier()
-	if res.err != nil {
-		panic(res.err)
-	}
-	return res.seg
 }

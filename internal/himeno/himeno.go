@@ -93,6 +93,9 @@ type Result struct {
 	// Pages is the job's partition-memory record, captured by image 1 with
 	// the forensics: pages materialised, how much of that was new memory.
 	Pages caf.PageStats
+	// Metrics is the job's host-side synchronisation record, captured with
+	// Pages: goroutine sleeps (host-schedule dependent) and rendezvous.
+	Metrics caf.Metrics
 	// CommOps is the job-wide total of runtime-issued communication
 	// operations (caf.Stats.Ops summed over every image that finished its
 	// body) — the simulated-op denominator for the wall-clock scaling
@@ -149,6 +152,7 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 	var barriersOut int64
 	var forensicsOut []caf.LinkReport
 	var pagesOut caf.PageStats
+	var metricsOut caf.Metrics
 	var commOps int64
 	err := caf.Run(images, opts, func(img *caf.Image) {
 		nx, ny, nz := prm.NX, prm.NY, prm.NZ
@@ -206,29 +210,8 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 		img.Clock().Reset()
 		var gosa float64
 		next := make([]float32, len(cur))
-		// sweepPlanes runs the Jacobi kernel on local j-planes [jlo, jhi],
-		// reading cur and writing next, accumulating the squared residual.
-		// Global boundaries (i, k extremes; global j = 0 and ny-1) stay
-		// fixed.
-		sweepPlanes := func(jlo, jhi int) {
-			for k := 1; k < nz-1; k++ {
-				for j := jlo; j <= jhi; j++ {
-					gj := lo + j - 1
-					if gj == 0 || gj == ny-1 {
-						continue
-					}
-					for i := 1; i < nx-1; i++ {
-						c0 := cur[at(i, j, k)]
-						s0 := cur[at(i+1, j, k)] + cur[at(i-1, j, k)] +
-							cur[at(i, j+1, k)] + cur[at(i, j-1, k)] +
-							cur[at(i, j, k+1)] + cur[at(i, j, k-1)]
-						ss := s0*a4 - c0
-						gosa += float64(ss) * float64(ss)
-						next[at(i, j, k)] = c0 + omega*ss
-					}
-				}
-			}
-		}
+		slab := slab{nx: nx, rows: nyAlloc + 2, nz: nz, lo: lo, ny: ny}
+		sweepPlanes := func(jlo, jhi int) { gosa = slab.sweep(next, cur, jlo, jhi, gosa) }
 		chargeCompute := func(planes int) {
 			pts := float64((nx - 2) * planes * (nz - 2))
 			img.Clock().Advance(opts.Machine.ComputeNs(flopsPerPt * pts))
@@ -429,6 +412,7 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 			barriersOut = img.Stats.Barriers
 			forensicsOut = img.LinkReports()
 			pagesOut = img.PageStats()
+			metricsOut = img.Metrics()
 		}
 		if prm.Gather && stat == caf.StatOK {
 			if me == 1 {
@@ -479,8 +463,56 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 	res.Field = gathered
 	res.Forensics = forensicsOut
 	res.Pages = pagesOut
+	res.Metrics = metricsOut
 	res.CommOps = commOps
 	return res, nil
+}
+
+// slab is the geometry of one image's working array: (nx, rows, nz), local
+// j-plane j (0 and the last are ghosts) the global plane lo+j-1 of ny.
+type slab struct {
+	nx, rows, nz int
+	lo, ny       int
+}
+
+// sweep runs the Jacobi kernel on local j-planes [jlo, jhi], reading cur and
+// writing next, and returns gosa plus every point's squared residual, added in
+// (k, j, i) order. Global boundaries (i, k extremes; global j = 0 and ny-1)
+// stay fixed. The five rows a row's neighbours lie in are sliced out once per
+// (k, j): no per-point index arithmetic (check.sh's bounds-check gate).
+func (s slab) sweep(next, cur []float32, jlo, jhi int, gosa float64) float64 {
+	nx := s.nx
+	row := func(a []float32, j, k int) []float32 {
+		base := nx * (j + s.rows*k)
+		return a[base : base+nx]
+	}
+	for k := 1; k < s.nz-1; k++ {
+		for j := jlo; j <= jhi; j++ {
+			gj := s.lo + j - 1
+			if gj == 0 || gj == s.ny-1 {
+				continue
+			}
+			gosa = sweepRow(row(next, j, k), row(cur, j, k),
+				row(cur, j+1, k), row(cur, j-1, k), row(cur, j, k+1), row(cur, j, k-1), gosa)
+		}
+	}
+	return gosa
+}
+
+// sweepRow relaxes the interior of one row: c is the row itself, jp, jm, kp
+// and km its neighbours in j and k, all of one length. The float32 expression
+// and its order are the reference kernel's, term for term.
+func sweepRow(out, c, jp, jm, kp, km []float32, gosa float64) float64 {
+	n := len(c)
+	out, jp, jm, kp, km = out[:n], jp[:n], jm[:n], kp[:n], km[:n]
+	for i := 1; i < n-1; i++ {
+		c0 := c[i]
+		s0 := c[i+1] + c[i-1] + jp[i] + jm[i] + kp[i] + km[i]
+		ss := s0*a4 - c0
+		gosa += float64(ss) * float64(ss)
+		out[i] = c0 + omega*ss
+	}
+	return gosa
 }
 
 // planeCount returns nyLoc of another image.

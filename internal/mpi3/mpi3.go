@@ -30,8 +30,11 @@ type World struct {
 	pw      *pgas.World
 	prof    *fabric.CostProfile
 	machine *fabric.Machine
+	// winHeap is the next window's offset and curWin the latest window
+	// allocated: only WinAllocate's release action touches the first, one at a
+	// time, and every rank reads the second as it wakes from that rendezvous.
 	winHeap int64
-	heapMu  sync.Mutex
+	curWin  *Win
 
 	worldWin     *Win
 	worldWinOnce sync.Once
@@ -111,10 +114,12 @@ func (pr *Proc) Size() int { return pr.world.pw.NumPEs() }
 func (pr *Proc) Clock() *fabric.Clock { return &pr.p.Clock }
 
 // Barrier is MPI_Barrier.
-func (pr *Proc) Barrier() {
-	w := pr.world
+func (pr *Proc) Barrier() { pr.p.Barrier(pr.world.barrierNs()) }
+
+// barrierNs is the modelled cost of MPI_Barrier over the whole job.
+func (w *World) barrierNs() float64 {
 	n := w.pw.NumPEs()
-	pr.p.Barrier(w.prof.BarrierNs(n, w.machine.NodesFor(n)))
+	return w.prof.BarrierNs(n, w.machine.NodesFor(n))
 }
 
 func (pr *Proc) intra(t int) bool { return pr.world.machine.SameNode(pr.p.ID, t) }
@@ -148,26 +153,29 @@ type epoch struct {
 
 // WinAllocate collectively creates a window of size bytes per rank
 // (MPI_Win_allocate). Every rank must call it; all receive the same handle.
+// It is one rendezvous, whose release action creates the window, and the
+// virtual time of the two barriers that used to publish the handle and close
+// the call (the protocol is shmem's, see its heap.go).
 func (pr *Proc) WinAllocate(size int64) *Win {
 	if size < 0 {
 		panic("mpi3: negative window size")
 	}
 	w := pr.world
-	pr.Barrier()
-	shared := w.pw.Shared("mpi3.winalloc", func() interface{} { return &sync.Map{} }).(*sync.Map)
-	if pr.p.ID == 0 {
-		w.heapMu.Lock()
-		off := w.winHeap
-		sz := (size + 63) &^ 63
-		w.winHeap += sz
-		w.heapMu.Unlock()
-		shared.Store("cur", &Win{world: w, off: off, size: size})
+	cost := w.barrierNs()
+	if err := pr.p.BarrierTolerantDo(cost, winAllocRelease, w, size); err != nil {
+		panic(err)
 	}
-	pr.Barrier()
-	v, _ := shared.Load("cur")
-	win := v.(*Win)
-	pr.Barrier()
-	return win
+	pr.p.Clock.Advance(cost)
+	pr.p.Clock.Advance(cost)
+	return w.curWin
+}
+
+// winAllocRelease is WinAllocate's release action (pgas.ReleaseFunc; ctx is
+// the World).
+func winAllocRelease(ctx any, size int64, _ float64) {
+	w := ctx.(*World)
+	w.curWin = &Win{world: w, off: w.winHeap, size: size}
+	w.winHeap += (size + 63) &^ 63
 }
 
 // Off returns the window's base offset within each rank's partition (the

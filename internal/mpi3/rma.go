@@ -146,8 +146,7 @@ func (pr *Proc) Fence(win *Win) {
 	e := pr.epochFor(win, true)
 	pr.flushEpoch(e)
 	w := pr.world
-	n := w.pw.NumPEs()
-	pr.p.Barrier(w.prof.BarrierNs(n, w.machine.NodesFor(n)) + w.prof.WindowSyncNs)
+	pr.p.Barrier(w.barrierNs() + w.prof.WindowSyncNs)
 	// A fence epoch permits RMA to any target until the next fence.
 	e.all = true
 }

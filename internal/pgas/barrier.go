@@ -27,7 +27,16 @@ import (
 // The barrier is not a second kind of sleep: an arriving PE registers its
 // arena record and then sleeps like any waiter, in PE.block on its own
 // condition variable, until the record is done; a release (or poison) fills
-// the records and wakes their PEs one by one.
+// the records and wakes their PEs one by one, from the highest rank down: the
+// runtime's binomial trees send from rel to rel−mask, and a child runnable
+// before its parent spares the parent a second park.
+//
+// A rendezvous may carry a release action (ReleaseFunc): arrivals leave it
+// with their shard, the report that completes a shard passes it to the root,
+// and whoever releases the generation runs it once, under the root lock, after
+// the last arrival and before the first wake — how a collective allocator
+// allocates once for everybody (shmem/heap.go). The plain barrier pays one nil
+// test for it.
 //
 // The participant count tracks the world's alive PEs: when a PE fails or
 // stops it departs through its owning shard, and a rendezvous of all
@@ -60,27 +69,46 @@ type barrier struct {
 	arena []bWaiter
 }
 
+// ReleaseFunc is a rendezvous' release action, called with the context and
+// argument the arrivals supplied (a collective's all supply the same; a static
+// function and a pointer, so carrying one allocates nothing) and the release
+// time, while every participant is asleep in the barrier. It holds the root
+// lock: it may take partition locks (World.Touch), must not enter the barrier
+// or wait, and must not panic — it reports through ctx.
+type ReleaseFunc func(ctx any, arg int64, rel float64)
+
+// action is a ReleaseFunc and what it is called on; the zero action is none.
+type action struct {
+	fn  ReleaseFunc
+	ctx any
+	arg int64
+}
+
 // bRoot is the top of the combining tree. n mirrors the flat barrier's alive
 // participant count; done counts the shards that reported completion for the
-// current generation; maxT accumulates the shard maxima as they report.
+// current generation; maxT accumulates the shard maxima as they report, act
+// keeps a release action one of them carried.
 type bRoot struct {
 	mu   sync.Mutex
 	n    int
 	done int
 	maxT float64
+	act  action
 }
 
 // bShard is one combining-tree leaf. alive is the shard's alive owned PEs,
 // count the arrivals this generation; the shard is complete when they meet,
 // and the PE (or departer) that makes them meet reports the shard's maxT
-// upward exactly once per generation (the reported flag). gen counts the
-// releases, for the deadlock report; a poisoned shard turns arrivals away.
+// upward exactly once per generation (the reported flag), with the release
+// action an arrival left in act, if one did. gen counts the releases, for the
+// deadlock report; a poisoned shard turns arrivals away.
 type bShard struct {
 	mu       sync.Mutex
 	lo, hi   int // owned PE rank range [lo, hi)
 	alive    int
 	count    int
 	maxT     float64
+	act      action
 	reported bool
 	gen      uint64
 	poisoned bool
@@ -130,37 +158,45 @@ func newBarrier(w *World, n, shardsOpt int) *barrier {
 // outstanding shard and alive participants remain, releases the generation.
 // self is the reporting PE when the report came from an arrival (so the
 // release fan-out can skip waking the goroutine that is itself running the
-// release), nil when it came from a departure.
-func (b *barrier) combine(sMax float64, self *PE) {
+// release), nil when it came from a departure, which has left the root's
+// participant count already. Must be called with root.mu held.
+func (b *barrier) combine(sMax float64, act action, self *PE) {
 	r := &b.root
-	r.mu.Lock()
 	if sMax > r.maxT {
 		r.maxT = sMax
+	}
+	if act.fn != nil {
+		r.act = act
 	}
 	r.done++
 	if r.done == len(b.shards) && r.n > 0 {
 		b.release(self)
 	}
-	r.mu.Unlock()
 }
 
 // release completes the current generation. Must be called with root.mu held
 // and every shard reported. The release time and status are order-independent
 // (a max and a membership snapshot taken once here at the root), so which
 // participant happens to report last — a scheduling accident — cannot change
-// what anyone observes. The downward pass walks the shards in rank order,
-// resetting each for the next generation and completing its waiters' records.
+// what anyone observes. The generation's release action runs first; the
+// downward pass walks the shards from the last to the first, resetting each
+// for the next generation and completing its waiters' records.
 func (b *barrier) release(self *PE) {
 	r := &b.root
 	outT := r.maxT
 	outErr := b.w.imageFaultErr()
 	r.maxT = 0
 	r.done = 0
-	for i := range b.shards {
+	if act := r.act; act.fn != nil {
+		r.act = action{}
+		act.fn(act.ctx, act.arg, outT)
+	}
+	for i := len(b.shards) - 1; i >= 0; i-- {
 		sh := &b.shards[i]
 		sh.mu.Lock()
 		sh.count = 0
 		sh.maxT = 0
+		sh.act = action{}
 		// A shard with no alive owners left has nobody to report it next
 		// generation; it is pre-reported here so the root's completeness
 		// count stays exact.
@@ -176,13 +212,14 @@ func (b *barrier) release(self *PE) {
 
 // complete ends the wait of every PE registered at the shard — a release, or
 // with poisoned set the unwinding of a poisoned world: a sequential pass over
-// the shard's arena slice that fills each waiting record, result fields first
-// and then the done flag that publishes them, and wakes its PE. self, the PE
-// running a release, gets its record filled and no wake: it is running. Must
-// be called with sh.mu held, so registration cannot race the walk.
+// the shard's arena slice, highest rank first, that fills each waiting record,
+// result fields first and then the done flag that publishes them, and wakes
+// its PE. self, the PE running a release, gets its record filled and no wake:
+// it is running. Must be called with sh.mu held, so registration cannot race
+// the walk.
 func (b *barrier) complete(sh *bShard, outT float64, outErr error, poisoned bool, self *PE) {
 	arena := b.arena[sh.lo:sh.hi]
-	for i := range arena {
+	for i := len(arena) - 1; i >= 0; i-- {
 		bw := &arena[i]
 		if !bw.waiting {
 			continue
@@ -199,8 +236,9 @@ func (b *barrier) complete(sh *bShard, outT float64, outErr error, poisoned bool
 // await blocks until every alive participant has called it, then returns the
 // maximum arriveT across the group and the fault status at release time (nil
 // when every PE was alive). p identifies the arriving PE: it selects the
-// owning shard and its arena record.
-func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
+// owning shard and its arena record. act is the release action the arrival
+// carries, or none.
+func (b *barrier) await(p *PE, arriveT float64, act action) (float64, error) {
 	sh := &b.shards[p.ID/b.chunk]
 	sh.mu.Lock()
 	if sh.poisoned {
@@ -209,6 +247,9 @@ func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 	}
 	if arriveT > sh.maxT {
 		sh.maxT = arriveT
+	}
+	if act.fn != nil {
+		sh.act = act
 	}
 	sh.count++
 	// Register the arena record before reporting upward — once the shard is
@@ -221,11 +262,13 @@ func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 	var sMax float64
 	if complete {
 		sh.reported = true
-		sMax = sh.maxT
+		sMax, act = sh.maxT, sh.act
 	}
 	sh.mu.Unlock()
 	if complete {
-		b.combine(sMax, p)
+		b.root.mu.Lock()
+		b.combine(sMax, act, p)
+		b.root.mu.Unlock()
 	}
 	// Sleep until the releaser (or a poison) completes the record. If this PE
 	// ran the release itself, done is already set.
@@ -251,22 +294,17 @@ func (b *barrier) depart(id int) {
 	sh.alive--
 	complete := !sh.reported && sh.count == sh.alive
 	var sMax float64
+	var act action
 	if complete {
 		sh.reported = true
-		sMax = sh.maxT
+		sMax, act = sh.maxT, sh.act
 	}
 	sh.mu.Unlock()
 	r := &b.root
 	r.mu.Lock()
 	r.n--
 	if complete {
-		if sMax > r.maxT {
-			r.maxT = sMax
-		}
-		r.done++
-		if r.done == len(b.shards) && r.n > 0 {
-			b.release(nil)
-		}
+		b.combine(sMax, act, nil)
 	}
 	r.mu.Unlock()
 }
@@ -290,7 +328,7 @@ func (b *barrier) poison() {
 // stopped, the rendezvous still completes among survivors and this panics
 // with the *ImageFault — the non-STAT Fortran semantics (error termination).
 func (p *PE) BarrierSync(arriveT float64) float64 {
-	rel, err := p.world.barrier.await(p, arriveT)
+	rel, err := p.world.barrier.await(p, arriveT, action{})
 	if err != nil {
 		panic(err)
 	}
@@ -300,17 +338,14 @@ func (p *PE) BarrierSync(arriveT float64) float64 {
 // BarrierSyncStat is BarrierSync for STAT-bearing callers: the fault status
 // is returned instead of panicking, and survivors remain synchronised.
 func (p *PE) BarrierSyncStat(arriveT float64) (float64, error) {
-	return p.world.barrier.await(p, arriveT)
+	return p.world.barrier.await(p, arriveT, action{})
 }
 
 // Barrier is the common composed operation: rendezvous at the PE's current
 // clock, then advance the clock to the release time plus costNs. Panics with
 // *ImageFault if the rendezvous involved failed or stopped images.
 func (p *PE) Barrier(costNs float64) {
-	rel, err := p.world.barrier.await(p, p.Clock.Now())
-	p.Clock.MergeAtLeast(rel)
-	p.Clock.Advance(costNs)
-	if err != nil {
+	if err := p.BarrierTolerantDo(costNs, nil, nil, 0); err != nil {
 		panic(err)
 	}
 }
@@ -319,7 +354,14 @@ func (p *PE) Barrier(costNs float64) {
 // behaviour, but fault conditions are returned rather than panicking, so
 // survivors can continue (Fortran's SYNC ALL with a STAT= specifier).
 func (p *PE) BarrierTolerant(costNs float64) error {
-	rel, err := p.world.barrier.await(p, p.Clock.Now())
+	return p.BarrierTolerantDo(costNs, nil, nil, 0)
+}
+
+// BarrierTolerantDo is BarrierTolerant whose rendezvous carries a release
+// action (ReleaseFunc), the same from every participant; a nil fn is the plain
+// barrier.
+func (p *PE) BarrierTolerantDo(costNs float64, fn ReleaseFunc, ctx any, arg int64) error {
+	rel, err := p.world.barrier.await(p, p.Clock.Now(), action{fn, ctx, arg})
 	p.Clock.MergeAtLeast(rel)
 	p.Clock.Advance(costNs)
 	return err

@@ -153,7 +153,7 @@ func runSharded(t *testing.T, script [][]barrierEvent, n, shards int) []map[int]
 		return sh.gen
 	}
 	return driveScript(t, script,
-		func(id int, at float64) (float64, error) { return b.await(w.PE(id), at) },
+		func(id int, at float64) (float64, error) { return b.await(w.PE(id), at, action{}) },
 		func(id int, st peState) { w.depart(w.PE(id), st) },
 		count, gen)
 }

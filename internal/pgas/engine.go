@@ -58,9 +58,10 @@ type Options struct {
 // cause was published before the waker took p.mu cannot be lost. The PE leaves
 // World.awake as it sets its asleep bit; if that empties it, the PE reports
 // the deadlock with p.mu dropped, and the poison's fan-out clears the bit
-// again.
+// again. Every call is one park of the goroutine, counted for World.Metrics.
 func (p *PE) block() {
 	w := p.world
+	p.sleeps++
 	p.asleep = true
 	if w.awake.Add(-1) == 0 {
 		p.mu.Unlock()

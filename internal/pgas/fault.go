@@ -127,19 +127,6 @@ func (w *World) ranksIn(s peState) []int {
 	return out
 }
 
-// LowestAlive returns the lowest-ranked alive PE (-1 when none remain). The
-// symmetric-heap allocator uses it for leader election so collective
-// allocation keeps working among survivors; in a fault-free world it is
-// always 0, preserving the original behaviour.
-func (w *World) LowestAlive() int {
-	for i := range w.states {
-		if w.stateOf(i) == stateAlive {
-			return i
-		}
-	}
-	return -1
-}
-
 // imageFaultErr builds the current fault report, or nil when every PE is
 // alive.
 func (w *World) imageFaultErr() error {

@@ -51,8 +51,10 @@ func TestFailFreezesPartitionAndReportsState(t *testing.T) {
 	if got := w.FailedPEs(); len(got) != 1 || got[0] != 1 {
 		t.Errorf("FailedPEs = %v, want [1]", got)
 	}
-	if w.LowestAlive() != -1 {
-		t.Errorf("LowestAlive = %d, want -1 (everyone departed)", w.LowestAlive())
+	for id := range 3 {
+		if w.Alive(id) {
+			t.Errorf("PE %d still alive after everyone departed", id)
+		}
 	}
 }
 
@@ -222,12 +224,12 @@ func TestFaultFreeWorldUnchanged(t *testing.T) {
 		if w.AnyFailed() || len(w.FailedPEs()) != 0 {
 			t.Error("fault-free world reports failures")
 		}
-		if w.LowestAlive() != 0 {
-			t.Errorf("LowestAlive = %d, want 0", w.LowestAlive())
+		if !w.Alive(0) {
+			t.Error("PE 0 is not alive")
 		}
 		// Hold every PE in the body until all have run their checks: a PE
 		// whose body returns is marked stopped, which would legitimately
-		// change LowestAlive under the feet of a slower checker.
+		// change Alive under the feet of a slower checker.
 		if err := p.BarrierTolerant(20); err != nil {
 			t.Errorf("fault-free barrier returned %v", err)
 		}

@@ -98,8 +98,10 @@ type PE struct {
 	// lock-free, as one half of the handshake wakeWatchers documents.
 	waiters atomic.Int32
 	// asleep, guarded by mu: the PE's goroutine sleeps on cond (in a wait or in
-	// the barrier) and is not counted in World.awake.
+	// the barrier) and is not counted in World.awake. sleeps counts the times
+	// it did.
 	asleep bool
+	sleeps int64
 	// visAt is the issue core's per-message visibility-time list, reused from
 	// call to call by the PE's own goroutine: WriteRuns does not retain it.
 	visAt []float64
@@ -295,6 +297,37 @@ func (w *World) PageStats() PageStats {
 		p.mu.Unlock()
 	}
 	return s
+}
+
+// Metrics is what a world's synchronisation cost the host so far: how often a
+// PE goroutine went to sleep (PE.block: in a wait or in the barrier), summed
+// over the PEs, and how many barrier generations were released — the host
+// rendezvous, one per library barrier and one per collective allocation or
+// release. Sleeps follows the host schedule; Rendezvous is the program's
+// while it runs (the last PEs to return may release one more, empty).
+type Metrics struct {
+	Sleeps     int64
+	Rendezvous uint64
+}
+
+func (m Metrics) String() string {
+	return fmt.Sprintf("%d sleeps, %d rendezvous", m.Sleeps, m.Rendezvous)
+}
+
+// Metrics sums the PEs' sleep counters, taking each partition lock in turn
+// like PageStats, and reads the barrier's generation count.
+func (w *World) Metrics() Metrics {
+	var m Metrics
+	for _, p := range w.pes {
+		p.mu.Lock()
+		m.Sleeps += p.sleeps
+		p.mu.Unlock()
+	}
+	sh := &w.barrier.shards[0]
+	sh.mu.Lock()
+	m.Rendezvous = sh.gen
+	sh.mu.Unlock()
+	return m
 }
 
 // Machine returns the machine model this world runs on.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgas"
 )
 
@@ -38,11 +39,19 @@ const (
 // identical offsets on every PE, there is exactly one allocator per world and
 // Malloc is collective: every PE must call it with the same size, and every
 // PE receives the same handle.
+//
+// A collective call is one rendezvous (barrierStat): whoever releases it runs
+// the call's release action once, while every PE is asleep in it, and leaves
+// the outcome in cur and curErr for each PE to read as it wakes — the next
+// call cannot release, and overwrite them, before every PE has entered it.
 type heap struct {
 	mu   sync.Mutex
 	free []span // sorted by offset, coalesced
 	live map[int64]int64
 	brk  int64 // high-water mark
+
+	cur    Sym
+	curErr error
 }
 
 type span struct{ off, size int64 }
@@ -146,46 +155,44 @@ func (pe *PE) Malloc(size int64) Sym {
 }
 
 // mallocInner is the shared allocation protocol behind Malloc and MallocStat:
-// rendezvous, the lowest-ranked alive PE (PE 0 in a fault-free world) claims
-// the offsets and shares the handle, a second rendezvous publishes it, each
-// PE backs its local region, and a closing rendezvous makes it usable. Fault
-// conditions observed during the rendezvous are collected, not raised, so
+// one rendezvous whose release action allocates, then the virtual time of the
+// two barriers that used to publish the handle and close the call. Fault
+// conditions observed at the rendezvous are collected, not raised, so
 // survivors complete the allocation together either way.
 func (pe *PE) mallocInner(size int64) (sym Sym, allocErr, faultErr error) {
-	type slot struct {
-		sym Sym
-		err error
-	}
 	w := pe.world
 	if w.san != nil {
 		w.san.recordCollective(pe.p.ID, "Malloc", size)
 	}
-	faultErr = pe.BarrierStat()
-	var res *slot
-	shared := w.pw.Shared("shmem.malloc", func() interface{} { return &sync.Map{} }).(*sync.Map)
-	if pe.p.ID == w.pw.LowestAlive() {
-		off, err := w.heap.alloc(size)
-		res = &slot{Sym{Off: off, Size: size}, err}
-		shared.Store("cur", res)
+	faultErr = pe.barrierStat(mallocRelease, size, 2)
+	return w.heap.cur, w.heap.curErr, faultErr
+}
+
+// mallocRelease is Malloc's release action (ctx is the World). It touches the
+// region on every alive PE so it is logically established before anyone can
+// write there. Touch carries the full write bookkeeping (timestamps, wakeups)
+// of a one-byte store but lets the partition stay small until something is
+// actually written. The stamp is the clock each PE held when it touched its
+// own region: a barrier and the next one's quiet behind the release.
+func mallocRelease(ctx any, size int64, rel float64) {
+	w := ctx.(*World)
+	h := w.heap
+	off, err := h.alloc(size)
+	h.cur, h.curErr = Sym{Off: off, Size: size}, err
+	if err != nil {
+		return
 	}
-	if err := pe.BarrierStat(); err != nil {
-		faultErr = err
+	var at fabric.Clock
+	cost := w.barrierNs()
+	at.MergeAtLeast(rel)
+	at.Advance(cost)
+	at.Advance(w.prof.OverheadNs)
+	at.Advance(cost)
+	for id := range w.pw.NumPEs() {
+		if w.pw.Alive(id) {
+			w.pw.Touch(id, off+size-1, at.Now())
+		}
 	}
-	v, _ := shared.Load("cur")
-	res = v.(*slot)
-	// Touch the region so it is logically established — strictly before the
-	// closing barrier, after which other PEs may already be writing here.
-	// Touch carries the full write bookkeeping (timestamps, wakeups) of a
-	// one-byte store but lets the partition stay small until something is
-	// actually written: backing memory is materialised on first real write.
-	if res.err == nil && res.sym.Size > 0 {
-		pe.world.pw.Touch(pe.p.ID, res.sym.Off+res.sym.Size-1, pe.p.Clock.Now())
-	}
-	// All PEs read (and back) the region before the slot is reused.
-	if err := pe.BarrierStat(); err != nil {
-		faultErr = err
-	}
-	return res.sym, res.err, faultErr
 }
 
 // Free is the collective symmetric deallocator (shfree).
@@ -195,20 +202,23 @@ func (pe *PE) Free(sym Sym) {
 	}
 }
 
-// FreeStat is Free with fault status, mirroring MallocStat.
+// FreeStat is Free with fault status, mirroring MallocStat: one rendezvous
+// whose release action returns the space, and the closing barrier's virtual
+// time. Freeing what is not allocated panics on every PE.
 func (pe *PE) FreeStat(sym Sym) error {
 	w := pe.world
 	if w.san != nil {
 		w.san.recordCollective(pe.p.ID, "Free", sym.Off)
 	}
-	faultErr := pe.BarrierStat()
-	if pe.p.ID == w.pw.LowestAlive() {
-		if err := w.heap.release(sym.Off); err != nil {
-			panic(err)
-		}
-	}
-	if err := pe.BarrierStat(); err != nil {
-		faultErr = err
+	faultErr := pe.barrierStat(freeRelease, sym.Off, 1)
+	if err := w.heap.curErr; err != nil {
+		panic(err)
 	}
 	return faultErr
+}
+
+// freeRelease is Free's release action.
+func freeRelease(ctx any, off int64, _ float64) {
+	h := ctx.(*World).heap
+	h.curErr = h.release(off)
 }

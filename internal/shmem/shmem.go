@@ -30,6 +30,12 @@ type World struct {
 	fplan   *fabric.FaultPlan // nil unless Config.FaultPlan (see stat.go)
 }
 
+// barrierNs is the modelled cost of shmem_barrier_all over the whole job.
+func (w *World) barrierNs() float64 {
+	n := w.pw.NumPEs()
+	return w.prof.BarrierNs(n, w.machine.NodesFor(n))
+}
+
 // PE is the per-processing-element handle; all OpenSHMEM calls hang off it.
 // It is valid only within the goroutine that received it from Run.
 type PE struct {

@@ -26,14 +26,29 @@ import (
 // same set (world.UnreachableDsts) at the same barrier generation and can
 // abandon a phase together, which is what keeps degraded runs out of
 // asymmetric collectives (and therefore out of a deadlock).
-func (pe *PE) BarrierStat() error {
+func (pe *PE) BarrierStat() error { return pe.barrierStat(nil, 0, 0) }
+
+// barrierStat is BarrierStat with what a collective allocation asks of its
+// rendezvous (heap.go): a release action, run once on the world and arg, and
+// the virtual time of further barriers behind it. Every PE leaves a rendezvous
+// at one clock with nothing in flight, so a barrier entered right there
+// decides nothing: each PE performs its clock operations and sanitizer records
+// (the quiet really runs) and the host rendezvous does not happen.
+func (pe *PE) barrierStat(act pgas.ReleaseFunc, arg int64, further int) error {
 	pe.def.quiet(false)
 	w := pe.world
 	if w.san != nil {
 		w.san.recordCollective(pe.p.ID, "Barrier")
 	}
-	n := w.pw.NumPEs()
-	err := pe.p.BarrierTolerant(w.prof.BarrierNs(n, w.machine.NodesFor(n)))
+	cost := w.barrierNs()
+	err := pe.p.BarrierTolerantDo(cost, act, w, arg)
+	for ; further > 0; further-- {
+		pe.def.quiet(false)
+		if w.san != nil {
+			w.san.recordCollective(pe.p.ID, "Barrier")
+		}
+		pe.p.Clock.Advance(cost)
+	}
 	exh := w.pw.UnreachableDsts()
 	if len(exh) == 0 {
 		return err
@@ -90,7 +105,7 @@ func (pe *PE) ReadWord64(target int, sym Sym, idx int) uint64 {
 }
 
 // MallocStat is the fault-tolerant collective allocator: the surviving PEs
-// rendezvous (leader = lowest alive rank), perform the allocation together,
+// rendezvous (whoever releases it allocates), perform the allocation together,
 // and each receives the handle plus the fault status observed during the
 // rendezvous (Fortran: ALLOCATE with STAT= — the allocation is still
 // performed on the active images). In a fault-free world the behaviour and

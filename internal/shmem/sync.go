@@ -43,8 +43,7 @@ func (pe *PE) Barrier() {
 	if w.san != nil {
 		w.san.recordCollective(pe.p.ID, "Barrier")
 	}
-	n := w.pw.NumPEs()
-	pe.p.Barrier(w.prof.BarrierNs(n, w.machine.NodesFor(n)))
+	pe.p.Barrier(w.barrierNs())
 }
 
 // Cmp is a wait-until comparison operator (shmem_wait_until): the substrate's
