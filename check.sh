@@ -1,9 +1,9 @@
 #!/bin/sh
 # Extended tier-1 gate (see ROADMAP.md): build-and-test plus the repo's
 # correctness tooling. Run from the module root. `./check.sh fast` stops after
-# the fast tier: build, vet, the unsafe, host-clock, one-issue-core,
-# one-engine, inline and bounds-check gates, the gates on the write path and
-# the deadlock loop (about half a minute).
+# the fast tier: build, vet, the gofmt, unsafe, host-clock, one-issue-core,
+# one-funnel, one-engine, inline and bounds-check gates, the gates on the write
+# path and the deadlock loop (about half a minute).
 set -eu
 
 echo "==> go build ./..."
@@ -11,6 +11,14 @@ go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt gate (every Go file outside .bench_build/ is gofmt-clean)"
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "check.sh: the files below are not gofmt-clean; run gofmt -w on them:" >&2
+    printf '%s\n' "$unformatted" >&2
+    exit 1
+fi
 
 echo "==> unsafe gate (the one reinterpretation site is internal/pgas/codec.go; DESIGN.md \"Memory representation\")"
 if grep -rl --include='*.go' --exclude='*_test.go' '"unsafe"' . | grep -vx './internal/pgas/codec.go'; then
@@ -66,6 +74,17 @@ if grep -n -E '^func \([a-z]+ \*?[A-Za-z]+\) (send|land|fetch)\(' internal/shmem
     exit 1
 fi
 
+echo "==> one-funnel gate (every library takes every transfer shape: the runtime hands each transfer to its backend at one site, and caf.Caps has no shape bits; DESIGN.md \"Shared fallback\")"
+# A per-run or per-element loop in the funnel would be a second call site, and
+# the bits it was keyed on would be Caps fields.
+rma=$(grep -rn --include='*.go' --exclude='*_test.go' -F 'img.be.rma(' internal/caf || true)
+caps=$(awk '/^type Caps struct/ { body = 1 } body && /^}/ { body = 0 } body' internal/caf/transport.go | grep -n -E '\b(Vectored|Strided)\b' || true)
+if [ "$(printf '%s\n' "$rma" | grep -c .)" != 1 ] || [ -n "$caps" ]; then
+    echo "check.sh: img.be.rma( must appear exactly once in internal/caf and caf.Caps must declare no Vectored or Strided; found:" >&2
+    printf '%s\n' "$rma" "$caps" >&2
+    exit 1
+fi
+
 echo "==> one-engine gate (a goroutine per image and one sleep, PE.block on the PE's own condition variable; DESIGN.md \"Execution engine\")"
 # The names benchmark/ still spells are declared once, deprecated and ignored,
 # and read by nothing else outside tests; and the machinery of a second
@@ -102,6 +121,7 @@ shmem (*PE).checkTarget
 shmem (*PE).RMA
 shmem Sym.span
 pgas (*segStore).block
+pgas (*RMA).Span
 pgas reliable
 fabric (*Clock).Advance
 fabric (*Clock).MergeAtLeast

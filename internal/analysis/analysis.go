@@ -344,7 +344,7 @@ func (p *Pass) funcBodies(visit func(name string, body *ast.BlockStmt)) {
 		visit(fd.Name.Name, fd.Body)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if fl, ok := n.(*ast.FuncLit); ok {
-				visit(fd.Name.Name + ".func", fl.Body)
+				visit(fd.Name.Name+".func", fl.Body)
 			}
 			return true
 		})

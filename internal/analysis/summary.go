@@ -197,8 +197,8 @@ func argForParam(call *ast.CallExpr, idx int) ast.Expr {
 	return nil
 }
 
-func isSymVar(v *types.Var) bool   { return isSymType(v.Type()) }
-func isCtxVar(v *types.Var) bool   { return isCtxType(v.Type()) }
+func isSymVar(v *types.Var) bool { return isSymType(v.Type()) }
+func isCtxVar(v *types.Var) bool { return isCtxType(v.Type()) }
 func isSliceVar(v *types.Var) bool {
 	_, ok := v.Type().Underlying().(*types.Slice)
 	return ok

@@ -6,11 +6,8 @@ import "cafshmem/internal/pgas"
 // one of five entry points — issue (RMA), atomic, complete, rendezvous
 // (barrier), wait/waitStat — and each does the same three things in the same
 // order: count the operation in Stats, open a tracer span, and hand the
-// operation to the backend or, for a shape the backend's Caps lack, lower it
-// through the fallback here. The fallback is of two kinds. A vectored or
-// strided transfer on a backend with only contiguous calls becomes one
-// contiguous call per run or element inside the same span: one operation,
-// issued the long way. A signal on a backend without put-with-signal becomes
+// operation to the backend. Every library takes every transfer shape; the one
+// fallback is a signal on a backend without put-with-signal, which becomes
 // quiet + put + quiet re-entering the funnel: three operations, each counted
 // and traced as what it is.
 
@@ -45,8 +42,7 @@ func (img *Image) xfer(get bool, target int, off int64, buf []byte) *rmaOp {
 // op.nbi must be clear on a backend without Caps.NBI (Coarray.section, the one
 // issuer of nonblocking transfers, sees to it).
 func (img *Image) issue(op *rmaOp) (direct bool) {
-	caps := img.caps
-	if op.Shape == pgas.Signal && !caps.Signal {
+	if op.Shape == pgas.Signal && !img.caps.Signal {
 		// Complete everything, post the flag as an ordinary put, complete it:
 		// always correct, just stronger.
 		img.quiet()
@@ -55,30 +51,16 @@ func (img *Image) issue(op *rmaOp) (direct bool) {
 		img.quiet()
 		return false
 	}
-	if op.direct && caps.Direct && img.opts.Machine.SameNode(img.local.ID, op.Target) {
+	if op.direct && img.caps.Direct && img.opts.Machine.SameNode(img.local.ID, op.Target) {
 		img.direct(op)
 		return true
 	}
 	img.count(op)
 	start := img.traceStart()
+	img.be.rma(&op.RMA, op.nbi)
 	bytes := len(op.Local)
-	switch {
-	case op.Shape == pgas.Signal:
+	if op.Shape == pgas.Signal {
 		bytes = 8 // the signal word
-		img.be.rma(&op.RMA, op.nbi)
-	case op.Shape == pgas.Runs && !caps.Vectored, op.Shape == pgas.Strided && !caps.Strided:
-		whole := *op
-		op.Shape = pgas.Contig
-		for i := 0; i*whole.Unit < bytes; i++ {
-			op.Off, op.Local = whole.Off+int64(i)*whole.Stride, whole.Local[i*whole.Unit:(i+1)*whole.Unit]
-			if whole.Shape == pgas.Runs {
-				op.Off = whole.Offs[i]
-			}
-			img.be.rma(&op.RMA, op.nbi)
-		}
-		*op = whole
-	default:
-		img.be.rma(&op.RMA, op.nbi)
 	}
 	img.trace(rmaKinds[op.Shape][op.dir()], op.Target, bytes, start)
 	return false

@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// The image's one descriptor under the two funnel fallbacks that issue while
-// an operation is open: a vectored or strided transfer on a backend with
-// contiguous calls only re-fills it once per run or element — and the next
-// pencil of the same section reuses it — and a signal on a backend without
-// put-with-signal becomes quiet + put + quiet on it. Data, Stats, the tracer's
-// kinds and the clock are those the by-value descriptor gave. The clock is
+// The image's one descriptor on GASNet and MPI-3: a vectored or strided
+// section goes to the library whole — and the next pencil of the same section
+// reuses it — and a signal on a backend without put-with-signal, the funnel's
+// one fallback, becomes quiet + put + quiet on it. Data, Stats, the tracer's
+// kinds and the clock are those pinned when the funnel still split a section
+// into one contiguous call per run or element, re-filling the descriptor
+// while the operation was open. The clock is
 // image 1's before the closing SyncAll, where it is a function of its own issue
 // sequence alone: the barrier's release time follows image 2, whose two waits
 // on MPI-3 merge the stamp of the latest write to the signal word — the first

@@ -45,15 +45,11 @@ type Caps struct {
 	// Direct: same-node memory can be loaded and stored directly (shmem_ptr),
 	// which Options.IntraNodeDirect uses.
 	Direct bool
-	// Vectored, Strided: the library has multi-run and 1-D strided put/get
-	// calls. Without them the funnel issues one contiguous call per run or
-	// element, at the same modelled cost.
-	Vectored, Strided bool
 }
 
 var transportCaps = [...]Caps{
 	TransportSHMEM: {NBI: true, Signal: true, PerImage: true, FaultStat: true,
-		Sanitizer: true, Direct: true, Vectored: true, Strided: true},
+		Sanitizer: true, Direct: true},
 	// put_nbi/get_nbi over the same NBI completion engine; put-with-signal is
 	// AM-emulated, paying handler dispatch at the target.
 	TransportGASNet: {NBI: true, Signal: true, PerImage: true},

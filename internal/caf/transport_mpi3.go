@@ -18,10 +18,7 @@ import (
 //
 // Every RMA operation pays the profile's WindowSyncNs surcharge on top of
 // the base injection/latency arithmetic — the per-op window bookkeeping the
-// paper measures MPI-3 RMA losing to the one-sided libraries by (§III). MPI_Put
-// takes one origin/target pair per call and this mapping ships no strided
-// datatype fast path (DART-MPI likewise decomposes), so the funnel issues
-// vectored and strided sections one call per run or element, like GASNet's.
+// paper measures MPI-3 RMA losing to the one-sided libraries by (§III).
 type mpi3Backend struct {
 	pr  *mpi3.Proc
 	win *mpi3.Win // the whole-partition window, lock_all'd at construction

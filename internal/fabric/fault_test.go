@@ -74,17 +74,17 @@ func TestLinkPenaltyWindows(t *testing.T) {
 		now  float64
 		want float64
 	}{
-		{999.9999, 0},  // just before onset
-		{1000, 50},     // inclusive lower boundary
-		{1499, 50},     // only first window
-		{1500, 80},     // overlap: both accumulate on the same ns
-		{1999, 80},     // still overlapping
-		{2000, 30},     // exclusive upper boundary: first window closed
-		{2499, 30},     // second window alone
-		{2500, 0},      // both closed
-		{3000, 0},      // zero-width window never fires, even at its instant
-		{4000, 7},      // open-ended onset
-		{1e15, 7},      // open-ended never closes
+		{999.9999, 0}, // just before onset
+		{1000, 50},    // inclusive lower boundary
+		{1499, 50},    // only first window
+		{1500, 80},    // overlap: both accumulate on the same ns
+		{1999, 80},    // still overlapping
+		{2000, 30},    // exclusive upper boundary: first window closed
+		{2499, 30},    // second window alone
+		{2500, 0},     // both closed
+		{3000, 0},     // zero-width window never fires, even at its instant
+		{4000, 7},     // open-ended onset
+		{1e15, 7},     // open-ended never closes
 	}
 	for _, c := range cases {
 		if got := fp.LinkPenaltyNs(1, c.now); got != c.want {

@@ -29,8 +29,8 @@ import (
 // on one link combine: drop and duplication probabilities compose as
 // independent events, delay bounds add.
 type LinkLoss struct {
-	Src  int `json:"src"`
-	Dst  int `json:"dst"`
+	Src int `json:"src"`
+	Dst int `json:"dst"`
 	// FromNs/ToNs bound the fault episode in virtual time.
 	FromNs float64 `json:"from_ns,omitempty"`
 	ToNs   float64 `json:"to_ns,omitempty"`

@@ -128,11 +128,11 @@ func TestLossyPair(t *testing.T) {
 		want     bool
 	}{
 		{1, 2, true},
-		{2, 1, false},   // directed
-		{0, 4, true},    // wildcard src
+		{2, 1, false}, // directed
+		{0, 4, true},  // wildcard src
 		{3, 4, true},
-		{5, 0, true},    // wildcard dst
-		{5, 5, false},   // self is never lossy
+		{5, 0, true},  // wildcard dst
+		{5, 5, false}, // self is never lossy
 		{0, 1, false},
 	}
 	for _, c := range cases {

@@ -43,13 +43,11 @@ func (e *PartialError) Error() string {
 		e.Op, e.Transferred, e.Requested)
 }
 
-// span panics unless the n bytes at off lie inside the region, and returns
-// their absolute partition offset.
-func (seg Seg) span(op string, off int64, n int) int64 {
-	if off < 0 || off+int64(n) > seg.Size {
+// span panics unless the n bytes at off lie inside the region.
+func (seg Seg) span(op string, off, n int64) {
+	if off < 0 || off+n > seg.Size {
 		panic(fmt.Sprintf("gasnet: %s of %d bytes at %d overflows %d-byte segment region", op, n, off, seg.Size))
 	}
-	return seg.Off + off
 }
 
 // word panics unless the 64-bit word at off lies inside the region, and
@@ -62,21 +60,27 @@ func (seg Seg) word(off int64) int64 {
 }
 
 // rmaOps are the implicit-handle routines RMA stands for, by shape and
-// direction: get, put, put nbi.
+// direction: get, put, put nbi. Runs and Strided take the names of GASNet's
+// indexed and strided VIS calls, whose runs and elements the model prices as
+// puts and gets of their own.
 var rmaOps = [...][3]string{
-	pgas.Contig: {"get", "put", "put_nbi"},
-	pgas.Signal: {"", "put_signal", "put_signal_nbi"},
+	pgas.Contig:  {"get", "put", "put_nbi"},
+	pgas.Runs:    {"geti", "puti", "puti_nbi"},
+	pgas.Strided: {"gets", "puts", "puts_nbi"},
+	pgas.Signal:  {"", "put_signal", "put_signal_nbi"},
 }
 
 // RMA issues a layered runtime's descriptor, blocking or on the implicit-handle
-// streams: what Put, Get, PutNBI, PutSignal and PutSignalNBI are, by d's shape
-// and direction; the conduit has no other shape. d.Off and a signal's d.SigOff
-// are relative to seg; d is the caller's again at return, both made absolute.
+// streams: what Put, Get, PutNBI, PutSignal and PutSignalNBI are, and the
+// vectored and strided forms, by d's shape and direction. d.Off and a signal's
+// d.SigOff are relative to seg (a Runs op's d.Offs to d.Off); d is the caller's
+// again at return, both made absolute.
 func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
-	if d.Shape == pgas.Signal {
+	switch d.Shape {
+	case pgas.Signal:
 		d.SigOff = seg.word(d.SigOff)
-	} else if d.Shape != pgas.Contig {
-		panic(fmt.Sprintf("gasnet: no put or get of shape %d", d.Shape))
+	case pgas.Forensic:
+		panic("gasnet: no forensic put or get: the conduit has no fault support")
 	}
 	switch {
 	case nbi:
@@ -90,16 +94,19 @@ func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
 
 // issue is the endpoint's one checked entry: every put and get — each public
 // routine fills a descriptor, a layered runtime hands its own to RMA — arrives
-// with d.Off relative to seg. It checks target and bounds under the routine's
-// name op, returns on an op with nothing to transfer (a signal may travel
-// alone), makes d.Off absolute, prices one message of d on the conduit's list
-// and hands it to the substrate's issue core (pgas.PE.Issue), which sends it,
-// lands its bytes and books its completion on set. nbi says the op charges only
-// its injection and leaves its transfer to the endpoint's pipe.
+// with d.Off relative to seg. It checks target, geometry and bounds under the
+// routine's name op, returns on an op with nothing to transfer (a signal may
+// travel alone), makes d.Off absolute, prices one message of d on the conduit's
+// list — a run or element is one message of its Unit bytes — and hands it to
+// the substrate's issue core (pgas.PE.IssueRuns), which sends it, lands its
+// bytes and books its completion on set. nbi says the op charges only its
+// injection and leaves its transfer to the endpoint's pipe.
 func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, nbi bool, set *fabric.NBIStreams) {
 	ep.checkTarget(d.Target)
-	if len(d.Local) > 0 {
-		d.Off = seg.span(op, d.Off, len(d.Local))
+	lo, hi := d.Span()
+	if lo < hi {
+		seg.span(op, lo, hi-lo)
+		d.Off += seg.Off
 	} else if d.Shape != pgas.Signal {
 		return
 	}
@@ -107,7 +114,10 @@ func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, nbi bool, set *fabric.NBISt
 	prof := ep.world.prof
 	c := pgas.Price{Lat: prof.DeliveryNs(intra, pairs)}
 	n := len(d.Local)
-	if d.Shape == pgas.Signal {
+	switch d.Shape {
+	case pgas.Runs, pgas.Strided:
+		n = d.Unit
+	case pgas.Signal:
 		// GASNet has no native put-with-signal; the emulation ships the fused
 		// message as a long active message whose handler stores the flag, so
 		// data and signal become visible one handler dispatch (AMHandlerNs)
@@ -129,7 +139,7 @@ func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, nbi bool, set *fabric.NBISt
 	default:
 		c.Inject = prof.PutInjectNs(n, intra, pairs)
 	}
-	ep.p.Issue(d, c, set, nil)
+	ep.p.IssueRuns(d, c, set, nil)
 }
 
 // Put copies data into the target's segment and blocks for *local*

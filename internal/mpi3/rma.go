@@ -73,9 +73,9 @@ func (pr *Proc) requireEpoch(e *epoch, target int) {
 // the n bytes at off lie inside the window, and the caller holds an access
 // epoch on it toward target. It returns the epoch and the bytes' absolute
 // partition offset.
-func (pr *Proc) access(op string, win *Win, target int, off int64, n int) (*epoch, int64) {
+func (pr *Proc) access(op string, win *Win, target int, off, n int64) (*epoch, int64) {
 	pr.checkTarget(target)
-	if off < 0 || off+int64(n) > win.size {
+	if off < 0 || off+n > win.size {
 		panic(fmt.Sprintf("mpi3: %s of %d bytes at %d overflows %d-byte window", op, n, off, win.size))
 	}
 	e := pr.epochFor(win, false)
@@ -83,11 +83,14 @@ func (pr *Proc) access(op string, win *Win, target int, off int64, n int) (*epoc
 	return e, win.off + off
 }
 
-// RMA is the one entry of MPI_Put and MPI_Get: d, contiguous, with d.Off
-// relative to win — Put and Get fill one, a layered runtime hands its own. It
-// runs access's checks, makes d.Off absolute and prices the op as a one-sided
-// library's plus the window-synchronisation surcharge (one charge with the
-// injection). A put is booked on the epoch's horizon, which Flush/Unlock
+// RMA is the one entry of MPI_Put and MPI_Get: d with d.Off relative to win —
+// Put and Get fill a contiguous one, a layered runtime hands its own,
+// contiguous, vectored or strided. It checks d's geometry (pgas.RMA.Span),
+// runs access's checks on the bytes d spans, makes d.Off absolute and prices
+// each message as a one-sided library's plus the window-synchronisation
+// surcharge (one charge with the injection). MPI_Put takes one origin/target
+// pair per call, so a run or element is a message of its own, as DART-MPI
+// decomposes. A put is booked on the epoch's horizon, which Flush/Unlock
 // complete; a get is modelled as blocking-on-data (the common implementation
 // behaviour for passive-target gets followed immediately by a flush).
 func (pr *Proc) RMA(win *Win, d *pgas.RMA) {
@@ -95,8 +98,12 @@ func (pr *Proc) RMA(win *Win, d *pgas.RMA) {
 	if d.Get {
 		op = "get"
 	}
-	e, abs := pr.access(op, win, d.Target, d.Off, n)
-	d.Off = abs
+	if d.Shape == pgas.Runs || d.Shape == pgas.Strided {
+		n = d.Unit
+	}
+	lo, hi := d.Span()
+	e, _ := pr.access(op, win, d.Target, lo, hi-lo)
+	d.Off += win.off
 	intra, pairs, prof := pr.intra(d.Target), pr.pairs(), pr.world.prof
 	c, set := pgas.Price{Lat: prof.DeliveryNs(intra, pairs)}, &e.pending
 	if d.Get {
@@ -104,7 +111,7 @@ func (pr *Proc) RMA(win *Win, d *pgas.RMA) {
 	} else {
 		c.Inject = prof.PutInjectNs(n, intra, pairs) + prof.WindowSyncNs
 	}
-	pr.p.Issue(d, c, set, nil)
+	pr.p.IssueRuns(d, c, set, nil)
 }
 
 // Put is MPI_Put: one-sided write into the target's window region.

@@ -3,6 +3,7 @@ package pgas
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"cafshmem/internal/fabric"
 )
@@ -27,7 +28,8 @@ const (
 	// bytes; only the host-side data movement is batched.
 	Runs
 	// Strided is len(Local)/Unit elements of Unit bytes at byte stride
-	// Stride from Off, dense in Local: one descriptor, one message.
+	// Stride from Off, dense in Local: one message on a library with a
+	// strided call, the runs of its elements on one without (IssueRuns).
 	Strided
 	// Signal is a Contig put (possibly empty) followed by the 64-bit word
 	// SigVal at SigOff, travelling as one message: both land at the same
@@ -60,6 +62,47 @@ func (d *RMA) Msgs() int {
 		return len(d.Offs)
 	}
 	return 1
+}
+
+// Span checks d's geometry and returns the bytes [lo, hi) its remote operand
+// spans, in Off's frame: Local at Off; a Runs op's runs from the lowest to the
+// end of the highest; a Strided op's elements from the first to the end of the
+// last. A signal's word is not part of it, and an op with nothing to move spans
+// nothing (lo == hi). It is the one geometry check of every library, each of
+// which holds [lo, hi) to its own region.
+func (d *RMA) Span() (lo, hi int64) {
+	if d.Shape-Runs <= Strided-Runs { // Runs or Strided, adjacent: one compare keeps Span inlinable
+		lo, hi = d.vecSpan()
+		return
+	}
+	return d.Off, d.Off + int64(len(d.Local))
+}
+
+// vecSpan is Span of a Runs or Strided op, out of line so that Span inlines.
+// Malformed geometry panics: a Unit below one, a Local that is not whole
+// elements or does not match Offs, a Stride smaller than an element.
+func (d *RMA) vecSpan() (lo, hi int64) {
+	unit := int64(d.Unit)
+	if d.Shape == Runs {
+		if unit <= 0 || len(d.Local) != len(d.Offs)*d.Unit {
+			panic(fmt.Sprintf("pgas: %d bytes of local operand do not match %d runs of %d bytes", len(d.Local), len(d.Offs), d.Unit))
+		}
+		if len(d.Offs) == 0 {
+			return d.Off, d.Off
+		}
+		return d.Off + slices.Min(d.Offs), d.Off + slices.Max(d.Offs) + unit
+	}
+	if unit <= 0 || len(d.Local)%d.Unit != 0 {
+		panic(fmt.Sprintf("pgas: %d bytes of local operand are not whole %d-byte elements", len(d.Local), d.Unit))
+	}
+	n := int64(len(d.Local) / d.Unit)
+	if n == 0 {
+		return d.Off, d.Off
+	}
+	if d.Stride < unit {
+		panic(fmt.Sprintf("pgas: stride %d is smaller than the %d-byte element", d.Stride, d.Unit))
+	}
+	return d.Off, d.Off + (n-1)*d.Stride + unit
 }
 
 // Price is what one message of an op costs on its library's price list.
@@ -96,6 +139,24 @@ func (p *PE) Issue(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan
 	p.land(d, landed, d.Msgs(), vis) // on a reliable link, the whole op in one call
 }
 
+// IssueRuns is Issue for a library with no strided call: a Strided op crosses
+// as the runs of its elements, a message each, every one priced by c as a
+// Contig op of Unit bytes is. d is the caller's again at return.
+func (p *PE) IssueRuns(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan) {
+	if d.Shape != Strided {
+		p.Issue(d, c, set, fp)
+		return
+	}
+	sp, offs := GetOffsScratch(), d.Offs
+	for i := range len(d.Local) / d.Unit {
+		*sp = append(*sp, int64(i)*d.Stride)
+	}
+	d.Shape, d.Offs = Runs, *sp
+	p.Issue(d, c, set, fp)
+	d.Shape, d.Offs = Strided, offs
+	PutOffsScratch(sp)
+}
+
 // LinkPenalty charges the link-degradation latency of fp, not nil, for one
 // remote operation issued now. Its callers test for the plan themselves, which
 // keeps a plan-less operation to one branch.
@@ -117,8 +178,11 @@ func (p *PE) send(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan)
 		plan = nil // the recovery path's own traffic is charged fp's penalty but crosses natively
 	}
 	// Only Runs has more than one message; run i is visible at visAt[i], in
-	// the PE's reused scratch.
+	// the PE's reused scratch, sized once to the op when it is short.
 	msgs, visAt := d.Msgs(), p.visAt[:0]
+	if d.Shape == Runs && cap(visAt) < msgs {
+		visAt = make([]float64, 0, msgs)
+	}
 	for i := 0; i < msgs; i++ {
 		if fp != nil {
 			p.LinkPenalty(fp)

@@ -50,18 +50,16 @@ func stridedCost(d *pgas.RMA, m mode, prof *fabric.CostProfile, intra bool, pair
 // sanitize records the op's messages with the runtime sanitizer: a put as
 // outstanding until its context's Quiet (a nonblocking one together with src,
 // the source buffer it must leave alone until then), a get as a read that
-// must not race one. A signal put's completion is signal-mediated and a
-// forensic get reads what no put is outstanding on, so neither is tracked.
-func (c *Ctx) sanitize(san *sanitizer, d *pgas.RMA, m mode, src []byte) {
+// must not race one. size is the bytes d spans (RMA.Span); a run's are its
+// own. A signal put's completion is signal-mediated and a forensic get reads
+// what no put is outstanding on, so neither is tracked.
+func (c *Ctx) sanitize(san *sanitizer, d *pgas.RMA, m mode, src []byte, size int64) {
 	if d.Shape == pgas.Signal || d.Shape == pgas.Forensic && d.Get {
 		return
 	}
-	me, off, size := c.pe.p.ID, d.Off, int64(len(d.Local))
-	switch d.Shape {
-	case pgas.Runs:
+	me, off := c.pe.p.ID, d.Off
+	if d.Shape == pgas.Runs {
 		size = int64(d.Unit)
-	case pgas.Strided:
-		size = int64(len(d.Local)/d.Unit-1)*d.Stride + int64(d.Unit)
 	}
 	for i, msgs := 0, d.Msgs(); i < msgs; i++ {
 		if d.Shape == pgas.Runs {
@@ -82,39 +80,27 @@ func (c *Ctx) sanitize(san *sanitizer, d *pgas.RMA, m mode, src []byte) {
 
 // issue is the library's one checked entry: every put and get on the context —
 // each public routine fills a descriptor, a layered runtime hands its own to
-// PE.RMA — arrives with d.Off, and a Runs op's d.Offs, relative to sym. It
-// checks target and bounds, returns on an op with nothing to transfer, makes
-// d.Off absolute, runs the sanitizer hook, prices one message and hands the op
-// to the issue core. src is a nonblocking put's source buffer (d.Local again;
-// read for no other op): the sanitizer retains it until Quiet, and retaining a
-// descriptor field instead would move every caller's buffer — the stack-held
-// word of a P or G included — to the heap.
+// PE.RMA — arrives with d.Off relative to sym. It checks target, geometry and
+// bounds, returns on an op with nothing to transfer, makes d.Off absolute, runs
+// the sanitizer hook, prices one message and hands the op to the issue core.
+// src is a nonblocking put's source buffer (d.Local again; read for no other
+// op): the sanitizer retains it until Quiet, and retaining a descriptor field
+// instead would move every caller's buffer — the stack-held word of a P or G
+// included — to the heap.
 func (c *Ctx) issue(d *pgas.RMA, sym Sym, m mode, src []byte) {
 	pe, w := c.pe, c.pe.world
 	pe.checkTarget(d.Target)
-	switch d.Shape {
-	case pgas.Runs:
-		sym.runsSpan(d, m)
-		if len(d.Offs) == 0 {
-			return
-		}
-		d.Off = sym.Off
-	case pgas.Strided:
-		if !sym.stridedSpan(d, m) {
-			return
-		}
+	// An empty op is no op, or a signal travelling alone. The signal word is
+	// its wrapper's to check: it has a symmetric object of its own.
+	lo, hi := d.Span()
+	if lo < hi {
+		sym.span(d, m, lo, hi-lo)
 		d.Off += sym.Off
-	default:
-		// An empty payload is no op, or a signal travelling alone. The signal
-		// word is its wrapper's to check: it has a symmetric object of its own.
-		if len(d.Local) > 0 {
-			d.Off = sym.span(d, m, d.Off, int64(len(d.Local)))
-		} else if d.Shape != pgas.Signal {
-			return
-		}
+	} else if d.Shape != pgas.Signal {
+		return
 	}
 	if w.san != nil {
-		c.sanitize(w.san, d, m, src)
+		c.sanitize(w.san, d, m, src, hi-lo)
 	}
 	intra, pairs := pe.intra(d.Target), pe.pairs()
 	prof := w.prof
@@ -187,13 +173,11 @@ func opName(d *pgas.RMA, m mode) string {
 	return name
 }
 
-// span panics unless the n bytes at offset off lie inside sym, and returns
-// their absolute partition offset.
-func (sym Sym) span(d *pgas.RMA, m mode, off, n int64) int64 {
+// span panics unless the n bytes at offset off lie inside sym.
+func (sym Sym) span(d *pgas.RMA, m mode, off, n int64) {
 	if off < 0 || off+n > sym.Size {
 		sym.overflow(d, m, off, n)
 	}
-	return sym.Off + off
 }
 
 // overflow is span's panic, kept out of line so that span inlines.
@@ -201,36 +185,4 @@ func (sym Sym) span(d *pgas.RMA, m mode, off, n int64) int64 {
 //go:noinline
 func (sym Sym) overflow(d *pgas.RMA, m mode, off, n int64) {
 	panic(fmt.Sprintf("shmem: %s of %d bytes at offset %d overflows %d-byte symmetric object", opName(d, m), n, off, sym.Size))
-}
-
-// stridedSpan validates a strided remote operand — len(d.Local) bytes of
-// d.Unit-byte elements at byte stride d.Stride from d.Off within sym — and
-// reports whether there is anything to transfer.
-func (sym Sym) stridedSpan(d *pgas.RMA, m mode) bool {
-	if d.Unit <= 0 || len(d.Local)%d.Unit != 0 {
-		panic(fmt.Sprintf("shmem: %s operand not a whole number of elements", opName(d, m)))
-	}
-	nelems := len(d.Local) / d.Unit
-	if nelems == 0 {
-		return false
-	}
-	if d.Stride < int64(d.Unit) {
-		panic(fmt.Sprintf("shmem: %s stride smaller than element", opName(d, m)))
-	}
-	need := d.Off + int64(nelems-1)*d.Stride + int64(d.Unit)
-	if d.Off < 0 || need > sym.Size {
-		panic(fmt.Sprintf("shmem: %s overflows symmetric object (need %d bytes, have %d)", opName(d, m), need, sym.Size))
-	}
-	return true
-}
-
-// runsSpan validates a vectored operand: len(d.Offs) runs of d.Unit bytes,
-// dense in d.Local, each inside sym.
-func (sym Sym) runsSpan(d *pgas.RMA, m mode) {
-	if d.Unit <= 0 || len(d.Local) != len(d.Offs)*d.Unit {
-		panic(fmt.Sprintf("shmem: %s operand does not match runs", opName(d, m)))
-	}
-	for _, off := range d.Offs {
-		sym.span(d, m, off, int64(d.Unit))
-	}
 }
