@@ -1,13 +1,13 @@
-// Command shmemvet runs the PGAS correctness analyzers over this module's
-// packages. It is the static half of the repository's correctness tooling
-// (the runtime half is the sanitizer mode in internal/shmem): each analyzer
-// encodes one contract of the paper's CAF-over-OpenSHMEM mapping that the Go
-// compiler cannot check.
+// Command shmemvet runs the PGAS static analyzers over this module's packages:
+// the contracts of the paper's CAF-over-OpenSHMEM mapping that neither the Go
+// compiler nor a run can check — today symcheck, symmetric handles forged by
+// hand. Everything a run can see is the runtime sanitizer's (pgas.Options
+// Sanitize), on every transport.
 //
 // Usage:
 //
 //	go run ./cmd/shmemvet ./...
-//	go run ./cmd/shmemvet -checks synccheck,lockcheck ./internal/dht
+//	go run ./cmd/shmemvet -checks symcheck ./internal/dht
 //
 // Patterns are directories, optionally ending in /... to recurse. With no
 // arguments, ./... is assumed. The exit status is 1 if any diagnostic is
@@ -71,10 +71,8 @@ func run(args []string) int {
 		return 2
 	}
 
-	// Load every requested package first so the interprocedural Program is
-	// built once over the whole set, then analyze.
 	exit := 0
-	var pkgs []*analysis.Package
+	var diags []analysis.Diagnostic
 	for _, dir := range dirs {
 		pkg, err := loader.Load(dir)
 		if err != nil {
@@ -88,12 +86,7 @@ func run(args []string) int {
 				fmt.Fprintf(os.Stderr, "shmemvet: %s: type-check: %v\n", pkg.Path, e)
 			}
 		}
-		pkgs = append(pkgs, pkg)
-	}
-	prog := analysis.NewProgram(loader)
-	var diags []analysis.Diagnostic
-	for _, pkg := range pkgs {
-		diags = append(diags, analysis.RunAnalyzers(prog, pkg, analyzers)...)
+		diags = append(diags, analysis.RunAnalyzers(pkg, analyzers)...)
 	}
 	if *jsonOut {
 		if err := writeJSON(os.Stdout, cwd, diags); err != nil {

@@ -25,9 +25,9 @@ func main() {
 		flag := pe.Malloc(8)
 
 		// Only one inter-node pair plays; everyone else skips straight to the
-		// closing barrier, which every PE must reach (collectives under
-		// PE-dependent control flow are exactly what shmemvet's
-		// collectivecheck rejects).
+		// closing barrier, which every PE must reach (a collective under
+		// PE-dependent control flow error-terminates the job, or, if every PE
+		// gets through, is a collective-mismatch under the sanitizer).
 		me := pe.MyPE()
 		if me == 0 || me == 16 {
 			peer := 16 - me

@@ -1,11 +1,9 @@
 package analysis
 
 import (
-	"go/ast"
 	"maps"
 	"path/filepath"
 	"regexp"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +12,7 @@ import (
 // The analyzer test harness: fixtures under testdata/src/<name> carry
 // expectation comments in the x/tools analysistest style —
 //
-//	pe.GetMem(1, data, 0, out) // want "read of data before"
+//	return shmem.Sym{Off: 128, Size: 64} // want "constructed by hand"
 //
 // Each quoted string is a regexp that must match a diagnostic reported on
 // that line; diagnostics without a matching expectation, and expectations
@@ -36,8 +34,7 @@ var baseLoader = sync.OnceValues(func() (*Loader, error) {
 
 // newTestLoader returns a loader that starts from baseLoader's packages and
 // shares its file set and standard-library importer, so a fixture costs its
-// own type check only. What a test loads stays in its own loader: no
-// fixture's summaries or lock edges reach another's Program.
+// own type check only, and what a test loads stays in its own loader.
 func newTestLoader(t *testing.T) *Loader {
 	t.Helper()
 	base, err := baseLoader()
@@ -45,21 +42,8 @@ func newTestLoader(t *testing.T) *Loader {
 		t.Fatal(err)
 	}
 	l := *base
-	l.pkgs, l.order, l.loading = maps.Clone(base.pkgs), slices.Clone(base.order), map[string]bool{}
+	l.pkgs, l.loading = maps.Clone(base.pkgs), map[string]bool{}
 	return &l
-}
-
-func loadFixture(t *testing.T, name string) (*Package, *Program) {
-	t.Helper()
-	l := newTestLoader(t)
-	pkg, err := l.Load(filepath.Join("testdata", "src", name))
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
-	}
-	for _, e := range pkg.TypeErrs {
-		t.Errorf("fixture %s has type error: %v", name, e)
-	}
-	return pkg, NewProgram(l)
 }
 
 type lineKey struct {
@@ -88,19 +72,18 @@ func fixtureWants(pkg *Package) map[lineKey][]string {
 	return wants
 }
 
-// checkFixture runs one analyzer over a fixture with the interprocedural
-// Program enabled; checkFixtureSuite runs several (multi-analyzer fixtures
-// assert the combined behaviour). Fixtures may span multiple files — wants
-// are keyed by (file, line) across the whole package.
+// checkFixture runs one analyzer over a fixture and matches its findings
+// against the fixture's expectations, keyed by (file, line).
 func checkFixture(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
-	checkFixtureSuite(t, []*Analyzer{a}, name)
-}
-
-func checkFixtureSuite(t *testing.T, analyzers []*Analyzer, name string) {
-	t.Helper()
-	pkg, prog := loadFixture(t, name)
-	diags := RunAnalyzers(prog, pkg, analyzers)
+	pkg, err := newTestLoader(t).Load(filepath.Join("testdata", "src", name))
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", name, err)
+	}
+	for _, e := range pkg.TypeErrs {
+		t.Errorf("fixture %s has type error: %v", name, e)
+	}
+	diags := RunAnalyzers(pkg, []*Analyzer{a})
 	wants := fixtureWants(pkg)
 
 	matched := map[lineKey][]bool{}
@@ -135,12 +118,4 @@ func checkFixtureSuite(t *testing.T, analyzers []*Analyzer, name string) {
 			}
 		}
 	}
-}
-
-// countFuncBodies sanity-checks that closures are visited as bodies.
-func countFuncBodies(pkg *Package) int {
-	n := 0
-	p := &Pass{Pkg: pkg}
-	p.funcBodies(func(string, *ast.BlockStmt) { n++ })
-	return n
 }

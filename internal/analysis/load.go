@@ -25,21 +25,19 @@ type Loader struct {
 	module  string // module path from go.mod
 	std     types.Importer
 	pkgs    map[string]*Package // by import path
-	order   []string            // import paths in completion order (callees first)
 	loading map[string]bool     // cycle detection
 }
 
 // Package is one parsed, type-checked package plus everything the analyzers
 // need to inspect it.
 type Package struct {
-	Path      string
-	Dir       string
-	Files     []*ast.File
-	Fset      *token.FileSet
-	Types     *types.Package
-	Info      *types.Info
-	TypeErrs  []error // type errors, collected rather than fatal
-	filenames []string
+	Path     string
+	Dir      string
+	Files    []*ast.File
+	Fset     *token.FileSet
+	Types    *types.Package
+	Info     *types.Info
+	TypeErrs []error // type errors, collected rather than fatal
 }
 
 // NewLoader creates a loader rooted at the module containing dir (found by
@@ -157,17 +155,12 @@ func (l *Loader) loadPath(path, dir string) (*Package, error) {
 			return nil, err
 		}
 		pkg.Files = append(pkg.Files, f)
-		pkg.filenames = append(pkg.filenames, fn)
 	}
 
 	pkg.Info = &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{
 		Importer: &chainImporter{l: l},
@@ -179,20 +172,7 @@ func (l *Loader) loadPath(path, dir string) (*Package, error) {
 	}
 	pkg.Types = tpkg
 	l.pkgs[path] = pkg
-	l.order = append(l.order, path)
 	return pkg, nil
-}
-
-// Packages returns every package this loader has type-checked so far, in
-// completion order: a package's module-local imports always precede it. The
-// interprocedural layer (callgraph.go) builds its view of the module from
-// this list.
-func (l *Loader) Packages() []*Package {
-	out := make([]*Package, 0, len(l.order))
-	for _, path := range l.order {
-		out = append(out, l.pkgs[path])
-	}
-	return out
 }
 
 // chainImporter resolves module-local paths from source under the module

@@ -193,27 +193,28 @@ func TestPutAsyncNonblockingOnGASNet(t *testing.T) {
 // The async path must satisfy the sanitizer's NBI contract (fresh buffers,
 // quiet before reuse) — a regression gate on putSectionNBI's buffer handling.
 func TestPutAsyncSanitizerClean(t *testing.T) {
-	opts := UHCAFOverMV2XSHMEM()
-	opts.Sanitize = true
-	err := Run(2, opts, func(img *Image) {
-		x := Allocate[int64](img, 4, 4)
-		me := img.ThisImage()
-		vals := make([]int64, 16)
-		for i := range vals {
-			vals[i] = int64(me*100 + i)
+	eachTransport(t, func(t *testing.T, opts Options) {
+		opts.Sanitize = true
+		err := Run(2, opts, func(img *Image) {
+			x := Allocate[int64](img, 4, 4)
+			me := img.ThisImage()
+			vals := make([]int64, 16)
+			for i := range vals {
+				vals[i] = int64(me*100 + i)
+			}
+			for iter := 0; iter < 3; iter++ {
+				x.PutAsync(3-me, All(4, 4), vals)
+				sec := Section{{Lo: 0, Hi: 3, Step: 2}, {Lo: 1, Hi: 2, Step: 1}}
+				x.PutAsync(3-me, sec, vals[:sec.NumElems()])
+				img.SyncMemory()
+				img.SyncAll()
+			}
+			x.Deallocate()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for iter := 0; iter < 3; iter++ {
-			x.PutAsync(3-me, All(4, 4), vals)
-			sec := Section{{Lo: 0, Hi: 3, Step: 2}, {Lo: 1, Hi: 2, Step: 1}}
-			x.PutAsync(3-me, sec, vals[:sec.NumElems()])
-			img.SyncMemory()
-			img.SyncAll()
-		}
-		x.Deallocate()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // PutAsync and PutSignalAsync snapshot their values at issue: the caller may
@@ -228,7 +229,7 @@ func TestPutAsyncSnapshotsValuesAtIssue(t *testing.T) {
 	cfgs["mpi3"] = mpi3Opts()
 	strided := Section{{Lo: 0, Hi: 3, Step: 2}, {Lo: 0, Hi: 3, Step: 1}}
 	for name, opts := range cfgs {
-		opts.Sanitize = opts.Transport == TransportSHMEM // the checker exists there only
+		opts.Sanitize = true
 		err := Run(2, opts, func(img *Image) {
 			x := Allocate[int64](img, 4, 4)
 			sig := NewSignal(img)
@@ -298,15 +299,13 @@ func TestPutDoesNotRetainCallerBuffer(t *testing.T) {
 		for _, tr := range []config{{"shmem", shmemOpts()}, {"gasnet", gasnetOpts()}, {"mpi3", mpi3Opts()}} {
 			o := tr.opts
 			o.Strided = algo
-			cfgs = append(cfgs, config{tr.name + "/" + algo.String(), o})
-			if o.Transport != TransportSHMEM {
-				continue // the sanitizer and the lossy fabric exist on shmem only
-			}
-			san, loss := o, o
+			san := o
 			san.Sanitize = true
-			loss.FaultPlan = lossy
-			cfgs = append(cfgs, config{tr.name + "/" + algo.String() + "/sanitize", san},
-				config{tr.name + "/" + algo.String() + "/lossy", loss})
+			cfgs = append(cfgs, config{tr.name + "/" + algo.String(), o}, config{tr.name + "/" + algo.String() + "/sanitize", san})
+			if o.Transport == TransportSHMEM { // the lossy fabric exists there only
+				o.FaultPlan = lossy
+				cfgs = append(cfgs, config{tr.name + "/" + algo.String() + "/lossy", o})
+			}
 		}
 	}
 	secs := []Section{

@@ -21,7 +21,20 @@ func crayOpts() Options { return UHCAFOverCraySHMEM(fabric.CrayXC30()) }
 
 func mpi3Opts() Options { return UHCAFOverMV2XMPI3() }
 
+// forEachTransport runs body on images images of every transport, a subtest
+// each, and fails the subtest on Run's error.
 func forEachTransport(t *testing.T, images int, body func(*Image)) {
+	t.Helper()
+	eachTransport(t, func(t *testing.T, opts Options) {
+		if err := Run(images, opts, body); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// eachTransport calls f once per transport, as a subtest named after it, with
+// that transport's test options.
+func eachTransport(t *testing.T, f func(t *testing.T, opts Options)) {
 	t.Helper()
 	for _, tc := range []struct {
 		name string
@@ -31,11 +44,7 @@ func forEachTransport(t *testing.T, images int, body func(*Image)) {
 		{"gasnet", gasnetOpts()},
 		{"mpi3", mpi3Opts()},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := Run(images, tc.opts, body); err != nil {
-				t.Fatal(err)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { f(t, tc.opts) })
 	}
 }
 

@@ -111,6 +111,7 @@ func batteryBlockingRMA(t *testing.T, o caf.Options) {
 			}
 		}
 		img.SyncAll()
+		c.Deallocate()
 	})
 }
 
@@ -157,6 +158,7 @@ func batteryVectoredRMA(t *testing.T, o caf.Options) {
 				c.Fill(0)
 				img.SyncAll()
 			}
+			c.Deallocate()
 		})
 	}
 }
@@ -198,6 +200,7 @@ func batteryStridedRMA(t *testing.T, o caf.Options) {
 			}
 		}
 		img.SyncAll()
+		c.Deallocate()
 	})
 }
 
@@ -287,6 +290,7 @@ func batteryLoweredRMA(t *testing.T, c Case) {
 					if img.ThisImage() == 2 {
 						remote = x.Slice()
 					}
+					x.Deallocate()
 				})
 				return delta, read, remote
 			}
@@ -366,6 +370,7 @@ func batteryNBIQuiet(t *testing.T, o caf.Options, caps caf.Caps) {
 			}
 		}
 		img.SyncAll()
+		c.Deallocate()
 	})
 }
 
@@ -407,6 +412,7 @@ func batteryPutSignal(t *testing.T, o caf.Options) {
 			}
 		}
 		img.SyncAll()
+		c.Deallocate()
 	})
 }
 
@@ -469,6 +475,7 @@ func batteryLocks(t *testing.T, o caf.Options) {
 			lck.Release(1)
 		}
 		img.SyncAll()
+		lck.Deallocate()
 	})
 	if violations != 0 {
 		t.Fatalf("%d mutual-exclusion violations", violations)
@@ -527,6 +534,7 @@ func batterySyncImages(t *testing.T, o caf.Options) {
 			t.Errorf("image %d: after SyncImages got %d, want %d from image %d", me, got, left, left)
 		}
 		img.SyncAll()
+		c.Deallocate()
 	})
 }
 

@@ -117,17 +117,16 @@ func Run(images int, opts Options, body func(*Image)) error {
 	}
 	// Per transport: the library world, and how a PE attaches to it.
 	var (
-		pw       *pgas.World
-		attach   func(*pgas.PE) (backend, *shmem.PE)
-		finalize = func() error { return nil }
+		pw     *pgas.World
+		attach func(*pgas.PE) (backend, *shmem.PE)
 	)
 	switch o.Transport {
 	case TransportSHMEM:
-		w, err := shmem.NewWorld(shmem.Config{Machine: o.Machine, Profile: o.Profile, Sanitize: o.Sanitize, FaultPlan: o.FaultPlan, Options: o.Options}, images)
+		w, err := shmem.NewWorld(shmem.Config{Machine: o.Machine, Profile: o.Profile, FaultPlan: o.FaultPlan, Options: o.Options}, images)
 		if err != nil {
 			return err
 		}
-		pw, finalize = w.PgasWorld(), w.FinalizeErr
+		pw = w.PgasWorld()
 		attach = func(p *pgas.PE) (backend, *shmem.PE) {
 			pe := w.Attach(p)
 			return newShmemBackend(pe), pe
@@ -152,13 +151,10 @@ func Run(images int, opts Options, body func(*Image)) error {
 	}
 	defer pw.Close()
 	pw.SetActivePairsPerNode(o.ActivePairsPerNode)
-	if err := pw.Run(func(p *pgas.PE) {
+	return pw.Run(func(p *pgas.PE) {
 		be, shm := attach(p)
 		body(newImage(be, shm, o))
-	}); err != nil {
-		return err
-	}
-	return finalize()
+	})
 }
 
 func newImage(be backend, shm *shmem.PE, opts Options) *Image {
@@ -193,9 +189,8 @@ func newImage(be backend, shm *shmem.PE, opts Options) *Image {
 // sanitizer's leak report.
 func (img *Image) malloc(size int64, runtime bool) int64 {
 	off, _ := img.be.malloc(size, false) // no stat: nothing to report
-	if runtime && img.shm != nil {
-		//shmemvet:allow symcheck
-		img.shm.World().MarkInternal(shmem.Sym{Off: off, Size: size})
+	if runtime {
+		img.local.World().MarkInternal(off)
 	}
 	return off
 }

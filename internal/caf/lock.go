@@ -97,7 +97,7 @@ func (l *Lock) Acquire(j int) {
 		img.held[key] = l.mcsAcquireAny(j)
 	}
 	img.Stats.LocksAcquired++
-	img.noteLockSan(true, j)
+	img.local.NoteLockAcquired("caf.lock", l.off, j, true)
 }
 
 // TryAcquire executes "lock(lck[j], acquired_lock=ok)": it attempts the lock
@@ -115,7 +115,7 @@ func (l *Lock) TryAcquire(j int) bool {
 		if l.spinTry(j) {
 			img.held[key] = -1
 			img.Stats.LocksAcquired++
-			img.noteLockSan(true, j)
+			img.local.NoteLockAcquired("caf.lock", l.off, j, false)
 			return true
 		}
 		return false
@@ -141,7 +141,7 @@ func (l *Lock) TryAcquire(j int) bool {
 		}
 		img.held[key] = qOff
 		img.Stats.LocksAcquired++
-		img.noteLockSan(true, j)
+		img.local.NoteLockAcquired("caf.lock", l.off, j, false)
 		return true
 	}
 }
@@ -167,7 +167,7 @@ func (l *Lock) Release(j int) {
 	}
 	delete(img.held, key)
 	img.Stats.LocksReleased++
-	img.noteLockSan(false, j)
+	img.local.NoteLockReleased("caf.lock", l.off, j)
 }
 
 // mcsAcquireAny dispatches between the classic two-word MCS protocol and the

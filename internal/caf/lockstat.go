@@ -63,7 +63,7 @@ func (l *Lock) AcquireStat(j int) Stat {
 	}
 	img.held[key] = qOff
 	img.Stats.LocksAcquired++
-	img.noteLockSan(true, j)
+	img.local.NoteLockAcquired("caf.lock", l.off, j, true)
 	return StatOK
 }
 
@@ -86,7 +86,7 @@ func (l *Lock) ReleaseStat(j int) Stat {
 	stat := l.ftRelease(j, qOff)
 	delete(img.held, key)
 	img.Stats.LocksReleased++
-	img.noteLockSan(false, j)
+	img.local.NoteLockReleased("caf.lock", l.off, j)
 	return stat
 }
 
@@ -238,20 +238,4 @@ func (img *Image) readWordStat(target int, off int64) uint64 {
 	op.Shape = pgas.Forensic
 	img.issue(op)
 	return pgas.Load[uint64](img.word[:])
-}
-
-// noteLockSan reports lock ownership transitions to the OpenSHMEM runtime
-// sanitizer's held-at-exit check (a no-op unless sanitizing on the SHMEM
-// transport).
-func (img *Image) noteLockSan(acquired bool, j int) {
-	pe := img.shm
-	if pe == nil || !pe.World().Sanitizing() {
-		return
-	}
-	name := fmt.Sprintf("caf.lock[%d]", j)
-	if acquired {
-		pe.World().NoteLockAcquired(pe.MyPE(), name)
-	} else {
-		pe.World().NoteLockReleased(pe.MyPE(), name)
-	}
 }

@@ -166,12 +166,6 @@ type Options struct {
 	// the memory copy. Only effective on the OpenSHMEM transport
 	// (Caps.Direct: shmem_ptr has no GASNet or MPI-3 equivalent here).
 	IntraNodeDirect bool
-	// Sanitize enables the OpenSHMEM layer's runtime sanitizer underneath
-	// the CAF runtime: races between gets and un-quieted puts (which
-	// DeferredQuiet makes possible), symmetric-heap leaks at job end, and
-	// collective call-sequence divergence are reported as an error from Run.
-	// Requires the OpenSHMEM transport; off by default and free when off.
-	Sanitize bool
 	// FaultPlan schedules deterministic fault injection (see fabric.FaultPlan
 	// and fail.go): images die at planned virtual times as if they executed
 	// FAIL IMAGE, and links may degrade. A non-empty plan implies
@@ -184,9 +178,12 @@ type Options struct {
 	// the STAT-bearing APIs detect real FAIL IMAGE calls. Implied by a
 	// non-empty FaultPlan. Requires the OpenSHMEM transport.
 	FaultTolerant bool
-	// Options is the pgas world's host-side tuning: the world barrier's shard
-	// layout (BarrierShards). Virtual times, forensics, and fault replays are
-	// bit-identical across layouts.
+	// Options is the pgas world's host-side tuning — the world barrier's
+	// shard layout (BarrierShards) — and its runtime sanitizer (Sanitize):
+	// races between gets and un-quieted puts (which DeferredQuiet makes
+	// possible), leaks, collective divergence and lock misuse, on every
+	// transport, reported as an error from Run. Virtual times, forensics, and
+	// fault replays are bit-identical under any setting of them.
 	pgas.Options
 }
 
@@ -204,14 +201,10 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.NonSymBytes <= 0 {
 		out.NonSymBytes = 1 << 20
 	}
-	caps := out.Transport.Caps()
-	if out.Sanitize && !caps.Sanitizer {
-		return out, fmt.Errorf("caf: Sanitize requires the OpenSHMEM transport")
-	}
 	if !out.FaultPlan.Empty() {
 		out.FaultTolerant = true
 	}
-	if (out.FaultTolerant || out.FaultPlan != nil) && !caps.FaultStat {
+	if (out.FaultTolerant || out.FaultPlan != nil) && !out.Transport.Caps().FaultStat {
 		return out, fmt.Errorf("caf: fault injection and fault tolerance require the OpenSHMEM transport")
 	}
 	return out, nil

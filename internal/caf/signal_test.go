@@ -210,20 +210,21 @@ func TestSyncMemoryImageMPI3Degrade(t *testing.T) {
 // image leaves the transfers outstanding (caught as a race by a subsequent
 // read).
 func TestSyncMemoryImageSanitizerScoping(t *testing.T) {
-	opts := UHCAFOverMV2XSHMEM()
-	opts.Sanitize = true
-	err := Run(3, opts, func(img *Image) {
-		x := Allocate[int64](img, 4)
-		img.SyncAll()
-		if img.ThisImage() == 1 {
-			x.PutAsync(2, All(4), []int64{1, 2, 3, 4})
-			img.SyncMemoryImage(2) // completes exactly the outstanding batch
-			_ = x.Get(2, Idx(0))   // clean read-back
+	eachTransport(t, func(t *testing.T, opts Options) {
+		opts.Sanitize = true
+		err := Run(3, opts, func(img *Image) {
+			x := Allocate[int64](img, 4)
+			img.SyncAll()
+			if img.ThisImage() == 1 {
+				x.PutAsync(2, All(4), []int64{1, 2, 3, 4})
+				img.SyncMemoryImage(2) // completes exactly the outstanding batch
+				_ = x.Get(2, Idx(0))   // clean read-back
+			}
+			img.SyncAll()
+			x.Deallocate()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		img.SyncAll()
-		x.Deallocate()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

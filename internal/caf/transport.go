@@ -40,16 +40,13 @@ type Caps struct {
 	// FaultStat: fabric.FaultPlan injection, the repairable lock and the
 	// STAT-bearing library calls (Options.FaultPlan, Options.FaultTolerant).
 	FaultStat bool
-	// Sanitizer: the library's runtime sanitizer (Options.Sanitize).
-	Sanitizer bool
 	// Direct: same-node memory can be loaded and stored directly (shmem_ptr),
 	// which Options.IntraNodeDirect uses.
 	Direct bool
 }
 
 var transportCaps = [...]Caps{
-	TransportSHMEM: {NBI: true, Signal: true, PerImage: true, FaultStat: true,
-		Sanitizer: true, Direct: true},
+	TransportSHMEM: {NBI: true, Signal: true, PerImage: true, FaultStat: true, Direct: true},
 	// put_nbi/get_nbi over the same NBI completion engine; put-with-signal is
 	// AM-emulated, paying handler dispatch at the target.
 	TransportGASNet: {NBI: true, Signal: true, PerImage: true},

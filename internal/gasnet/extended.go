@@ -83,12 +83,14 @@ func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
 		panic("gasnet: no forensic put or get: the conduit has no fault support")
 	}
 	switch {
+	case nbi && !d.Get:
+		ep.issue(rmaOps[d.Shape][2], d, seg, d.Local, &ep.nbi)
 	case nbi:
-		ep.issue(rmaOps[d.Shape][2], d, seg, true, &ep.nbi)
+		ep.issue(rmaOps[d.Shape][2], d, seg, nil, &ep.nbi)
 	case d.Get:
-		ep.issue(rmaOps[d.Shape][0], d, seg, false, nil)
+		ep.issue(rmaOps[d.Shape][0], d, seg, nil, nil)
 	default:
-		ep.issue(rmaOps[d.Shape][1], d, seg, false, &ep.blocking)
+		ep.issue(rmaOps[d.Shape][1], d, seg, nil, &ep.blocking)
 	}
 }
 
@@ -99,9 +101,11 @@ func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
 // travel alone), makes d.Off absolute, prices one message of d on the conduit's
 // list — a run or element is one message of its Unit bytes — and hands it to
 // the substrate's issue core (pgas.PE.IssueRuns), which sends it, lands its
-// bytes and books its completion on set. nbi says the op charges only its
-// injection and leaves its transfer to the endpoint's pipe.
-func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, nbi bool, set *fabric.NBIStreams) {
+// bytes and books its completion on set. An op on one of the endpoint's pipe
+// sets (implicit or explicit handle) charges only its injection and leaves
+// its transfer to the pipe; src is an implicit-handle put's source buffer,
+// nil for every other op.
+func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, src []byte, set *fabric.NBIStreams) {
 	ep.checkTarget(d.Target)
 	lo, hi := d.Span()
 	if lo < hi {
@@ -111,7 +115,7 @@ func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, nbi bool, set *fabric.NBISt
 		return
 	}
 	intra, pairs := ep.intra(d.Target), ep.pairs()
-	prof := ep.world.prof
+	prof, nbi := ep.world.prof, set == &ep.nbi || set == &ep.explicit
 	c := pgas.Price{Lat: prof.DeliveryNs(intra, pairs)}
 	n := len(d.Local)
 	switch d.Shape {
@@ -139,24 +143,26 @@ func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, nbi bool, set *fabric.NBISt
 	default:
 		c.Inject = prof.PutInjectNs(n, intra, pairs)
 	}
-	ep.p.IssueRuns(d, c, set, nil)
+	ep.p.IssueRuns(d, src, c, set, nil)
 }
 
 // Put copies data into the target's segment and blocks for *local*
 // completion (gasnet_put_bulk semantics for the source buffer). Remote
 // completion requires WaitSyncAll or a barrier.
 func (ep *EP) Put(target int, seg Seg, off int64, data []byte) {
-	ep.issue("put", &pgas.RMA{Target: target, Off: off, Local: data}, seg, false, &ep.blocking)
+	ep.issue("put", &pgas.RMA{Target: target, Off: off, Local: data}, seg, nil, &ep.blocking)
 }
 
 // PutNB is the explicit-handle non-blocking put (gasnet_put_nb): the
 // initiator pays only the injection overhead, the transfer occupies the NIC
 // pipe from its next idle moment, and the returned handle must be synced
 // with WaitSync before the source buffer may be reused. The op does not
-// join the implicit sync set — WaitSyncAll never completes it.
+// join the implicit sync set — WaitSyncAll never completes it. The handle is
+// made by draining the explicit set at once, so the sanitizer discharges the
+// put at issue.
 func (ep *EP) PutNB(target int, seg Seg, off int64, data []byte) SyncHandle {
-	ep.issue("put_nb", &pgas.RMA{Target: target, Off: off, Local: data}, seg, true, &ep.explicit)
-	return SyncHandle{t: ep.explicit.Drain()}
+	ep.issue("put_nb", &pgas.RMA{Target: target, Off: off, Local: data}, seg, nil, &ep.explicit)
+	return SyncHandle{t: ep.p.Drain(&ep.explicit)}
 }
 
 // GetNB is the explicit-handle non-blocking get (gasnet_get_nb). Unlike the
@@ -178,8 +184,8 @@ func (ep *EP) GetNB(target int, seg Seg, off int64, dst []byte) (SyncHandle, err
 		dst = dst[:seg.Size-off]
 		err = &PartialError{Op: "get_nb", Requested: want, Transferred: len(dst)}
 	}
-	ep.issue("get_nb", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, true, &ep.explicit)
-	return SyncHandle{t: ep.explicit.Drain()}, err
+	ep.issue("get_nb", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, nil, &ep.explicit)
+	return SyncHandle{t: ep.p.Drain(&ep.explicit)}, err
 }
 
 // PutNBI is the implicit-handle non-blocking put (gasnet_put_nbi): the op
@@ -187,20 +193,20 @@ func (ep *EP) GetNB(target int, seg Seg, off int64, dst []byte) (SyncHandle, err
 // by WaitSyncAll (or WaitSyncImage toward its destination). The source
 // buffer must stay unmodified until then.
 func (ep *EP) PutNBI(target int, seg Seg, off int64, data []byte) {
-	ep.issue("put_nbi", &pgas.RMA{Target: target, Off: off, Local: data}, seg, true, &ep.nbi)
+	ep.issue("put_nbi", &pgas.RMA{Target: target, Off: off, Local: data}, seg, data, &ep.nbi)
 }
 
 // GetNBI is the implicit-handle non-blocking get (gasnet_get_nbi): the
 // modelled completion pays the request round trip plus the data streaming
 // back. dst is undefined until WaitSyncAll/WaitSyncImage.
 func (ep *EP) GetNBI(target int, seg Seg, off int64, dst []byte) {
-	ep.issue("get_nbi", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, true, &ep.nbi)
+	ep.issue("get_nbi", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, nil, &ep.nbi)
 }
 
 // Get copies n bytes from the target's segment into dst, blocking until the
 // data is locally usable (gasnet_get_bulk).
 func (ep *EP) Get(target int, seg Seg, off int64, dst []byte) {
-	ep.issue("get", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, false, nil)
+	ep.issue("get", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, nil, nil)
 }
 
 // PutSignal fuses a data payload and an 8-byte signal word into one blocking
@@ -208,7 +214,7 @@ func (ep *EP) Get(target int, seg Seg, off int64, dst []byte) {
 // dispatch after delivery (see issue). data may be empty to send the signal
 // alone.
 func (ep *EP) PutSignal(target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
-	ep.putSignal("put_signal", false, &ep.blocking, target, seg, off, data, sigSeg, sigIdx, sigVal)
+	ep.putSignal("put_signal", &ep.blocking, target, seg, off, data, sigSeg, sigIdx, sigVal)
 }
 
 // PutSignalNBI is the nonblocking flavour of PutSignal: the fused AM rides
@@ -216,14 +222,14 @@ func (ep *EP) PutSignal(target int, seg Seg, off int64, data []byte, sigSeg Seg,
 // signal sees the payload and every transfer previously streamed to it.
 // Completion requires WaitSyncAll/WaitSyncImage.
 func (ep *EP) PutSignalNBI(target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
-	ep.putSignal("put_signal_nbi", true, &ep.nbi, target, seg, off, data, sigSeg, sigIdx, sigVal)
+	ep.putSignal("put_signal_nbi", &ep.nbi, target, seg, off, data, sigSeg, sigIdx, sigVal)
 }
 
 // putSignal is the two signal puts: it checks the signal word, which has a
 // segment region of its own.
-func (ep *EP) putSignal(op string, nbi bool, set *fabric.NBIStreams, target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
+func (ep *EP) putSignal(op string, set *fabric.NBIStreams, target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
 	ep.checkTarget(target)
-	ep.issue(op, &pgas.RMA{Shape: pgas.Signal, Target: target, Off: off, Local: data, SigOff: sigSeg.word(int64(sigIdx) * 8), SigVal: uint64(sigVal)}, seg, nbi, set)
+	ep.issue(op, &pgas.RMA{Shape: pgas.Signal, Target: target, Off: off, Local: data, SigOff: sigSeg.word(int64(sigIdx) * 8), SigVal: uint64(sigVal)}, seg, nil, set)
 }
 
 // SyncHandle tracks one non-blocking operation.
@@ -241,7 +247,7 @@ func (ep *EP) WaitSync(h SyncHandle) {
 // NBI streams' latest completion, whichever is later.
 func (ep *EP) WaitSyncAll() {
 	ep.p.Clock.Advance(ep.world.prof.OverheadNs)
-	ep.p.Clock.MergeAtLeast(max(ep.nbi.Drain(), ep.blocking.Drain()))
+	ep.p.Clock.MergeAtLeast(max(ep.p.Drain(&ep.nbi), ep.p.Drain(&ep.blocking)))
 }
 
 // WaitSyncImage completes this endpoint's implicit-handle operations toward
@@ -251,7 +257,7 @@ func (ep *EP) WaitSyncAll() {
 func (ep *EP) WaitSyncImage(target int) {
 	ep.checkTarget(target)
 	ep.p.Clock.Advance(ep.world.prof.OverheadNs)
-	ep.p.Clock.MergeAtLeast(max(ep.nbi.DrainTarget(target), ep.blocking.DrainTarget(target)))
+	ep.p.Clock.MergeAtLeast(max(ep.p.DrainTarget(&ep.nbi, target), ep.p.DrainTarget(&ep.blocking, target)))
 }
 
 // NBIOutstanding returns the number of implicit-handle ops in flight

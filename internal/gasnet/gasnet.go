@@ -67,7 +67,8 @@ type EP struct {
 type Config struct {
 	Machine *fabric.Machine
 	Profile string
-	// Options is the pgas world's host-side tuning, as in shmem.Config.
+	// Options is the pgas world's host-side tuning and its runtime sanitizer,
+	// as in shmem.Config.
 	pgas.Options
 }
 
@@ -171,6 +172,7 @@ func (ep *EP) Barrier() { ep.barrier(nil, 0) }
 // the world and arg while every node is asleep in it (Malloc's).
 func (ep *EP) barrier(act pgas.ReleaseFunc, arg int64) {
 	ep.WaitSyncAll()
+	ep.p.RecordCollective("Barrier")
 	w := ep.world
 	if err := ep.p.BarrierTolerantDo(w.barrierNs(), act, w, arg); err != nil {
 		panic(err)

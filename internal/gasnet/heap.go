@@ -26,6 +26,7 @@ const segAlign = 64
 // whose release action allocates, and the virtual time of the two barriers
 // that used to publish the handle and close the call.
 func (ep *EP) Malloc(size int64) Seg {
+	ep.p.RecordCollective("Malloc", size)
 	ep.barrier(mallocRelease, size)
 	cost := ep.world.barrierNs()
 	for range 2 {

@@ -21,7 +21,8 @@ import (
 type Config struct {
 	Machine *fabric.Machine
 	Profile string
-	// Options is the pgas world's host-side tuning, as in shmem.Config.
+	// Options is the pgas world's host-side tuning and its runtime sanitizer,
+	// as in shmem.Config.
 	pgas.Options
 }
 
@@ -114,7 +115,10 @@ func (pr *Proc) Size() int { return pr.world.pw.NumPEs() }
 func (pr *Proc) Clock() *fabric.Clock { return &pr.p.Clock }
 
 // Barrier is MPI_Barrier.
-func (pr *Proc) Barrier() { pr.p.Barrier(pr.world.barrierNs()) }
+func (pr *Proc) Barrier() {
+	pr.p.RecordCollective("Barrier")
+	pr.p.Barrier(pr.world.barrierNs())
+}
 
 // barrierNs is the modelled cost of MPI_Barrier over the whole job.
 func (w *World) barrierNs() float64 {
@@ -160,6 +164,7 @@ func (pr *Proc) WinAllocate(size int64) *Win {
 	if size < 0 {
 		panic("mpi3: negative window size")
 	}
+	pr.p.RecordCollective("WinAllocate", size)
 	w := pr.world
 	cost := w.barrierNs()
 	if err := pr.p.BarrierTolerantDo(cost, winAllocRelease, w, size); err != nil {

@@ -111,7 +111,7 @@ func (pr *Proc) RMA(win *Win, d *pgas.RMA) {
 	} else {
 		c.Inject = prof.PutInjectNs(n, intra, pairs) + prof.WindowSyncNs
 	}
-	pr.p.IssueRuns(d, c, set, nil)
+	pr.p.IssueRuns(d, nil, c, set, nil)
 }
 
 // Put is MPI_Put: one-sided write into the target's window region.
@@ -144,7 +144,7 @@ func (pr *Proc) FlushAll(win *Win) {
 func (pr *Proc) flushEpoch(e *epoch) {
 	prof := pr.world.prof
 	pr.p.Clock.Advance(prof.OverheadNs + prof.WindowSyncNs)
-	pr.p.Clock.MergeAtLeast(e.pending.Drain())
+	pr.p.Clock.MergeAtLeast(pr.p.Drain(&e.pending))
 }
 
 // Fence is the active-target MPI_Win_fence: a collective that closes and
@@ -152,6 +152,7 @@ func (pr *Proc) flushEpoch(e *epoch) {
 func (pr *Proc) Fence(win *Win) {
 	e := pr.epochFor(win, true)
 	pr.flushEpoch(e)
+	pr.p.RecordCollective("Fence", win.off)
 	w := pr.world
 	pr.p.Barrier(w.barrierNs() + w.prof.WindowSyncNs)
 	// A fence epoch permits RMA to any target until the next fence.

@@ -37,7 +37,9 @@ const (
 	EngineEvent
 )
 
-// Options configures world construction beyond machine and size.
+// Options configures world construction beyond machine and size. No field
+// moves a virtual clock: a run's virtual times are bit-identical under any
+// setting of them.
 type Options struct {
 	// Engine selects nothing.
 	//
@@ -50,6 +52,11 @@ type Options struct {
 	// (the tree aggregates an order-independent max), which the determinism
 	// gate checks.
 	BarrierShards int
+	// Sanitize enables the runtime sanitizer (sanitizer.go): completion,
+	// leak, collective-divergence and lock checks of every library over the
+	// world, reported through Run's error. Off by default; when off, no
+	// sanitizer state exists and each hook costs one nil check.
+	Sanitize bool
 }
 
 // block puts the calling PE to sleep until it is woken. Must be called with

@@ -123,14 +123,23 @@ type Price struct {
 // Issue runs one put or get: send its messages, then move its bytes. set is
 // where completion is booked — a context's or endpoint's streams, or a
 // blocking horizon (a stream set with no pipe); nil for a blocking get, which
-// completes before it returns. fp is the library's fault plan, nil for none.
+// completes before it returns — and so the sanitizer's scope for a put: a
+// drain of set (Drain, DrainTarget) completes it. src is a nonblocking put's
+// source (d.Local again; nil for every other op), which the sanitizer holds to
+// its contract until then: retaining a descriptor field instead would move
+// every caller's buffer to the heap, the stack-held word of a typed P or G
+// included, as escape analysis is per parameter. fp is the library's fault
+// plan, nil for none.
 //
 // The two halves are separate calls on purpose. send keeps a dozen values
 // live; returning before the bytes move keeps its frame off the stack under
 // the write path, the deepest point of a PE goroutine — where a few hundred
 // bytes more grow the stack of every image of every short-lived world once
 // more.
-func (p *PE) Issue(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan) {
+func (p *PE) Issue(d *RMA, src []byte, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan) {
+	if s := p.world.san; s != nil {
+		s.record(p.ID, d, src, set)
+	}
 	landed, vis := p.send(d, c, set, fp)
 	if d.Get {
 		p.fetch(d)
@@ -142,9 +151,9 @@ func (p *PE) Issue(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan
 // IssueRuns is Issue for a library with no strided call: a Strided op crosses
 // as the runs of its elements, a message each, every one priced by c as a
 // Contig op of Unit bytes is. d is the caller's again at return.
-func (p *PE) IssueRuns(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan) {
+func (p *PE) IssueRuns(d *RMA, src []byte, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan) {
 	if d.Shape != Strided {
-		p.Issue(d, c, set, fp)
+		p.Issue(d, src, c, set, fp)
 		return
 	}
 	sp, offs := GetOffsScratch(), d.Offs
@@ -152,7 +161,7 @@ func (p *PE) IssueRuns(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.Fault
 		*sp = append(*sp, int64(i)*d.Stride)
 	}
 	d.Shape, d.Offs = Runs, *sp
-	p.Issue(d, c, set, fp)
+	p.Issue(d, src, c, set, fp)
 	d.Shape, d.Offs = Strided, offs
 	PutOffsScratch(sp)
 }

@@ -63,6 +63,9 @@ type World struct {
 	running    atomic.Bool  // a Run is in flight: Close is refused
 	closed     atomic.Bool  // Close was called: partition memory is gone, Run is refused
 
+	// san is the runtime sanitizer, nil unless Options.Sanitize.
+	san *sanitizer
+
 	// dlv is the lossy-fabric reliability bookkeeping: receiver dedup
 	// windows, per-link forensic counters, unreachable-link marks. See
 	// delivery.go. Zero-cost until a reliable message is recorded.
@@ -162,6 +165,9 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		w.tailLo = (n - 1) / per * per
 		w.perNode, w.tailPEs = per, n-w.tailLo
 	}
+	if opts.Sanitize {
+		w.san = newSanitizer()
+	}
 	w.barrier = newBarrier(w, n, opts.BarrierShards)
 	for i := range w.pes {
 		p := &PE{ID: i, world: w}
@@ -195,7 +201,9 @@ func Run(machine *fabric.Machine, n int, body func(*PE)) error {
 // any other goroutine may arrive after the verdict. A PE blocked on something
 // the substrate cannot see (a host channel, a sleep, a remote-spinning probe
 // loop, which must call Yield) counts as running. Waits issued outside a Run
-// are never judged.
+// are never judged. A sanitized world's Run ends with the sanitizer's
+// end-of-job checks, and its findings are the error of a Run that nothing
+// else failed.
 func (w *World) Run(body func(*PE)) error {
 	if w.closed.Load() {
 		return ErrClosed
@@ -224,7 +232,10 @@ func (w *World) Run(body func(*PE)) error {
 		}(p)
 	}
 	wg.Wait()
-	return w.failedErr()
+	if err := w.failedErr(); err != nil || w.san == nil {
+		return err
+	}
+	return w.san.finalize(w)
 }
 
 // ErrClosed is what a closed world answers: Run returns it, and the one-sided

@@ -26,9 +26,7 @@ func (pe *PE) ensureCtl() Sym {
 		}
 		return Sym{Off: off, Size: 2 * maxRounds * 8}
 	})
-	sym := v.(Sym)
-	w.MarkInternal(sym) // runtime-owned: lives for the whole job
-	return sym
+	return v.(Sym)
 }
 
 func ceilLog2(n int) int {
@@ -66,9 +64,7 @@ func (pe *PE) awaitFlag(ctl Sym, slot int, seq int64) {
 // every PE.
 func (pe *PE) Broadcast(root int, sym Sym, nbytes int64) {
 	n := pe.NumPEs()
-	if san := pe.world.san; san != nil {
-		san.recordCollective(pe.p.ID, "Broadcast", int64(root), sym.Off, nbytes)
-	}
+	pe.p.RecordCollective("Broadcast", int64(root), sym.Off, nbytes)
 	if n == 1 {
 		return
 	}
@@ -190,9 +186,7 @@ func ToAll[T pgas.Elem](pe *PE, op ReduceOp, dest, src Sym, n int) {
 	if int64(n)*es > dest.Size || int64(n)*es > src.Size {
 		panic("shmem: reduction length exceeds symmetric object size")
 	}
-	if san := pe.world.san; san != nil {
-		san.recordCollective(pe.p.ID, "ToAll", int64(op), dest.Off, src.Off, int64(n))
-	}
+	pe.p.RecordCollective("ToAll", int64(op), dest.Off, src.Off, int64(n))
 	npes := pe.NumPEs()
 	// Seed dest with the local contribution.
 	pw, me := pe.world.pw, pe.p.ID
@@ -241,9 +235,7 @@ func FCollect[T pgas.Elem](pe *PE, dest, src Sym, nelems int) {
 	}
 	// The hash deliberately omits src.Off: Collect feeds FCollect a per-PE
 	// source window, and like real fcollect only the shape must agree.
-	if san := pe.world.san; san != nil {
-		san.recordCollective(pe.p.ID, "FCollect", dest.Off, int64(nelems))
-	}
+	pe.p.RecordCollective("FCollect", dest.Off, int64(nelems))
 	raw := make([]byte, int64(nelems)*es)
 	pe.world.pw.Read(pe.p.ID, src.Off, raw)
 	for t := 0; t < npes; t++ {
@@ -261,9 +253,7 @@ func Collect[T pgas.Elem](pe *PE, dest, src Sym, nelems int) int {
 	npes := pe.NumPEs()
 	es := int64(pgas.SizeOf[T]())
 	// Per-PE nelems is the point of Collect, so only the destination is hashed.
-	if san := pe.world.san; san != nil {
-		san.recordCollective(pe.p.ID, "Collect", dest.Off)
-	}
+	pe.p.RecordCollective("Collect", dest.Off)
 
 	// Exchange the counts.
 	counts := pe.ensureCollectCounts()
@@ -308,9 +298,7 @@ func (pe *PE) ensureCollectCounts() Sym {
 		}
 		return Sym{Off: off, Size: int64(pe.NumPEs()) * 8}
 	})
-	sym := v.(Sym)
-	pe.world.MarkInternal(sym)
-	return sym
+	return v.(Sym)
 }
 
 func (pe *PE) ensureCollectCountsDst() Sym {
@@ -321,9 +309,7 @@ func (pe *PE) ensureCollectCountsDst() Sym {
 		}
 		return Sym{Off: off, Size: int64(pe.NumPEs()) * 8}
 	})
-	sym := v.(Sym)
-	pe.world.MarkInternal(sym)
-	return sym
+	return v.(Sym)
 }
 
 func highBit(v int) int {

@@ -26,9 +26,6 @@ import (
 // context every PE-level call is issued on.
 type Ctx struct {
 	pe *PE
-	// id scopes the context's ops in the sanitizer (0 is the default
-	// context, so created contexts number from 1).
-	id int
 	// nbi tracks the context's in-flight nonblocking ops, one completion
 	// stream per destination on the PE's pipe: issue charges only the
 	// injection overhead; Quiet drains all streams and merges the latest
@@ -52,10 +49,9 @@ func (c *Ctx) check() {
 // CtxCreate creates a communication context (shmem_ctx_create). The context
 // shares the PE's NIC injection pipe but owns its own completion streams and
 // Quiet. Destroy it with Ctx.Destroy when done; a context with ops still in
-// flight at Finalize is reported by the sanitizer as an nbi-leak.
+// flight at the end of the job is reported by the sanitizer as an nbi-leak.
 func (pe *PE) CtxCreate() *Ctx {
-	pe.ctxSeq++
-	return &Ctx{pe: pe, id: pe.ctxSeq, nbi: fabric.NewNBIStreams(&pe.nic)}
+	return &Ctx{pe: pe, nbi: fabric.NewNBIStreams(&pe.nic)}
 }
 
 // Destroy quiesces and releases the context (shmem_ctx_destroy — which per
@@ -106,10 +102,8 @@ func (c *Ctx) Quiet() { c.quiet(true) }
 // path is bit-identical to the pre-NBI model.
 func (c *Ctx) quiet(escalate bool) {
 	c.check()
-	c.complete(c.nbi.Drain(), c.blocking.Drain())
-	if san := c.pe.world.san; san != nil {
-		san.quiesceCtx(c.pe.p.ID, c.id)
-	}
+	p := c.pe.p
+	c.complete(p.Drain(&c.nbi), p.Drain(&c.blocking))
 	if escalate {
 		c.pe.checkReachable()
 	}
@@ -140,10 +134,8 @@ func (c *Ctx) QuietTarget(target int) {
 func (c *Ctx) quietTarget(target int) {
 	c.check()
 	c.pe.checkTarget(target)
-	c.complete(c.nbi.DrainTarget(target), c.blocking.DrainTarget(target))
-	if san := c.pe.world.san; san != nil {
-		san.quiesceTarget(c.pe.p.ID, c.id, target)
-	}
+	p := c.pe.p
+	c.complete(p.DrainTarget(&c.nbi, target), p.DrainTarget(&c.blocking, target))
 }
 
 // QuietStat is Quiet with fault status: when any destination with in-flight

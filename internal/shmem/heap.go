@@ -161,9 +161,7 @@ func (pe *PE) Malloc(size int64) Sym {
 // survivors complete the allocation together either way.
 func (pe *PE) mallocInner(size int64) (sym Sym, allocErr, faultErr error) {
 	w := pe.world
-	if w.san != nil {
-		w.san.recordCollective(pe.p.ID, "Malloc", size)
-	}
+	pe.p.RecordCollective("Malloc", size)
 	faultErr = pe.barrierStat(mallocRelease, size, 2)
 	return w.heap.cur, w.heap.curErr, faultErr
 }
@@ -182,6 +180,7 @@ func mallocRelease(ctx any, size int64, rel float64) {
 	if err != nil {
 		return
 	}
+	w.pw.NoteAlloc(off, size)
 	var at fabric.Clock
 	cost := w.barrierNs()
 	at.MergeAtLeast(rel)
@@ -207,9 +206,7 @@ func (pe *PE) Free(sym Sym) {
 // time. Freeing what is not allocated panics on every PE.
 func (pe *PE) FreeStat(sym Sym) error {
 	w := pe.world
-	if w.san != nil {
-		w.san.recordCollective(pe.p.ID, "Free", sym.Off)
-	}
+	pe.p.RecordCollective("Free", sym.Off)
 	faultErr := pe.barrierStat(freeRelease, sym.Off, 1)
 	if err := w.heap.curErr; err != nil {
 		panic(err)
@@ -219,6 +216,8 @@ func (pe *PE) FreeStat(sym Sym) error {
 
 // freeRelease is Free's release action.
 func freeRelease(ctx any, off int64, _ float64) {
-	h := ctx.(*World).heap
-	h.curErr = h.release(off)
+	w := ctx.(*World)
+	if w.heap.curErr = w.heap.release(off); w.heap.curErr == nil {
+		w.pw.NoteFree(off)
+	}
 }

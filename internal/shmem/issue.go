@@ -12,8 +12,8 @@ import (
 // pgas.RMA descriptor handed to the substrate's issue core (pgas.PE.Issue),
 // which sends its messages, lands its bytes and books its completion. What is
 // the library's own is here: the entry points fill the descriptor; issue checks
-// it, runs the sanitizer hook, prices one message of it on the OpenSHMEM list
-// and names the context's completion set.
+// it, prices one message of it on the OpenSHMEM list and names the context's
+// completion set.
 
 // mode is what an entry point says of an op beyond its geometry.
 type mode uint8
@@ -47,48 +47,14 @@ func stridedCost(d *pgas.RMA, m mode, prof *fabric.CostProfile, intra bool, pair
 	return inject, 0
 }
 
-// sanitize records the op's messages with the runtime sanitizer: a put as
-// outstanding until its context's Quiet (a nonblocking one together with src,
-// the source buffer it must leave alone until then), a get as a read that
-// must not race one. size is the bytes d spans (RMA.Span); a run's are its
-// own. A signal put's completion is signal-mediated and a forensic get reads
-// what no put is outstanding on, so neither is tracked.
-func (c *Ctx) sanitize(san *sanitizer, d *pgas.RMA, m mode, src []byte, size int64) {
-	if d.Shape == pgas.Signal || d.Shape == pgas.Forensic && d.Get {
-		return
-	}
-	me, off := c.pe.p.ID, d.Off
-	if d.Shape == pgas.Runs {
-		size = int64(d.Unit)
-	}
-	for i, msgs := 0, d.Msgs(); i < msgs; i++ {
-		if d.Shape == pgas.Runs {
-			off = d.Off + d.Offs[i]
-		}
-		switch {
-		case d.Get:
-			san.checkRead(me, d.Target, off, size)
-		case m&nbi == 0:
-			san.recordPut(me, d.Target, off, size)
-		case d.Shape == pgas.Runs:
-			san.recordPutNBI(me, c.id, d.Target, off, size, src[i*d.Unit:(i+1)*d.Unit])
-		default:
-			san.recordPutNBI(me, c.id, d.Target, off, size, src)
-		}
-	}
-}
-
 // issue is the library's one checked entry: every put and get on the context —
 // each public routine fills a descriptor, a layered runtime hands its own to
 // PE.RMA — arrives with d.Off relative to sym. It checks target, geometry and
-// bounds, returns on an op with nothing to transfer, makes d.Off absolute, runs
-// the sanitizer hook, prices one message and hands the op to the issue core.
-// src is a nonblocking put's source buffer (d.Local again; read for no other
-// op): the sanitizer retains it until Quiet, and retaining a descriptor field
-// instead would move every caller's buffer — the stack-held word of a P or G
-// included — to the heap.
+// bounds, returns on an op with nothing to transfer, makes d.Off absolute,
+// prices one message and hands the op to the issue core, with src, a
+// nonblocking put's source buffer (d.Local again; read for no other op).
 func (c *Ctx) issue(d *pgas.RMA, sym Sym, m mode, src []byte) {
-	pe, w := c.pe, c.pe.world
+	pe, prof := c.pe, c.pe.world.prof
 	pe.checkTarget(d.Target)
 	// An empty op is no op, or a signal travelling alone. The signal word is
 	// its wrapper's to check: it has a symmetric object of its own.
@@ -99,11 +65,7 @@ func (c *Ctx) issue(d *pgas.RMA, sym Sym, m mode, src []byte) {
 	} else if d.Shape != pgas.Signal {
 		return
 	}
-	if w.san != nil {
-		c.sanitize(w.san, d, m, src, hi-lo)
-	}
 	intra, pairs := pe.intra(d.Target), pe.pairs()
-	prof := w.prof
 	price := pgas.Price{Lat: prof.DeliveryNs(intra, pairs)}
 	n := len(d.Local)
 	switch d.Shape {
@@ -123,15 +85,16 @@ func (c *Ctx) issue(d *pgas.RMA, sym Sym, m mode, src []byte) {
 		price.Inject = prof.PutInjectNs(n, intra, pairs)
 	}
 	// Completion is booked on the context's streams, or on its blocking
-	// horizon; a blocking get has nowhere: it completes before it returns.
+	// horizon, whose puts hold no source to a contract; a blocking get has
+	// nowhere: it completes before it returns.
 	var set *fabric.NBIStreams
 	switch {
 	case m&nbi != 0:
 		set = &c.nbi
 	case !d.Get:
-		set = &c.blocking
+		set, src = &c.blocking, nil
 	}
-	pe.p.Issue(d, price, set, w.fplan)
+	pe.p.Issue(d, src, price, set, pe.world.fplan)
 }
 
 // RMA issues a layered runtime's descriptor on the default context, blocking or

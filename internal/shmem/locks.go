@@ -1,7 +1,5 @@
 package shmem
 
-import "fmt"
-
 // OpenSHMEM global logical locks (shmem_set_lock / shmem_clear_lock /
 // shmem_test_lock). A lock variable is a symmetric 64-bit word, but the lock
 // it names is a single global entity — there is no notion of "the lock at
@@ -18,11 +16,6 @@ func lockHome(sym Sym, idx, npes int) int {
 	return int((sym.Off/8 + int64(idx)) % int64(npes))
 }
 
-// lockName labels a lock for the sanitizer's held-at-exit report.
-func lockName(sym Sym, idx int) string {
-	return fmt.Sprintf("shmem.lock@%d[%d]", sym.Off, idx)
-}
-
 // SetLock acquires the global lock named by the symmetric word (blocking).
 func (pe *PE) SetLock(sym Sym, idx int) {
 	home := lockHome(sym, idx, pe.NumPEs())
@@ -30,7 +23,7 @@ func (pe *PE) SetLock(sym Sym, idx int) {
 	backoff := 1.0
 	for {
 		if old := pe.CompareSwap(home, sym, idx, 0, me); old == 0 {
-			pe.world.NoteLockAcquired(pe.p.ID, lockName(sym, idx))
+			pe.p.NoteLockAcquired("shmem.lock", sym.Off, idx, true)
 			return
 		}
 		// Remote spinning with backoff: each failed probe is a real AMO round
@@ -48,7 +41,7 @@ func (pe *PE) TestLock(sym Sym, idx int) bool {
 	home := lockHome(sym, idx, pe.NumPEs())
 	me := int64(pe.MyPE()) + 1
 	if pe.CompareSwap(home, sym, idx, 0, me) == 0 {
-		pe.world.NoteLockAcquired(pe.p.ID, lockName(sym, idx))
+		pe.p.NoteLockAcquired("shmem.lock", sym.Off, idx, false)
 		return true
 	}
 	return false
@@ -61,5 +54,5 @@ func (pe *PE) ClearLock(sym Sym, idx int) {
 	if old := pe.CompareSwap(home, sym, idx, me, 0); old != me {
 		panic("shmem: ClearLock by non-holder")
 	}
-	pe.world.NoteLockReleased(pe.p.ID, lockName(sym, idx))
+	pe.p.NoteLockReleased("shmem.lock", sym.Off, idx)
 }

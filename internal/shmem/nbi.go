@@ -11,7 +11,7 @@ import "cafshmem/internal/pgas"
 // to one destination's), so compute issued between post and Quiet genuinely
 // overlaps communication.
 //
-// Contract (the real library's, enforced by shmemvet and the sanitizer):
+// Contract (the real library's, enforced by the runtime sanitizer):
 //
 //   - the source buffer of a *_NBI put must not be modified until Quiet;
 //   - the destination of a GetNBI is undefined until Quiet;

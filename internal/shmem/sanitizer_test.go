@@ -97,13 +97,10 @@ func TestSanitizerOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Sanitizing() {
+	if w.PgasWorld().Sanitizing() {
 		t.Fatal("Sanitizing() true without Config.Sanitize")
 	}
-	if vs := w.Finalize(); vs != nil {
-		t.Fatalf("Finalize on unsanitized world returned %v", vs)
-	}
-	if vs := w.Violations(); vs != nil {
+	if vs := w.PgasWorld().Violations(); vs != nil {
 		t.Fatalf("Violations on unsanitized world returned %v", vs)
 	}
 }
@@ -208,24 +205,22 @@ func TestSanitizerExemptsFailedImages(t *testing.T) {
 		}
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if vs := w.Finalize(); len(vs) != 0 {
-		t.Fatalf("finalize after an image failure reported %v; failed holders and post-failure leaks are expected, not bugs", vs)
+		t.Fatalf("the end-of-job checks after an image failure reported %v; failed holders and post-failure leaks are expected, not bugs", err)
 	}
 }
 
-// Violations are observable as structured values through World.Violations,
-// not only as Run's folded error — the form layered runtimes consume.
+// Violations are observable as structured values through the pgas world's
+// Violations, not only as Run's folded error.
 func TestSanitizerViolationsAPI(t *testing.T) {
 	w, err := NewWorld(sanCfg(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.Sanitizing() {
+	pw := w.PgasWorld()
+	if !pw.Sanitizing() {
 		t.Fatal("Sanitizing() false with Config.Sanitize")
 	}
-	err = w.PgasWorld().Run(func(p *pgas.PE) {
+	err = pw.Run(func(p *pgas.PE) {
 		pe := w.Attach(p)
 		sym := pe.Malloc(64)
 		if pe.MyPE() == 0 {
@@ -236,17 +231,14 @@ func TestSanitizerViolationsAPI(t *testing.T) {
 		pe.Barrier()
 		pe.Free(sym)
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "1 violation(s)") {
+		t.Fatalf("Run = %v, want the one violation", err)
 	}
-	vs := w.Violations()
+	vs := pw.Violations()
 	if len(vs) != 1 || vs[0].Kind != "race" || vs[0].PE != 0 {
 		t.Fatalf("expected exactly one race on PE 0, got %v", vs)
 	}
-	if s := vs[0].String(); !strings.Contains(s, "shmem-sanitizer: race (PE 0)") {
+	if s := vs[0].String(); !strings.Contains(s, "sanitizer: race (PE 0)") {
 		t.Fatalf("violation String() = %q", s)
-	}
-	if ferr := w.FinalizeErr(); ferr == nil || !strings.Contains(ferr.Error(), "1 violation(s)") {
-		t.Fatalf("FinalizeErr = %v", ferr)
 	}
 }

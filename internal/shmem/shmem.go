@@ -26,7 +26,6 @@ type World struct {
 	prof    *fabric.CostProfile
 	machine *fabric.Machine
 	heap    *heap
-	san     *sanitizer        // nil unless Config.Sanitize (see sanitizer.go)
 	fplan   *fabric.FaultPlan // nil unless Config.FaultPlan (see stat.go)
 }
 
@@ -50,9 +49,6 @@ type PE struct {
 	// PE-level call, nonblocking (its streams) and blocking (its horizon).
 	// Quiet, QuietTarget and their stat forms are this context's.
 	def Ctx
-	// ctxSeq numbers contexts created by this PE (sanitizer bookkeeping; the
-	// default context is 0).
-	ctxSeq int
 	// collSeq numbers this PE's collective operations; all PEs agree on it
 	// because collectives are globally ordered.
 	collSeq int64
@@ -74,20 +70,15 @@ func newPE(w *World, p *pgas.PE) *PE {
 type Config struct {
 	Machine *fabric.Machine
 	Profile string // a profile name registered on Machine
-	// Sanitize enables the runtime sanitizer: outstanding-put race
-	// detection, symmetric-heap leak reporting at Finalize, and collective
-	// call-sequence agreement checking. See sanitizer.go. Off by default;
-	// when off, no sanitizer state exists and the hooks cost one nil check.
-	Sanitize bool
 	// FaultPlan schedules deterministic fault injection: link degradations
 	// are applied by this layer (extra latency on remote operations), image
 	// kills are consumed by layered runtimes (the CAF transport) at their
 	// operation boundaries. Nil disables fault injection entirely — the nil
 	// check is the only cost, and no virtual-time behaviour changes.
 	FaultPlan *fabric.FaultPlan
-	// Options is the pgas world's host-side tuning: the barrier's shard layout
-	// (BarrierShards). Virtual-time results are independent of it by
-	// construction.
+	// Options is the pgas world's host-side tuning — the barrier's shard
+	// layout (BarrierShards) — and its runtime sanitizer (Sanitize).
+	// Virtual-time results are independent of it by construction.
 	pgas.Options
 }
 
@@ -102,17 +93,12 @@ func Run(cfg Config, n int, body func(*PE)) error {
 		return err
 	}
 	defer w.pw.Close()
-	if err := w.pw.Run(func(p *pgas.PE) {
-		body(newPE(w, p))
-	}); err != nil {
-		return err
-	}
-	return w.FinalizeErr()
+	return w.pw.Run(func(p *pgas.PE) { body(newPE(w, p)) })
 }
 
 // NewWorld builds the job state without launching PEs; used by layered
 // runtimes (the CAF transport) that manage the SPMD launch themselves, and
-// close PgasWorld() after their last Run and FinalizeErr.
+// close PgasWorld() after their last Run.
 func NewWorld(cfg Config, n int) (*World, error) {
 	if cfg.Machine == nil {
 		return nil, fmt.Errorf("shmem: config needs a machine model")
@@ -125,11 +111,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &World{pw: pw, prof: prof, machine: cfg.Machine, heap: newHeap(), fplan: cfg.FaultPlan}
-	if cfg.Sanitize {
-		w.san = newSanitizer()
-	}
-	return w, nil
+	return &World{pw: pw, prof: prof, machine: cfg.Machine, heap: newHeap(), fplan: cfg.FaultPlan}, nil
 }
 
 // FaultPlan returns the world's fault-injection schedule (nil when fault
@@ -180,9 +162,7 @@ func (pe *PE) Ptr(sym Sym, target int) []byte {
 	if !pe.intra(target) {
 		return nil
 	}
-	if san := pe.world.san; san != nil {
-		san.checkRead(pe.p.ID, target, sym.Off, sym.Size)
-	}
+	pe.p.CheckRead(target, sym.Off, sym.Size)
 	dst := make([]byte, sym.Size)
 	pe.world.pw.Read(target, sym.Off, dst)
 	pe.p.Clock.Advance(pe.world.prof.IntraGapNsPerByte * float64(sym.Size))

@@ -37,16 +37,12 @@ func (pe *PE) BarrierStat() error { return pe.barrierStat(nil, 0, 0) }
 func (pe *PE) barrierStat(act pgas.ReleaseFunc, arg int64, further int) error {
 	pe.def.quiet(false)
 	w := pe.world
-	if w.san != nil {
-		w.san.recordCollective(pe.p.ID, "Barrier")
-	}
+	pe.p.RecordCollective("Barrier")
 	cost := w.barrierNs()
 	err := pe.p.BarrierTolerantDo(cost, act, w, arg)
 	for ; further > 0; further-- {
 		pe.def.quiet(false)
-		if w.san != nil {
-			w.san.recordCollective(pe.p.ID, "Barrier")
-		}
+		pe.p.RecordCollective("Barrier")
 		pe.p.Clock.Advance(cost)
 	}
 	exh := w.pw.UnreachableDsts()

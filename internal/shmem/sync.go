@@ -40,9 +40,7 @@ func (pe *PE) Fence() {
 func (pe *PE) Barrier() {
 	pe.Quiet()
 	w := pe.world
-	if w.san != nil {
-		w.san.recordCollective(pe.p.ID, "Barrier")
-	}
+	pe.p.RecordCollective("Barrier")
 	pe.p.Barrier(w.barrierNs())
 }
 
