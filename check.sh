@@ -1,9 +1,10 @@
 #!/bin/sh
 # Extended tier-1 gate (see ROADMAP.md): build-and-test plus the repo's
-# correctness tooling. Run from the module root. `./check.sh fast` stops after
-# the fast tier: build, vet, the gofmt, unsafe, host-clock, one-issue-core,
-# one-funnel, one-checker, one-engine, inline and bounds-check gates, the gates
-# on the write path and the deadlock loop (about half a minute).
+# structural gates, race and shuffled tests, fuzz smokes and the claims gate.
+# Run from the module root. `./check.sh fast` stops after the fast tier: build,
+# vet, the gofmt, unsafe, host-clock, one-issue-core, one-funnel, one-checker,
+# word-offset, one-engine, inline and bounds-check gates, the gates on the
+# write path and the deadlock loop (about half a minute).
 set -eu
 
 echo "==> go build ./..."
@@ -96,6 +97,14 @@ if [ -n "$drains" ] || [ -n "$caps" ]; then
     exit 1
 fi
 
+echo "==> word-offset gate (every atomic, wait, lock and signal word of internal/shmem is addressed by PE.wordOff, which bounds-checks all 8 bytes and checks the handle under the sanitizer)"
+words=$(grep -rn --include='*.go' --exclude='*_test.go' -E '\.At\(int64\([^()]*(\([^()]*\))?[^()]*\) *\* *8\)' internal/shmem || true)
+if [ -n "$words" ]; then
+    echo "check.sh: these lines compute a word's offset with Sym.At, which checks one byte; use PE.wordOff:" >&2
+    printf '%s\n' "$words" >&2
+    exit 1
+fi
+
 echo "==> one-engine gate (a goroutine per image and one sleep, PE.block on the PE's own condition variable; DESIGN.md \"Execution engine\")"
 # The names benchmark/ still spells are declared once, deprecated and ignored,
 # and read by nothing else outside tests; and the machinery of a second
@@ -131,6 +140,7 @@ caf (*Image).trace
 shmem (*PE).checkTarget
 shmem (*PE).RMA
 shmem Sym.span
+pgas (*PE).CheckHandle
 pgas (*segStore).block
 pgas (*RMA).Span
 pgas reliable
@@ -170,9 +180,6 @@ fi
 
 echo "==> claims gate (every figure of pgasbench.Catalog rebuilt at default scale and held to pgasbench.Claims; exit status only)"
 go run ./cmd/reproduce > /dev/null
-
-echo "==> shmemvet (PGAS static analysis: symcheck; exit code gates, JSON artifact kept)"
-go run ./cmd/shmemvet -json ./... > shmemvet.json
 
 echo "==> go test -race -count=1 ./..."
 go test -race -count=1 ./...

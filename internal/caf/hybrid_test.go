@@ -32,8 +32,11 @@ func TestHybridHandleAvailability(t *testing.T) {
 
 func TestHybridShmemIntoCoarray(t *testing.T) {
 	// A raw shmem_put can target coarray storage (same symmetric heap), and
-	// CAF-level synchronisation covers it.
-	err := Run(2, shmemOpts(), func(img *Image) {
+	// CAF-level synchronisation covers it. The sanitizer runs: a view of a
+	// coarray's storage lies inside a live allocation, so it is a good handle.
+	opts := shmemOpts()
+	opts.Sanitize = true
+	err := Run(2, opts, func(img *Image) {
 		c := Allocate[int64](img, 4)
 		pe := img.SHMEM()
 		if img.ThisImage() == 1 {
@@ -48,6 +51,7 @@ func TestHybridShmemIntoCoarray(t *testing.T) {
 			}
 		}
 		img.SyncAll()
+		c.Deallocate()
 	})
 	if err != nil {
 		t.Fatal(err)

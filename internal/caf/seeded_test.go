@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
 	"cafshmem/internal/shmem"
 )
 
 // The seeded PGAS bugs, caught at run time. Each case executes the path one
-// seeded violation of the static analyzers' fixtures took (cmd/shmemvet once
-// ran synccheck, collectivecheck, lockcheck and deadlockcheck over them), under
-// the sanitizer, and passes when the run reports the bug: a sanitizer finding,
-// the library's own panic, or the world's deadlock verdict. The fixture and
-// function names are the analyzers'; a case the specification allows is
-// listed with no report and must run clean (DESIGN.md, "Correctness
+// seeded violation took in the fixtures of the static analyzers this repository
+// once had (synccheck, collectivecheck, lockcheck, deadlockcheck, symcheck),
+// under the sanitizer, and passes when the run reports the bug: a sanitizer
+// finding, the library's own panic, or the world's deadlock verdict. The
+// fixture and function names are the analyzers'; a case the specification
+// allows is listed with no report and must run clean (DESIGN.md, "Correctness
 // tooling", says why).
 
 // What reports each class of bug.
@@ -23,6 +24,7 @@ const (
 	reused   = `sanitizer: nbi-src-reuse`
 	leftHeld = `sanitizer: lock-held`
 	cycled   = `sanitizer: lock-order`
+	badSym   = `sanitizer: bad-handle \(PE 0\): put through handle`
 	hung     = `pgas: deadlock: all \d+ alive PEs blocked`
 	// A collective reached by some PEs only: the others leave the job, and
 	// the rendezvous they never join error-terminates; when every PE gets
@@ -336,6 +338,59 @@ var seededCases = []seededCase{
 		}
 		pe.Barrier()
 	})},
+
+	// symcheck: handles forged, retargeted, or used after the world or the
+	// Free that ended them — what the fixture's package-level Leaked and
+	// global let a program do.
+	{"symbad", "Leaked", badSym, func() error {
+		var leaked shmem.Sym
+		if err := spmd(func(pe *shmem.PE) {
+			data := pe.Malloc(64)
+			leaked = data
+			pe.Free(data)
+		})(); err != nil {
+			return err
+		}
+		return spmd(func(pe *shmem.PE) {
+			if pe.MyPE() == 0 {
+				pe.PutMem(1, leaked, 0, []byte{1})
+			}
+			pe.Barrier()
+		})()
+	}},
+	{"symbad", "global", badSym, spmd(func(pe *shmem.PE) {
+		var global struct{ handles []shmem.Sym }
+		data := pe.Malloc(64)
+		global.handles = append(global.handles, data)
+		pe.Free(data)
+		if pe.MyPE() == 0 {
+			pe.PutMem(1, global.handles[0], 0, []byte{1})
+		}
+		pe.Barrier()
+	})},
+	{"symbad", "forge", badSym, onObject(func(pe *shmem.PE, _ shmem.Sym) {
+		pe.PutMem(1, shmem.Sym{Off: 128, Size: 64}, 0, []byte{1})
+	})},
+	{"symbad", "retargetOff", badSym, onObject(func(pe *shmem.PE, s shmem.Sym) {
+		s.Off += 8
+		pe.PutMem(1, s, 0, []byte{1})
+	})},
+	{"symbad", "retargetSize", badSym, onObject(func(pe *shmem.PE, s shmem.Sym) {
+		s.Size = 4096
+		pe.PutMem(1, s, 0, []byte{1})
+	})},
+	{"symclean", "allocateAndUse", "", spmd(func(pe *shmem.PE) {
+		data := pe.Malloc(64)
+		pe.PutMem(1, data, 8, []byte{1})
+		pe.Quiet()
+		copied := data
+		pe.Free(copied)
+	})},
+	// The whole-partition view a layered runtime addresses by raw offsets.
+	{"symclean", "partitionView", "", spmd(func(pe *shmem.PE) {
+		pe.PutMem(1, shmem.Sym{Off: 0, Size: pgas.MaxSegmentBytes}, 4096, []byte{1})
+		pe.Barrier()
+	})},
 }
 
 func TestSeededViolationsCaughtAtRunTime(t *testing.T) {
@@ -405,6 +460,19 @@ func onPE0(body func(pe *shmem.PE, data, flag shmem.Sym)) func() error {
 		if pe.MyPE() == 0 {
 			body(pe, data, flag)
 		}
+	})
+}
+
+// onObject runs body on PE 0 of a sanitized three-PE OpenSHMEM job with a
+// 64-byte symmetric object every PE allocates and frees.
+func onObject(body func(pe *shmem.PE, data shmem.Sym)) func() error {
+	return spmd(func(pe *shmem.PE) {
+		data := pe.Malloc(64)
+		if pe.MyPE() == 0 {
+			body(pe, data)
+		}
+		pe.Barrier()
+		pe.Free(data)
 	})
 }
 

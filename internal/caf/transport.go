@@ -114,7 +114,6 @@ type shmemBackend struct {
 func newShmemBackend(pe *shmem.PE) *shmemBackend {
 	// The backend deliberately views the whole partition as one symmetric
 	// object: the CAF runtime above it deals in raw offsets.
-	//shmemvet:allow symcheck
 	return &shmemBackend{pe: pe, all: shmem.Sym{Off: 0, Size: pgas.MaxSegmentBytes}}
 }
 
@@ -129,7 +128,6 @@ func (t *shmemBackend) malloc(size int64, stat bool) (int64, error) {
 }
 
 func (t *shmemBackend) free(off, size int64) {
-	//shmemvet:allow symcheck
 	t.pe.Free(shmem.Sym{Off: off, Size: size})
 }
 

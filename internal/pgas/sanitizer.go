@@ -10,9 +10,8 @@ import (
 	"cafshmem/internal/fabric"
 )
 
-// The runtime sanitizer: the repository's one checker of the PGAS contracts
-// (cmd/shmemvet keeps only what no run can see, a hand-forged shmem.Sym). With
-// Options.Sanitize set, a world tracks, for every library over it:
+// The runtime sanitizer: the repository's one checker of the PGAS contracts.
+// With Options.Sanitize set, a world tracks, for every library over it:
 //
 //   - every outstanding put: Issue records it on the completion set it books
 //     the put on, and only a drain of that set (PE.Drain, PE.DrainTarget)
@@ -20,9 +19,11 @@ import (
 //     visibility requires Quiet first; a nonblocking put's source buffer must
 //     also be unmodified when that drain comes, and one still in flight at
 //     the end is a leak;
-//   - symmetric allocations still live at the end (NoteAlloc, NoteFree), minus
-//     the runtime's own (MarkInternal): a forgotten collective free wedges the
-//     same offsets on every PE for the rest of the job;
+//   - the live symmetric allocations (NoteAlloc, NoteFree): every handle an op
+//     uses must lie inside one (CheckHandle), and one still live at the end,
+//     unless the runtime's own (MarkInternal), is a leak — a forgotten
+//     collective free wedges the same offsets on every PE for the rest of the
+//     job;
 //   - the sequence of collective calls, hashed per PE and compared at the end,
 //     catching SPMD divergence that completes without deadlocking (e.g. PEs
 //     calling Malloc with different sizes);
@@ -43,10 +44,10 @@ import (
 
 // Violation is one sanitizer finding.
 type Violation struct {
-	// Kind is "race", "leak", "collective-mismatch", "lock-held",
-	// "lock-order", "nbi-src-reuse" (a nonblocking put's source buffer was
-	// modified before its completion) or "nbi-leak" (nonblocking puts still
-	// in flight at job end).
+	// Kind is "race", "leak", "bad-handle", "collective-mismatch",
+	// "lock-held", "lock-order", "nbi-src-reuse" (a nonblocking put's source
+	// buffer was modified before its completion) or "nbi-leak" (nonblocking
+	// puts still in flight at job end).
 	Kind string
 	PE   int // the PE the finding is attributed to (-1 for world-level)
 	Msg  string
@@ -72,7 +73,7 @@ type sanPut struct {
 type sanitizer struct {
 	mu         sync.Mutex
 	pending    map[int][]sanPut // origin PE -> outstanding puts
-	live       map[int64]int64  // symmetric allocations not yet freed
+	live       map[int64]int64  // offset -> requested size of each allocation not yet freed
 	internal   map[int64]bool   // allocations owned by the runtime, not leaks
 	collHash   map[int]uint64   // per-PE FNV-1a chain over collective calls
 	collCount  map[int]int
@@ -107,8 +108,9 @@ func (w *World) Violations() []Violation {
 	return slices.Clone(w.san.violations)
 }
 
-// NoteAlloc records a live symmetric allocation, NoteFree its release: the
-// allocators that return space call them, once per collective call.
+// NoteAlloc records a live symmetric allocation of size requested bytes at off,
+// NoteFree its release: the allocators that return space call them, once per
+// allocation.
 func (w *World) NoteAlloc(off, size int64) {
 	if s := w.san; s != nil {
 		s.mu.Lock()
@@ -127,9 +129,9 @@ func (w *World) NoteFree(off int64) {
 	}
 }
 
-// MarkInternal exempts the allocation at off from leak reporting: a layered
-// runtime (the CAF transport) calls it for allocations that live for the whole
-// job by design.
+// MarkInternal exempts the allocation at off from leak reporting: a library or
+// a layered runtime (the CAF transport) calls it for allocations that live for
+// the whole job by design.
 func (w *World) MarkInternal(off int64) {
 	if s := w.san; s != nil {
 		s.mu.Lock()
@@ -160,6 +162,18 @@ func (p *PE) NoteLockAcquired(kind string, off int64, idx int, waited bool) {
 func (p *PE) NoteLockReleased(kind string, off int64, idx int) {
 	if s := p.world.san; s != nil {
 		s.noteLock(p.ID, kind, off, idx, -1, false)
+	}
+}
+
+// CheckHandle checks the symmetric handle [off, off+size) that op uses: it
+// must lie inside one live allocation of this world (NoteAlloc's requested
+// size, not the aligned one), or it was forged, retargeted, freed or kept from
+// another world — a bad-handle finding. The whole-partition view (offset 0,
+// MaxSegmentBytes), which a layered runtime addresses by raw offsets, is
+// exempt: no allocation starts at offset 0.
+func (p *PE) CheckHandle(op string, off, size int64) {
+	if s := p.world.san; s != nil {
+		s.checkHandle(p.ID, op, off, size)
 	}
 }
 
@@ -240,6 +254,21 @@ func (s *sanitizer) checkRead(reader, target int, off, size int64) {
 			}
 		}
 	}
+}
+
+func (s *sanitizer) checkHandle(pe int, op string, off, size int64) {
+	if off == 0 && size == MaxSegmentBytes {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for base, n := range s.live {
+		if base <= off && off+size <= base+n {
+			return
+		}
+	}
+	s.report("bad-handle", pe, "%s through handle {Off: %d, Size: %d}, which lies inside no live symmetric allocation of this world; handles come from a collective Malloc and stay valid until its Free",
+		op, off, size)
 }
 
 // discharge completes the origin's puts on set (toward target only, unless it

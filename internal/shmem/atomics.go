@@ -1,6 +1,10 @@
 package shmem
 
-import "cafshmem/internal/pgas"
+import (
+	"fmt"
+
+	"cafshmem/internal/pgas"
+)
 
 // Remote atomic memory operations on 64-bit symmetric words. These are the
 // OpenSHMEM AMOs the paper's CAF runtime leans on: fetch-and-store (Swap)
@@ -20,13 +24,30 @@ func (pe *PE) amoClock(target int) float64 {
 	return pe.p.Clock.Now()
 }
 
-func (pe *PE) wordOff(sym Sym, idx int) int64 { return sym.At(int64(idx) * 8) }
+// wordOff is the absolute offset of the 64-bit word at element index idx of
+// sym, which op uses: every atomic, wait, lock and signal word is addressed
+// here, all 8 bytes of it bounds-checked and the handle checked by the
+// sanitizer.
+func (pe *PE) wordOff(op string, sym Sym, idx int) int64 {
+	if idx < 0 || int64(idx) >= sym.Size/8 {
+		sym.badWord(idx)
+	}
+	pe.p.CheckHandle(op, sym.Off, sym.Size)
+	return sym.Off + int64(idx)*8
+}
+
+// badWord is wordOff's panic, kept out of line: off the path of every word op.
+//
+//go:noinline
+func (sym Sym) badWord(idx int) {
+	panic(fmt.Sprintf("shmem: word %d (bytes [%d,%d)) out of range of %d-byte symmetric object", idx, int64(idx)*8, int64(idx)*8+8, sym.Size))
+}
 
 // FetchAdd atomically adds v to the word and returns the previous value
 // (shmem_longlong_fadd).
 func (pe *PE) FetchAdd(target int, sym Sym, idx int, v int64) int64 {
 	pe.checkTarget(target)
-	off := pe.wordOff(sym, idx)
+	off := pe.wordOff("fetch_add", sym, idx)
 	vis := pe.amoClock(target)
 	return int64(pe.world.pw.RMW64(target, off, pgas.OpAdd, uint64(v), vis))
 }
@@ -46,7 +67,7 @@ func (pe *PE) Add(target int, sym Sym, idx int, v int64) {
 // fetch-and-store used to enqueue on the MCS lock tail (shmem_swap).
 func (pe *PE) Swap(target int, sym Sym, idx int, v int64) int64 {
 	pe.checkTarget(target)
-	off := pe.wordOff(sym, idx)
+	off := pe.wordOff("swap", sym, idx)
 	vis := pe.amoClock(target)
 	return int64(pe.world.pw.RMW64(target, off, pgas.OpSwap, uint64(v), vis))
 }
@@ -55,7 +76,7 @@ func (pe *PE) Swap(target int, sym Sym, idx int, v int64) int64 {
 // returning the previous value (shmem_cswap). Success is old == expected.
 func (pe *PE) CompareSwap(target int, sym Sym, idx int, expected, desired int64) int64 {
 	pe.checkTarget(target)
-	off := pe.wordOff(sym, idx)
+	off := pe.wordOff("compare_swap", sym, idx)
 	vis := pe.amoClock(target)
 	return int64(pe.world.pw.CompareSwap64(target, off, uint64(expected), uint64(desired), vis))
 }
@@ -63,7 +84,7 @@ func (pe *PE) CompareSwap(target int, sym Sym, idx int, expected, desired int64)
 // FetchAnd atomically ANDs v into the word and returns the previous value.
 func (pe *PE) FetchAnd(target int, sym Sym, idx int, v int64) int64 {
 	pe.checkTarget(target)
-	off := pe.wordOff(sym, idx)
+	off := pe.wordOff("fetch_and", sym, idx)
 	vis := pe.amoClock(target)
 	return int64(pe.world.pw.RMW64(target, off, pgas.OpAnd, uint64(v), vis))
 }
@@ -71,7 +92,7 @@ func (pe *PE) FetchAnd(target int, sym Sym, idx int, v int64) int64 {
 // FetchOr atomically ORs v into the word and returns the previous value.
 func (pe *PE) FetchOr(target int, sym Sym, idx int, v int64) int64 {
 	pe.checkTarget(target)
-	off := pe.wordOff(sym, idx)
+	off := pe.wordOff("fetch_or", sym, idx)
 	vis := pe.amoClock(target)
 	return int64(pe.world.pw.RMW64(target, off, pgas.OpOr, uint64(v), vis))
 }
@@ -79,7 +100,7 @@ func (pe *PE) FetchOr(target int, sym Sym, idx int, v int64) int64 {
 // FetchXor atomically XORs v into the word and returns the previous value.
 func (pe *PE) FetchXor(target int, sym Sym, idx int, v int64) int64 {
 	pe.checkTarget(target)
-	off := pe.wordOff(sym, idx)
+	off := pe.wordOff("fetch_xor", sym, idx)
 	vis := pe.amoClock(target)
 	return int64(pe.world.pw.RMW64(target, off, pgas.OpXor, uint64(v), vis))
 }

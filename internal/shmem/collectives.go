@@ -18,15 +18,22 @@ const maxRounds = 64 // log2 of any conceivable PE count
 // word per tree round for the gather direction plus one per round for the
 // broadcast direction, per PE.
 func (pe *PE) ensureCtl() Sym {
-	w := pe.world
-	v := w.pw.Shared("shmem.ctl", func() interface{} {
-		off, err := w.heap.alloc(2 * maxRounds * 8)
+	return pe.world.internalAlloc("shmem.ctl", 2*maxRounds*8)
+}
+
+// internalAlloc returns the symmetric area the library keeps under name for
+// the rest of the job, allocated by the first PE to ask: live for the
+// sanitizer's handle check, and the library's own, so no leak.
+func (w *World) internalAlloc(name string, size int64) Sym {
+	return w.pw.Shared(name, func() interface{} {
+		off, err := w.heap.alloc(size)
 		if err != nil {
 			panic(err)
 		}
-		return Sym{Off: off, Size: 2 * maxRounds * 8}
-	})
-	return v.(Sym)
+		w.pw.NoteAlloc(off, size)
+		w.pw.MarkInternal(off)
+		return Sym{Off: off, Size: size}
+	}).(Sym)
 }
 
 func ceilLog2(n int) int {
@@ -255,11 +262,11 @@ func Collect[T pgas.Elem](pe *PE, dest, src Sym, nelems int) int {
 	// Per-PE nelems is the point of Collect, so only the destination is hashed.
 	pe.p.RecordCollective("Collect", dest.Off)
 
-	// Exchange the counts.
-	counts := pe.ensureCollectCounts()
+	// Exchange the counts, through the world's two count areas.
+	counts := pe.world.internalAlloc("shmem.collect.counts", int64(npes)*8)
 	Put(pe, pe.MyPE(), counts, pe.MyPE(), []int64{int64(nelems)})
-	countsDst := pe.ensureCollectCountsDst()
-	FCollect[int64](pe, countsDst, Sym{Off: counts.At(int64(pe.MyPE()) * 8), Size: 8}, 1)
+	countsDst := pe.world.internalAlloc("shmem.collect.countsdst", int64(npes)*8)
+	FCollect[int64](pe, countsDst, Sym{Off: pe.wordOff("collect", counts, pe.MyPE()), Size: 8}, 1)
 	all := Get[int64](pe, pe.MyPE(), countsDst, 0, npes)
 
 	offset := int64(0)
@@ -287,29 +294,6 @@ func Collect[T pgas.Elem](pe *PE, dest, src Sym, nelems int) int {
 	}
 	pe.Barrier()
 	return int(total)
-}
-
-// ensureCollectCounts lazily allocates the per-world count-exchange areas.
-func (pe *PE) ensureCollectCounts() Sym {
-	v := pe.world.pw.Shared("shmem.collect.counts", func() interface{} {
-		off, err := pe.world.heap.alloc(int64(pe.NumPEs()) * 8)
-		if err != nil {
-			panic(err)
-		}
-		return Sym{Off: off, Size: int64(pe.NumPEs()) * 8}
-	})
-	return v.(Sym)
-}
-
-func (pe *PE) ensureCollectCountsDst() Sym {
-	v := pe.world.pw.Shared("shmem.collect.countsdst", func() interface{} {
-		off, err := pe.world.heap.alloc(int64(pe.NumPEs()) * 8)
-		if err != nil {
-			panic(err)
-		}
-		return Sym{Off: off, Size: int64(pe.NumPEs()) * 8}
-	})
-	return v.(Sym)
 }
 
 func highBit(v int) int {

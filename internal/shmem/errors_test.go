@@ -128,3 +128,25 @@ func TestSymAtPanicMessage(t *testing.T) {
 	}()
 	Sym{Off: 64, Size: 8}.At(9)
 }
+
+// A word op addresses 8 bytes, and all 8 must lie inside the object: on a
+// 12-byte object word 1 is bytes [8,16), past its end, in every word family.
+func TestWordOpPastObjectPanics(t *testing.T) {
+	for name, use := range map[string]func(pe *PE, sym Sym){
+		"atomic":      func(pe *PE, sym Sym) { pe.FetchAdd(1, sym, 1, 1) },
+		"stat atomic": func(pe *PE, sym Sym) { pe.SwapStat(1, sym, 1, 1) },
+		"wait":        func(pe *PE, sym Sym) { pe.WaitUntil64(sym, 1, CmpEQ, 0) },
+		"signal word": func(pe *PE, sym Sym) { pe.PutSignal(1, sym, 0, []byte{1}, sym, 1, 1) },
+		"lock":        func(pe *PE, sym Sym) { pe.SetLock(sym, 1) },
+	} {
+		err := Run(stampedeCfg(), 2, func(pe *PE) {
+			sym := pe.Malloc(12)
+			if pe.MyPE() == 0 {
+				use(pe, sym)
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "word 1 (bytes [8,16)) out of range of 12-byte symmetric object") {
+			t.Errorf("%s: Run = %v, want the word's out-of-range panic", name, err)
+		}
+	}
+}

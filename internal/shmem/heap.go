@@ -16,9 +16,6 @@ type Sym struct {
 	Size int64
 }
 
-// IsZero reports whether the handle is the zero (invalid) handle.
-func (s Sym) IsZero() bool { return s.Size == 0 && s.Off == 0 }
-
 // At returns the absolute partition offset of byte index i within the
 // allocation, bounds-checked.
 func (s Sym) At(i int64) int64 {

@@ -159,12 +159,3 @@ func TestSymAtBounds(t *testing.T) {
 		}()
 	}
 }
-
-func TestSymIsZero(t *testing.T) {
-	if !(Sym{}).IsZero() {
-		t.Fatal("zero Sym should be zero")
-	}
-	if (Sym{Off: 64, Size: 1}).IsZero() {
-		t.Fatal("allocated Sym should not be zero")
-	}
-}

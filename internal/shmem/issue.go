@@ -49,10 +49,11 @@ func stridedCost(d *pgas.RMA, m mode, prof *fabric.CostProfile, intra bool, pair
 
 // issue is the library's one checked entry: every put and get on the context —
 // each public routine fills a descriptor, a layered runtime hands its own to
-// PE.RMA — arrives with d.Off relative to sym. It checks target, geometry and
-// bounds, returns on an op with nothing to transfer, makes d.Off absolute,
-// prices one message and hands the op to the issue core, with src, a
-// nonblocking put's source buffer (d.Local again; read for no other op).
+// PE.RMA — arrives with d.Off relative to sym. It checks target, geometry,
+// bounds and, under the sanitizer, the handle; returns on an op with nothing to
+// transfer, makes d.Off absolute, prices one message and hands the op to the
+// issue core, with src, a nonblocking put's source buffer (d.Local again; read
+// for no other op).
 func (c *Ctx) issue(d *pgas.RMA, sym Sym, m mode, src []byte) {
 	pe, prof := c.pe, c.pe.world.prof
 	pe.checkTarget(d.Target)
@@ -61,6 +62,9 @@ func (c *Ctx) issue(d *pgas.RMA, sym Sym, m mode, src []byte) {
 	lo, hi := d.Span()
 	if lo < hi {
 		sym.span(d, m, lo, hi-lo)
+		if pe.world.pw.Sanitizing() { // the op's name is built for the check only
+			pe.p.CheckHandle(opName(d, m), sym.Off, sym.Size)
+		}
 		d.Off += sym.Off
 	} else if d.Shape != pgas.Signal {
 		return
@@ -111,7 +115,8 @@ func (pe *PE) RMA(d *pgas.RMA, sym Sym, nonblocking bool) {
 	pe.def.issue(d, sym, m, d.Local)
 }
 
-// opName is what the bounds panics call d: the public routine that issues it.
+// opName is what the bounds panics and bad-handle findings call d: the public
+// routine that issues it.
 func opName(d *pgas.RMA, m mode) string {
 	name := "put"
 	if d.Get {

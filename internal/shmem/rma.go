@@ -196,7 +196,7 @@ func (pe *PE) PutSignalNBI(target int, sym Sym, off int64, data []byte, sig Sym,
 // checks the signal word, which has a symmetric object of its own.
 func (c *Ctx) putSignal(m mode, target int, sym Sym, off int64, data []byte, sig Sym, sigIdx int, sigVal int64) {
 	c.pe.checkTarget(target)
-	sigOff := sig.At(int64(sigIdx) * 8) // bounds-checked absolute offset
+	sigOff := c.pe.wordOff("put_signal", sig, sigIdx)
 	c.issue(&pgas.RMA{Shape: pgas.Signal, Target: target, Off: off, Local: data, SigOff: sigOff, SigVal: uint64(sigVal)}, sym, m, nil)
 }
 

@@ -242,3 +242,78 @@ func TestSanitizerViolationsAPI(t *testing.T) {
 		t.Fatalf("violation String() = %q", s)
 	}
 }
+
+// Every entry that takes a handle checks it against the live heap: a handle
+// used after its Free is a bad-handle finding naming the op, the handle and
+// the PE, at each of the library's three choke points — Ctx.issue (every put
+// and get), wordOff (every atomic, wait, lock and signal word) and Ptr. A
+// second object stays live after the freed one, so its space is not reused.
+func TestFreedHandleReportedAtEveryEntry(t *testing.T) {
+	one := []byte{1}
+	cases := []struct {
+		family, op string
+		every      bool // a collective: every PE calls it
+		use        func(pe *PE, gone, live Sym)
+	}{
+		{"put", "put", false, func(pe *PE, gone, _ Sym) { pe.PutMem(1, gone, 0, one) }},
+		{"get", "get", false, func(pe *PE, gone, _ Sym) { pe.GetMem(1, gone, 0, one) }},
+		{"putv", "putmemv", false, func(pe *PE, gone, _ Sym) { pe.PutMemV(1, gone, []int64{0, 16}, 1, []byte{1, 2}) }},
+		{"getv", "getmemv", false, func(pe *PE, gone, _ Sym) { pe.GetMemV(1, gone, []int64{0, 16}, 1, make([]byte, 2)) }},
+		{"iput", "iput", false, func(pe *PE, gone, _ Sym) { IPut(pe, 1, gone, 0, 2, []int64{1, 2}, 0, 1, 2) }},
+		{"iget", "iget", false, func(pe *PE, gone, _ Sym) { IGet(pe, 1, gone, 0, 2, make([]int64, 2), 0, 1, 2) }},
+		{"iputmem", "iputmem", false, func(pe *PE, gone, _ Sym) { pe.IPutMem(1, gone, 0, 16, 8, make([]byte, 16)) }},
+		{"put nbi", "put_nbi", false, func(pe *PE, gone, _ Sym) { pe.PutMemNBI(1, gone, 0, one); pe.Quiet() }},
+		{"get nbi", "get_nbi", false, func(pe *PE, gone, _ Sym) { pe.GetMemNBI(1, gone, 0, make([]byte, 1)); pe.Quiet() }},
+		{"putv nbi", "putmemv_nbi", false, func(pe *PE, gone, _ Sym) { pe.PutMemVNBI(1, gone, []int64{0}, 1, one); pe.Quiet() }},
+		{"iputmem nbi", "iputmem_nbi", false, func(pe *PE, gone, _ Sym) { pe.IPutMemNBI(1, gone, 0, 16, 8, make([]byte, 16)); pe.Quiet() }},
+		{"igetmem nbi", "igetmem_nbi", false, func(pe *PE, gone, _ Sym) { pe.IGetMemNBI(1, gone, 0, 16, 8, make([]byte, 16)); pe.Quiet() }},
+		{"context put", "put_nbi", false, func(pe *PE, gone, _ Sym) {
+			ctx := pe.CtxCreate()
+			ctx.PutMemNBI(1, gone, 0, one)
+			ctx.Destroy()
+		}},
+		{"repair put", "repair put", false, func(pe *PE, gone, _ Sym) { pe.PutMemRepair(1, gone, 0, one) }},
+		{"forensic get", "repair get", false, func(pe *PE, gone, _ Sym) { pe.ReadWord64(1, gone, 0) }},
+		{"signal data", "put_signal", false, func(pe *PE, gone, live Sym) { pe.PutSignal(1, gone, 0, one, live, 0, 1) }},
+		{"signal word", "put_signal", false, func(pe *PE, gone, live Sym) { pe.PutSignalNBI(1, live, 0, one, gone, 0, 1); pe.Quiet() }},
+		{"atomic", "fetch_add", false, func(pe *PE, gone, _ Sym) { pe.FetchAdd(1, gone, 0, 1) }},
+		{"atomic swap", "swap", false, func(pe *PE, gone, _ Sym) { pe.AtomicSet(1, gone, 0, 1) }},
+		{"atomic bitwise", "fetch_xor", false, func(pe *PE, gone, _ Sym) { pe.FetchXor(1, gone, 0, 1) }},
+		{"stat atomic", "swap", false, func(pe *PE, gone, _ Sym) { pe.SwapStat(1, gone, 0, 1) }},
+		{"stat cas", "compare_swap", false, func(pe *PE, gone, _ Sym) { pe.CompareSwapStat(1, gone, 0, 0, 0) }},
+		{"wait", "wait_until", false, func(pe *PE, gone, _ Sym) { pe.WaitUntil64(gone, 0, CmpEQ, 0) }},
+		{"signal wait", "signal_wait_until", false, func(pe *PE, gone, _ Sym) { pe.SignalWaitUntil(gone, 0, CmpEQ, 0) }},
+		{"stat wait", "signal_wait_until", false, func(pe *PE, gone, _ Sym) { pe.WaitUntilStat(gone, 0, CmpEQ, 0, 1) }},
+		{"set and clear lock", "compare_swap", false, func(pe *PE, gone, _ Sym) { pe.SetLock(gone, 0); pe.ClearLock(gone, 0) }},
+		{"test lock", "compare_swap", false, func(pe *PE, gone, _ Sym) {
+			if pe.TestLock(gone, 0) {
+				pe.ClearLock(gone, 0)
+			}
+		}},
+		{"ptr", "shmem_ptr", false, func(pe *PE, gone, _ Sym) { pe.Ptr(gone, 1) }},
+		{"broadcast", "put_signal", true, func(pe *PE, gone, _ Sym) { pe.Broadcast(0, gone, 8) }},
+		{"reduction", "get", true, func(pe *PE, gone, live Sym) { ToAll[int64](pe, OpSum, gone, live, 1) }},
+		{"fcollect", "put", true, func(pe *PE, gone, live Sym) { FCollect[int64](pe, gone, live, 1) }},
+	}
+	run := func(every bool, use func(pe *PE, gone, live Sym)) error {
+		return Run(sanCfg(), 2, func(pe *PE) {
+			gone, live := pe.Malloc(64), pe.Malloc(64)
+			pe.Free(gone)
+			if every || pe.MyPE() == 0 {
+				use(pe, gone, live)
+			}
+			pe.Barrier()
+			pe.Free(live)
+		})
+	}
+	if err := run(true, func(*PE, Sym, Sym) {}); err != nil {
+		t.Fatalf("the harness alone is not clean: %v", err)
+	}
+	for _, c := range cases {
+		err := run(c.every, c.use)
+		want := "sanitizer: bad-handle (PE 0): " + c.op + " through handle {Off: 64, Size: 64}"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Run = %v, want %q", c.family, err, want)
+		}
+	}
+}

@@ -159,6 +159,7 @@ func (pe *PE) pairs() int {
 // use Put. The paper lists exploiting shmem_ptr for intra-node load/store as
 // future work (§VII).
 func (pe *PE) Ptr(sym Sym, target int) []byte {
+	pe.p.CheckHandle("shmem_ptr", sym.Off, sym.Size)
 	if !pe.intra(target) {
 		return nil
 	}

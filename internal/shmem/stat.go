@@ -68,7 +68,7 @@ func (pe *PE) barrierStat(act pgas.ReleaseFunc, arg int64, further int) error {
 // cannot know the target died without waiting out the protocol.
 func (pe *PE) SwapStat(target int, sym Sym, idx int, v int64) (int64, bool) {
 	pe.checkTarget(target)
-	off := pe.wordOff(sym, idx)
+	off := pe.wordOff("swap", sym, idx)
 	vis := pe.amoClock(target)
 	old, ok := pe.world.pw.RMW64Stat(target, off, pgas.OpSwap, uint64(v), vis)
 	return int64(old), ok
@@ -77,7 +77,7 @@ func (pe *PE) SwapStat(target int, sym Sym, idx int, v int64) (int64, bool) {
 // CompareSwapStat is CompareSwap with fault status, like SwapStat.
 func (pe *PE) CompareSwapStat(target int, sym Sym, idx int, expected, desired int64) (int64, bool) {
 	pe.checkTarget(target)
-	off := pe.wordOff(sym, idx)
+	off := pe.wordOff("compare_swap", sym, idx)
 	vis := pe.amoClock(target)
 	old, ok := pe.world.pw.CompareSwap64Stat(target, off, uint64(expected), uint64(desired), vis)
 	return int64(old), ok

@@ -62,7 +62,7 @@ const (
 // write that satisfied the condition is (virtually) visible, merging its
 // timestamp into the PE's clock.
 func (pe *PE) WaitUntil64(sym Sym, idx int, cmp Cmp, value int64) {
-	_, ts := pe.p.WaitWord(sym.At(int64(idx)*8), cmp, value)
+	_, ts := pe.p.WaitWord(pe.wordOff("wait_until", sym, idx), cmp, value)
 	pe.p.Clock.MergeAtLeast(ts)
 	pe.p.Clock.Advance(pe.world.prof.OverheadNs) // poll loop exit cost
 }
@@ -74,7 +74,7 @@ func (pe *PE) WaitUntil64(sym Sym, idx int, cmp Cmp, value int64) {
 // producer's data is visible once the signal is (signal-mediated completion),
 // so neither side needs a barrier or a global quiet.
 func (pe *PE) SignalWaitUntil(sig Sym, idx int, cmp Cmp, value int64) int64 {
-	got, ts := pe.p.WaitWord(sig.At(int64(idx)*8), cmp, value)
+	got, ts := pe.p.WaitWord(pe.wordOff("signal_wait_until", sig, idx), cmp, value)
 	pe.p.Clock.MergeAtLeast(ts)
 	pe.p.Clock.Advance(pe.world.prof.OverheadNs)
 	return got
@@ -88,7 +88,7 @@ func (pe *PE) SignalWaitUntil(sig Sym, idx int, cmp Cmp, value int64) int64 {
 // producer died afterwards — the data it advertises is already delivered.
 // The last observed signal value is returned in both cases.
 func (pe *PE) WaitUntilStat(sig Sym, idx int, cmp Cmp, value int64, producers ...int) (int64, error) {
-	got, ts, err := pe.p.WaitWordStat(sig.At(int64(idx)*8), cmp, value, func() error {
+	got, ts, err := pe.p.WaitWordStat(pe.wordOff("signal_wait_until", sig, idx), cmp, value, func() error {
 		var failed []int
 		for _, pr := range producers {
 			if pe.world.pw.Failed(pr) || pe.world.pw.Unreachable(pr, pe.p.ID) {
