@@ -3,7 +3,7 @@
 # structural gates, race and shuffled tests, fuzz smokes and the claims gate.
 # Run from the module root. `./check.sh fast` stops after the fast tier: build,
 # vet, the gofmt, unsafe, host-clock, one-issue-core, one-funnel, one-checker,
-# word-offset, one-engine, inline and bounds-check gates, the gates on the
+# one-lock, word-offset, one-engine, inline and bounds-check gates, the gates on the
 # write path and the deadlock loop (about half a minute).
 set -eu
 
@@ -94,6 +94,17 @@ caps=$(awk '/^type Caps struct/ { body = 1 } body && /^}/ { body = 0 } body' int
 if [ -n "$drains" ] || [ -n "$caps" ]; then
     echo "check.sh: no library drains a stream set itself and caf.Caps declares no Sanitizer; found:" >&2
     printf '%s\n' "$drains" "$caps" >&2
+    exit 1
+fi
+
+echo "==> one-lock gate (the repairable MCS lock is the only MCS lock and the failed-image machinery has no switch: no second lock file, no mode knob, one tracer kind per operation; DESIGN.md \"Fault model\")"
+# get_stat is the lock repair's forensic read, an operation of its own; every
+# other STAT form records its plain twin's kind.
+knob='\b(FaultTolerant|ftMode|ftQnodeBytes)\b|"[A-Za-z0-9_]*_stat"'
+onelock=$(grep -rn --include='*.go' --exclude='*_test.go' -E "$knob" . | grep -v -e '^\./benchmark/' -e '^\./\.bench_build/' | sed 's/"get_stat"//g' | grep -E "$knob" || true)
+if [ -n "$onelock" ] || [ -e internal/caf/lockstat.go ]; then
+    echo "check.sh: one MCS lock, always repairable, and no fault-tolerance switch; found (or internal/caf/lockstat.go exists):" >&2
+    printf '%s\n' "$onelock" >&2
     exit 1
 fi
 

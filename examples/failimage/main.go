@@ -49,10 +49,9 @@ func main() {
 		mu.Unlock()
 	}
 
-	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
-	opts.FaultTolerant = true // enable the repairable lock + STAT machinery
-
-	err := caf.Run(images, opts, func(img *caf.Image) {
+	// The default options suffice: the lock is always repairable and the
+	// STAT forms always report failed images.
+	err := caf.Run(images, caf.UHCAFOverCraySHMEM(fabric.CrayXC30()), func(img *caf.Image) {
 		me := img.ThisImage()
 		tbl := dht.New(img, 32)
 

@@ -115,7 +115,7 @@ func TestAllocationProtocolClocksArePinned(t *testing.T) {
 	}
 }
 
-// Under FaultTolerant the survivors of an image that failed before the
+// The survivors of an image that failed before the
 // collective allocation get one handle, the failure as status and one clock —
 // those of the parent commit — and the allocator moved once: the next
 // allocation lies right behind the first.
@@ -135,7 +135,6 @@ func TestAllocateStatAmongSurvivorsIsPinned(t *testing.T) {
 		{"stopped before", func(*Image) {}, outcome{1049728, 1050560, StatStoppedImage, 19167}},
 	} {
 		o := fractional(shmemOpts())
-		o.FaultTolerant = true
 		var mu sync.Mutex
 		got := map[int]outcome{}
 		err := Run(n, o, func(img *Image) {
@@ -208,11 +207,9 @@ func TestAllocationIsOneRendezvous(t *testing.T) {
 // asserted holds for either order.)
 func TestAllocateStatReleasedByADeparture(t *testing.T) {
 	const n = 5
-	o := shmemOpts()
-	o.FaultTolerant = true
 	var mu sync.Mutex
 	offs := map[int64]int{}
-	err := Run(n, o, func(img *Image) {
+	err := Run(n, shmemOpts(), func(img *Image) {
 		img.SyncAll()
 		if img.ThisImage() == 3 {
 			base := img.Metrics().Sleeps

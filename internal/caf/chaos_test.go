@@ -203,7 +203,6 @@ func TestChaosLockContended(t *testing.T) {
 func TestLockTakeoverAfterHolderFailure(t *testing.T) {
 	const n = 4
 	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
-	opts.FaultTolerant = true
 	stats := make([]caf.Stat, n)
 	takeovers := make([]int64, n)
 	var finalCounter int64
@@ -268,7 +267,6 @@ func TestLockTakeoverAfterHolderFailure(t *testing.T) {
 func TestLockHomeFailure(t *testing.T) {
 	const n = 3
 	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
-	opts.FaultTolerant = true
 	var releaseStat, acquireStat caf.Stat
 	err := caf.Run(n, opts, func(img *caf.Image) {
 		me := img.ThisImage()
@@ -458,7 +456,6 @@ func TestChaosHimeno(t *testing.T) {
 func TestFailedImagesIntrinsics(t *testing.T) {
 	const n = 3
 	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
-	opts.FaultTolerant = true
 	var listed []int
 	var status caf.Stat
 	err := caf.Run(n, opts, func(img *caf.Image) {
@@ -483,6 +480,75 @@ func TestFailedImagesIntrinsics(t *testing.T) {
 	}
 	if status != caf.StatFailedImage {
 		t.Errorf("ImageStatus(3) = %v, want STAT_FAILED_IMAGE", status)
+	}
+}
+
+// TestStatFormsReportFailedImageByDefault: with the default options and no
+// fault plan, every STAT form observes a FAIL IMAGE the program executes
+// itself. Image 2 fails; image 1's synchronisations report it, and its
+// acquire queued behind the dead holder takes the lock over.
+func TestStatFormsReportFailedImageByDefault(t *testing.T) {
+	const n = 3
+	failTwo := func(img *caf.Image) {
+		if img.ThisImage() == 2 {
+			img.FailImage()
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		body      func(img *caf.Image) caf.Stat // image 1's result is checked
+		want      caf.Stat
+		takeovers int64
+	}{
+		{"SyncAllStat", func(img *caf.Image) caf.Stat {
+			failTwo(img)
+			return img.SyncAllStat()
+		}, caf.StatFailedImage, 0},
+		{"SyncImagesStat", func(img *caf.Image) caf.Stat {
+			failTwo(img)
+			return img.SyncImagesStat(2)
+		}, caf.StatFailedImage, 0},
+		{"Signal.WaitStat", func(img *caf.Image) caf.Stat {
+			sig := caf.NewSignal(img)
+			failTwo(img)
+			return sig.WaitStat(2)
+		}, caf.StatFailedImage, 0},
+		{"Lock.AcquireStat", func(img *caf.Image) caf.Stat {
+			lck := caf.NewLock(img)
+			ready := caf.Allocate[int64](img, 1)
+			img.SyncAll()
+			switch img.ThisImage() {
+			case 2:
+				lck.AcquireStat(1)
+				ready.PutElem(1, 1, 0)
+				img.FailImage()
+			case 3:
+				return caf.StatOK
+			}
+			ready.WaitLocal(pgas.CmpEQ, 1, 0)
+			s := lck.AcquireStat(1)
+			if s == caf.StatOK {
+				s = lck.ReleaseStat(1)
+			}
+			return s
+		}, caf.StatOK, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got caf.Stat
+			var takeovers int64
+			err := caf.Run(n, caf.UHCAFOverCraySHMEM(fabric.CrayXC30()), func(img *caf.Image) {
+				s := tc.body(img)
+				if img.ThisImage() == 1 {
+					got, takeovers = s, img.Stats.LockTakeovers
+				}
+			})
+			if err != nil {
+				t.Fatalf("run errored: %v", err)
+			}
+			if got != tc.want || takeovers != tc.takeovers {
+				t.Errorf("image 1: %v with %d lock takeovers, want %v with %d", got, takeovers, tc.want, tc.takeovers)
+			}
+		})
 	}
 }
 
@@ -592,39 +658,28 @@ func TestChaosNBIPutAsync(t *testing.T) {
 }
 
 // TestChaosRejectsNonSHMEMTransports pins the chaos suite's transport
-// boundary: fault plans (and FaultTolerant alone) are an OpenSHMEM-transport
-// feature — the STAT plumbing lives in the shmem mapping — so a job that
-// pairs one with the GASNet or MPI-3 backend must be rejected up front with
-// the documented error, not die somewhere inside the run.
+// boundary: fault plans are an OpenSHMEM-transport feature — the library's
+// STAT-bearing primitives live in the shmem mapping — so a job that pairs one
+// with the GASNet or MPI-3 backend must be rejected up front with the
+// documented error, not die somewhere inside the run.
 func TestChaosRejectsNonSHMEMTransports(t *testing.T) {
 	plan := fabric.RandomPlan(3, 4, 1, 2000, 60000)
 	for _, tc := range []struct {
-		name string
-		tr   caf.TransportKind
+		name    string
+		tr      caf.TransportKind
+		profile string
 	}{
-		{"gasnet", caf.TransportGASNet},
-		{"mpi3", caf.TransportMPI3},
+		{"gasnet", caf.TransportGASNet, fabric.ProfGASNetIBV},
+		{"mpi3", caf.TransportMPI3, fabric.ProfMV2XMPI3},
 	} {
-		for _, mode := range []string{"faultplan", "faulttolerant"} {
-			t.Run(tc.name+"/"+mode, func(t *testing.T) {
-				opts := caf.Options{Machine: fabric.Stampede(), Transport: tc.tr}
-				if tc.tr == caf.TransportGASNet {
-					opts.Profile = fabric.ProfGASNetIBV
-				} else {
-					opts.Profile = fabric.ProfMV2XMPI3
-				}
-				if mode == "faultplan" {
-					opts.FaultPlan = plan
-				} else {
-					opts.FaultTolerant = true
-				}
-				err := caf.Run(4, opts, func(img *caf.Image) {
-					t.Error("image body ran despite the rejected transport/fault combination")
-				})
-				if err == nil || !strings.Contains(err.Error(), "require the OpenSHMEM transport") {
-					t.Fatalf("want transport rejection error, got %v", err)
-				}
+		t.Run(tc.name+"/faultplan", func(t *testing.T) {
+			opts := caf.Options{Machine: fabric.Stampede(), Transport: tc.tr, Profile: tc.profile, FaultPlan: plan}
+			err := caf.Run(4, opts, func(img *caf.Image) {
+				t.Error("image body ran despite the rejected transport/fault combination")
 			})
-		}
+			if err == nil || !strings.Contains(err.Error(), "require the OpenSHMEM transport") {
+				t.Fatalf("want transport rejection error, got %v", err)
+			}
+		})
 	}
 }

@@ -37,13 +37,11 @@ func Allocate[T pgas.Elem](img *Image, shape ...int) *Coarray[T] {
 // "allocate(x(shape)[*], stat=...)". When images have failed, the collective
 // allocation still completes identically on every survivor (so their heaps
 // stay symmetric) and the condition is reported as StatFailedImage; the
-// returned coarray is usable by the survivors. Without fault support it is
+// returned coarray is usable by the survivors. In a fault-free world it costs
 // exactly Allocate.
 func AllocateStat[T pgas.Elem](img *Image, shape ...int) (*Coarray[T], Stat) {
-	if img.ftMode {
-		img.pollFault()
-	}
-	return allocate[T](img, shape, img.ftMode)
+	img.pollFault()
+	return allocate[T](img, shape, true)
 }
 
 func allocate[T pgas.Elem](img *Image, shape []int, stat bool) (*Coarray[T], Stat) {

@@ -11,12 +11,13 @@ import (
 // runtime). The paper's UHCAF maps Fortran 2008; Fortran 2018 added FAIL
 // IMAGE, STAT_FAILED_IMAGE/STAT_STOPPED_IMAGE, failed_images() and
 // image_status(), so that programs can observe image failure as a status
-// instead of hanging. This file provides that surface on top of the
-// OpenSHMEM mapping (Caps.FaultStat; other transports reject the fault
-// options, and without them the STAT forms are their plain siblings): the
-// pgas substrate freezes a failed image's partition and its clock, the shmem
-// layer exposes STAT-bearing primitives, and the runtime here translates them
-// into Fortran's constants.
+// instead of hanging. This file provides that surface, always on: the pgas
+// substrate freezes a failed image's partition and its clock, the shmem layer
+// exposes STAT-bearing primitives, the runtime here translates them into
+// Fortran's constants, and the lock (lock.go) repairs its queue. In a
+// fault-free world every STAT form costs exactly its plain sibling. Only fault
+// injection is transport-bound: a FaultPlan needs Caps.FaultStat (the
+// OpenSHMEM mapping).
 //
 // Faults are injected deterministically: an image dies when its own virtual
 // clock first reaches its scheduled kill time at a runtime operation boundary
@@ -175,10 +176,6 @@ func (img *Image) pollFault() {
 // termination. Once any image has failed, every subsequent sync returns
 // StatFailedImage (the condition is sticky, as in the standard).
 func (img *Image) SyncAllStat() Stat {
-	if !img.ftMode {
-		img.SyncAll()
-		return StatOK
-	}
 	img.pollFault()
 	img.quietTolerant()
 	img.Stats.Barriers++
@@ -209,10 +206,6 @@ func (img *Image) linkDown(j int) bool {
 // fail while awaited contribute their status and their pending signal count
 // is left unconsumed.
 func (img *Image) SyncImagesStat(list ...int) Stat {
-	if !img.ftMode {
-		img.SyncImages(list...)
-		return StatOK
-	}
 	img.pollFault()
 	img.quietTolerant()
 	me := img.ThisImage()

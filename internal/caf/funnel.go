@@ -131,23 +131,19 @@ func (op *rmaOp) dir() int {
 
 // atomic applies one remote atomic to the 64-bit word at (target, off) — op
 // with operand a, or opCAS storing b iff the word equals a — and returns the
-// previous value. With stat (fault-tolerant mode only) a failed target leaves
-// ok false.
-func (img *Image) atomic(op pgas.AtomicOp, target int, off, a, b int64, stat bool) (old int64, ok bool) {
+// previous value. A swap or compare-and-swap on a failed target leaves ok
+// false.
+func (img *Image) atomic(op pgas.AtomicOp, target int, off, a, b int64) (old int64, ok bool) {
 	img.Stats.Atomics++
 	start := img.traceStart()
-	old, ok = img.be.atomic(op, target, off, a, b, stat)
-	kind := "amo"
-	if stat {
-		kind = "amo_stat"
-	}
-	img.trace(kind, target, 8, start)
+	old, ok = img.be.atomic(op, target, off, a, b)
+	img.trace("amo", target, 8, start)
 	return old, ok
 }
 
-// amo is atomic without STAT.
+// amo is atomic for callers with no failed target to report.
 func (img *Image) amo(op pgas.AtomicOp, target int, off, a, b int64) int64 {
-	old, _ := img.atomic(op, target, off, a, b, false)
+	old, _ := img.atomic(op, target, off, a, b)
 	return old
 }
 
@@ -160,18 +156,12 @@ func (img *Image) complete(target int, stat bool) error {
 	if !img.caps.PerImage {
 		target = -1
 	}
-	stat = stat && img.caps.FaultStat
 	img.Stats.Quiets++
 	start := img.traceStart()
 	err := img.be.complete(target, stat)
 	kind := "quiet"
-	switch {
-	case target >= 0 && stat:
-		kind = "quiet_image_stat"
-	case target >= 0:
+	if target >= 0 {
 		kind = "quiet_image"
-	case stat:
-		kind = "quiet_stat"
 	}
 	img.trace(kind, target, 0, start)
 	return err
@@ -191,16 +181,12 @@ func (img *Image) maybeQuiet() {
 // barrier synchronises all images with completion semantics.
 func (img *Image) barrier() { _ = img.rendezvous(false) } // no stat: nothing to report
 
-// rendezvous is barrier; with stat (fault-tolerant mode only) it completes
-// among the survivors and returns the failed.
+// rendezvous is barrier; with stat it completes among the survivors and
+// returns the failed.
 func (img *Image) rendezvous(stat bool) error {
 	start := img.traceStart()
 	err := img.be.barrier(stat)
-	kind := "barrier"
-	if stat {
-		kind = "barrier_stat"
-	}
-	img.trace(kind, -1, 0, start)
+	img.trace("barrier", -1, 0, start)
 	return err
 }
 
@@ -208,9 +194,9 @@ func (img *Image) rendezvous(stat bool) error {
 // (shmem_wait_until's typed form), adopting the causal timestamp of the
 // satisfying write.
 func (img *Image) wait(off int64, cmp pgas.Cmp, operand int64) {
-	start := img.traceStart()
-	_, ts := img.local.WaitWord(off, cmp, operand)
-	img.waited(ts, "wait", start)
+	if err := img.waitStat(off, cmp, operand, nil); err != nil {
+		panic(err) // poisoned world
+	}
 }
 
 // waitStat is wait with a fault hook: onEvent runs at every wake-up and a
@@ -221,15 +207,10 @@ func (img *Image) waitStat(off int64, cmp pgas.Cmp, operand int64, onEvent func(
 	if err != nil {
 		return err
 	}
-	img.waited(ts, "wait_stat", start)
-	return nil
-}
-
-// waited adopts the satisfying write's timestamp ts and charges the wake-up.
-func (img *Image) waited(ts float64, kind string, start float64) {
 	img.local.Clock.MergeAtLeast(ts)
 	img.local.Clock.Advance(img.prof.OverheadNs)
-	img.trace(kind, -1, 0, start)
+	img.trace("wait", -1, 0, start)
+	return nil
 }
 
 // putWord writes one 64-bit control word into image index target's (0-based)

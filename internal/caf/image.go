@@ -62,11 +62,8 @@ type Image struct {
 	// image currently holds — the hash table of §IV-D.
 	held map[lockKey]int64
 
-	// Failed-image support (fail.go). ftMode selects the repairable lock
-	// protocol and the STAT-bearing library calls (Options.FaultTolerant, which
-	// needs Caps.FaultStat); hasKill/killAt carry this image's scheduled
-	// fault-injection time from the Options.FaultPlan.
-	ftMode  bool
+	// Failed-image support (fail.go): hasKill/killAt carry this image's
+	// scheduled fault-injection time from the Options.FaultPlan.
 	hasKill bool
 	killAt  float64
 	dead    bool // FailImage ran: the goroutine is unwinding (see checkAlive)
@@ -167,7 +164,6 @@ func newImage(be backend, shm *shmem.PE, opts Options) *Image {
 		local:    be.local(),
 		held:     map[lockKey]int64{},
 		syncSeen: map[int]int64{},
-		ftMode:   opts.FaultTolerant,
 	}
 	if at, ok := opts.FaultPlan.KillTime(img.local.ID); ok {
 		img.hasKill, img.killAt = true, at

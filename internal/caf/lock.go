@@ -1,6 +1,7 @@
 package caf
 
 import (
+	"errors"
 	"fmt"
 
 	"cafshmem/internal/pgas"
@@ -26,6 +27,33 @@ import (
 // Qnodes live in the pre-allocated non-symmetric buffer; an image holding M
 // locks has M (+1 while acquiring) live qnodes, tracked in the held-lock
 // hash table keyed by (lock, image) — exactly the bookkeeping of §IV-D.
+//
+// The queue is repairable after FAIL IMAGE (fail.go). Each qnode records, in
+// a third word, which node its image enqueued behind:
+//
+//	[0:8]   locked flag (1 = waiting, 0 = holds/held the lock)
+//	[8:16]  packed next pointer (filled by the successor's link put)
+//	[16:24] packed prev pointer (stored locally at enqueue)
+//
+// A failed image's partition freezes, so its qnodes become forensically
+// readable tombstones: locked==0 identifies a node that held (or had been
+// granted) the lock at death, and prev preserves the queue order. Two
+// properties make recovery tractable:
+//
+//   - An image blocked waiting for a lock cannot fail: faults fire only at an
+//     image's own operation boundaries, and a blocked image executes none. So
+//     dead nodes in the queue are only ever dead *holders*.
+//   - There are no fault points between a contender's tail swap and its link
+//     put, so a node that swapped in always links itself before it can die.
+//
+// Recovery is therefore a short walk: a waiter woken while images have
+// failed inspects its predecessor — alive means a grant is still coming;
+// dead with locked==0 means every node between the lock and this waiter is
+// gone, and the waiter inherits the lock (a takeover). The lock stays live
+// for the survivors; only the death of the lock variable's *home* image
+// (which holds the tail word) retires it, surfacing as StatFailedImage from
+// then on. In a fault-free world none of this charges anything: the third
+// word and the self-mark are local stores, and the repair hook never fires.
 type Lock struct {
 	img *Image
 	off int64 // symmetric offset: word 0 = MCS tail / spin word, word 1 = vendor state
@@ -37,12 +65,15 @@ type lockKey struct {
 	image int
 }
 
-const qnodeBytes = 16 // [0:8] locked flag, [8:16] packed next pointer
+const qnodeBytes = 24 // [0:8] locked flag, [8:16] packed next, [16:24] packed prev
 
 // qnodeInit is the image of a freshly enqueued qnode — locked := 1 and every
-// pointer word nil — long enough for the fault-tolerant layout (lockstat.go).
-// Read-only: StoreLocal copies out of it.
-var qnodeInit = [ftQnodeBytes]byte{0: 1}
+// pointer word nil — and qnodeGranted that of a node born holding the lock.
+// Read-only: StoreLocal copies out of them.
+var (
+	qnodeInit    = [qnodeBytes]byte{0: 1}
+	qnodeGranted [qnodeBytes]byte
+)
 
 // vendorLockOverheadNs is the calibrated extra bookkeeping the Cray CAF lock
 // path pays per acquisition relative to the paper's MCS adaptation.
@@ -74,8 +105,22 @@ func (l *Lock) Holds(j int) bool {
 
 // Acquire executes "lock(lck[j])", blocking until the lock instance at image
 // j (1-based) is held. Acquiring a lock this image already holds is an error
-// condition in the standard and panics here.
+// condition in the standard and panics here; so, without a STAT specifier, is
+// involvement of a failed image — a world-poisoning panic instead of a hang.
 func (l *Lock) Acquire(j int) {
+	if stat := l.acquire(j); stat != StatOK {
+		panic(fmt.Sprintf("caf: lock(lck[%d]) involving failed image without stat=: %v", j, stat))
+	}
+}
+
+// AcquireStat executes "lock(lck[j], stat=...)": like Acquire, but if the
+// lock's home image j has failed the acquisition is abandoned with
+// StatFailedImage instead of error termination, and a failed previous holder
+// is recovered from transparently (the takeover path). StatOK means the lock
+// is held.
+func (l *Lock) AcquireStat(j int) Stat { return l.acquire(j) }
+
+func (l *Lock) acquire(j int) Stat {
 	img := l.img
 	img.pollFault()
 	img.checkImage(j)
@@ -87,17 +132,22 @@ func (l *Lock) Acquire(j int) {
 	case LockNaiveSpin, LockGlobalArray:
 		l.spinAcquire(j)
 		img.held[key] = -1
-	case LockVendor:
-		// The Cray CAF lock path is closed source; we model it as the same
-		// queueing discipline plus per-acquisition software bookkeeping,
-		// calibrated against the paper's Fig 8/9 gaps (~22%/28%).
-		img.Clock().Advance(vendorLockOverheadNs)
-		img.held[key] = l.mcsAcquireAny(j)
 	default:
-		img.held[key] = l.mcsAcquireAny(j)
+		if img.opts.Locks == LockVendor {
+			// The Cray CAF lock path is closed source; we model it as the same
+			// queueing discipline plus per-acquisition software bookkeeping,
+			// calibrated against the paper's Fig 8/9 gaps (~22%/28%).
+			img.Clock().Advance(vendorLockOverheadNs)
+		}
+		qOff, stat := l.mcsAcquire(j)
+		if stat != StatOK {
+			return stat
+		}
+		img.held[key] = qOff
 	}
 	img.Stats.LocksAcquired++
 	img.local.NoteLockAcquired("caf.lock", l.off, j, true)
+	return StatOK
 }
 
 // TryAcquire executes "lock(lck[j], acquired_lock=ok)": it attempts the lock
@@ -112,130 +162,217 @@ func (l *Lock) TryAcquire(j int) bool {
 	}
 	switch img.opts.Locks {
 	case LockNaiveSpin, LockGlobalArray:
-		if l.spinTry(j) {
-			img.held[key] = -1
-			img.Stats.LocksAcquired++
-			img.local.NoteLockAcquired("caf.lock", l.off, j, false)
-			return true
+		if !l.spinTry(j) {
+			return false
 		}
-		return false
+		img.held[key] = -1
 	default:
-		nBytes := int64(qnodeBytes)
-		if img.ftMode {
-			nBytes = ftQnodeBytes
-		}
-		qOff := img.AllocNonSymmetric(nBytes)
-		p := img.local
-		// locked := 0 (an uncontended try-acquire holds the lock at once, so
-		// the node is born a holder), next/prev := nil.
-		p.StoreLocal(qOff, make([]byte, nBytes))
+		qOff := img.AllocNonSymmetric(qnodeBytes)
+		// An uncontended try-acquire holds the lock at once, so the node is
+		// born a holder: locked := 0, next/prev := nil.
+		img.local.StoreLocal(qOff, qnodeGranted[:])
 		myRef := PackRef(img.ThisImage(), qOff, 1)
-		old, ok := img.atomic(opCAS, j-1, l.off, 0, int64(myRef), img.ftMode)
+		old, ok := img.atomic(opCAS, j-1, l.off, 0, int64(myRef))
 		if !ok {
-			img.FreeNonSymmetric(qOff, nBytes)
+			img.FreeNonSymmetric(qOff, qnodeBytes)
 			panic(fmt.Sprintf("caf: lock(lck[%d]) involving failed image %d without stat=", j, j))
 		}
 		if old != 0 {
-			img.FreeNonSymmetric(qOff, nBytes)
+			img.FreeNonSymmetric(qOff, qnodeBytes)
 			return false
 		}
 		img.held[key] = qOff
-		img.Stats.LocksAcquired++
-		img.local.NoteLockAcquired("caf.lock", l.off, j, false)
-		return true
 	}
+	img.Stats.LocksAcquired++
+	img.local.NoteLockAcquired("caf.lock", l.off, j, false)
+	return true
 }
 
 // Release executes "unlock(lck[j])". Releasing a lock this image does not
-// hold is an error condition and panics.
+// hold is an error condition and panics; so, without a STAT specifier, is
+// the death of the lock's home image.
 func (l *Lock) Release(j int) {
+	l.img.checkAlive()
+	if stat := l.release(j); stat != StatOK {
+		panic(fmt.Sprintf("caf: unlock(lck[%d]) involving failed image without stat=: %v", j, stat))
+	}
+}
+
+// ReleaseStat executes "unlock(lck[j], stat=...)". StatFailedImage reports
+// that the lock variable's home image is gone — the lock was still handed to
+// any already-queued successor, but no image can enqueue on it again.
+func (l *Lock) ReleaseStat(j int) Stat {
+	l.img.pollFault()
+	return l.release(j)
+}
+
+func (l *Lock) release(j int) Stat {
 	img := l.img
-	img.checkAlive()
 	img.checkImage(j)
 	key := lockKey{l.off, j}
 	qOff, held := img.held[key]
 	if !held {
 		panic(fmt.Sprintf("caf: image %d releasing lock[%d] it does not hold", img.ThisImage(), j))
 	}
+	stat := StatOK
 	switch img.opts.Locks {
 	case LockNaiveSpin, LockGlobalArray:
 		l.spinRelease(j)
-	case LockVendor:
-		l.mcsReleaseAny(j, qOff)
 	default:
-		l.mcsReleaseAny(j, qOff)
+		stat = l.mcsRelease(j, qOff)
 	}
 	delete(img.held, key)
 	img.Stats.LocksReleased++
 	img.local.NoteLockReleased("caf.lock", l.off, j)
-}
-
-// mcsAcquireAny dispatches between the classic two-word MCS protocol and the
-// repairable ftMode protocol. Without a STAT specifier, involvement of a
-// failed image in a LOCK statement is error termination, as the standard
-// requires — rendered here as a world-poisoning panic instead of a hang.
-func (l *Lock) mcsAcquireAny(j int) int64 {
-	if l.img.ftMode {
-		qOff, stat := l.ftAcquire(j)
-		if stat != StatOK {
-			panic(fmt.Sprintf("caf: lock(lck[%d]) involving failed image without stat=: %v", j, stat))
-		}
-		return qOff
-	}
-	return l.mcsAcquire(j)
-}
-
-func (l *Lock) mcsReleaseAny(j int, qOff int64) {
-	if l.img.ftMode {
-		if stat := l.ftRelease(j, qOff); stat != StatOK {
-			panic(fmt.Sprintf("caf: unlock(lck[%d]) involving failed image without stat=: %v", j, stat))
-		}
-		return
-	}
-	l.mcsRelease(j, qOff)
+	return stat
 }
 
 // --- MCS queue lock (§IV-D) ---
 
-func (l *Lock) mcsAcquire(j int) int64 {
+// mcsAcquire returns the local qnode offset and StatOK when the lock is held,
+// or StatFailedImage (no qnode) when the home image is dead.
+func (l *Lock) mcsAcquire(j int) (int64, Stat) {
 	img := l.img
+	pw := img.local.World()
 
 	qOff := img.AllocNonSymmetric(qnodeBytes)
-	// locked := 1, next := nil — before publishing the node.
-	img.local.StoreLocal(qOff, qnodeInit[:qnodeBytes])
+	// locked := 1, next := nil, prev := nil — before publishing the node.
+	img.local.StoreLocal(qOff, qnodeInit[:])
 
 	myRef := PackRef(img.ThisImage(), qOff, 1)
-	prev := RemoteRef(img.amo(pgas.OpSwap, j-1, l.off, int64(myRef), 0))
-	if !prev.IsNil() {
-		// Link into the predecessor's next field, then spin locally until the
-		// predecessor hands the lock over.
-		img.putWord(prev.Image()-1, prev.Offset()+8, uint64(myRef))
-		img.quiet()
-		img.wait(qOff, pgas.CmpEQ, 0)
+	prevRaw, ok := img.atomic(pgas.OpSwap, j-1, l.off, int64(myRef), 0)
+	if !ok {
+		img.FreeNonSymmetric(qOff, qnodeBytes)
+		return 0, StatFailedImage
 	}
-	return qOff
+	prev := RemoteRef(prevRaw)
+	// Record the queue order locally; if this image later dies holding the
+	// lock, the frozen prev chain is what successors' repair walks read.
+	img.storeLocalWord(qOff+16, uint64(prev))
+	if prev.IsNil() {
+		// Uncontended: we hold the lock. Self-mark granted so a frozen holder
+		// node always reads locked==0 — the tombstone the repair walk keys on.
+		img.storeLocalWord(qOff, 0)
+		return qOff, StatOK
+	}
+	// Link into the predecessor's next field. If the predecessor died holding
+	// the lock after our swap, the put lands on (or is dropped by) a frozen
+	// partition — harmless either way, because repair reads only locked/prev.
+	img.putWord(prev.Image()-1, prev.Offset()+8, uint64(myRef))
+	img.quiet()
+
+	// Local spin with a repair hook: a wake-up that observes more failures
+	// than the last repair walk handled hands control back
+	// (pgas.ErrWaitRecheck) so the frozen queue can be inspected outside the
+	// partition lock. The watermark — not a per-wait call counter — matters:
+	// failures that happened *before* this wait began (watermark 0 < count)
+	// must trigger a walk on entry, or a waiter enqueued behind an
+	// already-dead holder sleeps forever; failures already walked must not
+	// retrigger, or a waiter behind a live ancestor busy-spins.
+	handled := 0
+	for {
+		err := img.waitStat(qOff, pgas.CmpEQ, 0, func() error {
+			if pw.FailedCount() > handled {
+				return pgas.ErrWaitRecheck
+			}
+			return nil
+		})
+		if err == nil {
+			return qOff, StatOK // granted by the predecessor
+		}
+		if !errors.Is(err, pgas.ErrWaitRecheck) {
+			panic(err) // poisoned world (deadlock, unrelated panic)
+		}
+		// Snapshot before walking: a failure that lands mid-walk may be missed
+		// by the walk but then exceeds the watermark and retriggers it.
+		handled = pw.FailedCount()
+		if l.repairWalk(prev) {
+			// Takeover: the previous holder died and every node between it
+			// and us is dead, so we are the first live successor. Self-grant;
+			// our own next links are intact, so release proceeds normally.
+			img.storeLocalWord(qOff, 0)
+			img.Stats.LockTakeovers++
+			return qOff, StatOK
+		}
+		// A live ancestor still queues before us; its grant will arrive.
+	}
 }
 
-func (l *Lock) mcsRelease(j int, qOff int64) {
+// repairWalk inspects the frozen predecessor chain and reports whether this
+// image should take the lock over. Walks that meet a live predecessor return
+// false without communication (their count is real-time-dependent, so they
+// must be free in virtual time); walks that meet a dead node issue charged
+// forensic reads and end in takeover, which happens at most once per failed
+// holder — keeping chaos-run virtual times deterministic.
+func (l *Lock) repairWalk(prev RemoteRef) bool {
+	img := l.img
+	pw := img.local.World()
+	cur := prev
+	for {
+		if cur.IsNil() {
+			return true // defensive: chain ended without a live owner
+		}
+		owner := cur.Image() - 1
+		if !pw.Failed(owner) {
+			return false // a live ancestor will grant eventually
+		}
+		if img.readWordStat(owner, cur.Offset()) == 0 {
+			return true // frozen holder tombstone: we inherit the lock
+		}
+		// A frozen *waiting* node is unreachable in the current model (a
+		// blocked image cannot execute FAIL IMAGE), but following its
+		// recorded prev keeps the walk correct if that ever changes.
+		cur = RemoteRef(img.readWordStat(owner, cur.Offset()+16))
+	}
+}
+
+func (l *Lock) mcsRelease(j int, qOff int64) Stat {
 	img := l.img
 
 	myRef := PackRef(img.ThisImage(), qOff, 1)
 	// No visible successor? Try to detach the queue.
 	next := RemoteRef(img.localWord(qOff + 8))
+	stat := StatOK
 	if next.IsNil() {
-		old := RemoteRef(img.amo(opCAS, j-1, l.off, int64(myRef), 0))
-		if old == myRef {
+		old, ok := img.atomic(opCAS, j-1, l.off, int64(myRef), 0)
+		switch {
+		case !ok:
+			// The home image died while we held the lock. Its frozen tail
+			// still orders the queue: if it is us, nobody enqueued before the
+			// death (and nobody can after — swaps on a dead home fail), so
+			// the lock retires with its home.
+			if RemoteRef(img.readWordStat(j-1, l.off)) == myRef {
+				img.FreeNonSymmetric(qOff, qnodeBytes)
+				return StatFailedImage
+			}
+			// A successor swapped in before the home died; it will link
+			// itself (no fault points between its swap and its link). Hand
+			// over below, but report the home's death.
+			stat = StatFailedImage
+		case RemoteRef(old) == myRef:
 			img.FreeNonSymmetric(qOff, qnodeBytes)
-			return
+			return StatOK
 		}
-		// A successor is enqueueing; wait for it to link itself.
+		// A successor is enqueueing; wait for it to link itself. It cannot
+		// die mid-protocol, so the link always arrives.
 		img.wait(qOff+8, pgas.CmpNE, 0)
 		next = RemoteRef(img.localWord(qOff + 8))
 	}
-	// Hand over: reset the successor's locked field.
+	// Hand over: reset the successor's locked field. The successor is alive
+	// (blocked images cannot fail), so an ordinary put reaches it.
 	img.putWord(next.Image()-1, next.Offset(), 0)
 	img.quiet()
 	img.FreeNonSymmetric(qOff, qnodeBytes)
+	return stat
+}
+
+// readWordStat is the repair walk's charged forensic read of the 64-bit word
+// at (target, off), which also reads a failed image's frozen partition.
+func (img *Image) readWordStat(target int, off int64) uint64 {
+	op := img.xfer(true, target, off, img.word[:])
+	op.Shape = pgas.Forensic
+	img.issue(op)
+	return pgas.Load[uint64](img.word[:])
 }
 
 // --- Remote-spinning comparators (ablation) ---

@@ -168,16 +168,11 @@ type Options struct {
 	IntraNodeDirect bool
 	// FaultPlan schedules deterministic fault injection (see fabric.FaultPlan
 	// and fail.go): images die at planned virtual times as if they executed
-	// FAIL IMAGE, and links may degrade. A non-empty plan implies
-	// FaultTolerant. Requires the OpenSHMEM transport; nil (the default)
-	// leaves every virtual time and byte identical to a build without fault
-	// support.
+	// FAIL IMAGE, and links may degrade. Requires the OpenSHMEM transport;
+	// nil (the default) schedules nothing and charges nothing. The
+	// failed-image machinery itself — the repairable lock, the STAT forms —
+	// is always on: a program's own FAIL IMAGE needs no plan.
 	FaultPlan *fabric.FaultPlan
-	// FaultTolerant switches the runtime's failed-image machinery on without
-	// scheduling any faults: the MCS lock uses repairable 3-word qnodes and
-	// the STAT-bearing APIs detect real FAIL IMAGE calls. Implied by a
-	// non-empty FaultPlan. Requires the OpenSHMEM transport.
-	FaultTolerant bool
 	// Options is the pgas world's host-side tuning — the world barrier's
 	// shard layout (BarrierShards) — and its runtime sanitizer (Sanitize):
 	// races between gets and un-quieted puts (which DeferredQuiet makes
@@ -201,10 +196,7 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.NonSymBytes <= 0 {
 		out.NonSymBytes = 1 << 20
 	}
-	if !out.FaultPlan.Empty() {
-		out.FaultTolerant = true
-	}
-	if (out.FaultTolerant || out.FaultPlan != nil) && !out.Transport.Caps().FaultStat {
+	if out.FaultPlan != nil && !out.Transport.Caps().FaultStat {
 		return out, fmt.Errorf("caf: fault injection and fault tolerance require the OpenSHMEM transport")
 	}
 	return out, nil

@@ -271,7 +271,7 @@ var seededCases = []seededCase{
 		_ = l.AcquireStat(2)
 	})},
 	// The failure branch is taken when the lock's home image has failed.
-	{"lockbad", "statReleaseOnErrorPath", `caf: image 1 releasing lock\[2\] it does not hold`, images(func(o *Options) { o.FaultTolerant = true }, func(img *Image) {
+	{"lockbad", "statReleaseOnErrorPath", `caf: image 1 releasing lock\[2\] it does not hold`, images(nil, func(img *Image) {
 		l := NewLock(img)
 		if img.ThisImage() == 2 {
 			img.FailImage()

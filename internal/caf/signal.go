@@ -87,10 +87,6 @@ func (s *Signal) Wait(j int) {
 // would say StatOK: the image is fine, the link is not.)
 func (s *Signal) WaitStat(j int) Stat {
 	img := s.img
-	if !img.ftMode {
-		s.Wait(j)
-		return StatOK
-	}
 	img.pollFault()
 	img.checkImage(j)
 	want := s.seen[j-1] + 1

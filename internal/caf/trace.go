@@ -34,9 +34,8 @@ type TraceEvent struct {
 // (1-D strided); put_nbi, putv_nbi, iput_nbi (nonblocking); put_signal,
 // put_signal_nbi (8-byte signal word); direct-put, direct-get (same-node
 // load/store); get_stat (lock repair's read of a failed image). Others: amo,
-// quiet, quiet_image (one destination), barrier, wait (local spin), and the
-// STAT-bearing amo_stat, quiet_stat, quiet_image_stat, barrier_stat,
-// wait_stat.
+// quiet, quiet_image (one destination), barrier, wait (local spin). A
+// STAT-bearing form records the kind of its plain twin.
 
 // NewTracer creates an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }

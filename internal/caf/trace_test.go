@@ -2,6 +2,7 @@ package caf
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -182,6 +183,46 @@ func TestTracerWithLocksAndDirect(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// A STAT form records the kinds of its plain twin, as many of each: one
+	// kind per operation. Only image 1 locks, so no count depends on host order.
+	kinds := func(stat bool) map[string]int {
+		trc := NewTracer()
+		o := shmemOpts()
+		o.Tracer = trc
+		if err := Run(2, o, func(img *Image) {
+			lck, sig := NewLock(img), NewSignal(img)
+			other := 3 - img.ThisImage()
+			sig.Notify(other)
+			if stat {
+				if img.ThisImage() == 1 {
+					lck.AcquireStat(2)
+					lck.ReleaseStat(2)
+				}
+				sig.WaitStat(other)
+				img.SyncImagesStat(other)
+				img.SyncAllStat()
+			} else {
+				if img.ThisImage() == 1 {
+					lck.Acquire(2)
+					lck.Release(2)
+				}
+				sig.Wait(other)
+				img.SyncImages(other)
+				img.SyncAll()
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		byOp := map[string]int{}
+		for _, ev := range trc.Events() {
+			byOp[ev.Op]++
+		}
+		return byOp
+	}
+	if plain, stat := kinds(false), kinds(true); !reflect.DeepEqual(plain, stat) {
+		t.Errorf("STAT forms recorded %v, their plain twins %v", stat, plain)
 	}
 }
 

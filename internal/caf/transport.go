@@ -37,8 +37,9 @@ type Caps struct {
 	// PerImage: completion of the transfers toward one image only. Without it
 	// SyncMemoryImage completes everything, which is stronger.
 	PerImage bool
-	// FaultStat: fabric.FaultPlan injection, the repairable lock and the
-	// STAT-bearing library calls (Options.FaultPlan, Options.FaultTolerant).
+	// FaultStat: STAT-bearing library calls that report failed targets, which
+	// fabric.FaultPlan injection needs (Options.FaultPlan is rejected without
+	// it). The repairable lock and the STAT forms run on every transport.
 	FaultStat bool
 	// Direct: same-node memory can be loaded and stored directly (shmem_ptr),
 	// which Options.IntraNodeDirect uses.
@@ -85,9 +86,10 @@ type backend interface {
 	// complete; else it is locally complete at return, a get's d.Local usable.
 	rma(d *pgas.RMA, nbi bool)
 	// atomic applies op with operand a to the 64-bit word at (target, off) and
-	// returns the previous value; opCAS stores b iff the word equals a. With
-	// stat a failed target leaves ok false instead of terminating the job.
-	atomic(op pgas.AtomicOp, target int, off, a, b int64, stat bool) (old int64, ok bool)
+	// returns the previous value; opCAS stores b iff the word equals a. A
+	// swap or compare-and-swap on a failed target leaves ok false (the
+	// repairable lock's toolbox); every other call reports ok.
+	atomic(op pgas.AtomicOp, target int, off, a, b int64) (old int64, ok bool)
 	// complete waits for remote completion of this image's outstanding
 	// transfers toward target, or toward every image when target is negative.
 	// With stat it reports failed targets instead of terminating the job.
@@ -144,22 +146,15 @@ func (t *shmemBackend) rma(d *pgas.RMA, nbi bool) {
 	t.pe.RMA(d, t.all, nbi)
 }
 
-func (t *shmemBackend) atomic(op pgas.AtomicOp, target int, off, a, b int64, stat bool) (int64, bool) {
+// atomic takes the STAT forms of swap and compare-and-swap, the only atomics
+// that have them: each is its plain sibling plus the ok.
+func (t *shmemBackend) atomic(op pgas.AtomicOp, target int, off, a, b int64) (int64, bool) {
 	pe, all, idx := t.pe, t.all, wordIdx(off)
-	if stat {
-		// The repairable lock's toolbox: the only atomics with STAT forms.
-		switch op {
-		case pgas.OpSwap:
-			return pe.SwapStat(target, all, idx, a)
-		case opCAS:
-			return pe.CompareSwapStat(target, all, idx, a, b)
-		}
-	}
 	switch op {
 	case pgas.OpSwap:
-		return pe.Swap(target, all, idx, a), true
+		return pe.SwapStat(target, all, idx, a)
 	case opCAS:
-		return pe.CompareSwap(target, all, idx, a, b), true
+		return pe.CompareSwapStat(target, all, idx, a, b)
 	case pgas.OpAdd:
 		return pe.FetchAdd(target, all, idx, a), true
 	case pgas.OpAnd:
@@ -245,7 +240,7 @@ func (t *gasnetBackend) rma(d *pgas.RMA, nbi bool) {
 	t.ep.RMA(d, t.all, nbi)
 }
 
-func (t *gasnetBackend) atomic(op pgas.AtomicOp, target int, off, a, b int64, _ bool) (int64, bool) {
+func (t *gasnetBackend) atomic(op pgas.AtomicOp, target int, off, a, b int64) (int64, bool) {
 	if op == opCAS {
 		return t.ep.RequestSync(target, int(op), off, a, b)[0], true
 	}

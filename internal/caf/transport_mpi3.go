@@ -53,7 +53,7 @@ func (t *mpi3Backend) rma(d *pgas.RMA, _ bool) {
 }
 
 // atomic is the MPI_Fetch_and_op / MPI_Compare_and_swap accumulate family.
-func (t *mpi3Backend) atomic(op pgas.AtomicOp, target int, off, a, b int64, _ bool) (int64, bool) {
+func (t *mpi3Backend) atomic(op pgas.AtomicOp, target int, off, a, b int64) (int64, bool) {
 	if op == opCAS {
 		return t.pr.CompareAndSwap(t.win, target, off, a, b), true
 	}

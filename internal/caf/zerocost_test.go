@@ -9,27 +9,31 @@ import (
 	"cafshmem/internal/pgas"
 )
 
-// The failed-image machinery must be free when unused: with a nil FaultPlan
-// (and FaultTolerant left false, the default for every pre-existing entry
-// point) the simulation must produce byte- and virtual-time-identical results
-// to the tree before fault support existed. The constants below were captured
-// from that tree on the two paper workloads the feature touches most — the
+// The failed-image machinery must be free when no image fails: the lock is
+// always the repairable one and the STAT forms always report, yet with a nil
+// FaultPlan the simulation must produce virtual-time-identical results to the
+// tree before fault support existed. The constants below were captured from
+// that tree on the two paper workloads the feature touches most — the
 // Fig-8-style lock benchmark (MCS protocol, non-symmetric qnodes, barriers)
-// and a Fig-2-style contiguous put sweep (rma paths, visibility timestamps).
-// Any drift here means a nominally-disabled fault path charged time or moved
-// bytes.
+// and a Fig-2-style contiguous put sweep (rma paths, visibility timestamps) —
+// and, for the lock workload on GASNet (AM-emulated atomics) and MPI-3, from
+// the tree that still had the classic two-word lock beside the repairable
+// one. Any drift here means a fault path charged time or moved bytes.
 
 const (
 	goldenLockTimeNs = 49784.33333333332
-	goldenLockHash   = uint64(2423308933714600996)
-	goldenPutTimeNs  = 3888.666666666667
-	goldenPutHash    = uint64(11248824735641314085)
+	// Re-pinned: the hashed 4 KiB holds the qnodes, now 24 bytes with a prev word, self-marked when uncontended.
+	goldenLockHash         = uint64(13346994205906133797)
+	goldenPutTimeNs        = 3888.666666666667
+	goldenPutHash          = uint64(11248824735641314085)
+	goldenLockTimeGASNetNs = 63881.15610096138
+	goldenLockTimeMPI3Ns   = 98145.3501181989
 )
 
 // lockWorkload is the Fig-8-style token-ring: images serialize acquiring the
 // lock hosted on image 1, forced into a deterministic order by a token
 // coarray. Returns each image's final virtual time and an FNV-1a hash of the
-// first 4 KiB of its partition.
+// first 4 KiB of its partition (zero where the transport is not OpenSHMEM).
 func lockWorkload(t *testing.T, opts caf.Options, n int) ([]float64, []uint64) {
 	t.Helper()
 	times := make([]float64, n)
@@ -53,9 +57,11 @@ func lockWorkload(t *testing.T, opts caf.Options, n int) ([]float64, []uint64) {
 		}
 		img.SyncAll()
 		times[me-1] = img.Clock().Now()
-		h := fnv.New64a()
-		h.Write(img.SHMEM().Pgas().LocalBytes(0, 4096))
-		sums[me-1] = h.Sum64()
+		if img.SHMEM() != nil {
+			h := fnv.New64a()
+			h.Write(img.SHMEM().Pgas().LocalBytes(0, 4096))
+			sums[me-1] = h.Sum64()
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,19 +131,21 @@ func TestFaultSupportIsFreeWhenDisabled(t *testing.T) {
 			t.Errorf("lock workload with empty plan: image %d time = %v, want %v", i+1, tm, goldenLockTimeNs)
 		}
 	}
-}
 
-// FaultTolerant mode changes the qnode layout (3 words, self-marking), so its
-// times may legitimately differ from the goldens — but fault-free ft-mode
-// runs must still be deterministic and produce the same payload bytes.
-func TestFaultTolerantFaultFreeRunsAreDeterministic(t *testing.T) {
-	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
-	opts.FaultTolerant = true
-	t1, s1 := lockWorkload(t, opts, 4)
-	t2, s2 := lockWorkload(t, opts, 4)
-	for i := range t1 {
-		if t1[i] != t2[i] || s1[i] != s2[i] {
-			t.Errorf("image %d: ft-mode run not reproducible: (%v,%d) vs (%v,%d)", i+1, t1[i], s1[i], t2[i], s2[i])
+	// The same token ring on the other two transports: the repairable lock's
+	// extra word and self-mark are local stores, free on every library.
+	for _, tc := range []struct {
+		opts caf.Options
+		want float64
+	}{
+		{caf.UHCAFOverGASNet(fabric.CrayXC30(), fabric.ProfGASNetAries), goldenLockTimeGASNetNs},
+		{caf.UHCAFOverMV2XMPI3(), goldenLockTimeMPI3Ns},
+	} {
+		times, _ = lockWorkload(t, tc.opts, 4)
+		for i, tm := range times {
+			if tm != tc.want {
+				t.Errorf("lock workload on %s: image %d time = %v, want %v", tc.opts.Transport, i+1, tm, tc.want)
+			}
 		}
 	}
 }
