@@ -3,8 +3,8 @@
 # structural gates, race and shuffled tests, fuzz smokes and the claims gate.
 # Run from the module root. `./check.sh fast` stops after the fast tier: build,
 # vet, the gofmt, unsafe, host-clock, one-issue-core, one-funnel, one-checker,
-# one-lock, word-offset, one-engine, inline and bounds-check gates, the gates on the
-# write path and the deadlock loop (about half a minute).
+# one-copy, one-lock, word-offset, one-engine, inline and bounds-check gates, the
+# gates on the write path and the deadlock loop (about half a minute).
 set -eu
 
 echo "==> go build ./..."
@@ -94,6 +94,16 @@ caps=$(awk '/^type Caps struct/ { body = 1 } body && /^}/ { body = 0 } body' int
 if [ -n "$drains" ] || [ -n "$caps" ]; then
     echo "check.sh: no library drains a stream set itself and caf.Caps declares no Sanitizer; found:" >&2
     printf '%s\n' "$drains" "$caps" >&2
+    exit 1
+fi
+
+echo "==> one-copy gate (a put's bytes are copied once, into the target partition, by the issue core; a nonblocking put has landed when it returns, so internal/caf copies no payload; DESIGN.md \"Who copies when\")"
+# caf used to snapshot every nonblocking put into a fresh buffer through a
+# payload(vals, nbi) helper; neither the copy nor the helper's nbi may return.
+copies=$(grep -rn --include='*.go' --exclude='*_test.go' -E 'append\(\[\]byte\(nil\)|\b(bytes|slices)\.Clone\(|func payload[^(]*\([^)]*\bnbi\b' internal/caf || true)
+if [ -n "$copies" ]; then
+    echo "check.sh: internal/caf copies a payload; hand the funnel the caller's bytes (pgas.Bytes), which the issue core lands before it returns:" >&2
+    printf '%s\n' "$copies" >&2
     exit 1
 fi
 

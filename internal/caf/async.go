@@ -9,20 +9,22 @@ package caf
 // issue; the wire time is paid by whoever calls SyncMemory first, capped at
 // the slowest outstanding transfer rather than their sum.
 //
-// Semantics: the values are snapshotted at issue — PutAsync copies vals into a
-// buffer the runtime owns before it returns, as an assignment statement
-// evaluates its right-hand side — so the caller may reuse vals at once
+// Semantics: the values are taken at issue, as an assignment statement
+// evaluates its right-hand side, so the caller may reuse vals at once
 // (TestPutAsyncSnapshotsValuesAtIssue pins this on every lowering and
-// transport; Himeno's reused halo-plane buffers depend on it). What stays
-// open until the next SyncMemory is the *remote* side: the caller must not
-// assume the target has the data, and same-image ordering with later puts to
-// the same location is not guaranteed. On transports without nonblocking
-// support (MPI-3 RMA) PutAsync degrades to the blocking Put path, so programs
-// stay portable across every backend.
+// transport; Himeno's reused halo-plane buffers depend on it). Nothing copies
+// them to keep that promise: the issue core lands every put in the target
+// partition before it returns, nonblocking ones included, and leaves open only
+// the put's virtual completion. So what stays open until the next SyncMemory
+// is the *remote* side: the caller must not assume the target has the data,
+// and same-image ordering with later puts to the same location is not
+// guaranteed. On transports without nonblocking support (MPI-3 RMA) PutAsync
+// degrades to the blocking Put path, so programs stay portable across every
+// backend.
 
 // PutAsync writes vals (dense, column-major section order) into section sec
 // of the coarray on image j (1-based) without waiting for remote completion.
-// vals is copied before PutAsync returns. Remote completion — and any
+// vals is the caller's again when PutAsync returns. Remote completion — and any
 // failed-image report — is deferred to the next SyncMemory/SyncMemoryStat (or
 // any full synchronisation, e.g. SyncAll).
 func (c *Coarray[T]) PutAsync(j int, sec Section, vals []T) { c.put(j, sec, vals, true) }

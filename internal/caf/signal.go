@@ -31,7 +31,7 @@ type Signal struct {
 func NewSignal(img *Image) *Signal {
 	n := int64(img.NumImages())
 	off := img.malloc(n*8, true) // no deallocator exists; not a leak
-	img.local.StoreLocal(off, make([]byte, n*8))
+	img.local.ZeroLocal(off, n*8)
 	img.barrier()
 	return &Signal{img: img, off: off, sent: make([]int64, n), seen: make([]int64, n)}
 }
@@ -128,9 +128,9 @@ func (s *Signal) Pending(j int) int64 {
 // and the signal flag rides the same per-destination completion stream, so
 // the consumer's Wait observes the flag only at or after every element of the
 // section — signal-mediated completion with zero quiets on the critical path.
-// vals is snapshotted at issue, like PutAsync's, so the producer may reuse it
-// at once and owes no quiet on this account; the consumer needs nothing
-// beyond Wait.
+// vals is taken at issue, like PutAsync's, so the producer may reuse it at
+// once and owes no quiet on this account; the consumer needs nothing beyond
+// Wait.
 //
 // On transports without the fused path (MPI-3 RMA) it degrades to a blocking put
 // section, a full quiet, and a plain Notify — the same observable ordering,

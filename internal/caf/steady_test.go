@@ -14,16 +14,15 @@ import (
 // elements travel through the image's 8-byte staging buffer and typed word
 // waits, so what a collective, a lock hand-off or a DHT probe costs the heap is
 // pinned here (process-wide malloc counts between two barriers, per call per
-// image, with a little room for stray runtime allocations).
+// image, with a little room for stray runtime allocations). Every ceiling is
+// measured with the collector paused (pgas.PauseGC), so no verdict reads it.
 
 // steadyAllocs runs body on `images` images and returns the process-wide
 // mallocs of `calls` measured calls per image (after `calls/10` untimed ones),
 // divided by calls*images.
 func steadyAllocs(t *testing.T, images, calls int, setup func(img *caf.Image) func()) float64 {
 	t.Helper()
-	if pgas.RaceEnabled {
-		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
-	}
+	defer pgas.PauseGC()()
 	o := caf.UHCAFOverMV2XSHMEM()
 	var before, after runtime.MemStats
 	err := caf.Run(images, o, func(img *caf.Image) {
@@ -105,13 +104,16 @@ func TestDHTUpdateSteadyStateAllocs(t *testing.T) {
 // TestTypedRMASteadyStateAllocs: typed data reaches the transport as a view of
 // the caller's own slice (pgas.Bytes), so whole-array local access, a
 // contiguous put and a naive-lowered section put — one vectored call over
-// pooled run offsets — allocate nothing on any transport; and neither do the
-// control-word operations, which like them fill the image's one descriptor: a
-// descriptor that starts escaping shows up here first.
+// pooled run offsets — allocate nothing on any transport, blocking or not (a
+// nonblocking put lands before it returns, so nothing copies it); and neither
+// do the control-word operations, which like them fill the image's one
+// descriptor — GASNet's atomics included, request/reply pairs that run in the
+// endpoint's own token: a descriptor that starts escaping shows up here first.
 func TestTypedRMASteadyStateAllocs(t *testing.T) {
 	if pgas.RaceEnabled {
-		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
+		t.Skip("under -race sync.Pool drops a quarter of what is put into it, and the naive-section puts borrow their run offsets from one")
 	}
+	defer pgas.PauseGC()()
 	for name, o := range map[string]caf.Options{
 		"shmem":  caf.UHCAFOverMV2XSHMEM(),
 		"gasnet": caf.UHCAFOverGASNet(fabric.Stampede(), fabric.ProfGASNetIBV),
@@ -126,22 +128,22 @@ func TestTypedRMASteadyStateAllocs(t *testing.T) {
 				columns := caf.Section{{Lo: 0, Hi: 15, Step: 1}, {Lo: 0, Hi: 15, Step: 2}}
 				whole, part := make([]float64, all.NumElems()), make([]float64, columns.NumElems())
 				for op, call := range map[string]func(){
-					"SetSlice":          func() { x.SetSlice(whole) },
-					"SliceInto":         func() { x.SliceInto(whole) },
-					"contiguous Put":    func() { x.Put(2, all, whole) },
-					"naive-section Put": func() { x.Put(2, columns, part) },
-					"PutElem":           func() { x.PutElem(2, 1.5, 3, 4) },
-					"GetElem":           func() { _ = x.GetElem(2, 3, 4) },
-					"Signal.Notify":     func() { sig.Notify(2) },
-					"lock pair":         func() { lck.Acquire(2); lck.Release(2) },
-					"try-lock pair":     func() { lck.TryAcquire(2); lck.Release(2) },
+					"SetSlice":                     func() { x.SetSlice(whole) },
+					"SliceInto":                    func() { x.SliceInto(whole) },
+					"contiguous Put":               func() { x.Put(2, all, whole) },
+					"naive-section Put":            func() { x.Put(2, columns, part) },
+					"contiguous PutAsync":          func() { x.PutAsync(2, all, whole) },
+					"naive-section PutAsync":       func() { x.PutAsync(2, columns, part) },
+					"contiguous PutSignalAsync":    func() { x.PutSignalAsync(2, all, whole, sig) },
+					"naive-section PutSignalAsync": func() { x.PutSignalAsync(2, columns, part, sig) },
+					"PutElem":                      func() { x.PutElem(2, 1.5, 3, 4) },
+					"GetElem":                      func() { _ = x.GetElem(2, 3, 4) },
+					"Signal.Notify":                func() { sig.Notify(2) },
+					"lock pair":                    func() { lck.Acquire(2); lck.Release(2) },
+					"try-lock pair":                func() { lck.TryAcquire(2); lck.Release(2) },
 				} {
-					want := 0.0
-					if name == "gasnet" && (op == "lock pair" || op == "try-lock pair") {
-						want = 6 // its atomics are AM request/reply pairs, which allocate
-					}
-					if got := testing.AllocsPerRun(200, call); got > want {
-						t.Errorf("%s: %s: %v allocs per call, want %v", name, op, got, want)
+					if got := testing.AllocsPerRun(200, call); got != 0 {
+						t.Errorf("%s: %s: %v allocs per call, want 0", name, op, got)
 					}
 				}
 			}
@@ -157,11 +159,12 @@ func TestTypedRMASteadyStateAllocs(t *testing.T) {
 // (2dim_strided, §IV-C) walks its pencils with running offsets and a
 // stack-resident index, and a pencil that is not along dimension 1 goes through
 // the coarray's own buffer — so once that buffer exists the put allocates
-// nothing, along either base dimension, on any transport.
+// nothing, blocking or not, along either base dimension, on any transport.
 func TestStridedPutSteadyStateAllocs(t *testing.T) {
 	if pgas.RaceEnabled {
-		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
+		t.Skip("under -race sync.Pool drops a quarter of what is put into it, and GASNet and MPI-3 issue a strided op's elements over pooled run offsets")
 	}
+	defer pgas.PauseGC()()
 	for name, o := range map[string]caf.Options{
 		"shmem":  caf.UHCAFOverMV2XSHMEM(),
 		"cray":   caf.UHCAFOverCraySHMEM(fabric.CrayXC30()),
@@ -180,6 +183,9 @@ func TestStridedPutSteadyStateAllocs(t *testing.T) {
 					x.Put(2, sec, vals) // sizes the pencil buffer
 					if got := testing.AllocsPerRun(100, func() { x.Put(2, sec, vals) }); got != 0 {
 						t.Errorf("%s: 2dim section put along dimension %d: %v allocs per call, want 0", name, base+1, got)
+					}
+					if got := testing.AllocsPerRun(100, func() { x.PutAsync(2, sec, vals) }); got != 0 {
+						t.Errorf("%s: 2dim section PutAsync along dimension %d: %v allocs per call, want 0", name, base+1, got)
 					}
 				}
 			}

@@ -147,13 +147,12 @@ func (c *Coarray[T]) baseDim(sec Section) int {
 // transport without Caps.NBI is a blocking one, decided here once for the whole
 // section — nor when a direct store served it, which is complete at return.
 //
-// A blocking transfer hands the funnel vals' own bytes — one memmove into the
-// partition. A nonblocking put hands it a fresh copy (snapshot): that copy is
-// PutAsync's snapshot-at-issue contract — the payload is retained past the
-// call, so by pgas/buffer.go's rule it is copied — and the runtime (and the
-// sanitizer's live view) owns it until the next completion, so it is never
-// pooled either: recycling it before then would be exactly the source-reuse
-// bug the checker exists to catch.
+// Every transfer, blocking or not, hands the funnel vals' own bytes
+// (pgas.Bytes): the issue core lands a put in the target partition before it
+// returns, nonblocking ones included, so one memmove is all a put costs the
+// host and the caller may reuse vals at once — PutAsync's snapshot-at-issue
+// contract is kept by the landing itself (pgas/buffer.go). What a nonblocking
+// put leaves open is its virtual completion, booked on the backend's streams.
 func (c *Coarray[T]) section(get, nbi bool, j int, sec Section, vals []T) (_ []T, quiet bool) {
 	img := c.img
 	img.pollFault()
@@ -174,7 +173,7 @@ func (c *Coarray[T]) section(get, nbi bool, j int, sec Section, vals []T) (_ []T
 	// transfer regardless of strategy — or a direct load/store when the
 	// target shares the node and §VII's IntraNodeDirect is enabled.
 	if runDims == len(sec) {
-		op := img.xfer(get, j-1, low, payload(vals, nbi))
+		op := img.xfer(get, j-1, low, pgas.Bytes(vals))
 		op.nbi, op.direct = nbi, img.opts.IntraNodeDirect && !nbi
 		return vals, !img.issue(op) && !nbi
 	}
@@ -190,7 +189,7 @@ func (c *Coarray[T]) section(get, nbi bool, j int, sec Section, vals []T) (_ []T
 		// back to back.
 		sp := pgas.GetOffsScratch()
 		op.Shape, op.Offs, op.Unit = pgas.Runs, c.appendRunOffs((*sp)[:0], sec, runDims, low), runElems*c.es
-		op.Local = payload(vals, nbi)
+		op.Local = pgas.Bytes(vals)
 		img.issue(op)
 		*sp, op.Offs = op.Offs, nil
 		pgas.PutOffsScratch(sp)
@@ -198,20 +197,11 @@ func (c *Coarray[T]) section(get, nbi bool, j int, sec Section, vals []T) (_ []T
 		base := c.baseDim(sec)
 		op.Shape, op.Stride, op.Unit = pgas.Strided, int64(sec[base].Step)*c.strides[base]*int64(c.es), c.es
 		c.eachPencil(sec, base, low, !get, vals, func(byteOff int64, pencil []T) {
-			op.Off, op.Local = byteOff, payload(pencil, nbi)
+			op.Off, op.Local = byteOff, pgas.Bytes(pencil)
 			img.issue(op)
 		})
 	}
 	return vals, !nbi
-}
-
-// payload returns the bytes section hands the funnel for vals: vals' own, or
-// for a nonblocking put a copy the runtime owns.
-func payload[T pgas.Elem](vals []T, nbi bool) []byte {
-	if nbi {
-		return append([]byte(nil), pgas.Bytes(vals)...)
-	}
-	return pgas.Bytes(vals)
 }
 
 // appendRunOffs appends the absolute byte offset of every maximal contiguous

@@ -1,16 +1,27 @@
 package gasnet
 
-import "cafshmem/internal/pgas"
+import (
+	"fmt"
+
+	"cafshmem/internal/pgas"
+)
+
+// MaxArgs is the most arguments a request or reply carries (GASNet's
+// gasnet_AMMaxArgs is at least 16).
+const MaxArgs = 16
 
 // Token identifies an in-flight active message to its handler and provides
-// the handler's view of the target PE: its memory and the reply channel.
+// the handler's view of the target PE: its memory and the reply channel. Each
+// endpoint has one, reused by its every request: a handler runs to completion
+// on the requester's goroutine, so the token is valid only while it runs.
 type Token struct {
 	world   *World
 	Src     int // requesting node
 	Dst     int // node the handler runs on
 	arrive  float64
 	replied bool
-	reply   []int64
+	nreply  int
+	reply   [MaxArgs]int64
 }
 
 // Write stores into the handler node's segment; the write carries the
@@ -44,12 +55,23 @@ func (t *Token) Reply(args ...int64) {
 		panic("gasnet: handler replied twice")
 	}
 	t.replied = true
-	t.reply = append([]int64(nil), args...)
+	t.nreply = copy(t.reply[:], args[:checkArgs(len(args))])
+}
+
+// checkArgs panics unless n arguments fit one message, and returns n.
+func checkArgs(n int) int {
+	if n > MaxArgs {
+		panic(fmt.Sprintf("gasnet: %d active-message arguments, at most %d", n, MaxArgs))
+	}
+	return n
 }
 
 // runHandler executes the handler for (idx) against target under the
 // per-node AM lock, charging target-side handler cost, and returns the reply
 // (nil if none) plus the virtual time the reply arrives back at the source.
+// The handler sees args in the endpoint's argument array and replies into its
+// token, so a request allocates nothing; the reply is valid until the
+// endpoint's next active message.
 func (ep *EP) runHandler(target, idx int, payload []byte, args []int64, wantReply bool) ([]int64, float64) {
 	ep.checkTarget(target)
 	w := ep.world
@@ -61,14 +83,19 @@ func (ep *EP) runHandler(target, idx int, payload []byte, args []int64, wantRepl
 	ep.p.Clock.Advance(prof.PutInjectNs(len(payload), intra, pairs))
 	arrive := ep.p.Clock.Now() + prof.DeliveryNs(intra, pairs) + prof.AMHandlerNs
 
-	tok := &Token{world: w, Src: ep.p.ID, Dst: target, arrive: arrive}
+	tok := &ep.tok
+	*tok = Token{world: w, Src: ep.p.ID, Dst: target, arrive: arrive}
+	n := copy(ep.args[:], args[:checkArgs(len(args))])
 	w.amMu[target].Lock()
-	h(tok, payload, args)
+	h(tok, payload, ep.args[:n:n])
 	w.amMu[target].Unlock()
 
 	replyAt := arrive + prof.DeliveryNs(intra, pairs)
 	if wantReply {
-		return tok.reply, replyAt
+		if !tok.replied {
+			return nil, replyAt
+		}
+		return tok.reply[:tok.nreply:tok.nreply], replyAt
 	}
 	// Fire-and-forget: the source tracks remote completion via the implicit
 	// sync set, like a put.
@@ -98,9 +125,10 @@ func (ep *EP) RequestLong(target, idx int, seg Seg, off int64, payload []byte, a
 }
 
 // RequestSync fires a short request and blocks for the handler's reply,
-// returning its arguments. This is the primitive the CAF-over-GASNet
-// transport uses to emulate remote atomics, and it is exactly where the AM
-// handler cost makes GASNet-based locks slower than SHMEM-based ones.
+// returning its arguments, which stay valid until the endpoint's next active
+// message. This is the primitive the CAF-over-GASNet transport uses to emulate
+// remote atomics, and it is exactly where the AM handler cost makes
+// GASNet-based locks slower than SHMEM-based ones.
 func (ep *EP) RequestSync(target, idx int, args ...int64) []int64 {
 	reply, replyAt := ep.runHandler(target, idx, nil, args, true)
 	if reply == nil {

@@ -74,7 +74,9 @@ var rmaOps = [...][3]string{
 // streams: what Put, Get, PutNBI, PutSignal and PutSignalNBI are, and the
 // vectored and strided forms, by d's shape and direction. d.Off and a signal's
 // d.SigOff are relative to seg (a Runs op's d.Offs to d.Off); d is the caller's
-// again at return, both made absolute.
+// again at return, both made absolute. A put's bytes have landed when RMA
+// returns, so its source is the caller's again at once and the sanitizer holds
+// no copy of it: only PutNBI keeps GASNet's source contract.
 func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
 	switch d.Shape {
 	case pgas.Signal:
@@ -83,8 +85,6 @@ func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
 		panic("gasnet: no forensic put or get: the conduit has no fault support")
 	}
 	switch {
-	case nbi && !d.Get:
-		ep.issue(rmaOps[d.Shape][2], d, seg, d.Local, &ep.nbi)
 	case nbi:
 		ep.issue(rmaOps[d.Shape][2], d, seg, nil, &ep.nbi)
 	case d.Get:

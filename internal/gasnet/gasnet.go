@@ -61,6 +61,10 @@ type EP struct {
 	nic      fabric.NBINic
 	nbi      fabric.NBIStreams
 	explicit fabric.NBIStreams
+	// tok and args are every active message's token and arguments: a
+	// handler runs on the requester's goroutine, one at a time per endpoint.
+	tok  Token
+	args [MaxArgs]int64
 }
 
 // Config selects the modelled platform and conduit.

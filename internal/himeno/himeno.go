@@ -224,7 +224,7 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 		}
 		// The two halo planes an iteration sends, extracted into per-image
 		// buffers that every iteration reuses: Put, PutAsync and
-		// PutSignalAsync all snapshot their values at issue (the documented
+		// PutSignalAsync all take their values at issue (the documented
 		// contract, see caf/async.go), so a plane buffer is free again as
 		// soon as its put call returns.
 		leftPlane := make([]float32, nx*nz)
@@ -336,7 +336,7 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 				// Launch boundary planes with the doorbell riding the same
 				// per-destination completion stream as the data: the
 				// neighbour's Wait alone guarantees the plane arrived. The
-				// payload is snapshotted at issue, so no producer quiet is owed
+				// payload is taken at issue, so no producer quiet is owed
 				// before the next sweep (or the next reuse of the plane buffer).
 				if me > 1 {
 					extractPlane(leftPlane, next, nx, nyAlloc, nz, 1)

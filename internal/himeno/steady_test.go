@@ -36,30 +36,31 @@ func benchRun(t *testing.T, engine pgas.Engine, overlap bool, iters int) {
 // beyond its simulated operations, on both schedules.
 //
 // allocs: the mallocs an image-iteration adds — a run of N iterations minus a
-// run of one, so world set-up cancels — stay under a ceiling. The blocking
-// schedule's steady state owes the heap one object per image-iteration, the
-// slice co_sum returns; the signal schedule adds what the nonblocking contract
-// demands, a fresh payload and offset list per halo plane plus the stream
-// records that track them until the next quiet. Before the control-word and
-// section paths came off the heap these read 24.5 and 41.3.
+// run of one, so world set-up cancels — stay under a ceiling, measured with
+// the collector paused. Both schedules owe the heap one object per
+// image-iteration, the slice co_sum returns: a nonblocking halo put lands
+// before it returns, so nothing copies its plane. Before the control-word and
+// section paths came off the heap these read 24.5 and 41.3; the signal
+// schedule read 2.99 while its puts were copied.
 //
 // goroutines: the run never holds more than one goroutine per image plus the
 // test's own handful — a world starts nothing but its PEs.
 func TestHimenoSteadyStateAllocs(t *testing.T) {
-	const iters = 11
+	const iters = 31
 	for _, sched := range []struct {
 		name    string
 		overlap bool
 		ceiling float64 // mallocs per image-iteration
 	}{
-		{"blocking", false, 2},
-		{"signal", true, 14},
+		{"blocking", false, 1.05},
+		{"signal", true, 1.05},
 	} {
 		for _, e := range engineSpellings {
 			t.Run("allocs/"+sched.name+"/"+e.name, func(t *testing.T) {
 				if pgas.RaceEnabled {
-					t.Skip("race instrumentation allocates; alloc assertion is meaningless")
+					t.Skip("under -race sync.Pool drops a quarter of what is put into it, and every naive section borrows its run offsets from one")
 				}
+				defer pgas.PauseGC()()
 				mallocs := func(n int) uint64 {
 					var a, b runtime.MemStats
 					runtime.ReadMemStats(&a)

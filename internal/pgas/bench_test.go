@@ -107,9 +107,7 @@ func BenchmarkBarrierRelease(b *testing.B) {
 // A regression here means the release path reallocated waiter records or
 // otherwise picked up a per-round heap dependency.
 func TestBarrierReleaseZeroAllocs(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
-	}
+	defer PauseGC()()
 	r := testing.Benchmark(BenchmarkBarrierRelease)
 	if allocs := r.AllocsPerOp(); allocs != 0 {
 		t.Fatalf("steady-state barrier release: %d allocs/op, want 0 (%d allocs over %d rounds)",

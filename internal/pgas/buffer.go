@@ -4,15 +4,17 @@ import "sync"
 
 // Payload ownership. A payload crosses every layer as a []byte — for typed
 // data the Bytes view of the caller's own slice — and is never staged on the
-// way: every transport's blocking call copies it into (or out of) the target
-// partition under the partition lock before it returns. So
+// way: PE.Issue copies every put into the target partition (and every get out
+// of it) under the partition lock before it returns, blocking or nonblocking,
+// lossy plans included. So
 //
-//   - a blocking call is done with its data argument when it returns, and the
-//     caller may overwrite the buffer at once;
-//   - whoever retains a payload past the call that received it copies it
-//     first: caf's PutAsync/PutSignalAsync snapshot their values at issue, and
-//     the sanitizer copies the source of a nonblocking put to compare it with
-//     the live buffer at Quiet.
+//   - every call is done with a put's data argument when it returns, and
+//     nobody retains a payload: caf's PutAsync/PutSignalAsync hand the caller's
+//     own bytes down and the caller may overwrite them at once;
+//   - the one copy beside the landing is the sanitizer's: it snapshots the
+//     source of a library-level nonblocking put (shmem_put_nbi, gasnet_put_nbi,
+//     whose contract says the source stays unmodified until completion) to
+//     compare it with the live buffer at the drain.
 //
 // What the fast paths still borrow is the run-offset list of a run-list
 // transfer. The pool holds pointers to slices so returning a list never

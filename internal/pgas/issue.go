@@ -124,9 +124,11 @@ type Price struct {
 // where completion is booked — a context's or endpoint's streams, or a
 // blocking horizon (a stream set with no pipe); nil for a blocking get, which
 // completes before it returns — and so the sanitizer's scope for a put: a
-// drain of set (Drain, DrainTarget) completes it. src is a nonblocking put's
-// source (d.Local again; nil for every other op), which the sanitizer holds to
-// its contract until then: retaining a descriptor field instead would move
+// drain of set (Drain, DrainTarget) completes it. src is the source of a
+// library's own nonblocking put (d.Local again; nil for every other op, a
+// layered runtime's included, whose bytes are landed here before Issue
+// returns), which the sanitizer holds to the library's source contract until
+// then: retaining a descriptor field instead would move
 // every caller's buffer to the heap, the stack-held word of a typed P or G
 // included, as escape analysis is per parameter. fp is the library's fault
 // plan, nil for none.

@@ -109,8 +109,11 @@ func churnWorld(t *testing.T, payload []byte) (uint64, PageStats) {
 func TestWorldChurnAllocBytes(t *testing.T) {
 	const flagPages = (8*tsBlockBytes + segPageSize - 1) / segPageSize
 	if RaceEnabled {
-		t.Skip("under -race sync.Pool drops a quarter of what is put into it")
+		t.Skip("under -race sync.Pool drops a quarter of what is put into it, and this test counts the pages it hands out")
 	}
+	// No collection: the runtime empties a sync.Pool over two of them, which
+	// would turn recycled pages into fresh ones.
+	defer PauseGC()()
 	// One P: a sync.Pool keeps one item per P where no other P can reach it,
 	// so a goroutine that migrates between Close and the next world's writes
 	// would miss a page or two, and this test counts them.

@@ -63,3 +63,33 @@ func TestInterleavedGrowthAcrossPEs(t *testing.T) {
 		}
 	}
 }
+
+// ZeroLocal leaves the bytes and per-word timestamps that StoreLocal of fresh
+// zero bytes leaves, over stamped nonzero memory, for stores on either side of
+// the timestamp-tracking limit and of the zero source's length.
+func TestZeroLocalMatchesStoreLocal(t *testing.T) {
+	const extent = 3*segPageSize + 64
+	for _, n := range []int64{8, tsTrackMaxBytes, tsTrackMaxBytes + 8, segPageSize, segPageSize + 8, 2*segPageSize + 24} {
+		wz, ws := twoWorlds(t)
+		for _, w := range []*World{wz, ws} {
+			for off := int64(0); off < extent; off += 24 {
+				w.WriteUint64(1, off, uint64(off)|1, float64(off%7))
+			}
+			if err := w.Run(func(p *PE) {
+				if p.ID == 1 {
+					p.Clock.Advance(100)
+					if w == wz {
+						p.ZeroLocal(40, n)
+					} else {
+						p.StoreLocal(40, make([]byte, n))
+					}
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		comparePartitions(t, wz, ws, 1, extent)
+		wz.Close()
+		ws.Close()
+	}
+}

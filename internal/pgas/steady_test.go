@@ -30,9 +30,7 @@ var engineSpellings = []struct {
 // nothing, and neither does a full sleep/wake hand-off — in the closure form
 // (whose predicate must stay on the caller's stack) and in the typed form.
 func TestWaitSteadyStateAllocs(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
-	}
+	defer PauseGC()()
 	t.Run("satisfied", func(t *testing.T) {
 		w, err := NewWorld(fabric.CrayXC30(), 1)
 		if err != nil {

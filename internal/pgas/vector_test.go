@@ -256,6 +256,7 @@ func TestVectoredWritesMatchWriteSequence(t *testing.T) {
 		{name: "runs in descending order across pages", off: 0, es: 4, offs: []int64{2*segPageSize + 2, 2*segPageSize - 2, segPageSize, segPageSize - 4, 4, 0}},
 		{name: "untracked runs", off: 40, es: tsTrackMaxBytes + 1, offs: []int64{segPageSize, 0, 512}},
 	}
+	defer PauseGC()() // a collection between preload and use would drop the dirty pages
 	rng := rand.New(rand.NewSource(16))
 	for _, recycled := range []bool{false, true} {
 		for _, tc := range cases {

@@ -2,7 +2,6 @@ package pgasbench
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 
 	"cafshmem/internal/caf"
@@ -11,24 +10,20 @@ import (
 )
 
 // seriesBytes returns what one call of series allocates once a first call
-// has warmed the page pools and the shared payload: the median of five, so a
-// collection that empties the pools mid-run does not decide the verdict.
+// has warmed the page pools and the shared payload. The collector is paused
+// over both calls, so none can empty the pools in between.
 func seriesBytes(t *testing.T, series func() error) uint64 {
 	t.Helper()
-	var samples [5]uint64
-	for i := -1; i < len(samples); i++ {
-		var before, after runtime.MemStats
+	defer pgas.PauseGC()()
+	var before, after runtime.MemStats
+	for range 2 {
 		runtime.ReadMemStats(&before)
 		if err := series(); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if i >= 0 {
-			samples[i] = after.TotalAlloc - before.TotalAlloc
-		}
 	}
-	slices.Sort(samples[:])
-	return samples[len(samples)/2]
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestSeriesSteadyStateAllocs keeps the figure harnesses from growing their
@@ -41,7 +36,7 @@ func seriesBytes(t *testing.T, series func() error) uint64 {
 // gets, the one 4 MiB destination of the one rank that issues them.
 func TestSeriesSteadyStateAllocs(t *testing.T) {
 	if pgas.RaceEnabled {
-		t.Skip("under -race sync.Pool drops a quarter of what is put into it")
+		t.Skip("under -race sync.Pool drops a quarter of what is put into it, and a series' pages come from one")
 	}
 	raw := RawPutConfig{
 		Machine: fabric.Stampede(), Profile: fabric.ProfMV2XSHMEM,

@@ -102,17 +102,19 @@ func (c *Ctx) issue(d *pgas.RMA, sym Sym, m mode, src []byte) {
 }
 
 // RMA issues a layered runtime's descriptor on the default context, blocking or
-// nonblocking (until Quiet a put's source then stays unmodified, a get's
-// destination undefined): what PutMem, GetMemV, IPutMemNBI, PutSignal, … are,
-// by d's shape and direction. d.Off and d.Offs are relative to sym, a signal's
-// d.SigOff absolute and the caller's to check (Sym.At); d is the caller's again
-// at return, its Off made absolute.
+// nonblocking (until Quiet a get's destination is then undefined): what PutMem,
+// GetMemV, IPutMemNBI, PutSignal, … are, by d's shape and direction. d.Off and
+// d.Offs are relative to sym, a signal's d.SigOff absolute and the caller's to
+// check (Sym.At); d is the caller's again at return, its Off made absolute. A
+// put's bytes have landed when RMA returns, so its source is the caller's
+// again at once and the sanitizer holds no copy of it: only the library's own
+// *_nbi routines keep OpenSHMEM's source contract.
 func (pe *PE) RMA(d *pgas.RMA, sym Sym, nonblocking bool) {
 	m := locality
 	if nonblocking {
 		m |= nbi
 	}
-	pe.def.issue(d, sym, m, d.Local)
+	pe.def.issue(d, sym, m, nil)
 }
 
 // opName is what the bounds panics and bad-handle findings call d: the public

@@ -12,9 +12,7 @@ import (
 // local operand through the PE's reused staging buffer, so only Get — which
 // returns a fresh slice — allocates at all.
 func TestTypedRMASteadyStateAllocs(t *testing.T) {
-	if pgas.RaceEnabled {
-		t.Skip("race instrumentation allocates; alloc assertion is meaningless")
-	}
+	defer pgas.PauseGC()()
 	err := Run(crayCfg(), 2, func(pe *PE) {
 		sym := pe.Malloc(8 * 256)
 		if pe.MyPE() == 0 {
