@@ -3,8 +3,9 @@
 # structural gates, race and shuffled tests, fuzz smokes and the claims gate.
 # Run from the module root. `./check.sh fast` stops after the fast tier: build,
 # vet, the gofmt, unsafe, host-clock, one-issue-core, one-funnel, one-checker,
-# one-copy, one-lock, word-offset, one-engine, inline and bounds-check gates, the
-# gates on the write path and the deadlock loop (about half a minute).
+# one-copy, one-lock, word-offset, one-engine, per-rank-table, inline and
+# bounds-check gates, the gates on the write path and the deadlock loop (about
+# half a minute).
 set -eu
 
 echo "==> go build ./..."
@@ -144,6 +145,14 @@ if [ -n "$second" ]; then
     exit 1
 fi
 
+echo "==> per-rank-table gate (every layer's per-rank handle is an element of one table per world, built by the world's constructor and initialised in place: no handle is allocated on its own; DESIGN.md \"Host-performance model\")"
+perrank=$(grep -rn --include='*.go' --exclude='*_test.go' -E '&([a-z0-9]+\.)?(PE|EP|Proc|Image|shmemBackend|gasnetBackend|mpi3Backend|nsAlloc)\{' internal || true)
+if [ -n "$perrank" ]; then
+    echo "check.sh: these lines allocate a per-rank handle on its own; make it an element of its world's table:" >&2
+    printf '%s\n' "$perrank" >&2
+    exit 1
+fi
+
 echo "==> inline gate (the checks and clock steps on every operation's path stay inlinable: their panics and slow paths are kept out of line for that)"
 inl=$(go build -gcflags=-m ./internal/caf ./internal/shmem ./internal/pgas ./internal/fabric 2>&1 | grep ': can inline ' || true)
 while read -r dir fn; do
@@ -253,8 +262,8 @@ go test -run 'TestEventEngineMatchesGoroutine' -count=1 -cpu 1,2,8 ./internal/pg
 go test -run 'TestEngineDifferential' -count=1 -cpu 1,2,8 ./internal/caf
 go test -run 'TestHimenoGoldensOnEventEngine' -count=1 -cpu 1,2,8 ./internal/himeno
 
-echo "==> allocation gate (steady-state malloc ceilings: Himeno iteration, waits, co_sum, lock pair, DHT update, typed RMA incl. the zero-alloc contiguous put on all three transports (TestTypedRMASteadyStateAllocs, \"contiguous Put\"), figure series; world churn on recycled pages)"
-go test -run 'SteadyStateAllocs|WorldChurn' -count=1 ./internal/...
+echo "==> allocation gate (steady-state malloc ceilings: Himeno iteration, waits, co_sum, lock pair, DHT update, typed RMA incl. the zero-alloc contiguous put on all three transports (TestTypedRMASteadyStateAllocs, \"contiguous Put\"), figure series; world churn on recycled pages; a world's set-up per image on every transport)"
+go test -run 'SteadyStateAllocs|WorldChurn|SetupAllocs' -count=1 ./internal/...
 
 echo "==> scale smoke (4096 images, a goroutine each, bounded wall time)"
 timeout 120 go test -run 'TestEventEngineHimeno4k' -count=1 ./internal/himeno

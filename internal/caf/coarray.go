@@ -15,14 +15,15 @@ import (
 // Storage is column-major (Fortran order): dimension 1 is contiguous. All
 // subscripts in this API are 0-based; image indices are 1-based like Fortran.
 type Coarray[T pgas.Elem] struct {
-	img     *Image
+	img *Image
+	// shape, strides and codims share one allocation (coarrayGeometry).
 	shape   []int
-	strides []int64 // element strides, column-major: strides[0] == 1
-	codims  []int   // codimension extents; last one unbounded ("*")
-	off     int64   // symmetric partition offset
-	n       int     // total local elements
-	es      int     // element size in bytes
-	pencil  []T     // eachPencil's gather/scatter buffer, sized on first use
+	strides []int // element strides, column-major: strides[0] == 1
+	codims  []int // codimension extents; last one unbounded ("*")
+	off     int64 // symmetric partition offset
+	n       int   // total local elements
+	es      int   // element size in bytes
+	pencil  []T   // eachPencil's gather/scatter buffer, sized on first use
 }
 
 // Allocate collectively creates a coarray with the given local shape — the
@@ -45,36 +46,31 @@ func AllocateStat[T pgas.Elem](img *Image, shape ...int) (*Coarray[T], Stat) {
 }
 
 func allocate[T pgas.Elem](img *Image, shape []int, stat bool) (*Coarray[T], Stat) {
-	shape, strides, n := coarrayGeometry(shape)
-	es := pgas.SizeOf[T]()
-	off, err := img.be.malloc(int64(n)*int64(es), stat)
-	return &Coarray[T]{
-		img:     img,
-		shape:   shape,
-		strides: strides,
-		codims:  []int{0}, // [*]
-		off:     off,
-		n:       n,
-		es:      es,
-	}, statFromErr(err)
+	c := &Coarray[T]{img: img, es: pgas.SizeOf[T]()}
+	c.shape, c.strides, c.codims, c.n = coarrayGeometry(shape)
+	off, err := img.be.malloc(int64(c.n)*int64(c.es), stat)
+	c.off = off
+	return c, statFromErr(err)
 }
 
-// coarrayGeometry validates a local shape and derives the column-major
-// strides and total element count.
-func coarrayGeometry(shape []int) ([]int, []int64, int) {
-	if len(shape) == 0 {
-		shape = []int{1}
-	}
-	n := 1
-	strides := make([]int64, len(shape))
-	for i, d := range shape {
+// coarrayGeometry validates a local shape (none is one element) and lays out,
+// in one allocation, a copy of it, its column-major element strides and the
+// default cobounds [*]; it returns the three and the total element count.
+func coarrayGeometry(shape []int) (sh, strides, codims []int, n int) {
+	r := max(len(shape), 1)
+	geo := make([]int, 2*r+1)
+	sh, strides, codims = geo[:r:r], geo[r:2*r:2*r], geo[2*r:]
+	sh[0] = 1
+	copy(sh, shape)
+	n = 1
+	for i, d := range sh {
 		if d <= 0 {
 			panic(fmt.Sprintf("caf: coarray extent %d in dimension %d must be positive", d, i+1))
 		}
-		strides[i] = int64(n)
+		strides[i] = n
 		n *= d
 	}
-	return append([]int(nil), shape...), strides, n
+	return sh, strides, codims, n
 }
 
 // WithCodims declares the cobounds, e.g. x[2,*] -> WithCodims(2, 0). The last
@@ -159,7 +155,7 @@ func (c *Coarray[T]) linear(idx []int) int64 {
 		if i < 0 || i >= c.shape[d] {
 			panic(fmt.Sprintf("caf: subscript %d out of extent %d in dimension %d", i, c.shape[d], d+1))
 		}
-		off += int64(i) * c.strides[d]
+		off += int64(i) * int64(c.strides[d])
 	}
 	return off
 }

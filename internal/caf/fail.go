@@ -274,6 +274,6 @@ func (img *Image) awaitImageStat(j int) Stat {
 		}
 		panic(err) // poisoned world (deadlock or unrelated PE panic)
 	}
-	img.syncSeen[j-1] = want
+	img.seen(j-1, want)
 	return StatOK
 }

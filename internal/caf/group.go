@@ -25,10 +25,12 @@ type group struct {
 	seq         int64
 }
 
-// worldGroup lazily builds the whole-job group view for this image.
+// worldGroup returns the whole-job group view for this image, filling in the
+// image's field on first use.
 func (img *Image) worldGroup() *group {
-	if img.world == nil {
-		img.world = &group{
+	g := &img.world
+	if g.img == nil {
+		*g = group{
 			img:      img,
 			n:        img.NumImages(),
 			myIdx:    img.ThisImage() - 1,
@@ -36,7 +38,7 @@ func (img *Image) worldGroup() *group {
 			growable: true,
 		}
 	}
-	return img.world
+	return g
 }
 
 func (g *group) size() int { return g.n }

@@ -42,24 +42,26 @@ type Image struct {
 	// Pre-allocated buffer for non-symmetric remotely-accessible data
 	// (§IV-A, §IV-D): every image reserves the same symmetric region and
 	// manages its own allocations within it.
-	nonsym *nsAlloc
+	nonsym nsAlloc
 
 	// syncOff is the base of the sync-images counter array: n 64-bit inbound
 	// counters (slot i counts signals from image index i). syncSeen tracks
 	// consumed signals per partner, lazily: sync images partner sets are
 	// small and local in real programs, so a dense per-image array would be
 	// the job's only O(images²) memory (≈800 MB of host memory at 10k
-	// images) — the map stays proportional to partners actually synced with.
+	// images) — the map stays proportional to partners actually synced with,
+	// and is made by the first sync images (see seen).
 	syncOff  int64
 	syncSeen map[int]int64
 
 	// ctlOff is the base of the whole-job collective control flags; world is
-	// the whole-job collective group (see group.go), built lazily.
+	// the whole-job collective group (see group.go), filled in on first use.
 	ctlOff int64
-	world  *group
+	world  group
 
 	// held maps (lock offset, image) -> local qnode offset for locks this
-	// image currently holds — the hash table of §IV-D.
+	// image currently holds — the hash table of §IV-D, made by the first
+	// acquisition (see hold).
 	held map[lockKey]int64
 
 	// Failed-image support (fail.go): hasKill/killAt carry this image's
@@ -112,7 +114,8 @@ func Run(images int, opts Options, body func(*Image)) error {
 	if err != nil {
 		return err
 	}
-	// Per transport: the library world, and how a PE attaches to it.
+	// Per transport: the library world, its backend table (one element per
+	// rank, like the image table below), and how a PE attaches to both.
 	var (
 		pw     *pgas.World
 		attach func(*pgas.PE) (backend, *shmem.PE)
@@ -124,9 +127,11 @@ func Run(images int, opts Options, body func(*Image)) error {
 			return err
 		}
 		pw = w.PgasWorld()
+		bes := make([]shmemBackend, images)
 		attach = func(p *pgas.PE) (backend, *shmem.PE) {
-			pe := w.Attach(p)
-			return newShmemBackend(pe), pe
+			be := &bes[p.ID]
+			be.attach(w.Attach(p))
+			return be, be.pe
 		}
 	case TransportGASNet:
 		w, err := gasnet.NewWorld(gasnet.Config{Machine: o.Machine, Profile: o.Profile, Options: o.Options}, images)
@@ -135,36 +140,44 @@ func Run(images int, opts Options, body func(*Image)) error {
 		}
 		registerGasnetHandlers(w)
 		pw = w.PgasWorld()
-		attach = func(p *pgas.PE) (backend, *shmem.PE) { return newGasnetBackend(w.Attach(p)), nil }
+		bes := make([]gasnetBackend, images)
+		attach = func(p *pgas.PE) (backend, *shmem.PE) {
+			be := &bes[p.ID]
+			be.attach(w.Attach(p))
+			return be, nil
+		}
 	case TransportMPI3:
 		w, err := mpi3.NewWorld(mpi3.Config{Machine: o.Machine, Profile: o.Profile, Options: o.Options}, images)
 		if err != nil {
 			return err
 		}
 		pw = w.PgasWorld()
-		attach = func(p *pgas.PE) (backend, *shmem.PE) { return newMPI3Backend(w, w.Attach(p)), nil }
+		bes := make([]mpi3Backend, images)
+		attach = func(p *pgas.PE) (backend, *shmem.PE) {
+			be := &bes[p.ID]
+			be.attach(w.Attach(p))
+			return be, nil
+		}
 	default:
 		return errBadTransport
 	}
 	defer pw.Close()
 	pw.SetActivePairsPerNode(o.ActivePairsPerNode)
+	imgs := make([]Image, images)
 	return pw.Run(func(p *pgas.PE) {
+		img := &imgs[p.ID]
 		be, shm := attach(p)
-		body(newImage(be, shm, o))
+		img.init(be, shm, o)
+		body(img)
 	})
 }
 
-func newImage(be backend, shm *shmem.PE, opts Options) *Image {
-	img := &Image{
-		be:       be,
-		caps:     opts.Transport.Caps(),
-		prof:     opts.Machine.MustProfile(opts.Profile),
-		shm:      shm,
-		opts:     opts,
-		local:    be.local(),
-		held:     map[lockKey]int64{},
-		syncSeen: map[int]int64{},
-	}
+// init fills in the image in place, its element of Run's image table, and
+// makes the image's collective start-up allocations.
+func (img *Image) init(be backend, shm *shmem.PE, opts Options) {
+	img.be, img.shm, img.opts, img.local = be, shm, opts, be.local()
+	img.caps = opts.Transport.Caps()
+	img.prof = opts.Machine.MustProfile(opts.Profile)
 	if at, ok := opts.FaultPlan.KillTime(img.local.ID); ok {
 		img.hasKill, img.killAt = true, at
 	}
@@ -172,11 +185,10 @@ func newImage(be backend, shm *shmem.PE, opts Options) *Image {
 	// performed in the same order everywhere. The mostly-idle non-symmetric
 	// staging buffer costs no host memory despite its size: partitions back
 	// pages on first write, so its unused interior never materialises.
-	img.nonsym = newNSAlloc(img.malloc(opts.NonSymBytes, true), opts.NonSymBytes)
+	img.nonsym.init(img.malloc(opts.NonSymBytes, true), opts.NonSymBytes)
 	img.syncOff = img.malloc(int64(img.NumImages())*8, true)
 	img.ctlOff = img.malloc(2*collMaxRounds*8, true)
 	img.barrier()
-	return img
 }
 
 // malloc collectively allocates size bytes of symmetric memory. A runtime
@@ -260,8 +272,16 @@ func (img *Image) signalImage(j int) {
 // image has already consumed.
 func (img *Image) awaitImage(j int) {
 	want := img.syncSeen[j-1] + 1
-	img.syncSeen[j-1] = want
+	img.seen(j-1, want)
 	img.wait(img.syncOff+int64(j-1)*8, pgas.CmpGE, want)
+}
+
+// seen records that image index i's signals have been consumed up to want.
+func (img *Image) seen(i int, want int64) {
+	if img.syncSeen == nil {
+		img.syncSeen = map[int]int64{}
+	}
+	img.syncSeen[i] = want
 }
 
 // storeLocalWord stores a 64-bit word into this image's own partition,

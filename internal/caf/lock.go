@@ -131,7 +131,7 @@ func (l *Lock) acquire(j int) Stat {
 	switch img.opts.Locks {
 	case LockNaiveSpin, LockGlobalArray:
 		l.spinAcquire(j)
-		img.held[key] = -1
+		img.hold(key, -1)
 	default:
 		if img.opts.Locks == LockVendor {
 			// The Cray CAF lock path is closed source; we model it as the same
@@ -143,7 +143,7 @@ func (l *Lock) acquire(j int) Stat {
 		if stat != StatOK {
 			return stat
 		}
-		img.held[key] = qOff
+		img.hold(key, qOff)
 	}
 	img.Stats.LocksAcquired++
 	img.local.NoteLockAcquired("caf.lock", l.off, j, true)
@@ -165,7 +165,7 @@ func (l *Lock) TryAcquire(j int) bool {
 		if !l.spinTry(j) {
 			return false
 		}
-		img.held[key] = -1
+		img.hold(key, -1)
 	default:
 		qOff := img.AllocNonSymmetric(qnodeBytes)
 		// An uncontended try-acquire holds the lock at once, so the node is
@@ -181,7 +181,7 @@ func (l *Lock) TryAcquire(j int) bool {
 			img.FreeNonSymmetric(qOff, qnodeBytes)
 			return false
 		}
-		img.held[key] = qOff
+		img.hold(key, qOff)
 	}
 	img.Stats.LocksAcquired++
 	img.local.NoteLockAcquired("caf.lock", l.off, j, false)
@@ -225,6 +225,15 @@ func (l *Lock) release(j int) Stat {
 	img.Stats.LocksReleased++
 	img.local.NoteLockReleased("caf.lock", l.off, j)
 	return stat
+}
+
+// hold enters a lock this image now holds into its held-lock table, with its
+// qnode's offset (-1 for the locks that have none).
+func (img *Image) hold(key lockKey, qOff int64) {
+	if img.held == nil {
+		img.held = map[lockKey]int64{}
+	}
+	img.held[key] = qOff
 }
 
 // --- MCS queue lock (§IV-D) ---

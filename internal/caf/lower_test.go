@@ -52,7 +52,7 @@ func (c *Coarray[T]) contigRun(sec Section) (runDims, runElems int) {
 func (c *Coarray[T]) secLowOff(sec Section) int64 {
 	var lin int64
 	for d := range sec {
-		lin += int64(sec[d].Lo) * c.strides[d]
+		lin += int64(sec[d].Lo) * int64(c.strides[d])
 	}
 	return c.off + lin*int64(c.es)
 }
@@ -60,8 +60,8 @@ func (c *Coarray[T]) secLowOff(sec Section) int64 {
 // geometryOnly is a coarray of the given shape at partition offset 192 with no
 // image behind it: enough for lower, which reads the geometry alone.
 func geometryOnly(shape ...int) *Coarray[int64] {
-	shape, strides, n := coarrayGeometry(shape)
-	return &Coarray[int64]{shape: shape, strides: strides, off: 192, n: n, es: 8}
+	shape, strides, codims, n := coarrayGeometry(shape)
+	return &Coarray[int64]{shape: shape, strides: strides, codims: codims, off: 192, n: n, es: 8}
 }
 
 // randomRange draws a range over [0, extent): mostly valid — full, partial or

@@ -11,19 +11,27 @@ import "fmt"
 // in this buffer must carry (image, offset) pairs — the packed pointers of
 // §IV-D.
 //
-// The allocator is purely image-local, so no synchronisation is involved.
+// The allocator is purely image-local, so no synchronisation is involved. It
+// is a field of its Image and never moves, so its free list starts in spans:
+// an allocator costs the heap nothing until the list holds more than two
+// spans. Two, because a release ahead of the one free span (a lock's qnode,
+// say) briefly makes two before they coalesce.
 type nsAlloc struct {
-	base int64
-	size int64
-	free []nsSpan
+	base  int64
+	size  int64
+	free  []nsSpan
+	spans [2]nsSpan
 }
 
 type nsSpan struct{ off, size int64 }
 
 const nsAlign = 8
 
-func newNSAlloc(base, size int64) *nsAlloc {
-	return &nsAlloc{base: base, size: size, free: []nsSpan{{off: base, size: size}}}
+// init makes a the allocator of the size bytes at base, all of them free.
+func (a *nsAlloc) init(base, size int64) {
+	a.base, a.size = base, size
+	a.spans[0] = nsSpan{off: base, size: size}
+	a.free = a.spans[:1]
 }
 
 // alloc reserves n bytes, returning the absolute partition offset.

@@ -298,7 +298,8 @@ func TestNonSymmetricExhaustion(t *testing.T) {
 // random alloc/free sequences.
 func TestNonSymmetricAllocatorProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
-		a := newNSAlloc(64, 1<<16)
+		var a nsAlloc
+		a.init(64, 1<<16)
 		type blk struct{ off, size int64 }
 		var live []blk
 		for _, op := range ops {

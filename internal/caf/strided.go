@@ -92,7 +92,7 @@ func (c *Coarray[T]) lower(sec Section) (n, runDims, runElems int, low int64, er
 		}
 		cnt := r.Count()
 		n *= cnt
-		low += int64(r.Lo) * c.strides[d]
+		low += int64(r.Lo) * int64(c.strides[d])
 		if merging = merging && r.Step == 1; merging {
 			runElems *= cnt
 			runDims = d + 1
@@ -195,7 +195,7 @@ func (c *Coarray[T]) section(get, nbi bool, j int, sec Section, vals []T) (_ []T
 		pgas.PutOffsScratch(sp)
 	default: // 1dim, 2dim, vendor: 1-D strided library calls along base dim
 		base := c.baseDim(sec)
-		op.Shape, op.Stride, op.Unit = pgas.Strided, int64(sec[base].Step)*c.strides[base]*int64(c.es), c.es
+		op.Shape, op.Stride, op.Unit = pgas.Strided, int64(sec[base].Step)*int64(c.strides[base])*int64(c.es), c.es
 		c.eachPencil(sec, base, low, !get, vals, func(byteOff int64, pencil []T) {
 			op.Off, op.Local = byteOff, pgas.Bytes(pencil)
 			img.issue(op)
@@ -218,7 +218,7 @@ func (c *Coarray[T]) appendRunOffs(offs []int64, sec Section, runDims int, low i
 	// element of it is its own run.
 	n0, step0 := 1, int64(0)
 	if runDims == 0 {
-		n0, step0 = sec[0].Count(), int64(sec[0].Step)*c.strides[0]*es
+		n0, step0 = sec[0].Count(), int64(sec[0].Step)*int64(c.strides[0])*es
 	}
 	at := low // of the current outer position's first run
 	outer := sec[innerEnd:]
@@ -233,7 +233,7 @@ func (c *Coarray[T]) appendRunOffs(offs []int64, sec Section, runDims int, low i
 		}
 		d := 0
 		for ; d < len(outer); d++ {
-			stride := int64(outer[d].Step) * c.strides[innerEnd+d] * es
+			stride := int64(outer[d].Step) * int64(c.strides[innerEnd+d]) * es
 			idx[d]++
 			if idx[d] < outer[d].Count() {
 				at += stride
@@ -297,7 +297,7 @@ func (c *Coarray[T]) eachPencil(sec Section, base int, low int64, put bool, dens
 		for ; d < len(sec); d++ {
 			n := sec[d].Count()
 			if d != base {
-				stride := int64(sec[d].Step) * c.strides[d] * es
+				stride := int64(sec[d].Step) * int64(c.strides[d]) * es
 				idx[d]++
 				if idx[d] < n {
 					byteOff += stride

@@ -113,10 +113,11 @@ type shmemBackend struct {
 	all shmem.Sym // whole-partition view for offset-addressed operations
 }
 
-func newShmemBackend(pe *shmem.PE) *shmemBackend {
+// attach makes t, an element of Run's backend table, the backend over pe.
+func (t *shmemBackend) attach(pe *shmem.PE) {
 	// The backend deliberately views the whole partition as one symmetric
 	// object: the CAF runtime above it deals in raw offsets.
-	return &shmemBackend{pe: pe, all: shmem.Sym{Off: 0, Size: pgas.MaxSegmentBytes}}
+	t.pe, t.all = pe, shmem.Sym{Off: 0, Size: pgas.MaxSegmentBytes}
 }
 
 func (t *shmemBackend) local() *pgas.PE { return t.pe.Pgas() }
@@ -198,8 +199,9 @@ type gasnetBackend struct {
 	all gasnet.Seg
 }
 
-func newGasnetBackend(ep *gasnet.EP) *gasnetBackend {
-	return &gasnetBackend{ep: ep, all: gasnet.Seg{Off: 0, Size: pgas.MaxSegmentBytes}}
+// attach makes t, an element of Run's backend table, the backend over ep.
+func (t *gasnetBackend) attach(ep *gasnet.EP) {
+	t.ep, t.all = ep, gasnet.Seg{Off: 0, Size: pgas.MaxSegmentBytes}
 }
 
 // registerGasnetHandlers installs the atomic-emulation handlers, indexed by

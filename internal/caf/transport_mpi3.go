@@ -24,13 +24,13 @@ type mpi3Backend struct {
 	win *mpi3.Win // the whole-partition window, lock_all'd at construction
 }
 
-func newMPI3Backend(w *mpi3.World, pr *mpi3.Proc) *mpi3Backend {
-	win := w.WorldWin()
+// attach makes t, an element of Run's backend table, the backend over pr.
+func (t *mpi3Backend) attach(pr *mpi3.Proc) {
+	t.pr, t.win = pr, pr.World().WorldWin()
 	// The job-lifetime shared epoch: individual operations then need no
 	// per-call lock/unlock, only flushes — the passive-target idiom every
 	// PGAS-over-MPI runtime uses.
-	pr.LockAll(win)
-	return &mpi3Backend{pr: pr, win: win}
+	pr.LockAll(t.win)
 }
 
 func (t *mpi3Backend) local() *pgas.PE { return t.pr.Pgas() }

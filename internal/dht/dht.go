@@ -130,14 +130,13 @@ func (t *Table) Lookup(key uint64) int64 {
 	return 0
 }
 
-// LocalSum returns the sum of values hosted on this image (verification).
+// LocalSum returns the sum of values hosted on this image (verification). It
+// reads the buckets in place, so it allocates nothing.
 func (t *Table) LocalSum() int64 {
 	var sum int64
-	vals := t.vals.Slice()
-	used := t.used.Slice()
-	for i, u := range used {
-		if u != 0 {
-			sum += vals[i]
+	for i := range t.buckets {
+		if t.used.At(i) != 0 {
+			sum += t.vals.At(i)
 		}
 	}
 	return sum

@@ -40,6 +40,27 @@ func TestUpdateAndLookup(t *testing.T) {
 	}
 }
 
+// TestLocalSumSteadyStateAllocs: LocalSum reads the buckets in place, so
+// verifying a table costs the heap nothing.
+func TestLocalSumSteadyStateAllocs(t *testing.T) {
+	err := caf.Run(2, opts(), func(img *caf.Image) {
+		tab := New(img, 1024)
+		if err := tab.Update(uint64(img.ThisImage()), 3); err != nil {
+			panic(err)
+		}
+		img.SyncAll()
+		if img.ThisImage() == 1 {
+			if n := testing.AllocsPerRun(100, func() { tab.LocalSum() }); n != 0 {
+				t.Errorf("%v allocs per LocalSum, want 0", n)
+			}
+		}
+		img.SyncAll()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConcurrentUpdatesConserveTotal(t *testing.T) {
 	// Every image hammers a small key space; locks must make updates atomic,
 	// so the grand total equals the number of updates.

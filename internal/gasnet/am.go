@@ -86,9 +86,10 @@ func (ep *EP) runHandler(target, idx int, payload []byte, args []int64, wantRepl
 	tok := &ep.tok
 	*tok = Token{world: w, Src: ep.p.ID, Dst: target, arrive: arrive}
 	n := copy(ep.args[:], args[:checkArgs(len(args))])
-	w.amMu[target].Lock()
+	am := &w.eps[target].amMu
+	am.Lock()
 	h(tok, payload, ep.args[:n:n])
-	w.amMu[target].Unlock()
+	am.Unlock()
 
 	replyAt := arrive + prof.DeliveryNs(intra, pairs)
 	if wantReply {

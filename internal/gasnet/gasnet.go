@@ -38,9 +38,9 @@ type World struct {
 	handlerMu sync.RWMutex
 	handlers  [MaxHandlers]Handler
 
-	// amMu serialises handler execution per target PE: GASNet guarantees
-	// handler atomicity with respect to other handlers on the same node.
-	amMu []sync.Mutex
+	// eps is the job's endpoint table, indexed by rank: Attach initialises a
+	// rank's element in place and hands out its address.
+	eps []EP
 }
 
 // EP is a per-PE endpoint; all GASNet calls hang off it.
@@ -65,6 +65,10 @@ type EP struct {
 	// handler runs on the requester's goroutine, one at a time per endpoint.
 	tok  Token
 	args [MaxArgs]int64
+	// amMu serialises handler execution on this endpoint's node, whoever
+	// requests: GASNet guarantees handler atomicity with respect to other
+	// handlers on the same node. It serves before the endpoint is attached.
+	amMu sync.Mutex
 }
 
 // Config selects the modelled platform and conduit.
@@ -102,14 +106,22 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	}
 	return &World{
 		pw: pw, prof: prof, machine: cfg.Machine,
-		heap: symHeap{brk: segAlign}, amMu: make([]sync.Mutex, n),
+		heap: symHeap{brk: segAlign}, eps: make([]EP, n),
 	}, nil
 }
 
-// Attach creates the endpoint handle for a pgas PE.
+// Attach returns the endpoint handle for a pgas PE of this world: the rank's
+// element of the world's endpoint table, wired on the first call and the same
+// handle on every later one.
 func (w *World) Attach(p *pgas.PE) *EP {
-	ep := &EP{world: w, p: p}
-	ep.nbi, ep.explicit = fabric.NewNBIStreams(&ep.nic), fabric.NewNBIStreams(&ep.nic)
+	if p.World() != w.pw {
+		panic("gasnet: Attach of a PE from another world")
+	}
+	ep := &w.eps[p.ID]
+	if ep.p == nil {
+		ep.world, ep.p = w, p
+		ep.nbi, ep.explicit = fabric.NewNBIStreams(&ep.nic), fabric.NewNBIStreams(&ep.nic)
+	}
 	return ep
 }
 

@@ -27,6 +27,30 @@ func TestRunIdentity(t *testing.T) {
 	}
 }
 
+// TestAttachReturnsTheRanksHandle: an endpoint is its rank's element of the
+// world's endpoint table — attaching the PE again gives the endpoint Run gave,
+// and no two ranks share one.
+func TestAttachReturnsTheRanksHandle(t *testing.T) {
+	const n = 4
+	var handles [n]*EP
+	err := Run(ibvCfg(), n, func(ep *EP) {
+		if again := ep.World().Attach(ep.Pgas()); again != ep {
+			t.Errorf("node %d: attaching again gave another endpoint", ep.MyNode())
+		}
+		handles[ep.MyNode()] = ep
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range handles {
+		for j, b := range handles[:i] {
+			if a == b {
+				t.Errorf("nodes %d and %d share an endpoint", j, i)
+			}
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewWorld(Config{}, 2); err == nil {
 		t.Fatal("missing machine should fail")

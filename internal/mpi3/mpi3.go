@@ -39,13 +39,23 @@ type World struct {
 
 	worldWin     *Win
 	worldWinOnce sync.Once
+
+	// procs is the job's rank table, indexed by rank: Attach initialises a
+	// rank's element in place and hands out its address.
+	procs []Proc
 }
 
 // Proc is the per-rank handle.
 type Proc struct {
-	world  *World
-	p      *pgas.PE
-	epochs map[int64]*epoch
+	world *World
+	p     *pgas.PE
+	// epoch0 is the rank's access epoch on the first window it locks or fences,
+	// and more those on later windows, one allocation each: an epoch never
+	// moves, because the sanitizer knows the puts booked on it by the address
+	// of its pending set. A rank on one window — the whole-partition window of
+	// a layered runtime — keeps its epoch in its handle.
+	epoch0 epoch
+	more   []*epoch
 }
 
 // Run launches an n-rank MPI job and executes body once per rank.
@@ -55,7 +65,7 @@ func Run(cfg Config, n int, body func(*Proc)) error {
 		return err
 	}
 	defer w.pw.Close()
-	return w.pw.Run(func(p *pgas.PE) { body(&Proc{world: w, p: p}) })
+	return w.pw.Run(func(p *pgas.PE) { body(w.Attach(p)) })
 }
 
 // NewWorld builds job state without launching ranks (for layered harnesses,
@@ -72,11 +82,22 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &World{pw: pw, prof: prof, machine: cfg.Machine, winHeap: 64}, nil
+	return &World{pw: pw, prof: prof, machine: cfg.Machine, winHeap: 64, procs: make([]Proc, n)}, nil
 }
 
-// Attach creates the rank handle for a pgas PE (for layered harnesses).
-func (w *World) Attach(p *pgas.PE) *Proc { return &Proc{world: w, p: p} }
+// Attach returns the rank handle for a pgas PE of this world (for layered
+// harnesses): the rank's element of the world's rank table, initialised on the
+// first call and the same handle on every later one.
+func (w *World) Attach(p *pgas.PE) *Proc {
+	if p.World() != w.pw {
+		panic("mpi3: Attach of a PE from another world")
+	}
+	pr := &w.procs[p.ID]
+	if pr.p == nil {
+		pr.world, pr.p = w, p
+	}
+	return pr
+}
 
 // PgasWorld exposes the underlying substrate.
 func (w *World) PgasWorld() *pgas.World { return w.pw }
@@ -146,9 +167,13 @@ type Win struct {
 	exclMu sync.Mutex // backs MPI_LOCK_EXCLUSIVE
 }
 
-// epoch tracks this rank's access epoch on a window. pending is the horizon of
-// its puts, a stream set with no pipe: a flush to any target completes it all.
+// epoch tracks this rank's access epoch on a window, the one at offset key
+// (open: the epoch exists). pending is the horizon of its puts, a stream set
+// with no pipe: a flush to any target completes it all. targets is made by the
+// first per-target Lock; a lock_all epoch never needs it.
 type epoch struct {
+	key      int64
+	open     bool
 	targets  map[int]bool
 	all      bool
 	pending  fabric.NBIStreams
@@ -190,20 +215,25 @@ func (win *Win) Off() int64 { return win.off }
 // Size returns the window's per-rank extent in bytes.
 func (win *Win) Size() int64 { return win.size }
 
-// epochs are tracked per (proc, win) pair in a per-proc map.
-var epochKey = func(win *Win) int64 { return win.off }
-
+// epochFor returns the rank's epoch on win, keyed by the window's offset;
+// create makes it when there is none, else nil says there is none.
 func (pr *Proc) epochFor(win *Win, create bool) *epoch {
-	if pr.epochs == nil {
-		if !create {
-			return nil
+	if e := &pr.epoch0; e.open && e.key == win.off {
+		return e
+	}
+	for _, e := range pr.more {
+		if e.key == win.off {
+			return e
 		}
-		pr.epochs = map[int64]*epoch{}
 	}
-	e := pr.epochs[epochKey(win)]
-	if e == nil && create {
-		e = &epoch{targets: map[int]bool{}}
-		pr.epochs[epochKey(win)] = e
+	if !create {
+		return nil
 	}
+	e := &pr.epoch0
+	if e.open {
+		e = new(epoch)
+		pr.more = append(pr.more, e)
+	}
+	e.key, e.open = win.off, true
 	return e
 }

@@ -18,6 +18,9 @@ func (pr *Proc) Lock(kind LockKind, target int, win *Win) {
 		win.exclMu.Lock()
 		e.heldExcl = append(e.heldExcl, target)
 	}
+	if e.targets == nil {
+		e.targets = map[int]bool{}
+	}
 	e.targets[target] = true
 	pr.p.Clock.Advance(pr.world.prof.OverheadNs + pr.world.prof.WindowSyncNs)
 }

@@ -45,6 +45,30 @@ func TestWorldWinSpansPartition(t *testing.T) {
 	}
 }
 
+// TestAttachReturnsTheRanksHandle: a rank's handle is its element of the
+// world's rank table — attaching the PE again gives the handle Run gave, and
+// no two ranks share one.
+func TestAttachReturnsTheRanksHandle(t *testing.T) {
+	const n = 4
+	var handles [n]*Proc
+	err := Run(cfg(), n, func(pr *Proc) {
+		if again := pr.World().Attach(pr.Pgas()); again != pr {
+			t.Errorf("rank %d: attaching again gave another handle", pr.Rank())
+		}
+		handles[pr.Rank()] = pr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range handles {
+		for j, b := range handles[:i] {
+			if a == b {
+				t.Errorf("ranks %d and %d share a handle", j, i)
+			}
+		}
+	}
+}
+
 // FetchOp generalises Fetch_and_op across the accumulate reductions;
 // OpSwap is MPI_REPLACE (fetch old, store new).
 func TestFetchOpFlavours(t *testing.T) {

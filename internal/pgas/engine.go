@@ -119,8 +119,8 @@ func (w *World) wakeWatchers(skip *PE) {
 		return
 	}
 	w.wakeVisits.Add(int64(w.n))
-	for _, q := range w.pes {
-		if q != skip && q.waiters.Load() != 0 {
+	for i := range w.pes {
+		if q := &w.pes[i]; q != skip && q.waiters.Load() != 0 {
 			q.wakeFanout()
 		}
 	}

@@ -38,7 +38,8 @@ func PreloadDirtyPages(n int, lo, hi int64) {
 // Scribble dirties every page the world has materialised, so that Close
 // recycles memory that no longer holds anything the world wrote.
 func (w *World) Scribble() {
-	for _, p := range w.pes {
+	for i := range w.pes {
+		p := &w.pes[i]
 		p.mu.Lock()
 		for _, pg := range p.seg.pages {
 			if pg != nil {

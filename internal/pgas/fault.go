@@ -181,7 +181,8 @@ func (w *World) deadlock() {
 	}
 	var lines []string
 	var alive, departed, waits, barriers int
-	for _, p := range w.pes {
+	for i := range w.pes {
+		p := &w.pes[i]
 		on, inBarrier := w.blockedOn(p)
 		if on == "" {
 			continue

@@ -158,8 +158,8 @@ func TestVectoredWritesToFailedPEAreDropped(t *testing.T) {
 	before := []byte{9, 9, 9, 9}
 	wv.Write(1, 0, before, 1)
 	we.Write(1, 0, before, 1)
-	wv.depart(wv.pes[1], stateFailed)
-	we.depart(we.pes[1], stateFailed)
+	wv.depart(&wv.pes[1], stateFailed)
+	we.depart(&we.pes[1], stateFailed)
 	wv.WriteV(1, 0, 1, 1, []byte{1, 2, 3, 4}, 5)
 	wv.WriteRuns(1, 0, []int64{0, 2}, 2, []byte{5, 6, 7, 8}, []float64{5, 5})
 	we.Write(1, 0, []byte{1, 2, 3, 4}, 5)

@@ -29,7 +29,9 @@ const MaxSegmentBytes = int64(1) << 36
 type World struct {
 	machine *fabric.Machine
 	n       int
-	pes     []*PE
+	// pes is the world's PE table, indexed by rank: one allocation for every
+	// PE, which never moves, so a *PE into it is the PE's handle.
+	pes     []PE
 	barrier *barrier
 
 	mu     sync.Mutex
@@ -155,7 +157,7 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 	w := &World{
 		machine: machine,
 		n:       n,
-		pes:     make([]*PE, n),
+		pes:     make([]PE, n),
 		shared:  map[string]interface{}{},
 		states:  make([]int32, n),
 		perNode: 1, tailLo: n, // no node structure: nobody shares a NIC
@@ -170,10 +172,10 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 	}
 	w.barrier = newBarrier(w, n, opts.BarrierShards)
 	for i := range w.pes {
-		p := &PE{ID: i, world: w}
+		p := &w.pes[i]
+		p.ID, p.world = i, w
 		p.cond.L = &p.mu
 		w.barrier.arena[i].p = p
-		w.pes[i] = p
 	}
 	return w, nil
 }
@@ -214,22 +216,8 @@ func (w *World) Run(body func(*PE)) error {
 	defer w.running.Store(false)
 	var wg sync.WaitGroup
 	wg.Add(w.n)
-	for _, p := range w.pes {
-		go func(p *PE) {
-			defer wg.Done()
-			defer w.exit()
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(peFailed); ok {
-						return // fail-image: a clean, modelled departure
-					}
-					w.poison(fmt.Errorf("pgas: PE %d panicked: %v", p.ID, r))
-					return
-				}
-				w.markStopped(p)
-			}()
-			body(p)
-		}(p)
+	for i := range w.pes {
+		go w.runPE(&w.pes[i], body, &wg)
 	}
 	wg.Wait()
 	if err := w.failedErr(); err != nil || w.san == nil {
@@ -238,18 +226,36 @@ func (w *World) Run(body func(*PE)) error {
 	return w.san.finalize(w)
 }
 
+// runPE is one PE goroutine of Run: body on p, then p's departure.
+func (w *World) runPE(p *PE, body func(*PE), wg *sync.WaitGroup) {
+	defer wg.Done()
+	defer w.exit()
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(peFailed); ok {
+				return // fail-image: a clean, modelled departure
+			}
+			w.poison(fmt.Errorf("pgas: PE %d panicked: %v", p.ID, r))
+			return
+		}
+		w.markStopped(p)
+	}()
+	body(p)
+}
+
 // ErrClosed is what a closed world answers: Run returns it, and the one-sided
 // memory operations panic with it.
 var ErrClosed = errors.New("pgas: world is closed")
 
-// part returns the target PE, whose partition the caller is about to access.
-// A closed world has no partition memory left: silently reading zeros where
+// part returns the target PE, whose partition the caller is about to access:
+// its element of the PE table, an address computed, not a pointer loaded. A
+// closed world has no partition memory left: silently reading zeros where
 // data used to be would be the worst answer, so it panics.
 func (w *World) part(target int) *PE {
 	if w.closed.Load() {
 		panic(ErrClosed)
 	}
-	return w.pes[target]
+	return &w.pes[target]
 }
 
 // Close ends the world's life: every materialised page of every partition,
@@ -269,7 +275,8 @@ func (w *World) Close() {
 	if w.closed.Swap(true) {
 		return
 	}
-	for _, p := range w.pes {
+	for i := range w.pes {
+		p := &w.pes[i]
 		p.mu.Lock()
 		p.seg.release()
 		p.mu.Unlock()
@@ -299,7 +306,8 @@ func (s PageStats) String() string {
 // survive Close.
 func (w *World) PageStats() PageStats {
 	var s PageStats
-	for _, p := range w.pes {
+	for i := range w.pes {
+		p := &w.pes[i]
 		p.mu.Lock()
 		s.SegPages += p.seg.materialised
 		s.TsPages += p.seg.tsMaterialised
@@ -329,7 +337,8 @@ func (m Metrics) String() string {
 // like PageStats, and reads the barrier's generation count.
 func (w *World) Metrics() Metrics {
 	var m Metrics
-	for _, p := range w.pes {
+	for i := range w.pes {
+		p := &w.pes[i]
 		p.mu.Lock()
 		m.Sleeps += p.sleeps
 		p.mu.Unlock()
@@ -348,7 +357,7 @@ func (w *World) Machine() *fabric.Machine { return w.machine }
 func (w *World) NumPEs() int { return w.n }
 
 // PE returns the processing element with the given rank.
-func (w *World) PE(id int) *PE { return w.pes[id] }
+func (w *World) PE(id int) *PE { return &w.pes[id] }
 
 // SetActivePairsPerNode overrides the contention model's estimate of how many
 // PEs per node are concurrently driving the NIC. The microbenchmarks use this
@@ -399,7 +408,7 @@ func (w *World) poison(err error) {
 	}
 	w.wakeVisits.Add(int64(w.n))
 	w.barrier.poison()
-	for _, p := range w.pes {
-		p.wakeFanout()
+	for i := range w.pes {
+		w.pes[i].wakeFanout()
 	}
 }

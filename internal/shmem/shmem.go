@@ -27,6 +27,9 @@ type World struct {
 	machine *fabric.Machine
 	heap    *heap
 	fplan   *fabric.FaultPlan // nil unless Config.FaultPlan (see stat.go)
+	// pes is the job's PE table, indexed by rank: Attach initialises a rank's
+	// element in place and hands out its address.
+	pes []PE
 }
 
 // barrierNs is the modelled cost of shmem_barrier_all over the whole job.
@@ -57,15 +60,6 @@ type PE struct {
 	stage []byte
 }
 
-// newPE wires a PE handle: the default context's completion streams share the
-// PE's injection pipe with any contexts created later.
-func newPE(w *World, p *pgas.PE) *PE {
-	pe := &PE{world: w, p: p}
-	pe.nodeLo, pe.nodeHi = w.machine.NodeRange(p.ID)
-	pe.def = Ctx{pe: pe, nbi: fabric.NewNBIStreams(&pe.nic)}
-	return pe
-}
-
 // Config selects the modelled platform and library implementation.
 type Config struct {
 	Machine *fabric.Machine
@@ -93,7 +87,7 @@ func Run(cfg Config, n int, body func(*PE)) error {
 		return err
 	}
 	defer w.pw.Close()
-	return w.pw.Run(func(p *pgas.PE) { body(newPE(w, p)) })
+	return w.pw.Run(func(p *pgas.PE) { body(w.Attach(p)) })
 }
 
 // NewWorld builds the job state without launching PEs; used by layered
@@ -111,16 +105,30 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &World{pw: pw, prof: prof, machine: cfg.Machine, heap: newHeap(), fplan: cfg.FaultPlan}, nil
+	return &World{pw: pw, prof: prof, machine: cfg.Machine, heap: newHeap(), fplan: cfg.FaultPlan, pes: make([]PE, n)}, nil
 }
 
 // FaultPlan returns the world's fault-injection schedule (nil when fault
 // injection is disabled).
 func (w *World) FaultPlan() *fabric.FaultPlan { return w.fplan }
 
-// Attach creates the PE handle for a pgas PE in this world. Layered runtimes
-// use it; normal applications go through Run.
-func (w *World) Attach(p *pgas.PE) *PE { return newPE(w, p) }
+// Attach returns the PE handle for a pgas PE of this world: the rank's element
+// of the world's PE table, wired on the first call — the default context's
+// completion streams share the PE's injection pipe with any contexts created
+// later — and the same handle on every later one. Layered runtimes use it;
+// normal applications go through Run.
+func (w *World) Attach(p *pgas.PE) *PE {
+	if p.World() != w.pw {
+		panic("shmem: Attach of a PE from another world")
+	}
+	pe := &w.pes[p.ID]
+	if pe.p == nil {
+		pe.world, pe.p = w, p
+		pe.nodeLo, pe.nodeHi = w.machine.NodeRange(p.ID)
+		pe.def = Ctx{pe: pe, nbi: fabric.NewNBIStreams(&pe.nic)}
+	}
+	return pe
+}
 
 // PgasWorld exposes the underlying substrate (for layered runtimes).
 func (w *World) PgasWorld() *pgas.World { return w.pw }

@@ -38,6 +38,30 @@ func TestRunIdentityIntrinsics(t *testing.T) {
 	}
 }
 
+// TestAttachReturnsTheRanksHandle: a PE's handle is its rank's element of the
+// world's PE table — attaching the PE again gives the handle Run gave, and no
+// two ranks share one.
+func TestAttachReturnsTheRanksHandle(t *testing.T) {
+	const n = 4
+	var handles [n]*PE
+	err := Run(stampedeCfg(), n, func(pe *PE) {
+		if again := pe.World().Attach(pe.Pgas()); again != pe {
+			t.Errorf("PE %d: attaching again gave another handle", pe.MyPE())
+		}
+		handles[pe.MyPE()] = pe
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range handles {
+		for j, b := range handles[:i] {
+			if a == b {
+				t.Errorf("PEs %d and %d share a handle", j, i)
+			}
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := NewWorld(Config{}, 2); err == nil {
 		t.Fatal("missing machine should fail")
