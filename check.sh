@@ -2,9 +2,9 @@
 # Extended tier-1 gate (see ROADMAP.md): build-and-test plus the repo's
 # structural gates, race and shuffled tests, fuzz smokes and the claims gate.
 # Run from the module root. `./check.sh fast` stops after the fast tier: build,
-# vet, the gofmt, unsafe, host-clock, one-issue-core, one-funnel, one-checker,
-# one-copy, one-lock, word-offset, one-engine, per-rank-table, inline and
-# bounds-check gates, the gates on the write path and the deadlock loop (about
+# vet, the gofmt, unsafe, host-clock, one-command, one-issue-core, one-funnel,
+# one-checker, one-copy, one-lock, word-offset, one-engine, per-rank-table,
+# inline and bounds-check gates, the gates on the write path and the deadlock loop (about
 # half a minute).
 set -eu
 
@@ -31,6 +31,16 @@ fi
 echo "==> host-clock gate (no verdict, cost or schedule under internal/ may depend on host time: virtual time is the only clock)"
 if grep -rl --include='*.go' --exclude='*_test.go' '"time"' internal; then
     echo "check.sh: the files above import time; nothing under internal/ may, outside tests" >&2
+    exit 1
+fi
+
+echo "==> one-command gate (the evaluation has one driver: cmd/ holds only cmd/reproduce, and outside benchmark/ only it and internal/pgasbench import flag)"
+cmds=$(ls -A cmd)
+flags=$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*(import[[:space:]]+)?([A-Za-z_.]+[[:space:]]+)?"flag"[[:space:]]*$' . |
+    grep -v -e '^\./benchmark/' -e '^\./\.bench_build/' -e '^\./cmd/reproduce/' -e '^\./internal/pgasbench/' || true)
+if [ "$cmds" != reproduce ] || [ -n "$flags" ]; then
+    echo "check.sh: cmd/ must hold one directory, reproduce (holds: $(echo $cmds)); a figure, sweep or replay is a pgasbench.Catalog entry, not a command. Files importing flag outside cmd/reproduce, internal/pgasbench and benchmark/:" >&2
+    printf '%s\n' "$flags" >&2
     exit 1
 fi
 

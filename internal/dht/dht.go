@@ -274,3 +274,59 @@ func BenchPattern(opts caf.Options, images, bucketsPerImage, updates int, disjoi
 	res.UpdatesPS = float64(images*updates) / (total / 1e9)
 	return res, nil
 }
+
+// ReplayResult is what one chaos replay of the table observed: each image's
+// final STAT and how many of its updates applied, image 1's virtual time, and
+// the per-link reliability forensics.
+type ReplayResult struct {
+	Stats     []caf.Stat
+	Applied   []int
+	TimeMs    float64
+	Forensics []caf.LinkReport
+}
+
+// Replay runs the random locked-update workload once under opts, whose
+// FaultPlan the caller sets, with every image on the STAT-bearing path
+// (UpdateStat, SyncAllStat). An image stops at its first STAT other than
+// StatOK. A table that fills up panics: that is a sizing error, not a fault.
+//
+// The same plan does not replay bit-identically. Images contend for the owning
+// image's MCS lock, and the engine applies contended swaps in host arrival
+// order, so how many updates each image applies and the virtual time follow
+// the host schedule. Runs whose images meet only at barriers (Himeno's) do
+// replay bit-identically.
+func Replay(opts caf.Options, images, bucketsPerImage, updates int) (ReplayResult, error) {
+	res := ReplayResult{Stats: make([]caf.Stat, images), Applied: make([]int, images)}
+	err := caf.Run(images, opts, func(img *caf.Image) {
+		me := img.ThisImage()
+		t := New(img, bucketsPerImage)
+		if s := img.SyncAllStat(); s != caf.StatOK {
+			res.Stats[me-1] = s
+			return
+		}
+		rng := uint64(0x9e3779b9*me + 7)
+		for i := 0; i < updates; i++ {
+			rng = splitmix64(rng)
+			s, err := t.UpdateStat(rng%uint64(images*bucketsPerImage/2), 1)
+			if err != nil {
+				panic(err)
+			}
+			if s != caf.StatOK {
+				res.Stats[me-1] = s
+				break
+			}
+			res.Applied[me-1]++
+			if (i+1)%10 == 0 {
+				if s := img.SyncAllStat(); s != caf.StatOK {
+					res.Stats[me-1] = s
+					break
+				}
+			}
+		}
+		if me == 1 {
+			res.TimeMs = img.Clock().Now() / 1e6
+			res.Forensics = img.LinkReports()
+		}
+	})
+	return res, err
+}

@@ -18,41 +18,45 @@ var (
 		Himeno: himeno.Params{NX: 32, NY: 2048, NZ: 16, Iters: 3}}
 )
 
-// Entry is one figure of the evaluation: what the tools call it, what they
-// print above it, and how to build it. Claims (claims.go) refer to it by ID.
+// Entry is one figure of the evaluation: what cmd/reproduce calls it, what it
+// prints above it, and how to build it. Claims (claims.go) refer to it by ID.
+// An application figure also names its application (App), which a transport
+// sweep or a chaos replay runs instead of the figure; the other figures have
+// none.
 type Entry struct {
 	ID    string
 	Title string // with the paper's section
-	Micro bool   // part of the PGAS Microbenchmark suite (cmd/pgas-microbench's "all")
 	Build func(Scale) Figure
+	App   func(Scale) *App
 }
 
 // Catalog lists the evaluation in the paper's order, then the beyond-paper
-// figures, then the ablations. cmd/reproduce, cmd/pgas-microbench, TestClaims
-// and EXPERIMENTS.md's generated tables all walk this one list.
+// figures, then the ablations. cmd/reproduce, TestClaims and EXPERIMENTS.md's
+// generated tables all walk this one list.
 var Catalog = []Entry{
-	{"fig2", "Figure 2: raw put latency (§III)", true, func(Scale) Figure { return Fig2() }},
-	{"fig3", "Figure 3: raw put bandwidth (§III)", true, func(Scale) Figure { return Fig3() }},
-	{"fig6", "Figure 6: CAF put + strided put, Cray XC30 (§V-B)", true, func(Scale) Figure { return Fig6() }},
-	{"fig7", "Figure 7: CAF put + strided put, Stampede (§V-B)", true, func(Scale) Figure { return Fig7() }},
-	{"fig8", "Figure 8: coarray locks, Titan (§V-B3)", true, func(s Scale) Figure { return Fig8(s.LockImages) }},
-	{"fig9", "Figure 9: distributed hash table, Titan (§V-C)", false, func(s Scale) Figure { return Fig9(s.DHTImages, 128, 50) }},
-	{"fig10", "Figure 10: Himeno, Stampede (§V-D)", false, func(s Scale) Figure { return Fig10(s.HimenoImages, s.Himeno) }},
-	{"matrix", "§V-D matrix-oriented strides (naive vs 2dim)", true, func(Scale) Figure { return MatrixOrientedAblation() }},
+	{"fig2", "Figure 2: raw put latency (§III)", func(Scale) Figure { return Fig2() }, nil},
+	{"fig3", "Figure 3: raw put bandwidth (§III)", func(Scale) Figure { return Fig3() }, nil},
+	{"fig6", "Figure 6: CAF put + strided put, Cray XC30 (§V-B)", func(Scale) Figure { return Fig6() }, nil},
+	{"fig7", "Figure 7: CAF put + strided put, Stampede (§V-B)", func(Scale) Figure { return Fig7() }, nil},
+	{"fig8", "Figure 8: coarray locks, Titan (§V-B3)", func(s Scale) Figure { return Fig8(s.LockImages) }, nil},
+	{"fig9", "Figure 9: distributed hash table, Titan (§V-C)", func(s Scale) Figure { return Fig9(s.DHTImages) }, dhtApp},
+	{"fig10", "Figure 10: Himeno, Stampede (§V-D)", func(s Scale) Figure { return Fig10(s.HimenoImages, s.Himeno) }, himenoApp},
+	{"matrix", "§V-D matrix-oriented strides (naive vs 2dim)", func(Scale) Figure { return MatrixOrientedAblation() }, nil},
 	// The two Himeno schedule figures use their own 64-plane grid, which 32
 	// images exhaust at either scale.
-	{"overlap", "Nonblocking RMA overlap (beyond-paper, §VII direction)", false, func(Scale) Figure { return FigOverlap(32) }},
-	{"signal", "Put-with-signal: barrier-free ghost refresh (beyond-paper)", false, func(Scale) Figure { return FigSignal(32) }},
+	{"overlap", "Nonblocking RMA overlap (beyond-paper, §VII direction)", func(Scale) Figure { return FigOverlap(32) }, nil},
+	{"signal", "Put-with-signal: barrier-free ghost refresh (beyond-paper)", func(Scale) Figure { return FigSignal(32) }, nil},
 	// The design choices the paper argues for, each against what it rejects.
-	{"quiet", "Ablation: quiet after every put vs deferred completion (§IV-B)", false, func(Scale) Figure { return AblationQuiet() }},
-	{"basedim", "Ablation: 2dim's base dimension vs unrestricted best dimension (§IV-C)", false, func(Scale) Figure { return AblationBaseDim() }},
-	{"locks", "Ablation: MCS vs remote-spin CAS vs global lock array (§IV-D)", false, func(Scale) Figure { return AblationLocks() }},
+	{"quiet", "Ablation: quiet after every put vs deferred completion (§IV-B)", func(Scale) Figure { return AblationQuiet() }, nil},
+	{"basedim", "Ablation: 2dim's base dimension vs unrestricted best dimension (§IV-C)", func(Scale) Figure { return AblationBaseDim() }, nil},
+	{"locks", "Ablation: MCS vs remote-spin CAS vs global lock array (§IV-D)", func(Scale) Figure { return AblationLocks() }, nil},
 }
 
-// Lookup returns the catalogued figure with the given id.
+// Lookup returns the catalogued figure with the given id; a bare figure
+// number names its figure (8 is fig8).
 func Lookup(id string) (Entry, bool) {
 	for _, e := range Catalog {
-		if e.ID == id {
+		if e.ID == id || e.ID == "fig"+id {
 			return e, true
 		}
 	}

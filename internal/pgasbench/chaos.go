@@ -2,34 +2,37 @@ package pgasbench
 
 import (
 	"flag"
+	"fmt"
+	"io"
 	"os"
 
+	"cafshmem/internal/caf"
 	"cafshmem/internal/fabric"
 )
 
-// Chaos holds the flags the application bench CLIs share for a chaos replay
-// under a lossy-fabric fault plan.
+// Chaos holds the flags that ask for a chaos replay under a lossy-fabric
+// fault plan instead of a figure.
 type Chaos struct {
 	planFile string
 	seed     uint64
-	Images   int
 }
 
-// ChaosFlags declares -faultplan, -faultseed and -chaos-images on fs; instead
-// names what the tool runs without them.
-func ChaosFlags(fs *flag.FlagSet, instead string) *Chaos {
+// ChaosFlags declares -faultplan and -faultseed on fs.
+func ChaosFlags(fs *flag.FlagSet) *Chaos {
 	c := &Chaos{}
-	fs.StringVar(&c.planFile, "faultplan", "", "JSON fault-plan file: run one chaos replay under the plan instead of "+instead)
+	fs.StringVar(&c.planFile, "faultplan", "", "JSON fault-plan file: run one chaos replay of each selected application figure under the plan")
 	fs.Uint64Var(&c.seed, "faultseed", 0, "nonzero: chaos replay under a seeded lossy plan (drops, delay jitter, dups, one kill)")
-	fs.IntVar(&c.Images, "chaos-images", 8, "image count for the chaos replay")
 	return c
 }
 
-// Plan resolves the replay's fault plan: the JSON file when one is given,
-// otherwise a plan drawn from the seed (one kill plus drop/jitter/dup rules on
-// every link, over the virtual window [fromNs, 2 ms)). It returns nil when
-// neither flag asks for a replay.
-func (c *Chaos) Plan(fromNs float64) (*fabric.FaultPlan, error) {
+// Set reports whether either flag asks for a replay.
+func (c *Chaos) Set() bool { return c.planFile != "" || c.seed != 0 }
+
+// Plan resolves the replay's fault plan for images images: the JSON file when
+// one is given, otherwise a plan drawn from the seed (one kill plus
+// drop/jitter/dup rules on every link, over the virtual window [fromNs, 2 ms)).
+// It returns nil when neither flag asks for a replay.
+func (c *Chaos) Plan(images int, fromNs float64) (*fabric.FaultPlan, error) {
 	switch {
 	case c.planFile != "":
 		data, err := os.ReadFile(c.planFile)
@@ -38,7 +41,38 @@ func (c *Chaos) Plan(fromNs float64) (*fabric.FaultPlan, error) {
 		}
 		return fabric.DecodeFaultPlan(data)
 	case c.seed != 0:
-		return fabric.RandomLossPlan(c.seed, c.Images, 1, fromNs, 2_000_000), nil
+		return fabric.RandomLossPlan(c.seed, images, 1, fromNs, 2_000_000), nil
 	}
 	return nil, nil
+}
+
+// ChaosReplay runs app once on images images of the Cray XC30 over Cray SHMEM
+// under plan, and prints what the fault machinery observed: the application's
+// summary, then the per-link reliability forensics (retransmits, drops,
+// given-up links). A legacy (non-STAT) operation that hits an exhausted link
+// error-terminates the job. That is the designed escalation and a
+// deterministic outcome of the plan, so it is printed as the replay's outcome,
+// not returned as a failure.
+//
+// Whether the same plan replays bit-identically depends on the application:
+// runs whose images meet only at barriers do (Himeno's), runs with contended
+// locks do not (the DHT's; see dht.Replay).
+func ChaosReplay(w io.Writer, app *App, plan *fabric.FaultPlan, images int) {
+	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
+	opts.FaultPlan = plan
+	fmt.Fprintf(w, "chaos replay: %d images, plan %v\n", images, plan)
+	summary, forensics, err := app.Replay(opts, images)
+	if err != nil {
+		fmt.Fprintf(w, "outcome: error termination — %v\n", err)
+		return
+	}
+	fmt.Fprint(w, summary)
+	if len(forensics) == 0 {
+		fmt.Fprintln(w, "forensics: no lossy links exercised")
+		return
+	}
+	fmt.Fprintln(w, "forensics (per directed link):")
+	for _, r := range forensics {
+		fmt.Fprintf(w, "  %v\n", r)
+	}
 }

@@ -258,18 +258,14 @@ func belowEach(panel int, prefixes func() []string, lo, hi string, within [2]flo
 }
 
 // machines and transports are those panels' label prefixes.
-func machines() (labels []string) {
-	for _, m := range overlapMachines() {
-		labels = append(labels, m.Label)
-	}
-	return labels
-}
+func machines() []string   { return labels(overlapMachines()) }
+func transports() []string { return labels(transportConfigs()) }
 
-func transports() (labels []string) {
-	for _, tc := range TransportConfigs() {
-		labels = append(labels, tc.Label)
+func labels(configs []config) (out []string) {
+	for _, c := range configs {
+		out = append(out, c.Label)
 	}
-	return labels
+	return out
 }
 
 // Series labels the claims read (the builders in figures*.go set them).

@@ -13,6 +13,44 @@ var (
 	ImageSweep  = []int{2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 )
 
+// libProfile is one library of Figs 2 and 3, by the profile it runs on its
+// machine.
+type libProfile struct {
+	lib  Library
+	name string
+}
+
+// The three libraries Figs 2 and 3 compare, on each machine.
+var (
+	stampedeLibs = []libProfile{
+		{LibSHMEM, fabric.ProfMV2XSHMEM},
+		{LibMPI3, fabric.ProfMV2XMPI3},
+		{LibGASNet, fabric.ProfGASNetIBV},
+	}
+	titanLibs = []libProfile{
+		{LibSHMEM, fabric.ProfCraySHMEM},
+		{LibMPI3, fabric.ProfCrayMPICH},
+		{LibGASNet, fabric.ProfGASNetGemini},
+	}
+)
+
+// upTo returns the counts no larger than maxImages.
+func upTo(counts []int, maxImages int) (out []int) {
+	for _, n := range counts {
+		if n <= maxImages {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// withNaive returns o with the naive strided algorithm (putmem per contiguous
+// block), the best for Himeno per §V-D.
+func withNaive(o caf.Options) caf.Options {
+	o.Strided = caf.StridedNaive
+	return o
+}
+
 func mustSeries(s Series, err error) Series {
 	if err != nil {
 		panic(err)
@@ -26,32 +64,13 @@ func mustSeries(s Series, err error) Series {
 func Fig2() Figure {
 	st := fabric.Stampede()
 	ti := fabric.Titan()
-	panel := func(title string, m *fabric.Machine, profs []struct {
-		lib  Library
-		name string
-	}, sizes []int) Panel {
+	panel := func(title string, m *fabric.Machine, profs []libProfile, sizes []int) Panel {
 		p := Panel{Title: title, XLabel: "bytes", YLabel: "latency (us)"}
 		for _, pr := range profs {
 			cfg := RawPutConfig{Machine: m, Profile: pr.name, Library: pr.lib, Pairs: 1, Sizes: sizes, Iters: 5}
 			p.Series = append(p.Series, mustSeries(PutLatency(cfg)))
 		}
 		return p
-	}
-	stampedeLibs := []struct {
-		lib  Library
-		name string
-	}{
-		{LibSHMEM, fabric.ProfMV2XSHMEM},
-		{LibMPI3, fabric.ProfMV2XMPI3},
-		{LibGASNet, fabric.ProfGASNetIBV},
-	}
-	titanLibs := []struct {
-		lib  Library
-		name string
-	}{
-		{LibSHMEM, fabric.ProfCraySHMEM},
-		{LibMPI3, fabric.ProfCrayMPICH},
-		{LibGASNet, fabric.ProfGASNetGemini},
 	}
 	return Figure{
 		ID:    "Fig2",
@@ -69,32 +88,13 @@ func Fig2() Figure {
 func Fig3() Figure {
 	st := fabric.Stampede()
 	ti := fabric.Titan()
-	panel := func(title string, m *fabric.Machine, profs []struct {
-		lib  Library
-		name string
-	}, pairs int) Panel {
+	panel := func(title string, m *fabric.Machine, profs []libProfile, pairs int) Panel {
 		p := Panel{Title: title, XLabel: "bytes", YLabel: "bandwidth (MB/s)"}
 		for _, pr := range profs {
 			cfg := RawPutConfig{Machine: m, Profile: pr.name, Library: pr.lib, Pairs: pairs, Sizes: LargeSizes, Iters: 3}
 			p.Series = append(p.Series, mustSeries(PutBandwidth(cfg)))
 		}
 		return p
-	}
-	stampedeLibs := []struct {
-		lib  Library
-		name string
-	}{
-		{LibSHMEM, fabric.ProfMV2XSHMEM},
-		{LibMPI3, fabric.ProfMV2XMPI3},
-		{LibGASNet, fabric.ProfGASNetIBV},
-	}
-	titanLibs := []struct {
-		lib  Library
-		name string
-	}{
-		{LibSHMEM, fabric.ProfCraySHMEM},
-		{LibMPI3, fabric.ProfCrayMPICH},
-		{LibGASNet, fabric.ProfGASNetGemini},
 	}
 	return Figure{
 		ID:    "Fig3",
@@ -118,45 +118,41 @@ func xc30Configs() []CAFPutConfig {
 	}
 }
 
+// cafPutPanels are the four panels of Figs 6 and 7: contiguous put bandwidth
+// of the contig configurations, then 2-D strided put bandwidth of the strided
+// ones, each with 1 and then 16 communicating pairs.
+func cafPutPanels(contig, strided []CAFPutConfig) []Panel {
+	panel := func(title, xLabel string, configs []CAFPutConfig, pairs int, run func(CAFPutConfig) (Series, error)) Panel {
+		p := Panel{Title: title, XLabel: xLabel, YLabel: "bandwidth (MB/s)"}
+		for _, c := range configs {
+			c.Pairs = pairs
+			p.Series = append(p.Series, mustSeries(run(c)))
+		}
+		return p
+	}
+	bySize := func(c CAFPutConfig) (Series, error) { return CAFContigBandwidth(c, LargeSizes) }
+	byStride := func(c CAFPutConfig) (Series, error) { return CAFStridedBandwidth(c, StrideSweep) }
+	return []Panel{
+		panel("(a) Contiguous put: 1 pair", "bytes", contig, 1, bySize),
+		panel("(b) Contiguous put: 16 pairs", "bytes", contig, 16, bySize),
+		panel("(c) Strided put: 1 pair", "stride (ints)", strided, 1, byStride),
+		panel("(d) Strided put: 16 pairs", "stride (ints)", strided, 16, byStride),
+	}
+}
+
 // Fig6 regenerates Figure 6: CAF contiguous and 2-D strided put bandwidth on
 // the Cray XC30.
 func Fig6() Figure {
-	configs := xc30Configs()
-	contig := func(title string, pairs int) Panel {
-		p := Panel{Title: title, XLabel: "bytes", YLabel: "bandwidth (MB/s)"}
-		for _, c := range configs {
-			c.Pairs = pairs
-			p.Series = append(p.Series, mustSeries(CAFContigBandwidth(c, LargeSizes)))
-		}
-		return p
-	}
 	xc := fabric.CrayXC30()
-	stridedConfigs := []CAFPutConfig{
+	strided := []CAFPutConfig{
 		{Label: "Cray-CAF", Opts: caf.CrayCAF(xc)},
-		{Label: "UHCAF-Cray-SHMEM-naive", Opts: func() caf.Options {
-			o := caf.UHCAFOverCraySHMEM(xc)
-			o.Strided = caf.StridedNaive
-			return o
-		}()},
+		{Label: "UHCAF-Cray-SHMEM-naive", Opts: withNaive(caf.UHCAFOverCraySHMEM(xc))},
 		{Label: "UHCAF-Cray-SHMEM-2dim", Opts: caf.UHCAFOverCraySHMEM(xc)},
 	}
-	strided := func(title string, pairs int) Panel {
-		p := Panel{Title: title, XLabel: "stride (ints)", YLabel: "bandwidth (MB/s)"}
-		for _, c := range stridedConfigs {
-			c.Pairs = pairs
-			p.Series = append(p.Series, mustSeries(CAFStridedBandwidth(c, StrideSweep)))
-		}
-		return p
-	}
 	return Figure{
-		ID:    "Fig6",
-		Title: "PGAS Microbenchmark tests on Cray XC30: put and 2-D strided put bandwidth",
-		Panels: []Panel{
-			contig("(a) Contiguous put: 1 pair", 1),
-			contig("(b) Contiguous put: 16 pairs", 16),
-			strided("(c) Strided put: 1 pair", 1),
-			strided("(d) Strided put: 16 pairs", 16),
-		},
+		ID:     "Fig6",
+		Title:  "PGAS Microbenchmark tests on Cray XC30: put and 2-D strided put bandwidth",
+		Panels: cafPutPanels(xc30Configs(), strided),
 	}
 }
 
@@ -164,44 +160,19 @@ func Fig6() Figure {
 // MVAPICH2-X SHMEM (whose iput is a loop of putmem, so naive == 2dim).
 func Fig7() Figure {
 	st := fabric.Stampede()
-	contigConfigs := []CAFPutConfig{
+	contig := []CAFPutConfig{
 		{Label: "UHCAF-GASNet", Opts: caf.UHCAFOverGASNet(st, fabric.ProfGASNetIBV)},
 		{Label: "UHCAF-MVAPICH2-X-SHMEM", Opts: caf.UHCAFOverMV2XSHMEM()},
 	}
-	contig := func(title string, pairs int) Panel {
-		p := Panel{Title: title, XLabel: "bytes", YLabel: "bandwidth (MB/s)"}
-		for _, c := range contigConfigs {
-			c.Pairs = pairs
-			p.Series = append(p.Series, mustSeries(CAFContigBandwidth(c, LargeSizes)))
-		}
-		return p
-	}
-	stridedConfigs := []CAFPutConfig{
+	strided := []CAFPutConfig{
 		{Label: "UHCAF-GASNet", Opts: caf.UHCAFOverGASNet(st, fabric.ProfGASNetIBV)},
-		{Label: "UHCAF-MVAPICH2-X-SHMEM-naive", Opts: func() caf.Options {
-			o := caf.UHCAFOverMV2XSHMEM()
-			o.Strided = caf.StridedNaive
-			return o
-		}()},
+		{Label: "UHCAF-MVAPICH2-X-SHMEM-naive", Opts: withNaive(caf.UHCAFOverMV2XSHMEM())},
 		{Label: "UHCAF-MVAPICH2-X-SHMEM-2dim", Opts: caf.UHCAFOverMV2XSHMEM()},
 	}
-	strided := func(title string, pairs int) Panel {
-		p := Panel{Title: title, XLabel: "stride (ints)", YLabel: "bandwidth (MB/s)"}
-		for _, c := range stridedConfigs {
-			c.Pairs = pairs
-			p.Series = append(p.Series, mustSeries(CAFStridedBandwidth(c, StrideSweep)))
-		}
-		return p
-	}
 	return Figure{
-		ID:    "Fig7",
-		Title: "PGAS Microbenchmark tests on Stampede: put and 2-D strided put bandwidth",
-		Panels: []Panel{
-			contig("(a) Contiguous put: 1 pair", 1),
-			contig("(b) Contiguous put: 16 pairs", 16),
-			strided("(c) Strided put: 1 pair", 1),
-			strided("(d) Strided put: 16 pairs", 16),
-		},
+		ID:     "Fig7",
+		Title:  "PGAS Microbenchmark tests on Stampede: put and 2-D strided put bandwidth",
+		Panels: cafPutPanels(contig, strided),
 	}
 }
 
@@ -209,17 +180,12 @@ func Fig7() Figure {
 // repeatedly acquire and release the lock at image 1.
 func Fig8(maxImages int) Figure {
 	ti := fabric.Titan()
-	counts := []int{}
-	for _, n := range ImageSweep {
-		if n <= maxImages {
-			counts = append(counts, n)
-		}
-	}
 	configs := []LockBenchConfig{
 		{Label: "Cray-CAF", Opts: caf.CrayCAF(ti)},
 		{Label: "UHCAF-GASNet", Opts: caf.UHCAFOverGASNet(ti, fabric.ProfGASNetGemini)},
 		{Label: "UHCAF-Cray-SHMEM", Opts: caf.UHCAFOverCraySHMEM(ti)},
 	}
+	counts := upTo(ImageSweep, maxImages)
 	p := Panel{Title: "Locks: all images acquiring/releasing lck[1]", XLabel: "images", YLabel: "time (ms)"}
 	for _, c := range configs {
 		p.Series = append(p.Series, mustSeries(LockContention(c, counts)))
@@ -237,11 +203,7 @@ func Fig8(maxImages int) Figure {
 // devolves into per-element puts.
 func MatrixOrientedAblation() Figure {
 	configs := []CAFPutConfig{
-		{Label: "UHCAF-MVAPICH2-X-SHMEM-naive", Opts: func() caf.Options {
-			o := caf.UHCAFOverMV2XSHMEM()
-			o.Strided = caf.StridedNaive
-			return o
-		}()},
+		{Label: "UHCAF-MVAPICH2-X-SHMEM-naive", Opts: withNaive(caf.UHCAFOverMV2XSHMEM())},
 		{Label: "UHCAF-MVAPICH2-X-SHMEM-2dim", Opts: caf.UHCAFOverMV2XSHMEM()},
 	}
 	p := Panel{Title: "Matrix-oriented section (dim 1 contiguous)", XLabel: "stride (ints)", YLabel: "bandwidth (MB/s)"}

@@ -84,22 +84,42 @@ func OverlapMicro(cfg OverlapConfig) (Panel, error) {
 
 // overlapMachines are the three evaluated machine/profile pairs for Panel B,
 // each with the naive strided algorithm (best for Himeno per §V-D).
-func overlapMachines() []struct {
-	Label string
-	Opts  caf.Options
-} {
-	mkNaive := func(o caf.Options) caf.Options {
-		o.Strided = caf.StridedNaive
-		return o
+func overlapMachines() []config {
+	return []config{
+		{"Stampede/MV2X-SHMEM", withNaive(caf.UHCAFOverMV2XSHMEM())},
+		{"XC30/Cray-SHMEM", withNaive(caf.UHCAFOverCraySHMEM(fabric.CrayXC30()))},
+		{"Titan/Cray-SHMEM", withNaive(caf.UHCAFOverCraySHMEM(fabric.Titan()))},
 	}
-	return []struct {
-		Label string
-		Opts  caf.Options
-	}{
-		{"Stampede/MV2X-SHMEM", mkNaive(caf.UHCAFOverMV2XSHMEM())},
-		{"XC30/Cray-SHMEM", mkNaive(caf.UHCAFOverCraySHMEM(fabric.CrayXC30()))},
-		{"Titan/Cray-SHMEM", mkNaive(caf.UHCAFOverCraySHMEM(fabric.Titan()))},
+}
+
+// schedule is one Himeno schedule of a comparison: its name in the series
+// labels and the parameters that select it.
+type schedule struct {
+	name string
+	prm  himeno.Params
+}
+
+// himenoPairs sweeps two Himeno schedules over counts on every configuration:
+// per configuration, a series of each schedule's virtual time (ms), labelled
+// with the configuration and then the schedule.
+func himenoPairs(configs []config, counts []int, a, b schedule) []Series {
+	row := func(opts caf.Options, n int, prm himeno.Params) Row {
+		r, err := himeno.Run(opts, n, prm)
+		if err != nil {
+			panic(err)
+		}
+		return Row{X: float64(n), Value: r.TimeMs}
 	}
+	var out []Series
+	for _, c := range configs {
+		sa, sb := Series{Label: c.Label + " " + a.name}, Series{Label: c.Label + " " + b.name}
+		for _, n := range counts {
+			sa.Rows = append(sa.Rows, row(c.Opts, n, a.prm))
+			sb.Rows = append(sb.Rows, row(c.Opts, n, b.prm))
+		}
+		out = append(out, sa, sb)
+	}
+	return out
 }
 
 // OverlapHimenoParams is the grid Panel B runs: small enough for the
@@ -122,68 +142,24 @@ func FigOverlap(maxImages int) Figure {
 	}
 
 	prm := OverlapHimenoParams()
-	counts := []int{}
-	for _, n := range ImageSweep {
-		if n <= maxImages && n <= prm.NY {
-			counts = append(counts, n)
-		}
-	}
-	app := Panel{Title: "Himeno halo exchange: blocking vs overlapped", XLabel: "images", YLabel: "time (ms)"}
-	for _, m := range overlapMachines() {
-		blockSeries := Series{Label: m.Label + " blocking"}
-		overSeries := Series{Label: m.Label + " overlap"}
-		for _, n := range counts {
-			r, err := himeno.Run(m.Opts, n, prm)
-			if err != nil {
-				panic(err)
-			}
-			blockSeries.Rows = append(blockSeries.Rows, Row{X: float64(n), Value: r.TimeMs})
-			op := prm
-			op.Overlap = true
-			r2, err := himeno.Run(m.Opts, n, op)
-			if err != nil {
-				panic(err)
-			}
-			overSeries.Rows = append(overSeries.Rows, Row{X: float64(n), Value: r2.TimeMs})
-		}
-		app.Series = append(app.Series, blockSeries, overSeries)
-	}
-
+	counts := upTo(ImageSweep, min(maxImages, prm.NY))
+	op := prm
+	op.Overlap = true
+	blocking, overlap := schedule{"blocking", prm}, schedule{"overlap", op}
+	// Panel C: the same sweep across the three Stampede transport backends at
+	// one strided algorithm. SHMEM and GASNet both carry a genuine nonblocking
+	// surface (shmem_put_nbi and gasnet put_nbi over fabric.NBIStreams), so
+	// their overlap schedules beat their blocking ones; the MPI-3 RMA mapping
+	// has no nonblocking path — PutAsync degrades to a blocking put — so its
+	// two series show what the degradation costs.
 	return Figure{
-		ID:     "FigOverlap",
-		Title:  "Nonblocking RMA: communication/computation overlap",
-		Panels: []Panel{micro, app, transportOverlapPanel(counts, prm)},
+		ID:    "FigOverlap",
+		Title: "Nonblocking RMA: communication/computation overlap",
+		Panels: []Panel{micro,
+			{Title: "Himeno halo exchange: blocking vs overlapped", XLabel: "images", YLabel: "time (ms)",
+				Series: himenoPairs(overlapMachines(), counts, blocking, overlap)},
+			{Title: "Himeno by transport: blocking vs overlapped (Stampede)", XLabel: "images", YLabel: "time (ms)",
+				Series: himenoPairs(transportConfigs(), counts, blocking, overlap)},
+		},
 	}
-}
-
-// transportOverlapPanel is Panel C: the same blocking-vs-overlapped Himeno
-// sweep, but across the three Stampede transport backends at one strided
-// algorithm. SHMEM and GASNet both carry a genuine nonblocking surface
-// (shmem_put_nbi and gasnet put_nbi over fabric.NBIStreams), so their overlap
-// schedules beat their blocking ones; the MPI-3 RMA mapping has no
-// nonblocking path — PutAsync degrades to a blocking put — so its two series
-// show what the degradation costs.
-func transportOverlapPanel(counts []int, prm himeno.Params) Panel {
-	p := Panel{Title: "Himeno by transport: blocking vs overlapped (Stampede)", XLabel: "images", YLabel: "time (ms)"}
-	for _, tc := range TransportConfigs() {
-		o := TransportOptions(tc.Kind)
-		blockSeries := Series{Label: tc.Label + " blocking"}
-		overSeries := Series{Label: tc.Label + " overlap"}
-		for _, n := range counts {
-			r, err := himeno.Run(o, n, prm)
-			if err != nil {
-				panic(err)
-			}
-			blockSeries.Rows = append(blockSeries.Rows, Row{X: float64(n), Value: r.TimeMs})
-			op := prm
-			op.Overlap = true
-			r2, err := himeno.Run(o, n, op)
-			if err != nil {
-				panic(err)
-			}
-			overSeries.Rows = append(overSeries.Rows, Row{X: float64(n), Value: r2.TimeMs})
-		}
-		p.Series = append(p.Series, blockSeries, overSeries)
-	}
-	return p
 }

@@ -135,17 +135,17 @@ func TestOverlapMicroHidesTransfer(t *testing.T) {
 func TestChaosPlan(t *testing.T) {
 	plan := func(args ...string) *fabric.FaultPlan {
 		fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-		c := ChaosFlags(fs, "Figure 9")
+		c := ChaosFlags(fs)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		p, err := c.Plan(20_000)
+		p, err := c.Plan(4, 20_000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	seeded, again := plan("-faultseed", "7", "-chaos-images", "4"), plan("-faultseed", "7", "-chaos-images", "4")
+	seeded, again := plan("-faultseed", "7"), plan("-faultseed", "7")
 	if none := plan(); none != nil || seeded == nil || !reflect.DeepEqual(seeded, again) {
 		t.Fatalf("unset flags drew %v; seed 7 drew %v, then %v", none, seeded, again)
 	}
@@ -162,7 +162,7 @@ func TestChaosPlan(t *testing.T) {
 	}
 }
 
-// The CLIs' profile flags write a profile each when set, and are inert when
+// The profile flags write a profile each when set, and are inert when
 // not: no file, nothing started.
 func TestProfileFlags(t *testing.T) {
 	parse := func(args ...string) *Profiles {

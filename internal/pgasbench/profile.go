@@ -8,8 +8,8 @@ import (
 	"runtime/pprof"
 )
 
-// Profiles holds the flags the bench CLIs share for profiling one run of
-// theirs without a test harness around it.
+// Profiles holds the flags cmd/reproduce takes for profiling one of its runs
+// without a test harness around it.
 type Profiles struct {
 	cpu, mem string
 }

@@ -3,8 +3,8 @@ package pgasbench
 // Get-side companions to the put tests: the PGAS Microbenchmark suite the
 // paper uses "contains code designed to test the performance and correctness
 // for put/get operations" (§V); the paper's figures show the put side, so
-// these series are supplementary (used by the caf-level Fig 6/7 harnesses'
-// sanity tests and available from cmd/pgas-microbench via the figure code).
+// these series are supplementary: the package's tests hold them against the
+// put side, and no catalogued figure draws them.
 
 // GetLatency measures blocking get latency in µs per size.
 func GetLatency(cfg RawPutConfig) (Series, error) {

@@ -22,52 +22,22 @@ func SignalHimenoParams() himeno.Params { return OverlapHimenoParams() }
 // none — its count is flat at the setup/teardown constant.
 func FigSignal(maxImages int) Figure {
 	prm := SignalHimenoParams()
-	counts := []int{}
-	for _, n := range ImageSweep {
-		if n <= maxImages && n <= prm.NY {
-			counts = append(counts, n)
-		}
-	}
-	app := Panel{Title: "Himeno ghost refresh: barrier-paced vs signal-driven", XLabel: "images", YLabel: "time (ms)"}
-	for _, m := range overlapMachines() {
-		barSeries := Series{Label: m.Label + " barrier"}
-		sigSeries := Series{Label: m.Label + " signal"}
-		for _, n := range counts {
-			bp := prm
-			bp.Overlap, bp.OverlapBarrier = true, true
-			r, err := himeno.Run(m.Opts, n, bp)
-			if err != nil {
-				panic(err)
-			}
-			barSeries.Rows = append(barSeries.Rows, Row{X: float64(n), Value: r.TimeMs})
-			sp := prm
-			sp.Overlap = true
-			r2, err := himeno.Run(m.Opts, n, sp)
-			if err != nil {
-				panic(err)
-			}
-			sigSeries.Rows = append(sigSeries.Rows, Row{X: float64(n), Value: r2.TimeMs})
-		}
-		app.Series = append(app.Series, barSeries, sigSeries)
-	}
+	counts := upTo(ImageSweep, min(maxImages, prm.NY))
+	bp, sp := prm, prm
+	bp.Overlap, bp.OverlapBarrier = true, true
+	sp.Overlap = true
+	barrier, signal := schedule{"barrier", bp}, schedule{"signal", sp}
+	app := Panel{Title: "Himeno ghost refresh: barrier-paced vs signal-driven", XLabel: "images", YLabel: "time (ms)",
+		Series: himenoPairs(overlapMachines(), counts, barrier, signal)}
 
 	bars := Panel{Title: "barriers executed per run (image 1)", XLabel: "iterations", YLabel: "barriers"}
 	machine := overlapMachines()[0]
 	images := counts[len(counts)-1]
-	schedules := []struct {
-		label string
-		set   func(*himeno.Params)
-	}{
-		{"blocking", func(p *himeno.Params) {}},
-		{"barrier overlap", func(p *himeno.Params) { p.Overlap, p.OverlapBarrier = true, true }},
-		{"signal overlap", func(p *himeno.Params) { p.Overlap = true }},
-	}
-	for _, sc := range schedules {
-		s := Series{Label: sc.label}
+	for _, sc := range []schedule{{"blocking", prm}, {"barrier overlap", bp}, {"signal overlap", sp}} {
+		s := Series{Label: sc.name}
 		for _, iters := range []int{1, 3, 6, 9} {
-			ip := prm
+			ip := sc.prm
 			ip.Iters = iters
-			sc.set(&ip)
 			r, err := himeno.Run(machine.Opts, images, ip)
 			if err != nil {
 				panic(err)
@@ -78,42 +48,17 @@ func FigSignal(maxImages int) Figure {
 	}
 
 	return Figure{
-		ID:     "FigSignal",
-		Title:  "Put-with-signal: barrier-free ghost refresh",
-		Panels: []Panel{app, bars, transportSignalPanel(counts, prm)},
+		ID:    "FigSignal",
+		Title: "Put-with-signal: barrier-free ghost refresh",
+		Panels: []Panel{app, bars,
+			// Panel C: the two schedules across the three Stampede transport
+			// backends. SHMEM fuses data and doorbell in hardware; GASNet
+			// emulates put-with-signal over an active message (the
+			// AMHandlerNs surcharge the conformance suite pins); the MPI-3
+			// mapping issues the flag as one more blocking RMA op. All three
+			// still run barrier-free in the steady state — the schedules
+			// differ only in what one notify costs.
+			{Title: "Himeno by transport: barrier-paced vs signal-driven (Stampede)", XLabel: "images", YLabel: "time (ms)",
+				Series: himenoPairs(transportConfigs(), counts, barrier, signal)}},
 	}
-}
-
-// transportSignalPanel is Panel C: the barrier-paced vs signal-driven ghost
-// refresh across the three Stampede transport backends. SHMEM fuses data and
-// doorbell in hardware; GASNet emulates put-with-signal over an active
-// message (the AMHandlerNs surcharge the conformance suite pins); the MPI-3
-// mapping issues the flag as one more blocking RMA op. All three still run
-// barrier-free in the steady state — the schedules differ only in what one
-// notify costs.
-func transportSignalPanel(counts []int, prm himeno.Params) Panel {
-	p := Panel{Title: "Himeno by transport: barrier-paced vs signal-driven (Stampede)", XLabel: "images", YLabel: "time (ms)"}
-	for _, tc := range TransportConfigs() {
-		o := TransportOptions(tc.Kind)
-		barSeries := Series{Label: tc.Label + " barrier"}
-		sigSeries := Series{Label: tc.Label + " signal"}
-		for _, n := range counts {
-			bp := prm
-			bp.Overlap, bp.OverlapBarrier = true, true
-			r, err := himeno.Run(o, n, bp)
-			if err != nil {
-				panic(err)
-			}
-			barSeries.Rows = append(barSeries.Rows, Row{X: float64(n), Value: r.TimeMs})
-			sp := prm
-			sp.Overlap = true
-			r2, err := himeno.Run(o, n, sp)
-			if err != nil {
-				panic(err)
-			}
-			sigSeries.Rows = append(sigSeries.Rows, Row{X: float64(n), Value: r2.TimeMs})
-		}
-		p.Series = append(p.Series, barSeries, sigSeries)
-	}
-	return p
 }
