@@ -4,9 +4,43 @@
 # Run from the module root. `./check.sh fast` stops after the fast tier: build,
 # vet, the gofmt, unsafe, host-clock, one-command, one-issue-core, one-funnel,
 # one-checker, one-copy, one-lock, word-offset, one-engine, per-rank-table,
-# inline and bounds-check gates, the gates on the write path and the deadlock loop (about
-# half a minute).
+# inline and bounds-check gates, the write path, 5 s of every fuzz target and
+# the deadlock loop (about a minute).
+#
+# `go test -race` and `-shuffle=on` run every test once; every other go test
+# step adds a flag and selects by name, so a test joins it by its name alone:
+#   TestDeadlock*       internal/pgas: -short -count=500 -cpu 1,2,8
+#   TestDeterminism*    any package: -cpu 1,2,8
+#   Fuzz*               any package: fuzzed 5 s (fast tier) or 10 s each
+#   *SteadyStateAllocs  internal/caf: the write path, beside every test of
+#                       internal/pgas and internal/fabric under -short
+# The stress loop's three names and the two root benchmarks are the only
+# lists. A selection that go test -list finds empty fails the gate.
 set -eu
+
+# selected PKG NAME: "package test" for each top-level test, fuzz target and
+# benchmark in $listing (go test -list) whose import path matches the regular
+# expression PKG and whose name matches NAME; exit, naming both, when there is
+# none, so that renaming a test cannot empty a step.
+selected() {
+    found=$(printf '%s\n' "$listing" | awk -v pkg="$1" -v name="$2" '
+        /^(Test|Fuzz|Benchmark|Example)/ { names[n++] = $1; next }
+        $1 == "ok" { for (i = 0; i < n; i++) if ($2 ~ pkg && names[i] ~ name) print $2, names[i]; n = 0 }')
+    if [ -z "$found" ]; then
+        echo "check.sh: no test of the packages matching $1 matches $2; the naming conventions are in this file's header" >&2
+        exit 1
+    fi
+    printf '%s\n' "$found"
+}
+
+# gate PKG NAME FLAGS...: go test FLAGS -run NAME over the packages where
+# selected finds NAME.
+gate() {
+    found=$(selected "$1" "$2")
+    name=$2
+    shift 2
+    go test "$@" -run "$name" $(printf '%s\n' "$found" | cut -d' ' -f1 | uniq)
+}
 
 echo "==> go build ./..."
 go build ./...
@@ -200,18 +234,22 @@ if [ "${kernel% *}" = 0 ] || [ "$left" -gt 1 ]; then
     exit 1
 fi
 
-echo "==> write-path gates (cursor vs Write sequence vs flat model; tabled gap vs math.Pow; strided put allocates nothing; range panics)"
-go test -count=1 -run '^(TestVectoredWritesMatchWriteSequence|TestWriteNegativeOffsetPanics)$' ./internal/pgas
-go test -count=1 -run '^TestTabledGapIsBitIdentical$' ./internal/fabric
-go test -count=1 -run '^TestStridedPutSteadyStateAllocs$' ./internal/caf
+echo "==> write path (every internal/pgas and internal/fabric test under -short: the cursor vs the Write sequence vs a flat model, the tabled gap vs math.Pow, range panics; every steady-state malloc ceiling of internal/caf, the strided put's included)"
+listing=$(go test -list . ./...) # every go test step below selects from it
+gate 'internal/(pgas|fabric)$' . -short -count=1
+gate 'internal/caf$' 'SteadyStateAllocs$' -count=1
 
-echo "==> fuzz smoke, fast tier (the one paged store, bytes and timestamps, vs flat references on recycled pages; 5s each)"
-go test -run '^$' -fuzz '^FuzzSegStore$' -fuzztime 5s ./internal/pgas
-go test -run '^$' -fuzz '^FuzzTsIndex$' -fuzztime 5s ./internal/pgas
+fuzztime=10s
+[ "${1:-}" != fast ] || fuzztime=5s
+echo "==> fuzz smoke (every fuzz target for $fuzztime: the paged store vs flat references on recycled pages, the typed byte view vs the element-wise oracle, two runs of a random program over seed x barrier shard layout x fault plan)"
+fuzz=$(selected . '^Fuzz')
+printf '%s\n' "$fuzz" | while read -r pkg target; do
+    go test -run '^$' -fuzz "^$target\$" -fuzztime "$fuzztime" "$pkg"
+done
 
 echo "==> deadlock loop (every deterministic deadlock and the gated departure fan-out, 500x at GOMAXPROCS 1, 2 and 8: the verdict is exact, so one miss or lost wake hangs and one false alarm fails)"
 # -short skips the 100k-image one, which the suite runs once.
-timeout 300 go test -short -count=500 -cpu 1,2,8 -run '^TestDeadlock' ./internal/pgas
+gate 'internal/pgas$' '^TestDeadlock' -short -count=500 -cpu 1,2,8 -timeout 300s
 
 if [ "${1:-}" = fast ]; then
     echo "check.sh: fast tier passed"
@@ -227,63 +265,22 @@ go test -race -count=1 ./...
 echo "==> go test -shuffle=on -count=1 ./... (order-independence)"
 go test -shuffle=on -count=1 ./...
 
-echo "==> fuzz smoke (typed byte view vs the element-wise oracle, 10s; the paged store's two targets ran in the fast tier)"
-go test -run '^$' -fuzz '^FuzzBytesView$' -fuzztime 10s ./internal/pgas
-
-echo "==> fuzz smoke (random program, two runs over seed x barrier shard layout x fault plan: equal outcomes, no deadlock verdict; 10s)"
-go test -run '^$' -fuzz '^FuzzEngineDifferential$' -fuzztime 10s ./internal/caf
+echo "==> determinism gate (the same programs over barrier shard layouts x two runs x GOMAXPROCS 1, 2 and 8: bit-identical virtual times and outcomes)"
+gate . '^TestDeterminism' -count=1 -cpu 1,2,8
 
 echo "==> no-false-deadlock stress (ping-pong, barrier storm, chaos DHT and the spin-lock hand-off at GOMAXPROCS 1, 2 and 8, plain and -race: any poison of a healthy world is a counting bug)"
-timeout 300 go test -count=10 -cpu 1,2,8 -run '^(TestNoFalseDeadlock|TestChaosDHT|TestSpinLockYieldsWorkerSlot)$' ./internal/pgas ./internal/caf ./internal/shmem
-timeout 600 go test -race -count=2 -cpu 1,2,8 -run '^(TestNoFalseDeadlock|TestChaosDHT|TestSpinLockYieldsWorkerSlot)$' ./internal/pgas ./internal/caf ./internal/shmem
-
-echo "==> overlap smoke (put_nbi hides transfer; Himeno overlap beats blocking)"
-go test -run 'TestOverlapMicroHidesTransfer' -count=1 ./internal/pgasbench
-go test -run 'TestOverlapFasterOnAllMachines' -count=1 ./internal/himeno
-
-echo "==> signal smoke (barrier-free Himeno beats the barrier-paced overlap)"
-go test -run 'TestSignalOverlapFasterThanBarrierOverlap' -count=1 ./internal/himeno
-
-echo "==> transport conformance (shared battery, per-transport, bounded wall time)"
-# Every transport runs the full semantic battery on its own budget, so a
-# hang in one backend names that backend instead of stalling the gate. The
-# transports are TestConformance's first-level subtests (conformance.Cases):
-# a new backend is gated by being listed there, not here.
-transports=$(timeout 120 go test -run '^TestConformance$' -v -count=1 ./internal/caf/conformance |
-    sed -n 's|^=== RUN   TestConformance/\([^/]*\)$|\1|p')
-[ -n "$transports" ] || { echo "check.sh: TestConformance has no per-transport subtests" >&2; exit 1; }
-for tr in $transports; do
-    timeout 120 go test -run "^TestConformance/${tr}$" -count=1 ./internal/caf/conformance
+stress='TestNoFalseDeadlock TestChaosDHT TestSpinLockYieldsWorkerSlot'
+for name in $stress; do
+    selected 'internal/(pgas|caf|shmem)$' "^$name\$" > /dev/null
 done
+stress="^($(echo $stress | tr ' ' '|'))\$"
+gate 'internal/(pgas|caf|shmem)$' "$stress" -count=10 -cpu 1,2,8 -timeout 300s
+gate 'internal/(pgas|caf|shmem)$' "$stress" -race -count=2 -cpu 1,2,8 -timeout 600s
 
-echo "==> transport differential gate (bit-exact blocking paths, pinned divergences: every Test...Exact)"
-timeout 120 go test -run 'Exact$' -count=1 ./internal/caf/conformance
-
-echo "==> chaos-loss smoke (lossy fabric: retransmit/dup/kill replays, bounded wall time)"
-# A retry-exhaustion bug would show up as a hang; the timeout turns that
-# into a failure instead of a stuck gate.
-timeout 120 go test -race -run 'TestChaosLoss|TestRetryExhaustion|TestLossyReplayIdentical' -count=1 ./internal/caf ./internal/shmem
-
-echo "==> loss-free golden gate (nil plan vs loss-free plan: bit-identical virtual times; every put/get shape of all three libraries vs the clocks captured before the one issue core, shmem's also under lossy, exhausting and degraded-link plans; one link penalty per message)"
-go test -run 'TestLossFreePlanBitIdentical|TestLossyGolden|TestGASNetShapesGolden|TestMPI3ShapesGolden|TestLinkPenaltyEveryShape|TestIssueAtMatchesIssue|TestLinkPenaltyWindowBackCompat' -count=1 ./internal/shmem ./internal/gasnet ./internal/mpi3 ./internal/fabric
-
-echo "==> determinism gate (the same program over barrier shard layouts x two runs x GOMAXPROCS 1, 2 and 8: bit-identical virtual times and outcomes)"
-go test -run 'TestEventEngineMatchesGoroutine' -count=1 -cpu 1,2,8 ./internal/pgas
-go test -run 'TestEngineDifferential' -count=1 -cpu 1,2,8 ./internal/caf
-go test -run 'TestHimenoGoldensOnEventEngine' -count=1 -cpu 1,2,8 ./internal/himeno
-
-echo "==> allocation gate (steady-state malloc ceilings: Himeno iteration, waits, co_sum, lock pair, DHT update, typed RMA incl. the zero-alloc contiguous put on all three transports (TestTypedRMASteadyStateAllocs, \"contiguous Put\"), figure series; world churn on recycled pages; a world's set-up per image on every transport)"
-go test -run 'SteadyStateAllocs|WorldChurn|SetupAllocs' -count=1 ./internal/...
-
-echo "==> scale smoke (4096 images, a goroutine each, bounded wall time)"
-timeout 120 go test -run 'TestEventEngineHimeno4k' -count=1 ./internal/himeno
-
-echo "==> 100k-image smoke (sharded-barrier panel, 1 iteration, bounded wall time)"
-# One 100k barrier row end-to-end: completes, or the timeout turns a hang
-# into a failure. ~5s on the reference machine.
-timeout 180 go test -run '^$' -bench '^BenchmarkWallclockScale/barrier/n=102400$' -benchtime 1x .
+echo "==> 100k-image smoke (sharded-barrier panel, 1 iteration: completes, or the timeout fails it; ~5s on the reference machine)"
+go test -run '^$' -bench '^BenchmarkWallclockScale/barrier/n=102400$' -benchtime 1x -timeout 180s .
 
 echo "==> transport-matrix smoke (the root bench file's other panel, one iteration per backend, so it cannot rot unbuilt)"
-timeout 180 go test -run '^$' -bench '^BenchmarkWallclockHimenoTransport$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkWallclockHimenoTransport$' -benchtime 1x -timeout 180s .
 
 echo "check.sh: all gates passed"

@@ -6,9 +6,9 @@ import (
 	"cafshmem/internal/caf"
 )
 
-// TestConformance runs the semantic battery against every transport. The
-// subtest names are stable API: check.sh gates each transport individually
-// with -run 'TestConformance/<name>'.
+// TestConformance runs the semantic battery against every transport, one
+// subtest per Cases() entry, so a hang fails go test's timeout naming the
+// transport's running subtests.
 func TestConformance(t *testing.T) {
 	for _, c := range Cases() {
 		c := c

@@ -1,15 +1,16 @@
 package caf_test
 
-// Determinism differential (the tests keep the names they had when a second
-// execution engine stood in for "another host schedule"): the same random
-// program — one-sided puts/gets, nonblocking puts with per-image completion,
-// locks, fetch-adds, put-with-signal notify/wait, and STAT-bearing barriers,
-// optionally under a seeded lossy/killing fault plan — must produce
-// bit-identical virtual times, Stat outcomes, operation counters, payload
-// checksums, and link forensics run after run, whatever the barrier shard
-// layout and (check.sh runs these at -cpu 1,2,8) whatever GOMAXPROCS. How
-// images get host time, and how barrier arrivals combine, is host-side
-// machinery only; nothing it decides may leak into the simulation.
+// Determinism differential: the same random program — one-sided puts/gets,
+// nonblocking puts with per-image completion, locks, fetch-adds,
+// put-with-signal notify/wait, and STAT-bearing barriers, optionally under a
+// seeded lossy/killing fault plan — must produce bit-identical virtual times,
+// Stat outcomes, operation counters, payload checksums, and link forensics
+// run after run, whatever the barrier shard layout and (check.sh runs every
+// TestDeterminism test at -cpu 1,2,8) whatever GOMAXPROCS. How images get
+// host time, and how barrier arrivals combine, is host-side machinery only;
+// nothing it decides may leak into the simulation. FuzzEngineDifferential
+// keeps the name it had when a second execution engine stood in for "another
+// host schedule".
 //
 // Determinism of the *program* (so that any divergence is the substrate's
 // fault) comes from two rules, the same ones the chaos replay tests use:
@@ -195,19 +196,19 @@ func diffPlans(seed uint64) map[string]*fabric.FaultPlan {
 	return map[string]*fabric.FaultPlan{"clean": nil, "loss": lossy, "losskill": killer}
 }
 
-// diffShards are the barrier shard layouts TestEngineDifferential compares
-// with the reference run (auto: one shard), and with the seeds and regimes the
-// seed corpus of FuzzEngineDifferential: a single shard, two, an odd split of
-// the 6 images, and more shards than images.
+// diffShards are the barrier shard layouts TestDeterminismDifferential
+// compares with the reference run (auto: one shard), and with the seeds and
+// regimes the seed corpus of FuzzEngineDifferential: a single shard, two, an
+// odd split of the 6 images, and more shards than images.
 var diffShards = []int{1, 2, 3, 8}
 
-// diffSeeds are the program seeds TestEngineDifferential sweeps.
+// diffSeeds are the program seeds TestDeterminismDifferential sweeps.
 var diffSeeds = []uint64{101, 202, 303}
 
-// TestEngineDifferential is the replay property: every run of the random
+// TestDeterminismDifferential is the replay property: every run of the random
 // program, on every barrier shard layout, must agree bit-for-bit with the
 // reference run on every observable, in every fault regime.
-func TestEngineDifferential(t *testing.T) {
+func TestDeterminismDifferential(t *testing.T) {
 	for _, seed := range diffSeeds {
 		for name, plan := range diffPlans(seed) {
 			ref := diffRun(t, seed, plan, 0)
@@ -268,10 +269,10 @@ func FuzzEngineDifferential(f *testing.F) {
 	})
 }
 
-// TestEngineDifferentialKillObserved pins that the losskill regime actually
-// exercises the fault path — a kill window nobody observes would silently
-// reduce the differential test to the loss-only case.
-func TestEngineDifferentialKillObserved(t *testing.T) {
+// TestDeterminismDifferentialKillObserved pins that the losskill regime
+// actually exercises the fault path — a kill window nobody observes would
+// silently reduce the differential test to the loss-only case.
+func TestDeterminismDifferentialKillObserved(t *testing.T) {
 	seed := uint64(101)
 	out := diffRun(t, seed, diffPlans(seed)["losskill"], 2)
 	obs := false

@@ -55,7 +55,8 @@ func TestLockMutualExclusionAllAlgorithms(t *testing.T) {
 // quiescence rule can see one that starves the image it waits for. workers=k
 // runs the program on k Ps (0: as the test binary was started), check.sh adds
 // -cpu 1; the engine label is the spelling of the deprecated, ignored
-// pgas.Options.Engine the world is built with (the test floor pins the names).
+// pgas.Options.Engine the world is built with. The subtest names keep these
+// spellings until that stub is deleted, so they are renamed once, then.
 func TestSpinLockYieldsWorkerSlot(t *testing.T) {
 	for _, algo := range []LockAlgo{LockNaiveSpin, LockGlobalArray} {
 		for _, c := range []struct {

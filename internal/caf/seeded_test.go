@@ -346,7 +346,9 @@ var seededCases = []seededCase{
 		var leaked shmem.Sym
 		if err := spmd(func(pe *shmem.PE) {
 			data := pe.Malloc(64)
-			leaked = data
+			if pe.MyPE() == 0 { // the handle is symmetric: one PE keeps it
+				leaked = data
+			}
 			pe.Free(data)
 		})(); err != nil {
 			return err

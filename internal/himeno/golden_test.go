@@ -59,13 +59,13 @@ func TestHimenoVirtualTimeGoldens(t *testing.T) {
 	}
 }
 
-// TestHimenoGoldensOnEventEngine re-runs the pinned-golden table as a
-// determinism differential (it keeps the name it had when a second engine
-// stood in for "another host schedule"): virtual time is a pure function of
-// (program, machine), so every barrier shard layout — one shard, two, an odd
-// split of the 8 images, one shard per image — must reproduce, twice over, the
-// exact same float64 TimeMs and residual. check.sh repeats it at -cpu 1,2,8.
-func TestHimenoGoldensOnEventEngine(t *testing.T) {
+// TestDeterminismHimenoGoldens re-runs the pinned-golden table as a
+// determinism differential: virtual time is a pure function of (program,
+// machine), so every barrier shard layout — one shard, two, an odd split of
+// the 8 images, one shard per image — must reproduce, twice over, the exact
+// same float64 TimeMs and residual. check.sh repeats every TestDeterminism
+// test at -cpu 1,2,8.
+func TestDeterminismHimenoGoldens(t *testing.T) {
 	prm := Params{NX: 16, NY: 64, NZ: 12, Iters: 3}
 	for _, shards := range []int{1, 2, 3, 8} {
 		for run := 0; run < 2; run++ {
@@ -97,13 +97,12 @@ func TestHimenoGoldensOnEventEngine(t *testing.T) {
 	}
 }
 
-// TestEventEngineHimeno4k is the scale smoke check.sh runs: one Jacobi
-// iteration with 4096 images, a goroutine each. Per-plane local state keeps
-// the footprint small; the point is that 4k images sleep, wake and clear
-// barriers without a false deadlock verdict. It asserts convergence
-// bookkeeping only — the bit-identical goldens above already pin the cost
-// model.
-func TestEventEngineHimeno4k(t *testing.T) {
+// TestHimeno4kImages is a scale smoke: one Jacobi iteration with 4096 images,
+// a goroutine each. Per-plane local state keeps the footprint small; the
+// point is that 4k images sleep, wake and clear barriers without a false
+// deadlock verdict. It asserts convergence bookkeeping only — the
+// bit-identical goldens above already pin the cost model.
+func TestHimeno4kImages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("4k-image scale smoke skipped in -short mode")
 	}

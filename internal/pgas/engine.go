@@ -9,10 +9,13 @@ package pgas
 // its range, and barriers aggregate an order-independent maximum, so how PE
 // bodies get host CPU time cannot reach a modelled result of a program whose
 // cross-image interactions are arbitrated by the modelled synchronisation
-// (the determinism gate in check.sh runs the same programs over barrier shard
-// layouts and GOMAXPROCS values). The one arbitration the substrate does NOT
-// model is arrival order at a contended atomic word: RMW64 applies
-// operations in host arrival order (ROADMAP, P0 item).
+// (DESIGN.md "Execution engine" states this contract; check.sh runs every
+// TestDeterminism test at GOMAXPROCS 1, 2 and 8). The one arbitration the
+// substrate does NOT model is arrival order at a contended atomic word: RMW64
+// applies operations in host arrival order (ROADMAP, P0 item).
+// TestEventEngineFaultFanout, FuzzEngineDifferential and the engine-labelled
+// subtests keep the names they had when a second engine existed, until the
+// Engine stub below goes.
 //
 // World.awake counts the PE goroutines that can still wake somebody. A PE
 // leaves it in block, under its partition lock, as it sets its asleep bit;

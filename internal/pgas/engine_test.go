@@ -43,12 +43,11 @@ func runProgram(t *testing.T, opts Options, n, rounds int) []float64 {
 // at least one shard per PE.
 func shardLayouts(n int) []int { return []int{1, 2, 3, n + 1} }
 
-// TestEventEngineMatchesGoroutine is the substrate-level determinism check
-// (it keeps the name it had when a second engine stood in for "another host
-// schedule"): the same program gives the same final virtual time on every PE
-// whatever the barrier shard layout, run after run. check.sh repeats it at
-// GOMAXPROCS 1, 2 and 8.
-func TestEventEngineMatchesGoroutine(t *testing.T) {
+// TestDeterminismAcrossShardLayouts is the substrate-level determinism check:
+// the same program gives the same final virtual time on every PE whatever the
+// barrier shard layout, run after run. check.sh repeats every TestDeterminism
+// test at GOMAXPROCS 1, 2 and 8.
+func TestDeterminismAcrossShardLayouts(t *testing.T) {
 	for _, n := range []int{2, 7, 32} {
 		ref := runProgram(t, Options{}, n, 5)
 		for _, shards := range shardLayouts(n) {
