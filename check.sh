@@ -2,10 +2,10 @@
 # Extended tier-1 gate (see ROADMAP.md): build-and-test plus the repo's
 # structural gates, race and shuffled tests, fuzz smokes and the claims gate.
 # Run from the module root. `./check.sh fast` stops after the fast tier: build,
-# vet, the gofmt, unsafe, host-clock, one-command, one-issue-core, one-funnel,
-# one-checker, one-copy, one-lock, word-offset, one-engine, per-rank-table,
-# inline and bounds-check gates, the write path, 5 s of every fuzz target and
-# the deadlock loop (about a minute).
+# vet, the gofmt, unsafe, host-clock, one-command, one-issue-core,
+# one-fault-model, one-funnel, one-checker, one-copy, one-lock, word-offset,
+# one-engine, per-rank-table, inline and bounds-check gates, the write path,
+# 5 s of every fuzz target and the deadlock loop (about a minute).
 #
 # `go test -race` and `-shuffle=on` run every test once; every other go test
 # step adds a flag and selects by name, so a test joins it by its name alone:
@@ -120,6 +120,17 @@ if grep -n -E '^func \([a-z]+ \*?[A-Za-z]+\) (send|land|fetch)\(' internal/shmem
     exit 1
 fi
 
+echo "==> one-fault-model gate (the fault plan belongs to the pgas world and the STAT ladder lives below the libraries, so no library keeps a plan of its own and no transport is without fault support; DESIGN.md \"Fault model\")"
+# A library that names FaultPlan outside its tests holds a second plan beside
+# pgas.Options'; a FaultStat anywhere is the capability split coming back.
+faultplan=$(grep -rn --include='*.go' --exclude='*_test.go' -w 'FaultPlan' internal/shmem internal/gasnet internal/mpi3 || true)
+faultstat=$(grep -rn --include='*.go' -w 'FaultStat' . | grep -v -e '^\./\.bench_build/' || true)
+if [ -n "$faultplan" ] || [ -n "$faultstat" ]; then
+    echo "check.sh: the fault plan is pgas.Options' alone and every transport reports failed images; found:" >&2
+    printf '%s\n' "$faultplan" "$faultstat" >&2
+    exit 1
+fi
+
 echo "==> one-funnel gate (every library takes every transfer shape: the runtime hands each transfer to its backend at one site, and caf.Caps has no shape bits; DESIGN.md \"Shared fallback\")"
 # A per-run or per-element loop in the funnel would be a second call site, and
 # the bits it was keyed on would be Caps fields.
@@ -215,6 +226,7 @@ shmem (*PE).checkTarget
 shmem (*PE).RMA
 shmem Sym.span
 pgas (*PE).CheckHandle
+pgas (*PE).linkPenalty
 pgas (*segStore).block
 pgas (*RMA).Span
 pgas reliable

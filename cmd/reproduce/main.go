@@ -10,7 +10,7 @@
 // An application figure (9: the DHT, 10: Himeno) can instead run its
 // application on its own: -transport sweeps it on one Stampede backend, and
 // -faultseed or -faultplan runs one chaos replay under a lossy-fabric fault
-// plan on the Cray XC30 over Cray SHMEM.
+// plan on the Cray XC30 over Cray SHMEM, or with -transport on that backend.
 //
 // Usage:
 //
@@ -20,6 +20,7 @@
 //	reproduce -fig 2,3,6,7,8,matrix      # the PGAS Microbenchmark figures
 //	reproduce -fig 10 -transport shmem   # Fig 10's application on one backend: shmem, gasnet or mpi3
 //	reproduce -fig 9 -faultseed 42       # one chaos replay (-faultplan plan.json reads a plan)
+//	reproduce -fig 10 -faultseed 42 -transport gasnet   # the same replay on one Stampede backend
 //	reproduce -tables                    # Tables I and II
 package main
 
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"cafshmem/internal/caf"
+	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgasbench"
 )
 
@@ -48,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	full := fs.Bool("full", false, "sweep to the paper's image counts (slower)")
 	figs := fs.String("fig", "", "comma-separated figures to run: catalogued ids (fig8, matrix, locks, …) or bare figure numbers (default: all)")
 	images := fs.Int("images", 0, "maximum image count of every sweep of the selection; the image count of a chaos replay (default 8)")
-	transport := fs.String("transport", "", "sweep each selected application figure's application on ONE Stampede transport backend (shmem, gasnet or mpi3)")
+	transport := fs.String("transport", "", "sweep each selected application figure's application on ONE Stampede transport backend (shmem, gasnet or mpi3), or run its chaos replay there")
 	tables := fs.Bool("tables", false, "print Tables I and II, then only the figures -fig names")
 	chaos := pgasbench.ChaosFlags(fs)
 	prof := pgasbench.ProfileFlags(fs)
@@ -68,9 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var err error
 		if kind, err = caf.ParseTransport(*transport); err != nil {
 			return fail(2, "%v", err)
-		}
-		if chaos.Set() {
-			return fail(2, "-transport and a fault plan do not combine: a chaos replay runs on the Cray XC30 over Cray SHMEM")
 		}
 	}
 	app := *transport != "" || chaos.Set()
@@ -126,7 +125,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return fail(1, "%v", err)
 			}
-			pgasbench.ChaosReplay(stdout, a, plan, n)
+			opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
+			if *transport != "" {
+				opts = pgasbench.TransportOptions(kind)
+			}
+			opts.FaultPlan = plan
+			pgasbench.ChaosReplay(stdout, a, opts, n)
 		case *transport != "":
 			if err := pgasbench.TransportSweep(stdout, e.App(scale), kind); err != nil {
 				return fail(1, "%v", err)

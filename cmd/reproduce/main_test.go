@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"regexp"
 	"strings"
 	"testing"
@@ -55,21 +56,30 @@ func TestBadSelectionExits2(t *testing.T) {
 var hostCounters = regexp.MustCompile(`\d+ sleeps|\d+ KiB of it new memory|\d+ KiB cleared on hand-out|took [^\]]*\]`)
 
 // A barrier-mediated chaos replay is the same run twice, apart from the host
-// counters.
+// counters: on the Cray XC30 over Cray SHMEM, and with -transport on each
+// other Stampede backend.
 func TestHimenoChaosReplayRepeats(t *testing.T) {
-	var outs [2]string
-	for i := range outs {
-		code, out, errOut := reproduce("-fig", "10", "-faultseed", "42", "-images", "4")
-		if code != 0 {
-			t.Fatalf("exit %d: %s", code, errOut)
-		}
-		outs[i] = hostCounters.ReplaceAllString(out, "#")
-	}
-	if !strings.Contains(outs[0], "chaos replay: 4 images") || !strings.Contains(outs[0], "stat=") {
-		t.Fatalf("no replay printed:\n%s", outs[0])
-	}
-	if outs[0] != outs[1] {
-		t.Errorf("two replays of seed 42 differ:\n%s\n---\n%s", outs[0], outs[1])
+	for _, transport := range []string{"", "gasnet", "mpi3"} {
+		t.Run(cmp.Or(transport, "xc30"), func(t *testing.T) {
+			args := []string{"-fig", "10", "-faultseed", "42", "-images", "4"}
+			if transport != "" {
+				args = append(args, "-transport", transport)
+			}
+			var outs [2]string
+			for i := range outs {
+				code, out, errOut := reproduce(args...)
+				if code != 0 {
+					t.Fatalf("exit %d: %s", code, errOut)
+				}
+				outs[i] = hostCounters.ReplaceAllString(out, "#")
+			}
+			if !strings.Contains(outs[0], "chaos replay: 4 images") || !strings.Contains(outs[0], "stat=") {
+				t.Fatalf("no replay printed:\n%s", outs[0])
+			}
+			if outs[0] != outs[1] {
+				t.Errorf("two replays of seed 42 differ:\n%s\n---\n%s", outs[0], outs[1])
+			}
+		})
 	}
 }
 

@@ -22,7 +22,6 @@ package conformance
 
 import (
 	"slices"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -539,21 +538,13 @@ func batterySyncImages(t *testing.T, o caf.Options) {
 }
 
 // batteryFaultStat: the STAT-bearing fault paths under a deterministic
-// fabric.FaultPlan. On transports with fault support, survivors of a planned
-// image failure observe StatFailedImage through SyncAllStat — sticky once
-// seen — and the failed_images()/image_status() intrinsics agree. On the
-// others, caf.Run must reject the plan with the documented error.
+// fabric.FaultPlan, the same on every transport: survivors of a planned image
+// failure observe StatFailedImage through SyncAllStat — sticky once seen —
+// and the failed_images()/image_status() intrinsics agree.
 func batteryFaultStat(t *testing.T, c Case) {
 	o := c.Opts()
 	o.FaultPlan = &fabric.FaultPlan{Kills: []fabric.FaultEvent{{PE: 2, AtNs: 30000}}}
 	const n, rounds = 4, 10
-	if !c.Caps().FaultStat {
-		err := caf.Run(n, o, func(img *caf.Image) {})
-		if err == nil || !strings.Contains(err.Error(), "require the OpenSHMEM transport") {
-			t.Fatalf("fault plan on %s transport: err = %v, want the documented rejection", c.Name, err)
-		}
-		return
-	}
 	stats := make([][]caf.Stat, n)
 	for i := range stats {
 		stats[i] = make([]caf.Stat, rounds)

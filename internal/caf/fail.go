@@ -12,12 +12,12 @@ import (
 // IMAGE, STAT_FAILED_IMAGE/STAT_STOPPED_IMAGE, failed_images() and
 // image_status(), so that programs can observe image failure as a status
 // instead of hanging. This file provides that surface, always on: the pgas
-// substrate freezes a failed image's partition and its clock, the shmem layer
-// exposes STAT-bearing primitives, the runtime here translates them into
-// Fortran's constants, and the lock (lock.go) repairs its queue. In a
-// fault-free world every STAT form costs exactly its plain sibling. Only fault
-// injection is transport-bound: a FaultPlan needs Caps.FaultStat (the
-// OpenSHMEM mapping).
+// substrate freezes a failed image's partition and its clock and decides what
+// a failed or unreachable target means at each completion point, every
+// library exposes STAT-bearing primitives over it, the runtime here
+// translates them into Fortran's constants, and the lock (lock.go) repairs
+// its queue. In a fault-free world every STAT form costs exactly its plain
+// sibling.
 //
 // Faults are injected deterministically: an image dies when its own virtual
 // clock first reaches its scheduled kill time at a runtime operation boundary
@@ -177,17 +177,9 @@ func (img *Image) pollFault() {
 // StatFailedImage (the condition is sticky, as in the standard).
 func (img *Image) SyncAllStat() Stat {
 	img.pollFault()
-	img.quietTolerant()
+	_ = img.complete(-1, true) // the rendezvous reports the fault
 	img.Stats.Barriers++
 	return statFromErr(img.rendezvous(true))
-}
-
-// quietTolerant is the stat-bearing paths' drain: the same completion work
-// and accounting as quiet, but a destination given up after retry exhaustion
-// (lossy fabric) is left for the caller's stat merge to report instead of
-// error-terminating here, which is the legacy Quiet's escalation.
-func (img *Image) quietTolerant() {
-	_ = img.complete(-1, true) // the fault resurfaces in the caller's stat merge
 }
 
 // linkDown reports whether either direction of the link with image j has been
@@ -207,7 +199,7 @@ func (img *Image) linkDown(j int) bool {
 // is left unconsumed.
 func (img *Image) SyncImagesStat(list ...int) Stat {
 	img.pollFault()
-	img.quietTolerant()
+	_ = img.complete(-1, true) // a link given up is reported below, not escalated
 	me := img.ThisImage()
 	stat := StatOK
 	live := make([]int, 0, len(list))

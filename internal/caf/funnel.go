@@ -151,7 +151,7 @@ func (img *Image) amo(op pgas.AtomicOp, target int, off, a, b int64) int64 {
 // toward image index target, or all of them when target is negative — which
 // is also what a backend without per-image completion does for one target:
 // always correct, just stronger. With stat, failed targets are returned
-// instead of terminating the job (nil on a backend without fault support).
+// instead of terminating the job.
 func (img *Image) complete(target int, stat bool) error {
 	if !img.caps.PerImage {
 		target = -1

@@ -122,7 +122,7 @@ func Run(images int, opts Options, body func(*Image)) error {
 	)
 	switch o.Transport {
 	case TransportSHMEM:
-		w, err := shmem.NewWorld(shmem.Config{Machine: o.Machine, Profile: o.Profile, FaultPlan: o.FaultPlan, Options: o.Options}, images)
+		w, err := shmem.NewWorld(shmem.Config{Machine: o.Machine, Profile: o.Profile, Options: o.Options}, images)
 		if err != nil {
 			return err
 		}

@@ -166,19 +166,15 @@ type Options struct {
 	// the memory copy. Only effective on the OpenSHMEM transport
 	// (Caps.Direct: shmem_ptr has no GASNet or MPI-3 equivalent here).
 	IntraNodeDirect bool
-	// FaultPlan schedules deterministic fault injection (see fabric.FaultPlan
-	// and fail.go): images die at planned virtual times as if they executed
-	// FAIL IMAGE, and links may degrade. Requires the OpenSHMEM transport;
-	// nil (the default) schedules nothing and charges nothing. The
-	// failed-image machinery itself — the repairable lock, the STAT forms —
-	// is always on: a program's own FAIL IMAGE needs no plan.
-	FaultPlan *fabric.FaultPlan
-	// Options is the pgas world's host-side tuning — the world barrier's
-	// shard layout (BarrierShards) — and its runtime sanitizer (Sanitize):
-	// races between gets and un-quieted puts (which DeferredQuiet makes
-	// possible), leaks, collective divergence and lock misuse, on every
-	// transport, reported as an error from Run. Virtual times, forensics, and
-	// fault replays are bit-identical under any setting of them.
+	// Options is the pgas world's, on every transport. FaultPlan schedules
+	// deterministic fault injection (fail.go): images die at planned virtual
+	// times as if they executed FAIL IMAGE, links degrade and lose messages;
+	// nil schedules nothing. The failed-image machinery itself — the
+	// repairable lock, the STAT forms — is always on. BarrierShards is the
+	// barrier's shard layout and Sanitize the runtime sanitizer: races between
+	// gets and un-quieted puts (which DeferredQuiet makes possible), leaks,
+	// collective divergence and lock misuse, reported as Run's error. Virtual
+	// times and fault replays are bit-identical under any setting of these two.
 	pgas.Options
 }
 
@@ -195,9 +191,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if out.NonSymBytes <= 0 {
 		out.NonSymBytes = 1 << 20
-	}
-	if out.FaultPlan != nil && !out.Transport.Caps().FaultStat {
-		return out, fmt.Errorf("caf: fault injection and fault tolerance require the OpenSHMEM transport")
 	}
 	return out, nil
 }

@@ -24,8 +24,8 @@ func (t Transport) Name() string { return t.Kind.String() + "/" + t.Profile }
 
 // Caps declares what a transport's library provides natively. It is the one
 // place "this backend has no X" is decided: the op funnel (funnel.go) lowers
-// an operation the backend lacks through the shared fallback, and
-// Options.withDefaults rejects the options no fallback exists for.
+// an operation the backend lacks through the shared fallback. The failed-image
+// model is no capability: it lives below every library (pgas.PE.Complete).
 type Caps struct {
 	// NBI: nonblocking puts (put_nbi) whose completion is deferred to the
 	// next SyncMemory. Without it PutAsync is the blocking §IV-B translation.
@@ -37,17 +37,13 @@ type Caps struct {
 	// PerImage: completion of the transfers toward one image only. Without it
 	// SyncMemoryImage completes everything, which is stronger.
 	PerImage bool
-	// FaultStat: STAT-bearing library calls that report failed targets, which
-	// fabric.FaultPlan injection needs (Options.FaultPlan is rejected without
-	// it). The repairable lock and the STAT forms run on every transport.
-	FaultStat bool
 	// Direct: same-node memory can be loaded and stored directly (shmem_ptr),
 	// which Options.IntraNodeDirect uses.
 	Direct bool
 }
 
 var transportCaps = [...]Caps{
-	TransportSHMEM: {NBI: true, Signal: true, PerImage: true, FaultStat: true, Direct: true},
+	TransportSHMEM: {NBI: true, Signal: true, PerImage: true, Direct: true},
 	// put_nbi/get_nbi over the same NBI completion engine; put-with-signal is
 	// AM-emulated, paying handler dispatch at the target.
 	TransportGASNet: {NBI: true, Signal: true, PerImage: true},
@@ -88,7 +84,7 @@ type backend interface {
 	// atomic applies op with operand a to the 64-bit word at (target, off) and
 	// returns the previous value; opCAS stores b iff the word equals a. A
 	// swap or compare-and-swap on a failed target leaves ok false (the
-	// repairable lock's toolbox); every other call reports ok.
+	// repairable lock's toolbox).
 	atomic(op pgas.AtomicOp, target int, off, a, b int64) (old int64, ok bool)
 	// complete waits for remote completion of this image's outstanding
 	// transfers toward target, or toward every image when target is negative.
@@ -207,26 +203,34 @@ func (t *gasnetBackend) attach(ep *gasnet.EP) {
 // registerGasnetHandlers installs the atomic-emulation handlers, indexed by
 // their op; call once per world before attaching endpoints. GASNet has no
 // remote atomics: the runtime ships each one as a request/reply
-// active-message pair, paying handler dispatch at the target (§III).
+// active-message pair, paying handler dispatch at the target (§III),
+// answered with the previous value and whether the op was applied.
 func registerGasnetHandlers(w *gasnet.World) {
-	for op := pgas.OpAdd; op < opCAS; op++ {
-		op := op
+	for op := pgas.OpAdd; op <= opCAS; op++ {
 		w.RegisterHandler(int(op), func(tok *gasnet.Token, _ []byte, args []int64) {
-			tok.Reply(int64(tok.RMW64(args[0], op, uint64(args[1]))))
+			var old uint64
+			var ok bool
+			if op == opCAS {
+				old, ok = tok.CompareSwap64(args[0], uint64(args[1]), uint64(args[2]))
+			} else {
+				old, ok = tok.RMW64(args[0], op, uint64(args[1]))
+			}
+			applied := int64(0)
+			if ok {
+				applied = 1
+			}
+			tok.Reply(int64(old), applied)
 		})
 	}
-	w.RegisterHandler(int(opCAS), func(tok *gasnet.Token, _ []byte, args []int64) {
-		old := tok.ReadU64(args[0])
-		if old == uint64(args[1]) {
-			tok.WriteU64(args[0], uint64(args[2]))
-		}
-		tok.Reply(int64(old))
-	})
 }
 
 func (t *gasnetBackend) local() *pgas.PE { return t.ep.Pgas() }
 
-func (t *gasnetBackend) malloc(size int64, _ bool) (int64, error) {
+func (t *gasnetBackend) malloc(size int64, stat bool) (int64, error) {
+	if stat {
+		seg, err := t.ep.MallocStat(size)
+		return seg.Off, err
+	}
 	return t.ep.Malloc(size).Off, nil
 }
 
@@ -242,23 +246,31 @@ func (t *gasnetBackend) rma(d *pgas.RMA, nbi bool) {
 	t.ep.RMA(d, t.all, nbi)
 }
 
+// atomic ships b with every op: arguments cost nothing, and only opCAS's
+// handler reads it.
 func (t *gasnetBackend) atomic(op pgas.AtomicOp, target int, off, a, b int64) (int64, bool) {
-	if op == opCAS {
-		return t.ep.RequestSync(target, int(op), off, a, b)[0], true
-	}
-	return t.ep.RequestSync(target, int(op), off, a)[0], true
+	r := t.ep.RequestSync(target, int(op), off, a, b)
+	return r[0], r[1] != 0
 }
 
-func (t *gasnetBackend) complete(target int, _ bool) error {
-	if target < 0 {
+func (t *gasnetBackend) complete(target int, stat bool) error {
+	switch {
+	case target < 0 && stat:
+		return t.ep.WaitSyncAllStat()
+	case target < 0:
 		t.ep.WaitSyncAll()
-	} else {
+	case stat:
+		return t.ep.WaitSyncImageStat(target)
+	default:
 		t.ep.WaitSyncImage(target)
 	}
 	return nil
 }
 
-func (t *gasnetBackend) barrier(bool) error {
+func (t *gasnetBackend) barrier(stat bool) error {
+	if stat {
+		return t.ep.BarrierStat()
+	}
 	t.ep.Barrier()
 	return nil
 }

@@ -38,7 +38,11 @@ func (t *mpi3Backend) local() *pgas.PE { return t.pr.Pgas() }
 // malloc allocates symmetric space by collectively creating a window
 // (MPI_Win_allocate); the runtime addresses it through the whole-partition
 // window, so only the offset matters.
-func (t *mpi3Backend) malloc(size int64, _ bool) (int64, error) {
+func (t *mpi3Backend) malloc(size int64, stat bool) (int64, error) {
+	if stat {
+		win, err := t.pr.WinAllocateStat(size)
+		return win.Off(), err
+	}
 	return t.pr.WinAllocate(size).Off(), nil
 }
 
@@ -55,19 +59,26 @@ func (t *mpi3Backend) rma(d *pgas.RMA, _ bool) {
 // atomic is the MPI_Fetch_and_op / MPI_Compare_and_swap accumulate family.
 func (t *mpi3Backend) atomic(op pgas.AtomicOp, target int, off, a, b int64) (int64, bool) {
 	if op == opCAS {
-		return t.pr.CompareAndSwap(t.win, target, off, a, b), true
+		return t.pr.CompareAndSwap(t.win, target, off, a, b)
 	}
-	return int64(t.pr.FetchOp(t.win, target, off, op, uint64(a))), true
+	old, ok := t.pr.FetchOp(t.win, target, off, op, uint64(a))
+	return int64(old), ok
 }
 
 // complete is MPI_Win_flush_all on the shared epoch.
-func (t *mpi3Backend) complete(int, bool) error {
+func (t *mpi3Backend) complete(_ int, stat bool) error {
+	if stat {
+		return t.pr.FlushAllStat(t.win)
+	}
 	t.pr.FlushAll(t.win)
 	return nil
 }
 
 // barrier is an MPI_Win_fence epoch boundary: flush, synchronise, reopen.
-func (t *mpi3Backend) barrier(bool) error {
+func (t *mpi3Backend) barrier(stat bool) error {
+	if stat {
+		return t.pr.FenceStat(t.win)
+	}
 	t.pr.Fence(t.win)
 	return nil
 }

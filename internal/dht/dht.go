@@ -41,7 +41,7 @@ func New(img *caf.Image, bucketsPerImage int) *Table {
 		buckets: bucketsPerImage,
 	}
 	// Stat form so a table can still be built by the survivors when an image
-	// has already failed; identical to SyncAll without fault support.
+	// has already failed; identical to SyncAll when no image has.
 	img.SyncAllStat()
 	return t
 }

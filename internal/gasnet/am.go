@@ -16,9 +16,11 @@ const MaxArgs = 16
 // on the requester's goroutine, so the token is valid only while it runs.
 type Token struct {
 	world   *World
-	Src     int // requesting node
-	Dst     int // node the handler runs on
-	arrive  float64
+	pe      *pgas.PE   // the requester's: the handler runs on its goroutine
+	Src     int        // requesting node
+	Dst     int        // node the handler runs on
+	arrive  float64    // when the request reaches Dst: flight after the clock
+	flight  pgas.Price // the request's flight after injection
 	replied bool
 	nreply  int
 	reply   [MaxArgs]int64
@@ -41,12 +43,26 @@ func (t *Token) ReadU64(off int64) uint64 { return t.world.pw.ReadUint64(t.Dst, 
 // WriteU64 stores a 64-bit word into the handler node's segment.
 func (t *Token) WriteU64(off int64, v uint64) { t.world.pw.WriteUint64(t.Dst, off, v, t.arrive) }
 
-// RMW64 applies an atomic read-modify-write in the handler node's segment.
-// Handler atomicity (the world's per-node AM mutex) makes multi-word handler
-// bodies atomic too; this helper is for single-word updates.
-func (t *Token) RMW64(off int64, op pgas.AtomicOp, operand uint64) uint64 {
-	return t.world.pw.RMW64(t.Dst, off, op, operand, t.arrive)
+// RMW64 applies an atomic read-modify-write to the word at off in the handler
+// node's segment, as the requester's atomic arriving with the request
+// (pgas.PE.RMW64Stat); ok is false when the node has failed. Handler
+// atomicity (the per-node AM mutex) makes multi-word handler bodies atomic
+// too; RMW64 and CompareSwap64 are for single-word updates.
+func (t *Token) RMW64(off int64, op pgas.AtomicOp, operand uint64) (old uint64, ok bool) {
+	old, ok = t.pe.RMW64Stat(t.Dst, off, op, operand, t.flight)
+	t.land()
+	return old, ok
 }
+
+// CompareSwap64 is RMW64's compare-and-swap (pgas.PE.CompareSwap64Stat).
+func (t *Token) CompareSwap64(off int64, expected, desired uint64) (old uint64, ok bool) {
+	old, ok = t.pe.CompareSwap64Stat(t.Dst, off, expected, desired, t.flight)
+	t.land()
+	return old, ok
+}
+
+// land sets arrive from the clock, which an atomic's link penalty moves.
+func (t *Token) land() { t.arrive = t.pe.Clock.Now() + t.flight.Lat + t.flight.Tail }
 
 // Reply sends reply arguments back to the requester (gasnet_AMReplyShort).
 // At most one reply per request, as in GASNet.
@@ -81,17 +97,16 @@ func (ep *EP) runHandler(target, idx int, payload []byte, args []int64, wantRepl
 
 	// Source-side injection: overhead plus payload streaming.
 	ep.p.Clock.Advance(prof.PutInjectNs(len(payload), intra, pairs))
-	arrive := ep.p.Clock.Now() + prof.DeliveryNs(intra, pairs) + prof.AMHandlerNs
-
 	tok := &ep.tok
-	*tok = Token{world: w, Src: ep.p.ID, Dst: target, arrive: arrive}
+	*tok = Token{world: w, pe: ep.p, Src: ep.p.ID, Dst: target, flight: pgas.Price{Lat: prof.DeliveryNs(intra, pairs), Tail: prof.AMHandlerNs}}
+	tok.land()
 	n := copy(ep.args[:], args[:checkArgs(len(args))])
 	am := &w.eps[target].amMu
 	am.Lock()
 	h(tok, payload, ep.args[:n:n])
 	am.Unlock()
 
-	replyAt := arrive + prof.DeliveryNs(intra, pairs)
+	replyAt := tok.arrive + prof.DeliveryNs(intra, pairs)
 	if wantReply {
 		if !tok.replied {
 			return nil, replyAt
@@ -100,7 +115,7 @@ func (ep *EP) runHandler(target, idx int, payload []byte, args []int64, wantRepl
 	}
 	// Fire-and-forget: the source tracks remote completion via the implicit
 	// sync set, like a put.
-	ep.blocking.Note(target, arrive)
+	ep.blocking.Note(target, tok.arrive)
 	return nil, replyAt
 }
 

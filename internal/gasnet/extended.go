@@ -64,25 +64,24 @@ func (seg Seg) word(off int64) int64 {
 // indexed and strided VIS calls, whose runs and elements the model prices as
 // puts and gets of their own.
 var rmaOps = [...][3]string{
-	pgas.Contig:  {"get", "put", "put_nbi"},
-	pgas.Runs:    {"geti", "puti", "puti_nbi"},
-	pgas.Strided: {"gets", "puts", "puts_nbi"},
-	pgas.Signal:  {"", "put_signal", "put_signal_nbi"},
+	pgas.Contig:   {"get", "put", "put_nbi"},
+	pgas.Runs:     {"geti", "puti", "puti_nbi"},
+	pgas.Strided:  {"gets", "puts", "puts_nbi"},
+	pgas.Signal:   {"", "put_signal", "put_signal_nbi"},
+	pgas.Forensic: {"repair get", "repair put", ""},
 }
 
 // RMA issues a layered runtime's descriptor, blocking or on the implicit-handle
 // streams: what Put, Get, PutNBI, PutSignal and PutSignalNBI are, and the
-// vectored and strided forms, by d's shape and direction. d.Off and a signal's
+// vectored and strided forms, and the recovery protocols' forensic reads and
+// repair writes, by d's shape and direction. d.Off and a signal's
 // d.SigOff are relative to seg (a Runs op's d.Offs to d.Off); d is the caller's
 // again at return, both made absolute. A put's bytes have landed when RMA
 // returns, so its source is the caller's again at once and the sanitizer holds
 // no copy of it: only PutNBI keeps GASNet's source contract.
 func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
-	switch d.Shape {
-	case pgas.Signal:
+	if d.Shape == pgas.Signal {
 		d.SigOff = seg.word(d.SigOff)
-	case pgas.Forensic:
-		panic("gasnet: no forensic put or get: the conduit has no fault support")
 	}
 	switch {
 	case nbi:
@@ -143,7 +142,7 @@ func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, src []byte, set *fabric.NBI
 	default:
 		c.Inject = prof.PutInjectNs(n, intra, pairs)
 	}
-	ep.p.IssueRuns(d, src, c, set, nil)
+	ep.p.IssueRuns(d, src, c, set)
 }
 
 // Put copies data into the target's segment and blocks for *local*
@@ -244,11 +243,13 @@ func (ep *EP) WaitSync(h SyncHandle) {
 
 // WaitSyncAll completes all implicit-handle operations
 // (gasnet_wait_syncnbi_all): the blocking puts' visibility horizon and the
-// NBI streams' latest completion, whichever is later.
-func (ep *EP) WaitSyncAll() {
-	ep.p.Clock.Advance(ep.world.prof.OverheadNs)
-	ep.p.Clock.MergeAtLeast(max(ep.p.Drain(&ep.nbi), ep.p.Drain(&ep.blocking)))
-}
+// NBI streams' latest completion, whichever is later. A destination given up
+// after retry exhaustion error-terminates here (pgas.PE.Complete).
+func (ep *EP) WaitSyncAll() { _ = ep.waitSync(-1, false) } // no stat: nothing to report
+
+// WaitSyncAllStat is WaitSyncAll that returns, as a *pgas.ImageFault, the NBI
+// destinations that had failed and those given up.
+func (ep *EP) WaitSyncAllStat() error { return ep.waitSync(-1, true) }
 
 // WaitSyncImage completes this endpoint's implicit-handle operations toward
 // target only — per-destination completion over the shared NIC pipe, the
@@ -256,8 +257,19 @@ func (ep *EP) WaitSyncAll() {
 // in flight for a later WaitSyncAll.
 func (ep *EP) WaitSyncImage(target int) {
 	ep.checkTarget(target)
-	ep.p.Clock.Advance(ep.world.prof.OverheadNs)
-	ep.p.Clock.MergeAtLeast(max(ep.p.DrainTarget(&ep.nbi, target), ep.p.DrainTarget(&ep.blocking, target)))
+	_ = ep.waitSync(target, false) // no stat: nothing to report
+}
+
+// WaitSyncImageStat is WaitSyncImage with fault status, like WaitSyncAllStat.
+func (ep *EP) WaitSyncImageStat(target int) error {
+	ep.checkTarget(target)
+	return ep.waitSync(target, true)
+}
+
+// waitSync is the implicit-handle completion toward target, or every
+// destination when target is negative.
+func (ep *EP) waitSync(target int, stat bool) error {
+	return ep.p.Complete(&ep.nbi, &ep.blocking, target, ep.world.prof.OverheadNs, stat)
 }
 
 // NBIOutstanding returns the number of implicit-handle ops in flight

@@ -75,8 +75,8 @@ type EP struct {
 type Config struct {
 	Machine *fabric.Machine
 	Profile string
-	// Options is the pgas world's host-side tuning and its runtime sanitizer,
-	// as in shmem.Config.
+	// Options is the pgas world's fault plan, host-side tuning and runtime
+	// sanitizer, as in shmem.Config.
 	pgas.Options
 }
 
@@ -182,17 +182,25 @@ func (ep *EP) checkTarget(t int) {
 
 // Barrier is the split-phase notify/wait barrier collapsed into one call
 // (gasnet_barrier_notify + gasnet_barrier_wait), completing outstanding puts.
-func (ep *EP) Barrier() { ep.barrier(nil, 0) }
-
-// barrier is Barrier whose rendezvous carries a release action, run once with
-// the world and arg while every node is asleep in it (Malloc's).
-func (ep *EP) barrier(act pgas.ReleaseFunc, arg int64) {
+// A failed or stopped node is error termination; BarrierStat returns it.
+func (ep *EP) Barrier() {
 	ep.WaitSyncAll()
 	ep.p.RecordCollective("Barrier")
+	ep.p.Barrier(ep.world.barrierNs())
+}
+
+// BarrierStat is Barrier among the survivors, returning the fault
+// (pgas.PE.BarrierTolerantDo).
+func (ep *EP) BarrierStat() error { return ep.barrierStat(nil, 0) }
+
+// barrierStat is BarrierStat whose rendezvous carries a release action, run
+// once with the world and arg while every node is asleep in it (Malloc's).
+// The barrier's fault stands for the drain's.
+func (ep *EP) barrierStat(act pgas.ReleaseFunc, arg int64) error {
+	_ = ep.WaitSyncAllStat()
+	ep.p.RecordCollective("Barrier")
 	w := ep.world
-	if err := ep.p.BarrierTolerantDo(w.barrierNs(), act, w, arg); err != nil {
-		panic(err)
-	}
+	return ep.p.BarrierTolerantDo(w.barrierNs(), act, w, arg)
 }
 
 // barrierNs is the modelled cost of a barrier over the whole job.

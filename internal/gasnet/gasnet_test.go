@@ -130,7 +130,7 @@ func registerTestHandlers(w *World) {
 		tok.RMW64(args[0], pgas.OpAdd, uint64(args[1]))
 	})
 	w.RegisterHandler(hFetchAdd, func(tok *Token, payload []byte, args []int64) {
-		old := tok.RMW64(args[0], pgas.OpAdd, uint64(args[1]))
+		old, _ := tok.RMW64(args[0], pgas.OpAdd, uint64(args[1]))
 		tok.Reply(int64(old))
 	})
 	w.RegisterHandler(hDeposit, func(tok *Token, payload []byte, args []int64) {

@@ -24,20 +24,30 @@ const segAlign = 64
 // Malloc collectively reserves a symmetric segment region: every node calls
 // with the same size and receives the identical handle. It is one rendezvous,
 // whose release action allocates, and the virtual time of the two barriers
-// that used to publish the handle and close the call.
+// that used to publish the handle and close the call. A failed or stopped
+// node is error termination; MallocStat returns it.
 func (ep *EP) Malloc(size int64) Seg {
+	seg, err := ep.MallocStat(size)
+	if err != nil {
+		panic(err)
+	}
+	return seg
+}
+
+// MallocStat is Malloc among the survivors, returning BarrierStat's fault.
+func (ep *EP) MallocStat(size int64) (Seg, error) {
 	ep.p.RecordCollective("Malloc", size)
-	ep.barrier(mallocRelease, size)
+	err := ep.barrierStat(mallocRelease, size)
 	cost := ep.world.barrierNs()
 	for range 2 {
-		ep.WaitSyncAll()
+		_ = ep.WaitSyncAllStat()
 		ep.p.Clock.Advance(cost)
 	}
 	h := &ep.world.heap
 	if h.curErr != nil {
 		panic(h.curErr)
 	}
-	return h.cur
+	return h.cur, err
 }
 
 // mallocRelease is Malloc's release action (ctx is the World).

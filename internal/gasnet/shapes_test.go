@@ -204,10 +204,11 @@ type shapesTimes struct {
 	Idle   []float64
 }
 
-// runShapes runs shapesProgram with the given number of active pairs per node.
-func runShapes(t *testing.T, pairs int) (times shapesTimes, outstanding [4][]int, images [4]uint64) {
+// runShapes runs shapesProgram with the given number of active pairs per node
+// under plan (nil for none), and returns the link reports with the rest.
+func runShapes(t *testing.T, pairs int, plan *fabric.FaultPlan) (times shapesTimes, outstanding [4][]int, images [4]uint64, links []pgas.LinkReport) {
 	t.Helper()
-	w, err := NewWorld(Config{Machine: shapesMachine(t), Profile: shapesProfile}, shapesPEs)
+	w, err := NewWorld(Config{Machine: shapesMachine(t), Profile: shapesProfile, Options: pgas.Options{FaultPlan: plan}}, shapesPEs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,21 @@ func runShapes(t *testing.T, pairs int) (times shapesTimes, outstanding [4][]int
 			t.Errorf("idle PE %d reports %+v, PE 2 %+v", pe, outs[pe], outs[2])
 		}
 	}
-	return times, outstanding, images
+	return times, outstanding, images, w.PgasWorld().LinkReports()
+}
+
+// TestLossFreePlanBitIdentical: a plan with no rule (only a seed) leaves every
+// virtual time, count and partition of the program bit-identical to no plan,
+// and engages no link's reliability protocol.
+func TestLossFreePlanBitIdentical(t *testing.T) {
+	times, outstanding, images, _ := runShapes(t, 1, nil)
+	pTimes, pOutstanding, pImages, links := runShapes(t, 1, &fabric.FaultPlan{Seed: 1})
+	if !reflect.DeepEqual(pTimes, times) || !reflect.DeepEqual(pOutstanding, outstanding) || pImages != images {
+		t.Fatalf("loss-free plan perturbed the program:\n%+v\n!=\n%+v", pTimes, times)
+	}
+	if len(links) != 0 {
+		t.Fatalf("loss-free plan engaged the reliability protocol: %v", links)
+	}
 }
 
 // TestGASNetShapesGolden pins the program above with 1 and with 16 active
@@ -281,7 +296,7 @@ func TestGASNetShapesGolden(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		times, outstanding, images := runShapes(t, c.pairs)
+		times, outstanding, images, _ := runShapes(t, c.pairs, nil)
 		for k, got := range outstanding {
 			if !reflect.DeepEqual(got, wantOutstanding) {
 				t.Errorf("pairs=%d PE %d: NBIOutstanding probes %v, want %v", c.pairs, shapesActive[k], got, wantOutstanding)

@@ -21,8 +21,8 @@ import (
 type Config struct {
 	Machine *fabric.Machine
 	Profile string
-	// Options is the pgas world's host-side tuning and its runtime sanitizer,
-	// as in shmem.Config.
+	// Options is the pgas world's fault plan, host-side tuning and runtime
+	// sanitizer, as in shmem.Config.
 	pgas.Options
 }
 
@@ -184,20 +184,29 @@ type epoch struct {
 // (MPI_Win_allocate). Every rank must call it; all receive the same handle.
 // It is one rendezvous, whose release action creates the window, and the
 // virtual time of the two barriers that used to publish the handle and close
-// the call (the protocol is shmem's, see its heap.go).
+// the call (the protocol is shmem's, see its heap.go). A failed or stopped
+// rank is error termination; WinAllocateStat returns it.
 func (pr *Proc) WinAllocate(size int64) *Win {
+	win, err := pr.WinAllocateStat(size)
+	if err != nil {
+		panic(err)
+	}
+	return win
+}
+
+// WinAllocateStat is WinAllocate among the ranks left, returning the fault
+// (pgas.PE.BarrierTolerantDo).
+func (pr *Proc) WinAllocateStat(size int64) (*Win, error) {
 	if size < 0 {
 		panic("mpi3: negative window size")
 	}
 	pr.p.RecordCollective("WinAllocate", size)
 	w := pr.world
 	cost := w.barrierNs()
-	if err := pr.p.BarrierTolerantDo(cost, winAllocRelease, w, size); err != nil {
-		panic(err)
-	}
+	err := pr.p.BarrierTolerantDo(cost, winAllocRelease, w, size)
 	pr.p.Clock.Advance(cost)
 	pr.p.Clock.Advance(cost)
-	return w.curWin
+	return w.curWin, err
 }
 
 // winAllocRelease is WinAllocate's release action (pgas.ReleaseFunc; ctx is

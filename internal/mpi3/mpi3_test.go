@@ -212,10 +212,10 @@ func TestCompareAndSwap(t *testing.T) {
 		win := pr.WinAllocate(8)
 		if pr.Rank() == 0 {
 			pr.LockAll(win)
-			if old := pr.CompareAndSwap(win, 1, 0, 0, 9); old != 0 {
+			if old, _ := pr.CompareAndSwap(win, 1, 0, 0, 9); old != 0 {
 				panic("cas should succeed from 0")
 			}
-			if old := pr.CompareAndSwap(win, 1, 0, 0, 11); old != 9 {
+			if old, _ := pr.CompareAndSwap(win, 1, 0, 0, 11); old != 9 {
 				panic("cas should fail against 9")
 			}
 			pr.UnlockAll(win)

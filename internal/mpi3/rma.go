@@ -32,7 +32,7 @@ func (pr *Proc) Unlock(target int, win *Win) {
 	if e == nil || !e.targets[target] {
 		panic(fmt.Sprintf("mpi3: rank %d unlocking target %d without an epoch", pr.p.ID, target))
 	}
-	pr.flushEpoch(e)
+	_ = pr.flushEpoch(e, false) // no stat: nothing to report
 	delete(e.targets, target)
 	for i, t := range e.heldExcl {
 		if t == target {
@@ -61,7 +61,7 @@ func (pr *Proc) UnlockAll(win *Win) {
 	if e == nil || !e.all {
 		panic("mpi3: UnlockAll without LockAll")
 	}
-	pr.flushEpoch(e)
+	_ = pr.flushEpoch(e, false) // no stat: nothing to report
 	e.all = false
 	pr.p.Clock.Advance(pr.world.prof.OverheadNs + pr.world.prof.WindowSyncNs)
 }
@@ -114,7 +114,7 @@ func (pr *Proc) RMA(win *Win, d *pgas.RMA) {
 	} else {
 		c.Inject = prof.PutInjectNs(n, intra, pairs) + prof.WindowSyncNs
 	}
-	pr.p.IssueRuns(d, nil, c, set, nil)
+	pr.p.IssueRuns(d, nil, c, set)
 }
 
 // Put is MPI_Put: one-sided write into the target's window region.
@@ -131,44 +131,64 @@ func (pr *Proc) Get(win *Win, target int, off int64, dst []byte) {
 func (pr *Proc) Flush(target int, win *Win) {
 	e := pr.epochFor(win, false)
 	pr.requireEpoch(e, target)
-	pr.flushEpoch(e)
+	_ = pr.flushEpoch(e, false) // no stat: nothing to report
 }
 
 // FlushAll completes all outstanding operations on the window
-// (MPI_Win_flush_all).
-func (pr *Proc) FlushAll(win *Win) {
+// (MPI_Win_flush_all). A target given up after retry exhaustion
+// error-terminates here (pgas.PE.Complete).
+func (pr *Proc) FlushAll(win *Win) { _ = pr.flushAll(win, false) } // no stat: nothing to report
+
+// FlushAllStat is FlushAll that returns, as a *pgas.ImageFault, the targets
+// with puts outstanding that had failed and those given up: the report ULFM's
+// MPI_ERR_PROC_FAILED carries.
+func (pr *Proc) FlushAllStat(win *Win) error { return pr.flushAll(win, true) }
+
+func (pr *Proc) flushAll(win *Win, stat bool) error {
 	e := pr.epochFor(win, false)
 	if e == nil || (!e.all && len(e.targets) == 0) {
 		panic("mpi3: FlushAll outside an access epoch")
 	}
-	pr.flushEpoch(e)
+	return pr.flushEpoch(e, stat)
 }
 
-func (pr *Proc) flushEpoch(e *epoch) {
+// flushEpoch completes the epoch's puts.
+func (pr *Proc) flushEpoch(e *epoch, stat bool) error {
 	prof := pr.world.prof
-	pr.p.Clock.Advance(prof.OverheadNs + prof.WindowSyncNs)
-	pr.p.Clock.MergeAtLeast(pr.p.Drain(&e.pending))
+	return pr.p.Complete(&e.pending, nil, -1, prof.OverheadNs+prof.WindowSyncNs, stat)
 }
 
 // Fence is the active-target MPI_Win_fence: a collective that closes and
-// opens an epoch for everyone.
-func (pr *Proc) Fence(win *Win) {
+// opens an epoch for everyone. A failed or stopped rank is error termination.
+func (pr *Proc) Fence(win *Win) { _ = pr.fence(win, false) } // no stat: it panics
+
+// FenceStat is Fence among the ranks left, returning the fault its
+// rendezvous reports (pgas.PE.BarrierTolerantDo) in place of the flush's.
+func (pr *Proc) FenceStat(win *Win) error { return pr.fence(win, true) }
+
+func (pr *Proc) fence(win *Win, stat bool) error {
 	e := pr.epochFor(win, true)
-	pr.flushEpoch(e)
+	_ = pr.flushEpoch(e, stat)
 	pr.p.RecordCollective("Fence", win.off)
 	w := pr.world
-	pr.p.Barrier(w.barrierNs() + w.prof.WindowSyncNs)
+	cost := w.barrierNs() + w.prof.WindowSyncNs
+	var err error
+	if stat {
+		err = pr.p.BarrierTolerantDo(cost, nil, nil, 0)
+	} else {
+		pr.p.Barrier(cost)
+	}
 	// A fence epoch permits RMA to any target until the next fence.
 	e.all = true
+	return err
 }
 
-// atomic checks an atomic's word like a put's bytes, charges one modelled atomic
-// round trip plus the window surcharge and returns the word's absolute offset.
-func (pr *Proc) atomic(win *Win, target int, off int64) int64 {
+// atomic checks an atomic's word like a put's bytes and returns its absolute
+// offset and price: one round trip plus the window surcharge.
+func (pr *Proc) atomic(win *Win, target int, off int64) (int64, pgas.Price) {
 	_, abs := pr.access("atomic", win, target, off, 8)
 	prof := pr.world.prof
-	pr.p.Clock.Advance(prof.AtomicRTTNs(pr.intra(target), pr.pairs()) + prof.WindowSyncNs)
-	return abs
+	return abs, pgas.Price{Inject: prof.AtomicRTTNs(pr.intra(target), pr.pairs()) + prof.WindowSyncNs}
 }
 
 // Accumulate applies MPI_SUM to a 64-bit word in the target window
@@ -179,22 +199,24 @@ func (pr *Proc) Accumulate(win *Win, target int, off int64, v int64) {
 
 // FetchAndOp is MPI_Fetch_and_op with MPI_SUM on a 64-bit word.
 func (pr *Proc) FetchAndOp(win *Win, target int, off int64, v int64) int64 {
-	return int64(pr.FetchOp(win, target, off, pgas.OpAdd, uint64(v)))
+	old, _ := pr.FetchOp(win, target, off, pgas.OpAdd, uint64(v))
+	return int64(old)
 }
 
 // FetchOp is MPI_Fetch_and_op with a selectable reduction on a 64-bit word:
 // pgas.OpAdd is MPI_SUM, OpAnd/OpOr/OpXor the bitwise MPI ops, and OpSwap is
 // MPI_REPLACE (fetch the old value, store the new). All flavours pay the same
-// modelled cost (see atomic).
-func (pr *Proc) FetchOp(win *Win, target int, off int64, op pgas.AtomicOp, v uint64) uint64 {
-	abs := pr.atomic(win, target, off)
-	return pr.world.pw.RMW64(target, abs, op, v, pr.p.Clock.Now())
+// modelled cost (see atomic). ok is false when the target has failed.
+func (pr *Proc) FetchOp(win *Win, target int, off int64, op pgas.AtomicOp, v uint64) (old uint64, ok bool) {
+	abs, c := pr.atomic(win, target, off)
+	return pr.p.RMW64Stat(target, abs, op, v, c)
 }
 
-// CompareAndSwap is MPI_Compare_and_swap on a 64-bit word.
-func (pr *Proc) CompareAndSwap(win *Win, target int, off int64, expected, desired int64) int64 {
-	abs := pr.atomic(win, target, off)
-	return int64(pr.world.pw.CompareSwap64(target, abs, uint64(expected), uint64(desired), pr.p.Clock.Now()))
+// CompareAndSwap is MPI_Compare_and_swap on a 64-bit word, with FetchOp's ok.
+func (pr *Proc) CompareAndSwap(win *Win, target int, off int64, expected, desired int64) (int64, bool) {
+	abs, c := pr.atomic(win, target, off)
+	old, ok := pr.p.CompareSwap64Stat(target, abs, uint64(expected), uint64(desired), c)
+	return int64(old), ok
 }
 
 func (pr *Proc) checkTarget(t int) {

@@ -159,10 +159,11 @@ type shapesTimes struct {
 	Idle   []float64
 }
 
-// runShapes runs shapesProgram with the given number of active pairs per node.
-func runShapes(t *testing.T, pairs int) (times shapesTimes, images [4]uint64) {
+// runShapes runs shapesProgram with the given number of active pairs per node
+// under plan (nil for none), and returns the link reports with the rest.
+func runShapes(t *testing.T, pairs int, plan *fabric.FaultPlan) (times shapesTimes, images [4]uint64, links []pgas.LinkReport) {
 	t.Helper()
-	w, err := NewWorld(Config{Machine: shapesMachine(t), Profile: shapesProfile}, shapesRanks)
+	w, err := NewWorld(Config{Machine: shapesMachine(t), Profile: shapesProfile, Options: pgas.Options{FaultPlan: plan}}, shapesRanks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,21 @@ func runShapes(t *testing.T, pairs int) (times shapesTimes, images [4]uint64) {
 			t.Errorf("idle rank %d reports %+v, rank 2 %+v", r, outs[r], outs[2])
 		}
 	}
-	return times, images
+	return times, images, w.PgasWorld().LinkReports()
+}
+
+// TestLossFreePlanBitIdentical: a plan with no rule (only a seed) leaves every
+// virtual time and partition of the program bit-identical to no plan, and
+// engages no link's reliability protocol.
+func TestLossFreePlanBitIdentical(t *testing.T) {
+	times, images, _ := runShapes(t, 1, nil)
+	pTimes, pImages, links := runShapes(t, 1, &fabric.FaultPlan{Seed: 1})
+	if !reflect.DeepEqual(pTimes, times) || pImages != images {
+		t.Fatalf("loss-free plan perturbed the program:\n%+v\n!=\n%+v", pTimes, times)
+	}
+	if len(links) != 0 {
+		t.Fatalf("loss-free plan engaged the reliability protocol: %v", links)
+	}
 }
 
 // TestMPI3ShapesGolden pins the program above with 1 and with 16 active pairs
@@ -217,7 +232,7 @@ func TestMPI3ShapesGolden(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		times, images := runShapes(t, c.pairs)
+		times, images, _ := runShapes(t, c.pairs, nil)
 		if images != wantImages {
 			t.Errorf("pairs=%d: partition images %#x, want %#x", c.pairs, images, wantImages)
 		}

@@ -76,22 +76,22 @@ func TestFetchOpFlavours(t *testing.T) {
 		win := pr.WinAllocate(8)
 		pr.LockAll(win)
 		if pr.Rank() == 0 {
-			if old := pr.FetchOp(win, 1, 0, pgas.OpSwap, 7); old != 0 {
+			if old, _ := pr.FetchOp(win, 1, 0, pgas.OpSwap, 7); old != 0 {
 				t.Errorf("replace fetched %d, want 0", old)
 			}
-			if old := pr.FetchOp(win, 1, 0, pgas.OpAdd, 5); old != 7 {
+			if old, _ := pr.FetchOp(win, 1, 0, pgas.OpAdd, 5); old != 7 {
 				t.Errorf("sum fetched %d, want 7", old)
 			}
-			if old := pr.FetchOp(win, 1, 0, pgas.OpAnd, 0b1001); old != 12 {
+			if old, _ := pr.FetchOp(win, 1, 0, pgas.OpAnd, 0b1001); old != 12 {
 				t.Errorf("band fetched %d, want 12", old)
 			}
-			if old := pr.FetchOp(win, 1, 0, pgas.OpOr, 0b0010); old != 8 {
+			if old, _ := pr.FetchOp(win, 1, 0, pgas.OpOr, 0b0010); old != 8 {
 				t.Errorf("bor fetched %d, want 8", old)
 			}
-			if old := pr.FetchOp(win, 1, 0, pgas.OpXor, 0b1111); old != 10 {
+			if old, _ := pr.FetchOp(win, 1, 0, pgas.OpXor, 0b1111); old != 10 {
 				t.Errorf("bxor fetched %d, want 10", old)
 			}
-			if old := pr.FetchOp(win, 1, 0, pgas.OpSwap, 0); old != 5 {
+			if old, _ := pr.FetchOp(win, 1, 0, pgas.OpSwap, 0); old != 5 {
 				t.Errorf("final replace fetched %d, want 5", old)
 			}
 		}

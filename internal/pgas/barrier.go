@@ -321,47 +321,27 @@ func (b *barrier) poison() {
 	}
 }
 
-// BarrierSync performs a world-wide rendezvous: it blocks until every alive
-// PE in the world has called it and returns the maximum virtual arrival time.
-// Library layers add their own modelled barrier cost on top (the returned
-// value is the causality floor, not the release time). If any PE failed or
-// stopped, the rendezvous still completes among survivors and this panics
-// with the *ImageFault — the non-STAT Fortran semantics (error termination).
-func (p *PE) BarrierSync(arriveT float64) float64 {
-	rel, err := p.world.barrier.await(p, arriveT, action{})
-	if err != nil {
-		panic(err)
-	}
-	return rel
-}
-
-// BarrierSyncStat is BarrierSync for STAT-bearing callers: the fault status
-// is returned instead of panicking, and survivors remain synchronised.
-func (p *PE) BarrierSyncStat(arriveT float64) (float64, error) {
-	return p.world.barrier.await(p, arriveT, action{})
-}
-
-// Barrier is the common composed operation: rendezvous at the PE's current
-// clock, then advance the clock to the release time plus costNs. Panics with
-// *ImageFault if the rendezvous involved failed or stopped images.
+// Barrier is a library's barrier: rendezvous at the PE's clock, then advance
+// it to the release time plus costNs. If the rendezvous involved failed or
+// stopped images each survivor panics with the *ImageFault (error
+// termination).
 func (p *PE) Barrier(costNs float64) {
-	if err := p.BarrierTolerantDo(costNs, nil, nil, 0); err != nil {
+	if err := p.rendezvous(costNs, action{}); err != nil {
 		panic(err)
 	}
 }
 
-// BarrierTolerant is Barrier with STAT semantics: identical virtual-time
-// behaviour, but fault conditions are returned rather than panicking, so
-// survivors can continue (Fortran's SYNC ALL with a STAT= specifier).
-func (p *PE) BarrierTolerant(costNs float64) error {
-	return p.BarrierTolerantDo(costNs, nil, nil, 0)
+// BarrierTolerantDo is Barrier with STAT semantics (SYNC ALL with STAT=),
+// whose rendezvous carries a release action, the same from every
+// participant; a nil fn is none. The fault is returned, with the links given
+// up so far folded in (World.withGivenUp).
+func (p *PE) BarrierTolerantDo(costNs float64, fn ReleaseFunc, ctx any, arg int64) error {
+	return p.world.withGivenUp(p.rendezvous(costNs, action{fn, ctx, arg}))
 }
 
-// BarrierTolerantDo is BarrierTolerant whose rendezvous carries a release
-// action (ReleaseFunc), the same from every participant; a nil fn is the plain
-// barrier.
-func (p *PE) BarrierTolerantDo(costNs float64, fn ReleaseFunc, ctx any, arg int64) error {
-	rel, err := p.world.barrier.await(p, p.Clock.Now(), action{fn, ctx, arg})
+// rendezvous is the two barriers' common arithmetic.
+func (p *PE) rendezvous(costNs float64, act action) error {
+	rel, err := p.world.barrier.await(p, p.Clock.Now(), act)
 	p.Clock.MergeAtLeast(rel)
 	p.Clock.Advance(costNs)
 	return err

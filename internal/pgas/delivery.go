@@ -10,6 +10,7 @@ package pgas
 // PE departures.
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -98,11 +99,12 @@ func (w *World) linkLocked(src, dst int) *linkState {
 // publishes the give-up with MarkUnreachable, so a consumer whose predicate
 // this message satisfies can never observe the dead link first.
 //
-// Atomics do not come here, and the issue core hands repair writes and
-// forensic reads over with a nil plan: lock traffic and the recovery protocols
-// that walk it stay natively reliable, which keeps lock repair orthogonal to
-// loss.
-func (w *World) Transmit(fp *fabric.FaultPlan, src, dst int, wireNs, latNs float64, reply bool) (lands bool, visibleAt, horizon float64, acked bool) {
+// fp is the world's plan (Options.FaultPlan). Atomics do not come here, and
+// the issue core keeps repair writes and forensic reads away: lock traffic and
+// the recovery protocols that walk it stay natively reliable, which keeps lock
+// repair orthogonal to loss.
+func (w *World) Transmit(src, dst int, wireNs, latNs float64, reply bool) (lands bool, visibleAt, horizon float64, acked bool) {
+	fp := w.plan
 	if !fp.LossyPair(src, dst) {
 		visibleAt, horizon = reliable(wireNs, latNs, reply)
 		return true, visibleAt, horizon, true
@@ -249,4 +251,110 @@ func (w *World) unreachableLinks() []string {
 		}
 	}
 	return out
+}
+
+// --- the STAT ladder ---
+//
+// What a library does once a link is given up is decided here too, once for
+// every library. Retry exhaustion escalates instead of hanging:
+//
+//	retry … retry → unreachable (sticky, per directed link)
+//	    → stat-bearing completion points (Complete with stat,
+//	      BarrierTolerantDo, a WaitUntilStat hook that asks Unreachable)
+//	      report STAT_FAILED_IMAGE for the destination: to the sender a dead
+//	      link and a dead peer are one condition;
+//	    → plain completion points (Complete without stat) and blocking gets
+//	      error-terminate with a panic, poisoning the world;
+//	    → the deadlock report names given-up links as the backstop for
+//	      programs that never reach a completion point.
+
+// Complete is every library's completion call (a quiet, a sync, a flush)
+// toward target, or every destination when target is negative: it charges
+// costNs and waits for the later completion of ops, the set whose failed
+// destinations a stat form reports, and horizon, a blocking-put horizon (nil
+// for none). Without stat a destination this PE has given up error-terminates
+// here; with stat the fault is returned instead: ops's destinations observed
+// failed, in first-issue order, then those given up.
+func (p *PE) Complete(ops, horizon *fabric.NBIStreams, target int, costNs float64, stat bool) error {
+	var failed []int
+	if stat {
+		ops.Targets(func(t int) {
+			if (target < 0 || t == target) && p.observedFailed(t) {
+				failed = append(failed, t)
+			}
+		})
+	}
+	done := p.drain(ops, target)
+	if horizon != nil {
+		done = max(done, p.drain(horizon, target))
+	}
+	p.Clock.Advance(costNs)
+	p.Clock.MergeAtLeast(done)
+	if p.world.AnyUnreachable() { // every quiet comes through here: one atomic load
+		gone := p.world.UnreachableFrom(p.ID)
+		if target >= 0 {
+			gone = slices.DeleteFunc(gone, func(t int) bool { return t != target })
+		}
+		if !stat && len(gone) > 0 {
+			who := fmt.Sprint("PEs ", gone)
+			if len(gone) == 1 {
+				who = fmt.Sprint("PE ", gone[0])
+			}
+			panic(fmt.Sprintf("pgas: PE %d: destination %s unreachable after retry exhaustion (lossy link): error termination — use the stat completion forms to handle link failure", p.ID, who))
+		}
+		failed = appendMissing(failed, gone)
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	return &ImageFault{Failed: failed}
+}
+
+// drain is Drain, or DrainTarget when target is not negative.
+func (p *PE) drain(set *fabric.NBIStreams, target int) float64 {
+	if target < 0 {
+		return p.Drain(set)
+	}
+	return p.DrainTarget(set, target)
+}
+
+// observedFailed reports whether this PE observes target as failed now. A
+// planned kill is observed once the observer's own clock passes the kill
+// time, so completion-side stat paths replay under any host schedule (nothing
+// orders a drain after the victim's processing of its death). A death outside
+// the plan falls back to the life-cycle state, observed through barriers.
+func (p *PE) observedFailed(target int) bool {
+	if at, ok := p.world.plan.KillTime(target); ok {
+		return p.Clock.Now() >= at
+	}
+	return p.world.Failed(target)
+}
+
+// withGivenUp folds every given-up link's destination into err, a barrier's
+// fault, as failed PEs: the barrier is the propagation point, so every
+// participant reports the same set and all can abandon a phase together,
+// which keeps degraded runs out of asymmetric collectives. Errors that are
+// not faults pass through.
+func (w *World) withGivenUp(err error) error {
+	if !w.AnyUnreachable() {
+		return err
+	}
+	var fe *ImageFault
+	if err != nil && !errors.As(err, &fe) {
+		return err
+	}
+	if fe == nil {
+		fe = &ImageFault{}
+	}
+	return &ImageFault{Failed: appendMissing(slices.Clone(fe.Failed), w.UnreachableDsts()), Stopped: fe.Stopped}
+}
+
+// appendMissing appends to failed, in order, the PEs of more it lacks.
+func appendMissing(failed, more []int) []int {
+	for _, t := range more {
+		if !slices.Contains(failed, t) {
+			failed = append(failed, t)
+		}
+	}
+	return failed
 }

@@ -26,8 +26,9 @@ var dupPlan = &fabric.FaultPlan{Seed: 3, Losses: []fabric.LinkLoss{{Src: 0, Dst:
 // suppressed and counted, and each direction has its own window.
 func TestDeliverWriteExactlyOnce(t *testing.T) {
 	w := deliveryWorld(t, 2)
+	w.plan = dupPlan
 	for i := 0; i < 3; i++ {
-		if lands, _, _, acked := w.Transmit(dupPlan, 0, 1, 100, 10, false); !lands || !acked {
+		if lands, _, _, acked := w.Transmit(0, 1, 100, 10, false); !lands || !acked {
 			t.Fatalf("message %d: lands=%v acked=%v on a drop-free link", i, lands, acked)
 		}
 	}
@@ -38,7 +39,7 @@ func TestDeliverWriteExactlyOnce(t *testing.T) {
 	fabricDups := ls.DupsSuppressed
 	for _, seq := range []uint64{0, 2, 1} {
 		ls.sent = seq
-		if lands, _, _, _ := w.Transmit(dupPlan, 0, 1, 100, 10, false); lands {
+		if lands, _, _, _ := w.Transmit(0, 1, 100, 10, false); lands {
 			t.Fatalf("replayed seq %d landed again", seq)
 		}
 	}
@@ -50,7 +51,7 @@ func TestDeliverWriteExactlyOnce(t *testing.T) {
 		t.Fatalf("window suppressed %d replays, want 3", got)
 	}
 	// The reverse direction has its own sequence and window.
-	if lands, _, _, _ := w.Transmit(dupPlan, 1, 0, 100, 10, false); !lands {
+	if lands, _, _, _ := w.Transmit(1, 0, 100, 10, false); !lands {
 		t.Fatal("reverse link shares the forward window")
 	}
 	if reps := w.LinkReports(); len(reps) != 2 || reps[0].Src != 0 || reps[1].Src != 1 || reps[1].Msgs != 1 {
@@ -69,12 +70,13 @@ func TestNoteDeliveryCounters(t *testing.T) {
 		Losses: []fabric.LinkLoss{{Src: 1, Dst: 0, DropProb: 0.5, DelayMaxNs: 300, DupProb: 0.2}},
 		Retry:  fabric.RetryPolicy{RetryBaseNs: 500, RetryCapNs: 2000, MaxRetries: 2},
 	}
+	w.plan = plan
 	want := LinkReport{Src: 1, Dst: 0}
 	gaveUp := 0
 	for seq := uint64(0); seq < 40; seq++ {
 		wire := 1000 * float64(seq)
 		d := plan.Deliver(1, 0, seq, wire, 90)
-		lands, vis, horizon, acked := w.Transmit(plan, 1, 0, wire, 90, seq%2 == 1)
+		lands, vis, horizon, acked := w.Transmit(1, 0, wire, 90, seq%2 == 1)
 		wantHorizon := d.AckedNs
 		if !d.Acked {
 			wantHorizon = d.GaveUpNs
@@ -99,7 +101,7 @@ func TestNoteDeliveryCounters(t *testing.T) {
 		t.Fatal("Transmit published a give-up")
 	}
 	for _, reply := range []bool{false, true} {
-		lands, vis, horizon, acked := w.Transmit(plan, 0, 2, 1000, 90, reply)
+		lands, vis, horizon, acked := w.Transmit(0, 2, 1000, 90, reply)
 		wantHorizon := 1000 + 90.0
 		if reply {
 			wantHorizon = 1000 + 2*90.0
@@ -108,7 +110,8 @@ func TestNoteDeliveryCounters(t *testing.T) {
 			t.Fatalf("identity case (reply=%v) = (%v, %v, %v, %v)", reply, lands, vis, horizon, acked)
 		}
 	}
-	if lands, vis, horizon, acked := w.Transmit(nil, 1, 0, 5, 7, false); !lands || vis != 12 || horizon != 12 || !acked {
+	w.plan = nil
+	if lands, vis, horizon, acked := w.Transmit(1, 0, 5, 7, false); !lands || vis != 12 || horizon != 12 || !acked {
 		t.Fatalf("nil plan = (%v, %v, %v, %v)", lands, vis, horizon, acked)
 	}
 	if reps := w.LinkReports(); len(reps) != 1 || !reflect.DeepEqual(reps[0], want) {

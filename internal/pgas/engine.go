@@ -24,7 +24,11 @@ package pgas
 // zero has proved deadlock (World.deadlock in fault.go). No goroutine watches
 // a world and no verdict depends on host time.
 
-import "runtime"
+import (
+	"runtime"
+
+	"cafshmem/internal/fabric"
+)
 
 // Engine is a leftover of the two-engine design.
 //
@@ -40,10 +44,15 @@ const (
 	EngineEvent
 )
 
-// Options configures world construction beyond machine and size. No field
-// moves a virtual clock: a run's virtual times are bit-identical under any
-// setting of them.
+// Options configures world construction beyond machine and size. FaultPlan
+// is its one virtual-time field: a run's virtual times are bit-identical
+// under any setting of the others.
 type Options struct {
+	// FaultPlan schedules deterministic faults on every library: image kills
+	// (taken by layered runtimes at their operation boundaries), link
+	// penalties (every message and atomic) and message losses (Transmit). Nil
+	// schedules nothing and charges nothing.
+	FaultPlan *fabric.FaultPlan
 	// Engine selects nothing.
 	//
 	// Deprecated: ignored; see Engine.

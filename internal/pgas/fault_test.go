@@ -68,7 +68,7 @@ func TestBarrierReleasesOnDepartWithFault(t *testing.T) {
 		if p.ID == 2 {
 			p.Fail()
 		}
-		if err := p.BarrierTolerant(0); err != nil {
+		if err := p.BarrierTolerantDo(0, nil, nil, 0); err != nil {
 			var fe *ImageFault
 			if !errors.As(err, &fe) || len(fe.Failed) != 1 || fe.Failed[0] != 2 {
 				t.Errorf("PE %d: barrier fault = %v, want failed=[2]", p.ID, err)
@@ -149,8 +149,8 @@ func TestReadUint64TsDecodesLikeReadUint64(t *testing.T) {
 	if got, ts := w.ReadUint64Ts(1, 16); got != want || ts != 7 {
 		t.Fatalf("ReadUint64Ts = %#x at t=%v, ReadUint64 = %#x (written at t=7)", got, ts, want)
 	}
-	if old, _ := w.RMW64Stat(1, 16, OpAdd, 0, 8); old != want {
-		t.Fatalf("RMW64Stat reads %#x, ReadUint64 %#x", old, want)
+	if old, _ := w.rmw64(1, 16, OpAdd, 0, 0, 8); old != want {
+		t.Fatalf("rmw64 reads %#x, ReadUint64 %#x", old, want)
 	}
 }
 
@@ -162,17 +162,17 @@ func TestStatAtomicsOnFailedTarget(t *testing.T) {
 			p.Fail()
 		}
 		p.WaitUntilStat(128, 1, func([]byte) bool { return w.Failed(1) }, nil)
-		if old, ok := w.RMW64Stat(1, 0, OpSwap, 99, p.Clock.Now()); ok || old != 77 {
+		if old, ok := p.RMW64Stat(1, 0, OpSwap, 99, Price{}); ok || old != 77 {
 			t.Errorf("RMW64Stat on dead PE: old=%d ok=%v, want 77,false", old, ok)
 		}
-		if old, ok := w.CompareSwap64Stat(1, 0, 77, 99, p.Clock.Now()); ok || old != 77 {
+		if old, ok := p.CompareSwap64Stat(1, 0, 77, 99, Price{}); ok || old != 77 {
 			t.Errorf("CompareSwap64Stat on dead PE: old=%d ok=%v, want 77,false", old, ok)
 		}
 		if v := w.ReadUint64(1, 0); v != 77 {
 			t.Errorf("stat atomics mutated frozen word: %d", v)
 		}
 		// Stat atomics on a live target behave exactly like the plain ones.
-		if old, ok := w.RMW64Stat(0, 0, OpAdd, 5, p.Clock.Now()); !ok || old != 0 {
+		if old, ok := p.RMW64Stat(0, 0, OpAdd, 5, Price{}); !ok || old != 0 {
 			t.Errorf("RMW64Stat on live PE: old=%d ok=%v, want 0,true", old, ok)
 		}
 	})
@@ -218,7 +218,7 @@ func TestFaultFreeWorldUnchanged(t *testing.T) {
 	// no error — the fault machinery must be invisible.
 	w, _ := NewWorld(testMachine(), 4)
 	err := w.Run(func(p *PE) {
-		if err := p.BarrierTolerant(10); err != nil {
+		if err := p.BarrierTolerantDo(10, nil, nil, 0); err != nil {
 			t.Errorf("fault-free barrier returned %v", err)
 		}
 		if w.AnyFailed() || len(w.FailedPEs()) != 0 {
@@ -230,7 +230,7 @@ func TestFaultFreeWorldUnchanged(t *testing.T) {
 		// Hold every PE in the body until all have run their checks: a PE
 		// whose body returns is marked stopped, which would legitimately
 		// change Alive under the feet of a slower checker.
-		if err := p.BarrierTolerant(20); err != nil {
+		if err := p.BarrierTolerantDo(20, nil, nil, 0); err != nil {
 			t.Errorf("fault-free barrier returned %v", err)
 		}
 	})

@@ -130,19 +130,19 @@ type Price struct {
 // returns), which the sanitizer holds to the library's source contract until
 // then: retaining a descriptor field instead would move
 // every caller's buffer to the heap, the stack-held word of a typed P or G
-// included, as escape analysis is per parameter. fp is the library's fault
-// plan, nil for none.
+// included, as escape analysis is per parameter. The world's fault plan
+// (Options.FaultPlan) says how each message crosses its link.
 //
 // The two halves are separate calls on purpose. send keeps a dozen values
 // live; returning before the bytes move keeps its frame off the stack under
 // the write path, the deepest point of a PE goroutine — where a few hundred
 // bytes more grow the stack of every image of every short-lived world once
 // more.
-func (p *PE) Issue(d *RMA, src []byte, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan) {
+func (p *PE) Issue(d *RMA, src []byte, c Price, set *fabric.NBIStreams) {
 	if s := p.world.san; s != nil {
 		s.record(p.ID, d, src, set)
 	}
-	landed, vis := p.send(d, c, set, fp)
+	landed, vis := p.send(d, c, set)
 	if d.Get {
 		p.fetch(d)
 		return
@@ -153,9 +153,9 @@ func (p *PE) Issue(d *RMA, src []byte, c Price, set *fabric.NBIStreams, fp *fabr
 // IssueRuns is Issue for a library with no strided call: a Strided op crosses
 // as the runs of its elements, a message each, every one priced by c as a
 // Contig op of Unit bytes is. d is the caller's again at return.
-func (p *PE) IssueRuns(d *RMA, src []byte, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan) {
+func (p *PE) IssueRuns(d *RMA, src []byte, c Price, set *fabric.NBIStreams) {
 	if d.Shape != Strided {
-		p.Issue(d, src, c, set, fp)
+		p.Issue(d, src, c, set)
 		return
 	}
 	sp, offs := GetOffsScratch(), d.Offs
@@ -163,16 +163,23 @@ func (p *PE) IssueRuns(d *RMA, src []byte, c Price, set *fabric.NBIStreams, fp *
 		*sp = append(*sp, int64(i)*d.Stride)
 	}
 	d.Shape, d.Offs = Runs, *sp
-	p.Issue(d, src, c, set, fp)
+	p.Issue(d, src, c, set)
 	d.Shape, d.Offs = Strided, offs
 	PutOffsScratch(sp)
 }
 
-// LinkPenalty charges the link-degradation latency of fp, not nil, for one
-// remote operation issued now. Its callers test for the plan themselves, which
-// keeps a plan-less operation to one branch.
-func (p *PE) LinkPenalty(fp *fabric.FaultPlan) {
-	if pen := fp.LinkPenaltyNs(p.ID, p.Clock.Now()); pen > 0 {
+// linkPenalty charges the world's link-degradation latency for one remote
+// operation issued now: every message of the issue core and every atomic.
+// With no plan it is one inlined branch.
+func (p *PE) linkPenalty() {
+	if p.world.plan != nil {
+		p.penalty()
+	}
+}
+
+// penalty is linkPenalty's charge, out of line so that linkPenalty inlines.
+func (p *PE) penalty() {
+	if pen := p.world.plan.LinkPenaltyNs(p.ID, p.Clock.Now()); pen > 0 {
 		p.Clock.Advance(pen)
 	}
 }
@@ -182,12 +189,11 @@ func (p *PE) LinkPenalty(fp *fabric.FaultPlan) {
 // booking. It returns the first message whose payload is still to land and,
 // for a single-message op, when it is visible (the runs' times are in
 // p.visAt).
-func (p *PE) send(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan) (landed int, vis float64) {
+func (p *PE) send(d *RMA, c Price, set *fabric.NBIStreams) (landed int, vis float64) {
 	w, clock := p.world, &p.Clock
-	plan := fp
-	if d.Shape == Forensic {
-		plan = nil // the recovery path's own traffic is charged fp's penalty but crosses natively
-	}
+	// The recovery path's own traffic is charged the penalty but crosses
+	// natively.
+	lossy := w.plan != nil && d.Shape != Forensic
 	// Only Runs has more than one message; run i is visible at visAt[i], in
 	// the PE's reused scratch, sized once to the op when it is short.
 	msgs, visAt := d.Msgs(), p.visAt[:0]
@@ -195,9 +201,7 @@ func (p *PE) send(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan)
 		visAt = make([]float64, 0, msgs)
 	}
 	for i := 0; i < msgs; i++ {
-		if fp != nil {
-			p.LinkPenalty(fp)
-		}
+		p.linkPenalty()
 		wire := clock.Now() // a blocking get's request leaves before the round trip it charges
 		clock.Advance(c.Inject)
 		if set != nil {
@@ -206,8 +210,8 @@ func (p *PE) send(d *RMA, c Price, set *fabric.NBIStreams, fp *fabric.FaultPlan)
 		// A link without a plan is reliable: the identity, with no call.
 		lands, acked := true, true
 		at, done := reliable(wire, c.Lat, d.Get)
-		if plan != nil {
-			lands, at, done, acked = w.Transmit(plan, p.ID, d.Target, wire, c.Lat, d.Get)
+		if lossy {
+			lands, at, done, acked = w.Transmit(p.ID, d.Target, wire, c.Lat, d.Get)
 		}
 		vis, done = at+c.Tail, done+c.Tail
 		if set != nil {

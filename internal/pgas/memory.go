@@ -110,17 +110,40 @@ const (
 // RMW64 atomically applies op to the 64-bit host-order word at (target,
 // off) and returns the previous value. The update is visible at visibleAt.
 func (w *World) RMW64(target int, off int64, op AtomicOp, operand uint64, visibleAt float64) uint64 {
-	old, _ := w.RMW64Stat(target, off, op, operand, visibleAt)
+	old, _ := w.rmw64(target, off, op, operand, 0, visibleAt)
 	return old
 }
 
-// RMW64Stat is RMW64 with a fault status: when the target PE has failed the
-// word is left untouched and ok is false (the frozen value is still
-// returned). Whether the partition is frozen is decided once, under the
-// partition lock, by the same test that guards the store — so ok is exactly
-// "the operation was applied", even when the target fails while the call is
-// in flight. Virtual-time cost is the caller's concern.
-func (w *World) RMW64Stat(target int, off int64, op AtomicOp, operand uint64, visibleAt float64) (old uint64, ok bool) {
+// RMW64Stat is every library's remote atomic, issued by this PE: it charges
+// the link penalty and c.Inject, then applies op with operand to the word at
+// (target, off), visible at (clock + c.Lat) + c.Tail (an active message's
+// handler prices its flight as Lat and Tail). ok is false when the target has
+// failed and its word is frozen, decided under the partition lock with the
+// store, so it is exact even when the target fails mid-call.
+func (p *PE) RMW64Stat(target int, off int64, op AtomicOp, operand uint64, c Price) (old uint64, ok bool) {
+	return p.world.rmw64(target, off, op, operand, 0, p.atomicAt(c))
+}
+
+// CompareSwap64Stat is RMW64Stat's compare-and-swap: the word becomes desired
+// iff it equals expected.
+func (p *PE) CompareSwap64Stat(target int, off int64, expected, desired uint64, c Price) (old uint64, ok bool) {
+	return p.world.rmw64(target, off, opCAS, desired, expected, p.atomicAt(c))
+}
+
+// atomicAt charges an atomic priced c and returns when it applies.
+func (p *PE) atomicAt(c Price) float64 {
+	p.linkPenalty()
+	p.Clock.Advance(c.Inject)
+	return p.Clock.Now() + c.Lat + c.Tail
+}
+
+// opCAS is rmw64's compare-and-swap: operand replaces a word equal to
+// expected.
+const opCAS = OpSwap + 1
+
+// rmw64 applies op at (target, off), visible at visibleAt, unless the target
+// has failed.
+func (w *World) rmw64(target int, off int64, op AtomicOp, operand, expected uint64, visibleAt float64) (old uint64, ok bool) {
 	p := w.part(target)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -143,40 +166,16 @@ func (w *World) RMW64Stat(target int, off int64, op AtomicOp, operand uint64, vi
 		nw = old ^ operand
 	case OpSwap:
 		nw = operand
+	case opCAS:
+		if old != expected {
+			return old, true
+		}
+		nw = operand
 	default:
 		panic(fmt.Sprintf("pgas: unknown atomic op %d", op))
 	}
 	binary.NativeEndian.PutUint64(b[:], nw)
 	p.store(off, b[:], visibleAt)
-	return old, true
-}
-
-// CompareSwap64 atomically replaces the word at (target, off) with desired if
-// it equals expected, returning the previous value (OpenSHMEM cswap
-// semantics: the caller checks old == expected for success).
-func (w *World) CompareSwap64(target int, off int64, expected, desired uint64, visibleAt float64) uint64 {
-	old, _ := w.CompareSwap64Stat(target, off, expected, desired, visibleAt)
-	return old
-}
-
-// CompareSwap64Stat is CompareSwap64 with a fault status, like RMW64Stat: ok
-// is false when the target's partition was frozen, decided under the
-// partition lock together with the store.
-func (w *World) CompareSwap64Stat(target int, off int64, expected, desired uint64, visibleAt float64) (old uint64, ok bool) {
-	p := w.part(target)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.ensureLen(off + 8)
-	var b [8]byte
-	p.seg.readAt(off, b[:])
-	old = binary.NativeEndian.Uint64(b[:])
-	if w.stateOf(target) == stateFailed {
-		return old, false
-	}
-	if old == expected {
-		binary.NativeEndian.PutUint64(b[:], desired)
-		p.store(off, b[:], visibleAt)
-	}
 	return old, true
 }
 

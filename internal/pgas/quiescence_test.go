@@ -36,7 +36,7 @@ func TestDeadlockReport(t *testing.T) {
 				p.Barrier(0) // generation 0 completes: the program was healthy once
 				switch p.ID {
 				case 0: // in the barrier nobody else reaches
-					p.BarrierSyncStat(0)
+					p.BarrierTolerantDo(0, nil, nil, 0)
 				case 1: // on a word only the failed PE would write
 					p.WaitWordStat(0x10, CmpNE, 0, nil)
 				case 2: // failed, its goroutine blocked in a deferred wait

@@ -124,7 +124,7 @@ func TestDeadlockReachedByDeparture(t *testing.T) {
 			err = w.Run(func(p *PE) {
 				switch p.ID {
 				case 0:
-					p.BarrierSyncStat(0)
+					p.BarrierTolerantDo(0, nil, nil, 0)
 				case 1:
 					p.WaitWordStat(8, CmpNE, 0, nil)
 				default:
@@ -222,10 +222,10 @@ func TestStatAtomicAppliedIffReportedOK(t *testing.T) {
 			}
 			for v := uint64(1); ; v++ {
 				if v%2 == 0 {
-					if _, ok := w.RMW64Stat(1, 0, OpSwap, v, 0); !ok {
+					if _, ok := p.RMW64Stat(1, 0, OpSwap, v, Price{}); !ok {
 						return
 					}
-				} else if _, ok := w.CompareSwap64Stat(1, 0, lastOK, v, 0); !ok {
+				} else if _, ok := p.CompareSwap64Stat(1, 0, lastOK, v, Price{}); !ok {
 					return
 				}
 				lastOK = v

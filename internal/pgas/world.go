@@ -67,6 +67,8 @@ type World struct {
 
 	// san is the runtime sanitizer, nil unless Options.Sanitize.
 	san *sanitizer
+	// plan is Options.FaultPlan, nil for none.
+	plan *fabric.FaultPlan
 
 	// dlv is the lossy-fabric reliability bookkeeping: receiver dedup
 	// windows, per-link forensic counters, unreachable-link marks. See
@@ -161,6 +163,7 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		shared:  map[string]interface{}{},
 		states:  make([]int32, n),
 		perNode: 1, tailLo: n, // no node structure: nobody shares a NIC
+		plan: opts.FaultPlan,
 	}
 	if per := machine.CoresPerNode; per > 0 {
 		// Block placement: the PEs on a node are a contiguous rank range.

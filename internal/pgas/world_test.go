@@ -53,7 +53,7 @@ func TestRunPropagatesPanic(t *testing.T) {
 			panic("boom")
 		}
 		// PE 0 parks in a barrier; the poison must wake it.
-		p.BarrierSync(0)
+		p.Barrier(0)
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("expected propagated panic, got %v", err)
@@ -136,13 +136,14 @@ func TestRMW64Ops(t *testing.T) {
 func TestCompareSwap64(t *testing.T) {
 	w := testWorld(t, 1)
 	w.WriteUint64(0, 0, 7, 0)
-	if old := w.CompareSwap64(0, 0, 7, 11, 0); old != 7 {
+	p := w.PE(0)
+	if old, ok := p.CompareSwap64Stat(0, 0, 7, 11, Price{}); old != 7 || !ok {
 		t.Fatalf("successful cswap returned %d", old)
 	}
 	if v := w.ReadUint64(0, 0); v != 11 {
 		t.Fatalf("cswap did not store: %d", v)
 	}
-	if old := w.CompareSwap64(0, 0, 7, 99, 0); old != 11 {
+	if old, _ := p.CompareSwap64Stat(0, 0, 7, 99, Price{}); old != 11 {
 		t.Fatalf("failed cswap returned %d, want 11", old)
 	}
 	if v := w.ReadUint64(0, 0); v != 11 {

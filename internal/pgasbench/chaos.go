@@ -46,8 +46,9 @@ func (c *Chaos) Plan(images int, fromNs float64) (*fabric.FaultPlan, error) {
 	return nil, nil
 }
 
-// ChaosReplay runs app once on images images of the Cray XC30 over Cray SHMEM
-// under plan, and prints what the fault machinery observed: the application's
+// ChaosReplay runs app once on images images under opts, whose FaultPlan is
+// the replay's — on any transport: the failed-image model is one below the
+// libraries — and prints what the fault machinery observed: the application's
 // summary, then the per-link reliability forensics (retransmits, drops,
 // given-up links). A legacy (non-STAT) operation that hits an exhausted link
 // error-terminates the job. That is the designed escalation and a
@@ -57,10 +58,8 @@ func (c *Chaos) Plan(images int, fromNs float64) (*fabric.FaultPlan, error) {
 // Whether the same plan replays bit-identically depends on the application:
 // runs whose images meet only at barriers do (Himeno's), runs with contended
 // locks do not (the DHT's; see dht.Replay).
-func ChaosReplay(w io.Writer, app *App, plan *fabric.FaultPlan, images int) {
-	opts := caf.UHCAFOverCraySHMEM(fabric.CrayXC30())
-	opts.FaultPlan = plan
-	fmt.Fprintf(w, "chaos replay: %d images, plan %v\n", images, plan)
+func ChaosReplay(w io.Writer, app *App, opts caf.Options, images int) {
+	fmt.Fprintf(w, "chaos replay: %d images, plan %v\n", images, opts.FaultPlan)
 	summary, forensics, err := app.Replay(opts, images)
 	if err != nil {
 		fmt.Fprintf(w, "outcome: error termination — %v\n", err)

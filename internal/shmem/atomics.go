@@ -15,13 +15,18 @@ import (
 // completion time, and the update is immediately globally visible (OpenSHMEM
 // AMO semantics), so nothing is added to the pending (Quiet) set.
 
-func (pe *PE) amoClock(target int) float64 {
-	if fp := pe.world.fplan; fp != nil {
-		pe.p.LinkPenalty(fp)
-	}
-	intra, pairs := pe.intra(target), pe.pairs()
-	pe.p.Clock.Advance(pe.world.prof.AtomicRTTNs(intra, pairs))
-	return pe.p.Clock.Now()
+// amo is every AMO but compare-and-swap, named name: op with operand v on the
+// word at element index idx of sym, and whether it was applied.
+func (pe *PE) amo(name string, target int, sym Sym, idx int, op pgas.AtomicOp, v int64) (int64, bool) {
+	pe.checkTarget(target)
+	off := pe.wordOff(name, sym, idx)
+	old, ok := pe.p.RMW64Stat(target, off, op, uint64(v), pe.amoPrice(target))
+	return int64(old), ok
+}
+
+// amoPrice is an AMO's cost: a full round trip, charged inline.
+func (pe *PE) amoPrice(target int) pgas.Price {
+	return pgas.Price{Inject: pe.world.prof.AtomicRTTNs(pe.intra(target), pe.pairs())}
 }
 
 // wordOff is the absolute offset of the 64-bit word at element index idx of
@@ -46,10 +51,8 @@ func (sym Sym) badWord(idx int) {
 // FetchAdd atomically adds v to the word and returns the previous value
 // (shmem_longlong_fadd).
 func (pe *PE) FetchAdd(target int, sym Sym, idx int, v int64) int64 {
-	pe.checkTarget(target)
-	off := pe.wordOff("fetch_add", sym, idx)
-	vis := pe.amoClock(target)
-	return int64(pe.world.pw.RMW64(target, off, pgas.OpAdd, uint64(v), vis))
+	old, _ := pe.amo("fetch_add", target, sym, idx, pgas.OpAdd, v)
+	return old
 }
 
 // FetchInc atomically increments the word (shmem_longlong_finc).
@@ -66,43 +69,33 @@ func (pe *PE) Add(target int, sym Sym, idx int, v int64) {
 // Swap atomically stores v and returns the previous value — the
 // fetch-and-store used to enqueue on the MCS lock tail (shmem_swap).
 func (pe *PE) Swap(target int, sym Sym, idx int, v int64) int64 {
-	pe.checkTarget(target)
-	off := pe.wordOff("swap", sym, idx)
-	vis := pe.amoClock(target)
-	return int64(pe.world.pw.RMW64(target, off, pgas.OpSwap, uint64(v), vis))
+	old, _ := pe.amo("swap", target, sym, idx, pgas.OpSwap, v)
+	return old
 }
 
 // CompareSwap atomically stores desired iff the word equals expected,
 // returning the previous value (shmem_cswap). Success is old == expected.
 func (pe *PE) CompareSwap(target int, sym Sym, idx int, expected, desired int64) int64 {
-	pe.checkTarget(target)
-	off := pe.wordOff("compare_swap", sym, idx)
-	vis := pe.amoClock(target)
-	return int64(pe.world.pw.CompareSwap64(target, off, uint64(expected), uint64(desired), vis))
+	old, _ := pe.CompareSwapStat(target, sym, idx, expected, desired)
+	return old
 }
 
 // FetchAnd atomically ANDs v into the word and returns the previous value.
 func (pe *PE) FetchAnd(target int, sym Sym, idx int, v int64) int64 {
-	pe.checkTarget(target)
-	off := pe.wordOff("fetch_and", sym, idx)
-	vis := pe.amoClock(target)
-	return int64(pe.world.pw.RMW64(target, off, pgas.OpAnd, uint64(v), vis))
+	old, _ := pe.amo("fetch_and", target, sym, idx, pgas.OpAnd, v)
+	return old
 }
 
 // FetchOr atomically ORs v into the word and returns the previous value.
 func (pe *PE) FetchOr(target int, sym Sym, idx int, v int64) int64 {
-	pe.checkTarget(target)
-	off := pe.wordOff("fetch_or", sym, idx)
-	vis := pe.amoClock(target)
-	return int64(pe.world.pw.RMW64(target, off, pgas.OpOr, uint64(v), vis))
+	old, _ := pe.amo("fetch_or", target, sym, idx, pgas.OpOr, v)
+	return old
 }
 
 // FetchXor atomically XORs v into the word and returns the previous value.
 func (pe *PE) FetchXor(target int, sym Sym, idx int, v int64) int64 {
-	pe.checkTarget(target)
-	off := pe.wordOff("fetch_xor", sym, idx)
-	vis := pe.amoClock(target)
-	return int64(pe.world.pw.RMW64(target, off, pgas.OpXor, uint64(v), vis))
+	old, _ := pe.amo("fetch_xor", target, sym, idx, pgas.OpXor, v)
+	return old
 }
 
 // AtomicFetch atomically reads the word (shmem_atomic_fetch).

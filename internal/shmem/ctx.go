@@ -91,51 +91,29 @@ func (c *Ctx) PutSignalNBI(target int, sym Sym, off int64, data []byte, sig Sym,
 
 // Quiet completes all ops issued on this context (shmem_ctx_quiet) — and
 // nothing else: the default context's streams, the blocking horizon, and
-// other contexts all stay in flight. Like the PE-level Quiet it is a legacy
-// escalation point: destinations given up after retry exhaustion
-// error-terminate here (QuietStat reports them instead).
-func (c *Ctx) Quiet() { c.quiet(true) }
+// other contexts all stay in flight. A destination given up after retry
+// exhaustion error-terminates here (pgas.PE.Complete); QuietStat reports it.
+func (c *Ctx) Quiet() { _ = c.quiet(-1, false) } // no stat: nothing to report
 
-// quiet is Quiet, one call deep for the runtimes that quiet after every put;
-// the stat forms, which report a given-up destination, pass escalate false.
-// With nothing nonblocking outstanding the streams drain to 0 and the blocking
-// path is bit-identical to the pre-NBI model.
-func (c *Ctx) quiet(escalate bool) {
+// quiet completes the context's ops toward target, or toward every
+// destination when target is negative; with stat it reports instead of
+// escalating. With nothing nonblocking outstanding the streams drain to 0 and
+// the blocking path is bit-identical to the pre-NBI model.
+func (c *Ctx) quiet(target int, stat bool) error {
 	c.check()
-	p := c.pe.p
-	c.complete(p.Drain(&c.nbi), p.Drain(&c.blocking))
-	if escalate {
-		c.pe.checkReachable()
-	}
-}
-
-// complete charges a completion call's overhead and waits for the later of
-// the nonblocking and the blocking horizon it drained.
-func (c *Ctx) complete(nbi, blocking float64) {
-	clock := &c.pe.p.Clock
-	clock.Advance(c.pe.world.prof.OverheadNs)
-	clock.MergeAtLeast(max(nbi, blocking))
+	return c.pe.p.Complete(&c.nbi, &c.blocking, target, c.pe.world.prof.OverheadNs, stat)
 }
 
 // QuietTarget completes this context's ops toward one destination only; the
 // context's other destinations stay in flight: their completion horizon, and
 // the shared NIC pipe's residual occupancy, are untouched. A later Quiet
 // still waits for every other destination — per-target completion never
-// relaxes the blocking path. Like Quiet it is a legacy escalation point, for
-// this destination only: a link to target given up after retry exhaustion
-// error-terminates here (the PE's QuietTargetStat reports it instead).
+// relaxes the blocking path. Like Quiet it error-terminates on a link to
+// target given up after retry exhaustion (the PE's QuietTargetStat reports
+// it instead).
 func (c *Ctx) QuietTarget(target int) {
-	c.quietTarget(target)
-	c.pe.checkReachableTarget(target)
-}
-
-// quietTarget is QuietTarget's drain, shared with QuietTargetStat (which must
-// not escalate — it reports).
-func (c *Ctx) quietTarget(target int) {
-	c.check()
 	c.pe.checkTarget(target)
-	p := c.pe.p
-	c.complete(p.DrainTarget(&c.nbi, target), p.DrainTarget(&c.blocking, target))
+	_ = c.quiet(target, false) // no stat: nothing to report
 }
 
 // QuietStat is Quiet with fault status: when any destination with in-flight
@@ -144,17 +122,7 @@ func (c *Ctx) quietTarget(target int) {
 // streams only — so the stat and non-stat forms always agree.
 // Destinations the PE has declared unreachable are folded in like failed
 // PEs, as in the PE-level QuietStat.
-func (c *Ctx) QuietStat() error {
-	c.check()
-	var failed []int // in first-issue order
-	c.nbi.Targets(func(t int) {
-		if c.pe.observedFailed(t) {
-			failed = append(failed, t)
-		}
-	})
-	c.quiet(false)
-	return c.pe.unreachFault(failed)
-}
+func (c *Ctx) QuietStat() error { return c.quiet(-1, true) }
 
 // Fence orders this context's puts per destination (shmem_ctx_fence). Like
 // the PE-level Fence it is weaker than Quiet — ordering, not completion —

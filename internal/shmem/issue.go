@@ -98,7 +98,7 @@ func (c *Ctx) issue(d *pgas.RMA, sym Sym, m mode, src []byte) {
 	case !d.Get:
 		set, src = &c.blocking, nil
 	}
-	pe.p.Issue(d, src, price, set, pe.world.fplan)
+	pe.p.Issue(d, src, price, set)
 }
 
 // RMA issues a layered runtime's descriptor on the default context, blocking or

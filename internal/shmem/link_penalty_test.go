@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
 )
 
 // shapeCall is one row of the per-shape table: a call issuing msgs messages
@@ -40,8 +41,12 @@ var shapeCalls = []shapeCall{
 	{"Ctx.PutMemNBI", 1, func(_ *PE, c *Ctx, d, _ Sym, b []byte, _ []float64) { c.PutMemNBI(1, d, 0, b[:64]) }},
 	{"Ctx.GetMemNBI", 1, func(_ *PE, c *Ctx, d, _ Sym, b []byte, _ []float64) { c.GetMemNBI(1, d, 0, b[:64]) }},
 	{"Ctx.PutSignalNBI", 1, func(_ *PE, c *Ctx, d, s Sym, b []byte, _ []float64) { c.PutSignalNBI(1, d, 0, b[:32], s, 0, 1) }},
-	{"PutMemRepair", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) { pe.PutMemRepair(1, d, 0, b[:64]) }},
-	{"ReadWord64", 1, func(pe *PE, _ *Ctx, d, _ Sym, _ []byte, _ []float64) { pe.ReadWord64(1, d, 64) }}, // a word no row wrote
+	{"PutMemRepair", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) {
+		pe.RMA(&pgas.RMA{Shape: pgas.Forensic, Target: 1, Local: b[:64]}, d, false)
+	}},
+	{"ReadWord64", 1, func(pe *PE, _ *Ctx, d, _ Sym, _ []byte, _ []float64) { // a word no row wrote
+		pe.RMA(&pgas.RMA{Get: true, Shape: pgas.Forensic, Target: 1, Off: 64 * 8, Local: make([]byte, 8)}, d, false)
+	}},
 }
 
 // issueClocks runs every row of shapeCalls from PE 0 of a fresh 2-PE world

@@ -90,34 +90,10 @@ func (pe *PE) NBIOutstanding() int { return pe.def.nbi.Outstanding() }
 // STAT_FAILED_IMAGE upstairs.
 func (pe *PE) QuietStat() error { return pe.def.QuietStat() }
 
-// observedFailed reports whether this PE observes target as failed right now.
-// For a planned kill the observation is a pure function of virtual time — the
-// modelled fault detector notices the death as soon as the observer's own
-// clock passes the scheduled kill time — so the quiet-side stat paths replay
-// bit-identically regardless of host scheduling. (The victim's goroutine
-// processes its death at its next op boundary; querying its life-cycle state
-// directly would race that processing in real time, because unlike a
-// signal wait there is no happens-before edge between an origin's drain and
-// the target's death.) Deaths outside the plan (voluntary FailImage) fall
-// back to the life-cycle state, whose observers synchronise through barriers.
-func (pe *PE) observedFailed(target int) bool {
-	if fp := pe.world.fplan; fp != nil {
-		if at, ok := fp.KillTime(target); ok {
-			return pe.p.Clock.Now() >= at
-		}
-	}
-	return pe.world.pw.Failed(target)
-}
-
 // QuietTargetStat is QuietTarget with fault status, reporting whether the
 // drained destination had failed (its writes were dropped by the substrate)
 // or had been declared unreachable after retry exhaustion.
 func (pe *PE) QuietTargetStat(target int) error {
 	pe.checkTarget(target)
-	dead := pe.def.nbi.OutstandingTarget(target) > 0 && pe.observedFailed(target)
-	pe.def.quietTarget(target)
-	if dead || pe.world.pw.Unreachable(pe.p.ID, target) {
-		return &pgas.ImageFault{Failed: []int{target}}
-	}
-	return nil
+	return pe.def.quiet(target, true)
 }

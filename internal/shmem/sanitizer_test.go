@@ -272,8 +272,10 @@ func TestFreedHandleReportedAtEveryEntry(t *testing.T) {
 			ctx.PutMemNBI(1, gone, 0, one)
 			ctx.Destroy()
 		}},
-		{"repair put", "repair put", false, func(pe *PE, gone, _ Sym) { pe.PutMemRepair(1, gone, 0, one) }},
-		{"forensic get", "repair get", false, func(pe *PE, gone, _ Sym) { pe.ReadWord64(1, gone, 0) }},
+		{"repair put", "repair put", false, func(pe *PE, gone, _ Sym) { pe.RMA(&pgas.RMA{Shape: pgas.Forensic, Target: 1, Local: one}, gone, false) }},
+		{"forensic get", "repair get", false, func(pe *PE, gone, _ Sym) {
+			pe.RMA(&pgas.RMA{Get: true, Shape: pgas.Forensic, Target: 1, Local: make([]byte, 8)}, gone, false)
+		}},
 		{"signal data", "put_signal", false, func(pe *PE, gone, live Sym) { pe.PutSignal(1, gone, 0, one, live, 0, 1) }},
 		{"signal word", "put_signal", false, func(pe *PE, gone, live Sym) { pe.PutSignalNBI(1, live, 0, one, gone, 0, 1); pe.Quiet() }},
 		{"atomic", "fetch_add", false, func(pe *PE, gone, _ Sym) { pe.FetchAdd(1, gone, 0, 1) }},

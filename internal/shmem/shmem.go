@@ -26,7 +26,6 @@ type World struct {
 	prof    *fabric.CostProfile
 	machine *fabric.Machine
 	heap    *heap
-	fplan   *fabric.FaultPlan // nil unless Config.FaultPlan (see stat.go)
 	// pes is the job's PE table, indexed by rank: Attach initialises a rank's
 	// element in place and hands out its address.
 	pes []PE
@@ -56,7 +55,7 @@ type PE struct {
 	// because collectives are globally ordered.
 	collSeq int64
 	// stage is the gather/scatter buffer of IPut/IGet with a strided local
-	// operand, and ReadWord64's word (see staging).
+	// operand (see staging).
 	stage []byte
 }
 
@@ -64,15 +63,9 @@ type PE struct {
 type Config struct {
 	Machine *fabric.Machine
 	Profile string // a profile name registered on Machine
-	// FaultPlan schedules deterministic fault injection: link degradations
-	// are applied by this layer (extra latency on remote operations), image
-	// kills are consumed by layered runtimes (the CAF transport) at their
-	// operation boundaries. Nil disables fault injection entirely — the nil
-	// check is the only cost, and no virtual-time behaviour changes.
-	FaultPlan *fabric.FaultPlan
-	// Options is the pgas world's host-side tuning — the barrier's shard
-	// layout (BarrierShards) — and its runtime sanitizer (Sanitize).
-	// Virtual-time results are independent of it by construction.
+	// Options is the pgas world's: its fault plan, its host-side tuning —
+	// the barrier's shard layout (BarrierShards) — and its runtime sanitizer
+	// (Sanitize). Virtual-time results depend on the plan alone.
 	pgas.Options
 }
 
@@ -105,12 +98,8 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &World{pw: pw, prof: prof, machine: cfg.Machine, heap: newHeap(), fplan: cfg.FaultPlan, pes: make([]PE, n)}, nil
+	return &World{pw: pw, prof: prof, machine: cfg.Machine, heap: newHeap(), pes: make([]PE, n)}, nil
 }
-
-// FaultPlan returns the world's fault-injection schedule (nil when fault
-// injection is disabled).
-func (w *World) FaultPlan() *fabric.FaultPlan { return w.fplan }
 
 // Attach returns the PE handle for a pgas PE of this world: the rank's element
 // of the world's PE table, wired on the first call — the default context's
