@@ -3,9 +3,9 @@
 # structural gates, race and shuffled tests, fuzz smokes and the claims gate.
 # Run from the module root. `./check.sh fast` stops after the fast tier: build,
 # vet, the gofmt, unsafe, host-clock, one-command, one-issue-core,
-# one-fault-model, one-funnel, one-checker, one-copy, one-lock, word-offset,
-# one-engine, per-rank-table, inline and bounds-check gates, the write path,
-# 5 s of every fuzz target and the deadlock loop (about a minute).
+# one-fault-model, one-heap, one-funnel, one-checker, one-copy, one-lock,
+# word-offset, one-engine, per-rank-table, inline and bounds-check gates, the
+# write path, 5 s of every fuzz target and the deadlock loop (about a minute).
 #
 # `go test -race` and `-shuffle=on` run every test once; every other go test
 # step adds a flag and selects by name, so a test joins it by its name alone:
@@ -128,6 +128,18 @@ faultstat=$(grep -rn --include='*.go' -w 'FaultStat' . | grep -v -e '^\./\.bench
 if [ -n "$faultplan" ] || [ -n "$faultstat" ]; then
     echo "check.sh: the fault plan is pgas.Options' alone and every transport reports failed images; found:" >&2
     printf '%s\n' "$faultplan" "$faultstat" >&2
+    exit 1
+fi
+
+echo "==> one-heap gate (every library allocates and frees through its world's one symmetric heap, pgas.World.Alloc and Free, whose live set the sanitizer reads; DESIGN.md \"Correctness tooling\")"
+# An allocator break, a library's own heap type or a second live-allocation
+# record outside internal/pgas is a second allocator coming back, and
+# World.Shared was the slot a library kept one in.
+heaps=$(grep -rnw --include='*.go' --exclude='*_test.go' -E 'brk|symHeap|winHeap|NoteAlloc|NoteFree' . | grep -v -e '^\./internal/pgas/' -e '^\./\.bench_build/' || true)
+shared=$(grep -rn --include='*.go' -E '^func \(w \*World\) Shared\(' . | grep -v -e '^\./\.bench_build/' || true)
+if [ -n "$heaps" ] || [ -n "$shared" ]; then
+    echo "check.sh: symmetric memory has one allocator, pgas.World.Alloc/Free; found:" >&2
+    printf '%s\n' "$heaps" "$shared" >&2
     exit 1
 fi
 

@@ -1,6 +1,7 @@
 package caf
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -233,7 +234,7 @@ func TestPutGetFull(t *testing.T) {
 }
 
 func TestDeallocateReusesHeap(t *testing.T) {
-	err := Run(2, shmemOpts(), func(img *Image) {
+	forEachTransport(t, 2, func(img *Image) {
 		a := Allocate[int64](img, 1024)
 		off1 := a.off
 		a.Deallocate()
@@ -243,9 +244,30 @@ func TestDeallocateReusesHeap(t *testing.T) {
 		}
 		b.Deallocate()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// A lock created where a freed coarray lay starts unlocked: the freed words
+// read as zero, not as a stale MCS tail that no holder will ever hand on.
+// The coarray holds what a lock's words could: a packed reference and a
+// locked flag.
+func TestLockOverFreedCoarray(t *testing.T) {
+	forEachTransport(t, 4, func(img *Image) {
+		c := Allocate[int64](img, 2)
+		c.SetSlice([]int64{int64(PackRef(img.ThisImage(), 64, 0)), 1})
+		img.SyncAll()
+		off := c.off
+		c.Deallocate()
+		l := NewLock(img)
+		if l.off != off {
+			panic(fmt.Sprintf("lock at offset %d, not on the freed coarray's %d", l.off, off))
+		}
+		for range 3 {
+			l.Acquire(1)
+			l.Release(1)
+		}
+		img.SyncAll()
+		l.Deallocate()
+	})
 }
 
 func TestCodimensions(t *testing.T) {

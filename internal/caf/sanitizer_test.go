@@ -62,18 +62,19 @@ func TestSanitizerCleanWithConservativeQuiet(t *testing.T) {
 // symmetric-heap leak at job end (runtime-internal allocations do not). Only
 // OpenSHMEM's heap returns space, so only it reports leaks.
 func TestSanitizerFlagsCoarrayLeak(t *testing.T) {
-	opts := shmemOpts()
-	opts.Sanitize = true
-	err := Run(2, opts, func(img *Image) {
-		Allocate[int64](img, 8) // never deallocated
-		img.SyncAll()
+	eachTransport(t, func(t *testing.T, opts Options) {
+		opts.Sanitize = true
+		err := Run(2, opts, func(img *Image) {
+			Allocate[int64](img, 8) // never deallocated
+			img.SyncAll()
+		})
+		if err == nil {
+			t.Fatal("sanitizer missed the leaked coarray")
+		}
+		if !strings.Contains(err.Error(), "never freed") {
+			t.Fatalf("error %q does not mention the leak", err)
+		}
 	})
-	if err == nil {
-		t.Fatal("sanitizer missed the leaked coarray")
-	}
-	if !strings.Contains(err.Error(), "never freed") {
-		t.Fatalf("error %q does not mention the leak", err)
-	}
 }
 
 // A caf lock is named by its word offset and image, so two distinct locks
@@ -123,6 +124,8 @@ func TestSanitizerFlagsLockOrderCycle(t *testing.T) {
 				}
 				img.SyncAll()
 			}
+			b.Deallocate()
+			a.Deallocate()
 		})
 		want := tc.opposite && !tc.tried
 		if got := err != nil && strings.Contains(err.Error(), "lock-order"); got != want || !want && err != nil {

@@ -72,9 +72,10 @@ type backend interface {
 	// local is this image's own partition.
 	local() *pgas.PE
 	// malloc collectively allocates size bytes at the same offset on every
-	// image; free collectively releases them (the heap shrinks only on
-	// OpenSHMEM). With stat the allocation completes among the survivors of
-	// failed images and reports them.
+	// image; free collectively releases them, and they read as zero when
+	// next allocated. Every library allocates from its world's one symmetric
+	// heap (pgas.World.Alloc). With stat the allocation completes among the
+	// survivors of failed images and reports them.
 	malloc(size int64, stat bool) (int64, error)
 	free(off, size int64)
 	// rma performs the transfer d describes (the image's descriptor, see rmaOp,
@@ -234,10 +235,9 @@ func (t *gasnetBackend) malloc(size int64, stat bool) (int64, error) {
 	return t.ep.Malloc(size).Off, nil
 }
 
-// free is collective but does not return space: GASNet attaches a raw
-// segment and leaves allocation policy to the runtime; the original UHCAF
-// GASNet backend likewise never returns segment space to the conduit.
-func (t *gasnetBackend) free(off, size int64) { t.ep.Barrier() }
+// free returns the region to the heap behind the collective Malloc: one
+// barrier, like GASNet's own.
+func (t *gasnetBackend) free(off, size int64) { t.ep.Free(gasnet.Seg{Off: off, Size: size}) }
 
 func (t *gasnetBackend) rma(d *pgas.RMA, nbi bool) {
 	if d.Shape == pgas.Signal {

@@ -46,9 +46,9 @@ func (t *mpi3Backend) malloc(size int64, stat bool) (int64, error) {
 	return t.pr.WinAllocate(size).Off(), nil
 }
 
-// free is collective (MPI_Win_free) but returns no space to the allocator —
-// window memory stays attached for the job's lifetime, like GASNet segments.
-func (t *mpi3Backend) free(off, size int64) { t.pr.Barrier() }
+// free collectively releases the window malloc created (MPI_Win_free), its
+// memory back to the heap: one barrier, like MPI_Barrier.
+func (t *mpi3Backend) free(off, size int64) { t.pr.WinFree(t.pr.World().WinAt(off)) }
 
 func (t *mpi3Backend) rma(d *pgas.RMA, _ bool) {
 	if len(d.Local) > 0 {

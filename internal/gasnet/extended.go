@@ -95,8 +95,8 @@ func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
 
 // issue is the endpoint's one checked entry: every put and get — each public
 // routine fills a descriptor, a layered runtime hands its own to RMA — arrives
-// with d.Off relative to seg. It checks target, geometry and bounds under the
-// routine's name op, returns on an op with nothing to transfer (a signal may
+// with d.Off relative to seg. It checks target, geometry, bounds and, under
+// the sanitizer, the handle under the routine's name op, returns on an op with nothing to transfer (a signal may
 // travel alone), makes d.Off absolute, prices one message of d on the conduit's
 // list — a run or element is one message of its Unit bytes — and hands it to
 // the substrate's issue core (pgas.PE.IssueRuns), which sends it, lands its
@@ -109,6 +109,7 @@ func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, src []byte, set *fabric.NBI
 	lo, hi := d.Span()
 	if lo < hi {
 		seg.span(op, lo, hi-lo)
+		ep.p.CheckHandle(op, seg.Off, seg.Size)
 		d.Off += seg.Off
 	} else if d.Shape != pgas.Signal {
 		return

@@ -1,7 +1,8 @@
 // Package gasnet implements a GASNet-like communication system: a core API
 // of active messages (short/medium/long requests with replies) and an
 // extended API of one-sided put/get, over the pgas substrate and the fabric
-// cost model.
+// cost model. Segment regions come from the world's one symmetric heap
+// through the collective Malloc and Free.
 //
 // It exists as the comparator the paper measures OpenSHMEM against (§III,
 // Figs 2-3) and as the alternative CAF transport (UHCAF-over-GASNet, Figs
@@ -33,7 +34,10 @@ type World struct {
 	pw      *pgas.World
 	prof    *fabric.CostProfile
 	machine *fabric.Machine
-	heap    symHeap
+	// cur and curErr are the outcome of the latest Malloc or Free, left by its
+	// release action for every node to read as it wakes.
+	cur    Seg
+	curErr error
 
 	handlerMu sync.RWMutex
 	handlers  [MaxHandlers]Handler
@@ -105,8 +109,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 		return nil, err
 	}
 	return &World{
-		pw: pw, prof: prof, machine: cfg.Machine,
-		heap: symHeap{brk: segAlign}, eps: make([]EP, n),
+		pw: pw, prof: prof, machine: cfg.Machine, eps: make([]EP, n),
 	}, nil
 }
 
@@ -201,6 +204,64 @@ func (ep *EP) barrierStat(act pgas.ReleaseFunc, arg int64) error {
 	ep.p.RecordCollective("Barrier")
 	w := ep.world
 	return ep.p.BarrierTolerantDo(w.barrierNs(), act, w, arg)
+}
+
+// Malloc collectively reserves a symmetric segment region from the world's
+// heap (pgas.World.Alloc): every node calls with the same size and receives
+// the identical handle. It is one rendezvous, whose release action allocates,
+// and the virtual time of the two barriers that used to publish the handle and
+// close the call. A failed or stopped node is error termination; MallocStat
+// returns it.
+func (ep *EP) Malloc(size int64) Seg {
+	seg, err := ep.MallocStat(size)
+	if err != nil {
+		panic(err)
+	}
+	return seg
+}
+
+// MallocStat is Malloc among the survivors, returning the allocator's error,
+// else BarrierStat's fault.
+func (ep *EP) MallocStat(size int64) (Seg, error) {
+	w := ep.world
+	ep.p.RecordCollective("Malloc", size)
+	err := ep.barrierStat(mallocRelease, size)
+	cost := w.barrierNs()
+	for range 2 {
+		_ = ep.WaitSyncAllStat()
+		ep.p.Clock.Advance(cost)
+	}
+	if w.curErr != nil {
+		return Seg{}, w.curErr
+	}
+	return w.cur, err
+}
+
+// mallocRelease is Malloc's release action (ctx is the World).
+func mallocRelease(ctx any, size int64, _ float64) {
+	w := ctx.(*World)
+	off, err := w.pw.Alloc(size)
+	w.cur, w.curErr = Seg{Off: off, Size: size}, err
+}
+
+// Free collectively returns a region Malloc reserved: a barrier whose
+// rendezvous frees it (pgas.World.Free, which clears it on every alive node).
+// Freeing what is not allocated panics on every node, as a failed or stopped
+// node does.
+func (ep *EP) Free(seg Seg) {
+	ep.WaitSyncAll()
+	ep.p.RecordCollective("Free", seg.Off)
+	w := ep.world
+	ep.p.BarrierDo(w.barrierNs(), freeRelease, w, seg.Off)
+	if w.curErr != nil {
+		panic(w.curErr)
+	}
+}
+
+// freeRelease is Free's release action (ctx is the World).
+func freeRelease(ctx any, off int64, _ float64) {
+	w := ctx.(*World)
+	w.curErr = w.pw.Free(off)
 }
 
 // barrierNs is the modelled cost of a barrier over the whole job.

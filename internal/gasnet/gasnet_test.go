@@ -2,6 +2,7 @@ package gasnet
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -294,6 +295,57 @@ func TestMallocSymmetric(t *testing.T) {
 		if segs[i] != segs[0] {
 			t.Fatal("Malloc not symmetric")
 		}
+	}
+}
+
+// Malloc and Free share the world's heap with every library: a freed region
+// is reused and reads as zero, a double free panics on every node, and under
+// the sanitizer a region never freed is a leak and a put through a handle that
+// lies inside no live region is a bad handle — the whole-partition view
+// excepted.
+func TestMallocFreeThroughTheHeap(t *testing.T) {
+	err := Run(ibvCfg(), 2, func(ep *EP) {
+		a := ep.Malloc(64)
+		ep.Put(1-ep.MyNode(), a, 0, []byte{7})
+		ep.Barrier()
+		ep.Free(a)
+		b := ep.Malloc(64)
+		var got [1]byte
+		ep.Get(ep.MyNode(), b, 0, got[:])
+		if b != a || got[0] != 0 {
+			panic("freed region not reused, or not cleared")
+		}
+		ep.Free(b)
+		ep.Free(b)
+	})
+	if err == nil || !strings.Contains(err.Error(), "free of unallocated offset") {
+		t.Fatalf("want a double-free panic, got %v", err)
+	}
+	sanitized := ibvCfg()
+	sanitized.Sanitize = true
+	err = Run(sanitized, 2, func(ep *EP) {
+		ep.Malloc(8) // never freed
+		forged := Seg{Off: 1 << 20, Size: 8}
+		whole := Seg{Off: 0, Size: pgas.MaxSegmentBytes}
+		if ep.MyNode() == 0 {
+			ep.Put(1, forged, 0, []byte{1})
+			ep.Put(1, whole, 1<<20, []byte{1})
+		}
+		ep.Barrier()
+	})
+	if err == nil || strings.Count(err.Error(), "bad-handle") != 1 || !strings.Contains(err.Error(), "never freed") {
+		t.Fatalf("want one bad-handle and one leak finding, got %v", err)
+	}
+}
+
+func TestMallocStatReturnsExhaustion(t *testing.T) {
+	err := Run(ibvCfg(), 2, func(ep *EP) {
+		if _, err := ep.MallocStat(pgas.MaxSegmentBytes); err == nil || !strings.Contains(err.Error(), "exhausted") {
+			panic(fmt.Sprintf("MallocStat(MaxSegmentBytes) = %v, want the heap's exhaustion", err))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

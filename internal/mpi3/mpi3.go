@@ -1,7 +1,9 @@
 // Package mpi3 implements the slice of MPI-3.0 one-sided communication the
 // paper benchmarks OpenSHMEM against (§III, Figs 2-3): window allocation,
-// MPI_Put/MPI_Get, passive-target synchronisation (lock/unlock/flush), fence,
-// and the atomic accumulate operations.
+// MPI_Put/MPI_Get, passive-target synchronisation (lock_all/unlock_all/flush),
+// fence, the atomic accumulate operations, and window release (MPI_Win_free).
+// Window memory comes from the world's symmetric heap (pgas.World.Alloc),
+// which every library shares.
 //
 // The modelled cost difference against OpenSHMEM/GASNet is the per-operation
 // window-synchronisation bookkeeping (WindowSyncNs) plus generally higher
@@ -31,11 +33,13 @@ type World struct {
 	pw      *pgas.World
 	prof    *fabric.CostProfile
 	machine *fabric.Machine
-	// winHeap is the next window's offset and curWin the latest window
-	// allocated: only WinAllocate's release action touches the first, one at a
-	// time, and every rank reads the second as it wakes from that rendezvous.
-	winHeap int64
-	curWin  *Win
+	// curWin and curErr are the outcome of the latest WinAllocate or WinFree,
+	// left by its release action for every rank to read as it wakes; wins
+	// holds the windows not yet freed, by offset. Only the release actions
+	// write them, one at a time.
+	curWin *Win
+	curErr error
+	wins   map[int64]*Win
 
 	worldWin     *Win
 	worldWinOnce sync.Once
@@ -82,7 +86,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &World{pw: pw, prof: prof, machine: cfg.Machine, winHeap: 64, procs: make([]Proc, n)}, nil
+	return &World{pw: pw, prof: prof, machine: cfg.Machine, procs: make([]Proc, n)}, nil
 }
 
 // Attach returns the rank handle for a pgas PE of this world (for layered
@@ -150,42 +154,28 @@ func (w *World) barrierNs() float64 {
 func (pr *Proc) intra(t int) bool { return pr.world.machine.SameNode(pr.p.ID, t) }
 func (pr *Proc) pairs() int       { return pr.world.pw.ActivePairs(pr.p.ID) }
 
-// LockKind is the MPI_Win_lock type.
-type LockKind int
-
-const (
-	LockShared LockKind = iota
-	LockExclusive
-)
-
 // Win is an RMA window: a per-rank region exposed for one-sided access.
 type Win struct {
 	world *World
 	off   int64
 	size  int64
-
-	exclMu sync.Mutex // backs MPI_LOCK_EXCLUSIVE
 }
 
-// epoch tracks this rank's access epoch on a window, the one at offset key
-// (open: the epoch exists). pending is the horizon of its puts, a stream set
-// with no pipe: a flush to any target completes it all. targets is made by the
-// first per-target Lock; a lock_all epoch never needs it.
+// epoch tracks this rank's access epoch on win (nil: no epoch). all says it is
+// open toward every rank (lock_all or a fence); pending is the horizon of its
+// puts, a stream set with no pipe: a flush to any target completes it all.
 type epoch struct {
-	key      int64
-	open     bool
-	targets  map[int]bool
-	all      bool
-	pending  fabric.NBIStreams
-	heldExcl []int
+	win     *Win
+	all     bool
+	pending fabric.NBIStreams
 }
 
 // WinAllocate collectively creates a window of size bytes per rank
 // (MPI_Win_allocate). Every rank must call it; all receive the same handle.
 // It is one rendezvous, whose release action creates the window, and the
 // virtual time of the two barriers that used to publish the handle and close
-// the call (the protocol is shmem's, see its heap.go). A failed or stopped
-// rank is error termination; WinAllocateStat returns it.
+// the call (the protocol is shmem's Malloc). A failed or stopped rank is
+// error termination; WinAllocateStat returns it, as it does the heap's error.
 func (pr *Proc) WinAllocate(size int64) *Win {
 	win, err := pr.WinAllocateStat(size)
 	if err != nil {
@@ -194,18 +184,19 @@ func (pr *Proc) WinAllocate(size int64) *Win {
 	return win
 }
 
-// WinAllocateStat is WinAllocate among the ranks left, returning the fault
+// WinAllocateStat is WinAllocate among the ranks left, returning the heap's
+// error (a size that is not positive, or exhaustion), else the fault
 // (pgas.PE.BarrierTolerantDo).
 func (pr *Proc) WinAllocateStat(size int64) (*Win, error) {
-	if size < 0 {
-		panic("mpi3: negative window size")
-	}
 	pr.p.RecordCollective("WinAllocate", size)
 	w := pr.world
 	cost := w.barrierNs()
 	err := pr.p.BarrierTolerantDo(cost, winAllocRelease, w, size)
 	pr.p.Clock.Advance(cost)
 	pr.p.Clock.Advance(cost)
+	if w.curErr != nil {
+		return nil, w.curErr
+	}
 	return w.curWin, err
 }
 
@@ -213,8 +204,41 @@ func (pr *Proc) WinAllocateStat(size int64) (*Win, error) {
 // the World).
 func winAllocRelease(ctx any, size int64, _ float64) {
 	w := ctx.(*World)
-	w.curWin = &Win{world: w, off: w.winHeap, size: size}
-	w.winHeap += (size + 63) &^ 63
+	off, err := w.pw.Alloc(size)
+	w.curWin, w.curErr = &Win{world: w, off: off, size: size}, err
+	if err == nil {
+		if w.wins == nil {
+			w.wins = map[int64]*Win{}
+		}
+		w.wins[off] = w.curWin
+	}
+}
+
+// WinAt returns the window WinAllocate created at partition offset off, nil
+// once it is freed: how a layered runtime that addresses memory by offset
+// through WorldWin names a window to free.
+func (w *World) WinAt(off int64) *Win { return w.wins[off] }
+
+// WinFree collectively releases a window WinAllocate created (MPI_Win_free):
+// a barrier whose rendezvous returns its memory to the heap, which clears it
+// on every alive rank. Freeing what is not allocated — the whole-partition
+// window, a window freed before — panics on every rank, as a failed or
+// stopped rank does.
+func (pr *Proc) WinFree(win *Win) {
+	pr.p.RecordCollective("WinFree", win.off)
+	w := pr.world
+	pr.p.BarrierDo(w.barrierNs(), winFreeRelease, w, win.off)
+	if w.curErr != nil {
+		panic(w.curErr)
+	}
+}
+
+// winFreeRelease is WinFree's release action (ctx is the World).
+func winFreeRelease(ctx any, off int64, _ float64) {
+	w := ctx.(*World)
+	if w.curErr = w.pw.Free(off); w.curErr == nil {
+		delete(w.wins, off)
+	}
 }
 
 // Off returns the window's base offset within each rank's partition (the
@@ -224,14 +248,14 @@ func (win *Win) Off() int64 { return win.off }
 // Size returns the window's per-rank extent in bytes.
 func (win *Win) Size() int64 { return win.size }
 
-// epochFor returns the rank's epoch on win, keyed by the window's offset;
-// create makes it when there is none, else nil says there is none.
+// epochFor returns the rank's epoch on win; create makes it when there is
+// none, else nil says there is none.
 func (pr *Proc) epochFor(win *Win, create bool) *epoch {
-	if e := &pr.epoch0; e.open && e.key == win.off {
+	if e := &pr.epoch0; e.win == win {
 		return e
 	}
 	for _, e := range pr.more {
-		if e.key == win.off {
+		if e.win == win {
 			return e
 		}
 	}
@@ -239,10 +263,10 @@ func (pr *Proc) epochFor(win *Win, create bool) *epoch {
 		return nil
 	}
 	e := &pr.epoch0
-	if e.open {
+	if e.win != nil {
 		e = new(epoch)
 		pr.more = append(pr.more, e)
 	}
-	e.key, e.open = win.off, true
+	e.win = win
 	return e
 }

@@ -2,10 +2,12 @@ package mpi3
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
 )
 
 func cfg() Config {
@@ -45,26 +47,84 @@ func TestWinAllocateCollective(t *testing.T) {
 	}
 }
 
+// WinAllocate takes its memory from the world's heap: a size past the
+// segment is the heap's exhaustion error, not a window beyond its end.
+func TestWinAllocateStatExhaustion(t *testing.T) {
+	err := Run(cfg(), 2, func(pr *Proc) {
+		win, err := pr.WinAllocateStat(pgas.MaxSegmentBytes)
+		if win != nil || err == nil || !strings.Contains(err.Error(), "exhausted") {
+			panic(fmt.Sprintf("WinAllocateStat(MaxSegmentBytes) = %v, %v; want the heap's exhaustion", win, err))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// WinFree returns a window's memory to the heap: the next window reuses it,
+// reading zero, freeing twice panics on every rank, and under the sanitizer
+// an access through the freed window is a bad handle and a window never freed
+// a leak.
+func TestWinFree(t *testing.T) {
+	err := Run(cfg(), 2, func(pr *Proc) {
+		a := pr.WinAllocate(64)
+		pr.LockAll(a)
+		pr.Put(a, 1-pr.Rank(), 0, []byte{7})
+		pr.UnlockAll(a)
+		pr.Barrier()
+		pr.WinFree(a)
+		b := pr.WinAllocate(64)
+		pr.LockAll(b)
+		var got [1]byte
+		pr.Get(b, pr.Rank(), 0, got[:])
+		pr.UnlockAll(b)
+		if b.Off() != a.Off() || got[0] != 0 || pr.World().WinAt(b.Off()) != b {
+			panic("freed window not reused, or not cleared")
+		}
+		pr.WinFree(b)
+		pr.WinFree(b)
+	})
+	if err == nil || !strings.Contains(err.Error(), "free of unallocated offset") {
+		t.Fatalf("want a double-free panic, got %v", err)
+	}
+	sanitized := cfg()
+	sanitized.Sanitize = true
+	err = Run(sanitized, 2, func(pr *Proc) {
+		pr.WinAllocate(8) // never freed
+		a := pr.WinAllocate(8)
+		pr.WinFree(a)
+		pr.LockAll(a)
+		if pr.Rank() == 0 {
+			pr.Put(a, 1, 0, []byte{1})
+		}
+		pr.UnlockAll(a)
+		pr.Barrier()
+	})
+	if err == nil || strings.Count(err.Error(), "bad-handle") != 1 || !strings.Contains(err.Error(), "never freed") {
+		t.Fatalf("want one bad-handle and one leak finding, got %v", err)
+	}
+}
+
 func TestPassiveTargetPutGet(t *testing.T) {
 	err := Run(cfg(), 3, func(pr *Proc) {
 		win := pr.WinAllocate(64)
 		if pr.Rank() == 0 {
-			pr.Lock(LockShared, 2, win)
+			pr.LockAll(win)
 			var b [8]byte
 			binary.NativeEndian.PutUint64(b[:], 31337)
 			pr.Put(win, 2, 16, b[:])
 			pr.Flush(2, win)
-			pr.Unlock(2, win)
+			pr.UnlockAll(win)
 		}
 		pr.Barrier()
 		if pr.Rank() == 1 {
-			pr.Lock(LockShared, 2, win)
+			pr.LockAll(win)
 			var b [8]byte
 			pr.Get(win, 2, 16, b[:])
 			if binary.NativeEndian.Uint64(b[:]) != 31337 {
 				panic("get did not observe put")
 			}
-			pr.Unlock(2, win)
+			pr.UnlockAll(win)
 		}
 		pr.Barrier()
 	})
@@ -119,36 +179,6 @@ func TestLockAllFlushAll(t *testing.T) {
 			}
 		}
 		pr.UnlockAll(win)
-		pr.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestExclusiveLockSerialises(t *testing.T) {
-	err := Run(cfg(), 4, func(pr *Proc) {
-		win := pr.WinAllocate(16)
-		for i := 0; i < 20; i++ {
-			pr.Lock(LockExclusive, 0, win)
-			var b [8]byte
-			pr.Get(win, 0, 0, b[:])
-			v := binary.NativeEndian.Uint64(b[:])
-			binary.NativeEndian.PutUint64(b[:], v+1)
-			pr.Put(win, 0, 0, b[:])
-			pr.Flush(0, win)
-			pr.Unlock(0, win)
-		}
-		pr.Barrier()
-		if pr.Rank() == 0 {
-			pr.LockAll(win)
-			var b [8]byte
-			pr.Get(win, 0, 0, b[:])
-			if binary.NativeEndian.Uint64(b[:]) != 80 {
-				panic("exclusive lock failed to serialise read-modify-write")
-			}
-			pr.UnlockAll(win)
-		}
 		pr.Barrier()
 	})
 	if err != nil {

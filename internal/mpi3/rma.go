@@ -6,44 +6,6 @@ import (
 	"cafshmem/internal/pgas"
 )
 
-// Lock opens a passive-target access epoch on win at target
-// (MPI_Win_lock). LockExclusive serialises against other exclusive lockers.
-func (pr *Proc) Lock(kind LockKind, target int, win *Win) {
-	pr.checkTarget(target)
-	e := pr.epochFor(win, true)
-	if e.targets[target] || e.all {
-		panic(fmt.Sprintf("mpi3: rank %d already holds an epoch on target %d", pr.p.ID, target))
-	}
-	if kind == LockExclusive {
-		win.exclMu.Lock()
-		e.heldExcl = append(e.heldExcl, target)
-	}
-	if e.targets == nil {
-		e.targets = map[int]bool{}
-	}
-	e.targets[target] = true
-	pr.p.Clock.Advance(pr.world.prof.OverheadNs + pr.world.prof.WindowSyncNs)
-}
-
-// Unlock closes the epoch on target, completing all operations to it
-// (MPI_Win_unlock).
-func (pr *Proc) Unlock(target int, win *Win) {
-	e := pr.epochFor(win, false)
-	if e == nil || !e.targets[target] {
-		panic(fmt.Sprintf("mpi3: rank %d unlocking target %d without an epoch", pr.p.ID, target))
-	}
-	_ = pr.flushEpoch(e, false) // no stat: nothing to report
-	delete(e.targets, target)
-	for i, t := range e.heldExcl {
-		if t == target {
-			e.heldExcl = append(e.heldExcl[:i], e.heldExcl[i+1:]...)
-			win.exclMu.Unlock()
-			break
-		}
-	}
-	pr.p.Clock.Advance(pr.world.prof.OverheadNs + pr.world.prof.WindowSyncNs)
-}
-
 // LockAll opens a shared epoch on every rank (MPI_Win_lock_all) — the idiom
 // one-sided benchmarks (and PGAS runtimes over MPI) use.
 func (pr *Proc) LockAll(win *Win) {
@@ -67,20 +29,22 @@ func (pr *Proc) UnlockAll(win *Win) {
 }
 
 func (pr *Proc) requireEpoch(e *epoch, target int) {
-	if e == nil || (!e.all && !e.targets[target]) {
+	if e == nil || !e.all {
 		panic(fmt.Sprintf("mpi3: RMA to target %d outside an access epoch", target))
 	}
 }
 
 // access is the check every put, get and atomic starts with: the rank exists,
 // the n bytes at off lie inside the window, and the caller holds an access
-// epoch on it toward target. It returns the epoch and the bytes' absolute
+// epoch on it toward target; under the sanitizer, the window must also be
+// live (pgas.PE.CheckHandle). It returns the epoch and the bytes' absolute
 // partition offset.
 func (pr *Proc) access(op string, win *Win, target int, off, n int64) (*epoch, int64) {
 	pr.checkTarget(target)
 	if off < 0 || off+n > win.size {
 		panic(fmt.Sprintf("mpi3: %s of %d bytes at %d overflows %d-byte window", op, n, off, win.size))
 	}
+	pr.p.CheckHandle(op, win.off, win.size)
 	e := pr.epochFor(win, false)
 	pr.requireEpoch(e, target)
 	return e, win.off + off
@@ -129,6 +93,7 @@ func (pr *Proc) Get(win *Win, target int, off int64, dst []byte) {
 
 // Flush completes all outstanding operations to target (MPI_Win_flush).
 func (pr *Proc) Flush(target int, win *Win) {
+	pr.checkTarget(target)
 	e := pr.epochFor(win, false)
 	pr.requireEpoch(e, target)
 	_ = pr.flushEpoch(e, false) // no stat: nothing to report
@@ -146,7 +111,7 @@ func (pr *Proc) FlushAllStat(win *Win) error { return pr.flushAll(win, true) }
 
 func (pr *Proc) flushAll(win *Win, stat bool) error {
 	e := pr.epochFor(win, false)
-	if e == nil || (!e.all && len(e.targets) == 0) {
+	if e == nil || !e.all {
 		panic("mpi3: FlushAll outside an access epoch")
 	}
 	return pr.flushEpoch(e, stat)

@@ -93,17 +93,17 @@ func shapesProgram(t *testing.T, pr *Proc) shapesOut {
 		}
 	}
 
-	// Passive target, one target at a time: unlock completes the put.
-	pr.Lock(LockShared, x, winA)
+	// Passive target, one epoch per target: unlock completes the put.
+	pr.LockAll(winA)
 	pr.Put(winA, x, 0, buf[:n(72)])
-	pr.Unlock(x, winA)
+	pr.UnlockAll(winA)
 	cp()
-	pr.Lock(LockExclusive, i, winA)
+	pr.LockAll(winA)
 	pr.Put(winA, i, 2048, buf[:n(40)])
 	pr.Get(winA, i, 2048, got[:n(40)])
 	cp()
-	same("Get under an exclusive lock", got[:n(40)], buf[:n(40)])
-	pr.Unlock(i, winA)
+	same("Get under a lock_all epoch", got[:n(40)], buf[:n(40)])
+	pr.UnlockAll(winA)
 	cp()
 
 	// Shared epochs on both windows at once. A flush completes its window's

@@ -325,8 +325,12 @@ func (b *barrier) poison() {
 // it to the release time plus costNs. If the rendezvous involved failed or
 // stopped images each survivor panics with the *ImageFault (error
 // termination).
-func (p *PE) Barrier(costNs float64) {
-	if err := p.rendezvous(costNs, action{}); err != nil {
+func (p *PE) Barrier(costNs float64) { p.BarrierDo(costNs, nil, nil, 0) }
+
+// BarrierDo is Barrier whose rendezvous carries a release action, as
+// BarrierTolerantDo's does: a collective free that charges one barrier.
+func (p *PE) BarrierDo(costNs float64, fn ReleaseFunc, ctx any, arg int64) {
+	if err := p.rendezvous(costNs, action{fn, ctx, arg}); err != nil {
 		panic(err)
 	}
 }

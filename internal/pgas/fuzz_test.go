@@ -9,7 +9,7 @@ import (
 )
 
 // FuzzSegStore drives the one-sided memory substrate — dense Write/Read,
-// Touch, and the vectored WriteRuns/ReadRuns paths, all backed by the
+// Touch and the heap's clear, and the vectored WriteRuns/ReadRuns paths, all backed by the
 // paged segment store — with a fuzz-decoded op program, mirroring every write
 // against a flat zero-initialised reference array. Any divergence between a
 // paged read and the dense reference (page-boundary straddles, reads of
@@ -35,7 +35,7 @@ func FuzzSegStore(f *testing.F) {
 		1, 0xFE, 0xFF, 64, // read back across it
 		2, 0x00, 0x00, 5, 32, 0, 0, 0, 1, 0, 2, 0, 3, 0, 4, // dense run batch
 		3, 0x00, 0x00, 33, // gather it back
-		4, 0x10, 0x00, // touch
+		4, 0x00, 0x10, 0x00, 0x00, 0x00, 0x40, // touch and clear
 		1, 0x00, 0x00, 200,
 	})
 	// Span writes into recycled pages: exactly page 1, two bytes across the
@@ -220,15 +220,21 @@ func FuzzSegStore(f *testing.F) {
 						t.Fatalf("step %d: ReadRuns run %d at %d diverges from flat reference", step, i, base+int(o))
 					}
 				}
-			case 4: // touch: zeroes a materialised byte, never grows the store
-				off, ok1 := next16(modelLen)
-				if !ok1 {
+			case 4: // touch, then the heap's clear: any range, whole pages included
+				off, ok1 := next24(modelLen)
+				ln, ok2 := next24(modelLen + 1)
+				if !ok1 || !ok2 {
 					return
 				}
+				ln = min(ln, modelLen-off)
+				// Touch stores nothing; the clear zeroes what the range holds
+				// and, like Touch, materialises and grows nothing.
 				w.Touch(0, int64(off), 0)
-				// The reference mirrors Touch's contract: a zero store at off
-				// (an unmaterialised byte already reads as zero either way).
-				model[off] = 0
+				p := &w.pes[0]
+				p.mu.Lock()
+				p.seg.clearRange(int64(off), int64(ln))
+				p.mu.Unlock()
+				clear(model[off : off+ln])
 			case 5: // span write: any start, any end, whole pages included
 				off, ok1 := next24(modelLen)
 				ln, ok2 := next24(modelLen + 1)

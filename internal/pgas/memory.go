@@ -44,13 +44,11 @@ func (p *PE) store(off int64, data []byte, visibleAt float64) {
 }
 
 // Touch performs the write-visibility bookkeeping of a one-byte store of
-// zero at (target, off) without materialising partition memory that has
-// never been written. Symmetric-heap allocators use it to "back" a freshly
-// allocated region: the timestamp index, watch scan, and waiter wakeups
-// behave exactly as for Write([]byte{0}), but a partition that has not
-// grown to cover off stays small — unwritten memory already reads as zero.
-// If the byte is materialised the store happens for real, because a re-used
-// heap region may hold stale nonzero data.
+// zero at (target, off) without storing anything. Symmetric-heap allocators
+// use it to "back" a freshly allocated region: the timestamp index, watch
+// scan, and waiter wakeups behave exactly as for Write([]byte{0}), but a
+// partition that has not grown to cover off stays small. The byte already
+// reads as zero: it was never written, or the heap's Free cleared it.
 func (w *World) Touch(target int, off int64, visibleAt float64) {
 	if off < 0 || off >= MaxSegmentBytes {
 		panic(fmt.Sprintf("pgas: touch at offset %d out of range", off))
@@ -60,7 +58,6 @@ func (w *World) Touch(target int, off int64, visibleAt float64) {
 	}
 	p := w.part(target)
 	p.mu.Lock()
-	p.seg.zeroByte(off)
 	p.noteTouch(off, visibleAt)
 	p.mu.Unlock()
 }

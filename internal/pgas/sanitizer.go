@@ -19,11 +19,11 @@ import (
 //     visibility requires Quiet first; a nonblocking put's source buffer must
 //     also be unmodified when that drain comes, and one still in flight at
 //     the end is a leak;
-//   - the live symmetric allocations (NoteAlloc, NoteFree): every handle an op
-//     uses must lie inside one (CheckHandle), and one still live at the end,
-//     unless the runtime's own (MarkInternal), is a leak — a forgotten
-//     collective free wedges the same offsets on every PE for the rest of the
-//     job;
+//   - the live symmetric allocations, which the world's heap (heap.go) keeps
+//     with or without the sanitizer: every handle an op uses must lie inside
+//     one (CheckHandle), and one still live at the end, unless the runtime's
+//     own (MarkInternal), is a leak — a forgotten collective free wedges the
+//     same offsets on every PE for the rest of the job;
 //   - the sequence of collective calls, hashed per PE and compared at the end,
 //     catching SPMD divergence that completes without deadlocking (e.g. PEs
 //     calling Malloc with different sizes);
@@ -73,8 +73,6 @@ type sanPut struct {
 type sanitizer struct {
 	mu         sync.Mutex
 	pending    map[int][]sanPut // origin PE -> outstanding puts
-	live       map[int64]int64  // offset -> requested size of each allocation not yet freed
-	internal   map[int64]bool   // allocations owned by the runtime, not leaks
 	collHash   map[int]uint64   // per-PE FNV-1a chain over collective calls
 	collCount  map[int]int
 	held       map[int]map[string]int    // PE -> lock -> acquire depth
@@ -85,8 +83,6 @@ type sanitizer struct {
 func newSanitizer() *sanitizer {
 	return &sanitizer{
 		pending:   map[int][]sanPut{},
-		live:      map[int64]int64{},
-		internal:  map[int64]bool{},
 		collHash:  map[int]uint64{},
 		collCount: map[int]int{},
 		held:      map[int]map[string]int{},
@@ -106,38 +102,6 @@ func (w *World) Violations() []Violation {
 	w.san.mu.Lock()
 	defer w.san.mu.Unlock()
 	return slices.Clone(w.san.violations)
-}
-
-// NoteAlloc records a live symmetric allocation of size requested bytes at off,
-// NoteFree its release: the allocators that return space call them, once per
-// allocation.
-func (w *World) NoteAlloc(off, size int64) {
-	if s := w.san; s != nil {
-		s.mu.Lock()
-		s.live[off] = size
-		s.mu.Unlock()
-	}
-}
-
-// NoteFree balances NoteAlloc.
-func (w *World) NoteFree(off int64) {
-	if s := w.san; s != nil {
-		s.mu.Lock()
-		delete(s.live, off)
-		delete(s.internal, off)
-		s.mu.Unlock()
-	}
-}
-
-// MarkInternal exempts the allocation at off from leak reporting: a library or
-// a layered runtime (the CAF transport) calls it for allocations that live for
-// the whole job by design.
-func (w *World) MarkInternal(off int64) {
-	if s := w.san; s != nil {
-		s.mu.Lock()
-		s.internal[off] = true
-		s.mu.Unlock()
-	}
 }
 
 // RecordCollective folds one collective call into the PE's FNV-1a chain. All
@@ -166,14 +130,14 @@ func (p *PE) NoteLockReleased(kind string, off int64, idx int) {
 }
 
 // CheckHandle checks the symmetric handle [off, off+size) that op uses: it
-// must lie inside one live allocation of this world (NoteAlloc's requested
+// must lie inside one live allocation of this world's heap (its requested
 // size, not the aligned one), or it was forged, retargeted, freed or kept from
 // another world — a bad-handle finding. The whole-partition view (offset 0,
 // MaxSegmentBytes), which a layered runtime addresses by raw offsets, is
 // exempt: no allocation starts at offset 0.
 func (p *PE) CheckHandle(op string, off, size int64) {
 	if s := p.world.san; s != nil {
-		s.checkHandle(p.ID, op, off, size)
+		s.checkHandle(p, op, off, size)
 	}
 }
 
@@ -256,18 +220,13 @@ func (s *sanitizer) checkRead(reader, target int, off, size int64) {
 	}
 }
 
-func (s *sanitizer) checkHandle(pe int, op string, off, size int64) {
-	if off == 0 && size == MaxSegmentBytes {
+func (s *sanitizer) checkHandle(p *PE, op string, off, size int64) {
+	if off == 0 && size == MaxSegmentBytes || p.world.heap.holds(off, size) {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for base, n := range s.live {
-		if base <= off && off+size <= base+n {
-			return
-		}
-	}
-	s.report("bad-handle", pe, "%s through handle {Off: %d, Size: %d}, which lies inside no live symmetric allocation of this world; handles come from a collective Malloc and stay valid until its Free",
+	s.report("bad-handle", p.ID, "%s through handle {Off: %d, Size: %d}, which lies inside no live symmetric allocation of this world; handles come from a collective Malloc and stay valid until its Free",
 		op, off, size)
 }
 
@@ -368,11 +327,13 @@ func (s *sanitizer) finalize(w *World) error {
 				s.report("nbi-leak", origin, "%d nonblocking op(s) still in flight at image exit; complete them with Quiet", n)
 			}
 		}
-		for _, off := range sortedKeys(s.live) {
-			if !s.internal[off] {
-				s.report("leak", -1, "symmetric allocation of %d bytes at offset %d was never freed", s.live[off], off)
+		w.heap.mu.Lock()
+		for _, a := range w.heap.live {
+			if !a.internal {
+				s.report("leak", -1, "symmetric allocation of %d bytes at offset %d was never freed", a.size, a.off)
 			}
 		}
+		w.heap.mu.Unlock()
 		// Collective divergence: every PE must fold the same call sequence.
 		for pe := 1; pe < w.n; pe++ {
 			if s.collCount[pe] != s.collCount[0] || s.collHash[pe] != s.collHash[0] {

@@ -239,12 +239,21 @@ func (s *segStore) readAt(off int64, dst []byte) int {
 	return in
 }
 
-// zeroByte stores a zero at off if the byte is materialised. An
-// unmaterialised byte is already (logically) zero, so no page is allocated —
-// this is what makes the Malloc backing touch free for untouched regions.
-func (s *segStore) zeroByte(off int64) {
-	if pn := off >> segPageShift; pn < int64(len(s.pages)) && s.pages[pn] != nil {
-		s.pages[pn].data[off&segPageMask] = 0
+// clearRange zeroes the bytes [off, off+n) of the materialised pages, within
+// what each page has dirtied; an unmaterialised page already reads as zero and
+// stays unmaterialised. Timestamps are left as they are.
+func (s *segStore) clearRange(off, n int64) {
+	for end := off + n; off < end; off = (off | segPageMask) + 1 {
+		pn := off >> segPageShift
+		if pn >= int64(len(s.pages)) {
+			return
+		}
+		if pg := s.pages[pn]; pg != nil {
+			lo, hi := max(off&segPageMask, pg.lo), min(end-pn<<segPageShift, pg.hi)
+			if lo < hi {
+				clear(pg.data[lo:hi])
+			}
+		}
 	}
 }
 

@@ -81,22 +81,27 @@ func TestSegStoreViewCrossingPages(t *testing.T) {
 	}
 }
 
-// zeroByte must not materialise a page (the Malloc backing touch relies on
-// this) but must clear a real byte when the page exists.
+// clearRange must not materialise a page (the heap's Free relies on this),
+// must zero real bytes on every page the range crosses, and must leave the
+// bytes around it alone.
 func TestSegStoreZeroByte(t *testing.T) {
 	var s segStore
-	s.ensure(0, segPageSize)
-	s.zeroByte(100)
+	s.ensure(0, 3*segPageSize)
+	s.clearRange(100, segPageSize)
 	for _, pg := range s.pages {
 		if pg != nil {
-			t.Fatal("zeroByte materialised a page")
+			t.Fatal("clearRange materialised a page")
 		}
 	}
-	s.writeAt(100, []byte{0xAA})
-	s.zeroByte(100)
-	got := make([]byte, 1)
-	s.readAt(100, got)
-	if got[0] != 0 {
-		t.Fatalf("zeroByte left %#x", got[0])
+	data := bytes.Repeat([]byte{0xAA}, int(2*segPageSize))
+	s.writeAt(0, data)
+	s.clearRange(100, segPageSize)
+	got := make([]byte, len(data))
+	s.readAt(0, got)
+	for i, b := range got {
+		cleared := i >= 100 && int64(i) < 100+segPageSize
+		if cleared && b != 0 || !cleared && b != 0xAA {
+			t.Fatalf("byte %d is %#x after clearRange(100, %d)", i, b, segPageSize)
+		}
 	}
 }

@@ -34,8 +34,8 @@ type World struct {
 	pes     []PE
 	barrier *barrier
 
-	mu     sync.Mutex
-	shared map[string]interface{}
+	// heap is the world's symmetric heap (heap.go).
+	heap heap
 
 	// failed is the world poison error, written once under failMu; poisoned
 	// is its lock-free "is set" flag, so the no-fault path of every wait
@@ -160,7 +160,6 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		machine: machine,
 		n:       n,
 		pes:     make([]PE, n),
-		shared:  map[string]interface{}{},
 		states:  make([]int32, n),
 		perNode: 1, tailLo: n, // no node structure: nobody shares a NIC
 		plan: opts.FaultPlan,
@@ -378,20 +377,6 @@ func (w *World) ActivePairs(pe int) int {
 		return w.tailPEs
 	}
 	return w.perNode
-}
-
-// Shared returns (creating on first use under the world lock) a shared object
-// slot. Library layers use it for collectively-managed state such as the
-// symmetric heap allocator. The init function runs at most once per key.
-func (w *World) Shared(key string, init func() interface{}) interface{} {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	v, ok := w.shared[key]
-	if !ok {
-		v = init()
-		w.shared[key] = v
-	}
-	return v
 }
 
 // poison records the world's first error and wakes everything that might be

@@ -264,20 +264,6 @@ func TestActivePairsMatchesPlacement(t *testing.T) {
 	}
 }
 
-func TestSharedSlotSingleInit(t *testing.T) {
-	w := testWorld(t, 1)
-	calls := 0
-	for i := 0; i < 3; i++ {
-		v := w.Shared("k", func() interface{} { calls++; return 42 })
-		if v.(int) != 42 {
-			t.Fatal("wrong shared value")
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("init ran %d times", calls)
-	}
-}
-
 func TestConcurrentOneSidedTraffic(t *testing.T) {
 	// Hammer one target partition from many PEs; exercises the per-partition
 	// lock under -race.

@@ -73,20 +73,6 @@ func BenchmarkIPutMem(b *testing.B) {
 	}
 }
 
-func BenchmarkHeapAllocFree(b *testing.B) {
-	h := newHeap()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off, err := h.alloc(256)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := h.release(off); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBarrier(b *testing.B) {
 	w, err := NewWorld(Config{Machine: fabric.Stampede(), Profile: fabric.ProfMV2XSHMEM}, 8)
 	if err != nil {

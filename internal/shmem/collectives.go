@@ -18,22 +18,20 @@ const maxRounds = 64 // log2 of any conceivable PE count
 // word per tree round for the gather direction plus one per round for the
 // broadcast direction, per PE.
 func (pe *PE) ensureCtl() Sym {
-	return pe.world.internalAlloc("shmem.ctl", 2*maxRounds*8)
+	w := pe.world
+	w.ctlOnce.Do(func() { w.ctl = w.internalAlloc(2 * maxRounds * 8) })
+	return w.ctl
 }
 
-// internalAlloc returns the symmetric area the library keeps under name for
-// the rest of the job, allocated by the first PE to ask: live for the
-// sanitizer's handle check, and the library's own, so no leak.
-func (w *World) internalAlloc(name string, size int64) Sym {
-	return w.pw.Shared(name, func() interface{} {
-		off, err := w.heap.alloc(size)
-		if err != nil {
-			panic(err)
-		}
-		w.pw.NoteAlloc(off, size)
-		w.pw.MarkInternal(off)
-		return Sym{Off: off, Size: size}
-	}).(Sym)
+// internalAlloc allocates an area the library keeps for the rest of the job:
+// live for the sanitizer's handle check, and the library's own, so no leak.
+func (w *World) internalAlloc(size int64) Sym {
+	off, err := w.pw.Alloc(size)
+	if err != nil {
+		panic(err)
+	}
+	w.pw.MarkInternal(off)
+	return Sym{Off: off, Size: size}
 }
 
 func ceilLog2(n int) int {
@@ -263,9 +261,10 @@ func Collect[T pgas.Elem](pe *PE, dest, src Sym, nelems int) int {
 	pe.p.RecordCollective("Collect", dest.Off)
 
 	// Exchange the counts, through the world's two count areas.
-	counts := pe.world.internalAlloc("shmem.collect.counts", int64(npes)*8)
+	w := pe.world
+	w.countsOnce.Do(func() { w.counts, w.countsDst = w.internalAlloc(int64(npes)*8), w.internalAlloc(int64(npes)*8) })
+	counts, countsDst := w.counts, w.countsDst
 	Put(pe, pe.MyPE(), counts, pe.MyPE(), []int64{int64(nelems)})
-	countsDst := pe.world.internalAlloc("shmem.collect.countsdst", int64(npes)*8)
 	FCollect[int64](pe, countsDst, Sym{Off: pe.wordOff("collect", counts, pe.MyPE()), Size: 8}, 1)
 	all := Get[int64](pe, pe.MyPE(), countsDst, 0, npes)
 

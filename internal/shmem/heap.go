@@ -2,10 +2,8 @@ package shmem
 
 import (
 	"fmt"
-	"sync"
 
 	"cafshmem/internal/fabric"
-	"cafshmem/internal/pgas"
 )
 
 // Sym is a handle to a symmetric allocation: the same offset within every
@@ -23,116 +21,6 @@ func (s Sym) At(i int64) int64 {
 		panic(fmt.Sprintf("shmem: offset %d out of range of %d-byte symmetric object", i, s.Size))
 	}
 	return s.Off + i
-}
-
-const (
-	heapAlign = 64
-	// heapBase reserves the low partition addresses so that offset 0 is never
-	// a valid allocation: packed remote pointers use offset 0 as nil.
-	heapBase = int64(heapAlign)
-)
-
-// heap is the symmetric-heap allocator. Because symmetric allocations have
-// identical offsets on every PE, there is exactly one allocator per world and
-// Malloc is collective: every PE must call it with the same size, and every
-// PE receives the same handle.
-//
-// A collective call is one rendezvous (barrierStat): whoever releases it runs
-// the call's release action once, while every PE is asleep in it, and leaves
-// the outcome in cur and curErr for each PE to read as it wakes — the next
-// call cannot release, and overwrite them, before every PE has entered it.
-type heap struct {
-	mu   sync.Mutex
-	free []span // sorted by offset, coalesced
-	live map[int64]int64
-	brk  int64 // high-water mark
-
-	cur    Sym
-	curErr error
-}
-
-type span struct{ off, size int64 }
-
-func newHeap() *heap {
-	return &heap{live: map[int64]int64{}, brk: heapBase}
-}
-
-func align(n int64) int64 {
-	return (n + heapAlign - 1) &^ (heapAlign - 1)
-}
-
-// alloc reserves size bytes and returns the offset (single-PE view).
-func (h *heap) alloc(size int64) (int64, error) {
-	if size <= 0 {
-		return 0, fmt.Errorf("shmem: allocation size must be positive, got %d", size)
-	}
-	sz := align(size)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i, s := range h.free {
-		if s.size >= sz {
-			off := s.off
-			if s.size == sz {
-				h.free = append(h.free[:i], h.free[i+1:]...)
-			} else {
-				h.free[i] = span{s.off + sz, s.size - sz}
-			}
-			h.live[off] = sz
-			return off, nil
-		}
-	}
-	off := h.brk
-	if off+sz > pgas.MaxSegmentBytes {
-		return 0, fmt.Errorf("shmem: symmetric heap exhausted (%d bytes requested)", size)
-	}
-	h.brk += sz
-	h.live[off] = sz
-	return off, nil
-}
-
-// release returns an allocation to the free list, coalescing neighbours.
-func (h *heap) release(off int64) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	sz, ok := h.live[off]
-	if !ok {
-		return fmt.Errorf("shmem: free of unallocated offset %d", off)
-	}
-	delete(h.live, off)
-	// Insert sorted.
-	i := 0
-	for i < len(h.free) && h.free[i].off < off {
-		i++
-	}
-	h.free = append(h.free, span{})
-	copy(h.free[i+1:], h.free[i:])
-	h.free[i] = span{off, sz}
-	// Coalesce with successor, then predecessor.
-	if i+1 < len(h.free) && h.free[i].off+h.free[i].size == h.free[i+1].off {
-		h.free[i].size += h.free[i+1].size
-		h.free = append(h.free[:i+1], h.free[i+2:]...)
-	}
-	if i > 0 && h.free[i-1].off+h.free[i-1].size == h.free[i].off {
-		h.free[i-1].size += h.free[i].size
-		h.free = append(h.free[:i], h.free[i+1:]...)
-	}
-	// Shrink the break if the top span touches it.
-	if n := len(h.free); n > 0 && h.free[n-1].off+h.free[n-1].size == h.brk {
-		h.brk = h.free[n-1].off
-		h.free = h.free[:n-1]
-	}
-	return nil
-}
-
-// liveBytes reports the total currently-allocated size (for tests).
-func (h *heap) liveBytes() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var t int64
-	for _, s := range h.live {
-		t += s
-	}
-	return t
 }
 
 // Malloc is the collective symmetric allocator (shmalloc): every PE calls it
@@ -160,10 +48,13 @@ func (pe *PE) mallocInner(size int64) (sym Sym, allocErr, faultErr error) {
 	w := pe.world
 	pe.p.RecordCollective("Malloc", size)
 	faultErr = pe.barrierStat(mallocRelease, size, 2)
-	return w.heap.cur, w.heap.curErr, faultErr
+	return w.cur, w.curErr, faultErr
 }
 
-// mallocRelease is Malloc's release action (ctx is the World). It touches the
+// mallocRelease is Malloc's release action (ctx is the World): it allocates
+// from the world's symmetric heap (pgas.World.Alloc) and leaves the outcome in
+// cur and curErr for each PE to read as it wakes — the next call cannot
+// release, and overwrite them, before every PE has entered it. It touches the
 // region on every alive PE so it is logically established before anyone can
 // write there. Touch carries the full write bookkeeping (timestamps, wakeups)
 // of a one-byte store but lets the partition stay small until something is
@@ -171,13 +62,11 @@ func (pe *PE) mallocInner(size int64) (sym Sym, allocErr, faultErr error) {
 // own region: a barrier and the next one's quiet behind the release.
 func mallocRelease(ctx any, size int64, rel float64) {
 	w := ctx.(*World)
-	h := w.heap
-	off, err := h.alloc(size)
-	h.cur, h.curErr = Sym{Off: off, Size: size}, err
+	off, err := w.pw.Alloc(size)
+	w.cur, w.curErr = Sym{Off: off, Size: size}, err
 	if err != nil {
 		return
 	}
-	w.pw.NoteAlloc(off, size)
 	var at fabric.Clock
 	cost := w.barrierNs()
 	at.MergeAtLeast(rel)
@@ -205,16 +94,15 @@ func (pe *PE) FreeStat(sym Sym) error {
 	w := pe.world
 	pe.p.RecordCollective("Free", sym.Off)
 	faultErr := pe.barrierStat(freeRelease, sym.Off, 1)
-	if err := w.heap.curErr; err != nil {
+	if err := w.curErr; err != nil {
 		panic(err)
 	}
 	return faultErr
 }
 
-// freeRelease is Free's release action.
+// freeRelease is Free's release action: the heap clears the freed range on
+// every alive PE (pgas.World.Free).
 func freeRelease(ctx any, off int64, _ float64) {
 	w := ctx.(*World)
-	if w.heap.curErr = w.heap.release(off); w.heap.curErr == nil {
-		w.pw.NoteFree(off)
-	}
+	w.curErr = w.pw.Free(off)
 }

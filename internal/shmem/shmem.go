@@ -15,6 +15,7 @@ package shmem
 
 import (
 	"fmt"
+	"sync"
 
 	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgas"
@@ -25,7 +26,16 @@ type World struct {
 	pw      *pgas.World
 	prof    *fabric.CostProfile
 	machine *fabric.Machine
-	heap    *heap
+	// cur and curErr are the outcome of the latest Malloc or Free, left by its
+	// release action for every PE to read as it wakes (heap.go).
+	cur    Sym
+	curErr error
+	// ctl, counts and countsDst are the library's own symmetric areas, kept
+	// for the rest of the job and allocated by the first PE to need them:
+	// the collective control flags and Collect's two count arrays.
+	ctlOnce, countsOnce sync.Once
+	ctl, counts         Sym
+	countsDst           Sym
 	// pes is the job's PE table, indexed by rank: Attach initialises a rank's
 	// element in place and hands out its address.
 	pes []PE
@@ -98,7 +108,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &World{pw: pw, prof: prof, machine: cfg.Machine, heap: newHeap(), pes: make([]PE, n)}, nil
+	return &World{pw: pw, prof: prof, machine: cfg.Machine, pes: make([]PE, n)}, nil
 }
 
 // Attach returns the PE handle for a pgas PE of this world: the rank's element
