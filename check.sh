@@ -2,7 +2,7 @@
 # Extended tier-1 gate (see ROADMAP.md): build-and-test plus the repo's
 # structural gates, race and shuffled tests, fuzz smokes and the claims gate.
 # Run from the module root. `./check.sh fast` stops after the fast tier: build,
-# vet, the gofmt, unsafe, host-clock, one-command, one-issue-core,
+# vet, the gofmt, unsafe, host-clock, one-command, one-pool, one-issue-core,
 # one-fault-model, one-heap, one-funnel, one-checker, one-copy, one-lock,
 # word-offset, one-engine, per-rank-table, inline and bounds-check gates, the
 # write path, 5 s of every fuzz target and the deadlock loop (about a minute).
@@ -75,6 +75,12 @@ flags=$(grep -rlE --include='*.go' --exclude='*_test.go' '^[[:space:]]*(import[[
 if [ "$cmds" != reproduce ] || [ -n "$flags" ]; then
     echo "check.sh: cmd/ must hold one directory, reproduce (holds: $(echo $cmds)); a figure, sweep or replay is a pgasbench.Catalog entry, not a command. Files importing flag outside cmd/reproduce, internal/pgasbench and benchmark/:" >&2
     printf '%s\n' "$flags" >&2
+    exit 1
+fi
+
+echo "==> one-pool gate (the figures run their independent worlds through one helper, pgasbench's parallel: no go statement in non-test internal/pgasbench outside parallel.go; DESIGN.md \"Host-performance model\")"
+if grep -nE '(^|[{;])[[:space:]]*go[[:space:]]+[A-Za-z_(]' $(ls internal/pgasbench/*.go | grep -v -e '_test\.go$' -e '/parallel\.go$'); then
+    echo "check.sh: the lines above start goroutines in internal/pgasbench; a builder runs its worlds through parallel (parallel.go), which bounds them by GOMAXPROCS and keeps panels in order" >&2
     exit 1
 fi
 

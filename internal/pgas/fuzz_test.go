@@ -18,7 +18,9 @@ import (
 // pre-loaded with pages full of 0xFF and +Inf, so the pages the store
 // materialises are recycled ones, and the span writes (op 5) start and end at
 // arbitrary in-page offsets, page boundaries included: whatever a write does
-// not cover must read as zero although the page it landed on was dirty. Op 7
+// not cover must read as zero although the page it landed on was dirty. Op 8
+// stores a span of zeros, which on a page never materialised stores nothing
+// and elsewhere must land like any other span. Op 7
 // closes the world and carries on in a new one, whose pages are the ones the
 // program itself dirtied, each over the range it happened to write. The
 // program decoder is total: every byte string decodes to a valid op sequence,
@@ -65,6 +67,15 @@ func FuzzSegStore(f *testing.F) {
 		recycled = append(recycled, 5, 0, 1, 0, 0, 2, 0, 7, 6, 0, 0, 0, 0, 0x80, 0x10, 7)
 	}
 	f.Add(recycled)
+	// Zero spans: two pages onto fresh pages; one onto a page a four-byte
+	// write took from the dirty pool and a fresh one beyond it; one over
+	// written pages; and 32 bytes across the page-0/1 boundary, over written
+	// pages and over fresh ones — each followed by a read of the whole model.
+	f.Add([]byte{8, 0, 0, 0, 0, 0x80, 0x00, 6, 0, 0, 0, 0, 0xC1, 0x01})
+	f.Add([]byte{0, 0x00, 0x10, 4, 1, 8, 0, 0, 0, 0, 0x80, 0x00, 6, 0, 0, 0, 0, 0xC1, 0x01})
+	f.Add([]byte{5, 0, 0, 0, 0, 0xC0, 0x00, 3, 8, 0, 0x20, 0x00, 0, 0x40, 0x00, 6, 0, 0, 0, 0, 0xC1, 0x01})
+	f.Add([]byte{5, 0, 0, 0, 0, 0xC0, 0x00, 3, 8, 0, 0x3F, 0xF0, 0, 0x00, 0x20, 6, 0, 0x3F, 0x00, 0, 0x02, 0x00})
+	f.Add([]byte{8, 0, 0x3F, 0xF0, 0, 0x00, 0x20, 6, 0, 0, 0, 0, 0xC1, 0x01})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		// > 3 pages plus a ragged tail, so offsets hit page boundaries and the
 		// store's extent never covers the whole model.
@@ -127,7 +138,7 @@ func FuzzSegStore(f *testing.F) {
 				return
 			}
 			step++
-			switch op % 8 {
+			switch op % 9 {
 			case 7: // recycle: the same memory, a new world
 				w.Close()
 				if w, err = NewWorld(fabric.Stampede(), 1); err != nil {
@@ -261,6 +272,15 @@ func FuzzSegStore(f *testing.F) {
 				if !bytes.Equal(got, model[off:off+ln]) {
 					t.Fatalf("step %d: span Read(%d, %d) diverges from flat reference", step, off, ln)
 				}
+			case 8: // zero span: any start, any end, over whatever is there
+				off, ok1 := next24(modelLen)
+				ln, ok2 := next24(modelLen + 1)
+				if !ok1 || !ok2 {
+					return
+				}
+				ln = min(ln, modelLen-off)
+				w.Write(0, int64(off), make([]byte, ln), 0)
+				clear(model[off : off+ln])
 			}
 		}
 	})

@@ -351,16 +351,14 @@ func (p *PE) StoreLocal(off int64, data []byte) {
 	p.world.Write(p.ID, off, data, p.Clock.Now())
 }
 
-// zeroes is the read-only source ZeroLocal stores from.
-var zeroes [segPageSize]byte
-
 // ZeroLocal is StoreLocal of n zero bytes at off, without allocating them: one
-// store from zeroes, or for more than it holds a run of whole-length stores,
-// the last overlapping its predecessor — each, like the one store of n bytes,
-// too large to record per-word timestamps (tsTrackMaxBytes).
+// store from the read-only segZeroPage, or for more than it holds a run of
+// whole-length stores, the last overlapping its predecessor — each, like the
+// one store of n bytes, too large to record per-word timestamps
+// (tsTrackMaxBytes).
 func (p *PE) ZeroLocal(off, n int64) {
-	z := min(n, int64(len(zeroes)))
+	z := min(n, segPageSize)
 	for at := off; at < off+n; at += z {
-		p.StoreLocal(min(at, off+n-z), zeroes[:z])
+		p.StoreLocal(min(at, off+n-z), segZeroPage[:z])
 	}
 }

@@ -1,6 +1,7 @@
 package pgas
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 )
@@ -13,8 +14,10 @@ import (
 // data, and the symmetric-heap Malloc protocol establishes regions far larger
 // than what is ever stored. A flat []byte would materialise every zero byte
 // below the highest written offset (hundreds of MB per world at 256 PEs); the
-// paged store materialises only pages that have actually been written. A nil
-// page reads as zeros, which is exactly what the unwritten memory is.
+// paged store materialises only pages that something other than zeros was
+// stored on, or a timestamp recorded on. A nil page reads as zeros, which is
+// exactly what the unwritten memory is, so a bulk store of zeros onto it
+// stores nothing (skips).
 //
 // Page memory has a life cycle longer than the store's: pages come from the
 // process-wide segPagePool and go back to it when the owning world is closed
@@ -157,15 +160,28 @@ func (s *segStore) release() {
 	s.pages, s.sparse = nil, nil
 }
 
-// writeAt copies data into the store at off, materialising pages as needed.
-// The caller has already called ensure for the range.
+// skips reports whether storing span, a page's worth or less of a bulk piece
+// (one longer than tsTrackMaxBytes, which records no timestamps), onto page pn
+// stores nothing: the page is not materialised, so it already reads as zero,
+// and every byte of span is zero. The bandwidth sweeps of the paper's figures
+// put gigabytes of zeros; none of it is copied and no page is taken for it.
+func (s *segStore) skips(pn int64, span []byte) bool {
+	return (pn >= int64(len(s.pages)) || s.pages[pn] == nil) && bytes.Equal(span, segZeroPage[:len(span)])
+}
+
+// writeAt copies data into the store at off, materialising pages as needed;
+// of a bulk piece, the spans that skips finds store nothing. The caller has
+// already called ensure for the range.
 func (s *segStore) writeAt(off int64, data []byte) {
+	bulk := int64(len(data)) > tsTrackMaxBytes
 	for len(data) > 0 {
-		lo := off & segPageMask
-		hi := min(lo+int64(len(data)), segPageSize)
-		n := copy(s.page(off>>segPageShift, lo, hi).data[lo:hi], data)
+		pn, lo := off>>segPageShift, off&segPageMask
+		n := min(int64(len(data)), segPageSize-lo)
+		if span := data[:n]; !bulk || !s.skips(pn, span) {
+			copy(s.page(pn, lo, lo+n).data[lo:], span)
+		}
 		data = data[n:]
-		off += int64(n)
+		off += n
 	}
 }
 
@@ -184,7 +200,8 @@ func (s *segStore) cursor() segCursor { return segCursor{s: s, pn: -1} }
 // put stores data at off, visible at ts: the bytes, and for a piece of at most
 // tsTrackMaxBytes the per-word timestamps. A piece inside one page goes
 // straight to the page in hand; one that straddles pages takes writeAt and
-// recordRange. The caller has already called ensure for the range.
+// recordRange. A longer piece of zeros onto a page that is not materialised
+// stores nothing (skips). The caller has already called ensure for the range.
 func (c *segCursor) put(off int64, data []byte, ts float64) {
 	n := int64(len(data))
 	lo := off & segPageMask
@@ -196,8 +213,12 @@ func (c *segCursor) put(off int64, data []byte, ts float64) {
 		}
 		return
 	}
+	pn := off >> segPageShift
+	if n > tsTrackMaxBytes && pn != c.pn && c.s.skips(pn, data) {
+		return
+	}
 	pg := c.pg
-	if pn := off >> segPageShift; pn != c.pn {
+	if pn != c.pn {
 		pg = c.s.page(pn, lo, hi)
 		c.pn, c.pg = pn, pg
 	} else {

@@ -29,10 +29,11 @@ func timeOnImage1(o caf.Options, dims []int, body func(c *caf.Coarray[int64])) f
 	return t
 }
 
-// singleRow completes p with one one-row series per label.
+// singleRow completes p with one one-row series per label, the value of
+// label i being value(i); the values are run together (parallel).
 func singleRow(p Panel, x float64, labels []string, value func(i int) float64) []Panel {
-	for i, l := range labels {
-		p.Series = append(p.Series, Series{Label: l, Rows: []Row{{X: x, Value: value(i)}}})
+	for i, v := range parallel(len(labels), value) {
+		p.Series = append(p.Series, Series{Label: labels[i], Rows: []Row{{X: x, Value: v}}})
 	}
 	return []Panel{p}
 }

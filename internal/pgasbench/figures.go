@@ -51,36 +51,29 @@ func withNaive(o caf.Options) caf.Options {
 	return o
 }
 
-func mustSeries(s Series, err error) Series {
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Fig2 regenerates the paper's Figure 2: put latency comparison (1 pair, two
 // nodes) for SHMEM vs MPI-3.0 vs GASNet on Stampede and on the Cray/Gemini
 // platform, small and large message sizes.
 func Fig2() Figure {
 	st := fabric.Stampede()
 	ti := fabric.Titan()
-	panel := func(title string, m *fabric.Machine, profs []libProfile, sizes []int) Panel {
-		p := Panel{Title: title, XLabel: "bytes", YLabel: "latency (us)"}
+	panel := func(title string, m *fabric.Machine, profs []libProfile, sizes []int) plannedPanel {
+		p := plannedPanel{Panel: Panel{Title: title, XLabel: "bytes", YLabel: "latency (us)"}}
 		for _, pr := range profs {
 			cfg := RawPutConfig{Machine: m, Profile: pr.name, Library: pr.lib, Pairs: 1, Sizes: sizes, Iters: 5}
-			p.Series = append(p.Series, mustSeries(PutLatency(cfg)))
+			p.add(func() (Series, error) { return PutLatency(cfg) })
 		}
 		return p
 	}
 	return Figure{
 		ID:    "Fig2",
 		Title: "Put latency comparison using two nodes for SHMEM, MPI-3.0 and GASNet",
-		Panels: []Panel{
+		Panels: buildPanels(
 			panel("(a) Stampede: Put 1-pair, small sizes", st, stampedeLibs, SmallSizes),
 			panel("(b) Stampede: Put 1-pair, large sizes", st, stampedeLibs, LargeSizes),
 			panel("(c) Titan: Put 1-pair, small sizes", ti, titanLibs, SmallSizes),
 			panel("(d) Titan: Put 1-pair, large sizes", ti, titanLibs, LargeSizes),
-		},
+		),
 	}
 }
 
@@ -88,23 +81,23 @@ func Fig2() Figure {
 func Fig3() Figure {
 	st := fabric.Stampede()
 	ti := fabric.Titan()
-	panel := func(title string, m *fabric.Machine, profs []libProfile, pairs int) Panel {
-		p := Panel{Title: title, XLabel: "bytes", YLabel: "bandwidth (MB/s)"}
+	panel := func(title string, m *fabric.Machine, profs []libProfile, pairs int) plannedPanel {
+		p := plannedPanel{Panel: Panel{Title: title, XLabel: "bytes", YLabel: "bandwidth (MB/s)"}}
 		for _, pr := range profs {
 			cfg := RawPutConfig{Machine: m, Profile: pr.name, Library: pr.lib, Pairs: pairs, Sizes: LargeSizes, Iters: 3}
-			p.Series = append(p.Series, mustSeries(PutBandwidth(cfg)))
+			p.add(func() (Series, error) { return PutBandwidth(cfg) })
 		}
 		return p
 	}
 	return Figure{
 		ID:    "Fig3",
 		Title: "Put bandwidth comparison using two nodes for SHMEM, MPI-3.0 and GASNet",
-		Panels: []Panel{
+		Panels: buildPanels(
 			panel("(a) Stampede: Put 1 pair", st, stampedeLibs, 1),
 			panel("(b) Stampede: Put 16 pairs", st, stampedeLibs, 16),
 			panel("(c) Titan: Put 1 pair", ti, titanLibs, 1),
 			panel("(d) Titan: Put 16 pairs", ti, titanLibs, 16),
-		},
+		),
 	}
 }
 
@@ -122,22 +115,22 @@ func xc30Configs() []CAFPutConfig {
 // of the contig configurations, then 2-D strided put bandwidth of the strided
 // ones, each with 1 and then 16 communicating pairs.
 func cafPutPanels(contig, strided []CAFPutConfig) []Panel {
-	panel := func(title, xLabel string, configs []CAFPutConfig, pairs int, run func(CAFPutConfig) (Series, error)) Panel {
-		p := Panel{Title: title, XLabel: xLabel, YLabel: "bandwidth (MB/s)"}
+	panel := func(title, xLabel string, configs []CAFPutConfig, pairs int, run func(CAFPutConfig) (Series, error)) plannedPanel {
+		p := plannedPanel{Panel: Panel{Title: title, XLabel: xLabel, YLabel: "bandwidth (MB/s)"}}
 		for _, c := range configs {
 			c.Pairs = pairs
-			p.Series = append(p.Series, mustSeries(run(c)))
+			p.add(func() (Series, error) { return run(c) })
 		}
 		return p
 	}
 	bySize := func(c CAFPutConfig) (Series, error) { return CAFContigBandwidth(c, LargeSizes) }
 	byStride := func(c CAFPutConfig) (Series, error) { return CAFStridedBandwidth(c, StrideSweep) }
-	return []Panel{
+	return buildPanels(
 		panel("(a) Contiguous put: 1 pair", "bytes", contig, 1, bySize),
 		panel("(b) Contiguous put: 16 pairs", "bytes", contig, 16, bySize),
 		panel("(c) Strided put: 1 pair", "stride (ints)", strided, 1, byStride),
 		panel("(d) Strided put: 16 pairs", "stride (ints)", strided, 16, byStride),
-	}
+	)
 }
 
 // Fig6 regenerates Figure 6: CAF contiguous and 2-D strided put bandwidth on
@@ -180,16 +173,15 @@ func Fig7() Figure {
 // repeatedly acquire and release the lock at image 1.
 func Fig8(maxImages int) Figure {
 	ti := fabric.Titan()
-	configs := []LockBenchConfig{
-		{Label: "Cray-CAF", Opts: caf.CrayCAF(ti)},
-		{Label: "UHCAF-GASNet", Opts: caf.UHCAFOverGASNet(ti, fabric.ProfGASNetGemini)},
-		{Label: "UHCAF-Cray-SHMEM", Opts: caf.UHCAFOverCraySHMEM(ti)},
+	configs := []config{
+		{"Cray-CAF", caf.CrayCAF(ti)},
+		{"UHCAF-GASNet", caf.UHCAFOverGASNet(ti, fabric.ProfGASNetGemini)},
+		{"UHCAF-Cray-SHMEM", caf.UHCAFOverCraySHMEM(ti)},
 	}
-	counts := upTo(ImageSweep, maxImages)
-	p := Panel{Title: "Locks: all images acquiring/releasing lck[1]", XLabel: "images", YLabel: "time (ms)"}
-	for _, c := range configs {
-		p.Series = append(p.Series, mustSeries(LockContention(c, counts)))
-	}
+	p := Panel{Title: "Locks: all images acquiring/releasing lck[1]", XLabel: "images", YLabel: "time (ms)",
+		Series: sweep(labels(configs), upTo(ImageSweep, maxImages), func(s, n int) (float64, error) {
+			return LockContention(configs[s].Opts, n)
+		})}
 	return Figure{
 		ID:     "Fig8",
 		Title:  "Microbenchmark test for locks on Titan",
@@ -206,14 +198,14 @@ func MatrixOrientedAblation() Figure {
 		{Label: "UHCAF-MVAPICH2-X-SHMEM-naive", Opts: withNaive(caf.UHCAFOverMV2XSHMEM())},
 		{Label: "UHCAF-MVAPICH2-X-SHMEM-2dim", Opts: caf.UHCAFOverMV2XSHMEM()},
 	}
-	p := Panel{Title: "Matrix-oriented section (dim 1 contiguous)", XLabel: "stride (ints)", YLabel: "bandwidth (MB/s)"}
+	p := plannedPanel{Panel: Panel{Title: "Matrix-oriented section (dim 1 contiguous)", XLabel: "stride (ints)", YLabel: "bandwidth (MB/s)"}}
 	for _, c := range configs {
-		p.Series = append(p.Series, mustSeries(CAFMatrixBandwidth(c, StrideSweep)))
+		p.add(func() (Series, error) { return CAFMatrixBandwidth(c, StrideSweep) })
 	}
 	return Figure{
 		ID:     "MatrixStride",
 		Title:  "§V-D: matrix-oriented strides favour putmem per contiguous block",
-		Panels: []Panel{p},
+		Panels: buildPanels(p),
 	}
 }
 

@@ -63,19 +63,11 @@ func Fig9(maxImages int) Figure {
 		{"UHCAF-GASNet", caf.UHCAFOverGASNet(ti, fabric.ProfGASNetGemini)},
 		{"UHCAF-Cray-SHMEM", caf.UHCAFOverCraySHMEM(ti)},
 	}
-	counts := upTo(ImageSweep, maxImages)
-	p := Panel{Title: "DHT: random locked updates", XLabel: "images", YLabel: "time (ms)"}
-	for _, c := range configs {
-		s := Series{Label: c.Label}
-		for _, n := range counts {
-			r, err := dht.Bench(c.Opts, n, dhtBuckets, dhtUpdates)
-			if err != nil {
-				panic(err)
-			}
-			s.Rows = append(s.Rows, Row{X: float64(n), Value: r.TimeMs})
-		}
-		p.Series = append(p.Series, s)
-	}
+	p := Panel{Title: "DHT: random locked updates", XLabel: "images", YLabel: "time (ms)",
+		Series: sweep(labels(configs), upTo(ImageSweep, maxImages), func(s, n int) (float64, error) {
+			r, err := dht.Bench(configs[s].Opts, n, dhtBuckets, dhtUpdates)
+			return r.TimeMs, err
+		})}
 	return Figure{ID: "Fig9", Title: "Distributed Hash Table (Titan)", Panels: []Panel{p}}
 }
 
@@ -94,19 +86,11 @@ func Fig10(maxImages int, prm himeno.Params) Figure {
 		{"UHCAF-GASNet", caf.UHCAFOverGASNet(st, fabric.ProfGASNetIBV)},
 		{"UHCAF-MVAPICH2-X-SHMEM", withNaive(caf.UHCAFOverMV2XSHMEM())},
 	}
-	counts := himenoCounts(maxImages, prm)
-	p := Panel{Title: "Himeno Jacobi pressure solver", XLabel: "images", YLabel: "MFLOPS"}
-	for _, c := range configs {
-		s := Series{Label: c.Label}
-		for _, n := range counts {
-			r, err := himeno.Run(c.Opts, n, prm)
-			if err != nil {
-				panic(err)
-			}
-			s.Rows = append(s.Rows, Row{X: float64(n), Value: r.MFLOPS})
-		}
-		p.Series = append(p.Series, s)
-	}
+	p := Panel{Title: "Himeno Jacobi pressure solver", XLabel: "images", YLabel: "MFLOPS",
+		Series: sweep(labels(configs), himenoCounts(maxImages, prm), func(s, n int) (float64, error) {
+			r, err := himeno.Run(configs[s].Opts, n, prm)
+			return r.MFLOPS, err
+		})}
 	return Figure{ID: "Fig10", Title: "CAF Himeno Benchmark Performance Tests on Stampede", Panels: []Panel{p}}
 }
 

@@ -5,16 +5,13 @@ import (
 	"cafshmem/internal/pgas"
 )
 
-// LockBenchConfig describes the lock microbenchmark of Fig 8: all images
-// repeatedly acquire and release the lock instance at image 1.
-type LockBenchConfig struct {
-	Label  string
-	Opts   caf.Options
-	Rounds int
-}
+// lockRounds is how many times each image of the lock microbenchmark
+// acquires and releases the lock.
+const lockRounds = 5
 
-// LockContention runs the lock microbenchmark for each image count and
-// returns the total execution time in milliseconds.
+// LockContention runs the lock microbenchmark of Fig 8 on n images under
+// opts — all images repeatedly acquire and release the lock instance at
+// image 1 — and returns its total execution time in milliseconds.
 //
 // Substitution note (recorded in DESIGN.md): on real hardware the MCS queue
 // depth emerges from wall-clock racing; under virtual time we serialise the
@@ -24,39 +21,29 @@ type LockBenchConfig struct {
 // keeps the measurement deterministic. Per-handoff costs (remote atomics,
 // notification puts, AM emulation) are exactly the quantities that
 // differentiate the three implementations in the paper.
-func LockContention(cfg LockBenchConfig, imageCounts []int) (Series, error) {
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 5
-	}
-	out := Series{Label: cfg.Label}
-	for _, n := range imageCounts {
-		var total float64
-		err := caf.Run(n, cfg.Opts, func(img *Image) {
-			lck := caf.NewLock(img)
-			flag := caf.Allocate[int64](img, 1)
-			nimg := img.NumImages()
-			me := img.ThisImage()
-			next := me%nimg + 1
-			img.SyncAll()
-			img.Clock().Reset()
-			for r := 1; r <= cfg.Rounds; r++ {
-				tok := int64((r-1)*nimg + me)
-				if !(r == 1 && me == 1) {
-					flag.WaitLocal(pgas.CmpGE, tok, 0)
-				}
-				lck.Acquire(1)
-				lck.Release(1)
-				flag.PutElem(next, tok+1, 0)
+func LockContention(opts caf.Options, n int) (float64, error) {
+	var total float64
+	err := caf.Run(n, opts, func(img *Image) {
+		lck := caf.NewLock(img)
+		flag := caf.Allocate[int64](img, 1)
+		nimg := img.NumImages()
+		me := img.ThisImage()
+		next := me%nimg + 1
+		img.SyncAll()
+		img.Clock().Reset()
+		for r := 1; r <= lockRounds; r++ {
+			tok := int64((r-1)*nimg + me)
+			if !(r == 1 && me == 1) {
+				flag.WaitLocal(pgas.CmpGE, tok, 0)
 			}
-			img.SyncAll()
-			if me == 1 {
-				total = img.Clock().Now() / 1e6 // ms
-			}
-		})
-		if err != nil {
-			return out, err
+			lck.Acquire(1)
+			lck.Release(1)
+			flag.PutElem(next, tok+1, 0)
 		}
-		out.Rows = append(out.Rows, Row{X: float64(n), Value: total})
-	}
-	return out, nil
+		img.SyncAll()
+		if me == 1 {
+			total = img.Clock().Now() / 1e6 // ms
+		}
+	})
+	return total, err
 }

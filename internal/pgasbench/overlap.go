@@ -103,23 +103,18 @@ type schedule struct {
 // per configuration, a series of each schedule's virtual time (ms), labelled
 // with the configuration and then the schedule.
 func himenoPairs(configs []config, counts []int, a, b schedule) []Series {
-	row := func(opts caf.Options, n int, prm himeno.Params) Row {
-		r, err := himeno.Run(opts, n, prm)
-		if err != nil {
-			panic(err)
-		}
-		return Row{X: float64(n), Value: r.TimeMs}
-	}
-	var out []Series
+	var names []string
 	for _, c := range configs {
-		sa, sb := Series{Label: c.Label + " " + a.name}, Series{Label: c.Label + " " + b.name}
-		for _, n := range counts {
-			sa.Rows = append(sa.Rows, row(c.Opts, n, a.prm))
-			sb.Rows = append(sb.Rows, row(c.Opts, n, b.prm))
-		}
-		out = append(out, sa, sb)
+		names = append(names, c.Label+" "+a.name, c.Label+" "+b.name)
 	}
-	return out
+	return sweep(names, counts, func(s, n int) (float64, error) {
+		prm := a.prm
+		if s%2 == 1 {
+			prm = b.prm
+		}
+		r, err := himeno.Run(configs[s/2].Opts, n, prm)
+		return r.TimeMs, err
+	})
 }
 
 // OverlapHimenoParams is the grid Panel B runs: small enough for the

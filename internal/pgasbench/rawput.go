@@ -119,7 +119,9 @@ func rawSeries(cfg RawPutConfig, get, latency bool) (Series, error) {
 const maxRawMsg = 4 << 20
 
 // sharedPayload is the read-only source of every put series: all zeros, read
-// concurrently by the source PEs of a world and by one series after another.
+// concurrently by the source PEs of a world and by the series a figure runs
+// at once (parallel). Being zeros, its bulk puts store nothing on target
+// pages no earlier write materialised (pgas's segStore).
 // It is created on first use, never at package level: programs that link this
 // package without running a series (the benchmark's put_contig_2 child among
 // them) must not carry 4 MiB of resident memory for it.

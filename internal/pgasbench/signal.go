@@ -33,19 +33,13 @@ func FigSignal(maxImages int) Figure {
 	bars := Panel{Title: "barriers executed per run (image 1)", XLabel: "iterations", YLabel: "barriers"}
 	machine := overlapMachines()[0]
 	images := counts[len(counts)-1]
-	for _, sc := range []schedule{{"blocking", prm}, {"barrier overlap", bp}, {"signal overlap", sp}} {
-		s := Series{Label: sc.name}
-		for _, iters := range []int{1, 3, 6, 9} {
-			ip := sc.prm
-			ip.Iters = iters
-			r, err := himeno.Run(machine.Opts, images, ip)
-			if err != nil {
-				panic(err)
-			}
-			s.Rows = append(s.Rows, Row{X: float64(iters), Value: float64(r.Barriers)})
-		}
-		bars.Series = append(bars.Series, s)
-	}
+	params := []himeno.Params{prm, bp, sp}
+	bars.Series = sweep([]string{"blocking", "barrier overlap", "signal overlap"}, []int{1, 3, 6, 9}, func(s, iters int) (float64, error) {
+		ip := params[s]
+		ip.Iters = iters
+		r, err := himeno.Run(machine.Opts, images, ip)
+		return float64(r.Barriers), err
+	})
 
 	return Figure{
 		ID:    "FigSignal",
