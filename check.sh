@@ -200,7 +200,7 @@ if [ -n "$words" ]; then
     exit 1
 fi
 
-echo "==> one-engine gate (a goroutine per image and one sleep, PE.block on the PE's own condition variable; DESIGN.md \"Execution engine\")"
+echo "==> one-engine gate (a goroutine per image and one sleep, PE.block on the PE's own condition variable, a remote spin's included: nothing outside benchmark/ yields instead of sleeping; DESIGN.md \"Execution engine\")"
 # The names benchmark/ still spells are declared once, deprecated and ignored,
 # and read by nothing else outside tests; and the machinery of a second
 # scheduler (a wake channel on PE, a sched, a condition variable that is not
@@ -215,6 +215,12 @@ second=$(grep -n -E 'chan struct\{\}|\bsched\b|sync\.NewCond|sync\.Cond' $(ls in
 if [ -n "$second" ]; then
     echo "check.sh: internal/pgas has one way to sleep, PE.cond; the lines above bring back a second scheduler's machinery:" >&2
     printf '%s\n' "$second" >&2
+    exit 1
+fi
+yields=$(grep -rn --include='*.go' --exclude='*_test.go' -E '\bGosched\b|\.Yield\(' . | grep -v -e '^\./benchmark/' -e '^\./\.bench_build/' || true)
+if [ -n "$yields" ]; then
+    echo "check.sh: a PE that waits sleeps in PE.block (a remote spin through pgas.PE.Spin), it does not yield; the lines above name Gosched or Yield:" >&2
+    printf '%s\n' "$yields" >&2
     exit 1
 fi
 
@@ -271,7 +277,7 @@ gate 'internal/caf$' 'SteadyStateAllocs$' -count=1
 
 fuzztime=10s
 [ "${1:-}" != fast ] || fuzztime=5s
-echo "==> fuzz smoke (every fuzz target for $fuzztime: the paged store vs flat references on recycled pages, the typed byte view vs the element-wise oracle, two runs of a random program over seed x barrier shard layout x fault plan)"
+echo "==> fuzz smoke (every fuzz target for $fuzztime: the paged store vs flat references on recycled pages, the typed byte view vs the element-wise oracle, two runs of a random program over seed x GOMAXPROCS x fault plan)"
 fuzz=$(selected . '^Fuzz')
 printf '%s\n' "$fuzz" | while read -r pkg target; do
     go test -run '^$' -fuzz "^$target\$" -fuzztime "$fuzztime" "$pkg"
@@ -295,11 +301,11 @@ go test -race -count=1 ./...
 echo "==> go test -shuffle=on -count=1 ./... (order-independence)"
 go test -shuffle=on -count=1 ./...
 
-echo "==> determinism gate (the same programs over barrier shard layouts x two runs x GOMAXPROCS 1, 2 and 8: bit-identical virtual times and outcomes)"
+echo "==> determinism gate (the same programs over barrier shard layouts or GOMAXPROCS of their own x two runs x GOMAXPROCS 1, 2 and 8: bit-identical virtual times and outcomes)"
 gate . '^TestDeterminism' -count=1 -cpu 1,2,8
 
 echo "==> no-false-deadlock stress (ping-pong, barrier storm, chaos DHT and the spin-lock hand-off at GOMAXPROCS 1, 2 and 8, plain and -race: any poison of a healthy world is a counting bug)"
-stress='TestNoFalseDeadlock TestChaosDHT TestSpinLockYieldsWorkerSlot'
+stress='TestNoFalseDeadlock TestChaosDHT TestSpinLockSleepsUntilRelease'
 for name in $stress; do
     selected 'internal/(pgas|caf|shmem)$' "^$name\$" > /dev/null
 done

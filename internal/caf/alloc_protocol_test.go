@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -214,7 +215,7 @@ func TestAllocateStatReleasedByADeparture(t *testing.T) {
 		if img.ThisImage() == 3 {
 			base := img.Metrics().Sleeps
 			for i := 0; i < 10000 && img.Metrics().Sleeps < base+n-1; i++ {
-				img.local.Yield()
+				runtime.Gosched()
 			}
 			return
 		}

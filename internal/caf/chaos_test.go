@@ -2,6 +2,7 @@ package caf_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -326,6 +327,53 @@ func TestLockHomeFailure(t *testing.T) {
 	}
 	if acquireStat != caf.StatFailedImage {
 		t.Errorf("AcquireStat on dead home = %v, want STAT_FAILED_IMAGE", acquireStat)
+	}
+}
+
+// TestSpinLockDeadHome: the remote-spinning locks on a dead home, on every
+// transport. Image 1, the home of two lck[1] instances, fails with one free and
+// the other held by image 2. Image 3 spins on the held one; image 2, once the
+// home is dead, releases it and tries the free one. Every call reports
+// STAT_FAILED_IMAGE and holds nothing: a frozen word that reads free is not
+// acquired, and a spinner asleep on a frozen held word is woken by the death.
+func TestSpinLockDeadHome(t *testing.T) {
+	for _, algo := range []caf.LockAlgo{caf.LockNaiveSpin, caf.LockGlobalArray} {
+		for _, tr := range chaosTransports {
+			t.Run(fmt.Sprintf("%v/%s", algo, tr.name), func(t *testing.T) {
+				opts := tr.opts
+				opts.Locks = algo
+				var stats [3][2]caf.Stat // images 2 and 3: [release or spin, acquire of the free lock]
+				var held [3]bool
+				err := caf.Run(3, opts, func(img *caf.Image) {
+					free, busy := caf.NewLock(img), caf.NewLock(img)
+					me := img.ThisImage()
+					if me == 2 {
+						busy.Acquire(1)
+					}
+					img.SyncAll()
+					switch me {
+					case 1:
+						img.FailImage()
+					case 2:
+						for img.ImageStatus(1) != caf.StatFailedImage {
+							runtime.Gosched()
+						}
+						stats[me-1] = [2]caf.Stat{busy.ReleaseStat(1), free.AcquireStat(1)}
+					case 3:
+						stats[me-1] = [2]caf.Stat{busy.AcquireStat(1), free.AcquireStat(1)}
+					}
+					held[me-1] = free.Holds(1) || busy.Holds(1)
+				})
+				if err != nil {
+					t.Fatalf("run errored: %v", err)
+				}
+				for me := 2; me <= 3; me++ {
+					if stats[me-1] != [2]caf.Stat{caf.StatFailedImage, caf.StatFailedImage} || held[me-1] {
+						t.Errorf("image %d: %v, holding a lock: %v; want STAT_FAILED_IMAGE twice, holding none", me, stats[me-1], held[me-1])
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -5,10 +5,11 @@ package caf_test
 // put-with-signal notify/wait, and STAT-bearing barriers, optionally under a
 // seeded lossy/killing fault plan — must produce bit-identical virtual times,
 // Stat outcomes, operation counters, payload checksums, and link forensics
-// run after run, whatever the barrier shard layout and (check.sh runs every
-// TestDeterminism test at -cpu 1,2,8) whatever GOMAXPROCS. How images get
-// host time, and how barrier arrivals combine, is host-side machinery only;
-// nothing it decides may leak into the simulation. FuzzEngineDifferential
+// run after run, whatever GOMAXPROCS: each run picks its own, and check.sh
+// runs every TestDeterminism test at -cpu 1,2,8. How images get host time is
+// host-side machinery only; nothing it decides may leak into the simulation
+// (the barrier's shard layouts are varied below pgas, in
+// TestDeterminismAcrossShardLayouts and TestBarrierShardLayoutInvariance). FuzzEngineDifferential
 // keeps the name it had when a second execution engine stood in for "another
 // host schedule".
 //
@@ -27,6 +28,7 @@ package caf_test
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -58,21 +60,24 @@ func diffSplitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// diffRun executes the random program for (seed, plan) on the given barrier
-// shard layout (0 = auto), and fails the test if the run errors.
-func diffRun(t *testing.T, seed uint64, plan *fabric.FaultPlan, shards int) diffOutcome {
+// diffRun executes the random program for (seed, plan) at GOMAXPROCS procs
+// (0 = as the test runs), and fails the test if the run errors.
+func diffRun(t *testing.T, seed uint64, plan *fabric.FaultPlan, procs int) diffOutcome {
 	t.Helper()
-	out, err := diffRunErr(seed, plan, shards)
+	out, err := diffRunErr(seed, plan, procs)
 	if err != nil {
-		t.Fatalf("seed %d shards=%d: run errored (deadlock verdict or panic): %v", seed, shards, err)
+		t.Fatalf("seed %d procs=%d: run errored (deadlock verdict or panic): %v", seed, procs, err)
 	}
 	return out
 }
 
 // diffRunErr is diffRun returning the run's error, with whatever the images
 // had recorded when the world was poisoned.
-func diffRunErr(seed uint64, plan *fabric.FaultPlan, shards int) (diffOutcome, error) {
+func diffRunErr(seed uint64, plan *fabric.FaultPlan, procs int) (diffOutcome, error) {
 	const n, rounds, span = 6, 10, 8
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
 
 	// Survivors (images the plan never kills) form the permutation domain;
 	// victims are excluded up front so their deaths are observed only at
@@ -109,9 +114,7 @@ func diffRunErr(seed uint64, plan *fabric.FaultPlan, shards int) (diffOutcome, e
 	}
 
 	var gaveUp atomic.Bool
-	opts := chaosOpts(plan)
-	opts.BarrierShards = shards
-	err := caf.Run(n, opts, func(img *caf.Image) {
+	err := caf.Run(n, chaosOpts(plan), func(img *caf.Image) {
 		me := img.ThisImage()
 		x := caf.Allocate[int64](img, span)
 		lk := caf.NewLock(img)
@@ -196,18 +199,18 @@ func diffPlans(seed uint64) map[string]*fabric.FaultPlan {
 	return map[string]*fabric.FaultPlan{"clean": nil, "loss": lossy, "losskill": killer}
 }
 
-// diffShards are the barrier shard layouts TestDeterminismDifferential
-// compares with the reference run (auto: one shard), and with the seeds and
-// regimes the seed corpus of FuzzEngineDifferential: a single shard, two, an
-// odd split of the 6 images, and more shards than images.
-var diffShards = []int{1, 2, 3, 8}
+// diffProcs are the GOMAXPROCS values TestDeterminismDifferential compares
+// with the reference run (as the test runs), and with the seeds and regimes
+// the seed corpus of FuzzEngineDifferential: one P, two, an odd count, and
+// more Ps than images.
+var diffProcs = []int{1, 2, 3, 8}
 
 // diffSeeds are the program seeds TestDeterminismDifferential sweeps.
 var diffSeeds = []uint64{101, 202, 303}
 
 // TestDeterminismDifferential is the replay property: every run of the random
-// program, on every barrier shard layout, must agree bit-for-bit with the
-// reference run on every observable, in every fault regime.
+// program, at every GOMAXPROCS, must agree bit-for-bit with the reference run
+// on every observable, in every fault regime.
 func TestDeterminismDifferential(t *testing.T) {
 	for _, seed := range diffSeeds {
 		for name, plan := range diffPlans(seed) {
@@ -217,11 +220,11 @@ func TestDeterminismDifferential(t *testing.T) {
 					t.Errorf("seed %d %s: image %d illegal stat %v", seed, name, pe+1, s)
 				}
 			}
-			for _, shards := range diffShards {
+			for _, procs := range diffProcs {
 				for run := 0; run < 2; run++ {
-					if got := diffRun(t, seed, plan, shards); !reflect.DeepEqual(ref, got) {
-						t.Errorf("seed %d %s: shards=%d run %d diverged from reference:\n%+v\nvs\n%+v",
-							seed, name, shards, run, ref, got)
+					if got := diffRun(t, seed, plan, procs); !reflect.DeepEqual(ref, got) {
+						t.Errorf("seed %d %s: procs=%d run %d diverged from reference:\n%+v\nvs\n%+v",
+							seed, name, procs, run, ref, got)
 					}
 				}
 			}
@@ -230,7 +233,7 @@ func TestDeterminismDifferential(t *testing.T) {
 }
 
 // FuzzEngineDifferential is the same property over arbitrary (program seed,
-// shard layout, fault regime), as far as the program's determinism rules
+// GOMAXPROCS, fault regime), as far as the program's determinism rules
 // reach. They end where a sender exhausts its retries, which an arbitrary
 // seed's loss plan can bring about: a blocking get then error-terminates the
 // program by the model's own rules (seed 301), or a STAT-bearing path gives
@@ -243,28 +246,28 @@ func TestDeterminismDifferential(t *testing.T) {
 func FuzzEngineDifferential(f *testing.F) {
 	for _, seed := range diffSeeds {
 		for kind := range diffPlanKinds {
-			for _, shards := range diffShards {
-				f.Add(seed, uint8(shards), uint8(kind))
+			for _, procs := range diffProcs {
+				f.Add(seed, uint8(procs), uint8(kind))
 			}
 		}
 	}
 	f.Add(uint64(301), uint8(0x99), uint8(1))
 	f.Add(uint64(358), uint8(8), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, shards, kind uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, procs, kind uint8) {
 		plan := diffPlans(seed)[diffPlanKinds[int(kind)%len(diffPlanKinds)]]
-		sh := 1 + int(shards)%8
+		pr := 1 + int(procs)%8
 		ref, refErr := diffRunErr(seed, plan, 0)
-		got, gotErr := diffRunErr(seed, plan, sh)
+		got, gotErr := diffRunErr(seed, plan, pr)
 		for _, err := range []error{refErr, gotErr} {
 			if err != nil && strings.Contains(err.Error(), "pgas: deadlock") {
-				t.Fatalf("seed %d kind %d shards=%d: deadlock verdict: %v", seed, kind, sh, err)
+				t.Fatalf("seed %d kind %d procs=%d: deadlock verdict: %v", seed, kind, pr, err)
 			}
 		}
 		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("seed %d kind %d: one shard ended with %v, %d shards with %v", seed, kind, refErr, sh, gotErr)
+			t.Fatalf("seed %d kind %d: the reference run ended with %v, procs=%d with %v", seed, kind, refErr, pr, gotErr)
 		}
 		if refErr == nil && !ref.GaveUp && !got.GaveUp && !reflect.DeepEqual(ref, got) {
-			t.Errorf("seed %d kind %d: shards=%d diverged from one shard:\n%+v\nvs\n%+v", seed, kind, sh, ref, got)
+			t.Errorf("seed %d kind %d: procs=%d diverged from the reference run:\n%+v\nvs\n%+v", seed, kind, pr, ref, got)
 		}
 	})
 }

@@ -130,7 +130,16 @@ func (l *Lock) acquire(j int) Stat {
 	}
 	switch img.opts.Locks {
 	case LockNaiveSpin, LockGlobalArray:
-		l.spinAcquire(j)
+		// Probes back off from 200 ns, doubling up to 12.8 µs.
+		me, off := int64(img.ThisImage()), l.spinWord(j)
+		replayed, ok := img.local.Spin(j-1, off, 200, 200*64, func() (uint64, bool) {
+			old, ok := img.atomic(opCAS, j-1, off, 0, me)
+			return uint64(old), ok
+		})
+		img.Stats.Atomics += replayed
+		if !ok {
+			return StatFailedImage
+		}
 		img.hold(key, -1)
 	default:
 		if img.opts.Locks == LockVendor {
@@ -160,29 +169,26 @@ func (l *Lock) TryAcquire(j int) bool {
 	if _, held := img.held[key]; held {
 		panic(fmt.Sprintf("caf: image %d already holds lock[%d]", img.ThisImage(), j))
 	}
-	switch img.opts.Locks {
-	case LockNaiveSpin, LockGlobalArray:
-		if !l.spinTry(j) {
-			return false
-		}
-		img.hold(key, -1)
-	default:
-		qOff := img.AllocNonSymmetric(qnodeBytes)
-		// An uncontended try-acquire holds the lock at once, so the node is
-		// born a holder: locked := 0, next/prev := nil.
+	// One compare-and-swap on the lock word: of the image's mark for the
+	// remote-spinning kinds, else of a qnode born a holder (locked := 0,
+	// next/prev := nil), since an uncontended try-acquire holds the lock at once.
+	mark, qOff := int64(img.ThisImage()), int64(-1)
+	if k := img.opts.Locks; k != LockNaiveSpin && k != LockGlobalArray {
+		qOff = img.AllocNonSymmetric(qnodeBytes)
 		img.local.StoreLocal(qOff, qnodeGranted[:])
-		myRef := PackRef(img.ThisImage(), qOff, 1)
-		old, ok := img.atomic(opCAS, j-1, l.off, 0, int64(myRef))
-		if !ok {
-			img.FreeNonSymmetric(qOff, qnodeBytes)
-			panic(fmt.Sprintf("caf: lock(lck[%d]) involving failed image %d without stat=", j, j))
-		}
-		if old != 0 {
-			img.FreeNonSymmetric(qOff, qnodeBytes)
-			return false
-		}
-		img.hold(key, qOff)
+		mark = int64(PackRef(img.ThisImage(), qOff, 1))
 	}
+	old, ok := img.atomic(opCAS, j-1, l.spinWord(j), 0, mark)
+	if (!ok || old != 0) && qOff >= 0 {
+		img.FreeNonSymmetric(qOff, qnodeBytes)
+	}
+	if !ok {
+		panic(fmt.Sprintf("caf: lock(lck[%d]) involving failed image %d without stat=", j, j))
+	}
+	if old != 0 {
+		return false
+	}
+	img.hold(key, qOff)
 	img.Stats.LocksAcquired++
 	img.local.NoteLockAcquired("caf.lock", l.off, j, false)
 	return true
@@ -217,7 +223,13 @@ func (l *Lock) release(j int) Stat {
 	stat := StatOK
 	switch img.opts.Locks {
 	case LockNaiveSpin, LockGlobalArray:
-		l.spinRelease(j)
+		me := int64(img.ThisImage())
+		switch old, ok := img.atomic(opCAS, j-1, l.spinWord(j), me, 0); {
+		case !ok:
+			stat = StatFailedImage // the home died with the word frozen held
+		case old != me:
+			panic("caf: spin lock released by non-holder")
+		}
 	default:
 		stat = l.mcsRelease(j, qOff)
 	}
@@ -391,34 +403,4 @@ func (l *Lock) spinWord(j int) int64 {
 		return l.off + int64(j-1)*8
 	}
 	return l.off
-}
-
-func (l *Lock) spinAcquire(j int) {
-	img := l.img
-	me := int64(img.ThisImage())
-	backoff := 1.0
-	for {
-		if img.amo(opCAS, j-1, l.spinWord(j), 0, me) == 0 {
-			return
-		}
-		img.Clock().Advance(backoff * 200)
-		if backoff < 64 {
-			backoff *= 2
-		}
-		img.local.Yield()
-	}
-}
-
-func (l *Lock) spinTry(j int) bool {
-	img := l.img
-	me := int64(img.ThisImage())
-	return img.amo(opCAS, j-1, l.spinWord(j), 0, me) == 0
-}
-
-func (l *Lock) spinRelease(j int) {
-	img := l.img
-	me := int64(img.ThisImage())
-	if img.amo(opCAS, j-1, l.spinWord(j), me, 0) != me {
-		panic("caf: spin lock released by non-holder")
-	}
 }

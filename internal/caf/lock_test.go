@@ -49,15 +49,16 @@ func TestLockMutualExclusionAllAlgorithms(t *testing.T) {
 	}
 }
 
-// The spin-lock progress test: the remote-spinning comparators must let other
-// images run between probes (pgas.PE.Yield). Image 1 holds lck[1] until image 3
-// notifies it, image 2 spins on lck[1]; a spinner counts as running, so no
-// quiescence rule can see one that starves the image it waits for. workers=k
-// runs the program on k Ps (0: as the test binary was started), check.sh adds
-// -cpu 1; the engine label is the spelling of the deprecated, ignored
-// pgas.Options.Engine the world is built with. The subtest names keep these
-// spellings until that stub is deleted, so they are renamed once, then.
-func TestSpinLockYieldsWorkerSlot(t *testing.T) {
+// TestSpinLockSleepsUntilRelease: an image spinning on a held remote-spinning
+// lock sleeps in its wait until the holder's release wakes it, and acquires no
+// earlier in virtual time than the release. Both images race for lck[1]; the
+// winner holds it until the world has counted a sleep that only the loser's
+// wait can account for. workers=k runs the program on k Ps (0: as the test
+// binary was started), check.sh adds -cpu 1; the engine label is the spelling
+// of the deprecated, ignored pgas.Options.Engine the world is built with. The
+// subtest names keep these spellings until that stub is deleted, so they are
+// renamed once, then.
+func TestSpinLockSleepsUntilRelease(t *testing.T) {
 	for _, algo := range []LockAlgo{LockNaiveSpin, LockGlobalArray} {
 		for _, c := range []struct {
 			name    string
@@ -74,28 +75,80 @@ func TestSpinLockYieldsWorkerSlot(t *testing.T) {
 				}
 				opts := lockOpts(algo)
 				opts.Engine = c.engine
-				err := Run(3, opts, func(img *Image) {
-					lck, sig := NewLock(img), NewSignal(img)
-					switch img.ThisImage() {
-					case 1:
-						lck.Acquire(1)
-						img.SyncAll()
-						sig.Wait(3)
-						lck.Release(1)
-					case 2:
-						img.SyncAll()
-						lck.Acquire(1)
-						lck.Release(1)
-					default:
-						img.SyncAll()
-						sig.Notify(1)
+				var holder atomic.Bool
+				var slept bool
+				var releasedAt, acquiredAt float64
+				err := Run(2, opts, func(img *Image) {
+					lck := NewLock(img)
+					base := img.Metrics().Sleeps // the allocation's rendezvous is over
+					lck.Acquire(1)
+					if holder.CompareAndSwap(false, true) {
+						for i := 0; i < 100000 && !slept; i++ {
+							runtime.Gosched()
+							slept = img.Metrics().Sleeps > base
+						}
+						img.Clock().Advance(5000)
+						releasedAt = img.Clock().Now()
+					} else {
+						acquiredAt = img.Clock().Now()
 					}
+					lck.Release(1)
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				if !slept {
+					t.Error("the spinner never slept while the lock was held")
+				}
+				if acquiredAt < releasedAt {
+					t.Errorf("acquired at t=%g, before the release at t=%g", acquiredAt, releasedAt)
+				}
 			})
 		}
+	}
+}
+
+// TestDeterminismSpinSingleContender: image 1 holds lck[1] for a fixed virtual
+// time while image 2 spins on it, for each remote-spinning kind. The probes
+// image 2 replays are set by the release's stamp alone, so its clock on
+// acquiring and its atomics count are the same on every run.
+func TestDeterminismSpinSingleContender(t *testing.T) {
+	type outcome struct {
+		at      float64
+		atomics int64
+	}
+	for _, algo := range []LockAlgo{LockNaiveSpin, LockGlobalArray} {
+		t.Run(algo.String(), func(t *testing.T) {
+			run := func() (out outcome) {
+				err := Run(2, lockOpts(algo), func(img *Image) {
+					lck := NewLock(img)
+					if img.ThisImage() == 1 {
+						lck.Acquire(1)
+					}
+					img.SyncAll()
+					if img.ThisImage() == 1 {
+						img.Clock().Advance(50_000)
+					} else {
+						lck.Acquire(1)
+						out = outcome{img.Clock().Now(), img.Stats.Atomics}
+					}
+					lck.Release(1)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return out
+			}
+			ref := run()
+			if ref.at < 50_000 || ref.atomics < 3 {
+				t.Fatalf("acquired at t=%g after %d atomics: want no earlier than the release and more than one probe", ref.at, ref.atomics)
+			}
+			for i := 1; i < 20; i++ {
+				if got := run(); got != ref {
+					t.Fatalf("run %d: %+v, run 0: %+v", i, got, ref)
+				}
+			}
+		})
 	}
 }
 

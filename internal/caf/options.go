@@ -170,11 +170,10 @@ type Options struct {
 	// deterministic fault injection (fail.go): images die at planned virtual
 	// times as if they executed FAIL IMAGE, links degrade and lose messages;
 	// nil schedules nothing. The failed-image machinery itself — the
-	// repairable lock, the STAT forms — is always on. BarrierShards is the
-	// barrier's shard layout and Sanitize the runtime sanitizer: races between
-	// gets and un-quieted puts (which DeferredQuiet makes possible), leaks,
-	// collective divergence and lock misuse, reported as Run's error. Virtual
-	// times and fault replays are bit-identical under any setting of these two.
+	// repairable lock, the STAT forms — is always on. Sanitize is the runtime
+	// sanitizer: races between gets and un-quieted puts (which DeferredQuiet
+	// makes possible), leaks, collective divergence and lock misuse, reported
+	// as Run's error. Virtual times and fault replays are bit-identical either way.
 	pgas.Options
 }
 

@@ -1,6 +1,7 @@
 package himeno
 
 import (
+	"runtime"
 	"testing"
 
 	"cafshmem/internal/caf"
@@ -61,36 +62,35 @@ func TestHimenoVirtualTimeGoldens(t *testing.T) {
 
 // TestDeterminismHimenoGoldens re-runs the pinned-golden table as a
 // determinism differential: virtual time is a pure function of (program,
-// machine), so every barrier shard layout — one shard, two, an odd split of
-// the 8 images, one shard per image — must reproduce, twice over, the exact
-// same float64 TimeMs and residual. check.sh repeats every TestDeterminism
-// test at -cpu 1,2,8.
+// machine), so every GOMAXPROCS — one P, two, an odd count, one per image —
+// must reproduce, twice over, the exact same float64 TimeMs and residual.
+// check.sh repeats every TestDeterminism test at -cpu 1,2,8; the barrier's
+// shard layouts are varied below pgas (TestDeterminismAcrossShardLayouts).
 func TestDeterminismHimenoGoldens(t *testing.T) {
 	prm := Params{NX: 16, NY: 64, NZ: 12, Iters: 3}
-	for _, shards := range []int{1, 2, 3, 8} {
+	for _, procs := range []int{1, 2, 3, 8} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		for run := 0; run < 2; run++ {
 			for _, g := range goldenHimeno {
-				o := g.opts
-				o.BarrierShards = shards
-				blk, err := Run(o, 8, prm)
+				blk, err := Run(g.opts, 8, prm)
 				if err != nil {
-					t.Fatalf("%s blocking (shards=%d): %v", g.name, shards, err)
+					t.Fatalf("%s blocking (procs=%d): %v", g.name, procs, err)
 				}
 				if blk.TimeMs != g.blockingMs || blk.Gosa != goldenHimenoGosa {
-					t.Errorf("%s: shards=%d run %d blocking = (%v, %v), want golden (%v, %v)",
-						g.name, shards, run, blk.TimeMs, blk.Gosa, g.blockingMs, goldenHimenoGosa)
+					t.Errorf("%s: procs=%d run %d blocking = (%v, %v), want golden (%v, %v)",
+						g.name, procs, run, blk.TimeMs, blk.Gosa, g.blockingMs, goldenHimenoGosa)
 				}
 
 				op := prm
 				op.Overlap = true
 				op.OverlapBarrier = true
-				ob, err := Run(o, 8, op)
+				ob, err := Run(g.opts, 8, op)
 				if err != nil {
-					t.Fatalf("%s overlap-barrier (shards=%d): %v", g.name, shards, err)
+					t.Fatalf("%s overlap-barrier (procs=%d): %v", g.name, procs, err)
 				}
 				if ob.TimeMs != g.overlapBarrMs || ob.Gosa != goldenHimenoGosa {
-					t.Errorf("%s: shards=%d run %d OverlapBarrier = (%v, %v), want golden (%v, %v)",
-						g.name, shards, run, ob.TimeMs, ob.Gosa, g.overlapBarrMs, goldenHimenoGosa)
+					t.Errorf("%s: procs=%d run %d OverlapBarrier = (%v, %v), want golden (%v, %v)",
+						g.name, procs, run, ob.TimeMs, ob.Gosa, g.overlapBarrMs, goldenHimenoGosa)
 				}
 			}
 		}

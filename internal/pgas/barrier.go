@@ -46,7 +46,7 @@ import (
 // 2018's STAT_FAILED_IMAGE/STAT_STOPPED_IMAGE instead of hanging on a peer
 // that will never arrive.
 
-// defaultShardPEs is the leaf-shard size when Options.BarrierShards is zero:
+// defaultShardPEs is the leaf-shard size of every world's barrier:
 // worlds up to this many PEs keep a single shard (the flat fast path, so the
 // fixed 256-image suite and every small test see one mutex as before), and
 // larger worlds grow one shard per 256 ranks.
@@ -130,9 +130,9 @@ type bWaiter struct {
 	done     atomic.Bool
 }
 
-// newBarrier builds the shard tree for n PEs. shardsOpt is
-// Options.BarrierShards (0 = auto: one shard per defaultShardPEs ranks),
-// clamped to [1, n]; the chunking guarantees every shard starts non-empty.
+// newBarrier builds the shard tree for n PEs with shardsOpt leaf shards (0 =
+// one per defaultShardPEs ranks; only tests pick others), clamped to [1, n];
+// the chunking guarantees every shard starts non-empty.
 func newBarrier(w *World, n, shardsOpt int) *barrier {
 	s := shardsOpt
 	if s <= 0 {

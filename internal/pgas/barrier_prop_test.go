@@ -131,7 +131,7 @@ func barrierScript(rng *rand.Rand, n, gens int) [][]barrierEvent {
 // (outT, errString) each arriving PE observed, keyed by PE id.
 func runSharded(t *testing.T, script [][]barrierEvent, n, shards int) []map[int]string {
 	t.Helper()
-	w, err := NewWorldOpts(fabric.Stampede(), n, Options{BarrierShards: shards})
+	w, err := newWorldShards(fabric.Stampede(), n, Options{}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestBarrierShardLayoutInvariance(t *testing.T) {
 	const n = 12
 	var want []string
 	for _, shards := range []int{0, 1, 5, n + 3} {
-		w, err := NewWorldOpts(fabric.Stampede(), n, Options{BarrierShards: shards})
+		w, err := newWorldShards(fabric.Stampede(), n, Options{}, shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,8 +2,8 @@ package pgas
 
 // Execution engine. Every PE body runs on its own goroutine, scheduled by the
 // Go runtime, and a PE sleeps in exactly one way: PE.block, on its own
-// condition variable under its partition lock — in a wait and in the barrier
-// alike. The substrate's virtual-time semantics are a pure function of
+// condition variable under its partition lock — in a wait, a remote spin's
+// too, and in the barrier. Virtual-time semantics are a pure function of
 // (program, machine model, fault plan): every write carries a caller-computed
 // visibility timestamp, every wait merges the maximum recorded timestamp over
 // its range, and barriers aggregate an order-independent maximum, so how PE
@@ -24,11 +24,7 @@ package pgas
 // zero has proved deadlock (World.deadlock in fault.go). No goroutine watches
 // a world and no verdict depends on host time.
 
-import (
-	"runtime"
-
-	"cafshmem/internal/fabric"
-)
+import "cafshmem/internal/fabric"
 
 // Engine is a leftover of the two-engine design.
 //
@@ -57,13 +53,6 @@ type Options struct {
 	//
 	// Deprecated: ignored; see Engine.
 	Engine Engine
-	// BarrierShards overrides the world barrier's leaf-shard count (see
-	// barrier.go). Zero auto-sizes to one shard per 256 PEs; values are
-	// clamped to [1, NumPEs]. Shard layout is a host-side performance knob:
-	// the barrier's virtual-time results are bit-identical across layouts
-	// (the tree aggregates an order-independent max), which the determinism
-	// gate checks.
-	BarrierShards int
 	// Sanitize enables the runtime sanitizer (sanitizer.go): completion,
 	// leak, collective-divergence and lock checks of every library over the
 	// world, reported through Run's error. Off by default; when off, no
@@ -95,8 +84,9 @@ func (p *PE) block() {
 // wakeLocked wakes p from inside its partition lock (the write-visibility
 // path). A sleeping p is counted awake again here, by its waker and under the
 // lock that guards the asleep bit, so that a delivered wake is never
-// uncounted.
+// uncounted; p.wakes counts it either way, for a remote wait not yet asleep.
 func (p *PE) wakeLocked() {
+	p.wakes++
 	if p.asleep {
 		p.asleep = false
 		p.world.awake.Add(1)
@@ -137,8 +127,3 @@ func (w *World) wakeWatchers(skip *PE) {
 		}
 	}
 }
-
-// Yield lets other runnable PEs run before the caller's next probe — what a
-// remote-spinning loop must call between probes, since the substrate cannot
-// see what it spins on and counts it as running.
-func (p *PE) Yield() { runtime.Gosched() }

@@ -14,9 +14,9 @@ import (
 // virtual time of every PE. PE i writes a flag word into PE (i+1)%n at a
 // per-round visibility time, waits for its own flag, merges the recorded
 // timestamp, and barriers.
-func runProgram(t *testing.T, opts Options, n, rounds int) []float64 {
+func runProgram(t *testing.T, shards, n, rounds int) []float64 {
 	t.Helper()
-	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, n, opts)
+	w, err := newWorldShards(&fabric.Machine{Name: "test", CoresPerNode: 4}, n, Options{}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +49,10 @@ func shardLayouts(n int) []int { return []int{1, 2, 3, n + 1} }
 // test at GOMAXPROCS 1, 2 and 8.
 func TestDeterminismAcrossShardLayouts(t *testing.T) {
 	for _, n := range []int{2, 7, 32} {
-		ref := runProgram(t, Options{}, n, 5)
+		ref := runProgram(t, 0, n, 5)
 		for _, shards := range shardLayouts(n) {
 			for run := 0; run < 2; run++ {
-				if got := runProgram(t, Options{BarrierShards: shards}, n, 5); !reflect.DeepEqual(got, ref) {
+				if got := runProgram(t, shards, n, 5); !reflect.DeepEqual(got, ref) {
 					t.Fatalf("n=%d shards=%d run %d: %v, want %v", n, shards, run, got, ref)
 				}
 			}

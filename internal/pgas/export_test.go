@@ -1,6 +1,24 @@
 package pgas
 
-import "math"
+import (
+	"math"
+
+	"cafshmem/internal/fabric"
+)
+
+// newWorldShards is NewWorldOpts with the world barrier split into shards
+// leaf shards (0: the automatic layout): the layouts the barrier and
+// determinism tests vary, which no other code chooses.
+func newWorldShards(m *fabric.Machine, n int, opts Options, shards int) (*World, error) {
+	w, err := NewWorldOpts(m, n, opts)
+	if err == nil {
+		w.barrier = newBarrier(w, n, shards)
+		for i := range w.pes {
+			w.barrier.arena[i].p = &w.pes[i]
+		}
+	}
+	return w, err
+}
 
 // WakeVisits is how many partitions the world's wake fan-outs (departures,
 // repair writes, unreachable-link marks, poison) have visited so far.

@@ -226,16 +226,20 @@ func (w *World) deadlock() {
 // in neither.
 func (w *World) blockedOn(p *PE) (on string, inBarrier bool) {
 	p.mu.Lock()
-	if wt := &p.watch; wt.active {
-		on = fmt.Sprintf("wait [%#x,+%d)", wt.off, wt.n)
+	wt := p.watch
+	p.mu.Unlock()
+	if q := wt.on; q != nil {
+		if on = "wait "; q != p {
+			on = fmt.Sprintf("wait on PE %d ", q.ID)
+		}
+		q.mu.Lock() // with p's dropped, as a remote wait takes it
+		on += fmt.Sprintf("[%#x,+%d)", wt.off, wt.n)
 		if wt.n == 8 {
 			var b [8]byte
-			on += fmt.Sprintf(" = %#x", binary.NativeEndian.Uint64(p.seg.view(wt.off, 8, b[:])))
+			on += fmt.Sprintf(" = %#x", binary.NativeEndian.Uint64(q.seg.view(wt.off, 8, b[:])))
 		}
-		on += fmt.Sprintf(", last write t=%g", max(p.rangeTs(wt.off, wt.n), wt.ts))
-	}
-	p.mu.Unlock()
-	if on != "" {
+		on += fmt.Sprintf(", last write t=%g", max(q.rangeTs(wt.off, wt.n), wt.ts))
+		q.mu.Unlock()
 		return on, false
 	}
 	b := w.barrier
@@ -297,13 +301,13 @@ var ErrWaitRecheck = fmt.Errorf("pgas: wait interrupted for fault recheck")
 // with that error; returning ErrWaitRecheck is the conventional way to hand
 // control back to the caller for recovery work that needs communication.
 func (p *PE) WaitUntilStat(off, n int64, pred func([]byte) bool, onEvent func() error) (float64, error) {
-	return p.wait(off, n, pred, onEvent)
+	return p.wait(p, off, n, pred, onEvent)
 }
 
 // WaitWordStat is WaitWord with WaitUntilStat's fault awareness; the last
 // observed word is returned even when the wait is aborted.
 func (p *PE) WaitWordStat(off int64, cmp Cmp, operand int64, onEvent func() error) (got int64, ts float64, err error) {
-	ts, err = p.wait(off, 8, func(b []byte) bool {
+	ts, err = p.wait(p, off, 8, func(b []byte) bool {
 		got = int64(binary.NativeEndian.Uint64(b))
 		return cmp.Holds(got, operand)
 	}, onEvent)

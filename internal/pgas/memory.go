@@ -30,7 +30,17 @@ func (w *World) Write(target int, off int64, data []byte, visibleAt float64) {
 	p := w.part(target)
 	p.mu.Lock()
 	p.store(off, data, visibleAt)
+	p.unlockStore(true)
+}
+
+// unlockStore drops p.mu, then after a store wakes the other PEs watching the
+// partition: a wake under p.mu could deadlock with a waiter holding its own.
+func (p *PE) unlockStore(stored bool) {
+	remote := stored && p.remote.Load() != 0
 	p.mu.Unlock()
+	if remote {
+		p.world.wakeWatchers(p)
+	}
 }
 
 // store is one write to the partition, as every path but the vectored ones
@@ -134,6 +144,36 @@ func (p *PE) atomicAt(c Price) float64 {
 	return p.Clock.Now() + c.Lat + c.Tail
 }
 
+// Spin takes the word at (target, off) for a remote-spinning lock: cas is the
+// library's compare-and-swap of 0 for the caller's mark (false: target has
+// failed), and a failed probe backs off backoff (> 0) ns, doubling up to
+// limit. The PE sleeps while the word is held; the probes that would have
+// landed before the release it wakes on are charged in virtual time (price,
+// link penalty, backoff) and counted in replayed (DESIGN.md "Remote spins").
+func (p *PE) Spin(target int, off int64, backoff, limit float64, cas func() (uint64, bool)) (replayed int64, ok bool) {
+	q, clock := p.world.part(target), &p.Clock
+	backOff := func() { clock.Advance(backoff); backoff = min(2*backoff, limit) }
+	for {
+		free, err := p.wait(q, off, 8, func(b []byte) bool { return binary.NativeEndian.Uint64(b) == 0 }, nil)
+		if _, failed := err.(*ImageFault); failed {
+			return replayed, false
+		} else if err != nil {
+			panic(err)
+		}
+		t, pen := clock.Now(), p.world.plan.LinkPenaltyNs(p.ID, clock.Now())
+		old, ok := cas()
+		if !ok || old == 0 {
+			for price := clock.Now() - t - pen; ok && clock.Now() < free; replayed++ {
+				backOff()
+				p.linkPenalty()
+				clock.Advance(price)
+			}
+			return replayed, ok
+		}
+		backOff() // another spinner took the word first
+	}
+}
+
 // opCAS is rmw64's compare-and-swap: operand replaces a word equal to
 // expected.
 const opCAS = OpSwap + 1
@@ -143,7 +183,8 @@ const opCAS = OpSwap + 1
 func (w *World) rmw64(target int, off int64, op AtomicOp, operand, expected uint64, visibleAt float64) (old uint64, ok bool) {
 	p := w.part(target)
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	stored := false
+	defer func() { p.unlockStore(stored) }()
 	p.ensureLen(off + 8)
 	var b [8]byte
 	p.seg.readAt(off, b[:])
@@ -173,6 +214,7 @@ func (w *World) rmw64(target int, off int64, op AtomicOp, operand, expected uint
 	}
 	binary.NativeEndian.PutUint64(b[:], nw)
 	p.store(off, b[:], visibleAt)
+	stored = true
 	return old, true
 }
 
@@ -212,12 +254,12 @@ func (p *PE) wakeOverlapping(off, n int64, visibleAt float64) {
 	}
 }
 
-// raiseWatch lifts the PE's watch to visibleAt if it is registered and
-// overlaps [off, off+n), and reports whether it did. Must be called with p.mu
-// held.
+// raiseWatch lifts the PE's watch to visibleAt if it is registered on its own
+// partition and overlaps [off, off+n), and reports whether it did. Must be
+// called with p.mu held.
 func (p *PE) raiseWatch(off, n int64, visibleAt float64) bool {
 	wt := &p.watch
-	if !wt.active || off >= wt.off+wt.n || wt.off >= off+n {
+	if wt.on != p || off >= wt.off+wt.n || wt.off >= off+n {
 		return false
 	}
 	wt.ts = max(wt.ts, visibleAt)
@@ -261,38 +303,60 @@ func (c Cmp) Holds(a, b int64) bool {
 }
 
 // wait is the one blocking loop behind every wait form: it blocks the calling
-// PE until pred holds over the n bytes at off of its *own* partition, then
-// returns the virtual time at which the last write to the range became
-// visible (0 if the range was never written) — the per-word timestamp index
-// makes that independent of whether the satisfying write raced ahead of the
-// watch registration. onEvent, when non-nil, runs on every unsatisfied
-// wake-up under the partition lock and aborts the wait by returning an error;
-// a poisoned world aborts it with the poison error. Nothing here allocates:
-// the watch record and gather scratch live in the PE, and neither pred nor
-// onEvent is retained, so the callers' closures stay on their stacks.
-func (p *PE) wait(off, n int64, pred func([]byte) bool, onEvent func() error) (float64, error) {
+// PE until pred holds over the n bytes at off of q's partition (its own, or
+// another PE's for Spin), then returns the virtual time at which the last
+// write to the range became visible (0 if the range was never written) — the
+// per-word timestamp index makes that independent of whether the satisfying
+// write raced ahead of the watch registration. onEvent, when non-nil, runs on
+// every unsatisfied wake-up under p's lock and aborts the wait by returning an
+// error; a poisoned world aborts it with the poison error, a failed remote q
+// with that failure. Nothing here allocates: the watch record and gather
+// scratch live in the PE, and neither pred nor onEvent is retained, so the
+// callers' closures stay on their stacks. A remote waiter takes q's lock with
+// its own dropped, and sleeps only if no wake came in between (p.wakes).
+func (p *PE) wait(q *PE, off, n int64, pred func([]byte) bool, onEvent func() error) (float64, error) {
 	scratch := p.wordBuf[:]
 	if n > int64(len(scratch)) {
 		scratch = make([]byte, n)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ensureLen(off + n)
-	wt := p.addWatch(off, n)
+	p.ensureLen(off + n) // for a remote watch, its range check alone
+	wt := p.addWatch(q, off, n)
 	defer p.removeWatch()
+	remote := q != p
+	if remote {
+		q.remote.Add(1)
+		defer q.remote.Add(-1)
+	}
 	for {
 		if err := p.world.failedErr(); err != nil {
 			return 0, err
 		}
-		if pred(p.seg.view(off, n, scratch)) {
-			return max(p.rangeTs(off, n), wt.ts), nil
+		if remote && p.world.Failed(q.ID) {
+			return 0, &ImageFault{Failed: []int{q.ID}}
+		}
+		wakes := p.wakes
+		if remote {
+			p.mu.Unlock()
+			q.mu.Lock()
+		}
+		ok, ts := pred(q.seg.view(off, n, scratch)), q.rangeTs(off, n)
+		if remote {
+			q.mu.Unlock()
+			p.mu.Lock()
+		}
+		if ok {
+			return max(ts, wt.ts), nil
 		}
 		if onEvent != nil {
 			if err := onEvent(); err != nil {
 				return 0, err
 			}
 		}
-		p.block()
+		if p.wakes == wakes {
+			p.block()
+		}
 	}
 }
 
@@ -305,7 +369,7 @@ func (p *PE) wait(off, n int64, pred func([]byte) bool, onEvent func() error) (f
 // field"); layers that compare one word use WaitWord, whose typed condition
 // crosses their interfaces without a closure.
 func (p *PE) WaitUntil(off, n int64, pred func([]byte) bool) float64 {
-	ts, err := p.wait(off, n, pred, nil)
+	ts, err := p.wait(p, off, n, pred, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package pgas
 
 import (
+	"fmt"
 	"testing"
 
 	"cafshmem/internal/fabric"
@@ -26,9 +27,7 @@ func TestDeadlockReport(t *testing.T) {
 		"; PE 5: wait [0x28,+4), last write t=250"
 	for _, e := range engineSpellings {
 		t.Run(e.name, func(t *testing.T) {
-			opts := e.opts
-			opts.BarrierShards = 2
-			w, err := NewWorldOpts(testMachine(), 6, opts)
+			w, err := newWorldShards(testMachine(), 6, e.opts, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,9 +90,7 @@ func TestNoFalseDeadlock(t *testing.T) {
 		})
 		t.Run("storm/"+e.name, func(t *testing.T) {
 			const n = 256
-			opts := e.opts
-			opts.BarrierShards = 3
-			w, err := NewWorldOpts(fabric.Stampede(), n, opts)
+			w, err := newWorldShards(fabric.Stampede(), n, e.opts, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,6 +103,42 @@ func TestNoFalseDeadlock(t *testing.T) {
 			})
 			if err != nil {
 				t.Fatalf("healthy storm poisoned: %v", err)
+			}
+		})
+	}
+}
+
+// TestDeadlockSpinOnSleepingHolder: PE 0 takes a lock word and sleeps on a
+// flag that nothing sets while PE 1 spins on the word through Spin, on PE 0's
+// partition (a remote wait) and on its own (a local one). A spinner sleeps in
+// its wait like any waiter, so the run ends in a report naming both waits.
+func TestDeadlockSpinOnSleepingHolder(t *testing.T) {
+	const word, flag = 0x40, 0x80
+	for home, spin := range []string{"wait on PE 0 [0x40,+8)", "wait [0x40,+8)"} {
+		want := "pgas: deadlock: all 2 alive PEs blocked and no PE left to wake them" +
+			": PE 0: wait [0x80,+8) = 0x0, last write t=0" +
+			"; PE 1: " + spin + " = 0x1, last write t=100"
+		t.Run(fmt.Sprintf("home=%d", home), func(t *testing.T) {
+			w, err := NewWorld(testMachine(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := Price{Inject: 100}
+			err = w.Run(func(p *PE) {
+				if p.ID == 0 {
+					p.CompareSwap64Stat(home, word, 0, 1, probe)
+				}
+				p.Barrier(0)
+				if p.ID == 0 {
+					p.WaitWordStat(flag, CmpNE, 0, nil)
+					return
+				}
+				p.Spin(home, word, 10, 160, func() (uint64, bool) {
+					return p.CompareSwap64Stat(home, word, 0, 2, probe)
+				})
+			})
+			if err == nil || err.Error() != want {
+				t.Errorf("report:\n got %v\nwant %s", err, want)
 			}
 		})
 	}

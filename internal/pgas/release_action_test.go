@@ -32,7 +32,7 @@ func logRelease(ctx any, arg int64, rel float64) {
 // nothing; and the generation count moves by one per rendezvous either way.
 func TestReleaseActionRunsOncePerGeneration(t *testing.T) {
 	for _, tc := range []struct{ n, shards int }{{1, 0}, {2, 0}, {5, 1}, {5, 5}, {300, 0}, {300, 7}} {
-		w, err := NewWorldOpts(testMachine(), tc.n, Options{BarrierShards: tc.shards})
+		w, err := newWorldShards(testMachine(), tc.n, Options{}, tc.shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestReleaseActionRunsOncePerGeneration(t *testing.T) {
 // the departure as status.
 func TestReleaseActionRunsWhenADepartureReleases(t *testing.T) {
 	for _, tc := range []struct{ n, shards, quitter int }{{2, 0, 0}, {5, 5, 4}, {300, 7, 150}} {
-		w, err := NewWorldOpts(testMachine(), tc.n, Options{BarrierShards: tc.shards})
+		w, err := newWorldShards(testMachine(), tc.n, Options{}, tc.shards)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package pgas
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -200,7 +201,7 @@ func TestSegStoreZeroBulkPutWakesWatch(t *testing.T) {
 		switch p.ID {
 		case 0:
 			for !watching.Load() {
-				p.Yield()
+				runtime.Gosched()
 			}
 			w.Write(1, watched-segPageSize, make([]byte, 2*segPageSize), at)
 		case 1:

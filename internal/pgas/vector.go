@@ -47,7 +47,7 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	if matched {
 		p.wakeLocked()
 	}
-	p.mu.Unlock()
+	p.unlockStore(true)
 }
 
 // ReadV gathers len(dst)/elemSize elements from the target PE's partition at
@@ -119,7 +119,7 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	if matched {
 		p.wakeLocked()
 	}
-	p.mu.Unlock()
+	p.unlockStore(true)
 }
 
 // ReadRuns gathers len(offs) equal-length runs of runBytes bytes from the

@@ -92,36 +92,37 @@ type PE struct {
 	// causal timestamp. Large payload writes are not tracked (nothing waits on
 	// them), keeping the bookkeeping O(1) per flag-sized write.
 	seg segStore
-	// watch is the registered wait on this partition. A PE waits on its own
-	// partition from its own goroutine, so there is at most one, and its
+	// watch is the PE's registered wait, on its own partition or another's. A
+	// PE waits from its own goroutine only, so there is at most one, and its
 	// record (with wordBuf, the gather scratch for a word that straddles a
 	// page) is embedded here: a wait allocates nothing.
 	watch   watch
 	wordBuf [8]byte
-	// waiters mirrors watch.active with an atomic so cross-PE wake fan-outs
-	// (departure, repair writes) can skip partitions nobody sleeps on without
-	// taking their locks; World.watches is their sum, so a fan-out into a
-	// world without a watch visits nothing. Updated only under mu; read
-	// lock-free, as one half of the handshake wakeWatchers documents.
-	waiters atomic.Int32
+	// waiters mirrors the watch with an atomic so cross-PE wake fan-outs can
+	// skip PEs that wait on nothing without taking their locks; World.watches
+	// is their sum. Updated only under mu; read lock-free, as one half of the
+	// handshake wakeWatchers documents. remote counts other PEs' watches on
+	// this partition, which its stores read under mu (unlockStore).
+	waiters, remote atomic.Int32
 	// asleep, guarded by mu: the PE's goroutine sleeps on cond (in a wait or in
 	// the barrier) and is not counted in World.awake. sleeps counts the times
-	// it did.
+	// it did, wakes every wake delivered to it, asleep or not.
 	asleep bool
 	sleeps int64
+	wakes  uint64
 	// visAt is the issue core's per-message visibility-time list, reused from
 	// call to call by the PE's own goroutine: WriteRuns does not retain it.
 	visAt []float64
 }
 
-// addWatch registers the PE's watch over [off, off+n) (and its waiter
-// counts). Must hold p.mu.
-func (p *PE) addWatch(off, n int64) *watch {
+// addWatch registers the PE's watch over [off, off+n) of q's partition (and
+// its waiter counts). Must hold p.mu.
+func (p *PE) addWatch(q *PE, off, n int64) *watch {
 	wt := &p.watch
-	if wt.active {
-		panic(fmt.Sprintf("pgas: PE %d is already waiting: a PE waits on its partition from its own goroutine only", p.ID))
+	if wt.on != nil {
+		panic(fmt.Sprintf("pgas: PE %d is already waiting: a PE waits from its own goroutine only", p.ID))
 	}
-	*wt = watch{off: off, n: n, active: true}
+	*wt = watch{on: q, off: off, n: n}
 	p.waiters.Store(1)
 	p.world.watches.Add(1)
 	return wt
@@ -129,18 +130,19 @@ func (p *PE) addWatch(off, n int64) *watch {
 
 // removeWatch deregisters the PE's watch. Must hold p.mu.
 func (p *PE) removeWatch() {
-	p.watch.active = false
+	p.watch = watch{}
 	p.waiters.Store(0)
 	p.world.watches.Add(-1)
 }
 
-// watch observes a byte range of a PE's partition. Writers that overlap the
-// range record the virtual time their data became visible; waiters merge it
-// into their clock when the awaited condition holds.
+// watch observes a byte range of on's partition during a wait (on is nil
+// otherwise). Writers to the waiter's own partition that overlap the range
+// record the virtual time their data became visible, and a waiter merges it
+// into its clock when the awaited condition holds.
 type watch struct {
+	on     *PE
 	off, n int64
 	ts     float64
-	active bool // registered: a wait is in progress
 }
 
 // NewWorld creates a world of n PEs on the given machine model.
@@ -172,7 +174,7 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 	if opts.Sanitize {
 		w.san = newSanitizer()
 	}
-	w.barrier = newBarrier(w, n, opts.BarrierShards)
+	w.barrier = newBarrier(w, n, 0)
 	for i := range w.pes {
 		p := &w.pes[i]
 		p.ID, p.world = i, w
@@ -203,11 +205,10 @@ func Run(machine *fabric.Machine, n int, body func(*PE)) error {
 // "quiescence"). The rule counts, it does not time, so it rests on a
 // contract: inside a Run only PE goroutines may satisfy a wait — a write from
 // any other goroutine may arrive after the verdict. A PE blocked on something
-// the substrate cannot see (a host channel, a sleep, a remote-spinning probe
-// loop, which must call Yield) counts as running. Waits issued outside a Run
-// are never judged. A sanitized world's Run ends with the sanitizer's
-// end-of-job checks, and its findings are the error of a Run that nothing
-// else failed.
+// the substrate cannot see (a host channel, a sleep) counts as running. Waits
+// issued outside a Run are never judged. A sanitized world's Run ends with the
+// sanitizer's end-of-job checks, and its findings are the error of a Run that
+// nothing else failed.
 func (w *World) Run(body func(*PE)) error {
 	if w.closed.Load() {
 		return ErrClosed

@@ -164,7 +164,7 @@ func TestWaitUntilWakesAndCarriesTimestamp(t *testing.T) {
 	for {
 		p := w.PE(0)
 		p.mu.Lock()
-		watching := p.watch.active
+		watching := p.watch.on != nil
 		p.mu.Unlock()
 		if watching {
 			break

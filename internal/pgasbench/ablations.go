@@ -75,9 +75,10 @@ func AblationBaseDim() Figure {
 
 // AblationLocks counts remote atomics per acquisition on Titan for the paper's
 // MCS adaptation, the remote-spinning CAS lock and the N-word global lock
-// array §IV-D rejects, with sixteen images contending for lck[1] at once.
-// Collisions are real, so the counts depend on arrival order at the contended
-// word (internal/pgas/engine.go) and differ from run to run.
+// array §IV-D rejects, with sixteen images contending for lck[1] at once. A
+// spinner counts the probes replayed up to the release it wakes on
+// (pgas.PE.Spin); which woken spinner takes the word, and so the counts, may
+// follow arrival order at the contended word (internal/pgas/engine.go).
 func AblationLocks() Figure {
 	const images, per = 16, 10
 	algos := []caf.LockAlgo{caf.LockMCS, caf.LockNaiveSpin, caf.LockGlobalArray}

@@ -10,30 +10,25 @@ package shmem
 //
 // The implementation follows the common practice of homing the lock state on
 // a PE derived from the symmetric address, with compare-and-swap acquisition
-// and bounded exponential backoff.
+// and bounded exponential backoff (pgas.PE.Spin).
 
 func lockHome(sym Sym, idx, npes int) int {
 	return int((sym.Off/8 + int64(idx)) % int64(npes))
 }
 
-// SetLock acquires the global lock named by the symmetric word (blocking).
+// SetLock acquires the global lock named by the symmetric word (blocking),
+// backing off one to sixteen wire latencies after a failed probe.
 func (pe *PE) SetLock(sym Sym, idx int) {
 	home := lockHome(sym, idx, pe.NumPEs())
 	me := int64(pe.MyPE()) + 1 // 0 means unlocked
-	backoff := 1.0
-	for {
-		if old := pe.CompareSwap(home, sym, idx, 0, me); old == 0 {
-			pe.p.NoteLockAcquired("shmem.lock", sym.Off, idx, true)
-			return
-		}
-		// Remote spinning with backoff: each failed probe is a real AMO round
-		// trip plus the modelled backoff delay.
-		pe.p.Clock.Advance(backoff * pe.world.prof.LatencyNs)
-		if backoff < 16 {
-			backoff *= 2
-		}
-		pe.p.Yield()
+	lat := pe.world.prof.LatencyNs
+	if _, ok := pe.p.Spin(home, pe.wordOff("set_lock", sym, idx), lat, 16*lat, func() (uint64, bool) {
+		old, ok := pe.CompareSwapStat(home, sym, idx, 0, me)
+		return uint64(old), ok
+	}); !ok {
+		panic("shmem: set_lock on a lock whose home PE has failed")
 	}
+	pe.p.NoteLockAcquired("shmem.lock", sym.Off, idx, true)
 }
 
 // TestLock attempts the lock once; it returns true if acquired.

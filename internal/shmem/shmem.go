@@ -73,8 +73,7 @@ type PE struct {
 type Config struct {
 	Machine *fabric.Machine
 	Profile string // a profile name registered on Machine
-	// Options is the pgas world's: its fault plan, its host-side tuning —
-	// the barrier's shard layout (BarrierShards) — and its runtime sanitizer
+	// Options is the pgas world's: its fault plan and its runtime sanitizer
 	// (Sanitize). Virtual-time results depend on the plan alone.
 	pgas.Options
 }

@@ -500,13 +500,13 @@ var engineSpellings = []struct {
 	engine pgas.Engine
 }{{"goroutine", pgas.EngineGoroutine}, {"event", pgas.EngineEvent}}
 
-// TestSpinLockYieldsWorkerSlot is the spin-lock progress test: a PE spinning
-// on a held lock must let other PEs run between probes (PE.Yield). PE 0 holds
-// the lock until PE 2 sets its flag; PE 1 spins on the lock. The substrate
-// counts a spinner as running, so no quiescence rule can see one that starves
-// the PE it waits for. workers=k runs the program on k Ps (0: as the test
-// binary was started); check.sh adds -cpu 1.
-func TestSpinLockYieldsWorkerSlot(t *testing.T) {
+// TestSpinLockSleepsUntilRelease: a PE spinning on a held lock sleeps in its
+// wait until the holder's release wakes it, and acquires no earlier in virtual
+// time than the release. Both PEs race for the lock; the winner holds it until
+// the world has counted a sleep that only the loser's wait can account for.
+// workers=k runs the program on k Ps (0: as the test binary was started);
+// check.sh adds -cpu 1.
+func TestSpinLockSleepsUntilRelease(t *testing.T) {
 	for _, c := range []struct {
 		engine, workers int
 	}{{0, 0}, {1, 1}, {1, 2}} {
@@ -517,27 +517,98 @@ func TestSpinLockYieldsWorkerSlot(t *testing.T) {
 			}
 			cfg := stampedeCfg()
 			cfg.Engine = e.engine
-			err := Run(cfg, 3, func(pe *PE) {
-				lock, flag := pe.Malloc(8), pe.Malloc(8)
-				switch pe.MyPE() {
-				case 0:
-					pe.SetLock(lock, 0)
-					pe.Barrier()
-					pe.WaitUntil64(flag, 0, CmpNE, 0)
-					pe.ClearLock(lock, 0)
-				case 1:
-					pe.Barrier()
-					pe.SetLock(lock, 0)
-					pe.ClearLock(lock, 0)
-				default:
-					pe.Barrier()
-					pe.AtomicSet(0, flag, 0, 1)
+			var holder atomic.Bool
+			var slept bool
+			var releasedAt, acquiredAt float64
+			err := Run(cfg, 2, func(pe *PE) {
+				lock := pe.Malloc(8)
+				w := pe.Pgas().World()
+				base := w.Metrics().Sleeps // the allocation's rendezvous is over
+				pe.SetLock(lock, 0)
+				if holder.CompareAndSwap(false, true) {
+					for i := 0; i < 100000 && !slept; i++ {
+						runtime.Gosched()
+						slept = w.Metrics().Sleeps > base
+					}
+					pe.Clock().Advance(5000)
+					releasedAt = pe.Clock().Now()
+				} else {
+					acquiredAt = pe.Clock().Now()
 				}
+				pe.ClearLock(lock, 0)
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !slept {
+				t.Error("the spinner never slept while the lock was held")
+			}
+			if acquiredAt < releasedAt {
+				t.Errorf("acquired at t=%g, before the release at t=%g", acquiredAt, releasedAt)
+			}
 		})
+	}
+}
+
+// TestDeadlockSetLockOnSleepingHolder: PE 0 takes a global lock and sleeps on
+// a flag that nothing sets while PE 1 calls SetLock. The spinner sleeps too,
+// so the run ends in a deadlock report naming both waits instead of hanging.
+func TestDeadlockSetLockOnSleepingHolder(t *testing.T) {
+	var spin string
+	err := Run(stampedeCfg(), 2, func(pe *PE) {
+		lock, flag := pe.Malloc(8), pe.Malloc(8)
+		if pe.MyPE() == 0 {
+			on := ""
+			if home := lockHome(lock, 0, 2); home == 0 {
+				on = "on PE 0 "
+			}
+			spin = fmt.Sprintf("PE 1: wait %s[%#x,+8) = 0x1", on, lock.Off)
+			pe.SetLock(lock, 0)
+		}
+		pe.Barrier()
+		if pe.MyPE() == 0 {
+			pe.WaitUntil64(flag, 0, CmpNE, 0)
+		}
+		pe.SetLock(lock, 0)
+	})
+	if err == nil || !strings.Contains(err.Error(), "pgas: deadlock") ||
+		!strings.Contains(err.Error(), "PE 0: wait [") || !strings.Contains(err.Error(), spin) {
+		t.Errorf("got %v, want a deadlock report naming PE 0's wait and %q", err, spin)
+	}
+}
+
+// TestDeterminismSpinSingleContender: PE 0 holds a global lock for a fixed
+// virtual time while PE 1 spins on it. The probes PE 1 replays are set by the
+// release's stamp alone, so its clock on acquiring is the same on every run.
+func TestDeterminismSpinSingleContender(t *testing.T) {
+	run := func() float64 {
+		var at float64
+		if err := Run(stampedeCfg(), 2, func(pe *PE) {
+			lock := pe.Malloc(8)
+			if pe.MyPE() == 0 {
+				pe.SetLock(lock, 0)
+			}
+			pe.Barrier()
+			if pe.MyPE() == 0 {
+				pe.Clock().Advance(50_000)
+			} else {
+				pe.SetLock(lock, 0)
+				at = pe.Clock().Now()
+			}
+			pe.ClearLock(lock, 0)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return at
+	}
+	ref := run()
+	if ref < 50_000 {
+		t.Fatalf("acquired at t=%g, before the holder's release", ref)
+	}
+	for i := 1; i < 20; i++ {
+		if got := run(); got != ref {
+			t.Fatalf("run %d acquired at t=%g, run 0 at t=%g", i, got, ref)
+		}
 	}
 }
 
