@@ -12,7 +12,7 @@ import (
 
 // Chaos over the lossy-fabric reliability layer: message drops, delay jitter
 // and duplication drawn from a seeded plan, alone and combined with a
-// mid-run kill. The properties checked extend the kill-only chaos suite's:
+// mid-run kill, on each of chaosTransports. The properties checked extend the kill-only chaos suite's:
 //
 //   - retransmission is real work, not a no-op (forensics show retries and
 //     suppressed duplicates) yet payloads land intact, exactly once;
@@ -45,10 +45,10 @@ func sumRetries(reports []caf.LinkReport) (retries, dups uint64) {
 // --- Himeno, signal-driven overlap schedule ---
 
 // himenoLossRun is one fault-aware signal-overlap solve under plan.
-func himenoLossRun(t *testing.T, plan *fabric.FaultPlan) himeno.Result {
+func himenoLossRun(t *testing.T, opts caf.Options, plan *fabric.FaultPlan) himeno.Result {
 	t.Helper()
 	prm := himeno.Params{NX: 16, NY: 16, NZ: 8, Iters: 6, FaultAware: true, Overlap: true}
-	res, err := himeno.Run(chaosOpts(plan), 4, prm)
+	res, err := himeno.Run(withPlan(opts, plan), 4, prm)
 	if err != nil {
 		t.Fatalf("plan %v: himeno run errored (hang or panic): %v", plan, err)
 	}
@@ -60,10 +60,16 @@ func himenoLossRun(t *testing.T, plan *fabric.FaultPlan) himeno.Result {
 // duplicating fabric, and the run must still converge to the exact blocking
 // residual, with the protocol's work visible in the forensics.
 func TestChaosLossHimenoOverlap(t *testing.T) {
+	for _, tr := range chaosTransports {
+		t.Run(tr.name, func(t *testing.T) { chaosLossHimenoOverlap(t, tr.opts) })
+	}
+}
+
+func chaosLossHimenoOverlap(t *testing.T, opts caf.Options) {
 	for _, seed := range []uint64{51, 52, 53} {
 		plan := fabric.RandomPlan(seed, 4, 0, 0, 0)
 		plan.Losses = []fabric.LinkLoss{lossRule(0, 0)}
-		r1 := himenoLossRun(t, plan)
+		r1 := himenoLossRun(t, opts, plan)
 		if r1.Stat != caf.StatOK || r1.Iters != 6 {
 			t.Errorf("seed %d: stat=%v iters=%d, want STAT_OK and 6", seed, r1.Stat, r1.Iters)
 		}
@@ -75,7 +81,7 @@ func TestChaosLossHimenoOverlap(t *testing.T) {
 			t.Errorf("seed %d: no duplicates suppressed under dup injection", seed)
 		}
 		// The payloads must be exactly the loss-free ones: same residual.
-		base := himenoLossRun(t, nil)
+		base := himenoLossRun(t, opts, nil)
 		if r1.Gosa != base.Gosa {
 			t.Errorf("seed %d: lossy gosa %v != loss-free %v (payload corruption)", seed, r1.Gosa, base.Gosa)
 		}
@@ -83,7 +89,7 @@ func TestChaosLossHimenoOverlap(t *testing.T) {
 			t.Errorf("seed %d: lossy run (%vms) not slower than loss-free (%vms)", seed, r1.TimeMs, base.TimeMs)
 		}
 		// Bit-identical replay, forensic counters included.
-		r2 := himenoLossRun(t, plan)
+		r2 := himenoLossRun(t, opts, plan)
 		if r1.TimeMs != r2.TimeMs || r1.Gosa != r2.Gosa || !reflect.DeepEqual(r1.Forensics, r2.Forensics) {
 			t.Errorf("seed %d: replay diverged: (%v,%v,%v) vs (%v,%v,%v)",
 				seed, r1.TimeMs, r1.Gosa, r1.Forensics, r2.TimeMs, r2.Gosa, r2.Forensics)
@@ -96,12 +102,18 @@ func TestChaosLossHimenoOverlap(t *testing.T) {
 // no longer come), the rest through the per-iteration barrier, and the
 // cut-short degraded run still replays bit-identically.
 func TestChaosLossHimenoOverlapWithKill(t *testing.T) {
-	base := himenoLossRun(t, nil)
+	for _, tr := range chaosTransports {
+		t.Run(tr.name, func(t *testing.T) { chaosLossHimenoOverlapWithKill(t, tr.opts) })
+	}
+}
+
+func chaosLossHimenoOverlapWithKill(t *testing.T, opts caf.Options) {
+	base := himenoLossRun(t, opts, nil)
 	durNs := base.TimeMs * 1e6
 	for _, seed := range []uint64{61, 62} {
 		plan := fabric.RandomPlan(seed, 4, 1, 0.3*durNs, 0.7*durNs)
 		plan.Losses = []fabric.LinkLoss{lossRule(0, 0)}
-		r1 := himenoLossRun(t, plan)
+		r1 := himenoLossRun(t, opts, plan)
 		if r1.Stat != caf.StatFailedImage {
 			t.Errorf("seed %d: stat = %v, want STAT_FAILED_IMAGE", seed, r1.Stat)
 		}
@@ -111,7 +123,7 @@ func TestChaosLossHimenoOverlapWithKill(t *testing.T) {
 		if retries, _ := sumRetries(r1.Forensics); retries == 0 {
 			t.Errorf("seed %d: no retransmissions before the kill", seed)
 		}
-		r2 := himenoLossRun(t, plan)
+		r2 := himenoLossRun(t, opts, plan)
 		if r1.TimeMs != r2.TimeMs || r1.Gosa != r2.Gosa || r1.Iters != r2.Iters ||
 			r1.Stat != r2.Stat || !reflect.DeepEqual(r1.Forensics, r2.Forensics) {
 			t.Errorf("seed %d: replay diverged: (%v,%v,%d,%v) vs (%v,%v,%d,%v)",
@@ -137,7 +149,7 @@ type dhtLossOutcome struct {
 // it dies), so every fault observation happens at a barrier and the run is
 // exactly replayable; the batch traffic itself still crosses the lossy
 // fabric with locks held.
-func dhtLossRun(t *testing.T, seed uint64) dhtLossOutcome {
+func dhtLossRun(t *testing.T, opts caf.Options, seed uint64) dhtLossOutcome {
 	t.Helper()
 	const n, rounds, batch, buckets = 4, 10, 6, 64
 	plan := fabric.RandomPlan(seed, n, 1, 100_000, 600_000)
@@ -153,7 +165,7 @@ func dhtLossRun(t *testing.T, seed uint64) dhtLossOutcome {
 	for i := range out.obsRound {
 		out.obsRound[i] = -1
 	}
-	err := caf.Run(n, chaosOpts(plan), func(img *caf.Image) {
+	err := caf.Run(n, withPlan(opts, plan), func(img *caf.Image) {
 		me := img.ThisImage()
 		tbl := dht.New(img, buckets)
 		right := me%n + 1
@@ -195,8 +207,14 @@ func dhtLossRun(t *testing.T, seed uint64) dhtLossOutcome {
 // generation, their update streams are exactly-once despite retransmission,
 // and the run replays bit-identically.
 func TestChaosLossDHTBatchWithKill(t *testing.T) {
+	for _, tr := range chaosTransports {
+		t.Run(tr.name, func(t *testing.T) { chaosLossDHTBatchWithKill(t, tr.opts) })
+	}
+}
+
+func chaosLossDHTBatchWithKill(t *testing.T, opts caf.Options) {
 	for _, seed := range []uint64{71, 72} {
-		o1 := dhtLossRun(t, seed)
+		o1 := dhtLossRun(t, opts, seed)
 		obs := -1
 		for pe, s := range o1.stats {
 			if !isLegalStat(s) {
@@ -217,7 +235,7 @@ func TestChaosLossDHTBatchWithKill(t *testing.T) {
 		if retries, _ := sumRetries(o1.forensics); retries == 0 {
 			t.Errorf("seed %d: no retransmissions under 20%% drop", seed)
 		}
-		o2 := dhtLossRun(t, seed)
+		o2 := dhtLossRun(t, opts, seed)
 		if !reflect.DeepEqual(o1, o2) {
 			t.Errorf("seed %d: replay diverged:\n%+v\nvs\n%+v", seed, o1, o2)
 		}

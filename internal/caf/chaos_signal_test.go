@@ -13,7 +13,7 @@ import (
 // and the consumer's wait on it. Invariants: the consumer never hangs (WaitStat
 // surfaces STAT_FAILED_IMAGE), a signal that arrived before the death wins and
 // its data is delivered intact, and the whole run replays bit-identically from
-// the same seed.
+// the same seed, on each of chaosTransports.
 //
 // The consumer returns a credit for every round it consumes and the producer
 // posts round r+1 only on the credit for round r — the pacing Himeno's signal
@@ -29,7 +29,7 @@ const chaosSignalRounds = 20
 
 // chaosSignalRun returns the consumer's per-round stats (trimmed at the first
 // non-OK), its final virtual time, and the victim's kill plan.
-func chaosSignalRun(t *testing.T, seed uint64) ([]caf.Stat, float64) {
+func chaosSignalRun(t *testing.T, opts caf.Options, seed uint64) ([]caf.Stat, float64) {
 	t.Helper()
 	// 2 images: RandomPlan spares PE 0, so the victim is always image 2 — the
 	// producer. Kill window sits mid-stream: rounds advance 4000 ns each, so
@@ -37,7 +37,7 @@ func chaosSignalRun(t *testing.T, seed uint64) ([]caf.Stat, float64) {
 	plan := fabric.RandomPlan(seed, 2, 1, 20000, 76000)
 	var stats []caf.Stat
 	var consumerT float64
-	err := caf.Run(2, chaosOpts(plan), func(img *caf.Image) {
+	err := caf.Run(2, withPlan(opts, plan), func(img *caf.Image) {
 		x := caf.Allocate[int64](img, 16)
 		sig := caf.NewSignal(img)
 		credit := caf.NewSignal(img)
@@ -84,8 +84,14 @@ func chaosSignalRun(t *testing.T, seed uint64) ([]caf.Stat, float64) {
 }
 
 func TestChaosSignalProducerKilled(t *testing.T) {
+	for _, tr := range chaosTransports {
+		t.Run(tr.name, func(t *testing.T) { chaosSignalProducerKilled(t, tr.opts) })
+	}
+}
+
+func chaosSignalProducerKilled(t *testing.T, opts caf.Options) {
 	for _, seed := range []uint64{21, 22, 23, 24} {
-		stats, time1 := chaosSignalRun(t, seed)
+		stats, time1 := chaosSignalRun(t, opts, seed)
 		okRounds := 0
 		for _, s := range stats {
 			if !isLegalStat(s) {
@@ -109,7 +115,7 @@ func TestChaosSignalProducerKilled(t *testing.T) {
 
 		// Same seed, same virtual-time interleaving: stats and clock replay
 		// identically.
-		stats2, time2 := chaosSignalRun(t, seed)
+		stats2, time2 := chaosSignalRun(t, opts, seed)
 		if len(stats) != len(stats2) || time1 != time2 {
 			t.Fatalf("seed %d: replay diverged: %d rounds @%v vs %d rounds @%v",
 				seed, len(stats), time1, len(stats2), time2)
@@ -129,10 +135,16 @@ func TestChaosSignalProducerKilled(t *testing.T) {
 // no hangs despite there being no per-iteration barrier to rendezvous at on
 // the fault-free path.
 func TestChaosHimenoSignalOverlap(t *testing.T) {
+	for _, tr := range chaosTransports {
+		t.Run(tr.name, func(t *testing.T) { chaosHimenoSignalOverlap(t, tr.opts) })
+	}
+}
+
+func chaosHimenoSignalOverlap(t *testing.T, opts caf.Options) {
 	prm := himeno.Params{NX: 16, NY: 16, NZ: 8, Iters: 8, FaultAware: true, Overlap: true}
 	const images = 4
 
-	base, err := himeno.Run(chaosOpts(nil), images, prm)
+	base, err := himeno.Run(withPlan(opts, nil), images, prm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +155,7 @@ func TestChaosHimenoSignalOverlap(t *testing.T) {
 
 	for _, seed := range []uint64{41, 42, 43} {
 		plan := fabric.RandomPlan(seed, images, 1, 0.3*durNs, 0.7*durNs)
-		r1, err := himeno.Run(chaosOpts(plan), images, prm)
+		r1, err := himeno.Run(withPlan(opts, plan), images, prm)
 		if err != nil {
 			t.Fatalf("seed %d: chaos signal-himeno run errored (survivor hang or panic): %v", seed, err)
 		}
@@ -153,7 +165,7 @@ func TestChaosHimenoSignalOverlap(t *testing.T) {
 		if r1.Iters >= prm.Iters {
 			t.Errorf("seed %d: completed %d iterations despite a mid-solve kill", seed, r1.Iters)
 		}
-		r2, err := himeno.Run(chaosOpts(plan), images, prm)
+		r2, err := himeno.Run(withPlan(opts, plan), images, prm)
 		if err != nil {
 			t.Fatalf("seed %d: replay errored: %v", seed, err)
 		}

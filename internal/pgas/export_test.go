@@ -26,13 +26,21 @@ func (w *World) WakeVisits() int64 { return w.wakeVisits.Load() }
 
 // Test hooks for the page life cycle: the worst a recycled page can hold is
 // 0xFF in every byte its last owner dirtied and +Inf in every word of four
-// stale timestamp blocks (the index max-merges, so +Inf would stick).
+// stale timestamp blocks (the index max-merges, so +Inf would stick). Both
+// pools are poisoned: a record's blocks and its bytes go back separately.
 
+// scribble poisons pg's bytes over [lo, hi), giving it bytes dirty over just
+// that range if it has none, and every word of four timestamp blocks.
 func (pg *segPage) scribble(lo, hi int64) {
-	for i := range pg.data[lo:hi] {
-		pg.data[lo+int64(i)] = 0xFF
+	d := pg.data
+	if d == nil {
+		d = &segBytes{buf: new([segPageSize]byte), lo: lo, hi: hi}
+		pg.data = d
 	}
-	pg.dirty(lo, hi)
+	for i := range d.buf[lo:hi] {
+		d.buf[lo+int64(i)] = 0xFF
+	}
+	d.lo, d.hi = min(d.lo, lo), max(d.hi, hi)
 	for g := range pg.ts {
 		if pg.ts[g] == nil {
 			pg.ts[g] = new(tsBlock)
@@ -43,18 +51,22 @@ func (pg *segPage) scribble(lo, hi int64) {
 	}
 }
 
-// PreloadDirtyPages puts n pages into the page pool whose last owner dirtied
-// the in-page range [lo, hi), so the next pages handed out are recycled ones.
+// PreloadDirtyPages puts n page records into the record pool and n byte
+// arrays, whose last owner dirtied the in-page range [lo, hi), into the bytes
+// pool, so the next pages handed out are recycled ones.
 func PreloadDirtyPages(n int, lo, hi int64) {
 	for i := 0; i < n; i++ {
-		pg := &segPage{data: new([segPageSize]byte), lo: lo, hi: hi}
+		pg := new(segPage)
 		pg.scribble(lo, hi)
+		segBytesPool.Put(pg.data)
+		pg.data = nil
 		segPagePool.Put(pg)
 	}
 }
 
-// Scribble dirties every page the world has materialised, so that Close
-// recycles memory that no longer holds anything the world wrote.
+// Scribble dirties every page the world has materialised, bytes and all: a
+// record without bytes is given some, so that Close recycles into both pools
+// memory that no longer holds anything the world wrote.
 func (w *World) Scribble() {
 	for i := range w.pes {
 		p := &w.pes[i]
@@ -66,4 +78,17 @@ func (w *World) Scribble() {
 		}
 		p.mu.Unlock()
 	}
+}
+
+// ZeroSourceReadsZero reports whether the first n bytes of the zero source
+// (all of it for n beyond its length) still read zero: a caller that wrote
+// through Zeros would make every store of zeros that was skipped read back
+// what it wrote.
+func ZeroSourceReadsZero(n int) bool {
+	for _, b := range zeros[:min(n, len(zeros))] {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -82,8 +82,8 @@ func (w *World) Alloc(size int64) (int64, error) {
 
 // Free returns the allocation at off to the heap and makes its bytes read as
 // zero on every alive PE, so whatever is allocated there next starts from
-// zero as fresh memory does. Only materialised pages are cleared, and the
-// timestamp index is left as it is. A library calls it from a release action,
+// zero as fresh memory does. Nothing is materialised (segStore.clearRange),
+// and the timestamp index is left as it is. A library calls it from a release action,
 // while every PE is asleep.
 func (w *World) Free(off int64) error {
 	h := &w.heap

@@ -41,8 +41,8 @@ func TestClosedWorldRefusesUse(t *testing.T) {
 	before := w.PageStats()
 	w.Close()
 	w.Close()
-	if after := w.PageStats(); after != before || after.SegPages != 2 {
-		t.Errorf("PageStats after Close = %+v, before %+v (want 2 segment pages, unchanged)", after, before)
+	if after := w.PageStats(); after != before || after.SegPages != 2 || after.DataPages != 2 {
+		t.Errorf("PageStats after Close = %+v, before %+v (want 2 page records with bytes, unchanged)", after, before)
 	}
 	if err := w.Run(func(*PE) {}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Run on a closed world: %v, want ErrClosed", err)
@@ -81,9 +81,10 @@ func TestCloseDuringRunPanics(t *testing.T) {
 
 // churnWorld builds one 32-PE world, lands a 1 MiB put on PE 0 and 256
 // flag-sized writes on 256 distinct timestamp pages, eight at the bottom of
-// every partition, closes it, and returns what the traffic and the Close
-// allocated (bytes, and the world's page counters). World construction is
-// outside the measurement.
+// every partition — the four on each partition's first page store zero, the
+// four on its second a non-zero word — closes it, and returns what the
+// traffic and the Close allocated (bytes, and the world's page counters).
+// World construction is outside the measurement.
 func churnWorld(t *testing.T, payload []byte) (uint64, PageStats) {
 	w, err := NewWorld(fabric.Stampede(), 32)
 	if err != nil {
@@ -93,7 +94,11 @@ func churnWorld(t *testing.T, payload []byte) (uint64, PageStats) {
 	runtime.ReadMemStats(&before)
 	w.Write(0, 0, payload, 1)
 	for i := 0; i < 256; i++ {
-		w.WriteUint64(i%32, int64(i/32)*tsBlockBytes, uint64(i)+1, 2)
+		v := uint64(0)
+		if i/32 >= 4 {
+			v = uint64(i)
+		}
+		w.WriteUint64(i%32, int64(i/32)*tsBlockBytes, v, 2)
 	}
 	w.Close()
 	runtime.ReadMemStats(&after)
@@ -102,10 +107,13 @@ func churnWorld(t *testing.T, payload []byte) (uint64, PageStats) {
 
 // TestWorldChurnAllocBytes is the gate on what this life cycle buys: once two
 // worlds have come and gone, twenty more of the same shape materialise their
-// segment pages (the 1 MiB put's, and on each of the 31 other partitions those
-// its eight flags fall in) and 256 timestamp pages each from recycled memory — under one
-// segment page of new memory over all twenty, where every world used to cost
-// megabytes — and the traffic allocates nothing but page tables.
+// page records (the 1 MiB put's, and on each of the other partitions the two
+// its eight flags fall in), the bytes of the pages that hold a non-zero byte
+// and 256 timestamp pages each from recycled memory — under one segment page
+// of new memory over all twenty, where every world used to cost megabytes —
+// and the traffic allocates nothing but page tables. A payload of zeros
+// materialises nothing, and a page whose flags store zero has a record but
+// no bytes.
 func TestWorldChurnAllocBytes(t *testing.T) {
 	const flagPages = (8*tsBlockBytes + segPageSize - 1) / segPageSize
 	if RaceEnabled {
@@ -118,40 +126,55 @@ func TestWorldChurnAllocBytes(t *testing.T) {
 	// so a goroutine that migrates between Close and the next world's writes
 	// would miss a page or two, and this test counts them.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	payload := make([]byte, 1<<20)
-	for i := range payload {
-		payload[i] = byte(i) | 1
+	ones := make([]byte, 1<<20)
+	for i := range ones {
+		ones[i] = byte(i) | 1
 	}
-	churnWorld(t, payload)
-	churnWorld(t, payload)
-	// PE 0's flags fall inside the payload's pages; every other partition
-	// materialises the pages under its eight flags, one timestamp page apart.
-	segPages := len(payload)/int(segPageSize) + 31*int(flagPages)
-	var bytes uint64
-	var pages PageStats
-	for i := 0; i < 20; i++ {
-		b, s := churnWorld(t, payload)
-		bytes += b
-		if s.SegPages != segPages || s.TsPages != 256 {
-			t.Fatalf("world %d materialised %d segment and %d timestamp pages, want %d and 256", i, s.SegPages, s.TsPages, segPages)
-		}
-		pages.FreshBytes += s.FreshBytes
-		pages.ClearedBytes += s.ClearedBytes
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		// The pages the payload materialises on PE 0, whose flags fall
+		// inside them; the 31 other partitions, or all 32 for a payload of
+		// zeros, materialise two records under their flags and the bytes of
+		// the second.
+		payloadPages, flagged int
+	}{
+		{"non-zero", ones, len(ones) / int(segPageSize), 31},
+		{"zeros", Zeros(1 << 20), 0, 32},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			churnWorld(t, c.payload)
+			churnWorld(t, c.payload)
+			segPages := c.payloadPages + c.flagged*int(flagPages)
+			dataPages := c.payloadPages + c.flagged
+			var bytes uint64
+			var pages PageStats
+			for i := 0; i < 20; i++ {
+				b, s := churnWorld(t, c.payload)
+				bytes += b
+				if s.SegPages != segPages || s.DataPages != dataPages || s.TsPages != 256 {
+					t.Fatalf("world %d materialised %d page records, %d with bytes, and %d timestamp pages, want %d, %d and 256",
+						i, s.SegPages, s.DataPages, s.TsPages, segPages, dataPages)
+				}
+				pages.FreshBytes += s.FreshBytes
+				pages.ClearedBytes += s.ClearedBytes
+			}
+			if pages.FreshBytes >= segPageSize {
+				t.Errorf("20 worlds took %d KiB of new page memory, want < %d KiB (each materialises %d KiB)",
+					pages.FreshBytes>>10, segPageSize>>10, (int64(dataPages)*segPageSize+256*tsBlockBytes)>>10)
+			}
+			// A non-zero payload covers its pages exactly, so only the bytes
+			// of the flagged pages and the timestamp pages are cleared.
+			if perWorld := pages.ClearedBytes / 20; perWorld > int64(c.flagged)*segPageSize+256*tsBlockBytes {
+				t.Errorf("cleared %d KiB per world on hand-out, want at most %d KiB: the bulk put's pages must not be cleared",
+					perWorld>>10, (int64(c.flagged)*segPageSize+256*tsBlockBytes)>>10)
+			}
+			// What is left is the partitions' page tables (a few hundred bytes
+			// per PE that was written to): well under 1 MiB for all twenty.
+			if bytes >= 1<<20 {
+				t.Errorf("traffic and Close of 20 worlds allocated %d KiB, want < 1024 KiB", bytes>>10)
+			}
+			t.Logf("20 worlds: %d KiB allocated, %d KiB of it page memory, %d KiB cleared on hand-out", bytes>>10, pages.FreshBytes>>10, pages.ClearedBytes>>10)
+		})
 	}
-	if pages.FreshBytes >= segPageSize {
-		t.Errorf("20 worlds took %d KiB of new page memory, want < %d KiB (each materialises %d KiB)",
-			pages.FreshBytes>>10, segPageSize>>10, (int64(segPages)*segPageSize+256*tsBlockBytes)>>10)
-	}
-	// The 1 MiB put covers its pages exactly, so only the 31 other
-	// partitions' flag pages and the timestamp pages are cleared.
-	if perWorld := pages.ClearedBytes / 20; perWorld > 31*flagPages*segPageSize+256*tsBlockBytes {
-		t.Errorf("cleared %d KiB per world on hand-out, want at most %d KiB: the bulk put's pages must not be cleared",
-			perWorld>>10, (31*flagPages*segPageSize+256*tsBlockBytes)>>10)
-	}
-	// What is left is the partitions' page tables (a few hundred bytes per PE
-	// that was written to): well under 1 MiB for all twenty worlds.
-	if bytes >= 1<<20 {
-		t.Errorf("traffic and Close of 20 worlds allocated %d KiB, want < 1024 KiB", bytes>>10)
-	}
-	t.Logf("20 worlds: %d KiB allocated, %d KiB of it page memory, %d KiB cleared on hand-out", bytes>>10, pages.FreshBytes>>10, pages.ClearedBytes>>10)
 }

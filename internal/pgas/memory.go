@@ -416,13 +416,13 @@ func (p *PE) StoreLocal(off int64, data []byte) {
 }
 
 // ZeroLocal is StoreLocal of n zero bytes at off, without allocating them: one
-// store from the read-only segZeroPage, or for more than it holds a run of
-// whole-length stores, the last overlapping its predecessor — each, like the
-// one store of n bytes, too large to record per-word timestamps
+// store from the read-only zero source (Zeros), or for more than it holds a
+// run of whole-length stores, the last overlapping its predecessor — each,
+// like the one store of n bytes, too large to record per-word timestamps
 // (tsTrackMaxBytes).
 func (p *PE) ZeroLocal(off, n int64) {
-	z := min(n, segPageSize)
+	z := min(n, int64(len(zeros)))
 	for at := off; at < off+n; at += z {
-		p.StoreLocal(min(at, off+n-z), segZeroPage[:z])
+		p.StoreLocal(min(at, off+n-z), zeros[:z])
 	}
 }

@@ -68,8 +68,8 @@ func TestInterleavedGrowthAcrossPEs(t *testing.T) {
 // zero bytes leaves, over stamped nonzero memory, for stores on either side of
 // the timestamp-tracking limit and of the zero source's length.
 func TestZeroLocalMatchesStoreLocal(t *testing.T) {
-	const extent = 3*segPageSize + 64
-	for _, n := range []int64{8, tsTrackMaxBytes, tsTrackMaxBytes + 8, segPageSize, segPageSize + 8, 2*segPageSize + 24} {
+	for _, n := range []int64{8, tsTrackMaxBytes, tsTrackMaxBytes + 8, segPageSize, segPageSize + 8, 2*segPageSize + 24, int64(len(zeros)), int64(len(zeros)) + 24} {
+		extent := max(3*segPageSize, n+40) + 64
 		wz, ws := twoWorlds(t)
 		for _, w := range []*World{wz, ws} {
 			for off := int64(0); off < extent; off += 24 {

@@ -136,18 +136,25 @@ func expectZero(t *testing.T, w *World, pe int, off, n int64) {
 
 // A bulk store of zeros onto pages that were never written stores nothing:
 // no page is taken, the extent still grows over the range, and it reads zero.
+// So it is from a buffer of the caller's, which is scanned, and from the
+// zero source, 4 MiB of it.
 func TestSegStoreZeroPutOnFreshPagesStoresNothing(t *testing.T) {
-	w := newZeroWorld(t)
-	const off, n = 100, 1 << 20
-	before := w.PageStats().SegPages
-	w.Write(1, off, make([]byte, n), 5)
-	if got := w.PageStats().SegPages; got != before {
-		t.Fatalf("a 1 MiB zero put materialised %d pages", got-before)
+	for _, src := range [][]byte{make([]byte, 1<<20), Zeros(4 << 20)} {
+		w := newZeroWorld(t)
+		const off = 100
+		n := int64(len(src))
+		w.Write(1, off, src, 5)
+		if s := w.PageStats(); s.SegPages != 0 || s.DataPages != 0 {
+			t.Fatalf("a %d KiB zero put materialised %v", n>>10, s)
+		}
+		if got := w.pes[1].seg.length; got != off+n {
+			t.Fatalf("extent after the zero put = %d, want %d", got, off+n)
+		}
+		expectZero(t, w, 1, 0, off+n+segPageSize)
 	}
-	if got := w.pes[1].seg.length; got != off+n {
-		t.Fatalf("extent after the zero put = %d, want %d", got, off+n)
+	if !ZeroSourceReadsZero(4 << 20) {
+		t.Fatal("the zero source no longer reads zero")
 	}
-	expectZero(t, w, 1, 0, off+n+segPageSize)
 }
 
 // A bulk store of zeros over bytes written earlier lands: on a page the world
@@ -221,4 +228,87 @@ func TestSegStoreZeroBulkPutWakesWatch(t *testing.T) {
 	if got := w.PageStats().SegPages; got != 0 {
 		t.Fatalf("the zero put materialised %d pages", got)
 	}
+}
+
+// zeroPieces are the small and vectored ways to store zeros onto PE 1 of w at
+// off, visible at at: each stores pieces of at most tsTrackMaxBytes, so each
+// records its timestamps, and none holds a non-zero byte.
+var zeroPieces = []struct {
+	name  string
+	store func(w *World, off int64, at float64)
+}{
+	{"4-byte", func(w *World, off int64, at float64) { w.Write(1, off, Zeros(4), at) }},
+	{"8-byte", func(w *World, off int64, at float64) { w.Write(1, off, make([]byte, 8), at) }},
+	{"WriteV", func(w *World, off int64, at float64) { w.WriteV(1, off, 24, 4, Zeros(16*4), at) }},
+	{"WriteRuns", func(w *World, off int64, at float64) {
+		w.WriteRuns(1, off, []int64{0, 64, 4096, 8}, 16, make([]byte, 4*16), []float64{at, at, at, at})
+	}},
+}
+
+// Small and vectored zero pieces onto fresh memory materialise the page
+// records their timestamps need, but no bytes; a wait on a word they wrote
+// adopts their visibleAt; and a later non-zero store to the same page reads
+// back exactly, with the zeros around it.
+func TestSegStoreZeroPiecesRecordWithoutBytes(t *testing.T) {
+	for _, c := range zeroPieces {
+		t.Run(c.name, func(t *testing.T) {
+			PreloadDirtyPages(2, 0, segPageSize)
+			w := newZeroWorld(t)
+			const off, at = segPageSize + 200, 300
+			c.store(w, off, at)
+			if s := w.PageStats(); s.SegPages != 1 || s.DataPages != 0 || s.TsPages == 0 {
+				t.Fatalf("zero pieces materialised %v, want one page record with timestamps and no bytes", s)
+			}
+			var ts float64
+			if err := w.Run(func(p *PE) {
+				if p.ID == 1 {
+					ts = p.WaitUntil(off, 8, func([]byte) bool { return true })
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if ts != at {
+				t.Errorf("wait on a zero piece's word adopted %v, want %v", ts, at)
+			}
+			expectZero(t, w, 1, 0, 3*segPageSize)
+			w.Write(1, off+8, []byte{1, 2, 3, 4, 5, 6, 7, 8}, at+1)
+			if s := w.PageStats(); s.SegPages != 1 || s.DataPages != 1 {
+				t.Fatalf("a non-zero store onto the page materialised %v, want its bytes on the one record", s)
+			}
+			expectZero(t, w, 1, 0, off+8)
+			if got := w.ReadUint64(1, off+8); got != 0x0807060504030201 {
+				t.Errorf("non-zero store reads back %#x", got)
+			}
+			expectZero(t, w, 1, off+16, 2*segPageSize)
+		})
+	}
+}
+
+// The heap's Free over pages that hold only records materialises nothing,
+// and over a page with bytes it zeroes them, so a later store onto the page
+// reads back exactly with zeros around it.
+func TestSegStoreFreeOfZeroPagesMaterialisesNothing(t *testing.T) {
+	w := newZeroWorld(t)
+	off, err := w.Alloc(3 * segPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3*segPageSize; i += tsBlockBytes {
+		w.WriteUint64(1, off+i, 0, 1)
+	}
+	w.Write(1, off+segPageSize+64, []byte{9, 9, 9, 9}, 1)
+	before := w.PageStats()
+	if before.DataPages != 1 {
+		t.Fatalf("before Free: %v, want the bytes of one page", before)
+	}
+	if err := w.Free(off); err != nil {
+		t.Fatal(err)
+	}
+	if after := w.PageStats(); after != before {
+		t.Fatalf("Free materialised memory: %v, before %v", after, before)
+	}
+	expectZero(t, w, 1, 0, off+3*segPageSize)
+	w.Write(1, off+segPageSize+128, []byte{7}, 2)
+	expectZero(t, w, 1, 0, off+segPageSize+128)
+	expectZero(t, w, 1, off+segPageSize+129, 2*segPageSize)
 }

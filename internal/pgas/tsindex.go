@@ -2,17 +2,18 @@ package pgas
 
 // The timestamp half of segStore: the latest virtual time at which each
 // 8-byte-aligned word of the partition became visible. The records live on
-// the partition's own pages (segstore.go) — one page table, one pool, and a
+// the partition's own page records (segstore.go) — one page table, and a
 // write that has resolved its page for the bytes has resolved it for the
 // timestamps — in dense blocks of 512 words, one per 4 KiB granule of the
 // page, allocated when the granule is first recorded on: flag and control
 // words cluster, so partitions that are never waited on, and the bulk pages of
-// those that are, carry no blocks at all.
+// those that are, carry no blocks at all. A record needs no bytes: a store of
+// zeros onto a page without them records its timestamps and nothing else.
 //
-// A block stays with its page through the pool. The next owner of the page
-// finds it stale and clears it whole before use — every read of the index is
-// a max-merge against what the block holds, so there is no "about to be
-// overwritten" span to spare as there is for the data.
+// A block stays with its record through the record pool. The next owner of
+// the record finds it stale and clears it whole before use — every read of
+// the index is a max-merge against what the block holds, so there is no
+// "about to be overwritten" span to spare as there is for the bytes.
 //
 // Recording is unconditional for small writes even when no waiter is
 // registered: WaitUntil recovers a write's causal timestamp through this
@@ -94,15 +95,14 @@ func (s *segStore) record(pg *segPage, pn, w0, w1 int64, ts float64) {
 }
 
 // recordRange raises the recorded timestamp to ts for every word overlapping
-// the byte range [off, off+n), materialising the pages under it.
+// the byte range [off, off+n), materialising the page records under it.
 func (s *segStore) recordRange(off, n int64, ts float64) {
 	w := off >> 3
 	last := (off + n - 1) >> 3
 	for w <= last {
 		pn := w >> tsPageShift
 		end := min(last, w|tsPageMask)
-		at := w & tsPageMask << 3 // no bytes stored: an empty span of the page
-		s.record(s.page(pn, at, at), pn, w&tsPageMask, end&tsPageMask, ts)
+		s.record(s.page(pn), pn, w&tsPageMask, end&tsPageMask, ts)
 		w = end + 1
 	}
 }

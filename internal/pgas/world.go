@@ -262,7 +262,7 @@ func (w *World) part(target int) *PE {
 }
 
 // Close ends the world's life: every materialised page of every partition,
-// timestamps included, goes back to the process-wide page pool for the next
+// record and bytes, goes back to the process-wide page pools for the next
 // world to use, Run is refused from now on, and any access to partition
 // memory panics with ErrClosed. The owner of a world calls it once the last
 // Run has returned and nothing will read the partitions again — the library
@@ -287,21 +287,26 @@ func (w *World) Close() {
 }
 
 // PageStats is how much partition memory a world materialised, summed over
-// its partitions: segment pages (segPageSize bytes each) and the 4 KiB
-// timestamp blocks on them, how much of that was new memory rather than
-// recycled from closed worlds, and the bytes cleared on handing out recycled
-// memory: a block whole, of a page's data only what its last owner dirtied
-// and the first write does not cover (see segStore.page).
+// its partitions: page records, the pages of them whose bytes materialised
+// (segPageSize each: a page that was only ever stored zeros or recorded on
+// has none), the 4 KiB timestamp blocks on the records, how many records and
+// byte arrays were recycled from closed worlds, how much of it all was new
+// memory, and the bytes cleared on handing out recycled memory: a block
+// whole, of a page's bytes only what their last owner dirtied and the first
+// write does not cover (see segStore.bytesFor).
 type PageStats struct {
-	SegPages     int
-	TsPages      int
-	FreshBytes   int64
-	ClearedBytes int64
+	SegPages          int
+	DataPages         int
+	TsPages           int
+	RecycledSegPages  int
+	RecycledDataPages int
+	FreshBytes        int64
+	ClearedBytes      int64
 }
 
 func (s PageStats) String() string {
-	return fmt.Sprintf("%d seg + %d ts pages (%d KiB, %d KiB of it new memory), %d KiB cleared on hand-out",
-		s.SegPages, s.TsPages, (int64(s.SegPages)*segPageSize+int64(s.TsPages)*tsBlockBytes)>>10, s.FreshBytes>>10, s.ClearedBytes>>10)
+	return fmt.Sprintf("%d seg pages (%d with bytes) + %d ts pages (%d KiB, %d KiB of it new memory), %d KiB cleared on hand-out",
+		s.SegPages, s.DataPages, s.TsPages, (int64(s.DataPages)*segPageSize+int64(s.TsPages)*tsBlockBytes)>>10, s.FreshBytes>>10, s.ClearedBytes>>10)
 }
 
 // PageStats sums the partitions' page counters. It takes each partition lock
@@ -312,10 +317,14 @@ func (w *World) PageStats() PageStats {
 	for i := range w.pes {
 		p := &w.pes[i]
 		p.mu.Lock()
-		s.SegPages += p.seg.materialised
-		s.TsPages += p.seg.tsMaterialised
-		s.FreshBytes += int64(p.seg.fresh)*segPageSize + int64(p.seg.tsFresh)*tsBlockBytes
-		s.ClearedBytes += p.seg.cleared
+		g := &p.seg
+		s.SegPages += g.materialised
+		s.DataPages += g.dataMaterialised
+		s.TsPages += g.tsMaterialised
+		s.RecycledSegPages += g.materialised - g.fresh
+		s.RecycledDataPages += g.dataMaterialised - g.dataFresh
+		s.FreshBytes += int64(g.dataFresh)*segPageSize + int64(g.tsFresh)*tsBlockBytes
+		s.ClearedBytes += g.cleared
 		p.mu.Unlock()
 	}
 	return s

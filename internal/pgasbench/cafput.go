@@ -2,6 +2,7 @@ package pgasbench
 
 import (
 	"cafshmem/internal/caf"
+	"cafshmem/internal/pgas"
 )
 
 // CAFPutConfig describes a CAF-level put benchmark (Figs 6-7): pairs of
@@ -28,9 +29,9 @@ func CAFContigBandwidth(cfg CAFPutConfig, sizes []int) (Series, error) {
 	opts.ActivePairsPerNode = cfg.Pairs
 
 	results := make([]float64, len(sizes))
-	// The source images put from the one read-only payload: a byte coarray's
+	// The source images put from the read-only zero source: a byte coarray's
 	// put hands it to the transport as it stands.
-	vals := payload(maxSize(sizes))
+	vals := pgas.Zeros(maxSize(sizes))
 	err := caf.Run(images, opts, func(img *Image) {
 		c := caf.Allocate[byte](img, len(vals))
 		me := img.ThisImage()

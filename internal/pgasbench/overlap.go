@@ -40,7 +40,7 @@ func OverlapMicro(cfg OverlapConfig) (Panel, error) {
 		return p, err
 	}
 	defer w.PgasWorld().Close()
-	data := payload(maxSize(cfg.Sizes)) // read-only; only PE 0 sends
+	data := pgas.Zeros(maxSize(cfg.Sizes)) // read-only; only PE 0 sends
 	err = w.PgasWorld().Run(func(pp *pgas.PE) {
 		pe := w.Attach(pp)
 		buf := pe.Malloc(int64(len(data)))

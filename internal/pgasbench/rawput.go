@@ -1,9 +1,8 @@
 package pgasbench
 
 import (
-	"sync"
-
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
 )
 
 // Library identifies a raw one-sided communication library under test
@@ -59,12 +58,15 @@ func rawSeries(cfg RawPutConfig, get, latency bool) (Series, error) {
 	per := cfg.Machine.CoresPerNode
 	out := Series{Label: cfg.Profile}
 	results := make([]float64, len(cfg.Sizes))
-	// Every source PE puts from the one read-only payload; the PEs that
-	// never send (all but Pairs of them) need none. A get's destination is
-	// its rank's own, and only the ranks that issue gets allocate one.
+	// Every source PE puts from the read-only zero source, read concurrently
+	// by the series a figure runs at once (parallel): its bulk puts store
+	// nothing onto target pages without bytes, and cost no scan to tell
+	// (pgas.Zeros). The PEs that never send (all but Pairs of them) need no
+	// payload. A get's destination is its rank's own, and only the ranks that
+	// issue gets allocate one.
 	var data []byte
 	if !get {
-		data = payload(maxSize(cfg.Sizes))
+		data = pgas.Zeros(maxSize(cfg.Sizes))
 	}
 	err := runRaw(cfg, 2*per, func(r rawRank) {
 		rank := r.rank()
@@ -117,24 +119,6 @@ func rawSeries(cfg RawPutConfig, get, latency bool) (Series, error) {
 // The rows of the library table share this symmetric buffer size, the largest
 // message a series may carry.
 const maxRawMsg = 4 << 20
-
-// sharedPayload is the read-only source of every put series: all zeros, read
-// concurrently by the source PEs of a world and by the series a figure runs
-// at once (parallel). Being zeros, its bulk puts store nothing on target
-// pages no earlier write materialised (pgas's segStore).
-// It is created on first use, never at package level: programs that link this
-// package without running a series (the benchmark's put_contig_2 child among
-// them) must not carry 4 MiB of resident memory for it.
-var sharedPayload = sync.OnceValue(func() []byte { return make([]byte, maxRawMsg) })
-
-// payload returns n read-only zero bytes: a prefix of sharedPayload, or a
-// buffer of its own for a series that outgrows it.
-func payload(n int) []byte {
-	if n > maxRawMsg {
-		return make([]byte, n)
-	}
-	return sharedPayload()[:n]
-}
 
 // maxSize returns the largest of sizes (0 for none).
 func maxSize(sizes []int) int {
