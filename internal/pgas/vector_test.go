@@ -228,8 +228,9 @@ func (m *flatModel) write(off int64, data []byte, ts float64) {
 // cursor: WriteV and WriteRuns must leave the bytes and the per-word
 // timestamps of the equivalent sequence of Write calls — and both those of a
 // flat model — for elements that straddle pages, strides below the element
-// size (0 included), overlapping runs, elements too large to be tracked, and
-// partitions built on recycled pages whose last owner dirtied part of them.
+// size (0 included), overlapping runs, elements too large to be tracked,
+// pieces of zeros among non-zero ones, and partitions built on recycled pages
+// whose last owner dirtied part of them.
 func TestVectoredWritesMatchWriteSequence(t *testing.T) {
 	const extent = 3*segPageSize + 64
 	type piece struct {
@@ -243,6 +244,7 @@ func TestVectoredWritesMatchWriteSequence(t *testing.T) {
 		stride int64
 		es, n  int
 		offs   []int64 // WriteRuns: piece offsets from off
+		zeros  []int   // pieces whose payload is all zero
 	}{
 		{name: "words across a page boundary", v: true, off: segPageSize - 20, stride: 8, es: 8, n: 6},
 		{name: "4-byte elements at an odd stride across two boundaries", v: true, off: segPageSize - 6, stride: 4098, es: 4, n: 5},
@@ -255,6 +257,9 @@ func TestVectoredWritesMatchWriteSequence(t *testing.T) {
 		{name: "overlapping runs", off: 8, es: 24, offs: []int64{64, 72, 56, 64, segPageSize - 16, segPageSize - 28, 0}},
 		{name: "runs in descending order across pages", off: 0, es: 4, offs: []int64{2*segPageSize + 2, 2*segPageSize - 2, segPageSize, segPageSize - 4, 4, 0}},
 		{name: "untracked runs", off: 40, es: tsTrackMaxBytes + 1, offs: []int64{segPageSize, 0, 512}},
+		{name: "untracked zero runs around one that crosses onto their page", off: 2 * segPageSize, es: 2000, offs: []int64{0, 14432, 13832}, zeros: []int{0, 2}},
+		{name: "tracked zero runs around one that crosses onto their page", off: 8, es: 24, offs: []int64{0, segPageSize - 16, 64, segPageSize + 8}, zeros: []int{0, 2, 3}},
+		{name: "zero elements among non-zero ones", v: true, off: segPageSize - 3000, stride: 1500, es: 2000, n: 4, zeros: []int{0, 2}},
 	}
 	defer PauseGC()() // a collection between preload and use would drop the dirty pages
 	rng := rand.New(rand.NewSource(16))
@@ -288,6 +293,9 @@ func TestVectoredWritesMatchWriteSequence(t *testing.T) {
 			}
 			src := make([]byte, len(pieces)*tc.es)
 			rng.Read(src)
+			for _, i := range tc.zeros {
+				clear(src[i*tc.es : (i+1)*tc.es])
+			}
 			visAt := make([]float64, len(pieces))
 			for i := range visAt {
 				visAt[i] = float64(rng.Intn(1000))
