@@ -251,7 +251,7 @@ shmem (*PE).RMA
 shmem Sym.span
 pgas (*PE).CheckHandle
 pgas (*PE).linkPenalty
-pgas (*segStore).block
+pgas (*tsPacked).rank
 pgas (*RMA).Span
 pgas reliable
 fabric (*Clock).Advance

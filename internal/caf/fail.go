@@ -138,8 +138,10 @@ func (img *Image) LinkReports() []LinkReport {
 }
 
 // PageStats is a world's partition-memory record (re-exported from pgas):
-// segment and timestamp pages materialised, how much of that was new memory
-// rather than pages recycled from earlier jobs, bytes cleared on hand-out.
+// page records, the pages of them with bytes, packed timestamp records and
+// dense timestamp blocks materialised, how many records, byte arrays and
+// packed records were recycled from earlier jobs, how much of it all was new
+// memory, bytes cleared on hand-out.
 type PageStats = pgas.PageStats
 
 // PageStats returns the job's partition-memory counters so far. Like

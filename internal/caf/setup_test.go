@@ -22,7 +22,7 @@ func runMallocs(t *testing.T, n int, opts Options, body func(*Image)) uint64 {
 // setupMallocsPerImage is the per-image slope of a Run's mallocs between 64
 // and 512 images: what every image adds to a world's set-up, with what a world
 // costs whatever its size taken out. A first run at 512 images fills the page
-// pools and the runtime's free goroutines, so neither is counted.
+// free lists and the runtime's free goroutines, so neither is counted.
 func setupMallocsPerImage(t *testing.T, opts Options, body func(*Image)) float64 {
 	t.Helper()
 	const lo, hi = 64, 512
@@ -39,9 +39,6 @@ func setupMallocsPerImage(t *testing.T, opts Options, body func(*Image)) float64
 // NewLock costs an image its descriptor and, for a coarray, the one slab of its
 // geometry.
 func TestWorldSetupAllocs(t *testing.T) {
-	if pgas.RaceEnabled {
-		t.Skip("under -race sync.Pool drops a quarter of what is put into it, and the partitions borrow their pages from one")
-	}
 	defer pgas.PauseGC()()
 	eachTransport(t, func(t *testing.T, opts Options) {
 		empty := setupMallocsPerImage(t, opts, func(*Image) {})

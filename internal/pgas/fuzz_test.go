@@ -14,7 +14,7 @@ import (
 // against a flat zero-initialised reference array. Any divergence between a
 // paged read and the dense reference (page-boundary straddles, reads of
 // unmaterialised pages, reads past the extent, overlapping runs resolving in
-// slice order) is a substrate bug. Every case starts with the page pool
+// slice order) is a substrate bug. Every case starts with the free lists
 // pre-loaded with pages full of 0xFF and +Inf, so the pages the store
 // materialises are recycled ones, and the span writes (op 5) start and end at
 // arbitrary in-page offsets, page boundaries included: whatever a write does
@@ -70,7 +70,7 @@ func FuzzSegStore(f *testing.F) {
 	}
 	f.Add(recycled)
 	// Zero spans: two pages onto fresh pages; one onto a page a four-byte
-	// write took from the dirty pool and a fresh one beyond it; one over
+	// write took from the dirty free list and a fresh one beyond it; one over
 	// written pages; and 32 bytes across the page-0/1 boundary, over written
 	// pages and over fresh ones — each followed by a read of the whole model.
 	f.Add([]byte{8, 0, 0, 0, 0, 0x80, 0x00, 6, 0, 0, 0, 0, 0xC1, 0x01})
@@ -349,27 +349,41 @@ func FuzzSegStore(f *testing.F) {
 }
 
 // FuzzTsIndex is FuzzSegStore's twin for the timestamp index: dense range
-// records, sparse single-word records and range queries over a few granules
-// of two pages, mirrored against one float64 per word. The pool is pre-loaded
-// with pages whose blocks hold +Inf, so a recycled block that was not cleared
-// whole would stick at +Inf under the index's max-merge, and op 3 releases
-// the store and carries on with the pages it recorded on; the closing sweep
-// checks every word, so a never-recorded word must read 0 and a sparse record
-// must survive its migration into a dense block exactly.
+// records, single-word records, sparse single-word records and range queries
+// over a few granules of two pages, mirrored against one float64 per word.
+// Every free list is pre-loaded with poison — packed records whose mask
+// claims words all over their granule, dense blocks, both at +Inf — so a
+// recycled packed record whose mask was not reset, or a recycled dense block
+// not cleared whole, would stick at +Inf under the index's max-merge. Op 4
+// records 1-80 single words of one granule in a scattered order, so a run
+// crosses the packed layout's cap and the granule turns dense mid-run, and op
+// 3 releases the store and carries on with the parts it recorded on. The
+// closing sweep checks every word, so a never-recorded word must read 0 and a
+// stamp must survive every move — sparse to packed, packed to dense, a later
+// packed stamp shifting up by one — exactly.
 func FuzzTsIndex(f *testing.F) {
 	f.Add([]byte{0, 0x00, 0x00, 0, 8, 5, 2, 0x00, 0x00, 0, 16})
 	f.Add([]byte{1, 0x10, 0x08, 9, 0, 0x10, 0x00, 0, 64, 3, 2, 0x10, 0x00, 1, 0})    // sparse, then dense over it
 	f.Add([]byte{0, 0x0F, 0xF8, 0, 16, 7, 1, 0x2F, 0xF0, 4, 2, 0x0F, 0xF0, 0x20, 0}) // straddles granules 0/1
-	// Recycled blocks: granules 1 and 3 of page 0 and a sparse word are
-	// recorded, the store is released, and the next life records on granule 0
-	// (a spare block moves), across the page-0/1 boundary, and asks for all.
+	// Recycled parts: granules 1 and 3 of page 0 and a sparse word are
+	// recorded, the store is released, and the next life records on granule 0,
+	// across the page-0/1 boundary, and asks for all.
 	f.Add([]byte{0, 0x10, 0x00, 0, 64, 9, 0, 0x30, 0x08, 0, 8, 7, 1, 0x20, 0x10, 5, 3, 0, 0,
 		0, 0x00, 0x10, 0, 8, 4, 0, 0x3F, 0xF0, 0, 40, 6, 1, 0x20, 0x10, 2, 2, 0x00, 0x00, 0x50, 0x17})
-	// Zero runs of a WriteRuns past the tracked limit: one onto page 0,
-	// then a non-zero one across the page-0/1 boundary, then a zero one back
-	// on page 0 over the bytes the second stored — followed by a read of the
-	// whole model.
-	f.Add([]byte{2, 0x00, 0x00, 0x82, 62, 0x00, 0x00, 0x3A, 0x98, 0x38, 0x30, 6, 0, 0, 0, 0, 0xC1, 0x01})
+	// Promotion at the 65th word: 64 scattered words of granule 0 fill its
+	// packed record (word 1 upwards in steps of 151), a query reads the granule
+	// packed, and word 0 — a new first stamp — turns it dense.
+	f.Add([]byte{4, 0x00, 0x08, 63, 75, 9, 2, 0x00, 0x00, 0x0F, 0xFF, 4, 0x00, 0x00, 0, 0, 11, 2, 0x00, 0x00, 0x0F, 0xFF})
+	// A packed record recycled across release: five words of granule 1 at
+	// stamp 200, release, and five other words of granule 1 take the same
+	// record back; the first life's words must read 0.
+	f.Add([]byte{4, 0x10, 0x00, 4, 10, 200, 3, 0, 0, 4, 0x10, 0x08, 4, 10, 3, 2, 0x10, 0x00, 0x0F, 0xFF})
+	// An overlay word on a packed granule: a sparse word on granule 2 before
+	// it is in use, eight words recorded there (the overlay word migrates into
+	// the packed record), another sparse word now recorded in it, and 60 more
+	// words that crowd the granule dense.
+	f.Add([]byte{1, 0x20, 0x18, 50, 4, 0x20, 0x00, 7, 1, 30, 1, 0x21, 0x00, 40,
+		2, 0x20, 0x00, 0x0F, 0xFF, 4, 0x20, 0x40, 59, 5, 20, 2, 0x20, 0x00, 0x0F, 0xFF})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		const words = 5*tsBlockWords + 3
 		const span = words * 8
@@ -406,8 +420,8 @@ func FuzzTsIndex(f *testing.F) {
 				break
 			}
 			off, ok1 := next16(span)
-			switch op % 4 {
-			case 3: // release: the next record finds this life's pages recycled
+			switch op % 5 {
+			case 3: // release: the next record finds this life's parts recycled
 				ix.release()
 				clear(ref)
 			case 0: // dense record over [off, off+n)
@@ -434,6 +448,23 @@ func FuzzTsIndex(f *testing.F) {
 					return
 				}
 				check(step, off, min(n+1, span-off))
+			case 4: // 1-80 single words of off's granule, from off's word at an odd stride
+				cnt, ok2 := next()
+				stride, ok3 := next()
+				ts, ok4 := next()
+				if !ok1 || !ok2 || !ok3 || !ok4 {
+					return
+				}
+				w0 := off >> 3
+				first := w0 &^ tsBlockMask
+				gw := min(tsBlockWords, words-first)
+				for i := 0; i <= cnt%80; i++ {
+					w := first + (w0-first+i*(2*stride+1))%gw
+					v := float64((ts + i*37) % 256)
+					pn, i := int64(w>>tsPageShift), int64(w&tsBlockMask)
+					ix.raise(ix.page(pn), pn, int64(w&tsPageMask>>tsBlockShift), i, i, v)
+					ref[w] = math.Max(ref[w], v)
+				}
 			}
 		}
 		for w := 0; w < words; w++ {

@@ -8,8 +8,7 @@ import (
 // PauseGC collects once and then turns the garbage collector off until the
 // returned function restores it. Only tests call it, around an allocation
 // ceiling's measured window: a collection inside the window would empty the
-// page and scratch pools, so the verdict would read the collector rather than
-// the code.
+// scratch pools, so the verdict would read the collector rather than the code.
 //
 //	defer pgas.PauseGC()()
 func PauseGC() (restore func()) {

@@ -8,7 +8,7 @@ import (
 	"cafshmem/internal/fabric"
 )
 
-// Tests of the partition-memory life cycle (World.Close, the page pools).
+// Tests of the partition-memory life cycle (World.Close, the free lists).
 
 func mustPanicClosed(t *testing.T, what string, f func()) {
 	t.Helper()
@@ -109,23 +109,14 @@ func churnWorld(t *testing.T, payload []byte) (uint64, PageStats) {
 // worlds have come and gone, twenty more of the same shape materialise their
 // page records (the 1 MiB put's, and on each of the other partitions the two
 // its eight flags fall in), the bytes of the pages that hold a non-zero byte
-// and 256 timestamp pages each from recycled memory — under one segment page
-// of new memory over all twenty, where every world used to cost megabytes —
-// and the traffic allocates nothing but page tables. A payload of zeros
-// materialises nothing, and a page whose flags store zero has a record but
-// no bytes.
+// and 256 packed timestamp records each from recycled memory — under one
+// segment page of new memory over all twenty, where every world used to cost
+// megabytes — and the traffic allocates nothing but page tables. A collection
+// runs between every two worlds: the free lists keep what it would have
+// emptied from a pool. A payload of zeros materialises nothing, and a page
+// whose flags store zero has a record but no bytes.
 func TestWorldChurnAllocBytes(t *testing.T) {
 	const flagPages = (8*tsBlockBytes + segPageSize - 1) / segPageSize
-	if RaceEnabled {
-		t.Skip("under -race sync.Pool drops a quarter of what is put into it, and this test counts the pages it hands out")
-	}
-	// No collection: the runtime empties a sync.Pool over two of them, which
-	// would turn recycled pages into fresh ones.
-	defer PauseGC()()
-	// One P: a sync.Pool keeps one item per P where no other P can reach it,
-	// so a goroutine that migrates between Close and the next world's writes
-	// would miss a page or two, and this test counts them.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ones := make([]byte, 1<<20)
 	for i := range ones {
 		ones[i] = byte(i) | 1
@@ -150,24 +141,25 @@ func TestWorldChurnAllocBytes(t *testing.T) {
 			var bytes uint64
 			var pages PageStats
 			for i := 0; i < 20; i++ {
+				runtime.GC()
 				b, s := churnWorld(t, c.payload)
 				bytes += b
-				if s.SegPages != segPages || s.DataPages != dataPages || s.TsPages != 256 {
-					t.Fatalf("world %d materialised %d page records, %d with bytes, and %d timestamp pages, want %d, %d and 256",
-						i, s.SegPages, s.DataPages, s.TsPages, segPages, dataPages)
+				if s.SegPages != segPages || s.DataPages != dataPages || s.PackedRecords != 256 || s.TsPages != 0 {
+					t.Fatalf("world %d materialised %d page records, %d with bytes, %d packed timestamp records and %d dense ones, want %d, %d, 256 and 0",
+						i, s.SegPages, s.DataPages, s.PackedRecords, s.TsPages, segPages, dataPages)
 				}
 				pages.FreshBytes += s.FreshBytes
 				pages.ClearedBytes += s.ClearedBytes
 			}
 			if pages.FreshBytes >= segPageSize {
 				t.Errorf("20 worlds took %d KiB of new page memory, want < %d KiB (each materialises %d KiB)",
-					pages.FreshBytes>>10, segPageSize>>10, (int64(dataPages)*segPageSize+256*tsBlockBytes)>>10)
+					pages.FreshBytes>>10, segPageSize>>10, (int64(dataPages)*segPageSize+256*tsPackedBytes)>>10)
 			}
 			// A non-zero payload covers its pages exactly, so only the bytes
-			// of the flagged pages and the timestamp pages are cleared.
-			if perWorld := pages.ClearedBytes / 20; perWorld > int64(c.flagged)*segPageSize+256*tsBlockBytes {
+			// of the flagged pages and the packed records' indexes are cleared.
+			if perWorld := pages.ClearedBytes / 20; perWorld > int64(c.flagged)*segPageSize+256*tsPackedIndexBytes {
 				t.Errorf("cleared %d KiB per world on hand-out, want at most %d KiB: the bulk put's pages must not be cleared",
-					perWorld>>10, (int64(c.flagged)*segPageSize+256*tsBlockBytes)>>10)
+					perWorld>>10, (int64(c.flagged)*segPageSize+256*tsPackedIndexBytes)>>10)
 			}
 			// What is left is the partitions' page tables (a few hundred bytes
 			// per PE that was written to): well under 1 MiB for all twenty.

@@ -225,7 +225,7 @@ const tsTrackMaxBytes = 1024
 // noteTouch is the bookkeeping of the symmetric-heap Touch: the watch scan
 // and wakeup of a write, but the timestamp goes through the index's sparse
 // overlay, so backing a region at a high never-written offset does not
-// materialise a timestamp block (at 10k PEs the per-malloc Touch blocks
+// materialise a granule's timestamps (at 10k PEs the per-malloc Touch blocks
 // dominated world-construction time and memory). Must be called with p.mu held.
 func (p *PE) noteTouch(off int64, visibleAt float64) {
 	p.seg.recordWordSparse(off, visibleAt)

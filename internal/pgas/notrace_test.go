@@ -15,13 +15,13 @@ import (
 // claim that recycled memory is indistinguishable from new. A world of the
 // golden runs' shape writes bulk payloads and flag words all over its
 // partitions, every page it materialised is then overwritten with the worst
-// a page can hold (0xFF bytes, +Inf timestamps) and the world is closed — so
-// both pools, page records and bytes, hold nothing but poison — and the
-// Himeno and DHT jobs that follow must reproduce their pinned goldens
+// a page can hold (0xFF bytes, +Inf timestamps, packed and dense) and the
+// world is closed — so the free lists hold nothing but poison on top — and
+// the Himeno and DHT jobs that follow must reproduce their pinned goldens
 // (internal/himeno/golden_test.go, internal/dht/dht_test.go) bit for bit and
 // conserve the DHT's grand total, while their page counters show that they
-// did run on recycled records and recycled bytes. Afterwards the zero source
-// must still read zero.
+// did run on recycled records, bytes and packed records. Afterwards the zero
+// source must still read zero.
 func TestClosedWorldLeavesNoTrace(t *testing.T) {
 	const images = 8
 	hopts := caf.UHCAFOverMV2XSHMEM()
@@ -57,8 +57,8 @@ func TestClosedWorldLeavesNoTrace(t *testing.T) {
 		t.Errorf("himeno over poisoned pages = (%v ms, gosa %v), want golden (0.12599072727272725, 0.055324603606416084)",
 			res.TimeMs, res.Gosa)
 	}
-	if !pgas.RaceEnabled && !recycledBoth(res.Pages) {
-		t.Errorf("himeno used no recycled page record or no recycled bytes (%+v): the test did not test anything", res.Pages)
+	if !recycledAll(res.Pages) {
+		t.Errorf("himeno used no recycled page record, bytes or packed record (%+v): the test did not test anything", res.Pages)
 	}
 
 	poison()
@@ -70,8 +70,8 @@ func TestClosedWorldLeavesNoTrace(t *testing.T) {
 	if r.TimeMs != 0.28665636363636365 {
 		t.Errorf("dht over poisoned pages: TimeMs = %v, want golden 0.28665636363636365", r.TimeMs)
 	}
-	if !pgas.RaceEnabled && !recycledBoth(r.Pages) {
-		t.Errorf("dht used no recycled page record or no recycled bytes (%+v): the test did not test anything", r.Pages)
+	if !recycledAll(r.Pages) {
+		t.Errorf("dht used no recycled page record, bytes or packed record (%+v): the test did not test anything", r.Pages)
 	}
 
 	// The timing golden does not read the table back; a contended run
@@ -102,8 +102,8 @@ func TestClosedWorldLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// recycledBoth reports whether a job took both a page record and a page's
-// bytes from the pools rather than from new memory.
-func recycledBoth(s pgas.PageStats) bool {
-	return s.RecycledSegPages > 0 && s.RecycledDataPages > 0
+// recycledAll reports whether a job took a page record, a page's bytes and a
+// packed timestamp record from the free lists rather than from new memory.
+func recycledAll(s pgas.PageStats) bool {
+	return s.RecycledSegPages > 0 && s.RecycledDataPages > 0 && s.RecycledPackedRecords > 0
 }

@@ -15,26 +15,27 @@ import (
 // than what is ever stored. A flat []byte would materialise every zero byte
 // below the highest written offset (hundreds of MB per world at 256 PEs).
 //
-// A page has two parts with two life cycles. Its record (segPage: timestamp
-// blocks and live mask) materialises at the first store or timestamp record
-// on the page; its bytes (segBytes: the 16 KiB array and its dirty range)
-// only at the first store that holds a non-zero byte. A page without bytes
-// reads as zero, which is exactly what unwritten memory is, so a span of
-// zeros of any length stores no bytes onto it (put), a piece of at most
-// tsTrackMaxBytes still records its timestamps, and a longer one onto a page
-// without a record materialises nothing at all. Whether a span is all zero is
-// one compare against the process-wide zero source (isZero): a piece taken
-// from Zeros costs O(1), any other is scanned.
+// A page has three parts with their own life cycles. Its record (segPage)
+// materialises at the first store or timestamp record on the page; its
+// timestamps, a packed record or a dense block per 4 KiB granule, at the
+// first record on each granule (tsindex.go); its bytes (segBytes: the 16 KiB
+// array and its dirty range) only at the first store that holds a non-zero
+// byte. A page without bytes reads as zero, which is exactly what unwritten
+// memory is, so a span of zeros of any length stores no bytes onto it (put),
+// a piece of at most tsTrackMaxBytes still records its timestamps, and a
+// longer one onto a page without a record materialises nothing at all.
+// Whether a span is all zero is one compare against the process-wide zero
+// source (isZero): a piece taken from Zeros costs O(1), any other is scanned.
 //
-// Both parts outlive the store: records come from segPagePool and bytes from
-// segBytesPool, and both go back when the owning world is closed (release),
-// so a program that builds hundreds of short-lived worlds — every figure of
-// the paper is one — keeps re-using the same memory instead of asking the
-// runtime for fresh zeroed pages. Recycled bytes remember the range their
-// last owner dirtied; the store that takes them clears exactly the part of
-// that range its first write does not cover (bytesFor), so recycled memory is
-// indistinguishable from new and a flag-sized first write does not pay for
-// 16 KiB of memclr.
+// Every part outlives the store: release gives records, bytes, packed records
+// and dense blocks back to a free list each (freeList), and the next store
+// takes from there before it asks the runtime, so a program that builds
+// hundreds of short-lived worlds — every figure of the paper is one — keeps
+// re-using the same memory instead of asking for fresh zeroed pages.
+// Recycled bytes remember the range their last owner dirtied; the store that
+// takes them clears exactly the part of that range its first write does not
+// cover (bytesFor), so recycled memory is indistinguishable from new and a
+// flag-sized first write does not pay for 16 KiB of memclr.
 //
 // All methods must be called with the owning PE's mu held.
 type segStore struct {
@@ -42,29 +43,28 @@ type segStore struct {
 	// highest offset written, so its entries are single pointers.
 	pages  []*segPage
 	length int64 // logical extent: the high-water mark of ensure()
-	// sparse holds isolated timestamp records on granules no dense record
-	// ever touched, in no order; see recordWordSparse.
+	// sparse holds isolated timestamp records on granules not yet in use,
+	// in no order; see recordWordSparse.
 	sparse []sparseTs
-	// Observability (World.PageStats): page records, byte arrays and
-	// timestamp blocks brought into use since the store was created, how many
-	// of each were new memory rather than recycled, and the bytes cleared
-	// while handing out the recycled ones.
-	materialised, fresh         int
-	dataMaterialised, dataFresh int
-	tsMaterialised, tsFresh     int
-	cleared                     int64
+	// Observability (World.PageStats): page records, byte arrays, packed
+	// records and dense timestamp blocks brought into use since the store was
+	// created, how many of each were new memory rather than recycled, and the
+	// bytes cleared while handing out the recycled ones.
+	materialised, fresh             int
+	dataMaterialised, dataFresh     int
+	packedMaterialised, packedFresh int
+	tsMaterialised, tsFresh         int
+	cleared                         int64
 }
 
-// segPage is the record of one page of a partition: the timestamp blocks of
-// the 4 KiB granules that were recorded on, and the page's bytes once
-// something other than zeros was stored there.
+// segPage is the record of one page of a partition: the timestamps of each
+// 4 KiB granule that was recorded on, packed or dense (at most one of the
+// two), and the page's bytes once something other than zeros was stored
+// there.
 type segPage struct {
-	data *segBytes // nil while the page reads as zero
-	// ts[g] covers granule g once live has bit g; a block without its bit is
-	// a spare from an earlier life, stale, which block clears and puts to use
-	// in whichever granule asks first.
-	ts   [segPageSize / tsBlockBytes]*tsBlock
-	live uint8
+	data   *segBytes // nil while the page reads as zero
+	packed [segGranules]*tsPacked
+	dense  [segGranules]*tsBlock
 }
 
 // segBytes is the bytes of one page and the in-page range [lo, hi) written
@@ -86,12 +86,43 @@ const (
 	segPageMask  = segPageSize - 1
 )
 
-// segPagePool recycles page records, with whatever timestamp blocks they
-// carry, and segBytesPool their bytes, across worlds. Neither has a New: a
-// miss is visible to page and bytesFor, which then know the memory came
-// zeroed from the runtime. The pools are unbounded by design — the GC drops what two
-// cycles did not use.
-var segPagePool, segBytesPool sync.Pool
+// freeList is a process-wide stack of recycled parts of pages. Unlike a
+// sync.Pool it is not emptied by the collector: what a closed world gave back
+// waits for the next world however many collections run in between, so the
+// process keeps the peak of its page memory until it exits (DESIGN.md
+// "Partition memory life cycle"). get returns nil when the list is empty, and
+// the taker then knows its memory came zeroed from the runtime.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return nil
+	}
+	x := l.items[n-1]
+	l.items[n-1], l.items = nil, l.items[:n-1]
+	return x
+}
+
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	l.items = append(l.items, x)
+	l.mu.Unlock()
+}
+
+// The free lists of the four parts of a page: records, bytes, and the packed
+// and dense layouts of a granule's timestamps.
+var (
+	segRecordFree freeList[segPage]
+	segBytesFree  freeList[segBytes]
+	tsPackedFree  freeList[tsPacked]
+	tsDenseFree   freeList[tsBlock]
+)
 
 // zeros is the process-wide read-only zero source. It lives in BSS, so it
 // costs a process resident memory only as the kernel's shared zero page.
@@ -145,8 +176,8 @@ func (s *segStore) at(pn int64) *segPage {
 }
 
 // page returns the record of page pn, materialised. On first touch the page
-// table grows geometrically and the record is taken from segPagePool, its
-// spare timestamp blocks with it, or allocated; it has no bytes yet.
+// table grows geometrically and the record is taken from its free list or
+// allocated; it has no bytes and no timestamps yet.
 func (s *segStore) page(pn int64) *segPage {
 	if pn < int64(len(s.pages)) {
 		if pg := s.pages[pn]; pg != nil {
@@ -161,10 +192,8 @@ func (s *segStore) page(pn int64) *segPage {
 		copy(np, s.pages)
 		s.pages = np
 	}
-	pg, ok := segPagePool.Get().(*segPage)
-	if ok {
-		pg.live = 0
-	} else {
+	pg := segRecordFree.get()
+	if pg == nil {
 		pg = new(segPage)
 		s.fresh++
 	}
@@ -175,17 +204,17 @@ func (s *segStore) page(pn int64) *segPage {
 
 // bytesFor returns the bytes of pg for a caller about to store its in-page
 // span [lo, hi), which joins their dirty range. A page without bytes takes
-// them from segBytesPool: of recycled bytes only the stale ones outside
+// them from their free list: of recycled bytes only the stale ones outside
 // [lo, hi) are cleared — the store overwrites the rest at once, so a bulk
-// put into new memory pays one memmove and no memclr — and a pool miss
-// allocates an array the runtime already zeroed.
+// put into new memory pays one memmove and no memclr — and on an empty list
+// it allocates an array the runtime already zeroed.
 func (s *segStore) bytesFor(pg *segPage, lo, hi int64) *[segPageSize]byte {
 	if d := pg.data; d != nil {
 		d.lo, d.hi = min(d.lo, lo), max(d.hi, hi)
 		return d.buf
 	}
-	d, ok := segBytesPool.Get().(*segBytes)
-	if ok {
+	d := segBytesFree.get()
+	if d != nil {
 		if below := min(lo, d.hi); below > d.lo {
 			clear(d.buf[d.lo:below])
 			s.cleared += below - d.lo
@@ -220,17 +249,27 @@ func (s *segStore) readPage(off int64) []byte {
 	return segZeroPage
 }
 
-// release returns every page record to segPagePool and its bytes to
-// segBytesPool; what the store held, bytes and timestamps, now reads as zero.
+// release gives every page record and each of its parts, bytes, packed
+// records and dense blocks, back to its free list, the record bare; what the
+// store held, bytes and timestamps, now reads as zero.
 func (s *segStore) release() {
 	for _, pg := range s.pages {
-		if pg != nil {
-			if pg.data != nil {
-				segBytesPool.Put(pg.data)
-				pg.data = nil
-			}
-			segPagePool.Put(pg)
+		if pg == nil {
+			continue
 		}
+		if pg.data != nil {
+			segBytesFree.put(pg.data)
+		}
+		for g := range segGranules {
+			if p := pg.packed[g]; p != nil {
+				tsPackedFree.put(p)
+			}
+			if d := pg.dense[g]; d != nil {
+				tsDenseFree.put(d)
+			}
+		}
+		*pg = segPage{}
+		segRecordFree.put(pg)
 	}
 	s.pages, s.sparse = nil, nil
 }
@@ -263,9 +302,22 @@ type segCursor struct {
 	s  *segStore
 	pn int64    // page number of pg; -1 before the first piece
 	pg *segPage // nil: page pn had no record at its last piece
+	// zero: every piece is known to be all zero, so none is tested. A
+	// vectored op tests its whole source once (zeroCursor); a single store
+	// tests its piece only where it lands on a page without bytes.
+	zero bool
 }
 
 func (s *segStore) cursor() segCursor { return segCursor{s: s, pn: -1} }
+
+// zeroCursor is cursor for the pieces of src: one test of the whole source
+// against the zero source, O(1) for a source taken from Zeros, spares every
+// piece its own.
+func (s *segStore) zeroCursor(src []byte) segCursor {
+	c := s.cursor()
+	c.zero = len(src) <= len(zeros) && isZero(src, 0)
+	return c
+}
 
 // put stores data at off, visible at ts: the bytes, and for a piece of at most
 // tsTrackMaxBytes the per-word timestamps. A piece inside one page goes
@@ -290,7 +342,7 @@ func (c *segCursor) put(off int64, data []byte, ts float64) {
 		pg = c.s.at(pn)
 		c.pn, c.pg = pn, pg
 	}
-	st := stores(pg, data, 0)
+	st := pg != nil && pg.data != nil || !c.zero && !isZero(data, 0)
 	if !st && n > tsTrackMaxBytes {
 		return
 	}
@@ -309,8 +361,15 @@ func (c *segCursor) put(off int64, data []byte, ts float64) {
 			copy(buf[lo:hi], data)
 		}
 	}
-	if n <= tsTrackMaxBytes {
-		c.s.record(pg, pn, lo>>3, (hi-1)>>3, ts)
+	if n > tsTrackMaxBytes {
+		return
+	}
+	// A piece inside one granule, as all but a few are, skips record's walk.
+	w0, w1 := lo>>3, (hi-1)>>3
+	if g := w0 >> tsBlockShift; g == w1>>tsBlockShift {
+		c.s.raise(pg, pn, g, w0&tsBlockMask, w1&tsBlockMask, ts)
+	} else {
+		c.s.record(pg, pn, w0, w1, ts)
 	}
 }
 

@@ -158,7 +158,7 @@ func TestSegStoreZeroPutOnFreshPagesStoresNothing(t *testing.T) {
 }
 
 // A bulk store of zeros over bytes written earlier lands: on a page the world
-// wrote, and on a page it took from a pool of pages full of 0xFF.
+// wrote, and on a page it took from a free list of pages full of 0xFF.
 func TestSegStoreZeroPutOverWrittenBytesLands(t *testing.T) {
 	for _, pooled := range []bool{false, true} {
 		if pooled {
@@ -256,8 +256,8 @@ func TestSegStoreZeroPiecesRecordWithoutBytes(t *testing.T) {
 			w := newZeroWorld(t)
 			const off, at = segPageSize + 200, 300
 			c.store(w, off, at)
-			if s := w.PageStats(); s.SegPages != 1 || s.DataPages != 0 || s.TsPages == 0 {
-				t.Fatalf("zero pieces materialised %v, want one page record with timestamps and no bytes", s)
+			if s := w.PageStats(); s.SegPages != 1 || s.DataPages != 0 || s.PackedRecords == 0 {
+				t.Fatalf("zero pieces materialised %v, want one page record with packed timestamps and no bytes", s)
 			}
 			var ts float64
 			if err := w.Run(func(p *PE) {

@@ -37,7 +37,7 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	p.mu.Lock()
 	p.ensureLen(off + int64(nelems-1)*strideBytes + es)
 	matched := false
-	c := p.seg.cursor()
+	c := p.seg.zeroCursor(src)
 	for o := off; len(src) > 0; o, src = o+strideBytes, src[es:] {
 		c.put(o, src[:es], visibleAt)
 		if p.raiseWatch(o, es, visibleAt) {
@@ -108,7 +108,7 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	p.mu.Lock()
 	p.ensureLen(extent)
 	matched := false
-	c := p.seg.cursor()
+	c := p.seg.zeroCursor(src)
 	for i, o := range offs {
 		o += base
 		c.put(o, src[int64(i)*rb:int64(i+1)*rb], visAt[i])

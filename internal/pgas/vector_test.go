@@ -261,12 +261,11 @@ func TestVectoredWritesMatchWriteSequence(t *testing.T) {
 		{name: "tracked zero runs around one that crosses onto their page", off: 8, es: 24, offs: []int64{0, segPageSize - 16, 64, segPageSize + 8}, zeros: []int{0, 2, 3}},
 		{name: "zero elements among non-zero ones", v: true, off: segPageSize - 3000, stride: 1500, es: 2000, n: 4, zeros: []int{0, 2}},
 	}
-	defer PauseGC()() // a collection between preload and use would drop the dirty pages
 	rng := rand.New(rand.NewSource(16))
 	for _, recycled := range []bool{false, true} {
 		for _, tc := range cases {
-			// The pool is LIFO for one goroutine: the worlds' first pages are
-			// these, stale over [96, segPageSize-8) with +Inf in every block.
+			// The free lists are LIFO: the worlds' first pages are these,
+			// stale over [96, segPageSize-8) with +Inf in every stamp.
 			if recycled {
 				PreloadDirtyPages(8, 96, segPageSize-8)
 			}

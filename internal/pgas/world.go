@@ -262,9 +262,9 @@ func (w *World) part(target int) *PE {
 }
 
 // Close ends the world's life: every materialised page of every partition,
-// record and bytes, goes back to the process-wide page pools for the next
-// world to use, Run is refused from now on, and any access to partition
-// memory panics with ErrClosed. The owner of a world calls it once the last
+// record, bytes and timestamps, goes back to the process-wide free lists for
+// the next world to use, Run is refused from now on, and any access to
+// partition memory panics with ErrClosed. The owner of a world calls it once the last
 // Run has returned and nothing will read the partitions again — the library
 // Run functions do, after their finalisation; a caller that builds a world
 // by hand and inspects it after Run closes it when done, or not at all (an
@@ -289,24 +289,30 @@ func (w *World) Close() {
 // PageStats is how much partition memory a world materialised, summed over
 // its partitions: page records, the pages of them whose bytes materialised
 // (segPageSize each: a page that was only ever stored zeros or recorded on
-// has none), the 4 KiB timestamp blocks on the records, how many records and
-// byte arrays were recycled from closed worlds, how much of it all was new
-// memory, and the bytes cleared on handing out recycled memory: a block
-// whole, of a page's bytes only what their last owner dirtied and the first
-// write does not cover (see segStore.bytesFor).
+// has none), the timestamps of the 4 KiB granules recorded on, as packed
+// records (every granule starts packed) and as dense blocks (the granules
+// crowded past a packed record's tsPackedCap words), how many records, byte
+// arrays and packed records were recycled from closed worlds, how much of it
+// all was new memory, and the bytes cleared on handing out recycled memory:
+// a packed record's mask and counts, a dense block whole, of a page's bytes only what
+// their last owner dirtied and the first write does not cover (see
+// segStore.bytesFor).
 type PageStats struct {
-	SegPages          int
-	DataPages         int
-	TsPages           int
-	RecycledSegPages  int
-	RecycledDataPages int
-	FreshBytes        int64
-	ClearedBytes      int64
+	SegPages              int
+	DataPages             int
+	PackedRecords         int
+	TsPages               int
+	RecycledSegPages      int
+	RecycledDataPages     int
+	RecycledPackedRecords int
+	FreshBytes            int64
+	ClearedBytes          int64
 }
 
 func (s PageStats) String() string {
-	return fmt.Sprintf("%d seg pages (%d with bytes) + %d ts pages (%d KiB, %d KiB of it new memory), %d KiB cleared on hand-out",
-		s.SegPages, s.DataPages, s.TsPages, (int64(s.DataPages)*segPageSize+int64(s.TsPages)*tsBlockBytes)>>10, s.FreshBytes>>10, s.ClearedBytes>>10)
+	kib := (int64(s.DataPages)*segPageSize + int64(s.PackedRecords)*tsPackedBytes + int64(s.TsPages)*tsBlockBytes) >> 10
+	return fmt.Sprintf("%d seg pages (%d with bytes) + %d packed ts records (%d recycled) + %d ts pages (%d KiB, %d KiB of it new memory), %d KiB cleared on hand-out",
+		s.SegPages, s.DataPages, s.PackedRecords, s.RecycledPackedRecords, s.TsPages, kib, s.FreshBytes>>10, s.ClearedBytes>>10)
 }
 
 // PageStats sums the partitions' page counters. It takes each partition lock
@@ -320,10 +326,12 @@ func (w *World) PageStats() PageStats {
 		g := &p.seg
 		s.SegPages += g.materialised
 		s.DataPages += g.dataMaterialised
+		s.PackedRecords += g.packedMaterialised
 		s.TsPages += g.tsMaterialised
 		s.RecycledSegPages += g.materialised - g.fresh
 		s.RecycledDataPages += g.dataMaterialised - g.dataFresh
-		s.FreshBytes += int64(g.dataFresh)*segPageSize + int64(g.tsFresh)*tsBlockBytes
+		s.RecycledPackedRecords += g.packedMaterialised - g.packedFresh
+		s.FreshBytes += int64(g.dataFresh)*segPageSize + int64(g.packedFresh)*tsPackedBytes + int64(g.tsFresh)*tsBlockBytes
 		s.ClearedBytes += g.cleared
 		p.mu.Unlock()
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // seriesBytes returns what one call of series allocates once a first call
-// has warmed the page pools and the shared payload. The collector is paused
-// over both calls, so none can empty the pools in between.
+// has warmed the page free lists and the shared payload. The collector is
+// paused over both calls, so what the runtime keeps does not move between.
 func seriesBytes(t *testing.T, series func() error) uint64 {
 	t.Helper()
 	defer pgas.PauseGC()()
@@ -35,9 +35,6 @@ func seriesBytes(t *testing.T, series func() error) uint64 {
 // series' world: what remains is world set-up, a few tens of KiB — plus, for
 // gets, the one 4 MiB destination of the one rank that issues them.
 func TestSeriesSteadyStateAllocs(t *testing.T) {
-	if pgas.RaceEnabled {
-		t.Skip("under -race sync.Pool drops a quarter of what is put into it, and a series' pages come from one")
-	}
 	raw := RawPutConfig{
 		Machine: fabric.Stampede(), Profile: fabric.ProfMV2XSHMEM,
 		Library: LibSHMEM, Pairs: 1, Sizes: LargeSizes, Iters: 3,
