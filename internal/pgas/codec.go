@@ -19,12 +19,12 @@ func SizeOf[T Elem]() int { return int(unsafe.Sizeof(*new(T))) }
 // Bytes returns the memory of s as a byte slice of length len(s)*SizeOf[T]()
 // that aliases s: writes through either are seen by the other.
 //
-// This is the module's only use of unsafe (check.sh enforces that). It is
-// sound because Elem is a closed set of fixed-size types without pointers or
-// padding, so every byte of s is initialised data the garbage collector need
-// not scan, and a []byte has no alignment requirement. The reverse view,
-// []byte to []T, could be misaligned and is never needed: a get copies into
-// the Bytes view of its typed destination.
+// This is the module's only use of unsafe (TestStructure's unsafe row
+// enforces that). It is sound because Elem is a closed set of fixed-size
+// types without pointers or padding, so every byte of s is initialised data
+// the garbage collector need not scan, and a []byte has no alignment
+// requirement. The reverse view, []byte to []T, could be misaligned and is
+// never needed: a get copies into the Bytes view of its typed destination.
 func Bytes[T Elem](s []T) []byte {
 	if len(s) == 0 {
 		return nil

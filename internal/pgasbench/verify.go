@@ -6,10 +6,6 @@ import (
 
 	"cafshmem/internal/caf"
 	"cafshmem/internal/fabric"
-	"cafshmem/internal/gasnet"
-	"cafshmem/internal/mpi3"
-	"cafshmem/internal/pgas"
-	"cafshmem/internal/shmem"
 )
 
 // The PGAS Microbenchmark suite "contains code designed to test the
@@ -27,16 +23,18 @@ func VerifyAll() ([]string, error) {
 		fn   func() error
 	}{
 		{"shmem put/get pattern (Stampede)", func() error {
-			return verifyShmem(fabric.Stampede(), fabric.ProfMV2XSHMEM)
+			m := fabric.Stampede()
+			return verifyRaw(RawPutConfig{Machine: m, Profile: fabric.ProfMV2XSHMEM, Library: LibSHMEM}, 2*m.CoresPerNode, shmemSizes, acrossNodes)
 		}},
 		{"shmem put/get pattern (XC30)", func() error {
-			return verifyShmem(fabric.CrayXC30(), fabric.ProfCraySHMEM)
+			m := fabric.CrayXC30()
+			return verifyRaw(RawPutConfig{Machine: m, Profile: fabric.ProfCraySHMEM, Library: LibSHMEM}, 2*m.CoresPerNode, shmemSizes, acrossNodes)
 		}},
 		{"gasnet put/get pattern", func() error {
-			return verifyGasnet(fabric.Stampede(), fabric.ProfGASNetIBV)
+			return verifyRaw(RawPutConfig{Machine: fabric.Stampede(), Profile: fabric.ProfGASNetIBV, Library: LibGASNet}, 4, ringSizes, ring)
 		}},
 		{"mpi3 put/get pattern", func() error {
-			return verifyMPI3(fabric.Stampede(), fabric.ProfMV2XMPI3)
+			return verifyRaw(RawPutConfig{Machine: fabric.Stampede(), Profile: fabric.ProfMV2XMPI3, Library: LibMPI3}, 4, ringSizes, ring)
 		}},
 		{"caf strided cross-check (all algorithms)", verifyCAFStrided},
 	}
@@ -59,86 +57,50 @@ func pattern(rank, round, n int) []byte {
 	return b
 }
 
-func verifyShmem(m *fabric.Machine, prof string) error {
-	sizes := []int{1, 7, 8, 64, 4096}
-	w, err := shmem.NewWorld(shmem.Config{Machine: m, Profile: prof}, 2*m.CoresPerNode)
-	if err != nil {
-		return err
+var (
+	shmemSizes = []int{1, 7, 8, 64, 4096}
+	ringSizes  = []int{1, 13, 512, 4096}
+)
+
+// acrossNodes pairs each rank of the first of two nodes with its twin on the
+// second; the second node's ranks send nothing (-1).
+func acrossNodes(rank, npes int) int {
+	if rank < npes/2 {
+		return rank + npes/2
 	}
-	defer w.PgasWorld().Close()
-	return w.PgasWorld().Run(func(p *pgas.PE) {
-		pe := w.Attach(p)
-		sym := pe.Malloc(8192)
-		per := m.CoresPerNode
-		for round, size := range sizes {
-			pe.Barrier()
-			if pe.MyPE() < per {
-				pe.PutMem(pe.MyPE()+per, sym, 0, pattern(pe.MyPE(), round, size))
+	return -1
+}
+
+// ring sends each rank's pattern to the next rank.
+func ring(rank, npes int) int { return (rank + 1) % npes }
+
+// verifyRaw runs one round per size on an npes-rank job of cfg's library:
+// every rank puts pattern(rank, round, size) to peer(rank, npes), if that is
+// a rank, and every rank some rank sent to reads its own buffer back and
+// compares it with the sender's pattern.
+func verifyRaw(cfg RawPutConfig, npes int, sizes []int, peer func(rank, npes int) int) error {
+	return runRaw(cfg, npes, func(r rawRank) {
+		me, from := r.rank(), -1
+		for src := 0; src < npes; src++ {
+			if peer(src, npes) == me {
+				from = src
 			}
-			pe.Barrier()
-			if pe.MyPE() >= per {
+		}
+		for round, size := range sizes {
+			r.barrier()
+			if to := peer(me, npes); to >= 0 {
+				r.put(to, pattern(me, round, size))
+			}
+			r.barrier()
+			if from >= 0 {
 				got := make([]byte, size)
-				pe.GetMem(pe.MyPE(), sym, 0, got)
-				if !bytes.Equal(got, pattern(pe.MyPE()-per, round, size)) {
-					panic(fmt.Sprintf("shmem put verify failed at size %d", size))
+				r.get(me, got)
+				if !bytes.Equal(got, pattern(from, round, size)) {
+					panic(fmt.Sprintf("put verify failed at size %d", size))
 				}
 			}
-			pe.Barrier()
+			r.barrier()
 		}
-	})
-}
-
-func verifyGasnet(m *fabric.Machine, prof string) error {
-	w, err := gasnet.NewWorld(gasnet.Config{Machine: m, Profile: prof}, 4)
-	if err != nil {
-		return err
-	}
-	defer w.PgasWorld().Close()
-	return w.PgasWorld().Run(func(p *pgas.PE) {
-		ep := w.Attach(p)
-		seg := ep.Malloc(4096)
-		for round, size := range []int{1, 13, 512, 4096} {
-			ep.Barrier()
-			next := (ep.MyNode() + 1) % ep.Nodes()
-			ep.Put(next, seg, 0, pattern(ep.MyNode(), round, size))
-			ep.Barrier()
-			prev := (ep.MyNode() + ep.Nodes() - 1) % ep.Nodes()
-			got := make([]byte, size)
-			ep.Get(ep.MyNode(), seg, 0, got)
-			if !bytes.Equal(got, pattern(prev, round, size)) {
-				panic(fmt.Sprintf("gasnet put verify failed at size %d", size))
-			}
-			ep.Barrier()
-		}
-	})
-}
-
-func verifyMPI3(m *fabric.Machine, prof string) error {
-	w, err := mpi3.NewWorld(mpi3.Config{Machine: m, Profile: prof}, 4)
-	if err != nil {
-		return err
-	}
-	defer w.PgasWorld().Close()
-	return w.PgasWorld().Run(func(p *pgas.PE) {
-		pr := w.Attach(p)
-		win := pr.WinAllocate(4096)
-		pr.LockAll(win)
-		for round, size := range []int{1, 13, 512, 4096} {
-			pr.FlushAll(win)
-			pr.Barrier()
-			next := (pr.Rank() + 1) % pr.Size()
-			pr.Put(win, next, 0, pattern(pr.Rank(), round, size))
-			pr.FlushAll(win)
-			pr.Barrier()
-			prev := (pr.Rank() + pr.Size() - 1) % pr.Size()
-			got := make([]byte, size)
-			pr.Get(win, pr.Rank(), 0, got)
-			if !bytes.Equal(got, pattern(prev, round, size)) {
-				panic(fmt.Sprintf("mpi3 put verify failed at size %d", size))
-			}
-			pr.Barrier()
-		}
-		pr.UnlockAll(win)
 	})
 }
 
