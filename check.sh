@@ -78,6 +78,8 @@ shmem (*PE).RMA
 shmem Sym.span
 pgas (*PE).CheckHandle
 pgas (*PE).linkPenalty
+pgas checkRange
+pgas (*World).ActivePairs
 pgas (*tsPacked).rank
 pgas (*RMA).Span
 pgas reliable

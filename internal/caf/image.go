@@ -109,9 +109,8 @@ func (s Stats) Ops() int64 {
 // configured transport. It is the runtime analogue of launching a compiled
 // CAF executable. The job's world is closed when Run returns: its partition
 // pages go back to the pgas page pools for the next job.
-func Run(images int, opts Options, body func(*Image)) error {
-	o, err := opts.withDefaults()
-	if err != nil {
+func Run(images int, o Options, body func(*Image)) error {
+	if err := o.validate(); err != nil {
 		return err
 	}
 	// Per transport: the library world, its backend table (one element per
@@ -162,7 +161,6 @@ func Run(images int, opts Options, body func(*Image)) error {
 		return errBadTransport
 	}
 	defer pw.Close()
-	pw.SetActivePairsPerNode(o.ActivePairsPerNode)
 	imgs := make([]Image, images)
 	return pw.Run(func(p *pgas.PE) {
 		img := &imgs[p.ID]
@@ -182,10 +180,8 @@ func (img *Image) init(be backend, shm *shmem.PE, opts Options) {
 		img.hasKill, img.killAt = true, at
 	}
 	// Collective start-up allocations, identical on all images and therefore
-	// performed in the same order everywhere. The mostly-idle non-symmetric
-	// staging buffer costs no host memory despite its size: partitions back
-	// pages on first write, so its unused interior never materialises.
-	img.nonsym.init(img.malloc(opts.NonSymBytes, true), opts.NonSymBytes)
+	// performed in the same order everywhere.
+	img.nonsym.init(img.malloc(nonSymBytes, true), nonSymBytes)
 	img.syncOff = img.malloc(int64(img.NumImages())*8, true)
 	img.ctlOff = img.malloc(2*collMaxRounds*8, true)
 	img.barrier()

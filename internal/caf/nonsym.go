@@ -25,7 +25,13 @@ type nsAlloc struct {
 
 type nsSpan struct{ off, size int64 }
 
-const nsAlign = 8
+const (
+	nsAlign = 8
+	// nonSymBytes sizes every image's buffer (§IV-A/D: qnodes, derived-type
+	// components). Partition pages materialise on first write, so what the
+	// image never allocates costs no host memory.
+	nonSymBytes = 1 << 20
+)
 
 // init makes a the allocator of the size bytes at base, all of them free.
 func (a *nsAlloc) init(base, size int64) {

@@ -147,14 +147,6 @@ type Options struct {
 	// on CAF's same-location ordering may observe weaker semantics; the
 	// ablation benchmark quantifies what the conservative rule costs.
 	DeferredQuiet bool
-	// NonSymBytes sizes the pre-allocated buffer for non-symmetric
-	// remotely-accessible data (qnodes, derived-type components) — §IV-A/D.
-	// Defaults to 1 MiB.
-	NonSymBytes int64
-	// ActivePairsPerNode overrides the contention model's estimate of
-	// concurrently-communicating PEs per node (the microbenchmarks' "1 pair"
-	// vs "16 pairs" configurations). Zero derives it from placement.
-	ActivePairsPerNode int
 	// Tracer, when non-nil, records every communication operation the
 	// runtime issues (virtual-time spans) for post-mortem analysis; see
 	// caf.Tracer.
@@ -170,28 +162,27 @@ type Options struct {
 	// deterministic fault injection (fail.go): images die at planned virtual
 	// times as if they executed FAIL IMAGE, links degrade and lose messages;
 	// nil schedules nothing. The failed-image machinery itself — the
-	// repairable lock, the STAT forms — is always on. Sanitize is the runtime
-	// sanitizer: races between gets and un-quieted puts (which DeferredQuiet
-	// makes possible), leaks, collective divergence and lock misuse, reported
-	// as Run's error. Virtual times and fault replays are bit-identical either way.
+	// repairable lock, the STAT forms — is always on. ActivePairs is the
+	// contention model's PEs per node driving the NIC, zero for all that are
+	// placed there (the microbenchmarks' "1 pair" vs "16 pairs" set it).
+	// Sanitize is the runtime sanitizer: races between gets and un-quieted
+	// puts (which DeferredQuiet makes possible), leaks, collective divergence
+	// and lock misuse, reported as Run's error. Virtual times and fault
+	// replays are bit-identical either way.
 	pgas.Options
 }
 
-func (o *Options) withDefaults() (Options, error) {
-	out := *o
-	if out.Machine == nil {
-		return out, fmt.Errorf("caf: options need a machine model")
+// validate reports options Run cannot start from: no machine, or no profile
+// of it named.
+func (o Options) validate() error {
+	if o.Machine == nil {
+		return fmt.Errorf("caf: options need a machine model")
 	}
-	if out.Profile == "" {
-		return out, fmt.Errorf("caf: options need a library profile name")
+	if o.Profile == "" {
+		return fmt.Errorf("caf: options need a library profile name")
 	}
-	if _, err := out.Machine.Profile(out.Profile); err != nil {
-		return out, err
-	}
-	if out.NonSymBytes <= 0 {
-		out.NonSymBytes = 1 << 20
-	}
-	return out, nil
+	_, err := o.Machine.Profile(o.Profile)
+	return err
 }
 
 // The named configurations the paper evaluates.

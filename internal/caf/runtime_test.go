@@ -284,13 +284,11 @@ func TestNonSymmetricAllocator(t *testing.T) {
 }
 
 func TestNonSymmetricExhaustion(t *testing.T) {
-	o := shmemOpts()
-	o.NonSymBytes = 256
-	err := Run(1, o, func(img *Image) {
-		img.AllocNonSymmetric(512)
+	err := Run(1, shmemOpts(), func(img *Image) {
+		img.AllocNonSymmetric(nonSymBytes + 1)
 	})
-	if err == nil {
-		t.Fatal("exhausting the non-symmetric buffer must panic")
+	if err == nil || !strings.Contains(err.Error(), "exhausted") {
+		t.Fatalf("exhausting the non-symmetric buffer must panic, got %v", err)
 	}
 }
 

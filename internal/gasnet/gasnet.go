@@ -79,8 +79,8 @@ type EP struct {
 type Config struct {
 	Machine *fabric.Machine
 	Profile string
-	// Options is the pgas world's fault plan, host-side tuning and runtime
-	// sanitizer, as in shmem.Config.
+	// Options is the pgas world's fault plan, active pairs per node and
+	// runtime sanitizer, as in shmem.Config.
 	pgas.Options
 }
 

@@ -208,12 +208,11 @@ type shapesTimes struct {
 // under plan (nil for none), and returns the link reports with the rest.
 func runShapes(t *testing.T, pairs int, plan *fabric.FaultPlan) (times shapesTimes, outstanding [4][]int, images [4]uint64, links []pgas.LinkReport) {
 	t.Helper()
-	w, err := NewWorld(Config{Machine: shapesMachine(t), Profile: shapesProfile, Options: pgas.Options{FaultPlan: plan}}, shapesPEs)
+	w, err := NewWorld(Config{Machine: shapesMachine(t), Profile: shapesProfile, Options: pgas.Options{FaultPlan: plan, ActivePairs: pairs}}, shapesPEs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.PgasWorld().Close()
-	w.PgasWorld().SetActivePairsPerNode(pairs)
 	w.RegisterHandler(shapesHandler, func(tok *Token, _ []byte, args []int64) {
 		tok.WriteU64(args[0], uint64(args[1]))
 	})

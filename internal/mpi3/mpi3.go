@@ -13,7 +13,6 @@ package mpi3
 
 import (
 	"fmt"
-	"sync"
 
 	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgas"
@@ -23,8 +22,8 @@ import (
 type Config struct {
 	Machine *fabric.Machine
 	Profile string
-	// Options is the pgas world's fault plan, host-side tuning and runtime
-	// sanitizer, as in shmem.Config.
+	// Options is the pgas world's fault plan, active pairs per node and
+	// runtime sanitizer, as in shmem.Config.
 	pgas.Options
 }
 
@@ -41,8 +40,8 @@ type World struct {
 	curErr error
 	wins   map[int64]*Win
 
-	worldWin     *Win
-	worldWinOnce sync.Once
+	// worldWin is WorldWin's window, built with the world.
+	worldWin Win
 
 	// procs is the job's rank table, indexed by rank: Attach initialises a
 	// rank's element in place and hands out its address.
@@ -86,7 +85,9 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &World{pw: pw, prof: prof, machine: cfg.Machine, procs: make([]Proc, n)}, nil
+	w := &World{pw: pw, prof: prof, machine: cfg.Machine, procs: make([]Proc, n)}
+	w.worldWin = Win{world: w, size: pgas.MaxSegmentBytes}
+	return w, nil
 }
 
 // Attach returns the rank handle for a pgas PE of this world (for layered
@@ -113,15 +114,10 @@ func (w *World) Profile() *fabric.CostProfile { return w.prof }
 // WorldWin returns the window spanning each rank's entire partition. It is
 // what a PGAS runtime layered over MPI-3 RMA (DART-MPI style) uses: one
 // MPI_Win_create over the whole symmetric heap at startup, so coarray puts
-// and gets never re-negotiate window handles. The handle is a process-local
-// singleton — no collective call, no clock cost — because the window covers
-// memory the job already owns; epoch discipline still applies per rank.
-func (w *World) WorldWin() *Win {
-	w.worldWinOnce.Do(func() {
-		w.worldWin = &Win{world: w, off: 0, size: pgas.MaxSegmentBytes}
-	})
-	return w.worldWin
-}
+// and gets never re-negotiate window handles. The handle is made with the
+// world, one per job — no collective call, no clock cost — because the window
+// covers memory the job already owns; epoch discipline still applies per rank.
+func (w *World) WorldWin() *Win { return &w.worldWin }
 
 // Pgas exposes the rank's underlying PE (for layered harnesses that manage
 // their own heap or local stores alongside the MPI windows).

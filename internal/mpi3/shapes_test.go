@@ -163,12 +163,11 @@ type shapesTimes struct {
 // under plan (nil for none), and returns the link reports with the rest.
 func runShapes(t *testing.T, pairs int, plan *fabric.FaultPlan) (times shapesTimes, images [4]uint64, links []pgas.LinkReport) {
 	t.Helper()
-	w, err := NewWorld(Config{Machine: shapesMachine(t), Profile: shapesProfile, Options: pgas.Options{FaultPlan: plan}}, shapesRanks)
+	w, err := NewWorld(Config{Machine: shapesMachine(t), Profile: shapesProfile, Options: pgas.Options{FaultPlan: plan, ActivePairs: pairs}}, shapesRanks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.PgasWorld().Close()
-	w.PgasWorld().SetActivePairsPerNode(pairs)
 	var outs [shapesRanks]shapesOut
 	if err := w.PgasWorld().Run(func(p *pgas.PE) {
 		outs[p.ID] = shapesProgram(t, w.Attach(p))

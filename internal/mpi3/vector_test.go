@@ -53,12 +53,11 @@ func TestRMAShapesMatchContigSequence(t *testing.T) {
 		{Get: true, Shape: pgas.Strided, Target: i, Off: 512, Stride: 24, Unit: 8, Local: got[64:]},
 	}
 	run := func(pairs int, pieces bool) (out vectorOut) {
-		w, err := NewWorld(Config{Machine: shapesMachine(t), Profile: shapesProfile}, shapesRanks)
+		w, err := NewWorld(Config{Machine: shapesMachine(t), Profile: shapesProfile, Options: pgas.Options{ActivePairs: pairs}}, shapesRanks)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer w.PgasWorld().Close()
-		w.PgasWorld().SetActivePairsPerNode(pairs)
 		clear(got)
 		var win *Win
 		if err := w.PgasWorld().Run(func(p *pgas.PE) {

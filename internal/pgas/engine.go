@@ -40,15 +40,21 @@ const (
 	EngineEvent
 )
 
-// Options configures world construction beyond machine and size. FaultPlan
-// is its one virtual-time field: a run's virtual times are bit-identical
-// under any setting of the others.
+// Options configures world construction beyond machine and size, once: a
+// world has no setter. FaultPlan and ActivePairs are its virtual-time fields:
+// a run's virtual times are bit-identical under any setting of the others.
 type Options struct {
 	// FaultPlan schedules deterministic faults on every library: image kills
 	// (taken by layered runtimes at their operation boundaries), link
 	// penalties (every message and atomic) and message losses (Transmit). Nil
 	// schedules nothing and charges nothing.
 	FaultPlan *fabric.FaultPlan
+	// ActivePairs is the contention model's number of PEs per node
+	// concurrently driving the NIC (World.ActivePairs): the microbenchmarks'
+	// "1 pair" against "16 pairs" configurations (paper §III). Zero derives it
+	// from placement, every co-located PE active — the SPMD common case. Like
+	// FaultPlan it moves virtual time, and it is fixed for the world's life.
+	ActivePairs int
 	// Engine selects nothing.
 	//
 	// Deprecated: ignored; see Engine.

@@ -264,6 +264,7 @@ func (w *World) RepairWrite(target int, off int64, data []byte, visibleAt float6
 	if len(data) == 0 {
 		return
 	}
+	checkRange("repair write", off, int64(len(data)))
 	p := w.part(target)
 	p.mu.Lock()
 	p.store(off, data, visibleAt)
@@ -280,10 +281,10 @@ func (w *World) RepairWrite(target int, off int64, data []byte, visibleAt float6
 // forensic read fault-recovery walks rely on. The caller merges the timestamp
 // to preserve virtual-time causality across a takeover.
 func (w *World) ReadUint64Ts(target int, off int64) (uint64, float64) {
+	checkRange("read", off, 8)
 	p := w.part(target)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ensureLen(off + 8)
 	var b [8]byte
 	p.seg.readAt(off, b[:])
 	return binary.NativeEndian.Uint64(b[:]), p.rangeTs(off, 8)

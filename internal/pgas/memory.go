@@ -5,12 +5,21 @@ import (
 	"fmt"
 )
 
-// ensureLen extends the partition's logical extent to cover length bytes.
-// Must be called with p.mu held. No memory is materialised — the paged
-// backing store (segstore.go) allocates pages on first write, so worlds with
-// thousands of PEs do not reserve memory they never store to.
-func (p *PE) ensureLen(length int64) {
-	p.seg.ensure(p.ID, length)
+// checkRange panics unless the n bytes at off lie inside a partition: the one
+// bound of partition memory, checked by every entry that stores or waits
+// before it takes a lock.
+func checkRange(what string, off, n int64) {
+	if off < 0 || n > MaxSegmentBytes-off {
+		rangePanic(what, off, n)
+	}
+}
+
+// rangePanic is checkRange's panic, kept out of line so that checkRange
+// inlines into every entry point.
+//
+//go:noinline
+func rangePanic(what string, off, n int64) {
+	panic(fmt.Sprintf("pgas: %s of %d bytes at offset %d out of range", what, n, off))
 }
 
 // Write copies data into the target PE's partition at off, one-sided: the
@@ -21,9 +30,7 @@ func (w *World) Write(target int, off int64, data []byte, visibleAt float64) {
 	if len(data) == 0 {
 		return
 	}
-	if off < 0 {
-		panic(fmt.Sprintf("pgas: write of %d bytes at offset %d out of range", len(data), off))
-	}
+	checkRange("write", off, int64(len(data)))
 	if w.stateOf(target) == stateFailed {
 		return // a failed PE's partition is frozen: one-sided writes are dropped
 	}
@@ -44,10 +51,9 @@ func (p *PE) unlockStore(stored bool) {
 }
 
 // store is one write to the partition, as every path but the vectored ones
-// makes it: extent, bytes and timestamps through a cursor of one piece, then
-// the watch. Must be called with p.mu held.
+// makes it: bytes and timestamps through a cursor of one piece, then the
+// watch. Must be called with p.mu held, the range checked.
 func (p *PE) store(off int64, data []byte, visibleAt float64) {
-	p.ensureLen(off + int64(len(data)))
 	c := p.seg.cursor()
 	c.put(off, data, visibleAt)
 	p.wakeOverlapping(off, int64(len(data)), visibleAt)
@@ -56,13 +62,11 @@ func (p *PE) store(off int64, data []byte, visibleAt float64) {
 // Touch performs the write-visibility bookkeeping of a one-byte store of
 // zero at (target, off) without storing anything. Symmetric-heap allocators
 // use it to "back" a freshly allocated region: the timestamp index, watch
-// scan, and waiter wakeups behave exactly as for Write([]byte{0}), but a
-// partition that has not grown to cover off stays small. The byte already
-// reads as zero: it was never written, or the heap's Free cleared it.
+// scan, and waiter wakeups behave exactly as for Write([]byte{0}), but no
+// byte is stored, so a page that has none gets none. The byte already reads
+// as zero: it was never written, or the heap's Free cleared it.
 func (w *World) Touch(target int, off int64, visibleAt float64) {
-	if off < 0 || off >= MaxSegmentBytes {
-		panic(fmt.Sprintf("pgas: touch at offset %d out of range", off))
-	}
+	checkRange("touch", off, 1)
 	if w.stateOf(target) == stateFailed {
 		return // as for Write: a failed PE's partition is frozen
 	}
@@ -73,16 +77,14 @@ func (w *World) Touch(target int, off int64, visibleAt float64) {
 }
 
 // Read copies len(dst) bytes out of the target PE's partition at off. Bytes
-// beyond the partition's current extent read as zero *without growing it*:
-// partitions only grow on writes, so read-mostly workloads at high PE counts
-// do not inflate memory for ranges that were never touched.
+// never written read as zero, and reading materialises nothing, so
+// read-mostly workloads at high PE counts do not inflate memory for ranges
+// that were never stored to.
 func (w *World) Read(target int, off int64, dst []byte) {
 	if len(dst) == 0 {
 		return
 	}
-	if off < 0 || off+int64(len(dst)) > MaxSegmentBytes {
-		panic(fmt.Sprintf("pgas: read of %d bytes at offset %d out of range", len(dst), off))
-	}
+	checkRange("read", off, int64(len(dst)))
 	p := w.part(target)
 	p.mu.Lock()
 	p.seg.readAt(off, dst)
@@ -181,11 +183,11 @@ const opCAS = OpSwap + 1
 // rmw64 applies op at (target, off), visible at visibleAt, unless the target
 // has failed.
 func (w *World) rmw64(target int, off int64, op AtomicOp, operand, expected uint64, visibleAt float64) (old uint64, ok bool) {
+	checkRange("atomic", off, 8)
 	p := w.part(target)
 	p.mu.Lock()
 	stored := false
 	defer func() { p.unlockStore(stored) }()
-	p.ensureLen(off + 8)
 	var b [8]byte
 	p.seg.readAt(off, b[:])
 	old = binary.NativeEndian.Uint64(b[:])
@@ -315,13 +317,13 @@ func (c Cmp) Holds(a, b int64) bool {
 // callers' closures stay on their stacks. A remote waiter takes q's lock with
 // its own dropped, and sleeps only if no wake came in between (p.wakes).
 func (p *PE) wait(q *PE, off, n int64, pred func([]byte) bool, onEvent func() error) (float64, error) {
+	checkRange("wait", off, n)
 	scratch := p.wordBuf[:]
 	if n > int64(len(scratch)) {
 		scratch = make([]byte, n)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ensureLen(off + n) // for a remote watch, its range check alone
 	wt := p.addWatch(q, off, n)
 	defer p.removeWatch()
 	remote := q != p

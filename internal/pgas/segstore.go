@@ -2,7 +2,6 @@ package pgas
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 )
 
@@ -41,8 +40,7 @@ import (
 type segStore struct {
 	// pages is the one page table, nil where nothing was stored. It spans the
 	// highest offset written, so its entries are single pointers.
-	pages  []*segPage
-	length int64 // logical extent: the high-water mark of ensure()
+	pages []*segPage
 	// sparse holds isolated timestamp records on granules not yet in use,
 	// in no order; see recordWordSparse.
 	sparse []sparseTs
@@ -155,17 +153,6 @@ func isZero(span []byte, at int64) bool {
 	return bytes.Equal(span, zeros[at:at+int64(len(span))])
 }
 
-// ensure extends the logical extent to cover length bytes. No page memory is
-// materialised: the new range reads as zero until something is written.
-func (s *segStore) ensure(peID int, length int64) {
-	if length > MaxSegmentBytes {
-		panic(fmt.Sprintf("pgas: PE %d segment would exceed %d bytes (asked %d)", peID, MaxSegmentBytes, length))
-	}
-	if length > s.length {
-		s.length = length
-	}
-}
-
 // at returns the record of page pn, or nil where nothing was stored or
 // recorded.
 func (s *segStore) at(pn int64) *segPage {
@@ -275,8 +262,8 @@ func (s *segStore) release() {
 }
 
 // writeAt copies data into the store at off, page by page, materialising
-// what each page's span stores (stores). The caller has already called
-// ensure for the range.
+// what each page's span stores (stores). The caller has already checked the
+// range (checkRange).
 func (s *segStore) writeAt(off int64, data []byte) {
 	for at := int64(0); at < int64(len(data)); {
 		pn, lo := off>>segPageShift, off&segPageMask
@@ -324,7 +311,7 @@ func (s *segStore) zeroCursor(src []byte) segCursor {
 // straight to the page in hand; one that straddles pages takes writeAt and
 // recordRange. A piece of zeros stores no bytes onto a page without them, and
 // a longer one onto a page without a record materialises nothing. The caller
-// has already called ensure for the range.
+// has already checked the range (checkRange).
 func (c *segCursor) put(off int64, data []byte, ts float64) {
 	n := int64(len(data))
 	lo := off & segPageMask
@@ -373,27 +360,22 @@ func (c *segCursor) put(off int64, data []byte, ts float64) {
 	}
 }
 
-// readAt copies bytes [off, off+len(dst)) into dst. Bytes beyond the logical
-// extent — and bytes on unmaterialised pages — read as zero. It returns the
-// number of bytes that lay within the extent, mirroring the prefix-copy
-// semantics of reading from a flat slice.
-func (s *segStore) readAt(off int64, dst []byte) int {
-	if off >= s.length {
-		clear(dst)
-		return 0
+// readAt copies bytes [off, off+len(dst)) into dst, page by page: from a page
+// with bytes, and zeros for a page without. Nothing is materialised. No other
+// bound is needed: a byte past every write was never stored, or, on recycled
+// bytes, cleared when its page was handed out (bytesFor).
+func (s *segStore) readAt(off int64, dst []byte) {
+	for len(dst) > 0 {
+		lo := off & segPageMask
+		n := min(int64(len(dst)), segPageSize-lo)
+		if pg := s.at(off >> segPageShift); pg != nil && pg.data != nil {
+			copy(dst[:n], pg.data.buf[lo:])
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		off += n
 	}
-	in := len(dst)
-	if off+int64(in) > s.length {
-		in = int(s.length - off)
-		clear(dst[in:])
-	}
-	got := dst[:in]
-	for len(got) > 0 {
-		n := copy(got, s.readPage(off)[off&segPageMask:])
-		got = got[n:]
-		off += int64(n)
-	}
-	return in
 }
 
 // clearRange zeroes the bytes [off, off+n) of the pages that have bytes,

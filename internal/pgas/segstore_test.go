@@ -18,7 +18,6 @@ func TestSegStoreMatchesFlatModel(t *testing.T) {
 	var s segStore
 	const modelLen = 3*int(segPageSize) + 123 // > 3 pages
 	model := make([]byte, modelLen)
-	s.ensure(0, int64(modelLen))
 	for iter := 0; iter < 2000; iter++ {
 		off := int64(rng.Intn(modelLen))
 		n := rng.Intn(300)
@@ -40,34 +39,51 @@ func TestSegStoreMatchesFlatModel(t *testing.T) {
 	}
 }
 
+// Bytes past every write read as zero, whatever the destination held: in the
+// store itself, and through a partition's Read, ReadV and ReadRuns, where one
+// read spans a page with bytes (recycled ones, 0xFF where their last owner
+// wrote), a page with only a timestamp record and a page with nothing.
 func TestSegStoreReadsBeyondExtentAreZero(t *testing.T) {
 	var s segStore
-	s.ensure(0, 10)
 	s.writeAt(0, []byte{1, 2, 3})
-	got := make([]byte, 16)
-	for i := range got {
-		got[i] = 0xFF
-	}
-	if n := s.readAt(0, got); n != 10 {
-		t.Fatalf("readAt within extent = %d, want 10", n)
-	}
-	want := []byte{1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-	if !bytes.Equal(got, want) {
+	got := bytes.Repeat([]byte{0xFF}, 16)
+	s.readAt(0, got)
+	if want := append([]byte{1, 2, 3}, make([]byte, 13)...); !bytes.Equal(got, want) {
 		t.Fatalf("readAt = %v, want %v", got, want)
 	}
-	if n := s.readAt(100, got); n != 0 {
-		t.Fatalf("readAt past extent = %d, want 0", n)
+
+	PreloadDirtyPages(4, 0, segPageSize)
+	w := newZeroWorld(t)
+	w.Write(1, 100, []byte{1, 2, 3}, 1)
+	w.Write(1, segPageSize+8, make([]byte, 8), 2) // a zero word: a stamp, no bytes
+	if s := w.PageStats(); s.SegPages != 2 || s.DataPages != 1 {
+		t.Fatalf("the two writes materialised %v, want 2 pages, 1 with bytes", s)
 	}
-	for _, b := range got {
-		if b != 0 {
-			t.Fatal("readAt past extent must zero the destination")
+	span := bytes.Repeat([]byte{0xFF}, int(2*segPageSize))
+	w.Read(1, 100, span)
+	if !bytes.Equal(span[:3], []byte{1, 2, 3}) {
+		t.Fatalf("three-page read starts %v, want [1 2 3]", span[:3])
+	}
+	if i := bytes.IndexByte(span[3:], 0xFF); i >= 0 {
+		t.Fatalf("three-page read: byte %d was not overwritten with zero", 103+int64(i))
+	}
+	past := 2 * segPageSize
+	gotV := bytes.Repeat([]byte{0xFF}, 32)
+	w.ReadV(1, past, 1000, 8, gotV)
+	gotR := bytes.Repeat([]byte{0xFF}, 24)
+	w.ReadRuns(1, past, []int64{0, 5 * segPageSize, 1 << 30}, 8, gotR)
+	for what, b := range map[string][]byte{"ReadV": gotV, "ReadRuns": gotR} {
+		if !bytes.Equal(b, make([]byte, len(b))) {
+			t.Errorf("%s past every write = %v, want zeros", what, b)
 		}
+	}
+	if s := w.PageStats(); s.SegPages != 2 {
+		t.Errorf("the reads materialised pages: %v", s)
 	}
 }
 
 func TestSegStoreViewCrossingPages(t *testing.T) {
 	var s segStore
-	s.ensure(0, 2*segPageSize)
 	// Straddle the first page boundary.
 	off := segPageSize - 4
 	s.writeAt(off, []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -90,7 +106,6 @@ func TestSegStoreViewCrossingPages(t *testing.T) {
 // bytes around it alone.
 func TestSegStoreZeroByte(t *testing.T) {
 	var s segStore
-	s.ensure(0, 3*segPageSize)
 	s.clearRange(100, segPageSize)
 	for _, pg := range s.pages {
 		if pg != nil {
@@ -135,7 +150,7 @@ func expectZero(t *testing.T, w *World, pe int, off, n int64) {
 }
 
 // A bulk store of zeros onto pages that were never written stores nothing:
-// no page is taken, the extent still grows over the range, and it reads zero.
+// no page is taken, and the range reads zero.
 // So it is from a buffer of the caller's, which is scanned, and from the
 // zero source, 4 MiB of it.
 func TestSegStoreZeroPutOnFreshPagesStoresNothing(t *testing.T) {
@@ -146,9 +161,6 @@ func TestSegStoreZeroPutOnFreshPagesStoresNothing(t *testing.T) {
 		w.Write(1, off, src, 5)
 		if s := w.PageStats(); s.SegPages != 0 || s.DataPages != 0 {
 			t.Fatalf("a %d KiB zero put materialised %v", n>>10, s)
-		}
-		if got := w.pes[1].seg.length; got != off+n {
-			t.Fatalf("extent after the zero put = %d, want %d", got, off+n)
 		}
 		expectZero(t, w, 1, 0, off+n+segPageSize)
 	}

@@ -26,16 +26,13 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	if nelems == 0 {
 		return
 	}
-	if off < 0 {
-		panic(fmt.Sprintf("pgas: WriteV of %d elements at offset %d out of range", nelems, off))
-	}
+	es := int64(elemSize)
+	checkRange("WriteV", off, int64(nelems-1)*strideBytes+es)
 	if w.stateOf(target) == stateFailed {
 		return
 	}
 	p := w.part(target)
-	es := int64(elemSize)
 	p.mu.Lock()
-	p.ensureLen(off + int64(nelems-1)*strideBytes + es)
 	matched := false
 	c := p.seg.zeroCursor(src)
 	for o := off; len(src) > 0; o, src = o+strideBytes, src[es:] {
@@ -52,7 +49,7 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 
 // ReadV gathers len(dst)/elemSize elements from the target PE's partition at
 // byte stride strideBytes starting at off into dst densely. Like Read, bytes
-// beyond the partition's current extent read as zero without growing it.
+// never written read as zero and nothing is materialised.
 func (w *World) ReadV(target int, off, strideBytes int64, elemSize int, dst []byte) {
 	if elemSize <= 0 || len(dst)%elemSize != 0 {
 		panic("pgas: ReadV destination not a whole number of elements")
@@ -65,9 +62,7 @@ func (w *World) ReadV(target int, off, strideBytes int64, elemSize int, dst []by
 		return
 	}
 	es := int64(elemSize)
-	if off < 0 || off+int64(nelems-1)*strideBytes+es > MaxSegmentBytes {
-		panic(fmt.Sprintf("pgas: ReadV of %d elements at offset %d out of range", nelems, off))
-	}
+	checkRange("ReadV", off, int64(nelems-1)*strideBytes+es)
 	p := w.part(target)
 	p.mu.Lock()
 	for k := 0; k < nelems; k++ {
@@ -98,15 +93,12 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	}
 	p := w.part(target)
 	rb := int64(runBytes)
-	first, extent := base+offs[0], int64(0)
+	first, end := base+offs[0], int64(0)
 	for _, o := range offs {
-		first, extent = min(first, base+o), max(extent, base+o+rb)
+		first, end = min(first, base+o), max(end, base+o+rb)
 	}
-	if first < 0 {
-		panic(fmt.Sprintf("pgas: WriteRuns run at offset %d out of range", first))
-	}
+	checkRange("WriteRuns", first, end-first)
 	p.mu.Lock()
-	p.ensureLen(extent)
 	matched := false
 	c := p.seg.zeroCursor(src)
 	for i, o := range offs {
@@ -123,8 +115,8 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 }
 
 // ReadRuns gathers len(offs) equal-length runs of runBytes bytes from the
-// target PE's partition (run i at byte offset base+offs[i]) into dst densely,
-// reading zeros beyond the partition's extent without growing it.
+// target PE's partition (run i at byte offset base+offs[i]) into dst densely:
+// like Read, bytes never written read as zero and nothing is materialised.
 func (w *World) ReadRuns(target int, base int64, offs []int64, runBytes int, dst []byte) {
 	if runBytes <= 0 || len(dst) != len(offs)*runBytes {
 		panic("pgas: ReadRuns destination does not match runs")

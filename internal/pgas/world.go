@@ -45,10 +45,9 @@ type World struct {
 	failed   error
 	poisoned atomic.Bool
 
-	pairsOverride atomic.Int64 // 0 = derive from placement
-	// Placement-derived NIC sharing (ActivePairs, asked on every RMA): each
-	// node holds perNode of the job's PEs except the last, which starts at
-	// rank tailLo and holds tailPEs.
+	// NIC sharing (ActivePairs, asked on every RMA): each node holds perNode
+	// of the job's PEs except the last, which starts at rank tailLo and holds
+	// tailPEs; Options.ActivePairs puts every PE on a node of perNode.
 	perNode, tailLo, tailPEs int
 
 	// PE life-cycle state (see fault.go). states is read with atomic loads on
@@ -166,7 +165,9 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		perNode: 1, tailLo: n, // no node structure: nobody shares a NIC
 		plan: opts.FaultPlan,
 	}
-	if per := machine.CoresPerNode; per > 0 {
+	if opts.ActivePairs > 0 {
+		w.perNode = opts.ActivePairs // tailLo is n: no PE is on the tail node
+	} else if per := machine.CoresPerNode; per > 0 {
 		// Block placement: the PEs on a node are a contiguous rank range.
 		w.tailLo = (n - 1) / per * per
 		w.perNode, w.tailPEs = per, n-w.tailLo
@@ -379,18 +380,10 @@ func (w *World) NumPEs() int { return w.n }
 // PE returns the processing element with the given rank.
 func (w *World) PE(id int) *PE { return &w.pes[id] }
 
-// SetActivePairsPerNode overrides the contention model's estimate of how many
-// PEs per node are concurrently driving the NIC. The microbenchmarks use this
-// to model the paper's "1 pair" vs "16 pairs" configurations. Zero restores
-// the default (all co-located PEs are assumed active — the SPMD common case).
-func (w *World) SetActivePairsPerNode(k int) { w.pairsOverride.Store(int64(k)) }
-
 // ActivePairs returns the number of communicating PEs assumed to share the
-// NIC of the given PE's node, for the contention model.
+// NIC of the given PE's node, for the contention model: Options.ActivePairs
+// when set, else the job's PEs on that node.
 func (w *World) ActivePairs(pe int) int {
-	if ov := w.pairsOverride.Load(); ov > 0 {
-		return int(ov)
-	}
 	if pe >= w.tailLo {
 		return w.tailPEs
 	}

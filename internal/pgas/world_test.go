@@ -96,14 +96,39 @@ func TestSegmentGrowth(t *testing.T) {
 	}
 }
 
+// Every entry that stores, or waits on, partition memory refuses a range
+// ending past MaxSegmentBytes with a pgas range panic, before it takes a lock
+// or materialises anything.
 func TestSegmentLimitEnforced(t *testing.T) {
-	w := testWorld(t, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("write past MaxSegmentBytes should panic")
-		}
-	}()
-	w.Write(0, MaxSegmentBytes, []byte{1}, 0)
+	w := testWorld(t, 2)
+	defer w.Close()
+	const end = MaxSegmentBytes - 4 // an 8-byte word here ends past the bound
+	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	for _, c := range []struct {
+		what string
+		f    func()
+	}{
+		{"Write", func() { w.Write(0, end, data, 0) }},
+		{"WriteV", func() { w.WriteV(0, end-4, 8, 4, data, 0) }},
+		{"WriteRuns", func() { w.WriteRuns(0, end-4, []int64{0, 8}, 4, data, []float64{0, 0}) }},
+		{"RMW64", func() { w.RMW64(0, end, OpAdd, 1, 0) }},
+		{"RepairWrite", func() { w.RepairWrite(0, end, data, 0) }},
+		{"ReadUint64Ts", func() { w.ReadUint64Ts(0, end) }},
+		{"Touch", func() { w.Touch(0, MaxSegmentBytes, 0) }},
+		{"Spin", func() { w.PE(0).Spin(1, end, 1, 1, func() (uint64, bool) { return 0, true }) }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "pgas: ") {
+					t.Errorf("%s past MaxSegmentBytes: recovered %q, want a pgas range panic", c.what, msg)
+				}
+			}()
+			c.f()
+		}()
+	}
+	if s := w.PageStats(); s != (PageStats{}) {
+		t.Errorf("a refused store materialised memory: %v", s)
+	}
 }
 
 func TestRMW64Ops(t *testing.T) {
@@ -224,13 +249,14 @@ func TestActivePairsDefaultsToNodeOccupancy(t *testing.T) {
 	if got := w.ActivePairs(19); got != 4 {
 		t.Fatalf("node 1 occupancy = %d, want 4", got)
 	}
-	w.SetActivePairsPerNode(1)
-	if got := w.ActivePairs(0); got != 1 {
-		t.Fatalf("override ignored: %d", got)
+	w, err := NewWorldOpts(fabric.Stampede(), 20, Options{ActivePairs: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	w.SetActivePairsPerNode(0)
-	if got := w.ActivePairs(0); got != 16 {
-		t.Fatalf("override not cleared: %d", got)
+	for _, pe := range []int{0, 19} {
+		if got := w.ActivePairs(pe); got != 1 {
+			t.Fatalf("PE %d: Options.ActivePairs 1 ignored: %d", pe, got)
+		}
 	}
 }
 

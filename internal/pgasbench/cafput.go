@@ -26,7 +26,7 @@ func CAFContigBandwidth(cfg CAFPutConfig, sizes []int) (Series, error) {
 	per := cfg.Opts.Machine.CoresPerNode
 	images := 2 * per
 	opts := cfg.Opts
-	opts.ActivePairsPerNode = cfg.Pairs
+	opts.ActivePairs = cfg.Pairs
 
 	results := make([]float64, len(sizes))
 	// The source images put from the read-only zero source: a byte coarray's
@@ -80,7 +80,7 @@ func CAFStridedBandwidth(cfg CAFPutConfig, strides []int) (Series, error) {
 	per := cfg.Opts.Machine.CoresPerNode
 	images := 2 * per
 	opts := cfg.Opts
-	opts.ActivePairsPerNode = cfg.Pairs
+	opts.ActivePairs = cfg.Pairs
 
 	results := make([]float64, len(strides))
 	vals := make([]int32, elems*elems)

@@ -223,7 +223,7 @@ func CAFMatrixBandwidth(cfg CAFPutConfig, strides []int) (Series, error) {
 	per := cfg.Opts.Machine.CoresPerNode
 	images := 2 * per
 	opts := cfg.Opts
-	opts.ActivePairsPerNode = cfg.Pairs
+	opts.ActivePairs = cfg.Pairs
 
 	results := make([]float64, len(strides))
 	vals := make([]int32, elems*elems)

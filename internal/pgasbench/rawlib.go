@@ -25,11 +25,11 @@ type rawRank interface {
 }
 
 // rawLibs is the library table, one row per comparator: how to open an n-PE
-// job of it, and how to make a rank of that job — symmetric buffer allocated,
-// access epoch open — from its PE.
+// job of it with cfg.Pairs active pairs per node, and how to make a rank of
+// that job — symmetric buffer allocated, access epoch open — from its PE.
 var rawLibs = [...]func(cfg RawPutConfig, npes int) (*pgas.World, func(*pgas.PE) rawRank, error){
 	LibSHMEM: func(cfg RawPutConfig, npes int) (*pgas.World, func(*pgas.PE) rawRank, error) {
-		w, err := shmem.NewWorld(shmem.Config{Machine: cfg.Machine, Profile: cfg.Profile}, npes)
+		w, err := shmem.NewWorld(shmem.Config{Machine: cfg.Machine, Profile: cfg.Profile, Options: pgas.Options{ActivePairs: cfg.Pairs}}, npes)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -39,7 +39,7 @@ var rawLibs = [...]func(cfg RawPutConfig, npes int) (*pgas.World, func(*pgas.PE)
 		}, nil
 	},
 	LibMPI3: func(cfg RawPutConfig, npes int) (*pgas.World, func(*pgas.PE) rawRank, error) {
-		w, err := mpi3.NewWorld(mpi3.Config{Machine: cfg.Machine, Profile: cfg.Profile}, npes)
+		w, err := mpi3.NewWorld(mpi3.Config{Machine: cfg.Machine, Profile: cfg.Profile, Options: pgas.Options{ActivePairs: cfg.Pairs}}, npes)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -51,7 +51,7 @@ var rawLibs = [...]func(cfg RawPutConfig, npes int) (*pgas.World, func(*pgas.PE)
 		}, nil
 	},
 	LibGASNet: func(cfg RawPutConfig, npes int) (*pgas.World, func(*pgas.PE) rawRank, error) {
-		w, err := gasnet.NewWorld(gasnet.Config{Machine: cfg.Machine, Profile: cfg.Profile}, npes)
+		w, err := gasnet.NewWorld(gasnet.Config{Machine: cfg.Machine, Profile: cfg.Profile, Options: pgas.Options{ActivePairs: cfg.Pairs}}, npes)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -73,7 +73,6 @@ func runRaw(cfg RawPutConfig, npes int, body func(rawRank)) error {
 		return err
 	}
 	defer pw.Close()
-	pw.SetActivePairsPerNode(cfg.Pairs)
 	return pw.Run(func(p *pgas.PE) {
 		r := attach(p)
 		body(r)

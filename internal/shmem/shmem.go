@@ -73,8 +73,9 @@ type PE struct {
 type Config struct {
 	Machine *fabric.Machine
 	Profile string // a profile name registered on Machine
-	// Options is the pgas world's: its fault plan and its runtime sanitizer
-	// (Sanitize). Virtual-time results depend on the plan alone.
+	// Options is the pgas world's: its fault plan, active pairs per node and
+	// runtime sanitizer (Sanitize). Virtual-time results depend on the first
+	// two alone.
 	pgas.Options
 }
 
