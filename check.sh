@@ -81,6 +81,8 @@ pgas (*PE).linkPenalty
 pgas checkRange
 pgas (*World).ActivePairs
 pgas (*tsPacked).rank
+pgas (*segBytes).window
+pgas (*segBytes).holds
 pgas (*RMA).Span
 pgas reliable
 fabric (*Clock).Advance

@@ -138,10 +138,11 @@ func (img *Image) LinkReports() []LinkReport {
 }
 
 // PageStats is a world's partition-memory record (re-exported from pgas):
-// page records, the pages of them with bytes, packed timestamp records and
-// dense timestamp blocks materialised, how many records, byte arrays and
-// packed records were recycled from earlier jobs, how much of it all was new
-// memory, bytes cleared on hand-out.
+// page records, the pages of them with bytes and of those the ones whose
+// bytes are a 4 KiB window, packed timestamp records and dense timestamp
+// blocks materialised, how many records, byte buffers and packed records were
+// recycled from earlier jobs, how much of it all was new memory, bytes
+// cleared on hand-out.
 type PageStats = pgas.PageStats
 
 // PageStats returns the job's partition-memory counters so far. Like

@@ -50,13 +50,16 @@ func poisonDense(d *tsBlock) {
 	}
 }
 
-// poisonBytes gives d, new if nil, 0xFF over [lo, hi) and zeros elsewhere,
-// as if its last owner had dirtied just that range.
-func poisonBytes(d *segBytes, lo, hi int64) *segBytes {
+// poisonBytes gives d, a new buffer of size bytes if nil, 0xFF over [lo, hi)
+// of its buffer (clipped to it) and zeros elsewhere, as if its last owner had
+// dirtied just that range.
+func poisonBytes(d *segBytes, size, lo, hi int64) *segBytes {
 	if d == nil {
-		d = &segBytes{buf: new([segPageSize]byte)}
+		d = &segBytes{buf: make([]byte, size)}
 	}
 	clear(d.buf[d.lo:d.hi])
+	n := int64(len(d.buf))
+	lo, hi = min(lo, n), min(hi, n)
 	for i := range d.buf[lo:hi] {
 		d.buf[lo+int64(i)] = 0xFF
 	}
@@ -77,9 +80,10 @@ func preload[T any](l *freeList[T], n int, poison func(*T) *T) {
 	}
 }
 
-// PreloadDirtyPages makes the next n page records, byte arrays (whose last
-// owner dirtied the in-page range [lo, hi)), packed records and dense blocks
-// handed out recycled ones, the last three poisoned.
+// PreloadDirtyPages makes the next n page records, windows and full pages of
+// bytes (whose last owner dirtied the range [lo, hi) of their buffer, clipped
+// to a window's 4 KiB), packed records and dense blocks handed out recycled
+// ones, all but the records poisoned.
 func PreloadDirtyPages(n int, lo, hi int64) {
 	preload(&segRecordFree, n, func(pg *segPage) *segPage {
 		if pg == nil {
@@ -87,7 +91,8 @@ func PreloadDirtyPages(n int, lo, hi int64) {
 		}
 		return pg
 	})
-	preload(&segBytesFree, n, func(d *segBytes) *segBytes { return poisonBytes(d, lo, hi) })
+	preload(&segWindowFree, n, func(d *segBytes) *segBytes { return poisonBytes(d, segWindowSize, lo, hi) })
+	preload(&segBytesFree, n, func(d *segBytes) *segBytes { return poisonBytes(d, segPageSize, lo, hi) })
 	preload(&tsPackedFree, n, func(p *tsPacked) *tsPacked {
 		if p == nil {
 			p = new(tsPacked)
@@ -104,12 +109,16 @@ func PreloadDirtyPages(n int, lo, hi int64) {
 	})
 }
 
-// Scribble poisons every page the world has materialised, in every part: a
-// record without bytes is given some, and each granule both a packed record
-// and a dense block, so that Close recycles into every free list memory that
-// no longer holds anything the world wrote. Close the world next: until then
-// its granules hold both layouts.
+// Scribble poisons every page the world has materialised, in every part: the
+// bytes of a page whole, whichever their layout, a record without bytes given
+// a full page of them, and each granule both a packed record and a dense
+// block; and as many windows on top of their free list as the world has
+// records, since a page whose window widened gave it back as it was. So
+// Close recycles into every free list memory that no longer holds anything
+// the world wrote. Close the world next: until then its granules hold both
+// layouts.
 func (w *World) Scribble() {
+	records := 0
 	for i := range w.pes {
 		p := &w.pes[i]
 		p.mu.Lock()
@@ -117,7 +126,8 @@ func (w *World) Scribble() {
 			if pg == nil {
 				continue
 			}
-			pg.data = poisonBytes(pg.data, 0, segPageSize)
+			records++
+			pg.data = poisonBytes(pg.data, segPageSize, 0, segPageSize)
 			for g := range segGranules {
 				if pg.packed[g] == nil {
 					pg.packed[g] = new(tsPacked)
@@ -131,6 +141,7 @@ func (w *World) Scribble() {
 		}
 		p.mu.Unlock()
 	}
+	preload(&segWindowFree, records, func(d *segBytes) *segBytes { return poisonBytes(d, segWindowSize, 0, segWindowSize) })
 }
 
 // ZeroSourceReadsZero reports whether the first n bytes of the zero source

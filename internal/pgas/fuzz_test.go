@@ -22,7 +22,11 @@ import (
 // stores a span of zeros, which on a page never materialised stores nothing
 // and elsewhere must land like any other span; op 9 stores small and vectored
 // pieces of zeros from the zero source (Write, WriteV, WriteRuns), which onto
-// a page without bytes record timestamps and store none. Op 7
+// a page without bytes record timestamps and store none. A page's first
+// non-zero store inside one 4 KiB granule takes a window over it, poisoned
+// like a full page, and a later one outside widens the page; each dense read
+// (op 1) also checks the store's view of its range, which aliases a window or
+// gathers across its edge. Op 7
 // closes the world and carries on in a new one, whose pages are the ones the
 // program itself dirtied, each over the range it happened to write. The
 // program decoder is total: every byte string decodes to a valid op sequence,
@@ -92,6 +96,19 @@ func FuzzSegStore(f *testing.F) {
 	// on page 0 over the bytes the second stored — followed by a read of the
 	// whole model.
 	f.Add([]byte{2, 0x00, 0x00, 0x82, 62, 0x00, 0x00, 0x3A, 0x98, 0x38, 0x30, 6, 0, 0, 0, 0, 0xC1, 0x01})
+	// Windows, each followed by a read of the whole model: a first store in
+	// granule 2 of page 0, then one in granule 0, which widens the page; a
+	// window over granule 1 read across its lower edge, cleared across its
+	// upper one and read across that; a window over granule 2 with a span of
+	// zeros across its lower edge and an 8-byte zero store in granule 0,
+	// neither of which widens it; and a window dirtied at granule 3, recycled
+	// and taken by a store in granule 1.
+	f.Add([]byte{0, 0x20, 0x10, 16, 3, 0, 0x00, 0x40, 8, 9, 6, 0, 0, 0, 0, 0xC1, 0x01})
+	f.Add([]byte{5, 0x00, 0x10, 0x00, 0x00, 0x10, 0x00, 7, 1, 0x0F, 0xF0, 32,
+		4, 0x00, 0x1F, 0xF0, 0x00, 0x00, 0x20, 1, 0x1F, 0xE0, 64, 6, 0, 0, 0, 0, 0xC1, 0x01})
+	f.Add([]byte{0, 0x20, 0x10, 16, 3, 8, 0x00, 0x1F, 0xF8, 0x00, 0x00, 0x20, 9, 0x00, 0x00, 0x40, 4, 0,
+		1, 0x1F, 0xF0, 64, 6, 0, 0, 0, 0, 0xC1, 0x01})
+	f.Add([]byte{0, 0x30, 0x64, 64, 5, 7, 0, 0x17, 0xD0, 8, 1, 1, 0x17, 0xC0, 255, 6, 0, 0, 0, 0, 0xC1, 0x01})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		// > 3 pages plus a ragged tail, so offsets hit page boundaries and the
 		// store's extent never covers the whole model.
@@ -198,6 +215,18 @@ func FuzzSegStore(f *testing.F) {
 				w.Read(0, int64(off), got)
 				if !bytes.Equal(got, model[off:off+ln]) {
 					t.Fatalf("step %d: Read(%d, %d) diverges from flat reference", step, off, ln)
+				}
+				if ln > 0 {
+					for i := range got {
+						got[i] = 0xEE
+					}
+					p := &w.pes[0]
+					p.mu.Lock()
+					v := bytes.Equal(p.seg.view(int64(off), int64(ln), got), model[off:off+ln])
+					p.mu.Unlock()
+					if !v {
+						t.Fatalf("step %d: view(%d, %d) diverges from flat reference", step, off, ln)
+					}
 				}
 			case 2: // vectored write: nRuns runs of runBytes, slice order wins
 				base, ok1 := next16(modelLen / 2)

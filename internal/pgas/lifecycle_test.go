@@ -114,7 +114,9 @@ func churnWorld(t *testing.T, payload []byte) (uint64, PageStats) {
 // megabytes — and the traffic allocates nothing but page tables. A collection
 // runs between every two worlds: the free lists keep what it would have
 // emptied from a pool. A payload of zeros materialises nothing, and a page
-// whose flags store zero has a record but no bytes.
+// whose flags store zero has a record but no bytes. The non-zero flags fall
+// in four granules of their page: the first takes a window, the second widens
+// it, so no page ends a world as a window.
 func TestWorldChurnAllocBytes(t *testing.T) {
 	const flagPages = (8*tsBlockBytes + segPageSize - 1) / segPageSize
 	ones := make([]byte, 1<<20)
@@ -144,9 +146,9 @@ func TestWorldChurnAllocBytes(t *testing.T) {
 				runtime.GC()
 				b, s := churnWorld(t, c.payload)
 				bytes += b
-				if s.SegPages != segPages || s.DataPages != dataPages || s.PackedRecords != 256 || s.TsPages != 0 {
-					t.Fatalf("world %d materialised %d page records, %d with bytes, %d packed timestamp records and %d dense ones, want %d, %d, 256 and 0",
-						i, s.SegPages, s.DataPages, s.PackedRecords, s.TsPages, segPages, dataPages)
+				if s.SegPages != segPages || s.DataPages != dataPages || s.WindowPages != 0 || s.PackedRecords != 256 || s.TsPages != 0 {
+					t.Fatalf("world %d materialised %d page records, %d with bytes (%d windows), %d packed timestamp records and %d dense ones, want %d, %d (0), 256 and 0",
+						i, s.SegPages, s.DataPages, s.WindowPages, s.PackedRecords, s.TsPages, segPages, dataPages)
 				}
 				pages.FreshBytes += s.FreshBytes
 				pages.ClearedBytes += s.ClearedBytes

@@ -17,24 +17,30 @@ import (
 // A page has three parts with their own life cycles. Its record (segPage)
 // materialises at the first store or timestamp record on the page; its
 // timestamps, a packed record or a dense block per 4 KiB granule, at the
-// first record on each granule (tsindex.go); its bytes (segBytes: the 16 KiB
-// array and its dirty range) only at the first store that holds a non-zero
-// byte. A page without bytes reads as zero, which is exactly what unwritten
-// memory is, so a span of zeros of any length stores no bytes onto it (put),
-// a piece of at most tsTrackMaxBytes still records its timestamps, and a
-// longer one onto a page without a record materialises nothing at all.
-// Whether a span is all zero is one compare against the process-wide zero
-// source (isZero): a piece taken from Zeros costs O(1), any other is scanned.
+// first record on each granule (tsindex.go); its bytes (segBytes) only at the
+// first store that holds a non-zero byte. The bytes, like the timestamps,
+// start small and grow only when crowded: a first store inside one granule
+// takes a 4 KiB window over that granule, one across granules the whole
+// 16 KiB page, and a later store that leaves the window widens it to the
+// page (growBytes). The DHT's control words and MCS qnodes cost each image
+// two windows, not two pages. A page without bytes reads as zero, which is
+// exactly what unwritten memory is, and so does a page's memory outside its
+// window: a span of zeros of any length stores no bytes there (put), a piece
+// of at most tsTrackMaxBytes still records its timestamps, and a longer one
+// onto a page without a record materialises nothing at all. Whether a span is
+// all zero is one compare against the process-wide zero source (isZero): a
+// piece taken from Zeros costs O(1), any other is scanned.
 //
-// Every part outlives the store: release gives records, bytes, packed records
-// and dense blocks back to a free list each (freeList), and the next store
-// takes from there before it asks the runtime, so a program that builds
-// hundreds of short-lived worlds — every figure of the paper is one — keeps
-// re-using the same memory instead of asking for fresh zeroed pages.
-// Recycled bytes remember the range their last owner dirtied; the store that
-// takes them clears exactly the part of that range its first write does not
-// cover (bytesFor), so recycled memory is indistinguishable from new and a
-// flag-sized first write does not pay for 16 KiB of memclr.
+// Every part outlives the store: release gives records, windows, full pages of
+// bytes, packed records and dense blocks back to a free list each (freeList),
+// and the next store takes from there before it asks the runtime, so a
+// program that builds hundreds of short-lived worlds — every figure of the
+// paper is one — keeps re-using the same memory instead of asking for fresh
+// zeroed pages. Recycled bytes remember the range of their buffer their last
+// owner dirtied; the store that takes them clears exactly the part of that
+// range its first write does not cover (takeBytes), so recycled memory is
+// indistinguishable from new and a flag-sized first write does not pay for
+// 4 KiB of memclr.
 //
 // All methods must be called with the owning PE's mu held.
 type segStore struct {
@@ -44,12 +50,16 @@ type segStore struct {
 	// sparse holds isolated timestamp records on granules not yet in use,
 	// in no order; see recordWordSparse.
 	sparse []sparseTs
-	// Observability (World.PageStats): page records, byte arrays, packed
-	// records and dense timestamp blocks brought into use since the store was
-	// created, how many of each were new memory rather than recycled, and the
-	// bytes cleared while handing out the recycled ones.
+	// Observability (World.PageStats): page records, pages with bytes (and
+	// of them, those whose bytes are still a window), packed records and
+	// dense timestamp blocks brought into use since the store was created;
+	// how many records, byte buffers, packed records and dense blocks were
+	// recycled rather than new memory, the new memory of the byte buffers,
+	// and the bytes cleared while handing out the recycled ones.
 	materialised, fresh             int
-	dataMaterialised, dataFresh     int
+	dataMaterialised, windows       int
+	dataRecycled                    int
+	dataFreshBytes                  int64
 	packedMaterialised, packedFresh int
 	tsMaterialised, tsFresh         int
 	cleared                         int64
@@ -65,23 +75,36 @@ type segPage struct {
 	dense  [segGranules]*tsBlock
 }
 
-// segBytes is the bytes of one page and the in-page range [lo, hi) written
-// since they were last known zero. The array is its own allocation so that
-// it stays in the allocator's exact 16 KiB size class.
+// segBytes is the bytes of one page in one of two layouts: a window, the
+// segWindowSize bytes of the granule at in-page offset base, or the full page
+// at base 0. Everything of the page outside buf reads as zero. [lo, hi) is
+// the range of buf written since it was last known zero, relative to buf, so
+// a window recycled onto another granule clears what it must as a full page
+// does. buf is its own allocation, in the allocator's exact 4 or 16 KiB size
+// class.
 type segBytes struct {
-	buf    *[segPageSize]byte
+	buf    []byte
+	base   int64
 	lo, hi int64
 }
 
 const (
-	// 16 KiB pages. A page is the unit a first write materialises, so the
-	// size trades the waste of a flag-sized write against the per-page walk
-	// of a bulk one and the length of the page table: at 64 KiB the DHT's
-	// 2048 lock and bucket words cost 128 MiB of pages (DESIGN.md "Partition
-	// memory life cycle").
+	// 16 KiB pages. A page is the unit of the page table and of a bulk put's
+	// bytes, so the size trades the length of the page table against the
+	// per-page walk of a bulk put; a flag-sized write takes a window, not the
+	// page. At 64 KiB the DHT's 2048 lock and bucket words cost 128 MiB of
+	// pages, at 4 KiB its page tables grow 4× (DESIGN.md "Partition memory
+	// life cycle").
 	segPageShift = 14
 	segPageSize  = int64(1) << segPageShift
 	segPageMask  = segPageSize - 1
+
+	// A window is one timestamp granule of bytes: the DHT's qnodes and its
+	// control, bucket and lock words each fit one, and a bulk put that
+	// crosses granules takes the full page at once, so its memmove is never
+	// split (DESIGN.md "Partition memory life cycle").
+	segWindowSize = tsBlockBytes
+	segWindowMask = segWindowSize - 1
 )
 
 // freeList is a process-wide stack of recycled parts of pages. Unlike a
@@ -113,22 +136,27 @@ func (l *freeList[T]) put(x *T) {
 	l.mu.Unlock()
 }
 
-// The free lists of the four parts of a page: records, bytes, and the packed
-// and dense layouts of a granule's timestamps.
+// The free lists of the parts of a page: records, the two layouts of its
+// bytes, and the packed and dense layouts of a granule's timestamps.
 var (
 	segRecordFree freeList[segPage]
+	segWindowFree freeList[segBytes]
 	segBytesFree  freeList[segBytes]
 	tsPackedFree  freeList[tsPacked]
 	tsDenseFree   freeList[tsBlock]
 )
 
+// bytesFree returns the free list of byte buffers of size bytes.
+func bytesFree(size int64) *freeList[segBytes] {
+	if size == segWindowSize {
+		return &segWindowFree
+	}
+	return &segBytesFree
+}
+
 // zeros is the process-wide read-only zero source. It lives in BSS, so it
 // costs a process resident memory only as the kernel's shared zero page.
 var zeros [4 << 20]byte
-
-// segZeroPage is the shared read-only view handed out for pages without
-// bytes. Callers must never write through slices returned by view.
-var segZeroPage = zeros[:segPageSize]
 
 // Zeros returns n read-only zero bytes: a prefix of the process-wide zero
 // source, or for more than its 4 MiB a buffer of its own. A store of a
@@ -189,18 +217,73 @@ func (s *segStore) page(pn int64) *segPage {
 	return pg
 }
 
-// bytesFor returns the bytes of pg for a caller about to store its in-page
-// span [lo, hi), which joins their dirty range. A page without bytes takes
-// them from their free list: of recycled bytes only the stale ones outside
-// [lo, hi) are cleared — the store overwrites the rest at once, so a bulk
-// put into new memory pays one memmove and no memclr — and on an empty list
-// it allocates an array the runtime already zeroed.
-func (s *segStore) bytesFor(pg *segPage, lo, hi int64) *[segPageSize]byte {
-	if d := pg.data; d != nil {
-		d.lo, d.hi = min(d.lo, lo), max(d.hi, hi)
-		return d.buf
+// holds reports whether d, nil for a page without bytes, holds the in-page
+// range [lo, hi) in its buffer.
+func (d *segBytes) holds(lo, hi int64) bool {
+	return d != nil && lo >= d.base && hi <= d.base+int64(len(d.buf))
+}
+
+// zero clears the in-page range [lo, hi) of d, nil for a page without bytes:
+// of its buffer only what was written since it was last known zero; the rest
+// of the page already reads as zero.
+func (d *segBytes) zero(lo, hi int64) {
+	if d == nil {
+		return
 	}
-	d := segBytesFree.get()
+	if lo, hi := max(lo-d.base, d.lo), min(hi-d.base, d.hi); lo < hi {
+		clear(d.buf[lo:hi])
+	}
+}
+
+// window returns the destination of a caller about to store the in-page span
+// [lo, hi) onto the bytes d, nil for a page without bytes, and joins the span
+// to their dirty range; it returns nil where d does not hold the span, and the
+// caller takes growBytes. It is the one test on every store's path.
+func (d *segBytes) window(lo, hi int64) []byte {
+	if !d.holds(lo, hi) {
+		return nil
+	}
+	lo, hi = lo-d.base, hi-d.base
+	d.lo, d.hi = min(d.lo, lo), max(d.hi, hi)
+	return d.buf[lo:hi]
+}
+
+// growBytes is window's out-of-line half, for a span pg's bytes do not hold.
+// A page without bytes takes a window where the span lies inside one granule,
+// and the full page where it crosses granules, so a bulk put's memmove is
+// never split. A page whose window the span leaves widens: it takes the full
+// page, moves the window's dirty bytes in at their in-page offsets and gives
+// the window back.
+func (s *segStore) growBytes(pg *segPage, lo, hi int64) []byte {
+	w := pg.data
+	var d *segBytes
+	if base := lo &^ segWindowMask; w == nil && base == (hi-1)&^segWindowMask {
+		d = s.takeBytes(segWindowSize, base, lo, hi)
+		s.windows++
+	} else {
+		d = s.takeBytes(segPageSize, 0, lo, hi)
+	}
+	if w == nil {
+		s.dataMaterialised++
+	} else {
+		copy(d.buf[w.base+w.lo:], w.buf[w.lo:w.hi])
+		d.lo, d.hi = min(d.lo, w.base+w.lo), max(d.hi, w.base+w.hi)
+		segWindowFree.put(w)
+		s.windows--
+	}
+	pg.data = d
+	return d.buf[lo-d.base : hi-d.base]
+}
+
+// takeBytes hands out a buffer of size bytes at in-page offset base for a
+// store about to write the in-page span [lo, hi). It comes from its free
+// list, of whose stale bytes only those outside the span are cleared — the
+// store overwrites the rest at once, so a bulk put into new memory pays one
+// memmove and no memclr — or, on an empty list, new memory the runtime
+// already zeroed.
+func (s *segStore) takeBytes(size, base, lo, hi int64) *segBytes {
+	lo, hi = lo-base, hi-base
+	d := bytesFree(size).get()
 	if d != nil {
 		if below := min(lo, d.hi); below > d.lo {
 			clear(d.buf[d.lo:below])
@@ -210,42 +293,25 @@ func (s *segStore) bytesFor(pg *segPage, lo, hi int64) *[segPageSize]byte {
 			clear(d.buf[above:d.hi])
 			s.cleared += d.hi - above
 		}
+		s.dataRecycled++
 	} else {
-		d = &segBytes{buf: new([segPageSize]byte)}
-		s.dataFresh++
+		d = &segBytes{buf: make([]byte, size)}
+		s.dataFreshBytes += size
 	}
-	d.lo, d.hi = lo, hi
-	pg.data = d
-	s.dataMaterialised++
-	return d.buf
+	d.base, d.lo, d.hi = base, lo, hi
+	return d
 }
 
-// stores reports whether span, the bytes at offset at of their piece, puts
-// anything onto the page whose record is pg (nil: none): every span does onto
-// a page with bytes, and onto one without, a span with a non-zero byte.
-func stores(pg *segPage, span []byte, at int64) bool {
-	return pg != nil && pg.data != nil || !isZero(span, at)
-}
-
-// readPage returns the page containing byte off for reading: its bytes, or
-// the shared zero page where it has none.
-func (s *segStore) readPage(off int64) []byte {
-	if pg := s.at(off >> segPageShift); pg != nil && pg.data != nil {
-		return pg.data.buf[:]
-	}
-	return segZeroPage
-}
-
-// release gives every page record and each of its parts, bytes, packed
-// records and dense blocks, back to its free list, the record bare; what the
-// store held, bytes and timestamps, now reads as zero.
+// release gives every page record and each of its parts, bytes (to the list
+// of their size), packed records and dense blocks, back to its free list, the
+// record bare; what the store held, bytes and timestamps, now reads as zero.
 func (s *segStore) release() {
 	for _, pg := range s.pages {
 		if pg == nil {
 			continue
 		}
-		if pg.data != nil {
-			segBytesFree.put(pg.data)
+		if d := pg.data; d != nil {
+			bytesFree(int64(len(d.buf))).put(d)
 		}
 		for g := range segGranules {
 			if p := pg.packed[g]; p != nil {
@@ -261,18 +327,30 @@ func (s *segStore) release() {
 	s.pages, s.sparse = nil, nil
 }
 
-// writeAt copies data into the store at off, page by page, materialising
-// what each page's span stores (stores). The caller has already checked the
-// range (checkRange).
+// writeAt copies data into the store at off, page by page. A span the page's
+// bytes hold, or one with a non-zero byte, is stored (window, growBytes); a
+// span of zeros elsewhere clears what of the bytes it overlaps and
+// materialises nothing. The caller has already checked the range
+// (checkRange).
 func (s *segStore) writeAt(off int64, data []byte) {
 	for at := int64(0); at < int64(len(data)); {
 		pn, lo := off>>segPageShift, off&segPageMask
 		n := min(int64(len(data))-at, segPageSize-lo)
-		if span, pg := data[at:at+n], s.at(pn); stores(pg, span, at) {
+		span, pg := data[at:at+n], s.at(pn)
+		var buf []byte
+		if pg != nil {
+			buf = pg.data.window(lo, lo+n)
+		}
+		if buf == nil && !isZero(span, at) {
 			if pg == nil {
 				pg = s.page(pn)
 			}
-			copy(s.bytesFor(pg, lo, lo+n)[lo:], span)
+			buf = s.growBytes(pg, lo, lo+n)
+		}
+		if buf != nil {
+			copy(buf, span)
+		} else if pg != nil {
+			pg.data.zero(lo, lo+n)
 		}
 		at += n
 		off += n
@@ -309,9 +387,11 @@ func (s *segStore) zeroCursor(src []byte) segCursor {
 // put stores data at off, visible at ts: the bytes, and for a piece of at most
 // tsTrackMaxBytes the per-word timestamps. A piece inside one page goes
 // straight to the page in hand; one that straddles pages takes writeAt and
-// recordRange. A piece of zeros stores no bytes onto a page without them, and
-// a longer one onto a page without a record materialises nothing. The caller
-// has already checked the range (checkRange).
+// recordRange. A piece of zeros is stored only where the page's bytes hold
+// it: elsewhere it clears what of them it overlaps, so it never materialises
+// or widens a page's bytes, and a longer one onto a page without a record
+// materialises nothing. The caller has already checked the range
+// (checkRange).
 func (c *segCursor) put(off int64, data []byte, ts float64) {
 	n := int64(len(data))
 	lo := off & segPageMask
@@ -329,27 +409,35 @@ func (c *segCursor) put(off int64, data []byte, ts float64) {
 		pg = c.s.at(pn)
 		c.pn, c.pg = pn, pg
 	}
-	st := pg != nil && pg.data != nil || !c.zero && !isZero(data, 0)
-	if !st && n > tsTrackMaxBytes {
+	var buf []byte
+	if pg != nil {
+		buf = pg.data.window(lo, hi)
+	}
+	if buf == nil && !c.zero && !isZero(data, 0) {
+		if pg == nil {
+			pg = c.s.page(pn)
+			c.pg = pg
+		}
+		buf = c.s.growBytes(pg, lo, hi)
+	}
+	if buf != nil {
+		switch n {
+		case 4:
+			*(*[4]byte)(buf) = [4]byte(data)
+		case 8:
+			*(*[8]byte)(buf) = [8]byte(data)
+		default:
+			copy(buf, data)
+		}
+	} else if pg != nil {
+		pg.data.zero(lo, hi)
+	}
+	if n > tsTrackMaxBytes {
 		return
 	}
 	if pg == nil {
 		pg = c.s.page(pn)
 		c.pg = pg
-	}
-	if st {
-		buf := c.s.bytesFor(pg, lo, hi)
-		switch n {
-		case 4:
-			*(*[4]byte)(buf[lo:]) = [4]byte(data)
-		case 8:
-			*(*[8]byte)(buf[lo:]) = [8]byte(data)
-		default:
-			copy(buf[lo:hi], data)
-		}
-	}
-	if n > tsTrackMaxBytes {
-		return
 	}
 	// A piece inside one granule, as all but a few are, skips record's walk.
 	w0, w1 := lo>>3, (hi-1)>>3
@@ -360,52 +448,80 @@ func (c *segCursor) put(off int64, data []byte, ts float64) {
 	}
 }
 
-// readAt copies bytes [off, off+len(dst)) into dst, page by page: from a page
-// with bytes, and zeros for a page without. Nothing is materialised. No other
-// bound is needed: a byte past every write was never stored, or, on recycled
-// bytes, cleared when its page was handed out (bytesFor).
+// readAt copies bytes [off, off+len(dst)) into dst, page by page: from the
+// buffer of a page whose bytes hold the range, and zeros for what they do not.
+// Nothing is materialised. No other bound is needed: a byte past every write
+// was never stored, or, on recycled bytes, cleared when its buffer was handed
+// out (takeBytes).
 func (s *segStore) readAt(off int64, dst []byte) {
 	for len(dst) > 0 {
 		lo := off & segPageMask
 		n := min(int64(len(dst)), segPageSize-lo)
-		if pg := s.at(off >> segPageShift); pg != nil && pg.data != nil {
-			copy(dst[:n], pg.data.buf[lo:])
-		} else {
+		var d *segBytes
+		if pg := s.at(off >> segPageShift); pg != nil {
+			d = pg.data
+		}
+		switch {
+		case d.holds(lo, lo+n):
+			copy(dst[:n], d.buf[lo-d.base:])
+		case d == nil:
 			clear(dst[:n])
+		default:
+			d.readPart(lo, dst[:n])
 		}
 		dst = dst[n:]
 		off += n
 	}
 }
 
+// readPart copies the in-page range [lo, lo+len(dst)) of d's page into dst,
+// a range d's buffer holds only part of, or none: that part from the buffer,
+// zeros for the rest.
+func (d *segBytes) readPart(lo int64, dst []byte) {
+	n := int64(len(dst))
+	a := min(max(d.base-lo, 0), n)
+	b := max(min(d.base+int64(len(d.buf))-lo, n), a)
+	clear(dst[:a])
+	if a < b {
+		copy(dst[a:b], d.buf[lo+a-d.base:])
+	}
+	clear(dst[b:])
+}
+
 // clearRange zeroes the bytes [off, off+n) of the pages that have bytes,
-// within what each has dirtied; a page without bytes already reads as zero
-// and stays without. Nothing is materialised, and timestamps are left as
-// they are.
+// within what each has dirtied (segBytes.zero); the rest already reads as
+// zero. Nothing is materialised or widened, and timestamps are left as they
+// are.
 func (s *segStore) clearRange(off, n int64) {
 	for end := off + n; off < end; off = (off | segPageMask) + 1 {
 		pn := off >> segPageShift
 		if pn >= int64(len(s.pages)) {
 			return
 		}
-		if pg := s.pages[pn]; pg != nil && pg.data != nil {
-			d := pg.data
-			lo, hi := max(off&segPageMask, d.lo), min(end-pn<<segPageShift, d.hi)
-			if lo < hi {
-				clear(d.buf[lo:hi])
-			}
+		if pg := s.pages[pn]; pg != nil {
+			pg.data.zero(off&segPageMask, min(end-pn<<segPageShift, segPageSize))
 		}
 	}
 }
 
-// view returns a read-only window over [off, off+n). When the range lies
-// within a single page the page memory is aliased directly (zero-copy — this
-// is the WaitUntil spin path, re-evaluated on every wakeup); a range crossing
-// a page boundary is gathered into scratch. Callers must not write through
-// the result and must not retain it past the next store.
+// view returns a read-only view of [off, off+n). A range inside one page
+// aliases the page's buffer where its bytes hold the range, and the zero
+// source where the page has none (zero-copy — this is the WaitUntil spin
+// path, re-evaluated on every wakeup); any other range is gathered into
+// scratch, which holds at least n bytes. Callers must not write through the
+// result and must not retain it past the next store.
 func (s *segStore) view(off, n int64, scratch []byte) []byte {
-	if (off >> segPageShift) == ((off + n - 1) >> segPageShift) {
-		return s.readPage(off)[off&segPageMask : (off&segPageMask)+n]
+	if lo := off & segPageMask; lo+n <= segPageSize {
+		var d *segBytes
+		if pg := s.at(off >> segPageShift); pg != nil {
+			d = pg.data
+		}
+		if d == nil {
+			return zeros[:n:n]
+		}
+		if d.holds(lo, lo+n) {
+			return d.buf[lo-d.base : lo-d.base+n]
+		}
 	}
 	s.readAt(off, scratch[:n])
 	return scratch[:n]

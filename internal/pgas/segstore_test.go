@@ -2,8 +2,10 @@ package pgas
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -323,4 +325,62 @@ func TestSegStoreFreeOfZeroPagesMaterialisesNothing(t *testing.T) {
 	w.Write(1, off+segPageSize+128, []byte{7}, 2)
 	expectZero(t, w, 1, 0, off+segPageSize+128)
 	expectZero(t, w, 1, off+segPageSize+129, 2*segPageSize)
+}
+
+// The DHT's shape at 64 images: each partition holds its MCS qnode word at
+// offset 64 and 1.5 KiB of control, bucket and lock words at 1 MiB + 9280,
+// two pages a megabyte apart with a granule of bytes each. Every one of the
+// 128 pages takes a 4 KiB window, not its 16 KiB. A zero store into another
+// granule of a page widens nothing; a non-zero one widens exactly that page,
+// which keeps its bytes and reads zero around them.
+func TestSparsePagesTakeAWindow(t *testing.T) {
+	const pes, ctl = 64, 1<<20 + 9280
+	w, err := NewWorld(fabric.Stampede(), pes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	words := bytes.Repeat([]byte{0xA5}, 1544)
+	for pe := range pes {
+		w.WriteUint64(pe, 64, uint64(pe)+1, 1)
+		w.Write(pe, ctl, words, 1)
+	}
+	want := PageStats{SegPages: 2 * pes, DataPages: 2 * pes, WindowPages: 2 * pes}
+	layout := func(s PageStats) PageStats {
+		return PageStats{SegPages: s.SegPages, DataPages: s.DataPages, WindowPages: s.WindowPages}
+	}
+	if got := layout(w.PageStats()); got != want {
+		t.Fatalf("the DHT's shape took %+v, want %+v", got, want)
+	}
+	// Memory counts each buffer at its size: 128 windows and the qnode
+	// words' packed timestamp records (the runs are past the tracked limit).
+	s := w.PageStats()
+	held := int64(2*pes*segWindowSize + pes*tsPackedBytes)
+	if kib := fmt.Sprintf("(%d KiB,", held>>10); s.PackedRecords != pes || !strings.Contains(s.String(), kib) || s.FreshBytes > held {
+		t.Errorf("PageStats %v: want %d packed records, %s and at most %d B of new memory", s, pes, kib, held)
+	}
+	const pe = 5
+	w.WriteUint64(pe, 2*tsBlockBytes+8, 0, 2)
+	w.Write(pe, 1<<20+64, make([]byte, 64), 2)
+	if got := layout(w.PageStats()); got != want {
+		t.Fatalf("zero stores outside the windows took %+v, want %+v", got, want)
+	}
+	w.WriteUint64(pe, 3*tsBlockBytes, 7, 3)
+	want.WindowPages--
+	if got := layout(w.PageStats()); got != want {
+		t.Fatalf("a non-zero store in another granule took %+v, want %+v: exactly one page widened", got, want)
+	}
+	if got := w.ReadUint64(pe, 64); got != pe+1 {
+		t.Errorf("the widened page's qnode word reads %d, want %d", got, pe+1)
+	}
+	if got := w.ReadUint64(pe, 3*tsBlockBytes); got != 7 {
+		t.Errorf("the widening store reads back %d, want 7", got)
+	}
+	expectZero(t, w, pe, 72, 3*tsBlockBytes-72)
+	expectZero(t, w, pe, 3*tsBlockBytes+8, segPageSize-3*tsBlockBytes-8)
+	got := make([]byte, len(words)+16)
+	w.Read(pe, ctl-8, got)
+	if !bytes.Equal(got[8:8+len(words)], words) || !bytes.Equal(got[:8], make([]byte, 8)) || !bytes.Equal(got[8+len(words):], make([]byte, 8)) {
+		t.Error("the control words do not read back with zeros around them")
+	}
 }

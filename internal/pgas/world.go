@@ -288,19 +288,21 @@ func (w *World) Close() {
 }
 
 // PageStats is how much partition memory a world materialised, summed over
-// its partitions: page records, the pages of them whose bytes materialised
-// (segPageSize each: a page that was only ever stored zeros or recorded on
-// has none), the timestamps of the 4 KiB granules recorded on, as packed
-// records (every granule starts packed) and as dense blocks (the granules
-// crowded past a packed record's tsPackedCap words), how many records, byte
-// arrays and packed records were recycled from closed worlds, how much of it
-// all was new memory, and the bytes cleared on handing out recycled memory:
-// a packed record's mask and counts, a dense block whole, of a page's bytes only what
-// their last owner dirtied and the first write does not cover (see
-// segStore.bytesFor).
+// its partitions: page records, the pages of them whose bytes materialised (a
+// page that was only ever stored zeros or recorded on has none) and of those
+// the ones whose bytes are still a 4 KiB window (segWindowSize; the others
+// hold the full segPageSize), the timestamps of the 4 KiB granules recorded
+// on, as packed records (every granule starts packed) and as dense blocks
+// (the granules crowded past a packed record's tsPackedCap words), how many
+// records, byte buffers (a widened page took two) and packed records were
+// recycled from closed worlds, how much of it all was new memory, and the
+// bytes cleared on handing out recycled memory: a packed record's mask and
+// counts, a dense block whole, of a byte buffer only what its last owner
+// dirtied and the first write does not cover (see segStore.takeBytes).
 type PageStats struct {
 	SegPages              int
 	DataPages             int
+	WindowPages           int
 	PackedRecords         int
 	TsPages               int
 	RecycledSegPages      int
@@ -311,9 +313,10 @@ type PageStats struct {
 }
 
 func (s PageStats) String() string {
-	kib := (int64(s.DataPages)*segPageSize + int64(s.PackedRecords)*tsPackedBytes + int64(s.TsPages)*tsBlockBytes) >> 10
-	return fmt.Sprintf("%d seg pages (%d with bytes) + %d packed ts records (%d recycled) + %d ts pages (%d KiB, %d KiB of it new memory), %d KiB cleared on hand-out",
-		s.SegPages, s.DataPages, s.PackedRecords, s.RecycledPackedRecords, s.TsPages, kib, s.FreshBytes>>10, s.ClearedBytes>>10)
+	kib := (int64(s.DataPages-s.WindowPages)*segPageSize + int64(s.WindowPages)*segWindowSize +
+		int64(s.PackedRecords)*tsPackedBytes + int64(s.TsPages)*tsBlockBytes) >> 10
+	return fmt.Sprintf("%d seg pages (%d with bytes, %d of them windows) + %d packed ts records (%d recycled) + %d ts pages (%d KiB, %d KiB of it new memory), %d KiB cleared on hand-out",
+		s.SegPages, s.DataPages, s.WindowPages, s.PackedRecords, s.RecycledPackedRecords, s.TsPages, kib, s.FreshBytes>>10, s.ClearedBytes>>10)
 }
 
 // PageStats sums the partitions' page counters. It takes each partition lock
@@ -327,12 +330,13 @@ func (w *World) PageStats() PageStats {
 		g := &p.seg
 		s.SegPages += g.materialised
 		s.DataPages += g.dataMaterialised
+		s.WindowPages += g.windows
 		s.PackedRecords += g.packedMaterialised
 		s.TsPages += g.tsMaterialised
 		s.RecycledSegPages += g.materialised - g.fresh
-		s.RecycledDataPages += g.dataMaterialised - g.dataFresh
+		s.RecycledDataPages += g.dataRecycled
 		s.RecycledPackedRecords += g.packedMaterialised - g.packedFresh
-		s.FreshBytes += int64(g.dataFresh)*segPageSize + int64(g.packedFresh)*tsPackedBytes + int64(g.tsFresh)*tsBlockBytes
+		s.FreshBytes += g.dataFreshBytes + int64(g.packedFresh)*tsPackedBytes + int64(g.tsFresh)*tsBlockBytes
 		s.ClearedBytes += g.cleared
 		p.mu.Unlock()
 	}
