@@ -68,12 +68,3 @@ func maxOf[T pgas.Elem](a, b T) T {
 	}
 	return a
 }
-
-func highBitCAF(v int) int {
-	h := -1
-	for v > 0 {
-		v >>= 1
-		h++
-	}
-	return h
-}

@@ -2,7 +2,9 @@ package caf
 
 import (
 	"fmt"
+	"math/bits"
 
+	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgas"
 )
 
@@ -49,15 +51,6 @@ func (g *group) member(i int) int {
 		return i + 1
 	}
 	return g.members[i]
-}
-
-// rounds returns ceil(log2(size)).
-func (g *group) rounds() int {
-	r := 0
-	for v := 1; v < g.size(); v <<= 1 {
-		r++
-	}
-	return r
 }
 
 func (g *group) nextSeq() int64 {
@@ -145,7 +138,7 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 	out := append([]T(nil), vals...) // the call's one allocation
 	es := int64(pgas.SizeOf[T]())
 	nbytes := int64(len(vals)) * es
-	rounds := g.rounds()
+	rounds := fabric.CeilLog2(n)
 	scratch := g.ensureScratch(nbytes * int64(rounds+1))
 	seq := g.nextSeq()
 	rel := g.myIdx
@@ -167,14 +160,10 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 	if resultIdx < 0 {
 		// Binomial distribution from the root through the same tree.
 		if rel != 0 {
-			g.awaitFlag(collMaxRounds+highBitCAF(rel), seq)
+			g.awaitFlag(collMaxRounds+bits.Len(uint(rel))-1, seq)
 			recvVals(g, out, scratch+bslot*nbytes)
 		}
-		start := 0
-		if rel != 0 {
-			start = highBitCAF(rel) + 1
-		}
-		for k := start; k < rounds; k++ {
+		for k := bits.Len(uint(rel)); k < rounds; k++ { // children lie above rel's highest set bit
 			childRel := rel + (1 << k)
 			if childRel >= n {
 				break
@@ -203,21 +192,17 @@ func groupBroadcast[T pgas.Elem](g *group, vals []T, sourceIdx int) []T {
 	}
 	es := int64(pgas.SizeOf[T]())
 	nbytes := int64(len(vals)) * es
-	rounds := g.rounds()
+	rounds := fabric.CeilLog2(n)
 	scratch := g.ensureScratch(nbytes * int64(rounds+1))
 	seq := g.nextSeq()
 	rel := (g.myIdx - sourceIdx + n) % n
 	bslot := int64(rounds)
 
 	if rel != 0 {
-		g.awaitFlag(collMaxRounds+highBitCAF(rel), seq)
+		g.awaitFlag(collMaxRounds+bits.Len(uint(rel))-1, seq)
 		recvVals(g, out, scratch+bslot*nbytes)
 	}
-	start := 0
-	if rel != 0 {
-		start = highBitCAF(rel) + 1
-	}
-	for k := start; k < rounds; k++ {
+	for k := bits.Len(uint(rel)); k < rounds; k++ { // children lie above rel's highest set bit
 		childRel := rel + (1 << k)
 		if childRel >= n {
 			break

@@ -1,6 +1,9 @@
 package fabric
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // StridedMode describes how a library implements the 1-dimensional strided
 // transfer routines (shmem_iput / shmem_iget or their moral equivalents).
@@ -169,7 +172,7 @@ func (p *CostProfile) BarrierNs(n, nodes int) float64 {
 	if n <= 1 {
 		return p.OverheadNs
 	}
-	rounds := ceilLog2(n)
+	rounds := CeilLog2(n)
 	lat := p.IntraLatencyNs
 	if nodes > 1 {
 		lat = p.LatencyNs
@@ -215,13 +218,13 @@ func (p *CostProfile) latency(intra bool, pairs int) float64 {
 	return l
 }
 
-func ceilLog2(n int) int {
-	r, v := 0, 1
-	for v < n {
-		v <<= 1
-		r++
+// CeilLog2 is ⌈log2 n⌉, the rounds of a dissemination or binomial tree over n
+// PEs: 0 for n <= 1.
+func CeilLog2(n int) int {
+	if n <= 1 {
+		return 0
 	}
-	return r
+	return bits.Len(uint(n - 1))
 }
 
 func powf(x, y float64) float64 {

@@ -106,8 +106,8 @@ func TestBarrierCostGrowsLogarithmically(t *testing.T) {
 func TestCeilLog2(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 1024: 10, 1025: 11}
 	for n, want := range cases {
-		if got := ceilLog2(n); got != want {
-			t.Errorf("ceilLog2(%d) = %d, want %d", n, got, want)
+		if got := CeilLog2(n); got != want {
+			t.Errorf("CeilLog2(%d) = %d, want %d", n, got, want)
 		}
 	}
 }

@@ -175,19 +175,31 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 				}
 			}
 		}
-		// sync is SyncAll with, under FaultAware, the STAT-bearing form; a
-		// non-OK status aborts the caller's loop instead of terminating.
+		// sync is SyncAll, and wait a neighbour's doorbell (signal schedule
+		// only), with, under FaultAware, the STAT-bearing form: a non-OK
+		// status — a failed image — aborts the caller's loop instead of
+		// terminating or hanging.
 		stat := caf.StatOK
+		okStat := func(s caf.Stat) bool {
+			if s != caf.StatOK {
+				stat = s
+			}
+			return s == caf.StatOK
+		}
 		sync := func() bool {
 			if !prm.FaultAware {
 				img.SyncAll()
 				return true
 			}
-			if s := img.SyncAllStat(); s != caf.StatOK {
-				stat = s
-				return false
+			return okStat(img.SyncAllStat())
+		}
+		var sig *caf.Signal
+		wait := func(j int) bool {
+			if !prm.FaultAware {
+				sig.Wait(j)
+				return true
 			}
-			return true
+			return okStat(sig.WaitStat(j))
 		}
 
 		// Schedule selection. sig carries the neighbour doorbells of the
@@ -195,17 +207,14 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 		// region), so every image allocates it or none does.
 		barrierOverlap := prm.OverlapBarrier
 		signalOverlap := prm.Overlap && !barrierOverlap
-		var sig *caf.Signal
+		overlap := barrierOverlap || signalOverlap
 		if signalOverlap {
 			sig = caf.NewSignal(img)
 		}
 
 		p.SetSlice(cur)
-		done := prm.Iters
+		done := 0
 		ok := sync()
-		if !ok {
-			done = 0
-		}
 
 		img.Clock().Reset()
 		var gosa float64
@@ -216,180 +225,102 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 			pts := float64((nx - 2) * planes * (nz - 2))
 			img.Clock().Advance(opts.Machine.ComputeNs(flopsPerPt * pts))
 		}
-		// tmp backs the ghost-only refresh in the overlap modes (allocated
-		// once; the per-iteration refresh must not allocate).
-		var tmp []float32
-		if barrierOverlap || signalOverlap {
-			tmp = make([]float32, len(cur))
+		// halos are the exchanges with my neighbours, left first: my plane j
+		// fills their ghost plane theirs, and theirs fills my ghost plane mine.
+		type halo struct{ to, j, theirs, mine int }
+		halos := make([]halo, 0, 2)
+		if me > 1 {
+			halos = append(halos, halo{me - 1, 1, planeCount(ny, images, me-1) + 1, 0})
 		}
-		// The two halo planes an iteration sends, extracted into per-image
-		// buffers that every iteration reuses: Put, PutAsync and
-		// PutSignalAsync all take their values at issue (the documented
-		// contract, see caf/async.go), so a plane buffer is free again as
-		// soon as its put call returns.
-		leftPlane := make([]float32, nx*nz)
-		rightPlane := make([]float32, nx*nz)
-		for it := 0; ok && it < prm.Iters; it++ {
+		if me < images {
+			halos = append(halos, halo{me + 1, nyLoc, 0, nyLoc + 1})
+		}
+		// sendHalos sends src's boundary planes into the neighbours' ghost
+		// planes, matrix-oriented sections (contiguous in i, strided across
+		// k), by the schedule's put. Put, PutAsync and PutSignalAsync all take
+		// their values at issue (the documented contract, see caf/async.go),
+		// so the one plane buffer is free again as soon as a put returns.
+		plane := make([]float32, nx*nz)
+		sendHalos := func(src []float32) {
+			for _, h := range halos {
+				slab.extract(plane, src, h.j)
+				sec := sectionPlane(nx, nz, h.theirs)
+				switch {
+				case signalOverlap:
+					p.PutSignalAsync(h.to, sec, plane, sig)
+				case barrierOverlap:
+					p.PutAsync(h.to, sec, plane)
+				default:
+					p.Put(h.to, sec, plane)
+				}
+			}
+		}
+		for ok && done < prm.Iters {
 			copy(next, cur)
 			gosa = 0
-			if !barrierOverlap && !signalOverlap {
-				// Blocking schedule (the paper's §IV-B translation): sweep
-				// everything, store the slab, exchange halos with a quiet per
-				// put and a barrier on either side.
+			if overlap {
+				// Boundary planes first, launched while the interior is swept:
+				// the runtime takes a payload at issue, so neither the sweep
+				// nor the swap below races the in-flight planes.
+				sweepPlanes(1, 1)
+				if nyLoc > 1 {
+					sweepPlanes(nyLoc, nyLoc)
+				}
+				boundary := min(nyLoc, 2)
+				chargeCompute(boundary)
+				sendHalos(next)
+				if nyLoc > 2 {
+					sweepPlanes(2, nyLoc-1)
+				}
+				chargeCompute(nyLoc - boundary)
+			} else {
 				sweepPlanes(1, nyLoc)
 				chargeCompute(nyLoc)
+			}
+			cur, next = next, cur
 
-				cur, next = next, cur
-				p.SetSlice(cur)
-				// Everyone's local store must land before neighbours write
-				// into our ghost planes (and vice versa).
-				if !sync() {
-					done = it
-					break
-				}
-
-				// Halo exchange: matrix-oriented planes (contiguous in i,
-				// strided across k).
-				if me > 1 {
-					extractPlane(leftPlane, cur, nx, nyAlloc, nz, 1)
-					leftNyLoc := planeCount(ny, images, me-1)
-					p.Put(me-1, sectionPlane(nx, nz, leftNyLoc+1), leftPlane)
-				}
-				if me < images {
-					extractPlane(rightPlane, cur, nx, nyAlloc, nz, nyLoc)
-					p.Put(me+1, sectionPlane(nx, nz, 0), rightPlane)
-				}
-				if !sync() {
-					done = it
-					break
-				}
-				// Refresh ghosts into the working copy (in place — the
-				// refresh is per-iteration on every image, so it must not
-				// allocate).
-				p.SliceInto(cur)
-			} else if barrierOverlap {
-				// Barrier-paced overlap schedule (the regression baseline):
-				// boundary planes first, launch them nonblocking, hide the wire
-				// time under the interior sweep, complete with one SyncMemory
-				// and one barrier.
-				boundary := 1
-				sweepPlanes(1, 1)
-				if nyLoc > 1 {
-					sweepPlanes(nyLoc, nyLoc)
-					boundary = 2
-				}
-				chargeCompute(boundary)
-
-				// Launch the freshly-computed boundary planes from next: the
-				// runtime encodes them at issue, so the later swap and sweep
-				// cannot race the in-flight payloads.
-				if me > 1 {
-					extractPlane(leftPlane, next, nx, nyAlloc, nz, 1)
-					leftNyLoc := planeCount(ny, images, me-1)
-					p.PutAsync(me-1, sectionPlane(nx, nz, leftNyLoc+1), leftPlane)
-				}
-				if me < images {
-					extractPlane(rightPlane, next, nx, nyAlloc, nz, nyLoc)
-					p.PutAsync(me+1, sectionPlane(nx, nz, 0), rightPlane)
-				}
-
-				if nyLoc > 2 {
-					sweepPlanes(2, nyLoc-1)
-				}
-				chargeCompute(nyLoc - boundary)
-
+			// Completion, the one part each schedule does its own way.
+			switch {
+			case signalOverlap:
+				// Zero barriers and zero quiets: a doorbell rides its plane's
+				// completion stream, so a neighbour's signal alone says the
+				// plane arrived. Write-after-read safety across iterations
+				// comes from the residual allreduce below: CoSum returns only
+				// after every image contributed, and each contribution follows
+				// its ghost reads in program order.
+				ok = (me == 1 || wait(me-1)) && (me == images || wait(me+1))
+			case barrierOverlap:
+				// The regression baseline: complete the puts, then one
+				// barrier, which my neighbours entered after their transfers
+				// into my ghost planes completed.
 				img.SyncMemory()
-				cur, next = next, cur
-				// One barrier: my neighbours' transfers into my ghost slots
-				// completed before they entered it.
-				if !sync() {
-					done = it
-					break
+				ok = sync()
+			default:
+				// The paper's §IV-B translation: store the slab, exchange
+				// halos with a quiet per put and a barrier on either side —
+				// everyone's local store lands before neighbours write into
+				// its ghost planes.
+				p.SetSlice(cur)
+				if ok = sync(); ok {
+					sendHalos(cur)
+					ok = sync()
 				}
-				// Ghost-only refresh: the coarray is a mailbox, only its two
-				// ghost planes carry data (the slab interior lives in cur).
-				p.SliceInto(tmp)
-				if me > 1 {
-					copyPlane(cur, tmp, nx, nyAlloc, nz, 0)
-				}
-				if me < images {
-					copyPlane(cur, tmp, nx, nyAlloc, nz, nyLoc+1)
-				}
-			} else {
-				// Signal-driven overlap schedule: same pipelining, but every
-				// halo travels as a fused put-with-signal and each image waits
-				// only for its own neighbours' doorbells — zero barriers and
-				// zero quiets in steady state. Write-after-read safety across
-				// iterations comes from the residual allreduce at the bottom of
-				// the loop: CoSum returns only after every image contributed,
-				// and each image's contribution follows its ghost reads in
-				// program order, so a neighbour's next-iteration halo can never
-				// land before this iteration's copy out of the mailbox.
-				boundary := 1
-				sweepPlanes(1, 1)
-				if nyLoc > 1 {
-					sweepPlanes(nyLoc, nyLoc)
-					boundary = 2
-				}
-				chargeCompute(boundary)
-
-				// Launch boundary planes with the doorbell riding the same
-				// per-destination completion stream as the data: the
-				// neighbour's Wait alone guarantees the plane arrived. The
-				// payload is taken at issue, so no producer quiet is owed
-				// before the next sweep (or the next reuse of the plane buffer).
-				if me > 1 {
-					extractPlane(leftPlane, next, nx, nyAlloc, nz, 1)
-					leftNyLoc := planeCount(ny, images, me-1)
-					p.PutSignalAsync(me-1, sectionPlane(nx, nz, leftNyLoc+1), leftPlane, sig)
-				}
-				if me < images {
-					extractPlane(rightPlane, next, nx, nyAlloc, nz, nyLoc)
-					p.PutSignalAsync(me+1, sectionPlane(nx, nz, 0), rightPlane, sig)
-				}
-
-				if nyLoc > 2 {
-					sweepPlanes(2, nyLoc-1)
-				}
-				chargeCompute(nyLoc - boundary)
-
-				cur, next = next, cur
-				// Wait for exactly the neighbours whose planes we need; under
-				// FaultAware a dead neighbour surfaces as a status, not a hang.
-				wait := func(j int) bool {
-					if !prm.FaultAware {
-						sig.Wait(j)
-						return true
-					}
-					if s := sig.WaitStat(j); s != caf.StatOK {
-						stat = s
-						return false
-					}
-					return true
-				}
-				if me > 1 && !wait(me-1) {
-					done = it
-					break
-				}
-				if me < images && !wait(me+1) {
-					done = it
-					break
-				}
-				// Ghost-only refresh, exactly as in the barrier schedule.
-				p.SliceInto(tmp)
-				if me > 1 {
-					copyPlane(cur, tmp, nx, nyAlloc, nz, 0)
-				}
-				if me < images {
-					copyPlane(cur, tmp, nx, nyAlloc, nz, nyLoc+1)
-				}
-				// Signals cannot make the reduction fault-safe (CoSum has no
-				// STAT form), so FaultAware pays one barrier per iteration to
-				// guard it; the fault-free steady state pays none.
-				if prm.FaultAware && !sync() {
-					done = it
-					break
-				}
+			}
+			if !ok {
+				break
+			}
+			// Ghost-only refresh, through next (the next sweep overwrites
+			// it): of the coarray only the ghost planes carry what cur lacks,
+			// and the overlap schedules never store the slab interior there.
+			p.SliceInto(next)
+			for _, h := range halos {
+				slab.copyPlane(cur, next, h.mine)
+			}
+			// Signals cannot make the reduction fault-safe (CoSum has no
+			// STAT form), so FaultAware pays one barrier per iteration to
+			// guard it; the fault-free steady state pays none.
+			if signalOverlap && prm.FaultAware && !sync() {
+				break
 			}
 
 			// Residual reduction, as the reference code does every iteration.
@@ -397,8 +328,9 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 			// succeeded, and there is no fault point between it and the end of
 			// the reduction, so every participant completes it.
 			gosa = caf.CoSum(img, []float64{gosa}, 0)[0]
+			done++
 		}
-		if (barrierOverlap || signalOverlap) && prm.Gather && stat == caf.StatOK {
+		if overlap && prm.Gather && stat == caf.StatOK {
 			// The coarray held only ghost planes during the run; publish the
 			// final slab for the gather below.
 			p.SetSlice(cur)
@@ -530,21 +462,19 @@ func sectionPlane(nx, nz, j int) caf.Section {
 	}
 }
 
-// extractPlane copies local j-plane j out of the working array (whose j
-// extent is nyAlloc+2) into out (nx*nz elements) in section (column-major)
-// order.
-func extractPlane(out, cur []float32, nx, nyAlloc, nz, j int) {
-	for k := 0; k < nz; k++ {
-		base := nx * (j + (nyAlloc+2)*k)
-		copy(out[k*nx:(k+1)*nx], cur[base:base+nx])
+// extract copies local j-plane j of a into out (nx*nz elements) in section
+// (column-major) order.
+func (s slab) extract(out, a []float32, j int) {
+	for k := 0; k < s.nz; k++ {
+		base := s.nx * (j + s.rows*k)
+		copy(out[k*s.nx:(k+1)*s.nx], a[base:base+s.nx])
 	}
 }
 
-// copyPlane copies local j-plane j from src into dst (both full working
-// arrays with j extent nyAlloc+2).
-func copyPlane(dst, src []float32, nx, nyAlloc, nz, j int) {
-	for k := 0; k < nz; k++ {
-		base := nx * (j + (nyAlloc+2)*k)
-		copy(dst[base:base+nx], src[base:base+nx])
+// copyPlane copies local j-plane j from src into dst.
+func (s slab) copyPlane(dst, src []float32, j int) {
+	for k := 0; k < s.nz; k++ {
+		base := s.nx * (j + s.rows*k)
+		copy(dst[base:base+s.nx], src[base:base+s.nx])
 	}
 }

@@ -22,22 +22,23 @@ var engineSpellings = []struct {
 	engine pgas.Engine
 }{{"goroutine", pgas.EngineGoroutine}, {"event", pgas.EngineEvent}}
 
-func benchRun(t *testing.T, engine pgas.Engine, overlap bool, iters int) {
+func benchRun(t *testing.T, engine pgas.Engine, sched Params, iters int) {
 	t.Helper()
 	o := caf.UHCAFOverMV2XSHMEM()
 	o.Strided = caf.StridedNaive
 	o.Engine = engine
-	if _, err := Run(o, benchImages, Params{NX: 16, NY: 256, NZ: 8, Iters: iters, Overlap: overlap}); err != nil {
+	sched.NX, sched.NY, sched.NZ, sched.Iters = 16, 256, 8, iters
+	if _, err := Run(o, benchImages, sched); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestHimenoSteadyStateAllocs pins what a Himeno iteration costs the host
-// beyond its simulated operations, on both schedules.
+// beyond its simulated operations, on all three schedules.
 //
 // allocs: the mallocs an image-iteration adds — a run of N iterations minus a
 // run of one, so world set-up cancels — stay under a ceiling, measured with
-// the collector paused. Both schedules owe the heap one object per
+// the collector paused. Every schedule owes the heap one object per
 // image-iteration, the slice co_sum returns: a nonblocking halo put lands
 // before it returns, so nothing copies its plane. Before the control-word and
 // section paths came off the heap these read 24.5 and 41.3; the signal
@@ -49,11 +50,12 @@ func TestHimenoSteadyStateAllocs(t *testing.T) {
 	const iters = 31
 	for _, sched := range []struct {
 		name    string
-		overlap bool
+		sched   Params
 		ceiling float64 // mallocs per image-iteration
 	}{
-		{"blocking", false, 1.05},
-		{"signal", true, 1.05},
+		{"blocking", Params{}, 1.05},
+		{"barrier", Params{OverlapBarrier: true}, 1.05},
+		{"signal", Params{Overlap: true}, 1.05},
 	} {
 		for _, e := range engineSpellings {
 			t.Run("allocs/"+sched.name+"/"+e.name, func(t *testing.T) {
@@ -64,7 +66,7 @@ func TestHimenoSteadyStateAllocs(t *testing.T) {
 				mallocs := func(n int) uint64 {
 					var a, b runtime.MemStats
 					runtime.ReadMemStats(&a)
-					benchRun(t, e.engine, sched.overlap, n)
+					benchRun(t, e.engine, sched.sched, n)
 					runtime.ReadMemStats(&b)
 					return b.Mallocs - a.Mallocs
 				}
@@ -97,7 +99,7 @@ func TestHimenoSteadyStateAllocs(t *testing.T) {
 					time.Sleep(200 * time.Microsecond)
 				}
 			}()
-			benchRun(t, e.engine, false, 20)
+			benchRun(t, e.engine, Params{}, 20)
 			close(stop)
 			<-stopped
 			// base already counts the test's goroutines; +1 is the sampler.

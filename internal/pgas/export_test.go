@@ -20,6 +20,19 @@ func newWorldShards(m *fabric.Machine, n int, opts Options, shards int) (*World,
 	return w, err
 }
 
+// LockedPartitions returns the PEs whose partition lock is held: what an
+// access that panicked under the lock leaves behind.
+func (w *World) LockedPartitions() (held []int) {
+	for i := range w.pes {
+		if !w.pes[i].mu.TryLock() {
+			held = append(held, i)
+		} else {
+			w.pes[i].mu.Unlock()
+		}
+	}
+	return held
+}
+
 // WakeVisits is how many partitions the world's wake fan-outs (departures,
 // repair writes, unreachable-link marks, poison) have visited so far.
 func (w *World) WakeVisits() int64 { return w.wakeVisits.Load() }

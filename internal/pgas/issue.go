@@ -3,7 +3,6 @@ package pgas
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"cafshmem/internal/fabric"
 )
@@ -90,7 +89,7 @@ func (d *RMA) vecSpan() (lo, hi int64) {
 		if len(d.Offs) == 0 {
 			return d.Off, d.Off
 		}
-		return d.Off + slices.Min(d.Offs), d.Off + slices.Max(d.Offs) + unit
+		return spanOf(d.Off, d.Offs, 1, 0, unit)
 	}
 	if unit <= 0 || len(d.Local)%d.Unit != 0 {
 		panic(fmt.Sprintf("pgas: %d bytes of local operand are not whole %d-byte elements", len(d.Local), d.Unit))
@@ -102,7 +101,7 @@ func (d *RMA) vecSpan() (lo, hi int64) {
 	if d.Stride < unit {
 		panic(fmt.Sprintf("pgas: stride %d is smaller than the %d-byte element", d.Stride, d.Unit))
 	}
-	return d.Off, d.Off + (n-1)*d.Stride + unit
+	return spanOf(d.Off, nil, n, d.Stride, unit)
 }
 
 // Price is what one message of an op costs on its library's price list.

@@ -1,6 +1,10 @@
 package pgas
 
-import "fmt"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Vectored one-sided access. A strided or multi-run transfer through the
 // element-wise Write/Read costs one lock acquisition, one watch scan, and one
@@ -27,7 +31,7 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 		return
 	}
 	es := int64(elemSize)
-	checkRange("WriteV", off, int64(nelems-1)*strideBytes+es)
+	checkSpan("WriteV", off, nil, int64(nelems), strideBytes, es)
 	if w.stateOf(target) == stateFailed {
 		return
 	}
@@ -62,7 +66,7 @@ func (w *World) ReadV(target int, off, strideBytes int64, elemSize int, dst []by
 		return
 	}
 	es := int64(elemSize)
-	checkRange("ReadV", off, int64(nelems-1)*strideBytes+es)
+	checkSpan("ReadV", off, nil, int64(nelems), strideBytes, es)
 	p := w.part(target)
 	p.mu.Lock()
 	for k := 0; k < nelems; k++ {
@@ -88,16 +92,12 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	if len(offs) == 0 {
 		return
 	}
+	rb := int64(runBytes)
+	checkSpan("WriteRuns", base, offs, 1, 0, rb)
 	if w.stateOf(target) == stateFailed {
 		return
 	}
 	p := w.part(target)
-	rb := int64(runBytes)
-	first, end := base+offs[0], int64(0)
-	for _, o := range offs {
-		first, end = min(first, base+o), max(end, base+o+rb)
-	}
-	checkRange("WriteRuns", first, end-first)
 	p.mu.Lock()
 	matched := false
 	c := p.seg.zeroCursor(src)
@@ -125,15 +125,51 @@ func (w *World) ReadRuns(target int, base int64, offs []int64, runBytes int, dst
 		return
 	}
 	rb := int64(runBytes)
+	checkSpan("ReadRuns", base, offs, 1, 0, rb)
 	p := w.part(target)
 	p.mu.Lock()
 	for i, o := range offs {
-		o += base
-		if o < 0 || o+rb > MaxSegmentBytes {
-			p.mu.Unlock()
-			panic(fmt.Sprintf("pgas: ReadRuns run at offset %d out of range", o))
-		}
-		p.seg.readAt(o, dst[int64(i)*rb:int64(i+1)*rb])
+		p.seg.readAt(base+o, dst[int64(i)*rb:int64(i+1)*rb])
 	}
 	p.mu.Unlock()
+}
+
+// spanOf returns the bytes [lo, hi) a vectored operand spans: n elements of
+// unit bytes at byte stride from base, from the first to the end of the last;
+// or, given offs, runs of unit bytes at base+offs[i], from the lowest to the
+// end of the highest. n (or len(offs)) is at least 1 and stride is not
+// negative. The sums saturate where int64 would wrap, so an operand that no
+// partition holds spans past MaxSegmentBytes, where checkRange refuses it.
+func spanOf(base int64, offs []int64, n, stride, unit int64) (lo, hi int64) {
+	lo, hi = base, addSat(base, mulSat(n-1, stride))
+	if offs != nil {
+		lo, hi = addSat(base, slices.Min(offs)), addSat(base, slices.Max(offs))
+	}
+	return lo, addSat(hi, unit)
+}
+
+// checkSpan is checkRange over a vectored operand's spanOf: the check every
+// vectored entry makes before it takes a lock. hi >= lo, so hi-lo cannot wrap
+// once lo is known not to be negative.
+func checkSpan(what string, base int64, offs []int64, n, stride, unit int64) {
+	lo, hi := spanOf(base, offs, n, stride, unit)
+	checkRange(what, lo, hi-lo)
+}
+
+// addSat is a+b, held at the int64 bound it would wrap past.
+func addSat(a, b int64) int64 {
+	if s := a + b; (s > a) == (b > 0) {
+		return s
+	} else if b > 0 {
+		return math.MaxInt64
+	}
+	return math.MinInt64
+}
+
+// mulSat is a*b for a, b >= 0, held at MaxInt64 where it would wrap.
+func mulSat(a, b int64) int64 {
+	if hi, lo := bits.Mul64(uint64(a), uint64(b)); hi == 0 && lo <= math.MaxInt64 {
+		return int64(lo)
+	}
+	return math.MaxInt64
 }

@@ -1,123 +1,112 @@
 package pgasbench
 
 import (
+	"slices"
+
 	"cafshmem/internal/caf"
 	"cafshmem/internal/pgas"
 )
 
-// CAFPutConfig describes a CAF-level put benchmark (Figs 6-7): pairs of
-// images across two nodes performing co-indexed puts.
-type CAFPutConfig struct {
-	Label string
-	Opts  caf.Options
-	Pairs int
-	Iters int
+// cafPutIters is how many puts a source image makes at each x.
+const cafPutIters = 3
+
+// cafPut is one x of a CAF put series: the shape of the coarray the puts
+// target, the section each put writes and the bytes it moves.
+type cafPut struct {
+	shape []int
+	sec   caf.Section
+	bytes int
 }
 
-// CAFContigBandwidth measures contiguous co-indexed put bandwidth (MB/s) for
-// each message size in bytes (Figs 6/7 panels (a) and (b)).
-func CAFContigBandwidth(cfg CAFPutConfig, sizes []int) (Series, error) {
-	if cfg.Iters <= 0 {
-		cfg.Iters = 3
+// cafPutBandwidth is the one harness of the CAF put-bandwidth panels (Figs 6
+// and 7, and the §V-D matrix strides): on two nodes, each of the first pairs
+// images of node 1 puts vals into at(x)'s section of its partner's coarray on
+// node 2, cafPutIters times between two barriers, and image 1's window gives
+// x's bandwidth in MB/s. A coarray serves every x of its shape: where the
+// shape changes, the last is freed and a new one allocated. The puts are laid
+// out once, before the images start, and shared read-only among them.
+func cafPutBandwidth[T pgas.Elem](c config, pairs int, xs []int, vals []T, at func(x int) cafPut) (Series, error) {
+	per := c.Opts.Machine.CoresPerNode
+	opts := c.Opts
+	opts.ActivePairs = pairs
+	puts := make([]cafPut, len(xs))
+	for xi, x := range xs {
+		puts[xi] = at(x)
 	}
-	if cfg.Pairs <= 0 {
-		cfg.Pairs = 1
-	}
-	per := cfg.Opts.Machine.CoresPerNode
-	images := 2 * per
-	opts := cfg.Opts
-	opts.ActivePairs = cfg.Pairs
-
-	results := make([]float64, len(sizes))
-	// The source images put from the read-only zero source: a byte coarray's
-	// put hands it to the transport as it stands.
-	vals := pgas.Zeros(maxSize(sizes))
-	err := caf.Run(images, opts, func(img *Image) {
-		c := caf.Allocate[byte](img, len(vals))
+	results := make([]float64, len(xs))
+	err := caf.Run(2*per, opts, func(img *Image) {
 		me := img.ThisImage()
-		isSrc := me <= cfg.Pairs
-		target := me + per
-		for si, size := range sizes {
+		var co *caf.Coarray[T]
+		var shape []int
+		for xi, put := range puts {
+			if !slices.Equal(put.shape, shape) {
+				if co != nil {
+					co.Deallocate()
+				}
+				co, shape = caf.Allocate[T](img, put.shape...), put.shape
+			}
 			img.SyncAll()
 			start := img.Clock().Now()
-			if isSrc {
-				sec := caf.Section{{Lo: 0, Hi: size - 1, Step: 1}}
-				for i := 0; i < cfg.Iters; i++ {
-					c.Put(target, sec, vals[:size])
+			if me <= pairs {
+				for range cafPutIters {
+					co.Put(me+per, put.sec, vals[:put.bytes/pgas.SizeOf[T]()])
 				}
 			}
 			img.SyncAll()
 			if me == 1 {
 				elapsed := img.Clock().Now() - start
-				results[si] = float64(size) * float64(cfg.Iters) / (elapsed / 1e9) / 1e6
+				results[xi] = float64(put.bytes) * cafPutIters / (elapsed / 1e9) / 1e6
 			}
 		}
+		co.Deallocate()
 	})
 	if err != nil {
 		return Series{}, err
 	}
-	out := Series{Label: cfg.Label}
-	for si, size := range sizes {
-		out.Rows = append(out.Rows, Row{X: float64(size), Value: results[si]})
+	out := Series{Label: c.Label}
+	for xi, x := range xs {
+		out.Rows = append(out.Rows, Row{X: float64(x), Value: results[xi]})
 	}
 	return out, nil
 }
 
-// CAFStridedBandwidth measures 2-D strided co-indexed put bandwidth (MB/s)
-// as the destination stride grows (Figs 6/7 panels (c) and (d)): a fixed
-// 64x64-element section of 4-byte integers is scattered with the given
-// element stride in dimension 1 and stride 2 in dimension 2, matching the
-// regular multi-dimensional strides of §IV-C (both dimensions strided — the
-// matrix-oriented contiguous case is benchmarked separately for §V-D).
-func CAFStridedBandwidth(cfg CAFPutConfig, strides []int) (Series, error) {
-	const elems = 64 // per dimension
-	if cfg.Iters <= 0 {
-		cfg.Iters = 3
-	}
-	if cfg.Pairs <= 0 {
-		cfg.Pairs = 1
-	}
-	per := cfg.Opts.Machine.CoresPerNode
-	images := 2 * per
-	opts := cfg.Opts
-	opts.ActivePairs = cfg.Pairs
-
-	results := make([]float64, len(strides))
-	vals := make([]int32, elems*elems)
-	err := caf.Run(images, opts, func(img *Image) {
-		me := img.ThisImage()
-		isSrc := me <= cfg.Pairs
-		target := me + per
-		for si, stride := range strides {
-			c := caf.Allocate[int32](img, elems*stride, elems*2)
-			sec := caf.Section{
-				{Lo: 0, Hi: (elems - 1) * stride, Step: stride},
-				{Lo: 0, Hi: (elems - 1) * 2, Step: 2},
-			}
-			img.SyncAll()
-			start := img.Clock().Now()
-			if isSrc {
-				for i := 0; i < cfg.Iters; i++ {
-					c.Put(target, sec, vals)
-				}
-			}
-			img.SyncAll()
-			if me == 1 {
-				elapsed := img.Clock().Now() - start
-				bytes := float64(elems*elems*4) * float64(cfg.Iters)
-				results[si] = bytes / (elapsed / 1e9) / 1e6
-			}
-			c.Deallocate()
-		}
+// cafContigPut is Figs 6/7 panels (a) and (b): contiguous co-indexed puts of
+// each large size into one byte coarray. The source images put from the
+// read-only zero source: a byte coarray's put hands it to the transport as it
+// stands.
+func cafContigPut(c config, pairs int) (Series, error) {
+	vals := pgas.Zeros(maxSize(LargeSizes))
+	return cafPutBandwidth(c, pairs, LargeSizes, vals, func(size int) cafPut {
+		return cafPut{[]int{len(vals)}, caf.Section{{Lo: 0, Hi: size - 1, Step: 1}}, size}
 	})
-	if err != nil {
-		return Series{}, err
+}
+
+// cafStridedPut is Figs 6/7 panels (c) and (d): a 64x64-element section of
+// 4-byte integers scattered at each stride in dimension 1 and at stride 2 in
+// dimension 2, matching the regular multi-dimensional strides of §IV-C (both
+// dimensions strided; cafMatrixPut is the matrix-oriented case).
+func cafStridedPut(c config, pairs int) (Series, error) {
+	return cafPutBandwidth(c, pairs, StrideSweep, make([]int32, sectionElems*sectionElems), func(stride int) cafPut { return section2D(stride, 2) })
+}
+
+// cafMatrixPut is the §V-D matrix-oriented section, the Himeno halo pattern:
+// dimension 1 a contiguous block, dimension 2 at each stride.
+func cafMatrixPut(c config, pairs int) (Series, error) {
+	return cafPutBandwidth(c, pairs, StrideSweep, make([]int32, sectionElems*sectionElems), func(stride int) cafPut { return section2D(1, stride) })
+}
+
+// sectionElems is the extent of each dimension of a 2-D put section.
+const sectionElems = 64
+
+// section2D is the put of a 2-D section of 4-byte integers at element strides
+// s1 and s2, into a coarray just large enough to hold it.
+func section2D(s1, s2 int) cafPut {
+	const n = sectionElems
+	return cafPut{
+		shape: []int{n * s1, n * s2},
+		sec:   caf.Section{{Lo: 0, Hi: (n - 1) * s1, Step: s1}, {Lo: 0, Hi: (n - 1) * s2, Step: s2}},
+		bytes: n * n * 4,
 	}
-	out := Series{Label: cfg.Label}
-	for si, stride := range strides {
-		out.Rows = append(out.Rows, Row{X: float64(stride), Value: results[si]})
-	}
-	return out, nil
 }
 
 // Image is re-exported for the harness closures' readability.

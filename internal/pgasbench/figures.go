@@ -102,34 +102,44 @@ func Fig3() Figure {
 }
 
 // xc30Configs returns the three CAF configurations of Figure 6.
-func xc30Configs() []CAFPutConfig {
+func xc30Configs() []config {
 	xc := fabric.CrayXC30()
-	return []CAFPutConfig{
-		{Label: "Cray-CAF", Opts: caf.CrayCAF(xc)},
-		{Label: "UHCAF-GASNet", Opts: caf.UHCAFOverGASNet(xc, fabric.ProfGASNetAries)},
-		{Label: "UHCAF-Cray-SHMEM", Opts: caf.UHCAFOverCraySHMEM(xc)},
+	return []config{
+		{crayCAF, caf.CrayCAF(xc)},
+		{uhGASNet, caf.UHCAFOverGASNet(xc, fabric.ProfGASNetAries)},
+		{craySHMEM, caf.UHCAFOverCraySHMEM(xc)},
 	}
+}
+
+// titanConfigs returns the three CAF configurations of Figures 8 and 9.
+func titanConfigs() []config {
+	ti := fabric.Titan()
+	return []config{
+		{crayCAF, caf.CrayCAF(ti)},
+		{uhGASNet, caf.UHCAFOverGASNet(ti, fabric.ProfGASNetGemini)},
+		{craySHMEM, caf.UHCAFOverCraySHMEM(ti)},
+	}
+}
+
+// bandwidthPanel plans a CAF put-bandwidth panel: run's series of each
+// configuration with pairs communicating pairs.
+func bandwidthPanel(title, xLabel string, configs []config, pairs int, run func(config, int) (Series, error)) plannedPanel {
+	p := plannedPanel{Panel: Panel{Title: title, XLabel: xLabel, YLabel: "bandwidth (MB/s)"}}
+	for _, c := range configs {
+		p.add(func() (Series, error) { return run(c, pairs) })
+	}
+	return p
 }
 
 // cafPutPanels are the four panels of Figs 6 and 7: contiguous put bandwidth
 // of the contig configurations, then 2-D strided put bandwidth of the strided
 // ones, each with 1 and then 16 communicating pairs.
-func cafPutPanels(contig, strided []CAFPutConfig) []Panel {
-	panel := func(title, xLabel string, configs []CAFPutConfig, pairs int, run func(CAFPutConfig) (Series, error)) plannedPanel {
-		p := plannedPanel{Panel: Panel{Title: title, XLabel: xLabel, YLabel: "bandwidth (MB/s)"}}
-		for _, c := range configs {
-			c.Pairs = pairs
-			p.add(func() (Series, error) { return run(c) })
-		}
-		return p
-	}
-	bySize := func(c CAFPutConfig) (Series, error) { return CAFContigBandwidth(c, LargeSizes) }
-	byStride := func(c CAFPutConfig) (Series, error) { return CAFStridedBandwidth(c, StrideSweep) }
+func cafPutPanels(contig, strided []config) []Panel {
 	return buildPanels(
-		panel("(a) Contiguous put: 1 pair", "bytes", contig, 1, bySize),
-		panel("(b) Contiguous put: 16 pairs", "bytes", contig, 16, bySize),
-		panel("(c) Strided put: 1 pair", "stride (ints)", strided, 1, byStride),
-		panel("(d) Strided put: 16 pairs", "stride (ints)", strided, 16, byStride),
+		bandwidthPanel("(a) Contiguous put: 1 pair", "bytes", contig, 1, cafContigPut),
+		bandwidthPanel("(b) Contiguous put: 16 pairs", "bytes", contig, 16, cafContigPut),
+		bandwidthPanel("(c) Strided put: 1 pair", "stride (ints)", strided, 1, cafStridedPut),
+		bandwidthPanel("(d) Strided put: 16 pairs", "stride (ints)", strided, 16, cafStridedPut),
 	)
 }
 
@@ -137,10 +147,10 @@ func cafPutPanels(contig, strided []CAFPutConfig) []Panel {
 // the Cray XC30.
 func Fig6() Figure {
 	xc := fabric.CrayXC30()
-	strided := []CAFPutConfig{
-		{Label: "Cray-CAF", Opts: caf.CrayCAF(xc)},
-		{Label: "UHCAF-Cray-SHMEM-naive", Opts: withNaive(caf.UHCAFOverCraySHMEM(xc))},
-		{Label: "UHCAF-Cray-SHMEM-2dim", Opts: caf.UHCAFOverCraySHMEM(xc)},
+	strided := []config{
+		{crayCAF, caf.CrayCAF(xc)},
+		{craySHMEM + naive, withNaive(caf.UHCAFOverCraySHMEM(xc))},
+		{craySHMEM + twoDim, caf.UHCAFOverCraySHMEM(xc)},
 	}
 	return Figure{
 		ID:     "Fig6",
@@ -153,14 +163,14 @@ func Fig6() Figure {
 // MVAPICH2-X SHMEM (whose iput is a loop of putmem, so naive == 2dim).
 func Fig7() Figure {
 	st := fabric.Stampede()
-	contig := []CAFPutConfig{
-		{Label: "UHCAF-GASNet", Opts: caf.UHCAFOverGASNet(st, fabric.ProfGASNetIBV)},
-		{Label: "UHCAF-MVAPICH2-X-SHMEM", Opts: caf.UHCAFOverMV2XSHMEM()},
+	contig := []config{
+		{uhGASNet, caf.UHCAFOverGASNet(st, fabric.ProfGASNetIBV)},
+		{mv2x, caf.UHCAFOverMV2XSHMEM()},
 	}
-	strided := []CAFPutConfig{
-		{Label: "UHCAF-GASNet", Opts: caf.UHCAFOverGASNet(st, fabric.ProfGASNetIBV)},
-		{Label: "UHCAF-MVAPICH2-X-SHMEM-naive", Opts: withNaive(caf.UHCAFOverMV2XSHMEM())},
-		{Label: "UHCAF-MVAPICH2-X-SHMEM-2dim", Opts: caf.UHCAFOverMV2XSHMEM()},
+	strided := []config{
+		{uhGASNet, caf.UHCAFOverGASNet(st, fabric.ProfGASNetIBV)},
+		{mv2x + naive, withNaive(caf.UHCAFOverMV2XSHMEM())},
+		{mv2x + twoDim, caf.UHCAFOverMV2XSHMEM()},
 	}
 	return Figure{
 		ID:     "Fig7",
@@ -172,12 +182,7 @@ func Fig7() Figure {
 // Fig8 regenerates Figure 8: the lock microbenchmark on Titan — all images
 // repeatedly acquire and release the lock at image 1.
 func Fig8(maxImages int) Figure {
-	ti := fabric.Titan()
-	configs := []config{
-		{"Cray-CAF", caf.CrayCAF(ti)},
-		{"UHCAF-GASNet", caf.UHCAFOverGASNet(ti, fabric.ProfGASNetGemini)},
-		{"UHCAF-Cray-SHMEM", caf.UHCAFOverCraySHMEM(ti)},
-	}
+	configs := titanConfigs()
 	p := Panel{Title: "Locks: all images acquiring/releasing lck[1]", XLabel: "images", YLabel: "time (ms)",
 		Series: sweep(labels(configs), upTo(ImageSweep, maxImages), func(s, n int) (float64, error) {
 			return LockContention(configs[s].Opts, n)
@@ -194,71 +199,13 @@ func Fig8(maxImages int) Figure {
 // (putmem per contiguous block) beats 2dim_strided because MVAPICH2-X's iput
 // devolves into per-element puts.
 func MatrixOrientedAblation() Figure {
-	configs := []CAFPutConfig{
-		{Label: "UHCAF-MVAPICH2-X-SHMEM-naive", Opts: withNaive(caf.UHCAFOverMV2XSHMEM())},
-		{Label: "UHCAF-MVAPICH2-X-SHMEM-2dim", Opts: caf.UHCAFOverMV2XSHMEM()},
-	}
-	p := plannedPanel{Panel: Panel{Title: "Matrix-oriented section (dim 1 contiguous)", XLabel: "stride (ints)", YLabel: "bandwidth (MB/s)"}}
-	for _, c := range configs {
-		p.add(func() (Series, error) { return CAFMatrixBandwidth(c, StrideSweep) })
+	configs := []config{
+		{mv2x + naive, withNaive(caf.UHCAFOverMV2XSHMEM())},
+		{mv2x + twoDim, caf.UHCAFOverMV2XSHMEM()},
 	}
 	return Figure{
 		ID:     "MatrixStride",
 		Title:  "§V-D: matrix-oriented strides favour putmem per contiguous block",
-		Panels: buildPanels(p),
+		Panels: buildPanels(bandwidthPanel("Matrix-oriented section (dim 1 contiguous)", "stride (ints)", configs, 1, cafMatrixPut)),
 	}
-}
-
-// CAFMatrixBandwidth is CAFStridedBandwidth's matrix-oriented sibling:
-// dimension 1 is a contiguous block (stride 1), dimension 2 is strided —
-// the Himeno halo pattern of §V-D.
-func CAFMatrixBandwidth(cfg CAFPutConfig, strides []int) (Series, error) {
-	const elems = 64
-	if cfg.Iters <= 0 {
-		cfg.Iters = 3
-	}
-	if cfg.Pairs <= 0 {
-		cfg.Pairs = 1
-	}
-	per := cfg.Opts.Machine.CoresPerNode
-	images := 2 * per
-	opts := cfg.Opts
-	opts.ActivePairs = cfg.Pairs
-
-	results := make([]float64, len(strides))
-	vals := make([]int32, elems*elems)
-	err := caf.Run(images, opts, func(img *Image) {
-		me := img.ThisImage()
-		isSrc := me <= cfg.Pairs
-		target := me + per
-		for si, stride := range strides {
-			c := caf.Allocate[int32](img, elems, elems*stride)
-			sec := caf.Section{
-				{Lo: 0, Hi: elems - 1, Step: 1},
-				{Lo: 0, Hi: (elems - 1) * stride, Step: stride},
-			}
-			img.SyncAll()
-			start := img.Clock().Now()
-			if isSrc {
-				for i := 0; i < cfg.Iters; i++ {
-					c.Put(target, sec, vals)
-				}
-			}
-			img.SyncAll()
-			if me == 1 {
-				elapsed := img.Clock().Now() - start
-				bytes := float64(elems*elems*4) * float64(cfg.Iters)
-				results[si] = bytes / (elapsed / 1e9) / 1e6
-			}
-			c.Deallocate()
-		}
-	})
-	if err != nil {
-		return Series{}, err
-	}
-	out := Series{Label: cfg.Label}
-	for si, stride := range strides {
-		out.Rows = append(out.Rows, Row{X: float64(stride), Value: results[si]})
-	}
-	return out, nil
 }

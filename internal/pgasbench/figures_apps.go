@@ -57,12 +57,7 @@ const (
 // Each image performs dhtUpdates random locked updates; execution time of the
 // slowest image is reported per image count.
 func Fig9(maxImages int) Figure {
-	ti := fabric.Titan()
-	configs := []config{
-		{"Cray-CAF", caf.CrayCAF(ti)},
-		{"UHCAF-GASNet", caf.UHCAFOverGASNet(ti, fabric.ProfGASNetGemini)},
-		{"UHCAF-Cray-SHMEM", caf.UHCAFOverCraySHMEM(ti)},
-	}
+	configs := titanConfigs()
 	p := Panel{Title: "DHT: random locked updates", XLabel: "images", YLabel: "time (ms)",
 		Series: sweep(labels(configs), upTo(ImageSweep, maxImages), func(s, n int) (float64, error) {
 			r, err := dht.Bench(configs[s].Opts, n, dhtBuckets, dhtUpdates)

@@ -35,6 +35,7 @@ func seriesBytes(t *testing.T, series func() error) uint64 {
 // series' world: what remains is world set-up, a few tens of KiB — plus, for
 // gets, the one 4 MiB destination of the one rank that issues them.
 func TestSeriesSteadyStateAllocs(t *testing.T) {
+	mv2xConfig := config{mv2x, caf.UHCAFOverMV2XSHMEM()}
 	raw := RawPutConfig{
 		Machine: fabric.Stampede(), Profile: fabric.ProfMV2XSHMEM,
 		Library: LibSHMEM, Pairs: 1, Sizes: LargeSizes, Iters: 3,
@@ -46,10 +47,9 @@ func TestSeriesSteadyStateAllocs(t *testing.T) {
 	}{
 		{"PutBandwidth/shmem", 1 << 20, func() error { _, err := PutBandwidth(raw); return err }},
 		{"GetBandwidth/shmem", 5 << 20, func() error { _, err := GetBandwidth(raw); return err }},
-		{"CAFContigBandwidth", 1 << 20, func() error {
-			_, err := CAFContigBandwidth(CAFPutConfig{Opts: caf.UHCAFOverMV2XSHMEM(), Pairs: 1}, LargeSizes)
-			return err
-		}},
+		{"cafContigPut", 1 << 20, func() error { _, err := cafContigPut(mv2xConfig, 1); return err }},
+		{"cafStridedPut", 1 << 20, func() error { _, err := cafStridedPut(mv2xConfig, 1); return err }},
+		{"cafMatrixPut", 1 << 20, func() error { _, err := cafMatrixPut(mv2xConfig, 1); return err }},
 	} {
 		if got := seriesBytes(t, c.series); got > c.ceiling {
 			t.Errorf("%s: %d KiB allocated per series, ceiling %d KiB", c.name, got>>10, c.ceiling>>10)

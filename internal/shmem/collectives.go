@@ -2,7 +2,9 @@ package shmem
 
 import (
 	"fmt"
+	"math/bits"
 
+	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgas"
 )
 
@@ -32,15 +34,6 @@ func (w *World) internalAlloc(size int64) Sym {
 	}
 	w.pw.MarkInternal(off)
 	return Sym{Off: off, Size: size}
-}
-
-func ceilLog2(n int) int {
-	r, v := 0, 1
-	for v < n {
-		v <<= 1
-		r++
-	}
-	return r
 }
 
 // nextSeq returns this PE's next collective sequence number. Collectives are
@@ -79,22 +72,16 @@ func (pe *PE) Broadcast(root int, sym Sym, nbytes int64) {
 	ctl := pe.ensureCtl()
 	seq := pe.nextSeq()
 	rel := (pe.MyPE() - root + n) % n
-	rounds := ceilLog2(n)
+	rounds := fabric.CeilLog2(n)
 	buf := make([]byte, nbytes)
 
-	// Wait for my parent's delivery (non-roots).
+	// Wait for my parent's delivery (non-roots): it sends in the round equal
+	// to the position of rel's highest set bit.
 	if rel != 0 {
-		// Parent sends in the round equal to the position of rel's highest
-		// set bit.
-		round := highBit(rel)
-		pe.awaitFlag(ctl, maxRounds+round, seq)
+		pe.awaitFlag(ctl, maxRounds+bits.Len(uint(rel))-1, seq)
 	}
 	// Forward to children: child = rel + 2^k for k above my highest bit.
-	start := 0
-	if rel != 0 {
-		start = highBit(rel) + 1
-	}
-	for k := start; k < rounds; k++ {
+	for k := bits.Len(uint(rel)); k < rounds; k++ {
 		childRel := rel + (1 << k)
 		if childRel >= n {
 			break
@@ -205,7 +192,7 @@ func ToAll[T pgas.Elem](pe *PE, op ReduceOp, dest, src Sym, n int) {
 	ctl := pe.ensureCtl()
 	seq := pe.nextSeq()
 	rel := pe.MyPE() // reductions root at PE 0
-	rounds := ceilLog2(npes)
+	rounds := fabric.CeilLog2(npes)
 	part := make([]T, n)
 
 	// Gather: children push "ready", parents pull and combine.
@@ -293,13 +280,4 @@ func Collect[T pgas.Elem](pe *PE, dest, src Sym, nelems int) int {
 	}
 	pe.Barrier()
 	return int(total)
-}
-
-func highBit(v int) int {
-	h := -1
-	for v > 0 {
-		v >>= 1
-		h++
-	}
-	return h
 }

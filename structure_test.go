@@ -77,6 +77,11 @@ var structureRows = []struct {
 		// benchmark/ still spells the ignored pgas.Engine stub; the change that
 		// moves it off the stub deletes this allowance.
 		code().not("benchmark/").find(idents("EngineEvent", "EngineGoroutine")).allow("internal/pgas/engine.go", 2)}},
+	{"checked-range", "Partition memory life cycle", "an entry of internal/pgas that locks a partition checks its range first: a function that calls part and .mu.Lock calls checkRange or checkSpan before the lock", []check{
+		code("internal/pgas/").find(on(func(d *ast.FuncDecl) bool {
+			lock, check := first(d, calls("mu.Lock")), first(d, calls("checkRange", "checkSpan"))
+			return lock.IsValid() && has(d, calls("part")) && !(check.IsValid() && check < lock)
+		}))}},
 	{"per-rank-table", "Host-performance model", "every layer's per-rank handle is an element of one table per world: none is allocated on its own", []check{
 		code("internal/").find(on(func(u *ast.UnaryExpr) bool {
 			lit, ok := u.X.(*ast.CompositeLit)
@@ -208,6 +213,18 @@ func nodeIs(e ast.Expr, forms ...string) bool { return slices.Contains(forms, ty
 func has(n ast.Node, match func(ast.Node) bool) (found bool) {
 	ast.Inspect(n, func(n ast.Node) bool { found = found || n != nil && match(n); return !found })
 	return found
+}
+
+// first returns where the first node under n that match matches begins
+// (token.NoPos for none).
+func first(n ast.Node, match func(ast.Node) bool) (pos token.Pos) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if n != nil && match(n) && (!pos.IsValid() || n.Pos() < pos) {
+			pos = n.Pos()
+		}
+		return true
+	})
+	return pos
 }
 
 // declares matches the declaration of type typ if it names one of names.
