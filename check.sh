@@ -81,6 +81,7 @@ pgas (*PE).linkPenalty
 pgas checkRange
 pgas (*World).ActivePairs
 pgas (*tsPacked).rank
+pgas (*tsPacked).raiseWord
 pgas (*segBytes).window
 pgas (*segBytes).holds
 pgas (*RMA).Span

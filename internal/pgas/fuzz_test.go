@@ -386,10 +386,12 @@ func FuzzSegStore(f *testing.F) {
 // not cleared whole, would stick at +Inf under the index's max-merge. Op 4
 // records 1-80 single words of one granule in a scattered order, so a run
 // crosses the packed layout's cap and the granule turns dense mid-run, and op
-// 3 releases the store and carries on with the parts it recorded on. The
+// 3 releases the store and carries on with the parts it recorded on. Op 5
+// forgets a word-aligned range, as the heap's Free does: whole and partial
+// granules, packed and dense, and overlay words, which must then read 0. The
 // closing sweep checks every word, so a never-recorded word must read 0 and a
 // stamp must survive every move — sparse to packed, packed to dense, a later
-// packed stamp shifting up by one — exactly.
+// packed stamp shifting up or, after a forget, down — exactly.
 func FuzzTsIndex(f *testing.F) {
 	f.Add([]byte{0, 0x00, 0x00, 0, 8, 5, 2, 0x00, 0x00, 0, 16})
 	f.Add([]byte{1, 0x10, 0x08, 9, 0, 0x10, 0x00, 0, 64, 3, 2, 0x10, 0x00, 1, 0})    // sparse, then dense over it
@@ -413,6 +415,23 @@ func FuzzTsIndex(f *testing.F) {
 	// words that crowd the granule dense.
 	f.Add([]byte{1, 0x20, 0x18, 50, 4, 0x20, 0x00, 7, 1, 30, 1, 0x21, 0x00, 40,
 		2, 0x20, 0x00, 0x0F, 0xFF, 4, 0x20, 0x40, 59, 5, 20, 2, 0x20, 0x00, 0x0F, 0xFF})
+	// The one-word path: an insert below two stamps, then a hit on the one
+	// that shifted up; words 0 and 511; words 64 then 63, across a mask word,
+	// and a hit on 64 after; 63 scattered words of granule 0, then word 0 (the
+	// 64th, which still fits) and word 2 (the 65th, which turns it dense).
+	f.Add([]byte{4, 0x03, 0x20, 0, 0, 50, 4, 0x03, 0x40, 0, 0, 55, 4, 0x00, 0x50, 0, 0, 30, 4, 0x03, 0x20, 0, 0, 90, 2, 0x00, 0x00, 0x0F, 0xFF})
+	f.Add([]byte{4, 0x0F, 0xF8, 0, 0, 9, 4, 0x00, 0x00, 0, 0, 5, 4, 0x0F, 0xF8, 0, 0, 3, 2, 0x00, 0x00, 0x0F, 0xFF})
+	f.Add([]byte{4, 0x02, 0x00, 0, 0, 40, 4, 0x01, 0xF8, 0, 0, 20, 2, 0x02, 0x00, 0, 7, 4, 0x02, 0x00, 0, 0, 60, 2, 0x01, 0xF8, 0, 15})
+	f.Add([]byte{4, 0x00, 0x08, 62, 75, 9, 4, 0x00, 0x00, 0, 0, 11, 2, 0x00, 0x00, 0x0F, 0xFF, 4, 0x00, 0x10, 0, 0, 13, 2, 0x00, 0x00, 0x0F, 0xFF})
+	// Forgets: granule 1 dense, four words of granule 0 packed, an overlay
+	// word on granule 3 and eight words of granule 4, then a forget from
+	// granule 0's middle into granule 3, which frees granule 1 whole and
+	// takes the overlay word. Then a forget inside a dense granule, one of
+	// two of ten packed words, and an insert among what is left.
+	f.Add([]byte{0, 0x10, 0x00, 0x03, 0xFF, 20, 4, 0x00, 0x40, 3, 5, 30, 1, 0x30, 0x10, 40, 0, 0x40, 0x00, 0, 63, 50,
+		5, 0x08, 0x00, 0x2A, 0x00, 2, 0x00, 0x00, 0x4F, 0xFF})
+	f.Add([]byte{0, 0x10, 0x00, 0x03, 0xFF, 20, 5, 0x11, 0x00, 0x00, 0x38, 4, 0x00, 0x40, 9, 5, 30,
+		5, 0x00, 0x98, 0x00, 0x58, 2, 0x00, 0x00, 0x1F, 0xFF, 4, 0x00, 0x60, 0, 0, 70})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		const words = 5*tsBlockWords + 3
 		const span = words * 8
@@ -449,7 +468,7 @@ func FuzzTsIndex(f *testing.F) {
 				break
 			}
 			off, ok1 := next16(span)
-			switch op % 5 {
+			switch op % 6 {
 			case 3: // release: the next record finds this life's parts recycled
 				ix.release()
 				clear(ref)
@@ -494,6 +513,15 @@ func FuzzTsIndex(f *testing.F) {
 					ix.raise(ix.page(pn), pn, int64(w&tsPageMask>>tsBlockShift), i, i, v)
 					ref[w] = math.Max(ref[w], v)
 				}
+			case 5: // forget the words of a word-aligned range
+				n, ok2 := next16(span)
+				if !ok1 || !ok2 {
+					return
+				}
+				off &^= 7
+				n = min(n&^7+8, span-off)
+				ix.forget(int64(off), int64(n))
+				clear(ref[off>>3 : (off+n)>>3])
 			}
 		}
 		for w := 0; w < words; w++ {

@@ -80,11 +80,13 @@ func (w *World) Alloc(size int64) (int64, error) {
 	return off, nil
 }
 
-// Free returns the allocation at off to the heap and makes its bytes read as
-// zero on every alive PE, so whatever is allocated there next starts from
-// zero as fresh memory does. Nothing is materialised (segStore.clearRange),
-// and the timestamp index is left as it is. A library calls it from a release action,
-// while every PE is asleep.
+// Free returns the allocation at off to the heap and makes its range fresh
+// memory on every alive PE: its bytes read as zero (segStore.clearRange,
+// which materialises nothing) and its words carry no timestamp
+// (segStore.forget), so whatever is allocated there next starts as if never
+// written, and a wait on it takes no stamp of a dead allocation's writes. A
+// failed PE's frozen partition keeps both. A library calls it from a release
+// action, while every PE is asleep.
 func (w *World) Free(off int64) error {
 	h := &w.heap
 	h.mu.Lock()
@@ -117,6 +119,7 @@ func (w *World) Free(off int64) error {
 			p := &w.pes[id]
 			p.mu.Lock()
 			p.seg.clearRange(off, sz)
+			p.seg.forget(off, sz)
 			p.mu.Unlock()
 		}
 	}

@@ -101,9 +101,9 @@ func TestHeapCoalescingShrinksBreak(t *testing.T) {
 }
 
 // Property: any sequence of allocs and frees keeps allocations disjoint and
-// aligned, never double-books live bytes, and a free leaves its range reading
-// zero on every alive PE with the timestamps over it unchanged (clearing them
-// is not the heap's business); a failed PE's frozen partition keeps its bytes.
+// aligned, never double-books live bytes, and a free leaves its range fresh
+// memory on every alive PE, its bytes and its timestamps reading zero; a
+// failed PE's frozen partition keeps both.
 func TestHeapProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		w := testWorld(t, 3)
@@ -136,10 +136,7 @@ func TestHeapProperty(t *testing.T) {
 			}
 			i := int(op) % len(live)
 			b := live[i]
-			var ts [3]float64
-			for pe := range w.pes {
-				ts[pe] = w.pes[pe].rangeTs(b.off, 8)
-			}
+			frozen := w.pes[2].rangeTs(b.off, b.size)
 			if w.Free(b.off) != nil {
 				return false
 			}
@@ -150,7 +147,11 @@ func TestHeapProperty(t *testing.T) {
 				if zero := bytes.Equal(got, make([]byte, len(got))); zero != (pe != 2) {
 					return false
 				}
-				if w.pes[pe].rangeTs(b.off, 8) != ts[pe] {
+				want := 0.0
+				if pe == 2 {
+					want = frozen
+				}
+				if w.pes[pe].rangeTs(b.off, b.size) != want {
 					return false
 				}
 			}
@@ -166,6 +167,61 @@ func TestHeapProperty(t *testing.T) {
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A freed allocation is fresh memory: a word stored at t=1000 and freed reads
+// 0 with no timestamp when the space is allocated again, so a wait for it to
+// be 0 returns at once with causal time 0, not the dead store's 1000. The
+// granule the allocation covers whole, crowded dense before the free, is
+// given back, and the one it shares with a live word keeps that word's stamp.
+func TestFreedMemoryIsFresh(t *testing.T) {
+	w := testWorld(t, 1)
+	defer w.Close()
+	const size = 3 * tsBlockBytes // covers granule 1 of page 0 whole
+	below, err := w.Alloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, err := w.Alloc(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := int64(tsBlockBytes) // word 0 of granule 1
+	err = w.Run(func(p *PE) {
+		w.Write(0, below, []byte{1}, 7) // a live word in granule 0
+		w.Write(0, off, []byte{1}, 1000)
+		for i := range int64(tsPackedCap + 1) {
+			w.Write(0, word+8*i, []byte{byte(i) | 1}, 1000)
+		}
+		pg := w.pes[0].seg.pages[0]
+		if pg.dense[1] == nil {
+			t.Error("granule 1 did not turn dense")
+			return
+		}
+		if err := w.Free(off); err != nil {
+			t.Error(err)
+			return
+		}
+		if again, err := w.Alloc(size); err != nil || again != off {
+			t.Errorf("Alloc after Free = %d, %v; want %d", again, err, off)
+			return
+		}
+		if got, ts := p.WaitWord(word, CmpEQ, 0); got != 0 || ts != 0 {
+			t.Errorf("wait on the freed word = %d at t=%v, want 0 at t=0", got, ts)
+		}
+		if pg.dense[1] != nil || pg.packed[1] != nil {
+			t.Error("granule 1 kept its timestamps after the free")
+		}
+		if ts := p.rangeTs(off, size); ts != 0 {
+			t.Errorf("the freed range reads t=%v, want 0", ts)
+		}
+		if ts := p.rangeTs(below, 8); ts != 7 {
+			t.Errorf("the live word below the allocation reads t=%v, want 7", ts)
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }

@@ -490,8 +490,7 @@ func (d *segBytes) readPart(lo int64, dst []byte) {
 
 // clearRange zeroes the bytes [off, off+n) of the pages that have bytes,
 // within what each has dirtied (segBytes.zero); the rest already reads as
-// zero. Nothing is materialised or widened, and timestamps are left as they
-// are.
+// zero. Nothing is materialised or widened; the timestamps are forget's.
 func (s *segStore) clearRange(off, n int64) {
 	for end := off + n; off < end; off = (off | segPageMask) + 1 {
 		pn := off >> segPageShift

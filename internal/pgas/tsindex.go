@@ -24,11 +24,12 @@ import "math/bits"
 // reads 0. A record needs no bytes: a store of zeros onto a page without them
 // records its timestamps and nothing else.
 //
-// Packed records and dense blocks leave their page at release and recycle
-// through free lists of their own (tsPackedFree, tsDenseFree). The next owner
-// resets what it takes: a packed record's mask and counts, a dense block whole — every
-// read of the index is a max-merge against what the layout holds, so there
-// is no "about to be overwritten" span to spare as there is for the bytes.
+// Packed records and dense blocks leave their page at release, or when the
+// heap's Free covers their granule (forget), and recycle through free lists
+// of their own (tsPackedFree, tsDenseFree). The next owner resets what it
+// takes: a packed record's mask and counts, a dense block whole — every read
+// of the index is a max-merge against what the layout holds, so there is no
+// "about to be overwritten" span to spare as there is for the bytes.
 //
 // Recording is unconditional for small writes even when no waiter is
 // registered: WaitUntil recovers a write's causal timestamp through this
@@ -132,6 +133,60 @@ func (p *tsPacked) raise(a, b int64, ts float64) {
 	}
 }
 
+// raiseWord lifts word i of p to ts where it has a stamp, and reports whether
+// it had one: one rank, one test and a max. It is apart from insertWord, the
+// miss, so that it inlines into segStore.raise, where every 4- and 8-byte
+// piece lands.
+func (p *tsPacked) raiseWord(i int64, ts float64) bool {
+	k, m := i>>6&(int64(len(p.mask))-1), uint64(1)<<(i&63)
+	if p.mask[k]&m == 0 {
+		return false
+	}
+	// r < tsPackedCap: the mask only spares the bounds check.
+	r := (int(p.below[k]) + bits.OnesCount64(p.mask[k]&(m-1))) & (tsPackedCap - 1)
+	if ts > p.ts[r] {
+		p.ts[r] = ts
+	}
+	return true
+}
+
+// insertWord gives word i of p, which has no stamp, the stamp ts raised over
+// 0, as a dense block would hold it; the caller has checked that p is not
+// full. The stamps above its rank shift up by one, and none move when it is
+// the highest.
+func (p *tsPacked) insertWord(i int64, ts float64) {
+	r := p.rank(i)
+	if r < p.n {
+		copy(p.ts[r+1:p.n+1], p.ts[r:p.n])
+	}
+	p.ts[r] = max(ts, 0)
+	k := i >> 6
+	p.mask[k] |= 1 << (i & 63)
+	for k++; k < int64(len(p.below)); k++ {
+		p.below[k]++
+	}
+	p.n++
+}
+
+// drop removes the stamps of words [a, b] from p: the stamps above them shift
+// down, and the counts above a's mask word are taken again.
+func (p *tsPacked) drop(a, b int64) {
+	lo, hi := p.rank(a), p.rank(b+1)
+	if lo == hi {
+		return
+	}
+	copy(p.ts[lo:], p.ts[hi:p.n])
+	p.n -= hi - lo
+	for i := a; i <= b; {
+		e := min(b, i|63)
+		p.mask[i>>6] &^= 2<<(e&63) - 1<<(i&63) // bits i through e
+		i = e + 1
+	}
+	for k := a>>6 + 1; k < int64(len(p.below)); k++ {
+		p.below[k] = p.below[k-1] + uint8(bits.OnesCount64(p.mask[k-1]))
+	}
+}
+
 // maxOver returns the latest stamp of words [a, b] of p, or 0: their stamps
 // are contiguous, from the rank of a to that of b+1.
 func (p *tsPacked) maxOver(a, b int64) float64 {
@@ -163,7 +218,15 @@ func (s *segStore) raise(pg *segPage, pn, g, a, b int64, ts float64) {
 				return
 			}
 		}
-		if p.fits(a, b) {
+		if a == b {
+			if p.raiseWord(a, ts) {
+				return
+			}
+			if p.n < tsPackedCap {
+				p.insertWord(a, ts)
+				return
+			}
+		} else if p.fits(a, b) {
 			p.raise(a, b, ts)
 			return
 		}
@@ -234,6 +297,57 @@ func (s *segStore) promote(pg *segPage, g int64) *tsBlock {
 	pg.packed[g], pg.dense[g] = nil, d
 	tsPackedFree.put(p)
 	return d
+}
+
+// forget drops the recorded timestamps of the words of [off, off+n), off and
+// n multiples of 8, so that they read 0 as words never recorded do: the
+// heap's Free calls it, and memory allocated again starts without the stamps
+// of a dead allocation's writes. The overlay's records in the range go, and
+// the walk is over the pages, skipping those without a record: a granule the
+// range covers whole gives its packed record or dense block back to its free
+// list, and one it covers in part clears those words of its block or drops
+// them from its record, which goes back when it holds none.
+func (s *segStore) forget(off, n int64) {
+	w, end := off>>3, (off+n)>>3 // words [w, end)
+	for i := 0; i < len(s.sparse); {
+		if e := s.sparse[i]; e.w >= w && e.w < end {
+			s.sparse[i] = s.sparse[len(s.sparse)-1]
+			s.sparse = s.sparse[:len(s.sparse)-1]
+		} else {
+			i++
+		}
+	}
+	for ; w < end && w>>tsPageShift < int64(len(s.pages)); w = (w | tsPageMask) + 1 {
+		pg := s.pages[w>>tsPageShift]
+		if pg == nil {
+			continue
+		}
+		last := min(end-1, w|tsPageMask) & tsPageMask
+		for a := w & tsPageMask; a <= last; a = (a | tsBlockMask) + 1 {
+			pg.forget(a>>tsBlockShift, a&tsBlockMask, min(last, a|tsBlockMask)&tsBlockMask)
+		}
+	}
+}
+
+// forget drops the stamps of words [a, b] of granule g of pg.
+func (pg *segPage) forget(g, a, b int64) {
+	whole := a == 0 && b == tsBlockMask
+	if d := pg.dense[g]; d != nil {
+		if whole {
+			pg.dense[g] = nil
+			tsDenseFree.put(d)
+		} else {
+			clear(d[a : b+1])
+		}
+	} else if p := pg.packed[g]; p != nil {
+		if !whole {
+			p.drop(a, b)
+		}
+		if whole || p.n == 0 {
+			pg.packed[g] = nil
+			tsPackedFree.put(p)
+		}
+	}
 }
 
 // record raises the recorded timestamp to ts for words [w0, w1] of pg, which

@@ -23,8 +23,13 @@ const (
 	// issued on and is completed by that context's Quiet.
 	nbi mode = 1 << iota
 	// locality charges the memory-side cost of the strided remote walk
-	// (fabric.StridedLocalityNs): the byte-level strided forms do, the typed
-	// IPut/IGet never have.
+	// (fabric.StridedLocalityNs), the §IV-C data-locality term of the
+	// runtime's strided lowerings: the byte-level forms a layered runtime
+	// issues (IPutMem, IGetMem, their NBI forms, PE.RMA) carry it. The typed
+	// IPut/IGet do not, and that is a model choice, not an omission: they
+	// are an application's own shmem_iput/iget, which no figure of the paper
+	// measures, so no result calibrates the term for them, and their price
+	// stays the per-element one of the library's strided mode.
 	locality
 	// blocking: a put joins the context's horizon, a get completes inline.
 	blocking mode = 0
