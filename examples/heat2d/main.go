@@ -82,9 +82,10 @@ func main() {
 				}
 			}
 		}
-		gmax := caf.CoMax(img, []float64{localMax}, 0)[0]
+		gmax := []float64{localMax}
+		caf.CoMax(img, gmax, 0)
 		if me == 1 {
-			finalMax = gmax
+			finalMax = gmax[0]
 		}
 		img.SyncAll()
 	})

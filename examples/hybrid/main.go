@@ -53,8 +53,9 @@ func main() {
 		}
 		img.SyncAll()
 
-		// CAF side finishes the job: co_sum merges the histograms.
-		total := caf.CoSum(img, hist.Slice(), 0)
+		// CAF side finishes the job: co_sum merges the histograms in place.
+		total := hist.Slice()
+		caf.CoSum(img, total, 0)
 		if img.ThisImage() == 1 {
 			sum := int64(0)
 			for _, v := range total {

@@ -43,9 +43,10 @@ func main() {
 		done := caf.NewAtomicVar(img)
 		done.Add(1, 1)
 
-		// co_sum of the hit counts to every image.
-		total := caf.CoSum(img, []int64{hits}, 0)[0]
-		est := 4 * float64(total) / float64(images*perImage)
+		// co_sum of the hit counts to every image, in place.
+		total := []int64{hits}
+		caf.CoSum(img, total, 0)
+		est := 4 * float64(total[0]) / float64(images*perImage)
 		if img.ThisImage() == 1 {
 			if done.Ref(1) != int64(images) {
 				panic("heartbeat lost")

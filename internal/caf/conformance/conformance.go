@@ -485,37 +485,64 @@ func batteryLocks(t *testing.T, o caf.Options) {
 }
 
 // batteryCollectives: the CAF collective subroutines built from one-sided
-// communication must reduce and broadcast correctly on every transport.
+// communication must reduce and broadcast correctly on every transport, in
+// place on the caller's array (Fortran 2018's INTENT(INOUT) argument).
 func batteryCollectives(t *testing.T, o caf.Options) {
 	const n = 4
-	// A SyncAll separates collectives of different shapes: the binomial tree
-	// reuses its staging slots across calls, so only same-shape collectives
-	// may pipeline back-to-back — that boundary is part of the contract the
-	// suite pins, matching the runtime's own collective tests.
+	const resultImage = 3
+	// Each image's array after the result-image reduction, read after the run.
+	var toOne [n][]int64
+	// A SyncAll separates collectives of different shapes, and follows every
+	// broadcast: the binomial tree reuses its staging slots across calls, so
+	// only same-shape reductions may pipeline back-to-back — that boundary is
+	// part of the contract the suite pins, matching the runtime's own
+	// collective tests.
 	run(t, n, o, func(img *caf.Image) {
 		me := int64(img.ThisImage())
-		if got := caf.CoSum(img, []int64{me, 10 * me}, 0); got[0] != 10 || got[1] != 100 {
-			t.Errorf("CoSum = %v, want [10 100]", got)
+		sum := []int64{me, 10 * me}
+		if caf.CoSum(img, sum, 0); sum[0] != 10 || sum[1] != 100 {
+			t.Errorf("image %d: CoSum = %v, want [10 100]", me, sum)
 		}
+		img.SyncAll()
+		sum = []int64{me, 10 * me}
+		caf.CoSum(img, sum, resultImage)
+		toOne[me-1] = sum
 		img.SyncAll()
 		// Same shape: CoMin and CoMax may pipeline with no sync between.
-		if got := caf.CoMin(img, []int64{me}, 0); got[0] != 1 {
-			t.Errorf("CoMin = %v, want [1]", got)
+		mn, mx := []int64{me}, []int64{me}
+		if caf.CoMin(img, mn, 0); mn[0] != 1 {
+			t.Errorf("image %d: CoMin = %v, want [1]", me, mn)
 		}
-		if got := caf.CoMax(img, []int64{me}, 0); got[0] != n {
-			t.Errorf("CoMax = %v, want [%d]", got, n)
-		}
-		img.SyncAll()
-		if got := caf.CoBroadcast(img, []int64{me * 7}, 3); got[0] != 21 {
-			t.Errorf("CoBroadcast = %v, want [21]", got)
+		if caf.CoMax(img, mx, 0); mx[0] != n {
+			t.Errorf("image %d: CoMax = %v, want [%d]", me, mx, n)
 		}
 		img.SyncAll()
-		prod := caf.CoReduce(img, []int64{me}, func(a, b int64) int64 { return a * b }, 0)
-		if prod[0] != 24 {
-			t.Errorf("CoReduce(product) = %v, want [24]", prod)
+		bc := []int64{me * 7, -me}
+		if caf.CoBroadcast(img, bc, 3); bc[0] != 21 || bc[1] != -3 {
+			t.Errorf("image %d: CoBroadcast = %v, want [21 -3] (the source's array)", me, bc)
+		}
+		img.SyncAll()
+		prod := []int64{me}
+		if caf.CoReduce(img, prod, func(a, b int64) int64 { return a * b }, 0); prod[0] != 24 {
+			t.Errorf("image %d: CoReduce(product) = %v, want [24]", me, prod)
 		}
 		img.SyncAll()
 	})
+	// With a result image only that image's array is defined: it holds the
+	// sum, and the reduction is not distributed — an image that only
+	// contributed keeps a partial combination, so not every array holds it.
+	if got := toOne[resultImage-1]; got[0] != 10 || got[1] != 100 {
+		t.Errorf("CoSum(result image %d) = %v there, want [10 100]", resultImage, got)
+	}
+	holding := 0
+	for _, got := range toOne {
+		if got[0] == 10 && got[1] == 100 {
+			holding++
+		}
+	}
+	if holding == n {
+		t.Errorf("CoSum(result image %d) left the sum on all %d images: a result-image reduction must not distribute it", resultImage, n)
+	}
 }
 
 // batterySyncImages: pairwise synchronisation on a ring orders the

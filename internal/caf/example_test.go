@@ -103,7 +103,8 @@ func ExampleLock() {
 func ExampleCoSum() {
 	var out collect
 	_ = caf.Run(4, caf.UHCAFOverMV2XSHMEM(), func(img *caf.Image) {
-		sum := caf.CoSum(img, []int64{int64(img.ThisImage())}, 0) // co_sum
+		sum := []int64{int64(img.ThisImage())}
+		caf.CoSum(img, sum, 0) // co_sum, in place
 		if img.ThisImage() == 1 {
 			out.add("co_sum(this_image()) = %d", sum[0])
 		}
@@ -118,7 +119,8 @@ func ExampleImage_FormTeam() {
 	var out collect
 	_ = caf.Run(4, caf.UHCAFOverMV2XSHMEM(), func(img *caf.Image) {
 		tm := img.FormTeam(int64(img.ThisImage() % 2)) // form team(mod, t)
-		s := caf.CoSumTeam(tm, []int64{int64(img.ThisImage())}, 0)
+		s := []int64{int64(img.ThisImage())}
+		caf.CoSumTeam(tm, s, 0)
 		if tm.ThisImage() == 1 {
 			out.add("team %d sum: %d", tm.TeamNumber(), s[0])
 		}

@@ -23,7 +23,8 @@ type group struct {
 	ctlOff      int64
 	scratchOff  int64
 	scratchSize int64
-	growable    bool // whole-job group may reallocate scratch collectively
+	growable    bool   // whole-job group may reallocate scratch collectively
+	host        []byte // host-side copy of one staged child contribution (combineVals)
 	seq         int64
 }
 
@@ -112,30 +113,32 @@ func recvVals[T pgas.Elem](g *group, dst []T, off int64) {
 }
 
 // combineVals folds the child contribution staged at off of this image's own
-// partition into acc, element by element in index order. The staged elements
-// are loaded a stack-resident chunk at a time, so the combine needs no scratch
-// of its own.
+// partition into acc, element by element in index order. The staged bytes are
+// loaded into the group's host scratch, which grows only when a collective
+// needs more than any before it.
 func combineVals[T pgas.Elem](g *group, acc []T, off int64, op func(a, b T) T) {
-	es := int64(pgas.SizeOf[T]())
-	var chunk [512]T
-	for i := 0; i < len(acc); i += len(chunk) {
-		c := chunk[:min(len(chunk), len(acc)-i)]
-		g.img.local.ReadLocal(off+int64(i)*es, pgas.Bytes(c))
-		for k, v := range c {
-			acc[i+k] = op(acc[i+k], v)
-		}
+	es := pgas.SizeOf[T]()
+	n := len(acc) * es
+	if len(g.host) < n {
+		g.host = make([]byte, n)
+	}
+	staged := g.host[:n]
+	g.img.local.ReadLocal(off, staged)
+	for i := range acc {
+		acc[i] = op(acc[i], pgas.Load[T](staged[i*es:]))
 	}
 }
 
-// reduce runs the binomial gather-combine then distribution over the group.
-// resultIdx < 0 distributes to every member; otherwise only members[resultIdx]
-// receives the result.
-func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx int) []T {
+// groupReduce runs the binomial gather-combine then distribution over the
+// group, in place: vals is folded into and sent from directly. resultIdx < 0
+// leaves the result in every member's vals; otherwise only
+// members[resultIdx]'s vals holds it, and the others' hold whatever partial
+// combination the tree left there.
+func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx int) {
 	n := g.size()
 	if n == 1 {
-		return append([]T(nil), vals...)
+		return
 	}
-	out := append([]T(nil), vals...) // the call's one allocation
 	es := int64(pgas.SizeOf[T]())
 	nbytes := int64(len(vals)) * es
 	rounds := fabric.CeilLog2(n)
@@ -146,14 +149,14 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 	for k := 0; k < rounds; k++ {
 		mask := 1 << k
 		if rel&mask != 0 {
-			sendVals(g, rel-mask, scratch+int64(k)*nbytes, out, k, seq)
+			sendVals(g, rel-mask, scratch+int64(k)*nbytes, vals, k, seq)
 			break
 		}
 		if rel+mask >= n {
 			continue
 		}
 		g.awaitFlag(k, seq)
-		combineVals(g, out, scratch+int64(k)*nbytes, op)
+		combineVals(g, vals, scratch+int64(k)*nbytes, op)
 	}
 
 	bslot := int64(rounds)
@@ -161,34 +164,32 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 		// Binomial distribution from the root through the same tree.
 		if rel != 0 {
 			g.awaitFlag(collMaxRounds+bits.Len(uint(rel))-1, seq)
-			recvVals(g, out, scratch+bslot*nbytes)
+			recvVals(g, vals, scratch+bslot*nbytes)
 		}
 		for k := bits.Len(uint(rel)); k < rounds; k++ { // children lie above rel's highest set bit
 			childRel := rel + (1 << k)
 			if childRel >= n {
 				break
 			}
-			sendVals(g, childRel, scratch+bslot*nbytes, out, collMaxRounds+k, seq)
+			sendVals(g, childRel, scratch+bslot*nbytes, vals, collMaxRounds+k, seq)
 		}
-		return out
+		return
 	}
 
 	if rel == 0 && resultIdx != 0 {
-		sendVals(g, resultIdx, scratch+bslot*nbytes, out, collMaxRounds, seq)
+		sendVals(g, resultIdx, scratch+bslot*nbytes, vals, collMaxRounds, seq)
 	}
 	if rel == resultIdx && resultIdx != 0 {
 		g.awaitFlag(collMaxRounds, seq)
-		recvVals(g, out, scratch+bslot*nbytes)
+		recvVals(g, vals, scratch+bslot*nbytes)
 	}
-	return out
 }
 
-// groupBroadcast distributes vals from members[sourceIdx] to every member.
-func groupBroadcast[T pgas.Elem](g *group, vals []T, sourceIdx int) []T {
+// groupBroadcast overwrites every member's vals with members[sourceIdx]'s.
+func groupBroadcast[T pgas.Elem](g *group, vals []T, sourceIdx int) {
 	n := g.size()
-	out := append([]T(nil), vals...)
 	if n == 1 {
-		return out
+		return
 	}
 	es := int64(pgas.SizeOf[T]())
 	nbytes := int64(len(vals)) * es
@@ -200,14 +201,13 @@ func groupBroadcast[T pgas.Elem](g *group, vals []T, sourceIdx int) []T {
 
 	if rel != 0 {
 		g.awaitFlag(collMaxRounds+bits.Len(uint(rel))-1, seq)
-		recvVals(g, out, scratch+bslot*nbytes)
+		recvVals(g, vals, scratch+bslot*nbytes)
 	}
 	for k := bits.Len(uint(rel)); k < rounds; k++ { // children lie above rel's highest set bit
 		childRel := rel + (1 << k)
 		if childRel >= n {
 			break
 		}
-		sendVals(g, (childRel+sourceIdx)%n, scratch+bslot*nbytes, out, collMaxRounds+k, seq)
+		sendVals(g, (childRel+sourceIdx)%n, scratch+bslot*nbytes, vals, collMaxRounds+k, seq)
 	}
-	return out
 }

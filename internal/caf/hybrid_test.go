@@ -73,8 +73,8 @@ func TestHybridAtomicsAndCollectives(t *testing.T) {
 			}
 		}
 		// CAF collective after raw shmem traffic.
-		sum := CoSum(img, []int64{1}, 0)[0]
-		if sum != 4 {
+		sum := []int64{1}
+		if CoSum(img, sum, 0); sum[0] != 4 {
 			panic("co_sum after hybrid traffic wrong")
 		}
 		img.SyncAll()

@@ -99,25 +99,32 @@ func TestAtomicVarOps(t *testing.T) {
 func TestCoSumAllImages(t *testing.T) {
 	forEachTransport(t, 7, func(img *Image) {
 		vals := []int64{int64(img.ThisImage()), 10 * int64(img.ThisImage())}
-		got := CoSum(img, vals, 0)
+		CoSum(img, vals, 0)
 		n := int64(img.NumImages())
 		wantA := n * (n + 1) / 2
-		if got[0] != wantA || got[1] != 10*wantA {
+		if vals[0] != wantA || vals[1] != 10*wantA {
 			panic("co_sum wrong")
 		}
 		img.SyncAll()
 	})
 }
 
-// A reduction wider than the combine's decode chunk, with a ragged tail.
+// A one-element reduction, then a long one: the group's partition staging and
+// its host scratch both grow between them, and every element folds at its own
+// index.
 func TestCoSumLongVector(t *testing.T) {
 	forEachTransport(t, 5, func(img *Image) {
-		vals := make([]float64, 150)
+		one := []float64{float64(img.ThisImage())}
+		if CoSum(img, one, 0); one[0] != 15 {
+			panic(fmt.Sprintf("co_sum of one element = %v, want 15", one[0]))
+		}
+		img.SyncAll()
+		vals := make([]float64, 1500)
 		for i := range vals {
 			vals[i] = float64(img.ThisImage() * (i + 1))
 		}
-		got := CoSum(img, vals, 0)
-		for i, v := range got {
+		CoSum(img, vals, 0)
+		for i, v := range vals {
 			if want := float64(15 * (i + 1)); v != want {
 				panic(fmt.Sprintf("co_sum element %d = %v, want %v", i, v, want))
 			}
@@ -129,8 +136,8 @@ func TestCoSumLongVector(t *testing.T) {
 func TestCoSumResultImage(t *testing.T) {
 	err := Run(5, shmemOpts(), func(img *Image) {
 		vals := []int64{int64(img.ThisImage())}
-		got := CoSum(img, vals, 3)
-		if img.ThisImage() == 3 && got[0] != 15 {
+		CoSum(img, vals, 3)
+		if img.ThisImage() == 3 && vals[0] != 15 {
 			panic("co_sum result image did not receive the sum")
 		}
 		img.SyncAll()
@@ -142,11 +149,12 @@ func TestCoSumResultImage(t *testing.T) {
 
 func TestCoMinMaxFloat(t *testing.T) {
 	err := Run(6, shmemOpts(), func(img *Image) {
-		v := []float64{float64(img.ThisImage()) * 1.5}
-		if got := CoMax(img, v, 0); got[0] != 9 {
+		mx := []float64{float64(img.ThisImage()) * 1.5}
+		if CoMax(img, mx, 0); mx[0] != 9 {
 			panic("co_max wrong")
 		}
-		if got := CoMin(img, v, 0); got[0] != 1.5 {
+		mn := []float64{float64(img.ThisImage()) * 1.5}
+		if CoMin(img, mn, 0); mn[0] != 1.5 {
 			panic("co_min wrong")
 		}
 		img.SyncAll()
@@ -159,8 +167,8 @@ func TestCoMinMaxFloat(t *testing.T) {
 func TestCoReduceCustomOp(t *testing.T) {
 	err := Run(4, shmemOpts(), func(img *Image) {
 		v := []int64{int64(img.ThisImage())}
-		got := CoReduce(img, v, func(a, b int64) int64 { return a * b }, 0)
-		if got[0] != 24 {
+		CoReduce(img, v, func(a, b int64) int64 { return a * b }, 0)
+		if v[0] != 24 {
 			panic("co_reduce product wrong")
 		}
 		img.SyncAll()
@@ -178,8 +186,8 @@ func TestCoBroadcast(t *testing.T) {
 			if img.ThisImage() == src {
 				v = []int64{777, -3}
 			}
-			got := CoBroadcast(img, v, src)
-			if got[0] != 777 || got[1] != -3 {
+			CoBroadcast(img, v, src)
+			if v[0] != 777 || v[1] != -3 {
 				panic("co_broadcast value missing")
 			}
 			img.SyncAll()
@@ -197,12 +205,12 @@ func TestCoSumProperty(t *testing.T) {
 		var ok int32 = 1
 		err := Run(5, shmemOpts(), func(img *Image) {
 			v := []int64{base + int64(img.ThisImage())*7}
-			got := CoSum(img, v, 0)
+			CoSum(img, v, 0)
 			want := int64(0)
 			for j := 1; j <= 5; j++ {
 				want += base + int64(j)*7
 			}
-			if got[0] != want {
+			if v[0] != want {
 				atomic.StoreInt32(&ok, 0)
 			}
 			img.SyncAll()

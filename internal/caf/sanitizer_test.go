@@ -172,7 +172,8 @@ func featureSweep(img *Image) {
 	x.PutSignalAsync(right, Section{{Lo: 0, Hi: 3, Step: 1}, {Lo: 1, Hi: 1, Step: 1}}, []int64{1, 2, 3, 4}, sig)
 	sig.Wait(left)
 	img.SyncImages(left, right)
-	sum := CoSum(img, []int64{int64(me)}, 0)
+	sum := []int64{int64(me)}
+	CoSum(img, sum, 0)
 	if sum[0] != int64(n*(n+1)/2) {
 		panic("co_sum wrong under sanitizer")
 	}

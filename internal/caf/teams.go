@@ -132,34 +132,34 @@ func (t *Team) Sync() {
 	}
 }
 
-// CoSumTeam is co_sum within the team. resultImage is a *team* image index
-// (0 = all members).
-func CoSumTeam[T pgas.Elem](t *Team, vals []T, resultImage int) []T {
-	return groupReduce(t.g, vals, func(a, b T) T { return a + b }, t.resultIdx(resultImage))
+// CoSumTeam is co_sum within the team, in place like CoSum. resultImage is a
+// *team* image index (0 = all members).
+func CoSumTeam[T pgas.Elem](t *Team, vals []T, resultImage int) {
+	groupReduce(t.g, vals, func(a, b T) T { return a + b }, t.resultIdx(resultImage))
 }
 
 // CoMinTeam is co_min within the team.
-func CoMinTeam[T pgas.Elem](t *Team, vals []T, resultImage int) []T {
-	return groupReduce(t.g, vals, minOf[T], t.resultIdx(resultImage))
+func CoMinTeam[T pgas.Elem](t *Team, vals []T, resultImage int) {
+	groupReduce(t.g, vals, minOf[T], t.resultIdx(resultImage))
 }
 
 // CoMaxTeam is co_max within the team.
-func CoMaxTeam[T pgas.Elem](t *Team, vals []T, resultImage int) []T {
-	return groupReduce(t.g, vals, maxOf[T], t.resultIdx(resultImage))
+func CoMaxTeam[T pgas.Elem](t *Team, vals []T, resultImage int) {
+	groupReduce(t.g, vals, maxOf[T], t.resultIdx(resultImage))
 }
 
 // CoReduceTeam is co_reduce within the team.
-func CoReduceTeam[T pgas.Elem](t *Team, vals []T, op func(a, b T) T, resultImage int) []T {
-	return groupReduce(t.g, vals, op, t.resultIdx(resultImage))
+func CoReduceTeam[T pgas.Elem](t *Team, vals []T, op func(a, b T) T, resultImage int) {
+	groupReduce(t.g, vals, op, t.resultIdx(resultImage))
 }
 
 // CoBroadcastTeam is co_broadcast within the team; sourceImage is a team
 // image index.
-func CoBroadcastTeam[T pgas.Elem](t *Team, vals []T, sourceImage int) []T {
+func CoBroadcastTeam[T pgas.Elem](t *Team, vals []T, sourceImage int) {
 	if sourceImage < 1 || sourceImage > t.g.size() {
 		panic(fmt.Sprintf("caf: team source image %d out of range [1,%d]", sourceImage, t.g.size()))
 	}
-	return groupBroadcast(t.g, vals, sourceImage-1)
+	groupBroadcast(t.g, vals, sourceImage-1)
 }
 
 func (t *Team) resultIdx(resultImage int) int {

@@ -62,21 +62,23 @@ func TestTeamCollectivesPerTeam(t *testing.T) {
 		}
 		tm := img.FormTeam(teamNo)
 		// co_sum of the global indices, per team: 1+2+3+4=10, 5+6+7+8=26.
-		got := CoSumTeam(tm, []int64{int64(img.ThisImage())}, 0)[0]
+		sum := []int64{int64(img.ThisImage())}
+		CoSumTeam(tm, sum, 0)
 		want := int64(10)
 		if teamNo == 1 {
 			want = 26
 		}
-		if got != want {
+		if sum[0] != want {
 			panic("team co_sum wrong")
 		}
 		// Min/max per team.
-		mn := CoMinTeam(tm, []int64{int64(img.ThisImage())}, 0)[0]
-		mx := CoMaxTeam(tm, []int64{int64(img.ThisImage())}, 0)[0]
-		if teamNo == 0 && (mn != 1 || mx != 4) {
+		mn, mx := []int64{int64(img.ThisImage())}, []int64{int64(img.ThisImage())}
+		CoMinTeam(tm, mn, 0)
+		CoMaxTeam(tm, mx, 0)
+		if teamNo == 0 && (mn[0] != 1 || mx[0] != 4) {
 			panic("team 0 min/max wrong")
 		}
-		if teamNo == 1 && (mn != 5 || mx != 8) {
+		if teamNo == 1 && (mn[0] != 5 || mx[0] != 8) {
 			panic("team 1 min/max wrong")
 		}
 		img.SyncAll()
@@ -90,8 +92,8 @@ func TestTeamBroadcast(t *testing.T) {
 		if tm.ThisImage() == 2 {
 			v[0] = int64(1000 + tm.TeamNumber())
 		}
-		got := CoBroadcastTeam(tm, v, 2)
-		if got[0] != int64(1000+tm.TeamNumber()) {
+		CoBroadcastTeam(tm, v, 2)
+		if v[0] != int64(1000+tm.TeamNumber()) {
 			panic("team broadcast wrong value")
 		}
 		img.SyncAll()
@@ -104,8 +106,9 @@ func TestTeamBroadcast(t *testing.T) {
 func TestTeamResultImage(t *testing.T) {
 	err := Run(4, shmemOpts(), func(img *Image) {
 		tm := img.FormTeam(0) // everyone in one team
-		got := CoSumTeam(tm, []int64{1}, 3)
-		if tm.ThisImage() == 3 && got[0] != 4 {
+		sum := []int64{1}
+		CoSumTeam(tm, sum, 3)
+		if tm.ThisImage() == 3 && sum[0] != 4 {
 			panic("team result image did not receive the sum")
 		}
 		img.SyncAll()
@@ -122,7 +125,8 @@ func TestSingletonTeam(t *testing.T) {
 			panic("singleton team shape wrong")
 		}
 		tm.Sync() // must not deadlock
-		if CoSumTeam(tm, []int64{7}, 0)[0] != 7 {
+		sum := []int64{7}
+		if CoSumTeam(tm, sum, 0); sum[0] != 7 {
 			panic("singleton reduction wrong")
 		}
 		img.SyncAll()
@@ -139,8 +143,8 @@ func TestConcurrentTeamCollectives(t *testing.T) {
 		tm := img.FormTeam(int64((img.ThisImage() - 1) % 4)) // 4 teams of 2
 		base := int64(tm.TeamNumber() * 100)
 		for round := int64(0); round < 20; round++ {
-			got := CoSumTeam(tm, []int64{base + round}, 0)[0]
-			if got != 2*(base+round) {
+			sum := []int64{base + round}
+			if CoSumTeam(tm, sum, 0); sum[0] != 2*(base+round) {
 				panic("concurrent team collective corrupted")
 			}
 		}

@@ -255,6 +255,9 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 				}
 			}
 		}
+		// residual is the residual reduction's argument: co_sum reduces in
+		// place, so one element per image serves every iteration.
+		residual := make([]float64, 1)
 		for ok && done < prm.Iters {
 			copy(next, cur)
 			gosa = 0
@@ -327,7 +330,9 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 			// Safe even while a fault is pending: the barrier just above
 			// succeeded, and there is no fault point between it and the end of
 			// the reduction, so every participant completes it.
-			gosa = caf.CoSum(img, []float64{gosa}, 0)[0]
+			residual[0] = gosa
+			caf.CoSum(img, residual, 0)
+			gosa = residual[0]
 			done++
 		}
 		if overlap && prm.Gather && stat == caf.StatOK {
