@@ -52,8 +52,8 @@ func TestBadSelectionExits2(t *testing.T) {
 }
 
 // hostCounters matches what follows the host rather than the model: goroutine
-// sleeps, recycled, fresh and cleared memory, wall time.
-var hostCounters = regexp.MustCompile(`\d+ sleeps|\d+ recycled|\d+ KiB of it new memory|\d+ KiB cleared on hand-out|took [^\]]*\]`)
+// sleeps and runners started, recycled, fresh and cleared memory, wall time.
+var hostCounters = regexp.MustCompile(`\d+ sleeps|\d+ runners started|\d+ recycled|\d+ KiB of it new memory|\d+ KiB cleared on hand-out|took [^\]]*\]`)
 
 // A barrier-mediated chaos replay is the same run twice, apart from the host
 // counters: on the Cray XC30 over Cray SHMEM, and with -transport on each

@@ -153,7 +153,7 @@ func (img *Image) PageStats() PageStats {
 }
 
 // Metrics is a world's synchronisation record on the host (re-exported from
-// pgas): goroutine sleeps and barrier generations.
+// pgas): goroutine sleeps, barrier generations and runners started.
 type Metrics = pgas.Metrics
 
 // Metrics returns the job's synchronisation counters so far; world-global

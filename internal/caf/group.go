@@ -23,7 +23,6 @@ type group struct {
 	ctlOff      int64
 	scratchOff  int64
 	scratchSize int64
-	growable    bool   // whole-job group may reallocate scratch collectively
 	host        []byte // host-side copy of one staged child contribution (combineVals)
 	seq         int64
 }
@@ -34,11 +33,10 @@ func (img *Image) worldGroup() *group {
 	g := &img.world
 	if g.img == nil {
 		*g = group{
-			img:      img,
-			n:        img.NumImages(),
-			myIdx:    img.ThisImage() - 1,
-			ctlOff:   img.ctlOff,
-			growable: true,
+			img:    img,
+			n:      img.NumImages(),
+			myIdx:  img.ThisImage() - 1,
+			ctlOff: img.ctlOff,
 		}
 	}
 	return g
@@ -59,14 +57,14 @@ func (g *group) nextSeq() int64 {
 	return g.seq
 }
 
-// ensureScratch sizes the staging buffer. The whole-job group grows it
-// collectively; team groups have a fixed allocation from FormTeam and panic
-// with a clear message when it is too small.
+// ensureScratch sizes the staging buffer. The whole-job group (the one with no
+// member list) grows it collectively; team groups have a fixed allocation from
+// FormTeam and panic with a clear message when it is too small.
 func (g *group) ensureScratch(bytes int64) int64 {
 	if g.scratchSize >= bytes {
 		return g.scratchOff
 	}
-	if !g.growable {
+	if g.members != nil {
 		panic(fmt.Sprintf("caf: team collective needs %d bytes of staging but the team was formed with %d; pass a larger scratch size to FormTeam", bytes, g.scratchSize))
 	}
 	img := g.img

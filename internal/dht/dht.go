@@ -164,7 +164,8 @@ type BenchResult struct {
 	// the final synchronisation: pages materialised, how much was new memory.
 	Pages caf.PageStats
 	// Metrics is the job's host-side synchronisation record, captured with
-	// Pages: goroutine sleeps (host-schedule dependent) and rendezvous.
+	// Pages: goroutine sleeps and runners started (host dependent) and
+	// rendezvous.
 	Metrics caf.Metrics
 }
 

@@ -94,7 +94,8 @@ type Result struct {
 	// the forensics: pages materialised, how much of that was new memory.
 	Pages caf.PageStats
 	// Metrics is the job's host-side synchronisation record, captured with
-	// Pages: goroutine sleeps (host-schedule dependent) and rendezvous.
+	// Pages: goroutine sleeps and runners started (host dependent) and
+	// rendezvous.
 	Metrics caf.Metrics
 	// CommOps is the job-wide total of runtime-issued communication
 	// operations (caf.Stats.Ops summed over every image that finished its

@@ -27,9 +27,8 @@ import (
 // The barrier is not a second kind of sleep: an arriving PE registers its
 // arena record and then sleeps like any waiter, in PE.block on its own
 // condition variable, until the record is done; a release (or poison) fills
-// the records and wakes their PEs one by one, from the highest rank down: the
-// runtime's binomial trees send from rel to rel−mask, and a child runnable
-// before its parent spares the parent a second park.
+// a shard's records under the shard lock and, only once it has dropped that
+// lock, wakes their PEs one by one, from the highest rank down (barrier.wake).
 //
 // A rendezvous may carry a release action (ReleaseFunc): arrivals leave it
 // with their shard, the report that completes a shard passes it to the root,
@@ -180,7 +179,10 @@ func (b *barrier) combine(sMax float64, act action, self *PE) {
 // participant happens to report last — a scheduling accident — cannot change
 // what anyone observes. The generation's release action runs first; the
 // downward pass walks the shards from the last to the first, resetting each
-// for the next generation and completing its waiters' records.
+// for the next generation and completing its waiters' records under the
+// shard lock, then waking them with it dropped: a PE woken early that arrives
+// again takes the shard lock without queueing behind the rest of the fan-out.
+// The wakes stay under root.mu, so no next generation releases before they end.
 func (b *barrier) release(self *PE) {
 	r := &b.root
 	outT := r.maxT
@@ -205,21 +207,20 @@ func (b *barrier) release(self *PE) {
 			r.done++
 		}
 		sh.gen++
-		b.complete(sh, outT, outErr, false, self)
+		b.complete(sh, outT, outErr, false)
 		sh.mu.Unlock()
+		b.wake(sh, self)
 	}
 }
 
 // complete ends the wait of every PE registered at the shard — a release, or
 // with poisoned set the unwinding of a poisoned world: a sequential pass over
-// the shard's arena slice, highest rank first, that fills each waiting record,
-// result fields first and then the done flag that publishes them, and wakes
-// its PE. self, the PE running a release, gets its record filled and no wake:
-// it is running. Must be called with sh.mu held, so registration cannot race
-// the walk.
-func (b *barrier) complete(sh *bShard, outT float64, outErr error, poisoned bool, self *PE) {
+// the shard's arena slice that fills each waiting record, result fields first
+// and then the done flag that publishes them. Must be called with sh.mu held,
+// so registration cannot race the walk; the wakes follow, with it dropped.
+func (b *barrier) complete(sh *bShard, outT float64, outErr error, poisoned bool) {
 	arena := b.arena[sh.lo:sh.hi]
-	for i := len(arena) - 1; i >= 0; i-- {
+	for i := range arena {
 		bw := &arena[i]
 		if !bw.waiting {
 			continue
@@ -227,7 +228,20 @@ func (b *barrier) complete(sh *bShard, outT float64, outErr error, poisoned bool
 		bw.waiting = false
 		bw.outT, bw.outErr, bw.poisoned = outT, outErr, poisoned
 		bw.done.Store(true)
-		if bw.p != self {
+	}
+}
+
+// wake wakes the PEs of the shard whose records are done, highest rank first:
+// the runtime's binomial trees send from rel to rel−mask, and a child runnable
+// before its parent spares the parent a second park. self, the PE running a
+// release, is running and gets no wake. The walk needs no list: a record
+// complete filled is done until its PE arrives again, and a done record it did
+// not fill (a departed PE's, or one a PE already read) costs a spurious wake,
+// which no sleeper minds — block's callers re-check their condition.
+func (b *barrier) wake(sh *bShard, self *PE) {
+	arena := b.arena[sh.lo:sh.hi]
+	for i := len(arena) - 1; i >= 0; i-- {
+		if bw := &arena[i]; bw.p != self && bw.done.Load() {
 			bw.p.wakeFanout()
 		}
 	}
@@ -316,8 +330,9 @@ func (b *barrier) poison() {
 		sh := &b.shards[i]
 		sh.mu.Lock()
 		sh.poisoned = true
-		b.complete(sh, 0, nil, true, nil)
+		b.complete(sh, 0, nil, true)
 		sh.mu.Unlock()
+		b.wake(sh, nil)
 	}
 }
 

@@ -92,8 +92,11 @@ type barrierEvent struct {
 // a shuffled arrival order over the PEs still alive, with departures spliced
 // in at random positions. Departing PEs never arrive in their generation
 // (an arrived PE is blocked in the rendezvous and cannot depart), and at
-// least two PEs survive the whole script so every generation releases.
-func barrierScript(rng *rand.Rand, n, gens int) [][]barrierEvent {
+// least two PEs survive the whole script so every generation releases. With
+// departLast, every generation that can spare a PE ends in a departure, so a
+// departure, not an arrival, runs its release (combine with self nil) while
+// its other departures stay spliced among the arrivals.
+func barrierScript(rng *rand.Rand, n, gens int, departLast bool) [][]barrierEvent {
 	alive := make([]int, n)
 	for i := range alive {
 		alive[i] = i
@@ -103,7 +106,7 @@ func barrierScript(rng *rand.Rand, n, gens int) [][]barrierEvent {
 		var evs []barrierEvent
 		rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
 		nDepart := 0
-		if len(alive) > 2 && rng.Intn(2) == 0 {
+		if len(alive) > 2 && (departLast || rng.Intn(2) == 0) {
 			nDepart = 1 + rng.Intn(min(3, len(alive)-2))
 		}
 		// The first nDepart of the shuffled order depart; the rest arrive.
@@ -117,6 +120,12 @@ func barrierScript(rng *rand.Rand, n, gens int) [][]barrierEvent {
 			}
 			ev := barrierEvent{id: id, depart: true, state: st}
 			pos := rng.Intn(len(evs) + 1)
+			if departLast {
+				pos = len(evs) // the first departer; the later ones go in before it
+				if id != alive[0] {
+					pos = rng.Intn(len(evs))
+				}
+			}
 			evs = append(evs[:pos], append([]barrierEvent{ev}, evs[pos:]...)...)
 		}
 		alive = alive[nDepart:]
@@ -245,25 +254,33 @@ func waitUntilTrue(t *testing.T, pred func() bool) {
 }
 
 // TestBarrierTreeMatchesFlatOracle is the property test: random scripts ×
-// shard layouts, sharded results must equal the flat oracle's exactly.
+// shard layouts, sharded results must equal the flat oracle's exactly. Half
+// the scripts end every generation they can in a departure, so releases run
+// from arrivals and from departures, whose wake fan-out starts from a PE that
+// is not in the barrier.
 func TestBarrierTreeMatchesFlatOracle(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(30)
-		script := barrierScript(rng, n, 4)
-		want := runFlat(t, script, n)
-		for _, shards := range []int{1, 2, 3, n, n + 7} {
-			got := runSharded(t, script, n, shards)
-			for g := range want {
-				for id, w := range want[g] {
-					if got[g][id] != w {
-						t.Errorf("seed=%d n=%d shards=%d gen=%d PE %d: sharded %q, flat oracle %q",
-							seed, n, shards, g, id, got[g][id], w)
+		for _, departLast := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(seed))
+			n := 3 + rng.Intn(30)
+			if departLast {
+				n += 8 // room for a departure in every generation
+			}
+			script := barrierScript(rng, n, 4, departLast)
+			want := runFlat(t, script, n)
+			for _, shards := range []int{1, 2, 3, 4, n, n + 7} {
+				got := runSharded(t, script, n, shards)
+				for g := range want {
+					for id, w := range want[g] {
+						if got[g][id] != w {
+							t.Errorf("seed=%d departLast=%v n=%d shards=%d gen=%d PE %d: sharded %q, flat oracle %q",
+								seed, departLast, n, shards, g, id, got[g][id], w)
+						}
 					}
-				}
-				if len(got[g]) != len(want[g]) {
-					t.Errorf("seed=%d n=%d shards=%d gen=%d: %d sharded results, oracle %d",
-						seed, n, shards, g, len(got[g]), len(want[g]))
+					if len(got[g]) != len(want[g]) {
+						t.Errorf("seed=%d departLast=%v n=%d shards=%d gen=%d: %d sharded results, oracle %d",
+							seed, departLast, n, shards, g, len(got[g]), len(want[g]))
+					}
 				}
 			}
 		}

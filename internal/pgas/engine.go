@@ -1,13 +1,15 @@
 package pgas
 
-// Execution engine. Every PE body runs on its own goroutine, scheduled by the
-// Go runtime, and a PE sleeps in exactly one way: PE.block, on its own
-// condition variable under its partition lock — in a wait, a remote spin's
-// too, and in the barrier. Virtual-time semantics are a pure function of
-// (program, machine model, fault plan): every write carries a caller-computed
-// visibility timestamp, every wait merges the maximum recorded timestamp over
-// its range, and barriers aggregate an order-independent maximum, so how PE
-// bodies get host CPU time cannot reach a modelled result of a program whose
+// Execution engine. Every PE body runs on a goroutine of its own, scheduled by
+// the Go runtime: a runner, reused across worlds (runner below), so a world's
+// PEs start on stacks an earlier world already grew. A PE sleeps in exactly
+// one way: PE.block, on its own condition variable under its partition lock —
+// in a wait, a remote spin's too, and in the barrier. Virtual-time semantics
+// are a pure function of (program, machine model, fault plan): every write
+// carries a caller-computed visibility timestamp, every wait merges the
+// maximum recorded timestamp over its range, and barriers aggregate an
+// order-independent maximum, so how PE bodies get host CPU time (or which
+// goroutine runs them) cannot reach a modelled result of a program whose
 // cross-image interactions are arbitrated by the modelled synchronisation
 // (DESIGN.md "Execution engine" states this contract; check.sh runs every
 // TestDeterminism test at GOMAXPROCS 1, 2 and 8). The one arbitration the
@@ -24,7 +26,12 @@ package pgas
 // zero has proved deadlock (World.deadlock in fault.go). No goroutine watches
 // a world and no verdict depends on host time.
 
-import "cafshmem/internal/fabric"
+import (
+	"fmt"
+	"sync"
+
+	"cafshmem/internal/fabric"
+)
 
 // Engine is a leftover of the two-engine design.
 //
@@ -132,4 +139,88 @@ func (w *World) wakeWatchers(skip *PE) {
 			q.wakeFanout()
 		}
 	}
+}
+
+// runners is the process's stack of idle runners: goroutines that finished a
+// PE of some world's Run and wait, each on its own channel, for a PE of any
+// world. It never holds more runners than the largest world whose Run parked
+// one there: a runner retires instead of parking when it finds as many idle as
+// its world had PEs.
+var runners struct {
+	mu   sync.Mutex
+	idle []chan peRun
+}
+
+// peRun is what a runner runs next: one PE of a Run, and the Run's body.
+type peRun struct {
+	p    *PE
+	body func(*PE)
+}
+
+// start hands each of w's PEs to a runner, in rank order: idle ones first,
+// then new ones. An idle runner's channel has room for one and is empty (the
+// runner drained it before it parked), so a hand-off never blocks, allocates
+// nothing, and all of them take the stack's lock once.
+func (w *World) start(body func(*PE)) {
+	runners.mu.Lock()
+	k := min(len(runners.idle), w.n)
+	w.started.Add(int64(w.n - k))
+	for i := range k {
+		top := len(runners.idle) - 1
+		runners.idle[top] <- peRun{&w.pes[i], body}
+		runners.idle[top] = nil
+		runners.idle = runners.idle[:top]
+	}
+	runners.mu.Unlock()
+	for i := k; i < w.n; i++ {
+		go runner(peRun{&w.pes[i], body})
+	}
+}
+
+// runner is a runner goroutine's life: the PE it was started for, then each PE
+// handed to it while it was idle, until it retires or a body ends it. While
+// idle it holds nothing of the PE it ran (TestIdleRunnerKeepsNoWorld).
+func runner(next peRun) {
+	ch := make(chan peRun, 1)
+	for next.p.world.runPE(next.p, next.body, ch) {
+		next = <-ch
+	}
+}
+
+// runPE runs one PE of a Run: body on p, then p's departure (a return stops
+// the PE, a panic poisons the world, FAIL IMAGE's peFailed unwind has departed
+// already) and its exit from the quiescence count. The runner then parks on ch
+// and reports true, or retires, before the Run can return. A body that ends in
+// runtime.Goexit (t.FailNow on a PE goroutine) stops the PE like a return, but
+// its goroutine is ending: it parks nowhere, so no Run hands it work.
+func (w *World) runPE(p *PE, body func(*PE), ch chan peRun) (parked bool) {
+	returned := false
+	defer func() {
+		r := recover()
+		switch _, failed := r.(peFailed); {
+		case r == nil:
+			w.markStopped(p)
+		case !failed:
+			w.poison(fmt.Errorf("pgas: PE %d panicked: %v", p.ID, r))
+		}
+		w.exit()
+		parked = (returned || r != nil) && park(ch, w.n)
+		w.runs.Done()
+	}()
+	body(p)
+	returned = true
+	return false
+}
+
+// park puts a runner that has finished a PE of an n-PE world on the idle
+// stack, unless the stack holds n runners already: then it reports false and
+// the runner retires.
+func park(ch chan peRun, n int) bool {
+	runners.mu.Lock()
+	defer runners.mu.Unlock()
+	if len(runners.idle) >= n {
+		return false
+	}
+	runners.idle = append(runners.idle, ch)
+	return true
 }

@@ -169,3 +169,27 @@ func ZeroSourceReadsZero(n int) bool {
 	}
 	return true
 }
+
+// idleRunners is how many runners the process's stack holds idle.
+func idleRunners() int {
+	runners.mu.Lock()
+	defer runners.mu.Unlock()
+	return len(runners.idle)
+}
+
+// trimRunners retires idle runners until keep (at least 1) are left: each
+// surplus one runs the PE of an empty 1-PE world of its own and, finding an
+// idle runner when it ends, retires as park says.
+func trimRunners(keep int) {
+	runners.mu.Lock()
+	surplus := append([]chan peRun(nil), runners.idle[min(keep, len(runners.idle)):]...)
+	runners.idle = runners.idle[:min(keep, len(runners.idle))]
+	runners.mu.Unlock()
+	for _, ch := range surplus {
+		w, _ := NewWorld(fabric.Stampede(), 1)
+		w.awake.Store(1)
+		w.runs.Add(1)
+		ch <- peRun{&w.pes[0], func(*PE) {}}
+		w.runs.Wait()
+	}
+}

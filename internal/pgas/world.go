@@ -1,5 +1,5 @@
 // Package pgas is the execution substrate for the PGAS libraries in this
-// repository. It launches N goroutines as processing elements (PEs), gives
+// repository. It runs N processing elements (PEs) on goroutines, gives
 // each a partitioned memory segment (the "symmetric segment"), and provides
 // one-sided access to any PE's partition without the target's participation —
 // the defining property of the PGAS model.
@@ -57,12 +57,14 @@ type World struct {
 	states     []int32
 	nFailed    atomic.Int32
 	nStopped   atomic.Int32
-	awake      atomic.Int32 // PE goroutines of the current Run neither returned nor asleep in PE.block
-	exitedN    atomic.Int32 // PE goroutines of the current Run that returned
-	watches    atomic.Int32 // registered watches, world-wide: what a fault fan-out consults before it visits anything
-	wakeVisits atomic.Int64 // partitions the wake fan-outs have visited (wakeWatchers, poison)
-	running    atomic.Bool  // a Run is in flight: Close is refused
-	closed     atomic.Bool  // Close was called: partition memory is gone, Run is refused
+	awake      atomic.Int32   // PE goroutines of the current Run neither returned nor asleep in PE.block
+	exitedN    atomic.Int32   // PE goroutines of the current Run that returned
+	watches    atomic.Int32   // registered watches, world-wide: what a fault fan-out consults before it visits anything
+	wakeVisits atomic.Int64   // partitions the wake fan-outs have visited (wakeWatchers, poison)
+	running    atomic.Bool    // a Run is in flight: Close is refused
+	started    atomic.Int64   // runner goroutines the world's Runs started anew (Metrics.Started)
+	runs       sync.WaitGroup // the current Run's PEs that have not yet finished
+	closed     atomic.Bool    // Close was called: partition memory is gone, Run is refused
 
 	// san is the runtime sanitizer, nil unless Options.Sanitize.
 	san *sanitizer
@@ -185,9 +187,10 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 	return w, nil
 }
 
-// Run executes body once per PE, each on its own goroutine, and blocks until
-// every PE returns. A panic in any PE poisons the world (waking all blocked
-// PEs) and is reported as an error. The world is closed before Run returns.
+// Run executes body once per PE, each on a runner goroutine of its own (see
+// World.Run), and blocks until every PE returns. A panic in any PE poisons
+// the world (waking all blocked PEs) and is reported as an error. The world
+// is closed before Run returns.
 func Run(machine *fabric.Machine, n int, body func(*PE)) error {
 	w, err := NewWorld(machine, n)
 	if err != nil {
@@ -197,8 +200,10 @@ func Run(machine *fabric.Machine, n int, body func(*PE)) error {
 	return w.Run(body)
 }
 
-// Run executes body on every PE of an already-constructed world, each on its
-// own goroutine, and starts nothing else.
+// Run executes body on every PE of an already-constructed world, each on a
+// runner goroutine of its own (engine.go): an idle one left by an earlier
+// Run of any world, a new one only when none is idle. It starts nothing
+// else, and before it returns every runner it used is idle again or gone.
 //
 // A Run never hangs on the substrate's own waits: when every PE goroutine
 // that has not returned is asleep in a wait or the barrier, the world is
@@ -218,33 +223,13 @@ func (w *World) Run(body func(*PE)) error {
 	w.awake.Store(int32(w.n))
 	w.running.Store(true)
 	defer w.running.Store(false)
-	var wg sync.WaitGroup
-	wg.Add(w.n)
-	for i := range w.pes {
-		go w.runPE(&w.pes[i], body, &wg)
-	}
-	wg.Wait()
+	w.runs.Add(w.n)
+	w.start(body)
+	w.runs.Wait()
 	if err := w.failedErr(); err != nil || w.san == nil {
 		return err
 	}
 	return w.san.finalize(w)
-}
-
-// runPE is one PE goroutine of Run: body on p, then p's departure.
-func (w *World) runPE(p *PE, body func(*PE), wg *sync.WaitGroup) {
-	defer wg.Done()
-	defer w.exit()
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(peFailed); ok {
-				return // fail-image: a clean, modelled departure
-			}
-			w.poison(fmt.Errorf("pgas: PE %d panicked: %v", p.ID, r))
-			return
-		}
-		w.markStopped(p)
-	}()
-	body(p)
 }
 
 // ErrClosed is what a closed world answers: Run returns it, and the one-sided
@@ -271,7 +256,9 @@ func (w *World) part(target int) *PE {
 // by hand and inspects it after Run closes it when done, or not at all (an
 // unclosed world is merely garbage the collector reclaims without
 // recycling). Counters (PageStats, LinkReports) stay readable. Idempotent.
-// Closing a world whose Run is in flight is a bug and panics.
+// Closing a world whose Run is in flight is a bug and panics. Close has no
+// goroutine to stop: every runner a Run used was idle again, on the process's
+// stack for the next world, or gone before that Run returned.
 func (w *World) Close() {
 	if w.running.Load() {
 		panic("pgas: Close of a world whose Run is in flight")
@@ -345,23 +332,27 @@ func (w *World) PageStats() PageStats {
 
 // Metrics is what a world's synchronisation cost the host so far: how often a
 // PE goroutine went to sleep (PE.block: in a wait or in the barrier), summed
-// over the PEs, and how many barrier generations were released — the host
+// over the PEs, how many barrier generations were released — the host
 // rendezvous, one per library barrier and one per collective allocation or
-// release. Sleeps follows the host schedule; Rendezvous is the program's
-// while it runs (the last PEs to return may release one more, empty).
+// release — and how many runner goroutines its Runs started anew, summed over
+// the Runs (a PE handed to an idle runner counts nothing). Sleeps and Started
+// follow the host schedule and what earlier worlds of the process left idle;
+// Rendezvous is the program's while it runs (the last PEs to return may
+// release one more, empty).
 type Metrics struct {
 	Sleeps     int64
 	Rendezvous uint64
+	Started    int64
 }
 
 func (m Metrics) String() string {
-	return fmt.Sprintf("%d sleeps, %d rendezvous", m.Sleeps, m.Rendezvous)
+	return fmt.Sprintf("%d sleeps, %d rendezvous, %d runners started", m.Sleeps, m.Rendezvous, m.Started)
 }
 
 // Metrics sums the PEs' sleep counters, taking each partition lock in turn
 // like PageStats, and reads the barrier's generation count.
 func (w *World) Metrics() Metrics {
-	var m Metrics
+	m := Metrics{Started: w.started.Load()}
 	for i := range w.pes {
 		p := &w.pes[i]
 		p.mu.Lock()

@@ -124,7 +124,7 @@ type SweepRow struct {
 // TransportSweep prints app's sweep on one Stampede transport backend,
 // configured as TransportOptions(kind) — the per-backend view of its figure.
 // Each row ends in pgas.Metrics beside the partition memory: goroutine sleeps
-// follow the host schedule, barrier generations are exact.
+// and runners started follow the host, barrier generations are exact.
 func TransportSweep(w io.Writer, app *App, kind caf.TransportKind) error {
 	opts := TransportOptions(kind)
 	fmt.Fprintf(w, "%s on Stampede, transport=%v, %s\n", app.Name, kind, app.Setup)

@@ -41,6 +41,8 @@ var structureRows = []struct {
 	{"one-command", "Systems inventory", "cmd/reproduce is the one command, and outside benchmark/ only it and internal/pgasbench import flag", []check{
 		files("cmd/").not("cmd/reproduce/").find(is[*ast.File]), code().not("benchmark/", "cmd/reproduce/", "internal/pgasbench/").find(imports("flag"))}},
 	{"one-pool", "Host-performance model", "internal/pgasbench starts goroutines only in parallel (parallel.go)", []check{code("internal/pgasbench/").not("internal/pgasbench/parallel.go").find(is[*ast.GoStmt])}},
+	{"one-runner-start", "Execution engine", "outside internal/pgasbench (one-pool), non-test Go under internal/ starts goroutines only in pgas's runner start, World.start (engine.go): every PE body runs on a runner, reused across worlds", []check{
+		code("internal/").not("internal/pgasbench/").find(is[*ast.GoStmt]).allow("internal/pgas/engine.go", 1)}},
 	{"one-issue-core", "Fault model", "pgas.PE.Issue sends, books and lands every put and get: one function, pgas.World.Transmit, consults the fault plan, one site in internal/pgas calls it, and no library moves a put's or get's bytes", []check{
 		code().not("internal/fabric/").find(on(func(d *ast.FuncDecl) bool { return has(d, calls("LossyPair", "Deliver")) })).allow("internal/pgas/delivery.go", 1),
 		code().not("internal/fabric/").find(calls("LossyPair", "Deliver")).allow("internal/pgas/delivery.go", 2),
@@ -70,7 +72,7 @@ var structureRows = []struct {
 				return b.Op == token.MUL && (nodeIs(b.X, "8") && args(b.Y, "int64") == 1 || args(b.X, "int64") == 1 && nodeIs(b.Y, "8"))
 			})(ast.Unparen(c.Args[0]))
 		}))}},
-	{"one-engine", "Execution engine", "a goroutine per image and one sleep, PE.block on PE.cond (world.go): internal/pgas has no second scheduler, nothing outside benchmark/ yields, and the deprecated engine names are named only in their declaration", []check{
+	{"one-engine", "Execution engine", "a runner goroutine per image, reused across worlds, and one sleep, PE.block on PE.cond (world.go): internal/pgas has no second scheduler, nothing outside benchmark/ yields, and the deprecated engine names are named only in their declaration", []check{
 		code("internal/pgas/").find(on(func(c *ast.ChanType) bool { return nodeIs(c.Value, "struct{}") }), idents("sched"), on(func(s *ast.SelectorExpr) bool { return nodeIs(s, "sync.NewCond") })),
 		code("internal/pgas/").find(on(func(s *ast.SelectorExpr) bool { return nodeIs(s, "sync.Cond") })).allow("internal/pgas/world.go", 1),
 		code().not("benchmark/").find(idents("Gosched"), calls("Yield")),
