@@ -1,18 +1,15 @@
 package caf
 
-import (
-	"fmt"
-
-	"cafshmem/internal/pgas"
-)
+import "cafshmem/internal/pgas"
 
 // CAF collective subroutines (co_sum, co_min, co_max, co_reduce,
 // co_broadcast). Per the paper (§IV footnote): "In UHCAF, we implement CAF
 // reductions and broadcasts using 1-sided communication and remote atomics
 // available in OpenSHMEM" — so these are built here from transport puts and
-// point-to-point flags in a binomial tree (see group.go), not delegated to a
-// collectives library. The same machinery serves whole-job collectives and
-// team collectives (teams.go).
+// point-to-point flags in one binomial tree (groupReduce, group.go), not
+// delegated to a collectives library. The same tree serves every reduction,
+// co_broadcast, and the team forms (teams.go), and any call may follow any
+// other with no synchronisation between them.
 //
 // As in Fortran 2018, where a collective's array argument is INTENT(INOUT),
 // every collective works in place on the caller's slice and returns nothing:
@@ -21,48 +18,34 @@ import (
 
 const collMaxRounds = 64
 
-func resultIdxFor(img *Image, resultImage int) int {
-	if resultImage == 0 {
-		return -1
-	}
-	if resultImage < 0 || resultImage > img.NumImages() {
-		panic(fmt.Sprintf("caf: result image %d out of range [0,%d]", resultImage, img.NumImages()))
-	}
-	return resultImage - 1
-}
-
 // CoSum is co_sum: vals becomes the elementwise sum of vals across images.
-// resultImage 0 delivers to every image; otherwise only the given image's
-// (1-based) vals is defined afterwards, and the other images' must not be
-// read.
+// resultImage (1-based) names the image that must receive the sum, 0 every
+// image; every image's vals holds it afterwards either way. Any CO_* call may
+// follow any other with no synchronisation between them.
 func CoSum[T pgas.Elem](img *Image, vals []T, resultImage int) {
-	groupReduce(img.worldGroup(), vals, func(a, b T) T { return a + b }, resultIdxFor(img, resultImage))
+	coReduce(img.worldGroup(), vals, func(a, b T) T { return a + b }, resultImage)
 }
 
 // CoMin is co_min.
 func CoMin[T pgas.Elem](img *Image, vals []T, resultImage int) {
-	groupReduce(img.worldGroup(), vals, minOf[T], resultIdxFor(img, resultImage))
+	coReduce(img.worldGroup(), vals, minOf[T], resultImage)
 }
 
 // CoMax is co_max.
 func CoMax[T pgas.Elem](img *Image, vals []T, resultImage int) {
-	groupReduce(img.worldGroup(), vals, maxOf[T], resultIdxFor(img, resultImage))
+	coReduce(img.worldGroup(), vals, maxOf[T], resultImage)
 }
 
 // CoReduce is co_reduce with a user-supplied commutative combiner.
 func CoReduce[T pgas.Elem](img *Image, vals []T, op func(a, b T) T, resultImage int) {
-	groupReduce(img.worldGroup(), vals, op, resultIdxFor(img, resultImage))
+	coReduce(img.worldGroup(), vals, op, resultImage)
 }
 
 // CoBroadcast is co_broadcast: vals from sourceImage (1-based) overwrite vals
-// on every image. Its source waits for no other image, and the tree reuses
-// its staging slots from call to call, so a broadcast needs a synchronisation
-// on either side when other collectives run on the same images: without one,
-// its puts or the next call's can overwrite a staged value that an image has
-// not yet read.
+// on every image. Like every CO_* call, it may follow or precede any other
+// with no synchronisation between them.
 func CoBroadcast[T pgas.Elem](img *Image, vals []T, sourceImage int) {
-	img.checkImage(sourceImage)
-	groupBroadcast(img.worldGroup(), vals, sourceImage-1)
+	coBroadcast(img.worldGroup(), vals, sourceImage)
 }
 
 func minOf[T pgas.Elem](a, b T) T {

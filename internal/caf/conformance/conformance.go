@@ -21,6 +21,7 @@
 package conformance
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -486,29 +487,23 @@ func batteryLocks(t *testing.T, o caf.Options) {
 
 // batteryCollectives: the CAF collective subroutines built from one-sided
 // communication must reduce and broadcast correctly on every transport, in
-// place on the caller's array (Fortran 2018's INTENT(INOUT) argument).
+// place on the caller's array (Fortran 2018's INTENT(INOUT) argument). As in
+// Fortran, any CO_* call may follow any other with no synchronisation between
+// them, whatever the kinds, shapes, sources and result images: back-to-back
+// runs such a sequence at two image counts.
 func batteryCollectives(t *testing.T, o caf.Options) {
 	const n = 4
 	const resultImage = 3
-	// Each image's array after the result-image reduction, read after the run.
-	var toOne [n][]int64
-	// A SyncAll separates collectives of different shapes, and follows every
-	// broadcast: the binomial tree reuses its staging slots across calls, so
-	// only same-shape reductions may pipeline back-to-back — that boundary is
-	// part of the contract the suite pins, matching the runtime's own
-	// collective tests.
 	run(t, n, o, func(img *caf.Image) {
 		me := int64(img.ThisImage())
 		sum := []int64{me, 10 * me}
 		if caf.CoSum(img, sum, 0); sum[0] != 10 || sum[1] != 100 {
 			t.Errorf("image %d: CoSum = %v, want [10 100]", me, sum)
 		}
-		img.SyncAll()
 		sum = []int64{me, 10 * me}
-		caf.CoSum(img, sum, resultImage)
-		toOne[me-1] = sum
-		img.SyncAll()
-		// Same shape: CoMin and CoMax may pipeline with no sync between.
+		if caf.CoSum(img, sum, resultImage); me == resultImage && (sum[0] != 10 || sum[1] != 100) {
+			t.Errorf("CoSum(result image %d) = %v there, want [10 100]", resultImage, sum)
+		}
 		mn, mx := []int64{me}, []int64{me}
 		if caf.CoMin(img, mn, 0); mn[0] != 1 {
 			t.Errorf("image %d: CoMin = %v, want [1]", me, mn)
@@ -516,33 +511,70 @@ func batteryCollectives(t *testing.T, o caf.Options) {
 		if caf.CoMax(img, mx, 0); mx[0] != n {
 			t.Errorf("image %d: CoMax = %v, want [%d]", me, mx, n)
 		}
-		img.SyncAll()
 		bc := []int64{me * 7, -me}
 		if caf.CoBroadcast(img, bc, 3); bc[0] != 21 || bc[1] != -3 {
 			t.Errorf("image %d: CoBroadcast = %v, want [21 -3] (the source's array)", me, bc)
 		}
-		img.SyncAll()
 		prod := []int64{me}
 		if caf.CoReduce(img, prod, func(a, b int64) int64 { return a * b }, 0); prod[0] != 24 {
 			t.Errorf("image %d: CoReduce(product) = %v, want [24]", me, prod)
 		}
 		img.SyncAll()
 	})
-	// With a result image only that image's array is defined: it holds the
-	// sum, and the reduction is not distributed — an image that only
-	// contributed keeps a partial combination, so not every array holds it.
-	if got := toOne[resultImage-1]; got[0] != 10 || got[1] != 100 {
-		t.Errorf("CoSum(result image %d) = %v there, want [10 100]", resultImage, got)
+	for _, n := range []int{4, 7} {
+		t.Run(fmt.Sprintf("back-to-back/n=%d", n), func(t *testing.T) { collectivesBackToBack(t, o, n) })
 	}
-	holding := 0
-	for _, got := range toOne {
-		if got[0] == 10 && got[1] == 100 {
-			holding++
+}
+
+// collectivesBackToBack runs five rounds of whole-job and team collectives of
+// every kind and two shapes on n images with no synchronisation between any
+// two calls, and checks each call's value on every image that must hold it.
+func collectivesBackToBack(t *testing.T, o caf.Options, n int) {
+	N, tri := int64(n), int64(n*(n+1)/2)
+	run(t, n, o, func(img *caf.Image) {
+		me := int64(img.ThisImage())
+		tm := img.FormTeam(me % 2) // odd and even images
+		var teamSum int64
+		for _, m := range tm.Members() {
+			teamSum += int64(m)
 		}
-	}
-	if holding == n {
-		t.Errorf("CoSum(result image %d) left the sum on all %d images: a result-image reduction must not distribute it", resultImage, n)
-	}
+		for r := int64(0); r < 5; r++ {
+			check := func(call string, got []int64, want ...int64) {
+				if !slices.Equal(got, want) {
+					t.Errorf("round %d image %d: %s = %v, want %v", r, me, call, got, want)
+				}
+			}
+			v := []int64{me + r}
+			caf.CoSum(img, v, 0)
+			check("CoSum", v, tri+N*r)
+			v = []int64{100*me + r}
+			caf.CoBroadcast(img, v, 2)
+			check("CoBroadcast from 2", v, 200+r)
+			v = []int64{me, r}
+			if caf.CoSum(img, v, 3); me == 3 {
+				check("CoSum to image 3", v, tri, N*r)
+			}
+			v = []int64{me, -r}
+			caf.CoBroadcast(img, v, n)
+			check("CoBroadcast from n", v, N, -r)
+			v = []int64{me * r}
+			caf.CoReduce(img, v, func(a, b int64) int64 { return max(a, b) }, 0)
+			check("CoReduce(max)", v, N*r)
+			v = []int64{1}
+			caf.CoSum(img, v, 0)
+			check("8-byte CoSum", v, N)
+			v = []int64{1, me}
+			caf.CoSum(img, v, 0)
+			check("16-byte CoSum", v, N, tri)
+			v = []int64{me}
+			caf.CoSumTeam(tm, v, 0)
+			check("CoSumTeam", v, teamSum)
+			v = []int64{me + r}
+			caf.CoBroadcastTeam(tm, v, 1)
+			check("CoBroadcastTeam from team image 1", v, int64(tm.GlobalImage(1))+r)
+		}
+		img.SyncAll()
+	})
 }
 
 // batterySyncImages: pairwise synchronisation on a ring orders the

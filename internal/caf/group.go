@@ -23,6 +23,7 @@ type group struct {
 	ctlOff      int64
 	scratchOff  int64
 	scratchSize int64
+	distBytes   int64  // distribution slot size: the largest call so far, in whole words
 	host        []byte // host-side copy of one staged child contribution (combineVals)
 	seq         int64
 }
@@ -83,31 +84,20 @@ func (g *group) ensureScratch(bytes int64) int64 {
 	return g.scratchOff
 }
 
-// signalFlag writes seq into a member's group flag slot and completes it.
-func (g *group) signalFlag(memberIdx, slot int, seq int64) {
-	img := g.img
-	img.putWord(g.member(memberIdx)-1, g.ctlOff+int64(slot)*8, uint64(seq))
-	img.quiet()
-}
-
 // awaitFlag spins on this image's group flag slot until it reaches seq.
 func (g *group) awaitFlag(slot int, seq int64) {
 	g.img.wait(g.ctlOff+int64(slot)*8, pgas.CmpGE, seq)
 }
 
-// sendVals puts vals into a member's staging slot at off, completes the put
-// and raises the member's flag — one tree edge of a collective.
+// sendVals puts vals into a member's staging slot at off, completes the put,
+// then writes seq into the member's flag slot and completes that — one tree
+// edge of a collective.
 func sendVals[T pgas.Elem](g *group, memberIdx int, off int64, vals []T, slot int, seq int64) {
-	img := g.img
-	img.issue(img.xfer(false, g.member(memberIdx)-1, off, pgas.Bytes(vals)))
+	img, to := g.img, g.member(memberIdx)-1
+	img.issue(img.xfer(false, to, off, pgas.Bytes(vals)))
 	img.quiet()
-	g.signalFlag(memberIdx, slot, seq)
-}
-
-// recvVals loads len(dst) elements from this image's own staging slot at off
-// into dst (a local load: free in virtual time).
-func recvVals[T pgas.Elem](g *group, dst []T, off int64) {
-	g.img.local.ReadLocal(off, pgas.Bytes(dst))
+	img.putWord(to, g.ctlOff+int64(slot)*8, uint64(seq))
+	img.quiet()
 }
 
 // combineVals folds the child contribution staged at off of this image's own
@@ -127,85 +117,83 @@ func combineVals[T pgas.Elem](g *group, acc []T, off int64, op func(a, b T) T) {
 	}
 }
 
-// groupReduce runs the binomial gather-combine then distribution over the
-// group, in place: vals is folded into and sent from directly. resultIdx < 0
-// leaves the result in every member's vals; otherwise only
-// members[resultIdx]'s vals holds it, and the others' hold whatever partial
-// combination the tree left there.
-func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx int) {
+// groupReduce is the one collective tree, for whole-job and team groups: a
+// binomial gather-combine to members[0], then a binomial distribution from
+// it, in place (vals is folded into and sent from), and every member's vals
+// ends holding the result. The distribution is each call's release: a member
+// enters the next call only after reading it, and the root sends it only
+// after consuming every gather slot. The distribution slot starts the
+// staging, as large as the largest call so far, and this call's whole-word
+// gather slots follow it, so no put of call c+1 lands on a slot call c has
+// yet to read, and CmpGE flags are exact. Any call may follow any other with
+// no sync.
+func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T) {
 	n := g.size()
 	if n == 1 {
 		return
 	}
-	es := int64(pgas.SizeOf[T]())
-	nbytes := int64(len(vals)) * es
+	nbytes := int64(len(vals)) * int64(pgas.SizeOf[T]())
 	rounds := fabric.CeilLog2(n)
-	scratch := g.ensureScratch(nbytes * int64(rounds+1))
+	slot := (nbytes + 7) &^ 7
+	g.distBytes = max(g.distBytes, slot)
+	dist := g.ensureScratch(g.distBytes + int64(rounds)*slot)
+	gather := dist + g.distBytes
 	seq := g.nextSeq()
 	rel := g.myIdx
 
 	for k := 0; k < rounds; k++ {
 		mask := 1 << k
 		if rel&mask != 0 {
-			sendVals(g, rel-mask, scratch+int64(k)*nbytes, vals, k, seq)
+			sendVals(g, rel-mask, gather+int64(k)*slot, vals, k, seq)
 			break
 		}
 		if rel+mask >= n {
 			continue
 		}
 		g.awaitFlag(k, seq)
-		combineVals(g, vals, scratch+int64(k)*nbytes, op)
+		combineVals(g, vals, gather+int64(k)*slot, op)
 	}
-
-	bslot := int64(rounds)
-	if resultIdx < 0 {
-		// Binomial distribution from the root through the same tree.
-		if rel != 0 {
-			g.awaitFlag(collMaxRounds+bits.Len(uint(rel))-1, seq)
-			recvVals(g, vals, scratch+bslot*nbytes)
-		}
-		for k := bits.Len(uint(rel)); k < rounds; k++ { // children lie above rel's highest set bit
-			childRel := rel + (1 << k)
-			if childRel >= n {
-				break
-			}
-			sendVals(g, childRel, scratch+bslot*nbytes, vals, collMaxRounds+k, seq)
-		}
-		return
-	}
-
-	if rel == 0 && resultIdx != 0 {
-		sendVals(g, resultIdx, scratch+bslot*nbytes, vals, collMaxRounds, seq)
-	}
-	if rel == resultIdx && resultIdx != 0 {
-		g.awaitFlag(collMaxRounds, seq)
-		recvVals(g, vals, scratch+bslot*nbytes)
-	}
-}
-
-// groupBroadcast overwrites every member's vals with members[sourceIdx]'s.
-func groupBroadcast[T pgas.Elem](g *group, vals []T, sourceIdx int) {
-	n := g.size()
-	if n == 1 {
-		return
-	}
-	es := int64(pgas.SizeOf[T]())
-	nbytes := int64(len(vals)) * es
-	rounds := fabric.CeilLog2(n)
-	scratch := g.ensureScratch(nbytes * int64(rounds+1))
-	seq := g.nextSeq()
-	rel := (g.myIdx - sourceIdx + n) % n
-	bslot := int64(rounds)
-
 	if rel != 0 {
 		g.awaitFlag(collMaxRounds+bits.Len(uint(rel))-1, seq)
-		recvVals(g, vals, scratch+bslot*nbytes)
+		g.img.local.ReadLocal(dist, pgas.Bytes(vals)) // a local load: free in virtual time
 	}
 	for k := bits.Len(uint(rel)); k < rounds; k++ { // children lie above rel's highest set bit
 		childRel := rel + (1 << k)
 		if childRel >= n {
 			break
 		}
-		sendVals(g, (childRel+sourceIdx)%n, scratch+bslot*nbytes, vals, collMaxRounds+k, seq)
+		sendVals(g, childRel, dist, vals, collMaxRounds+k, seq)
 	}
 }
+
+// check panics unless lo <= image <= the group size: image is a 1-based
+// member index, or 0 where lo is 0.
+func (g *group) check(what string, image, lo int) {
+	if image < lo || image > g.n {
+		if g.members != nil {
+			what = "team " + what
+		}
+		panic(fmt.Sprintf("caf: %s %d out of range [%d,%d]", what, image, lo, g.n))
+	}
+}
+
+// coReduce is every CO_* reduction. resultImage (1-based within g, 0 for all
+// members) is only range-checked: holding the result on the other members too
+// is allowed, since Fortran leaves their arrays undefined.
+func coReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultImage int) {
+	g.check("result image", resultImage, 0)
+	groupReduce(g, vals, op)
+}
+
+// coBroadcast is co_broadcast as a reduction by OR over the array's bytes:
+// every member but the source contributes zeros, so any bit pattern arrives
+// exactly.
+func coBroadcast[T pgas.Elem](g *group, vals []T, sourceImage int) {
+	g.check("source image", sourceImage, 1)
+	if g.myIdx != sourceImage-1 {
+		clear(vals)
+	}
+	groupReduce(g, pgas.Bytes(vals), orOf)
+}
+
+func orOf(a, b byte) byte { return a | b }

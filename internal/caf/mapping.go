@@ -21,8 +21,8 @@ func TableII() []FeatureMapping {
 		{"Symmetric data allocation", "allocate", "shmalloc", true, "caf.Allocate -> backend.malloc -> shmem.PE.Malloc (symmetric heap)"},
 		{"Total image count", "num_images()", "_num_pes()", true, "Image.NumImages"},
 		{"Current image ID", "this_image()", "_my_pe()", true, "Image.ThisImage"},
-		{"Collectives - reduction", "co_sum/co_min/co_max/co_reduce", "shmem_<op>_to_all (built on 1-sided + atomics in UHCAF)", true, "caf.CoSum/CoMin/CoMax/CoReduce, in place on the caller's slice (binomial tree over puts+flags)"},
-		{"Collectives - broadcast", "co_broadcast", "shmem_broadcast", true, "caf.CoBroadcast, in place on the caller's slice"},
+		{"Collectives - reduction", "co_sum/co_min/co_max/co_reduce", "shmem_<op>_to_all (built on 1-sided + atomics in UHCAF)", true, "caf.CoSum/CoMin/CoMax/CoReduce, in place on the caller's slice: one binomial tree over puts+flags, gather then distribution, so a result image's peers hold the result too"},
+		{"Collectives - broadcast", "co_broadcast", "shmem_broadcast", true, "caf.CoBroadcast, in place: the reductions' tree, OR over the array's bytes with zeros from all but the source"},
 		{"Barrier synchronisation", "sync all", "shmem_barrier_all", true, "Image.SyncAll"},
 		{"Atomic swapping", "atomic_cas", "shmem_swap/shmem_cswap", true, "AtomicVar.CompareSwap/Swap"},
 		{"Atomic addition", "atomic_fetch_add", "shmem_add/shmem_fadd", true, "AtomicVar.FetchAdd"},

@@ -52,7 +52,10 @@ func steadyAllocs(t *testing.T, images, calls int, setup func(img *caf.Image) fu
 
 // TestCoSumSteadyStateAllocs: a co_sum reduces in place into the caller's
 // slice, so it allocates nothing — flags, payloads and the staged child
-// contributions all reuse the group's and the image's buffers.
+// contributions all reuse the group's and the image's buffers; and so does a
+// result-image co_sum and a co_broadcast, which run the same tree (the
+// broadcast over the array's bytes, with a combiner that captures nothing).
+// No sync separates the calls.
 func TestCoSumSteadyStateAllocs(t *testing.T) {
 	n := steadyAllocs(t, 8, 500, func(img *caf.Image) func() {
 		vals := make([]float64, 2)
@@ -61,18 +64,24 @@ func TestCoSumSteadyStateAllocs(t *testing.T) {
 			if caf.CoSum(img, vals, 0); vals[1] != 8 {
 				panic("co_sum wrong")
 			}
+			if caf.CoSum(img, vals, 3); img.ThisImage() == 3 && vals[1] != 64 {
+				panic("result-image co_sum wrong")
+			}
+			vals[0] = float64(img.ThisImage())
+			if caf.CoBroadcast(img, vals, 5); vals[0] != 5 {
+				panic("co_broadcast wrong")
+			}
 		}
 	})
 	if n > 0.05 {
-		t.Errorf("%.3f allocs per co_sum per image, want 0", n)
+		t.Errorf("%.3f allocs per co_sum + result-image co_sum + co_broadcast per image, want 0", n)
 	}
 }
 
 // TestTeamCollectivesSteadyStateAllocs: the team forms run the same in-place
-// tree over the team's own group, so a team co_sum and a team co_broadcast
-// allocate nothing either (two teams of four, reducing concurrently; a team
-// sync separates the two kinds, as between any collectives of different
-// kinds).
+// tree over the team's own group, so a team co_sum, a result-image team co_sum
+// and a team co_broadcast allocate nothing either (two teams of four,
+// reducing concurrently, with no sync between any two calls).
 func TestTeamCollectivesSteadyStateAllocs(t *testing.T) {
 	n := steadyAllocs(t, 8, 500, func(img *caf.Image) func() {
 		tm := img.FormTeam(int64(img.ThisImage() % 2))
@@ -82,16 +91,17 @@ func TestTeamCollectivesSteadyStateAllocs(t *testing.T) {
 			if caf.CoSumTeam(tm, vals, 0); vals[0] != 4 || vals[1] != 10 {
 				panic("team co_sum wrong")
 			}
-			tm.Sync()
+			if caf.CoSumTeam(tm, vals, 2); tm.ThisImage() == 2 && vals[0] != 16 {
+				panic("result-image team co_sum wrong")
+			}
 			vals[1] = int64(tm.ThisImage())
 			if caf.CoBroadcastTeam(tm, vals, 2); vals[1] != 2 {
 				panic("team co_broadcast wrong")
 			}
-			tm.Sync()
 		}
 	})
 	if n > 0.05 {
-		t.Errorf("%.3f allocs per team co_sum + co_broadcast per image, want 0", n)
+		t.Errorf("%.3f allocs per team co_sum + result-image co_sum + co_broadcast per image, want 0", n)
 	}
 }
 

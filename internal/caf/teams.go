@@ -133,41 +133,29 @@ func (t *Team) Sync() {
 }
 
 // CoSumTeam is co_sum within the team, in place like CoSum. resultImage is a
-// *team* image index (0 = all members).
+// *team* image index (0 = all members); every member holds the sum either
+// way, and any team or whole-job CO_* call may follow it with no sync.
 func CoSumTeam[T pgas.Elem](t *Team, vals []T, resultImage int) {
-	groupReduce(t.g, vals, func(a, b T) T { return a + b }, t.resultIdx(resultImage))
+	coReduce(t.g, vals, func(a, b T) T { return a + b }, resultImage)
 }
 
 // CoMinTeam is co_min within the team.
 func CoMinTeam[T pgas.Elem](t *Team, vals []T, resultImage int) {
-	groupReduce(t.g, vals, minOf[T], t.resultIdx(resultImage))
+	coReduce(t.g, vals, minOf[T], resultImage)
 }
 
 // CoMaxTeam is co_max within the team.
 func CoMaxTeam[T pgas.Elem](t *Team, vals []T, resultImage int) {
-	groupReduce(t.g, vals, maxOf[T], t.resultIdx(resultImage))
+	coReduce(t.g, vals, maxOf[T], resultImage)
 }
 
 // CoReduceTeam is co_reduce within the team.
 func CoReduceTeam[T pgas.Elem](t *Team, vals []T, op func(a, b T) T, resultImage int) {
-	groupReduce(t.g, vals, op, t.resultIdx(resultImage))
+	coReduce(t.g, vals, op, resultImage)
 }
 
 // CoBroadcastTeam is co_broadcast within the team; sourceImage is a team
-// image index.
+// image index. Like CoBroadcast, it needs no sync on either side.
 func CoBroadcastTeam[T pgas.Elem](t *Team, vals []T, sourceImage int) {
-	if sourceImage < 1 || sourceImage > t.g.size() {
-		panic(fmt.Sprintf("caf: team source image %d out of range [1,%d]", sourceImage, t.g.size()))
-	}
-	groupBroadcast(t.g, vals, sourceImage-1)
-}
-
-func (t *Team) resultIdx(resultImage int) int {
-	if resultImage == 0 {
-		return -1
-	}
-	if resultImage < 1 || resultImage > t.g.size() {
-		panic(fmt.Sprintf("caf: team result image %d out of range [0,%d]", resultImage, t.g.size()))
-	}
-	return resultImage - 1
+	coBroadcast(t.g, vals, sourceImage)
 }

@@ -79,6 +79,10 @@ var structureRows = []struct {
 		// benchmark/ still spells the ignored pgas.Engine stub; the change that
 		// moves it off the stub deletes this allowance.
 		code().not("benchmark/").find(idents("EngineEvent", "EngineGoroutine")).allow("internal/pgas/engine.go", 2)}},
+	{"one-collective-tree", "Nonblocking RMA and communication/computation overlap", "every CO_* collective, whole-job or team, runs one tree: in internal/caf only groupReduce (group.go) calls sendVals and awaitFlag", []check{
+		code("internal/caf/").find(on(func(d *ast.FuncDecl) bool {
+			return d.Name.Name != "groupReduce" && has(d, calls("sendVals", "awaitFlag"))
+		}))}},
 	{"checked-range", "Partition memory life cycle", "an entry of internal/pgas that locks a partition checks its range first: a function that calls part and .mu.Lock calls checkRange or checkSpan before the lock", []check{
 		code("internal/pgas/").find(on(func(d *ast.FuncDecl) bool {
 			lock, check := first(d, calls("mu.Lock")), first(d, calls("checkRange", "checkSpan"))
