@@ -115,7 +115,7 @@ printf '%s\n' "$fuzz" | while read -r pkg target; do
     go test -run '^$' -fuzz "^$target\$" -fuzztime "$fuzztime" "$pkg"
 done
 
-echo "==> deadlock loop (every deterministic deadlock and the gated departure fan-out, 500x at GOMAXPROCS 1, 2 and 8: the verdict is exact, so one miss or lost wake hangs and one false alarm fails)"
+echo "==> deadlock loop (every deterministic deadlock, the gated departure fan-out and a panicking PE's unwinding from under a partition lock, 500x at GOMAXPROCS 1, 2 and 8: the verdict is exact, so one miss, lost wake or lock left held hangs and one false alarm fails)"
 # -short skips the 100k-image one, which the suite runs once.
 gate 'internal/pgas$' '^TestDeadlock' -short -count=500 -cpu 1,2,8 -timeout 300s
 

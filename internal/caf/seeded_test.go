@@ -207,14 +207,12 @@ var seededCases = []seededCase{
 		}
 	})},
 	{"collbad", "divergentSwitch", diverged, spmd(func(pe *shmem.PE) {
-		data := pe.Malloc(64)
 		switch pe.MyPE() {
 		case 0:
-			pe.Broadcast(0, data, 8)
+			pe.Barrier()
 		default:
 		}
 		pe.Barrier()
-		pe.Free(data)
 	})},
 	{"collbad", "freeInElse", diverged, spmd(func(pe *shmem.PE) {
 		data := pe.Malloc(64)

@@ -192,7 +192,10 @@ func runner(next peRun) {
 // already) and its exit from the quiescence count. The runner then parks on ch
 // and reports true, or retires, before the Run can return. A body that ends in
 // runtime.Goexit (t.FailNow on a PE goroutine) stops the PE like a return, but
-// its goroutine is ending: it parks nowhere, so no Run hands it work.
+// its goroutine is ending: it parks nowhere, so no Run hands it work. A panic
+// reaches the recover with no partition lock held: every site that stores,
+// reads, clears or waits under one unlocks through a defer, so the poison's
+// fan-out, which takes each lock, never waits on the goroutine unwinding.
 func (w *World) runPE(p *PE, body func(*PE), ch chan peRun) (parked bool) {
 	returned := false
 	defer func() {

@@ -196,3 +196,46 @@ func TestDeadlockUnwindsWithOneFanout(t *testing.T) {
 		t.Errorf("unwinding %d PEs visited %d partitions, want %d (one poison fan-out)", n, got, n)
 	}
 }
+
+// TestDeadlockPanicUnderPartitionLock: a PE that panics while it holds a
+// partition lock, PE 1's or its own, releases it as it unwinds. It panics in a
+// store (into a broken page) or in a wait's predicate. PE 1 sleeps in a wait
+// on its own word and the others in the barrier; each must take its partition
+// lock again to return, and so must the poison's fan-out that wakes them. Run
+// returns the panic, and no partition lock is left held.
+func TestDeadlockPanicUnderPartitionLock(t *testing.T) {
+	for _, target := range []int{1, 0} {
+		for _, store := range []bool{true, false} {
+			for n := 2; n <= 4; n++ {
+				w, err := NewWorld(testMachine(), n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mend, want := func() {}, "pgas: PE 0 panicked: predicate panicked"
+				if store {
+					mend, want = w.breakPage(target), "pgas: PE 0 panicked: runtime error: slice bounds out of range"
+				}
+				err = w.Run(func(p *PE) {
+					switch {
+					case p.ID == 0 && store:
+						w.Write(target, segWindowSize, make([]byte, 8), 0)
+					case p.ID == 0:
+						p.waitPanicking(target, 0x10)
+					case p.ID == 1:
+						_, _, _ = p.WaitWordStat(0x10, CmpNE, 0, nil)
+					default:
+						p.Barrier(0)
+					}
+				})
+				if err == nil || !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("lock of PE %d, store=%v, n=%d: Run = %v, want %q", target, store, n, err, want)
+				}
+				if held := w.LockedPartitions(); len(held) > 0 {
+					t.Errorf("lock of PE %d, store=%v, n=%d: partition locks of PEs %v left held", target, store, n, held)
+				}
+				mend()
+				w.Close()
+			}
+		}
+	}
+}

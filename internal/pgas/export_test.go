@@ -33,6 +33,24 @@ func (w *World) LockedPartitions() (held []int) {
 	return held
 }
 
+// breakPage gives page 0 of target's partition, which must have none, a 4 KiB
+// window whose dirty range claims 8 KiB, as a bug in the store could leave it:
+// a store of zeros to the page past the window then clears past the buffer
+// and panics under the partition lock. mend takes the page away again, so
+// that Close does not hand the window to the next world.
+func (w *World) breakPage(target int) (mend func()) {
+	s := &w.pes[target].seg
+	s.pages = []*segPage{{data: &segBytes{buf: make([]byte, segWindowSize), hi: 2 * segWindowSize}}}
+	return func() { s.pages = nil }
+}
+
+// waitPanicking waits on the word at off of target's partition with a
+// predicate that panics, under target's partition lock: a remote wait's
+// predicate runs under the lock it reads, a local one's under the PE's own.
+func (p *PE) waitPanicking(target int, off int64) {
+	_, _ = p.wait(p.world.part(target), off, 8, func([]byte) bool { panic("predicate panicked") }, nil)
+}
+
 // WakeVisits is how many partitions the world's wake fan-outs (departures,
 // repair writes, unreachable-link marks, poison) have visited so far.
 func (w *World) WakeVisits() int64 { return w.wakeVisits.Load() }

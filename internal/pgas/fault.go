@@ -266,14 +266,14 @@ func (w *World) RepairWrite(target int, off int64, data []byte, visibleAt float6
 	}
 	checkRange("repair write", off, int64(len(data)))
 	p := w.part(target)
-	p.mu.Lock()
-	p.store(off, data, visibleAt)
-	p.mu.Unlock()
 	// Same waiter-gated fan-out as depart: the repair write completes (and
 	// releases p.mu) before the waiter scan, so a waiter that registers too
 	// late to be woken here observes the repaired state in its own entry
 	// checks instead.
-	w.wakeWatchers(p)
+	defer w.wakeWatchers(p)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.store(off, data, visibleAt)
 }
 
 // ReadUint64Ts reads the 64-bit word at (target, off) together with its

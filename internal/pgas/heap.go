@@ -116,19 +116,23 @@ func (w *World) Free(off int64) error {
 	h.mu.Unlock()
 	for id := range w.pes {
 		if w.Alive(id) {
-			p := &w.pes[id]
-			p.mu.Lock()
-			p.seg.clearRange(off, sz)
-			p.seg.forget(off, sz)
-			p.mu.Unlock()
+			w.pes[id].clearFreed(off, sz)
 		}
 	}
 	return nil
 }
 
-// MarkInternal exempts the allocation at off from leak reporting: a library or
-// a layered runtime (the CAF transport) calls it for allocations that live for
-// the whole job by design.
+// clearFreed makes the freed [off, off+n) of p's partition fresh memory.
+func (p *PE) clearFreed(off, n int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.seg.clearRange(off, n)
+	p.seg.forget(off, n)
+}
+
+// MarkInternal exempts the allocation at off from leak reporting: a layered
+// runtime (the CAF transport) calls it for allocations that live for the
+// whole job by design.
 func (w *World) MarkInternal(off int64) {
 	h := &w.heap
 	h.mu.Lock()

@@ -36,8 +36,8 @@ func (w *World) Write(target int, off int64, data []byte, visibleAt float64) {
 	}
 	p := w.part(target)
 	p.mu.Lock()
+	defer p.unlockStore(true)
 	p.store(off, data, visibleAt)
-	p.unlockStore(true)
 }
 
 // unlockStore drops p.mu, then after a store wakes the other PEs watching the
@@ -72,8 +72,8 @@ func (w *World) Touch(target int, off int64, visibleAt float64) {
 	}
 	p := w.part(target)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.noteTouch(off, visibleAt)
-	p.mu.Unlock()
 }
 
 // Read copies len(dst) bytes out of the target PE's partition at off. Bytes
@@ -87,8 +87,8 @@ func (w *World) Read(target int, off int64, dst []byte) {
 	checkRange("read", off, int64(len(dst)))
 	p := w.part(target)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.seg.readAt(off, dst)
-	p.mu.Unlock()
 }
 
 // WriteUint64 stores an 8-byte host-order word one-sided.
@@ -339,15 +339,7 @@ func (p *PE) wait(q *PE, off, n int64, pred func([]byte) bool, onEvent func() er
 			return 0, &ImageFault{Failed: []int{q.ID}}
 		}
 		wakes := p.wakes
-		if remote {
-			p.mu.Unlock()
-			q.mu.Lock()
-		}
-		ok, ts := pred(q.seg.view(off, n, scratch)), q.rangeTs(off, n)
-		if remote {
-			q.mu.Unlock()
-			p.mu.Lock()
-		}
+		ok, ts := p.probe(q, off, n, pred, scratch)
 		if ok {
 			return max(ts, wt.ts), nil
 		}
@@ -360,6 +352,20 @@ func (p *PE) wait(q *PE, off, n int64, pred func([]byte) bool, onEvent func() er
 			p.block()
 		}
 	}
+}
+
+// probe evaluates pred over the n bytes at off of q's partition, under q's
+// lock, and returns it with their latest timestamp. Must be called with p.mu
+// held: a remote probe drops it for q's, as no goroutine holds two partition
+// locks, and takes it back on the way out, a panicking pred's included.
+func (p *PE) probe(q *PE, off, n int64, pred func([]byte) bool, scratch []byte) (bool, float64) {
+	if q != p {
+		p.mu.Unlock()
+		defer p.mu.Lock()
+		q.mu.Lock()
+		defer q.mu.Unlock()
+	}
+	return pred(q.seg.view(off, n, scratch)), q.rangeTs(off, n)
 }
 
 // WaitUntil blocks the calling PE until pred holds over the n bytes at off of

@@ -37,6 +37,7 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	}
 	p := w.part(target)
 	p.mu.Lock()
+	defer p.unlockStore(true)
 	matched := false
 	c := p.seg.zeroCursor(src)
 	for o := off; len(src) > 0; o, src = o+strideBytes, src[es:] {
@@ -48,7 +49,6 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	if matched {
 		p.wakeLocked()
 	}
-	p.unlockStore(true)
 }
 
 // ReadV gathers len(dst)/elemSize elements from the target PE's partition at
@@ -69,11 +69,11 @@ func (w *World) ReadV(target int, off, strideBytes int64, elemSize int, dst []by
 	checkSpan("ReadV", off, nil, int64(nelems), strideBytes, es)
 	p := w.part(target)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for k := 0; k < nelems; k++ {
 		o := off + int64(k)*strideBytes
 		p.seg.readAt(o, dst[int64(k)*es:int64(k+1)*es])
 	}
-	p.mu.Unlock()
 }
 
 // WriteRuns copies len(offs) equal-length runs of runBytes bytes, taken
@@ -99,6 +99,7 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	}
 	p := w.part(target)
 	p.mu.Lock()
+	defer p.unlockStore(true)
 	matched := false
 	c := p.seg.zeroCursor(src)
 	for i, o := range offs {
@@ -111,7 +112,6 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	if matched {
 		p.wakeLocked()
 	}
-	p.unlockStore(true)
 }
 
 // ReadRuns gathers len(offs) equal-length runs of runBytes bytes from the
@@ -128,10 +128,10 @@ func (w *World) ReadRuns(target int, base int64, offs []int64, runBytes int, dst
 	checkSpan("ReadRuns", base, offs, 1, 0, rb)
 	p := w.part(target)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i, o := range offs {
 		p.seg.readAt(base+o, dst[int64(i)*rb:int64(i+1)*rb])
 	}
-	p.mu.Unlock()
 }
 
 // spanOf returns the bytes [lo, hi) a vectored operand spans: n elements of

@@ -7,38 +7,6 @@ import (
 
 // Negative-path coverage: misuse must fail loudly, not corrupt state.
 
-func TestBroadcastOverflowPanics(t *testing.T) {
-	err := Run(stampedeCfg(), 2, func(pe *PE) {
-		sym := pe.Malloc(8)
-		pe.Broadcast(0, sym, 16) // more bytes than the object holds
-	})
-	if err == nil || !strings.Contains(err.Error(), "broadcast") {
-		t.Fatalf("expected broadcast overflow, got %v", err)
-	}
-}
-
-func TestReductionOverflowPanics(t *testing.T) {
-	err := Run(stampedeCfg(), 2, func(pe *PE) {
-		src := pe.Malloc(8)
-		dst := pe.Malloc(8)
-		ToAll[int64](pe, OpSum, dst, src, 4) // 32 bytes into 8-byte objects
-	})
-	if err == nil || !strings.Contains(err.Error(), "reduction") {
-		t.Fatalf("expected reduction overflow, got %v", err)
-	}
-}
-
-func TestBitwiseReductionOnFloatPanics(t *testing.T) {
-	err := Run(stampedeCfg(), 2, func(pe *PE) {
-		src := pe.Malloc(8)
-		dst := pe.Malloc(8)
-		ToAll[float64](pe, OpBAnd, dst, src, 1)
-	})
-	if err == nil || !strings.Contains(err.Error(), "bitwise") {
-		t.Fatalf("expected bitwise-on-float panic, got %v", err)
-	}
-}
-
 func TestFreeUnallocatedPanics(t *testing.T) {
 	err := Run(stampedeCfg(), 2, func(pe *PE) {
 		pe.Free(Sym{Off: 12345, Size: 8})

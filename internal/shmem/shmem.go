@@ -5,8 +5,7 @@
 // (Table II): symmetric heap allocation (shmalloc/shfree), contiguous and
 // 1-D strided one-sided put/get, remote atomics (swap, compare-swap,
 // fetch-add, fetch-and/or/xor), point-to-point completion (fence/quiet) and
-// wait-until, barriers, broadcast and reduction collectives, global logical
-// locks, and shmem_ptr.
+// wait-until, barriers, global logical locks, and shmem_ptr.
 //
 // A World is parameterised by a fabric.CostProfile, so the same code models
 // Cray SHMEM (hardware iput, native atomics) and MVAPICH2-X SHMEM (iput as a
@@ -15,7 +14,6 @@ package shmem
 
 import (
 	"fmt"
-	"sync"
 
 	"cafshmem/internal/fabric"
 	"cafshmem/internal/pgas"
@@ -30,12 +28,6 @@ type World struct {
 	// release action for every PE to read as it wakes (heap.go).
 	cur    Sym
 	curErr error
-	// ctl, counts and countsDst are the library's own symmetric areas, kept
-	// for the rest of the job and allocated by the first PE to need them:
-	// the collective control flags and Collect's two count arrays.
-	ctlOnce, countsOnce sync.Once
-	ctl, counts         Sym
-	countsDst           Sym
 	// pes is the job's PE table, indexed by rank: Attach initialises a rank's
 	// element in place and hands out its address.
 	pes []PE
@@ -61,9 +53,6 @@ type PE struct {
 	// PE-level call, nonblocking (its streams) and blocking (its horizon).
 	// Quiet, QuietTarget and their stat forms are this context's.
 	def Ctx
-	// collSeq numbers this PE's collective operations; all PEs agree on it
-	// because collectives are globally ordered.
-	collSeq int64
 	// stage is the gather/scatter buffer of IPut/IGet with a strided local
 	// operand (see staging).
 	stage []byte

@@ -345,129 +345,6 @@ func TestAtomicBitwiseAndSwap(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 8, 16, 33} {
-		err := Run(stampedeCfg(), n, func(pe *PE) {
-			sym := pe.Malloc(64)
-			root := pe.NumPEs() / 2
-			if pe.MyPE() == root {
-				Put(pe, root, sym, 0, []int64{4242, -17})
-			}
-			pe.Barrier()
-			pe.Broadcast(root, sym, 16)
-			got := Get[int64](pe, pe.MyPE(), sym, 0, 2)
-			if got[0] != 4242 || got[1] != -17 {
-				panic("broadcast value missing")
-			}
-			pe.Barrier()
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-func TestReduceSumInt(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 16} {
-		err := Run(stampedeCfg(), n, func(pe *PE) {
-			src := pe.Malloc(8 * 4)
-			dst := pe.Malloc(8 * 4)
-			for i := 0; i < 4; i++ {
-				P(pe, pe.MyPE(), src, i, int64(pe.MyPE()+i))
-			}
-			pe.Barrier()
-			ToAll[int64](pe, OpSum, dst, src, 4)
-			want := make([]int64, 4)
-			for r := 0; r < pe.NumPEs(); r++ {
-				for i := 0; i < 4; i++ {
-					want[i] += int64(r + i)
-				}
-			}
-			got := Get[int64](pe, pe.MyPE(), dst, 0, 4)
-			for i := range want {
-				if got[i] != want[i] {
-					panic("sum reduction wrong")
-				}
-			}
-			pe.Barrier()
-		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-	}
-}
-
-func TestReduceMinMaxProdFloat(t *testing.T) {
-	err := Run(stampedeCfg(), 5, func(pe *PE) {
-		src := pe.Malloc(8)
-		dst := pe.Malloc(8)
-		P(pe, pe.MyPE(), src, 0, float64(pe.MyPE()+1))
-		pe.Barrier()
-		ToAll[float64](pe, OpMax, dst, src, 1)
-		if G[float64](pe, pe.MyPE(), dst, 0) != 5 {
-			panic("max wrong")
-		}
-		ToAll[float64](pe, OpMin, dst, src, 1)
-		if G[float64](pe, pe.MyPE(), dst, 0) != 1 {
-			panic("min wrong")
-		}
-		ToAll[float64](pe, OpProd, dst, src, 1)
-		if G[float64](pe, pe.MyPE(), dst, 0) != 120 {
-			panic("prod wrong")
-		}
-		pe.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceBitwise(t *testing.T) {
-	err := Run(stampedeCfg(), 4, func(pe *PE) {
-		src := pe.Malloc(8)
-		dst := pe.Malloc(8)
-		P(pe, pe.MyPE(), src, 0, int64(1<<pe.MyPE()))
-		pe.Barrier()
-		ToAll[int64](pe, OpBOr, dst, src, 1)
-		if G[int64](pe, pe.MyPE(), dst, 0) != 0b1111 {
-			panic("or wrong")
-		}
-		ToAll[int64](pe, OpBXor, dst, src, 1)
-		if G[int64](pe, pe.MyPE(), dst, 0) != 0b1111 {
-			panic("xor wrong")
-		}
-		ToAll[int64](pe, OpBAnd, dst, src, 1)
-		if G[int64](pe, pe.MyPE(), dst, 0) != 0 {
-			panic("and wrong")
-		}
-		pe.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFCollect(t *testing.T) {
-	err := Run(stampedeCfg(), 6, func(pe *PE) {
-		src := pe.Malloc(8 * 2)
-		dst := pe.Malloc(8 * 2 * 6)
-		P(pe, pe.MyPE(), src, 0, int64(pe.MyPE()*10))
-		P(pe, pe.MyPE(), src, 1, int64(pe.MyPE()*10+1))
-		pe.Barrier()
-		FCollect[int64](pe, dst, src, 2)
-		for r := 0; r < 6; r++ {
-			if G[int64](pe, pe.MyPE(), dst, 2*r) != int64(r*10) ||
-				G[int64](pe, pe.MyPE(), dst, 2*r+1) != int64(r*10+1) {
-				panic("fcollect misplaced block")
-			}
-		}
-		pe.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGlobalLockMutualExclusion(t *testing.T) {
 	const per = 25
 	var violations int64

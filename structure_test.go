@@ -79,10 +79,14 @@ var structureRows = []struct {
 		// benchmark/ still spells the ignored pgas.Engine stub; the change that
 		// moves it off the stub deletes this allowance.
 		code().not("benchmark/").find(idents("EngineEvent", "EngineGoroutine")).allow("internal/pgas/engine.go", 2)}},
-	{"one-collective-tree", "Nonblocking RMA and communication/computation overlap", "every CO_* collective, whole-job or team, runs one tree: in internal/caf only groupReduce (group.go) calls sendVals and awaitFlag", []check{
+	{"one-collective-tree", "Nonblocking RMA and communication/computation overlap", "the stack has one collective tree, caf's groupReduce (group.go), behind every CO_* call: in internal/caf only it calls sendVals and awaitFlag, and outside internal/fabric only it computes a tree's depth (fabric.CeilLog2)", []check{
 		code("internal/caf/").find(on(func(d *ast.FuncDecl) bool {
 			return d.Name.Name != "groupReduce" && has(d, calls("sendVals", "awaitFlag"))
-		}))}},
+		})),
+		code().not("internal/fabric/").find(on(func(d *ast.FuncDecl) bool {
+			return d.Name.Name != "groupReduce" && has(d, calls("CeilLog2"))
+		})),
+		code().not("internal/fabric/").find(calls("CeilLog2")).allow("internal/caf/group.go", 1)}},
 	{"checked-range", "Partition memory life cycle", "an entry of internal/pgas that locks a partition checks its range first: a function that calls part and .mu.Lock calls checkRange or checkSpan before the lock", []check{
 		code("internal/pgas/").find(on(func(d *ast.FuncDecl) bool {
 			lock, check := first(d, calls("mu.Lock")), first(d, calls("checkRange", "checkSpan"))
@@ -99,6 +103,7 @@ var structureRows = []struct {
 		})).because("shmem's closure-driven lossy fork, deleted in d72b73e (one-issue-core)"),
 		code().not("benchmark/").find(idents("FaultTolerant", "ftMode", "ftQnodeBytes")).because("the fault-tolerance switch, deleted in 687ed63 (one-lock)"),
 		files("internal/caf/lockstat.go").find(is[*ast.File]).because("a second MCS lock, deleted in 687ed63 (one-lock)"),
+		files("internal/shmem/").find(idents("ToAll", "FCollect", "ReduceOp")).because("OpenSHMEM's own broadcast, reduction and collect tree, deleted with internal/shmem/collectives.go (one-collective-tree)"),
 		files().find(idents("FaultStat")).because("the fault-capability split, deleted in cac84f5 (one-fault-model)"),
 		code().not("internal/pgas/").find(idents("brk", "symHeap", "winHeap", "NoteAlloc", "NoteFree")).because("a library heap or allocation record, deleted in f1ddf8a (one-heap)"),
 		files().find(on(func(d *ast.FuncDecl) bool {
