@@ -14,6 +14,8 @@
 #   Fuzz*               any package: fuzzed 5 s (fast tier) or 10 s each
 #   *SteadyStateAllocs  internal/caf: the write path, beside every test of
 #                       internal/pgas and internal/fabric under -short
+#   *SetupAllocs        internal/caf: the write path too (a world's set-up
+#                       mallocs per image)
 # The stress loop's three names and the two root benchmarks are the only
 # lists. A selection that go test -list finds empty fails the gate.
 set -eu
@@ -102,10 +104,10 @@ if [ "${kernel% *}" = 0 ] || [ "$left" -gt 1 ]; then
     exit 1
 fi
 
-echo "==> write path (every internal/pgas and internal/fabric test under -short: the cursor vs the Write sequence vs a flat model, the tabled gap vs math.Pow, range panics; every steady-state malloc ceiling of internal/caf, the strided put's included)"
+echo "==> write path (every internal/pgas and internal/fabric test under -short: the cursor vs the Write sequence vs a flat model, the tabled gap vs math.Pow, range panics; every steady-state and set-up malloc ceiling of internal/caf, the strided put's included)"
 listing=$(go test -list . ./...) # every go test step below selects from it
 gate 'internal/(pgas|fabric)$' . -short -count=1
-gate 'internal/caf$' 'SteadyStateAllocs$' -count=1
+gate 'internal/caf$' '(SteadyStateAllocs|SetupAllocs)$' -count=1
 
 fuzztime=10s
 [ "${1:-}" != fast ] || fuzztime=5s

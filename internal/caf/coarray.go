@@ -2,6 +2,7 @@ package caf
 
 import (
 	"fmt"
+	"slices"
 
 	"cafshmem/internal/pgas"
 )
@@ -16,7 +17,8 @@ import (
 // subscripts in this API are 0-based; image indices are 1-based like Fortran.
 type Coarray[T pgas.Elem] struct {
 	img *Image
-	// shape, strides and codims share one allocation (coarrayGeometry).
+	// shape, strides and codims share one buffer, geo up to rank 3
+	// (coarrayGeometry).
 	shape   []int
 	strides []int // element strides, column-major: strides[0] == 1
 	codims  []int // codimension extents; last one unbounded ("*")
@@ -24,6 +26,7 @@ type Coarray[T pgas.Elem] struct {
 	n       int   // total local elements
 	es      int   // element size in bytes
 	pencil  []T   // eachPencil's gather/scatter buffer, sized on first use
+	geo     [2*3 + 1]int
 }
 
 // Allocate collectively creates a coarray with the given local shape — the
@@ -47,20 +50,22 @@ func AllocateStat[T pgas.Elem](img *Image, shape ...int) (*Coarray[T], Stat) {
 
 func allocate[T pgas.Elem](img *Image, shape []int, stat bool) (*Coarray[T], Stat) {
 	c := &Coarray[T]{img: img, es: pgas.SizeOf[T]()}
-	c.shape, c.strides, c.codims, c.n = coarrayGeometry(shape)
+	c.shape, c.strides, c.codims, c.n = coarrayGeometry(c.geo[:0], shape)
 	off, err := img.be.malloc(int64(c.n)*int64(c.es), stat)
 	c.off = off
 	return c, statFromErr(err)
 }
 
 // coarrayGeometry validates a local shape (none is one element) and lays out,
-// in one allocation, a copy of it, its column-major element strides and the
-// default cobounds [*]; it returns the three and the total element count.
-func coarrayGeometry(shape []int) (sh, strides, codims []int, n int) {
+// in the storage of buf, an empty slice, a copy of it, its column-major
+// element strides and the default cobounds [*]; it returns the three and the
+// total element count. A shape of rank r takes 2r+1 ints: past buf's capacity
+// they spill to the heap.
+func coarrayGeometry(buf, shape []int) (sh, strides, codims []int, n int) {
 	r := max(len(shape), 1)
-	geo := make([]int, 2*r+1)
+	geo := slices.Grow(buf, 2*r+1)[:2*r+1]
 	sh, strides, codims = geo[:r:r], geo[r:2*r:2*r], geo[2*r:]
-	sh[0] = 1
+	sh[0], codims[0] = 1, 0
 	copy(sh, shape)
 	n = 1
 	for i, d := range sh {

@@ -26,6 +26,7 @@ type group struct {
 	distBytes   int64  // distribution slot size: the largest call so far, in whole words
 	host        []byte // host-side copy of one staged child contribution (combineVals)
 	seq         int64
+	hostBuf     [16]byte
 }
 
 // worldGroup returns the whole-job group view for this image, filling in the
@@ -102,11 +103,14 @@ func sendVals[T pgas.Elem](g *group, memberIdx int, off int64, vals []T, slot in
 
 // combineVals folds the child contribution staged at off of this image's own
 // partition into acc, element by element in index order. The staged bytes are
-// loaded into the group's host scratch, which grows only when a collective
-// needs more than any before it.
+// loaded into the group's host scratch, which starts as the group's own two
+// words and grows only when a collective needs more than any before it.
 func combineVals[T pgas.Elem](g *group, acc []T, off int64, op func(a, b T) T) {
 	es := pgas.SizeOf[T]()
 	n := len(acc) * es
+	if g.host == nil {
+		g.host = g.hostBuf[:]
+	}
 	if len(g.host) < n {
 		g.host = make([]byte, n)
 	}

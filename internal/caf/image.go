@@ -59,10 +59,10 @@ type Image struct {
 	ctlOff int64
 	world  group
 
-	// held maps (lock offset, image) -> local qnode offset for locks this
-	// image currently holds — the hash table of §IV-D, made by the first
-	// acquisition (see hold).
-	held map[lockKey]int64
+	// held lists the locks this image currently holds with their qnodes — the
+	// table of §IV-D (lock.go). Its storage starts as heldBuf, so holding up to
+	// two locks at once allocates nothing; more spill through append.
+	held []heldLock
 
 	// Failed-image support (fail.go): hasKill/killAt carry this image's
 	// scheduled fault-injection time from the Options.FaultPlan.
@@ -73,6 +73,8 @@ type Image struct {
 	// Stats counts runtime-issued communication operations (observability
 	// and ablation tests).
 	Stats Stats
+
+	heldBuf [2]heldLock
 }
 
 // Stats counts the communication operations the runtime issued.
@@ -174,6 +176,7 @@ func Run(images int, o Options, body func(*Image)) error {
 // makes the image's collective start-up allocations.
 func (img *Image) init(be backend, shm *shmem.PE, opts Options) {
 	img.be, img.shm, img.opts, img.local = be, shm, opts, be.local()
+	img.held = img.heldBuf[:0]
 	img.caps = opts.Transport.Caps()
 	img.prof = opts.Machine.MustProfile(opts.Profile)
 	if at, ok := opts.FaultPlan.KillTime(img.local.ID); ok {

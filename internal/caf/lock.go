@@ -3,6 +3,7 @@ package caf
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cafshmem/internal/pgas"
 )
@@ -25,8 +26,9 @@ import (
 //     resets the successor's locked field with an 8-byte put.
 //
 // Qnodes live in the pre-allocated non-symmetric buffer; an image holding M
-// locks has M (+1 while acquiring) live qnodes, tracked in the held-lock
-// hash table keyed by (lock, image) — exactly the bookkeeping of §IV-D.
+// locks has M (+1 while acquiring) live qnodes, tracked in the image's
+// held-lock table of (lock, image, qnode) entries — the bookkeeping of §IV-D,
+// searched linearly, since an image holds few locks at once.
 //
 // The queue is repairable after FAIL IMAGE (fail.go). Each qnode records, in
 // a third word, which node its image enqueued behind:
@@ -60,9 +62,13 @@ type Lock struct {
 	n   int64 // allocation size (for Deallocate)
 }
 
-type lockKey struct {
+// heldLock is one entry of an image's held-lock table: the lock instance
+// (the lock's offset, the image hosting it) and the local offset of its qnode,
+// -1 for the kinds that have none.
+type heldLock struct {
 	off   int64
 	image int
+	qOff  int64
 }
 
 const qnodeBytes = 24 // [0:8] locked flag, [8:16] packed next, [16:24] packed prev
@@ -97,11 +103,8 @@ func (l *Lock) Deallocate() {
 }
 
 // Holds reports whether this image currently holds the lock at image j —
-// the held-lock hash-table lookup the runtime performs for lock/unlock.
-func (l *Lock) Holds(j int) bool {
-	_, ok := l.img.held[lockKey{l.off, j}]
-	return ok
-}
+// the held-lock table lookup the runtime performs for lock/unlock.
+func (l *Lock) Holds(j int) bool { return l.img.heldAt(l.off, j) >= 0 }
 
 // Acquire executes "lock(lck[j])", blocking until the lock instance at image
 // j (1-based) is held. Acquiring a lock this image already holds is an error
@@ -124,8 +127,7 @@ func (l *Lock) acquire(j int) Stat {
 	img := l.img
 	img.pollFault()
 	img.checkImage(j)
-	key := lockKey{l.off, j}
-	if _, held := img.held[key]; held {
+	if img.heldAt(l.off, j) >= 0 {
 		panic(fmt.Sprintf("caf: image %d already holds lock[%d]", img.ThisImage(), j))
 	}
 	switch img.opts.Locks {
@@ -140,7 +142,7 @@ func (l *Lock) acquire(j int) Stat {
 		if !ok {
 			return StatFailedImage
 		}
-		img.hold(key, -1)
+		img.hold(l.off, j, -1)
 	default:
 		if img.opts.Locks == LockVendor {
 			// The Cray CAF lock path is closed source; we model it as the same
@@ -152,7 +154,7 @@ func (l *Lock) acquire(j int) Stat {
 		if stat != StatOK {
 			return stat
 		}
-		img.hold(key, qOff)
+		img.hold(l.off, j, qOff)
 	}
 	img.Stats.LocksAcquired++
 	img.local.NoteLockAcquired("caf.lock", l.off, j, true)
@@ -165,8 +167,7 @@ func (l *Lock) TryAcquire(j int) bool {
 	img := l.img
 	img.pollFault()
 	img.checkImage(j)
-	key := lockKey{l.off, j}
-	if _, held := img.held[key]; held {
+	if img.heldAt(l.off, j) >= 0 {
 		panic(fmt.Sprintf("caf: image %d already holds lock[%d]", img.ThisImage(), j))
 	}
 	// One compare-and-swap on the lock word: of the image's mark for the
@@ -188,7 +189,7 @@ func (l *Lock) TryAcquire(j int) bool {
 	if old != 0 {
 		return false
 	}
-	img.hold(key, qOff)
+	img.hold(l.off, j, qOff)
 	img.Stats.LocksAcquired++
 	img.local.NoteLockAcquired("caf.lock", l.off, j, false)
 	return true
@@ -215,11 +216,11 @@ func (l *Lock) ReleaseStat(j int) Stat {
 func (l *Lock) release(j int) Stat {
 	img := l.img
 	img.checkImage(j)
-	key := lockKey{l.off, j}
-	qOff, held := img.held[key]
-	if !held {
+	i := img.heldAt(l.off, j)
+	if i < 0 {
 		panic(fmt.Sprintf("caf: image %d releasing lock[%d] it does not hold", img.ThisImage(), j))
 	}
+	qOff := img.held[i].qOff
 	stat := StatOK
 	switch img.opts.Locks {
 	case LockNaiveSpin, LockGlobalArray:
@@ -233,19 +234,28 @@ func (l *Lock) release(j int) Stat {
 	default:
 		stat = l.mcsRelease(j, qOff)
 	}
-	delete(img.held, key)
+	img.held = slices.Delete(img.held, i, i+1)
 	img.Stats.LocksReleased++
 	img.local.NoteLockReleased("caf.lock", l.off, j)
 	return stat
 }
 
-// hold enters a lock this image now holds into its held-lock table, with its
-// qnode's offset (-1 for the locks that have none).
-func (img *Image) hold(key lockKey, qOff int64) {
-	if img.held == nil {
-		img.held = map[lockKey]int64{}
+// hold enters the lock instance (off, j), which this image now holds, into
+// its held-lock table, with its qnode's offset (-1 for the locks that have
+// none).
+func (img *Image) hold(off int64, j int, qOff int64) {
+	img.held = append(img.held, heldLock{off, j, qOff})
+}
+
+// heldAt returns the index of the lock instance (off, j) in the image's
+// held-lock table, or -1 when the image does not hold it.
+func (img *Image) heldAt(off int64, j int) int {
+	for i, h := range img.held {
+		if h.off == off && h.image == j {
+			return i
+		}
 	}
-	img.held[key] = qOff
+	return -1
 }
 
 // --- MCS queue lock (§IV-D) ---

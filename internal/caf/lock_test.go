@@ -2,6 +2,7 @@ package caf
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -201,6 +202,56 @@ func TestHoldMultipleInstances(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHoldMoreLocksThanTheInlineTable: an image holding more lock instances
+// than its held-lock table's inline room (Image.heldBuf) keeps every entry,
+// with its qnode, through the spill, whatever order it releases them in: after
+// each release Holds answers for every instance, and at the end every qnode is
+// back in the non-symmetric buffer.
+func TestHoldMoreLocksThanTheInlineTable(t *testing.T) {
+	for _, algo := range []LockAlgo{LockMCS, LockNaiveSpin} {
+		t.Run(algo.String(), func(t *testing.T) {
+			err := Run(4, lockOpts(algo), func(img *Image) {
+				before := img.nonsym.avail()
+				locks := []*Lock{NewLock(img), NewLock(img)}
+				type instance struct {
+					l *Lock
+					j int
+				}
+				var held []instance
+				if img.ThisImage() == 1 {
+					for _, l := range locks {
+						for j := 1; j <= img.NumImages(); j++ {
+							l.Acquire(j)
+							held = append(held, instance{l, j})
+						}
+					}
+					if len(held) <= len(img.heldBuf) {
+						panic(fmt.Sprintf("%d locks held, not more than the table's inline room of %d", len(held), len(img.heldBuf)))
+					}
+					order := rand.New(rand.NewSource(1)).Perm(len(held))
+					released := make([]bool, len(held))
+					for n, k := range order {
+						held[k].l.Release(held[k].j)
+						released[k] = true
+						for i, h := range held {
+							if h.l.Holds(h.j) == released[i] {
+								panic(fmt.Sprintf("after %d of %d releases, Holds(%d) of lock %d reads %v", n+1, len(held), h.j, i/img.NumImages(), !released[i]))
+							}
+						}
+					}
+				}
+				img.SyncAll()
+				if img.nonsym.avail() != before {
+					panic("qnode space leaked")
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

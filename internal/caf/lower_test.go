@@ -60,8 +60,9 @@ func (c *Coarray[T]) secLowOff(sec Section) int64 {
 // geometryOnly is a coarray of the given shape at partition offset 192 with no
 // image behind it: enough for lower, which reads the geometry alone.
 func geometryOnly(shape ...int) *Coarray[int64] {
-	shape, strides, codims, n := coarrayGeometry(shape)
-	return &Coarray[int64]{shape: shape, strides: strides, codims: codims, off: 192, n: n, es: 8}
+	c := &Coarray[int64]{off: 192, es: 8}
+	c.shape, c.strides, c.codims, c.n = coarrayGeometry(c.geo[:0], shape)
+	return c
 }
 
 // randomRange draws a range over [0, extent): mostly valid — full, partial or

@@ -53,15 +53,18 @@ type nbiStream struct {
 // NBIStreams tracks one PE's (or one context's) in-flight nonblocking ops
 // per destination, all serialising on a shared NBINic. The per-target list is
 // tiny in practice (halo neighbours, a batch's owner), so linear scans beat
-// any map and the backing array is reused across drains.
+// any map and the backing array is reused across drains. It starts as the
+// set's own first record, so a set that never has two destinations in flight
+// at once allocates nothing; a set in use must therefore not be copied.
 //
 // The zero value is a set with no pipe: the per-destination completion
 // horizon of a library's blocking puts, which charge their transfer inline
 // and are booked with Note alone. It is kept apart from the NBI set, whose
 // counts the libraries report.
 type NBIStreams struct {
-	nic  *NBINic
-	recs []nbiStream
+	nic   *NBINic
+	recs  []nbiStream
+	first [1]nbiStream
 }
 
 // NewNBIStreams returns a stream set injecting through nic. Several stream
@@ -103,6 +106,9 @@ func (s *NBIStreams) Note(target int, done float64) {
 			s.recs[i].count++
 			return
 		}
+	}
+	if s.recs == nil {
+		s.recs = s.first[:0]
 	}
 	s.recs = append(s.recs, nbiStream{target: target, doneAt: done, count: 1})
 }

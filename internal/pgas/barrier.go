@@ -57,9 +57,9 @@ type barrier struct {
 	chunk int // PE ranks per shard: rank r belongs to shards[r/chunk]
 	// shards are the combining-tree leaves. Shard state is guarded by the
 	// shard's own mutex; root state by root.mu. Lock order is root → shard →
-	// partition; arrivals and departs take their shard lock first, drop it,
-	// then take the root lock, so no path ever holds a shard lock while
-	// acquiring the root.
+	// partition; arrivals and departs take their shard lock first and drop it
+	// before they take the root lock to report a shard they complete, so no
+	// path ever holds a shard lock while acquiring the root.
 	shards []bShard
 	root   bRoot
 	// arena holds the waiter records, one value per PE, indexed by rank —
@@ -83,13 +83,11 @@ type action struct {
 	arg int64
 }
 
-// bRoot is the top of the combining tree. n mirrors the flat barrier's alive
-// participant count; done counts the shards that reported completion for the
-// current generation; maxT accumulates the shard maxima as they report, act
-// keeps a release action one of them carried.
+// bRoot is the top of the combining tree. done counts the shards that
+// reported completion for the current generation; maxT accumulates the shard
+// maxima as they report, act keeps a release action one of them carried.
 type bRoot struct {
 	mu   sync.Mutex
-	n    int
 	done int
 	maxT float64
 	act  action
@@ -143,7 +141,6 @@ func newBarrier(w *World, n, shardsOpt int) *barrier {
 	chunk := (n + s - 1) / s
 	s = (n + chunk - 1) / chunk
 	b := &barrier{w: w, chunk: chunk, shards: make([]bShard, s), arena: make([]bWaiter, n)}
-	b.root.n = n
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.lo = i * chunk
@@ -157,8 +154,9 @@ func newBarrier(w *World, n, shardsOpt int) *barrier {
 // outstanding shard and alive participants remain, releases the generation.
 // self is the reporting PE when the report came from an arrival (so the
 // release fan-out can skip waking the goroutine that is itself running the
-// release), nil when it came from a departure, which has left the root's
-// participant count already. Must be called with root.mu held.
+// release, and a participant remains: self), nil when it came from a
+// departure, after which the shards' alive counts say whether any does. Must
+// be called with root.mu held.
 func (b *barrier) combine(sMax float64, act action, self *PE) {
 	r := &b.root
 	if sMax > r.maxT {
@@ -168,9 +166,26 @@ func (b *barrier) combine(sMax float64, act action, self *PE) {
 		r.act = act
 	}
 	r.done++
-	if r.done == len(b.shards) && r.n > 0 {
+	if r.done == len(b.shards) && (self != nil || b.anyAlive()) {
 		b.release(self)
 	}
+}
+
+// anyAlive reports whether any shard has an alive owned PE left. It is asked
+// once every shard has reported, so such a PE has arrived and sleeps in the
+// barrier. It takes each shard lock in turn, below the root lock the caller
+// holds.
+func (b *barrier) anyAlive() bool {
+	for i := range b.shards {
+		sh := &b.shards[i]
+		sh.mu.Lock()
+		alive := sh.alive
+		sh.mu.Unlock()
+		if alive > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // release completes the current generation. Must be called with root.mu held
@@ -301,7 +316,8 @@ func (b *barrier) await(p *PE, arriveT float64, act action) (float64, error) {
 // owning shard. If the shard's remaining arrivals now form its complete
 // alive group, the departure reports it upward and the root re-checks whole-
 // world completeness — a departure mid-rendezvous is exactly the condition
-// the release status exists to report.
+// the release status exists to report. Any other departure takes no lock
+// but its shard's.
 func (b *barrier) depart(id int) {
 	sh := &b.shards[id/b.chunk]
 	sh.mu.Lock()
@@ -314,13 +330,12 @@ func (b *barrier) depart(id int) {
 		sMax, act = sh.maxT, sh.act
 	}
 	sh.mu.Unlock()
-	r := &b.root
-	r.mu.Lock()
-	r.n--
-	if complete {
-		b.combine(sMax, act, nil)
+	if !complete {
+		return
 	}
-	r.mu.Unlock()
+	b.root.mu.Lock()
+	b.combine(sMax, act, nil)
+	b.root.mu.Unlock()
 }
 
 // poison marks every shard poisoned and wakes all registered waiters so the

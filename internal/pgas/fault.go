@@ -64,20 +64,19 @@ func (p *PE) World() *World { return p.world }
 // depart transitions a PE out of the alive state, releases any barrier that
 // now has all remaining participants, and wakes every waiter so blocked PEs
 // re-evaluate who they are waiting on. Safe to call at most once per PE; the
-// second and later calls are no-ops.
+// second and later calls are no-ops. The transition is one compare-and-swap
+// and takes no world-wide lock: the counter moves after the state, so a
+// reader that sees the count sees the state, and both before the barrier
+// hears of the departure.
 func (w *World) depart(p *PE, to peState) {
-	w.stateMu.Lock()
-	if w.states[p.ID] != stateAlive {
-		w.stateMu.Unlock()
+	if !atomic.CompareAndSwapInt32(&w.states[p.ID], stateAlive, to) {
 		return
 	}
-	atomic.StoreInt32(&w.states[p.ID], to)
 	if to == stateFailed {
 		w.nFailed.Add(1)
 	} else {
 		w.nStopped.Add(1)
 	}
-	w.stateMu.Unlock()
 	w.barrier.depart(p.ID)
 	// Wake only partitions with a registered waiter, and none while the world
 	// holds no watch: the state change above is sequenced before the fan-out's
@@ -232,15 +231,7 @@ func (w *World) blockedOn(p *PE) (on string, inBarrier bool) {
 		if on = "wait "; q != p {
 			on = fmt.Sprintf("wait on PE %d ", q.ID)
 		}
-		q.mu.Lock() // with p's dropped, as a remote wait takes it
-		on += fmt.Sprintf("[%#x,+%d)", wt.off, wt.n)
-		if wt.n == 8 {
-			var b [8]byte
-			on += fmt.Sprintf(" = %#x", binary.NativeEndian.Uint64(q.seg.view(wt.off, 8, b[:])))
-		}
-		on += fmt.Sprintf(", last write t=%g", max(q.rangeTs(wt.off, wt.n), wt.ts))
-		q.mu.Unlock()
-		return on, false
+		return on + q.describeWatched(&wt), false
 	}
 	b := w.barrier
 	sh := &b.shards[p.ID/b.chunk]
@@ -250,6 +241,21 @@ func (w *World) blockedOn(p *PE) (on string, inBarrier bool) {
 		return "", false
 	}
 	return fmt.Sprintf("barrier gen %d, shard %d, %d/%d arrived", sh.gen, p.ID/b.chunk, sh.count, sh.alive), true
+}
+
+// describeWatched describes the range of q's partition that wt watches: the
+// range, the word it holds when it is one, and the time of the last write to
+// it. It takes q's lock, with the waiter's dropped, as a remote wait does, and
+// unlocks through a defer, so a panic here cannot leave it held.
+func (q *PE) describeWatched(wt *watch) string {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	s := fmt.Sprintf("[%#x,+%d)", wt.off, wt.n)
+	if wt.n == 8 {
+		var b [8]byte
+		s += fmt.Sprintf(" = %#x", binary.NativeEndian.Uint64(q.seg.view(wt.off, 8, b[:])))
+	}
+	return s + fmt.Sprintf(", last write t=%g", max(q.rangeTs(wt.off, wt.n), wt.ts))
 }
 
 // --- fault-aware one-sided access ---

@@ -394,9 +394,6 @@ func (s *segStore) recordWordSparse(off int64, ts float64) {
 			return
 		}
 	}
-	if s.sparse == nil {
-		s.sparse = make([]sparseTs, 0, 8) // a partition's first few allocations in one piece
-	}
 	s.sparse = append(s.sparse, sparseTs{w, ts})
 }
 

@@ -51,9 +51,8 @@ type World struct {
 	perNode, tailLo, tailPEs int
 
 	// PE life-cycle state (see fault.go). states is read with atomic loads on
-	// hot paths; transitions take stateMu. The counters back the fault-status
-	// queries and the quiescence rule.
-	stateMu    sync.Mutex
+	// hot paths; a transition is a compare-and-swap (World.depart). The
+	// counters back the fault-status queries and the quiescence rule.
 	states     []int32
 	nFailed    atomic.Int32
 	nStopped   atomic.Int32
@@ -114,6 +113,14 @@ type PE struct {
 	// visAt is the issue core's per-message visibility-time list, reused from
 	// call to call by the PE's own goroutine: WriteRuns does not retain it.
 	visAt []float64
+
+	// visBuf and sparseBuf are where visAt and seg.sparse start (NewWorldOpts),
+	// so a PE that needs no more room than they hold never asks the heap for
+	// either: a halo plane's runs, and the sparse records of a runtime's
+	// start-up allocations and a program's first few. They come last, past
+	// the fields every operation reads.
+	visBuf    [8]float64
+	sparseBuf [8]sparseTs
 }
 
 // addWatch registers the PE's watch over [off, off+n) of q's partition (and
@@ -182,6 +189,7 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		p := &w.pes[i]
 		p.ID, p.world = i, w
 		p.cond.L = &p.mu
+		p.visAt, p.seg.sparse = p.visBuf[:0], p.sparseBuf[:0]
 		w.barrier.arena[i].p = p
 	}
 	return w, nil
