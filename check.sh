@@ -104,14 +104,14 @@ if [ "${kernel% *}" = 0 ] || [ "$left" -gt 1 ]; then
     exit 1
 fi
 
-echo "==> write path (every internal/pgas and internal/fabric test under -short: the cursor vs the Write sequence vs a flat model, the tabled gap vs math.Pow, range panics; every steady-state and set-up malloc ceiling of internal/caf, the strided put's included)"
+echo "==> write path (every internal/pgas and internal/fabric test under -short: the cursor vs the Write sequence vs a flat model, recycled page tables reading zero, the tabled gap vs math.Pow, range panics; every steady-state and set-up malloc ceiling of internal/caf, the strided put's included)"
 listing=$(go test -list . ./...) # every go test step below selects from it
 gate 'internal/(pgas|fabric)$' . -short -count=1
 gate 'internal/caf$' '(SteadyStateAllocs|SetupAllocs)$' -count=1
 
 fuzztime=10s
 [ "${1:-}" != fast ] || fuzztime=5s
-echo "==> fuzz smoke (every fuzz target for $fuzztime: the paged store vs flat references on recycled pages, the typed byte view vs the element-wise oracle, two runs of a random program over seed x GOMAXPROCS x fault plan)"
+echo "==> fuzz smoke (every fuzz target for $fuzztime: the paged store vs flat references on recycled pages and page tables, the typed byte view vs the element-wise oracle, two runs of a random program over seed x GOMAXPROCS x fault plan)"
 fuzz=$(selected . '^Fuzz')
 printf '%s\n' "$fuzz" | while read -r pkg target; do
     go test -run '^$' -fuzz "^$target\$" -fuzztime "$fuzztime" "$pkg"

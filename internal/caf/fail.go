@@ -142,7 +142,7 @@ func (img *Image) LinkReports() []LinkReport {
 // bytes are a 4 KiB window, packed timestamp records and dense timestamp
 // blocks materialised, how many records, byte buffers and packed records were
 // recycled from earlier jobs, how much of it all was new memory, bytes
-// cleared on hand-out.
+// cleared on hand-out, and page tables taken new and recycled.
 type PageStats = pgas.PageStats
 
 // PageStats returns the job's partition-memory counters so far. Like

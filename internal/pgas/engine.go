@@ -143,9 +143,9 @@ func (w *World) wakeWatchers(skip *PE) {
 
 // runners is the process's stack of idle runners: goroutines that finished a
 // PE of some world's Run and wait, each on its own channel, for a PE of any
-// world. It never holds more runners than the largest world whose Run parked
-// one there: a runner retires instead of parking when it finds as many idle as
-// its world had PEs.
+// world. Every runner parks, so it never holds more runners than the most PEs
+// the process ever ran at once (worlds that run side by side add up), and a
+// world of that size, or two that sum to it, starts none.
 var runners struct {
 	mu   sync.Mutex
 	idle []chan peRun
@@ -178,7 +178,7 @@ func (w *World) start(body func(*PE)) {
 }
 
 // runner is a runner goroutine's life: the PE it was started for, then each PE
-// handed to it while it was idle, until it retires or a body ends it. While
+// handed to it while it was idle, until a body ends it in runtime.Goexit. While
 // idle it holds nothing of the PE it ran (TestIdleRunnerKeepsNoWorld).
 func runner(next peRun) {
 	ch := make(chan peRun, 1)
@@ -190,7 +190,7 @@ func runner(next peRun) {
 // runPE runs one PE of a Run: body on p, then p's departure (a return stops
 // the PE, a panic poisons the world, FAIL IMAGE's peFailed unwind has departed
 // already) and its exit from the quiescence count. The runner then parks on ch
-// and reports true, or retires, before the Run can return. A body that ends in
+// and reports true before the Run can return. A body that ends in
 // runtime.Goexit (t.FailNow on a PE goroutine) stops the PE like a return, but
 // its goroutine is ending: it parks nowhere, so no Run hands it work. A panic
 // reaches the recover with no partition lock held: every site that stores,
@@ -207,7 +207,10 @@ func (w *World) runPE(p *PE, body func(*PE), ch chan peRun) (parked bool) {
 			w.poison(fmt.Errorf("pgas: PE %d panicked: %v", p.ID, r))
 		}
 		w.exit()
-		parked = (returned || r != nil) && park(ch, w.n)
+		parked = returned || r != nil
+		if parked {
+			park(ch)
+		}
 		w.runs.Done()
 	}()
 	body(p)
@@ -215,15 +218,11 @@ func (w *World) runPE(p *PE, body func(*PE), ch chan peRun) (parked bool) {
 	return false
 }
 
-// park puts a runner that has finished a PE of an n-PE world on the idle
-// stack, unless the stack holds n runners already: then it reports false and
-// the runner retires.
-func park(ch chan peRun, n int) bool {
+// park puts a runner that has finished a PE on the idle stack. It always
+// does: a bound below the process's peak would end runners that the next
+// large world, or two worlds run side by side, start again.
+func park(ch chan peRun) {
 	runners.mu.Lock()
-	defer runners.mu.Unlock()
-	if len(runners.idle) >= n {
-		return false
-	}
 	runners.idle = append(runners.idle, ch)
-	return true
+	runners.mu.Unlock()
 }

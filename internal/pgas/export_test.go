@@ -2,6 +2,7 @@ package pgas
 
 import (
 	"math"
+	"runtime"
 
 	"cafshmem/internal/fabric"
 )
@@ -101,8 +102,8 @@ func poisonBytes(d *segBytes, size, lo, hi int64) *segBytes {
 // preload makes the next n items l hands out poisoned ones: it poisons the n
 // on top of the list, adding new ones where it holds fewer, so that however
 // often a test preloads, the list never holds more than it did or n.
-func preload[T any](l *freeList[T], n int, poison func(*T) *T) {
-	xs := make([]*T, n)
+func preload[T any](l *freeList[T], n int, poison func(T) T) {
+	xs := make([]T, n)
 	for i := range xs {
 		xs[i] = poison(l.get())
 	}
@@ -195,9 +196,9 @@ func idleRunners() int {
 	return len(runners.idle)
 }
 
-// trimRunners retires idle runners until keep (at least 1) are left: each
-// surplus one runs the PE of an empty 1-PE world of its own and, finding an
-// idle runner when it ends, retires as park says.
+// trimRunners ends idle runners until keep are left: each surplus one runs the
+// PE of a 1-PE world of its own whose body ends in runtime.Goexit, the one way
+// a runner ends.
 func trimRunners(keep int) {
 	runners.mu.Lock()
 	surplus := append([]chan peRun(nil), runners.idle[min(keep, len(runners.idle)):]...)
@@ -207,7 +208,7 @@ func trimRunners(keep int) {
 		w, _ := NewWorld(fabric.Stampede(), 1)
 		w.awake.Store(1)
 		w.runs.Add(1)
-		ch <- peRun{&w.pes[0], func(*PE) {}}
+		ch <- peRun{&w.pes[0], func(*PE) { runtime.Goexit() }}
 		w.runs.Wait()
 	}
 }

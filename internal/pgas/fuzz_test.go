@@ -22,7 +22,12 @@ import (
 // stores a span of zeros, which on a page never materialised stores nothing
 // and elsewhere must land like any other span; op 9 stores small and vectored
 // pieces of zeros from the zero source (Write, WriteV, WriteRuns), which onto
-// a page without bytes record timestamps and store none. A page's first
+// a page without bytes record timestamps and store none. Op 10 stores a word
+// on a far page, past the model, which grows the page table to 16, 32, 64 or
+// 128 entries: recycled with the pages at op 7, a table must map nothing of
+// its last life, so the closing sweep also reads every far word back and
+// walks the table — no record at two entries, none on a far page this life
+// did not store on. A page's first
 // non-zero store inside one 4 KiB granule takes a window over it, poisoned
 // like a full page, and a later one outside widens the page; each dense read
 // (op 1) also checks the store's view of its range, which aliases a window or
@@ -109,11 +114,18 @@ func FuzzSegStore(f *testing.F) {
 	f.Add([]byte{0, 0x20, 0x10, 16, 3, 8, 0x00, 0x1F, 0xF8, 0x00, 0x00, 0x20, 9, 0x00, 0x00, 0x40, 4, 0,
 		1, 0x1F, 0xF0, 64, 6, 0, 0, 0, 0, 0xC1, 0x01})
 	f.Add([]byte{0, 0x30, 0x64, 64, 5, 7, 0, 0x17, 0xD0, 8, 1, 1, 0x17, 0xC0, 255, 6, 0, 0, 0, 0, 0xC1, 0x01})
+	// Far pages: a life stores on pages 64 and 8 (a 128-entry table) and on
+	// page 0, and recycles; the next stores on page 1, taking page 64's
+	// record, then on page 64 again, taking the 128-entry table back, and on
+	// page 16.
+	f.Add([]byte{10, 3, 5, 10, 0, 9, 0, 0x00, 0x10, 4, 1, 7, 0, 0x40, 0x10, 4, 2, 10, 3, 6, 10, 1, 7})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		// > 3 pages plus a ragged tail, so offsets hit page boundaries and the
 		// store's extent never covers the whole model.
 		const modelLen = 3*int(segPageSize) + 257
 		model := make([]byte, modelLen)
+		// far holds the words op 10 stored on far pages in this life.
+		far := map[int64]uint64{}
 		PreloadDirtyPages(4, 0, segPageSize)
 		w, err := NewWorld(fabric.Stampede(), 1)
 		if err != nil {
@@ -165,6 +177,27 @@ func FuzzSegStore(f *testing.F) {
 			if !ZeroSourceReadsZero(modelLen) {
 				t.Fatalf("the zero source no longer reads zero")
 			}
+			for off, v := range far {
+				if got := w.ReadUint64(0, off); got != v {
+					t.Fatalf("far word at %d reads %#x, want %#x", off, got, v)
+				}
+			}
+			p := &w.pes[0]
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			at := map[*segPage]int{}
+			for pn, pg := range p.seg.pages {
+				if pg == nil {
+					continue
+				}
+				if _, stored := far[int64(pn)<<segPageShift]; int64(pn)<<segPageShift >= int64(modelLen) && !stored {
+					t.Fatalf("page %d has a record, but this life stored nothing there", pn)
+				}
+				if other, ok := at[pg]; ok {
+					t.Fatalf("pages %d and %d share one record", other, pn)
+				}
+				at[pg] = pn
+			}
 		}()
 
 		step := 0
@@ -174,13 +207,24 @@ func FuzzSegStore(f *testing.F) {
 				return
 			}
 			step++
-			switch op % 10 {
+			switch op % 11 {
 			case 7: // recycle: the same memory, a new world
 				w.Close()
 				if w, err = NewWorld(fabric.Stampede(), 1); err != nil {
 					t.Fatal(err)
 				}
 				clear(model)
+				clear(far)
+			case 10: // far word: page 8<<(k%4) + k/4%8, past an 8-entry table
+				k, ok1 := next()
+				pat, ok2 := next()
+				if !ok1 || !ok2 {
+					return
+				}
+				pn := int64(8<<(k&3) + k>>2&7)
+				v := uint64(pat) | 1<<63
+				w.WriteUint64(0, pn<<segPageShift, v, 0)
+				far[pn<<segPageShift] = v
 			case 0: // dense write
 				off, ok1 := next16(modelLen)
 				n, ok2 := next()

@@ -2,6 +2,7 @@ package pgas
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -111,7 +112,8 @@ func churnWorld(t *testing.T, payload []byte) (uint64, PageStats) {
 // its eight flags fall in), the bytes of the pages that hold a non-zero byte
 // and 256 packed timestamp records each from recycled memory — under one
 // segment page of new memory over all twenty, where every world used to cost
-// megabytes — and the traffic allocates nothing but page tables. A collection
+// megabytes — and the traffic allocates nothing: the partitions' page tables
+// are recycled too. A collection
 // runs between every two worlds: the free lists keep what it would have
 // emptied from a pool. A payload of zeros materialises nothing, and a page
 // whose flags store zero has a record but no bytes. The non-zero flags fall
@@ -150,6 +152,9 @@ func TestWorldChurnAllocBytes(t *testing.T) {
 					t.Fatalf("world %d materialised %d page records, %d with bytes (%d windows), %d packed timestamp records and %d dense ones, want %d, %d (0), 256 and 0",
 						i, s.SegPages, s.DataPages, s.WindowPages, s.PackedRecords, s.TsPages, segPages, dataPages)
 				}
+				if s.FreshTables != 0 || s.RecycledTables == 0 {
+					t.Fatalf("world %d took %d page tables new and %d recycled, want none new", i, s.FreshTables, s.RecycledTables)
+				}
 				pages.FreshBytes += s.FreshBytes
 				pages.ClearedBytes += s.ClearedBytes
 			}
@@ -163,12 +168,69 @@ func TestWorldChurnAllocBytes(t *testing.T) {
 				t.Errorf("cleared %d KiB per world on hand-out, want at most %d KiB: the bulk put's pages must not be cleared",
 					perWorld>>10, (int64(c.flagged)*segPageSize+256*tsPackedIndexBytes)>>10)
 			}
-			// What is left is the partitions' page tables (a few hundred bytes
-			// per PE that was written to): well under 1 MiB for all twenty.
-			if bytes >= 1<<20 {
-				t.Errorf("traffic and Close of 20 worlds allocated %d KiB, want < 1024 KiB", bytes>>10)
+			// Nothing is left but a free list's own growth, if any.
+			if bytes >= 64<<10 {
+				t.Errorf("traffic and Close of 20 worlds allocated %d KiB, want < 64 KiB", bytes>>10)
 			}
 			t.Logf("20 worlds: %d KiB allocated, %d KiB of it page memory, %d KiB cleared on hand-out", bytes>>10, pages.FreshBytes>>10, pages.ClearedBytes>>10)
+		})
+	}
+}
+
+// A page table goes back to its free list with every entry nil, so a world
+// that takes it maps nothing of the world that gave it back. World A stores on
+// page 0 and past the 1 MiB non-symmetric area on each partition (an 8-entry
+// table, then a 128-entry one) and closes; world B, of A's size and then of a
+// smaller one, stores on two other pages of the same tables — the records it
+// takes are A's — and reads zero at every offset A wrote. A stale entry would
+// alias one of B's pages there. B's tables are all recycled: A gave back an
+// 8- and a 128-entry table per partition.
+func TestRecycledPageTablesReadZero(t *testing.T) {
+	if segTableMin<<(segTableClasses-1) != MaxSegmentBytes>>segPageShift {
+		t.Fatalf("the longest of %d table lengths is %d entries, want the %d that span MaxSegmentBytes",
+			segTableClasses, segTableMin<<(segTableClasses-1), MaxSegmentBytes>>segPageShift)
+	}
+	const pes = 4
+	const far = 1<<20 + 9280
+	written := []int64{64, far}
+	stored := []int64{segPageSize + 64, far + segPageSize}
+	// Every PE stores on its own partition at once, so the PEs take and give
+	// back tables concurrently.
+	store := func(t *testing.T, w *World, offs []int64) {
+		if err := w.Run(func(p *PE) {
+			for _, off := range offs {
+				w.WriteUint64(p.ID, off, 0xA5A5A5A5A5A5A5A5, 1)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{pes, 2} {
+		t.Run(fmt.Sprintf("B of %d PEs", n), func(t *testing.T) {
+			a, err := NewWorld(fabric.Stampede(), pes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store(t, a, written)
+			a.Close()
+			if s := a.PageStats(); s.FreshTables+s.RecycledTables != 2*pes {
+				t.Fatalf("A took %d page tables (%d recycled), want %d: an 8- and a 128-entry one per partition",
+					s.FreshTables+s.RecycledTables, s.RecycledTables, 2*pes)
+			}
+			b, err := NewWorld(fabric.Stampede(), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			store(t, b, stored)
+			for pe := range n {
+				for _, off := range written {
+					expectZero(t, b, pe, off, 8)
+				}
+			}
+			if s := b.PageStats(); s.RecycledTables != 2*n || s.FreshTables != 0 {
+				t.Errorf("B took %d page tables new and %d recycled, want 0 and %d", s.FreshTables, s.RecycledTables, 2*n)
+			}
 		})
 	}
 }

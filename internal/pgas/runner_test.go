@@ -1,6 +1,7 @@
 package pgas
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -80,20 +81,31 @@ func TestRunnerSurvivesEveryEnding(t *testing.T) {
 	}
 }
 
-// Idle runners are bounded without an option: a runner retires instead of
-// parking when it finds as many idle as its world had PEs, so the stack never
-// holds more than the largest world parked there, and a smaller world's
-// runners leave the surplus as it was.
+// Idle runners are bounded without an option: every runner parks, so the
+// stack holds the most PEs the process ran at once, and no more. A small world
+// run after a large one takes runners from the stack and gives them all back,
+// so the next large world starts none, at any GOMAXPROCS.
 func TestIdleRunnersBounded(t *testing.T) {
-	trimRunners(1)
 	defer trimRunners(1)
-	runSum(t, 4096)
-	if got := idleRunners(); got != 4096 {
-		t.Fatalf("%d runners idle after a 4096-PE world, want 4096", got)
-	}
-	runSum(t, 2)
-	if got := idleRunners(); got != 4094 {
-		t.Errorf("%d runners idle after a 2-PE world, want 4094: its two retire", got)
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("cpu=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			trimRunners(1)
+			runSum(t, 4096)
+			if got := idleRunners(); got != 4096 {
+				t.Fatalf("%d runners idle after a 4096-PE world, want 4096", got)
+			}
+			runSum(t, 2)
+			if got := idleRunners(); got != 4096 {
+				t.Errorf("%d runners idle after a 2-PE world, want 4096: its two park again", got)
+			}
+			if m := runSum(t, 4096); m.Started != 0 {
+				t.Errorf("the next 4096-PE world: %v, want 0 runners started", m)
+			}
+			if got := idleRunners(); got != 4096 {
+				t.Errorf("%d runners idle after the second 4096-PE world, want 4096", got)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package pgas
 
 import (
 	"bytes"
+	"math/bits"
 	"sync"
 )
 
@@ -31,21 +32,23 @@ import (
 // all zero is one compare against the process-wide zero source (isZero): a
 // piece taken from Zeros costs O(1), any other is scanned.
 //
-// Every part outlives the store: release gives records, windows, full pages of
-// bytes, packed records and dense blocks back to a free list each (freeList),
-// and the next store takes from there before it asks the runtime, so a
-// program that builds hundreds of short-lived worlds — every figure of the
-// paper is one — keeps re-using the same memory instead of asking for fresh
-// zeroed pages. Recycled bytes remember the range of their buffer their last
-// owner dirtied; the store that takes them clears exactly the part of that
-// range its first write does not cover (takeBytes), so recycled memory is
-// indistinguishable from new and a flag-sized first write does not pay for
-// 4 KiB of memclr.
+// Every part outlives the store: release gives the page table, records,
+// windows, full pages of bytes, packed records and dense blocks back to a free
+// list each (freeList; a table to the list of its length), and the next store
+// takes from there before it asks the runtime, so a program that builds
+// hundreds of short-lived worlds — every figure of the paper is one — keeps
+// re-using the same memory instead of asking for fresh zeroed pages. A table
+// goes back with every entry nil, so a recycled one maps nothing. Recycled
+// bytes remember the range of their buffer their last owner dirtied; the store
+// that takes them clears exactly the part of that range its first write does
+// not cover (takeBytes), so recycled memory is indistinguishable from new and
+// a flag-sized first write does not pay for 4 KiB of memclr.
 //
 // All methods must be called with the owning PE's mu held.
 type segStore struct {
 	// pages is the one page table, nil where nothing was stored. It spans the
-	// highest offset written, so its entries are single pointers.
+	// highest offset written, so its entries are single pointers, and its
+	// length is a power of two of at least segTableMin entries (tableFree).
 	pages []*segPage
 	// sparse holds isolated timestamp records on granules not yet in use,
 	// in no order; see recordWordSparse.
@@ -55,7 +58,8 @@ type segStore struct {
 	// dense timestamp blocks brought into use since the store was created;
 	// how many records, byte buffers, packed records and dense blocks were
 	// recycled rather than new memory, the new memory of the byte buffers,
-	// and the bytes cleared while handing out the recycled ones.
+	// the bytes cleared while handing out the recycled ones, and the page
+	// tables taken new and recycled.
 	materialised, fresh             int
 	dataMaterialised, windows       int
 	dataRecycled                    int
@@ -63,6 +67,7 @@ type segStore struct {
 	packedMaterialised, packedFresh int
 	tsMaterialised, tsFresh         int
 	cleared                         int64
+	tablesFresh, tablesRecycled     int
 }
 
 // segPage is the record of one page of a partition: the timestamps of each
@@ -105,53 +110,66 @@ const (
 	// split (DESIGN.md "Partition memory life cycle").
 	segWindowSize = tsBlockBytes
 	segWindowMask = segWindowSize - 1
+
+	// A page table has segTableMin << k entries for some k below
+	// segTableClasses: the longest spans MaxSegmentBytes.
+	segTableMin     = 8
+	segTableClasses = 20
 )
 
 // freeList is a process-wide stack of recycled parts of pages. Unlike a
 // sync.Pool it is not emptied by the collector: what a closed world gave back
 // waits for the next world however many collections run in between, so the
 // process keeps the peak of its page memory until it exits (DESIGN.md
-// "Partition memory life cycle"). get returns nil when the list is empty, and
-// the taker then knows its memory came zeroed from the runtime.
+// "Partition memory life cycle"). get returns the zero value when the list is
+// empty, and the taker then knows its memory came zeroed from the runtime.
+// put allocates nothing but the stack's own growth: a page table goes on it as
+// a slice, not through a pointer to one.
 type freeList[T any] struct {
 	mu    sync.Mutex
-	items []*T
+	items []T
 }
 
-func (l *freeList[T]) get() *T {
+func (l *freeList[T]) get() (x T) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := len(l.items)
-	if n == 0 {
-		return nil
+	if n := len(l.items); n > 0 {
+		var zero T
+		x, l.items[n-1], l.items = l.items[n-1], zero, l.items[:n-1]
 	}
-	x := l.items[n-1]
-	l.items[n-1], l.items = nil, l.items[:n-1]
 	return x
 }
 
-func (l *freeList[T]) put(x *T) {
+func (l *freeList[T]) put(x T) {
 	l.mu.Lock()
 	l.items = append(l.items, x)
 	l.mu.Unlock()
 }
 
 // The free lists of the parts of a page: records, the two layouts of its
-// bytes, and the packed and dense layouts of a granule's timestamps.
+// bytes, and the packed and dense layouts of a granule's timestamps; and of
+// page tables, one per length (tableFree).
 var (
-	segRecordFree freeList[segPage]
-	segWindowFree freeList[segBytes]
-	segBytesFree  freeList[segBytes]
-	tsPackedFree  freeList[tsPacked]
-	tsDenseFree   freeList[tsBlock]
+	segRecordFree freeList[*segPage]
+	segWindowFree freeList[*segBytes]
+	segBytesFree  freeList[*segBytes]
+	tsPackedFree  freeList[*tsPacked]
+	tsDenseFree   freeList[*tsBlock]
+	segTableFree  [segTableClasses]freeList[[]*segPage]
 )
 
 // bytesFree returns the free list of byte buffers of size bytes.
-func bytesFree(size int64) *freeList[segBytes] {
+func bytesFree(size int64) *freeList[*segBytes] {
 	if size == segWindowSize {
 		return &segWindowFree
 	}
 	return &segBytesFree
+}
+
+// tableFree returns the free list of page tables of n entries, a power of two
+// of at least segTableMin.
+func tableFree(n int) *freeList[[]*segPage] {
+	return &segTableFree[bits.Len(uint(n))-bits.Len(segTableMin)]
 }
 
 // zeros is the process-wide read-only zero source. It lives in BSS, so it
@@ -191,7 +209,7 @@ func (s *segStore) at(pn int64) *segPage {
 }
 
 // page returns the record of page pn, materialised. On first touch the page
-// table grows geometrically and the record is taken from its free list or
+// table grows (growTable) and the record is taken from its free list or
 // allocated; it has no bytes and no timestamps yet.
 func (s *segStore) page(pn int64) *segPage {
 	if pn < int64(len(s.pages)) {
@@ -199,13 +217,7 @@ func (s *segStore) page(pn int64) *segPage {
 			return pg
 		}
 	} else {
-		newLen := max(int64(cap(s.pages)), 8)
-		for newLen <= pn {
-			newLen *= 2
-		}
-		np := make([]*segPage, newLen)
-		copy(np, s.pages)
-		s.pages = np
+		s.growTable(pn)
 	}
 	pg := segRecordFree.get()
 	if pg == nil {
@@ -215,6 +227,30 @@ func (s *segStore) page(pn int64) *segPage {
 	s.pages[pn] = pg
 	s.materialised++
 	return pg
+}
+
+// growTable makes the page table span page pn: the next power of two of
+// entries, at least segTableMin, taken from the free list of its length, or
+// new. The old entries move in, and the old table goes back to its own list
+// with every entry nil.
+func (s *segStore) growTable(pn int64) {
+	n := max(len(s.pages), segTableMin)
+	for int64(n) <= pn {
+		n *= 2
+	}
+	np := tableFree(n).get()
+	if np == nil {
+		np = make([]*segPage, n)
+		s.tablesFresh++
+	} else {
+		s.tablesRecycled++
+	}
+	copy(np, s.pages)
+	if s.pages != nil {
+		clear(s.pages)
+		tableFree(len(s.pages)).put(s.pages)
+	}
+	s.pages = np
 }
 
 // holds reports whether d, nil for a page without bytes, holds the in-page
@@ -304,12 +340,14 @@ func (s *segStore) takeBytes(size, base, lo, hi int64) *segBytes {
 
 // release gives every page record and each of its parts, bytes (to the list
 // of their size), packed records and dense blocks, back to its free list, the
-// record bare; what the store held, bytes and timestamps, now reads as zero.
+// record bare, and then the page table, every entry nil, to the list of its
+// length; what the store held, bytes and timestamps, now reads as zero.
 func (s *segStore) release() {
-	for _, pg := range s.pages {
+	for pn, pg := range s.pages {
 		if pg == nil {
 			continue
 		}
+		s.pages[pn] = nil
 		if d := pg.data; d != nil {
 			bytesFree(int64(len(d.buf))).put(d)
 		}
@@ -323,6 +361,9 @@ func (s *segStore) release() {
 		}
 		*pg = segPage{}
 		segRecordFree.put(pg)
+	}
+	if s.pages != nil {
+		tableFree(len(s.pages)).put(s.pages)
 	}
 	s.pages, s.sparse = nil, nil
 }

@@ -290,10 +290,12 @@ func (w *World) Close() {
 // on, as packed records (every granule starts packed) and as dense blocks
 // (the granules crowded past a packed record's tsPackedCap words), how many
 // records, byte buffers (a widened page took two) and packed records were
-// recycled from closed worlds, how much of it all was new memory, and the
+// recycled from closed worlds, how much of it all was new memory, the
 // bytes cleared on handing out recycled memory: a packed record's mask and
 // counts, a dense block whole, of a byte buffer only what its last owner
-// dirtied and the first write does not cover (see segStore.takeBytes).
+// dirtied and the first write does not cover (see segStore.takeBytes), and
+// the page tables the partitions took new and recycled (a table that grew
+// took one for each length it had).
 type PageStats struct {
 	SegPages              int
 	DataPages             int
@@ -305,13 +307,16 @@ type PageStats struct {
 	RecycledPackedRecords int
 	FreshBytes            int64
 	ClearedBytes          int64
+	FreshTables           int
+	RecycledTables        int
 }
 
 func (s PageStats) String() string {
 	kib := (int64(s.DataPages-s.WindowPages)*segPageSize + int64(s.WindowPages)*segWindowSize +
 		int64(s.PackedRecords)*tsPackedBytes + int64(s.TsPages)*tsBlockBytes) >> 10
-	return fmt.Sprintf("%d seg pages (%d with bytes, %d of them windows) + %d packed ts records (%d recycled) + %d ts pages (%d KiB, %d KiB of it new memory), %d KiB cleared on hand-out",
-		s.SegPages, s.DataPages, s.WindowPages, s.PackedRecords, s.RecycledPackedRecords, s.TsPages, kib, s.FreshBytes>>10, s.ClearedBytes>>10)
+	return fmt.Sprintf("%d seg pages (%d with bytes, %d of them windows) + %d packed ts records (%d recycled) + %d ts pages (%d KiB, %d KiB of it new memory), %d KiB cleared on hand-out, %d page tables (%d recycled)",
+		s.SegPages, s.DataPages, s.WindowPages, s.PackedRecords, s.RecycledPackedRecords, s.TsPages, kib, s.FreshBytes>>10, s.ClearedBytes>>10,
+		s.FreshTables+s.RecycledTables, s.RecycledTables)
 }
 
 // PageStats sums the partitions' page counters. It takes each partition lock
@@ -333,6 +338,8 @@ func (w *World) PageStats() PageStats {
 		s.RecycledPackedRecords += g.packedMaterialised - g.packedFresh
 		s.FreshBytes += g.dataFreshBytes + int64(g.packedFresh)*tsPackedBytes + int64(g.tsFresh)*tsBlockBytes
 		s.ClearedBytes += g.cleared
+		s.FreshTables += g.tablesFresh
+		s.RecycledTables += g.tablesRecycled
 		p.mu.Unlock()
 	}
 	return s
