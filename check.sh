@@ -3,9 +3,9 @@
 # a toolchain flag or a run, race and shuffled tests, fuzz smokes and the claims
 # gate. The layering rules are rows of the root TestStructure, which go test
 # ./... runs too. Run from the module root. `./check.sh fast` stops after the
-# fast tier: build, vet, the gofmt gate, the structure rows, the inline and
-# bounds-check gates, the write path, 5 s of every fuzz target and the deadlock
-# loop (about a minute).
+# fast tier: build, vet, the gofmt gate, the structure rows, the inline,
+# bounds-check and reachability gates, the write path, 5 s of every fuzz target
+# and the deadlock loop (about a minute).
 #
 # `go test -race` and `-shuffle=on` run every test once; every other go test
 # step adds a flag and selects by name, so a test joins it by its name alone:
@@ -17,7 +17,8 @@
 #   *SetupAllocs        internal/caf: the write path too (a world's set-up
 #                       mallocs per image)
 # The stress loop's three names and the two root benchmarks are the only
-# lists. A selection that go test -list finds empty fails the gate.
+# lists of tests, and the reachability gate's helpers the only list of
+# functions. A selection that go test -list finds empty fails the gate.
 set -eu
 
 # selected PKG NAME: "package test" for each top-level test, fuzz target and
@@ -101,6 +102,56 @@ left=$(printf '%s\n' "$bce" | awk -F: -v range="$kernel" 'BEGIN { split(range, r
 if [ "${kernel% *}" = 0 ] || [ "$left" -gt 1 ]; then
     echo "check.sh: internal/himeno: sweepRow (lines $kernel of himeno.go) has $left bounds checks in its loop, at most 1 allowed (0 0 = kernel not found):" >&2
     printf '%s\n' "$bce" >&2
+    exit 1
+fi
+
+echo "==> reachability gate (every function declared outside the tests under internal/, generic ones included, is linked into some main package built with inlining off; internal/caf and internal/caf/conformance, the runtime's API and its battery, are exempt, and the list below names the helpers only other packages' tests call)"
+# Every main package, found by name, so that a new example joins unlisted.
+bins=$(mktemp -d)
+for main in $(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...); do
+    go build -gcflags=all=-l -o "$bins/$(printf '%s' "$main" | tr / _)" "$main"
+done
+# The linked functions as pkg.Func or pkg.Recv.Method: instantiation brackets
+# and pointer receivers stripped, closures (pkg.F.func1) harmless extras.
+for bin in "$bins"/*; do go tool nm "$bin"; done | awk '
+    $2 == "T" || $2 == "t" {
+        s = $3; out = ""; depth = 0
+        for (i = 1; i <= length(s); i++) {
+            c = substr(s, i, 1)
+            if (c == "[") depth++
+            else if (c == "]") depth--
+            else if (depth == 0) out = out c
+        }
+        gsub(/\(\*/, "", out); gsub(/\)/, "", out); print out
+    }' | sort -u > "$bins/linked"
+# The helpers only other packages' tests call, each with the packages whose
+# tests call it: the one named exemption.
+cat > "$bins/helpers" <<'EOF_HELPERS'
+pgas.PauseGC caf himeno pgas pgasbench shmem
+dht.Table.UpdateBatchAt caf
+fabric.FaultPlan.Victims caf
+EOF_HELPERS
+# Every func declaration at column 0 of a non-test file (the tree is
+# gofmt-clean), named the same way, that is neither linked nor a helper.
+unlinked=$(find internal -name '*.go' ! -name '*_test.go' | sort | xargs awk '
+    FNR == 1 { dir = FILENAME; sub(/\/[^\/]*$/, "", dir) }
+    /^func / {
+        s = substr($0, 6); recv = ""
+        if (s ~ /^\(/) {
+            r = substr(s, 2, index(s, ")") - 2); s = substr(s, index(s, ")") + 2)
+            sub(/\[.*/, "", r); n = split(r, w, " "); recv = w[n]; sub(/^\*/, "", recv); recv = recv "."
+        }
+        match(s, /^[A-Za-z0-9_]+/); name = substr(s, 1, RLENGTH)
+        if (name != "init" && name != "_" && dir != "internal/caf" && dir !~ /^internal\/caf\//)
+            print substr(dir, 10) "." recv name, FILENAME ":" FNR
+    }' | awk -v mod="$(go list -m)" '
+    FILENAME == ARGV[1] { linked[$1] = 1; next }
+    FILENAME == ARGV[2] { helper[$1] = 1; next }
+    !((mod "/internal/" $1) in linked) && !($1 in helper)' "$bins/linked" "$bins/helpers" -)
+rm -rf "$bins"
+if [ -n "$unlinked" ]; then
+    echo "check.sh: no main package links the functions below; delete them, or move a test's oracle or helper into a _test.go file:" >&2
+    printf '%s\n' "$unlinked" >&2
     exit 1
 fi
 

@@ -9,7 +9,7 @@
 //	internal/pgas      — execution substrate: goroutine PEs, partitioned
 //	                     memory, one-sided access, causal timestamps
 //	internal/shmem     — the OpenSHMEM library (symmetric heap, put/get,
-//	                     iput/iget, atomics, collectives, locks, wait-until)
+//	                     iput/iget, atomics, put-with-signal, wait-until)
 //	internal/gasnet    — GASNet comparator (active messages + extended API)
 //	internal/mpi3      — MPI-3 RMA comparator (windows, passive target)
 //	internal/caf       — the CAF runtime over a pluggable Transport: the

@@ -52,7 +52,7 @@ func (img *Image) SyncMemoryStat() Stat {
 
 // SyncMemoryImage completes this image's outstanding communication toward
 // image j (1-based) only — the image-selective strengthening of SYNC MEMORY
-// that communication contexts make expressible. Transfers to other images
+// that per-destination completion makes expressible. Transfers to other images
 // stay in flight, so a batch targeting one owner pays that owner's completion
 // horizon rather than the global one. On transports without per-destination
 // completion (MPI-3 RMA) it degrades to the full SyncMemory, which is always

@@ -2,7 +2,7 @@
 // semantic checks that every caf transport must pass, parameterised over the
 // backends (OpenSHMEM, GASNet, MPI-3 RMA). The battery pins the portable
 // contract — blocking, vectored and strided RMA, the nonblocking surface and
-// its Quiet/Fence completion semantics, put-with-signal, remote atomics,
+// its Quiet completion semantics, put-with-signal, remote atomics,
 // locks, collectives, pairwise synchronisation, and the STAT-bearing fault
 // paths — so a new transport is done when it passes here, not when it happens
 // to survive the application benchmarks.

@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// avail reports the non-symmetric buffer's free bytes remaining: what a test
+// compares before and after to see that nothing leaked.
+func (a *nsAlloc) avail() int64 {
+	var t int64
+	for _, s := range a.free {
+		t += s.size
+	}
+	return t
+}
+
 func TestDynCoarrayDifferentSizesPerImage(t *testing.T) {
 	// The whole point of §IV-A's non-symmetric mechanism: components of
 	// different sizes on different images, all remotely accessible.

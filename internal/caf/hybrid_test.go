@@ -65,8 +65,8 @@ func TestHybridAtomicsAndCollectives(t *testing.T) {
 	err := Run(4, shmemOpts(), func(img *Image) {
 		pe := img.SHMEM()
 		ctr := pe.Malloc(8)
-		pe.FetchInc(0, ctr, 0) // shmem atomic into PE 0
-		img.SyncAll()          // CAF-side barrier completes it
+		pe.FetchAdd(0, ctr, 0, 1) // shmem atomic into PE 0
+		img.SyncAll()             // CAF-side barrier completes it
 		if img.ThisImage() == 1 {
 			if got := shmem.G[int64](pe, 0, ctr, 0); got != 4 {
 				panic("hybrid atomic count wrong")

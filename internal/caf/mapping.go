@@ -31,8 +31,8 @@ func TableII() []FeatureMapping {
 		{"Atomic XOR operation", "atomic_xor", "shmem_xor", true, "AtomicVar.Xor"},
 		{"Remote memory put", "x(...)[j] = v", "shmem_put/shmem_putmem", true, "Coarray.Put/PutElem -> pgas.RMA{Shape: Contig} -> shmem.PE.RMA (PutMem's entry; +quiet per §IV-B)"},
 		{"Remote memory get", "v = x(...)[j]", "shmem_get/shmem_getmem", true, "Coarray.Get/GetElem -> pgas.RMA{Get: true} -> shmem.PE.RMA (GetMem's entry; quiet-before-get per §IV-B)"},
-		{"1-D strided put", "x(a:b:s)[j] = v", "shmem_iput(..., stride, ...)", true, "pgas.RMA{Shape: Strided} -> shmem.PE.RMA (IPutMem's entry)"},
-		{"1-D strided get", "v = x(a:b:s)[j]", "shmem_iget(..., stride, ...)", true, "pgas.RMA{Get: true, Shape: Strided} -> shmem.PE.RMA (IGetMem's entry)"},
+		{"1-D strided put", "x(a:b:s)[j] = v", "shmem_iput(..., stride, ...)", true, "pgas.RMA{Shape: Strided} -> shmem.PE.RMA (shmem_iput's entry)"},
+		{"1-D strided get", "v = x(a:b:s)[j]", "shmem_iget(..., stride, ...)", true, "pgas.RMA{Get: true, Shape: Strided} -> shmem.PE.RMA (shmem_iget's entry)"},
 		{"Multi-dimensional strided put", "x(a:b:s, c:d:t, ...)[j] = v", "— (no API; paper contributes 2dim_strided)", false, "Coarray.Put with StridedAlgo (naive/1dim/2dim/vendor), §IV-C"},
 		{"Multi-dimensional strided get", "v = x(a:b:s, c:d:t, ...)[j]", "— (no API; paper contributes 2dim_strided)", false, "Coarray.Get with StridedAlgo, §IV-C"},
 		{"Remote locks", "lock(lck[j]) / unlock(lck[j])", "— (shmem locks are global entities; paper contributes MCS adaptation)", false, "caf.Lock (MCS queue lock, packed RemoteRef, §IV-D)"},

@@ -80,15 +80,6 @@ func (a *nsAlloc) release(off, n int64) {
 	}
 }
 
-// avail reports the free bytes remaining (tests/diagnostics).
-func (a *nsAlloc) avail() int64 {
-	var t int64
-	for _, s := range a.free {
-		t += s.size
-	}
-	return t
-}
-
 // AllocNonSymmetric reserves n bytes of this image's remotely-accessible
 // non-symmetric buffer — the runtime service behind allocatable components
 // of coarrays of derived type. The returned offset is local to this image;

@@ -52,7 +52,7 @@ var seededCases = []seededCase{
 		if pe.MyPE() == 0 {
 			shmem.P(pe, 1, data, 0, int64(7))
 		}
-		_ = shmem.Get[int64](pe, 1, data, 0, 1)
+		_ = shmem.G[int64](pe, 1, data, 0)
 	})},
 	{"syncbad", "loopCarried", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
 		for i := 0; i < 4; i++ {
@@ -71,26 +71,21 @@ var seededCases = []seededCase{
 		pe.GetMem(1, data, 0, make([]byte, 1))
 	})},
 	{"syncbad", "stridedPutThenGather", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
-		shmem.IPut(pe, 1, data, 0, 2, []int64{1, 2, 3}, 0, 1, 3)
-		shmem.IGet(pe, 1, data, 0, 2, make([]int64, 3), 0, 1, 3)
+		pe.RMA(strided(false, make([]byte, 24)), data, false)
+		pe.RMA(strided(true, make([]byte, 24)), data, false)
 	})},
 	{"syncbad", "vectoredPutThenGather", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
 		pe.PutMemV(1, data, []int64{0, 64}, 16, make([]byte, 32))
-		pe.GetMemV(1, data, []int64{0}, 16, make([]byte, 16))
+		pe.RMA(runs(true, 0), data, false)
 	})},
 
-	// synccheck: nonblocking puts, Fence mistaken for completion, pinned sources.
+	// synccheck: nonblocking puts completed too late, pinned sources.
 	{"nbibad", "readAfterPutNBI", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
 		pe.PutMemNBI(1, data, 0, []byte{1, 2, 3})
 		pe.GetMem(1, data, 0, make([]byte, 3))
 	})},
-	{"nbibad", "fenceDoesNotCompleteNBI", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
-		pe.PutMemNBI(1, data, 0, []byte{9})
-		pe.Fence()
-		pe.GetMem(1, data, 0, make([]byte, 1))
-	})},
 	{"nbibad", "quietTooLateForTypedNBI", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
-		shmem.PutNBI(pe, 1, data, 0, []int64{42})
+		pe.PutMemNBI(1, data, 0, pgas.Bytes([]int64{42}))
 		_ = shmem.G[int64](pe, 1, data, 0)
 		pe.Quiet()
 	})},
@@ -102,7 +97,7 @@ var seededCases = []seededCase{
 	})},
 	{"nbibad", "typedSrcReuseBeforeQuiet", reused, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
 		vals := []int64{1, 2, 3}
-		shmem.PutNBI(pe, 1, data, 0, vals)
+		pe.PutMemNBI(1, data, 0, pgas.Bytes(vals))
 		vals[1]++
 		pe.Quiet()
 	})},
@@ -112,20 +107,14 @@ var seededCases = []seededCase{
 		copy(buf, []byte{7, 7, 7})
 		pe.Quiet()
 	})},
-	{"nbibad", "stridedSrcReuse", reused, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
-		src := make([]byte, 24)
-		pe.IPutMemNBI(1, data, 0, 16, 8, src)
-		src[8] = 1
-		pe.Quiet()
-	})},
 	{"nbibad", "vectoredReadRace", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
-		pe.PutMemVNBI(1, data, []int64{0, 64}, 16, make([]byte, 32))
-		pe.GetMemV(1, data, []int64{0}, 16, make([]byte, 16))
+		pe.RMA(runs(false, 0, 64), data, true)
+		pe.RMA(runs(true, 0), data, false)
 		pe.Quiet()
 	})},
 	{"nbibad", "getNBIRacesBlockingPut", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
 		shmem.Put(pe, 1, data, 0, []int64{5})
-		shmem.GetNBI(pe, 1, data, 0, make([]int64, 1))
+		pe.RMA(&pgas.RMA{Get: true, Target: 1, Local: make([]byte, 8)}, data, true)
 		pe.Quiet()
 	})},
 	{"nbibad", "loopCarriedNBISrc", reused, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
@@ -135,54 +124,6 @@ var seededCases = []seededCase{
 			pe.PutMemNBI(1, data, int64(i), buf)
 		}
 		pe.Quiet()
-	})},
-
-	// synccheck: only a context's own Quiet completes what it issued.
-	{"ctxbad", "peQuietDoesNotCompleteCtx", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
-		ctx := pe.CtxCreate()
-		ctx.PutMemNBI(1, data, 0, []byte{1, 2, 3})
-		pe.Quiet()
-		pe.GetMem(1, data, 0, make([]byte, 3))
-		ctx.Destroy()
-	})},
-	{"ctxbad", "barrierDoesNotCompleteCtx", raced, onEveryPE(func(pe *shmem.PE, data, _ shmem.Sym) {
-		ctx := pe.CtxCreate()
-		ctx.PutMemNBI(1, data, 0, []byte{9})
-		pe.Barrier()
-		pe.GetMem(1, data, 0, make([]byte, 1))
-		ctx.Destroy()
-	})},
-	{"ctxbad", "wrongCtxQuiet", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
-		a, b := pe.CtxCreate(), pe.CtxCreate()
-		a.PutMemNBI(1, data, 0, []byte{1})
-		b.Quiet()
-		pe.GetMem(1, data, 0, make([]byte, 1))
-		a.Destroy()
-		b.Destroy()
-	})},
-	{"ctxbad", "ctxSrcReuseBeforeCtxQuiet", reused, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
-		ctx := pe.CtxCreate()
-		buf := []byte{1, 2, 3, 4}
-		ctx.PutMemNBI(1, data, 0, buf)
-		pe.Quiet()
-		buf[0] = 9
-		ctx.Destroy()
-	})},
-	{"ctxbad", "ctxFenceIsNotCompletion", raced, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
-		ctx := pe.CtxCreate()
-		ctx.PutMemNBI(1, data, 0, []byte{7})
-		ctx.Fence()
-		pe.GetMem(1, data, 0, make([]byte, 1))
-		ctx.Destroy()
-	})},
-	// The get reads the signal word, not the data it guards: the put-with-
-	// signal updates the word as one 64-bit store, so the get sees it before
-	// or after — both a legal observation, which is what polling a signal is.
-	{"ctxbad", "ctxPutSignalRace", "", onPE0(func(pe *shmem.PE, data, flag shmem.Sym) {
-		ctx := pe.CtxCreate()
-		ctx.PutSignalNBI(1, data, 0, []byte{1, 2}, flag, 0, 1)
-		_ = shmem.G[int64](pe, 1, flag, 0)
-		ctx.Destroy()
 	})},
 
 	// collectivecheck: collectives reached by a PE-dependent subset.
@@ -224,20 +165,20 @@ var seededCases = []seededCase{
 	})},
 
 	// lockcheck: leaked, doubly acquired and wrongly released locks.
-	{"lockbad", "leakOnEarlyReturn", leftHeld, onPE0(func(pe *shmem.PE, lck, _ shmem.Sym) {
+	{"lockbad", "leakOnEarlyReturn", leftHeld, onImage1(func(l *Lock) {
 		leakOnEarlyReturn := func(fail bool) {
-			pe.SetLock(lck, 0)
+			l.Acquire(2)
 			if fail {
 				return
 			}
-			pe.ClearLock(lck, 0)
+			l.Release(2)
 		}
 		leakOnEarlyReturn(true)
 	})},
-	{"lockbad", "releaseWrongIndex", `shmem: ClearLock by non-holder`, onPE0(func(pe *shmem.PE, lck, _ shmem.Sym) {
-		pe.SetLock(lck, 0)
-		pe.ClearLock(lck, 1)
-		pe.ClearLock(lck, 0)
+	{"lockbad", "releaseWrongIndex", `caf: image 1 releasing lock\[3\] it does not hold`, onImage1(func(l *Lock) {
+		l.Acquire(2)
+		l.Release(3)
+		l.Release(2)
 	})},
 	{"lockbad", "doubleAcquire", `caf: image 1 already holds lock\[2\]`, onImage1(func(l *Lock) {
 		l.Acquire(2)
@@ -309,9 +250,9 @@ var seededCases = []seededCase{
 	{"interbad", "launderedNBI", reused, onPE0(func(pe *shmem.PE, data, _ shmem.Sym) {
 		buf := []byte{1}
 		nbiHelper := func() { pe.PutMemNBI(1, data, 0, buf) }
-		fenceOnly := func() { pe.Fence() }
+		quietElsewhere := func() { pe.QuietTarget(2) }
 		nbiHelper()
-		fenceOnly()
+		quietElsewhere()
 		buf[0] = 2
 		pe.Quiet()
 	})},
@@ -321,13 +262,13 @@ var seededCases = []seededCase{
 		readsHelper()
 		pe.Quiet()
 	})},
-	{"interbad", "leakThroughHelper", leftHeld, onPE0(func(pe *shmem.PE, lck, _ shmem.Sym) {
-		lockIt := func() { pe.SetLock(lck, 0) }
+	{"interbad", "leakThroughHelper", leftHeld, onImage1(func(l *Lock) {
+		lockIt := func() { l.Acquire(2) }
 		lockIt()
 		if fail := true; fail {
 			return
 		}
-		pe.ClearLock(lck, 0)
+		l.Release(2)
 	})},
 	{"interbad", "collectiveThroughHelper", diverged, spmd(func(pe *shmem.PE) {
 		barrierHelper := func() { pe.Barrier() }
@@ -452,6 +393,18 @@ func onEveryPE(body func(pe *shmem.PE, data, flag shmem.Sym)) func() error {
 		pe.Free(flag)
 		pe.Free(data)
 	})
+}
+
+// strided is a 1-D strided put or get toward PE 1 (shmem_iput/iget, through
+// shmem.PE.RMA): local's 8-byte elements at every second element from 0.
+func strided(get bool, local []byte) *pgas.RMA {
+	return &pgas.RMA{Get: get, Shape: pgas.Strided, Target: 1, Local: local, Unit: 8, Stride: 16}
+}
+
+// runs is a vectored put or get toward PE 1 (putmemv/getmemv, through
+// shmem.PE.RMA): a 16-byte run at each of offs.
+func runs(get bool, offs ...int64) *pgas.RMA {
+	return &pgas.RMA{Get: get, Shape: pgas.Runs, Target: 1, Local: make([]byte, 16*len(offs)), Offs: offs, Unit: 16}
 }
 
 // onPE0 is onEveryPE with body run by PE 0 alone.

@@ -208,7 +208,7 @@ func (t *gasnetBackend) attach(ep *gasnet.EP) {
 // answered with the previous value and whether the op was applied.
 func registerGasnetHandlers(w *gasnet.World) {
 	for op := pgas.OpAdd; op <= opCAS; op++ {
-		w.RegisterHandler(int(op), func(tok *gasnet.Token, _ []byte, args []int64) {
+		w.RegisterHandler(int(op), func(tok *gasnet.Token, args []int64) {
 			var old uint64
 			var ok bool
 			if op == opCAS {

@@ -37,8 +37,5 @@ func (c *Clock) MergeAtLeast(t float64) {
 // phases so that a warm-up does not pollute the measured interval.
 func (c *Clock) Reset() { c.ns = 0 }
 
-// Seconds returns the current virtual time in seconds.
-func (c *Clock) Seconds() float64 { return c.ns / 1e9 }
-
 // Micros returns the current virtual time in microseconds.
 func (c *Clock) Micros() float64 { return c.ns / 1e3 }

@@ -270,14 +270,9 @@ func (fp *FaultPlan) Deliver(src, dst int, seq uint64, sendNs, latencyNs float64
 	}
 }
 
-// EncodeJSON serialises the plan for CLI replay (-faultplan). The format is
-// stable: field names are the json tags on FaultPlan and its parts.
-func (fp *FaultPlan) EncodeJSON() ([]byte, error) {
-	return json.MarshalIndent(fp, "", "  ")
-}
-
-// DecodeFaultPlan parses a plan serialised by EncodeJSON (or written by
-// hand). Unknown fields are rejected so a typoed knob fails loudly instead
+// DecodeFaultPlan parses a plan for CLI replay (-faultplan), as encoding/json
+// writes it (field names are the json tags on FaultPlan and its parts) or as
+// written by hand. Unknown fields are rejected so a typoed knob fails loudly instead
 // of silently running a different experiment.
 func DecodeFaultPlan(data []byte) (*FaultPlan, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 )
@@ -184,7 +185,7 @@ func TestFaultPlanJSONRoundTrip(t *testing.T) {
 		},
 		Retry: RetryPolicy{RetryBaseNs: 2000, RetryCapNs: 16000, MaxRetries: 3},
 	}
-	data, err := fp.EncodeJSON()
+	data, err := json.Marshal(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +245,11 @@ func TestIssueAtMatchesIssue(t *testing.T) {
 		}
 		blocking.Note(i%2, c.now+c.lat)
 	}
-	if sa.Outstanding() != sb.Outstanding() || sa.OutstandingTarget(1) != sb.OutstandingTarget(1) {
-		t.Fatalf("op counts diverge: %d/%d vs %d/%d", sa.Outstanding(), sa.OutstandingTarget(1), sb.Outstanding(), sb.OutstandingTarget(1))
+	if !reflect.DeepEqual(sa.recs, sb.recs) {
+		t.Fatalf("streams diverge: %v vs %v", sa.recs, sb.recs)
 	}
-	if a, b := sa.Drain(), sb.Drain(); a != b || nicA.FreeAt() != nicB.FreeAt() {
-		t.Fatalf("drain/pipe divergence: %v vs %v, %v vs %v", a, b, nicA.FreeAt(), nicB.FreeAt())
+	if a, b := sa.Drain(), sb.Drain(); a != b || nicA.freeAt != nicB.freeAt {
+		t.Fatalf("drain/pipe divergence: %v vs %v, %v vs %v", a, b, nicA.freeAt, nicB.freeAt)
 	}
 	if got := blocking.DrainTarget(0); got != 0+1900 {
 		t.Fatalf("blocking horizon toward 0 = %v, want 1900", got)

@@ -1,12 +1,13 @@
 package fabric
 
-// Nonblocking-RMA completion engine. OpenSHMEM 1.3's put_nbi/get_nbi return
-// after descriptor injection (the o term of LogGP) and defer both transfer
-// and delivery to shmem_quiet. In virtual time that decomposes every blocking
-// cost into an initiator CPU part charged at issue and a NIC part tracked
-// here: each nonblocking op reserves the injection pipe from when the NIC is
-// next free (per-PE serialisation — one NIC, one pipe), streams for its
-// transfer time, and completes one delivery latency later. Quiet advances the
+// Nonblocking-RMA costs. OpenSHMEM 1.3's put_nbi/get_nbi return after
+// descriptor injection (the o term of LogGP) and defer both transfer and
+// delivery to shmem_quiet. In virtual time that decomposes every blocking
+// cost into an initiator CPU part charged at issue and a NIC part tracked by
+// the completion streams (streams.go): each nonblocking op reserves the
+// injection pipe from when the NIC is next free (per-PE serialisation — one
+// NIC, one pipe), streams for its transfer time, and completes one delivery
+// latency later. Quiet advances the
 // clock to the latest outstanding completion, so compute issued between post
 // and quiet genuinely hides communication — the overlap the paper's
 // ghost-cell exchange exploits on real hardware.
@@ -18,50 +19,6 @@ package fabric
 //
 // so a program that quiets immediately after each nonblocking op pays at
 // least the blocking schedule, never less (nbi_test.go pins this).
-
-// NBIQueue models one PE's in-flight nonblocking operations. The zero value
-// is an empty queue. It is owner-only state, like the Clock it feeds.
-type NBIQueue struct {
-	// nicFreeAt is when the injection pipe next idles: ops serialise on it,
-	// which preserves the per-node injection-bandwidth sharing that the gap
-	// term models — issuing n nonblocking puts back to back still streams
-	// their bytes one after another.
-	nicFreeAt float64
-	// doneAt is the latest completion timestamp of any outstanding op; the
-	// value Quiet merges into the clock.
-	doneAt float64
-	// count is the number of ops issued since the last Drain.
-	count int
-}
-
-// Issue records a nonblocking op posted at virtual time now whose payload
-// occupies the NIC for transferNs and becomes remotely visible latencyNs
-// after leaving the pipe. It returns the op's completion timestamp (the
-// remote-visibility time of its data).
-func (q *NBIQueue) Issue(now, transferNs, latencyNs float64) float64 {
-	start := now
-	if q.nicFreeAt > start {
-		start = q.nicFreeAt
-	}
-	q.nicFreeAt = start + transferNs
-	done := q.nicFreeAt + latencyNs
-	if done > q.doneAt {
-		q.doneAt = done
-	}
-	q.count++
-	return done
-}
-
-// Drain empties the queue and returns the latest outstanding completion
-// timestamp (0 when nothing was outstanding) — Quiet's wait target.
-func (q *NBIQueue) Drain() float64 {
-	d := q.doneAt
-	q.nicFreeAt, q.doneAt, q.count = 0, 0, 0
-	return d
-}
-
-// Outstanding returns the number of ops issued since the last Drain.
-func (q *NBIQueue) Outstanding() int { return q.count }
 
 // NBIInjectNs returns the initiator CPU cost of posting one nonblocking RMA
 // op: descriptor preparation only; the bytes stream asynchronously.

@@ -4,6 +4,51 @@ import (
 	"testing"
 )
 
+// NBIQueue is the reference model the completion streams are checked
+// against: one PE's in-flight nonblocking operations on a single completion
+// horizon, whatever their destination. The zero value is an empty queue.
+type NBIQueue struct {
+	// nicFreeAt is when the injection pipe next idles: ops serialise on it,
+	// which preserves the per-node injection-bandwidth sharing that the gap
+	// term models — issuing n nonblocking puts back to back still streams
+	// their bytes one after another.
+	nicFreeAt float64
+	// doneAt is the latest completion timestamp of any outstanding op; the
+	// value Quiet merges into the clock.
+	doneAt float64
+	// count is the number of ops issued since the last Drain.
+	count int
+}
+
+// Issue records a nonblocking op posted at virtual time now whose payload
+// occupies the NIC for transferNs and becomes remotely visible latencyNs
+// after leaving the pipe. It returns the op's completion timestamp (the
+// remote-visibility time of its data).
+func (q *NBIQueue) Issue(now, transferNs, latencyNs float64) float64 {
+	start := now
+	if q.nicFreeAt > start {
+		start = q.nicFreeAt
+	}
+	q.nicFreeAt = start + transferNs
+	done := q.nicFreeAt + latencyNs
+	if done > q.doneAt {
+		q.doneAt = done
+	}
+	q.count++
+	return done
+}
+
+// Drain empties the queue and returns the latest outstanding completion
+// timestamp (0 when nothing was outstanding) — Quiet's wait target.
+func (q *NBIQueue) Drain() float64 {
+	d := q.doneAt
+	q.nicFreeAt, q.doneAt, q.count = 0, 0, 0
+	return d
+}
+
+// Outstanding returns the number of ops issued since the last Drain.
+func (q *NBIQueue) Outstanding() int { return q.count }
+
 func testProfiles(t *testing.T) []*CostProfile {
 	t.Helper()
 	var out []*CostProfile

@@ -160,12 +160,6 @@ func (p *CostProfile) AtomicRTTNs(intra bool, pairs int) float64 {
 	return c
 }
 
-// QuietNs returns the cost of waiting for remote completion of previously
-// injected operations (shmem_quiet / flush): one latency to drain the pipe.
-func (p *CostProfile) QuietNs(intra bool, pairs int) float64 {
-	return p.latency(intra, pairs)
-}
-
 // BarrierNs returns the cost of a dissemination barrier over n PEs spread
 // across the given number of nodes.
 func (p *CostProfile) BarrierNs(n, nodes int) float64 {

@@ -123,7 +123,6 @@ func TestCostsNonNegativeProperty(t *testing.T) {
 			p.GetNs(int(n), intra, pr),
 			p.DeliveryNs(intra, pr),
 			p.AtomicRTTNs(intra, pr),
-			p.QuietNs(intra, pr),
 			p.StridedInjectNs(int(n%1024)+1, 8, intra, pr),
 		}
 		for _, c := range costs {

@@ -33,9 +33,6 @@ func TestStreamsMatchSharedQueueRandom(t *testing.T) {
 				perTarget[target] = ds
 			}
 		}
-		if s.Outstanding() != q.Outstanding() {
-			t.Fatalf("seed %d: outstanding %d != %d", seed, s.Outstanding(), q.Outstanding())
-		}
 		// Drain half the targets individually: each must return exactly its
 		// own max completion, which is <= the global horizon.
 		global := q.Drain()
@@ -47,8 +44,8 @@ func TestStreamsMatchSharedQueueRandom(t *testing.T) {
 			if got > global {
 				t.Errorf("seed %d: DrainTarget(%d) = %g beyond the global horizon %g", seed, target, got, global)
 			}
-			if s.OutstandingTarget(target) != 0 {
-				t.Errorf("seed %d: target %d still outstanding after its drain", seed, target)
+			if again := s.DrainTarget(target); again != 0 {
+				t.Errorf("seed %d: target %d still outstanding after its drain (%g)", seed, target, again)
 			}
 		}
 		// The rest drain together; the max over all targets is the shared
@@ -63,15 +60,15 @@ func TestStreamsMatchSharedQueueRandom(t *testing.T) {
 		if rest != max {
 			t.Errorf("seed %d: residual Drain() = %g, want %g", seed, rest, max)
 		}
-		if s.Outstanding() != 0 {
-			t.Errorf("seed %d: %d ops outstanding after full drain", seed, s.Outstanding())
+		if len(s.recs) != 0 {
+			t.Errorf("seed %d: %d streams outstanding after full drain", seed, len(s.recs))
 		}
 	}
 }
 
-// Property: two contexts sharing one NIC. A context's Quiet (Drain on its own
-// stream set) waits for the max completion of that context's ops only — never
-// for the other context's — while both contexts' transfers still serialise on
+// Property: two stream sets sharing one NIC, as two OpenSHMEM contexts of a PE
+// would. A set's Drain waits for the max completion of that set's ops only —
+// never for the other set's — while both sets' transfers still serialise on
 // the shared pipe (so completions equal the single-queue model op for op).
 func TestStreamsContextQuietIsOwnMaxOnly(t *testing.T) {
 	for seed := int64(100); seed < 110; seed++ {
@@ -115,7 +112,7 @@ func TestStreamsContextQuietIsOwnMaxOnly(t *testing.T) {
 // Pinned against the PR 4 blocking cost decomposition: an op issued on a
 // stream and drained immediately costs at least the blocking schedule —
 // inject + transfer + delivery == PutInjectNs + DeliveryNs — for every
-// profile, so contexts can never beat blocking without real overlap.
+// profile, so a stream can never beat blocking without real overlap.
 func TestStreamsPinnedToBlockingDecomposition(t *testing.T) {
 	for _, p := range testProfiles(t) {
 		for _, n := range []int{1, 64, 4096} {
@@ -147,37 +144,5 @@ func TestStreamsPartialDrainKeepsPipeBusy(t *testing.T) {
 	// A new op at t=110 must still queue behind target 1's transfer.
 	if done := s.Issue(2, 110, 5, 0); done != 185 {
 		t.Fatalf("post-partial-drain issue completed at %g, want 185 (pipe busy until 180)", done)
-	}
-}
-
-// Horizon accessors are pure peeks: they report exactly what Drain/
-// DrainTarget would return, change nothing, and still report the same values
-// afterwards — completion horizons are computed state, never awaited state.
-func TestStreamsHorizonIsNonDrainingPeek(t *testing.T) {
-	var nic NBINic
-	s := NewNBIStreams(&nic)
-	if s.Horizon() != 0 || s.HorizonTarget(0) != 0 {
-		t.Fatal("idle stream set must report zero horizons")
-	}
-	d0 := s.Issue(0, 100, 50, 10) // completes 160
-	d1 := s.Issue(1, 100, 30, 10) // completes 190
-	if got := s.HorizonTarget(0); got != d0 {
-		t.Fatalf("HorizonTarget(0) = %g, want %g", got, d0)
-	}
-	if got := s.HorizonTarget(1); got != d1 {
-		t.Fatalf("HorizonTarget(1) = %g, want %g", got, d1)
-	}
-	if got := s.Horizon(); got != d1 {
-		t.Fatalf("Horizon() = %g, want global max %g", got, d1)
-	}
-	// Peeking drained nothing: counts are intact and Drain returns the same.
-	if got := s.Outstanding(); got != 2 {
-		t.Fatalf("Outstanding() = %d after peeks, want 2", got)
-	}
-	if got := s.Drain(); got != d1 {
-		t.Fatalf("Drain() = %g after peeks, want %g", got, d1)
-	}
-	if got := s.Horizon(); got != 0 {
-		t.Fatalf("Horizon() = %g after drain, want 0", got)
 	}
 }

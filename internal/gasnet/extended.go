@@ -11,36 +11,19 @@ import (
 // (our per-PE partition). Offsets are absolute partition offsets; layered
 // runtimes allocate them with the collective Malloc below.
 //
-// Nonblocking forms come in GASNet's two families. Explicit-handle ops
-// (PutNB/GetNB) return a SyncHandle completed by WaitSync; implicit-handle
-// ops (PutNBI/GetNBI) join the endpoint's per-destination completion streams
-// (fabric.NBIStreams) and are completed by WaitSyncAll or WaitSyncImage.
-// Both families charge only the injection overhead on the initiator and
-// serialise their transfer time on the endpoint's NIC pipe, so compute
-// issued between post and sync genuinely overlaps communication — through the
-// same issue core as the OpenSHMEM *_nbi paths (pgas.PE.Issue), which keeps
-// the blocking-path and NBI-path virtual times of the two transports directly
-// comparable.
+// The nonblocking forms are GASNet's implicit-handle family, issued through
+// RMA: they join the endpoint's per-destination completion streams
+// (fabric.NBIStreams) and are completed by WaitSyncAll or WaitSyncImage. They
+// charge only the injection overhead on the initiator and serialise their
+// transfer time on the endpoint's NIC pipe, so compute issued between post and
+// sync genuinely overlaps communication — through the same issue core as the
+// OpenSHMEM nonblocking paths (pgas.PE.Issue), which keeps the blocking-path
+// and NBI-path virtual times of the two transports directly comparable.
 
 // Seg is a handle to a symmetric segment region (same offset on all PEs).
 type Seg struct {
 	Off  int64
 	Size int64
-}
-
-// PartialError reports a nonblocking operation that could only transfer a
-// prefix of the requested range before running off the segment region. The
-// transferred prefix is valid once the returned handle is synced; the
-// remainder was never issued.
-type PartialError struct {
-	Op          string
-	Requested   int
-	Transferred int
-}
-
-func (e *PartialError) Error() string {
-	return fmt.Sprintf("gasnet: %s completed %d of %d bytes (range overflows segment region)",
-		e.Op, e.Transferred, e.Requested)
 }
 
 // span panics unless the n bytes at off lie inside the region.
@@ -72,24 +55,24 @@ var rmaOps = [...][3]string{
 }
 
 // RMA issues a layered runtime's descriptor, blocking or on the implicit-handle
-// streams: what Put, Get, PutNBI, PutSignal and PutSignalNBI are, and the
-// vectored and strided forms, and the recovery protocols' forensic reads and
-// repair writes, by d's shape and direction. d.Off and a signal's
+// streams: what Put and Get are, the nonblocking, signal, vectored and strided
+// forms, and the recovery protocols' forensic reads and repair writes, by d's
+// shape and direction. d.Off and a signal's
 // d.SigOff are relative to seg (a Runs op's d.Offs to d.Off); d is the caller's
 // again at return, both made absolute. A put's bytes have landed when RMA
 // returns, so its source is the caller's again at once and the sanitizer holds
-// no copy of it: only PutNBI keeps GASNet's source contract.
+// no copy of it.
 func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
 	if d.Shape == pgas.Signal {
 		d.SigOff = seg.word(d.SigOff)
 	}
 	switch {
 	case nbi:
-		ep.issue(rmaOps[d.Shape][2], d, seg, nil, &ep.nbi)
+		ep.issue(rmaOps[d.Shape][2], d, seg, &ep.nbi)
 	case d.Get:
-		ep.issue(rmaOps[d.Shape][0], d, seg, nil, nil)
+		ep.issue(rmaOps[d.Shape][0], d, seg, nil)
 	default:
-		ep.issue(rmaOps[d.Shape][1], d, seg, nil, &ep.blocking)
+		ep.issue(rmaOps[d.Shape][1], d, seg, &ep.blocking)
 	}
 }
 
@@ -100,11 +83,9 @@ func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
 // travel alone), makes d.Off absolute, prices one message of d on the conduit's
 // list — a run or element is one message of its Unit bytes — and hands it to
 // the substrate's issue core (pgas.PE.IssueRuns), which sends it, lands its
-// bytes and books its completion on set. An op on one of the endpoint's pipe
-// sets (implicit or explicit handle) charges only its injection and leaves
-// its transfer to the pipe; src is an implicit-handle put's source buffer,
-// nil for every other op.
-func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, src []byte, set *fabric.NBIStreams) {
+// bytes and books its completion on set. An op on the endpoint's pipe set
+// charges only its injection and leaves its transfer to the pipe.
+func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, set *fabric.NBIStreams) {
 	ep.checkTarget(d.Target)
 	lo, hi := d.Span()
 	if lo < hi {
@@ -115,7 +96,7 @@ func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, src []byte, set *fabric.NBI
 		return
 	}
 	intra, pairs := ep.intra(d.Target), ep.pairs()
-	prof, nbi := ep.world.prof, set == &ep.nbi || set == &ep.explicit
+	prof, nbi := ep.world.prof, set == &ep.nbi
 	c := pgas.Price{Lat: prof.DeliveryNs(intra, pairs)}
 	n := len(d.Local)
 	switch d.Shape {
@@ -143,103 +124,20 @@ func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, src []byte, set *fabric.NBI
 	default:
 		c.Inject = prof.PutInjectNs(n, intra, pairs)
 	}
-	ep.p.IssueRuns(d, src, c, set)
+	ep.p.IssueRuns(d, c, set)
 }
 
 // Put copies data into the target's segment and blocks for *local*
 // completion (gasnet_put_bulk semantics for the source buffer). Remote
 // completion requires WaitSyncAll or a barrier.
 func (ep *EP) Put(target int, seg Seg, off int64, data []byte) {
-	ep.issue("put", &pgas.RMA{Target: target, Off: off, Local: data}, seg, nil, &ep.blocking)
-}
-
-// PutNB is the explicit-handle non-blocking put (gasnet_put_nb): the
-// initiator pays only the injection overhead, the transfer occupies the NIC
-// pipe from its next idle moment, and the returned handle must be synced
-// with WaitSync before the source buffer may be reused. The op does not
-// join the implicit sync set — WaitSyncAll never completes it. The handle is
-// made by draining the explicit set at once, so the sanitizer discharges the
-// put at issue.
-func (ep *EP) PutNB(target int, seg Seg, off int64, data []byte) SyncHandle {
-	ep.issue("put_nb", &pgas.RMA{Target: target, Off: off, Local: data}, seg, nil, &ep.explicit)
-	return SyncHandle{t: ep.p.Drain(&ep.explicit)}
-}
-
-// GetNB is the explicit-handle non-blocking get (gasnet_get_nb). Unlike the
-// blocking Get, a range that overflows the segment region does not panic:
-// the in-segment prefix is transferred and a *PartialError reports how much
-// was issued — the initiator learns about the short transfer at injection
-// time, not as a crash at sync time. dst is undefined until WaitSync.
-func (ep *EP) GetNB(target int, seg Seg, off int64, dst []byte) (SyncHandle, error) {
-	ep.checkTarget(target)
-	if len(dst) == 0 {
-		return SyncHandle{}, nil
-	}
-	want := len(dst)
-	var err error
-	if off < 0 || off >= seg.Size {
-		return SyncHandle{}, &PartialError{Op: "get_nb", Requested: want, Transferred: 0}
-	}
-	if off+int64(want) > seg.Size {
-		dst = dst[:seg.Size-off]
-		err = &PartialError{Op: "get_nb", Requested: want, Transferred: len(dst)}
-	}
-	ep.issue("get_nb", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, nil, &ep.explicit)
-	return SyncHandle{t: ep.p.Drain(&ep.explicit)}, err
-}
-
-// PutNBI is the implicit-handle non-blocking put (gasnet_put_nbi): the op
-// rides the endpoint's per-destination completion streams and is completed
-// by WaitSyncAll (or WaitSyncImage toward its destination). The source
-// buffer must stay unmodified until then.
-func (ep *EP) PutNBI(target int, seg Seg, off int64, data []byte) {
-	ep.issue("put_nbi", &pgas.RMA{Target: target, Off: off, Local: data}, seg, data, &ep.nbi)
-}
-
-// GetNBI is the implicit-handle non-blocking get (gasnet_get_nbi): the
-// modelled completion pays the request round trip plus the data streaming
-// back. dst is undefined until WaitSyncAll/WaitSyncImage.
-func (ep *EP) GetNBI(target int, seg Seg, off int64, dst []byte) {
-	ep.issue("get_nbi", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, nil, &ep.nbi)
+	ep.issue("put", &pgas.RMA{Target: target, Off: off, Local: data}, seg, &ep.blocking)
 }
 
 // Get copies n bytes from the target's segment into dst, blocking until the
 // data is locally usable (gasnet_get_bulk).
 func (ep *EP) Get(target int, seg Seg, off int64, dst []byte) {
-	ep.issue("get", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, nil, nil)
-}
-
-// PutSignal fuses a data payload and an 8-byte signal word into one blocking
-// injection toward target: data and signal land together, one handler
-// dispatch after delivery (see issue). data may be empty to send the signal
-// alone.
-func (ep *EP) PutSignal(target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
-	ep.putSignal("put_signal", &ep.blocking, target, seg, off, data, sigSeg, sigIdx, sigVal)
-}
-
-// PutSignalNBI is the nonblocking flavour of PutSignal: the fused AM rides
-// the per-destination completion streams, so a consumer that observes the
-// signal sees the payload and every transfer previously streamed to it.
-// Completion requires WaitSyncAll/WaitSyncImage.
-func (ep *EP) PutSignalNBI(target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
-	ep.putSignal("put_signal_nbi", &ep.nbi, target, seg, off, data, sigSeg, sigIdx, sigVal)
-}
-
-// putSignal is the two signal puts: it checks the signal word, which has a
-// segment region of its own.
-func (ep *EP) putSignal(op string, set *fabric.NBIStreams, target int, seg Seg, off int64, data []byte, sigSeg Seg, sigIdx int, sigVal int64) {
-	ep.checkTarget(target)
-	ep.issue(op, &pgas.RMA{Shape: pgas.Signal, Target: target, Off: off, Local: data, SigOff: sigSeg.word(int64(sigIdx) * 8), SigVal: uint64(sigVal)}, seg, nil, set)
-}
-
-// SyncHandle tracks one non-blocking operation.
-type SyncHandle struct{ t float64 }
-
-// WaitSync blocks until the handle's operation is remotely complete
-// (gasnet_wait_syncnb).
-func (ep *EP) WaitSync(h SyncHandle) {
-	ep.p.Clock.Advance(ep.world.prof.OverheadNs)
-	ep.p.Clock.MergeAtLeast(h.t)
+	ep.issue("get", &pgas.RMA{Get: true, Target: target, Off: off, Local: dst}, seg, nil)
 }
 
 // WaitSyncAll completes all implicit-handle operations
@@ -272,7 +170,3 @@ func (ep *EP) WaitSyncImageStat(target int) error {
 func (ep *EP) waitSync(target int, stat bool) error {
 	return ep.p.Complete(&ep.nbi, &ep.blocking, target, ep.world.prof.OverheadNs, stat)
 }
-
-// NBIOutstanding returns the number of implicit-handle ops in flight
-// (observability and tests).
-func (ep *EP) NBIOutstanding() int { return ep.nbi.Outstanding() }

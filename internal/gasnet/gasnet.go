@@ -1,8 +1,8 @@
 // Package gasnet implements a GASNet-like communication system: a core API
-// of active messages (short/medium/long requests with replies) and an
-// extended API of one-sided put/get, over the pgas substrate and the fabric
-// cost model. Segment regions come from the world's one symmetric heap
-// through the collective Malloc and Free.
+// of active messages (short requests with a reply) and an extended API of
+// one-sided put/get, over the pgas substrate and the fabric cost model.
+// Segment regions come from the world's one symmetric heap through the
+// collective Malloc and Free.
 //
 // It exists as the comparator the paper measures OpenSHMEM against (§III,
 // Figs 2-3) and as the alternative CAF transport (UHCAF-over-GASNet, Figs
@@ -25,9 +25,9 @@ import (
 const MaxHandlers = 256
 
 // Handler is an active-message handler. It runs logically on the target PE:
-// tok identifies the source and gives access to target memory and the reply
-// channel; payload is the medium/long payload (nil for short requests).
-type Handler func(tok *Token, payload []byte, args []int64)
+// tok identifies the source and gives access to atomics on target memory and
+// the reply channel.
+type Handler func(tok *Token, args []int64)
 
 // World is one GASNet job.
 type World struct {
@@ -52,19 +52,13 @@ type EP struct {
 	world *World
 	p     *pgas.PE
 	// blocking is the remote-visibility horizon, per destination, of the
-	// blocking puts and fire-and-forget AMs issued since the last sync: a
-	// stream set with no pipe, so WaitSyncImage can complete one
-	// destination's without draining the rest.
+	// blocking puts issued since the last sync: a stream set with no pipe, so
+	// WaitSyncImage can complete one destination's without draining the rest.
 	blocking fabric.NBIStreams
 	// nic is the endpoint's injection pipe; nbi tracks in-flight
-	// implicit-handle nonblocking ops (PutNBI/GetNBI) per destination on it.
-	// Explicit-handle ops (PutNB/GetNB) reserve the same pipe but complete
-	// through their SyncHandle, not the implicit set — gasnet_wait_syncnbi_all
-	// never completes explicit handles: explicit holds such an op only from
-	// its issue to the drain that makes its handle, inside one call.
-	nic      fabric.NBINic
-	nbi      fabric.NBIStreams
-	explicit fabric.NBIStreams
+	// implicit-handle nonblocking ops per destination on it.
+	nic fabric.NBINic
+	nbi fabric.NBIStreams
 	// tok and args are every active message's token and arguments: a
 	// handler runs on the requester's goroutine, one at a time per endpoint.
 	tok  Token
@@ -123,16 +117,13 @@ func (w *World) Attach(p *pgas.PE) *EP {
 	ep := &w.eps[p.ID]
 	if ep.p == nil {
 		ep.world, ep.p = w, p
-		ep.nbi, ep.explicit = fabric.NewNBIStreams(&ep.nic), fabric.NewNBIStreams(&ep.nic)
+		ep.nbi = fabric.NewNBIStreams(&ep.nic)
 	}
 	return ep
 }
 
 // PgasWorld exposes the substrate (for layered runtimes).
 func (w *World) PgasWorld() *pgas.World { return w.pw }
-
-// Profile returns the modelled conduit cost profile.
-func (w *World) Profile() *fabric.CostProfile { return w.prof }
 
 // RegisterHandler installs an AM handler at the given table index. GASNet
 // requires registration to be identical on all PEs before communication; we
@@ -170,9 +161,6 @@ func (ep *EP) Clock() *fabric.Clock { return &ep.p.Clock }
 
 // Pgas returns the underlying substrate PE (for layered runtimes).
 func (ep *EP) Pgas() *pgas.PE { return ep.p }
-
-// World returns the job this endpoint belongs to.
-func (ep *EP) World() *World { return ep.world }
 
 func (ep *EP) intra(target int) bool { return ep.world.machine.SameNode(ep.p.ID, target) }
 func (ep *EP) pairs() int            { return ep.world.pw.ActivePairs(ep.p.ID) }

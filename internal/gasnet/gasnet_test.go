@@ -35,7 +35,7 @@ func TestAttachReturnsTheRanksHandle(t *testing.T) {
 	const n = 4
 	var handles [n]*EP
 	err := Run(ibvCfg(), n, func(ep *EP) {
-		if again := ep.World().Attach(ep.Pgas()); again != ep {
+		if again := ep.world.Attach(ep.Pgas()); again != ep {
 			t.Errorf("node %d: attaching again gave another endpoint", ep.MyNode())
 		}
 		handles[ep.MyNode()] = ep
@@ -98,11 +98,11 @@ func TestNonBlockingPutSync(t *testing.T) {
 	err := Run(ibvCfg(), 17, func(ep *EP) {
 		seg := ep.Malloc(8)
 		if ep.MyNode() == 0 {
-			h := ep.PutNB(16, seg, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+			ep.RMA(&pgas.RMA{Target: 16, Local: []byte{1, 2, 3, 4, 5, 6, 7, 8}}, seg, true)
 			before := ep.Clock().Now()
-			ep.WaitSync(h)
+			ep.WaitSyncImage(16)
 			if ep.Clock().Now() <= before {
-				panic("WaitSync did not account for remote completion")
+				panic("WaitSyncImage did not account for remote completion")
 			}
 		}
 		ep.Barrier()
@@ -120,50 +120,13 @@ func TestNonBlockingPutSync(t *testing.T) {
 	}
 }
 
-const (
-	hIncr = iota
-	hFetchAdd
-	hDeposit
-)
+const hFetchAdd = 1
 
 func registerTestHandlers(w *World) {
-	w.RegisterHandler(hIncr, func(tok *Token, payload []byte, args []int64) {
-		tok.RMW64(args[0], pgas.OpAdd, uint64(args[1]))
-	})
-	w.RegisterHandler(hFetchAdd, func(tok *Token, payload []byte, args []int64) {
+	w.RegisterHandler(hFetchAdd, func(tok *Token, args []int64) {
 		old, _ := tok.RMW64(args[0], pgas.OpAdd, uint64(args[1]))
 		tok.Reply(int64(old))
 	})
-	w.RegisterHandler(hDeposit, func(tok *Token, payload []byte, args []int64) {
-		tok.Write(args[0], payload)
-	})
-}
-
-func TestAMShortFireAndForget(t *testing.T) {
-	w, err := NewWorld(ibvCfg(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	registerTestHandlers(w)
-	err = w.pw.Run(func(p *pgas.PE) {
-		ep := w.Attach(p)
-		seg := ep.Malloc(8)
-		for i := 0; i < 10; i++ {
-			ep.RequestShort(0, hIncr, seg.Off, 1)
-		}
-		ep.Barrier()
-		if ep.MyNode() == 0 {
-			var b [8]byte
-			ep.Get(0, seg, 0, b[:])
-			if binary.NativeEndian.Uint64(b[:]) != 40 {
-				panic("AM increments lost")
-			}
-		}
-		ep.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestAMRequestSyncReply(t *testing.T) {
@@ -199,74 +162,12 @@ func TestAMRequestSyncReply(t *testing.T) {
 	}
 }
 
-func TestAMMediumPayload(t *testing.T) {
-	w, err := NewWorld(ibvCfg(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	registerTestHandlers(w)
-	err = w.pw.Run(func(p *pgas.PE) {
-		ep := w.Attach(p)
-		seg := ep.Malloc(32)
-		if ep.MyNode() == 1 {
-			ep.RequestMedium(0, hDeposit, []byte("hello"), seg.Off)
-		}
-		ep.Barrier()
-		if ep.MyNode() == 0 {
-			got := make([]byte, 5)
-			ep.Get(0, seg, 0, got)
-			if string(got) != "hello" {
-				panic("medium payload not delivered")
-			}
-		}
-		ep.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAMLongDepositsThenRuns(t *testing.T) {
-	w, err := NewWorld(ibvCfg(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.RegisterHandler(7, func(tok *Token, payload []byte, args []int64) {
-		// Handler sees the long payload already in the segment.
-		got := make([]byte, 4)
-		tok.Read(args[0], got)
-		if string(got) != "data" {
-			panic("long payload not visible to handler")
-		}
-		tok.WriteU64(args[1], 1)
-	})
-	err = w.pw.Run(func(p *pgas.PE) {
-		ep := w.Attach(p)
-		seg := ep.Malloc(64)
-		if ep.MyNode() == 1 {
-			ep.RequestLong(0, 7, seg, 0, []byte("data"), seg.Off, seg.Off+8)
-		}
-		ep.Barrier()
-		if ep.MyNode() == 0 {
-			var b [8]byte
-			ep.Get(0, seg, 8, b[:])
-			if binary.NativeEndian.Uint64(b[:]) != 1 {
-				panic("long handler flag missing")
-			}
-		}
-		ep.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHandlerRegistryGuards(t *testing.T) {
 	w, err := NewWorld(ibvCfg(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.RegisterHandler(3, func(*Token, []byte, []int64) {})
+	w.RegisterHandler(3, func(*Token, []int64) {})
 	mustPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {
@@ -275,10 +176,10 @@ func TestHandlerRegistryGuards(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("double register", func() { w.RegisterHandler(3, func(*Token, []byte, []int64) {}) })
-	mustPanic("out of range", func() { w.RegisterHandler(MaxHandlers, func(*Token, []byte, []int64) {}) })
+	mustPanic("double register", func() { w.RegisterHandler(3, func(*Token, []int64) {}) })
+	mustPanic("out of range", func() { w.RegisterHandler(MaxHandlers, func(*Token, []int64) {}) })
 	mustPanic("unregistered dispatch", func() {
-		_ = w.pw.Run(func(p *pgas.PE) { w.Attach(p).RequestShort(0, 99) })
+		_ = w.pw.Run(func(p *pgas.PE) { w.Attach(p).RequestSync(0, 99) })
 		panic("unreachable if Run already surfaced the handler panic")
 	})
 }
@@ -392,20 +293,19 @@ func TestHandlerAtomicityUnderConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.RegisterHandler(11, func(tok *Token, _ []byte, args []int64) {
-		a := tok.ReadU64(args[0])
-		b := tok.ReadU64(args[0] + 8)
+	w.RegisterHandler(11, func(tok *Token, args []int64) {
+		a, _ := tok.RMW64(args[0], pgas.OpAdd, 1)
+		b, _ := tok.RMW64(args[0]+8, pgas.OpAdd, 1)
 		if a != b {
 			panic("handler observed torn state: atomicity violated")
 		}
-		tok.WriteU64(args[0], a+1)
-		tok.WriteU64(args[0]+8, b+1)
+		tok.Reply()
 	})
 	err = w.pw.Run(func(p *pgas.PE) {
 		ep := w.Attach(p)
 		seg := ep.Malloc(16)
 		for i := 0; i < 50; i++ {
-			ep.RequestShort(0, 11, seg.Off)
+			ep.RequestSync(0, 11, seg.Off)
 		}
 		ep.Barrier()
 		if ep.MyNode() == 0 {
@@ -428,7 +328,7 @@ func TestDoubleReplyPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.RegisterHandler(12, func(tok *Token, _ []byte, _ []int64) {
+	w.RegisterHandler(12, func(tok *Token, _ []int64) {
 		tok.Reply(1)
 		tok.Reply(2)
 	})

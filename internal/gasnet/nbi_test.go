@@ -1,132 +1,46 @@
 package gasnet
 
 import (
-	"errors"
 	"testing"
+
+	"cafshmem/internal/pgas"
 )
 
-// GetNB on a range overflowing the segment region must transfer the
-// in-segment prefix and surface a *PartialError — never panic like the
-// blocking path (the regression this file pins: get_nb used to share Get's
-// error handling).
-func TestGetNBPartialCompletion(t *testing.T) {
-	err := Run(ibvCfg(), 2, func(ep *EP) {
-		seg := ep.Malloc(16)
-		if ep.MyNode() == 0 {
-			data := make([]byte, 16)
-			for i := range data {
-				data[i] = byte(i + 1)
-			}
-			ep.Put(1, seg, 0, data)
-		}
-		ep.Barrier()
-		if ep.MyNode() == 0 {
-			// 12 bytes requested at offset 8 of a 16-byte region: only 8 fit.
-			dst := make([]byte, 12)
-			h, err := ep.GetNB(1, seg, 8, dst)
-			var pe *PartialError
-			if !errors.As(err, &pe) {
-				t.Errorf("overflowing get_nb: err = %v, want *PartialError", err)
-			} else if pe.Requested != 12 || pe.Transferred != 8 {
-				t.Errorf("partial completion %d/%d, want 8/12", pe.Transferred, pe.Requested)
-			}
-			ep.WaitSync(h)
-			for i := 0; i < 8; i++ {
-				if dst[i] != byte(8+i+1) {
-					t.Errorf("prefix byte %d = %d, want %d", i, dst[i], 8+i+1)
-				}
-			}
-			for i := 8; i < 12; i++ {
-				if dst[i] != 0 {
-					t.Errorf("unissued byte %d = %d, want untouched 0", i, dst[i])
-				}
-			}
-
-			// An offset entirely outside the region transfers nothing.
-			if _, err := ep.GetNB(1, seg, 16, dst); err == nil {
-				t.Error("out-of-region get_nb must report an error")
-			} else if !errors.As(err, &pe) || pe.Transferred != 0 {
-				t.Errorf("out-of-region get_nb: err = %v, want zero-byte *PartialError", err)
-			}
-
-			// An in-range get_nb completes fully with no error.
-			ok := make([]byte, 8)
-			h, err = ep.GetNB(1, seg, 8, ok)
-			if err != nil {
-				t.Errorf("in-range get_nb: err = %v", err)
-			}
-			ep.WaitSync(h)
-			if ok[0] != 9 || ok[7] != 16 {
-				t.Errorf("in-range get_nb returned %v", ok)
-			}
-		}
-		ep.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// PutNB/GetNB charge only the injection overhead at issue: the transfer and
-// delivery are paid by WaitSync, so compute between post and sync genuinely
-// overlaps communication.
-func TestExplicitHandlesNonblocking(t *testing.T) {
-	err := Run(ibvCfg(), 2, func(ep *EP) {
+// An implicit-handle put (gasnet_put_nbi, through RMA) charges only the
+// injection overhead at issue: the transfer and delivery are paid by the
+// sync, so compute between post and sync genuinely overlaps communication.
+// WaitSyncImage drains one destination without touching the others.
+func TestImplicitHandlesNonblocking(t *testing.T) {
+	err := Run(ibvCfg(), 3, func(ep *EP) {
 		seg := ep.Malloc(1 << 20)
 		ep.Barrier()
 		if ep.MyNode() == 0 {
-			prof := ep.World().Profile()
+			prof := ep.world.prof
 			data := make([]byte, 512*1024)
 			t0 := ep.Clock().Now()
-			h := ep.PutNB(1, seg, 0, data)
+			ep.RMA(&pgas.RMA{Target: 1, Local: data}, seg, true)
 			if got := ep.Clock().Now() - t0; got != prof.NBIInjectNs() {
-				t.Errorf("put_nb issue cost %v ns, want injection-only %v ns", got, prof.NBIInjectNs())
-			}
-			ep.WaitSync(h)
-			// An immediate wait pays exactly what the blocking put would
-			// have: injection + transfer + delivery (the NBI split-cost
-			// invariant), with the wait's own overhead absorbed by the merge.
-			intra := ep.World().PgasWorld().Machine().SameNode(0, 1)
-			pairs := ep.World().PgasWorld().ActivePairs(0)
-			blocking := prof.PutInjectNs(len(data), intra, pairs) + prof.DeliveryNs(intra, pairs)
-			if got := ep.Clock().Now() - t0; got != blocking {
-				t.Errorf("put_nb + immediate wait cost %v ns, want blocking-equivalent %v ns", got, blocking)
-			}
-		}
-		ep.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// WaitSyncAll completes implicit-handle ops only: an explicit PutNB handle
-// stays the caller's to sync (gasnet_wait_syncnbi_all semantics), and
-// WaitSyncImage drains one destination without touching the others.
-func TestImplicitExplicitSeparation(t *testing.T) {
-	err := Run(ibvCfg(), 3, func(ep *EP) {
-		seg := ep.Malloc(4096)
-		ep.Barrier()
-		if ep.MyNode() == 0 {
-			buf := make([]byte, 1024)
-			ep.PutNBI(1, seg, 0, buf)
-			ep.PutNBI(2, seg, 0, buf)
-			if n := ep.NBIOutstanding(); n != 2 {
-				t.Errorf("NBIOutstanding = %d, want 2", n)
-			}
-			h := ep.PutNB(1, seg, 2048, buf)
-			if n := ep.NBIOutstanding(); n != 2 {
-				t.Errorf("explicit handle joined the implicit set (outstanding %d)", n)
+				t.Errorf("put_nbi issue cost %v ns, want injection-only %v ns", got, prof.NBIInjectNs())
 			}
 			ep.WaitSyncImage(1)
-			if n := ep.NBIOutstanding(); n != 1 {
-				t.Errorf("after WaitSyncImage(1): outstanding = %d, want 1", n)
+			// An immediate sync pays exactly what the blocking put would
+			// have: injection + transfer + delivery (the NBI split-cost
+			// invariant), with the sync's own overhead absorbed by the merge.
+			intra, pairs := ep.intra(1), ep.pairs()
+			blocking := prof.PutInjectNs(len(data), intra, pairs) + prof.DeliveryNs(intra, pairs)
+			if got := ep.Clock().Now() - t0; got != blocking {
+				t.Errorf("put_nbi + immediate sync cost %v ns, want blocking-equivalent %v ns", got, blocking)
+			}
+
+			ep.RMA(&pgas.RMA{Target: 1, Local: data[:1024]}, seg, true)
+			ep.RMA(&pgas.RMA{Target: 2, Local: data[:1024]}, seg, true)
+			ep.WaitSyncImage(1)
+			var left []int
+			ep.nbi.Targets(func(t int) { left = append(left, t) })
+			if len(left) != 1 || left[0] != 2 {
+				t.Errorf("after WaitSyncImage(1): destinations in flight %v, want [2]", left)
 			}
 			ep.WaitSyncAll()
-			if n := ep.NBIOutstanding(); n != 0 {
-				t.Errorf("after WaitSyncAll: outstanding = %d, want 0", n)
-			}
-			ep.WaitSync(h)
 		}
 		ep.Barrier()
 	})

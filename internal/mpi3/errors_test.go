@@ -91,9 +91,9 @@ func TestErrorPathsTable(t *testing.T) {
 		{"get outside epoch", "outside an access epoch",
 			func(pr *Proc, win *Win) { pr.Get(win, 1, 0, make([]byte, 4)) }},
 		{"accumulate outside epoch", "outside an access epoch",
-			func(pr *Proc, win *Win) { pr.Accumulate(win, 1, 0, 1) }},
+			func(pr *Proc, win *Win) { pr.FetchOp(win, 1, 0, pgas.OpAdd, 1) }},
 		{"fetch-and-op outside epoch", "outside an access epoch",
-			func(pr *Proc, win *Win) { pr.FetchAndOp(win, 1, 0, 1) }},
+			func(pr *Proc, win *Win) { pr.FetchOp(win, 1, 8, pgas.OpAdd, 1) }},
 		{"fetch-op outside epoch", "outside an access epoch",
 			func(pr *Proc, win *Win) { pr.FetchOp(win, 1, 0, pgas.OpSwap, 1) }},
 		{"compare-and-swap outside epoch", "outside an access epoch",
@@ -111,7 +111,7 @@ func TestErrorPathsTable(t *testing.T) {
 		{"atomic past window", "overflows",
 			func(pr *Proc, win *Win) { pr.LockAll(win); pr.FetchOp(win, 1, 16, pgas.OpAdd, 1) }},
 		{"atomic negative offset", "overflows",
-			func(pr *Proc, win *Win) { pr.LockAll(win); pr.Accumulate(win, 1, -8, 1) }},
+			func(pr *Proc, win *Win) { pr.LockAll(win); pr.FetchOp(win, 1, -8, pgas.OpAdd, 1) }},
 		{"compare-and-swap straddling the window's end", "overflows",
 			func(pr *Proc, win *Win) { pr.LockAll(win); pr.CompareAndSwap(win, 1, 12, 0, 1) }},
 		{"atomic target out of range", "out of range",

@@ -107,10 +107,6 @@ func (w *World) Attach(p *pgas.PE) *Proc {
 // PgasWorld exposes the underlying substrate.
 func (w *World) PgasWorld() *pgas.World { return w.pw }
 
-// Profile exposes the resolved cost profile (for layered harnesses that
-// reason about the modelled WindowSyncNs surcharge).
-func (w *World) Profile() *fabric.CostProfile { return w.prof }
-
 // WorldWin returns the window spanning each rank's entire partition. It is
 // what a PGAS runtime layered over MPI-3 RMA (DART-MPI style) uses: one
 // MPI_Win_create over the whole symmetric heap at startup, so coarray puts

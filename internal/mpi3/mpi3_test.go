@@ -215,10 +215,9 @@ func TestAtomics(t *testing.T) {
 		win := pr.WinAllocate(16)
 		pr.LockAll(win)
 		for i := 0; i < 10; i++ {
-			pr.Accumulate(win, 0, 0, 1)
+			pr.FetchOp(win, 0, 0, pgas.OpAdd, 1)
 		}
-		old := pr.FetchAndOp(win, 0, 8, int64(pr.Rank()))
-		_ = old
+		pr.FetchOp(win, 0, 8, pgas.OpAdd, uint64(pr.Rank()))
 		pr.UnlockAll(win)
 		pr.Barrier()
 		if pr.Rank() == 0 {

@@ -78,7 +78,7 @@ func (pr *Proc) RMA(win *Win, d *pgas.RMA) {
 	} else {
 		c.Inject = prof.PutInjectNs(n, intra, pairs) + prof.WindowSyncNs
 	}
-	pr.p.IssueRuns(d, nil, c, set)
+	pr.p.IssueRuns(d, c, set)
 }
 
 // Put is MPI_Put: one-sided write into the target's window region.
@@ -154,18 +154,6 @@ func (pr *Proc) atomic(win *Win, target int, off int64) (int64, pgas.Price) {
 	_, abs := pr.access("atomic", win, target, off, 8)
 	prof := pr.world.prof
 	return abs, pgas.Price{Inject: prof.AtomicRTTNs(pr.intra(target), pr.pairs()) + prof.WindowSyncNs}
-}
-
-// Accumulate applies MPI_SUM to a 64-bit word in the target window
-// (MPI_Accumulate with MPI_LONG_LONG/MPI_SUM).
-func (pr *Proc) Accumulate(win *Win, target int, off int64, v int64) {
-	pr.FetchOp(win, target, off, pgas.OpAdd, uint64(v))
-}
-
-// FetchAndOp is MPI_Fetch_and_op with MPI_SUM on a 64-bit word.
-func (pr *Proc) FetchAndOp(win *Win, target int, off int64, v int64) int64 {
-	old, _ := pr.FetchOp(win, target, off, pgas.OpAdd, uint64(v))
-	return int64(old)
 }
 
 // FetchOp is MPI_Fetch_and_op with a selectable reduction on a 64-bit word:

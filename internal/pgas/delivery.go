@@ -166,7 +166,7 @@ func (w *World) MarkUnreachable(src, dst int) {
 }
 
 // Unreachable reports whether src has declared dst unreachable. Safe to call
-// from WaitUntilStat onEvent hooks (it takes only the delivery lock, never a
+// from WaitWordStat onEvent hooks (it takes only the delivery lock, never a
 // partition lock); free when no link has failed.
 func (w *World) Unreachable(src, dst int) bool {
 	if w.dlv.nUnreach.Load() == 0 {
@@ -260,7 +260,7 @@ func (w *World) unreachableLinks() []string {
 //
 //	retry … retry → unreachable (sticky, per directed link)
 //	    → stat-bearing completion points (Complete with stat,
-//	      BarrierTolerantDo, a WaitUntilStat hook that asks Unreachable)
+//	      BarrierTolerantDo, a WaitWordStat hook that asks Unreachable)
 //	      report STAT_FAILED_IMAGE for the destination: to the sender a dead
 //	      link and a dead peer are one condition;
 //	    → plain completion points (Complete without stat) and blocking gets

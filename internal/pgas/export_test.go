@@ -7,6 +7,33 @@ import (
 	"cafshmem/internal/fabric"
 )
 
+// NewWorld creates a world of n PEs on the given machine model.
+func NewWorld(machine *fabric.Machine, n int) (*World, error) {
+	return NewWorldOpts(machine, n, Options{})
+}
+
+// Run executes body once per PE, each on a runner goroutine of its own (see
+// World.Run), and blocks until every PE returns. A panic in any PE poisons
+// the world (waking all blocked PEs) and is reported as an error. The world
+// is closed before Run returns.
+func Run(machine *fabric.Machine, n int, body func(*PE)) error {
+	w, err := NewWorld(machine, n)
+	if err != nil {
+		return err
+	}
+	defer w.Close()
+	return w.Run(body)
+}
+
+// PE returns the processing element with the given rank.
+func (w *World) PE(id int) *PE { return &w.pes[id] }
+
+// WaitUntilStat is WaitUntil with WaitWordStat's fault awareness, over any
+// predicate on the n bytes at off.
+func (p *PE) WaitUntilStat(off, n int64, pred func([]byte) bool, onEvent func() error) (float64, error) {
+	return p.wait(p, off, n, pred, onEvent)
+}
+
 // newWorldShards is NewWorldOpts with the world barrier split into shards
 // leaf shards (0: the automatic layout): the layouts the barrier and
 // determinism tests vary, which no other code chooses.

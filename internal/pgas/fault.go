@@ -296,23 +296,18 @@ func (w *World) ReadUint64Ts(target int, off int64) (uint64, float64) {
 	return binary.NativeEndian.Uint64(b[:]), p.rangeTs(off, 8)
 }
 
-// ErrWaitRecheck is the sentinel a WaitUntilStat onEvent callback returns to
+// ErrWaitRecheck is the sentinel a WaitWordStat onEvent callback returns to
 // interrupt the wait without failing it: the caller re-examines protocol
 // state (e.g. runs a lock-queue repair walk) and usually re-enters the wait.
 var ErrWaitRecheck = fmt.Errorf("pgas: wait interrupted for fault recheck")
 
-// WaitUntilStat is WaitUntil with fault awareness: instead of panicking when
-// the world is poisoned it returns the error, and the optional onEvent hook
-// runs on every wake-up (under the partition lock — it must not block or
-// initiate communication). onEvent returning a non-nil error aborts the wait
-// with that error; returning ErrWaitRecheck is the conventional way to hand
-// control back to the caller for recovery work that needs communication.
-func (p *PE) WaitUntilStat(off, n int64, pred func([]byte) bool, onEvent func() error) (float64, error) {
-	return p.wait(p, off, n, pred, onEvent)
-}
-
-// WaitWordStat is WaitWord with WaitUntilStat's fault awareness; the last
-// observed word is returned even when the wait is aborted.
+// WaitWordStat is WaitWord with fault awareness: instead of panicking when the
+// world is poisoned it returns the error, and the optional onEvent hook runs on
+// every wake-up (under the partition lock — it must not block or initiate
+// communication). onEvent returning a non-nil error aborts the wait with that
+// error; returning ErrWaitRecheck is the conventional way to hand control back
+// to the caller for recovery work that needs communication. The last observed
+// word is returned even when the wait is aborted.
 func (p *PE) WaitWordStat(off int64, cmp Cmp, operand int64, onEvent func() error) (got int64, ts float64, err error) {
 	ts, err = p.wait(p, off, 8, func(b []byte) bool {
 		got = int64(binary.NativeEndian.Uint64(b))

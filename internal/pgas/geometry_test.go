@@ -84,6 +84,9 @@ func TestSegmentLimitEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	pe, sym := sw.Attach(sw.PgasWorld().PE(0)), shmem.Sym{Off: 64, Size: 1 << 20}
+	strided := func(src []byte) *pgas.RMA {
+		return &pgas.RMA{Shape: pgas.Strided, Target: 1, Local: src, Unit: 8, Stride: 1 << 62}
+	}
 	for _, c := range []struct {
 		what  string
 		world *pgas.World
@@ -104,8 +107,8 @@ func TestSegmentLimitEnforced(t *testing.T) {
 		{"ReadV wrapping", w, func() { w.ReadV(1, 0, 1<<62, 8, make([]byte, 24)) }},
 		{"WriteRuns wrapping", w, func() { w.WriteRuns(0, 0, []int64{math.MaxInt64 - 2}, 4, data[:4], []float64{0}) }},
 		{"ReadRuns wrapping", w, func() { w.ReadRuns(0, math.MaxInt64-2, []int64{0}, 8, data) }},
-		{"shmem IPutMem of 3 wrapping", sw.PgasWorld(), func() { pe.IPutMem(1, sym, 0, 1<<62, 8, make([]byte, 24)) }},
-		{"shmem IPutMem of 5 wrapping", sw.PgasWorld(), func() { pe.IPutMem(1, sym, 0, 1<<62, 8, make([]byte, 40)) }},
+		{"shmem strided RMA of 3 wrapping", sw.PgasWorld(), func() { pe.RMA(strided(make([]byte, 24)), sym, false) }},
+		{"shmem strided RMA of 5 wrapping", sw.PgasWorld(), func() { pe.RMA(strided(make([]byte, 40)), sym, false) }},
 	} {
 		want := "pgas: "
 		if c.world != w {
@@ -133,11 +136,11 @@ func TestSegmentLimitEnforced(t *testing.T) {
 		err := shmem.Run(cfg, 2, func(pe *shmem.PE) {
 			sym := pe.Malloc(64)
 			if pe.MyPE() == 0 {
-				pe.IPutMem(1, sym, 0, 1<<62, 8, make([]byte, 8*n))
+				pe.RMA(&pgas.RMA{Shape: pgas.Strided, Target: 1, Local: make([]byte, 8*n), Unit: 8, Stride: 1 << 62}, sym, false)
 			}
 		})
 		if err == nil || !strings.Contains(err.Error(), "shmem: ") {
-			t.Errorf("shmem.Run of an IPutMem of %d elements at stride 1<<62 returned %v, want the region error", n, err)
+			t.Errorf("shmem.Run of a strided RMA of %d elements at stride 1<<62 returned %v, want the region error", n, err)
 		}
 	}
 }

@@ -120,7 +120,7 @@ type Price struct {
 }
 
 // Issue runs one put or get: send its messages, then move its bytes. set is
-// where completion is booked — a context's or endpoint's streams, or a
+// where completion is booked — a PE's or endpoint's streams, or a
 // blocking horizon (a stream set with no pipe); nil for a blocking get, which
 // completes before it returns — and so the sanitizer's scope for a put: a
 // drain of set (Drain, DrainTarget) completes it. src is the source of a
@@ -149,12 +149,13 @@ func (p *PE) Issue(d *RMA, src []byte, c Price, set *fabric.NBIStreams) {
 	p.land(d, landed, d.Msgs(), vis) // on a reliable link, the whole op in one call
 }
 
-// IssueRuns is Issue for a library with no strided call: a Strided op crosses
-// as the runs of its elements, a message each, every one priced by c as a
-// Contig op of Unit bytes is. d is the caller's again at return.
-func (p *PE) IssueRuns(d *RMA, src []byte, c Price, set *fabric.NBIStreams) {
+// IssueRuns is Issue for a library with no strided call and no nonblocking
+// put of its own: a Strided op crosses as the runs of its elements, a message
+// each, every one priced by c as a Contig op of Unit bytes is. d is the
+// caller's again at return.
+func (p *PE) IssueRuns(d *RMA, c Price, set *fabric.NBIStreams) {
 	if d.Shape != Strided {
-		p.Issue(d, src, c, set)
+		p.Issue(d, nil, c, set)
 		return
 	}
 	sp, offs := GetOffsScratch(), d.Offs
@@ -162,7 +163,7 @@ func (p *PE) IssueRuns(d *RMA, src []byte, c Price, set *fabric.NBIStreams) {
 		*sp = append(*sp, int64(i)*d.Stride)
 	}
 	d.Shape, d.Offs = Runs, *sp
-	p.Issue(d, src, c, set)
+	p.Issue(d, nil, c, set)
 	d.Shape, d.Offs = Strided, offs
 	PutOffsScratch(sp)
 }

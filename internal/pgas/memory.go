@@ -241,11 +241,11 @@ func (p *PE) noteTouch(off int64, visibleAt float64) {
 // since a waiter's predicate reads only its own watched range, also when the
 // registered watch does not overlap the written range (a write that cannot
 // change the waiter's predicate). That is sound because the only sleepers on the
-// partition are WaitUntil/WaitUntilStat, which always hold a registered
+// partition are the waits (PE.wait's callers), which always hold a registered
 // watch over exactly the bytes their predicate reads, and a waiter that
 // registers later re-evaluates its predicate against the already-written
 // bytes before blocking — no wakeup can be lost. World-level conditions a
-// WaitUntilStat onEvent hook checks (departures, repair writes, dead links)
+// WaitWordStat onEvent hook checks (departures, repair writes, dead links)
 // have their own fan-outs and never depend on unrelated-write wakeups.
 // Timestamp *recording* stays unconditional (see tsindex.go): it is what keeps
 // wait timestamps independent of whether the write raced ahead of the watch

@@ -93,17 +93,6 @@ func newSanitizer() *sanitizer {
 // Sanitizing reports whether this world runs with the sanitizer enabled.
 func (w *World) Sanitizing() bool { return w.san != nil }
 
-// Violations returns a copy of the findings recorded so far: races as they
-// happen, the end-of-job findings once Run has returned.
-func (w *World) Violations() []Violation {
-	if w.san == nil {
-		return nil
-	}
-	w.san.mu.Lock()
-	defer w.san.mu.Unlock()
-	return slices.Clone(w.san.violations)
-}
-
 // RecordCollective folds one collective call into the PE's FNV-1a chain. All
 // PEs must execute the same sequence with matching arguments.
 func (p *PE) RecordCollective(op string, args ...int64) {
@@ -138,14 +127,6 @@ func (p *PE) NoteLockReleased(kind string, off int64, idx int) {
 func (p *PE) CheckHandle(op string, off, size int64) {
 	if s := p.world.san; s != nil {
 		s.checkHandle(p, op, off, size)
-	}
-}
-
-// CheckRead checks a read of n bytes at off in target's partition that does
-// not go through Issue (shmem_ptr's load) against the outstanding puts.
-func (p *PE) CheckRead(target int, off, n int64) {
-	if s := p.world.san; s != nil {
-		s.checkRead(p.ID, target, off, n)
 	}
 }
 

@@ -153,11 +153,6 @@ type watch struct {
 	ts     float64
 }
 
-// NewWorld creates a world of n PEs on the given machine model.
-func NewWorld(machine *fabric.Machine, n int) (*World, error) {
-	return NewWorldOpts(machine, n, Options{})
-}
-
 // NewWorldOpts creates a world of n PEs with explicit options.
 func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) {
 	if n <= 0 {
@@ -193,19 +188,6 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		w.barrier.arena[i].p = p
 	}
 	return w, nil
-}
-
-// Run executes body once per PE, each on a runner goroutine of its own (see
-// World.Run), and blocks until every PE returns. A panic in any PE poisons
-// the world (waking all blocked PEs) and is reported as an error. The world
-// is closed before Run returns.
-func Run(machine *fabric.Machine, n int, body func(*PE)) error {
-	w, err := NewWorld(machine, n)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	return w.Run(body)
 }
 
 // Run executes body on every PE of an already-constructed world, each on a
@@ -381,14 +363,8 @@ func (w *World) Metrics() Metrics {
 	return m
 }
 
-// Machine returns the machine model this world runs on.
-func (w *World) Machine() *fabric.Machine { return w.machine }
-
 // NumPEs returns the number of processing elements.
 func (w *World) NumPEs() int { return w.n }
-
-// PE returns the processing element with the given rank.
-func (w *World) PE(id int) *PE { return &w.pes[id] }
 
 // ActivePairs returns the number of communicating PEs assumed to share the
 // NIC of the given PE's node, for the contention model: Options.ActivePairs

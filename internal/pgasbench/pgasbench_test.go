@@ -1,6 +1,7 @@
 package pgasbench
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -131,7 +132,7 @@ func TestOverlapMicroHidesTransfer(t *testing.T) {
 }
 
 // The chaos flags ask for no plan when unset, draw the same plan from the same
-// seed, and read back from a file the plan EncodeJSON wrote there.
+// seed, and read back from a file the plan was written to as JSON.
 func TestChaosPlan(t *testing.T) {
 	plan := func(args ...string) *fabric.FaultPlan {
 		fs := flag.NewFlagSet("bench", flag.ContinueOnError)
@@ -149,7 +150,7 @@ func TestChaosPlan(t *testing.T) {
 	if none := plan(); none != nil || seeded == nil || !reflect.DeepEqual(seeded, again) {
 		t.Fatalf("unset flags drew %v; seed 7 drew %v, then %v", none, seeded, again)
 	}
-	data, err := seeded.EncodeJSON()
+	data, err := json.Marshal(seeded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestGetLatencyExceedsPutLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get, err := GetLatency(base)
+	get, err := rawSeries(base, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestGetBandwidthAllLibraries(t *testing.T) {
 			Machine: fabric.Stampede(), Profile: lib.prof,
 			Library: lib.l, Pairs: 1, Sizes: []int{4096, 1048576}, Iters: 5,
 		}
-		s, err := GetBandwidth(cfg)
+		s, err := rawSeries(cfg, true, false)
 		if err != nil {
 			t.Fatalf("%s: %v", lib.prof, err)
 		}
@@ -57,7 +57,7 @@ func TestGetLatencySHMEMBeatsMPI(t *testing.T) {
 			Machine: fabric.Stampede(), Profile: prof,
 			Library: lib, Pairs: 1, Sizes: []int{64}, Iters: 5,
 		}
-		s, err := GetLatency(cfg)
+		s, err := rawSeries(cfg, true, true)
 		if err != nil {
 			t.Fatal(err)
 		}

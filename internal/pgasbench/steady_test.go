@@ -46,7 +46,7 @@ func TestSeriesSteadyStateAllocs(t *testing.T) {
 		series  func() error
 	}{
 		{"PutBandwidth/shmem", 1 << 20, func() error { _, err := PutBandwidth(raw); return err }},
-		{"GetBandwidth/shmem", 5 << 20, func() error { _, err := GetBandwidth(raw); return err }},
+		{"GetBandwidth/shmem", 5 << 20, func() error { _, err := rawSeries(raw, true, false); return err }},
 		{"cafContigPut", 1 << 20, func() error { _, err := cafContigPut(mv2xConfig, 1); return err }},
 		{"cafStridedPut", 1 << 20, func() error { _, err := cafStridedPut(mv2xConfig, 1); return err }},
 		{"cafMatrixPut", 1 << 20, func() error { _, err := cafMatrixPut(mv2xConfig, 1); return err }},

@@ -7,9 +7,9 @@ import (
 )
 
 // Remote atomic memory operations on 64-bit symmetric words. These are the
-// OpenSHMEM AMOs the paper's CAF runtime leans on: fetch-and-store (Swap)
-// and compare-and-swap drive the MCS lock (§IV-D), and fetch-add/and/or/xor
-// implement CAF's atomic intrinsics (Table II).
+// OpenSHMEM AMOs the paper's CAF runtime leans on: fetch-and-store (SwapStat)
+// and compare-and-swap (CompareSwapStat, stat.go) drive the MCS lock (§IV-D),
+// and fetch-add/and/or/xor implement CAF's atomic intrinsics (Table II).
 //
 // All AMOs are round trips: the caller's clock advances by the full remote
 // completion time, and the update is immediately globally visible (OpenSHMEM
@@ -30,7 +30,7 @@ func (pe *PE) amoPrice(target int) pgas.Price {
 }
 
 // wordOff is the absolute offset of the 64-bit word at element index idx of
-// sym, which op uses: every atomic, wait, lock and signal word is addressed
+// sym, which op uses: every atomic, wait and signal word is addressed
 // here, all 8 bytes of it bounds-checked and the handle checked by the
 // sanitizer.
 func (pe *PE) wordOff(op string, sym Sym, idx int) int64 {
@@ -55,31 +55,6 @@ func (pe *PE) FetchAdd(target int, sym Sym, idx int, v int64) int64 {
 	return old
 }
 
-// FetchInc atomically increments the word (shmem_longlong_finc).
-func (pe *PE) FetchInc(target int, sym Sym, idx int) int64 {
-	return pe.FetchAdd(target, sym, idx, 1)
-}
-
-// Add atomically adds without returning the old value (shmem_longlong_add).
-// Same remote cost; the initiator still waits for the NIC-level ack.
-func (pe *PE) Add(target int, sym Sym, idx int, v int64) {
-	pe.FetchAdd(target, sym, idx, v)
-}
-
-// Swap atomically stores v and returns the previous value — the
-// fetch-and-store used to enqueue on the MCS lock tail (shmem_swap).
-func (pe *PE) Swap(target int, sym Sym, idx int, v int64) int64 {
-	old, _ := pe.amo("swap", target, sym, idx, pgas.OpSwap, v)
-	return old
-}
-
-// CompareSwap atomically stores desired iff the word equals expected,
-// returning the previous value (shmem_cswap). Success is old == expected.
-func (pe *PE) CompareSwap(target int, sym Sym, idx int, expected, desired int64) int64 {
-	old, _ := pe.CompareSwapStat(target, sym, idx, expected, desired)
-	return old
-}
-
 // FetchAnd atomically ANDs v into the word and returns the previous value.
 func (pe *PE) FetchAnd(target int, sym Sym, idx int, v int64) int64 {
 	old, _ := pe.amo("fetch_and", target, sym, idx, pgas.OpAnd, v)
@@ -96,14 +71,4 @@ func (pe *PE) FetchOr(target int, sym Sym, idx int, v int64) int64 {
 func (pe *PE) FetchXor(target int, sym Sym, idx int, v int64) int64 {
 	old, _ := pe.amo("fetch_xor", target, sym, idx, pgas.OpXor, v)
 	return old
-}
-
-// AtomicFetch atomically reads the word (shmem_atomic_fetch).
-func (pe *PE) AtomicFetch(target int, sym Sym, idx int) int64 {
-	return pe.FetchAdd(target, sym, idx, 0)
-}
-
-// AtomicSet atomically writes the word (shmem_atomic_set).
-func (pe *PE) AtomicSet(target int, sym Sym, idx int, v int64) {
-	pe.Swap(target, sym, idx, v)
 }

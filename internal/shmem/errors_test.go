@@ -3,6 +3,8 @@ package shmem
 import (
 	"strings"
 	"testing"
+
+	"cafshmem/internal/pgas"
 )
 
 // Negative-path coverage: misuse must fail loudly, not corrupt state.
@@ -16,20 +18,17 @@ func TestFreeUnallocatedPanics(t *testing.T) {
 	}
 }
 
+// A strided put (shmem_iput, through PE.RMA) with a stride shorter than its
+// element, a partial element or a walk past the object fails.
 func TestIPutStrideValidation(t *testing.T) {
+	iput := func(pe *PE, sym Sym, stride int64, src []byte) {
+		pe.RMA(&pgas.RMA{Shape: pgas.Strided, Target: 1, Local: src, Unit: 8, Stride: stride}, sym, false)
+	}
 	for name, body := range map[string]func(pe *PE, sym Sym){
-		"zero stride": func(pe *PE, sym Sym) {
-			IPut(pe, 1, sym, 0, 0, []int64{1, 2}, 0, 1, 2)
-		},
-		"overflow": func(pe *PE, sym Sym) {
-			IPut(pe, 1, sym, 0, 100, []int64{1, 2, 3}, 0, 1, 3)
-		},
-		"iputmem partial element": func(pe *PE, sym Sym) {
-			pe.IPutMem(1, sym, 0, 16, 8, make([]byte, 12))
-		},
-		"iputmem tight stride": func(pe *PE, sym Sym) {
-			pe.IPutMem(1, sym, 0, 4, 8, make([]byte, 16))
-		},
+		"zero stride":         func(pe *PE, sym Sym) { iput(pe, sym, 0, make([]byte, 16)) },
+		"overflow":            func(pe *PE, sym Sym) { iput(pe, sym, 800, make([]byte, 24)) },
+		"partial element":     func(pe *PE, sym Sym) { iput(pe, sym, 16, make([]byte, 12)) },
+		"stride under a word": func(pe *PE, sym Sym) { iput(pe, sym, 4, make([]byte, 16)) },
 	} {
 		err := Run(stampedeCfg(), 2, func(pe *PE) {
 			sym := pe.Malloc(64)
@@ -101,11 +100,11 @@ func TestSymAtPanicMessage(t *testing.T) {
 // 12-byte object word 1 is bytes [8,16), past its end, in every word family.
 func TestWordOpPastObjectPanics(t *testing.T) {
 	for name, use := range map[string]func(pe *PE, sym Sym){
-		"atomic":      func(pe *PE, sym Sym) { pe.FetchAdd(1, sym, 1, 1) },
-		"stat atomic": func(pe *PE, sym Sym) { pe.SwapStat(1, sym, 1, 1) },
-		"wait":        func(pe *PE, sym Sym) { pe.WaitUntil64(sym, 1, CmpEQ, 0) },
-		"signal word": func(pe *PE, sym Sym) { pe.PutSignal(1, sym, 0, []byte{1}, sym, 1, 1) },
-		"lock":        func(pe *PE, sym Sym) { pe.SetLock(sym, 1) },
+		"atomic":       func(pe *PE, sym Sym) { pe.FetchAdd(1, sym, 1, 1) },
+		"stat atomic":  func(pe *PE, sym Sym) { pe.SwapStat(1, sym, 1, 1) },
+		"wait":         func(pe *PE, sym Sym) { pe.WaitUntil64(sym, 1, CmpEQ, 0) },
+		"signal word":  func(pe *PE, sym Sym) { pe.PutSignal(1, sym, 0, []byte{1}, sym, 1, 1) },
+		"compare-swap": func(pe *PE, sym Sym) { pe.CompareSwapStat(1, sym, 1, 0, 1) },
 	} {
 		err := Run(stampedeCfg(), 2, func(pe *PE) {
 			sym := pe.Malloc(12)

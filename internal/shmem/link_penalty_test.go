@@ -9,43 +9,53 @@ import (
 )
 
 // shapeCall is one row of the per-shape table: a call issuing msgs messages
-// from PE 0 to PE 1.
+// from PE 0 to PE 1. The shapes with no routine of their own are a layered
+// runtime's descriptors (PE.RMA), named as their op is.
 type shapeCall struct {
 	name string
 	msgs int
-	call func(pe *PE, ctx *Ctx, data, sig Sym, buf []byte, f64 []float64)
+	call func(pe *PE, data, sig Sym, buf []byte)
+}
+
+// rma issues d from PE 0 toward PE 1 through PE.RMA.
+func rma(pe *PE, sym Sym, nbi bool, d pgas.RMA) {
+	d.Target = 1
+	pe.RMA(&d, sym, nbi)
 }
 
 var shapeCalls = []shapeCall{
-	{"PutMem", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) { pe.PutMem(1, d, 0, b[:64]) }},
-	{"PutMemNBI", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) { pe.PutMemNBI(1, d, 0, b[:64]) }},
-	{"PutMemV", 3, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) {
-		pe.PutMemV(1, d, []int64{0, 64, 128}, 32, b[:96])
+	{"PutMem", 1, func(pe *PE, d, _ Sym, b []byte) { pe.PutMem(1, d, 0, b[:64]) }},
+	{"PutMemNBI", 1, func(pe *PE, d, _ Sym, b []byte) { pe.PutMemNBI(1, d, 0, b[:64]) }},
+	{"PutMemV", 3, func(pe *PE, d, _ Sym, b []byte) { pe.PutMemV(1, d, []int64{0, 64, 128}, 32, b[:96]) }},
+	{"putmemv_nbi", 3, func(pe *PE, d, _ Sym, b []byte) {
+		rma(pe, d, true, pgas.RMA{Shape: pgas.Runs, Local: b[:96], Offs: []int64{0, 64, 128}, Unit: 32})
 	}},
-	{"PutMemVNBI", 3, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) {
-		pe.PutMemVNBI(1, d, []int64{0, 64, 128}, 32, b[:96])
+	{"iputmem", 1, func(pe *PE, d, _ Sym, b []byte) {
+		rma(pe, d, false, pgas.RMA{Shape: pgas.Strided, Local: b[:64], Unit: 8, Stride: 24})
 	}},
-	{"IPut", 1, func(pe *PE, _ *Ctx, d, _ Sym, _ []byte, f []float64) { IPut(pe, 1, d, 0, 3, f, 0, 2, 8) }},
-	{"IPutMem", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) { pe.IPutMem(1, d, 0, 24, 8, b[:64]) }},
-	{"IPutMemNBI", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) { pe.IPutMemNBI(1, d, 0, 24, 8, b[:64]) }},
-	{"PutSignal", 1, func(pe *PE, _ *Ctx, d, s Sym, b []byte, _ []float64) { pe.PutSignal(1, d, 0, b[:32], s, 0, 1) }},
-	{"PutSignalNBI", 1, func(pe *PE, _ *Ctx, d, s Sym, b []byte, _ []float64) { pe.PutSignalNBI(1, d, 0, b[:32], s, 0, 1) }},
-	{"GetMem", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) { pe.GetMem(1, d, 0, b[:64]) }},
-	{"GetMemNBI", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) { pe.GetMemNBI(1, d, 0, b[:64]) }},
-	{"GetMemV", 3, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) {
-		pe.GetMemV(1, d, []int64{0, 64, 128}, 32, b[:96])
+	{"iputmem_nbi", 1, func(pe *PE, d, _ Sym, b []byte) {
+		rma(pe, d, true, pgas.RMA{Shape: pgas.Strided, Local: b[:64], Unit: 8, Stride: 24})
 	}},
-	{"IGet", 1, func(pe *PE, _ *Ctx, d, _ Sym, _ []byte, f []float64) { IGet(pe, 1, d, 0, 3, f, 0, 2, 8) }},
-	{"IGetMem", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) { pe.IGetMem(1, d, 0, 24, 8, b[:64]) }},
-	{"IGetMemNBI", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) { pe.IGetMemNBI(1, d, 0, 24, 8, b[:64]) }},
-	{"Ctx.PutMemNBI", 1, func(_ *PE, c *Ctx, d, _ Sym, b []byte, _ []float64) { c.PutMemNBI(1, d, 0, b[:64]) }},
-	{"Ctx.GetMemNBI", 1, func(_ *PE, c *Ctx, d, _ Sym, b []byte, _ []float64) { c.GetMemNBI(1, d, 0, b[:64]) }},
-	{"Ctx.PutSignalNBI", 1, func(_ *PE, c *Ctx, d, s Sym, b []byte, _ []float64) { c.PutSignalNBI(1, d, 0, b[:32], s, 0, 1) }},
-	{"PutMemRepair", 1, func(pe *PE, _ *Ctx, d, _ Sym, b []byte, _ []float64) {
-		pe.RMA(&pgas.RMA{Shape: pgas.Forensic, Target: 1, Local: b[:64]}, d, false)
+	{"PutSignal", 1, func(pe *PE, d, s Sym, b []byte) { pe.PutSignal(1, d, 0, b[:32], s, 0, 1) }},
+	{"put_signal_nbi", 1, func(pe *PE, d, s Sym, b []byte) {
+		rma(pe, d, true, pgas.RMA{Shape: pgas.Signal, Local: b[:32], SigOff: s.At(0), SigVal: 1})
 	}},
-	{"ReadWord64", 1, func(pe *PE, _ *Ctx, d, _ Sym, _ []byte, _ []float64) { // a word no row wrote
-		pe.RMA(&pgas.RMA{Get: true, Shape: pgas.Forensic, Target: 1, Off: 64 * 8, Local: make([]byte, 8)}, d, false)
+	{"GetMem", 1, func(pe *PE, d, _ Sym, b []byte) { pe.GetMem(1, d, 0, b[:64]) }},
+	{"get_nbi", 1, func(pe *PE, d, _ Sym, b []byte) { rma(pe, d, true, pgas.RMA{Get: true, Local: b[:64]}) }},
+	{"getmemv", 3, func(pe *PE, d, _ Sym, b []byte) {
+		rma(pe, d, false, pgas.RMA{Get: true, Shape: pgas.Runs, Local: b[:96], Offs: []int64{0, 64, 128}, Unit: 32})
+	}},
+	{"igetmem", 1, func(pe *PE, d, _ Sym, b []byte) {
+		rma(pe, d, false, pgas.RMA{Get: true, Shape: pgas.Strided, Local: b[:64], Unit: 8, Stride: 24})
+	}},
+	{"igetmem_nbi", 1, func(pe *PE, d, _ Sym, b []byte) {
+		rma(pe, d, true, pgas.RMA{Get: true, Shape: pgas.Strided, Local: b[:64], Unit: 8, Stride: 24})
+	}},
+	{"PutMemRepair", 1, func(pe *PE, d, _ Sym, b []byte) {
+		rma(pe, d, false, pgas.RMA{Shape: pgas.Forensic, Local: b[:64]})
+	}},
+	{"ReadWord64", 1, func(pe *PE, d, _ Sym, _ []byte) { // a word no row wrote
+		rma(pe, d, false, pgas.RMA{Get: true, Shape: pgas.Forensic, Off: 64 * 8, Local: make([]byte, 8)})
 	}},
 }
 
@@ -61,17 +71,13 @@ func issueClocks(t *testing.T, plan *fabric.FaultPlan) []float64 {
 		data := pe.Malloc(1024)
 		sig := pe.Malloc(8)
 		if pe.MyPE() == 0 {
-			ctx := pe.CtxCreate()
 			buf := make([]byte, 128)
-			f64 := make([]float64, 16)
 			for i, sc := range shapeCalls {
 				pe.Quiet()
-				ctx.Quiet()
 				pe.Clock().Reset()
-				sc.call(pe, ctx, data, sig, buf, f64)
+				sc.call(pe, data, sig, buf)
 				out[i] = pe.Clock().Now()
 			}
-			ctx.Destroy()
 		}
 		pe.Barrier()
 	})

@@ -203,11 +203,11 @@ func TestRetryExhaustionLegacyPanics(t *testing.T) {
 	}
 }
 
-// TestRetryExhaustionCtxQuietTarget: a created context's QuietTarget is the
-// same legacy escalation point as the PE's, scoped to its destination — a link
-// given up under the context's nonblocking put error-terminates at
-// QuietTarget(that destination) and not at QuietTarget(another).
-func TestRetryExhaustionCtxQuietTarget(t *testing.T) {
+// TestRetryExhaustionQuietTarget: QuietTarget is the same legacy escalation
+// point as Quiet, scoped to its destination — a link given up under a
+// nonblocking put error-terminates at QuietTarget(that destination) and not at
+// QuietTarget(another).
+func TestRetryExhaustionQuietTarget(t *testing.T) {
 	cfg := stampedeCfg()
 	cfg.FaultPlan = &fabric.FaultPlan{
 		Seed:   8,
@@ -219,53 +219,20 @@ func TestRetryExhaustionCtxQuietTarget(t *testing.T) {
 		data := pe.Malloc(64)
 		pe.Barrier()
 		if pe.MyPE() == 0 {
-			ctx := pe.CtxCreate()
-			ctx.PutMemNBI(1, data, 0, []byte{1, 2, 3, 4})
-			ctx.PutMemNBI(2, data, 0, []byte{5, 6, 7, 8})
-			ctx.QuietTarget(2) // the link to PE 2 is fine
+			pe.PutMemNBI(1, data, 0, []byte{1, 2, 3, 4})
+			pe.PutMemNBI(2, data, 0, []byte{5, 6, 7, 8})
+			pe.QuietTarget(2) // the link to PE 2 is fine
 			passedOther.Store(true)
-			ctx.QuietTarget(1) // escalates: destination unreachable
+			pe.QuietTarget(1) // escalates: destination unreachable
 			passedDead.Store(true)
 		}
 		pe.Barrier()
 	})
 	if !passedOther.Load() {
-		t.Errorf("Ctx.QuietTarget(2) escalated a link given up toward PE 1: %v", err)
+		t.Errorf("QuietTarget(2) escalated a link given up toward PE 1: %v", err)
 	}
 	if passedDead.Load() || err == nil || !strings.Contains(err.Error(), "destination PE 1 unreachable") {
-		t.Fatalf("Ctx.QuietTarget(1) should error-terminate with an unreachable diagnostic, got: %v", err)
-	}
-}
-
-// TestWaitUntilStatUnreachable: a consumer blocked on a signal whose
-// producer's link died returns the fault instead of hanging.
-func TestWaitUntilStatUnreachable(t *testing.T) {
-	cfg := stampedeCfg()
-	cfg.FaultPlan = &fabric.FaultPlan{
-		Seed:   7,
-		Losses: []fabric.LinkLoss{{Src: 0, Dst: 1, DropProb: 1}},
-		Retry:  fabric.RetryPolicy{RetryBaseNs: 1000, RetryCapNs: 8000, MaxRetries: 3},
-	}
-	err := Run(cfg, 2, func(pe *PE) {
-		data := pe.Malloc(64)
-		sig := pe.Malloc(8)
-		pe.Barrier()
-		if pe.MyPE() == 0 {
-			// The signal can never arrive: every packet to PE 1 drops.
-			pe.PutSignal(1, data, 0, []byte{1}, sig, 0, 1)
-			if err := pe.QuietStat(); err == nil {
-				t.Error("producer's QuietStat should report the dead link")
-			}
-		} else {
-			_, err := pe.WaitUntilStat(sig, 0, CmpNE, 0, 0)
-			var fe *pgas.ImageFault
-			if !errors.As(err, &fe) || len(fe.Failed) != 1 || fe.Failed[0] != 0 {
-				t.Errorf("WaitUntilStat = %v, want ImageFault{Failed:[0]}", err)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("QuietTarget(1) should error-terminate with an unreachable diagnostic, got: %v", err)
 	}
 }
 

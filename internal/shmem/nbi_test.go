@@ -5,7 +5,14 @@ import (
 	"testing"
 
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
 )
+
+// inFlight is the number of destinations with nonblocking ops in flight.
+func (pe *PE) inFlight() (n int) {
+	pe.nbi.Targets(func(int) { n++ })
+	return n
+}
 
 // The acceptance property of the whole nonblocking model: compute issued
 // between PutNBI and Quiet is hidden, so total time is max(compute, transfer),
@@ -90,7 +97,7 @@ func TestNBIRoundtripAndFloor(t *testing.T) {
 		if pe.MyPE() == 0 {
 			vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
 			t0 := pe.Clock().Now()
-			PutNBI(pe, 1, sym, 0, vals)
+			pe.PutMemNBI(1, sym, 0, pgas.Bytes(vals))
 			pe.Quiet()
 			elapsed := pe.Clock().Now() - t0
 			intra, pairs := pe.intra(1), pe.pairs()
@@ -101,7 +108,8 @@ func TestNBIRoundtripAndFloor(t *testing.T) {
 		}
 		pe.Barrier()
 		if pe.MyPE() == 1 {
-			got := Get[int64](pe, 1, sym, 0, 8)
+			got := make([]int64, 8)
+			pe.GetMem(1, sym, 0, pgas.Bytes(got))
 			want := []int64{3, 1, 4, 1, 5, 9, 2, 6}
 			for i := range want {
 				if got[i] != want[i] {
@@ -116,8 +124,8 @@ func TestNBIRoundtripAndFloor(t *testing.T) {
 	}
 }
 
-// GetNBI fills the destination and charges only injection overhead at issue;
-// the round trip lands at Quiet.
+// A nonblocking get (shmem_get_nbi, through PE.RMA) fills the destination and
+// charges only injection overhead at issue; the round trip lands at Quiet.
 func TestGetNBI(t *testing.T) {
 	cfg := stampedeCfg()
 	prof := cfg.Machine.MustProfile(cfg.Profile)
@@ -130,13 +138,13 @@ func TestGetNBI(t *testing.T) {
 		if pe.MyPE() == 0 {
 			dst := make([]int64, 4)
 			t0 := pe.Clock().Now()
-			GetNBI(pe, 1, sym, 0, dst)
+			pe.RMA(&pgas.RMA{Get: true, Target: 1, Local: pgas.Bytes(dst)}, sym, true)
 			issueCost := pe.Clock().Now() - t0
 			if !near(issueCost, prof.OverheadNs) {
 				t.Errorf("get_nbi issue cost %g, want overhead %g", issueCost, prof.OverheadNs)
 			}
-			if pe.NBIOutstanding() != 1 {
-				t.Errorf("outstanding = %d, want 1", pe.NBIOutstanding())
+			if n := pe.inFlight(); n != 1 {
+				t.Errorf("destinations in flight = %d, want 1", n)
 			}
 			pe.Quiet()
 			for i := range dst {
@@ -152,8 +160,8 @@ func TestGetNBI(t *testing.T) {
 	}
 }
 
-// The vectored and strided nonblocking variants must deliver the same bytes
-// as their blocking siblings.
+// The vectored and strided nonblocking shapes (PE.RMA) must deliver the bytes
+// where their blocking siblings would.
 func TestNBIVectoredAndStridedVariants(t *testing.T) {
 	err := Run(crayCfg(), 2, func(pe *PE) {
 		sym := pe.Malloc(1024)
@@ -163,15 +171,15 @@ func TestNBIVectoredAndStridedVariants(t *testing.T) {
 			for i := range src {
 				src[i] = byte(i + 1)
 			}
-			pe.PutMemVNBI(1, sym, []int64{0, 256, 512, 768}, 16, src)
+			pe.RMA(&pgas.RMA{Shape: pgas.Runs, Target: 1, Local: src, Offs: []int64{0, 256, 512, 768}, Unit: 16}, sym, true)
 			strided := make([]byte, 32)
 			for i := range strided {
 				strided[i] = byte(200 - i)
 			}
-			pe.IPutMemNBI(1, sym, 64, 24, 8, strided)
-			// One in-flight op per vectored run (4) plus the strided op.
-			if pe.NBIOutstanding() != 5 {
-				t.Errorf("outstanding = %d, want 5", pe.NBIOutstanding())
+			pe.RMA(&pgas.RMA{Shape: pgas.Strided, Target: 1, Off: 64, Local: strided, Unit: 8, Stride: 24}, sym, true)
+			// Both ops ride the one destination's stream.
+			if n := pe.inFlight(); n != 1 {
+				t.Errorf("destinations in flight = %d, want 1", n)
 			}
 			pe.Quiet()
 		}
@@ -187,7 +195,7 @@ func TestNBIVectoredAndStridedVariants(t *testing.T) {
 				}
 			}
 			got := make([]byte, 32)
-			pe.IGetMemNBI(1, sym, 64, 24, 8, got)
+			pe.RMA(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: 1, Off: 64, Local: got, Unit: 8, Stride: 24}, sym, true)
 			pe.Quiet()
 			for i := range got {
 				if got[i] != byte(200-i) {
@@ -223,6 +231,8 @@ func TestSanitizerCatchesNBISourceReuse(t *testing.T) {
 	}
 }
 
+// A typed source is the same contract: the put streams vals' own bytes, and
+// those are what the sanitizer compares at Quiet with its snapshot.
 func TestSanitizerCatchesTypedNBISourceReuse(t *testing.T) {
 	cfg := stampedeCfg()
 	cfg.Sanitize = true
@@ -231,8 +241,8 @@ func TestSanitizerCatchesTypedNBISourceReuse(t *testing.T) {
 		pe.Barrier()
 		if pe.MyPE() == 0 {
 			vals := []int64{7, 8}
-			PutNBI(pe, 1, sym, 0, vals)
-			vals[1] = -1 // the typed buffer is re-encoded at Quiet
+			pe.PutMemNBI(1, sym, 0, pgas.Bytes(vals))
+			vals[1] = -1 // the typed buffer's own bytes change
 			pe.Quiet()
 		}
 		pe.Barrier()
@@ -298,6 +308,114 @@ func TestSanitizerCatchesReadRacingNBIPut(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "race") {
 		t.Fatalf("want race violation, got %v", err)
+	}
+}
+
+// QuietTarget waits only for one destination's completion; other
+// destinations' transfers stay in flight and a later full Quiet still waits
+// for them.
+func TestQuietTargetWaitsForOneDestination(t *testing.T) {
+	cfg := stampedeCfg()
+	prof := cfg.Machine.MustProfile(cfg.Profile)
+	const small, big = 1 << 8, 1 << 18
+	err := Run(cfg, 3, func(pe *PE) {
+		sym := pe.Malloc(big)
+		pe.Barrier()
+		defer pe.Barrier()
+		if pe.MyPE() != 0 {
+			return
+		}
+		intra1, pairs := pe.intra(1), pe.pairs()
+		t0 := pe.Clock().Now()
+		pe.PutMemNBI(1, sym, 0, make([]byte, small)) // fast op first
+		pe.PutMemNBI(2, sym, 0, make([]byte, big))   // slow op behind it
+		// Per-target quiet on the small transfer: completes long before the
+		// big one would.
+		smallDone := prof.NBITransferNs(small, intra1, pairs) + prof.DeliveryNs(intra1, pairs)
+		bigDone := prof.NBITransferNs(small, intra1, pairs) + prof.NBITransferNs(big, intra1, pairs) + prof.DeliveryNs(intra1, pairs)
+		pe.QuietTarget(1)
+		if got := pe.Clock().Now() - t0; got >= bigDone {
+			t.Errorf("QuietTarget(1) waited %g, at or past the big transfer's completion %g", got, bigDone)
+		} else if got < smallDone {
+			t.Errorf("QuietTarget(1) returned at %g, before the small op's completion %g", got, smallDone)
+		}
+		if n := pe.inFlight(); n != 1 {
+			t.Errorf("destinations in flight after QuietTarget = %d, want 1 (the big op's)", n)
+		}
+		// The full Quiet still waits for the rest.
+		pe.Quiet()
+		if got := pe.Clock().Now() - t0; got < bigDone {
+			t.Errorf("full Quiet returned at %g, before the big op's completion %g", got, bigDone)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// QuietTarget also completes the per-destination blocking horizon, and a
+// following full Quiet still honours other destinations' blocking puts.
+func TestQuietTargetCompletesBlockingHorizon(t *testing.T) {
+	cfg := crayCfg()
+	prof := cfg.Machine.MustProfile(cfg.Profile)
+	err := Run(cfg, 3, func(pe *PE) {
+		sym := pe.Malloc(1 << 16)
+		pe.Barrier()
+		defer pe.Barrier()
+		if pe.MyPE() != 0 {
+			return
+		}
+		intra, pairs := pe.intra(1), pe.pairs()
+		pe.PutMem(1, sym, 0, make([]byte, 1<<10))
+		vis1 := pe.Clock().Now() + prof.DeliveryNs(intra, pairs)
+		pe.PutMem(2, sym, 0, make([]byte, 1<<14))
+		vis2 := pe.Clock().Now() + prof.DeliveryNs(intra, pairs)
+		pe.QuietTarget(1)
+		if now := pe.Clock().Now(); now < vis1 {
+			t.Errorf("QuietTarget(1) at %g, before target 1's blocking visibility %g", now, vis1)
+		}
+		pe.Quiet()
+		if now := pe.Clock().Now(); now < vis2 {
+			t.Errorf("full Quiet at %g, before target 2's blocking visibility %g", now, vis2)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A nonblocking signal put (shmem_put_signal_nbi, through PE.RMA) and a wait on
+// the signal word: the consumer that sees the signal sees all data streamed to
+// it beforehand (signal-mediated completion), with no barrier and no quiet on
+// the consumer side.
+func TestPutSignalNBISignalWaitUntil(t *testing.T) {
+	cfg := stampedeCfg()
+	err := Run(cfg, 2, func(pe *PE) {
+		data := pe.Malloc(256)
+		flag := pe.Malloc(8)
+		pe.Barrier()
+		if pe.MyPE() == 0 {
+			// Two plain NBI puts, then the fused data+signal put rides the
+			// same per-target stream: flag completion >= data completions.
+			pe.PutMemNBI(1, data, 0, []byte{1, 2, 3, 4})
+			pe.PutMemNBI(1, data, 64, []byte{5, 6, 7, 8})
+			pe.RMA(&pgas.RMA{Shape: pgas.Signal, Target: 1, Off: 128, Local: []byte{9, 10}, SigOff: flag.At(0), SigVal: 42}, data, true)
+			pe.Quiet() // initiator-side completion (contract hygiene)
+		} else {
+			pe.WaitUntil64(flag, 0, CmpEQ, 42)
+			dst := make([]byte, 256)
+			pe.world.pw.Read(1, data.Off, dst)
+			want := map[int]byte{0: 1, 1: 2, 2: 3, 3: 4, 64: 5, 65: 6, 66: 7, 67: 8, 128: 9, 129: 10}
+			for off, w := range want {
+				if dst[off] != w {
+					t.Errorf("byte %d = %d, want %d (data must be visible once the signal is)", off, dst[off], w)
+				}
+			}
+		}
+		pe.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,8 +4,10 @@
 // It provides the facilities the paper's CAF runtime is mapped onto
 // (Table II): symmetric heap allocation (shmalloc/shfree), contiguous and
 // 1-D strided one-sided put/get, remote atomics (swap, compare-swap,
-// fetch-add, fetch-and/or/xor), point-to-point completion (fence/quiet) and
-// wait-until, barriers, global logical locks, and shmem_ptr.
+// fetch-add, fetch-and/or/xor), completion (quiet, per destination too),
+// put-with-signal and wait-until, and barriers. It has no global locks
+// (shmem_set_lock): the CAF runtime cannot use them for lock(lck[j]) and builds
+// its own MCS lock from the atomics instead (§IV-D).
 //
 // A World is parameterised by a fabric.CostProfile, so the same code models
 // Cray SHMEM (hardware iput, native atomics) and MVAPICH2-X SHMEM (iput as a
@@ -46,16 +48,16 @@ type PE struct {
 	p     *pgas.PE
 	// nodeLo, nodeHi bound the ranks placed on this PE's node (intra).
 	nodeLo, nodeHi int
-	// nic is the injection pipe every completion stream of this PE — the
-	// default context's and every created context's — serialises on.
+	// nic is the PE's injection pipe. nbi tracks the in-flight nonblocking
+	// ops, one completion stream per destination on the pipe: issue charges
+	// only the injection overhead; Quiet drains all streams and merges the
+	// latest completion, QuietTarget drains one destination's stream only.
 	nic fabric.NBINic
-	// def is the default context: the completion environment of every
-	// PE-level call, nonblocking (its streams) and blocking (its horizon).
-	// Quiet, QuietTarget and their stat forms are this context's.
-	def Ctx
-	// stage is the gather/scatter buffer of IPut/IGet with a strided local
-	// operand (see staging).
-	stage []byte
+	nbi fabric.NBIStreams
+	// blocking is the latest remote-visibility time, per destination, of the
+	// blocking puts issued since the last Quiet: the virtual analogue of the
+	// NIC's outstanding operation queue, a stream set with no pipe.
+	blocking fabric.NBIStreams
 }
 
 // Config selects the modelled platform and library implementation.
@@ -101,10 +103,8 @@ func NewWorld(cfg Config, n int) (*World, error) {
 }
 
 // Attach returns the PE handle for a pgas PE of this world: the rank's element
-// of the world's PE table, wired on the first call — the default context's
-// completion streams share the PE's injection pipe with any contexts created
-// later — and the same handle on every later one. Layered runtimes use it;
-// normal applications go through Run.
+// of the world's PE table, wired on the first call and the same handle on every
+// later one. Layered runtimes use it; normal applications go through Run.
 func (w *World) Attach(p *pgas.PE) *PE {
 	if p.World() != w.pw {
 		panic("shmem: Attach of a PE from another world")
@@ -113,16 +113,13 @@ func (w *World) Attach(p *pgas.PE) *PE {
 	if pe.p == nil {
 		pe.world, pe.p = w, p
 		pe.nodeLo, pe.nodeHi = w.machine.NodeRange(p.ID)
-		pe.def = Ctx{pe: pe, nbi: fabric.NewNBIStreams(&pe.nic)}
+		pe.nbi = fabric.NewNBIStreams(&pe.nic)
 	}
 	return pe
 }
 
 // PgasWorld exposes the underlying substrate (for layered runtimes).
 func (w *World) PgasWorld() *pgas.World { return w.pw }
-
-// Profile returns the library cost profile this world is modelling.
-func (w *World) Profile() *fabric.CostProfile { return w.prof }
 
 // MyPE returns the calling PE's rank (shmem_my_pe).
 func (pe *PE) MyPE() int { return pe.p.ID }
@@ -133,9 +130,6 @@ func (pe *PE) NumPEs() int { return pe.world.pw.NumPEs() }
 // Clock exposes the PE's virtual clock for harness measurement.
 func (pe *PE) Clock() *fabric.Clock { return &pe.p.Clock }
 
-// World returns the job this PE belongs to.
-func (pe *PE) World() *World { return pe.world }
-
 // Pgas returns the underlying substrate PE (for layered runtimes).
 func (pe *PE) Pgas() *pgas.PE { return pe.p }
 
@@ -145,23 +139,4 @@ func (pe *PE) intra(target int) bool {
 
 func (pe *PE) pairs() int {
 	return pe.world.pw.ActivePairs(pe.p.ID)
-}
-
-// Ptr models shmem_ptr: it returns a directly-loadable snapshot of a remote
-// PE's symmetric object when (and only when) the remote PE is on the same
-// node, else nil. True shared-memory mapping is not possible across Go
-// partitions without aliasing hazards, so the returned slice is a copy that
-// costs only an intra-node cache transfer; callers that need to write must
-// use Put. The paper lists exploiting shmem_ptr for intra-node load/store as
-// future work (§VII).
-func (pe *PE) Ptr(sym Sym, target int) []byte {
-	pe.p.CheckHandle("shmem_ptr", sym.Off, sym.Size)
-	if !pe.intra(target) {
-		return nil
-	}
-	pe.p.CheckRead(target, sym.Off, sym.Size)
-	dst := make([]byte, sym.Size)
-	pe.world.pw.Read(target, sym.Off, dst)
-	pe.p.Clock.Advance(pe.world.prof.IntraGapNsPerByte * float64(sym.Size))
-	return dst
 }

@@ -1,8 +1,6 @@
 package shmem
 
 import (
-	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -45,7 +43,7 @@ func TestAttachReturnsTheRanksHandle(t *testing.T) {
 	const n = 4
 	var handles [n]*PE
 	err := Run(stampedeCfg(), n, func(pe *PE) {
-		if again := pe.World().Attach(pe.Pgas()); again != pe {
+		if again := pe.world.Attach(pe.Pgas()); again != pe {
 			t.Errorf("PE %d: attaching again gave another handle", pe.MyPE())
 		}
 		handles[pe.MyPE()] = pe
@@ -161,8 +159,7 @@ func TestTypedRoundtrips(t *testing.T) {
 		}
 		pe.Barrier()
 		if pe.MyPE() == 1 {
-			vals := Get[float64](pe, 1, f, 2, 2)
-			if vals[0] != 3.5 || vals[1] != -1.25 {
+			if G[float64](pe, 1, f, 2) != 3.5 || G[float64](pe, 1, f, 3) != -1.25 {
 				panic("float64 roundtrip failed")
 			}
 		}
@@ -184,16 +181,22 @@ func TestTypedRoundtrips(t *testing.T) {
 	}
 }
 
+// iput is the 1-D strided put of shmem_iput through PE.RMA: the elements of
+// src, densely, to every stride-th element of sym from element 0 on target.
+func iput(pe *PE, target int, sym Sym, stride int, src []int64) {
+	pe.RMA(&pgas.RMA{Shape: pgas.Strided, Target: target, Local: pgas.Bytes(src), Unit: 8, Stride: 8 * int64(stride)}, sym, false)
+}
+
 func TestIPutMovesRightElements(t *testing.T) {
 	err := Run(crayCfg(), 2, func(pe *PE) {
 		sym := pe.Malloc(8 * 64)
 		if pe.MyPE() == 0 {
-			src := make([]int64, 16)
+			src := make([]int64, 5)
 			for i := range src {
-				src[i] = int64(100 + i)
+				src[i] = int64(100 + 2*i)
 			}
-			// Every 2nd source element to every 3rd destination slot.
-			IPut(pe, 1, sym, 0, 3, src, 0, 2, 5)
+			// Every source element to every 3rd destination slot.
+			iput(pe, 1, sym, 3, src)
 			pe.Quiet()
 		}
 		pe.Barrier()
@@ -227,7 +230,7 @@ func TestIGetMirrorsIPut(t *testing.T) {
 		pe.Barrier()
 		if pe.MyPE() == 0 {
 			dst := make([]int64, 8)
-			IGet(pe, 1, sym, 0, 4, dst, 0, 1, 8) // every 4th element
+			pe.RMA(&pgas.RMA{Get: true, Shape: pgas.Strided, Target: 1, Local: pgas.Bytes(dst), Unit: 8, Stride: 32}, sym, false) // every 4th element
 			for k := 0; k < 8; k++ {
 				if dst[k] != int64((4*k)*(4*k)) {
 					panic("iget element wrong")
@@ -251,8 +254,7 @@ func TestIPutCostHardwareVsLoop(t *testing.T) {
 			pe.Barrier()
 			pe.Clock().Reset()
 			if pe.MyPE() == 0 {
-				src := make([]int64, 4096)
-				IPut(pe, 16, sym, 0, 2, src, 0, 1, 2048)
+				iput(pe, 16, sym, 2, make([]int64, 2048))
 				pe.Quiet()
 				cost = pe.Clock().Now()
 			}
@@ -296,7 +298,7 @@ func TestAtomicsConcurrent(t *testing.T) {
 	err := Run(stampedeCfg(), 8, func(pe *PE) {
 		ctr := pe.Malloc(8)
 		for i := 0; i < per; i++ {
-			pe.FetchInc(0, ctr, 0)
+			pe.FetchAdd(0, ctr, 0, 1)
 		}
 		pe.Barrier()
 		if pe.MyPE() == 0 {
@@ -315,7 +317,7 @@ func TestAtomicBitwiseAndSwap(t *testing.T) {
 	err := Run(stampedeCfg(), 2, func(pe *PE) {
 		w := pe.Malloc(8)
 		if pe.MyPE() == 0 {
-			pe.AtomicSet(1, w, 0, 0b1111)
+			pe.SwapStat(1, w, 0, 0b1111)
 			if old := pe.FetchAnd(1, w, 0, 0b1010); old != 0b1111 {
 				panic("FetchAnd old value wrong")
 			}
@@ -325,16 +327,16 @@ func TestAtomicBitwiseAndSwap(t *testing.T) {
 			if old := pe.FetchXor(1, w, 0, 0b0001); old != 0b1110 {
 				panic("FetchXor old value wrong")
 			}
-			if pe.AtomicFetch(1, w, 0) != 0b1111 {
+			if pe.FetchAdd(1, w, 0, 0) != 0b1111 {
 				panic("final value wrong")
 			}
-			if old := pe.Swap(1, w, 0, 5); old != 0b1111 {
+			if old, _ := pe.SwapStat(1, w, 0, 5); old != 0b1111 {
 				panic("Swap old value wrong")
 			}
-			if old := pe.CompareSwap(1, w, 0, 5, 9); old != 5 {
+			if old, _ := pe.CompareSwapStat(1, w, 0, 5, 9); old != 5 {
 				panic("CompareSwap success path wrong")
 			}
-			if old := pe.CompareSwap(1, w, 0, 5, 11); old != 9 {
+			if old, _ := pe.CompareSwapStat(1, w, 0, 5, 11); old != 9 {
 				panic("CompareSwap failure path wrong")
 			}
 		}
@@ -345,30 +347,6 @@ func TestAtomicBitwiseAndSwap(t *testing.T) {
 	}
 }
 
-func TestGlobalLockMutualExclusion(t *testing.T) {
-	const per = 25
-	var violations int64
-	var inCS int64
-	err := Run(stampedeCfg(), 6, func(pe *PE) {
-		lock := pe.Malloc(8)
-		for i := 0; i < per; i++ {
-			pe.SetLock(lock, 0)
-			if atomic.AddInt64(&inCS, 1) != 1 {
-				atomic.AddInt64(&violations, 1)
-			}
-			atomic.AddInt64(&inCS, -1)
-			pe.ClearLock(lock, 0)
-		}
-		pe.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations != 0 {
-		t.Fatalf("%d mutual-exclusion violations", violations)
-	}
-}
-
 // engineSpellings are the two values of the deprecated pgas.Options.Engine,
 // which benchmark/ still passes and which select nothing; the subtests whose
 // names the test floor pins run once per spelling (internal/pgas/steady_test.go).
@@ -376,163 +354,6 @@ var engineSpellings = []struct {
 	name   string
 	engine pgas.Engine
 }{{"goroutine", pgas.EngineGoroutine}, {"event", pgas.EngineEvent}}
-
-// TestSpinLockSleepsUntilRelease: a PE spinning on a held lock sleeps in its
-// wait until the holder's release wakes it, and acquires no earlier in virtual
-// time than the release. Both PEs race for the lock; the winner holds it until
-// the world has counted a sleep that only the loser's wait can account for.
-// workers=k runs the program on k Ps (0: as the test binary was started);
-// check.sh adds -cpu 1.
-func TestSpinLockSleepsUntilRelease(t *testing.T) {
-	for _, c := range []struct {
-		engine, workers int
-	}{{0, 0}, {1, 1}, {1, 2}} {
-		e := engineSpellings[c.engine]
-		t.Run(fmt.Sprintf("%s/workers=%d", e.name, c.workers), func(t *testing.T) {
-			if c.workers > 0 {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.workers))
-			}
-			cfg := stampedeCfg()
-			cfg.Engine = e.engine
-			var holder atomic.Bool
-			var slept bool
-			var releasedAt, acquiredAt float64
-			err := Run(cfg, 2, func(pe *PE) {
-				lock := pe.Malloc(8)
-				w := pe.Pgas().World()
-				base := w.Metrics().Sleeps // the allocation's rendezvous is over
-				pe.SetLock(lock, 0)
-				if holder.CompareAndSwap(false, true) {
-					for i := 0; i < 100000 && !slept; i++ {
-						runtime.Gosched()
-						slept = w.Metrics().Sleeps > base
-					}
-					pe.Clock().Advance(5000)
-					releasedAt = pe.Clock().Now()
-				} else {
-					acquiredAt = pe.Clock().Now()
-				}
-				pe.ClearLock(lock, 0)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slept {
-				t.Error("the spinner never slept while the lock was held")
-			}
-			if acquiredAt < releasedAt {
-				t.Errorf("acquired at t=%g, before the release at t=%g", acquiredAt, releasedAt)
-			}
-		})
-	}
-}
-
-// TestDeadlockSetLockOnSleepingHolder: PE 0 takes a global lock and sleeps on
-// a flag that nothing sets while PE 1 calls SetLock. The spinner sleeps too,
-// so the run ends in a deadlock report naming both waits instead of hanging.
-func TestDeadlockSetLockOnSleepingHolder(t *testing.T) {
-	var spin string
-	err := Run(stampedeCfg(), 2, func(pe *PE) {
-		lock, flag := pe.Malloc(8), pe.Malloc(8)
-		if pe.MyPE() == 0 {
-			on := ""
-			if home := lockHome(lock, 0, 2); home == 0 {
-				on = "on PE 0 "
-			}
-			spin = fmt.Sprintf("PE 1: wait %s[%#x,+8) = 0x1", on, lock.Off)
-			pe.SetLock(lock, 0)
-		}
-		pe.Barrier()
-		if pe.MyPE() == 0 {
-			pe.WaitUntil64(flag, 0, CmpNE, 0)
-		}
-		pe.SetLock(lock, 0)
-	})
-	if err == nil || !strings.Contains(err.Error(), "pgas: deadlock") ||
-		!strings.Contains(err.Error(), "PE 0: wait [") || !strings.Contains(err.Error(), spin) {
-		t.Errorf("got %v, want a deadlock report naming PE 0's wait and %q", err, spin)
-	}
-}
-
-// TestDeterminismSpinSingleContender: PE 0 holds a global lock for a fixed
-// virtual time while PE 1 spins on it. The probes PE 1 replays are set by the
-// release's stamp alone, so its clock on acquiring is the same on every run.
-func TestDeterminismSpinSingleContender(t *testing.T) {
-	run := func() float64 {
-		var at float64
-		if err := Run(stampedeCfg(), 2, func(pe *PE) {
-			lock := pe.Malloc(8)
-			if pe.MyPE() == 0 {
-				pe.SetLock(lock, 0)
-			}
-			pe.Barrier()
-			if pe.MyPE() == 0 {
-				pe.Clock().Advance(50_000)
-			} else {
-				pe.SetLock(lock, 0)
-				at = pe.Clock().Now()
-			}
-			pe.ClearLock(lock, 0)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	ref := run()
-	if ref < 50_000 {
-		t.Fatalf("acquired at t=%g, before the holder's release", ref)
-	}
-	for i := 1; i < 20; i++ {
-		if got := run(); got != ref {
-			t.Fatalf("run %d acquired at t=%g, run 0 at t=%g", i, got, ref)
-		}
-	}
-}
-
-func TestTestLockAndClearByNonHolder(t *testing.T) {
-	err := Run(stampedeCfg(), 2, func(pe *PE) {
-		lock := pe.Malloc(8)
-		if pe.MyPE() == 0 {
-			if !pe.TestLock(lock, 0) {
-				panic("uncontended TestLock failed")
-			}
-		}
-		pe.Barrier()
-		if pe.MyPE() == 1 {
-			if pe.TestLock(lock, 0) {
-				panic("TestLock acquired a held lock")
-			}
-		}
-		pe.Barrier()
-		if pe.MyPE() == 0 {
-			pe.ClearLock(lock, 0)
-		}
-		pe.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPtrIntraNodeOnly(t *testing.T) {
-	err := Run(stampedeCfg(), 17, func(pe *PE) {
-		sym := pe.Malloc(8)
-		P(pe, pe.MyPE(), sym, 0, int64(pe.MyPE()))
-		pe.Barrier()
-		if pe.MyPE() == 0 {
-			if b := pe.Ptr(sym, 1); b == nil {
-				panic("same-node Ptr should work")
-			}
-			if b := pe.Ptr(sym, 16); b != nil {
-				panic("cross-node Ptr should be nil")
-			}
-		}
-		pe.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestBarrierCompletesPendingPuts(t *testing.T) {
 	err := Run(stampedeCfg(), 3, func(pe *PE) {

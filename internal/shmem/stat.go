@@ -24,28 +24,31 @@ func (pe *PE) BarrierStat() error { return pe.barrierStat(nil, 0, 0) }
 // (the quiet really runs) and the host rendezvous does not happen. The
 // barrier reports the fault, so the quiets' own reports are dropped.
 func (pe *PE) barrierStat(act pgas.ReleaseFunc, arg int64, further int) error {
-	_ = pe.def.quiet(-1, true)
+	_ = pe.quiet(-1, true)
 	w := pe.world
 	pe.p.RecordCollective("Barrier")
 	cost := w.barrierNs()
 	err := pe.p.BarrierTolerantDo(cost, act, w, arg)
 	for ; further > 0; further-- {
-		_ = pe.def.quiet(-1, true)
+		_ = pe.quiet(-1, true)
 		pe.p.RecordCollective("Barrier")
 		pe.p.Clock.Advance(cost)
 	}
 	return err
 }
 
-// SwapStat is Swap with fault status: on a failed target the word is frozen,
-// the frozen value is returned with ok=false, and the caller decides how to
-// recover. Cost is a full AMO round trip either way — the initiating NIC
+// SwapStat atomically stores v and returns the previous value — the
+// fetch-and-store used to enqueue on the MCS lock tail (shmem_swap) — with
+// fault status: on a failed target the word is frozen, the frozen value is
+// returned with ok=false, and the caller decides how to recover. Cost is a full AMO round trip either way — the initiating NIC
 // cannot know the target died without waiting out the protocol.
 func (pe *PE) SwapStat(target int, sym Sym, idx int, v int64) (int64, bool) {
 	return pe.amo("swap", target, sym, idx, pgas.OpSwap, v)
 }
 
-// CompareSwapStat is CompareSwap with fault status, like SwapStat.
+// CompareSwapStat atomically stores desired iff the word equals expected,
+// returning the previous value (shmem_cswap; success is old == expected),
+// with fault status like SwapStat.
 func (pe *PE) CompareSwapStat(target int, sym Sym, idx int, expected, desired int64) (int64, bool) {
 	pe.checkTarget(target)
 	off := pe.wordOff("compare_swap", sym, idx)

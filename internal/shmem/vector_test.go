@@ -4,7 +4,15 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"cafshmem/internal/pgas"
 )
+
+// getMemV is the vectored multi-run get (getmemv) through PE.RMA: run i is
+// runBytes bytes read from byte offset offs[i] within sym into dst densely.
+func getMemV(pe *PE, target int, sym Sym, offs []int64, runBytes int, dst []byte) {
+	pe.RMA(&pgas.RMA{Get: true, Shape: pgas.Runs, Target: target, Local: dst, Offs: offs, Unit: runBytes}, sym, false)
+}
 
 // The vectored strided entry points must move exactly the bytes the
 // element-wise ones do, under the sanitizer (which tracks every put range):
@@ -27,7 +35,7 @@ func TestVectoredStridedMatchesElementwiseSanitized(t *testing.T) {
 				pe.Barrier()
 				if pe.MyPE() == 0 {
 					if vectored {
-						pe.IPutMem(1, sym, 8, stride, elemSize, src)
+						pe.RMA(&pgas.RMA{Shape: pgas.Strided, Target: 1, Off: 8, Local: src, Unit: elemSize, Stride: stride}, sym, false)
 					} else {
 						for k := 0; k < nelems; k++ {
 							pe.PutMem(1, sym, 8+int64(k)*stride, src[k*elemSize:(k+1)*elemSize])
@@ -50,7 +58,7 @@ func TestVectoredStridedMatchesElementwiseSanitized(t *testing.T) {
 		}
 
 		if v, e := run(true), run(false); !bytes.Equal(v, e) {
-			t.Fatalf("iter %d: vectored IPutMem scattered different bytes than element-wise puts", iter)
+			t.Fatalf("iter %d: vectored strided put scattered different bytes than element-wise puts", iter)
 		}
 	}
 }
@@ -75,7 +83,7 @@ func TestPutMemVRoundTripSanitized(t *testing.T) {
 		pe.Barrier()
 		if pe.MyPE() == 0 {
 			gathered = make([]byte, len(offs)*runBytes)
-			pe.GetMemV(1, sym, offs, runBytes, gathered)
+			getMemV(pe, 1, sym, offs, runBytes, gathered)
 		}
 		pe.Barrier()
 		pe.Free(sym)
@@ -98,7 +106,7 @@ func TestSanitizerCatchesRacingGetMemV(t *testing.T) {
 			src := make([]byte, 32)
 			pe.PutMemV(1, sym, []int64{0, 64}, 16, src)
 			dst := make([]byte, 16)
-			pe.GetMemV(1, sym, []int64{0}, 16, dst) // no Quiet: races the put
+			getMemV(pe, 1, sym, []int64{0}, 16, dst) // no Quiet: races the put
 		}
 		pe.Barrier()
 		pe.Free(sym)

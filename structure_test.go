@@ -108,7 +108,10 @@ var structureRows = []struct {
 		code().not("internal/pgas/").find(idents("brk", "symHeap", "winHeap", "NoteAlloc", "NoteFree")).because("a library heap or allocation record, deleted in f1ddf8a (one-heap)"),
 		files().find(on(func(d *ast.FuncDecl) bool {
 			return d.Name.Name == "Shared" && d.Recv != nil && has(d.Recv, idents("World"))
-		})).because("World.Shared, a library's slot for its own heap, deleted in f1ddf8a (one-heap)")}},
+		})).because("World.Shared, a library's slot for its own heap, deleted in f1ddf8a (one-heap)"),
+		files("internal/shmem/").find(idents("CtxCreate", "Ctx")).because("shmem's communication contexts, folded into PE with internal/shmem/ctx.go deleted (reachability)"),
+		files().find(idents("SetLock", "TestLock", "ClearLock")).because("OpenSHMEM's global locks, which CAF cannot use (§IV-D), deleted with internal/shmem/locks.go (reachability)"),
+		files().find(idents("SyncHandle", "PartialError", "RequestShort", "RequestMedium", "RequestLong")).because("GASNet's explicit handles and fire-and-forget active messages, deleted (reachability)")}},
 }
 
 // A check finds the nodes one of match matches in the files under one of in
