@@ -206,7 +206,18 @@ func (c *Coarray[T]) SliceInto(dst []T) {
 	if len(dst) != c.n {
 		panic(fmt.Sprintf("caf: SliceInto of %d-element coarray into %d-element slice", c.n, len(dst)))
 	}
-	c.img.local.ReadLocal(c.off, pgas.Bytes(dst))
+	c.SliceRangeInto(0, dst)
+}
+
+// SliceRangeInto copies the len(dst) local elements from element from on
+// (column-major order) into dst: SliceInto over part of the array, one ranged
+// read, so a loop can read a large local array in chunks through a buffer of
+// its own size.
+func (c *Coarray[T]) SliceRangeInto(from int, dst []T) {
+	if from < 0 || from > c.n-len(dst) {
+		panic(fmt.Sprintf("caf: SliceRangeInto of elements [%d, %d) of %d-element coarray", from, from+len(dst), c.n))
+	}
+	c.img.local.ReadLocal(c.off+int64(from)*int64(c.es), pgas.Bytes(dst))
 }
 
 // Fill sets every local element to v.

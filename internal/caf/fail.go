@@ -253,7 +253,8 @@ var errLinkDown = errors.New("caf: link from awaited image exhausted retries")
 // performed" outcome). A signal that arrived before the partner died still
 // counts — death after signalling does not unsynchronise the pair.
 func (img *Image) awaitImageStat(j int) Stat {
-	want := img.syncSeen[j-1] + 1
+	r := img.syncs.rec(j)
+	want := r.seen + 1
 	pw := img.local.World()
 	err := img.waitStat(
 		img.syncOff+int64(j-1)*8, pgas.CmpGE, want,
@@ -269,6 +270,6 @@ func (img *Image) awaitImageStat(j int) Stat {
 		}
 		panic(err) // poisoned world (deadlock or unrelated PE panic)
 	}
-	img.seen(j-1, want)
+	r.seen = want
 	return StatOK
 }

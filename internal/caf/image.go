@@ -28,7 +28,7 @@ type Image struct {
 	caps Caps                // opts.Transport's
 	prof *fabric.CostProfile // opts.Profile on opts.Machine
 	shm  *shmem.PE           // the OpenSHMEM handle under be, nil on other transports
-	opts Options
+	opts *Options            // Run's, one for every image of the world
 
 	// local is this image's own partition, for zero-cost local loads and
 	// stores (Fortran local array accesses do not go through the network).
@@ -45,14 +45,13 @@ type Image struct {
 	nonsym nsAlloc
 
 	// syncOff is the base of the sync-images counter array: n 64-bit inbound
-	// counters (slot i counts signals from image index i). syncSeen tracks
-	// consumed signals per partner, lazily: sync images partner sets are
-	// small and local in real programs, so a dense per-image array would be
-	// the job's only O(images²) memory (≈800 MB of host memory at 10k
-	// images) — the map stays proportional to partners actually synced with,
-	// and is made by the first sync images (see seen).
-	syncOff  int64
-	syncSeen map[int]int64
+	// counters (slot i counts signals from image index i). syncs records the
+	// signals consumed per partner in a partner table (partners.go), as a
+	// Signal does: sync images partner sets are small and local in real
+	// programs, so host memory stays proportional to the partners actually
+	// synced with, never O(images) per image.
+	syncOff int64
+	syncs   partners
 
 	// ctlOff is the base of the whole-job collective control flags; world is
 	// the whole-job collective group (see group.go), filled in on first use.
@@ -167,14 +166,14 @@ func Run(images int, o Options, body func(*Image)) error {
 	return pw.Run(func(p *pgas.PE) {
 		img := &imgs[p.ID]
 		be, shm := attach(p)
-		img.init(be, shm, o)
+		img.init(be, shm, &o)
 		body(img)
 	})
 }
 
 // init fills in the image in place, its element of Run's image table, and
 // makes the image's collective start-up allocations.
-func (img *Image) init(be backend, shm *shmem.PE, opts Options) {
+func (img *Image) init(be backend, shm *shmem.PE, opts *Options) {
 	img.be, img.shm, img.opts, img.local = be, shm, opts, be.local()
 	img.held = img.heldBuf[:0]
 	img.caps = opts.Transport.Caps()
@@ -224,7 +223,7 @@ func (img *Image) Transport() Transport { return Transport{img.opts.Transport, i
 func (img *Image) SHMEM() *shmem.PE { return img.shm }
 
 // Options returns the configuration this image runs with.
-func (img *Image) Options() Options { return img.opts }
+func (img *Image) Options() Options { return *img.opts }
 
 // SyncAll executes "sync all": completes this image's outstanding
 // communication and rendezvouses with every other image. Without a STAT
@@ -270,17 +269,9 @@ func (img *Image) signalImage(j int) {
 // awaitImage blocks until one more signal from image j has arrived than this
 // image has already consumed.
 func (img *Image) awaitImage(j int) {
-	want := img.syncSeen[j-1] + 1
-	img.seen(j-1, want)
-	img.wait(img.syncOff+int64(j-1)*8, pgas.CmpGE, want)
-}
-
-// seen records that image index i's signals have been consumed up to want.
-func (img *Image) seen(i int, want int64) {
-	if img.syncSeen == nil {
-		img.syncSeen = map[int]int64{}
-	}
-	img.syncSeen[i] = want
+	r := img.syncs.rec(j)
+	r.seen++
+	img.wait(img.syncOff+int64(j-1)*8, pgas.CmpGE, r.seen)
 }
 
 // storeLocalWord stores a 64-bit word into this image's own partition,

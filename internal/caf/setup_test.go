@@ -8,8 +8,14 @@ import (
 	"cafshmem/internal/pgas"
 )
 
-// runMallocs returns the process-wide mallocs of one Run of n images.
-func runMallocs(t *testing.T, n int, opts Options, body func(*Image)) uint64 {
+// memCounter reads one process-wide allocation counter: mallocs or bytes.
+type memCounter func(*runtime.MemStats) uint64
+
+func mallocs(m *runtime.MemStats) uint64    { return m.Mallocs }
+func allocBytes(m *runtime.MemStats) uint64 { return m.TotalAlloc }
+
+// runCount returns what one Run of n images adds to the counter.
+func runCount(t *testing.T, n int, opts Options, count memCounter, body func(*Image)) uint64 {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -17,30 +23,36 @@ func runMallocs(t *testing.T, n int, opts Options, body func(*Image)) uint64 {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	return count(&after) - count(&before)
 }
 
-// setupMallocsPerImage is the per-image slope of a Run's mallocs between 64
-// and 256 images: what every image adds to a world's set-up, with what a world
-// costs whatever its size taken out. A first run at 256 images fills the page
-// free lists, the runtime's free goroutines and the idle runners. The slope is
+// setupMallocsPerImage is setupPerImage's mallocs between 64 and 256 images.
+func setupMallocsPerImage(t *testing.T, opts Options, body func(*Image)) float64 {
+	t.Helper()
+	return setupPerImage(t, opts, 64, 256, mallocs, body)
+}
+
+// setupPerImage is the per-image slope of a Run's count between lo and hi
+// images: what every image adds to a world's set-up, with what a world costs
+// whatever its size taken out. A first run at hi images fills the page free
+// lists, the runtime's free goroutines and the idle runners. The slope is
 // then measured in both orders, small world first and large world first,
 // three times each, and the larger of the two orders' lowest slopes is
 // returned: neither order may leave the next world less to take over. The
 // lowest, because a run may still find a free list short of what it takes: how
 // many 8-entry page tables a world's images hold at once, before their stores
 // above the 1 MiB non-symmetric area grow them, follows the host schedule.
-func setupMallocsPerImage(t *testing.T, opts Options, body func(*Image)) float64 {
+func setupPerImage(t *testing.T, opts Options, lo, hi int, count memCounter, body func(*Image)) float64 {
 	t.Helper()
-	const lo, hi = 64, 256
-	slope := func(small, large uint64) float64 { return (float64(large) - float64(small)) / (hi - lo) }
-	runMallocs(t, hi, opts, body)
+	slope := func(small, large uint64) float64 { return (float64(large) - float64(small)) / float64(hi-lo) }
+	run := func(n int) uint64 { return runCount(t, n, opts, count, body) }
+	run(hi)
 	smallFirst, largeFirst := math.Inf(1), math.Inf(1)
 	for range 3 {
-		small := runMallocs(t, lo, opts, body)
-		smallFirst = min(smallFirst, slope(small, runMallocs(t, hi, opts, body)))
-		large := runMallocs(t, hi, opts, body)
-		largeFirst = min(largeFirst, slope(runMallocs(t, lo, opts, body), large))
+		small := run(lo)
+		smallFirst = min(smallFirst, slope(small, run(hi)))
+		large := run(hi)
+		largeFirst = min(largeFirst, slope(run(lo), large))
 	}
 	return max(smallFirst, largeFirst)
 }
@@ -75,5 +87,42 @@ func TestWorldSetupAllocs(t *testing.T) {
 			t.Errorf("a DHT-shaped set-up costs %.2f mallocs per image, want <= %g (its %d handles and %g of slack)", per, handles+slack, handles, slack)
 		}
 		t.Logf("%.2f mallocs per image for three Allocates, a NewLock, an acquire and release and a SyncAll", per)
+	})
+}
+
+// TestSignalSetupAllocs: point-to-point synchronisation state grows with the
+// partners an image uses, not with the world, on every transport. The body is
+// a 1-D halo's: a Signal, one notify and wait with each ring neighbour, then a
+// SyncImages with both. It costs an image one malloc, the Signal's handle —
+// both neighbours' sequences live in the handle's partner table, and sync
+// images' in the image's — with half a malloc of slack. Its bytes per image
+// measured between 256 and 1024 images are at most those between 64 and 256,
+// plus 128 B: a per-image table of world size would add 16 B per image per
+// image, about 15 KiB between the two.
+func TestSignalSetupAllocs(t *testing.T) {
+	defer pgas.PauseGC()()
+	const handles, slack, byteSlack = 1, 0.5, 128
+	body := func(img *Image) {
+		sig := NewSignal(img)
+		me, n := img.ThisImage(), img.NumImages()
+		left, right := (me+n-2)%n+1, me%n+1
+		sig.Notify(left)
+		sig.Notify(right)
+		sig.Wait(left)
+		sig.Wait(right)
+		img.SyncImages(left, right)
+	}
+	eachTransport(t, func(t *testing.T, opts Options) {
+		if per := setupMallocsPerImage(t, opts, body); per > handles+slack {
+			t.Errorf("a signal and sync-images set-up costs %.2f mallocs per image, want <= %g (its handle and %g of slack)", per, handles+slack, slack)
+		} else {
+			t.Logf("%.2f mallocs per image", per)
+		}
+		small := setupPerImage(t, opts, 64, 256, allocBytes, body)
+		large := setupPerImage(t, opts, 256, 1024, allocBytes, body)
+		if large > small+byteSlack {
+			t.Errorf("a signal and sync-images set-up costs %.0f B per image between 256 and 1024 images, %.0f B between 64 and 256: it grows with the world", large, small)
+		}
+		t.Logf("%.0f B per image between 64 and 256 images, %.0f B between 256 and 1024", small, large)
 	})
 }

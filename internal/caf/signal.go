@@ -19,12 +19,15 @@ import (
 // the sequence this image sends to j; Wait(j) consumes the next sequence from
 // j. Sequences make repeated notify/wait pairs match up one-to-one even when
 // the producer runs far ahead of the consumer, exactly like SyncImages'
-// counters — but one-directional and barrier-free.
+// counters — but one-directional and barrier-free. The host side keeps those
+// sequences in a partner table (partners.go): a record per image this one
+// notifies or waits on, the first two inside the handle, so a halo's two
+// neighbours cost the handle alone and host memory grows with the partners an
+// image uses, never with the world.
 type Signal struct {
 	img  *Image
-	off  int64   // base of the NumImages inbound slots
-	sent []int64 // last sequence sent toward each partner
-	seen []int64 // last sequence consumed from each partner
+	off  int64 // base of the NumImages inbound slots
+	seqs partners
 }
 
 // NewSignal collectively creates a signal coarray, zero-initialised.
@@ -33,7 +36,7 @@ func NewSignal(img *Image) *Signal {
 	off := img.malloc(n*8, true) // no deallocator exists; not a leak
 	img.local.ZeroLocal(off, n*8)
 	img.barrier()
-	return &Signal{img: img, off: off, sent: make([]int64, n), seen: make([]int64, n)}
+	return &Signal{img: img, off: off}
 }
 
 // slotOff is the flag slot a given sender (1-based) writes — in the
@@ -57,9 +60,10 @@ func (s *Signal) Notify(j int) {
 // post sends the next sequence number to image j's slot for this image.
 func (s *Signal) post(j int, nbi bool) {
 	img := s.img
-	s.sent[j-1]++
+	r := s.seqs.rec(j)
+	r.sent++
 	op := img.xfer(false, j-1, 0, nil)
-	op.Shape, op.SigOff, op.SigVal, op.nbi = pgas.Signal, s.slotOff(img.ThisImage()), uint64(s.sent[j-1]), nbi
+	op.Shape, op.SigOff, op.SigVal, op.nbi = pgas.Signal, s.slotOff(img.ThisImage()), uint64(r.sent), nbi
 	img.issue(op)
 }
 
@@ -69,9 +73,9 @@ func (s *Signal) Wait(j int) {
 	img := s.img
 	img.pollFault()
 	img.checkImage(j)
-	want := s.seen[j-1] + 1
-	s.seen[j-1] = want
-	img.wait(s.slotOff(j), pgas.CmpGE, want)
+	r := s.seqs.rec(j)
+	r.seen++
+	img.wait(s.slotOff(j), pgas.CmpGE, r.seen)
 }
 
 // WaitStat is Wait with Fortran 2018 failed-image semantics: if image j fails
@@ -89,7 +93,8 @@ func (s *Signal) WaitStat(j int) Stat {
 	img := s.img
 	img.pollFault()
 	img.checkImage(j)
-	want := s.seen[j-1] + 1
+	r := s.seqs.rec(j)
+	want := r.seen + 1
 	me := img.ThisImage()
 	pw := img.local.World()
 	err := img.waitStat(
@@ -112,7 +117,7 @@ func (s *Signal) WaitStat(j int) Stat {
 		}
 		panic(err) // poisoned world (deadlock or unrelated PE panic)
 	}
-	s.seen[j-1] = want
+	r.seen = want
 	return StatOK
 }
 
@@ -120,7 +125,7 @@ func (s *Signal) WaitStat(j int) Stat {
 // consumed (observability; the signal analogue of event_query).
 func (s *Signal) Pending(j int) int64 {
 	s.img.checkImage(j)
-	return int64(s.img.localWord(s.slotOff(j))) - s.seen[j-1]
+	return int64(s.img.localWord(s.slotOff(j))) - s.seqs.seen(j)
 }
 
 // PutSignalAsync writes vals into section sec of the coarray on image j and

@@ -131,12 +131,19 @@ func (t *Table) Lookup(key uint64) int64 {
 }
 
 // LocalSum returns the sum of values hosted on this image (verification). It
-// reads the buckets in place, so it allocates nothing.
+// reads the buckets a chunk at a time, one ranged read of used and one of
+// vals per chunk into buffers on its stack, so it allocates nothing.
 func (t *Table) LocalSum() int64 {
+	var used, vals [64]int64
 	var sum int64
-	for i := range t.buckets {
-		if t.used.At(i) != 0 {
-			sum += t.vals.At(i)
+	for lo := 0; lo < t.buckets; lo += len(used) {
+		n := min(len(used), t.buckets-lo)
+		t.used.SliceRangeInto(lo, used[:n])
+		t.vals.SliceRangeInto(lo, vals[:n])
+		for i, u := range used[:n] {
+			if u != 0 {
+				sum += vals[i]
+			}
 		}
 	}
 	return sum

@@ -40,8 +40,8 @@ func TestUpdateAndLookup(t *testing.T) {
 	}
 }
 
-// TestLocalSumSteadyStateAllocs: LocalSum reads the buckets in place, so
-// verifying a table costs the heap nothing.
+// TestLocalSumSteadyStateAllocs: LocalSum reads the buckets through buffers on
+// its stack, so verifying a table costs the heap nothing.
 func TestLocalSumSteadyStateAllocs(t *testing.T) {
 	err := caf.Run(2, opts(), func(img *caf.Image) {
 		tab := New(img, 1024)

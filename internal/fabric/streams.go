@@ -43,10 +43,11 @@ type nbiStream struct {
 }
 
 // NBIStreams tracks one PE's in-flight nonblocking ops per destination, all
-// serialising on the PE's NBINic. The per-target list is tiny in practice (halo neighbours, a batch's owner), so linear scans beat
-// any map and the backing array is reused across drains. It starts as the
-// set's own first record, so a set that never has two destinations in flight
-// at once allocates nothing; a set in use must therefore not be copied.
+// serialising on the PE's NBINic. The per-target list is tiny in practice
+// (halo neighbours, a batch's owner), so linear scans beat any map and the
+// backing array is reused across drains. It starts as the set's own first two
+// records, so a set that never has more than a 1-D halo's two destinations in
+// flight at once allocates nothing; a set in use must therefore not be copied.
 //
 // The zero value is a set with no pipe: the per-destination completion
 // horizon of a library's blocking puts, which charge their transfer inline
@@ -54,7 +55,7 @@ type nbiStream struct {
 type NBIStreams struct {
 	nic   *NBINic
 	recs  []nbiStream
-	first [1]nbiStream
+	first [2]nbiStream
 }
 
 // NewNBIStreams returns a stream set injecting through nic.

@@ -43,15 +43,15 @@ func (seg Seg) word(off int64) int64 {
 }
 
 // rmaOps are the implicit-handle routines RMA stands for, by shape and
-// direction: get, put, put nbi. Runs and Strided take the names of GASNet's
-// indexed and strided VIS calls, whose runs and elements the model prices as
-// puts and gets of their own.
-var rmaOps = [...][3]string{
-	pgas.Contig:   {"get", "put", "put_nbi"},
-	pgas.Runs:     {"geti", "puti", "puti_nbi"},
-	pgas.Strided:  {"gets", "puts", "puts_nbi"},
-	pgas.Signal:   {"", "put_signal", "put_signal_nbi"},
-	pgas.Forensic: {"repair get", "repair put", ""},
+// direction: get, put, get nbi, put nbi. Runs and Strided take the names of
+// GASNet's indexed and strided VIS calls, whose runs and elements the model
+// prices as puts and gets of their own.
+var rmaOps = [...][4]string{
+	pgas.Contig:   {"get", "put", "get_nbi", "put_nbi"},
+	pgas.Runs:     {"geti", "puti", "geti_nbi", "puti_nbi"},
+	pgas.Strided:  {"gets", "puts", "gets_nbi", "puts_nbi"},
+	pgas.Signal:   {"", "put_signal", "", "put_signal_nbi"},
+	pgas.Forensic: {"repair get", "repair put", "", ""},
 }
 
 // RMA issues a layered runtime's descriptor, blocking or on the implicit-handle
@@ -67,8 +67,10 @@ func (ep *EP) RMA(d *pgas.RMA, seg Seg, nbi bool) {
 		d.SigOff = seg.word(d.SigOff)
 	}
 	switch {
-	case nbi:
+	case nbi && d.Get:
 		ep.issue(rmaOps[d.Shape][2], d, seg, &ep.nbi)
+	case nbi:
+		ep.issue(rmaOps[d.Shape][3], d, seg, &ep.nbi)
 	case d.Get:
 		ep.issue(rmaOps[d.Shape][0], d, seg, nil)
 	default:
@@ -117,7 +119,7 @@ func (ep *EP) issue(op string, d *pgas.RMA, seg Seg, set *fabric.NBIStreams) {
 		}
 	}
 	switch {
-	case nbi:
+	case nbi: // a get as a put, as OpenSHMEM's get_nbi is priced
 		c.Inject, c.Transfer = prof.NBIInjectNs(), prof.NBITransferNs(n, intra, pairs)
 	case d.Get:
 		c.Inject = prof.GetNs(n, intra, pairs)

@@ -1,6 +1,7 @@
 package gasnet
 
 import (
+	"strings"
 	"testing"
 
 	"cafshmem/internal/pgas"
@@ -46,5 +47,49 @@ func TestImplicitHandlesNonblocking(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A nonblocking get is named as a get, in every shape: a bounds panic and a
+// bad-handle finding call it get_nbi, geti_nbi or gets_nbi, never a put.
+func TestNonblockingGetNamedAsGet(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		d    pgas.RMA
+	}{
+		{"get_nbi", pgas.RMA{Get: true, Target: 1, Off: 60, Local: make([]byte, 8)}},
+		{"geti_nbi", pgas.RMA{Get: true, Shape: pgas.Runs, Target: 1, Local: make([]byte, 16), Offs: []int64{0, 60}, Unit: 8}},
+		{"gets_nbi", pgas.RMA{Get: true, Shape: pgas.Strided, Target: 1, Off: 32, Local: make([]byte, 16), Unit: 8, Stride: 32}},
+	} {
+		err := Run(ibvCfg(), 2, func(ep *EP) {
+			seg := ep.Malloc(64)
+			if ep.MyNode() == 0 {
+				d := tc.d
+				ep.RMA(&d, seg, true)
+			}
+		})
+		want := "gasnet: " + tc.name + " of "
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Run returned %v, want a bounds panic naming %q", tc.name, err, want)
+		}
+		cfg := ibvCfg()
+		cfg.Sanitize = true
+		err = Run(cfg, 2, func(ep *EP) {
+			seg := ep.Malloc(64)
+			ep.Free(seg)
+			if ep.MyNode() == 0 {
+				d := tc.d
+				d.Off, d.Offs = 0, nil
+				d.Local = d.Local[:8]
+				if d.Shape == pgas.Runs {
+					d.Offs = []int64{0}
+				}
+				ep.RMA(&d, seg, true)
+				ep.WaitSyncAll()
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.name) || !strings.Contains(err.Error(), "bad-handle") {
+			t.Errorf("%s: sanitized Run returned %v, want a bad-handle finding naming it", tc.name, err)
+		}
 	}
 }

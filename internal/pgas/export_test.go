@@ -239,3 +239,16 @@ func trimRunners(keep int) {
 		w.runs.Wait()
 	}
 }
+
+// ReadRuns is readRuns with its geometry checked and its span found: the
+// checked entry the issue core's Runs get skips, kept for the tests.
+func (w *World) ReadRuns(target int, base int64, offs []int64, runBytes int, dst []byte) {
+	if runBytes <= 0 || len(dst) != len(offs)*runBytes {
+		panic("pgas: ReadRuns destination does not match runs")
+	}
+	if len(offs) == 0 {
+		return
+	}
+	lo, hi := spanOf(base, offs, 1, 0, int64(runBytes))
+	w.readRuns(target, lo, hi, base, offs, runBytes, dst)
+}

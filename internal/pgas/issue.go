@@ -53,6 +53,10 @@ type RMA struct {
 	Stride int64
 	SigOff int64
 	SigVal uint64
+	// span is a Runs or Strided op's [lo, hi) relative to Off, as Span last
+	// found it: the issue core range-checks a Runs op's landing with it, so
+	// its offsets are scanned once, by the library's check.
+	span [2]int64
 }
 
 // Msgs is the number of messages the op sends: one, or one per run.
@@ -77,31 +81,33 @@ func (d *RMA) Span() (lo, hi int64) {
 	return d.Off, d.Off + int64(len(d.Local))
 }
 
-// vecSpan is Span of a Runs or Strided op, out of line so that Span inlines.
-// Malformed geometry panics: a Unit below one, a Local that is not whole
-// elements or does not match Offs, a Stride smaller than an element.
+// vecSpan is Span of a Runs or Strided op, out of line so that Span inlines;
+// it records the span in d.span. Malformed geometry panics: a Unit below one,
+// a Local that is not whole elements or does not match Offs, a Stride smaller
+// than an element.
 func (d *RMA) vecSpan() (lo, hi int64) {
 	unit := int64(d.Unit)
+	lo, hi = d.Off, d.Off
 	if d.Shape == Runs {
 		if unit <= 0 || len(d.Local) != len(d.Offs)*d.Unit {
 			panic(fmt.Sprintf("pgas: %d bytes of local operand do not match %d runs of %d bytes", len(d.Local), len(d.Offs), d.Unit))
 		}
-		if len(d.Offs) == 0 {
-			return d.Off, d.Off
+		if len(d.Offs) > 0 {
+			lo, hi = spanOf(d.Off, d.Offs, 1, 0, unit)
 		}
-		return spanOf(d.Off, d.Offs, 1, 0, unit)
+	} else {
+		if unit <= 0 || len(d.Local)%d.Unit != 0 {
+			panic(fmt.Sprintf("pgas: %d bytes of local operand are not whole %d-byte elements", len(d.Local), d.Unit))
+		}
+		if n := int64(len(d.Local) / d.Unit); n > 0 {
+			if d.Stride < unit {
+				panic(fmt.Sprintf("pgas: stride %d is smaller than the %d-byte element", d.Stride, d.Unit))
+			}
+			lo, hi = spanOf(d.Off, nil, n, d.Stride, unit)
+		}
 	}
-	if unit <= 0 || len(d.Local)%d.Unit != 0 {
-		panic(fmt.Sprintf("pgas: %d bytes of local operand are not whole %d-byte elements", len(d.Local), d.Unit))
-	}
-	n := int64(len(d.Local) / d.Unit)
-	if n == 0 {
-		return d.Off, d.Off
-	}
-	if d.Stride < unit {
-		panic(fmt.Sprintf("pgas: stride %d is smaller than the %d-byte element", d.Stride, d.Unit))
-	}
-	return spanOf(d.Off, nil, n, d.Stride, unit)
+	d.span = [2]int64{lo - d.Off, hi - d.Off}
+	return lo, hi
 }
 
 // Price is what one message of an op costs on its library's price list.
@@ -130,7 +136,9 @@ type Price struct {
 // then: retaining a descriptor field instead would move
 // every caller's buffer to the heap, the stack-held word of a typed P or G
 // included, as escape analysis is per parameter. The world's fault plan
-// (Options.FaultPlan) says how each message crosses its link.
+// (Options.FaultPlan) says how each message crosses its link. d's geometry is
+// the library's to check (Span) before Issue: a Runs op lands in the span
+// Span recorded.
 //
 // The two halves are separate calls on purpose. send keeps a dozen values
 // live; returning before the bytes move keeps its frame off the stack under
@@ -267,7 +275,7 @@ func (p *PE) land(d *RMA, lo, hi int, at float64) {
 	case Contig:
 		w.Write(d.Target, d.Off, d.Local, at)
 	case Runs:
-		w.WriteRuns(d.Target, d.Off, d.Offs[lo:hi], d.Unit, d.Local[lo*d.Unit:hi*d.Unit], p.visAt[lo:hi])
+		w.writeRuns(d.Target, d.Off+d.span[0], d.Off+d.span[1], d.Off, d.Offs[lo:hi], d.Unit, d.Local[lo*d.Unit:hi*d.Unit], p.visAt[lo:hi])
 	case Strided:
 		w.WriteV(d.Target, d.Off, d.Stride, d.Unit, d.Local, at)
 	case Signal:
@@ -290,7 +298,7 @@ func (p *PE) fetch(d *RMA) {
 	case Contig:
 		w.Read(d.Target, d.Off, d.Local)
 	case Runs:
-		w.ReadRuns(d.Target, d.Off, d.Offs, d.Unit, d.Local)
+		w.readRuns(d.Target, d.Off+d.span[0], d.Off+d.span[1], d.Off, d.Offs, d.Unit, d.Local)
 	case Strided:
 		w.ReadV(d.Target, d.Off, d.Stride, d.Unit, d.Local)
 	case Forensic:

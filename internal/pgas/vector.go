@@ -3,7 +3,6 @@ package pgas
 import (
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // Vectored one-sided access. A strided or multi-run transfer through the
@@ -31,7 +30,7 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 		return
 	}
 	es := int64(elemSize)
-	checkSpan("WriteV", off, nil, int64(nelems), strideBytes, es)
+	checkSpan("WriteV", off, int64(nelems), strideBytes, es)
 	if w.stateOf(target) == stateFailed {
 		return
 	}
@@ -66,7 +65,7 @@ func (w *World) ReadV(target int, off, strideBytes int64, elemSize int, dst []by
 		return
 	}
 	es := int64(elemSize)
-	checkSpan("ReadV", off, nil, int64(nelems), strideBytes, es)
+	checkSpan("ReadV", off, int64(nelems), strideBytes, es)
 	p := w.part(target)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -92,8 +91,16 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	if len(offs) == 0 {
 		return
 	}
+	lo, hi := spanOf(base, offs, 1, 0, int64(runBytes))
+	w.writeRuns(target, lo, hi, base, offs, runBytes, src, visAt)
+}
+
+// writeRuns is WriteRuns on well-formed runs whose span [lo, hi) is known. The
+// issue core lands a Runs op through it with the span its library's check
+// found (RMA.Span), so an op's offsets are scanned once.
+func (w *World) writeRuns(target int, lo, hi, base int64, offs []int64, runBytes int, src []byte, visAt []float64) {
+	checkRange("WriteRuns", lo, hi-lo)
 	rb := int64(runBytes)
-	checkSpan("WriteRuns", base, offs, 1, 0, rb)
 	if w.stateOf(target) == stateFailed {
 		return
 	}
@@ -114,18 +121,15 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	}
 }
 
-// ReadRuns gathers len(offs) equal-length runs of runBytes bytes from the
-// target PE's partition (run i at byte offset base+offs[i]) into dst densely:
-// like Read, bytes never written read as zero and nothing is materialised.
-func (w *World) ReadRuns(target int, base int64, offs []int64, runBytes int, dst []byte) {
-	if runBytes <= 0 || len(dst) != len(offs)*runBytes {
-		panic("pgas: ReadRuns destination does not match runs")
-	}
-	if len(offs) == 0 {
-		return
-	}
+// readRuns gathers len(offs) equal-length runs of runBytes bytes, spanning
+// [lo, hi), from the target PE's partition (run i at byte offset
+// base+offs[i]) into dst densely: like Read, bytes never written read as zero
+// and nothing is materialised. The issue core fetches a Runs get through it
+// with the span its library's check found (RMA.Span), as writeRuns lands a
+// put.
+func (w *World) readRuns(target int, lo, hi, base int64, offs []int64, runBytes int, dst []byte) {
+	checkRange("ReadRuns", lo, hi-lo)
 	rb := int64(runBytes)
-	checkSpan("ReadRuns", base, offs, 1, 0, rb)
 	p := w.part(target)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -143,16 +147,28 @@ func (w *World) ReadRuns(target int, base int64, offs []int64, runBytes int, dst
 func spanOf(base int64, offs []int64, n, stride, unit int64) (lo, hi int64) {
 	lo, hi = base, addSat(base, mulSat(n-1, stride))
 	if offs != nil {
-		lo, hi = addSat(base, slices.Min(offs)), addSat(base, slices.Max(offs))
+		mn, mx := minMax(offs)
+		lo, hi = addSat(base, mn), addSat(base, mx)
 	}
 	return lo, addSat(hi, unit)
 }
 
-// checkSpan is checkRange over a vectored operand's spanOf: the check every
-// vectored entry makes before it takes a lock. hi >= lo, so hi-lo cannot wrap
-// once lo is known not to be negative.
-func checkSpan(what string, base int64, offs []int64, n, stride, unit int64) {
-	lo, hi := spanOf(base, offs, n, stride, unit)
+// minMax returns the least and greatest of offs, which is not empty, in one
+// pass.
+func minMax(offs []int64) (mn, mx int64) {
+	mn, mx = offs[0], offs[0]
+	for _, o := range offs[1:] {
+		mn, mx = min(mn, o), max(mx, o)
+	}
+	return mn, mx
+}
+
+// checkSpan is checkRange over a strided operand's spanOf: the check WriteV
+// and ReadV make before they take a lock, as writeRuns and readRuns check the
+// span of their runs. hi >= lo, so hi-lo cannot wrap once lo is known not to
+// be negative.
+func checkSpan(what string, base, n, stride, unit int64) {
+	lo, hi := spanOf(base, nil, n, stride, unit)
 	checkRange(what, lo, hi-lo)
 }
 
