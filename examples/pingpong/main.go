@@ -26,8 +26,9 @@ func main() {
 
 		// Only one inter-node pair plays; everyone else skips straight to the
 		// closing barrier, which every PE must reach (a collective under
-		// PE-dependent control flow error-terminates the job, or, if every PE
-		// gets through, is a collective-mismatch under the sanitizer).
+		// PE-dependent control flow error-terminates the job: on a stopped
+		// image, or as a collective-mismatch where another collective meets
+		// it).
 		me := pe.MyPE()
 		if me == 0 || me == 16 {
 			peer := 16 - me

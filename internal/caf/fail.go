@@ -205,7 +205,11 @@ func (img *Image) SyncImagesStat(list ...int) Stat {
 	_ = img.complete(-1, true) // a link given up is reported below, not escalated
 	me := img.ThisImage()
 	stat := StatOK
-	live := make([]int, 0, len(list))
+	var short [8]int // a halo's or a tree's partners: no allocation
+	live := short[:0]
+	if len(list) > len(short) {
+		live = make([]int, 0, len(list))
+	}
 	for _, j := range list {
 		img.checkImage(j)
 		if j == me {

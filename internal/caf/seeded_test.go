@@ -1,10 +1,13 @@
 package caf
 
 import (
+	"fmt"
 	"regexp"
 	"testing"
 
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/gasnet"
+	"cafshmem/internal/mpi3"
 	"cafshmem/internal/pgas"
 	"cafshmem/internal/shmem"
 )
@@ -27,9 +30,9 @@ const (
 	badSym   = `sanitizer: bad-handle \(PE 0\): put through handle`
 	hung     = `pgas: deadlock: all \d+ alive PEs blocked`
 	// A collective reached by some PEs only: the others leave the job, and
-	// the rendezvous they never join error-terminates; when every PE gets
-	// through, the call chains differ.
-	diverged = `panicked: .*stopped|sanitizer: collective-mismatch`
+	// the rendezvous they never join error-terminates; when the others reach
+	// another collective, the rendezvous names both calls.
+	diverged = `panicked: .*stopped|pgas: collective-mismatch: PE \d+ called \w+.* and PE \d+ called \w+`
 )
 
 type seededCase struct {
@@ -154,6 +157,21 @@ var seededCases = []seededCase{
 		default:
 		}
 		pe.Barrier()
+	})},
+	// Two more of the same fixture, in which every PE reaches a collective,
+	// but not the same one: an extra barrier meets the others' Free, and one
+	// PE's Malloc another size.
+	{"collbad", "divergentSwitchBeforeFree", diverged, spmd(func(pe *shmem.PE) {
+		data := pe.Malloc(64)
+		switch pe.MyPE() {
+		case 0:
+			pe.Barrier()
+		default:
+		}
+		pe.Free(data)
+	})},
+	{"collbad", "taintedSize", diverged, spmd(func(pe *shmem.PE) {
+		pe.Free(pe.Malloc(64 << pe.MyPE()))
 	})},
 	{"collbad", "freeInElse", diverged, spmd(func(pe *shmem.PE) {
 		data := pe.Malloc(64)
@@ -482,3 +500,109 @@ var abba = images(nil, func(img *Image) {
 	lockA.Deallocate()
 	lockB.Deallocate()
 })
+
+// collOps is one rank's collectives in one library's calls: alloc allocates
+// size bytes collectively and returns the free of it; fence, MPI-3's alone,
+// fences the window alloc made last.
+type collOps struct {
+	me      int
+	alloc   func(size int64) (free func())
+	barrier func()
+	fence   func()
+}
+
+// collLibs runs a body of collOps on n ranks of each library, sanitized or
+// not, with the library's names for its allocation and its release.
+var collLibs = []struct {
+	name, alloc, free string
+	run               func(sanitize bool, n int, body func(collOps)) error
+}{
+	{"shmem", "Malloc", "Free", func(sanitize bool, n int, body func(collOps)) error {
+		cfg := shmem.Config{Machine: fabric.Stampede(), Profile: fabric.ProfMV2XSHMEM, Options: pgas.Options{Sanitize: sanitize}}
+		return shmem.Run(cfg, n, func(pe *shmem.PE) {
+			body(collOps{me: pe.MyPE(), barrier: pe.Barrier, alloc: func(size int64) func() {
+				sym := pe.Malloc(size)
+				return func() { pe.Free(sym) }
+			}})
+		})
+	}},
+	{"gasnet", "Malloc", "Free", func(sanitize bool, n int, body func(collOps)) error {
+		cfg := gasnet.Config{Machine: fabric.Stampede(), Profile: fabric.ProfGASNetIBV, Options: pgas.Options{Sanitize: sanitize}}
+		return gasnet.Run(cfg, n, func(ep *gasnet.EP) {
+			body(collOps{me: ep.MyNode(), barrier: ep.Barrier, alloc: func(size int64) func() {
+				seg := ep.Malloc(size)
+				return func() { ep.Free(seg) }
+			}})
+		})
+	}},
+	{"mpi3", "WinAllocate", "WinFree", func(sanitize bool, n int, body func(collOps)) error {
+		cfg := mpi3.Config{Machine: fabric.Stampede(), Profile: fabric.ProfMV2XMPI3, Options: pgas.Options{Sanitize: sanitize}}
+		return mpi3.Run(cfg, n, func(pr *mpi3.Proc) {
+			var last *mpi3.Win
+			body(collOps{me: pr.Rank(), barrier: pr.Barrier, alloc: func(size int64) func() {
+				win := pr.WinAllocate(size)
+				last = win
+				return func() { pr.WinFree(win) }
+			}, fence: func() { pr.Fence(last) }})
+		})
+	}},
+}
+
+// TestCollectiveMismatchOnEveryTransport: every library's collectives bring
+// their calls to the one pgas rendezvous, which names a divergence where it
+// happens, sanitizer or not — where an extra barrier once ran into a Free as
+// a heap panic and a Malloc of another size, or a barrier meeting a Malloc,
+// ran clean. PE 0 is the odd one out, so it is named first.
+func TestCollectiveMismatchOnEveryTransport(t *testing.T) {
+	type mismatchCase struct {
+		name string
+		n    int
+		body func(collOps)
+		want string
+	}
+	for _, lib := range collLibs {
+		cases := []mismatchCase{
+			{"extra barrier against a free", 3, func(o collOps) {
+				free := o.alloc(64)
+				if o.me == 0 {
+					o.barrier()
+				}
+				free()
+			}, `PE 0 called Barrier and PE [12] called ` + lib.free + `\(\d+\)`},
+			{"two allocation sizes", 4, func(o collOps) {
+				size := int64(64)
+				if o.me == 0 {
+					size = 128
+				}
+				o.alloc(size)()
+			}, `PE 0 called ` + lib.alloc + `\(128\) and PE [123] called ` + lib.alloc + `\(64\)`},
+			{"a barrier against an allocation", 3, func(o collOps) {
+				if o.me == 0 {
+					o.barrier()
+				} else {
+					o.alloc(64)()
+				}
+			}, `PE 0 called Barrier and PE [12] called ` + lib.alloc + `\(64\)`},
+		}
+		if lib.name == "mpi3" {
+			cases = append(cases, mismatchCase{"a fence against a window free", 3, func(o collOps) {
+				free := o.alloc(64)
+				if o.me == 0 {
+					o.fence()
+				} else {
+					free()
+				}
+			}, `PE 0 called Fence\(\d+\) and PE [12] called WinFree\(\d+\)`})
+		}
+		for _, c := range cases {
+			for _, sanitize := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/sanitize=%v", lib.name, c.name, sanitize), func(t *testing.T) {
+					err := lib.run(sanitize, c.n, c.body)
+					if want := `^pgas: collective-mismatch: ` + c.want + ` at one rendezvous`; err == nil || !regexp.MustCompile(want).MatchString(err.Error()) {
+						t.Fatalf("Run = %v; want a report matching %q", err, want)
+					}
+				})
+			}
+		}
+	}
+}

@@ -121,6 +121,29 @@ func TestLockPairSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSyncImagesSteadyStateAllocs: a halo's sync images with its two
+// neighbours allocates nothing once both are in the image's partner table,
+// in the plain form and in the STAT form, whose list of live partners stays
+// on the stack.
+func TestSyncImagesSteadyStateAllocs(t *testing.T) {
+	for _, stat := range []bool{false, true} {
+		n := steadyAllocs(t, 8, 500, func(img *caf.Image) func() {
+			me, n := img.ThisImage(), img.NumImages()
+			left, right := (me+n-2)%n+1, me%n+1
+			return func() {
+				if !stat {
+					img.SyncImages(left, right)
+				} else if s := img.SyncImagesStat(left, right); s != caf.StatOK {
+					panic(s)
+				}
+			}
+		})
+		if n > 0.05 {
+			t.Errorf("stat=%v: %.3f allocs per two-partner sync images, want 0", stat, n)
+		}
+	}
+}
+
 // TestDHTUpdateSteadyStateAllocs: a DHT update — lock, probe with 8-byte
 // gets, 8-byte puts, unlock — rides the same word path.
 func TestDHTUpdateSteadyStateAllocs(t *testing.T) {

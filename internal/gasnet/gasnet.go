@@ -34,10 +34,6 @@ type World struct {
 	pw      *pgas.World
 	prof    *fabric.CostProfile
 	machine *fabric.Machine
-	// cur and curErr are the outcome of the latest Malloc or Free, left by its
-	// release action for every node to read as it wakes.
-	cur    Seg
-	curErr error
 
 	handlerMu sync.RWMutex
 	handlers  [MaxHandlers]Handler
@@ -176,22 +172,22 @@ func (ep *EP) checkTarget(t int) {
 // A failed or stopped node is error termination; BarrierStat returns it.
 func (ep *EP) Barrier() {
 	ep.WaitSyncAll()
-	ep.p.RecordCollective("Barrier")
-	ep.p.Barrier(ep.world.barrierNs())
+	ep.p.Barrier(ep.world.barrierNs(), pgas.Call{Op: "Barrier"})
 }
 
 // BarrierStat is Barrier among the survivors, returning the fault
-// (pgas.PE.BarrierTolerantDo).
-func (ep *EP) BarrierStat() error { return ep.barrierStat(nil, 0) }
+// (pgas.PE.BarrierStat).
+func (ep *EP) BarrierStat() error {
+	_, _, fault := ep.barrierStat(pgas.Call{Op: "Barrier"})
+	return fault
+}
 
-// barrierStat is BarrierStat whose rendezvous carries a release action, run
-// once with the world and arg while every node is asleep in it (Malloc's).
-// The barrier's fault stands for the drain's.
-func (ep *EP) barrierStat(act pgas.ReleaseFunc, arg int64) error {
+// barrierStat is BarrierStat bringing c: it returns what c's release action
+// (Malloc's), run once while every node is asleep in the rendezvous,
+// returned, and the barrier's fault, which stands for the drain's.
+func (ep *EP) barrierStat(c pgas.Call) (off int64, err, fault error) {
 	_ = ep.WaitSyncAllStat()
-	ep.p.RecordCollective("Barrier")
-	w := ep.world
-	return ep.p.BarrierTolerantDo(w.barrierNs(), act, w, arg)
+	return ep.p.BarrierStat(ep.world.barrierNs(), c)
 }
 
 // Malloc collectively reserves a symmetric segment region from the world's
@@ -212,24 +208,21 @@ func (ep *EP) Malloc(size int64) Seg {
 // else BarrierStat's fault.
 func (ep *EP) MallocStat(size int64) (Seg, error) {
 	w := ep.world
-	ep.p.RecordCollective("Malloc", size)
-	err := ep.barrierStat(mallocRelease, size)
+	off, allocErr, fault := ep.barrierStat(pgas.Call{Op: "Malloc", Arg: size, Release: mallocRelease, On: w})
 	cost := w.barrierNs()
 	for range 2 {
 		_ = ep.WaitSyncAllStat()
 		ep.p.Clock.Advance(cost)
 	}
-	if w.curErr != nil {
-		return Seg{}, w.curErr
+	if allocErr != nil {
+		return Seg{}, allocErr
 	}
-	return w.cur, err
+	return Seg{Off: off, Size: size}, fault
 }
 
 // mallocRelease is Malloc's release action (ctx is the World).
-func mallocRelease(ctx any, size int64, _ float64) {
-	w := ctx.(*World)
-	off, err := w.pw.Alloc(size)
-	w.cur, w.curErr = Seg{Off: off, Size: size}, err
+func mallocRelease(ctx any, size int64, _ float64) (int64, error) {
+	return ctx.(*World).pw.Alloc(size)
 }
 
 // Free collectively returns a region Malloc reserved: a barrier whose
@@ -238,18 +231,15 @@ func mallocRelease(ctx any, size int64, _ float64) {
 // node does.
 func (ep *EP) Free(seg Seg) {
 	ep.WaitSyncAll()
-	ep.p.RecordCollective("Free", seg.Off)
 	w := ep.world
-	ep.p.BarrierDo(w.barrierNs(), freeRelease, w, seg.Off)
-	if w.curErr != nil {
-		panic(w.curErr)
+	if _, err := ep.p.Barrier(w.barrierNs(), pgas.Call{Op: "Free", Arg: seg.Off, Release: freeRelease, On: w}); err != nil {
+		panic(err)
 	}
 }
 
 // freeRelease is Free's release action (ctx is the World).
-func freeRelease(ctx any, off int64, _ float64) {
-	w := ctx.(*World)
-	w.curErr = w.pw.Free(off)
+func freeRelease(ctx any, off int64, _ float64) (int64, error) {
+	return 0, ctx.(*World).pw.Free(off)
 }
 
 // barrierNs is the modelled cost of a barrier over the whole job.

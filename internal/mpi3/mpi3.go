@@ -32,13 +32,10 @@ type World struct {
 	pw      *pgas.World
 	prof    *fabric.CostProfile
 	machine *fabric.Machine
-	// curWin and curErr are the outcome of the latest WinAllocate or WinFree,
-	// left by its release action for every rank to read as it wakes; wins
-	// holds the windows not yet freed, by offset. Only the release actions
-	// write them, one at a time.
-	curWin *Win
-	curErr error
-	wins   map[int64]*Win
+	// wins holds the windows not yet freed, by offset. Only the release
+	// actions write it, one at a time, and every rank reads its new window
+	// there before it enters another rendezvous.
+	wins map[int64]*Win
 
 	// worldWin is WorldWin's window, built with the world.
 	worldWin Win
@@ -133,8 +130,7 @@ func (pr *Proc) Clock() *fabric.Clock { return &pr.p.Clock }
 
 // Barrier is MPI_Barrier.
 func (pr *Proc) Barrier() {
-	pr.p.RecordCollective("Barrier")
-	pr.p.Barrier(pr.world.barrierNs())
+	pr.p.Barrier(pr.world.barrierNs(), pgas.Call{Op: "Barrier"})
 }
 
 // barrierNs is the modelled cost of MPI_Barrier over the whole job.
@@ -178,32 +174,31 @@ func (pr *Proc) WinAllocate(size int64) *Win {
 
 // WinAllocateStat is WinAllocate among the ranks left, returning the heap's
 // error (a size that is not positive, or exhaustion), else the fault
-// (pgas.PE.BarrierTolerantDo).
+// (pgas.PE.BarrierStat).
 func (pr *Proc) WinAllocateStat(size int64) (*Win, error) {
-	pr.p.RecordCollective("WinAllocate", size)
 	w := pr.world
 	cost := w.barrierNs()
-	err := pr.p.BarrierTolerantDo(cost, winAllocRelease, w, size)
+	off, allocErr, fault := pr.p.BarrierStat(cost, pgas.Call{Op: "WinAllocate", Arg: size, Release: winAllocRelease, On: w})
 	pr.p.Clock.Advance(cost)
 	pr.p.Clock.Advance(cost)
-	if w.curErr != nil {
-		return nil, w.curErr
+	if allocErr != nil {
+		return nil, allocErr
 	}
-	return w.curWin, err
+	return w.wins[off], fault
 }
 
 // winAllocRelease is WinAllocate's release action (pgas.ReleaseFunc; ctx is
-// the World).
-func winAllocRelease(ctx any, size int64, _ float64) {
+// the World): it records the window every rank's WinAllocateStat returns.
+func winAllocRelease(ctx any, size int64, _ float64) (int64, error) {
 	w := ctx.(*World)
 	off, err := w.pw.Alloc(size)
-	w.curWin, w.curErr = &Win{world: w, off: off, size: size}, err
 	if err == nil {
 		if w.wins == nil {
 			w.wins = map[int64]*Win{}
 		}
-		w.wins[off] = w.curWin
+		w.wins[off] = &Win{world: w, off: off, size: size}
 	}
+	return off, err
 }
 
 // WinAt returns the window WinAllocate created at partition offset off, nil
@@ -217,20 +212,20 @@ func (w *World) WinAt(off int64) *Win { return w.wins[off] }
 // window, a window freed before — panics on every rank, as a failed or
 // stopped rank does.
 func (pr *Proc) WinFree(win *Win) {
-	pr.p.RecordCollective("WinFree", win.off)
 	w := pr.world
-	pr.p.BarrierDo(w.barrierNs(), winFreeRelease, w, win.off)
-	if w.curErr != nil {
-		panic(w.curErr)
+	if _, err := pr.p.Barrier(w.barrierNs(), pgas.Call{Op: "WinFree", Arg: win.off, Release: winFreeRelease, On: w}); err != nil {
+		panic(err)
 	}
 }
 
 // winFreeRelease is WinFree's release action (ctx is the World).
-func winFreeRelease(ctx any, off int64, _ float64) {
+func winFreeRelease(ctx any, off int64, _ float64) (int64, error) {
 	w := ctx.(*World)
-	if w.curErr = w.pw.Free(off); w.curErr == nil {
+	err := w.pw.Free(off)
+	if err == nil {
 		delete(w.wins, off)
 	}
+	return 0, err
 }
 
 // Off returns the window's base offset within each rank's partition (the

@@ -128,20 +128,20 @@ func (pr *Proc) flushEpoch(e *epoch, stat bool) error {
 func (pr *Proc) Fence(win *Win) { _ = pr.fence(win, false) } // no stat: it panics
 
 // FenceStat is Fence among the ranks left, returning the fault its
-// rendezvous reports (pgas.PE.BarrierTolerantDo) in place of the flush's.
+// rendezvous reports (pgas.PE.BarrierStat) in place of the flush's.
 func (pr *Proc) FenceStat(win *Win) error { return pr.fence(win, true) }
 
 func (pr *Proc) fence(win *Win, stat bool) error {
 	e := pr.epochFor(win, true)
 	_ = pr.flushEpoch(e, stat)
-	pr.p.RecordCollective("Fence", win.off)
 	w := pr.world
 	cost := w.barrierNs() + w.prof.WindowSyncNs
+	c := pgas.Call{Op: "Fence", Arg: win.off}
 	var err error
 	if stat {
-		err = pr.p.BarrierTolerantDo(cost, nil, nil, 0)
+		_, _, err = pr.p.BarrierStat(cost, c)
 	} else {
-		pr.p.Barrier(cost)
+		pr.p.Barrier(cost, c)
 	}
 	// A fence epoch permits RMA to any target until the next fence.
 	e.all = true

@@ -1,6 +1,7 @@
 package pgas
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -30,12 +31,18 @@ import (
 // a shard's records under the shard lock and, only once it has dropped that
 // lock, wakes their PEs one by one, from the highest rank down (barrier.wake).
 //
-// A rendezvous may carry a release action (ReleaseFunc): arrivals leave it
-// with their shard, the report that completes a shard passes it to the root,
-// and whoever releases the generation runs it once, under the root lock, after
-// the last arrival and before the first wake — how a collective allocator
-// allocates once for everybody (shmem/heap.go). The plain barrier pays one nil
-// test for it.
+// Every arrival brings a Call: the library's name for the collective and its
+// argument. A shard keeps its generation's first and compares every later
+// arrival with it under the lock the arrival takes anyway, and the root
+// compares the calls the shards report; two that differ poison the world
+// (collective-mismatch) before anything is released, so a PE that runs one
+// collective too many, or another with other arguments, is named where it
+// diverges. A call may carry a release action (ReleaseFunc): whoever releases
+// the generation runs it once, under the root lock, after the last arrival and
+// before the first wake — how a collective allocator allocates once for
+// everybody (shmem/heap.go) — and what it returns is kept on the root for
+// every participant to read as it leaves. The plain barrier pays one nil test
+// for it.
 //
 // The participant count tracks the world's alive PEs: when a PE fails or
 // stops it departs through its owning shard, and a rendezvous of all
@@ -68,36 +75,70 @@ type barrier struct {
 	arena []bWaiter
 }
 
-// ReleaseFunc is a rendezvous' release action, called with the context and
-// argument the arrivals supplied (a collective's all supply the same; a static
-// function and a pointer, so carrying one allocates nothing) and the release
-// time, while every participant is asleep in the barrier. It holds the root
-// lock: it may take partition locks (World.Touch), must not enter the barrier
-// or wait, and must not panic — it reports through ctx.
-type ReleaseFunc func(ctx any, arg int64, rel float64)
-
-// action is a ReleaseFunc and what it is called on; the zero action is none.
-type action struct {
-	fn  ReleaseFunc
-	ctx any
-	arg int64
+// Call is what a PE brings to a rendezvous. Op and Arg name the collective —
+// the library's name for it ("Barrier", "Malloc", "Free", "WinAllocate",
+// "WinFree", "Fence") and its size or offset, 0 for none — and every
+// participant of one generation must bring the same. Release, when not nil,
+// runs once on On and Arg when the generation releases (a static function
+// and a pointer, so a call allocates nothing).
+type Call struct {
+	Op      string
+	Arg     int64
+	Release ReleaseFunc
+	On      any
 }
+
+// same reports whether c names the collective d does.
+func (c Call) same(d Call) bool { return c.Op == d.Op && c.Arg == d.Arg }
+
+func (c Call) String() string {
+	if c.Arg == 0 {
+		return c.Op
+	}
+	return fmt.Sprintf("%s(%d)", c.Op, c.Arg)
+}
+
+// mismatch is the verdict on PEs a and b, which brought calls ca and cb to one
+// rendezvous, naming the lower rank first.
+func mismatch(a int, ca Call, b int, cb Call) error {
+	if a > b {
+		a, ca, b, cb = b, cb, a, ca
+	}
+	return fmt.Errorf("pgas: collective-mismatch: PE %d called %v and PE %d called %v at one rendezvous; every PE must reach the same collectives in the same order with the same arguments",
+		a, ca, b, cb)
+}
+
+// ReleaseFunc is a rendezvous' release action, called with its Call's On and
+// Arg and the release time, while every participant is asleep in the barrier;
+// what it returns, an offset and an error, every participant's rendezvous
+// returns. It holds the root lock: it may take partition locks
+// (World.Touch), must not enter the barrier or wait, and must not panic — it
+// reports through its error.
+type ReleaseFunc func(ctx any, arg int64, rel float64) (int64, error)
 
 // bRoot is the top of the combining tree. done counts the shards that
 // reported completion for the current generation; maxT accumulates the shard
-// maxima as they report, act keeps a release action one of them carried.
+// maxima as they report, and call is the generation's, from the first shard
+// that reported arrivals (brought by PE from; -1 before that). off and err
+// are what the last release action returned: written by the releaser before
+// any record is done, read by each participant after its own is, and not
+// written again before every participant has arrived once more.
 type bRoot struct {
 	mu   sync.Mutex
 	done int
 	maxT float64
-	act  action
+	call Call
+	from int
+	off  int64
+	err  error
 }
 
 // bShard is one combining-tree leaf. alive is the shard's alive owned PEs,
 // count the arrivals this generation; the shard is complete when they meet,
-// and the PE (or departer) that makes them meet reports the shard's maxT
-// upward exactly once per generation (the reported flag), with the release
-// action an arrival left in act, if one did. gen counts the releases, for the
+// and the PE (or departer) that makes them meet reports the shard's maxT and
+// call upward exactly once per generation (the reported flag). call is the
+// generation's first arrival's, brought by PE from (-1 before any arrives);
+// later arrivals must bring the same. gen counts the releases, for the
 // deadlock report; a poisoned shard turns arrivals away.
 type bShard struct {
 	mu       sync.Mutex
@@ -105,7 +146,8 @@ type bShard struct {
 	alive    int
 	count    int
 	maxT     float64
-	act      action
+	call     Call
+	from     int
 	reported bool
 	gen      uint64
 	poisoned bool
@@ -141,11 +183,13 @@ func newBarrier(w *World, n, shardsOpt int) *barrier {
 	chunk := (n + s - 1) / s
 	s = (n + chunk - 1) / chunk
 	b := &barrier{w: w, chunk: chunk, shards: make([]bShard, s), arena: make([]bWaiter, n)}
+	b.root.from = -1
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.lo = i * chunk
 		sh.hi = min(sh.lo+chunk, n)
 		sh.alive = sh.hi - sh.lo
+		sh.from = -1
 	}
 	return b
 }
@@ -155,15 +199,22 @@ func newBarrier(w *World, n, shardsOpt int) *barrier {
 // self is the reporting PE when the report came from an arrival (so the
 // release fan-out can skip waking the goroutine that is itself running the
 // release, and a participant remains: self), nil when it came from a
-// departure, after which the shards' alive counts say whether any does. Must
-// be called with root.mu held.
-func (b *barrier) combine(sMax float64, act action, self *PE) {
+// departure, after which the shards' alive counts say whether any does. A
+// shard that brings a call other than the generation's poisons the world and
+// is not counted, so the generation never releases. Must be called with
+// root.mu held.
+func (b *barrier) combine(sMax float64, c Call, from int, self *PE) {
 	r := &b.root
+	if from >= 0 {
+		if r.from < 0 {
+			r.call, r.from = c, from
+		} else if !c.same(r.call) {
+			b.w.poison(mismatch(from, c, r.from, r.call))
+			return
+		}
+	}
 	if sMax > r.maxT {
 		r.maxT = sMax
-	}
-	if act.fn != nil {
-		r.act = act
 	}
 	r.done++
 	if r.done == len(b.shards) && (self != nil || b.anyAlive()) {
@@ -204,16 +255,17 @@ func (b *barrier) release(self *PE) {
 	outErr := b.w.imageFaultErr()
 	r.maxT = 0
 	r.done = 0
-	if act := r.act; act.fn != nil {
-		r.act = action{}
-		act.fn(act.ctx, act.arg, outT)
+	r.off, r.err = 0, nil
+	if c := r.call; c.Release != nil {
+		r.off, r.err = c.Release(c.On, c.Arg, outT)
 	}
+	r.call, r.from = Call{}, -1
 	for i := len(b.shards) - 1; i >= 0; i-- {
 		sh := &b.shards[i]
 		sh.mu.Lock()
 		sh.count = 0
 		sh.maxT = 0
-		sh.act = action{}
+		sh.call, sh.from = Call{}, -1
 		// A shard with no alive owners left has nobody to report it next
 		// generation; it is pre-reported here so the root's completeness
 		// count stays exact.
@@ -262,23 +314,32 @@ func (b *barrier) wake(sh *bShard, self *PE) {
 	}
 }
 
+// errPoisoned is what a PE panics with when the world it waits in is poisoned.
+const errPoisoned = "pgas: barrier poisoned (another PE failed)"
+
 // await blocks until every alive participant has called it, then returns the
 // maximum arriveT across the group and the fault status at release time (nil
 // when every PE was alive). p identifies the arriving PE: it selects the
-// owning shard and its arena record. act is the release action the arrival
-// carries, or none.
-func (b *barrier) await(p *PE, arriveT float64, act action) (float64, error) {
+// owning shard and its arena record. c is the call the arrival brings; one
+// that differs from its shard's poisons the world, and the arrival panics
+// without having counted, so the shard never completes.
+func (b *barrier) await(p *PE, arriveT float64, c Call) (float64, error) {
 	sh := &b.shards[p.ID/b.chunk]
 	sh.mu.Lock()
 	if sh.poisoned {
 		sh.mu.Unlock()
-		panic("pgas: barrier poisoned (another PE failed)")
+		panic(errPoisoned)
+	}
+	if sh.from < 0 {
+		sh.call, sh.from = c, p.ID
+	} else if !c.same(sh.call) {
+		err := mismatch(p.ID, c, sh.from, sh.call)
+		sh.mu.Unlock()
+		b.w.poison(err)
+		panic(errPoisoned)
 	}
 	if arriveT > sh.maxT {
 		sh.maxT = arriveT
-	}
-	if act.fn != nil {
-		sh.act = act
 	}
 	sh.count++
 	// Register the arena record before reporting upward — once the shard is
@@ -287,18 +348,7 @@ func (b *barrier) await(p *PE, arriveT float64, act action) (float64, error) {
 	bw := &b.arena[p.ID]
 	bw.waiting = true
 	bw.done.Store(false)
-	complete := sh.count == sh.alive && !sh.reported
-	var sMax float64
-	if complete {
-		sh.reported = true
-		sMax, act = sh.maxT, sh.act
-	}
-	sh.mu.Unlock()
-	if complete {
-		b.root.mu.Lock()
-		b.combine(sMax, act, p)
-		b.root.mu.Unlock()
-	}
+	b.settle(sh, p)
 	// Sleep until the releaser (or a poison) completes the record. If this PE
 	// ran the release itself, done is already set.
 	p.mu.Lock()
@@ -307,7 +357,7 @@ func (b *barrier) await(p *PE, arriveT float64, act action) (float64, error) {
 	}
 	p.mu.Unlock()
 	if bw.poisoned {
-		panic("pgas: barrier poisoned (another PE failed)")
+		panic(errPoisoned)
 	}
 	return bw.outT, bw.outErr
 }
@@ -316,25 +366,28 @@ func (b *barrier) await(p *PE, arriveT float64, act action) (float64, error) {
 // owning shard. If the shard's remaining arrivals now form its complete
 // alive group, the departure reports it upward and the root re-checks whole-
 // world completeness — a departure mid-rendezvous is exactly the condition
-// the release status exists to report. Any other departure takes no lock
-// but its shard's.
+// the release status exists to report. A departer brings no call. Any other
+// departure takes no lock but its shard's.
 func (b *barrier) depart(id int) {
 	sh := &b.shards[id/b.chunk]
 	sh.mu.Lock()
 	sh.alive--
-	complete := !sh.reported && sh.count == sh.alive
-	var sMax float64
-	var act action
-	if complete {
-		sh.reported = true
-		sMax, act = sh.maxT, sh.act
-	}
-	sh.mu.Unlock()
-	if !complete {
+	b.settle(sh, nil)
+}
+
+// settle ends an arrival (self) or a departure (nil) at sh, whose lock it
+// holds and drops: if the shard is now complete it reports it to the root,
+// with its latest arrival time and its call, the shard lock dropped first.
+func (b *barrier) settle(sh *bShard, self *PE) {
+	if sh.reported || sh.count != sh.alive {
+		sh.mu.Unlock()
 		return
 	}
+	sh.reported = true
+	sMax, c, from := sh.maxT, sh.call, sh.from
+	sh.mu.Unlock()
 	b.root.mu.Lock()
-	b.combine(sMax, act, nil)
+	b.combine(sMax, c, from, self)
 	b.root.mu.Unlock()
 }
 
@@ -351,32 +404,32 @@ func (b *barrier) poison() {
 	}
 }
 
-// Barrier is a library's barrier: rendezvous at the PE's clock, then advance
-// it to the release time plus costNs. If the rendezvous involved failed or
-// stopped images each survivor panics with the *ImageFault (error
-// termination).
-func (p *PE) Barrier(costNs float64) { p.BarrierDo(costNs, nil, nil, 0) }
-
-// BarrierDo is Barrier whose rendezvous carries a release action, as
-// BarrierTolerantDo's does: a collective free that charges one barrier.
-func (p *PE) BarrierDo(costNs float64, fn ReleaseFunc, ctx any, arg int64) {
-	if err := p.rendezvous(costNs, action{fn, ctx, arg}); err != nil {
-		panic(err)
+// Barrier is a library's collective: a rendezvous at the PE's clock that
+// brings c, then the clock advanced to the release time plus costNs. It
+// returns what c's release action returned (0 and nil for none). If the
+// rendezvous involved failed or stopped images each survivor panics with the
+// *ImageFault (error termination).
+func (p *PE) Barrier(costNs float64, c Call) (int64, error) {
+	off, err, fault := p.rendezvous(costNs, c)
+	if fault != nil {
+		panic(fault)
 	}
+	return off, err
 }
 
-// BarrierTolerantDo is Barrier with STAT semantics (SYNC ALL with STAT=),
-// whose rendezvous carries a release action, the same from every
-// participant; a nil fn is none. The fault is returned, with the links given
-// up so far folded in (World.withGivenUp).
-func (p *PE) BarrierTolerantDo(costNs float64, fn ReleaseFunc, ctx any, arg int64) error {
-	return p.world.withGivenUp(p.rendezvous(costNs, action{fn, ctx, arg}))
+// BarrierStat is Barrier with STAT semantics (SYNC ALL with STAT=): the fault
+// is returned, with the links given up so far folded in (World.withGivenUp).
+func (p *PE) BarrierStat(costNs float64, c Call) (off int64, err, fault error) {
+	off, err, fault = p.rendezvous(costNs, c)
+	return off, err, p.world.withGivenUp(fault)
 }
 
-// rendezvous is the two barriers' common arithmetic.
-func (p *PE) rendezvous(costNs float64, act action) error {
-	rel, err := p.world.barrier.await(p, p.Clock.Now(), act)
+// rendezvous is the two barriers' common arithmetic. The release's result is
+// read from the root once this PE's record is done (bRoot).
+func (p *PE) rendezvous(costNs float64, c Call) (off int64, err, fault error) {
+	b := p.world.barrier
+	rel, fault := b.await(p, p.Clock.Now(), c)
 	p.Clock.MergeAtLeast(rel)
 	p.Clock.Advance(costNs)
-	return err
+	return b.root.off, b.root.err, fault
 }

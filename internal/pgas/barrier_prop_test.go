@@ -162,7 +162,7 @@ func runSharded(t *testing.T, script [][]barrierEvent, n, shards int) []map[int]
 		return sh.gen
 	}
 	return driveScript(t, script,
-		func(id int, at float64) (float64, error) { return b.await(w.PE(id), at, action{}) },
+		func(id int, at float64) (float64, error) { return b.await(w.PE(id), at, barrierCall) },
 		func(id int, st peState) { w.depart(w.PE(id), st) },
 		count, gen)
 }
@@ -303,11 +303,11 @@ func TestBarrierShardLayoutInvariance(t *testing.T) {
 		got := make([]string, n)
 		err = w.Run(func(p *PE) {
 			p.Clock.Advance(float64(p.ID * 10))
-			p.Barrier(5)
+			p.Barrier(5, barrierCall)
 			if p.ID == n-1 {
 				p.Fail()
 			}
-			berr := p.BarrierTolerantDo(0, nil, nil, 0)
+			_, _, berr := p.BarrierStat(0, barrierCall)
 			got[p.ID] = fmt.Sprintf("t1=%v err=%v", p.Clock.Now(), berr)
 		})
 		if err != nil {

@@ -88,7 +88,7 @@ func BenchmarkBarrierRelease(b *testing.B) {
 			}
 			for i := 0; i < b.N; i++ {
 				p.Clock.Advance(1)
-				p.Barrier(0)
+				p.Barrier(0, barrierCall)
 			}
 		})
 	}()
@@ -123,7 +123,7 @@ func BenchmarkBarrierSync(b *testing.B) {
 	b.ResetTimer()
 	err = w.Run(func(p *PE) {
 		for i := 0; i < b.N; i++ {
-			p.Barrier(0)
+			p.Barrier(0, barrierCall)
 		}
 	})
 	if err != nil {

@@ -260,7 +260,7 @@ func (w *World) unreachableLinks() []string {
 //
 //	retry … retry → unreachable (sticky, per directed link)
 //	    → stat-bearing completion points (Complete with stat,
-//	      BarrierTolerantDo, a WaitWordStat hook that asks Unreachable)
+//	      BarrierStat, a WaitWordStat hook that asks Unreachable)
 //	      report STAT_FAILED_IMAGE for the destination: to the sender a dead
 //	      link and a dead peer are one condition;
 //	    → plain completion points (Complete without stat) and blocking gets

@@ -28,7 +28,7 @@ func runProgram(t *testing.T, shards, n, rounds int) []float64 {
 			w.WriteUint64(dst, 64, uint64(r), p.Clock.Now()+5)
 			ts := p.WaitUntil64(64, func(v uint64) bool { return v >= uint64(r) })
 			p.Clock.MergeAtLeast(ts)
-			p.Barrier(100)
+			p.Barrier(100, barrierCall)
 		}
 		times[p.ID] = p.Clock.Now()
 	})
@@ -224,7 +224,7 @@ func TestDeadlockPanicUnderPartitionLock(t *testing.T) {
 					case p.ID == 1:
 						_, _, _ = p.WaitWordStat(0x10, CmpNE, 0, nil)
 					default:
-						p.Barrier(0)
+						p.Barrier(0, barrierCall)
 					}
 				})
 				if err == nil || !strings.HasPrefix(err.Error(), want) {

@@ -34,6 +34,9 @@ func (p *PE) WaitUntilStat(off, n int64, pred func([]byte) bool, onEvent func() 
 	return p.wait(p, off, n, pred, onEvent)
 }
 
+// barrierCall is what the tests' plain barriers bring to a rendezvous.
+var barrierCall = Call{Op: "Barrier"}
+
 // newWorldShards is NewWorldOpts with the world barrier split into shards
 // leaf shards (0: the automatic layout): the layouts the barrier and
 // determinism tests vary, which no other code chooses.

@@ -221,8 +221,8 @@ func (w *World) deadlock() {
 
 // blockedOn describes the wait p's goroutine sleeps in — its registered watch
 // with the watched word and the time of the last write to it, or (inBarrier)
-// its barrier arrival with the shard's progress — and is empty when it sleeps
-// in neither.
+// the call of its rendezvous with the shard's progress — and is empty when it
+// sleeps in neither.
 func (w *World) blockedOn(p *PE) (on string, inBarrier bool) {
 	p.mu.Lock()
 	wt := p.watch
@@ -240,7 +240,7 @@ func (w *World) blockedOn(p *PE) (on string, inBarrier bool) {
 	if !b.arena[p.ID].waiting {
 		return "", false
 	}
-	return fmt.Sprintf("barrier gen %d, shard %d, %d/%d arrived", sh.gen, p.ID/b.chunk, sh.count, sh.alive), true
+	return fmt.Sprintf("%v rendezvous gen %d, shard %d, %d/%d arrived", sh.call, sh.gen, p.ID/b.chunk, sh.count, sh.alive), true
 }
 
 // describeWatched describes the range of q's partition that wt watches: the

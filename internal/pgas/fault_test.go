@@ -68,7 +68,7 @@ func TestBarrierReleasesOnDepartWithFault(t *testing.T) {
 		if p.ID == 2 {
 			p.Fail()
 		}
-		if err := p.BarrierTolerantDo(0, nil, nil, 0); err != nil {
+		if _, _, err := p.BarrierStat(0, barrierCall); err != nil {
 			var fe *ImageFault
 			if !errors.As(err, &fe) || len(fe.Failed) != 1 || fe.Failed[0] != 2 {
 				t.Errorf("PE %d: barrier fault = %v, want failed=[2]", p.ID, err)
@@ -90,7 +90,7 @@ func TestLegacyBarrierPanicsOnFault(t *testing.T) {
 		if p.ID == 1 {
 			p.Fail()
 		}
-		p.Barrier(0) // must panic (poisons world), not hang
+		p.Barrier(0, barrierCall) // must panic (poisons world), not hang
 	})
 	if err == nil || !strings.Contains(err.Error(), "image fault") {
 		t.Fatalf("want image-fault poison, got %v", err)
@@ -185,10 +185,10 @@ func TestWaitUntilStatOnEvent(t *testing.T) {
 	w, _ := NewWorld(testMachine(), 2)
 	err := w.Run(func(p *PE) {
 		if p.ID == 1 {
-			p.Barrier(0)
+			p.Barrier(0, barrierCall)
 			return // stop → departure broadcast wakes PE 0's wait
 		}
-		p.Barrier(0)
+		p.Barrier(0, barrierCall)
 		// onEvent fires on wake-ups, under the partition lock: it may only
 		// inspect lock-free state (the fault queries), and returning
 		// ErrWaitRecheck aborts the wait so the caller can run recovery logic
@@ -218,7 +218,7 @@ func TestFaultFreeWorldUnchanged(t *testing.T) {
 	// no error — the fault machinery must be invisible.
 	w, _ := NewWorld(testMachine(), 4)
 	err := w.Run(func(p *PE) {
-		if err := p.BarrierTolerantDo(10, nil, nil, 0); err != nil {
+		if _, _, err := p.BarrierStat(10, barrierCall); err != nil {
 			t.Errorf("fault-free barrier returned %v", err)
 		}
 		if w.AnyFailed() || len(w.FailedPEs()) != 0 {
@@ -230,7 +230,7 @@ func TestFaultFreeWorldUnchanged(t *testing.T) {
 		// Hold every PE in the body until all have run their checks: a PE
 		// whose body returns is marked stopped, which would legitimately
 		// change Alive under the feet of a slower checker.
-		if err := p.BarrierTolerantDo(20, nil, nil, 0); err != nil {
+		if _, _, err := p.BarrierStat(20, barrierCall); err != nil {
 			t.Errorf("fault-free barrier returned %v", err)
 		}
 	})

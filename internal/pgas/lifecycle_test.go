@@ -32,7 +32,7 @@ func TestClosedWorldRefusesUse(t *testing.T) {
 	}
 	if err := w.Run(func(p *PE) {
 		p.StoreLocal(8, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-		p.Barrier(0)
+		p.Barrier(0, barrierCall)
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func TestClosedWorldLeavesNoTrace(t *testing.T) {
 			for off := int64(0); off < int64(len(bulk)); off += 4096 {
 				w.WriteUint64(right, off, uint64(off)+1, 2) // one timestamp page each
 			}
-			p.Barrier(0)
+			p.Barrier(0, pgas.Call{Op: "Barrier"})
 		})
 		if err != nil {
 			t.Fatal(err)

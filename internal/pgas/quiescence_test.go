@@ -20,7 +20,7 @@ func TestDeadlockReport(t *testing.T) {
 	const want = "pgas: deadlock: all 4 alive PEs blocked and no PE left to wake them" +
 		" (and 1 departed PEs still blocked)" +
 		" (pgas: image fault (failed PEs [2], stopped PEs [3]))" +
-		": PE 0: barrier gen 1, shard 0, 1/2 arrived" +
+		": PE 0: Malloc(64) rendezvous gen 1, shard 0, 1/2 arrived" +
 		"; PE 1: wait [0x10,+8) = 0x0, last write t=0" +
 		"; PE 2 (failed, unwinding): wait [0x0,+8) = 0x0, last write t=0" +
 		"; PE 4: wait [0x20,+8) = 0x1, last write t=150" +
@@ -32,10 +32,10 @@ func TestDeadlockReport(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = w.Run(func(p *PE) {
-				p.Barrier(0) // generation 0 completes: the program was healthy once
+				p.Barrier(0, barrierCall) // generation 0 completes: the program was healthy once
 				switch p.ID {
-				case 0: // in the barrier nobody else reaches
-					p.BarrierTolerantDo(0, nil, nil, 0)
+				case 0: // in the collective nobody else reaches
+					p.BarrierStat(0, Call{Op: "Malloc", Arg: 64})
 				case 1: // on a word only the failed PE would write
 					p.WaitWordStat(0x10, CmpNE, 0, nil)
 				case 2: // failed, its goroutine blocked in a deferred wait
@@ -96,7 +96,7 @@ func TestNoFalseDeadlock(t *testing.T) {
 			}
 			err = w.Run(func(p *PE) {
 				for r := int64(1); r <= int64(rounds); r++ {
-					p.Barrier(0)
+					p.Barrier(0, barrierCall)
 					w.WriteUint64((p.ID+1)%n, 0, uint64(r), 0)
 					p.WaitWord(0, CmpGE, r)
 				}
@@ -128,7 +128,7 @@ func TestDeadlockSpinOnSleepingHolder(t *testing.T) {
 				if p.ID == 0 {
 					p.CompareSwap64Stat(home, word, 0, 1, probe)
 				}
-				p.Barrier(0)
+				p.Barrier(0, barrierCall)
 				if p.ID == 0 {
 					p.WaitWordStat(flag, CmpNE, 0, nil)
 					return

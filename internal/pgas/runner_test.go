@@ -21,7 +21,7 @@ func runSum(t *testing.T, n int) Metrics {
 	got := make([]float64, n)
 	if err := w.Run(func(p *PE) {
 		p.Clock.Advance(float64(p.ID))
-		p.Barrier(0)
+		p.Barrier(0, barrierCall)
 		got[p.ID] = p.Clock.Now()
 	}); err != nil {
 		t.Fatalf("fresh %d-PE world: %v", n, err)
@@ -46,12 +46,12 @@ func TestRunnerSurvivesEveryEnding(t *testing.T) {
 		failed  bool
 		parking bool
 	}{
-		{"return", func(p *PE) { p.Barrier(0) }, false, true},
+		{"return", func(p *PE) { p.Barrier(0, barrierCall) }, false, true},
 		{"panic", func(p *PE) {
 			if p.ID == 0 {
 				panic("boom")
 			}
-			p.Barrier(0)
+			p.Barrier(0, barrierCall)
 		}, true, true},
 		{"fail-image", func(p *PE) { p.Fail() }, false, true},
 		{"goexit", func(p *PE) { runtime.Goexit() }, false, false},

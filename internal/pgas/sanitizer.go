@@ -24,9 +24,6 @@ import (
 //     one (CheckHandle), and one still live at the end, unless the runtime's
 //     own (MarkInternal), is a leak — a forgotten collective free wedges the
 //     same offsets on every PE for the rest of the job;
-//   - the sequence of collective calls, hashed per PE and compared at the end,
-//     catching SPMD divergence that completes without deadlocking (e.g. PEs
-//     calling Malloc with different sizes);
 //   - lock acquisitions balanced against releases — a lock still held when its
 //     owner exits can never be taken again — and, as Linux lockdep does, the
 //     order locks are taken in: holding A while waiting for B on one PE and B
@@ -36,16 +33,17 @@ import (
 // its error. Sanitizing is off by default and every hook is behind a single nil
 // check on the World; on or off, it moves no clock.
 //
-// When PEs have failed (fault injection or FAIL IMAGE), the leak, divergence
-// and lock-order checks are skipped: survivors legitimately diverge from the
-// victims' call sequence, and allocations owned by recovery paths may outlive
-// the job. Held-lock reporting also exempts failed PEs — dying while holding a
+// Collective calls need no sanitizer: every rendezvous compares the calls its
+// arrivals bring, always (barrier.go).
+//
+// When PEs have failed (fault injection or FAIL IMAGE), the leak and
+// lock-order checks are skipped: allocations owned by recovery paths may
+// outlive the job. Held-lock reporting also exempts failed PEs — dying while holding a
 // lock is the scenario the fault-tolerant lock recovers from.
 
 // Violation is one sanitizer finding.
 type Violation struct {
-	// Kind is "race", "leak", "bad-handle", "collective-mismatch",
-	// "lock-held", "lock-order", "nbi-src-reuse" (a nonblocking put's source
+	// Kind is "race", "leak", "bad-handle", "lock-held", "lock-order", "nbi-src-reuse" (a nonblocking put's source
 	// buffer was modified before its completion) or "nbi-leak" (nonblocking
 	// puts still in flight at job end).
 	Kind string
@@ -72,9 +70,7 @@ type sanPut struct {
 
 type sanitizer struct {
 	mu         sync.Mutex
-	pending    map[int][]sanPut // origin PE -> outstanding puts
-	collHash   map[int]uint64   // per-PE FNV-1a chain over collective calls
-	collCount  map[int]int
+	pending    map[int][]sanPut          // origin PE -> outstanding puts
 	held       map[int]map[string]int    // PE -> lock -> acquire depth
 	order      map[string]map[string]int // lock held -> lock then waited for -> first PE to do so
 	violations []Violation
@@ -82,24 +78,14 @@ type sanitizer struct {
 
 func newSanitizer() *sanitizer {
 	return &sanitizer{
-		pending:   map[int][]sanPut{},
-		collHash:  map[int]uint64{},
-		collCount: map[int]int{},
-		held:      map[int]map[string]int{},
-		order:     map[string]map[string]int{},
+		pending: map[int][]sanPut{},
+		held:    map[int]map[string]int{},
+		order:   map[string]map[string]int{},
 	}
 }
 
 // Sanitizing reports whether this world runs with the sanitizer enabled.
 func (w *World) Sanitizing() bool { return w.san != nil }
-
-// RecordCollective folds one collective call into the PE's FNV-1a chain. All
-// PEs must execute the same sequence with matching arguments.
-func (p *PE) RecordCollective(op string, args ...int64) {
-	if s := p.world.san; s != nil {
-		s.recordCollective(p.ID, op, args)
-	}
-}
 
 // NoteLockAcquired records that the PE now holds the lock named by kind, the
 // lock word's offset and idx (an element or image index), for the held-at-exit
@@ -259,31 +245,6 @@ func (s *sanitizer) noteLock(pe int, kind string, off int64, idx, delta int, wai
 	}
 }
 
-func (s *sanitizer) recordCollective(pe int, op string, args []int64) {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.collHash[pe]
-	if !ok {
-		h = fnvOffset
-	}
-	mix := func(b byte) { h = (h ^ uint64(b)) * fnvPrime }
-	for i := 0; i < len(op); i++ {
-		mix(op[i])
-	}
-	mix(0)
-	for _, a := range args {
-		for i := 0; i < 64; i += 8 {
-			mix(byte(uint64(a) >> i))
-		}
-	}
-	s.collHash[pe] = h
-	s.collCount[pe]++
-}
-
 // report records one finding. Must hold s.mu.
 func (s *sanitizer) report(kind string, pe int, format string, args ...any) {
 	s.violations = append(s.violations, Violation{Kind: kind, PE: pe, Msg: fmt.Sprintf(format, args...)})
@@ -315,13 +276,6 @@ func (s *sanitizer) finalize(w *World) error {
 			}
 		}
 		w.heap.mu.Unlock()
-		// Collective divergence: every PE must fold the same call sequence.
-		for pe := 1; pe < w.n; pe++ {
-			if s.collCount[pe] != s.collCount[0] || s.collHash[pe] != s.collHash[0] {
-				s.report("collective-mismatch", pe, "collective call sequence diverges from PE 0: %d calls (chain %#x) vs %d calls (chain %#x); all PEs must reach the same collectives with the same arguments",
-					s.collCount[pe], s.collHash[pe], s.collCount[0], s.collHash[0])
-			}
-		}
 		for _, c := range s.lockCycles() {
 			s.report("lock-order", s.order[c[len(c)-1]][c[0]], "locks taken in a cyclic order: %s → %s; PEs each holding one while waiting for the next deadlock",
 				strings.Join(c, " → "), c[0])

@@ -124,7 +124,7 @@ func TestDeadlockReachedByDeparture(t *testing.T) {
 			err = w.Run(func(p *PE) {
 				switch p.ID {
 				case 0:
-					p.BarrierTolerantDo(0, nil, nil, 0)
+					p.BarrierStat(0, barrierCall)
 				case 1:
 					p.WaitWordStat(8, CmpNE, 0, nil)
 				default:

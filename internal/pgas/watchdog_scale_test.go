@@ -69,7 +69,7 @@ func TestBarrier100kReleaseClean(t *testing.T) {
 	err = w.Run(func(p *PE) {
 		for i := 0; i < 2; i++ {
 			p.Clock.Advance(100)
-			p.Barrier(0)
+			p.Barrier(0, barrierCall)
 		}
 		if got := p.Clock.Now(); got != 200 {
 			panic("wrong release time at 100k")

@@ -53,7 +53,7 @@ func TestRunPropagatesPanic(t *testing.T) {
 			panic("boom")
 		}
 		// PE 0 parks in a barrier; the poison must wake it.
-		p.Barrier(0)
+		p.Barrier(0, barrierCall)
 	})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("expected propagated panic, got %v", err)
@@ -183,7 +183,7 @@ func TestBarrierAggregatesMaxClock(t *testing.T) {
 	w := testWorld(t, 4)
 	err := w.Run(func(p *PE) {
 		p.Clock.Advance(float64(p.ID) * 100) // PE 3 is the laggard at t=300
-		p.Barrier(50)
+		p.Barrier(50, barrierCall)
 		if got := p.Clock.Now(); got != 350 {
 			panic("barrier release time wrong")
 		}
@@ -198,7 +198,7 @@ func TestBarrierReusable(t *testing.T) {
 	err := w.Run(func(p *PE) {
 		for i := 0; i < 10; i++ {
 			p.Clock.Advance(1)
-			p.Barrier(0)
+			p.Barrier(0, barrierCall)
 		}
 	})
 	if err != nil {

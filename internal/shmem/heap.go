@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cafshmem/internal/fabric"
+	"cafshmem/internal/pgas"
 )
 
 // Sym is a handle to a symmetric allocation: the same offset within every
@@ -44,28 +45,24 @@ func (pe *PE) Malloc(size int64) Sym {
 // two barriers that used to publish the handle and close the call. Fault
 // conditions observed at the rendezvous are collected, not raised, so
 // survivors complete the allocation together either way.
-func (pe *PE) mallocInner(size int64) (sym Sym, allocErr, faultErr error) {
-	w := pe.world
-	pe.p.RecordCollective("Malloc", size)
-	faultErr = pe.barrierStat(mallocRelease, size, 2)
-	return w.cur, w.curErr, faultErr
+func (pe *PE) mallocInner(size int64) (Sym, error, error) {
+	off, allocErr, faultErr := pe.barrierStat(pgas.Call{Op: "Malloc", Arg: size, Release: mallocRelease, On: pe.world}, 2)
+	return Sym{Off: off, Size: size}, allocErr, faultErr
 }
 
 // mallocRelease is Malloc's release action (ctx is the World): it allocates
-// from the world's symmetric heap (pgas.World.Alloc) and leaves the outcome in
-// cur and curErr for each PE to read as it wakes — the next call cannot
-// release, and overwrite them, before every PE has entered it. It touches the
-// region on every alive PE so it is logically established before anyone can
-// write there. Touch carries the full write bookkeeping (timestamps, wakeups)
-// of a one-byte store but lets the partition stay small until something is
-// actually written. The stamp is the clock each PE held when it touched its
-// own region: a barrier and the next one's quiet behind the release.
-func mallocRelease(ctx any, size int64, rel float64) {
+// from the world's symmetric heap (pgas.World.Alloc), and the rendezvous hands
+// every PE the offset. It touches the region on every alive PE so it is
+// logically established before anyone can write there. Touch carries the
+// full write bookkeeping (timestamps, wakeups) of a one-byte store but lets
+// the partition stay small until something is actually written. The stamp is
+// the clock each PE held when it touched its own region: a barrier and the
+// next one's quiet behind the release.
+func mallocRelease(ctx any, size int64, rel float64) (int64, error) {
 	w := ctx.(*World)
 	off, err := w.pw.Alloc(size)
-	w.cur, w.curErr = Sym{Off: off, Size: size}, err
 	if err != nil {
-		return
+		return 0, err
 	}
 	var at fabric.Clock
 	cost := w.barrierNs()
@@ -78,6 +75,7 @@ func mallocRelease(ctx any, size int64, rel float64) {
 			w.pw.Touch(id, off+size-1, at.Now())
 		}
 	}
+	return off, nil
 }
 
 // Free is the collective symmetric deallocator (shfree).
@@ -91,10 +89,8 @@ func (pe *PE) Free(sym Sym) {
 // whose release action returns the space, and the closing barrier's virtual
 // time. Freeing what is not allocated panics on every PE.
 func (pe *PE) FreeStat(sym Sym) error {
-	w := pe.world
-	pe.p.RecordCollective("Free", sym.Off)
-	faultErr := pe.barrierStat(freeRelease, sym.Off, 1)
-	if err := w.curErr; err != nil {
+	_, err, faultErr := pe.barrierStat(pgas.Call{Op: "Free", Arg: sym.Off, Release: freeRelease, On: pe.world}, 1)
+	if err != nil {
 		panic(err)
 	}
 	return faultErr
@@ -102,7 +98,6 @@ func (pe *PE) FreeStat(sym Sym) error {
 
 // freeRelease is Free's release action: the heap clears the freed range on
 // every alive PE (pgas.World.Free).
-func freeRelease(ctx any, off int64, _ float64) {
-	w := ctx.(*World)
-	w.curErr = w.pw.Free(off)
+func freeRelease(ctx any, off int64, _ float64) (int64, error) {
+	return 0, ctx.(*World).pw.Free(off)
 }

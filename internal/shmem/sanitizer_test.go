@@ -54,24 +54,26 @@ func TestSanitizerDetectsLeak(t *testing.T) {
 	}
 }
 
-// PEs calling Malloc with different sizes is SPMD divergence that completes
-// without deadlocking (PE 0's size wins); only the collective call-sequence
-// hash catches it.
+// PEs calling Malloc with different sizes is SPMD divergence that would
+// complete without deadlocking; the rendezvous they meet at names both calls,
+// with the sanitizer on or off, and allocates nothing.
 func TestSanitizerDetectsCollectiveMismatch(t *testing.T) {
-	err := Run(sanCfg(), 4, func(pe *PE) {
-		size := int64(64)
-		if pe.MyPE() == 3 {
-			size = 128 // diverges from the other PEs
+	for _, cfg := range []Config{sanCfg(), stampedeCfg()} {
+		err := Run(cfg, 4, func(pe *PE) {
+			size := int64(64)
+			if pe.MyPE() == 3 {
+				size = 128 // diverges from the other PEs
+			}
+			sym := pe.Malloc(size)
+			pe.Free(sym)
+		})
+		if err == nil {
+			t.Fatalf("sanitize=%v: a diverging collective call ran clean", cfg.Sanitize)
 		}
-		sym := pe.Malloc(size)
-		pe.Free(sym)
-	})
-	if err == nil {
-		t.Fatal("sanitizer missed a diverging collective call sequence")
-	}
-	for _, want := range []string{"collective-mismatch", "diverges from PE 0"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
+		for _, want := range []string{"collective-mismatch", "Malloc(64)", "PE 3 called Malloc(128)"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("sanitize=%v: error %q does not mention %q", cfg.Sanitize, err, want)
+			}
 		}
 	}
 }

@@ -26,10 +26,6 @@ type World struct {
 	pw      *pgas.World
 	prof    *fabric.CostProfile
 	machine *fabric.Machine
-	// cur and curErr are the outcome of the latest Malloc or Free, left by its
-	// release action for every PE to read as it wakes (heap.go).
-	cur    Sym
-	curErr error
 	// pes is the job's PE table, indexed by rank: Attach initialises a rank's
 	// element in place and hands out its address.
 	pes []PE

@@ -13,28 +13,29 @@ import "cafshmem/internal/pgas"
 // sanitizer accounting, but when PEs have failed or stopped the rendezvous
 // completes among the survivors and the fault is returned instead of
 // panicking, with every given-up link's destination folded in
-// (pgas.PE.BarrierTolerantDo). A nil return means every PE arrived.
-func (pe *PE) BarrierStat() error { return pe.barrierStat(nil, 0, 0) }
+// (pgas.PE.BarrierStat). A nil return means every PE arrived.
+func (pe *PE) BarrierStat() error {
+	_, _, fault := pe.barrierStat(pgas.Call{Op: "Barrier"}, 0)
+	return fault
+}
 
-// barrierStat is BarrierStat with what a collective allocation asks of its
-// rendezvous (heap.go): a release action, run once on the world and arg, and
-// the virtual time of further barriers behind it. Every PE leaves a rendezvous
-// at one clock with nothing in flight, so a barrier entered right there
-// decides nothing: each PE performs its clock operations and sanitizer records
-// (the quiet really runs) and the host rendezvous does not happen. The
-// barrier reports the fault, so the quiets' own reports are dropped.
-func (pe *PE) barrierStat(act pgas.ReleaseFunc, arg int64, further int) error {
+// barrierStat is BarrierStat bringing c, whose release action a collective
+// allocation's rendezvous carries (heap.go), and the virtual time of further
+// barriers behind it; it returns what the release returned and the fault.
+// Every PE leaves a rendezvous at one clock with nothing in flight, so a
+// barrier entered right there decides nothing and meets nobody: each PE
+// performs its clock operations and sanitizer records (the quiet really runs)
+// and the host rendezvous does not happen. The barrier reports the fault, so
+// the quiets' own reports are dropped.
+func (pe *PE) barrierStat(c pgas.Call, further int) (off int64, err, fault error) {
 	_ = pe.quiet(-1, true)
-	w := pe.world
-	pe.p.RecordCollective("Barrier")
-	cost := w.barrierNs()
-	err := pe.p.BarrierTolerantDo(cost, act, w, arg)
+	cost := pe.world.barrierNs()
+	off, err, fault = pe.p.BarrierStat(cost, c)
 	for ; further > 0; further-- {
 		_ = pe.quiet(-1, true)
-		pe.p.RecordCollective("Barrier")
 		pe.p.Clock.Advance(cost)
 	}
-	return err
+	return off, err, fault
 }
 
 // SwapStat atomically stores v and returns the previous value — the

@@ -39,9 +39,7 @@ func (pe *PE) quiet(target int, stat bool) error {
 // shmem_barrier_all.
 func (pe *PE) Barrier() {
 	pe.Quiet()
-	w := pe.world
-	pe.p.RecordCollective("Barrier")
-	pe.p.Barrier(w.barrierNs())
+	pe.p.Barrier(pe.world.barrierNs(), pgas.Call{Op: "Barrier"})
 }
 
 // Cmp is a wait-until comparison operator (shmem_wait_until): the substrate's

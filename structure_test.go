@@ -111,7 +111,9 @@ var structureRows = []struct {
 		})).because("World.Shared, a library's slot for its own heap, deleted in f1ddf8a (one-heap)"),
 		files("internal/shmem/").find(idents("CtxCreate", "Ctx")).because("shmem's communication contexts, folded into PE with internal/shmem/ctx.go deleted (reachability)"),
 		files().find(idents("SetLock", "TestLock", "ClearLock")).because("OpenSHMEM's global locks, which CAF cannot use (§IV-D), deleted with internal/shmem/locks.go (reachability)"),
-		files().find(idents("SyncHandle", "PartialError", "RequestShort", "RequestMedium", "RequestLong")).because("GASNet's explicit handles and fire-and-forget active messages, deleted (reachability)")}},
+		files().find(idents("SyncHandle", "PartialError", "RequestShort", "RequestMedium", "RequestLong")).because("GASNet's explicit handles and fire-and-forget active messages, deleted (reachability)"),
+		files().find(idents("RecordCollective", "collHash")).because("the sanitizer's end-of-job chain of collective calls, deleted when every rendezvous compared the calls its arrivals brought, always (pgas Call)"),
+		files().find(idents("BarrierDo"), declares("World", "curErr")).because("a third barrier entry and the libraries' stashes of a release's outcome, deleted when a rendezvous returned what its release action returned (pgas Call)")}},
 }
 
 // A check finds the nodes one of match matches in the files under one of in
